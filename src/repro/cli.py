@@ -624,7 +624,9 @@ def _print_daemon_stats(args: argparse.Namespace) -> int:
               f"p99 {latency['p99_s'] * 1e3:.1f}ms "
               f"({latency['count']} samples)")
     print(f"gc           : {gc.get('cycles', 0)} cycles, "
-          f"debt {gc.get('debt', 0)} staged entries")
+          f"{gc.get('spill_bytes', 0):,} bytes spilled, "
+          f"{gc.get('reloads', 0)} reloads, "
+          f"debt {gc.get('debt', 0)} deferred index inserts")
     kernel = stats.get("kernel", {})
     if kernel:
         print(f"kernel       : {kernel.get('batches', 0)} batches, "

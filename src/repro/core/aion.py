@@ -28,11 +28,12 @@ and are only *reported* when the transaction's timer expires
 (:class:`~repro.core.ext_status.ExtStatusTracker`); INT, SESSION and
 NOCONFLICT verdicts are stable and reported immediately.
 
-Garbage collection (:meth:`Aion.collect_below`) transfers frontier
-versions, writer intervals, and resident transactions below a GC-safe
-timestamp to a disk :class:`~repro.core.spill.SpillStore`; the checker
-transparently reloads overlapping segments when a severely delayed
-transaction forces a query below the in-memory boundary.
+Garbage collection (:meth:`Aion.collect_below`, implemented once for all
+online checkers by :class:`~repro.core.spill.SpillingGc`) transfers
+frontier versions, writer intervals, and resident transactions below a
+GC-safe timestamp to a disk :class:`~repro.core.spill.SpillStore`; the
+checker transparently reloads overlapping segments when a severely
+delayed transaction forces a query below the in-memory boundary.
 
 Per-arrival complexity is ``O(log N + M)`` plus the size of the affected
 re-check sets (§III-C4).
@@ -63,9 +64,11 @@ from repro.core.ext_status import (
     FlipFlopStats,
 )
 from repro.core.kernel import KernelStats, resolve_columns, resolve_writes
-from repro.core.spill import SpillStore
+from repro.core.spill import GcReport, SpillingGc
 from repro.core.versioned import (
     ExtReadIndex,
+    IntervalColumns,
+    VersionColumns,
     VersionedFrontier,
     WriterIntervals,
     probe_columns,
@@ -82,7 +85,6 @@ from repro.core.violations import (
 from repro.histories.model import OpKind, Transaction
 from repro.core.colpack import ColumnarBatch
 from repro.util.sizeof import deep_sizeof
-from repro.util.sortedmap import SortedMap
 
 __all__ = ["Aion", "AionConfig", "GcReport"]
 
@@ -108,19 +110,7 @@ class AionConfig:
     optimized_recheck: bool = True
 
 
-@dataclass
-class GcReport:
-    """Outcome of one garbage collection cycle."""
-
-    requested_ts: int
-    effective_ts: int
-    evicted_versions: int
-    evicted_intervals: int
-    evicted_txns: int
-    seconds: float
-
-
-class Aion:
+class Aion(SpillingGc):
     """Online SI checker over key-value histories.
 
     Parameters
@@ -152,16 +142,7 @@ class Aion:
         )
         self._result = CheckResult()
         self._fresh: List[Violation] = []
-        self._resident: Dict[int, Transaction] = {}
-        self._resident_by_cts: SortedMap = SortedMap()
-        #: Commit-order entries not yet merged into ``_resident_by_cts``.
-        #: Only the GC paths read the commit-ordered index, so the hot
-        #: path appends ``(commit_ts, tid)`` here and the ordered merge
-        #: is deferred to :meth:`_resident_map` — amortized off ingestion
-        #: without changing what any GC cycle observes.
-        self._resident_cts_pending: List[Tuple[int, int]] = []
-        self._spill: Optional[SpillStore] = None
-        self._collected_upto: Optional[int] = None
+        self._init_gc()
         self._kernel_stats = KernelStats()
         self.processed = 0
 
@@ -668,15 +649,6 @@ class Aion:
         """Per-stage operation counters of the staged batch kernel."""
         return self._kernel_stats
 
-    @property
-    def resident_txn_count(self) -> int:
-        """Transactions currently held in memory (GC threshold input)."""
-        return len(self._resident)
-
-    @property
-    def spill_store(self) -> Optional[SpillStore]:
-        return self._spill
-
     def estimated_bytes(self) -> int:
         """Deep-size estimate of the checker's live structures."""
         return deep_sizeof(
@@ -689,147 +661,21 @@ class Aion:
             )
         )
 
-    def gc_debt(self) -> int:
-        """Entries staged for the next collection cycle: lazy GC heap and
-        staging-list entries in the frontier and writer indexes, plus
-        deferred resident-index inserts — the work the next
-        ``collect_garbage`` pays before any eviction starts."""
-        return (
-            self._frontier.staged_gc_entries()
-            + self._writers.staged_gc_entries()
-            + len(self._resident_cts_pending)
-        )
-
     def scan_step_totals(self) -> Tuple[int, int]:
         """Summed ``(scan_steps, gc_scan_steps)`` over live promoted
         writer-interval keys (see ``WriterIntervals.scan_step_totals``)."""
         return self._writers.scan_step_totals()
 
     # ------------------------------------------------------------------
-    # Garbage collection (lines 3:62–3:66)
+    # Garbage collection hooks (the cycle itself is SpillingGc's)
     # ------------------------------------------------------------------
 
-    def gc_safe_ts(self) -> Optional[int]:
-        """Default collection watermark: everything currently resident.
+    def _evict_columns(self, ts: int) -> Tuple[VersionColumns, IntervalColumns]:
+        return self._frontier.evict_below(ts), self._writers.evict_below(ts)
 
-        Eviction is safe at any timestamp because (a) the versioned
-        frontier always retains the newest evicted version per key, so
-        visibility queries above the watermark stay exact, (b) pending
-        EXT verdicts and their re-check index live outside the evicted
-        structures, and (c) a severely delayed transaction below the
-        watermark transparently reloads the spilled segments.  None when
-        nothing is resident."""
-        by_cts = self._resident_map()
-        if not by_cts:
-            return None
-        (max_cts, _), _ = by_cts.max_item()
-        return max_cts
-
-    def _resident_map(self) -> SortedMap:
-        """The commit-ordered resident index, with deferred entries merged."""
-        pending = self._resident_cts_pending
-        if pending:
-            by_cts = self._resident_by_cts
-            for entry in pending:
-                by_cts[entry] = entry[1]
-            pending.clear()
-        return self._resident_by_cts
-
-    def suggest_gc_ts(self, keep_recent: int = 2000) -> Optional[int]:
-        """A collection watermark that spares the ``keep_recent`` newest
-        resident transactions.
-
-        Arrivals lag at most the collector's delay spread behind the
-        newest commit, so keeping a recency margin makes dips below the
-        collected boundary — each of which forces a segment reload —
-        rare instead of constant.  Returns None when the margin already
-        covers everything resident.
-        """
-        by_cts = self._resident_map()
-        excess = len(by_cts) - keep_recent
-        if excess <= 0:
-            return None
-        for index, ((cts, _tid), _) in enumerate(by_cts.items()):
-            if index == excess - 1:
-                return cts
-        return None
-
-    def collect_below(self, ts: Optional[int] = None) -> GcReport:
-        """Transfer structures with timestamps <= ``ts`` to disk.
-
-        ``ts`` defaults to (and is always clamped by) :meth:`gc_safe_ts`.
-
-        Report contract: ``requested_ts`` echoes the caller's ``ts`` (the
-        safe watermark when ``ts`` was None), and ``effective_ts`` is the
-        watermark actually applied.  When nothing is resident the cycle is
-        a no-op with zero counts; ``effective_ts`` then equals the
-        requested ``ts`` — or the ``-1`` sentinel only when no ``ts`` was
-        given either, i.e. there was no watermark at all.
-        """
-        t0 = time.perf_counter()
-        safe = self.gc_safe_ts()
-        if safe is None:
-            requested = ts if ts is not None else -1
-            return GcReport(requested, requested, 0, 0, 0, time.perf_counter() - t0)
-        effective = safe if ts is None else min(ts, safe)
-
-        frontier_segment = self._frontier.evict_below(effective)
-        interval_segment = self._writers.evict_below(effective)
-        evicted_txns: List[Transaction] = []
-        for (cts, tid), _ in self._resident_map().pop_below((effective, _TID_MAX)):
-            txn = self._resident.pop(tid, None)
-            if txn is not None:
-                evicted_txns.append(txn)
-
-        n_versions = sum(len(v) for v in frontier_segment.values())
-        n_intervals = sum(len(v) for v in interval_segment.values())
-        if frontier_segment or interval_segment or evicted_txns:
-            if self._spill is None:
-                self._spill = SpillStore(self.config.spill_dir)
-            from repro.histories.serialization import txn_to_dict
-
-            # The segment's range must bound its *content*: reloaded and
-            # re-evicted data can be much older than the previous GC
-            # boundary, and a range that overstates min_ts would hide the
-            # segment from reloads that need it.
-            content_min = effective
-            for versions in frontier_segment.values():
-                for cts, _value, _tid in versions:
-                    if cts < content_min:
-                        content_min = cts
-            for intervals in interval_segment.values():
-                for start_ts, _end_ts, _tid in intervals:
-                    if start_ts < content_min:
-                        content_min = start_ts
-            for txn in evicted_txns:
-                if txn.start_ts < content_min:
-                    content_min = txn.start_ts
-            self._spill.spill(
-                content_min,
-                effective,
-                {
-                    "frontier": {k: v for k, v in frontier_segment.items()},
-                    "intervals": {k: v for k, v in interval_segment.items()},
-                    "txns": [txn_to_dict(t) for t in evicted_txns],
-                },
-                n_items=n_versions + n_intervals + len(evicted_txns),
-            )
-        if self._collected_upto is None or effective > self._collected_upto:
-            self._collected_upto = effective
-        return GcReport(
-            requested_ts=ts if ts is not None else safe,
-            effective_ts=effective,
-            evicted_versions=n_versions,
-            evicted_intervals=n_intervals,
-            evicted_txns=len(evicted_txns),
-            seconds=time.perf_counter() - t0,
-        )
-
-    def close(self) -> None:
-        """Release the spill directory, if any."""
-        if self._spill is not None:
-            self._spill.close()
-            self._spill = None
+    def _merge_columns(self, versions: VersionColumns, intervals: IntervalColumns) -> None:
+        self._frontier.merge(versions)
+        self._writers.merge(intervals)
 
     # ------------------------------------------------------------------
     # Internals
@@ -849,18 +695,6 @@ class Aion:
                 self._reload_below(ts)
                 version = self._frontier.latest_at(key, ts)
         return BOTTOM if version is None else version[1]
-
-    def _reload_below(self, ts: Optional[int]) -> None:
-        """Reload spilled segments overlapping [0, ts] (None = all)."""
-        if self._spill is None:
-            return
-        for payload in self._spill.reload_overlapping(0, ts):
-            self._frontier.merge(
-                {k: [tuple(v) for v in versions] for k, versions in payload["frontier"].items()}
-            )
-            self._writers.merge(
-                {k: [tuple(v) for v in ivs] for k, ivs in payload["intervals"].items()}
-            )
 
     def _report(self, violation: Violation) -> None:
         self._result.add(violation)
@@ -907,17 +741,3 @@ class Aion:
             [(v[EV_KEY], v[EV_SNAPSHOT_TS], v[EV_TID]) for v in verdicts]
         )
 
-
-class _TidMax:
-    """Sentinel comparing greater than any tid in resident-eviction keys."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __gt__(self, other: Any) -> bool:
-        return other is not self
-
-
-_TID_MAX = _TidMax()

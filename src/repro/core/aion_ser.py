@@ -25,7 +25,7 @@ import time
 from collections import defaultdict
 from typing import Any, Callable, DefaultDict, Dict, List, Optional, Tuple
 
-from repro.core.aion import AionConfig, GcReport, _TID_MAX
+from repro.core.aion import AionConfig
 from repro.core.common import BOTTOM, SessionTracker, simulate_transaction_ops, values_match
 from repro.core.ext_status import (
     EV_ACTUAL,
@@ -38,8 +38,14 @@ from repro.core.ext_status import (
     FlipFlopStats,
 )
 from repro.core.kernel import KernelStats, resolve_columns, resolve_writes
-from repro.core.spill import SpillStore
-from repro.core.versioned import ExtReadIndex, VersionedFrontier
+from repro.core.spill import SpillingGc
+from repro.core.versioned import (
+    ExtReadIndex,
+    IntervalColumns,
+    VersionColumns,
+    VersionedFrontier,
+    empty_columns,
+)
 from repro.core.violations import (
     Axiom,
     CheckResult,
@@ -51,12 +57,11 @@ from repro.core.violations import (
 from repro.histories.model import OpKind, Transaction
 from repro.core.colpack import ColumnarBatch
 from repro.util.sizeof import deep_sizeof
-from repro.util.sortedmap import SortedMap
 
 __all__ = ["AionSer"]
 
 
-class AionSer:
+class AionSer(SpillingGc):
     """Online SER checker over key-value histories."""
 
     def __init__(
@@ -77,10 +82,7 @@ class AionSer:
         )
         self._result = CheckResult()
         self._fresh: List[Violation] = []
-        self._resident: dict[int, Transaction] = {}
-        self._resident_by_cts: SortedMap = SortedMap()
-        self._spill: Optional[SpillStore] = None
-        self._collected_upto: Optional[int] = None
+        self._init_gc()
         self._kernel_stats = KernelStats()
         self.processed = 0
 
@@ -320,8 +322,9 @@ class AionSer:
         report = self._report
         reevaluate = ext.reevaluate
         resident = self._resident
-        resident_by_cts = self._resident_by_cts
+        pending_cts = self._resident_cts_pending.append
         n_reevals = 0
+        n_rejected = 0
         for txn, pre, w_lo, w_hi in entries:
             if pre is not None:
                 for violation in pre:
@@ -336,8 +339,12 @@ class AionSer:
                         reevaluate(reader_tid, key, actual == value, value, now)
             tid = txn.tid
             resident[tid] = txn
-            resident_by_cts[(txn.commit_ts, tid)] = tid
-            self.processed += 1
+            pending_cts((txn.commit_ts, tid))
+            if txn.start_ts > txn.commit_ts:
+                n_rejected += 1
+        # ``processed`` counts accepted transactions only, as in Aion: an
+        # Eq. 1 offender is still checked at its commit point, not counted.
+        self.processed += len(entries) - n_rejected
         stats.verdict_reevals += n_reevals
         if batch is not None:
             ext.arm_timers(batch.tids, now)
@@ -428,8 +435,9 @@ class AionSer:
                 self._ext.reevaluate(reader_tid, key, actual == value, value, now)
 
         self._resident[tid] = txn
-        self._resident_by_cts[(txn.commit_ts, tid)] = tid
-        self.processed += 1
+        self._resident_cts_pending.append((txn.commit_ts, tid))
+        if txn.start_ts <= txn.commit_ts:
+            self.processed += 1
 
     # ------------------------------------------------------------------
 
@@ -457,111 +465,24 @@ class AionSer:
         """Per-stage operation counters of the staged batch kernel."""
         return self._kernel_stats
 
-    @property
-    def resident_txn_count(self) -> int:
-        return len(self._resident)
-
-    @property
-    def spill_store(self) -> Optional[SpillStore]:
-        return self._spill
-
     def estimated_bytes(self) -> int:
         """Deep-size estimate of the checker's live structures."""
         return deep_sizeof((self._frontier, self._ext_reads, self._resident, self._ext))
-
-    def gc_debt(self) -> int:
-        """Entries staged for the next collection cycle (SER keeps no
-        writer intervals, so only the frontier contributes)."""
-        return self._frontier.staged_gc_entries()
 
     def scan_step_totals(self) -> Tuple[int, int]:
         """SER keeps no writer-interval index; no scan counters accrue."""
         return 0, 0
 
     # ------------------------------------------------------------------
-    # Garbage collection
+    # Garbage collection hooks (the cycle itself is SpillingGc's; SER
+    # keeps no writer intervals, so only the frontier is evicted)
     # ------------------------------------------------------------------
 
-    def gc_safe_ts(self) -> Optional[int]:
-        """Default collection watermark: everything currently resident.
+    def _evict_columns(self, ts: int) -> Tuple[VersionColumns, IntervalColumns]:
+        return self._frontier.evict_below(ts), empty_columns()
 
-        See :meth:`repro.core.aion.Aion.gc_safe_ts` — the same
-        keep-newest / reload-on-demand argument applies without the
-        interval index."""
-        if not self._resident_by_cts:
-            return None
-        (max_cts, _), _ = self._resident_by_cts.max_item()
-        return max_cts
-
-    def suggest_gc_ts(self, keep_recent: int = 2000) -> Optional[int]:
-        """Watermark sparing the newest residents (see Aion's variant)."""
-        excess = len(self._resident_by_cts) - keep_recent
-        if excess <= 0:
-            return None
-        for index, ((cts, _tid), _) in enumerate(self._resident_by_cts.items()):
-            if index == excess - 1:
-                return cts
-        return None
-
-    def collect_below(self, ts: Optional[int] = None) -> GcReport:
-        """Transfer structures with timestamps <= ``ts`` to disk.
-
-        Report contract as for :meth:`repro.core.aion.Aion.collect_below`:
-        an empty checker yields a zero-count report whose ``effective_ts``
-        echoes the requested ``ts`` (``-1`` only when no ``ts`` was given).
-        """
-        t0 = time.perf_counter()
-        safe = self.gc_safe_ts()
-        if safe is None:
-            requested = ts if ts is not None else -1
-            return GcReport(requested, requested, 0, 0, 0, time.perf_counter() - t0)
-        effective = safe if ts is None else min(ts, safe)
-
-        frontier_segment = self._frontier.evict_below(effective)
-        evicted_txns: List[Transaction] = []
-        for (cts, tid), _ in self._resident_by_cts.pop_below((effective, _TID_MAX)):
-            txn = self._resident.pop(tid, None)
-            if txn is not None:
-                evicted_txns.append(txn)
-
-        n_versions = sum(len(v) for v in frontier_segment.values())
-        if frontier_segment or evicted_txns:
-            if self._spill is None:
-                self._spill = SpillStore(self.config.spill_dir)
-            from repro.histories.serialization import txn_to_dict
-
-            content_min = effective
-            for versions in frontier_segment.values():
-                for cts, _value, _tid in versions:
-                    if cts < content_min:
-                        content_min = cts
-            for txn in evicted_txns:
-                if txn.start_ts < content_min:
-                    content_min = txn.start_ts
-            self._spill.spill(
-                content_min,
-                effective,
-                {
-                    "frontier": {k: v for k, v in frontier_segment.items()},
-                    "txns": [txn_to_dict(t) for t in evicted_txns],
-                },
-                n_items=n_versions + len(evicted_txns),
-            )
-        if self._collected_upto is None or effective > self._collected_upto:
-            self._collected_upto = effective
-        return GcReport(
-            requested_ts=ts if ts is not None else safe,
-            effective_ts=effective,
-            evicted_versions=n_versions,
-            evicted_intervals=0,
-            evicted_txns=len(evicted_txns),
-            seconds=time.perf_counter() - t0,
-        )
-
-    def close(self) -> None:
-        if self._spill is not None:
-            self._spill.close()
-            self._spill = None
+    def _merge_columns(self, versions: VersionColumns, intervals: IntervalColumns) -> None:
+        self._frontier.merge(versions)
 
     # ------------------------------------------------------------------
     # Internals
@@ -581,15 +502,6 @@ class AionSer:
                 self._reload_below(commit_ts)
                 version = self._frontier.latest_before(key, commit_ts)
         return BOTTOM if version is None else version[1]
-
-    def _reload_below(self, ts: Optional[int]) -> None:
-        """Reload spilled segments overlapping [0, ts] (None = all)."""
-        if self._spill is None:
-            return
-        for payload in self._spill.reload_overlapping(0, ts):
-            self._frontier.merge(
-                {k: [tuple(v) for v in versions] for k, versions in payload["frontier"].items()}
-            )
 
     def _report(self, violation: Violation) -> None:
         self._result.add(violation)

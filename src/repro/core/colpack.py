@@ -1,4 +1,4 @@
-"""Columnar packs: the shared binary value codec of wire and shard lanes.
+"""Columnar packs: the shared binary value codec of wire, spill and shard lanes.
 
 One struct-packed layout serves every boundary a batch of operations
 crosses:
@@ -12,7 +12,9 @@ crosses:
   ``memoryview`` slice straight out of a socket read buffer, so the
   receive path never copies the payload before decoding.  The binary
   wire protocol's submit frames (:mod:`repro.service.framing`) and the
-  packed WAL/history files are both this blob.
+  packed WAL/history files are both this blob; GC spill segments
+  (:mod:`repro.core.spill`) reuse its key table and value column
+  (:func:`pack_key_table`, :func:`pack_value_column`).
 - **Shard lane frames** — :func:`pack_flat_frame` packs one shard's
   routed flat command stream (``tags``/``keys``/``a``/``b``/``c``
   parallel arrays, see :mod:`repro.core.sharded`) with the same column
@@ -48,6 +50,10 @@ __all__ = [
     "ColumnarBatch",
     "pack_columnar",
     "unpack_columnar",
+    "pack_value_column",
+    "unpack_value_column",
+    "pack_key_table",
+    "unpack_key_table",
     "UnencodableValue",
     "pack_flat_frame",
     "unpack_flat_frame",
@@ -58,7 +64,6 @@ __all__ = [
     "FLAT_REMOVE_READ",
     "FLAT_OVERLAP_ADD",
     "FLAT_INSERT_RECHECK",
-    "FLAT_MERGE",
     "FLAT_READ_TRACK",
     "FLAT_WRITE_PROBE",
     "RESULT_INLINE",
@@ -411,7 +416,7 @@ def _decode_values(buf: Buffer, offset: int, count: int) -> Tuple[List[Any], int
     return values, offset
 
 
-def _decode_top_values(buf: Buffer, offset: int, n_ops: int) -> Tuple[List[Any], int]:
+def unpack_value_column(buf: Buffer, offset: int, n_ops: int) -> Tuple[List[Any], int]:
     """Decode the split top-level value section; returns (values, next offset).
 
     Layout: ``n_ops`` tag bytes, then one bulk ``!{k}q`` column holding
@@ -479,6 +484,67 @@ def _decode_top_values(buf: Buffer, offset: int, n_ops: int) -> Tuple[List[Any],
     return values, offset
 
 
+def pack_value_column(values: Sequence[Any]) -> bytes:
+    """Pack top-level values in the split layout
+    :func:`unpack_value_column` reads: tag column, bulk ``i64`` column,
+    overflow stream.  Shared by wire blobs and GC spill segments."""
+    n = len(values)
+    if set(map(type, values)) == {int}:
+        # Steady-state register batches: every value a genuine int (the
+        # type check keeps bools out — struct would silently coerce
+        # them).  Out-of-i64-range ints fall through to the tagged walk.
+        try:
+            return _INT_TAG * n + struct.pack(f"!{n}q", *values)
+        except struct.error:
+            pass
+    tags = bytearray()
+    tags_append = tags.append
+    ints: List[int] = []
+    ints_append = ints.append
+    overflow = bytearray()
+    i64_min, i64_max = _I64_MIN, _I64_MAX
+    val_int, val_none = _VAL_INT, _VAL_NONE
+    for value in values:
+        if type(value) is int and i64_min <= value <= i64_max:
+            tags_append(val_int)
+            ints_append(value)
+        elif value is None:
+            tags_append(val_none)
+        else:
+            _encode_top(value, tags, ints, overflow)
+    return b"".join((tags, struct.pack(f"!{len(ints)}q", *ints), overflow))
+
+
+def pack_key_table(keys: Iterable[str]) -> bytes:
+    """Length-prefixed (``u16``) UTF-8 key table, in iteration order."""
+    table = bytearray()
+    pack_u16 = _U16.pack
+    for key in keys:
+        encoded = key.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ValueError(f"key too long for columnar pack ({len(encoded)} bytes)")
+        table += pack_u16(len(encoded))
+        table += encoded
+    return bytes(table)
+
+
+def unpack_key_table(buf: Buffer, offset: int, n_keys: int) -> Tuple[List[str], int]:
+    """Decode ``n_keys`` :func:`pack_key_table` entries; returns
+    ``(keys, next offset)``."""
+    table: List[str] = []
+    table_append = table.append
+    u16_unpack = _U16.unpack_from
+    for _ in range(n_keys):
+        (length,) = u16_unpack(buf, offset)
+        offset += 2
+        encoded = buf[offset : offset + length]
+        if len(encoded) != length:
+            raise ValueError("columnar pack truncated in key table")
+        table_append(str(encoded, "utf-8"))
+        offset += length
+    return table, offset
+
+
 def pack_columnar(txns: Union[Sequence[Transaction], ColumnarBatch]) -> bytes:
     """Pack a batch of transactions as one columnar binary blob.
 
@@ -515,44 +581,9 @@ def pack_columnar(txns: Union[Sequence[Transaction], ColumnarBatch]) -> bytes:
         if key not in key_ids:
             key_ids[key] = len(key_ids)
     id_blob = struct.pack(f"!{n_ops}I", *map(key_ids.__getitem__, flat_keys))
-    flat_values = [op.value for op in flat_ops]
-    ints_blob = None
-    if set(map(type, flat_values)) == {int}:
-        # Steady-state register batches: every value a genuine int (the
-        # type check keeps bools out — struct would silently coerce
-        # them).  Out-of-i64-range ints fall through to the tagged walk.
-        try:
-            ints_blob = struct.pack(f"!{n_ops}q", *flat_values)
-            tags: Union[bytes, bytearray] = _INT_TAG * n_ops
-            overflow: Union[bytes, bytearray] = b""
-        except struct.error:
-            ints_blob = None
-    if ints_blob is None:
-        tags = bytearray()
-        tags_append = tags.append
-        ints: List[int] = []
-        ints_append = ints.append
-        overflow = bytearray()
-        i64_min, i64_max = _I64_MIN, _I64_MAX
-        val_int, val_none = _VAL_INT, _VAL_NONE
-        for value in flat_values:
-            if type(value) is int and i64_min <= value <= i64_max:
-                tags_append(val_int)
-                ints_append(value)
-            elif value is None:
-                tags_append(val_none)
-            else:
-                _encode_top(value, tags, ints, overflow)
-        ints_blob = struct.pack(f"!{len(ints)}q", *ints)
+    values_blob = pack_value_column([op.value for op in flat_ops])
     parts = [_HDR.pack(n, len(key_ids), n_ops)]
-    table = bytearray()
-    for key in key_ids:  # insertion order == id order
-        encoded = key.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"key too long for columnar pack ({len(encoded)} bytes)")
-        table += _U16.pack(len(encoded))
-        table += encoded
-    parts.append(bytes(table))
+    parts.append(pack_key_table(key_ids))  # insertion order == id order
     meta = struct.Struct(f"!{n}q")
     parts.append(meta.pack(*(txn.tid for txn in txns)))
     parts.append(meta.pack(*(txn.sid for txn in txns)))
@@ -562,9 +593,7 @@ def pack_columnar(txns: Union[Sequence[Transaction], ColumnarBatch]) -> bytes:
     parts.append(struct.pack(f"!{n + 1}I", *offsets))
     parts.append(kinds)
     parts.append(id_blob)
-    parts.append(bytes(tags))
-    parts.append(ints_blob)
-    parts.append(bytes(overflow))
+    parts.append(values_blob)
     return b"".join(parts)
 
 
@@ -581,41 +610,8 @@ def _pack_from_batch(batch: ColumnarBatch) -> bytes:
         if key_id is None:
             key_id = key_ids[key] = len(key_ids)
         id_append(key_id)
-    op_values = batch.op_values
-    ints_blob = None
-    if set(map(type, op_values)) == {int}:
-        try:
-            ints_blob = struct.pack(f"!{n_ops}q", *op_values)
-            tags: Union[bytes, bytearray] = _INT_TAG * n_ops
-            overflow: Union[bytes, bytearray] = b""
-        except struct.error:
-            ints_blob = None
-    if ints_blob is None:
-        tags = bytearray()
-        tags_append = tags.append
-        ints: List[int] = []
-        ints_append = ints.append
-        overflow = bytearray()
-        i64_min, i64_max = _I64_MIN, _I64_MAX
-        val_int, val_none = _VAL_INT, _VAL_NONE
-        for value in op_values:
-            if type(value) is int and i64_min <= value <= i64_max:
-                tags_append(val_int)
-                ints_append(value)
-            elif value is None:
-                tags_append(val_none)
-            else:
-                _encode_top(value, tags, ints, overflow)
-        ints_blob = struct.pack(f"!{len(ints)}q", *ints)
     parts = [_HDR.pack(n, len(key_ids), n_ops)]
-    table = bytearray()
-    for key in key_ids:
-        encoded = key.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"key too long for columnar pack ({len(encoded)} bytes)")
-        table += _U16.pack(len(encoded))
-        table += encoded
-    parts.append(bytes(table))
+    parts.append(pack_key_table(key_ids))
     meta = struct.Struct(f"!{n}q")
     parts.append(meta.pack(*batch.tids))
     parts.append(meta.pack(*batch.sids))
@@ -625,9 +621,7 @@ def _pack_from_batch(batch: ColumnarBatch) -> bytes:
     parts.append(struct.pack(f"!{n + 1}I", *batch.op_offsets))
     parts.append(bytes(batch.op_kinds))
     parts.append(struct.pack(f"!{n_ops}I", *id_column))
-    parts.append(bytes(tags))
-    parts.append(ints_blob)
-    parts.append(bytes(overflow))
+    parts.append(pack_value_column(batch.op_values))
     return b"".join(parts)
 
 
@@ -646,17 +640,7 @@ def unpack_columnar(buf: Buffer, offset: int = 0) -> Tuple[ColumnarBatch, int]:
     try:
         n, n_keys, n_ops = _HDR.unpack_from(buf, offset)
         offset += _HDR.size
-        table: List[str] = []
-        table_append = table.append
-        u16_unpack = _U16.unpack_from
-        for _ in range(n_keys):
-            (length,) = u16_unpack(buf, offset)
-            offset += 2
-            encoded = buf[offset : offset + length]
-            if len(encoded) != length:
-                raise ValueError("columnar pack truncated in key table")
-            table_append(str(encoded, "utf-8"))
-            offset += length
+        table, offset = unpack_key_table(buf, offset, n_keys)
         meta = struct.Struct(f"!{n}q")
         meta_bytes = meta.size
         tids = meta.unpack_from(buf, offset)
@@ -686,7 +670,7 @@ def unpack_columnar(buf: Buffer, offset: int = 0) -> Tuple[ColumnarBatch, int]:
         id_column = ids_struct.unpack_from(buf, offset)
         offset += ids_struct.size
         op_keys = list(map(table.__getitem__, id_column))
-        op_values, offset = _decode_top_values(buf, offset, n_ops)
+        op_values, offset = unpack_value_column(buf, offset, n_ops)
     except (struct.error, IndexError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed columnar pack: {exc}") from None
     return (
@@ -710,7 +694,6 @@ FLAT_ADD_READ = 1
 FLAT_REMOVE_READ = 2
 FLAT_OVERLAP_ADD = 3
 FLAT_INSERT_RECHECK = 4
-FLAT_MERGE = 5
 #: Fused rows — the router's hot path emits one row per external read
 #: (visible probe + read registration) and one per write (overlap query
 #: + insert/recheck), halving the rows that cross the process boundary;
@@ -1013,9 +996,7 @@ def pack_flat_frame(
     length-prefixed UTF-8 form of each key across frames — the
     coordinator packs the same key space every batch.  Raises
     :class:`UnencodableValue` when any operand refuses strict encoding
-    (the coordinator then falls back to the pipe); ``FLAT_MERGE`` rows
-    carry spill dicts and must never reach this packer — the coordinator
-    routes streams containing them to the pipe wholesale.
+    (the coordinator then falls back to the pipe).
     """
     n = len(tags)
     key_ids: Dict[str, int] = {}
@@ -1074,17 +1055,7 @@ def unpack_flat_frame(
     offset = _FLAT_HDR.size
     (n_keys,) = _U32.unpack_from(buf, offset)
     offset += 4
-    table: List[str] = []
-    table_append = table.append
-    u16_unpack = _U16.unpack_from
-    for _ in range(n_keys):
-        (length,) = u16_unpack(buf, offset)
-        offset += 2
-        encoded = buf[offset : offset + length]
-        if len(encoded) != length:
-            raise ValueError("lane frame truncated in key table")
-        table_append(str(encoded, "utf-8"))
-        offset += length
+    table, offset = unpack_key_table(buf, offset, n_keys)
     tags = bytes(buf[offset : offset + n])
     if len(tags) != n:
         raise ValueError("lane frame truncated in tag column")

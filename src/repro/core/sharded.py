@@ -54,8 +54,8 @@ flat stream *once* with the shared columnar codec
 frame in place from a ``memoryview`` into the ring — no pickle and no
 receive-side copy on the request path — and answers with a compact
 result frame on its result lane.  Fallback is graceful and per-batch:
-streams carrying spill merges, values the strict lane codec refuses, or
-frames beyond the ring's bound take the pipe path instead, and a result
+streams carrying values the strict lane codec refuses or frames beyond
+the ring's bound take the pipe path instead, and a result
 that refuses strict encoding rides inside the worker's doorbell reply —
 so verdicts are transport-independent by construction, not by luck.
 Waiting is doorbell-driven in both directions (tiny fixed-size pipe
@@ -76,7 +76,7 @@ import time
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.aion import AionConfig, GcReport, _TID_MAX
+from repro.core.aion import AionConfig
 from repro.core.colpack import (
     UnencodableValue,
     pack_flat_frame,
@@ -97,8 +97,15 @@ from repro.core.ext_status import (
     FlipFlopStats,
 )
 from repro.core.kernel import KernelStats, resolve_writes
-from repro.core.spill import SpillStore
-from repro.core.versioned import ExtReadIndex, VersionedFrontier, WriterIntervals
+from repro.core.spill import SpillingGc
+from repro.core.versioned import (
+    ExtReadIndex,
+    IntervalColumns,
+    VersionColumns,
+    VersionedFrontier,
+    WriterIntervals,
+    empty_columns,
+)
 from repro.core.violations import (
     Axiom,
     CheckResult,
@@ -111,7 +118,6 @@ from repro.core.violations import (
 from repro.histories.model import OpKind, Transaction
 from repro.core.colpack import ColumnarBatch
 from repro.util.sizeof import deep_sizeof
-from repro.util.sortedmap import SortedMap
 
 __all__ = ["ShardedAion", "shard_of"]
 
@@ -131,7 +137,6 @@ def shard_of(key: str, n_shards: int) -> int:
 #   _READ_TRACK         key    snapshot_ts   tid           actual   —
 #   _WRITE_PROBE        key    start_ts      commit_ts     tid      value
 #   _REMOVE_READ        key    snapshot_ts   tid           —        —
-#   _MERGE              ""     frontier_seg  interval_seg  —        —
 #   _VISIBLE            key    snapshot_ts   —             —        —
 #   _ADD_READ           key    snapshot_ts   tid           actual   —
 #   _OVERLAP_ADD        key    start_ts      commit_ts     tid      —
@@ -149,7 +154,6 @@ from repro.core.colpack import FLAT_ADD_READ as _ADD_READ
 from repro.core.colpack import FLAT_REMOVE_READ as _REMOVE_READ
 from repro.core.colpack import FLAT_OVERLAP_ADD as _OVERLAP_ADD
 from repro.core.colpack import FLAT_INSERT_RECHECK as _INSERT_RECHECK
-from repro.core.colpack import FLAT_MERGE as _MERGE
 from repro.core.colpack import FLAT_READ_TRACK as _READ_TRACK
 from repro.core.colpack import FLAT_WRITE_PROBE as _WRITE_PROBE
 
@@ -166,8 +170,9 @@ class _ShardCore:
     batch (see the tag table above) that cross a process boundary as one
     pickle instead of one tuple per command, and that ``execute_flat``
     interprets in a single branch-per-tag loop.  Control-plane commands
-    (evict, merge, sizeof) remain plain tuples through ``execute`` —
-    they are rare and payload-heavy, so flattening buys nothing.
+    (evict, merge, sizeof, counts) remain plain tuples through
+    ``execute`` — they are rare and payload-heavy, so flattening buys
+    nothing.
     """
 
     __slots__ = ("frontier", "writers", "ext_reads")
@@ -192,7 +197,7 @@ class _ShardCore:
         Returns only the *semantic* results (visible values, overlap
         hits, re-evaluation lists) in stream order — a fused write row
         contributes two slots (overlap hits, then re-evaluations);
-        bookkeeping commands (add/remove read, merge) emit no result
+        bookkeeping commands (add/remove read) emit no result
         slot, so the coordinator's merge walk consumes results with a
         plain sequential cursor — no None-skipping.
         """
@@ -241,23 +246,24 @@ class _ShardCore:
                 append(overlap_add(key, a[i], b[i], c[i]))
             elif tag == _INSERT_RECHECK:
                 append(recheck(key, a[i], b[i], c[i]))
-            else:  # _MERGE — spilled segments spliced back in-stream
-                frontier.merge(
-                    {k: [tuple(v) for v in versions] for k, versions in a[i].items()}
-                )
-                writers.merge(
-                    {k: [tuple(v) for v in ivs] for k, ivs in b[i].items()}
-                )
+            else:  # pragma: no cover - guarded by the router
+                raise ValueError(f"unknown flat command tag {tag!r}")
         return results
 
     def execute(self, commands: List[Tuple]) -> List[Any]:
-        """Control-plane interpreter (GC eviction, size estimation)."""
+        """Control-plane interpreter (GC eviction and reload, size
+        estimation, counters)."""
         results: List[Any] = []
         for command in commands:
             op = command[0]
             if op == "evict":
                 _, ts = command
                 results.append((self.frontier.evict_below(ts), self.writers.evict_below(ts)))
+            elif op == "merge":
+                _, versions, intervals = command
+                self.frontier.merge(versions)
+                self.writers.merge(intervals)
+                results.append(None)
             elif op == "sizeof":
                 results.append(deep_sizeof((self.frontier, self.writers, self.ext_reads)))
             elif op == "counts":
@@ -269,10 +275,6 @@ class _ShardCore:
                         "ext_reads": len(self.ext_reads),
                         "scan_steps": scan,
                         "gc_scan_steps": gc_scan,
-                        "staged_gc": (
-                            self.frontier.staged_gc_entries()
-                            + self.writers.staged_gc_entries()
-                        ),
                     }
                 )
             else:  # pragma: no cover - guarded by the coordinator
@@ -387,7 +389,7 @@ def _shard_worker_shm(conn, req_name: str, res_name: str) -> None:
         res.close()
 
 
-class ShardedAion:
+class ShardedAion(SpillingGc):
     """Online SI checker with hash-partitioned state and batch ingestion.
 
     Parameters
@@ -443,10 +445,7 @@ class ShardedAion:
         self._kernel_stats = KernelStats()
         self._result = CheckResult()
         self._fresh: List[Violation] = []
-        self._resident: Dict[int, Transaction] = {}
-        self._resident_by_cts: SortedMap = SortedMap()
-        self._spill: Optional[SpillStore] = None
-        self._collected_upto: Optional[int] = None
+        self._init_gc()
         self.processed = 0
         #: Serializes checker access when ingestion happens off-thread
         #: (the service daemon drains batches on a worker thread while
@@ -653,11 +652,12 @@ class ShardedAion:
                 plan.append((txn, None))
                 continue
 
-            # Severely delayed transaction below the GC boundary: splice a
-            # full reload into every shard stream at this sequence point
-            # (Aion's reload-on-demand, ▧).  The unoptimized ablation also
-            # re-checks arbitrarily old snapshot points on every write, so
-            # it reloads whenever spilled state exists at all.
+            # Severely delayed transaction below the GC boundary: merge
+            # ALL spilled state back into the shards (Aion's reload-on-
+            # demand, ▧) before this batch's streams execute — hoisting is
+            # verdict-equivalent, see Aion.receive_many.  The unoptimized
+            # ablation also re-checks arbitrarily old snapshot points on
+            # every write, so it reloads whenever spilled state exists.
             if self._spill is not None and len(self._spill) > 0:
                 below_boundary = (
                     self._collected_upto is not None
@@ -667,7 +667,7 @@ class ShardedAion:
                     op.kind is OpKind.WRITE for op in txn.ops
                 )
                 if below_boundary or ablation_write:
-                    self._route_reload(streams)
+                    self._reload_below(None)
 
             violation = self._sessions.observe(txn)
             if violation is not None:
@@ -720,20 +720,6 @@ class ShardedAion:
         stats.probe_writes += n_writes
         return plan
 
-    def _route_reload(self, streams: List[_FlatStream]) -> None:
-        """Splice spilled segments back into their shard streams."""
-        if self._spill is None:
-            return
-        for payload in self._spill.reload_overlapping(0, None):
-            for shard_key, segment in payload.get("shards", {}).items():
-                tags, keys, a, b, c, d = streams[int(shard_key)]
-                tags.append(_MERGE)
-                keys.append("")
-                a.append(segment.get("frontier", {}))
-                b.append(segment.get("intervals", {}))
-                c.append(None)
-                d.append(None)
-
     def _execute(self, streams: List[_FlatStream]) -> List[List[Any]]:
         optimized = self.config.optimized_recheck
         if self._cores is not None:
@@ -761,9 +747,8 @@ class ShardedAion:
         """Dispatch a batch over the shared-memory lanes.
 
         Per shard stream the transport is chosen independently: streams
-        with spill merges (dict payloads the strict codec refuses by
-        design), operands the codec rejects, or frames the ring cannot
-        hold fall back to the pickle pipe — the worker serves both
+        with operands the codec rejects or frames the ring cannot hold
+        fall back to the pickle pipe — the worker serves both
         sources, and because every batch fully drains before the next
         dispatch (and before any control-plane command), lane and pipe
         traffic never interleave within a shard.
@@ -773,12 +758,10 @@ class ShardedAion:
             tags = stream[0]
             if not tags:
                 continue
-            frame = None
-            if _MERGE not in tags:
-                try:
-                    frame = pack_flat_frame(*stream, optimized, self._key_bytes)
-                except UnencodableValue:
-                    frame = None
+            try:
+                frame = pack_flat_frame(*stream, optimized, self._key_bytes)
+            except UnencodableValue:
+                frame = None
             try:
                 if frame is not None and self._lanes[shard][0].try_push(frame):
                     self._conns[shard].send(_NUDGE)
@@ -877,7 +860,7 @@ class ShardedAion:
         stats.verdict_tracks += len(track_items)
         reevaluate = ext.reevaluate
         resident = self._resident
-        resident_by_cts = self._resident_by_cts
+        pending_cts = self._resident_cts_pending.append
         n_reevals = 0
         n_conflicts = 0
         armed: List[int] = []
@@ -893,7 +876,7 @@ class ShardedAion:
                     for owner, end in payload:
                         self._report_conflict(txn, owner, end, key)
             resident[tid] = txn
-            resident_by_cts[(txn.commit_ts, tid)] = tid
+            pending_cts((txn.commit_ts, tid))
             self.processed += 1
             armed.append(tid)
         stats.verdict_reevals += n_reevals
@@ -929,42 +912,35 @@ class ShardedAion:
         (coordinator-side: routing, probes dispatched, verdicts applied)."""
         return self._kernel_stats
 
-    @property
-    def resident_txn_count(self) -> int:
-        return len(self._resident)
-
-    @property
-    def spill_store(self) -> Optional[SpillStore]:
-        return self._spill
+    def _control(self, commands: List[Tuple]) -> List[Any]:
+        """Run one control-plane command per shard (``commands[shard]``);
+        returns the per-shard results.  Serial mode calls the cores
+        in-process; process modes dispatch to every worker, then collect.
+        Call under :attr:`ingest_lock` when ingestion runs concurrently."""
+        if self._cores is not None:
+            return [
+                core.execute([command])[0]
+                for core, command in zip(self._cores, commands)
+            ]
+        for conn, command in zip(self._conns, commands):
+            conn.send(("cmds", [command]))
+        return [conn.recv()[0] for conn in self._conns]
 
     def estimated_bytes(self) -> int:
         """Deep-size estimate across coordinator and all shards."""
-        total = deep_sizeof((self._resident, self._ext))
         if self._cores is not None:
-            total += deep_sizeof(tuple(self._cores))
-        else:
-            for conn in self._conns:
-                conn.send(("cmds", [("sizeof",)]))
-            for conn in self._conns:
-                total += conn.recv()[0]
-        return total
+            return deep_sizeof((self._resident, self._ext, tuple(self._cores)))
+        return deep_sizeof((self._resident, self._ext)) + sum(
+            self._control([("sizeof",)] * self.n_shards)
+        )
 
     def _shard_counts(self) -> List[Dict[str, int]]:
-        """Per-shard structure/scan counters via the control plane.
-
-        Observability path only — serial mode walks the cores in-process;
-        process mode round-trips one tiny ``counts`` command per worker.
-        Call under :attr:`ingest_lock` when ingestion runs concurrently.
-        """
-        if self._cores is not None:
-            return [core.execute([("counts",)])[0] for core in self._cores]
-        for conn in self._conns:
-            conn.send(("cmds", [("counts",)]))
-        return [conn.recv()[0] for conn in self._conns]
+        """Per-shard structure/scan counters (observability path only)."""
+        return self._control([("counts",)] * self.n_shards)
 
     def shard_stats(self) -> List[Dict[str, int]]:
-        """One row per shard: structure sizes, scan counters, staged GC,
-        deferred read removals, and the latest batch's command count."""
+        """One row per shard: structure sizes, scan counters, deferred
+        read removals, and the latest batch's command count."""
         rows = self._shard_counts()
         for shard, row in enumerate(rows):
             row["shard"] = shard
@@ -979,10 +955,6 @@ class ShardedAion:
                 )
                 row["lane_bytes"] = lane["request_bytes"] + lane["result_bytes"]
         return rows
-
-    def gc_debt(self) -> int:
-        """Entries staged for the next collection cycle across all shards."""
-        return sum(row["staged_gc"] for row in self._shard_counts())
 
     def scan_step_totals(self) -> Tuple[int, int]:
         """Summed ``(scan_steps, gc_scan_steps)`` across all shards."""
@@ -1050,106 +1022,36 @@ class ShardedAion:
         return rows
 
     # ------------------------------------------------------------------
-    # Garbage collection
+    # Garbage collection hooks (the cycle itself is SpillingGc's)
     # ------------------------------------------------------------------
 
-    def gc_safe_ts(self) -> Optional[int]:
-        """Collection watermark covering everything resident (see Aion)."""
-        if not self._resident_by_cts:
-            return None
-        (max_cts, _), _ = self._resident_by_cts.max_item()
-        return max_cts
+    def _evict_columns(self, ts: int) -> Tuple[VersionColumns, IntervalColumns]:
+        """Evict on every shard; concatenate the shards' columns."""
+        versions, intervals = empty_columns(), empty_columns()
+        for shard_versions, shard_intervals in self._control(
+            [("evict", ts)] * self.n_shards
+        ):
+            for merged, part in zip(versions, shard_versions):
+                merged += part
+            for merged, part in zip(intervals, shard_intervals):
+                merged += part
+        return versions, intervals
 
-    def suggest_gc_ts(self, keep_recent: int = 2000) -> Optional[int]:
-        """Watermark sparing the ``keep_recent`` newest residents."""
-        excess = len(self._resident_by_cts) - keep_recent
-        if excess <= 0:
-            return None
-        for index, ((cts, _tid), _) in enumerate(self._resident_by_cts.items()):
-            if index == excess - 1:
-                return cts
-        return None
-
-    def collect_below(self, ts: Optional[int] = None) -> GcReport:
-        """Evict per-shard structures and residents below ``ts`` to disk.
-
-        Same report contract as :meth:`repro.core.aion.Aion.collect_below`:
-        zero-count report echoing ``ts`` when nothing is resident (with
-        the ``-1`` sentinel only when ``ts`` was also absent).
-        """
-        t0 = time.perf_counter()
-        safe = self.gc_safe_ts()
-        if safe is None:
-            requested = ts if ts is not None else -1
-            return GcReport(requested, requested, 0, 0, 0, time.perf_counter() - t0)
-        effective = safe if ts is None else min(ts, safe)
-
-        segments: List[Tuple[Dict, Dict]] = []
-        if self._cores is not None:
-            for core in self._cores:
-                segments.append(core.execute([("evict", effective)])[0])
-        else:
-            for conn in self._conns:
-                conn.send(("cmds", [("evict", effective)]))
-            for conn in self._conns:
-                segments.append(conn.recv()[0])
-
-        evicted_txns: List[Transaction] = []
-        for (cts, tid), _ in self._resident_by_cts.pop_below((effective, _TID_MAX)):
-            txn = self._resident.pop(tid, None)
-            if txn is not None:
-                evicted_txns.append(txn)
-
-        n_versions = sum(
-            len(versions) for frontier_seg, _ in segments for versions in frontier_seg.values()
-        )
-        n_intervals = sum(
-            len(ivs) for _, interval_seg in segments for ivs in interval_seg.values()
-        )
-        if n_versions or n_intervals or evicted_txns:
-            if self._spill is None:
-                self._spill = SpillStore(self.config.spill_dir)
-            from repro.histories.serialization import txn_to_dict
-
-            content_min = effective
-            for frontier_seg, interval_seg in segments:
-                for versions in frontier_seg.values():
-                    for cts, _value, _tid in versions:
-                        if cts < content_min:
-                            content_min = cts
-                for ivs in interval_seg.values():
-                    for start_ts, _end_ts, _tid in ivs:
-                        if start_ts < content_min:
-                            content_min = start_ts
-            for txn in evicted_txns:
-                if txn.start_ts < content_min:
-                    content_min = txn.start_ts
-            self._spill.spill(
-                content_min,
-                effective,
-                {
-                    "shards": {
-                        str(shard): {
-                            "frontier": frontier_seg,
-                            "intervals": interval_seg,
-                        }
-                        for shard, (frontier_seg, interval_seg) in enumerate(segments)
-                        if frontier_seg or interval_seg
-                    },
-                    "txns": [txn_to_dict(t) for t in evicted_txns],
-                },
-                n_items=n_versions + n_intervals + len(evicted_txns),
-            )
-        if self._collected_upto is None or effective > self._collected_upto:
-            self._collected_upto = effective
-        return GcReport(
-            requested_ts=ts if ts is not None else safe,
-            effective_ts=effective,
-            evicted_versions=n_versions,
-            evicted_intervals=n_intervals,
-            evicted_txns=len(evicted_txns),
-            seconds=time.perf_counter() - t0,
-        )
+    def _merge_columns(self, versions: VersionColumns, intervals: IntervalColumns) -> None:
+        """Hand each shard the reloaded rows of the keys it owns."""
+        n_shards = self.n_shards
+        split = [(empty_columns(), empty_columns()) for _ in range(n_shards)]
+        for which, (keys, counts, *columns) in enumerate((versions, intervals)):
+            lo = 0
+            for key, count in zip(keys, counts):
+                hi = lo + count
+                part_keys, part_counts, *part_columns = split[shard_of(key, n_shards)][which]
+                part_keys.append(key)
+                part_counts.append(count)
+                for part_column, column in zip(part_columns, columns):
+                    part_column += column[lo:hi]
+                lo = hi
+        self._control([("merge", *part) for part in split])
 
     def close(self) -> None:
         """Stop worker processes and release the spill directory."""
@@ -1171,9 +1073,7 @@ class ShardedAion:
             res.close(unlink=True)
         self._lanes = []
         self._hb_seen = []
-        if self._spill is not None:
-            self._spill.close()
-            self._spill = None
+        super().close()
 
     def __enter__(self) -> "ShardedAion":
         return self

@@ -31,16 +31,39 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.util.intervals import Interval, IntervalIndex
 from repro.util.sizeof import register_sizer
 from repro.util.sortedmap import SortedMap
 
-__all__ = ["FrontierVersion", "VersionedFrontier", "WriterIntervals", "ExtReadIndex"]
+__all__ = [
+    "FrontierVersion",
+    "VersionColumns",
+    "IntervalColumns",
+    "empty_columns",
+    "VersionedFrontier",
+    "WriterIntervals",
+    "ExtReadIndex",
+]
 
 FrontierVersion = Tuple[int, Any, int]  # (commit_ts, value, writer tid)
+
+#: Evicted state as flat columns: a key list, per-key row counts, and one
+#: list per field holding every key's rows back to back.  ``evict_below``
+#: emits this shape, ``merge`` accepts it, and the spill encoder writes
+#: it without regrouping.
+VersionColumns = Tuple[  # (keys, counts, commit_ts, values, tids)
+    List[str], List[int], List[int], List[Any], List[int]
+]
+IntervalColumns = Tuple[  # (keys, counts, start_ts, end_ts, tids)
+    List[str], List[int], List[int], List[int], List[int]
+]
+
+
+def empty_columns() -> Tuple[List, List, List, List, List]:
+    """Columns holding nothing (of either shape)."""
+    return [], [], [], [], []
 
 #: Keys stay in the small-key representation (a ``(ts_list, payload_list)``
 #: pair of plain parallel lists) until they hold more versions than this;
@@ -72,27 +95,17 @@ class VersionedFrontier:
     container-object indirection.
     """
 
-    __slots__ = ("_by_key", "_n_versions", "_gc_heap", "_gc_pending")
+    __slots__ = ("_by_key", "_n_versions", "_multi")
 
     def __init__(self) -> None:
         self._by_key: Dict[str, Any] = {}
         self._n_versions = 0
-        #: Lazy GC min-heap of ``(commit_ts, key)`` — one entry pushed per
-        #: *new* version inserted.  :meth:`evict_below` pops every entry at
-        #: or below the watermark and runs per-key eviction only on the
-        #: keys those entries name, so a sparse GC cycle costs the evicted
-        #: keys instead of a full index walk.  Entries are never re-pushed
-        #: for the retained newest-evictable version: if that version ever
-        #: becomes evictable (a newer version of the key drops below a
-        #: later watermark), the newer version's own entry re-touches the
-        #: key.  After ``evict_below(ts)`` every remaining entry is > ts —
-        #: no stale minima.
-        self._gc_heap: List[Tuple[int, str]] = []
-        #: Staging list for heap entries.  The ingest hot path appends here
-        #: (a plain ``list.append`` instead of a ``heappush`` sift); entries
-        #: are folded into ``_gc_heap`` with one ``heapify`` at the top of
-        #: :meth:`evict_below` — the only reader that needs heap order.
-        self._gc_pending: List[Tuple[int, str]] = []
+        #: Keys holding two or more versions, added on the 1→2 insert and
+        #: dropped when eviction leaves one.  Eviction always keeps a
+        #: key's newest evictable version, so only these keys can lose
+        #: anything: :meth:`evict_below` walks this set, never the whole
+        #: index.  Promoted (SortedMap) keys stay in it for good.
+        self._multi: set = set()
 
     def __len__(self) -> int:
         return self._n_versions
@@ -104,7 +117,6 @@ class VersionedFrontier:
         if versions is None:
             self._by_key[key] = ([commit_ts], [payload])
             self._n_versions += 1
-            self._gc_pending.append((commit_ts, key))
             return
         if type(versions) is tuple:
             timestamps, payloads = versions
@@ -115,13 +127,13 @@ class VersionedFrontier:
             timestamps.insert(j, commit_ts)
             payloads.insert(j, payload)
             self._n_versions += 1
-            self._gc_pending.append((commit_ts, key))
-            if len(timestamps) > _SMALL_MAX:
+            if len(timestamps) == 2:
+                self._multi.add(key)
+            elif len(timestamps) > _SMALL_MAX:
                 self._by_key[key] = SortedMap._from_sorted(timestamps, payloads)
             return
         if not versions.set_item(commit_ts, payload):
             self._n_versions += 1
-            self._gc_pending.append((commit_ts, key))
 
     def latest_at(self, key: str, ts: int) -> Optional[FrontierVersion]:
         """Greatest version with ``commit_ts <= ts`` (SI visibility, Def. 6)."""
@@ -233,7 +245,6 @@ class VersionedFrontier:
         if versions is None:
             self._by_key[key] = ([commit_ts], [payload])
             self._n_versions += 1
-            self._gc_pending.append((commit_ts, key))
             return None
         if type(versions) is tuple:
             timestamps, payloads = versions
@@ -245,8 +256,9 @@ class VersionedFrontier:
                 timestamps.insert(j, commit_ts)
                 payloads.insert(j, payload)
                 self._n_versions += 1
-                self._gc_pending.append((commit_ts, key))
                 n += 1
+                if n == 2:
+                    self._multi.add(key)
             if j + 1 < n:
                 next_ts = timestamps[j + 1]
                 next_value, next_tid = payloads[j + 1]
@@ -259,7 +271,6 @@ class VersionedFrontier:
         was_present, successor = versions.set_and_higher(commit_ts, payload)
         if not was_present:
             self._n_versions += 1
-            self._gc_pending.append((commit_ts, key))
         if successor is None:
             return None
         next_ts, (next_value, next_tid) = successor
@@ -279,7 +290,6 @@ class VersionedFrontier:
         if versions is None:
             self._by_key[key] = ([commit_ts], [payload])
             self._n_versions += 1
-            self._gc_pending.append((commit_ts, key))
             return None
         if type(versions) is tuple:
             timestamps, payloads = versions
@@ -291,8 +301,9 @@ class VersionedFrontier:
                 timestamps.insert(j, commit_ts)
                 payloads.insert(j, payload)
                 self._n_versions += 1
-                self._gc_pending.append((commit_ts, key))
                 n += 1
+                if n == 2:
+                    self._multi.add(key)
             nxt = j + 1
             result = timestamps[nxt] if nxt < n else None
             if n > _SMALL_MAX:
@@ -301,67 +312,66 @@ class VersionedFrontier:
         was_present, successor = versions.set_and_higher(commit_ts, payload)
         if not was_present:
             self._n_versions += 1
-            self._gc_pending.append((commit_ts, key))
         return None if successor is None else successor[0]
 
-    def evict_below(self, ts: int) -> Dict[str, List[Tuple[int, Any, int]]]:
+    def evict_below(self, ts: int) -> VersionColumns:
         """Remove versions with ``commit_ts <= ts``, keeping one per key.
 
         The newest evictable version of each key is retained: it is still
         the visible version for future snapshots above ``ts``, so dropping
         it would corrupt floor queries (the paper's GC is "conservative"
-        for the same reason).  Returns the evicted versions grouped by key
-        for spilling.
+        for the same reason).  Returns the evicted versions as flat
+        columns ``(keys, counts, commit_ts, values, tids)`` for spilling.
 
-        Driven by the lazy ``(commit_ts, key)`` min-heap instead of a full
-        index walk: every heap entry at or below ``ts`` is popped and its
-        key processed once, so a cycle costs the keys with evictable
-        versions — not every key in the frontier.
+        Only keys holding two or more versions are looked at, each decided
+        by one comparison (a key loses something iff its *second*-oldest
+        version is at or below ``ts``) — a cycle never walks the index.
         """
-        evicted: Dict[str, List[Tuple[int, Any, int]]] = {}
-        heap = self._gc_heap
-        pending = self._gc_pending
-        if pending:
-            heap.extend(pending)
-            pending.clear()
-            heapify(heap)
-        if not heap or heap[0][0] > ts:
-            return evicted
-        touched = set()
-        while heap and heap[0][0] <= ts:
-            touched.add(heappop(heap)[1])
+        keys: List[str] = []
+        counts: List[int] = []
+        commits: List[int] = []
+        payloads: List[Tuple[Any, int]] = []
         by_key = self._by_key
-        for key in touched:
-            versions = by_key.get(key)
-            if versions is None:
-                continue
+        settled: List[str] = []
+        for key in self._multi:
+            versions = by_key[key]
             if type(versions) is tuple:
-                timestamps, payloads = versions
-                j = bisect_right(timestamps, ts)
-                if j < 2:
-                    # Zero or one evictable version: the newest evictable
-                    # one stays, so nothing leaves memory.
+                timestamps, key_payloads = versions
+                if timestamps[1] > ts:
                     continue
-                removed = list(zip(timestamps[: j - 1], payloads[: j - 1]))
-                del timestamps[: j - 1]
-                del payloads[: j - 1]
+                cut = bisect_right(timestamps, ts) - 1
+                commits += timestamps[:cut]
+                payloads += key_payloads[:cut]
+                del timestamps[:cut]
+                del key_payloads[:cut]
+                if len(timestamps) == 1:
+                    settled.append(key)
             else:
-                popped = versions.pop_below(ts, inclusive=True)
-                if not popped:
+                if len(versions) < 2 or versions.key_at(1) > ts:
                     continue
-                keep_ts, keep_payload = popped[-1]
+                popped = versions.pop_below(ts, inclusive=True)
+                keep_ts, keep_payload = popped.pop()
                 versions[keep_ts] = keep_payload
-                removed = popped[:-1]
-            if removed:
-                evicted[key] = [(cts, value, tid) for cts, (value, tid) in removed]
-                self._n_versions -= len(removed)
-        return evicted
+                cut = len(popped)
+                for commit_ts, payload in popped:
+                    commits.append(commit_ts)
+                    payloads.append(payload)
+            keys.append(key)
+            counts.append(cut)
+        self._multi.difference_update(settled)
+        self._n_versions -= len(commits)
+        return keys, counts, commits, [p[0] for p in payloads], [p[1] for p in payloads]
 
-    def merge(self, segment: Dict[str, List[Tuple[int, Any, int]]]) -> None:
+    def merge(self, columns: VersionColumns) -> None:
         """Re-insert previously evicted versions (reload-on-demand)."""
-        for key, versions in segment.items():
-            for commit_ts, value, tid in versions:
-                self.insert(key, commit_ts, value, tid)
+        keys, counts, commits, values, tids = columns
+        insert = self.insert
+        lo = 0
+        for key, count in zip(keys, counts):
+            hi = lo + count
+            for row in range(lo, hi):
+                insert(key, commits[row], values[row], tids[row])
+            lo = hi
 
     def min_retained_ts(self) -> Optional[int]:
         """Smallest version timestamp still in memory, across all keys."""
@@ -380,11 +390,6 @@ class VersionedFrontier:
                 smallest = ts
         return smallest
 
-    def staged_gc_entries(self) -> int:
-        """Heap + staging entries awaiting the next ``evict_below`` — the
-        GC-debt contribution of this frontier."""
-        return len(self._gc_heap) + len(self._gc_pending)
-
 
 class WriterIntervals:
     """Per-key interval index over writer lifetimes (``ongoing_ts``).
@@ -402,19 +407,11 @@ class WriterIntervals:
     common small key.  GC truncates the dead prefix in one slice.
     """
 
-    __slots__ = ("_by_key", "_n_intervals", "_gc_heap", "_gc_pending")
+    __slots__ = ("_by_key", "_n_intervals")
 
     def __init__(self) -> None:
         self._by_key: Dict[str, Any] = {}
         self._n_intervals = 0
-        #: Lazy GC min-heap of ``(commit_ts, key)`` — one entry per added
-        #: interval; see :attr:`VersionedFrontier._gc_heap`.  The eviction
-        #: rule here is strict (``end < ts``), matching
-        #: :meth:`IntervalIndex.pop_ending_before`.
-        self._gc_heap: List[Tuple[int, str]] = []
-        #: Staging list folded into the heap at :meth:`evict_below` entry;
-        #: see :attr:`VersionedFrontier._gc_pending`.
-        self._gc_pending: List[Tuple[int, str]] = []
 
     def __len__(self) -> int:
         return self._n_intervals
@@ -447,7 +444,6 @@ class WriterIntervals:
         else:
             rep.insert(start_ts, commit_ts, tid)
         self._n_intervals += 1
-        self._gc_pending.append((commit_ts, key))
 
     def overlapping(self, key: str, start_ts: int, commit_ts: int, *, exclude_tid: int) -> List[Interval]:
         """All writer intervals of ``key`` overlapping ``[start_ts, commit_ts]``."""
@@ -479,7 +475,6 @@ class WriterIntervals:
         if rep is None:
             self._by_key[key] = ([commit_ts], [start_ts], [tid])
             self._n_intervals += 1
-            self._gc_pending.append((commit_ts, key))
             return []
         if type(rep) is tuple:
             ends, starts, owners = rep
@@ -504,56 +499,63 @@ class WriterIntervals:
         else:
             hits = rep.overlap_add(start_ts, commit_ts, tid)
         self._n_intervals += 1
-        self._gc_pending.append((commit_ts, key))
         return hits
 
-    def evict_below(self, ts: int) -> Dict[str, List[Tuple[int, int, int]]]:
+    def evict_below(self, ts: int) -> IntervalColumns:
         """Remove intervals ending before ``ts`` (no future overlap possible).
 
-        Heap-driven like :meth:`VersionedFrontier.evict_below`: only keys
-        named by popped heap entries (``end < ts``) are swept.
+        Returns them as flat columns ``(keys, counts, start_ts, end_ts,
+        tids)``.  ``_by_key`` only holds keys with resident intervals, so
+        the walk costs one comparison on each such key's oldest end.
         """
-        evicted: Dict[str, List[Tuple[int, int, int]]] = {}
-        heap = self._gc_heap
-        pending = self._gc_pending
-        if pending:
-            heap.extend(pending)
-            pending.clear()
-            heapify(heap)
-        if not heap or heap[0][0] >= ts:
-            return evicted
-        touched = set()
-        while heap and heap[0][0] < ts:
-            touched.add(heappop(heap)[1])
+        keys: List[str] = []
+        counts: List[int] = []
+        out_starts: List[int] = []
+        out_ends: List[int] = []
+        out_tids: List[int] = []
         by_key = self._by_key
-        for key in touched:
-            rep = by_key.get(key)
-            if rep is None:
-                continue
+        emptied: List[str] = []
+        for key, rep in by_key.items():
             if type(rep) is tuple:
                 ends, starts, owners = rep
-                j = bisect_left(ends, ts)
-                if not j:
+                if ends[0] >= ts:
                     continue
-                evicted[key] = list(zip(starts[:j], ends[:j], owners[:j]))
-                self._n_intervals -= j
+                j = bisect_left(ends, ts)
+                out_starts += starts[:j]
+                out_ends += ends[:j]
+                out_tids += owners[:j]
                 if j == len(ends):
-                    del by_key[key]
+                    emptied.append(key)
                 else:
                     del ends[:j]
                     del starts[:j]
                     del owners[:j]
-                continue
-            removed = rep.pop_ending_before(ts)
-            if removed:
-                evicted[key] = [(iv.start, iv.end, iv.owner) for iv in removed]
-                self._n_intervals -= len(removed)
-        return evicted
+            else:
+                removed = rep.pop_ending_before(ts)
+                if not removed:
+                    continue
+                j = len(removed)
+                for interval in removed:
+                    out_starts.append(interval.start)
+                    out_ends.append(interval.end)
+                    out_tids.append(interval.owner)
+            keys.append(key)
+            counts.append(j)
+        for key in emptied:
+            del by_key[key]
+        self._n_intervals -= len(out_ends)
+        return keys, counts, out_starts, out_ends, out_tids
 
-    def merge(self, segment: Dict[str, List[Tuple[int, int, int]]]) -> None:
-        for key, intervals in segment.items():
-            for start_ts, commit_ts, tid in intervals:
-                self.add(key, start_ts, commit_ts, tid)
+    def merge(self, columns: IntervalColumns) -> None:
+        """Re-insert previously evicted intervals (reload-on-demand)."""
+        keys, counts, starts, ends, tids = columns
+        add = self.add
+        lo = 0
+        for key, count in zip(keys, counts):
+            hi = lo + count
+            for row in range(lo, hi):
+                add(key, starts[row], ends[row], tids[row])
+            lo = hi
 
     def scan_step_totals(self) -> Tuple[int, int]:
         """Summed ``(scan_steps, gc_scan_steps)`` over live promoted keys.
@@ -571,11 +573,6 @@ class WriterIntervals:
                 scan += rep.scan_steps
                 gc_scan += rep.gc_scan_steps
         return scan, gc_scan
-
-    def staged_gc_entries(self) -> int:
-        """Heap + staging entries awaiting the next ``evict_below`` — the
-        GC-debt contribution of this index."""
-        return len(self._gc_heap) + len(self._gc_pending)
 
 
 class ExtReadIndex:
@@ -956,10 +953,9 @@ def probe_columns(
     w_reevals: List[Optional[list]] = [None] * n_writes
 
     f_by_key = frontier._by_key
-    f_gc_pending = frontier._gc_pending
+    f_multi_add = frontier._multi.add
     e_by_key = ext_reads._by_key
     w_by_key = writers._by_key
-    w_gc_pending = writers._gc_pending
     value_at = frontier.value_at
     collect_affected = ext_reads.collect_affected
     new_versions = 0
@@ -1005,13 +1001,11 @@ def probe_columns(
                     hits = iv.overlap_add(start_ts, commit_ts, tid)
                     if hits:
                         w_conflicts[index] = hits
-                w_gc_pending.append((commit_ts, key))
                 # Inline twin of insert_and_next_ts.
                 payload = (w_vals[index], tid)
                 if fv is None:
                     fv = f_by_key[key] = ([commit_ts], [payload])
                     new_versions += 1
-                    f_gc_pending.append((commit_ts, key))
                     nxt_ts = None
                 elif type(fv) is tuple:
                     timestamps, payloads = fv
@@ -1023,8 +1017,9 @@ def probe_columns(
                         timestamps.insert(j, commit_ts)
                         payloads.insert(j, payload)
                         new_versions += 1
-                        f_gc_pending.append((commit_ts, key))
                         n += 1
+                        if n == 2:
+                            f_multi_add(key)
                     nxt = j + 1
                     nxt_ts = timestamps[nxt] if nxt < n else None
                     if n > _SMALL_MAX:
@@ -1035,7 +1030,6 @@ def probe_columns(
                     was_present, successor = fv.set_and_higher(commit_ts, payload)
                     if not was_present:
                         new_versions += 1
-                        f_gc_pending.append((commit_ts, key))
                     nxt_ts = None if successor is None else successor[0]
                 if optimized:
                     # Inline twin of collect_affected for the small rep
@@ -1127,28 +1121,20 @@ def probe_columns(
 # deep_sizeof fast paths
 #
 # The memory sampler runs inside capped-memory experiments, so the flat
-# layouts above — small-key parallel lists, GC heap entries — are sized
-# inline rather than element-by-element through the generic memoized
-# walk.  Each sizer returns the bytes beyond ``sys.getsizeof(obj)`` and
-# pushes only rich sub-objects (SortedMap, IntervalIndex, history
-# values) back onto the walk's stack; heap-entry keys alias the index's
-# own keys and are deliberately not re-counted (see the tolerance note
-# in :mod:`repro.util.sizeof`).
+# layouts above — small-key parallel lists — are sized inline rather
+# than element-by-element through the generic memoized walk.  Each sizer
+# returns the bytes beyond ``sys.getsizeof(obj)`` and pushes only rich
+# sub-objects (SortedMap, IntervalIndex, history values) back onto the
+# walk's stack; the frontier's multi-version key set aliases the index's
+# own keys, which are deliberately not re-counted (see the tolerance
+# note in :mod:`repro.util.sizeof`).
 # ----------------------------------------------------------------------
-
-
-def _gc_heap_bytes(heap: List[Tuple[int, str]]) -> int:
-    getsizeof = sys.getsizeof
-    total = getsizeof(heap)
-    for entry in heap:
-        total += getsizeof(entry) + getsizeof(entry[0])
-    return total
 
 
 def _frontier_bytes(frontier: VersionedFrontier, stack: List[Any]) -> int:
     getsizeof = sys.getsizeof
     by_key = frontier._by_key
-    total = getsizeof(by_key) + _gc_heap_bytes(frontier._gc_heap) + _gc_heap_bytes(frontier._gc_pending)
+    total = getsizeof(by_key) + getsizeof(frontier._multi)
     for key, versions in by_key.items():
         total += getsizeof(key)
         if type(versions) is tuple:
@@ -1166,7 +1152,7 @@ def _frontier_bytes(frontier: VersionedFrontier, stack: List[Any]) -> int:
 def _writer_intervals_bytes(writers: WriterIntervals, stack: List[Any]) -> int:
     getsizeof = sys.getsizeof
     by_key = writers._by_key
-    total = getsizeof(by_key) + _gc_heap_bytes(writers._gc_heap) + _gc_heap_bytes(writers._gc_pending)
+    total = getsizeof(by_key)
     for key, rep in by_key.items():
         total += getsizeof(key)
         if type(rep) is tuple:

@@ -198,7 +198,9 @@ class HistoryFaultInjector:
             txn = self._txns[i]
             if txn.tid == INIT_TID:
                 continue
-            for key in txn.write_keys:
+            # Sorted: ``write_keys`` is a set of str, whose iteration order
+            # (and with it the chosen pair) would follow PYTHONHASHSEED.
+            for key in sorted(txn.write_keys):
                 if key in last_writer:
                     pairs.append((last_writer[key], i, key))
                 last_writer[key] = i
@@ -298,7 +300,7 @@ class LiveFaultInjector:
     def observe(self, txns: List[Transaction]) -> None:
         """Fold a (post-injection) batch into the last-writer map."""
         for txn in txns:
-            for key in txn.write_keys:
+            for key in sorted(txn.write_keys):  # hash-seed independent
                 seen = self._last_commit.get(key)
                 if seen is None or txn.commit_ts > seen[0]:
                     self._last_commit[key] = (txn.commit_ts, txn.tid)
@@ -378,7 +380,7 @@ class LiveFaultInjector:
         for i, txn in enumerate(batch):
             if txn.tid == INIT_TID:
                 continue
-            for key in txn.write_keys:
+            for key in sorted(txn.write_keys):  # hash-seed independent
                 seen = self._last_commit.get(key)
                 if seen is None:
                     continue

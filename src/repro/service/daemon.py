@@ -53,6 +53,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.violations import CheckResult
@@ -257,6 +258,7 @@ class CheckerService:
         self.pushed_violations = 0
         self.gc_cycles = 0
         self.gc_seconds = 0.0
+        self.gc_evicted = {"versions": 0, "intervals": 0, "txns": 0}
         self.ingest_errors = 0
         self.last_ingest_error: Optional[str] = None
         self.throughput = ThroughputSeries()
@@ -334,6 +336,12 @@ class CheckerService:
         self.latency = self.metrics.histogram(
             "repro_submit_to_verdict_seconds",
             "Latency from submit decode to post-verdict drain completion",
+            DEFAULT_LATENCY_BUCKETS,
+        )
+        #: Observed once per completed GC cycle (never on the ingest path).
+        self.gc_pause = self.metrics.histogram(
+            "repro_gc_pause_seconds",
+            "Duration of one GC cycle (evict + spill), ingest stalled meanwhile",
             DEFAULT_LATENCY_BUCKETS,
         )
         self._build_metric_families()
@@ -693,6 +701,10 @@ class CheckerService:
         if report is not None:
             self.gc_cycles += 1
             self.gc_seconds += report.seconds
+            self.gc_evicted["versions"] += report.evicted_versions
+            self.gc_evicted["intervals"] += report.evicted_intervals
+            self.gc_evicted["txns"] += report.evicted_txns
+            self.gc_pause.observe(report.seconds)
 
     def _collect_locked(self):
         with self._lock:
@@ -1188,20 +1200,20 @@ class CheckerService:
             # pollers see a stable schema.
             kernel_stats = getattr(self.checker, "kernel_stats", None)
             kernel = kernel_stats.as_dict() if kernel_stats is not None else None
-            # Per-shard rows carry their own staged-GC / scan counters;
-            # reuse them for the aggregate figures instead of issuing a
-            # second control-plane round trip per shard.
+            # Per-shard rows carry their own scan counters; reuse them
+            # for the aggregate figures instead of issuing a second
+            # control-plane round trip per shard.
             shard_stats = getattr(self.checker, "shard_stats", None)
             shards = shard_stats() if shard_stats is not None else None
             if shards is not None:
-                gc_debt = sum(row["staged_gc"] for row in shards)
                 scan_steps = sum(row["scan_steps"] for row in shards)
                 gc_scan_steps = sum(row["gc_scan_steps"] for row in shards)
             else:
-                debt_fn = getattr(self.checker, "gc_debt", None)
-                gc_debt = debt_fn() if debt_fn is not None else 0
                 scan_fn = getattr(self.checker, "scan_step_totals", None)
                 scan_steps, gc_scan_steps = scan_fn() if scan_fn is not None else (0, 0)
+            debt_fn = getattr(self.checker, "gc_debt", None)
+            gc_debt = debt_fn() if debt_fn is not None else 0
+            spill = getattr(self.checker, "spill_store", None)
         queue_depth = self._queue.qsize() if self._queue is not None else 0
         queue_high_water = self._queue.high_water if self._queue is not None else 0
         with self._throughput_lock:
@@ -1244,6 +1256,10 @@ class CheckerService:
                 "seconds": round(self.gc_seconds, 6),
                 "threshold": self.config.gc_threshold,
                 "debt": gc_debt,
+                "pause": self.gc_pause.summary(),
+                "evicted": dict(self.gc_evicted),
+                "spill_bytes": spill.bytes_written if spill is not None else 0,
+                "reloads": spill.reload_count if spill is not None else 0,
             },
             "shards": shards,
             "lanes": {
@@ -1492,7 +1508,20 @@ class CheckerService:
         self._m_gc_cycles = m.counter("repro_gc_cycles_total", "Completed GC cycles")
         self._m_gc_seconds = m.counter("repro_gc_seconds_total", "Wall time spent in GC")
         self._m_gc_debt = m.gauge(
-            "repro_gc_debt", "Entries staged for the next GC cycle (heap + staging lists)"
+            "repro_gc_debt",
+            "Resident-index inserts deferred to the next GC cycle (its only up-front work)",
+        )
+        self._m_gc_evicted = {
+            kind: m.counter(
+                f"repro_gc_evicted_{kind}_total", f"Resident {kind} moved to spill segments"
+            )
+            for kind in self.gc_evicted
+        }
+        self._m_gc_spill_bytes = m.counter(
+            "repro_gc_spill_bytes_total", "Bytes written to spill segments"
+        )
+        self._m_gc_reloads = m.counter(
+            "repro_gc_reloads_total", "Spill segments read back on demand"
         )
         self._m_shard_versions = m.gauge(
             "repro_shard_versions", "Frontier versions held by one shard", ("shard",)
@@ -1593,6 +1622,10 @@ class CheckerService:
         self._m_gc_cycles.set_total(stats["gc"]["cycles"])
         self._m_gc_seconds.set_total(stats["gc"]["seconds"])
         self._m_gc_debt.set(stats["gc"]["debt"])
+        for kind, total in stats["gc"]["evicted"].items():
+            self._m_gc_evicted[kind].set_total(total)
+        self._m_gc_spill_bytes.set_total(stats["gc"]["spill_bytes"])
+        self._m_gc_reloads.set_total(stats["gc"]["reloads"])
         for row in stats.get("shards") or ():
             shard = str(row["shard"])
             self._m_shard_versions.labels(shard).set(row["versions"])
@@ -1702,7 +1735,19 @@ class ServiceThread:
         if self._thread.is_alive() and self._loop is not None:
             try:
                 future = asyncio.run_coroutine_threadsafe(self.service.shutdown(), self._loop)
-                future.result(timeout)
+                deadline = time.monotonic() + timeout
+                while True:
+                    try:
+                        future.result(0.2)
+                        break
+                    except FutureTimeout:
+                        # A loop that finished between the is_alive()
+                        # check and the hand-off never runs the coroutine.
+                        if not self._thread.is_alive():
+                            future.cancel()
+                            break
+                        if time.monotonic() >= deadline:
+                            raise
             except RuntimeError:
                 # The loop already exited (a client shut the daemon down).
                 pass

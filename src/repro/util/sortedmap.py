@@ -28,6 +28,8 @@ operations it supports:
   primitive behind Aion's re-checking sweeps;
 - :meth:`SortedMap.pop_below` — bulk removal used by garbage collection,
   which splices whole chunks instead of deleting keys one at a time;
+- :meth:`SortedMap.key_at` — positional lookup (the GC watermark that
+  spares the newest residents), skipping whole chunks by length;
 - :meth:`SortedMap.set_item` — single-descent insert reporting whether
   the key was already present;
 - :meth:`SortedMap.set_and_higher` — fused insert + successor lookup for
@@ -307,6 +309,17 @@ class SortedMap:
         if not self._maxes:
             raise KeyError("max_item(): map is empty")
         return self._keys[-1][-1], self._vals[-1][-1]
+
+    def key_at(self, index: int) -> Any:
+        """The ``index``-th smallest key (0-based); IndexError if out of
+        range.  Skips whole chunks by their length, so the cost is the
+        number of chunks before the answer, not ``index``."""
+        if not 0 <= index < self._len:
+            raise IndexError("key_at(): index out of range")
+        for chunk in self._keys:
+            if index < len(chunk):
+                return chunk[index]
+            index -= len(chunk)
 
     def floor_item(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Return the item with the greatest key ``<= key``, or None."""

@@ -1,14 +1,23 @@
 """Tests for Aion's garbage collection, spilling and reload-on-demand."""
 
+from random import Random
+
+import pytest
+
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
 from repro.core.reference import normalize_violations
+from repro.core.sharded import ShardedAion
+from repro.db.faults import HistoryFaultInjector
+from repro.histories.anomalies import ANOMALY_CATALOG
 from repro.histories.builder import HistoryBuilder
 from repro.histories.ops import read, write
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
+
+from test_differential import session_respecting_shuffle, split_session_verdicts
 
 
 def make_aion():
@@ -173,3 +182,148 @@ class TestEmptyGcReportContract:
         assert report.effective_ts == 500
         report = ser.collect_below(None)
         assert report.effective_ts == -1
+
+
+# ----------------------------------------------------------------------
+# Reload differential: stream, GC aggressively, deliver severely delayed
+# transactions below the watermark
+# ----------------------------------------------------------------------
+
+INF = AionConfig(timeout=float("inf"))
+ABLATION = AionConfig(timeout=float("inf"), optimized_recheck=False)
+
+#: name -> (constructor, level, per-op ``receive`` instead of batches)
+DELAYED_CHECKERS = {
+    "aion": (lambda: Aion(INF, clock=lambda: 0.0), "si", False),
+    "aion-per-op": (lambda: Aion(INF, clock=lambda: 0.0), "si", True),
+    # The ablation re-checks arbitrarily old snapshot points through
+    # ``_visible_value``, the one reader of a segment's ``min_ts``.
+    "aion-ablation-per-op": (lambda: Aion(ABLATION, clock=lambda: 0.0), "si", True),
+    "aion-ser": (lambda: AionSer(INF, clock=lambda: 0.0), "ser", False),
+    "aion-ser-per-op": (lambda: AionSer(INF, clock=lambda: 0.0), "ser", True),
+    "sharded-x1": (lambda: ShardedAion(INF, n_shards=1, clock=lambda: 0.0), "si", False),
+    "sharded-x2": (lambda: ShardedAion(INF, n_shards=2, clock=lambda: 0.0), "si", False),
+    "sharded-x4": (lambda: ShardedAion(INF, n_shards=4, clock=lambda: 0.0), "si", False),
+    "sharded-x2-process": (
+        lambda: ShardedAion(INF, n_shards=2, clock=lambda: 0.0, executor="process"),
+        "si",
+        False,
+    ),
+    "sharded-x2-ablation": (
+        lambda: ShardedAion(ABLATION, n_shards=2, clock=lambda: 0.0),
+        "si",
+        False,
+    ),
+}
+
+
+def delayed_plan(seed):
+    """``(history, batches)``: four sessions stream on time in commit
+    order, 30 a batch; the two held-back sessions deliver what is due —
+    by then far below every GC watermark — after each third."""
+    history = generate_default_history(
+        WorkloadSpec(n_sessions=6, n_transactions=360, ops_per_txn=6, n_keys=25, seed=seed)
+    )
+    injector = HistoryFaultInjector(history, seed=seed)
+    for _ in range(3):
+        injector.inject_ext()
+        injector.inject_int()
+        injector.inject_noconflict()
+    history = injector.build()
+    held = sorted(history.sessions)[-2:]
+    on_time = [t for t in history.by_commit_ts() if t.sid not in held]
+    late = [t for t in history.by_commit_ts() if t.sid in held]
+    batches = []
+    third = len(on_time) // 3
+    for part in range(3):
+        hi = len(on_time) if part == 2 else (part + 1) * third
+        chunk = on_time[part * third : hi]
+        batches += [chunk[i : i + 30] for i in range(0, len(chunk), 30)]
+        due = [t for t in late if part == 2 or t.commit_ts < chunk[-1].commit_ts]
+        late = late[len(due) :]
+        batches.append(due)
+    assert not late and sum(map(len, batches)) == len(history)
+    return history, batches
+
+
+def run_plan(make, per_op, batches, *, collect):
+    checker = make()
+    try:
+        for batch in batches:
+            if per_op:
+                for txn in batch:
+                    checker.receive(txn)
+            else:
+                checker.receive_many(batch)
+            if collect:
+                checker.collect_below(None)
+        verdicts = normalize_violations(checker.finalize())
+        spill = checker.spill_store
+        return verdicts, (spill.reload_count if spill is not None else 0)
+    finally:
+        checker.close()
+
+
+class TestDelayedArrivalDifferential:
+    @pytest.fixture(scope="class", params=[31, 77])
+    def plan(self, request):
+        history, batches = delayed_plan(request.param)
+        offline = {
+            "si": normalize_violations(Chronos().check(history)),
+            "ser": normalize_violations(ChronosSer().check(history)),
+        }
+        return history, batches, offline
+
+    @pytest.mark.parametrize("name", sorted(DELAYED_CHECKERS))
+    def test_gc_and_reload_preserve_verdicts(self, plan, name):
+        history, batches, offline = plan
+        make, level, per_op = DELAYED_CHECKERS[name]
+        with_gc, reloads = run_plan(make, per_op, batches, collect=True)
+        without_gc, _ = run_plan(make, per_op, batches, collect=False)
+        assert reloads >= 2, "the delayed sessions never dipped below the watermark"
+        assert with_gc == without_gc
+        assert split_session_verdicts(with_gc, history) == split_session_verdicts(
+            offline[level], history
+        )
+        assert any(v[0] == "EXT" for v in with_gc)
+
+    def test_re_evicted_segment_range_bounds_its_content(self):
+        """Reload, then evict again: the new segment holds data far older
+        than the previous boundary and must say so, or the next delayed
+        reader's reload would skip it."""
+        _history, batches = delayed_plan(31)
+        aion = make_aion()
+        try:
+            first_due = next(i for i, batch in enumerate(batches) if len(batch) != 30)
+            for batch in batches[:first_due]:
+                aion.receive_many(batch)
+                aion.collect_below(None)
+            boundary = aion.spill_store.min_spilled_ts()
+            aion.receive_many(batches[first_due])  # reloads everything
+            assert len(aion.spill_store) == 0
+            report = aion.collect_below(None)  # re-evicts it in one segment
+            assert report.evicted_versions > 0
+            assert aion.spill_store.min_spilled_ts() <= boundary
+            oldest = min(t.start_ts for t in batches[0])
+            assert aion.spill_store.min_spilled_ts() <= oldest
+        finally:
+            aion.close()
+
+
+@pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
+def test_anomaly_catalog_with_gc_after_every_arrival(name):
+    """Every canonical anomaly, shuffled, collecting everything after
+    each arrival (so most arrivals land below the watermark and reload):
+    all three checkers still equal their offline oracle."""
+    history = ANOMALY_CATALOG[name].build()
+    arrival = session_respecting_shuffle(history, Random(3))
+    offline = {
+        "si": normalize_violations(Chronos().check(history)),
+        "ser": normalize_violations(ChronosSer().check(history)),
+    }
+    for checker_name in ("aion", "aion-ser", "sharded-x2"):
+        make, level, _ = DELAYED_CHECKERS[checker_name]
+        got, _ = run_plan(make, False, [[txn] for txn in arrival], collect=True)
+        assert split_session_verdicts(got, history) == split_session_verdicts(
+            offline[level], history
+        ), (name, checker_name)

@@ -1,13 +1,18 @@
 """Tests for Aion-SER, the online serializability checker."""
 
 from repro.core.aion_ser import AionSer
-from repro.core.aion import AionConfig
+from repro.core.aion import Aion, AionConfig
 from repro.core.chronos_ser import ChronosSer
+from repro.core.colpack import pack_columnar, unpack_columnar
 from repro.core.reference import normalize_violations
+from repro.core.sharded import ShardedAion
 from repro.core.violations import Axiom
+from repro.db.faults import HistoryFaultInjector
 from repro.histories.builder import HistoryBuilder
 from repro.histories.ops import read, write
 from repro.online.clock import SimClock
+from repro.workloads.generator import generate_default_history
+from repro.workloads.spec import WorkloadSpec
 
 
 def make_ser(timeout=float("inf"), clock=None):
@@ -104,3 +109,45 @@ class TestSessionsAndTimeouts:
         offline = ChronosSer().check(si_history)
         assert normalize_violations(result) == normalize_violations(offline)
         assert not result.is_valid  # SI history is not serializable here
+
+
+class TestProcessedCountsAcceptedOnly:
+    """``processed`` means *accepted*: an Eq. 1 (TS_ORDER) offender is
+    reported but not counted — by Aion (which rejects it), AionSer (which
+    still checks it at its commit point) and ShardedAion alike, through
+    every ingestion path."""
+
+    @staticmethod
+    def faulted_stream():
+        history = generate_default_history(
+            WorkloadSpec(n_sessions=4, n_transactions=120, ops_per_txn=5, n_keys=20, seed=12)
+        )
+        injector = HistoryFaultInjector(history, seed=13)
+        label = injector.inject_ts_order()
+        assert label is not None
+        return injector.build().by_commit_ts()
+
+    def test_aion_and_aion_ser_agree(self):
+        stream = self.faulted_stream()
+        accepted = len(stream) - 1
+        config = AionConfig(timeout=float("inf"))
+        makers = [
+            lambda: Aion(config, clock=lambda: 0.0),
+            lambda: AionSer(config, clock=lambda: 0.0),
+            lambda: ShardedAion(config, n_shards=2, clock=lambda: 0.0),
+        ]
+        feeds = [
+            lambda checker: [checker.receive(txn) for txn in stream],
+            lambda checker: [checker.receive_many(stream[i : i + 25]) for i in range(0, len(stream), 25)],
+            lambda checker: checker.receive_many(unpack_columnar(pack_columnar(stream))[0]),
+        ]
+        for make in makers:
+            for ingest in feeds:
+                checker = make()
+                try:
+                    ingest(checker)
+                    result = checker.finalize()
+                    assert len(result.by_axiom(Axiom.TS_ORDER)) == 1
+                    assert checker.processed == accepted, type(checker).__name__
+                finally:
+                    checker.close()

@@ -1,5 +1,9 @@
 """Tests for storage, oracles, CDC and fault injection."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,6 +264,29 @@ class TestFaultInjector:
         result = Chronos().check(injector.build())
         found = {(v.axiom, v.tid) for v in result.violations}
         assert any((axiom, tid) in found for tid in label.tids), (label, result.summary())
+
+    def test_noconflict_label_is_hash_seed_independent(self):
+        """``write_keys`` is a set of str: the injected pair must not
+        follow the interpreter's string hashing."""
+        script = (
+            "from repro.db.faults import HistoryFaultInjector\n"
+            "from repro.workloads.generator import generate_default_history\n"
+            "from repro.workloads.spec import WorkloadSpec\n"
+            "history = generate_default_history(WorkloadSpec(n_sessions=6,"
+            " n_transactions=300, ops_per_txn=8, n_keys=50, seed=59))\n"
+            "injector = HistoryFaultInjector(history, seed=60)\n"
+            "print([(l.tids, l.key) for l in (injector.inject_noconflict() for _ in range(4))])\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
+        assert "None" not in outputs.pop()
 
     def test_inject_mix_counts(self, base_history):
         injector = HistoryFaultInjector(base_history, seed=61)

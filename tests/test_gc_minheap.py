@@ -1,21 +1,19 @@
-"""GC min-heap churn tests: heap-driven eviction ≡ full-walk oracle.
+"""GC eviction churn tests: ``evict_below`` ≡ full-walk oracle.
 
-PR 6 replaced ``evict_below``'s full walk over every key with a lazy
-min-heap of ``(commit_ts, key)`` entries — one pushed per new version or
-interval — so a GC cycle costs the keys that actually hold evictable
-state.  The laziness has sharp edges these tests pin against naive
-models that re-scan everything:
+``evict_below`` never walks the whole index: the frontier looks only at
+keys holding two or more versions (a set maintained on the 1→2 insert),
+the writer index only at keys with resident intervals, each decided by
+one comparison on its sorted head.  (The file keeps its name from the
+lazy ``(commit_ts, key)`` min-heap that did this job before.)  These
+tests pin the shortcut against naive models that re-scan everything:
 
-- a key's *kept newest* evictable version gets no fresh heap entry, and
-  must still be evicted once a newer version's entry pops in a later
-  cycle;
-- duplicate and stale heap entries (replaced versions, already-evicted
-  keys) must be harmless;
-- after ``evict_below(ts)`` no remaining frontier entry may be ≤ ts and
-  no interval entry < ts (no stale minima — the early-return guard
-  depends on it);
+- a key's *kept newest* evictable version must still be evicted once a
+  newer version drops below a later watermark;
+- replaced versions and already-evicted keys must be harmless;
+- a repeated ``evict_below(ts)`` must be an empty no-op;
 - reload-on-demand re-inserts *below* the collected boundary, and the
-  re-pushed entries must make the next cycle evict them again.
+  next cycle must evict those rows again;
+- a cycle's work is bounded by the multi-version keys, not the index.
 """
 
 from random import Random
@@ -77,19 +75,18 @@ class WriterOracle:
 
 
 def normalized(evicted):
-    return {key: sorted(items) for key, items in evicted.items() if items}
-
-
-def assert_frontier_heap_invariant(frontier, ts):
-    assert all(entry[0] > ts for entry in frontier._gc_heap), (
-        f"stale frontier heap minima at or below {ts}"
-    )
-
-
-def assert_writers_heap_invariant(writers, ts):
-    assert all(entry[0] >= ts for entry in writers._gc_heap), (
-        f"stale interval heap minima below {ts}"
-    )
+    """Oracle dicts and ``evict_below`` columns alike as
+    ``{key: sorted row tuples}`` (versions: commit_ts, value, tid;
+    intervals: start, end, tid)."""
+    if isinstance(evicted, dict):
+        return {key: sorted(items) for key, items in evicted.items() if items}
+    keys, counts, *columns = evicted
+    out, lo = {}, 0
+    for key, count in zip(keys, counts):
+        out[key] = sorted(zip(*(column[lo : lo + count] for column in columns)))
+        lo += count
+    assert lo == len(columns[0])
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 99])
@@ -108,7 +105,6 @@ def test_frontier_evict_matches_full_walk_under_churn(seed):
             got = normalized(frontier.evict_below(watermark))
             want = normalized(oracle.evict_below(watermark))
             assert got == want, f"step {step} ts {watermark}"
-            assert_frontier_heap_invariant(frontier, watermark)
         else:
             key = rng.choice(keys)
             cts = rng.randint(0, step * 4 + 4)
@@ -121,7 +117,6 @@ def test_frontier_evict_matches_full_walk_under_churn(seed):
     assert normalized(frontier.evict_below(final)) == normalized(
         oracle.evict_below(final)
     )
-    assert_frontier_heap_invariant(frontier, final)
     for key in keys:
         if key in oracle.by_key and oracle.by_key[key]:
             assert len(oracle.by_key[key]) == 1
@@ -141,7 +136,6 @@ def test_writer_intervals_evict_matches_full_walk_under_churn(seed):
             got = normalized(writers.evict_below(watermark))
             want = normalized(oracle.evict_below(watermark))
             assert got == want, f"step {step} ts {watermark}"
-            assert_writers_heap_invariant(writers, watermark)
         else:
             key = rng.choice(keys)
             end = rng.randint(0, step * 4 + 4)
@@ -156,39 +150,35 @@ def test_writer_intervals_evict_matches_full_walk_under_churn(seed):
     assert normalized(writers.evict_below(final)) == normalized(
         oracle.evict_below(final)
     )
-    assert_writers_heap_invariant(writers, final)
     assert len(writers) == sum(len(ivs) for ivs in oracle.by_key.values())
 
 
 def test_kept_newest_version_is_recovered_by_later_entries():
-    """The retained newest-evictable version gets no fresh heap entry;
-    a later version's entry must re-cover it."""
+    """The retained newest-evictable version leaves the multi-version
+    set with its key; a later version must bring the key back."""
     frontier = VersionedFrontier()
     frontier.insert("k", 1, "a", 1)
     frontier.insert("k", 2, "b", 2)
-    assert frontier.evict_below(10) == {"k": [(1, "a", 1)]}
-    # Version 2 survives as the visible floor, with no heap entry left.
+    assert normalized(frontier.evict_below(10)) == {"k": [(1, "a", 1)]}
+    # Version 2 survives as the visible floor of a single-version key.
     assert frontier.value_at("k", 10) == "b"
-    assert frontier.evict_below(10) == {}  # cheap no-op, nothing stale
+    assert normalized(frontier.evict_below(10)) == {}  # cheap no-op
     frontier.insert("k", 12, "c", 3)
-    # 12's entry pops and re-covers the key: 2 is no longer the newest
-    # evictable version, so it must leave now.
-    assert frontier.evict_below(15) == {"k": [(2, "b", 2)]}
+    # 2 is no longer the newest evictable version, so it must leave now.
+    assert normalized(frontier.evict_below(15)) == {"k": [(2, "b", 2)]}
     assert frontier.value_at("k", 20) == "c"
-    assert_frontier_heap_invariant(frontier, 15)
 
 
-def test_reload_reinserts_repush_heap_entries():
+def test_reload_reinserts_are_evictable_again():
     """Merging spilled state back (reload-on-demand) must make those
     versions evictable again in the next cycle."""
     frontier = VersionedFrontier()
     for cts in (1, 2, 3):
         frontier.insert("k", cts, f"v{cts}", cts)
     evicted = frontier.evict_below(100)
-    assert evicted == {"k": [(1, "v1", 1), (2, "v2", 2)]}
+    assert normalized(evicted) == {"k": [(1, "v1", 1), (2, "v2", 2)]}
     frontier.merge(evicted)
     assert normalized(frontier.evict_below(100)) == normalized(evicted)
-    assert_frontier_heap_invariant(frontier, 100)
 
     writers = WriterIntervals()
     for end in (5, 6, 7):
@@ -197,26 +187,24 @@ def test_reload_reinserts_repush_heap_entries():
     assert normalized(evicted) == {"k": [(0, 5, 5), (0, 6, 6), (0, 7, 7)]}
     writers.merge(evicted)
     assert normalized(writers.evict_below(100)) == normalized(evicted)
-    assert_writers_heap_invariant(writers, 100)
 
 
 def test_duplicate_and_replaced_versions_are_harmless():
-    """Replacing a version's payload pushes a duplicate heap entry for
-    the same (commit_ts, key); eviction must count the version once."""
+    """Re-inserting a version replaces its payload in place; eviction
+    must count the version once."""
     frontier = VersionedFrontier()
     for _ in range(5):
         frontier.insert("k", 3, "x", 9)  # same version, re-inserted
     frontier.insert("k", 8, "y", 10)
     assert len(frontier) == 2
-    assert frontier.evict_below(50) == {"k": [(3, "x", 9)]}
+    assert normalized(frontier.evict_below(50)) == {"k": [(3, "x", 9)]}
     assert len(frontier) == 1
-    assert frontier.evict_below(50) == {}
-    assert_frontier_heap_invariant(frontier, 50)
+    assert normalized(frontier.evict_below(50)) == {}
 
 
-def test_aion_gc_cycles_keep_heap_invariants():
+def test_aion_gc_cycles_repeat_collections_are_noops():
     """End-to-end sawtooth: batched kernel ingestion with periodic GC
-    leaves no stale heap minima and keeps repeat collections no-ops."""
+    keeps a repeat collection at the same boundary an empty no-op."""
     history = small_history(21, n=150)
     arrival = session_respecting_shuffle(history, Random(21))
     checker = Aion(AionConfig(timeout=float("inf")), clock=lambda: 0.0)
@@ -224,11 +212,48 @@ def test_aion_gc_cycles_keep_heap_invariants():
         for offset in range(0, len(arrival), 30):
             checker.receive_many(arrival[offset : offset + 30])
             report = checker.collect_below(None)
-            boundary = report.effective_ts
-            assert_frontier_heap_invariant(checker._frontier, boundary)
-            assert_writers_heap_invariant(checker._writers, boundary)
-            again = checker.collect_below(boundary)
+            again = checker.collect_below(report.effective_ts)
             assert again.evicted_versions == 0
             assert again.evicted_intervals == 0
     finally:
         checker.close()
+
+
+class _CountingDict(dict):
+    """``_by_key`` stand-in that counts lookups and forbids full walks."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+    def _no_walk(self, *args):
+        raise AssertionError("evict_below walked the whole frontier index")
+
+    __iter__ = keys = values = items = _no_walk
+
+
+def test_frontier_cycle_examines_only_multi_version_keys():
+    """200k single-version keys + 100 two-version keys: a cycle looks at
+    O(100) keys, whatever the watermark."""
+    frontier = VersionedFrontier()
+    for index in range(200_000):
+        frontier.insert(f"cold{index}", index, 0, index)
+    for index in range(100):
+        frontier.insert(f"hot{index}", 10 + index, 1, 300_000 + index)
+        frontier.insert(f"hot{index}", 500_000 + index, 2, 400_000 + index)
+    frontier._by_key = by_key = _CountingDict(frontier._by_key)
+
+    assert normalized(frontier.evict_below(400_000)) == {}  # heads only
+    assert by_key.lookups <= 100
+    evicted = normalized(frontier.evict_below(600_000))
+    assert sorted(evicted) == sorted(f"hot{i}" for i in range(100))
+    assert by_key.lookups <= 200
+    assert normalized(frontier.evict_below(700_000)) == {}  # every key settled
+    assert by_key.lookups <= 200
+    assert len(frontier) == 200_100

@@ -29,6 +29,8 @@ from repro.service import (
     transactions_in_commit_order,
 )
 from repro.service.client import http_get_json, http_get_text
+from repro.workloads.generator import generate_default_history
+from repro.workloads.spec import WorkloadSpec
 
 INF = AionConfig(timeout=float("inf"))
 
@@ -292,6 +294,13 @@ class TestDaemonEndpoints:
             "repro_kernel_batches_total",
             "repro_kernel_slow_batches_total",
             "repro_gc_debt",
+            "repro_gc_spill_bytes_total",
+            "repro_gc_reloads_total",
+            "repro_gc_evicted_versions_total",
+            "repro_gc_evicted_intervals_total",
+            "repro_gc_evicted_txns_total",
+            "repro_gc_pause_seconds_bucket",
+            "repro_gc_pause_seconds_count",
             "repro_submit_to_verdict_seconds_bucket",
             "repro_submit_to_verdict_seconds_count",
         ):
@@ -307,6 +316,46 @@ class TestDaemonEndpoints:
         assert 'repro_wire_frames_total{codec="v2",direction="in"}' in body
         assert 'repro_kernel_stage_seconds_total{stage="route"}' in body
         assert 'repro_kernel_ops_total{stage="probe_reads"}' in body
+
+    @pytest.mark.parametrize("kind", ["aion", "aion-ser", "sharded"])
+    def test_gc_metrics_count_what_moved(self, start_service, kind):
+        """The GC families mirror GcReport/SpillStore: after cycles ran,
+        /metrics and STATS["gc"] agree on cycles, pauses, evictions and
+        spill bytes."""
+        extra = {"aion": {}, "aion-ser": {"level": "ser"}, "sharded": {"n_shards": 2}}[kind]
+        handle = start_service(gc_threshold=40, gc_keep_recent=10, **extra)
+        history = generate_default_history(
+            WorkloadSpec(n_sessions=4, n_transactions=300, ops_per_txn=6, n_keys=30, seed=5)
+        )
+        host, port = handle.tcp_address
+        with CheckerClient(host, port) as client:
+            client.connect()
+            txns = history.by_commit_ts()
+            for offset in range(0, len(txns), 50):
+                client.submit_many(txns[offset : offset + 50])
+            client.finalize()
+            gc = client.stats()["gc"]
+        assert gc["cycles"] >= 2
+        assert gc["pause"]["count"] == gc["cycles"]
+        assert gc["evicted"]["txns"] >= 200
+        assert gc["evicted"]["versions"] > 0
+        assert (gc["evicted"]["intervals"] > 0) == (kind != "aion-ser")
+        assert gc["spill_bytes"] > 0
+        assert gc["reloads"] == 0
+        assert gc["debt"] >= 0
+        status, body = http_get_text(*handle.http_address, "/metrics")
+        assert status == 200
+        lines = dict(
+            line.rsplit(" ", 1)
+            for line in body.splitlines()
+            if not line.startswith("#") and "{" not in line
+        )
+        assert int(lines["repro_gc_cycles_total"]) == gc["cycles"]
+        assert int(lines["repro_gc_pause_seconds_count"]) == gc["cycles"]
+        assert int(lines["repro_gc_spill_bytes_total"]) == gc["spill_bytes"]
+        assert int(lines["repro_gc_reloads_total"]) == 0
+        for name, total in gc["evicted"].items():
+            assert int(lines[f"repro_gc_evicted_{name}_total"]) == total
 
     def test_metrics_per_shard_gauges(self, start_service):
         handle = start_service(n_shards=3, kernel_sample_every=1)
@@ -534,7 +583,7 @@ class TestInstrumentationDifferential:
             for row in rows:
                 assert set(row) >= {
                     "shard", "versions", "intervals", "ext_reads",
-                    "scan_steps", "gc_scan_steps", "staged_gc",
+                    "scan_steps", "gc_scan_steps",
                     "pending_removals", "last_batch_commands",
                 }
             assert sum(row["versions"] for row in rows) > 0

@@ -292,7 +292,7 @@ class TestDifferentialOracle:
 
     Thousands of mixed operations (set / set_item / set_and_higher /
     setdefault / del / floor / ceiling / lower / higher / irange /
-    pop_below) driven through both the chunked container and a plain
+    pop_below / key_at) driven through both the chunked container and a plain
     ``dict`` + sorted key list, asserting identical behaviour at every
     step.  Key range and op count are sized to force chunk splits and
     whole-chunk removals.
@@ -381,6 +381,12 @@ class TestDifferentialOracle:
             else:
                 assert m.get(k, "absent") == model.get(k, "absent")
                 assert (k in m) == (k in model)
+                index = rng.randrange(-1, len(okeys) + 1)  # both ends out of range
+                if 0 <= index < len(okeys):
+                    assert m.key_at(index) == okeys[index]
+                else:
+                    with pytest.raises(IndexError):
+                        m.key_at(index)
             assert len(m) == len(model)
             if step % 500 == 499:
                 assert list(m.items()) == [(key, model[key]) for key in okeys]

@@ -40,7 +40,7 @@ class TestVersionedFrontier:
             f.insert("x", ts, f"v{ts}", ts)
         segment = f.evict_below(30)
         # 10 and 20 evicted; 30 kept in memory as the newest <= 30.
-        assert sorted(cts for cts, _, _ in segment["x"]) == [10, 20]
+        assert segment == (["x"], [2], [10, 20], ["v10", "v20"], [10, 20])
         assert f.latest_at("x", 35) == (30, "v30", 30)
         assert f.latest_at("x", 99) == (40, "v40", 40)
 
@@ -87,7 +87,7 @@ class TestWriterIntervals:
         w.add("x", 1, 4, tid=1)
         w.add("x", 10, 14, tid=2)
         segment = w.evict_below(9)
-        assert segment == {"x": [(1, 4, 1)]}
+        assert segment == (["x"], [1], [1], [4], [1])
         assert len(w) == 1
         w.merge(segment)
         assert len(w) == 2
