@@ -50,7 +50,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.common import BOTTOM, SessionTracker, simulate_transaction_ops, values_match
 from repro.core.ext_status import (
@@ -269,15 +269,20 @@ class Aion(SpillingGc):
         the batch in arrival order emitting violations and applying
         re-evaluations, so reported order matches the per-op path.
 
-        Correctness rests on the same argument as ShardedAion's command
-        streams: per-key operations preserve arrival order within each
-        stream (a transaction's reads precede its writes, matching steps
-        ① and ③), operations on distinct keys touch disjoint state and
-        commute, and global effects are applied in arrival order by the
-        verdict pass.  Tracking a batch's reads before applying its
+        Correctness: per-key operations preserve arrival order within
+        each stream (a transaction's reads precede its writes, matching
+        steps ① and ③), operations on distinct keys touch disjoint state
+        and commute, and global effects are applied in arrival order by
+        the verdict pass.  Tracking a batch's reads before applying its
         re-evaluations is safe because a pair's re-evaluations only ever
         originate from writes later in its key's stream than the pair's
         own read.
+
+        This is the only SI batch kernel: :class:`~repro.core.sharded.
+        ShardedAion` inherits it whole and overrides two seams —
+        :meth:`_new_key_streams` (where the route pass files each key's
+        stream) and :meth:`_probe` (which structures the streams run
+        against).
         """
         # Validate the whole batch before mutating any state: a rejected
         # append mid-loop would otherwise leave earlier batch members
@@ -380,7 +385,7 @@ class Aion(SpillingGc):
         w_tids: List[int] = []
         #: Per key, arrival-ordered op stream: ``index << 1`` encodes the
         #: read at ``index``; ``index << 1 | 1`` the write at ``index``.
-        key_streams: DefaultDict[str, List[int]] = defaultdict(list)
+        key_streams = self._new_key_streams()
         r_keys_append = r_keys.append
         r_ts_append = r_ts.append
         r_tids_append = r_tids.append
@@ -512,23 +517,9 @@ class Aion(SpillingGc):
         else:
             t_probe0 = 0.0
 
-        # ---- frontier probe: per-key streams in arrival order, executed
-        # by the versioned layer's columnar kernel (one representation
-        # fetch per key instead of one per op — see probe_columns).
-        r_expected, w_conflicts, w_reevals = probe_columns(
-            self._frontier,
-            self._writers,
-            self._ext_reads,
-            key_streams,
-            r_ts,
-            r_tids,
-            r_vals,
-            w_vals,
-            w_starts,
-            w_cts,
-            w_tids,
-            optimized,
-            BOTTOM,
+        # ---- frontier probe: per-key streams in arrival order.
+        r_expected, w_conflicts, w_reevals = self._probe(
+            key_streams, r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids
         )
         if timing:
             t_verdict0 = perf_counter()
@@ -601,7 +592,7 @@ class Aion(SpillingGc):
                 )[:5]
                 stats.record_slow(
                     {
-                        "checker": "aion",
+                        **self._slow_batch_tags(),
                         "seconds": round(total, 6),
                         "batch_txns": n,
                         "reads": n_reads,
@@ -613,6 +604,49 @@ class Aion(SpillingGc):
                         "top_keys": [[key, len(ops)] for key, ops in top],
                     }
                 )
+
+    # ------------------------------------------------------------------
+    # Kernel seams (overridden by ShardedAion)
+    # ------------------------------------------------------------------
+
+    def _new_key_streams(self) -> Dict[str, List[int]]:
+        """The container the route pass appends per-key op streams to:
+        ``streams[key]`` must create the key's stream on first use."""
+        return defaultdict(list)
+
+    def _probe(
+        self,
+        key_streams: Dict[str, List[int]],
+        r_ts: List[int],
+        r_tids: List[int],
+        r_vals: List[Any],
+        w_vals: List[Any],
+        w_starts: List[int],
+        w_cts: List[int],
+        w_tids: List[int],
+    ) -> Tuple[List[Any], List[Any], List[Any]]:
+        """Run one batch's per-key streams against the versioned
+        structures (one representation fetch per key instead of one per
+        op — see :func:`~repro.core.versioned.probe_columns`)."""
+        return probe_columns(
+            self._frontier,
+            self._writers,
+            self._ext_reads,
+            key_streams,
+            r_ts,
+            r_tids,
+            r_vals,
+            w_vals,
+            w_starts,
+            w_cts,
+            w_tids,
+            self.config.optimized_recheck,
+            BOTTOM,
+        )
+
+    def _slow_batch_tags(self) -> Dict[str, Any]:
+        """Checker-specific head of a slow-batch trace record."""
+        return {"checker": "aion"}
 
     # ------------------------------------------------------------------
     # Results

@@ -15,13 +15,14 @@ crosses:
   packed WAL/history files are both this blob; GC spill segments
   (:mod:`repro.core.spill`) reuse its key table and value column
   (:func:`pack_key_table`, :func:`pack_value_column`).
-- **Shard lane frames** — :func:`pack_flat_frame` packs one shard's
-  routed flat command stream (``tags``/``keys``/``a``/``b``/``c``
-  parallel arrays, see :mod:`repro.core.sharded`) with the same column
-  layout, and :func:`pack_result_frame` packs the shard's semantic
-  results; both decode in place from ``memoryview`` slices into a
-  shared-memory ring (:mod:`repro.core.shm`), so the multi-core
-  executor moves batches across the process boundary without pickle.
+- **Shard lane frames** — :func:`pack_probe_frame` packs one shard's
+  probe request (deferred read removals, its keys' op streams and the
+  shard-local op columns, see :mod:`repro.core.sharded`) with the same
+  column layout, and :func:`pack_result_frame` packs the three result
+  columns the shard answers with; both decode in place from
+  ``memoryview`` slices into a shared-memory ring
+  (:mod:`repro.core.shm`), so the multi-core executor moves batches
+  across the process boundary without pickle.
 
 The two framings share the tag vocabulary and payload encodings but
 differ in one deliberate way: wire values keep *JSONL parity* (top-level
@@ -55,18 +56,10 @@ __all__ = [
     "pack_key_table",
     "unpack_key_table",
     "UnencodableValue",
-    "pack_flat_frame",
-    "unpack_flat_frame",
+    "pack_probe_frame",
+    "unpack_probe_frame",
     "pack_result_frame",
     "unpack_result_frame",
-    "FLAT_VISIBLE",
-    "FLAT_ADD_READ",
-    "FLAT_REMOVE_READ",
-    "FLAT_OVERLAP_ADD",
-    "FLAT_INSERT_RECHECK",
-    "FLAT_READ_TRACK",
-    "FLAT_WRITE_PROBE",
-    "RESULT_INLINE",
 ]
 
 #: A readable buffer the decoders accept: ``bytes`` or a ``memoryview``
@@ -682,49 +675,17 @@ def unpack_columnar(buf: Buffer, offset: int = 0) -> Tuple[ColumnarBatch, int]:
 
 
 # ======================================================================
-# Shard lane frames: flat command streams and result frames
+# Shard lane frames: probe requests and result columns
 # ======================================================================
 
-#: Integer tags of the flat shard command encoding — one row across the
-#: five parallel arrays ``(tags, keys, a, b, c)``; operand meaning per
-#: tag is documented in :mod:`repro.core.sharded`, which routes batches
-#: into these streams.
-FLAT_VISIBLE = 0
-FLAT_ADD_READ = 1
-FLAT_REMOVE_READ = 2
-FLAT_OVERLAP_ADD = 3
-FLAT_INSERT_RECHECK = 4
-#: Fused rows — the router's hot path emits one row per external read
-#: (visible probe + read registration) and one per write (overlap query
-#: + insert/recheck), halving the rows that cross the process boundary;
-#: the two-row forms above remain valid input for the interpreter.
-FLAT_READ_TRACK = 6
-FLAT_WRITE_PROBE = 7
-
 #: First byte of every lane frame.
-RQ_FLAT = 1          # request lane: one shard's flat command stream
-RESULT_INLINE = 2    # result lane: strict-encoded semantic results follow
+RQ_PROBE = 1         # request lane: one shard's probe request
+RESULT_INLINE = 2    # result lane: the three strict-encoded result columns
 
-#: Per-result kind bytes of the result frame (a visible value can itself
-#: be a tuple, so the shape cannot be inferred from the payload).
-_RK_VALUE = 0
-_RK_PAIRS = 1
-_RK_REEVALS = 2
-
-_FLAT_HDR = struct.Struct("!BBI")  # frame kind, optimized flag, n_commands
-
-#: Result shapes each flat tag contributes (see ``_ShardCore.
-#: execute_flat``): probes yield a value, overlap queries a pair list,
-#: insert+recheck a re-evaluation list; the fused write row yields two
-#: result slots; bookkeeping rows yield nothing.
-_RKS_OF_TAG = {
-    FLAT_VISIBLE: bytes((_RK_VALUE,)),
-    FLAT_READ_TRACK: bytes((_RK_VALUE,)),
-    FLAT_OVERLAP_ADD: bytes((_RK_PAIRS,)),
-    FLAT_INSERT_RECHECK: bytes((_RK_REEVALS,)),
-    FLAT_WRITE_PROBE: bytes((_RK_PAIRS, _RK_REEVALS)),
-}
-_NO_RESULT = b""
+# kind, optimized flag, n_keys, n_streams, n_codes, n_reads, n_writes, n_removals
+_PROBE_HDR = struct.Struct("!BB6I")
+# kind, n_reads, n_writes, writes with conflicts, writes with re-evaluations
+_RESULT_HDR = struct.Struct("!B4I")
 
 
 class UnencodableValue(ValueError):
@@ -826,7 +787,7 @@ def _decode_strict_values(buf: Buffer, offset: int, count: int) -> Tuple[List[An
 
 
 #: Types the bulk column fast paths cover: pure-int columns (timestamps,
-#: tids) and int/None/⊥v mixes (operand columns, visible-value columns).
+#: tids) and int/None/⊥v mixes (op-value and visible-value columns).
 #: ``bool`` is deliberately absent — it subclasses ``int`` and must take
 #: the general loop's identity checks.
 _BOTTOM_TYPE = type(BOTTOM)
@@ -834,7 +795,7 @@ _FAST_TYPES = frozenset((int, type(None), _BOTTOM_TYPE))
 
 
 def _pack_strict_column(values: Sequence[Any]) -> bytes:
-    """Pack one operand column of a flat stream (split layout).
+    """Pack one column of a lane frame (split layout).
 
     Same three-section layout as the wire's top-level value section —
     tag column, bulk ``!{k}q`` int column, overflow stream — but with
@@ -908,7 +869,7 @@ def _pack_strict_column(values: Sequence[Any]) -> bytes:
 
 
 def _unpack_strict_column(buf: Buffer, offset: int, n: int) -> Tuple[List[Any], int]:
-    """Decode one operand column; returns (values, next offset)."""
+    """Decode one :func:`_pack_strict_column`; returns (values, next offset)."""
     tags = bytes(buf[offset : offset + n])
     if len(tags) != n:
         raise ValueError("lane frame truncated in column tags")
@@ -917,7 +878,7 @@ def _unpack_strict_column(buf: Buffer, offset: int, n: int) -> Tuple[List[Any], 
     ints_struct = struct.Struct(f"!{n_ints}q")
     ints = ints_struct.unpack_from(buf, offset)
     offset += ints_struct.size
-    if n_ints == n:  # timestamp/tid columns: every operand an int
+    if n_ints == n:  # timestamp/tid columns: every value an int
         return list(ints), offset
     if n_ints + tags.count(_VAL_NONE) + tags.count(_VAL_BOTTOM) == n:
         # int/None/⊥v mix: one branch-light pass, no payload cursor.
@@ -977,195 +938,171 @@ def _unpack_strict_column(buf: Buffer, offset: int, n: int) -> Tuple[List[Any], 
 _KEY_CACHE_LIMIT = 1 << 18
 
 
-def pack_flat_frame(
-    tags: Sequence[int],
-    keys: Sequence[str],
-    a: Sequence[Any],
-    b: Sequence[Any],
-    c: Sequence[Any],
-    d: Sequence[Any],
+def _pack_u32s(values: Sequence[int]) -> bytes:
+    return struct.pack(f"!{len(values)}I", *values)
+
+
+def _unpack_u32s(buf: Buffer, offset: int, n: int) -> Tuple[Tuple[int, ...], int]:
+    column = struct.Struct(f"!{n}I")
+    return column.unpack_from(buf, offset), offset + column.size
+
+
+def pack_probe_frame(
+    removals: Sequence[Tuple[str, int, int]],
+    key_streams: Dict[str, Sequence[int]],
+    r_ts: Sequence[int],
+    r_tids: Sequence[int],
+    r_vals: Sequence[Any],
+    w_vals: Sequence[Any],
+    w_starts: Sequence[int],
+    w_cts: Sequence[int],
+    w_tids: Sequence[int],
     optimized: bool,
     key_cache: "Optional[Dict[str, bytes]]" = None,
 ) -> bytes:
-    """Pack one shard's flat command stream as a request-lane frame.
+    """Pack one shard's probe request (the arguments of
+    ``_ShardCore.probe``) as a request-lane frame.
 
-    Layout: the frame header (kind byte, optimized flag, command count),
-    a per-frame interned key table, the command tag column as raw bytes,
-    a ``u32`` key-id column, then the four operand columns in the split
-    strict layout.  ``key_cache`` (optional, caller-owned) memoizes the
-    length-prefixed UTF-8 form of each key across frames — the
-    coordinator packs the same key space every batch.  Raises
-    :class:`UnencodableValue` when any operand refuses strict encoding
-    (the coordinator then falls back to the pipe).
+    Layout: the header, a per-frame interned key table (the stream keys
+    in stream order, then keys only removals name), ``u32`` columns
+    holding each stream's length, every stream's op codes end to end and
+    the removals' key ids, then the removals' snapshot/tid columns and
+    the seven shard-local op columns in the split strict layout.
+    ``key_cache`` (optional, caller-owned) memoizes the length-prefixed
+    UTF-8 form of each key across frames — the coordinator packs the
+    same key space every batch.  Raises :class:`UnencodableValue` when
+    any value refuses strict encoding (the coordinator then falls back
+    to the pipe).
     """
-    n = len(tags)
-    key_ids: Dict[str, int] = {}
-    key_ids_get = key_ids.get
-    id_column: List[int] = []
-    id_append = id_column.append
+    key_ids = dict(zip(key_streams, range(len(key_streams))))
+    removal_ids = [key_ids.setdefault(item[0], len(key_ids)) for item in removals]
     if key_cache is None:
         key_cache = {}
     elif len(key_cache) > _KEY_CACHE_LIMIT:
         key_cache.clear()
-    cache_get = key_cache.get
-    table_parts: List[bytes] = [b""]  # [0] becomes the count header
-    table_append = table_parts.append
-    for key in keys:
-        key_id = key_ids_get(key)
-        if key_id is None:
-            key_id = key_ids[key] = len(key_ids)
-            encoded = cache_get(key)
-            if encoded is None:
-                raw = key.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise UnencodableValue(
-                        f"key too long for lane frame ({len(raw)} bytes)"
-                    )
-                encoded = key_cache[key] = _U16.pack(len(raw)) + raw
-            table_append(encoded)
-        id_append(key_id)
-    table_parts[0] = _U32.pack(len(key_ids))
+    table: List[bytes] = []
+    for key in key_ids:
+        encoded = key_cache.get(key)
+        if encoded is None:
+            raw = key.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise UnencodableValue(f"key too long for lane frame ({len(raw)} bytes)")
+            encoded = key_cache[key] = _U16.pack(len(raw)) + raw
+        table.append(encoded)
+    codes = [code for stream in key_streams.values() for code in stream]
     return b"".join(
         (
-            _FLAT_HDR.pack(RQ_FLAT, 1 if optimized else 0, n),
-            b"".join(table_parts),
-            bytes(tags),
-            struct.pack(f"!{n}I", *id_column),
-            _pack_strict_column(a),
-            _pack_strict_column(b),
-            _pack_strict_column(c),
-            _pack_strict_column(d),
+            _PROBE_HDR.pack(
+                RQ_PROBE, 1 if optimized else 0, len(key_ids), len(key_streams),
+                len(codes), len(r_ts), len(w_cts), len(removals),
+            ),
+            *table,
+            _pack_u32s(list(map(len, key_streams.values()))),
+            _pack_u32s(codes),
+            _pack_u32s(removal_ids),
+            _pack_strict_column([item[1] for item in removals]),
+            _pack_strict_column([item[2] for item in removals]),
+            *map(_pack_strict_column, (r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids)),
         )
     )
 
 
-def unpack_flat_frame(
-    buf: Buffer,
-) -> Tuple[bytes, List[str], List[Any], List[Any], List[Any], List[Any], bool]:
-    """Decode a request-lane frame in place; returns the stream + flag.
+def unpack_probe_frame(buf: Buffer) -> Tuple[Any, ...]:
+    """Decode a request-lane frame into ``_ShardCore.probe``'s argument
+    tuple.  Everything returned is a materialized Python object (streams
+    are tuples of op codes), so the frame's ring slot is free for reuse
+    the moment this returns."""
+    kind, optimized, n_keys, n_streams, n_codes, n_reads, n_writes, n_removals = (
+        _PROBE_HDR.unpack_from(buf, 0)
+    )
+    if kind != RQ_PROBE:
+        raise ValueError(f"not a probe request frame (kind {kind})")
+    table, offset = unpack_key_table(buf, _PROBE_HDR.size, n_keys)
+    counts, offset = _unpack_u32s(buf, offset, n_streams)
+    codes, offset = _unpack_u32s(buf, offset, n_codes)
+    removal_ids, offset = _unpack_u32s(buf, offset, n_removals)
+    removal_ts, offset = _unpack_strict_column(buf, offset, n_removals)
+    removal_tids, offset = _unpack_strict_column(buf, offset, n_removals)
+    key_streams: Dict[str, Tuple[int, ...]] = {}
+    lo = 0
+    for key, count in zip(table, counts):
+        key_streams[key] = codes[lo : lo + count]
+        lo += count
+    columns = []
+    for n in (n_reads, n_reads, n_reads, n_writes, n_writes, n_writes, n_writes):
+        column, offset = _unpack_strict_column(buf, offset, n)
+        columns.append(column)
+    removals = list(zip(map(table.__getitem__, removal_ids), removal_ts, removal_tids))
+    return (removals, key_streams, *columns, bool(optimized))
 
-    The returned ``tags`` is a ``bytes`` column (indexing yields the
-    same ints ``execute_flat`` branches on); keys and operands are fully
-    materialized Python objects, so the frame's ring slot is free for
-    reuse the moment this returns.
+
+def pack_result_frame(
+    r_expected: Sequence[Any],
+    w_conflicts: Sequence[Optional[List[Tuple[int, int]]]],
+    w_reevals: Sequence[Optional[List[Tuple[Any, int, Any]]]],
+) -> bytes:
+    """Pack one shard's probe results as a result-lane frame.
+
+    ``r_expected`` is one strict column.  The two per-write columns are
+    sparse — most writes hit no conflict and affect no reader — so each
+    is stored as the ``u32`` indices of its non-empty slots, their row
+    counts, and the rows column-wise: ``(owner_tid, owner_commit_ts)``
+    for conflicts; ``(snapshot_ts | expected, reader_tid, actual)`` for
+    re-evaluations.  Raises :class:`UnencodableValue` when any value
+    refuses strict encoding — the worker then ships the results inside
+    its doorbell reply.
     """
-    kind, optimized, n = _FLAT_HDR.unpack_from(buf, 0)
-    if kind != RQ_FLAT:
-        raise ValueError(f"not a flat request frame (kind {kind})")
-    offset = _FLAT_HDR.size
-    (n_keys,) = _U32.unpack_from(buf, offset)
-    offset += 4
-    table, offset = unpack_key_table(buf, offset, n_keys)
-    tags = bytes(buf[offset : offset + n])
-    if len(tags) != n:
-        raise ValueError("lane frame truncated in tag column")
-    offset += n
-    ids_struct = struct.Struct(f"!{n}I")
-    id_column = ids_struct.unpack_from(buf, offset)
-    offset += ids_struct.size
-    keys = list(map(table.__getitem__, id_column))
-    a, offset = _unpack_strict_column(buf, offset, n)
-    b, offset = _unpack_strict_column(buf, offset, n)
-    c, offset = _unpack_strict_column(buf, offset, n)
-    d, offset = _unpack_strict_column(buf, offset, n)
-    return tags, keys, a, b, c, d, bool(optimized)
-
-
-def result_kinds(tags: Iterable[int]) -> bytes:
-    """The result-shape column of one flat stream — one ``_RK_*`` byte
-    per result slot of ``execute_flat``, in stream order (bookkeeping
-    rows emit nothing; a fused write row emits two slots)."""
-    of_tag = _RKS_OF_TAG.get
-    return b"".join([of_tag(tag, _NO_RESULT) for tag in tags])
-
-
-_RESULT_HDR = struct.Struct("!BII")  # frame kind, n_results, n_values
-
-
-def pack_result_frame(results: Sequence[Any], kinds: bytes) -> bytes:
-    """Pack one shard's semantic results as a result-lane frame.
-
-    ``kinds`` is the shape column from :func:`result_kinds` — one
-    ``_RK_*`` byte per result, written to the frame verbatim (a visible
-    value can itself be a tuple, so shape is never inferred from the
-    payload).  Split layout: the shape column, then every visible value
-    bulk-packed as one strict column — the common all-int/⊥v case costs
-    two passes instead of a tagged encode per value — then an overflow
-    stream holding overlap hits as bulk-packed ``(owner_tid,
-    owner_commit_ts)`` i64 arrays and re-evaluations as ``(reader_tid,
-    ok, expected)`` records.  Raises :class:`UnencodableValue` when any
-    value refuses strict encoding — the worker then ships the results
-    over the pipe and pushes :data:`RESULT_VIA_PIPE_FRAME` instead.
-    """
-    values: List[Any] = []
-    values_append = values.append
-    tail = bytearray()
-    for shape, result in zip(kinds, results):
-        if shape == _RK_VALUE:
-            values_append(result)
-        elif shape == _RK_PAIRS:
-            tail += _U32.pack(len(result))
-            if result:
-                flat = [part for pair in result for part in pair]
-                tail += struct.pack(f"!{len(flat)}q", *flat)
-        else:  # _RK_REEVALS
-            tail += _U32.pack(len(result))
-            for reader_tid, ok, expected in result:
-                tail += _I64.pack(reader_tid)
-                tail.append(1 if ok else 0)
-                _encode_strict(expected, tail)
+    hit_writes = [i for i, hits in enumerate(w_conflicts) if hits is not None]
+    hits = [w_conflicts[i] for i in hit_writes]
+    reeval_writes = [i for i, rows in enumerate(w_reevals) if rows is not None]
+    reevals = [w_reevals[i] for i in reeval_writes]
+    rows = [row for group in reevals for row in group]
     return b"".join(
         (
-            _RESULT_HDR.pack(RESULT_INLINE, len(results), len(values)),
-            kinds,
-            _pack_strict_column(values),
-            bytes(tail),
+            _RESULT_HDR.pack(
+                RESULT_INLINE, len(r_expected), len(w_conflicts),
+                len(hit_writes), len(reeval_writes),
+            ),
+            _pack_strict_column(r_expected),
+            _pack_u32s(hit_writes),
+            _pack_u32s(list(map(len, hits))),
+            _pack_strict_column([part for group in hits for pair in group for part in pair]),
+            _pack_u32s(reeval_writes),
+            _pack_u32s(list(map(len, reevals))),
+            _pack_strict_column([row[0] for row in rows]),
+            _pack_strict_column([row[1] for row in rows]),
+            _pack_strict_column([row[2] for row in rows]),
         )
     )
 
 
-def unpack_result_frame(buf: Buffer) -> List[Any]:
-    """Decode a result-lane frame in place into the results list the
-    coordinator's merge walk consumes (one entry per semantic command,
-    stream order)."""
-    if buf[0] != RESULT_INLINE:
-        raise ValueError(f"not an inline result frame (kind {buf[0]})")
-    _, count, n_values = _RESULT_HDR.unpack_from(buf, 0)
-    offset = _RESULT_HDR.size
-    shapes = bytes(buf[offset : offset + count])
-    if len(shapes) != count:
-        raise ValueError("result frame truncated in shape column")
-    offset += count
-    values, offset = _unpack_strict_column(buf, offset, n_values)
-    if shapes.count(_RK_VALUE) == count:  # read-only batch: done
-        return values
-    results: List[Any] = []
-    append = results.append
-    next_value = iter(values).__next__
-    i64_unpack = _I64.unpack_from
-    u32_unpack = _U32.unpack_from
-    for shape in shapes:
-        if shape == _RK_VALUE:
-            append(next_value())
-        elif shape == _RK_PAIRS:
-            (n_pairs,) = u32_unpack(buf, offset)
-            offset += 4
-            pairs_struct = struct.Struct(f"!{2 * n_pairs}q")
-            flat = pairs_struct.unpack_from(buf, offset)
-            offset += pairs_struct.size
-            append([(flat[i], flat[i + 1]) for i in range(0, 2 * n_pairs, 2)])
-        elif shape == _RK_REEVALS:
-            (n_reevals,) = u32_unpack(buf, offset)
-            offset += 4
-            reevals: List[Tuple[int, bool, Any]] = []
-            for _ in range(n_reevals):
-                (reader_tid,) = i64_unpack(buf, offset)
-                offset += 8
-                ok = buf[offset] == 1
-                offset += 1
-                expected_values, offset = _decode_strict_values(buf, offset, 1)
-                reevals.append((reader_tid, ok, expected_values[0]))
-            append(reevals)
-        else:
-            raise ValueError(f"unknown result shape {shape}")
-    return results
+def unpack_result_frame(buf: Buffer) -> Tuple[List[Any], List[Any], List[Any]]:
+    """Decode a result-lane frame into ``(r_expected, w_conflicts,
+    w_reevals)`` — the shape :func:`~repro.core.versioned.probe_columns`
+    returns, over the shard-local columns of the request."""
+    kind, n_reads, n_writes, n_hit_writes, n_reeval_writes = _RESULT_HDR.unpack_from(buf, 0)
+    if kind != RESULT_INLINE:
+        raise ValueError(f"not an inline result frame (kind {kind})")
+    r_expected, offset = _unpack_strict_column(buf, _RESULT_HDR.size, n_reads)
+    w_conflicts: List[Any] = [None] * n_writes
+    w_reevals: List[Any] = [None] * n_writes
+    hit_writes, offset = _unpack_u32s(buf, offset, n_hit_writes)
+    counts, offset = _unpack_u32s(buf, offset, n_hit_writes)
+    flat, offset = _unpack_strict_column(buf, offset, 2 * sum(counts))
+    lo = 0
+    for index, count in zip(hit_writes, counts):
+        hi = lo + 2 * count
+        w_conflicts[index] = list(zip(flat[lo:hi:2], flat[lo + 1 : hi : 2]))
+        lo = hi
+    reeval_writes, offset = _unpack_u32s(buf, offset, n_reeval_writes)
+    counts, offset = _unpack_u32s(buf, offset, n_reeval_writes)
+    n_rows = sum(counts)
+    firsts, offset = _unpack_strict_column(buf, offset, n_rows)
+    tids, offset = _unpack_strict_column(buf, offset, n_rows)
+    actuals, offset = _unpack_strict_column(buf, offset, n_rows)
+    rows = list(zip(firsts, tids, actuals))
+    lo = 0
+    for index, count in zip(reeval_writes, counts):
+        w_reevals[index] = rows[lo : lo + count]
+        lo += count
+    return r_expected, w_conflicts, w_reevals

@@ -162,32 +162,6 @@ class ExtStatusTracker:
         self.stats.n_pairs += 1
         return verdict
 
-    def track_batch(
-        self, items: Iterable[Tuple[int, str, int, Any, bool, Any]], now: float
-    ) -> None:
-        """Register initial verdicts for a whole batch of external reads.
-
-        ``items`` yields ``(tid, key, snapshot_ts, actual, ok, expected)``
-        tuples — the flat record layout the batch kernel's route pass
-        produces.  Equivalent to calling :meth:`track` per item, minus the
-        per-call keyword plumbing.
-        """
-        verdicts = self._verdicts
-        txn_pairs = self._txn_pairs
-        n = 0
-        for tid, key, snapshot_ts, actual, ok, expected in items:
-            verdicts[(tid, key)] = [
-                tid, key, snapshot_ts, actual, ok, expected,
-                now, now, 0, False, None if ok else now,
-            ]
-            pairs = txn_pairs.get(tid)
-            if pairs is None:
-                txn_pairs[tid] = [(tid, key)]
-            else:
-                pairs.append((tid, key))
-            n += 1
-        self.stats.n_pairs += n
-
     def track_columns(
         self,
         tids: List[int],
@@ -198,8 +172,9 @@ class ExtStatusTracker:
         now: float,
         bottom: Any,
     ) -> None:
-        """Columnar :meth:`track_batch`: parallel arrays straight from the
-        batch kernel's route pass, no per-item record tuples.
+        """Register initial verdicts for a whole batch of external reads:
+        :meth:`track` over parallel arrays straight from the batch
+        kernel's route pass, no per-item record tuples.
 
         The initial verdict (``values_match`` on expected vs actual, with
         ``bottom`` matching a ``None`` client read) is computed inline —

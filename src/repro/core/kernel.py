@@ -5,9 +5,9 @@ The checkers' ``receive_many`` hot paths share one shape (PR 6): a
 per-key groupings, a **frontier probe** pass walks those arrays against
 the versioned structures, and a **verdict** pass applies the collected
 results — tracking, re-evaluations, conflict reports — in arrival order.
-This module holds the pieces common to :class:`~repro.core.aion.Aion`,
-:class:`~repro.core.aion_ser.AionSer`, and
-:class:`~repro.core.sharded.ShardedAion`:
+This module holds the pieces common to :class:`~repro.core.aion.Aion`
+(whose kernel :class:`~repro.core.sharded.ShardedAion` inherits) and
+:class:`~repro.core.aion_ser.AionSer`:
 
 - :class:`KernelStats` — per-stage operation counters, exposed through
   each checker's ``kernel_stats`` property and the service ``STATS``

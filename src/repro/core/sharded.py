@@ -1,103 +1,93 @@
-"""ShardedAion — a sharded, batch-oriented ingestion frontend for Aion.
+"""ShardedAion — Aion's batch kernel over hash-partitioned structures.
 
 Algorithm 3's per-arrival work decomposes cleanly by key: the versioned
 frontier query of step ① , the interval-overlap query of step ② and the
 EXT re-check sweep of step ③ each touch exactly the keys the arriving
-transaction reads or writes.  Since every key is owned by exactly one
-shard, hash-partitioning the three versioned structures
-(:class:`~repro.core.versioned.VersionedFrontier`,
+transaction reads or writes.  :class:`ShardedAion` therefore *is*
+:class:`~repro.core.aion.Aion` — it inherits ``receive_many`` whole:
+validation, Eq. 1, hoisted reload-on-demand, SESSION, INT, the route
+pass (object and columnar), EXT tracking, NOCONFLICT reports, timers
+and the resident set — and differs in one thing only, where the three
+per-key structures (:class:`~repro.core.versioned.VersionedFrontier`,
 :class:`~repro.core.versioned.WriterIntervals`,
-:class:`~repro.core.versioned.ExtReadIndex`) across N independent shard
-states preserves the single-checker semantics exactly, while the
-cross-key state — SESSION tracking, INT checking, the EXT timer queue,
-violation aggregation, the resident set and GC — stays in a global
-coordinator.
+:class:`~repro.core.versioned.ExtReadIndex`) live: hash-partitioned
+across N shard cores instead of in the checker.  It overrides the
+kernel's two seams:
 
-Ingestion is *batch oriented* and runs through the staged batch kernel
-(PR 6): the collector ships transactions in batches (Fig 3), and
-:meth:`ShardedAion.receive_many` **routes** the whole batch once into
-per-shard *flat command arrays* (parallel ``tags``/``keys``/operand
-lists — one integer tag per command instead of a tuple allocation per
-command), **probes** by handing each shard its arrays to interpret in
-one pass (serially in-process, or in parallel worker processes), and
-applies a **verdict** pass that merges the shard results back in arrival
-order.  The equivalence argument is short:
+- **where streams are filed** — the route pass appends each key's
+  arrival-ordered op stream to a dict whose ``__missing__`` files a new
+  key's stream under ``shard_of(key)`` (one shard lookup per distinct
+  key per batch, memoized in a bounded key → shard cache);
+- **the probe step** — every shard first drops the reads whose verdicts
+  were finalized since its last batch, then runs
+  :func:`~repro.core.versioned.probe_columns` once over *its* keys'
+  streams (:meth:`_ShardCore.probe`, the one shard entry point of all
+  three executors).
 
-- per-key commands of one transaction are enqueued in the same order
-  Aion executes them, and commands of transaction *i* precede those of
-  transaction *j > i* in every shard stream, so each shard's structures
-  go through exactly the states they would under sequential Aion;
-- commands on different keys operate on disjoint state and commute;
-- the coordinator applies global effects (EXT tracking, re-evaluation,
-  conflict reports) by walking the batch in arrival order, so per-pair
-  verdict updates happen in the sequential order as well.  Tracking the
-  batch's external reads *before* applying its re-evaluations is safe
-  because a shard's re-evaluation list for a write only contains reads
-  that preceded the write in that key's stream — a pair tracked later
-  can never appear in it.
+The equivalence argument is the kernel's own, restated per shard: a
+key's stream holds that key's operations in arrival order whichever
+shard owns it, so the owning shard's structures go through exactly the
+states Aion's would; streams of different keys touch disjoint state and
+commute, so running them grouped by shard — or concurrently in different
+processes — changes nothing; and the inherited verdict pass applies all
+global effects in arrival order.  Deferring a finalized read's removal
+to the shard's next batch is safe because re-evaluating a finalized pair
+is a tracker no-op — it only bounds index growth.  Hence verdicts, their
+*report order* and the kernel counters all equal single-shard Aion's;
+``tests/test_sharded.py`` and ``tests/test_batch_kernel.py`` pin it.
 
-Hence the final violation multiset equals single-shard Aion's — the
-differential tests in ``tests/test_sharded.py`` demonstrate it.
+Executors differ only in where a shard's probe runs:
 
-The optional ``executor="process"`` mode keeps each shard's state in a
-dedicated worker process connected by a pipe; a batch then dispatches all
-shard command lists at once and the shards execute them in parallel,
-free of the GIL.  Results (and therefore verdicts) are identical — only
-where the commands run changes.
+``"serial"`` shards read the coordinator's batch columns by reference
+and write straight into its result arrays — no copy, no merge walk.
 
-``executor="shm-process"`` keeps the same worker topology but moves the
-data plane off the pickle pipe onto **shared-memory shard lanes**: per
-shard, one request ring and one result ring
-(:class:`~repro.core.shm.ShmRing`).  The coordinator packs each routed
-flat stream *once* with the shared columnar codec
-(:func:`~repro.core.colpack.pack_flat_frame`), the worker decodes the
-frame in place from a ``memoryview`` into the ring — no pickle and no
-receive-side copy on the request path — and answers with a compact
-result frame on its result lane.  Fallback is graceful and per-batch:
-streams carrying values the strict lane codec refuses or frames beyond
-the ring's bound take the pipe path instead, and a result
-that refuses strict encoding rides inside the worker's doorbell reply —
-so verdicts are transport-independent by construction, not by luck.
-Waiting is doorbell-driven in both directions (tiny fixed-size pipe
-messages; both sides park in real blocking waits), so lanes cost no
-busy-polling even on hosts with fewer cores than shards.  The
-request-lane heartbeat doubles as a liveness signal:
-:meth:`ShardedAion.workers_alive` detects a *wedged* (alive but
-stalled) worker by watching the heartbeat freeze.
+``"process"`` keeps each shard's state in a dedicated worker process.
+The coordinator re-indexes a shard's streams onto shard-local columns
+(only that shard's reads and writes cross the boundary), pickles the
+probe request down the shard's pipe, and scatters the three result
+columns that come back into the batch's arrays.  All shards are
+dispatched before any reply is awaited, so they probe in parallel, free
+of the GIL.
+
+``"shm-process"`` keeps that topology but moves the same request off the
+pickle pipe onto **shared-memory shard lanes**: per shard, one request
+ring and one result ring (:class:`~repro.core.shm.ShmRing`).  The
+request is packed *once* with the shared columnar codec
+(:func:`~repro.core.colpack.pack_probe_frame`), the worker decodes it in
+place from a ``memoryview`` into the ring, and answers with a result
+frame on its result lane.  Fallback is graceful and per request: values
+the strict lane codec refuses or frames beyond the ring's bound take the
+pipe instead, and a result that refuses strict encoding rides inside the
+worker's doorbell reply — so verdicts are transport-independent by
+construction, not by luck.  Waiting is doorbell-driven in both
+directions (tiny fixed-size pipe messages; both sides park in real
+blocking waits), so lanes cost no busy-polling even on hosts with fewer
+cores than shards.  The request-lane heartbeat doubles as a liveness
+signal: :meth:`ShardedAion.workers_alive` detects a *wedged* (alive but
+stalled) worker by watching the heartbeat freeze; a *dead* worker
+surfaces as a :class:`RuntimeError` from whichever call next talks to
+it, data or control plane.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import threading
 import time
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.aion import AionConfig
+from repro.core.aion import Aion, AionConfig
 from repro.core.colpack import (
     UnencodableValue,
-    pack_flat_frame,
+    pack_probe_frame,
     pack_result_frame,
-    result_kinds,
-    unpack_flat_frame,
+    unpack_probe_frame,
     unpack_result_frame,
 )
-from repro.core.common import BOTTOM, SessionTracker, values_match
-from repro.core.ext_status import (
-    EV_ACTUAL,
-    EV_EXPECTED,
-    EV_KEY,
-    EV_SNAPSHOT_TS,
-    EV_TID,
-    ExtStatusTracker,
-    ExtVerdict,
-    FlipFlopStats,
-)
-from repro.core.kernel import KernelStats, resolve_writes
-from repro.core.spill import SpillingGc
+from repro.core.common import BOTTOM
+from repro.core.ext_status import EV_KEY, EV_SNAPSHOT_TS, EV_TID, ExtVerdict
 from repro.core.versioned import (
     ExtReadIndex,
     IntervalColumns,
@@ -105,18 +95,9 @@ from repro.core.versioned import (
     VersionedFrontier,
     WriterIntervals,
     empty_columns,
+    probe_columns,
 )
-from repro.core.violations import (
-    Axiom,
-    CheckResult,
-    ConflictViolation,
-    ExtViolation,
-    IntViolation,
-    TimestampOrderViolation,
-    Violation,
-)
-from repro.histories.model import OpKind, Transaction
-from repro.core.colpack import ColumnarBatch
+from repro.histories.model import Transaction
 from repro.util.sizeof import deep_sizeof
 
 __all__ = ["ShardedAion", "shard_of"]
@@ -127,53 +108,31 @@ def shard_of(key: str, n_shards: int) -> int:
     return zlib.crc32(key.encode("utf-8")) % n_shards
 
 
-# Integer tags of the flat shard command encoding.  A command is one row
-# across the six parallel arrays (tags, keys, a, b, c, d); operand
-# meaning per tag:
-#
-#   ==================  =====  ============  ============  =======  ======
-#   tag                 key    a             b             c        d
-#   ==================  =====  ============  ============  =======  ======
-#   _READ_TRACK         key    snapshot_ts   tid           actual   —
-#   _WRITE_PROBE        key    start_ts      commit_ts     tid      value
-#   _REMOVE_READ        key    snapshot_ts   tid           —        —
-#   _VISIBLE            key    snapshot_ts   —             —        —
-#   _ADD_READ           key    snapshot_ts   tid           actual   —
-#   _OVERLAP_ADD        key    start_ts      commit_ts     tid      —
-#   _INSERT_RECHECK     key    commit_ts     value         tid      —
-#   ==================  =====  ============  ============  =======  ======
-#
-# The router emits the fused rows (_READ_TRACK = visible probe + read
-# registration, _WRITE_PROBE = overlap query + insert/recheck) — half
-# the rows per batch of the two-row forms, which the interpreter still
-# accepts.  The tag values are owned by :mod:`repro.core.colpack` (the
-# lane frame codec speaks them on the wire); aliased here for the
-# interpreter loop.
-from repro.core.colpack import FLAT_VISIBLE as _VISIBLE
-from repro.core.colpack import FLAT_ADD_READ as _ADD_READ
-from repro.core.colpack import FLAT_REMOVE_READ as _REMOVE_READ
-from repro.core.colpack import FLAT_OVERLAP_ADD as _OVERLAP_ADD
-from repro.core.colpack import FLAT_INSERT_RECHECK as _INSERT_RECHECK
-from repro.core.colpack import FLAT_READ_TRACK as _READ_TRACK
-from repro.core.colpack import FLAT_WRITE_PROBE as _WRITE_PROBE
+#: Entries the coordinator's key → shard cache holds before it is reset —
+#: bounds coordinator memory against unbounded key spaces.
+_KEY_CACHE_LIMIT = 1 << 18
 
-#: One shard's flat command stream: (tags, keys, a, b, c, d) lists.
-_FlatStream = Tuple[
-    List[int], List[str], List[Any], List[Any], List[Any], List[Any]
-]
+
+class _ShardStreams(dict):
+    """One batch's per-key op streams, filed under the owning shard as
+    the route pass creates them: ``by_shard[s]`` maps exactly shard
+    ``s``'s keys to the same list objects this dict holds."""
+
+    __slots__ = ("by_shard", "_shard_for")
+
+    def __init__(self, n_shards: int, shard_for: Callable[[str], int]) -> None:
+        self.by_shard: List[Dict[str, List[int]]] = [{} for _ in range(n_shards)]
+        self._shard_for = shard_for
+
+    def __missing__(self, key: str) -> List[int]:
+        stream = self[key] = self.by_shard[self._shard_for(key)][key] = []
+        return stream
 
 
 class _ShardCore:
-    """One shard's versioned structures plus a command interpreter.
-
-    The data plane speaks the *flat* encoding: five parallel arrays per
-    batch (see the tag table above) that cross a process boundary as one
-    pickle instead of one tuple per command, and that ``execute_flat``
-    interprets in a single branch-per-tag loop.  Control-plane commands
-    (evict, merge, sizeof, counts) remain plain tuples through
-    ``execute`` — they are rare and payload-heavy, so flattening buys
-    nothing.
-    """
+    """One shard's versioned structures: the probe entry point every
+    executor calls, plus the rare, payload-heavy control commands
+    (evict, merge, sizeof, counts)."""
 
     __slots__ = ("frontier", "writers", "ext_reads")
 
@@ -182,112 +141,81 @@ class _ShardCore:
         self.writers = WriterIntervals()
         self.ext_reads = ExtReadIndex()
 
-    def execute_flat(
+    def probe(
         self,
-        tags: List[int],
-        keys: List[str],
-        a: List[Any],
-        b: List[Any],
-        c: List[Any],
-        d: List[Any],
+        removals: List[Tuple[str, int, int]],
+        key_streams: Dict[str, Any],
+        r_ts: List[int],
+        r_tids: List[int],
+        r_vals: List[Any],
+        w_vals: List[Any],
+        w_starts: List[int],
+        w_cts: List[int],
+        w_tids: List[int],
         optimized: bool,
-    ) -> List[Any]:
-        """Interpret one batch's flat command arrays for this shard.
+        results: Optional[Tuple[List[Any], List[Any], List[Any]]] = None,
+    ) -> Tuple[List[Any], List[Any], List[Any]]:
+        """Drop the finalized reads in ``removals``, then run this
+        shard's ``key_streams`` over the given columns; see
+        :func:`~repro.core.versioned.probe_columns` for ``results``."""
+        if removals:
+            self.ext_reads.remove_batch(removals)
+        return probe_columns(
+            self.frontier, self.writers, self.ext_reads, key_streams,
+            r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids,
+            optimized, BOTTOM, results,
+        )
 
-        Returns only the *semantic* results (visible values, overlap
-        hits, re-evaluation lists) in stream order — a fused write row
-        contributes two slots (overlap hits, then re-evaluations);
-        bookkeeping commands (add/remove read) emit no result
-        slot, so the coordinator's merge walk consumes results with a
-        plain sequential cursor — no None-skipping.
-        """
-        results: List[Any] = []
-        append = results.append
-        frontier = self.frontier
-        writers = self.writers
-        ext_reads = self.ext_reads
-        value_at = frontier.value_at
-        insert_and_next_ts = frontier.insert_and_next_ts
-        collect_affected = ext_reads.collect_affected
-        add_read = ext_reads.add
-        overlap_add = writers.overlap_add
-
-        def recheck(key: str, commit_ts: int, value: Any, tid: int) -> List[Tuple]:
-            next_ts = insert_and_next_ts(key, commit_ts, value, tid)
-            if optimized:
-                return [
-                    (reader_tid, actual == value, value)
-                    for _sts, reader_tid, actual in collect_affected(
-                        key, commit_ts, next_ts, tid
-                    )
-                ]
-            reevals: List[Tuple[int, bool, Any]] = []
-            for sts, reader_tid, actual in collect_affected(key, 0, None, tid):
-                expected = value_at(key, sts, BOTTOM)
-                reevals.append((reader_tid, values_match(expected, actual), expected))
-            return reevals
-
-        for i in range(len(tags)):
-            tag = tags[i]
-            key = keys[i]
-            if tag == _READ_TRACK:
-                append(value_at(key, a[i], BOTTOM))
-                add_read(key, a[i], b[i], c[i])
-            elif tag == _WRITE_PROBE:
-                append(overlap_add(key, a[i], b[i], c[i]))
-                append(recheck(key, b[i], d[i], c[i]))
-            elif tag == _REMOVE_READ:
-                ext_reads.remove(key, a[i], b[i])
-            elif tag == _VISIBLE:
-                append(value_at(key, a[i], BOTTOM))
-            elif tag == _ADD_READ:
-                add_read(key, a[i], b[i], c[i])
-            elif tag == _OVERLAP_ADD:
-                append(overlap_add(key, a[i], b[i], c[i]))
-            elif tag == _INSERT_RECHECK:
-                append(recheck(key, a[i], b[i], c[i]))
-            else:  # pragma: no cover - guarded by the router
-                raise ValueError(f"unknown flat command tag {tag!r}")
-        return results
-
-    def execute(self, commands: List[Tuple]) -> List[Any]:
-        """Control-plane interpreter (GC eviction and reload, size
-        estimation, counters)."""
-        results: List[Any] = []
-        for command in commands:
-            op = command[0]
-            if op == "evict":
-                _, ts = command
-                results.append((self.frontier.evict_below(ts), self.writers.evict_below(ts)))
-            elif op == "merge":
-                _, versions, intervals = command
-                self.frontier.merge(versions)
-                self.writers.merge(intervals)
-                results.append(None)
-            elif op == "sizeof":
-                results.append(deep_sizeof((self.frontier, self.writers, self.ext_reads)))
-            elif op == "counts":
-                scan, gc_scan = self.writers.scan_step_totals()
-                results.append(
-                    {
-                        "versions": len(self.frontier),
-                        "intervals": len(self.writers),
-                        "ext_reads": len(self.ext_reads),
-                        "scan_steps": scan,
-                        "gc_scan_steps": gc_scan,
-                    }
-                )
-            else:  # pragma: no cover - guarded by the coordinator
-                raise ValueError(f"unknown shard command {op!r}")
-        return results
+    def control(self, command: Tuple) -> Any:
+        """Control plane: GC eviction and reload, size estimation,
+        counters."""
+        op = command[0]
+        if op == "evict":
+            return self.frontier.evict_below(command[1]), self.writers.evict_below(command[1])
+        if op == "merge":
+            self.frontier.merge(command[1])
+            self.writers.merge(command[2])
+            return None
+        if op == "sizeof":
+            return deep_sizeof((self.frontier, self.writers, self.ext_reads))
+        if op == "counts":
+            scan, gc_scan = self.writers.scan_step_totals()
+            return {
+                "versions": len(self.frontier),
+                "intervals": len(self.writers),
+                "ext_reads": len(self.ext_reads),
+                "scan_steps": scan,
+                "gc_scan_steps": gc_scan,
+            }
+        raise ValueError(f"unknown shard command {op!r}")  # pragma: no cover
 
 
-def _shard_worker(conn) -> None:
-    """Process-mode loop: own one shard core, serve command batches.
+#: Doorbell the coordinator rings on the pipe after pushing a request
+#: frame — a tiny fixed-size message that wakes a worker parked inside
+#: ``conn.poll`` without carrying any data (the data is on the ring).
+_NUDGE = ("nudge", None)
 
-    Messages are ``("flat", (tags, keys, a, b, c, optimized))`` for the
-    data plane, ``("cmds", [...])`` for the control plane, and ``None``
-    to stop.
+#: How long a lane worker parks in ``conn.poll`` per loop iteration when
+#: idle.  Wake-ups are doorbell-driven, so this bounds only the
+#: heartbeat cadence (and costs ~20 wake-ups/s per idle shard).
+_PARK_SECONDS = 0.05
+
+
+def _shard_worker(conn, lane_names: Optional[Tuple[str, str]] = None) -> None:
+    """Worker loop: own one shard core, serve probe and control requests.
+
+    Pipe messages are ``("probe", request)``, ``("control", command)``,
+    the lane doorbell and ``None`` to stop.  A probe is answered with
+    ``("pipe", results)``, or — when the request arrived as a lane frame
+    and the results fit the result lane — ``("lane", None)``, so the
+    coordinator always blocks in a pipe receive rather than spinning on
+    a ring.
+
+    With ``lane_names`` (shm mode) the worker parks in ``conn.poll`` (a
+    real blocking wait — no busy polling to steal the coordinator's CPU
+    on starved hosts) and beats the request ring's heartbeat every
+    iteration — busy or idle — so the coordinator can tell a wedged
+    worker (heartbeat frozen beyond the park cadence) from an idle one.
     """
     # A terminal Ctrl+C delivers SIGINT to the whole foreground process
     # group, workers included.  The parent handles it (e.g. `repro
@@ -297,99 +225,55 @@ def _shard_worker(conn) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
+    req = res = None
+    if lane_names is not None:
+        from repro.core.shm import ShmRing
+
+        req = ShmRing.attach(lane_names[0])
+        res = ShmRing.attach(lane_names[1])
     core = _ShardCore()
     try:
         while True:
+            if req is not None:
+                req.beat()
+                view = req.try_pop()
+                if view is not None:
+                    try:
+                        request = unpack_probe_frame(view)
+                    finally:
+                        req.consume()
+                    results = core.probe(*request)
+                    try:
+                        frame = pack_result_frame(*results)
+                    except UnencodableValue:
+                        frame = None
+                    if frame is not None and res.try_push(frame):
+                        conn.send(("lane", None))
+                    else:
+                        # Results refuse strict encoding or do not fit the
+                        # ring right now: ship them inside the doorbell.
+                        conn.send(("pipe", results))
+                    continue
+                if not conn.poll(_PARK_SECONDS):
+                    continue
             message = conn.recv()
             if message is None:
                 break
             kind, payload = message
-            if kind == "flat":
-                conn.send(core.execute_flat(*payload))
-            else:
-                conn.send(core.execute(payload))
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown races
-        pass
-    finally:
-        conn.close()
-
-
-#: Doorbell the coordinator rings on the pipe after pushing a request
-#: frame — a tiny fixed-size message that wakes a worker parked inside
-#: ``conn.poll`` without carrying any data (the data is on the ring).
-_NUDGE = ("nudge", None)
-
-#: How long a worker parks in ``conn.poll`` per loop iteration when
-#: idle.  Wake-ups are doorbell-driven, so this bounds only the
-#: heartbeat cadence (and costs ~20 wake-ups/s per idle shard).
-_PARK_SECONDS = 0.05
-
-
-def _shard_worker_shm(conn, req_name: str, res_name: str) -> None:
-    """Shm-mode loop: consume request-lane frames in place, answer on
-    the result lane; the pipe carries doorbells, the control plane, and
-    the fallback path.
-
-    Waiting is doorbell-driven on both sides: the worker parks in
-    ``conn.poll`` (a real blocking wait — no busy polling to steal the
-    coordinator's CPU on starved hosts) and the coordinator rings the
-    pipe after each ring push; symmetrically, every processed frame is
-    answered with one tiny pipe message saying *where* the results are
-    (``("lane", None)`` — frame on the result ring — or ``("pipe",
-    results)`` when they refuse strict encoding or outgrow the ring), so
-    the coordinator blocks in ``recv`` rather than spinning on the ring.
-    The loop beats the request ring's heartbeat every iteration — busy
-    or idle — so the coordinator can tell a wedged worker (heartbeat
-    frozen beyond the park cadence) from an idle one.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-    from repro.core.shm import ShmRing
-
-    req = ShmRing.attach(req_name)
-    res = ShmRing.attach(res_name)
-    core = _ShardCore()
-    try:
-        while True:
-            req.beat()
-            view = req.try_pop()
-            if view is not None:
-                try:
-                    tags, keys, a, b, c, d, optimized = unpack_flat_frame(view)
-                finally:
-                    req.consume()
-                results = core.execute_flat(tags, keys, a, b, c, d, optimized)
-                try:
-                    frame = pack_result_frame(results, result_kinds(tags))
-                except UnencodableValue:
-                    frame = None
-                if frame is not None and res.try_push(frame):
-                    conn.send(("lane", None))
-                else:
-                    # Results refuse strict encoding or do not fit the
-                    # ring right now: ship them inside the doorbell.
-                    conn.send(("pipe", results))
-                continue
-            if conn.poll(_PARK_SECONDS):
-                message = conn.recv()
-                if message is None:
-                    break
-                kind, payload = message
-                if kind == "flat":
-                    conn.send(("pipe", core.execute_flat(*payload)))
-                elif kind != "nudge":
-                    conn.send(core.execute(payload))
+            if kind == "probe":
+                conn.send(("pipe", core.probe(*payload)))
+            elif kind == "control":
+                conn.send(core.control(payload))
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - teardown
         pass
     finally:
         conn.close()
-        req.close()
-        res.close()
+        if req is not None:
+            req.close()
+            res.close()
 
 
-class ShardedAion(SpillingGc):
+class ShardedAion(Aion):
     """Online SI checker with hash-partitioned state and batch ingestion.
 
     Parameters
@@ -401,10 +285,10 @@ class ShardedAion(SpillingGc):
     clock:
         Zero-argument time source, as for :class:`Aion`.
     executor:
-        ``"serial"`` executes shard command lists in-process;
+        ``"serial"`` probes the shards in-process;
         ``"process"`` pins each shard to a dedicated worker process and
-        executes a batch's shard lists in parallel over pickle pipes;
-        ``"shm-process"`` keeps the worker topology but moves batches
+        probes a batch's shards in parallel over pickle pipes;
+        ``"shm-process"`` keeps the worker topology but moves requests
         over shared-memory lanes (see the module docstring).  Verdicts
         are identical across all three.
     lane_capacity:
@@ -432,21 +316,11 @@ class ShardedAion(SpillingGc):
             raise ValueError("n_shards must be >= 1")
         if executor not in ("serial", "process", "shm-process"):
             raise ValueError(f"unknown executor {executor!r}")
-        self.config = config or AionConfig()
+        super().__init__(config, clock=clock)
+        # The per-key structures live in the shards, not the coordinator.
+        del self._frontier, self._writers, self._ext_reads
         self.n_shards = n_shards
         self.executor = executor
-        self._clock = clock if clock is not None else time.monotonic
-        self._sessions = SessionTracker(mode="si")
-        self._ext = ExtStatusTracker(
-            timeout=self.config.timeout,
-            on_violation=self._report_ext_violation,
-            on_finalized_batch=self._drop_finalized_reads,
-        )
-        self._kernel_stats = KernelStats()
-        self._result = CheckResult()
-        self._fresh: List[Violation] = []
-        self._init_gc()
-        self.processed = 0
         #: Serializes checker access when ingestion happens off-thread
         #: (the service daemon drains batches on a worker thread while
         #: its event loop reads stats): hold it around any receive /
@@ -454,16 +328,16 @@ class ShardedAion(SpillingGc):
         #: checker itself never blocks on it — single-threaded use pays
         #: nothing.
         self.ingest_lock = threading.Lock()
-        #: (key, snapshot_ts, tid) read removals owed to shards, flushed
-        #: as remove-read rows at the head of the next batch's flat
-        #: streams (re-evaluating a finalized pair is a tracker no-op, so
-        #: deferred removal cannot change verdicts — it only bounds index
-        #: growth).
+        #: Bounded key → shard memo shared by routing, read removal and
+        #: spill reload.
+        self._key_shards: Dict[str, int] = {}
+        #: (key, snapshot_ts, tid) read removals owed to shards, applied
+        #: at the head of the shard's next probe.
         self._pending_removals: List[List[Tuple[str, int, int]]] = [
             [] for _ in range(n_shards)
         ]
-        #: Flat-stream command count per shard for the most recent batch —
-        #: the cheap per-shard load-skew signal :meth:`shard_stats` and the
+        #: Ops routed to each shard by the most recent batch — the cheap
+        #: per-shard load-skew signal :meth:`shard_stats` and the
         #: slow-batch trace export.
         self._last_batch_commands: List[int] = [0] * n_shards
         self._cores: Optional[List[_ShardCore]] = None
@@ -479,140 +353,48 @@ class ShardedAion(SpillingGc):
         self._hb_seen: List[Tuple[int, float]] = []
         self.lane_capacity = lane_capacity
         self.lane_stall_timeout = lane_stall_timeout
-        #: Batches moved over the lanes vs. batches that took the pipe
-        #: fallback (per shard stream, cumulative).
+        #: Probe requests moved over the lanes vs. requests that took
+        #: the pipe fallback (per shard, cumulative).
         self.lane_frames = 0
         self.lane_fallbacks = 0
         if executor == "serial":
             self._cores = [_ShardCore() for _ in range(n_shards)]
-        else:
-            use_lanes = executor == "shm-process"
-            if use_lanes:
-                from repro.core.shm import ShmRing, shm_available
+            return
+        use_lanes = executor == "shm-process"
+        if use_lanes:
+            from repro.core.shm import ShmRing, shm_available
 
-                if not shm_available():
-                    raise RuntimeError(
-                        "executor='shm-process' requires working POSIX shared "
-                        "memory (multiprocessing.shared_memory); use "
-                        "executor='process' on this platform"
-                    )
-            ctx = multiprocessing.get_context()
-            for _ in range(n_shards):
-                parent_conn, child_conn = ctx.Pipe()
-                if use_lanes:
-                    req = ShmRing.create(lane_capacity)
-                    res = ShmRing.create(lane_capacity)
-                    worker = ctx.Process(
-                        target=_shard_worker_shm,
-                        args=(child_conn, req.name, res.name),
-                        daemon=True,
-                    )
-                    self._lanes.append((req, res))
-                    self._hb_seen.append((0, time.monotonic()))
-                else:
-                    worker = ctx.Process(
-                        target=_shard_worker, args=(child_conn,), daemon=True
-                    )
-                worker.start()
-                child_conn.close()
-                self._workers.append(worker)
-                self._conns.append(parent_conn)
+            if not shm_available():
+                raise RuntimeError(
+                    "executor='shm-process' requires working POSIX shared "
+                    "memory (multiprocessing.shared_memory); use "
+                    "executor='process' on this platform"
+                )
+        ctx = multiprocessing.get_context()
+        for _ in range(n_shards):
+            parent_conn, child_conn = ctx.Pipe()
+            lane_names = None
+            if use_lanes:
+                req = ShmRing.create(lane_capacity)
+                res = ShmRing.create(lane_capacity)
+                lane_names = (req.name, res.name)
+                self._lanes.append((req, res))
+                self._hb_seen.append((0, time.monotonic()))
+            worker = ctx.Process(
+                target=_shard_worker, args=(child_conn, lane_names), daemon=True
+            )
+            worker.start()
+            child_conn.close()
+            self._workers.append(worker)
+            self._conns.append(parent_conn)
 
     # ------------------------------------------------------------------
-    # Receiving transactions
+    # Receiving transactions: Aion.receive_many, with two seams overridden
     # ------------------------------------------------------------------
 
     def receive(self, txn: Transaction) -> None:
         """Process one transaction (a batch of one)."""
         self.receive_many([txn])
-
-    def receive_many(self, txns: List[Transaction]) -> None:
-        """Process a batch of arrivals sharing one arrival instant.
-
-        Equivalent to feeding the batch one-by-one into single-shard Aion
-        under a clock frozen for the batch's duration; see the module
-        docstring for the argument.  This is the sharded face of the
-        staged batch kernel: route once into per-shard flat arrays,
-        probe each shard in one pass, apply the verdicts in arrival
-        order.
-        """
-        if isinstance(txns, ColumnarBatch):
-            # The sharded router materializes eagerly: lazy transactions
-            # would drag the whole batch's arrays through the process-pool
-            # pickling of the shard commands.
-            txns = txns.transactions()
-        elif not isinstance(txns, (list, tuple)):
-            txns = list(txns)
-        for txn in txns:
-            for op in txn.ops:
-                if op.kind is OpKind.APPEND:
-                    raise ValueError(
-                        "ShardedAion checks key-value histories online; list "
-                        "(append) histories are checked offline by Chronos"
-                    )
-        now = self._clock()
-        self._ext.advance_to(now)
-        if not txns:
-            return
-        stats = self._kernel_stats
-        perf_counter = time.perf_counter
-        timing = stats.timing_enabled()
-        track_total = timing or stats.slow_threshold > 0.0
-        t_batch0 = perf_counter() if track_total else 0.0
-        stats.batches += 1
-        stats.txns += len(txns)
-        if len(txns) > stats.max_batch:
-            stats.max_batch = len(txns)
-
-        t_route0 = perf_counter() if timing else 0.0
-        streams: List[_FlatStream] = [
-            ([], [], [], [], [], []) for _ in range(self.n_shards)
-        ]
-        for shard, removals in enumerate(self._pending_removals):
-            if removals:
-                tags, keys, a, b, c, d = streams[shard]
-                for key, snapshot_ts, tid in removals:
-                    tags.append(_REMOVE_READ)
-                    keys.append(key)
-                    a.append(snapshot_ts)
-                    b.append(tid)
-                    c.append(None)
-                    d.append(None)
-                self._pending_removals[shard] = []
-
-        plan = self._route_batch(txns, streams)
-        self._last_batch_commands = [len(stream[0]) for stream in streams]
-        if timing:
-            t_probe0 = perf_counter()
-            stats.route_seconds += t_probe0 - t_route0
-        else:
-            t_probe0 = 0.0
-        shard_results = self._execute(streams)
-        if timing:
-            t_verdict0 = perf_counter()
-            stats.probe_seconds += t_verdict0 - t_probe0
-        else:
-            t_verdict0 = 0.0
-        self._merge(plan, shard_results, now)
-        if track_total:
-            t_end = perf_counter()
-            total = t_end - t_batch0
-            if timing:
-                stats.timed_batches += 1
-                stats.verdict_seconds += t_end - t_verdict0
-                stats.batch_seconds += total
-            if stats.slow_threshold > 0.0 and total >= stats.slow_threshold:
-                stats.record_slow(
-                    {
-                        "checker": "sharded-aion",
-                        "seconds": round(total, 6),
-                        "batch_txns": len(txns),
-                        "shard_commands": list(self._last_batch_commands),
-                        "route_s": round(t_probe0 - t_route0, 6) if timing else None,
-                        "probe_s": round(t_verdict0 - t_probe0, 6) if timing else None,
-                        "verdict_s": round(t_end - t_verdict0, 6) if timing else None,
-                    }
-                )
 
     def receive_many_threadsafe(self, txns: List[Transaction]) -> None:
         """Batch ingestion under :attr:`ingest_lock` — the entry point
@@ -621,163 +403,102 @@ class ShardedAion(SpillingGc):
         with self.ingest_lock:
             self.receive_many(txns)
 
-    def _route_batch(
-        self, txns: List[Transaction], streams: List[_FlatStream]
-    ) -> List[Tuple[Transaction, Optional[List[Tuple]]]]:
-        """Route pass: decode the batch into per-shard flat command
-        arrays; report order-independent violations (Eq. 1, SESSION, INT)
-        as they are discovered.
+    def _shard_for(self, key: str) -> int:
+        cache = self._key_shards
+        shard = cache.get(key)
+        if shard is None:
+            if len(cache) >= _KEY_CACHE_LIMIT:
+                cache.clear()
+            shard = cache[key] = shard_of(key, self.n_shards)
+        return shard
 
-        Returns, per transaction, the descriptor list the verdict phase
-        walks — None when the transaction was rejected by Eq. 1 and owns
-        no shard commands.
-        """
-        plan: List[Tuple[Transaction, Optional[List[Tuple]]]] = []
-        stats = self._kernel_stats
+    def _new_key_streams(self) -> _ShardStreams:
+        return _ShardStreams(self.n_shards, self._shard_for)
+
+    def _probe(
+        self,
+        key_streams: _ShardStreams,
+        r_ts: List[int],
+        r_tids: List[int],
+        r_vals: List[Any],
+        w_vals: List[Any],
+        w_starts: List[int],
+        w_cts: List[int],
+        w_tids: List[int],
+    ) -> Tuple[List[Any], List[Any], List[Any]]:
+        """Probe step: hand every shard its deferred read removals and
+        its keys' streams; collect the batch's three result columns."""
+        by_shard = key_streams.by_shard
         n_shards = self.n_shards
-        n_reads = 0
-        n_writes = 0
-        for txn in txns:
-            tid = txn.tid
-            stats.route_ops += len(txn.ops)
-            if txn.start_ts > txn.commit_ts:  # Eq. 1
-                self._report(
-                    TimestampOrderViolation(
-                        axiom=Axiom.TS_ORDER,
-                        tid=tid,
-                        start_ts=txn.start_ts,
-                        commit_ts=txn.commit_ts,
-                    )
-                )
-                plan.append((txn, None))
-                continue
-
-            # Severely delayed transaction below the GC boundary: merge
-            # ALL spilled state back into the shards (Aion's reload-on-
-            # demand, ▧) before this batch's streams execute — hoisting is
-            # verdict-equivalent, see Aion.receive_many.  The unoptimized
-            # ablation also re-checks arbitrarily old snapshot points on
-            # every write, so it reloads whenever spilled state exists.
-            if self._spill is not None and len(self._spill) > 0:
-                below_boundary = (
-                    self._collected_upto is not None
-                    and txn.start_ts <= self._collected_upto
-                )
-                ablation_write = not self.config.optimized_recheck and any(
-                    op.kind is OpKind.WRITE for op in txn.ops
-                )
-                if below_boundary or ablation_write:
-                    self._reload_below(None)
-
-            violation = self._sessions.observe(txn)
-            if violation is not None:
-                self._report(violation)
-
-            # INT is key-local: a mismatch compares a read against the
-            # transaction's own prior state, so no shard query is needed
-            # (snapshot values feed only EXT, handled below).
-            writes, mismatches = resolve_writes(txn.ops)
-            if mismatches is not None:
-                for key, expected, actual in mismatches:
-                    self._report(
-                        IntViolation(
-                            axiom=Axiom.INT,
-                            tid=tid,
-                            key=key,
-                            expected=expected,
-                            actual=actual,
-                        )
-                    )
-
-            start_ts = txn.start_ts
-            commit_ts = txn.commit_ts
-            steps: List[Tuple] = []
-            for key, op in txn.external_reads.items():
-                shard = shard_of(key, n_shards)
-                tags, keys, a, b, c, d = streams[shard]
-                tags.append(_READ_TRACK)
-                keys.append(key)
-                a.append(start_ts)
-                b.append(tid)
-                c.append(op.value)
-                d.append(None)
-                steps.append(("track", shard, key, op.value))
-            n_reads += len(steps)
-            for key, value in writes.items():
-                shard = shard_of(key, n_shards)
-                tags, keys, a, b, c, d = streams[shard]
-                tags.append(_WRITE_PROBE)
-                keys.append(key)
-                a.append(start_ts)
-                b.append(commit_ts)
-                c.append(tid)
-                d.append(value)
-                steps.append(("conflicts", shard, key))
-                steps.append(("reevals", shard, key))
-            n_writes += len(writes)
-            plan.append((txn, steps))
-        stats.probe_reads += n_reads
-        stats.probe_writes += n_writes
-        return plan
-
-    def _execute(self, streams: List[_FlatStream]) -> List[List[Any]]:
         optimized = self.config.optimized_recheck
+        removals = self._pending_removals
+        self._pending_removals = [[] for _ in range(n_shards)]
+        self._last_batch_commands = [
+            sum(map(len, streams.values())) for streams in by_shard
+        ]
+        results = r_expected, w_conflicts, w_reevals = (
+            [None] * len(r_ts), [None] * len(w_cts), [None] * len(w_cts)
+        )
         if self._cores is not None:
-            return [
-                core.execute_flat(*stream, optimized)
-                for core, stream in zip(self._cores, streams)
-            ]
-        if self._lanes:
-            return self._execute_shm(streams, optimized)
-        # Process mode: dispatch every non-empty stream, then collect —
-        # the workers interpret their arrays concurrently.
-        dispatched = []
-        for shard, stream in enumerate(streams):
-            if stream[0]:
-                self._conns[shard].send(("flat", stream + (optimized,)))
-                dispatched.append(shard)
-        results: List[List[Any]] = [[] for _ in range(self.n_shards)]
-        for shard in dispatched:
-            results[shard] = self._conns[shard].recv()
-        return results
+            for core, removed, streams in zip(self._cores, removals, by_shard):
+                if removed or streams:
+                    core.probe(
+                        removed, streams, r_ts, r_tids, r_vals,
+                        w_vals, w_starts, w_cts, w_tids, optimized, results,
+                    )
+            return results
 
-    def _execute_shm(
-        self, streams: List[_FlatStream], optimized: bool
-    ) -> List[List[Any]]:
-        """Dispatch a batch over the shared-memory lanes.
-
-        Per shard stream the transport is chosen independently: streams
-        with operands the codec rejects or frames the ring cannot hold
-        fall back to the pickle pipe — the worker serves both
-        sources, and because every batch fully drains before the next
-        dispatch (and before any control-plane command), lane and pipe
-        traffic never interleave within a shard.
-        """
-        dispatched: List[int] = []
-        for shard, stream in enumerate(streams):
-            tags = stream[0]
-            if not tags:
+        # Worker processes: dispatch every shard's request, then collect,
+        # so the shards probe concurrently.  Each request carries only
+        # the shard's own reads and writes, re-indexed onto shard-local
+        # columns; the index maps scatter the answer back.
+        dispatched: List[Tuple[int, List[int], List[int]]] = []
+        for shard in range(n_shards):
+            streams = by_shard[shard]
+            if not (removals[shard] or streams):
                 continue
-            try:
-                frame = pack_flat_frame(*stream, optimized, self._key_bytes)
-            except UnencodableValue:
-                frame = None
-            try:
-                if frame is not None and self._lanes[shard][0].try_push(frame):
-                    self._conns[shard].send(_NUDGE)
-                    self.lane_frames += 1
-                else:
-                    self._conns[shard].send(("flat", stream + (optimized,)))
+            r_map: List[int] = []
+            w_map: List[int] = []
+            local: Dict[str, List[int]] = {}
+            for key, stream in streams.items():
+                codes = local[key] = []
+                for code in stream:
+                    if code & 1:
+                        codes.append(len(w_map) << 1 | 1)
+                        w_map.append(code >> 1)
+                    else:
+                        codes.append(len(r_map) << 1)
+                        r_map.append(code >> 1)
+            request = (
+                removals[shard],
+                local,
+                *(list(map(column.__getitem__, r_map)) for column in (r_ts, r_tids, r_vals)),
+                *(
+                    list(map(column.__getitem__, w_map))
+                    for column in (w_vals, w_starts, w_cts, w_tids)
+                ),
+                optimized,
+            )
+            frame = None
+            if self._lanes:
+                try:
+                    frame = pack_probe_frame(*request, self._key_bytes)
+                except UnencodableValue:
+                    pass
+            # Transport is chosen per request; because every batch fully
+            # drains before the next dispatch (and before any control
+            # command), lane and pipe traffic never interleave in a shard.
+            if frame is not None and self._lanes[shard][0].try_push(frame):
+                self._send(shard, _NUDGE)
+                self.lane_frames += 1
+            else:
+                self._send(shard, ("probe", request))
+                if self._lanes:
                     self.lane_fallbacks += 1
-            except (BrokenPipeError, OSError):
-                raise RuntimeError(f"shard worker {shard} died mid-batch") from None
-            dispatched.append(shard)
-        results: List[List[Any]] = [[] for _ in range(self.n_shards)]
-        for shard in dispatched:
-            kind, payload = self._recv_data(shard)
-            if kind == "pipe":
-                results[shard] = payload
-            else:  # "lane": the result frame is on the ring by now
+            dispatched.append((shard, r_map, w_map))
+        for shard, r_map, w_map in dispatched:
+            kind, payload = self._recv(shard)
+            if kind == "lane":  # the result frame is on the ring by now
                 result_ring = self._lanes[shard][1]
                 view = result_ring.try_pop()
                 if view is None:  # pragma: no cover - protocol violation
@@ -786,131 +507,48 @@ class ShardedAion(SpillingGc):
                         "that is not on the ring"
                     )
                 try:
-                    results[shard] = unpack_result_frame(view)
+                    payload = unpack_result_frame(view)
                 finally:
                     result_ring.consume()
+            shard_expected, shard_conflicts, shard_reevals = payload
+            for index, expected in zip(r_map, shard_expected):
+                r_expected[index] = expected
+            for index, hits, affected in zip(w_map, shard_conflicts, shard_reevals):
+                w_conflicts[index] = hits
+                w_reevals[index] = affected
         return results
 
-    def _recv_data(self, shard: int) -> Tuple[str, Any]:
-        """Receive one data-plane doorbell from a shard worker.
+    def _slow_batch_tags(self) -> Dict[str, Any]:
+        return {
+            "checker": "sharded-aion",
+            "shard_commands": list(self._last_batch_commands),
+        }
 
-        Blocks in bounded ``poll`` slices so a worker that died
-        mid-batch surfaces as a :class:`RuntimeError` instead of a hang
+    # ------------------------------------------------------------------
+    # Talking to shard workers
+    # ------------------------------------------------------------------
+
+    def _send(self, shard: int, message: Any) -> None:
+        try:
+            self._conns[shard].send(message)
+        except OSError:  # BrokenPipeError: the worker's end is gone
+            raise RuntimeError(f"shard worker {shard} died (send failed)") from None
+
+    def _recv(self, shard: int) -> Any:
+        """Receive one reply from a shard worker.
+
+        Blocks in bounded ``poll`` slices so a worker that died before
+        answering surfaces as a :class:`RuntimeError` instead of a hang
         (a closed pipe raises ``EOFError`` inside ``recv`` as well).
         """
         conn = self._conns[shard]
-        worker = self._workers[shard]
-        while not conn.poll(0.2):
-            if not worker.is_alive():
-                raise RuntimeError(f"shard worker {shard} died mid-batch")
         try:
+            while not conn.poll(0.2):
+                if not self._workers[shard].is_alive():
+                    raise EOFError
             return conn.recv()
-        except EOFError:
-            raise RuntimeError(f"shard worker {shard} died mid-batch") from None
-
-    def _merge(
-        self,
-        plan: List[Tuple[Transaction, Optional[List[Tuple]]]],
-        shard_results: List[List[Any]],
-        now: float,
-    ) -> None:
-        """Verdict pass: apply global effects in arrival order.
-
-        Shards return exactly one result per semantic command (visible /
-        overlap_add / insert_recheck) in stream order, and the route pass
-        enqueued those commands in exactly the order the step walk
-        requests them, so a plain sequential per-shard cursor stays
-        aligned.  The walk first gathers every external read's initial
-        verdict and registers them in one :meth:`~repro.core.ext_status.
-        ExtStatusTracker.track_batch` call, then applies conflict reports
-        and re-evaluations per transaction in arrival order — safe
-        because a shard's re-evaluation list for a write only names reads
-        that preceded the write in that key's stream.
-        """
-        cursors = [0] * self.n_shards
-        track_items: List[Tuple[int, str, int, Any, bool, Any]] = []
-        #: per accepted txn: (txn, [(is_reeval, key, payload), ...])
-        effects: List[Tuple[Transaction, List[Tuple[bool, str, List]]]] = []
-        for txn, steps in plan:
-            if steps is None:
-                continue
-            tid = txn.tid
-            start_ts = txn.start_ts
-            applied: List[Tuple[bool, str, List]] = []
-            for step in steps:
-                kind, shard, key = step[0], step[1], step[2]
-                cursor = cursors[shard]
-                cursors[shard] = cursor + 1
-                result = shard_results[shard][cursor]
-                if kind == "track":
-                    actual = step[3]
-                    ok = (
-                        (actual is None)
-                        if result is BOTTOM
-                        else (result == actual)
-                    )
-                    track_items.append((tid, key, start_ts, actual, ok, result))
-                elif result:
-                    applied.append((kind == "reevals", key, result))
-            effects.append((txn, applied))
-
-        ext = self._ext
-        ext.track_batch(track_items, now)
-        stats = self._kernel_stats
-        stats.verdict_tracks += len(track_items)
-        reevaluate = ext.reevaluate
-        resident = self._resident
-        pending_cts = self._resident_cts_pending.append
-        n_reevals = 0
-        n_conflicts = 0
-        armed: List[int] = []
-        for txn, applied in effects:
-            tid = txn.tid
-            for is_reeval, key, payload in applied:
-                if is_reeval:
-                    n_reevals += len(payload)
-                    for reader_tid, ok, expected in payload:
-                        reevaluate(reader_tid, key, ok, expected, now)
-                else:
-                    n_conflicts += len(payload)
-                    for owner, end in payload:
-                        self._report_conflict(txn, owner, end, key)
-            resident[tid] = txn
-            pending_cts((txn.commit_ts, tid))
-            self.processed += 1
-            armed.append(tid)
-        stats.verdict_reevals += n_reevals
-        stats.verdict_conflicts += n_conflicts
-        ext.arm_timers(armed, now)
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-
-    def poll(self) -> List[Violation]:
-        """Drain violations reported since the previous poll."""
-        self._ext.advance_to(self._clock())
-        fresh, self._fresh = self._fresh, []
-        return fresh
-
-    def finalize(self) -> CheckResult:
-        """Force-finalize all pending EXT verdicts and return the result."""
-        self._ext.flush()
-        return self._result
-
-    @property
-    def result(self) -> CheckResult:
-        return self._result
-
-    @property
-    def flipflop_stats(self) -> FlipFlopStats:
-        return self._ext.stats
-
-    @property
-    def kernel_stats(self) -> KernelStats:
-        """Per-stage operation counters of the staged batch kernel
-        (coordinator-side: routing, probes dispatched, verdicts applied)."""
-        return self._kernel_stats
+        except (EOFError, OSError):
+            raise RuntimeError(f"shard worker {shard} died before answering") from None
 
     def _control(self, commands: List[Tuple]) -> List[Any]:
         """Run one control-plane command per shard (``commands[shard]``);
@@ -918,13 +556,14 @@ class ShardedAion(SpillingGc):
         in-process; process modes dispatch to every worker, then collect.
         Call under :attr:`ingest_lock` when ingestion runs concurrently."""
         if self._cores is not None:
-            return [
-                core.execute([command])[0]
-                for core, command in zip(self._cores, commands)
-            ]
-        for conn, command in zip(self._conns, commands):
-            conn.send(("cmds", [command]))
-        return [conn.recv()[0] for conn in self._conns]
+            return [core.control(command) for core, command in zip(self._cores, commands)]
+        for shard, command in enumerate(commands):
+            self._send(shard, ("control", command))
+        return [self._recv(shard) for shard in range(self.n_shards)]
+
+    # ------------------------------------------------------------------
+    # Observability
+    # ------------------------------------------------------------------
 
     def estimated_bytes(self) -> int:
         """Deep-size estimate across coordinator and all shards."""
@@ -940,7 +579,7 @@ class ShardedAion(SpillingGc):
 
     def shard_stats(self) -> List[Dict[str, int]]:
         """One row per shard: structure sizes, scan counters, deferred
-        read removals, and the latest batch's command count."""
+        read removals, and the ops the latest batch routed to it."""
         rows = self._shard_counts()
         for shard, row in enumerate(rows):
             row["shard"] = shard
@@ -1039,19 +678,28 @@ class ShardedAion(SpillingGc):
 
     def _merge_columns(self, versions: VersionColumns, intervals: IntervalColumns) -> None:
         """Hand each shard the reloaded rows of the keys it owns."""
-        n_shards = self.n_shards
-        split = [(empty_columns(), empty_columns()) for _ in range(n_shards)]
+        shard_for = self._shard_for
+        split = [(empty_columns(), empty_columns()) for _ in range(self.n_shards)]
         for which, (keys, counts, *columns) in enumerate((versions, intervals)):
             lo = 0
             for key, count in zip(keys, counts):
                 hi = lo + count
-                part_keys, part_counts, *part_columns = split[shard_of(key, n_shards)][which]
+                part_keys, part_counts, *part_columns = split[shard_for(key)][which]
                 part_keys.append(key)
                 part_counts.append(count)
                 for part_column, column in zip(part_columns, columns):
                     part_column += column[lo:hi]
                 lo = hi
         self._control([("merge", *part) for part in split])
+
+    def _drop_finalized_reads(self, verdicts: List[ExtVerdict]) -> None:
+        pending = self._pending_removals
+        shard_for = self._shard_for
+        for verdict in verdicts:
+            key = verdict[EV_KEY]
+            pending[shard_for(key)].append(
+                (key, verdict[EV_SNAPSHOT_TS], verdict[EV_TID])
+            )
 
     def close(self) -> None:
         """Stop worker processes and release the spill directory."""
@@ -1080,45 +728,3 @@ class ShardedAion(SpillingGc):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _report(self, violation: Violation) -> None:
-        self._result.add(violation)
-        self._fresh.append(violation)
-
-    def _report_conflict(self, txn: Transaction, other_tid: int, other_cts: int, key: str) -> None:
-        if txn.commit_ts < other_cts:
-            earlier, later = txn.tid, other_tid
-        else:
-            earlier, later = other_tid, txn.tid
-        self._report(
-            ConflictViolation(
-                axiom=Axiom.NOCONFLICT,
-                tid=earlier,
-                key=key,
-                conflicting_tids=frozenset({later}),
-            )
-        )
-
-    def _report_ext_violation(self, verdict: ExtVerdict) -> None:
-        self._report(
-            ExtViolation(
-                axiom=Axiom.EXT,
-                tid=verdict[EV_TID],
-                key=verdict[EV_KEY],
-                expected=verdict[EV_EXPECTED],
-                actual=verdict[EV_ACTUAL],
-            )
-        )
-
-    def _drop_finalized_reads(self, verdicts: List[ExtVerdict]) -> None:
-        n_shards = self.n_shards
-        pending = self._pending_removals
-        for verdict in verdicts:
-            key = verdict[EV_KEY]
-            pending[shard_of(key, n_shards)].append(
-                (key, verdict[EV_SNAPSHOT_TS], verdict[EV_TID])
-            )

@@ -921,6 +921,7 @@ def probe_columns(
     w_tids: List[int],
     optimized: bool,
     bottom: Any,
+    results: Optional[Tuple[List[Any], List[Any], List[Any]]] = None,
 ) -> Tuple[List[Any], List[Optional[List[Tuple[int, int]]]], List[Optional[list]]]:
     """Execute the batch kernel's frontier-probe pass over per-key streams.
 
@@ -944,13 +945,16 @@ def probe_columns(
 
     Returns ``(r_expected, w_conflicts, w_reevals)``: the visibility
     floor per read, and per write slot the NOCONFLICT hits and affected
-    re-check rows (``None`` when empty).
+    re-check rows (``None`` when empty).  A caller that splits one
+    batch's columns over several structure sets (the shards of
+    :class:`~repro.core.sharded.ShardedAion`, each handed its own keys'
+    streams) passes the shared ``results`` arrays, pre-filled with
+    ``None``, and every call fills only the slots its streams name; the
+    structures' size counters advance by the ops actually walked.
     """
-    n_reads = len(r_ts)
-    n_writes = len(w_cts)
-    r_expected: List[Any] = [None] * n_reads
-    w_conflicts: List[Optional[List[Tuple[int, int]]]] = [None] * n_writes
-    w_reevals: List[Optional[list]] = [None] * n_writes
+    if results is None:
+        results = ([None] * len(r_ts), [None] * len(w_cts), [None] * len(w_cts))
+    r_expected, w_conflicts, w_reevals = results
 
     f_by_key = frontier._by_key
     f_multi_add = frontier._multi.add
@@ -959,6 +963,7 @@ def probe_columns(
     value_at = frontier.value_at
     collect_affected = ext_reads.collect_affected
     new_versions = 0
+    overwrites = 0
 
     for key, stream in key_streams.items():
         fv = f_by_key.get(key)
@@ -1013,6 +1018,7 @@ def probe_columns(
                     n = len(timestamps)
                     if j < n and timestamps[j] == commit_ts:
                         payloads[j] = payload
+                        overwrites += 1
                     else:
                         timestamps.insert(j, commit_ts)
                         payloads.insert(j, payload)
@@ -1028,7 +1034,9 @@ def probe_columns(
                         )
                 else:
                     was_present, successor = fv.set_and_higher(commit_ts, payload)
-                    if not was_present:
+                    if was_present:
+                        overwrites += 1
+                    else:
                         new_versions += 1
                     nxt_ts = None if successor is None else successor[0]
                 if optimized:
@@ -1111,10 +1119,14 @@ def probe_columns(
                         else:
                             ev[snapshot_ts] = [got, pair]
 
+    # Ops actually walked — the columns may be shared with other calls.
+    # Every write either adds a version or overwrites one, so the common
+    # path pays no second per-op counter.
+    n_writes = new_versions + overwrites
     frontier._n_versions += new_versions
     writers._n_intervals += n_writes
-    ext_reads._n_reads += n_reads
-    return r_expected, w_conflicts, w_reevals
+    ext_reads._n_reads += sum(map(len, key_streams.values())) - n_writes
+    return results
 
 
 # ----------------------------------------------------------------------

@@ -1537,7 +1537,7 @@ class CheckerService:
         )
         self._m_shard_last_batch = m.gauge(
             "repro_shard_last_batch_commands",
-            "Flat commands routed to one shard by the most recent batch",
+            "Ops (external reads + writes) routed to one shard by the most recent batch",
             ("shard",),
         )
         self._m_lane_frames = m.counter(

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
+from repro.core.colpack import pack_columnar, unpack_columnar
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.histories.anomalies import ANOMALY_CATALOG
@@ -216,3 +217,50 @@ def test_empty_and_singleton_batches():
         assert checker.kernel_stats.batches == 0
     finally:
         checker.close()
+
+
+@pytest.mark.parametrize(
+    "n_shards, executor", [(1, "serial"), (2, "serial"), (4, "serial"), (2, "process")]
+)
+def test_sharded_columnar_batches_equal_object_batches(n_shards, executor):
+    """The same arrivals as lists and as decoded wire columns: equal
+    *ordered* verdicts, ``processed`` and kernel counters.  ShardedAion
+    routes a ``ColumnarBatch`` straight off its flat arrays (the route
+    pass it inherits from Aion), so only columns — never Transaction
+    objects — reach a worker process."""
+    history = small_history(29, n=150, faults=6)
+    arrival = session_respecting_shuffle(history, Random(29))
+    counters = (
+        "batches", "txns", "max_batch", "route_ops", "probe_reads", "probe_writes",
+        "verdict_tracks", "verdict_reevals", "verdict_conflicts",
+    )
+
+    def run(columnar):
+        checker = ShardedAion(INF, n_shards=n_shards, clock=lambda: 0.0, executor=executor)
+        try:
+            polls = []
+            for offset in range(0, len(arrival), 32):
+                batch = arrival[offset : offset + 32]
+                if columnar:
+                    batch, _ = unpack_columnar(pack_columnar(batch))
+                checker.receive_many(batch)
+                polls.append(checker.poll())
+            stats = checker.kernel_stats.as_dict()
+            return (
+                polls,
+                list(checker.finalize().violations),
+                checker.processed,
+                {name: stats[name] for name in counters},
+                [row["last_batch_commands"] for row in checker.shard_stats()],
+            )
+        finally:
+            checker.close()
+
+    objects = run(columnar=False)
+    assert objects[1], "the faulted stream must produce verdicts to compare"
+    assert run(columnar=True) == objects
+    reference = Aion(INF, clock=lambda: 0.0)
+    for offset in range(0, len(arrival), 32):
+        reference.receive_many(arrival[offset : offset + 32])
+    assert list(reference.finalize().violations) == objects[1]
+    reference.close()

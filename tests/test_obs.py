@@ -590,3 +590,26 @@ class TestInstrumentationDifferential:
             assert checker.workers_alive() is True
         finally:
             checker.close()
+
+    def test_sharded_slow_batch_record_and_routed_op_counts(self):
+        """The slow-batch record keeps its sharded identity and per-shard
+        load, gains the ``top_keys`` of the single-shard record, and
+        ``last_batch_commands`` counts the ops routed to each shard."""
+        txns = anomaly_txns("lost-update")
+        checker = _make_checker("sharded")
+        try:
+            stats = checker.kernel_stats
+            stats.slow_threshold = 1e-9
+            traces = []
+            stats.on_slow_batch = traces.append
+            checker.receive_many(txns)
+            (record,) = traces
+            assert record["checker"] == "sharded-aion"
+            routed = [row["last_batch_commands"] for row in checker.shard_stats()]
+            assert record["shard_commands"] == routed
+            assert sum(routed) == record["reads"] + record["writes"]
+            assert sum(routed) == stats.probe_reads + stats.probe_writes > 0
+            assert record["top_keys"] and sum(n for _, n in record["top_keys"]) <= sum(routed)
+            assert record["distinct_keys"] >= len(record["top_keys"])
+        finally:
+            checker.close()

@@ -4,9 +4,13 @@ The sharded frontend's whole claim is verdict equivalence (see the
 module docstring of :mod:`repro.core.sharded`): for any arrival order,
 any shard count, serial or process execution, per-transaction or batched
 ingestion, with or without GC — the violation multiset equals
-single-shard Aion's, which in turn equals Chronos's.
+single-shard Aion's, which in turn equals Chronos's.  Since the sharded
+frontend inherits Aion's verdict pass, the *order* of reports is equal
+too, and a dead shard worker is an error on every path, never a hang.
 """
 
+import os
+import signal
 from random import Random
 
 import pytest
@@ -158,15 +162,19 @@ def test_gc_matches_aion(seed, n_shards, gc_every):
     assert got == aion_baseline(arrival)
 
 
-def test_unoptimized_recheck_matches_aion():
-    """The ablation path (full re-evaluation per write) stays equivalent."""
-    history = small_history(321, faults=4)
-    arrival = session_respecting_shuffle(history, Random(321))
+def _ablation_baseline(arrival):
     aion = Aion(AionConfig(timeout=float("inf"), optimized_recheck=False), clock=lambda: 0.0)
     for txn in arrival:
         aion.receive(txn)
     base = normalize_violations(aion.finalize())
     aion.close()
+    return base
+
+
+def test_unoptimized_recheck_matches_aion():
+    """The ablation path (full re-evaluation per write) stays equivalent."""
+    history = small_history(321, faults=4)
+    arrival = session_respecting_shuffle(history, Random(321))
     sharded = ShardedAion(
         AionConfig(timeout=float("inf"), optimized_recheck=False),
         n_shards=3,
@@ -176,7 +184,36 @@ def test_unoptimized_recheck_matches_aion():
         sharded.receive(txn)
     got = normalize_violations(sharded.finalize())
     sharded.close()
-    assert got == base
+    assert got == _ablation_baseline(arrival)
+
+
+@pytest.mark.parametrize("executor", ["serial", "process", "shm-process"])
+def test_unoptimized_recheck_batched_on_every_executor(executor):
+    """Batched ablation: expected values are resolved at the write's
+    point in its key's stream, in whichever process that stream runs,
+    and ride the result lane like any other re-evaluation row."""
+    if executor == "shm-process":
+        from repro.core.shm import shm_available
+
+        if not shm_available():
+            pytest.skip("POSIX shared memory unavailable")
+    history = small_history(321, faults=4)
+    arrival = session_respecting_shuffle(history, Random(321))
+    sharded = ShardedAion(
+        AionConfig(timeout=float("inf"), optimized_recheck=False),
+        n_shards=3,
+        clock=lambda: 0.0,
+        executor=executor,
+    )
+    try:
+        for offset in range(0, len(arrival), 16):
+            sharded.receive_many(arrival[offset : offset + 16])
+        got = normalize_violations(sharded.finalize())
+        assert sharded.kernel_stats.verdict_reevals > 0
+        assert sharded.lane_fallbacks == 0
+    finally:
+        sharded.close()
+    assert got == _ablation_baseline(arrival)
 
 
 def test_process_mode_matches_aion():
@@ -185,6 +222,85 @@ def test_process_mode_matches_aion():
     arrival = session_respecting_shuffle(history, Random(99))
     got = sharded_verdicts(arrival, n_shards=2, batch_size=25, executor="process")
     assert got == aion_baseline(arrival)
+
+
+def ordered_reports(checker, arrival, batch_size, clock=None):
+    """Everything a consumer observes, in order: ``poll()`` after every
+    batch, then ``finalize()``'s full list and the closing ``poll()``."""
+    polls = []
+    try:
+        for offset in range(0, len(arrival), batch_size):
+            if clock is not None:
+                clock.advance(1.0)
+            checker.receive_many(arrival[offset : offset + batch_size])
+            polls.append(checker.poll())
+        final = list(checker.finalize().violations)
+        polls.append(checker.poll())
+        return polls, final, checker.processed
+    finally:
+        checker.close()
+
+
+def _inf():
+    return AionConfig(timeout=float("inf"))
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
+def test_report_order_equals_aion_on_anomaly_catalog(name, n_shards):
+    """Not the same multiset — the same *list*: SESSION / INT / TS_ORDER
+    / NOCONFLICT / EXT reports interleave exactly as Aion.receive_many
+    emits them, per poll and in the final result."""
+    history = ANOMALY_CATALOG[name].build()
+    for shuffle_seed, batch_size in ((0, 1), (7, 4), (13, 64)):
+        arrival = session_respecting_shuffle(history, Random(shuffle_seed))
+        expected = ordered_reports(Aion(_inf(), clock=lambda: 0.0), arrival, batch_size)
+        got = ordered_reports(
+            ShardedAion(_inf(), n_shards=n_shards, clock=lambda: 0.0), arrival, batch_size
+        )
+        assert got == expected, (name, shuffle_seed, batch_size)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+@pytest.mark.parametrize("seed, batch_size", [(401, 16), (406, 64)])
+def test_report_order_equals_aion_on_faulted_stream(seed, batch_size, n_shards):
+    """Batches that mix NOCONFLICT with SESSION / INT / TS_ORDER reports
+    — where a router that reports some axioms while routing and others
+    while merging yields a permutation of Aion's list, not the list."""
+    history = small_history(seed, n=200, faults=16)
+    arrival = session_respecting_shuffle(history, Random(seed))
+    expected = ordered_reports(Aion(_inf(), clock=lambda: 0.0), arrival, batch_size)
+    assert len({v.axiom for v in expected[1]}) >= 3
+    got = ordered_reports(
+        ShardedAion(_inf(), n_shards=n_shards, clock=lambda: 0.0), arrival, batch_size
+    )
+    assert got == expected
+
+
+@pytest.mark.parametrize("executor", ["serial", "process", "shm-process"])
+def test_report_order_equals_aion_with_timers_firing(executor):
+    """The same kind of stream under a finite timeout: EXT verdicts
+    finalize *between* batches (so read removals reach the shards), and
+    every poll still drains the same list on every executor."""
+    if executor == "shm-process":
+        from repro.core.shm import shm_available
+
+        if not shm_available():
+            pytest.skip("POSIX shared memory unavailable")
+    history = small_history(404, n=200, faults=16)
+    arrival = session_respecting_shuffle(history, Random(404))
+    clock = SimClock()
+    expected = ordered_reports(
+        Aion(AionConfig(timeout=2.5), clock=clock), arrival, 16, clock
+    )
+    assert any(v.axiom.name != "EXT" for v in expected[1])
+    assert any(v.axiom.name == "EXT" for poll in expected[0][:-1] for v in poll)
+    clock = SimClock()
+    got = ordered_reports(
+        ShardedAion(AionConfig(timeout=2.5), n_shards=2, clock=clock, executor=executor),
+        arrival, 16, clock,
+    )
+    assert got == expected
 
 
 def test_matches_chronos_end_to_end(si_history):
@@ -268,6 +384,28 @@ class TestCoordinatorSurface:
         assert sharded.resident_txn_count == len(history)
         sharded.close()
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_shard_structure_counts_sum_to_aions(self, executor):
+        """Shards share one batch's columns (serial) or get their slice
+        of them (process); either way each shard's size counters advance
+        by the ops *it* walked, so they sum to single-shard Aion's."""
+        history = small_history(17, faults=3)
+        arrival = session_respecting_shuffle(history, Random(17))
+        aion = Aion(_inf(), clock=lambda: 0.0)
+        sharded = ShardedAion(_inf(), n_shards=3, clock=lambda: 0.0, executor=executor)
+        try:
+            for offset in range(0, len(arrival), 16):
+                aion.receive_many(arrival[offset : offset + 16])
+                sharded.receive_many(arrival[offset : offset + 16])
+            rows = sharded.shard_stats()
+            assert sum(row["versions"] for row in rows) == len(aion._frontier)
+            assert sum(row["intervals"] for row in rows) == len(aion._writers)
+            assert sum(row["ext_reads"] for row in rows) == len(aion._ext_reads) > 0
+            assert sum(row["last_batch_commands"] for row in rows) > 0
+        finally:
+            aion.close()
+            sharded.close()
+
     def test_estimated_bytes_process_mode(self):
         history = small_history(12, n=60)
         sharded = ShardedAion(
@@ -328,4 +466,37 @@ def test_receive_many_rejects_appends_before_any_state_change():
             checker.receive_many([good, bad])
         assert checker.processed == 0
         assert checker.resident_txn_count == 0
+        checker.close()
+
+
+@pytest.mark.parametrize("executor", ["process", "shm-process"])
+def test_dead_worker_is_an_error_on_every_path(executor):
+    """After SIGKILL of the workers, the data path and every control-
+    plane path raise ``RuntimeError("shard worker N died …")`` — not a
+    raw ``BrokenPipeError``, and never a hang."""
+    if executor == "shm-process":
+        from repro.core.shm import shm_available
+
+        if not shm_available():
+            pytest.skip("POSIX shared memory unavailable")
+    arrival = list(small_history(21, n=60).by_commit_ts())
+    checker = ShardedAion(_inf(), n_shards=2, clock=lambda: 0.0, executor=executor)
+    try:
+        checker.receive_many(arrival[:30])
+        assert checker.shard_stats()[0]["shard"] == 0
+        for worker in checker._workers:
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert not checker.workers_alive()
+        for call in (
+            lambda: checker.receive_many(arrival[30:]),
+            checker.shard_stats,
+            checker.estimated_bytes,
+            checker.scan_step_totals,
+            lambda: checker.collect_below(None),
+        ):
+            with pytest.raises(RuntimeError, match=r"shard worker \d+ died"):
+                call()
+    finally:
         checker.close()

@@ -6,6 +6,9 @@ Three layers, mirroring the transport's claims:
 - :class:`repro.core.shm.ShmRing` behaves as a FIFO byte ring under
   wrap-around, backpressure, and interleaved push/pop (checked against a
   deque model);
+- a probe request and its three result columns survive the lane codec
+  exactly (every strict value kind, empty sections), and a value the
+  codec cannot reproduce is refused rather than degraded;
 - ``ShardedAion(executor="shm-process")`` is verdict-identical to the
   serial executor across the anomaly catalog × 1/2/4/8 shards, with the
   lane path actually exercised — and still identical when frames cannot
@@ -25,6 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aion import Aion, AionConfig
+from repro.core.colpack import (
+    UnencodableValue,
+    pack_probe_frame,
+    pack_result_frame,
+    unpack_probe_frame,
+    unpack_result_frame,
+)
+from repro.core.common import BOTTOM
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.core.shm import ShmRing, shm_available
@@ -157,6 +168,90 @@ class TestRing:
             assert ring.try_pop() is None
         finally:
             ring.close(unlink=True)
+
+
+# ----------------------------------------------------------------------
+# Lane frame codec
+# ----------------------------------------------------------------------
+
+_strict_values = st.recursive(
+    st.one_of(
+        st.none(), st.just(BOTTOM), st.booleans(), st.text(max_size=6),
+        st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple)
+    ),
+    max_leaves=6,
+)
+_ts = st.integers(0, 2**40)
+_keys = st.text(max_size=5)
+
+
+def _typed(value):
+    """Value plus its exact type tree (True == 1 must not pass for it)."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(item) for item in value]
+    return type(value), value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    removals=st.lists(st.tuples(_keys, _ts, _ts), max_size=4),
+    reads=st.lists(st.tuples(_keys, _ts, _ts, _strict_values), max_size=6),
+    writes=st.lists(st.tuples(_keys, _strict_values, _ts, _ts, _ts), max_size=6),
+    optimized=st.booleans(),
+)
+def test_probe_frame_round_trip(removals, reads, writes, optimized):
+    streams = {}
+    for index, read in enumerate(reads):
+        streams.setdefault(read[0], []).append(index << 1)
+    for index, write in enumerate(writes):
+        streams.setdefault(write[0], []).append(index << 1 | 1)
+    request = (
+        removals, streams,
+        *([read[i] for read in reads] for i in (1, 2, 3)),
+        *([write[i] for write in writes] for i in (1, 2, 3, 4)),
+        optimized,
+    )
+    cache = {}
+    decoded = unpack_probe_frame(memoryview(pack_probe_frame(*request, cache)))
+    assert decoded[0] == removals
+    assert list(decoded[1]) == list(streams)  # stream order is probe order
+    assert {key: list(codes) for key, codes in decoded[1].items()} == streams
+    assert _typed(list(decoded[2:9])) == _typed([list(column) for column in request[2:9]])
+    assert decoded[9] is optimized
+    assert set(cache) == set(streams) | {removal[0] for removal in removals}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_expected=st.lists(_strict_values, max_size=6),
+    per_write=st.lists(
+        st.tuples(
+            st.none() | st.lists(st.tuples(_ts, _ts), min_size=1, max_size=3),
+            st.none()
+            | st.lists(st.tuples(_strict_values, _ts, _strict_values), min_size=1, max_size=3),
+        ),
+        max_size=6,
+    ),
+)
+def test_result_frame_round_trip(r_expected, per_write):
+    w_conflicts = [hits for hits, _ in per_write]
+    w_reevals = [rows for _, rows in per_write]
+    frame = pack_result_frame(r_expected, w_conflicts, w_reevals)
+    decoded = unpack_result_frame(memoryview(frame))
+    assert _typed(list(decoded)) == _typed([r_expected, w_conflicts, w_reevals])
+
+
+@pytest.mark.parametrize("bad", [{"nested": 1}, 2**63, {1, 2}, b"raw"])
+def test_lane_codec_refuses_what_it_cannot_reproduce(bad):
+    with pytest.raises(UnencodableValue):
+        pack_probe_frame([], {"x": [1]}, [], [], [], [bad], [1], [2], [3], True)
+    with pytest.raises(UnencodableValue):
+        pack_result_frame([bad], [], [])
+    with pytest.raises(UnencodableValue):
+        pack_result_frame([], [None], [[(bad, 1, None)]])
 
 
 # ----------------------------------------------------------------------
