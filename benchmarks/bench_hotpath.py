@@ -346,11 +346,12 @@ def run_smoke_gate():
     if m.min_item() != (0, "again"):
         failures.append("SortedMap reuse after pop_below broken")
 
-    # Gate 5: batched ingestion must take the staged batch kernel.  Its
-    # per-stage counters advance only inside ``receive_many``'s kernel
-    # and are exact functions of the history, so a regression back to
-    # per-op dispatch (counters stay zero) or a kernel that silently
-    # drops/duplicates probe work fails deterministically — no timing.
+    # Gate 5: the staged batch kernel does the work it reports.  Its
+    # per-stage counters advance one batch per ``receive_many`` call
+    # (``receive`` is a batch of one) and are exact functions of the
+    # history, so a kernel that silently drops/duplicates probe work —
+    # or a batch split differently from what was handed in — fails
+    # deterministically, no timing.
     from repro.bench import cached_default_history
     from repro.histories.model import OpKind
 

@@ -32,7 +32,7 @@ Garbage collection (:meth:`Aion.collect_below`, implemented once for all
 online checkers by :class:`~repro.core.spill.SpillingGc`) transfers
 frontier versions, writer intervals, and resident transactions below a
 GC-safe timestamp to a disk :class:`~repro.core.spill.SpillStore`; the
-checker transparently reloads overlapping segments when a severely
+checker transparently reloads the spilled segments when a severely
 delayed transaction forces a query below the in-memory boundary.
 
 Per-arrival complexity is ``O(log N + M)`` plus the size of the affected
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.common import BOTTOM, SessionTracker, simulate_transaction_ops, values_match
+from repro.core.common import BOTTOM, SessionTracker
 from repro.core.ext_status import (
     EV_ACTUAL,
     EV_EXPECTED,
@@ -110,6 +110,26 @@ class AionConfig:
     optimized_recheck: bool = True
 
 
+def _stable_violations(
+    pre: Optional[List[Violation]],
+    tid: int,
+    session_violation: Optional[Violation],
+    int_mismatches: Optional[List[Tuple[str, Any, Any]]],
+) -> List[Violation]:
+    """Extend an arrival's verdicts that no later arrival can change
+    (``pre``: its Eq. 1 violation, if any) with its SESSION and INT
+    violations, in the order Algorithm 3 reports them."""
+    if pre is None:
+        pre = []
+    if session_violation is not None:
+        pre.append(session_violation)
+    for key, expected, actual in int_mismatches or ():
+        pre.append(
+            IntViolation(axiom=Axiom.INT, tid=tid, key=key, expected=expected, actual=actual)
+        )
+    return pre
+
+
 class Aion(SpillingGc):
     """Online SI checker over key-value histories.
 
@@ -122,6 +142,16 @@ class Aion(SpillingGc):
         Defaults to :func:`time.monotonic`; the online experiment runner
         injects a virtual clock so timeout behaviour is deterministic.
     """
+
+    #: SI reads a transaction's snapshot at its *start* timestamp.  The
+    #: one substitution that turns the kernel into the SER checker (§VI)
+    #: is to ignore start timestamps — :class:`~repro.core.aion_ser.
+    #: AionSer` sets this; ``receive_many`` reads it once per batch.
+    _ignores_start_ts = False
+    _APPEND_ERROR = (
+        "Aion checks key-value histories online; list (append) "
+        "histories are checked offline by Chronos"
+    )
 
     def __init__(
         self,
@@ -151,106 +181,19 @@ class Aion(SpillingGc):
     # ------------------------------------------------------------------
 
     def receive(self, txn: Transaction) -> None:
-        """Process one incoming transaction (ONLINE_CHECK_SI, Algorithm 3).
-
-        The single-arrival twin of :meth:`receive_many`: identical
-        semantics (the differential suite asserts it), but paying the
-        clock read, timer-queue advancement, deadline arming, and
-        structure lookups per call — a batch can amortize those, one
-        arrival cannot.
-        """
-        now = self._clock()
-        self._ext.advance_to(now)
-
-        if txn.start_ts > txn.commit_ts:  # Eq. 1 (lines 3:4–3:5)
-            self._report(
-                TimestampOrderViolation(
-                    axiom=Axiom.TS_ORDER,
-                    tid=txn.tid,
-                    start_ts=txn.start_ts,
-                    commit_ts=txn.commit_ts,
-                )
-            )
-            return
-
-        for op in txn.ops:
-            if op.kind is OpKind.APPEND:
-                raise ValueError(
-                    "Aion checks key-value histories online; list (append) "
-                    "histories are checked offline by Chronos"
-                )
-
-        # Severely delayed transaction below the GC boundary: restore ALL
-        # spilled state (reload-on-demand, ▧); see receive_many.
-        if self._collected_upto is not None and txn.start_ts <= self._collected_upto:
-            self._reload_below(None)
-
-        violation = self._sessions.observe(txn)  # lines 3:7–3:10
-        if violation is not None:
-            self._report(violation)
-
-        tid = txn.tid
-
-        # ---- step ①: INT immediately, EXT tentatively (lines 3:11–3:25).
-        writes = simulate_transaction_ops(
-            txn,
-            lambda key: self._visible_value(key, txn.start_ts),
-            lambda key, exp, act: None,  # EXT handled below with tracking
-            lambda key, exp, act: self._report(
-                IntViolation(axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act)
-            ),
-        )
-        for key, op in txn.external_reads.items():
-            expected = self._visible_value(key, txn.start_ts)
-            self._ext.track(
-                tid, key, txn.start_ts, op.value, ok=values_match(expected, op.value),
-                expected=expected, now=now,
-            )
-            self._ext_reads.add(key, txn.start_ts, tid, op.value)
-
-        # ---- step ②: NOCONFLICT re-check via interval overlap.
-        for key in writes:
-            for hit in self._writers.overlapping(
-                key, txn.start_ts, txn.commit_ts, exclude_tid=tid
-            ):
-                self._report_conflict(txn, hit.owner, hit.end, key)
-            self._writers.add(key, txn.start_ts, txn.commit_ts, tid)
-
-        # ---- step ③: EXT re-check for snapshots that now see T's writes.
-        for key, value in writes.items():
-            nxt = self._frontier.insert_and_next(key, txn.commit_ts, value, tid)
-            next_ts = nxt[0] if nxt is not None else None
-            if self.config.optimized_recheck:
-                for _, reader_tid, actual in self._ext_reads.affected_by(
-                    key, txn.commit_ts, next_ts
-                ):
-                    if reader_tid == tid:
-                        continue
-                    self._ext.reevaluate(reader_tid, key, actual == value, value, now)
-            else:
-                for snapshot_ts, reader_tid, actual in self._ext_reads.affected_by(
-                    key, 0, None
-                ):
-                    if reader_tid == tid:
-                        continue
-                    expected = self._visible_value(key, snapshot_ts)
-                    self._ext.reevaluate(
-                        reader_tid, key, values_match(expected, actual), expected, now
-                    )
-
-        self._resident[tid] = txn
-        self._resident_cts_pending.append((txn.commit_ts, tid))
-        self.processed += 1
-        self._ext.arm_timer(tid, now)  # line 3:3
+        """Process one incoming transaction: a batch of one."""
+        self.receive_many([txn])
 
     def receive_many(self, txns) -> None:
         """Process a batch of arrivals through the staged batch kernel.
 
-        Semantically identical to calling :meth:`receive` per transaction
-        with a clock frozen for the duration of the batch (the
-        differential suite asserts the equivalence), but structured as
+        The one implementation of Algorithm 3: equivalent to receiving the
+        batch's transactions one at a time under a clock frozen for the
+        duration of the batch (every split of a stream into batches gives
+        the same reports in the same order, which the differential suite
+        asserts against each other and against Chronos), but structured as
         three flat passes over parallel op arrays instead of a per-
-        transaction walk of Algorithm 3:
+        transaction walk:
 
         **route** — decode the batch into columnar arrays (read keys /
         snapshot points / readers / observed values; write keys / values /
@@ -267,7 +210,7 @@ class Aion(SpillingGc):
 
         **verdict** — track all EXT verdicts in one bulk call, then walk
         the batch in arrival order emitting violations and applying
-        re-evaluations, so reported order matches the per-op path.
+        re-evaluations, so reports come out in arrival order.
 
         Correctness: per-key operations preserve arrival order within
         each stream (a transaction's reads precede its writes, matching
@@ -278,11 +221,15 @@ class Aion(SpillingGc):
         originate from writes later in its key's stream than the pair's
         own read.
 
-        This is the only SI batch kernel: :class:`~repro.core.sharded.
-        ShardedAion` inherits it whole and overrides two seams —
-        :meth:`_new_key_streams` (where the route pass files each key's
-        stream) and :meth:`_probe` (which structures the streams run
-        against).
+        Every online checker runs this method.  :class:`~repro.core.
+        sharded.ShardedAion` overrides two seams — :meth:`_new_key_streams`
+        (where the route pass files each key's stream) and :meth:`_probe`
+        (which structures the streams run against);
+        :class:`~repro.core.aion_ser.AionSer` overrides :meth:`_probe`
+        and sets :attr:`_ignores_start_ts`, which here selects the
+        snapshot column (commit instead of start timestamp), keeps an
+        Eq. 1 offender in the batch (reported and checked, not counted)
+        and moves the reload test to the commit timestamp.
         """
         # Validate the whole batch before mutating any state: a rejected
         # append mid-loop would otherwise leave earlier batch members
@@ -290,26 +237,21 @@ class Aion(SpillingGc):
         batch = txns if isinstance(txns, ColumnarBatch) else None
         if batch is not None:
             if batch.has_appends:
-                raise ValueError(
-                    "Aion checks key-value histories online; list (append) "
-                    "histories are checked offline by Chronos"
-                )
+                raise ValueError(self._APPEND_ERROR)
         else:
             if not isinstance(txns, (list, tuple)):
                 txns = list(txns)
             for txn in txns:
                 for op in txn.ops:
                     if op.kind is OpKind.APPEND:
-                        raise ValueError(
-                            "Aion checks key-value histories online; list (append) "
-                            "histories are checked offline by Chronos"
-                        )
+                        raise ValueError(self._APPEND_ERROR)
         now = self._clock()
         ext = self._ext
         ext.advance_to(now)
         if not txns:
             return
         optimized = self.config.optimized_recheck
+        ignores_start = self._ignores_start_ts
         collected = self._collected_upto
         stats = self._kernel_stats
         perf_counter = time.perf_counter
@@ -323,52 +265,39 @@ class Aion(SpillingGc):
             stats.max_batch = n
 
         # Reload-on-demand (▧), hoisted to the batch boundary: a severely
-        # delayed transaction below the GC boundary forces ALL spilled
-        # state back (the step-③ re-check range is bounded by *next*
-        # versions, which may sit in higher segments), and the ablation
-        # re-checks arbitrarily old snapshot points on every write.
-        # Reloading before the batch instead of at the transaction's
-        # sequence point is verdict-equivalent: reloaded data is strictly
-        # older than each key's retained newest-evictable version, so no
-        # floor/successor query issued by the preceding above-boundary
-        # transactions can observe it.
+        # delayed transaction — one accepted with its snapshot point at
+        # or below the GC boundary — forces ALL spilled state back (the
+        # step-③ re-check range is bounded by *next* versions, which may
+        # sit in higher segments), and the ablation re-checks arbitrarily
+        # old snapshot points on every write.  Reloading before the batch
+        # instead of at the transaction's sequence point is verdict-
+        # equivalent: reloaded data is strictly older than each key's
+        # retained newest-evictable version, so no floor/successor query
+        # issued by the preceding above-boundary transactions can observe
+        # it.
         if self._spill is not None and len(self._spill) > 0:
-            need_reload = False
             if batch is not None:
-                starts = batch.starts
-                commits = batch.commits
-                offsets = batch.op_offsets
-                kinds = batch.op_kinds
-                if collected is not None:
-                    for position in range(n):
-                        start_ts = starts[position]
-                        if start_ts <= collected and start_ts <= commits[position]:
-                            need_reload = True
-                            break
-                if not need_reload and not optimized:
-                    for position in range(n):
-                        if starts[position] > commits[position]:
-                            continue
-                        if 1 in kinds[offsets[position] : offsets[position + 1]]:
-                            need_reload = True
-                            break
+                starts, commits = batch.starts, batch.commits
+                offsets, kinds = batch.op_offsets, batch.op_kinds
+
+                def has_write(position: int) -> bool:
+                    return 1 in kinds[offsets[position] : offsets[position + 1]]
             else:
-                if collected is not None:
-                    for txn in txns:
-                        if txn.start_ts <= collected and txn.start_ts <= txn.commit_ts:
-                            need_reload = True
-                            break
-                if not need_reload and not optimized:
-                    for txn in txns:
-                        if txn.start_ts > txn.commit_ts:
-                            continue
-                        for op in txn.ops:
-                            if op.kind is OpKind.WRITE:
-                                need_reload = True
-                                break
-                        if need_reload:
-                            break
-            if need_reload:
+                starts = [txn.start_ts for txn in txns]
+                commits = [txn.commit_ts for txn in txns]
+
+                def has_write(position: int) -> bool:
+                    return any(op.kind is OpKind.WRITE for op in txns[position].ops)
+
+            snapshots = commits if ignores_start else starts
+            accepted = (
+                range(n)
+                if ignores_start
+                else [p for p in range(n) if starts[p] <= commits[p]]
+            )
+            if (
+                collected is not None and any(snapshots[p] <= collected for p in accepted)
+            ) or (not optimized and any(map(has_write, accepted))):
                 self._reload_below(None)
 
         # ---- route: decode into flat parallel arrays + per-key streams.
@@ -395,11 +324,14 @@ class Aion(SpillingGc):
         w_starts_append = w_starts.append
         w_cts_append = w_cts.append
         w_tids_append = w_tids.append
-        # Per txn: (txn, pre-violations, w_lo, w_hi) — or None for Eq. 1
-        # rejects, which own no probe work (their pre-violation is kept in
-        # batch position so report order matches the per-op path).
+        # Per checked txn: (txn, stable violations, w_lo, w_hi).  An Eq. 1
+        # offender is rejected — no entry, no probe work, its violation
+        # kept under its batch position so reports stay in arrival order —
+        # unless the checker ignores start timestamps: then it is reported
+        # and checked like any other arrival, just not counted as processed.
         entries: List[Tuple[Transaction, Optional[List[Violation]], int, int]] = []
         rejected: Dict[int, Violation] = {}
+        n_uncounted = 0
         if batch is not None:
             # Columnar arrivals (wire frames, packed WALs): route straight
             # off the batch's flat arrays — no Operation objects, no
@@ -411,6 +343,7 @@ class Aion(SpillingGc):
             tids_col = batch.tids
             starts_col = batch.starts
             commits_col = batch.commits
+            snapshots_col = commits_col if ignores_start else starts_col
             offsets_col = batch.op_offsets
             kinds_col = batch.op_kinds
             keys_col = batch.op_keys
@@ -423,35 +356,31 @@ class Aion(SpillingGc):
                 lo = offsets_col[position]
                 hi = offsets_col[position + 1]
                 stats.route_ops += hi - lo
+                pre: Optional[List[Violation]] = None
                 if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
-                    rejected[position] = TimestampOrderViolation(
+                    offender = TimestampOrderViolation(
                         axiom=Axiom.TS_ORDER,
                         tid=tid,
                         start_ts=start_ts,
                         commit_ts=commit_ts,
                     )
-                    continue
+                    if not ignores_start:
+                        rejected[position] = offender
+                        continue
+                    pre = [offender]
+                    n_uncounted += 1
+                snapshot_ts = snapshots_col[position]
                 txn = transaction_at(position)
                 violation = sessions.observe(txn)  # lines 3:7–3:10
                 external, writes, int_mismatches = resolve_columns(
                     kinds_col, keys_col, vals_col, lo, hi
                 )
-                pre: Optional[List[Violation]] = None
                 if violation is not None or int_mismatches is not None:
-                    pre = []
-                    if violation is not None:
-                        pre.append(violation)
-                    if int_mismatches is not None:
-                        for key, exp, act in int_mismatches:
-                            pre.append(
-                                IntViolation(
-                                    axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act
-                                )
-                            )
+                    pre = _stable_violations(pre, tid, violation, int_mismatches)
                 for key, value in external:
                     key_streams[key].append(len(r_keys) << 1)
                     r_keys_append(key)
-                    r_ts_append(start_ts)
+                    r_ts_append(snapshot_ts)
                     r_tids_append(tid)
                     r_vals_append(value)
                 w_lo = len(w_keys)
@@ -469,32 +398,28 @@ class Aion(SpillingGc):
                 start_ts = txn.start_ts
                 commit_ts = txn.commit_ts
                 stats.route_ops += len(txn.ops)
+                pre = None
                 if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
-                    rejected[position] = TimestampOrderViolation(
+                    offender = TimestampOrderViolation(
                         axiom=Axiom.TS_ORDER,
                         tid=tid,
                         start_ts=start_ts,
                         commit_ts=commit_ts,
                     )
-                    continue
+                    if not ignores_start:
+                        rejected[position] = offender
+                        continue
+                    pre = [offender]
+                    n_uncounted += 1
+                snapshot_ts = commit_ts if ignores_start else start_ts
                 violation = sessions.observe(txn)  # lines 3:7–3:10
                 writes, int_mismatches = resolve_writes(txn.ops)
-                pre = None
                 if violation is not None or int_mismatches is not None:
-                    pre = []
-                    if violation is not None:
-                        pre.append(violation)
-                    if int_mismatches is not None:
-                        for key, exp, act in int_mismatches:
-                            pre.append(
-                                IntViolation(
-                                    axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act
-                                )
-                            )
+                    pre = _stable_violations(pre, tid, violation, int_mismatches)
                 for key, op in txn.external_reads.items():
                     key_streams[key].append(len(r_keys) << 1)
                     r_keys_append(key)
-                    r_ts_append(start_ts)
+                    r_ts_append(snapshot_ts)
                     r_tids_append(tid)
                     r_vals_append(op.value)
                 w_lo = len(w_keys)
@@ -575,7 +500,7 @@ class Aion(SpillingGc):
             resident[tid] = txn
             pending_cts((txn.commit_ts, tid))
             armed_append(tid)
-        self.processed += len(armed)
+        self.processed += len(armed) - n_uncounted
         stats.verdict_reevals += n_reevals
         stats.verdict_conflicts += n_conflicts
         ext.arm_timers(armed, now)  # line 3:3
@@ -606,7 +531,7 @@ class Aion(SpillingGc):
                 )
 
     # ------------------------------------------------------------------
-    # Kernel seams (overridden by ShardedAion)
+    # Kernel seams (overridden by ShardedAion and AionSer)
     # ------------------------------------------------------------------
 
     def _new_key_streams(self) -> Dict[str, List[int]]:
@@ -714,21 +639,6 @@ class Aion(SpillingGc):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _visible_value(self, key: str, ts: int) -> Any:
-        version = self._frontier.latest_at(key, ts)
-        # A floor below the collected boundary may be stale (or absent):
-        # newer versions still <= ts can live in spilled segments.
-        if (
-            self._spill is not None
-            and self._collected_upto is not None
-            and ts <= self._collected_upto
-        ):
-            spilled_min = self._spill.min_spilled_ts()
-            if spilled_min is not None and spilled_min <= ts:
-                self._reload_below(ts)
-                version = self._frontier.latest_at(key, ts)
-        return BOTTOM if version is None else version[1]
 
     def _report(self, violation: Violation) -> None:
         self._result.add(violation)

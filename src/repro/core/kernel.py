@@ -1,20 +1,32 @@
 """Shared pieces of the staged batch ingestion kernel.
 
-The checkers' ``receive_many`` hot paths share one shape (PR 6): a
-**route** pass decodes an arrival batch into flat parallel op arrays and
-per-key groupings, a **frontier probe** pass walks those arrays against
-the versioned structures, and a **verdict** pass applies the collected
-results — tracking, re-evaluations, conflict reports — in arrival order.
-This module holds the pieces common to :class:`~repro.core.aion.Aion`
-(whose kernel :class:`~repro.core.sharded.ShardedAion` inherits) and
-:class:`~repro.core.aion_ser.AionSer`:
+There is one kernel: :meth:`repro.core.aion.Aion.receive_many`, a
+**route** pass that decodes an arrival batch into flat parallel op
+arrays and per-key op streams, a **frontier probe** pass that walks
+those streams against the versioned structures
+(:func:`~repro.core.versioned.probe_columns`), and a **verdict** pass
+that applies the collected results — tracking, re-evaluations, conflict
+reports — in arrival order.  ``receive(txn)`` is a batch of one.  The
+three online checkers, and what each overrides:
+
+- :class:`~repro.core.aion.Aion` — the kernel; probes its own
+  structures, SI visibility.
+- :class:`~repro.core.sharded.ShardedAion` — ``_new_key_streams``
+  (streams filed per shard) and ``_probe`` (each shard probes its own
+  structures).
+- :class:`~repro.core.aion_ser.AionSer` — ``_ignores_start_ts``
+  (snapshot = commit timestamp, Eq. 1 reported not rejected) and
+  ``_probe`` (no writer intervals, strict floor).
+
+This module holds the pieces the route pass is built from:
 
 - :class:`KernelStats` — per-stage operation counters, exposed through
   each checker's ``kernel_stats`` property and the service ``STATS``
   response, so the hot path is observable without a profiler (and so CI
   can gate on deterministic op counts instead of wall-clock).
-- :func:`resolve_writes` — the route pass's callback-free transaction
-  simulation: the INT rules of
+- :func:`resolve_writes` / :func:`resolve_columns` — the route pass's
+  callback-free transaction simulation over ``Operation`` objects resp.
+  a columnar batch's flat op arrays: the INT rules of
   :func:`~repro.core.common.simulate_transaction_ops` for register
   histories, returning the resolved final writes plus any INT mismatches
   as plain tuples instead of driving per-op callbacks through lambdas.
@@ -32,10 +44,11 @@ __all__ = ["KernelStats", "resolve_writes", "resolve_columns"]
 class KernelStats:
     """Per-stage operation counters of the staged batch kernel.
 
-    Counters are cumulative over the checker's lifetime and advanced only
-    by the batch kernel (``receive_many``); the per-op reference path
-    (``receive``) leaves them untouched, which is exactly what lets the
-    smoke gate detect a regression back to per-op dispatch.
+    Counters are cumulative over the checker's lifetime and advance with
+    the work the kernel routes: one batch per ``receive_many`` call, so
+    one batch (of one transaction) per ``receive`` call too.  They are
+    derivable from the history alone, which is what lets the smoke gate
+    pin them to exact values instead of wall-clock.
     """
 
     __slots__ = (

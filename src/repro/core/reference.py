@@ -5,8 +5,12 @@ suite *demonstrates* it differentially: after any prefix of arrivals, the
 final verdicts of Aion (with an infinite timeout, so nothing finalizes
 early) must equal the verdicts of Chronos run offline on exactly the
 transactions received so far.  :class:`ReferenceOnlineChecker` provides
-the Chronos side of that comparison, and :func:`normalize_violations`
-maps both checkers' reports onto a common comparable set:
+the Chronos side of that comparison — it is the reference implementation
+of the online checkers: there is one batch kernel and no second walk of
+its structures to compare it with, so the kernel's differential tests
+(``tests/test_batch_kernel.py``) hold every batch split to this replay —
+and :func:`normalize_violations` maps both checkers' reports onto a
+common comparable set:
 
 - Chronos reports one NOCONFLICT record per (transaction, key) naming the
   *set* of later overlapping writers, while Aion discovers conflicts

@@ -392,10 +392,6 @@ class ShardedAion(Aion):
     # Receiving transactions: Aion.receive_many, with two seams overridden
     # ------------------------------------------------------------------
 
-    def receive(self, txn: Transaction) -> None:
-        """Process one transaction (a batch of one)."""
-        self.receive_many([txn])
-
     def receive_many_threadsafe(self, txns: List[Transaction]) -> None:
         """Batch ingestion under :attr:`ingest_lock` — the entry point
         for multi-threaded frontends (one batch at a time wins the lock;

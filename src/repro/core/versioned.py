@@ -9,7 +9,8 @@ quadratic; these classes store the equivalent information *per key*:
 - :class:`VersionedFrontier` — for every key, versions ordered by commit
   timestamp, ``commit_ts -> (value, tid)``.  ``frontier_ts[ts][k]`` of
   the paper is exactly :meth:`VersionedFrontier.latest_at` (greatest
-  version with ``commit_ts <= ts``); the strict variant serves Aion-SER.
+  version with ``commit_ts <= ts``); Aion-SER reads the greatest version
+  strictly below (:func:`probe_columns`, ``strict``).
   Keys with at most a handful of versions — the overwhelming majority
   under skewed workloads — are kept in a pair of plain parallel lists
   and only *promoted* to a :class:`~repro.util.sortedmap.SortedMap`
@@ -23,8 +24,22 @@ quadratic; these classes store the equivalent information *per key*:
   their snapshot point, so EXT re-checking (step ③) touches only reads
   whose visible version actually changed.
 
-All three support eviction below a GC-safe timestamp and re-merging of
-reloaded segments (the ``GARBAGE COLLECT`` / reload-on-demand protocol).
+The frontier and the writer intervals support eviction below a GC-safe
+timestamp and re-merging of reloaded segments (the ``GARBAGE COLLECT`` /
+reload-on-demand protocol); pending reads are never evicted — a read
+leaves the index when its verdict is finalized.
+
+The checkers read and write all three through one batched entry point,
+:func:`probe_columns`, which applies the small-key fast paths inline.
+The one-query methods that stay public beside it say the same thing per
+call and must be kept in lockstep with its inline branches
+(``tests/test_versioned.py`` holds both to the same answers):
+``insert_and_next_ts`` / ``WriterIntervals.add`` re-insert reloaded
+segments, which arrive as columns, not streams; ``value_at`` serves the
+ablation branch; ``insert_and_next_ts``, ``overlap_add``,
+``ExtReadIndex.add`` and ``affected_by`` / ``collect_affected`` are what
+the ladder benchmark's structure rungs time (the last is also the
+promoted-key sweep); ``latest_at`` is how tests inspect state.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.util.intervals import Interval, IntervalIndex
+from repro.util.intervals import IntervalIndex
 from repro.util.sizeof import register_sizer
 from repro.util.sortedmap import SortedMap
 
@@ -112,28 +127,7 @@ class VersionedFrontier:
 
     def insert(self, key: str, commit_ts: int, value: Any, tid: int) -> None:
         """Record that ``tid`` committed ``value`` for ``key`` at ``commit_ts``."""
-        versions = self._by_key.get(key)
-        payload = (value, tid)
-        if versions is None:
-            self._by_key[key] = ([commit_ts], [payload])
-            self._n_versions += 1
-            return
-        if type(versions) is tuple:
-            timestamps, payloads = versions
-            j = bisect_left(timestamps, commit_ts)
-            if j < len(timestamps) and timestamps[j] == commit_ts:
-                payloads[j] = payload
-                return
-            timestamps.insert(j, commit_ts)
-            payloads.insert(j, payload)
-            self._n_versions += 1
-            if len(timestamps) == 2:
-                self._multi.add(key)
-            elif len(timestamps) > _SMALL_MAX:
-                self._by_key[key] = SortedMap._from_sorted(timestamps, payloads)
-            return
-        if not versions.set_item(commit_ts, payload):
-            self._n_versions += 1
+        self.insert_and_next_ts(key, commit_ts, value, tid)
 
     def latest_at(self, key: str, ts: int) -> Optional[FrontierVersion]:
         """Greatest version with ``commit_ts <= ts`` (SI visibility, Def. 6)."""
@@ -174,116 +168,14 @@ class VersionedFrontier:
             return default
         return item[1][0]
 
-    def latest_before(self, key: str, ts: int) -> Optional[FrontierVersion]:
-        """Greatest version with ``commit_ts < ts`` (serial predecessor)."""
-        versions = self._by_key.get(key)
-        if versions is None:
-            return None
-        if type(versions) is tuple:
-            timestamps, payloads = versions
-            j = bisect_left(timestamps, ts) - 1
-            if j < 0:
-                return None
-            value, tid = payloads[j]
-            return (timestamps[j], value, tid)
-        item = versions.lower_item(ts)
-        if item is None:
-            return None
-        commit_ts, (value, tid) = item
-        return (commit_ts, value, tid)
-
-    def value_before(self, key: str, ts: int, default: Any = None) -> Any:
-        """The strict-predecessor *value* at ``ts``, or ``default``.
-
-        Equivalent to ``latest_before(key, ts)[1]`` without materializing
-        the version tuple — the Aion-SER batch kernel issues this query
-        per external read.
-        """
-        versions = self._by_key.get(key)
-        if versions is None:
-            return default
-        if type(versions) is tuple:
-            timestamps = versions[0]
-            j = bisect_left(timestamps, ts) - 1
-            if j < 0:
-                return default
-            return versions[1][j][0]
-        item = versions.lower_item(ts)
-        if item is None:
-            return default
-        return item[1][0]
-
-    def next_after(self, key: str, ts: int) -> Optional[FrontierVersion]:
-        """Least version with ``commit_ts > ts`` (the overwriting version)."""
-        versions = self._by_key.get(key)
-        if versions is None:
-            return None
-        if type(versions) is tuple:
-            timestamps, payloads = versions
-            j = bisect_right(timestamps, ts)
-            if j == len(timestamps):
-                return None
-            value, tid = payloads[j]
-            return (timestamps[j], value, tid)
-        item = versions.higher_item(ts)
-        if item is None:
-            return None
-        commit_ts, (value, tid) = item
-        return (commit_ts, value, tid)
-
-    def insert_and_next(
-        self, key: str, commit_ts: int, value: Any, tid: int
-    ) -> Optional[FrontierVersion]:
-        """Insert a version and return the one overwriting it, in one pass.
-
-        Equivalent to :meth:`next_after` followed by :meth:`insert`, but a
-        single descent — the exact pair of operations step ③ performs per
-        written key.
-        """
-        versions = self._by_key.get(key)
-        payload = (value, tid)
-        if versions is None:
-            self._by_key[key] = ([commit_ts], [payload])
-            self._n_versions += 1
-            return None
-        if type(versions) is tuple:
-            timestamps, payloads = versions
-            j = bisect_left(timestamps, commit_ts)
-            n = len(timestamps)
-            if j < n and timestamps[j] == commit_ts:
-                payloads[j] = payload
-            else:
-                timestamps.insert(j, commit_ts)
-                payloads.insert(j, payload)
-                self._n_versions += 1
-                n += 1
-                if n == 2:
-                    self._multi.add(key)
-            if j + 1 < n:
-                next_ts = timestamps[j + 1]
-                next_value, next_tid = payloads[j + 1]
-                result = (next_ts, next_value, next_tid)
-            else:
-                result = None
-            if n > _SMALL_MAX:
-                self._by_key[key] = SortedMap._from_sorted(timestamps, payloads)
-            return result
-        was_present, successor = versions.set_and_higher(commit_ts, payload)
-        if not was_present:
-            self._n_versions += 1
-        if successor is None:
-            return None
-        next_ts, (next_value, next_tid) = successor
-        return (next_ts, next_value, next_tid)
-
     def insert_and_next_ts(
         self, key: str, commit_ts: int, value: Any, tid: int
     ) -> Optional[int]:
-        """:meth:`insert_and_next` returning only the successor timestamp.
+        """Insert a version and return the commit timestamp of the one
+        overwriting it (``None`` when it is the newest), in one descent.
 
-        The batch kernel's step ③ needs just the next-overwrite bound for
-        the affected-reader sweep; skipping the version-tuple build per
-        written key is measurable at batch scale.
+        Step ③ needs just that next-overwrite bound for the affected-
+        reader sweep, so no successor version tuple is built.
         """
         versions = self._by_key.get(key)
         payload = (value, tid)
@@ -365,30 +257,13 @@ class VersionedFrontier:
     def merge(self, columns: VersionColumns) -> None:
         """Re-insert previously evicted versions (reload-on-demand)."""
         keys, counts, commits, values, tids = columns
-        insert = self.insert
+        insert = self.insert_and_next_ts
         lo = 0
         for key, count in zip(keys, counts):
             hi = lo + count
             for row in range(lo, hi):
                 insert(key, commits[row], values[row], tids[row])
             lo = hi
-
-    def min_retained_ts(self) -> Optional[int]:
-        """Smallest version timestamp still in memory, across all keys."""
-        smallest: Optional[int] = None
-        for versions in self._by_key.values():
-            if type(versions) is tuple:
-                timestamps = versions[0]
-                if not timestamps:
-                    continue
-                ts = timestamps[0]
-            else:
-                if len(versions) == 0:
-                    continue
-                ts, _ = versions.min_item()
-            if smallest is None or ts < smallest:
-                smallest = ts
-        return smallest
 
 
 class WriterIntervals:
@@ -445,22 +320,6 @@ class WriterIntervals:
             rep.insert(start_ts, commit_ts, tid)
         self._n_intervals += 1
 
-    def overlapping(self, key: str, start_ts: int, commit_ts: int, *, exclude_tid: int) -> List[Interval]:
-        """All writer intervals of ``key`` overlapping ``[start_ts, commit_ts]``."""
-        rep = self._by_key.get(key)
-        if rep is None:
-            return []
-        if type(rep) is tuple:
-            ends, starts, owners = rep
-            j = bisect_left(ends, start_ts)
-            return [
-                Interval(starts[i], ends[i], owners[i])
-                for i in range(j, len(ends))
-                if starts[i] <= commit_ts and owners[i] != exclude_tid
-            ]
-        hits = rep.overlapping(Interval(start_ts, commit_ts))
-        return [hit for hit in hits if hit.owner != exclude_tid]
-
     def overlap_add(
         self, key: str, start_ts: int, commit_ts: int, tid: int
     ) -> List[Tuple[int, int]]:
@@ -468,8 +327,8 @@ class WriterIntervals:
 
         Returns ``(owner_tid, owner_commit_ts)`` pairs for every interval
         of ``key`` overlapping ``[start_ts, commit_ts]`` excluding ``tid``
-        itself, then records ``tid``'s own interval — one index descent
-        for what :meth:`overlapping` + :meth:`add` do in two.
+        itself, then records ``tid``'s own interval (:meth:`add`) in the
+        same index descent.
         """
         rep = self._by_key.get(key)
         if rep is None:
@@ -777,46 +636,24 @@ class ExtReadIndex:
         version's commit timestamp is that version's own writer and sees
         the new version.
         """
-        index = self._by_key.get(key)
-        if index is None:
-            return
-        if type(index) is tuple:
-            ts_list, readers_list = index
-            lo = bisect_left(ts_list, version_ts)
-            if next_version_ts is None:
-                hi = len(ts_list)
-            elif upper_inclusive:
-                hi = bisect_right(ts_list, next_version_ts)
-            else:
-                hi = bisect_left(ts_list, next_version_ts)
-            for j in range(lo, hi):
-                snapshot_ts = ts_list[j]
-                entry = readers_list[j]
-                if type(entry) is list:
-                    for tid, actual in list(entry):
-                        yield snapshot_ts, tid, actual
-                else:
-                    yield snapshot_ts, entry[0], entry[1]
-            return
-        for snapshot_ts, entry in index.irange(
-            version_ts, next_version_ts, inclusive=(True, upper_inclusive)
-        ):
-            if type(entry) is list:
-                for tid, actual in list(entry):
-                    yield snapshot_ts, tid, actual
-            else:
-                yield snapshot_ts, entry[0], entry[1]
+        return iter(
+            self.collect_affected(
+                key, version_ts, next_version_ts, None, upper_inclusive=upper_inclusive
+            )
+        )
 
     def collect_affected(
         self,
         key: str,
         version_ts: int,
         next_version_ts: Optional[int],
-        exclude_tid: int,
+        exclude_tid: Optional[int],
         *,
         upper_inclusive: bool = False,
     ) -> List[Tuple[int, int, Any]]:
-        """List-returning :meth:`affected_by` with the self-reader filter.
+        """:meth:`affected_by` as a list, without the reads of
+        ``exclude_tid`` (the writer never re-checks its own read; ``None``
+        excludes nobody).
 
         The batch kernel's probe pass materializes re-check sets anyway
         (verdict application happens in a later pass); returning a plain
@@ -863,53 +700,33 @@ class ExtReadIndex:
                 out.append((range_ts[j], entry[0], entry[1]))
         return out
 
-    def evict_below(self, ts: int) -> Dict[str, List[Tuple[int, int, Any]]]:
-        evicted: Dict[str, List[Tuple[int, int, Any]]] = {}
-        for key, index in self._by_key.items():
-            flat: List[Tuple[int, int, Any]] = []
-            if type(index) is tuple:
-                ts_list, readers_list = index
-                j = bisect_right(ts_list, ts)
-                if not j:
-                    continue
-                for position in range(j):
-                    snapshot_ts = ts_list[position]
-                    entry = readers_list[position]
-                    if type(entry) is list:
-                        for tid, actual in entry:
-                            flat.append((snapshot_ts, tid, actual))
-                    else:
-                        flat.append((snapshot_ts, entry[0], entry[1]))
-                del ts_list[:j]
-                del readers_list[:j]
-            else:
-                removed = index.pop_below(ts, inclusive=True)
-                if not removed:
-                    continue
-                for snapshot_ts, entry in removed:
-                    if type(entry) is list:
-                        for tid, actual in entry:
-                            flat.append((snapshot_ts, tid, actual))
-                    else:
-                        flat.append((snapshot_ts, entry[0], entry[1]))
-            if flat:
-                evicted[key] = flat
-                self._n_reads -= len(flat)
-        return evicted
-
-    def merge(self, segment: Dict[str, List[Tuple[int, int, Any]]]) -> None:
-        for key, reads in segment.items():
-            for snapshot_ts, tid, actual in reads:
-                self.add(key, snapshot_ts, tid, actual)
-
 
 # ----------------------------------------------------------------------
 # Columnar frontier-probe kernel
 # ----------------------------------------------------------------------
 
+class _NoIntervals:
+    """Stands in for ``WriterIntervals._by_key`` when a checker keeps no
+    writer intervals (Aion-SER checks no NOCONFLICT and hands
+    :func:`probe_columns` no :class:`WriterIntervals`): every key maps
+    to this same promoted-looking index, in which step ② finds no
+    overlap and records nothing."""
+
+    __slots__ = ()
+
+    def get(self, key: str) -> "_NoIntervals":
+        return self
+
+    def overlap_add(self, start_ts: int, commit_ts: int, tid: int) -> None:
+        return None
+
+
+_NO_INTERVALS = _NoIntervals()
+
+
 def probe_columns(
     frontier: "VersionedFrontier",
-    writers: "WriterIntervals",
+    writers: Optional["WriterIntervals"],
     ext_reads: "ExtReadIndex",
     key_streams: Dict[str, List[int]],
     r_ts: List[int],
@@ -922,26 +739,36 @@ def probe_columns(
     optimized: bool,
     bottom: Any,
     results: Optional[Tuple[List[Any], List[Any], List[Any]]] = None,
+    strict: bool = False,
 ) -> Tuple[List[Any], List[Optional[List[Tuple[int, int]]]], List[Optional[list]]]:
     """Execute the batch kernel's frontier-probe pass over per-key streams.
 
     ``key_streams`` maps each key to its arrival-ordered op stream:
     ``index << 1`` encodes the external read at flat position ``index``,
-    ``index << 1 | 1`` the write at that position.  The SI semantics are
-    exactly those of :meth:`VersionedFrontier.value_at` +
-    :meth:`ExtReadIndex.add` per read and
-    :meth:`WriterIntervals.overlap_add` +
-    :meth:`VersionedFrontier.insert_and_next_ts` +
-    :meth:`ExtReadIndex.collect_affected` per write, in stream order.
+    ``index << 1 | 1`` the write at that position.  Per read (step ①) the
+    visibility floor at the read's snapshot point is resolved and the
+    read is indexed; per write, step ② queries and extends the key's
+    writer intervals and step ③ inserts the version and sweeps the reads
+    whose floor it became, all in stream order.
 
-    The pass lives here rather than in the checker because this layer
-    owns all three per-key structures: each key's representation is
-    fetched **once per stream** instead of once per op, and the adaptive
-    small-key fast paths (plain parallel lists) are applied inline —
-    dropping one dict descent and several method frames per operation.
-    The inline branches are line-for-line twins of the per-op methods
-    named above; keep them in lockstep (the kernel-vs-reference
-    differential suite pins the equivalence).
+    The pass lives here rather than in a checker because this layer
+    owns all three structures: each key's representation is fetched
+    **once per stream** instead of once per op, and the adaptive small-
+    key fast paths (plain parallel lists) are applied inline — dropping
+    one dict descent and several method frames per operation (see the
+    module docstring for the public methods that mirror them).
+
+    The two isolation levels differ in three places, all bound before
+    the loop.  SI (``strict=False``): a read sees the greatest version
+    at or below its snapshot point, and a version inserted at ``cts``
+    with successor ``next`` becomes the floor of the reads in
+    ``[cts, next)``.  SER (``strict=True``, §VI): the snapshot point is
+    the reader's own commit timestamp, so the floor is the greatest
+    version *strictly below* it and the sweep closes at its upper end,
+    ``[cts, next]`` — the reader committing exactly at ``next`` wrote
+    that version and reads below itself.  SER also keeps no writer
+    intervals: ``writers`` is ``None`` and step ② does nothing.  The
+    ablation (``optimized=False``) is defined for SI only.
 
     Returns ``(r_expected, w_conflicts, w_reevals)``: the visibility
     floor per read, and per write slot the NOCONFLICT hits and affected
@@ -956,10 +783,20 @@ def probe_columns(
         results = ([None] * len(r_ts), [None] * len(w_cts), [None] * len(w_cts))
     r_expected, w_conflicts, w_reevals = results
 
+    if strict:
+        if not optimized:
+            raise ValueError("the unoptimized re-check ablation is defined for SI only")
+        floor_end = bisect_left
+        floor_item = SortedMap.lower_item
+        sweep_end = bisect_right
+    else:
+        floor_end = bisect_right
+        floor_item = SortedMap.floor_item
+        sweep_end = bisect_left
     f_by_key = frontier._by_key
     f_multi_add = frontier._multi.add
     e_by_key = ext_reads._by_key
-    w_by_key = writers._by_key
+    w_by_key = _NO_INTERVALS if writers is None else writers._by_key
     value_at = frontier.value_at
     collect_affected = ext_reads.collect_affected
     new_versions = 0
@@ -1041,7 +878,7 @@ def probe_columns(
                     nxt_ts = None if successor is None else successor[0]
                 if optimized:
                     # Inline twin of collect_affected for the small rep
-                    # (``ev`` is already in hand; upper bound exclusive).
+                    # (``ev`` is already in hand).
                     if ev is None:
                         pass
                     elif type(ev) is tuple:
@@ -1050,7 +887,7 @@ def probe_columns(
                         hi = (
                             len(ts_list)
                             if nxt_ts is None
-                            else bisect_left(ts_list, nxt_ts)
+                            else sweep_end(ts_list, nxt_ts)
                         )
                         if lo < hi:
                             out = []
@@ -1066,7 +903,9 @@ def probe_columns(
                             if out:
                                 w_reevals[index] = out
                     else:
-                        affected = collect_affected(key, commit_ts, nxt_ts, tid)
+                        affected = collect_affected(
+                            key, commit_ts, nxt_ts, tid, upper_inclusive=strict
+                        )
                         if affected:
                             w_reevals[index] = affected
                 else:
@@ -1087,10 +926,10 @@ def probe_columns(
                     r_expected[index] = bottom
                 elif type(fv) is tuple:
                     timestamps = fv[0]
-                    j = bisect_right(timestamps, snapshot_ts) - 1
+                    j = floor_end(timestamps, snapshot_ts) - 1
                     r_expected[index] = fv[1][j][0] if j >= 0 else bottom
                 else:
-                    item = fv.floor_item(snapshot_ts)
+                    item = floor_item(fv, snapshot_ts)
                     r_expected[index] = bottom if item is None else item[1][0]
                 pair = (r_tids[index], r_vals[index])
                 if ev is None:
@@ -1124,7 +963,8 @@ def probe_columns(
     # path pays no second per-op counter.
     n_writes = new_versions + overwrites
     frontier._n_versions += new_versions
-    writers._n_intervals += n_writes
+    if writers is not None:
+        writers._n_intervals += n_writes
     ext_reads._n_reads += sum(map(len, key_streams.values())) - n_writes
     return results
 

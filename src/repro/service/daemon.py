@@ -1480,7 +1480,8 @@ class CheckerService:
             "repro_wire_decode_errors_total", "Undecodable wire messages by codec", ("codec",)
         )
         self._m_kernel_batches = m.counter(
-            "repro_kernel_batches_total", "Batches routed through the staged kernel"
+            "repro_kernel_batches_total",
+            "Batches routed through the staged kernel (a receive() call is a batch of one)",
         )
         self._m_kernel_txns = m.counter(
             "repro_kernel_txns_total", "Transactions decoded by the kernel route pass"

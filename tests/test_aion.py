@@ -161,6 +161,18 @@ class TestInputHandling:
         with pytest.raises(ValueError, match="offline"):
             aion.receive(txn)
 
+    def test_eq1_offender_with_append_is_refused_untouched(self):
+        """``receive`` is a batch of one, and a batch is validated whole
+        before any state changes: an Eq. 1 offender that also carries an
+        append raises, it is not reported as TS_ORDER and skipped."""
+        aion = make_aion()
+        b = HistoryBuilder(with_init=False)
+        txn = b.txn(sid=1, start=9, commit=3, ops=[append("l", 1)])
+        with pytest.raises(ValueError, match="offline"):
+            aion.receive(txn)
+        assert aion.finalize().violations == []
+        assert aion.processed == 0 and aion.kernel_stats.batches == 0
+
     def test_session_violation_online(self):
         aion = make_aion()
         b = HistoryBuilder(keys=["x"])

@@ -192,12 +192,13 @@ class TestEmptyGcReportContract:
 INF = AionConfig(timeout=float("inf"))
 ABLATION = AionConfig(timeout=float("inf"), optimized_recheck=False)
 
-#: name -> (constructor, level, per-op ``receive`` instead of batches)
+#: name -> (constructor, level, ``receive`` per arrival — a batch of one,
+#: so a below-boundary arrival reloads mid-plan — instead of whole batches)
 DELAYED_CHECKERS = {
     "aion": (lambda: Aion(INF, clock=lambda: 0.0), "si", False),
     "aion-per-op": (lambda: Aion(INF, clock=lambda: 0.0), "si", True),
-    # The ablation re-checks arbitrarily old snapshot points through
-    # ``_visible_value``, the one reader of a segment's ``min_ts``.
+    # The ablation re-checks arbitrarily old snapshot points: every
+    # arrival that writes forces the spilled segments back.
     "aion-ablation-per-op": (lambda: Aion(ABLATION, clock=lambda: 0.0), "si", True),
     "aion-ser": (lambda: AionSer(INF, clock=lambda: 0.0), "ser", False),
     "aion-ser-per-op": (lambda: AionSer(INF, clock=lambda: 0.0), "ser", True),

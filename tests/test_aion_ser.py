@@ -1,5 +1,7 @@
 """Tests for Aion-SER, the online serializability checker."""
 
+import pytest
+
 from repro.core.aion_ser import AionSer
 from repro.core.aion import Aion, AionConfig
 from repro.core.chronos_ser import ChronosSer
@@ -9,7 +11,7 @@ from repro.core.sharded import ShardedAion
 from repro.core.violations import Axiom
 from repro.db.faults import HistoryFaultInjector
 from repro.histories.builder import HistoryBuilder
-from repro.histories.ops import read, write
+from repro.histories.ops import append, read, write
 from repro.online.clock import SimClock
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
@@ -109,6 +111,44 @@ class TestSessionsAndTimeouts:
         offline = ChronosSer().check(si_history)
         assert normalize_violations(result) == normalize_violations(offline)
         assert not result.is_valid  # SI history is not serializable here
+
+
+class TestWhatSerDoesNotInheritFromSi:
+    def test_ablation_is_refused(self):
+        """``optimized_recheck=False`` is an SI ablation (its re-check
+        resolves expected values with the non-strict floor): AionSer
+        refuses it instead of ignoring the flag or mis-checking."""
+        with pytest.raises(ValueError, match="SI ablation"):
+            AionSer(AionConfig(optimized_recheck=False))
+        AionSer(AionConfig(optimized_recheck=True)).close()
+
+    def test_no_writer_intervals(self):
+        """No NOCONFLICT, no writer index — not even an empty one — and
+        the size / scan / GC answers say so."""
+        b = HistoryBuilder(keys=["x"])
+        b.txn(sid=1, ops=[write("x", 1)])
+        b.txn(sid=2, ops=[read("x", 1), write("x", 2)])
+        history = b.build()
+        ser, si = make_ser(), Aion(AionConfig(timeout=float("inf")), clock=lambda: 0.0)
+        for checker in (ser, si):
+            checker.receive_many(history.transactions)
+        assert not hasattr(ser, "_writers")
+        assert ser.scan_step_totals() == (0, 0)
+        assert 0 < ser.estimated_bytes() < si.estimated_bytes()
+        report = ser.collect_below(None)
+        assert report.evicted_intervals == 0 and report.evicted_versions == 2
+        assert si.collect_below(None).evicted_intervals == 2
+        ser.close()
+        si.close()
+
+    def test_eq1_offender_with_append_is_refused_untouched(self):
+        checker = make_ser()
+        b = HistoryBuilder(with_init=False)
+        txn = b.txn(sid=1, start=9, commit=3, ops=[append("l", 1)])
+        with pytest.raises(ValueError, match="Chronos-SER"):
+            checker.receive(txn)
+        assert checker.finalize().violations == []
+        assert checker.processed == 0 and checker.kernel_stats.batches == 0
 
 
 class TestProcessedCountsAcceptedOnly:

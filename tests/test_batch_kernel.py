@@ -1,17 +1,20 @@
-"""Differential tests: the staged batch kernel ≡ per-op dispatch.
+"""Differential tests: the staged batch kernel under every batch split.
 
-``receive_many`` was rebuilt (PR 6) as a three-pass kernel — route the
+``receive_many`` is the one implementation of Algorithm 3 — route the
 batch into flat op arrays, probe the versioned structures, apply the
-verdicts in arrival order — while ``receive`` keeps the original
-per-transaction dispatch as the reference implementation.  These tests
-pin the refactor's whole claim: for any history (clean, fault-injected,
-or a textbook anomaly), any session-respecting arrival order, and any
-batch partition of that order — including single-transaction batches and
-batches straddling GC cycles — both paths yield the identical violation
-multiset.  The kernel's per-stage counters are pinned too: they advance
-deterministically with the routed work and never on the per-op path,
-which is what lets the benchmark smoke gate catch a silent regression
-back to per-op dispatch.
+verdicts in arrival order — and ``receive(txn)`` is
+``receive_many([txn])`` on every checker.  These tests pin batch-split
+invariance: for any history (clean, fault-injected, or a textbook
+anomaly), any session-respecting arrival order, and any partition of
+that order into batches — a batch per arrival, batches straddling GC
+cycles, the whole stream at once — the checker yields the identical
+violation multiset, and that multiset is the offline oracle's
+(``ReferenceOnlineChecker``: Chronos / Chronos-SER replaying what was
+received, which shares no structure with the kernel).  Ordered reports
+and the flip-flop counters are pinned the same way, and so are the
+kernel's per-stage counters: they advance deterministically with the
+routed work, one batch per call, which is what lets the benchmark smoke
+gate catch a kernel that stopped doing the work it reports.
 """
 
 from random import Random
@@ -23,11 +26,15 @@ from hypothesis import strategies as st
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
 from repro.core.colpack import pack_columnar, unpack_columnar
-from repro.core.reference import normalize_violations
+from repro.core.reference import ReferenceOnlineChecker, normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.histories.anomalies import ANOMALY_CATALOG
 
-from test_differential import session_respecting_shuffle, small_history
+from test_differential import (
+    session_respecting_shuffle,
+    small_history,
+    split_session_verdicts,
+)
 
 INF = AionConfig(timeout=float("inf"))
 
@@ -47,11 +54,8 @@ def make_checker(kind):
 
 
 def per_op_verdicts(kind, txns, *, gc_every=None):
-    """Reference: one transaction at a time through ``receive``.
-
-    ShardedAion routes ``receive`` through the kernel as a batch of one,
-    so its reference is single-shard per-op Aion instead.
-    """
+    """One transaction at a time through ``receive`` — a batch per
+    arrival.  ShardedAion is held to single-shard Aion."""
     checker = make_checker("aion" if kind == "sharded" else kind)
     for index, txn in enumerate(txns):
         checker.receive(txn)
@@ -82,6 +86,14 @@ def kernel_verdicts(kind, txns, *, batch_size, gc_every=None):
         checker.close()
 
 
+def oracle_verdicts(kind, txns):
+    """The offline checker over exactly the transactions received."""
+    oracle = ReferenceOnlineChecker("ser" if kind == "ser" else "si")
+    for txn in txns:
+        oracle.receive(txn)
+    return normalize_violations(oracle.result())
+
+
 KINDS = ["aion", "aion-ablation", "ser", "sharded"]
 
 
@@ -89,11 +101,12 @@ KINDS = ["aion", "aion-ablation", "ser", "sharded"]
 @pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
 def test_kernel_matches_per_op_on_anomaly_catalog(kind, name):
     """Every textbook anomaly, every arrival order of its tiny history,
-    every batch split: kernel ≡ per-op."""
+    every batch split: kernel ≡ per-op ≡ the offline oracle."""
     history = ANOMALY_CATALOG[name].build()
     for shuffle_seed in range(4):
         arrival = session_respecting_shuffle(history, Random(shuffle_seed))
         expected = per_op_verdicts(kind, arrival)
+        assert expected[0] == oracle_verdicts(kind, arrival), (name, shuffle_seed)
         for batch_size in (1, 2, len(arrival)):
             got = kernel_verdicts(kind, arrival, batch_size=batch_size)
             assert got == expected, (name, shuffle_seed, batch_size)
@@ -113,6 +126,11 @@ def test_kernel_matches_per_op_property(kind, seed, shuffle_seed, faults, batch_
     expected = per_op_verdicts(kind, arrival)
     got = kernel_verdicts(kind, arrival, batch_size=batch_size)
     assert got == expected
+    # Timestamp faults may move a SESSION report to another member of the
+    # same broken session (arrival order vs start-timestamp order).
+    assert split_session_verdicts(got[0], history) == split_session_verdicts(
+        oracle_verdicts(kind, arrival), history
+    )
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -133,6 +151,7 @@ def test_kernel_matches_per_op_straddling_gc(kind, seed, shuffle_seed, batch_siz
     expected = per_op_verdicts(kind, arrival, gc_every=gc_every)
     got = kernel_verdicts(kind, arrival, batch_size=batch_size, gc_every=gc_every)
     assert got == expected
+    assert got[0] == oracle_verdicts(kind, arrival)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -185,20 +204,37 @@ def test_kernel_counters_deterministic(kind):
         checker.close()
 
 
-def test_per_op_path_leaves_counters_untouched():
-    """The reference path must NOT advance kernel counters — the smoke
-    gate relies on counters proving batches actually took the kernel."""
-    history = small_history(11, n=30)
+COUNTERS = (
+    "batches", "txns", "max_batch", "route_ops", "probe_reads", "probe_writes",
+    "verdict_tracks", "verdict_reevals", "verdict_conflicts",
+)
+
+
+def test_receive_is_a_batch_of_one():
+    """``receive(txn)`` is ``receive_many([txn])``: after every arrival the
+    two leave equal kernel counters (one batch per call), ``processed``,
+    ordered ``result.violations`` and ``poll()`` output."""
+    history = small_history(11, n=60, faults=4)
     arrival = session_respecting_shuffle(history, Random(11))
-    checker = Aion(INF, clock=lambda: 0.0)
-    try:
-        for txn in arrival:
-            checker.receive(txn)
-        assert checker.kernel_stats.batches == 0
-        assert checker.kernel_stats.txns == 0
-        assert checker.kernel_stats.probe_reads == 0
-    finally:
-        checker.close()
+    for kind in KINDS:
+        single, batched = make_checker(kind), make_checker(kind)
+        try:
+            for count, txn in enumerate(arrival, 1):
+                single.receive(txn)
+                batched.receive_many([txn])
+                stats = single.kernel_stats.as_dict()
+                assert stats["batches"] == stats["txns"] == count
+                assert stats["max_batch"] == 1
+                other = batched.kernel_stats.as_dict()
+                assert [stats[name] for name in COUNTERS] == [other[name] for name in COUNTERS]
+                assert single.processed == batched.processed
+                assert single.poll() == batched.poll()
+                assert single.result.violations == batched.result.violations
+            assert single.finalize().violations == batched.finalize().violations
+            assert single.result.violations, kind
+        finally:
+            single.close()
+            batched.close()
 
 
 def test_empty_and_singleton_batches():
@@ -230,11 +266,6 @@ def test_sharded_columnar_batches_equal_object_batches(n_shards, executor):
     objects — reach a worker process."""
     history = small_history(29, n=150, faults=6)
     arrival = session_respecting_shuffle(history, Random(29))
-    counters = (
-        "batches", "txns", "max_batch", "route_ops", "probe_reads", "probe_writes",
-        "verdict_tracks", "verdict_reevals", "verdict_conflicts",
-    )
-
     def run(columnar):
         checker = ShardedAion(INF, n_shards=n_shards, clock=lambda: 0.0, executor=executor)
         try:
@@ -250,7 +281,7 @@ def test_sharded_columnar_batches_equal_object_batches(n_shards, executor):
                 polls,
                 list(checker.finalize().violations),
                 checker.processed,
-                {name: stats[name] for name in counters},
+                {name: stats[name] for name in COUNTERS},
                 [row["last_batch_commands"] for row in checker.shard_stats()],
             )
         finally:
@@ -264,3 +295,53 @@ def test_sharded_columnar_batches_equal_object_batches(n_shards, executor):
         reference.receive_many(arrival[offset : offset + 32])
     assert list(reference.finalize().violations) == objects[1]
     reference.close()
+
+
+def ordered_run(kind, arrival, batch_size, *, columnar=False):
+    """Final *ordered* report list, ``processed`` and the flip-flop
+    counters of one checker fed ``arrival`` in ``batch_size`` batches
+    (``receive`` per arrival at batch size 1)."""
+    checker = make_checker(kind)
+    try:
+        for offset in range(0, len(arrival), batch_size):
+            batch = arrival[offset : offset + batch_size]
+            if columnar:
+                checker.receive_many(unpack_columnar(pack_columnar(batch))[0])
+            elif batch_size == 1:
+                checker.receive(batch[0])
+            else:
+                checker.receive_many(batch)
+        reports = list(checker.finalize().violations)
+        flips = checker.flipflop_stats
+        return reports, checker.processed, flips.flip_histogram(), sorted(flips.flipped_tids)
+    finally:
+        checker.close()
+
+
+@pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
+def test_ser_report_order_is_batch_split_invariant(name):
+    """Not the same multiset — the same *list*, for AionSer on the kernel
+    it now shares with Aion: every batch size, as objects and as decoded
+    wire columns."""
+    history = ANOMALY_CATALOG[name].build()
+    for shuffle_seed in range(4):
+        arrival = session_respecting_shuffle(history, Random(shuffle_seed))
+        expected = ordered_run("ser", arrival, 1)
+        for batch_size in (1, 2, 7, len(arrival)):
+            for columnar in (False, True):
+                got = ordered_run("ser", arrival, batch_size, columnar=columnar)
+                assert got == expected, (name, shuffle_seed, batch_size, columnar)
+
+
+@pytest.mark.parametrize("kind", ["aion", "ser"])
+@pytest.mark.parametrize("seed", range(6))
+def test_flipflops_are_batch_split_invariant(kind, seed):
+    """Figs 13–14 are drawn from ``flipflop_stats`` through
+    ``online/runner.py``, which calls ``receive``: the flip histogram and
+    the flipped transactions must not depend on how arrivals are batched."""
+    history = small_history(seed, n=200, faults=4)
+    arrival = session_respecting_shuffle(history, Random(seed))
+    expected = ordered_run(kind, arrival, 1)
+    assert sum(expected[2].values()) > 0, "the shuffled stream must flip verdicts"
+    for batch_size in (2, 7, 50, len(arrival)):
+        assert ordered_run(kind, arrival, batch_size) == expected, batch_size

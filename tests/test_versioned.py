@@ -1,6 +1,57 @@
-"""Tests for Aion's timestamp-versioned structures."""
+"""Tests for Aion's timestamp-versioned structures.
 
-from repro.core.versioned import ExtReadIndex, VersionedFrontier, WriterIntervals
+The structures are written through one batched entry point,
+``probe_columns``, and a handful of one-query methods that say the same
+thing per call (``value_at``, ``insert_and_next_ts``, ``overlap_add``,
+``add``, ``collect_affected``).  The per-query tests below go through
+the methods; ``TestProbeColumns`` holds the batched pass to the same
+answers, in both visibility modes and both key representations.
+"""
+
+from random import Random
+
+import pytest
+
+from repro.core import versioned
+from repro.core.versioned import (
+    ExtReadIndex,
+    VersionedFrontier,
+    WriterIntervals,
+    probe_columns,
+)
+from repro.util.sortedmap import SortedMap
+
+BOTTOM = object()
+
+
+def probe(frontier, writers, reads, key, ops, *, strict=False, optimized=True):
+    """Run ``ops`` on one key through ``probe_columns``, in order.
+
+    An op is ``("r", snapshot_ts, tid, actual)`` or
+    ``("w", start_ts, commit_ts, tid, value)``; returns one answer per op:
+    the expected value of a read, ``(conflicts, re-check rows)`` of a write.
+    """
+    r_ts, r_tids, r_vals = [], [], []
+    w_vals, w_starts, w_cts, w_tids = [], [], [], []
+    stream = []
+    for op in ops:
+        if op[0] == "r":
+            stream.append(len(r_ts) << 1)
+            for column, value in zip((r_ts, r_tids, r_vals), op[1:]):
+                column.append(value)
+        else:
+            stream.append(len(w_cts) << 1 | 1)
+            for column, value in zip((w_starts, w_cts, w_tids, w_vals), op[1:]):
+                column.append(value)
+    r_expected, w_conflicts, w_reevals = probe_columns(
+        frontier, writers, reads, {key: stream},
+        r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids,
+        optimized, BOTTOM, strict=strict,
+    )
+    return [
+        (w_conflicts[code >> 1], w_reevals[code >> 1]) if code & 1 else r_expected[code >> 1]
+        for code in stream
+    ]
 
 
 class TestVersionedFrontier:
@@ -14,25 +65,28 @@ class TestVersionedFrontier:
         assert f.latest_at("x", 99) == (20, "b", 2)
 
     def test_latest_before_strict(self):
+        """The serial predecessor (Aion-SER's floor) is the strict mode
+        of the probe pass: a version at the snapshot point is not seen."""
         f = VersionedFrontier()
         f.insert("x", 10, "a", 1)
-        assert f.latest_before("x", 10) is None
-        assert f.latest_before("x", 11) == (10, "a", 1)
+        reads = [("r", 10, 7, None), ("r", 11, 8, None)]
+        assert probe(f, None, ExtReadIndex(), "x", reads, strict=True) == [BOTTOM, "a"]
+        assert probe(f, WriterIntervals(), ExtReadIndex(), "x", reads) == ["a", "a"]
 
     def test_next_after(self):
+        """The overwriting version is what an insert reports back."""
         f = VersionedFrontier()
         f.insert("x", 10, "a", 1)
         f.insert("x", 20, "b", 2)
-        assert f.next_after("x", 10) == (20, "b", 2)
-        assert f.next_after("x", 20) is None
-        assert f.next_after("y", 0) is None
+        assert f.insert_and_next_ts("x", 10, "a", 1) == 20
+        assert f.insert_and_next_ts("x", 20, "b", 2) is None
+        assert f.insert_and_next_ts("y", 0, "c", 3) is None
 
     def test_out_of_order_insert(self):
         f = VersionedFrontier()
         f.insert("x", 20, "b", 2)
-        f.insert("x", 10, "a", 1)  # arrives late
+        assert f.insert_and_next_ts("x", 10, "a", 1) == 20  # arrives late
         assert f.latest_at("x", 15) == (10, "a", 1)
-        assert f.next_after("x", 10) == (20, "b", 2)
 
     def test_evict_keeps_newest_per_key(self):
         f = VersionedFrontier()
@@ -60,12 +114,6 @@ class TestVersionedFrontier:
         f.insert("y", 5, "b", 2)
         assert len(f) == 2
 
-    def test_min_retained_ts(self):
-        f = VersionedFrontier()
-        assert f.min_retained_ts() is None
-        f.insert("x", 30, "a", 1)
-        f.insert("y", 10, "b", 2)
-        assert f.min_retained_ts() == 10
 
 
 class TestWriterIntervals:
@@ -73,14 +121,15 @@ class TestWriterIntervals:
         w = WriterIntervals()
         w.add("x", 1, 5, tid=1)
         w.add("x", 4, 9, tid=2)
-        hits = w.overlapping("x", 4, 9, exclude_tid=2)
-        assert [h.owner for h in hits] == [1]
-        assert w.overlapping("x", 1, 5, exclude_tid=1)[0].owner == 2
+        # (owner, owner's commit_ts) per overlapping interval, never the
+        # querying writer's own.
+        assert w.overlap_add("x", 4, 9, 2) == [(1, 5)]
+        assert w.overlap_add("x", 1, 5, 1) == [(2, 9), (2, 9)]
 
     def test_keys_are_independent(self):
         w = WriterIntervals()
         w.add("x", 1, 5, tid=1)
-        assert w.overlapping("y", 0, 100, exclude_tid=0) == []
+        assert w.overlap_add("y", 0, 100, 0) == []
 
     def test_evict_and_merge(self):
         w = WriterIntervals()
@@ -91,7 +140,7 @@ class TestWriterIntervals:
         assert len(w) == 1
         w.merge(segment)
         assert len(w) == 2
-        assert {h.owner for h in w.overlapping("x", 0, 20, exclude_tid=0)} == {1, 2}
+        assert w.overlap_add("x", 0, 20, 0) == [(1, 4), (2, 14)]
 
 
 class TestExtReadIndex:
@@ -144,35 +193,152 @@ class TestExtReadIndex:
         idx.remove("x", 10, tid=2)
         assert len(idx) == 0
 
-    def test_evict_merge_roundtrip(self):
-        idx = ExtReadIndex()
-        idx.add("x", 10, tid=1, actual="a")
-        idx.add("x", 50, tid=2, actual="b")
-        segment = idx.evict_below(20)
-        assert segment == {"x": [(10, 1, "a")]}
-        assert len(idx) == 1
-        idx.merge(segment)
-        assert len(idx) == 2
-
-    def test_evict_flattens_shared_snapshots(self):
-        idx = ExtReadIndex()
-        idx.add("x", 10, tid=1, actual="a")
-        idx.add("x", 10, tid=2, actual="b")
-        segment = idx.evict_below(20)
-        assert segment == {"x": [(10, 1, "a"), (10, 2, "b")]}
-        assert len(idx) == 0
-        idx.merge(segment)
-        assert len(idx) == 2
-
 
 class TestInsertAndNext:
     def test_matches_next_after_then_insert(self):
         f = VersionedFrontier()
         f.insert("x", 20, "b", 2)
-        assert f.insert_and_next("x", 10, "a", 1) == (20, "b", 2)
-        assert f.insert_and_next("x", 30, "c", 3) is None
+        assert f.insert_and_next_ts("x", 10, "a", 1) == 20
+        assert f.insert_and_next_ts("x", 30, "c", 3) is None
         assert len(f) == 3
         # Overwrite does not inflate the version count.
-        assert f.insert_and_next("x", 10, "a2", 1) == (20, "b", 2)
+        assert f.insert_and_next_ts("x", 10, "a2", 1) == 20
         assert len(f) == 3
         assert f.latest_at("x", 15) == (10, "a2", 1)
+
+
+def random_ops(rng, n):
+    """A single key's stream: unique commit timestamps in random order,
+    snapshot points that collide with them and with each other."""
+    commits = rng.sample(range(10, 10 + 4 * n, 2), n)
+    ops = []
+    for tid, commit_ts in enumerate(commits):
+        snapshot_ts = rng.choice([commit_ts, commit_ts - 1, rng.randrange(5, 10 + 4 * n)])
+        ops.append(("r", snapshot_ts, tid, rng.choice("abc")))
+        if rng.random() < 0.7:
+            ops.append(("w", max(0, commit_ts - rng.randrange(1, 12)), commit_ts, tid, f"v{tid}"))
+    return ops
+
+
+def model(ops, *, strict):
+    """Brute-force answers to ``ops`` under SI (``strict=False``) or SER
+    visibility, with writer intervals only under SI."""
+    versions, reads, intervals, answers = {}, [], [], []
+    for op in ops:
+        if op[0] == "r":
+            _, snapshot_ts, tid, actual = op
+            below = [ts for ts in versions if (ts < snapshot_ts if strict else ts <= snapshot_ts)]
+            answers.append(versions[max(below)] if below else BOTTOM)
+            reads.append((snapshot_ts, tid, actual))
+        else:
+            _, start_ts, commit_ts, tid, value = op
+            hits = None
+            if not strict:
+                hits = [
+                    (owner, end)
+                    for end, start, owner in intervals
+                    if end >= start_ts and start <= commit_ts and owner != tid
+                ]
+                hits = sorted(hits) or None
+                intervals.append((commit_ts, start_ts, tid))
+            versions[commit_ts] = value
+            above = [ts for ts in versions if ts > commit_ts]
+            upper = min(above) if above else float("inf")
+            affected = sorted(
+                (row for row in reads
+                 if row[1] != tid and commit_ts <= row[0]
+                 and (row[0] <= upper if strict else row[0] < upper)),
+                key=lambda row: row[0],
+            ) or None
+            answers.append((hits, affected))
+    return answers
+
+
+def conflicts_sorted(answer):
+    """A promoted key's IntervalIndex lists overlaps by start, the small
+    representation by end: compare a write's conflicts as a sorted list."""
+    if type(answer) is tuple and answer[0] is not None:
+        return sorted(answer[0]), answer[1]
+    return answer
+
+
+def by_methods(frontier, writers, reads, key, ops):
+    """The SI pass spelled with the one-query methods ``probe_columns``
+    inlines — what the ladder's structure rungs time."""
+    answers = []
+    for op in ops:
+        if op[0] == "r":
+            _, snapshot_ts, tid, actual = op
+            answers.append(frontier.value_at(key, snapshot_ts, BOTTOM))
+            reads.add(key, snapshot_ts, tid, actual)
+        else:
+            _, start_ts, commit_ts, tid, value = op
+            hits = writers.overlap_add(key, start_ts, commit_ts, tid)
+            next_ts = frontier.insert_and_next_ts(key, commit_ts, value, tid)
+            affected = reads.collect_affected(key, commit_ts, next_ts, tid)
+            answers.append((hits or None, affected or None))
+    return answers
+
+
+class TestProbeColumns:
+    @pytest.fixture(params=["small", "promoted"])
+    def representation(self, request, monkeypatch):
+        """Keys promote to SortedMap / IntervalIndex past ``_SMALL_MAX``
+        entries (4096: no stream in the suite gets there), so the
+        promoted branches are reached by lowering the threshold."""
+        if request.param == "promoted":
+            monkeypatch.setattr(versioned, "_SMALL_MAX", 3)
+        return request.param
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_brute_force_model(self, representation, strict, seed):
+        ops = random_ops(Random(seed), 40)
+        frontier, reads = VersionedFrontier(), ExtReadIndex()
+        writers = None if strict else WriterIntervals()
+        # Several calls, so later ones start from promoted keys.
+        got = []
+        for lo in range(0, len(ops), 25):
+            got += probe(frontier, writers, reads, "k", ops[lo : lo + 25], strict=strict)
+        assert [conflicts_sorted(answer) for answer in got] == model(ops, strict=strict)
+        promoted = representation == "promoted"
+        assert isinstance(frontier._by_key["k"], SortedMap) == promoted
+        assert isinstance(reads._by_key["k"], SortedMap) == promoted
+        assert len(reads) == sum(op[0] == "r" for op in ops)
+        assert len(frontier) == sum(op[0] == "w" for op in ops)
+        if writers is not None:
+            assert len(writers) == len(frontier)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inline_branches_match_the_methods(self, representation, seed):
+        ops = random_ops(Random(100 + seed), 40)
+        inline = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        spelled = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        assert probe(*inline, "k", ops) == by_methods(*spelled, "k", ops)
+        for a, b in zip(inline, spelled):
+            assert len(a) == len(b)
+        assert inline[0].evict_below(10**9) == spelled[0].evict_below(10**9)
+        assert inline[1].evict_below(10**9) == spelled[1].evict_below(10**9)
+
+    def test_strict_sweep_closes_at_the_next_version(self):
+        """SER: the reader committing exactly at the next version's
+        timestamp wrote that version and reads below itself, so a version
+        slotted in underneath becomes its predecessor; under SI the same
+        snapshot point already sees the next version."""
+        ops = [
+            ("w", 0, 25, 9, "next"),
+            ("r", 25, 9, "late"),
+            ("w", 0, 15, 5, "late"),
+        ]
+        frontier, reads = VersionedFrontier(), ExtReadIndex()
+        assert probe(frontier, None, reads, "x", ops, strict=True) == [
+            (None, None), BOTTOM, (None, [(25, 9, "late")]),
+        ]
+        frontier, reads = VersionedFrontier(), ExtReadIndex()
+        assert probe(frontier, WriterIntervals(), reads, "x", ops) == [
+            (None, None), "next", ([(9, 25)], None),
+        ]
+
+    def test_ablation_is_si_only(self):
+        with pytest.raises(ValueError, match="SI only"):
+            probe(VersionedFrontier(), None, ExtReadIndex(), "x", [], strict=True, optimized=False)
