@@ -21,31 +21,7 @@ Quickstart::
     assert result.is_valid
 """
 
-from repro.core import (
-    Aion,
-    AionConfig,
-    AionSer,
-    Axiom,
-    CheckResult,
-    Chronos,
-    ChronosSer,
-    GcMode,
-    ShardedAion,
-    Violation,
-)
-from repro.histories import (
-    History,
-    HistoryBuilder,
-    Operation,
-    OpKind,
-    Transaction,
-    append,
-    load_history,
-    read,
-    read_list,
-    save_history,
-    write,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -73,3 +49,31 @@ __all__ = [
     "write",
     "__version__",
 ]
+
+# Resolved on first access, through the (equally lazy) subpackages.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Aion": "repro.core",
+        "AionConfig": "repro.core",
+        "AionSer": "repro.core",
+        "Axiom": "repro.core",
+        "CheckResult": "repro.core",
+        "Chronos": "repro.core",
+        "ChronosSer": "repro.core",
+        "GcMode": "repro.core",
+        "ShardedAion": "repro.core",
+        "Violation": "repro.core",
+        "History": "repro.histories",
+        "HistoryBuilder": "repro.histories",
+        "OpKind": "repro.histories",
+        "Operation": "repro.histories",
+        "Transaction": "repro.histories",
+        "append": "repro.histories",
+        "load_history": "repro.histories",
+        "read": "repro.histories",
+        "read_list": "repro.histories",
+        "save_history": "repro.histories",
+        "write": "repro.histories",
+    },
+)

@@ -21,22 +21,7 @@ All checkers consume :class:`repro.histories.History` /
 the first violation (§III-B2).
 """
 
-from repro.core.aion import Aion, AionConfig
-from repro.core.aion_ser import AionSer
-from repro.core.chronos import Chronos, ChronosReport, GcMode
-from repro.core.chronos_ser import ChronosSer
-from repro.core.reference import ReferenceOnlineChecker
-from repro.core.sharded import ShardedAion, shard_of
-from repro.core.violations import (
-    Axiom,
-    CheckResult,
-    ConflictViolation,
-    ExtViolation,
-    IntViolation,
-    SessionViolation,
-    TimestampOrderViolation,
-    Violation,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Aion",
@@ -58,3 +43,27 @@ __all__ = [
     "Violation",
     "shard_of",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Aion": "repro.core.aion",
+        "AionConfig": "repro.core.aion",
+        "AionSer": "repro.core.aion_ser",
+        "Chronos": "repro.core.chronos",
+        "ChronosReport": "repro.core.chronos",
+        "GcMode": "repro.core.chronos",
+        "ChronosSer": "repro.core.chronos_ser",
+        "ReferenceOnlineChecker": "repro.core.reference",
+        "ShardedAion": "repro.core.sharded",
+        "shard_of": "repro.core.sharded",
+        "Axiom": "repro.core.violations",
+        "CheckResult": "repro.core.violations",
+        "ConflictViolation": "repro.core.violations",
+        "ExtViolation": "repro.core.violations",
+        "IntViolation": "repro.core.violations",
+        "SessionViolation": "repro.core.violations",
+        "TimestampOrderViolation": "repro.core.violations",
+        "Violation": "repro.core.violations",
+    },
+)

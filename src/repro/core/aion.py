@@ -164,7 +164,7 @@ class Aion(SpillingGc):
         self._frontier = VersionedFrontier()
         self._writers = WriterIntervals()
         self._ext_reads = ExtReadIndex()
-        self._sessions = SessionTracker(mode="si")
+        self._sessions = SessionTracker()
         self._ext = ExtStatusTracker(
             timeout=self.config.timeout,
             on_violation=self._report_ext_violation,
@@ -341,6 +341,8 @@ class Aion(SpillingGc):
             # lazy (``from_parts``): their op tuples materialize only if
             # something off the hot path (GC spill, repr) asks.
             tids_col = batch.tids
+            sids_col = batch.sids
+            snos_col = batch.snos
             starts_col = batch.starts
             commits_col = batch.commits
             snapshots_col = commits_col if ignores_start else starts_col
@@ -371,7 +373,9 @@ class Aion(SpillingGc):
                     n_uncounted += 1
                 snapshot_ts = snapshots_col[position]
                 txn = transaction_at(position)
-                violation = sessions.observe(txn)  # lines 3:7–3:10
+                violation = sessions.observe(  # lines 3:7–3:10
+                    tid, sids_col[position], snos_col[position], snapshot_ts, commit_ts
+                )
                 external, writes, int_mismatches = resolve_columns(
                     kinds_col, keys_col, vals_col, lo, hi
                 )
@@ -412,7 +416,9 @@ class Aion(SpillingGc):
                     pre = [offender]
                     n_uncounted += 1
                 snapshot_ts = commit_ts if ignores_start else start_ts
-                violation = sessions.observe(txn)  # lines 3:7–3:10
+                violation = sessions.observe(  # lines 3:7–3:10
+                    tid, txn.sid, txn.sno, snapshot_ts, commit_ts
+                )
                 writes, int_mismatches = resolve_writes(txn.ops)
                 if violation is not None or int_mismatches is not None:
                     pre = _stable_violations(pre, tid, violation, int_mismatches)

@@ -22,13 +22,13 @@ object and columnar route, verdict walk, timers, resident set), ``poll``,
 ``finalize`` and the reporting helpers unchanged — with
 
 - ``_ignores_start_ts = True``: the kernel reads snapshot points from the
-  commit column, reports an Eq. 1 offender but still checks it at its
-  commit point (uncounted in ``processed``), and tests ``commit_ts``
-  against the GC boundary for reload-on-demand;
+  commit column (so the SESSION rule compares commit timestamps), reports
+  an Eq. 1 offender but still checks it at its commit point (uncounted in
+  ``processed``), and tests ``commit_ts`` against the GC boundary for
+  reload-on-demand;
 - a ``_probe`` that runs :func:`~repro.core.versioned.probe_columns` with
   no writer index and ``strict=True`` (strict floor, closed sweep);
-- session tracking on commit timestamps, and GC / size hooks that know
-  there are no writer intervals.
+- GC / size hooks that know there are no writer intervals.
 
 Like Cobra, Aion-SER is an online SER checker, but it needs no fence
 transactions and keeps checking past violations (Fig 12a/25).
@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.aion import Aion, AionConfig
-from repro.core.common import BOTTOM, SessionTracker
+from repro.core.common import BOTTOM
 from repro.core.versioned import (
     IntervalColumns,
     VersionColumns,
@@ -75,7 +75,6 @@ class AionSer(Aion):
             )
         super().__init__(config, clock=clock)
         del self._writers  # NOCONFLICT is not checked: no writer intervals
-        self._sessions = SessionTracker(mode="ser")
 
     def _probe(
         self,

@@ -13,6 +13,15 @@ order of Definition 5).  Walking the ``2N`` events in one pass it checks:
   transaction from the per-key ``ongoing`` writer sets and reporting any
   writers still in flight.
 
+The walk runs over a :class:`~repro.core.colpack.ColumnarBatch`: events
+are plain ``(ts, phase, tid, index)`` tuples sorted without a key
+function, and each start event replays the transaction's slice of the
+flat op columns through :func:`repro.core.common.simulate`.  A history
+file decoded by :func:`~repro.histories.serialization.load_columns` is
+checked as it is; a :class:`History` or a transaction list is flattened
+once (:meth:`ColumnarBatch.from_transactions`) and takes the same walk —
+there is no second, object-walking path.
+
 Complexity is ``O(N log N + M)``: one sort of the timestamps plus
 amortized constant work per operation (§III-B3).  All violations in a
 history are reported; the checker never stops at the first one.
@@ -31,16 +40,16 @@ import enum
 import gc as _host_gc
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from repro.core.common import BOTTOM, SessionTracker, simulate_transaction_ops
+from repro.core.colpack import ColumnarBatch
+from repro.core.common import SessionTracker, simulate
 from repro.core.violations import (
     Axiom,
     CheckResult,
     ConflictViolation,
-    ExtViolation,
-    IntViolation,
     TimestampOrderViolation,
+    Violation,
 )
 from repro.histories.model import History, Transaction
 
@@ -121,15 +130,19 @@ class Chronos:
         # Live checker state, exposed for the memory sampler.
         self.frontier: Dict[str, object] = {}
         self.ongoing: Dict[str, Set[int]] = {}
+        #: Resolved writes of every started, uncommitted transaction.
         self.int_ext_state: Dict[int, Dict[str, object]] = {}
-        self.retained: List[Transaction] = []
+        #: Tids of processed transactions not yet recycled.
+        self.retained: List[int] = []
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def check(self, history: History) -> CheckResult:
+    def check(self, history: Union[History, ColumnarBatch]) -> CheckResult:
         """Check an entire history for SI; returns all violations found."""
+        if isinstance(history, ColumnarBatch):
+            return self._walk(history, consume=False)
         return self.check_transactions(history.transactions)
 
     def check_transactions(
@@ -138,41 +151,44 @@ class Chronos:
         """Check a list of transactions.
 
         With ``consume=True`` the checker drops its references to
-        processed transactions as it goes (and, under a periodic GC mode,
-        in batches), so that a caller that also relinquishes its own
+        processed work as it goes — the events of each committed
+        transaction, and under a periodic GC mode the retained set in
+        batches — so that a caller that also relinquishes its own
         references observes the diminishing-memory behaviour of §III-B3.
         """
+        return self._walk(ColumnarBatch.from_transactions(transactions), consume)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _walk(self, batch: ColumnarBatch, consume: bool) -> CheckResult:
         result = CheckResult()
+        report_violation = result.violations.append
         report = self.report = ChronosReport(
-            n_transactions=len(transactions),
-            n_operations=sum(len(t.ops) for t in transactions),
+            n_transactions=len(batch), n_operations=len(batch.op_kinds)
         )
 
-        # --- Eq. 1 pre-scan: malformed transactions are reported and
-        # excluded from the simulation so their events cannot poison the
-        # ongoing/frontier state (the paper reports the error inline at
-        # the commit event; the verdict set is identical).
-        valid: List[Transaction] = []
-        for txn in transactions:
-            if txn.start_ts > txn.commit_ts:
-                result.add(
+        # --- Sorting stage (line 2:2).  Eq. 1 offenders are reported here
+        # and excluded from the simulation so their events cannot poison
+        # the ongoing/frontier state (the paper reports the error inline
+        # at the commit event; the verdict set is identical).
+        t0 = time.perf_counter()
+        events: List[Optional[tuple]] = []
+        add_event = events.append
+        for index, (tid, start_ts, commit_ts) in enumerate(
+            zip(batch.tids, batch.starts, batch.commits)
+        ):
+            if start_ts > commit_ts:
+                report_violation(
                     TimestampOrderViolation(
-                        axiom=Axiom.TS_ORDER,
-                        tid=txn.tid,
-                        start_ts=txn.start_ts,
-                        commit_ts=txn.commit_ts,
+                        axiom=Axiom.TS_ORDER, tid=tid, start_ts=start_ts, commit_ts=commit_ts
                     )
                 )
             else:
-                valid.append(txn)
-
-        # --- Sorting stage (line 2:2).
-        t0 = time.perf_counter()
-        events: List[Optional[tuple]] = []
-        for txn in valid:
-            events.append((txn.start_ts, 0, txn))
-            events.append((txn.commit_ts, 1, txn))
-        events.sort(key=_event_key)
+                add_event((start_ts, 0, tid, index))
+                add_event((commit_ts, 1, tid, index))
+        events.sort()  # ties: start before commit, then tid, then arrival
         report.sort_seconds = time.perf_counter() - t0
 
         # --- Checking stage (lines 2:3 – 2:33).
@@ -180,102 +196,71 @@ class Chronos:
         frontier = self.frontier
         ongoing = self.ongoing
         state = self.int_ext_state
-        sessions = SessionTracker(mode="si")
-        resolved_writes: Dict[int, Dict[str, object]] = {}
-        start_index: Dict[int, int] = {}
-        gc_pending = 0
+        retained = self.retained
+        sessions = SessionTracker()
+        int_reports: List[Violation] = []
+        report_int = int_reports.append
+        started_at: Dict[int, int] = {}
+        gc_every = self._gc_every
+        sampler = self._memory_sampler
         processed = 0
 
-        def snapshot_of(key: str) -> object:
-            return frontier.get(key, BOTTOM)
-
-        for index, event in enumerate(events):
-            ts, phase, txn = event  # type: ignore[misc]
-            tid = txn.tid
+        for position, (ts, phase, tid, index) in enumerate(events):  # type: ignore[misc]
             if phase == 0:
-                # ---- start event: SESSION, INT, EXT; register writes.
-                violation = sessions.observe(txn)
-                if violation is not None:
-                    result.add(violation)
-
-                ext_reports: List[ExtViolation] = []
-                int_reports: List[IntViolation] = []
-                writes = simulate_transaction_ops(
-                    txn,
-                    snapshot_of,
-                    lambda key, exp, act: ext_reports.append(
-                        ExtViolation(axiom=Axiom.EXT, tid=tid, key=key, expected=exp, actual=act)
-                    ),
-                    lambda key, exp, act: int_reports.append(
-                        IntViolation(axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act)
-                    ),
+                # ---- start event: SESSION, EXT, INT; register writes.
+                writes = simulate(
+                    batch, index, ts, sessions, frontier, report_violation, report_int
                 )
-                for violation_record in ext_reports:
-                    result.add(violation_record)
-                for violation_record in int_reports:
-                    result.add(violation_record)
-                resolved_writes[tid] = writes
+                if int_reports:
+                    result.violations += int_reports
+                    int_reports.clear()
+                state[tid] = writes
                 for key in writes:
-                    ongoing.setdefault(key, set()).add(tid)
-                state[tid] = writes  # exposed for memory sampling
+                    writers = ongoing.get(key)
+                    if writers is None:
+                        ongoing[key] = {tid}
+                    else:
+                        writers.add(tid)
                 if consume:
-                    start_index[tid] = index
+                    started_at[index] = position
             else:
                 # ---- commit event: NOCONFLICT; advance frontier; GC.
-                writes = resolved_writes.pop(tid, {})
-                for key, value in writes.items():
-                    writers = ongoing.get(key)
-                    if writers is not None:
-                        writers.discard(tid)
-                        if writers:
-                            result.add(
-                                ConflictViolation(
-                                    axiom=Axiom.NOCONFLICT,
-                                    tid=tid,
-                                    key=key,
-                                    conflicting_tids=frozenset(writers),
-                                )
+                for key, value in state.pop(tid, {}).items():  # gc int_val / ext_val (31–32)
+                    writers = ongoing[key]
+                    writers.discard(tid)
+                    if writers:
+                        report_violation(
+                            ConflictViolation(
+                                axiom=Axiom.NOCONFLICT,
+                                tid=tid,
+                                key=key,
+                                conflicting_tids=frozenset(writers),
                             )
-                        else:
-                            del ongoing[key]
+                        )
+                    else:
+                        del ongoing[key]
                     frontier[key] = value
-                state.pop(tid, None)  # gc int_val / ext_val (lines 31–32)
                 processed += 1
-                self.retained.append(txn)
+                retained.append(tid)
                 if consume:
-                    events[index] = None
-                    started_at = start_index.pop(tid, None)
-                    if started_at is not None:
-                        events[started_at] = None
-                if len(self.retained) > report.peak_retained:
-                    report.peak_retained = len(self.retained)
+                    events[position] = events[started_at.pop(index)] = None
+                if gc_every is not None and processed % gc_every == 0:
+                    t_gc = time.perf_counter()
+                    self._run_gc()
+                    report.gc_seconds += time.perf_counter() - t_gc
+                    report.gc_runs += 1
+                if sampler is not None and processed % self._sample_every == 0:
+                    report.memory_samples.append((processed, sampler(self)))
 
-                if self._gc_every is not None:
-                    gc_pending += 1
-                    if gc_pending >= self._gc_every:
-                        gc_pending = 0
-                        t_gc = time.perf_counter()
-                        self._run_gc()
-                        report.gc_seconds += time.perf_counter() - t_gc
-                        report.gc_runs += 1
-
-                if self._memory_sampler is not None and processed % self._sample_every == 0:
-                    report.memory_samples.append((processed, self._memory_sampler(self)))
-
+        report.peak_retained = max(report.peak_retained, len(retained))
         report.check_seconds = time.perf_counter() - t0 - report.gc_seconds
         return result
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
     def _run_gc(self) -> None:
         """Recycle processed transactions (line 2:33)."""
+        # The retained set only grows between cycles, so its peak is its
+        # size just before one (or at the end of the walk).
+        self.report.peak_retained = max(self.report.peak_retained, len(self.retained))
         self.retained.clear()
         if self._gc_mode is GcMode.FULL:
             _host_gc.collect()
-
-
-def _event_key(event: Optional[tuple]) -> tuple:
-    ts, phase, txn = event  # type: ignore[misc]
-    return (ts, phase, txn.tid)

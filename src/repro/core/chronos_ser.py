@@ -15,22 +15,24 @@ serial execution directly:
 
 The same simulation handles list histories (appends resolve against the
 serial frontier).  Complexity is ``O(N log N + M)``.
+
+Like :class:`~repro.core.chronos.Chronos`, the walk runs over a
+:class:`~repro.core.colpack.ColumnarBatch` — a sort of plain
+``(commit_ts, tid, index)`` tuples, then one
+:func:`repro.core.common.simulate` call per transaction with the commit
+timestamp as its snapshot — and a :class:`History` or a transaction list
+is flattened onto the same walk.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence, Union
 
 from repro.core.chronos import ChronosReport
-from repro.core.common import BOTTOM, SessionTracker, simulate_transaction_ops
-from repro.core.violations import (
-    Axiom,
-    CheckResult,
-    ExtViolation,
-    IntViolation,
-    TimestampOrderViolation,
-)
+from repro.core.colpack import ColumnarBatch
+from repro.core.common import SessionTracker, simulate
+from repro.core.violations import Axiom, CheckResult, TimestampOrderViolation
 from repro.histories.model import History, Transaction
 
 __all__ = ["ChronosSer"]
@@ -43,57 +45,43 @@ class ChronosSer:
         self.report = ChronosReport()
         self.frontier: Dict[str, object] = {}
 
-    def check(self, history: History) -> CheckResult:
+    def check(self, history: Union[History, ColumnarBatch]) -> CheckResult:
         """Check an entire history for SER; returns all violations found."""
+        if isinstance(history, ColumnarBatch):
+            return self._walk(history)
         return self.check_transactions(history.transactions)
 
     def check_transactions(self, transactions: Sequence[Transaction]) -> CheckResult:
+        return self._walk(ColumnarBatch.from_transactions(transactions))
+
+    def _walk(self, batch: ColumnarBatch) -> CheckResult:
         result = CheckResult()
+        report_violation = result.violations.append
         report = self.report = ChronosReport(
-            n_transactions=len(transactions),
-            n_operations=sum(len(t.ops) for t in transactions),
+            n_transactions=len(batch), n_operations=len(batch.op_kinds)
         )
 
         t0 = time.perf_counter()
-        ordered: List[Transaction] = sorted(
-            transactions, key=lambda t: (t.commit_ts, t.tid)
-        )
+        order = sorted(zip(batch.commits, batch.tids, range(len(batch))))
         report.sort_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         frontier = self.frontier
-        sessions = SessionTracker(mode="ser")
-
-        def snapshot_of(key: str) -> object:
-            return frontier.get(key, BOTTOM)
-
-        for txn in ordered:
-            if txn.start_ts > txn.commit_ts:
+        starts = batch.starts
+        sessions = SessionTracker()
+        for commit_ts, tid, index in order:
+            if starts[index] > commit_ts:
                 # Eq. 1 still reported for diagnostic value, though SER
                 # checking itself does not use start timestamps.
-                result.add(
+                report_violation(
                     TimestampOrderViolation(
-                        axiom=Axiom.TS_ORDER,
-                        tid=txn.tid,
-                        start_ts=txn.start_ts,
-                        commit_ts=txn.commit_ts,
+                        axiom=Axiom.TS_ORDER, tid=tid, start_ts=starts[index], commit_ts=commit_ts
                     )
                 )
-            violation = sessions.observe(txn)
-            if violation is not None:
-                result.add(violation)
-            tid = txn.tid
-            writes = simulate_transaction_ops(
-                txn,
-                snapshot_of,
-                lambda key, exp, act: result.add(
-                    ExtViolation(axiom=Axiom.EXT, tid=tid, key=key, expected=exp, actual=act)
-                ),
-                lambda key, exp, act: result.add(
-                    IntViolation(axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act)
-                ),
+            frontier.update(
+                simulate(
+                    batch, index, commit_ts, sessions, frontier, report_violation, report_violation
+                )
             )
-            frontier.update(writes)
-
         report.check_seconds = time.perf_counter() - t0
         return result

@@ -156,6 +156,69 @@ class ColumnarBatch:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ColumnarBatch({len(self)} txns, {len(self.op_kinds)} ops)"
 
+    @classmethod
+    def from_transactions(cls, txns: Sequence[Transaction]) -> "ColumnarBatch":
+        """Flatten :class:`Transaction` objects into columns.
+
+        The front half of :func:`pack_columnar`, and how the offline
+        checkers take a :class:`~repro.histories.model.History`: one pass
+        over the ops, no per-transaction dict or list.
+        """
+        n = len(txns)
+        offsets: List[int] = [0] * (n + 1)
+        op_lists = [txn.ops for txn in txns]
+        n_ops = 0
+        for index, ops in enumerate(op_lists):
+            n_ops += len(ops)
+            offsets[index + 1] = n_ops
+        flat_ops = [op for ops in op_lists for op in ops]
+        code_of = _CODE_OF_KIND
+        # Identity checks beat the enum dict lookup (Enum.__hash__ re-hashes
+        # the member name on every call) for the two register-workload kinds.
+        kind_read, kind_write = OpKind.READ, OpKind.WRITE
+        kinds = bytes(
+            OP_READ
+            if (kind := op.kind) is kind_read
+            else OP_WRITE if kind is kind_write else code_of[kind]
+            for op in flat_ops
+        )
+        return cls(
+            [txn.tid for txn in txns],
+            [txn.sid for txn in txns],
+            [txn.sno for txn in txns],
+            [txn.start_ts for txn in txns],
+            [txn.commit_ts for txn in txns],
+            offsets,
+            kinds,
+            [op.key for op in flat_ops],
+            [op.value for op in flat_ops],
+        )
+
+    @classmethod
+    def concat(cls, batches: Iterable["ColumnarBatch"]) -> "ColumnarBatch":
+        """One batch holding every transaction of ``batches``, in order."""
+        tids: List[int] = []
+        sids: List[int] = []
+        snos: List[int] = []
+        starts: List[int] = []
+        commits: List[int] = []
+        offsets: List[int] = [0]
+        kinds = bytearray()
+        keys: List[str] = []
+        values: List[Any] = []
+        for batch in batches:
+            tids += batch.tids
+            sids += batch.sids
+            snos += batch.snos
+            starts += batch.starts
+            commits += batch.commits
+            base = len(keys)
+            offsets += [base + offset for offset in batch.op_offsets[1:]]
+            kinds += batch.op_kinds
+            keys += batch.op_keys
+            values += batch.op_values
+        return cls(tids, sids, snos, starts, commits, offsets, bytes(kinds), keys, values)
+
     @property
     def has_appends(self) -> bool:
         """True when any op is an append (bytes scan, no Python loop)."""
@@ -541,70 +604,25 @@ def unpack_key_table(buf: Buffer, offset: int, n_keys: int) -> Tuple[List[str], 
 def pack_columnar(txns: Union[Sequence[Transaction], ColumnarBatch]) -> bytes:
     """Pack a batch of transactions as one columnar binary blob.
 
-    One walk over the ops: the five meta columns are packed as i64
-    arrays, keys are interned into a per-blob string table, kinds become
-    one byte per op, and values split into a tag column, one bulk-packed
-    i64 column for in-range ints (the overwhelmingly common op value),
-    and an overflow stream for everything else — no per-op struct call
-    on the hot path, and no per-transaction dict or JSON object.
+    Transactions are first flattened
+    (:meth:`ColumnarBatch.from_transactions`); an already-columnar batch
+    (relay, packed-WAL writes) is packed as it is.  The five meta columns
+    are packed as i64 arrays, keys are interned into a per-blob string
+    table, kinds are one byte per op, and values split into a tag column,
+    one bulk-packed i64 column for in-range ints (the overwhelmingly
+    common op value), and an overflow stream for everything else — no
+    per-op struct call on the hot path, and no per-transaction dict or
+    JSON object.
     """
-    if isinstance(txns, ColumnarBatch):
-        return _pack_from_batch(txns)
-    n = len(txns)
-    offsets: List[int] = [0] * (n + 1)
-    op_lists = [txn.ops for txn in txns]
-    n_ops = 0
-    for index, ops in enumerate(op_lists):
-        n_ops += len(ops)
-        offsets[index + 1] = n_ops
-    flat_ops = [op for ops in op_lists for op in ops]
-    code_of = _CODE_OF_KIND
-    # Identity checks beat the enum dict lookup (Enum.__hash__ re-hashes
-    # the member name on every call) for the two register-workload kinds.
-    kind_read, kind_write = OpKind.READ, OpKind.WRITE
-    kinds = bytes(
-        OP_READ
-        if (kind := op.kind) is kind_read
-        else OP_WRITE if kind is kind_write else code_of[kind]
-        for op in flat_ops
-    )
-    flat_keys = [op.key for op in flat_ops]
-    key_ids: Dict[str, int] = {}
-    for key in flat_keys:
-        if key not in key_ids:
-            key_ids[key] = len(key_ids)
-    id_blob = struct.pack(f"!{n_ops}I", *map(key_ids.__getitem__, flat_keys))
-    values_blob = pack_value_column([op.value for op in flat_ops])
-    parts = [_HDR.pack(n, len(key_ids), n_ops)]
-    parts.append(pack_key_table(key_ids))  # insertion order == id order
-    meta = struct.Struct(f"!{n}q")
-    parts.append(meta.pack(*(txn.tid for txn in txns)))
-    parts.append(meta.pack(*(txn.sid for txn in txns)))
-    parts.append(meta.pack(*(txn.sno for txn in txns)))
-    parts.append(meta.pack(*(txn.start_ts for txn in txns)))
-    parts.append(meta.pack(*(txn.commit_ts for txn in txns)))
-    parts.append(struct.pack(f"!{n + 1}I", *offsets))
-    parts.append(kinds)
-    parts.append(id_blob)
-    parts.append(values_blob)
-    return b"".join(parts)
-
-
-def _pack_from_batch(batch: ColumnarBatch) -> bytes:
-    """Re-pack an already-columnar batch (relay / packed-WAL writes)."""
+    batch = txns if isinstance(txns, ColumnarBatch) else ColumnarBatch.from_transactions(txns)
     n = len(batch)
     n_ops = len(batch.op_kinds)
     key_ids: Dict[str, int] = {}
-    key_ids_get = key_ids.get
-    id_column: List[int] = []
-    id_append = id_column.append
     for key in batch.op_keys:
-        key_id = key_ids_get(key)
-        if key_id is None:
-            key_id = key_ids[key] = len(key_ids)
-        id_append(key_id)
+        if key not in key_ids:
+            key_ids[key] = len(key_ids)
     parts = [_HDR.pack(n, len(key_ids), n_ops)]
-    parts.append(pack_key_table(key_ids))
+    parts.append(pack_key_table(key_ids))  # insertion order == id order
     meta = struct.Struct(f"!{n}q")
     parts.append(meta.pack(*batch.tids))
     parts.append(meta.pack(*batch.sids))
@@ -613,7 +631,7 @@ def _pack_from_batch(batch: ColumnarBatch) -> bytes:
     parts.append(meta.pack(*batch.commits))
     parts.append(struct.pack(f"!{n + 1}I", *batch.op_offsets))
     parts.append(bytes(batch.op_kinds))
-    parts.append(struct.pack(f"!{n_ops}I", *id_column))
+    parts.append(struct.pack(f"!{n_ops}I", *map(key_ids.__getitem__, batch.op_keys)))
     parts.append(pack_value_column(batch.op_values))
     return b"".join(parts)
 

@@ -4,147 +4,141 @@
   (§II: "we assume an artificial value ⊥v ∉ V").
 - :class:`SessionTracker` — the ``last_sno`` / ``last_cts`` bookkeeping of
   the SESSION axiom, shared by all four checkers.
-- :func:`simulate_transaction_ops` — one program-order pass over a
-  transaction's operations implementing the INT / EXT rules for both
-  register (key-value) and list data, returning the *resolved* final
-  writes (for appends, the full list value as of the transaction's
-  snapshot), which is what the frontier must be advanced with.
+- :func:`simulate` — one transaction of a
+  :class:`~repro.core.colpack.ColumnarBatch` replayed against a committed
+  frontier: the SESSION rule, then one program-order pass over the
+  transaction's slice of the flat op columns applying the INT / EXT rules
+  for register (key-value) and list data.  It returns the *resolved*
+  final writes (for appends, the full list value as of the transaction's
+  snapshot), which is what the frontier must be advanced with.  This is
+  the only place the offline checkers interpret an operation:
+  :class:`~repro.core.chronos.Chronos` calls it at each start event,
+  :class:`~repro.core.chronos_ser.ChronosSer` once per transaction in
+  commit order.  It reads columns, not :class:`Operation` objects — a
+  history decoded from disk is checked without building any.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.histories.model import BOTTOM, OpKind, Transaction
-from repro.core.violations import Axiom, SessionViolation
+from repro.core.colpack import OP_READ, OP_READ_LIST, OP_WRITE, ColumnarBatch
+from repro.core.violations import Axiom, ExtViolation, IntViolation, SessionViolation, Violation
+from repro.histories.model import BOTTOM
 
-__all__ = ["BOTTOM", "SessionTracker", "simulate_transaction_ops", "values_match"]
+__all__ = ["BOTTOM", "SessionTracker", "simulate"]
 
 #: Timestamp smaller than every real timestamp (``⊥ts`` in Algorithm 2).
 BOTTOM_TS = -1
 
 
-def values_match(expected: Any, actual: Any) -> bool:
-    """Compare a snapshot value with a client-observed read value.
-
-    Clients cannot observe ⊥v directly; a read of a never-written key
-    surfaces as ``None`` in the history (an absent row / empty result
-    set), so ``None`` matches :data:`BOTTOM`.  Everything else compares
-    by equality.
-    """
-    if expected is BOTTOM:
-        return actual is None
-    return expected == actual
-
-
 class SessionTracker:
     """Tracks per-session progress for the SESSION axiom.
 
-    ``mode='si'`` applies Algorithm 2 line 7: a transaction must carry the
-    next sequence number of its session and must *start* no earlier than
-    its predecessor committed.  ``mode='ser'`` ignores start timestamps
-    (§VI-A) and instead requires the session's commit timestamps to be
-    increasing, i.e. the serial commit order respects the session order.
+    A transaction must carry the next sequence number of its session and
+    must take its snapshot no earlier than its predecessor committed.
+    ``snapshot_ts`` is the transaction's start timestamp under SI
+    (Algorithm 2 line 7); the SER checkers ignore start timestamps (§VI-A)
+    and pass the commit timestamp, which requires the session's commits
+    to be increasing, i.e. the serial commit order respects session order.
     """
 
-    __slots__ = ("_mode", "_last_sno", "_last_cts")
+    __slots__ = ("_last_sno", "_last_cts")
 
-    def __init__(self, mode: str = "si") -> None:
-        if mode not in ("si", "ser"):
-            raise ValueError(f"unknown session mode {mode!r}")
-        self._mode = mode
+    def __init__(self) -> None:
         self._last_sno: Dict[int, int] = {}
         self._last_cts: Dict[int, int] = {}
 
-    def observe(self, txn: Transaction) -> Optional[SessionViolation]:
-        """Record ``txn`` as its session's latest; return a violation if any."""
-        sid = txn.sid
+    def observe(
+        self, tid: int, sid: int, sno: int, snapshot_ts: int, commit_ts: int
+    ) -> Optional[SessionViolation]:
+        """Record a transaction as its session's latest; return a violation if any."""
         expected_sno = self._last_sno.get(sid, -1) + 1
         last_cts = self._last_cts.get(sid, BOTTOM_TS)
-        if self._mode == "si":
-            bad = txn.sno != expected_sno or txn.start_ts < last_cts
-        else:
-            bad = txn.sno != expected_sno or txn.commit_ts < last_cts
-        self._last_sno[sid] = txn.sno
-        self._last_cts[sid] = txn.commit_ts
-        if bad:
+        self._last_sno[sid] = sno
+        self._last_cts[sid] = commit_ts
+        if sno != expected_sno or snapshot_ts < last_cts:
             return SessionViolation(
                 axiom=Axiom.SESSION,
-                tid=txn.tid,
+                tid=tid,
                 sid=sid,
                 expected_sno=expected_sno,
-                actual_sno=txn.sno,
-                start_ts=txn.start_ts if self._mode == "si" else txn.commit_ts,
+                actual_sno=sno,
+                start_ts=snapshot_ts,
                 last_commit_ts=last_cts,
             )
         return None
 
 
-def simulate_transaction_ops(
-    txn: Transaction,
-    snapshot_of: Callable[[str], Any],
-    on_ext_mismatch: Callable[[str, Any, Any], None],
-    on_int_mismatch: Callable[[str, Any, Any], None],
+def simulate(
+    batch: ColumnarBatch,
+    index: int,
+    snapshot_ts: int,
+    sessions: SessionTracker,
+    frontier: Dict[str, Any],
+    report: Callable[[Violation], None],
+    report_int: Callable[[Violation], None],
 ) -> Dict[str, Any]:
-    """Replay ``txn``'s operations in program order against a snapshot.
+    """Replay transaction ``index`` of ``batch`` against its snapshot.
 
-    ``snapshot_of(key)`` must return the committed value visible to the
-    transaction (or :data:`BOTTOM` for a never-written key).  The two
-    callbacks receive ``(key, expected, actual)`` for EXT and INT
-    mismatches respectively; checking continues past mismatches, per the
-    paper's report-and-continue policy.
+    ``frontier`` must hold the committed value of every key as of
+    ``snapshot_ts`` (a never-written key is absent, i.e. ⊥v).  SESSION and
+    EXT violations go to ``report``, INT violations to ``report_int`` —
+    Chronos lists a transaction's EXT reports before its INT reports,
+    Chronos-SER passes one sink for both and gets program order.  Checking
+    continues past mismatches, per the paper's report-and-continue policy.
 
     Returns the resolved final write per key — for plain writes the last
     written value, for appends the full list value built on top of the
     snapshot.  This is the value the committed frontier advances to.
     """
+    tid = batch.tids[index]
+    violation = sessions.observe(
+        tid, batch.sids[index], batch.snos[index], snapshot_ts, batch.commits[index]
+    )
+    if violation is not None:
+        report(violation)
+    kinds = batch.op_kinds
+    keys = batch.op_keys
+    values = batch.op_values
     local: Dict[str, Any] = {}
     resolved: Dict[str, Any] = {}
-    for op in txn.ops:
-        key = op.key
-        if op.kind is OpKind.WRITE:
-            local[key] = op.value
-            resolved[key] = op.value
-        elif op.kind is OpKind.APPEND:
-            base = local.get(key, _MISSING)
-            if base is _MISSING:
-                base = snapshot_of(key)
+    for op in range(batch.op_offsets[index], batch.op_offsets[index + 1]):
+        kind = kinds[op]
+        key = keys[op]
+        value = values[op]
+        if kind == OP_READ or kind == OP_READ_LIST:
+            if key in local:
+                if local[key] != value:
+                    report_int(
+                        IntViolation(
+                            axiom=Axiom.INT, tid=tid, key=key, expected=local[key], actual=value
+                        )
+                    )
+            else:
+                # Clients cannot observe ⊥v: a read of a never-written
+                # register surfaces as None (an absent row), an unborn
+                # list reads empty.
+                expected = frontier.get(key, BOTTOM)
+                if expected is BOTTOM and kind == OP_READ_LIST:
+                    expected = ()
+                if (value is not None) if expected is BOTTOM else (expected != value):
+                    report(
+                        ExtViolation(
+                            axiom=Axiom.EXT, tid=tid, key=key, expected=expected, actual=value
+                        )
+                    )
+            local[key] = value
+        elif kind == OP_WRITE:
+            local[key] = resolved[key] = value
+        else:  # OP_APPEND
+            if key in local:
+                base = local[key]
+            else:
+                base = frontier.get(key, BOTTOM)
                 if base is BOTTOM:
                     base = ()
             if not isinstance(base, tuple):
                 base = (base,)
-            new_list = base + (op.value,)
-            local[key] = new_list
-            resolved[key] = new_list
-        elif op.kind is OpKind.READ:
-            if key in local:
-                if local[key] != op.value:
-                    on_int_mismatch(key, local[key], op.value)
-            else:
-                expected = snapshot_of(key)
-                if not values_match(expected, op.value):
-                    on_ext_mismatch(key, expected, op.value)
-            local[key] = op.value
-        else:  # OpKind.READ_LIST
-            actual = op.value
-            if key in local:
-                if local[key] != actual:
-                    on_int_mismatch(key, local[key], actual)
-            else:
-                expected = snapshot_of(key)
-                if expected is BOTTOM:
-                    expected = ()
-                if expected != actual:
-                    on_ext_mismatch(key, expected, actual)
-            local[key] = actual
+            local[key] = resolved[key] = base + (value,)
     return resolved
-
-
-class _Missing:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<missing>"
-
-
-_MISSING = _Missing()

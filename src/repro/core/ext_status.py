@@ -176,8 +176,8 @@ class ExtStatusTracker:
         :meth:`track` over parallel arrays straight from the batch
         kernel's route pass, no per-item record tuples.
 
-        The initial verdict (``values_match`` on expected vs actual, with
-        ``bottom`` matching a ``None`` client read) is computed inline —
+        The initial verdict (expected equals actual, with ``bottom``
+        matching a ``None`` client read) is computed inline —
         one fused pass instead of a separate ok column.  Exploits batch
         order — a transaction's external reads are contiguous in the
         arrays — to look up the per-transaction pair list once per run of

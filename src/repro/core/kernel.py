@@ -27,9 +27,9 @@ This module holds the pieces the route pass is built from:
 - :func:`resolve_writes` / :func:`resolve_columns` — the route pass's
   callback-free transaction simulation over ``Operation`` objects resp.
   a columnar batch's flat op arrays: the INT rules of
-  :func:`~repro.core.common.simulate_transaction_ops` for register
-  histories, returning the resolved final writes plus any INT mismatches
-  as plain tuples instead of driving per-op callbacks through lambdas.
+  :func:`~repro.core.common.simulate` for register histories, returning
+  the resolved final writes plus any INT mismatches as plain tuples
+  (EXT is the probe pass's job online, not a frontier lookup).
 """
 
 from __future__ import annotations
@@ -164,13 +164,11 @@ def resolve_writes(
 ) -> Tuple[Dict[str, Any], Optional[List[Tuple[str, Any, Any]]]]:
     """Resolve a register transaction's final writes and INT mismatches.
 
-    The route-pass twin of
-    :func:`~repro.core.common.simulate_transaction_ops` for batches that
-    have already rejected appends: snapshot values feed only the EXT
-    callback there (handled separately by the probe pass via the
+    The route-pass twin of :func:`~repro.core.common.simulate` for
+    batches that have already rejected appends: snapshot values feed only
+    the EXT rule there (handled separately by the probe pass via the
     transaction's precomputed ``external_reads``), so the simulation
-    reduces to the transaction-local INT rules — no snapshot resolver, no
-    per-op callbacks.
+    reduces to the transaction-local INT rules — no frontier.
 
     Returns ``(resolved_writes, int_mismatches)`` where ``resolved_writes``
     maps each written key to its final value and ``int_mismatches`` is

@@ -11,30 +11,7 @@ substrate (:mod:`repro.db`) produces histories, the checkers
 :mod:`repro.histories.serialization` moves them to and from disk.
 """
 
-from repro.histories.anomalies import ANOMALY_CATALOG, AnomalySpec
-from repro.histories.builder import HistoryBuilder
-from repro.histories.model import (
-    INIT_TID,
-    INIT_TS,
-    History,
-    OpKind,
-    Operation,
-    Transaction,
-)
-from repro.histories.ops import append, read, read_list, write
-from repro.histories.serialization import (
-    ColumnarBatch,
-    history_from_jsonl,
-    history_to_jsonl,
-    load_history,
-    load_history_packed,
-    pack_columnar,
-    save_history,
-    save_history_packed,
-    unpack_columnar,
-)
-from repro.histories.stats import HistoryStats
-from repro.histories.validation import ValidationIssue, validate_history
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ANOMALY_CATALOG",
@@ -63,3 +40,34 @@ __all__ = [
     "validate_history",
     "write",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ANOMALY_CATALOG": "repro.histories.anomalies",
+        "AnomalySpec": "repro.histories.anomalies",
+        "HistoryBuilder": "repro.histories.builder",
+        "INIT_TID": "repro.histories.model",
+        "INIT_TS": "repro.histories.model",
+        "History": "repro.histories.model",
+        "OpKind": "repro.histories.model",
+        "Operation": "repro.histories.model",
+        "Transaction": "repro.histories.model",
+        "append": "repro.histories.ops",
+        "read": "repro.histories.ops",
+        "read_list": "repro.histories.ops",
+        "write": "repro.histories.ops",
+        "ColumnarBatch": "repro.histories.serialization",
+        "history_from_jsonl": "repro.histories.serialization",
+        "history_to_jsonl": "repro.histories.serialization",
+        "load_history": "repro.histories.serialization",
+        "load_history_packed": "repro.histories.serialization",
+        "pack_columnar": "repro.histories.serialization",
+        "save_history": "repro.histories.serialization",
+        "save_history_packed": "repro.histories.serialization",
+        "unpack_columnar": "repro.histories.serialization",
+        "HistoryStats": "repro.histories.stats",
+        "ValidationIssue": "repro.histories.validation",
+        "validate_history": "repro.histories.validation",
+    },
+)

@@ -1,5 +1,7 @@
 """Builder, serialization, validation and statistics tests."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,15 @@ from repro.histories.builder import HistoryBuilder
 from repro.histories.model import History, INIT_TID, OpKind, Transaction
 from repro.histories.ops import append, read, read_list, write
 from repro.histories.serialization import (
+    ColumnarBatch,
+    columns_from_jsonl,
     history_from_jsonl,
     history_to_jsonl,
+    load_columns,
     load_history,
+    load_history_packed,
     save_history,
+    save_history_packed,
     txn_from_dict,
     txn_to_dict,
 )
@@ -140,6 +147,121 @@ def test_serialization_roundtrip_property(data, sts):
     assert list(back.ops) == ops
     assert back.write_keys == txn.write_keys
     assert back.external_reads.keys() == txn.external_reads.keys()
+
+
+def _as_rows(txns):
+    """Everything a transaction carries, ops as comparable triples."""
+    return [
+        (t.tid, t.sid, t.sno, t.start_ts, t.commit_ts,
+         [(op.kind, op.key, op.value) for op in t.ops])
+        for t in txns
+    ]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_wire_ops = st.lists(
+    st.tuples(st.sampled_from(["r", "w", "a"]), st.sampled_from(["x", "y", "k9"]), _json_values)
+    | st.tuples(st.just("rl"), st.sampled_from(["x", "l"]), st.lists(_json_values, max_size=3)),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    txns=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 9), st.integers(0, 99), _wire_ops), max_size=6),
+    blanks=st.lists(st.integers(0, 6), max_size=3),
+)
+def test_column_decoder_equals_object_decoder(txns, blanks):
+    """JSONL -> columns -> transactions() is txn_from_dict line by line:
+    nested arrays, None, dict values, empty op lists, blank lines."""
+    lines = [
+        json.dumps({"tid": tid, "sid": sid, "sno": sno, "sts": ts, "cts": ts + 1, "ops": ops})
+        for tid, (sid, sno, ts, ops) in enumerate(txns)
+    ]
+    expected = [txn_from_dict(json.loads(line)) for line in lines]
+    for at in blanks:
+        lines.insert(min(at, len(lines)), "  ")
+    batch = columns_from_jsonl(line + "\n" for line in lines)
+    assert _as_rows(batch.transactions()) == _as_rows(expected)
+    assert len(batch.op_kinds) == len(batch.op_keys) == len(batch.op_values) == batch.op_offsets[-1]
+
+
+class TestColumnDecoderRefusals:
+    GOOD = '{"tid":1,"sid":1,"sno":0,"sts":1,"cts":2,"ops":[["w","x",1]]}'
+
+    @pytest.mark.parametrize(
+        "bad, what",
+        [
+            ('{"tid":2,"sid":1', "line 3: "),                                             # bad JSON
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[]} trailing', "extra data"),
+            ('{"tid":2,"sid":1,"sno":1,"cts":4,"ops":[]}', "missing field 'sts'"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4}', "missing field 'ops'"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w","x"]]}', "malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[7]}', "malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":7}', "malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["rl","x",null]]}', "malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["zz","x",1]]}', "unknown operation code 'zz'"),
+            ('{"tid":1,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[]}', "duplicate transaction id 1"),
+            ("[1, 2]", "not a transaction object"),
+        ],
+    )
+    def test_refusal_names_the_line(self, bad, what):
+        with pytest.raises(ValueError, match="^line 3: ") as excinfo:
+            columns_from_jsonl([self.GOOD, "", bad, self.GOOD])
+        assert what in str(excinfo.value)
+
+    def test_file_errors_carry_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.GOOD + "\n" + self.GOOD.replace('"w"', '"q"').replace('"tid":1', '"tid":2') + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_columns(path)
+        assert str(excinfo.value) == f"{path}:2: unknown operation code 'q'"
+
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(self.GOOD.encode() + b"\n\xff\xfe\n")
+        with pytest.raises(ValueError, match=f"^{path}:2: "):
+            load_columns(path)
+
+
+class TestLoadColumns:
+    def test_both_file_forms_decode_to_the_same_columns(self, tmp_path, list_history):
+        jsonl, packed = tmp_path / "h.jsonl", tmp_path / "h.rpch"
+        save_history(list_history, jsonl)
+        save_history_packed(list_history, packed, chunk_size=97)  # several chunks
+        rows = _as_rows(list_history.transactions)
+        assert _as_rows(load_columns(jsonl).transactions()) == rows
+        assert _as_rows(load_columns(packed).transactions()) == rows
+        assert _as_rows(load_history_packed(packed).transactions) == rows
+
+    def test_empty_files(self, tmp_path):
+        jsonl, packed = tmp_path / "h.jsonl", tmp_path / "h.rpch"
+        jsonl.write_text("")
+        save_history_packed([], packed)
+        assert len(load_columns(jsonl)) == len(load_columns(packed)) == 0
+        assert load_columns(packed).op_offsets == [0]
+
+    def test_packed_duplicate_tid_and_truncation_refused(self, tmp_path, si_history):
+        packed = tmp_path / "h.rpch"
+        txns = si_history.transactions[:10]
+        save_history_packed(txns + txns[:1], packed)
+        with pytest.raises(ValueError, match="duplicate transaction id"):
+            load_columns(packed)
+        save_history_packed(txns, packed)
+        packed.write_bytes(packed.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=f"^{packed}: .*truncated"):
+            load_columns(packed)
+
+    def test_concat_and_from_transactions(self, si_history):
+        txns = si_history.transactions[:60]
+        parts = [ColumnarBatch.from_transactions(txns[lo : lo + 25]) for lo in range(0, 60, 25)]
+        whole = ColumnarBatch.concat(parts)
+        assert _as_rows(whole.transactions()) == _as_rows(txns)
+        assert list(whole.op_offsets) == list(ColumnarBatch.from_transactions(txns).op_offsets)
 
 
 class TestValidation:
