@@ -151,17 +151,6 @@ class ExtStatusTracker:
     def __len__(self) -> int:
         return len(self._verdicts)
 
-    def track(self, tid: int, key: str, snapshot_ts: int, actual: Any, ok: bool, expected: Any, now: float) -> ExtVerdict:
-        """Register the initial verdict for one external read."""
-        verdict = [
-            tid, key, snapshot_ts, actual, ok, expected,
-            now, now, 0, False, None if ok else now,
-        ]
-        self._verdicts[(tid, key)] = verdict
-        self._txn_pairs.setdefault(tid, []).append((tid, key))
-        self.stats.n_pairs += 1
-        return verdict
-
     def track_columns(
         self,
         tids: List[int],
@@ -172,9 +161,9 @@ class ExtStatusTracker:
         now: float,
         bottom: Any,
     ) -> None:
-        """Register initial verdicts for a whole batch of external reads:
-        :meth:`track` over parallel arrays straight from the batch
-        kernel's route pass, no per-item record tuples.
+        """Register initial verdicts for a whole batch of external reads,
+        as parallel arrays straight from the batch kernel's route pass —
+        no per-item record tuples.
 
         The initial verdict (expected equals actual, with ``bottom``
         matching a ``None`` client read) is computed inline —
@@ -204,12 +193,9 @@ class ExtStatusTracker:
             pairs.append(pair)
         self.stats.n_pairs += len(tids)
 
-    def arm_timer(self, tid: int, now: float) -> None:
-        """Set the transaction's EXT re-checking deadline (line 3:3)."""
-        self.arm_timers((tid,), now)
-
     def arm_timers(self, tids: Iterable[int], now: float) -> None:
-        """Arm one shared deadline for a whole arrival batch.
+        """Arm one shared EXT re-checking deadline (line 3:3) for a whole
+        arrival batch.
 
         Batched ingestion stamps every transaction of a batch with the
         same arrival time, so their deadlines coincide; a single heap

@@ -97,7 +97,6 @@ from repro.core.versioned import (
     empty_columns,
     probe_columns,
 )
-from repro.histories.model import Transaction
 from repro.util.sizeof import deep_sizeof
 
 __all__ = ["ShardedAion", "shard_of"]
@@ -391,13 +390,6 @@ class ShardedAion(Aion):
     # ------------------------------------------------------------------
     # Receiving transactions: Aion.receive_many, with two seams overridden
     # ------------------------------------------------------------------
-
-    def receive_many_threadsafe(self, txns: List[Transaction]) -> None:
-        """Batch ingestion under :attr:`ingest_lock` — the entry point
-        for multi-threaded frontends (one batch at a time wins the lock;
-        shard-level parallelism still applies inside the batch)."""
-        with self.ingest_lock:
-            self.receive_many(txns)
 
     def _shard_for(self, key: str) -> int:
         cache = self._key_shards

@@ -195,7 +195,6 @@ class SpillStore:
             self._dir.mkdir(parents=True, exist_ok=True)
             self._owns_dir = False
         self._segments: List[SpillSegment] = []
-        self._min_ts: Optional[int] = None
         self._next_id = 0
         self.bytes_written = 0
         self.bytes_read = 0
@@ -230,8 +229,6 @@ class SpillStore:
         n_items = len(versions[2]) + len(intervals[2]) + len(txns)
         segment = SpillSegment(segment_id, min_ts, max_ts, path, n_items)
         self._segments.append(segment)
-        if self._min_ts is None or min_ts < self._min_ts:
-            self._min_ts = min_ts
         return segment
 
     def reload_overlapping(
@@ -254,7 +251,6 @@ class SpillStore:
         if not hits:
             return []
         self._segments = survivors
-        self._min_ts = min((segment.min_ts for segment in survivors), default=None)
         reloaded: List[Tuple[VersionColumns, IntervalColumns]] = []
         for segment in hits:
             encoded = segment.path.read_bytes()
@@ -267,17 +263,11 @@ class SpillStore:
             segment.path.unlink(missing_ok=True)
         return reloaded
 
-    def min_spilled_ts(self) -> Optional[int]:
-        """Smallest timestamp covered by any on-disk segment (kept
-        incrementally: reads below the watermark ask on every call)."""
-        return self._min_ts
-
     def close(self) -> None:
         """Delete all segments (and the directory when owned)."""
         for segment in self._segments:
             segment.path.unlink(missing_ok=True)
         self._segments.clear()
-        self._min_ts = None
         if self._owns_dir:
             shutil.rmtree(self._dir, ignore_errors=True)
 

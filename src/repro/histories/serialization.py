@@ -69,6 +69,7 @@ __all__ = [
     "save_history",
     "load_history",
     "iter_history_file",
+    "columns_from_rows",
     "columns_from_jsonl",
     "load_columns",
     "ColumnarBatch",
@@ -143,16 +144,16 @@ def txn_from_dict(data: Dict[str, Any]) -> Transaction:
 _decode_json = json.JSONDecoder().raw_decode
 
 
-def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> ColumnarBatch:
-    """Decode JSON Lines straight into one :class:`ColumnarBatch`.
+def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
+    """Flatten transactions in dict form straight into one :class:`ColumnarBatch`.
 
-    No per-transaction or per-operation object is built: each line's
-    five integers and its op triples are appended to the batch's flat
-    columns.  Blank lines are ignored.  Raises :class:`ValueError`
-    naming the line (``"<where><line number>: <what>"``) for malformed
-    JSON, a missing field, ops that are not ``[code, key, value]``
-    triples, an unknown op code, or a transaction id seen before (what
-    :class:`History` refuses).
+    The columnar twin of ``[txn_from_dict(row) for row in rows]`` and
+    the row-append step of :func:`columns_from_jsonl` — also how the
+    daemon turns an ndjson ``submit`` into the batch a binary frame
+    carries.  No per-transaction or per-operation object is built.
+    Raises what :func:`txn_from_dict` raises: :class:`KeyError` for a
+    missing field, :class:`TypeError` for a row that is not an object,
+    :class:`ValueError` from :func:`_decode_ops`.
     """
     tids: List[int] = []
     sids: List[int] = []
@@ -163,9 +164,32 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
     kinds = bytearray()
     keys: List[str] = []
     values: List[Any] = []
-    seen: set = set()
+    for data in rows:
+        tids.append(data["tid"])
+        sids.append(data["sid"])
+        snos.append(data["sno"])
+        starts.append(data["sts"])
+        commits.append(data["cts"])
+        _decode_ops(data["ops"], kinds, keys, values)
+        offsets.append(len(keys))
+    return ColumnarBatch(tids, sids, snos, starts, commits, offsets, bytes(kinds), keys, values)
+
+
+def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> ColumnarBatch:
+    """Decode JSON Lines straight into one :class:`ColumnarBatch`.
+
+    Each line is parsed and handed to :func:`columns_from_rows`.  Blank
+    lines are ignored.  Raises :class:`ValueError`
+    naming the line (``"<where><line number>: <what>"``) for malformed
+    JSON, a missing field, ops that are not ``[code, key, value]``
+    triples, an unknown op code, or a transaction id seen before (what
+    :class:`History` refuses).
+    """
     line_no = 0
-    try:
+
+    def rows() -> Iterator[Dict[str, Any]]:
+        nonlocal line_no
+        seen: set = set()
         for line_no, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
@@ -177,13 +201,10 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
             if tid in seen:
                 raise ValueError(f"duplicate transaction id {tid}")
             seen.add(tid)
-            tids.append(tid)
-            sids.append(data["sid"])
-            snos.append(data["sno"])
-            starts.append(data["sts"])
-            commits.append(data["cts"])
-            _decode_ops(data["ops"], kinds, keys, values)
-            offsets.append(len(keys))
+            yield data
+
+    try:
+        return columns_from_rows(rows())
     except KeyError as exc:
         raise ValueError(f"{where}{line_no}: missing field {exc}") from None
     except TypeError:
@@ -192,7 +213,6 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
         raise ValueError(f"{where}{line_no + 1}: {exc}") from None
     except ValueError as exc:  # includes json.JSONDecodeError
         raise ValueError(f"{where}{line_no}: {exc}") from None
-    return ColumnarBatch(tids, sids, snos, starts, commits, offsets, bytes(kinds), keys, values)
 
 
 def history_to_jsonl(history: History) -> str:

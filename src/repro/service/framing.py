@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Sequence, Tuple, Union
 
-from repro.histories.model import Transaction
 from repro.histories.serialization import ColumnarBatch, pack_columnar, unpack_columnar
 from repro.service.protocol import ProtocolError
+
+if TYPE_CHECKING:  # the client-side encoder's annotation only
+    from repro.histories.model import Transaction
 
 __all__ = [
     "FRAME_MAGIC0",

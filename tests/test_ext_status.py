@@ -1,5 +1,6 @@
 """Tests for EXT verdict tracking: flip-flops, timeouts, rectify times."""
 
+from repro.core.common import BOTTOM
 from repro.core.ext_status import (
     EV_FLIPS,
     EV_KEY,
@@ -8,6 +9,15 @@ from repro.core.ext_status import (
     ExtStatusTracker,
     FlipFlopStats,
 )
+
+
+def track(tracker, tid, key, snapshot_ts, *, actual, expected, arm=True):
+    """Register one external read at time 0 through the batch entry
+    points the kernel uses (the initial verdict is ``expected == actual``),
+    arming the transaction's timer unless more of its reads follow."""
+    tracker.track_columns([tid], [key], [snapshot_ts], [actual], [expected], 0.0, BOTTOM)
+    if arm:
+        tracker.arm_timers((tid,), 0.0)
 
 
 def make_tracker(timeout=5.0, violations=None, finalized=None):
@@ -23,8 +33,7 @@ def make_tracker(timeout=5.0, violations=None, finalized=None):
 class TestLifecycle:
     def test_ok_verdict_finalizes_silently(self):
         tracker, violations, finalized = make_tracker()
-        tracker.track(1, "x", 10, actual="v", ok=True, expected="v", now=0.0)
-        tracker.arm_timer(1, now=0.0)
+        track(tracker, 1, "x", 10, actual="v", expected="v")
         done = tracker.advance_to(5.0)
         assert len(done) == 1 and done[0][EV_OK]
         assert violations == []
@@ -32,8 +41,7 @@ class TestLifecycle:
 
     def test_wrong_verdict_reported_at_timeout(self):
         tracker, violations, _ = make_tracker()
-        tracker.track(1, "x", 10, actual="v", ok=False, expected="w", now=0.0)
-        tracker.arm_timer(1, now=0.0)
+        track(tracker, 1, "x", 10, actual="v", expected="w")
         assert tracker.advance_to(4.9) == []  # not yet due
         tracker.advance_to(5.0)
         assert len(violations) == 1
@@ -41,8 +49,7 @@ class TestLifecycle:
 
     def test_rectified_before_timeout_not_reported(self):
         tracker, violations, _ = make_tracker()
-        tracker.track(1, "x", 10, actual="v", ok=False, expected="w", now=0.0)
-        tracker.arm_timer(1, now=0.0)
+        track(tracker, 1, "x", 10, actual="v", expected="w")
         tracker.reevaluate(1, "x", ok=True, expected="v", now=0.010)
         tracker.advance_to(10.0)
         assert violations == []
@@ -50,8 +57,7 @@ class TestLifecycle:
 
     def test_finalized_pairs_never_reevaluated(self):
         tracker, violations, _ = make_tracker()
-        tracker.track(1, "x", 10, actual="v", ok=False, expected="w", now=0.0)
-        tracker.arm_timer(1, now=0.0)
+        track(tracker, 1, "x", 10, actual="v", expected="w")
         tracker.advance_to(5.0)
         assert tracker.is_timed_out(1)
         assert tracker.reevaluate(1, "x", ok=True, expected="v", now=6.0) is None
@@ -59,17 +65,15 @@ class TestLifecycle:
 
     def test_flush_finalizes_everything(self):
         tracker, violations, _ = make_tracker(timeout=float("inf"))
-        tracker.track(1, "x", 10, actual="v", ok=False, expected="w", now=0.0)
-        tracker.arm_timer(1, now=0.0)
+        track(tracker, 1, "x", 10, actual="v", expected="w")
         assert tracker.advance_to(1e9) == []  # infinite timeout never due
         tracker.flush()
         assert len(violations) == 1
 
     def test_multiple_keys_per_txn(self):
         tracker, violations, _ = make_tracker()
-        tracker.track(1, "x", 10, actual="a", ok=False, expected="b", now=0.0)
-        tracker.track(1, "y", 10, actual="c", ok=True, expected="c", now=0.0)
-        tracker.arm_timer(1, now=0.0)
+        track(tracker, 1, "x", 10, actual="a", expected="b", arm=False)
+        track(tracker, 1, "y", 10, actual="c", expected="c")
         tracker.advance_to(5.0)
         assert [(v[EV_TID], v[EV_KEY]) for v in violations] == [(1, "x")]
 
@@ -77,8 +81,8 @@ class TestLifecycle:
 class TestFlipFlopAccounting:
     def test_flip_counted_on_change_only(self):
         tracker, _, _ = make_tracker()
-        verdict = tracker.track(1, "x", 10, actual="v", ok=True, expected="v", now=0.0)
-        tracker.reevaluate(1, "x", ok=True, expected="v", now=1.0)  # no change
+        track(tracker, 1, "x", 10, actual="v", expected="v", arm=False)
+        verdict = tracker.reevaluate(1, "x", ok=True, expected="v", now=1.0)  # no change
         assert verdict[EV_FLIPS] == 0
         tracker.reevaluate(1, "x", ok=False, expected="w", now=2.0)
         assert verdict[EV_FLIPS] == 1
@@ -107,8 +111,7 @@ class TestFlipFlopAccounting:
 
     def test_stats_final_counts(self):
         tracker, _, _ = make_tracker()
-        tracker.track(1, "x", 10, actual="v", ok=False, expected="w", now=0.0)
-        tracker.arm_timer(1, now=0.0)
+        track(tracker, 1, "x", 10, actual="v", expected="w")
         tracker.reevaluate(1, "x", ok=True, expected="v", now=0.5)
         tracker.reevaluate(1, "x", ok=False, expected="z", now=0.7)
         tracker.advance_to(5.0)
@@ -120,6 +123,6 @@ class TestFlipFlopAccounting:
     def test_min_pending_snapshot(self):
         tracker, _, _ = make_tracker()
         assert tracker.min_pending_snapshot_ts() is None
-        tracker.track(1, "x", 30, actual="v", ok=True, expected="v", now=0.0)
-        tracker.track(2, "y", 10, actual="v", ok=True, expected="v", now=0.0)
+        track(tracker, 1, "x", 30, actual="v", expected="v", arm=False)
+        track(tracker, 2, "y", 10, actual="v", expected="v", arm=False)
         assert tracker.min_pending_snapshot_ts() == 10

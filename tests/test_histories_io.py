@@ -12,6 +12,7 @@ from repro.histories.ops import append, read, read_list, write
 from repro.histories.serialization import (
     ColumnarBatch,
     columns_from_jsonl,
+    columns_from_rows,
     history_from_jsonl,
     history_to_jsonl,
     load_columns,
@@ -177,12 +178,16 @@ _wire_ops = st.lists(
 )
 def test_column_decoder_equals_object_decoder(txns, blanks):
     """JSONL -> columns -> transactions() is txn_from_dict line by line:
-    nested arrays, None, dict values, empty op lists, blank lines."""
+    nested arrays, None, dict values, empty op lists, blank lines — and
+    so is the row decoder the daemon's ndjson edge uses."""
     lines = [
         json.dumps({"tid": tid, "sid": sid, "sno": sno, "sts": ts, "cts": ts + 1, "ops": ops})
         for tid, (sid, sno, ts, ops) in enumerate(txns)
     ]
     expected = [txn_from_dict(json.loads(line)) for line in lines]
+    from_rows = columns_from_rows(json.loads(line) for line in lines)
+    assert _as_rows(from_rows.transactions()) == _as_rows(expected)
+    assert len(from_rows.op_kinds) == len(from_rows.op_keys) == from_rows.op_offsets[-1]
     for at in blanks:
         lines.insert(min(at, len(lines)), "  ")
     batch = columns_from_jsonl(line + "\n" for line in lines)
@@ -213,6 +218,27 @@ class TestColumnDecoderRefusals:
         with pytest.raises(ValueError, match="^line 3: ") as excinfo:
             columns_from_jsonl([self.GOOD, "", bad, self.GOOD])
         assert what in str(excinfo.value)
+
+    def test_row_decoder_refuses_what_txn_from_dict_refuses(self):
+        """Same refusals as the object decoder, exception type included —
+        minus duplicate tids, which only a history file forbids."""
+        good = json.loads(self.GOOD)
+        for bad, error in [
+            ({k: v for k, v in good.items() if k != "sts"}, KeyError),
+            ({k: v for k, v in good.items() if k != "ops"}, KeyError),
+            ({**good, "ops": [["w", "x"]]}, ValueError),
+            ({**good, "ops": 7}, ValueError),
+            ({**good, "ops": [["rl", "x", None]]}, ValueError),
+            ({**good, "ops": [["zz", "x", 1]]}, ValueError),
+            ([1, 2], TypeError),
+        ]:
+            with pytest.raises(error) as from_rows:
+                columns_from_rows([good, bad])
+            with pytest.raises(error) as from_dict:
+                [txn_from_dict(row) for row in (good, bad)]
+            assert str(from_rows.value) == str(from_dict.value)
+        assert columns_from_rows([good, good]).tids == [1, 1]
+        assert len(columns_from_rows([])) == 0 and columns_from_rows([]).op_offsets == [0]
 
     def test_file_errors_carry_path_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -13,6 +13,7 @@ import asyncio
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -398,7 +399,7 @@ class TestDaemonEndpoints:
     def test_health_503_when_drain_task_dies(self, start_service):
         handle = start_service()
         service = handle.service
-        handle._loop.call_soon_threadsafe(service._drain_task.cancel)
+        handle._loop.call_soon_threadsafe(service._ingest._drain_task.cancel)
         host, port = handle.http_address
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
@@ -420,6 +421,65 @@ class TestDaemonEndpoints:
         assert status == 503
         assert not health["components"]["backlog"]["ok"]
         assert "saturated" in health["components"]["backlog"]["detail"]
+
+
+# ----------------------------------------------------------------------
+# The exported surface is pinned: /metrics catalog and stats() key set
+# ----------------------------------------------------------------------
+
+GOLDEN_CATALOG = Path(__file__).parent / "data" / "service_catalog_golden.json"
+
+#: What this surface gained since the golden was recorded (at the commit
+#: before ``CheckerService`` was carved up, by running ``fresh_catalog``
+#: against that commit's ``src/``) — everything else must be identical.
+ADDED_FAMILIES = {"repro_kernel_batch_size", "repro_subscribers_shed_total"}
+ADDED_STATS_KEYS = {
+    "subscribers_shed",
+    "kernel.batch_size.count",
+    "kernel.batch_size.mean",
+    "kernel.batch_size.p50",
+    "kernel.batch_size.p99",
+}
+
+
+def _key_paths(value, prefix=""):
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _key_paths(inner, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        yield from _key_paths(value[0], prefix + "[]")
+    else:
+        yield prefix
+
+
+def fresh_catalog(handle):
+    """A fresh daemon's exposition with the sample values cut off (every
+    ``# HELP`` / ``# TYPE`` line, every sample name with its label set,
+    in exposition order) and the sorted key paths of its ``stats()``."""
+    status, body = http_get_text(*handle.http_address, "/metrics")
+    assert status == 200
+    lines = [
+        line if line.startswith("#") else line.rsplit(" ", 1)[0] for line in body.splitlines()
+    ]
+    return {"metrics": lines, "stats_keys": sorted(_key_paths(handle.service.stats()))}
+
+
+def _is_added(line):
+    name = line.split(" ")[2] if line.startswith("#") else line.split("{")[0]
+    return any(name == family or name.startswith(family + "_") for family in ADDED_FAMILIES)
+
+
+class TestExportedCatalogGolden:
+    @pytest.mark.parametrize("kind", ["single", "sharded_x2"])
+    def test_catalog_matches_the_recorded_one(self, start_service, kind):
+        golden = json.loads(GOLDEN_CATALOG.read_text())[kind]
+        handle = start_service(**({"n_shards": 2} if kind == "sharded_x2" else {}))
+        now = fresh_catalog(handle)
+        for family in ADDED_FAMILIES:
+            assert f"# TYPE {family} " in "\n".join(now["metrics"])
+        assert [line for line in now["metrics"] if not _is_added(line)] == golden["metrics"]
+        assert set(now["stats_keys"]) - set(golden["stats_keys"]) == ADDED_STATS_KEYS
+        assert set(golden["stats_keys"]) <= set(now["stats_keys"])
 
 
 # ----------------------------------------------------------------------

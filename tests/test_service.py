@@ -10,7 +10,9 @@ into ``Aion`` / ``ShardedAion``.
 
 from __future__ import annotations
 
+import functools
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -271,28 +273,102 @@ class TestDaemon:
             assert client.drain() == 3
 
     def test_rejected_batch_does_not_wedge_daemon(self, start_service):
-        # Aion refuses list (append) operations online; a poison batch
-        # must be dropped — not kill the drain task, which would wedge
-        # every later drain/finalize/shutdown on queue.join().
+        # Admission refuses what the checkers are known to refuse; any
+        # other batch that makes receive_many raise must be dropped — not
+        # kill the drain task, which would wedge every later
+        # drain/finalize/shutdown on queue.join().
         handle = start_service()
-        poison = Transaction(
-            tid=1,
-            sid=1,
-            sno=1,
-            ops=[Operation(OpKind.APPEND, "x", 1)],
-            start_ts=1,
-            commit_ts=2,
-        )
+        checker = handle.service.checker
+        real = checker.receive_many
+
+        def raise_once(batch):
+            checker.receive_many = real
+            raise ValueError("poison batch")
+
+        checker.receive_many = raise_once
         with connect(handle) as client:
-            client.submit_many([poison])
+            client.submit_many(anomaly_txns("lost-update"))
             assert client.drain() == 0  # dropped, yet the queue drained
             stats = client.stats()
             assert stats["ingest_errors"] == 1
-            assert "append" in stats["last_ingest_error"]
+            assert "poison" in stats["last_ingest_error"]
             # The daemon keeps checking later submissions.
             client.submit_many(anomaly_txns("dirty-read"))
             result = client.finalize()
         assert not result.is_valid
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_append_submit_is_refused_at_admission(self, start_service, protocol):
+        # Aion refuses list (append) operations online.  The submit that
+        # carries one is answered with an error — not acked and then
+        # dropped by the drain cycle together with whatever an honest
+        # producer had queued beside it.
+        handle = start_service()
+        poison = Transaction(
+            tid=99,
+            sid=9,
+            sno=1,
+            ops=[Operation(OpKind.WRITE, "x", 1), Operation(OpKind.APPEND, "l", 1)],
+            start_ts=1,
+            commit_ts=2,
+        )
+        honest_txns = anomaly_txns("dirty-read")
+        with connect(handle, protocol=protocol) as bad, connect(handle) as honest:
+            honest.submit_many(honest_txns[:1])
+            with pytest.raises(ServiceError, match="append"):
+                bad.submit_many([poison])
+            honest.submit_many(honest_txns[1:])
+            assert honest.drain() == len(honest_txns)
+            stats = honest.stats()
+            assert stats["received"] == len(honest_txns)  # nothing of the refused submit
+            assert stats["ingest_errors"] == 0
+            # The refused producer's connection survives.
+            bad.ping()
+            result = honest.finalize()
+        assert normalize_violations(result) == in_process_verdicts(honest_txns)
+
+    def test_shutdown_checks_everything_a_parked_producer_was_told(self, start_service):
+        # A large submit parked on a full queue while a second connection
+        # asks for shutdown: whatever the producer is told was admitted
+        # ("admitted N of M") is exactly what gets checked, and the
+        # daemon still closes.
+        handle = start_service(queue_capacity=4, batch_size=3)
+        checker = handle.service.checker
+        real = checker.receive_many
+
+        def slow(batch):
+            time.sleep(0.01)  # keep the producer parked in put()
+            real(batch)
+
+        checker.receive_many = slow
+        txns = faulted_stream(600, seed=11, faults=8)
+        outcome = {}
+
+        def produce():
+            with connect(handle) as producer:
+                try:
+                    producer.submit_many(txns)
+                    outcome["admitted"] = len(txns)
+                except ServiceError as exc:
+                    outcome["admitted"] = int(
+                        re.search(r"admitted (\d+) of", str(exc)).group(1)
+                    )
+
+        thread = threading.Thread(target=produce)
+        with connect(handle) as control:
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while handle.service.stats(include_bytes=False)["queue_depth"] == 0:
+                assert time.monotonic() < deadline, "the producer never queued anything"
+                time.sleep(0.005)
+            final = control.shutdown()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        admitted = outcome["admitted"]
+        assert 0 < admitted < len(txns)  # the shutdown caught it mid-submit
+        assert checker.processed == admitted
+        assert result_to_dict(final)["violations"] == in_process_ordered(txns[:admitted])
+        assert handle.stop(timeout=10.0).violations == final.violations
 
     def test_backpressure_small_queue(self, start_service):
         handle = start_service(queue_capacity=4, batch_size=3)
@@ -617,6 +693,57 @@ def service_verdicts(
     return normalize_violations(result)
 
 
+@functools.lru_cache(maxsize=None)
+def faulted_stream(n, *, seed, faults):
+    """A generated stream with injected faults, in commit order (shared
+    between parametrizations: treat the list as read-only)."""
+    history = generate_default_history(
+        WorkloadSpec(n_sessions=6, n_transactions=n, ops_per_txn=6, n_keys=40, seed=seed)
+    )
+    injector = HistoryFaultInjector(history, seed=seed)
+    injector.inject_mix(faults)
+    return transactions_in_commit_order(injector.build())
+
+
+def in_process_ordered(txns, *, level="si", n_shards=1):
+    """The violation report, in report order, of one in-process batch."""
+    config = AionConfig(timeout=float("inf"))
+    if n_shards > 1:
+        checker = ShardedAion(config, n_shards=n_shards, clock=lambda: 0.0)
+    else:
+        checker = (Aion if level == "si" else AionSer)(config, clock=lambda: 0.0)
+    try:
+        checker.receive_many(list(txns))
+        return result_to_dict(checker.finalize())["violations"]
+    finally:
+        checker.close()
+
+
+def ordered_service_run(start_service, txns, *, protocols, size, ack, n_shards=1, level="si"):
+    """Submit ``txns`` in arrival order, ``size`` per submit, round-robin
+    over one connection per entry of ``protocols``; returns the ordered
+    violation report and the daemon's stats.
+
+    Arrival order is deterministic: one connection delivers in TCP
+    order, and several connections alternate acked submits from this
+    one thread (an ack means admitted to the queue).
+    """
+    assert ack or len(protocols) == 1
+    handle = start_service(n_shards=n_shards, level=level)
+    clients = [connect(handle, protocol=protocol) for protocol in protocols]
+    try:
+        for turn, offset in enumerate(range(0, len(txns), size)):
+            clients[turn % len(clients)].submit_many(txns[offset : offset + size], ack=ack)
+        for client in clients:
+            client.drain()
+        stats = clients[0].stats(include_bytes=False)
+        result = clients[0].finalize()
+    finally:
+        for client in clients:
+            client.close()
+    return result_to_dict(result)["violations"], stats
+
+
 class TestServiceDifferential:
     @pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
     @pytest.mark.parametrize("n_shards", [1, 2])
@@ -659,12 +786,20 @@ class TestServiceDifferential:
     def test_anomaly_catalog_per_protocol(self, start_service, protocol):
         # The tentpole's acceptance: identical verdicts whichever codec
         # carries the stream — ndjson, binary frames, or v1 and v2
-        # clients interleaving on one daemon.
+        # clients interleaving on one daemon — and however small the
+        # submits are, in report order.
+        protocols = (1, 2) if protocol == "mixed" else (protocol,)
         for name in sorted(ANOMALY_CATALOG):
             txns = anomaly_txns(name)
             expected = in_process_verdicts(txns)
             got = service_verdicts(start_service, txns, protocol=protocol)
             assert got == expected, (name, protocol)
+            ordered = in_process_ordered(txns)
+            for size in (1, 3, 10):
+                got_ordered, _stats = ordered_service_run(
+                    start_service, txns, protocols=protocols, size=size, ack=True
+                )
+                assert got_ordered == ordered, (name, protocol, size)
 
     @pytest.mark.parametrize("protocol", [1, 2, "mixed"])
     def test_generated_workload_per_protocol(self, start_service, protocol):
@@ -680,6 +815,51 @@ class TestServiceDifferential:
             start_service, txns, n_clients=4, batch=13, protocol=protocol
         )
         assert got == expected
+
+    @pytest.mark.parametrize("size", [1, 3, 10, 500])
+    @pytest.mark.parametrize("protocol", [1, 2, "mixed"])
+    def test_faulted_stream_ordered_per_protocol_and_submit_size(
+        self, start_service, protocol, size
+    ):
+        # One ingest path: a 2,000-transaction faulted stream gives the
+        # report of in-process Aion — same violations, same order —
+        # through either codec or both, at any submit size; and small
+        # fire-and-forget submits reach the kernel coalesced, not one
+        # receive_many per submit.
+        txns = faulted_stream(2000, seed=77, faults=16)
+        expected = in_process_ordered(txns)
+        assert expected, "fault injection should produce violations"
+        mixed = protocol == "mixed"
+        got, stats = ordered_service_run(
+            start_service,
+            txns,
+            protocols=(1, 2) if mixed else (protocol,),
+            size=size,
+            ack=mixed,
+        )
+        assert got == expected
+        assert stats["received"] == stats["kernel"]["txns"] == len(txns)
+        assert stats["ingest_errors"] == 0
+        batches = stats["kernel"]["batches"]
+        assert batches == stats["kernel"]["batch_size"]["count"]
+        assert batches <= -(-len(txns) // size)
+        if size <= 10 and not mixed:
+            assert batches <= len(txns) // (4 * size), (batches, size)
+
+    @pytest.mark.parametrize("kind", ["sharded", "ser"])
+    def test_faulted_stream_ordered_sharded_and_ser(self, start_service, kind):
+        txns = faulted_stream(2000, seed=78, faults=16)
+        extra = {"n_shards": 2} if kind == "sharded" else {"level": "ser"}
+        expected = in_process_ordered(txns, **extra)
+        assert expected
+        if kind == "sharded":
+            assert expected == in_process_ordered(txns)
+        for protocols, size in (((1, 2), 3), ((2,), 500), ((1,), 10)):
+            got, stats = ordered_service_run(
+                start_service, txns, protocols=protocols, size=size, ack=True, **extra
+            )
+            assert got == expected, (kind, protocols, size)
+            assert stats["received"] == len(txns)
 
 
 # ----------------------------------------------------------------------

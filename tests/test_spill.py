@@ -71,20 +71,23 @@ class TestSpillStore:
             assert len(store.reload_overlapping(0, None)) == 2
 
     def test_min_spilled_ts(self):
+        def min_spilled_ts(store):
+            return min((segment.min_ts for segment in store._segments), default=None)
+
         with SpillStore() as store:
-            assert store.min_spilled_ts() is None
+            assert min_spilled_ts(store) is None
             versions_only(store, 30, 50, {})
             versions_only(store, 10, 20, {})
             versions_only(store, 40, 60, {})
-            assert store.min_spilled_ts() == 10
-            # Kept incrementally: removing the minimum recomputes it,
-            # a reload that hits nothing leaves it alone.
+            assert min_spilled_ts(store) == 10
+            # A reload removes exactly the segments it hits; one that
+            # hits nothing leaves the store alone.
             assert store.reload_overlapping(0, 25) != []
-            assert store.min_spilled_ts() == 30
+            assert min_spilled_ts(store) == 30
             assert store.reload_overlapping(0, 5) == []
-            assert store.min_spilled_ts() == 30
+            assert min_spilled_ts(store) == 30
             store.reload_overlapping(0, None)
-            assert store.min_spilled_ts() is None
+            assert min_spilled_ts(store) is None
 
     def test_files_created_and_removed(self, tmp_path):
         store = SpillStore(tmp_path / "spill")
