@@ -674,6 +674,11 @@ def _print_daemon_stats(args: argparse.Namespace) -> int:
           f"{gc.get('spill_bytes', 0):,} bytes spilled, "
           f"{gc.get('reloads', 0)} reloads, "
           f"debt {gc.get('debt', 0)} deferred index inserts")
+    host_gc = stats.get("host_gc")
+    if host_gc:
+        passes = host_gc["collections"]
+        print(f"host gc      : {passes['0']} / {passes['1']} / {passes['2']} collector passes "
+              f"(gen 0 / 1 / 2), {host_gc['seconds']:.3f}s in them")
     kernel = stats.get("kernel", {})
     if kernel:
         print(f"kernel       : {kernel.get('batches', 0)} batches, "

@@ -54,13 +54,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.common import BOTTOM, SessionTracker
 from repro.core.ext_status import (
-    EV_ACTUAL,
-    EV_EXPECTED,
-    EV_KEY,
-    EV_SNAPSHOT_TS,
-    EV_TID,
+    REC_KEYS,
+    REC_SNAPSHOT_TS,
+    REC_TID,
+    ExtRecord,
     ExtStatusTracker,
-    ExtVerdict,
     FlipFlopStats,
 )
 from repro.core.kernel import KernelStats, resolve_columns, resolve_writes
@@ -84,6 +82,7 @@ from repro.core.violations import (
 )
 from repro.histories.model import OpKind, Transaction
 from repro.core.colpack import ColumnarBatch
+from repro.util.hostgc import paused
 from repro.util.sizeof import deep_sizeof
 
 __all__ = ["Aion", "AionConfig", "GcReport"]
@@ -230,7 +229,16 @@ class Aion(SpillingGc):
         snapshot column (commit instead of start timestamp), keeps an
         Eq. 1 offender in the batch (reported and checked, not counted)
         and moves the reload test to the commit timestamp.
+
+        The whole batch runs with the host collector paused
+        (:mod:`repro.util.hostgc`): every container the kernel builds is
+        acyclic, so the dozen passes a 500-transaction batch would
+        trigger free nothing.
         """
+        with paused():
+            self._receive_batch(txns)
+
+    def _receive_batch(self, txns) -> None:
         # Validate the whole batch before mutating any state: a rejected
         # append mid-loop would otherwise leave earlier batch members
         # tracked but timer-less.
@@ -588,7 +596,8 @@ class Aion(SpillingGc):
 
         Also fires any EXT timeouts that are due at the current clock.
         """
-        self._ext.advance_to(self._clock())
+        with paused():
+            self._ext.advance_to(self._clock())
         fresh, self._fresh = self._fresh, []
         return fresh
 
@@ -597,7 +606,8 @@ class Aion(SpillingGc):
 
         Used at end of stream; equivalent to waiting out every timer.
         """
-        self._ext.flush()
+        with paused():
+            self._ext.flush()
         return self._result
 
     @property
@@ -666,28 +676,26 @@ class Aion(SpillingGc):
             )
         )
 
-    def _report_ext_violation(self, verdict: ExtVerdict) -> None:
+    def _report_ext_violation(self, tid: int, key: str, expected: Any, actual: Any) -> None:
         self._report(
-            ExtViolation(
-                axiom=Axiom.EXT,
-                tid=verdict[EV_TID],
-                key=verdict[EV_KEY],
-                expected=verdict[EV_EXPECTED],
-                actual=verdict[EV_ACTUAL],
-            )
+            ExtViolation(axiom=Axiom.EXT, tid=tid, key=key, expected=expected, actual=actual)
         )
 
-    def _drop_finalized_reads(self, verdicts: List[ExtVerdict]) -> None:
+    def _drop_finalized_reads(self, records: List[ExtRecord], drained: bool) -> None:
         # Live index entries correspond 1:1 to live unfinalized verdicts
         # (every add is paired with a track, removal only happens here,
-        # and pending reads are never GC-evicted), so a finalized batch
-        # as large as the index covers it entirely — the shape of the
-        # end-of-stream flush.
+        # and pending reads are never GC-evicted), so once the tracker
+        # has nothing pending the index holds nothing worth keeping —
+        # the shape of the end-of-stream flush.
         ext_reads = self._ext_reads
-        if len(verdicts) == len(ext_reads):
+        if drained:
             ext_reads.clear()
             return
         ext_reads.remove_batch(
-            [(v[EV_KEY], v[EV_SNAPSHOT_TS], v[EV_TID]) for v in verdicts]
+            [
+                (key, record[REC_SNAPSHOT_TS], record[REC_TID])
+                for record in records
+                for key in record[REC_KEYS]
+            ]
         )
 

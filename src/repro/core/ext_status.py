@@ -23,44 +23,33 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
-    "ExtVerdict",
+    "ExtRecord",
     "ExtStatusTracker",
     "FlipFlopStats",
-    "EV_TID",
-    "EV_KEY",
-    "EV_SNAPSHOT_TS",
-    "EV_ACTUAL",
-    "EV_OK",
-    "EV_EXPECTED",
-    "EV_FIRST_SEEN",
-    "EV_LAST_CHANGE",
-    "EV_FLIPS",
-    "EV_FINALIZED",
-    "EV_WRONG_SINCE",
+    "REC_TID",
+    "REC_KEYS",
+    "REC_SNAPSHOT_TS",
 ]
 
-# A tentative EXT verdict is a plain mutable list record, one per
-# external read (one (txn, key) pair).  The batch kernel constructs one
-# per external read on the ingestion hot path; a list literal beats any
-# class instantiation there (no __init__ frame, no attribute stores),
-# and the verdict pass mutates ok/flips/wrong_since in place.  The index
-# constants below are the field contract shared with the checkers'
-# violation reporters.
-EV_TID = 0
-EV_KEY = 1
-EV_SNAPSHOT_TS = 2
-EV_ACTUAL = 3
-EV_OK = 4
-EV_EXPECTED = 5
-EV_FIRST_SEEN = 6
-EV_LAST_CHANGE = 7
-EV_FLIPS = 8
-EV_FINALIZED = 9
-#: Set when the verdict first became wrong; cleared when corrected.
-EV_WRONG_SINCE = 10
+# The tentative EXT verdicts of one transaction are ONE flat mutable list:
+# a four-slot header — tid, the external read keys as a tuple, the snapshot
+# point and the first-seen time, each stored once — followed by six
+# parallel runs of ``len(keys)`` slots: actual, ok, expected, last_change,
+# flips, wrong_since (set when the verdict first became wrong, cleared when
+# corrected).  Read ``i`` of run ``r`` sits at ``_HEADER + r * len(keys) +
+# i``, and a key's ``i`` is ``keys.index(key)``.  One container per
+# transaction is what the host collector has to walk for ever after; a
+# record per read (and a ``(tid, key)`` dict entry to find it) was the
+# largest structure the checker owned.  The header offsets are the contract
+# with the checkers' finalization hooks; the runs are private.
+REC_TID = 0
+REC_KEYS = 1
+REC_SNAPSHOT_TS = 2
+_HEADER = 4
+_ACTUAL, _OK, _EXPECTED, _LAST_CHANGE, _FLIPS, _WRONG_SINCE = range(6)
 
-#: Type alias for one verdict record — ``List[Any]`` indexed by ``EV_*``.
-ExtVerdict = List[Any]
+#: Type alias for one transaction's record.
+ExtRecord = List[Any]
 
 
 @dataclass
@@ -118,38 +107,33 @@ class ExtStatusTracker:
     ``clock`` supplies the current (possibly virtual) time; each tracked
     transaction gets one deadline ``arrival + timeout``.  When
     :meth:`advance_to` passes a deadline, every verdict of that
-    transaction is finalized: still-⊥ verdicts are reported through the
-    ``on_violation`` callback, and the (txn, key) pair stops being
-    re-checked (Algorithm 3, TIMEOUT / lines 40–41).
+    transaction is finalized: still-⊥ verdicts are reported through
+    ``on_violation(tid, key, expected, actual)``, and the (txn, key) pair
+    stops being re-checked (Algorithm 3, TIMEOUT / lines 40–41).
     """
 
     def __init__(
         self,
         *,
         timeout: float,
-        on_violation: Callable[[ExtVerdict], None],
-        on_finalized: Optional[Callable[[ExtVerdict], None]] = None,
-        on_finalized_batch: Optional[Callable[[List[ExtVerdict]], None]] = None,
+        on_violation: Callable[[int, str, Any, Any], None],
+        on_finalized_batch: Optional[Callable[[List[ExtRecord], bool], None]] = None,
     ) -> None:
         self._timeout = timeout
         self._on_violation = on_violation
-        self._on_finalized = on_finalized
-        #: Alternative to ``on_finalized``: delivered once per
-        #: :meth:`advance_to` with every verdict finalized by that call,
-        #: so the owner can drop finalized reads from its read index in
-        #: one grouped pass instead of one callback per verdict.
+        #: Delivered once per :meth:`advance_to` with the records it
+        #: finalized and whether that left nothing pending, so the owner
+        #: can drop finalized reads from its read index in one grouped
+        #: pass — or clear the index outright.
         self._on_finalized_batch = on_finalized_batch
-        self._verdicts: Dict[Tuple[int, str], ExtVerdict] = {}
+        #: tid -> record, in track (= batch arrival) order.
+        self._txns: Dict[int, ExtRecord] = {}
         #: (deadline, sequence, tids) — the sequence number keeps entries
         #: totally ordered so equal deadlines never compare tid tuples.
         self._deadlines: List[Tuple[float, int, Tuple[int, ...]]] = []
         self._deadline_seq = 0
-        self._txn_pairs: Dict[int, List[Tuple[int, str]]] = {}
         self._timed_out: Set[int] = set()
         self.stats = FlipFlopStats()
-
-    def __len__(self) -> int:
-        return len(self._verdicts)
 
     def track_columns(
         self,
@@ -162,36 +146,50 @@ class ExtStatusTracker:
         bottom: Any,
     ) -> None:
         """Register initial verdicts for a whole batch of external reads,
-        as parallel arrays straight from the batch kernel's route pass —
-        no per-item record tuples.
+        as parallel arrays straight from the batch kernel's route pass.
 
-        The initial verdict (expected equals actual, with ``bottom``
-        matching a ``None`` client read) is computed inline —
-        one fused pass instead of a separate ok column.  Exploits batch
-        order — a transaction's external reads are contiguous in the
-        arrays — to look up the per-transaction pair list once per run of
-        equal tids instead of once per read.
+        The initial verdict is ``expected == actual``, with ``bottom``
+        matching a ``None`` client read.  A transaction's external reads
+        are contiguous in the arrays (batch order), so each record is
+        built from one slice per column.
         """
-        verdicts = self._verdicts
-        txn_pairs = self._txn_pairs
-        last_tid: Optional[int] = None
-        pairs: Optional[List[Tuple[int, str]]] = None
-        for tid, key, sts, actual, expected in zip(
-            tids, keys, snapshot_ts, actuals, expecteds
-        ):
-            ok = (actual is None) if expected is bottom else (expected == actual)
-            pair = (tid, key)
-            verdicts[pair] = [
-                tid, key, sts, actual, ok, expected,
-                now, now, 0, False, None if ok else now,
+        oks = [
+            (actual is None) if expected is bottom else (expected == actual)
+            for actual, expected in zip(actuals, expecteds)
+        ]
+        txns = self._txns
+        n = len(tids)
+        lo = 0
+        while lo < n:
+            tid = tids[lo]
+            hi = lo + 1
+            while hi < n and tids[hi] == tid:
+                hi += 1
+            run_keys = tuple(keys[lo:hi])
+            width = hi - lo
+            if len(set(run_keys)) == width:
+                run_actuals, run_oks, run_expecteds = actuals[lo:hi], oks[lo:hi], expecteds[lo:hi]
+            else:
+                # The same transaction twice in a row (a retransmission):
+                # as when the copies arrive apart, the later one replaces
+                # the earlier — ``keys.index`` would only ever find the
+                # first, and the second would keep a stale verdict.
+                last = {key: index for index, key in enumerate(run_keys, lo)}
+                run_keys, width = tuple(last), len(last)
+                run_actuals = [actuals[index] for index in last.values()]
+                run_oks = [oks[index] for index in last.values()]
+                run_expecteds = [expecteds[index] for index in last.values()]
+            txns[tid] = [
+                tid, run_keys, snapshot_ts[hi - 1], now,
+                *run_actuals,
+                *run_oks,
+                *run_expecteds,
+                *[now] * width,
+                *[0] * width,
+                *[None if ok else now for ok in run_oks],
             ]
-            if tid != last_tid:
-                pairs = txn_pairs.get(tid)
-                if pairs is None:
-                    pairs = txn_pairs[tid] = []
-                last_tid = tid
-            pairs.append(pair)
-        self.stats.n_pairs += len(tids)
+            lo = hi
+        self.stats.n_pairs += n
 
     def arm_timers(self, tids: Iterable[int], now: float) -> None:
         """Arm one shared EXT re-checking deadline (line 3:3) for a whole
@@ -207,47 +205,51 @@ class ExtStatusTracker:
         heapq.heappush(self._deadlines, (now + self._timeout, self._deadline_seq, tids))
         self._deadline_seq += 1
 
-    def reevaluate(self, tid: int, key: str, ok: bool, expected: Any, now: float) -> Optional[ExtVerdict]:
+    def reevaluate(self, tid: int, key: str, ok: bool, expected: Any, now: float) -> None:
         """Apply a re-check result; no-op for finalized or unknown pairs."""
-        verdict = self._verdicts.get((tid, key))
-        if verdict is None or verdict[EV_FINALIZED]:
-            return None
-        if ok != verdict[EV_OK]:
-            verdict[EV_FLIPS] += 1
-            verdict[EV_LAST_CHANGE] = now
+        record = self._txns.get(tid)
+        if record is None:
+            return
+        keys = record[REC_KEYS]
+        try:
+            slot = _HEADER + keys.index(key)
+        except ValueError:
+            return
+        width = len(keys)
+        ok_slot = slot + _OK * width
+        if ok != record[ok_slot]:
+            record[ok_slot] = ok
+            record[slot + _FLIPS * width] += 1
+            record[slot + _LAST_CHANGE * width] = now
+            wrong_slot = slot + _WRONG_SINCE * width
             if ok:
-                wrong_since = verdict[EV_WRONG_SINCE]
+                wrong_since = record[wrong_slot]
                 if wrong_since is not None:
                     self.stats.rectify_times.append(now - wrong_since)
-                    verdict[EV_WRONG_SINCE] = None
+                    record[wrong_slot] = None
             else:
-                verdict[EV_WRONG_SINCE] = now
-        verdict[EV_OK] = ok
-        verdict[EV_EXPECTED] = expected
-        if verdict[EV_FLIPS] > 0:
+                record[wrong_slot] = now
             self.stats.flipped_tids.add(tid)
-        return verdict
+        record[slot + _EXPECTED * width] = expected
 
     def is_timed_out(self, tid: int) -> bool:
         return tid in self._timed_out
 
-    def advance_to(self, now: float) -> List[ExtVerdict]:
+    def advance_to(self, now: float) -> List[ExtRecord]:
         """Finalize every transaction whose deadline has passed.
 
-        Returns the verdicts finalized in this call (both ⊤ and ⊥); ⊥
-        verdicts are additionally delivered to ``on_violation``.
+        Returns the records finalized in this call (⊤ and ⊥ verdicts
+        alike); each ⊥ verdict is additionally delivered to
+        ``on_violation``, in arming order, then read order.
         """
         deadlines = self._deadlines
         if not deadlines or deadlines[0][0] > now:
             return []
         if now == float("inf"):
             return self._finalize_all()
-        finalized: List[ExtVerdict] = []
-        verdicts = self._verdicts
-        txn_pairs = self._txn_pairs
+        finalized: List[ExtRecord] = []
+        txns_pop = self._txns.pop
         timed_out = self._timed_out
-        stats = self.stats
-        flips_per_pair = stats.flips_per_pair
         heappop = heapq.heappop
         while deadlines and deadlines[0][0] <= now:
             _, _, tids = heappop(deadlines)
@@ -255,85 +257,73 @@ class ExtStatusTracker:
                 if tid in timed_out:
                     continue
                 timed_out.add(tid)
-                for pair in txn_pairs.pop(tid, ()):
-                    verdict = verdicts.pop(pair, None)
-                    if verdict is None or verdict[EV_FINALIZED]:
-                        continue
-                    verdict[EV_FINALIZED] = True
-                    stats.n_finalized += 1
-                    flips = verdict[EV_FLIPS]
-                    if flips > 0:
-                        flips_per_pair[flips] = flips_per_pair.get(flips, 0) + 1
-                    finalized.append(verdict)
-                    if not verdict[EV_OK]:
-                        stats.n_final_violations += 1
-                        self._on_violation(verdict)
-                    if self._on_finalized is not None:
-                        self._on_finalized(verdict)
-        if finalized and self._on_finalized_batch is not None:
-            self._on_finalized_batch(finalized)
+                record = txns_pop(tid, None)
+                if record is not None:
+                    finalized.append(record)
+        self._finalized(finalized)
         return finalized
 
-    def _finalize_all(self) -> List[ExtVerdict]:
+    def _finalize_all(self) -> List[ExtRecord]:
         """End-of-stream fast path: every armed deadline is due at once.
 
-        Iterating the verdict dict replaces one ``dict.pop`` per pair and
-        one ``txn_pairs.pop`` per transaction with two clears.  Order is
-        preserved exactly: live verdicts sit in the dict in track order —
-        batch arrival order — which is the same order the heap-driven loop
-        visits them (equal-deadline entries pop in arming sequence, tids
-        within an entry and pairs within a transaction are in arrival
-        order), so reported violations come out identically.
+        Taking the record dict whole replaces one ``dict.pop`` per
+        transaction with one clear.  Order is preserved exactly: live
+        records sit in the dict in track order — batch arrival order —
+        which is the same order the heap-driven loop visits them
+        (equal-deadline entries pop in arming sequence, tids within an
+        entry are in arrival order), so reported violations come out
+        identically.
         """
         deadlines = self._deadlines
         timed_out = self._timed_out
         while deadlines:
-            for tid in deadlines.pop()[2]:
-                timed_out.add(tid)
-        stats = self.stats
-        flips_per_pair = stats.flips_per_pair
-        finalized: List[ExtVerdict] = []
-        append = finalized.append
-        on_finalized = self._on_finalized
-        on_violation = self._on_violation
-        # Every transaction with a live verdict has an entry in
-        # ``_txn_pairs``; when all of them are armed, the per-verdict
-        # membership test is dead weight.
-        check_armed = not timed_out.issuperset(self._txn_pairs)
-        n_violations = 0
-        for verdict in self._verdicts.values():
-            if check_armed and verdict[EV_TID] not in timed_out:
-                # Tracked but never armed: not yet due, keep it live.
-                continue
-            verdict[EV_FINALIZED] = True
-            flips = verdict[EV_FLIPS]
-            if flips > 0:
-                flips_per_pair[flips] = flips_per_pair.get(flips, 0) + 1
-            append(verdict)
-            if not verdict[EV_OK]:
-                n_violations += 1
-                on_violation(verdict)
-            if on_finalized is not None:
-                on_finalized(verdict)
-        stats.n_finalized += len(finalized)
-        stats.n_final_violations += n_violations
-        if len(finalized) == len(self._verdicts):
-            self._verdicts.clear()
-            self._txn_pairs.clear()
-        else:  # pragma: no cover - unarmed verdicts are not produced by the checkers
-            for verdict in finalized:
-                del self._verdicts[(verdict[EV_TID], verdict[EV_KEY])]
-                self._txn_pairs.pop(verdict[EV_TID], None)
-        if finalized and self._on_finalized_batch is not None:
-            self._on_finalized_batch(finalized)
+            timed_out.update(deadlines.pop()[2])
+        txns = self._txns
+        if timed_out.issuperset(txns):
+            finalized = list(txns.values())
+            txns.clear()
+        else:  # pragma: no cover - unarmed records are not produced by the checkers
+            finalized = [record for tid, record in txns.items() if tid in timed_out]
+            for record in finalized:
+                del txns[record[REC_TID]]
+        self._finalized(finalized)
         return finalized
 
-    def flush(self) -> List[ExtVerdict]:
+    def _finalized(self, records: List[ExtRecord]) -> None:
+        """Account for and report records just taken off the live set."""
+        if not records:
+            return
+        stats = self.stats
+        flips_per_pair = stats.flips_per_pair
+        on_violation = self._on_violation
+        n_reads = 0
+        n_violations = 0
+        for record in records:
+            keys = record[REC_KEYS]
+            width = len(keys)
+            n_reads += width
+            flips_lo = _HEADER + _FLIPS * width
+            for flips in record[flips_lo : flips_lo + width]:
+                if flips:
+                    flips_per_pair[flips] = flips_per_pair.get(flips, 0) + 1
+            ok_lo = _HEADER + _OK * width
+            if not all(record[ok_lo : ok_lo + width]):
+                tid = record[REC_TID]
+                for index, key in enumerate(keys):
+                    slot = _HEADER + index
+                    if not record[slot + _OK * width]:
+                        n_violations += 1
+                        on_violation(
+                            tid, key, record[slot + _EXPECTED * width], record[slot + _ACTUAL * width]
+                        )
+        stats.n_finalized += n_reads
+        stats.n_final_violations += n_violations
+        if self._on_finalized_batch is not None:
+            self._on_finalized_batch(records, not self._txns)
+
+    def flush(self) -> List[ExtRecord]:
         """Finalize everything regardless of deadlines (end of stream)."""
         return self.advance_to(float("inf"))
-
-    def pending_pairs(self) -> int:
-        return len(self._verdicts)
 
     def min_pending_snapshot_ts(self) -> Optional[int]:
         """Smallest snapshot point among unfinalized reads.
@@ -342,7 +332,6 @@ class ExtStatusTracker:
         this point minus one, or pending re-checks would consult spilled
         state on every arrival.
         """
-        if not self._verdicts:
+        if not self._txns:
             return None
-        return min(v[EV_SNAPSHOT_TS] for v in self._verdicts.values())
-
+        return min(record[REC_SNAPSHOT_TS] for record in self._txns.values())

@@ -87,7 +87,7 @@ from repro.core.colpack import (
     unpack_result_frame,
 )
 from repro.core.common import BOTTOM
-from repro.core.ext_status import EV_KEY, EV_SNAPSHOT_TS, EV_TID, ExtVerdict
+from repro.core.ext_status import REC_KEYS, REC_SNAPSHOT_TS, REC_TID, ExtRecord
 from repro.core.versioned import (
     ExtReadIndex,
     IntervalColumns,
@@ -97,6 +97,7 @@ from repro.core.versioned import (
     empty_columns,
     probe_columns,
 )
+from repro.util.hostgc import paused
 from repro.util.sizeof import deep_sizeof
 
 __all__ = ["ShardedAion", "shard_of"]
@@ -156,24 +157,30 @@ class _ShardCore:
     ) -> Tuple[List[Any], List[Any], List[Any]]:
         """Drop the finalized reads in ``removals``, then run this
         shard's ``key_streams`` over the given columns; see
-        :func:`~repro.core.versioned.probe_columns` for ``results``."""
-        if removals:
-            self.ext_reads.remove_batch(removals)
-        return probe_columns(
-            self.frontier, self.writers, self.ext_reads, key_streams,
-            r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids,
-            optimized, BOTTOM, results,
-        )
+        :func:`~repro.core.versioned.probe_columns` for ``results``.
+        A worker process has a collector of its own, so the pause is
+        taken here as well as in the coordinator's ``receive_many``."""
+        with paused():
+            if removals:
+                self.ext_reads.remove_batch(removals)
+            return probe_columns(
+                self.frontier, self.writers, self.ext_reads, key_streams,
+                r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids,
+                optimized, BOTTOM, results,
+            )
 
     def control(self, command: Tuple) -> Any:
-        """Control plane: GC eviction and reload, size estimation,
-        counters."""
+        """Control plane: GC eviction and reload, dropping every indexed
+        read, size estimation, counters."""
         op = command[0]
         if op == "evict":
             return self.frontier.evict_below(command[1]), self.writers.evict_below(command[1])
         if op == "merge":
             self.frontier.merge(command[1])
             self.writers.merge(command[2])
+            return None
+        if op == "clear_reads":
+            self.ext_reads.clear()
             return None
         if op == "sizeof":
             return deep_sizeof((self.frontier, self.writers, self.ext_reads))
@@ -680,14 +687,22 @@ class ShardedAion(Aion):
                 lo = hi
         self._control([("merge", *part) for part in split])
 
-    def _drop_finalized_reads(self, verdicts: List[ExtVerdict]) -> None:
+    def _drop_finalized_reads(self, records: List[ExtRecord], drained: bool) -> None:
+        if drained:
+            # Nothing is pending any more (the end-of-stream flush): every
+            # read a shard still indexes is finalized, so one command per
+            # shard replaces a removal tuple per read, queued for a probe
+            # that may never come.
+            self._pending_removals = [[] for _ in range(self.n_shards)]
+            self._control([("clear_reads",)] * self.n_shards)
+            return
         pending = self._pending_removals
         shard_for = self._shard_for
-        for verdict in verdicts:
-            key = verdict[EV_KEY]
-            pending[shard_for(key)].append(
-                (key, verdict[EV_SNAPSHOT_TS], verdict[EV_TID])
-            )
+        for record in records:
+            sts = record[REC_SNAPSHOT_TS]
+            tid = record[REC_TID]
+            for key in record[REC_KEYS]:
+                pending[shard_for(key)].append((key, sts, tid))
 
     def close(self) -> None:
         """Stop worker processes and release the spill directory."""

@@ -56,6 +56,7 @@ from repro.core.colpack import (
 )
 from repro.core.versioned import IntervalColumns, VersionColumns
 from repro.histories.model import Transaction
+from repro.util.hostgc import paused
 from repro.util.sortedmap import SortedMap
 
 __all__ = [
@@ -378,7 +379,14 @@ class SpillingGc:
         a no-op with zero counts; ``effective_ts`` then equals the
         requested ``ts`` — or the ``-1`` sentinel only when no ``ts`` was
         given either, i.e. there was no watermark at all.
+
+        Runs with the host collector paused: the evicted columns and the
+        segment image are acyclic and dead by the time it returns.
         """
+        with paused():
+            return self._collect_below(ts)
+
+    def _collect_below(self, ts: Optional[int]) -> GcReport:
         t0 = time.perf_counter()
         safe = self.gc_safe_ts()
         if safe is None:
@@ -422,8 +430,9 @@ class SpillingGc:
     def _reload_below(self, ts: Optional[int]) -> None:
         """Reload spilled segments overlapping [0, ts] (None = all)."""
         if self._spill is not None:
-            for versions, intervals in self._spill.reload_overlapping(0, ts):
-                self._merge_columns(versions, intervals)
+            with paused():
+                for versions, intervals in self._spill.reload_overlapping(0, ts):
+                    self._merge_columns(versions, intervals)
 
     def close(self) -> None:
         """Release the spill directory, if any."""

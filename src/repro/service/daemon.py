@@ -27,6 +27,7 @@ a synchronous program.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import sys
 import threading
@@ -89,6 +90,24 @@ _APPEND_REFUSAL = (
 _Reader = asyncio.StreamReader
 _Writer = asyncio.StreamWriter
 _Msg = Dict[str, Any]
+
+
+def _mistyped(batch: ColumnarBatch) -> Optional[str]:
+    """What is wrong with the types in a decoded ndjson submit, if
+    anything.  JSON types the rows itself, so a timestamp can arrive as
+    a string; left to ``receive_many`` it would raise there and drop the
+    drain cycle for every producer drained beside this one.  (A frame's
+    packed columns cannot carry anything but integers and strings.)"""
+    header = zip(
+        ("tid", "sid", "sno", "sts", "cts"),
+        (batch.tids, batch.sids, batch.snos, batch.starts, batch.commits),
+    )
+    for name, column in header:
+        if set(map(type, column)) - {int}:
+            return f"submit refused: every transaction's {name!r} must be an integer"
+    if set(map(type, batch.op_keys)) - {str}:
+        return "submit refused: every operation's key must be a string"
+    return None
 
 
 class _Hangup(Exception):
@@ -181,6 +200,7 @@ class CheckerService:
             self._http = HttpSidecar(config.host, config.http_port, routes)
             await self._http.start()
             self.http_address = self._http.address
+        gc.callbacks.append(self._status.host_gc)
         self._ingest.start()
 
     async def wait_closed(self) -> None:
@@ -224,7 +244,13 @@ class CheckerService:
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
         finally:
-            self._stopped.set()
+            self._mark_stopped()
+
+    def _mark_stopped(self) -> None:
+        """The last step of either way of stopping."""
+        if self._status.host_gc in gc.callbacks:
+            gc.callbacks.remove(self._status.host_gc)
+        self._stopped.set()
 
     def _close_listeners(self) -> None:
         # Server.wait_closed() is never awaited: since Python 3.12.1 it
@@ -260,7 +286,7 @@ class CheckerService:
             await self._ingest.run(self._ingest.locked, self.checker.close)
             return result
         finally:
-            self._stopped.set()
+            self._mark_stopped()
 
     def _welcome_message(self, version: int) -> _Msg:
         return {
@@ -364,9 +390,13 @@ class CheckerService:
             try:
                 # Anything but a list of rows is an empty submit, which
                 # admission refuses in the same words for both codecs.
-                message["batch"] = columns_from_rows(rows if isinstance(rows, list) else ())
+                batch = message["batch"] = columns_from_rows(rows if isinstance(rows, list) else ())
             except (KeyError, TypeError, ValueError) as exc:
                 self._refuse(writer, f"malformed transaction: {exc!r}", seq=message.get("seq"))
+                return None
+            refusal = _mistyped(batch)
+            if refusal is not None:
+                self._refuse(writer, refusal, seq=message.get("seq"))
                 return None
         return message
 

@@ -142,6 +142,12 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
     ("repro_gc_spill_bytes_total", "Bytes written to spill segments", "counter", (),
      "gc.spill_bytes"),
     ("repro_gc_reloads_total", "Spill segments read back on demand", "counter", (), "gc.reloads"),
+    ("repro_host_gc_collections_total",
+     "Passes of the host runtime's cyclic collector (CPython gc) in this process", "counter",
+     ("generation",),
+     lambda stats: (((gen,), n) for gen, n in stats["host_gc"]["collections"].items())),
+    ("repro_host_gc_seconds_total", "Wall time spent inside host collector passes", "counter", (),
+     "host_gc.seconds"),
     ("repro_shard_versions", "Frontier versions held by one shard", "gauge", ("shard",),
      _shard("versions")),
     ("repro_shard_intervals", "Writer intervals held by one shard", "gauge", ("shard",),
@@ -172,6 +178,34 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
 _SET = {"counter": Counter.set_total, "gauge": Gauge.set}
 
 
+class HostGcMeter:
+    """A ``gc.callbacks`` hook: passes per generation and the time spent
+    in them, process-wide, while it is installed.  The checker keeps the
+    collector out of its own work (:mod:`repro.util.hostgc`); this is
+    what the passes that still run — between batches, and over whatever
+    else shares the process — cost."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        # Passes never nest (the collector is not re-entrant) and run
+        # under the GIL, so one start stamp is enough.
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.seconds += time.perf_counter() - self._started
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {
+            "collections": {str(gen): n for gen, n in enumerate(self.collections)},
+            "seconds": round(self.seconds, 6),
+        }
+
+
 class StatusView:
     """Snapshot, health verdict and Prometheus mirror of one daemon."""
 
@@ -193,6 +227,9 @@ class StatusView:
         self._edge = edge
         self._metrics = metrics
         self._slow_batch_log = slow_batch_log
+        #: Installed into ``gc.callbacks`` by the daemon for as long as
+        #: it runs.
+        self.host_gc = HostGcMeter()
         #: ``(value, measured_at)`` cache for ``estimated_bytes`` — the
         #: deep-sizeof walk runs under the ingest lock, so wire STATS and
         #: ``/metrics`` share one measurement per TTL window instead of
@@ -302,6 +339,7 @@ class StatusView:
                 "spill_bytes": spill.bytes_written if spill is not None else 0,
                 "reloads": spill.reload_count if spill is not None else 0,
             },
+            "host_gc": self.host_gc.snapshot(),
             "shards": shards,
             "lanes": {
                 "frames": getattr(checker, "lane_frames", 0),

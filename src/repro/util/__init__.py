@@ -12,6 +12,8 @@ the data-structure substrate the checkers are built on:
   memory figures (Fig 7, 10, 16).
 - :mod:`repro.util.rng` — deterministic random-stream helpers shared by the
   workload generators and delay models.
+- :mod:`repro.util.hostgc` — the scoped pause that keeps CPython's cyclic
+  collector out of the batch kernel, GC cycles and finalization.
 """
 
 from repro.util.intervals import Interval, IntervalIndex

@@ -1,94 +1,197 @@
-"""Tests for EXT verdict tracking: flip-flops, timeouts, rectify times."""
+"""Tests for EXT verdict tracking: flip-flops, timeouts, rectify times.
+
+Written against what the tracker *does* — which violations it reports
+and when, and what ``FlipFlopStats`` accumulates — not against how it
+lays a verdict out in memory.
+"""
+
+import pytest
 
 from repro.core.common import BOTTOM
 from repro.core.ext_status import (
-    EV_FLIPS,
-    EV_KEY,
-    EV_OK,
-    EV_TID,
+    REC_KEYS,
+    REC_SNAPSHOT_TS,
+    REC_TID,
     ExtStatusTracker,
     FlipFlopStats,
 )
 
 
-def track(tracker, tid, key, snapshot_ts, *, actual, expected, arm=True):
-    """Register one external read at time 0 through the batch entry
-    points the kernel uses (the initial verdict is ``expected == actual``),
-    arming the transaction's timer unless more of its reads follow."""
-    tracker.track_columns([tid], [key], [snapshot_ts], [actual], [expected], 0.0, BOTTOM)
-    if arm:
-        tracker.arm_timers((tid,), 0.0)
+def track(tracker, tid, reads, *, snapshot_ts=10, now=0.0):
+    """Register one transaction's external reads — ``{key: (actual,
+    expected)}`` — through the batch entry points the kernel uses (the
+    initial verdict is ``expected == actual``) and arm its timer."""
+    keys = list(reads)
+    tracker.track_columns(
+        [tid] * len(keys), keys, [snapshot_ts] * len(keys),
+        [reads[key][0] for key in keys], [reads[key][1] for key in keys], now, BOTTOM,
+    )
+    tracker.arm_timers((tid,), now)
 
 
-def make_tracker(timeout=5.0, violations=None, finalized=None):
-    violations = violations if violations is not None else []
-    finalized = finalized if finalized is not None else []
-    return ExtStatusTracker(
+def make_tracker(timeout=5.0):
+    """A tracker plus the two logs its callbacks append to: reported
+    violations as ``(tid, key, expected, actual)`` and, per finalization
+    call, ``(tids finalized, nothing left pending)``."""
+    violations = []
+    finalized = []
+    tracker = ExtStatusTracker(
         timeout=timeout,
-        on_violation=violations.append,
-        on_finalized=finalized.append,
-    ), violations, finalized
+        on_violation=lambda *violation: violations.append(violation),
+        on_finalized_batch=lambda records, drained: finalized.append(
+            ([record[REC_TID] for record in records], drained)
+        ),
+    )
+    return tracker, violations, finalized
 
 
 class TestLifecycle:
     def test_ok_verdict_finalizes_silently(self):
         tracker, violations, finalized = make_tracker()
-        track(tracker, 1, "x", 10, actual="v", expected="v")
+        track(tracker, 1, {"x": ("v", "v")})
         done = tracker.advance_to(5.0)
-        assert len(done) == 1 and done[0][EV_OK]
+        assert [(r[REC_TID], r[REC_KEYS], r[REC_SNAPSHOT_TS]) for r in done] == [(1, ("x",), 10)]
         assert violations == []
-        assert [v[EV_TID] for v in finalized] == [1]
+        assert finalized == [([1], True)]
+        assert tracker.stats.n_finalized == 1 and tracker.stats.n_final_violations == 0
 
     def test_wrong_verdict_reported_at_timeout(self):
         tracker, violations, _ = make_tracker()
-        track(tracker, 1, "x", 10, actual="v", expected="w")
+        track(tracker, 1, {"x": ("v", "w")})
         assert tracker.advance_to(4.9) == []  # not yet due
+        assert violations == []
         tracker.advance_to(5.0)
-        assert len(violations) == 1
-        assert violations[0][EV_TID] == 1 and violations[0][EV_KEY] == "x"
+        assert violations == [(1, "x", "w", "v")]
+
+    def test_bottom_expected_matches_a_none_read_only(self):
+        tracker, violations, _ = make_tracker()
+        track(tracker, 1, {"x": (None, BOTTOM)})
+        track(tracker, 2, {"x": ("v", BOTTOM)})
+        tracker.flush()
+        assert violations == [(2, "x", BOTTOM, "v")]
 
     def test_rectified_before_timeout_not_reported(self):
         tracker, violations, _ = make_tracker()
-        track(tracker, 1, "x", 10, actual="v", expected="w")
+        track(tracker, 1, {"x": ("v", "w")})
         tracker.reevaluate(1, "x", ok=True, expected="v", now=0.010)
         tracker.advance_to(10.0)
         assert violations == []
         assert tracker.stats.rectify_times == [0.010]
 
-    def test_finalized_pairs_never_reevaluated(self):
+    def test_report_carries_the_last_expected_value(self):
         tracker, violations, _ = make_tracker()
-        track(tracker, 1, "x", 10, actual="v", expected="w")
+        track(tracker, 1, {"x": ("v", "w")})
+        tracker.reevaluate(1, "x", ok=False, expected="u", now=1.0)  # still wrong
         tracker.advance_to(5.0)
-        assert tracker.is_timed_out(1)
-        assert tracker.reevaluate(1, "x", ok=True, expected="v", now=6.0) is None
-        assert len(violations) == 1  # still exactly one report
+        assert violations == [(1, "x", "u", "v")]
+        assert tracker.stats.flips_per_pair == {}  # wrong → wrong is no flip
 
     def test_flush_finalizes_everything(self):
         tracker, violations, _ = make_tracker(timeout=float("inf"))
-        track(tracker, 1, "x", 10, actual="v", expected="w")
+        track(tracker, 1, {"x": ("v", "w")})
         assert tracker.advance_to(1e9) == []  # infinite timeout never due
         tracker.flush()
-        assert len(violations) == 1
+        assert violations == [(1, "x", "w", "v")]
 
-    def test_multiple_keys_per_txn(self):
+    def test_multiple_keys_per_txn_report_in_read_order(self):
         tracker, violations, _ = make_tracker()
-        track(tracker, 1, "x", 10, actual="a", expected="b", arm=False)
-        track(tracker, 1, "y", 10, actual="c", expected="c")
+        track(tracker, 1, {"x": ("a", "b"), "y": ("c", "c"), "z": ("d", "e")})
         tracker.advance_to(5.0)
-        assert [(v[EV_TID], v[EV_KEY]) for v in violations] == [(1, "x")]
+        assert violations == [(1, "x", "b", "a"), (1, "z", "e", "d")]
+        assert tracker.stats.n_pairs == tracker.stats.n_finalized == 3
+
+    @pytest.mark.parametrize("apart", [False, True])
+    def test_retransmitted_transaction_has_one_verdict_per_key(self, apart):
+        # Both copies' reads are in the owner's read index, so a writer
+        # re-evaluates the pair twice; neither copy may be left behind
+        # with the stale ⊥ it arrived with.
+        tracker, violations, _ = make_tracker()
+        copy = ([1, 1], ["x", "y"], [10, 10], ["a", "b"], ["q", "b"])
+        if apart:
+            tracker.track_columns(*copy, 0.0, BOTTOM)
+            tracker.track_columns(*copy, 0.0, BOTTOM)
+        else:
+            tracker.track_columns(*(column * 2 for column in copy), 0.0, BOTTOM)
+        tracker.arm_timers((1, 1), 0.0)
+        tracker.reevaluate(1, "x", ok=True, expected="a", now=1.0)
+        tracker.reevaluate(1, "x", ok=True, expected="a", now=1.0)
+        done = tracker.flush()
+        assert [record[REC_KEYS] for record in done] == [("x", "y")]
+        assert violations == []
+        assert tracker.stats.n_finalized == 2 and tracker.stats.rectify_times == [1.0]
+
+
+class TestReevaluationIsANoOp:
+    """… for a pair the tracker does not (or no longer) hold."""
+
+    def untouched(self, tracker):
+        stats = tracker.stats
+        return (stats.flips_per_pair, stats.flipped_tids, stats.rectify_times) == ({}, set(), [])
+
+    def test_unknown_transaction(self):
+        tracker, _, _ = make_tracker()
+        tracker.reevaluate(7, "x", ok=False, expected="w", now=1.0)
+        assert self.untouched(tracker) and tracker.flush() == []
+
+    def test_unknown_key_of_a_tracked_transaction(self):
+        tracker, violations, _ = make_tracker()
+        track(tracker, 1, {"x": ("v", "v")})
+        tracker.reevaluate(1, "y", ok=False, expected="w", now=1.0)
+        tracker.flush()
+        assert self.untouched(tracker) and violations == []
+
+    def test_timed_out_pair(self):
+        tracker, violations, _ = make_tracker()
+        track(tracker, 1, {"x": ("v", "w")})
+        tracker.advance_to(5.0)
+        assert tracker.is_timed_out(1) and not tracker.is_timed_out(2)
+        tracker.reevaluate(1, "x", ok=True, expected="v", now=6.0)
+        tracker.flush()
+        assert self.untouched(tracker)
+        assert violations == [(1, "x", "w", "v")]  # still exactly one report
+
+    def test_flushed_pair(self):
+        tracker, violations, _ = make_tracker(timeout=float("inf"))
+        track(tracker, 1, {"x": ("v", "v")})
+        tracker.flush()
+        tracker.reevaluate(1, "x", ok=False, expected="w", now=1.0)
+        tracker.flush()
+        assert self.untouched(tracker) and violations == []
 
 
 class TestFlipFlopAccounting:
     def test_flip_counted_on_change_only(self):
         tracker, _, _ = make_tracker()
-        track(tracker, 1, "x", 10, actual="v", expected="v", arm=False)
-        verdict = tracker.reevaluate(1, "x", ok=True, expected="v", now=1.0)  # no change
-        assert verdict[EV_FLIPS] == 0
+        track(tracker, 1, {"x": ("v", "v")})
+        tracker.reevaluate(1, "x", ok=True, expected="v", now=1.0)  # no change
+        assert tracker.stats.flipped_tids == set()
         tracker.reevaluate(1, "x", ok=False, expected="w", now=2.0)
-        assert verdict[EV_FLIPS] == 1
+        assert tracker.stats.flipped_tids == {1}
         tracker.reevaluate(1, "x", ok=True, expected="v", now=3.0)
-        assert verdict[EV_FLIPS] == 2
         assert tracker.stats.rectify_times == [1.0]  # wrong from t=2 to t=3
+        tracker.flush()
+        assert tracker.stats.flips_per_pair == {2: 1}
+
+    def test_rectify_time_runs_from_first_wrong_not_first_seen(self):
+        tracker, _, _ = make_tracker()
+        track(tracker, 1, {"x": ("v", "w")}, now=1.0)  # wrong on arrival, at t=1
+        track(tracker, 2, {"x": ("v", "v")}, now=1.0)
+        tracker.reevaluate(2, "x", ok=False, expected="w", now=1.5)
+        tracker.reevaluate(1, "x", ok=True, expected="v", now=2.0)
+        tracker.reevaluate(2, "x", ok=True, expected="v", now=4.0)
+        assert tracker.stats.rectify_times == [1.0, 2.5]
+
+    def test_pairs_of_one_transaction_flip_independently(self):
+        tracker, violations, _ = make_tracker()
+        track(tracker, 1, {"x": ("a", "a"), "y": ("b", "b"), "z": ("c", "c")})
+        for now in (1.0, 2.0, 3.0):
+            tracker.reevaluate(1, "y", ok=now == 2.0, expected="?", now=now)
+        tracker.reevaluate(1, "z", ok=False, expected="q", now=3.5)
+        tracker.advance_to(5.0)
+        assert tracker.stats.flips_per_pair == {3: 1, 1: 1}  # y: 3, z: 1, x: 0
+        assert tracker.stats.flipped_tids == {1}
+        assert violations == [(1, "y", "?", "b"), (1, "z", "q", "c")]
+        assert tracker.stats.rectify_times == [1.0]  # y, wrong from t=1 to t=2
 
     def test_histogram_buckets(self):
         stats = FlipFlopStats()
@@ -111,7 +214,7 @@ class TestFlipFlopAccounting:
 
     def test_stats_final_counts(self):
         tracker, _, _ = make_tracker()
-        track(tracker, 1, "x", 10, actual="v", expected="w")
+        track(tracker, 1, {"x": ("v", "w")})
         tracker.reevaluate(1, "x", ok=True, expected="v", now=0.5)
         tracker.reevaluate(1, "x", ok=False, expected="z", now=0.7)
         tracker.advance_to(5.0)
@@ -120,9 +223,72 @@ class TestFlipFlopAccounting:
         assert tracker.stats.flips_per_pair == {2: 1}
         assert tracker.stats.flipped_tids == {1}
 
-    def test_min_pending_snapshot(self):
+    def test_wide_transaction_reevaluates_at_first_and_last_key(self):
+        tracker, violations, _ = make_tracker()
+        keys = [f"k{index:03d}" for index in range(200)]
+        track(tracker, 1, {key: (key, key) for key in keys})
+        tracker.reevaluate(1, keys[0], ok=False, expected="first", now=1.0)
+        tracker.reevaluate(1, keys[-1], ok=False, expected="last", now=2.0)
+        tracker.reevaluate(1, keys[-1], ok=True, expected=keys[-1], now=2.5)
+        tracker.reevaluate(1, keys[-1], ok=False, expected="last", now=3.0)
+        tracker.advance_to(5.0)
+        assert violations == [(1, keys[0], "first", keys[0]), (1, keys[-1], "last", keys[-1])]
+        assert tracker.stats.flips_per_pair == {1: 1, 3: 1}
+        assert tracker.stats.rectify_times == [0.5]
+        assert (tracker.stats.n_pairs, tracker.stats.n_finalized) == (200, 200)
+
+
+class TestFinalizationOrder:
+    """Reports come out in arming order, then read order — and the
+    end-of-stream fast path agrees with the heap-driven loop."""
+
+    @staticmethod
+    def feed(tracker):
+        # Three arrival "batches"; batch two is armed under one deadline.
+        track(tracker, 5, {"b": (1, 2), "a": (1, 2)}, now=0.0)
+        tracker.track_columns([9, 9, 3], ["a", "c", "a"], [10, 10, 11], [1, 1, 1], [1, 2, 2], 1.0, BOTTOM)
+        tracker.arm_timers((9, 3), 1.0)
+        track(tracker, 4, {"z": (1, 1)}, now=2.0)
+        track(tracker, 2, {"a": (1, 2)}, now=2.0)
+        tracker.reevaluate(9, "a", ok=False, expected=3, now=2.5)
+
+    EXPECTED = [(5, "b", 2, 1), (5, "a", 2, 1), (9, "a", 3, 1), (9, "c", 2, 1), (3, "a", 2, 1), (2, "a", 2, 1)]
+
+    def test_heap_driven(self):
+        tracker, violations, finalized = make_tracker()
+        self.feed(tracker)
+        tracker.advance_to(5.0)  # first deadline only
+        assert violations == self.EXPECTED[:2]
+        tracker.advance_to(100.0)
+        assert violations == self.EXPECTED
+        assert finalized == [([5], False), ([9, 3, 4, 2], True)]
+
+    def test_finalize_all_agrees(self):
+        tracker, violations, finalized = make_tracker()
+        self.feed(tracker)
+        done = tracker.flush()
+        assert violations == self.EXPECTED
+        assert [record[REC_TID] for record in done] == [5, 9, 3, 4, 2]
+        assert finalized == [([5, 9, 3, 4, 2], True)]
+
+    @pytest.mark.parametrize("how", ["advance", "flush"])
+    def test_stats_agree(self, how):
+        tracker, _, _ = make_tracker()
+        self.feed(tracker)
+        tracker.advance_to(100.0) if how == "advance" else tracker.flush()
+        stats = tracker.stats
+        assert (stats.n_pairs, stats.n_finalized, stats.n_final_violations) == (7, 7, 6)
+        assert stats.flips_per_pair == {1: 1} and stats.flipped_tids == {9}
+
+
+class TestMinPendingSnapshot:
+    def test_tracks_the_live_set(self):
         tracker, _, _ = make_tracker()
         assert tracker.min_pending_snapshot_ts() is None
-        track(tracker, 1, "x", 30, actual="v", expected="v", arm=False)
-        track(tracker, 2, "y", 10, actual="v", expected="v", arm=False)
+        track(tracker, 1, {"x": ("v", "v"), "y": ("v", "v")}, snapshot_ts=30, now=0.0)
+        track(tracker, 2, {"y": ("v", "v")}, snapshot_ts=10, now=1.0)
         assert tracker.min_pending_snapshot_ts() == 10
+        tracker.advance_to(5.5)  # finalizes transaction 1 only
+        assert tracker.min_pending_snapshot_ts() == 10
+        tracker.advance_to(6.0)
+        assert tracker.min_pending_snapshot_ts() is None

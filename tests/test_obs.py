@@ -432,6 +432,8 @@ GOLDEN_CATALOG = Path(__file__).parent / "data" / "service_catalog_golden.json"
 #: What this surface gained since the golden was recorded (at the commit
 #: before ``CheckerService`` was carved up, by running ``fresh_catalog``
 #: against that commit's ``src/``) — everything else must be identical.
+#: The two ``repro_host_gc_*`` families and the ``host_gc`` block were
+#: written into the golden itself when they were added.
 ADDED_FAMILIES = {"repro_kernel_batch_size", "repro_subscribers_shed_total"}
 ADDED_STATS_KEYS = {
     "subscribers_shed",
@@ -548,6 +550,30 @@ class TestStatsExtras:
         assert record["batch_txns"] >= 1
         assert record["seconds"] >= 0
         assert "top_keys" in record
+
+    def test_host_collector_is_metered_while_the_daemon_runs(self, start_service, capsys):
+        import gc
+
+        from repro.cli import main
+
+        handle = start_service()
+        meter = handle.service._status.host_gc
+        assert gc.callbacks.count(meter) == 1
+        gc.collect()
+        gc.collect(0)
+        host, port = handle.tcp_address
+        with CheckerClient(host, port) as client:
+            block = client.stats()["host_gc"]
+        assert block["collections"]["2"] >= 1 and block["collections"]["0"] >= 1
+        assert block["seconds"] > 0
+        _, body = http_get_text(*handle.http_address, "/metrics")
+        samples = dict(line.rsplit(" ", 1) for line in body.splitlines() if line[:1] != "#")
+        assert int(samples['repro_host_gc_collections_total{generation="2"}']) >= 1
+        assert float(samples["repro_host_gc_seconds_total"]) > 0
+        assert main(["stats", "--host", host, "--port", str(port)]) == 0
+        assert "host gc      :" in capsys.readouterr().out
+        handle.stop()
+        assert meter not in gc.callbacks
 
 
 # ----------------------------------------------------------------------

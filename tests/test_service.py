@@ -327,6 +327,33 @@ class TestDaemon:
             result = honest.finalize()
         assert normalize_violations(result) == in_process_verdicts(honest_txns)
 
+    @pytest.mark.parametrize(
+        "field, value, complaint",
+        [("sts", "x", "'sts' must be an integer"), ("tid", 1.5, "'tid' must be an integer"),
+         ("cts", True, "'cts' must be an integer"), ("ops", [["w", 7, 1]], "key must be a string")],
+    )
+    def test_mistyped_v1_row_is_refused_at_admission(self, start_service, field, value, complaint):
+        # JSON types an ndjson row itself, so a timestamp can arrive as a
+        # string.  It used to reach receive_many, which raised and took
+        # the whole drain cycle — the honest producer's transactions
+        # included — with it.
+        handle = start_service()
+        honest_txns = anomaly_txns("dirty-read")
+        row = {"tid": 99, "sid": 9, "sno": 1, "sts": 1, "cts": 2, "ops": [["w", "x", 1]]}
+        row[field] = value
+        with connect(handle, protocol=1) as bad, connect(handle, protocol=1) as honest:
+            honest.submit_many(honest_txns[:1])
+            with pytest.raises(ServiceError, match=complaint):
+                bad._request({"type": "submit", "txns": [row]}, expect="ack")
+            honest.submit_many(honest_txns[1:])
+            assert honest.drain() == len(honest_txns)
+            stats = honest.stats()
+            assert stats["received"] == len(honest_txns)  # nothing of the refused submit
+            assert stats["ingest_errors"] == 0
+            bad.ping()  # the refused producer's connection survives
+            result = honest.finalize()
+        assert normalize_violations(result) == in_process_verdicts(honest_txns)
+
     def test_shutdown_checks_everything_a_parked_producer_was_told(self, start_service):
         # A large submit parked on a full queue while a second connection
         # asks for shutdown: whatever the producer is told was admitted

@@ -303,6 +303,44 @@ def test_report_order_equals_aion_with_timers_firing(executor):
     assert got == expected
 
 
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_end_of_stream_flush_clears_the_shard_read_indexes(executor):
+    """Timers that expire mid-stream queue their read removals for each
+    shard's next probe; the end-of-stream flush leaves nothing pending,
+    so it clears every shard's read index with one command instead of
+    queueing a removal per read for a probe that never comes."""
+    history = small_history(505, n=200, faults=16)
+    arrival = session_respecting_shuffle(history, Random(505))
+
+    def run(checker, clock, rows=None):
+        observed = []
+        try:
+            for offset in range(0, len(arrival), 16):
+                checker.receive_many(arrival[offset : offset + 16])
+                clock.advance(1.0)
+                observed.append(checker.poll())  # the poll itself fires the due timers
+                if rows is not None:
+                    rows.append(checker.shard_stats())
+            observed.append(list(checker.finalize().violations))
+            if rows is not None:
+                rows.append(checker.shard_stats())
+            return observed
+        finally:
+            checker.close()
+
+    clock = SimClock()
+    expected = run(Aion(AionConfig(timeout=2.5), clock=clock), clock)
+    assert any(v.axiom.name == "EXT" for poll in expected[:-1] for v in poll)
+    clock = SimClock()
+    rows = []
+    sharded = ShardedAion(AionConfig(timeout=2.5), n_shards=2, clock=clock, executor=executor)
+    assert run(sharded, clock, rows) == expected
+    *mid_stream, final = rows
+    assert any(row["pending_removals"] > 0 for stats in mid_stream for row in stats)
+    assert all(row["ext_reads"] > 0 for row in mid_stream[-1])
+    assert [(row["pending_removals"], row["ext_reads"]) for row in final] == [(0, 0), (0, 0)]
+
+
 def test_matches_chronos_end_to_end(si_history):
     """On a clean engine history the sharded checker agrees with Chronos."""
     txns = si_history.by_commit_ts()
