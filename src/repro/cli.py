@@ -658,7 +658,7 @@ def _print_daemon_stats(args: argparse.Namespace) -> int:
     print(f"checker      : {stats.get('checker', '?')} (uptime {stats.get('uptime_s', 0):.1f}s)")
     print(f"processed    : {stats.get('processed', 0)} transactions "
           f"({throughput.get('sustained_tps', 0):,.0f} sustained TPS)")
-    print(f"resident     : {stats.get('resident_txns', 0)} transactions"
+    print(f"resident     : {stats.get('resident_txns', 0)} arrivals indexed"
           + (f", ~{stats['estimated_bytes']:,} bytes"
              if stats.get("estimated_bytes") is not None else ""))
     print(f"violations   : {stats.get('violations', 0)}")
@@ -673,7 +673,7 @@ def _print_daemon_stats(args: argparse.Namespace) -> int:
     print(f"gc           : {gc.get('cycles', 0)} cycles, "
           f"{gc.get('spill_bytes', 0):,} bytes spilled, "
           f"{gc.get('reloads', 0)} reloads, "
-          f"debt {gc.get('debt', 0)} deferred index inserts")
+          f"{gc.get('evicted', {}).get('txns', 0)} index entries released")
     host_gc = stats.get("host_gc")
     if host_gc:
         passes = host_gc["collections"]

@@ -28,12 +28,18 @@ and are only *reported* when the transaction's timer expires
 (:class:`~repro.core.ext_status.ExtStatusTracker`); INT, SESSION and
 NOCONFLICT verdicts are stable and reported immediately.
 
+The checker keeps no transaction.  The paper's Aion must (its step ③
+re-checks *transactions*); here steps ② and ③ run against the per-key
+structures and the tracker's flat records, so once ``receive_many``
+returns nothing refers to an arrival or to the batch it came in — what
+stays "resident" per arrival is one ``tid -> commit_ts`` index entry.
+
 Garbage collection (:meth:`Aion.collect_below`, implemented once for all
 online checkers by :class:`~repro.core.spill.SpillingGc`) transfers
-frontier versions, writer intervals, and resident transactions below a
-GC-safe timestamp to a disk :class:`~repro.core.spill.SpillStore`; the
-checker transparently reloads the spilled segments when a severely
-delayed transaction forces a query below the in-memory boundary.
+frontier versions and writer intervals below a GC-safe timestamp to a
+disk :class:`~repro.core.spill.SpillStore` and releases the index entries
+below it; the checker transparently reloads the spilled segments when a
+severely delayed transaction forces a query below the in-memory boundary.
 
 Per-arrival complexity is ``O(log N + M)`` plus the size of the affected
 re-check sets (§III-C4).
@@ -332,22 +338,21 @@ class Aion(SpillingGc):
         w_starts_append = w_starts.append
         w_cts_append = w_cts.append
         w_tids_append = w_tids.append
-        # Per checked txn: (txn, stable violations, w_lo, w_hi).  An Eq. 1
+        # Per checked txn: (tid, commit_ts, stable violations, w_lo, w_hi) —
+        # never the arrival itself, which must not outlive the batch.  An Eq. 1
         # offender is rejected — no entry, no probe work, its violation
         # kept under its batch position so reports stay in arrival order —
         # unless the checker ignores start timestamps: then it is reported
         # and checked like any other arrival, just not counted as processed.
-        entries: List[Tuple[Transaction, Optional[List[Violation]], int, int]] = []
+        entries: List[Tuple[int, int, Optional[List[Violation]], int, int]] = []
         rejected: Dict[int, Violation] = {}
         n_uncounted = 0
         if batch is not None:
             # Columnar arrivals (wire frames, packed WALs): route straight
             # off the batch's flat arrays — no Operation objects, no
-            # per-transaction derived views.  ``resolve_columns`` fuses the
-            # external-read detection into the INT/write simulation walk,
-            # and the Transaction objects entering the verdict pass are
-            # lazy (``from_parts``): their op tuples materialize only if
-            # something off the hot path (GC spill, repr) asks.
+            # per-transaction derived views, no Transaction.
+            # ``resolve_columns`` fuses the external-read detection into
+            # the INT/write simulation walk.
             tids_col = batch.tids
             sids_col = batch.sids
             snos_col = batch.snos
@@ -358,7 +363,6 @@ class Aion(SpillingGc):
             kinds_col = batch.op_kinds
             keys_col = batch.op_keys
             vals_col = batch.op_values
-            transaction_at = batch.transaction_at
             for position in range(n):
                 tid = tids_col[position]
                 start_ts = starts_col[position]
@@ -380,7 +384,6 @@ class Aion(SpillingGc):
                     pre = [offender]
                     n_uncounted += 1
                 snapshot_ts = snapshots_col[position]
-                txn = transaction_at(position)
                 violation = sessions.observe(  # lines 3:7–3:10
                     tid, sids_col[position], snos_col[position], snapshot_ts, commit_ts
                 )
@@ -403,7 +406,7 @@ class Aion(SpillingGc):
                     w_starts_append(start_ts)
                     w_cts_append(commit_ts)
                     w_tids_append(tid)
-                entries.append((txn, pre, w_lo, len(w_keys)))
+                entries.append((tid, commit_ts, pre, w_lo, len(w_keys)))
         else:
             for position, txn in enumerate(txns):
                 tid = txn.tid
@@ -444,7 +447,7 @@ class Aion(SpillingGc):
                     w_starts_append(start_ts)
                     w_cts_append(commit_ts)
                     w_tids_append(tid)
-                entries.append((txn, pre, w_lo, len(w_keys)))
+                entries.append((tid, commit_ts, pre, w_lo, len(w_keys)))
 
         n_reads = len(r_keys)
         n_writes = len(w_keys)
@@ -474,7 +477,6 @@ class Aion(SpillingGc):
         report = self._report
         reevaluate = ext.reevaluate
         resident = self._resident
-        pending_cts = self._resident_cts_pending.append
         armed: List[int] = []
         armed_append = armed.append
         rejected_get = rejected.get
@@ -486,19 +488,18 @@ class Aion(SpillingGc):
             if reject is not None:
                 report(reject)
                 continue
-            txn, pre, w_lo, w_hi = entries[cursor]
+            tid, commit_ts, pre, w_lo, w_hi = entries[cursor]
             cursor += 1
             if pre is not None:
                 for violation in pre:
                     report(violation)
-            tid = txn.tid
             for index in range(w_lo, w_hi):
                 hits = w_conflicts[index]
                 if hits is not None:
                     key = w_keys[index]
                     n_conflicts += len(hits)
                     for owner, end in hits:
-                        self._report_conflict(txn, owner, end, key)
+                        self._report_conflict(tid, commit_ts, owner, end, key)
                 affected = w_reevals[index]
                 if affected is not None:
                     key = w_keys[index]
@@ -511,8 +512,7 @@ class Aion(SpillingGc):
                         for expected, reader_tid, actual in affected:
                             ok = (actual is None) if expected is BOTTOM else (expected == actual)
                             reevaluate(reader_tid, key, ok, expected, now)
-            resident[tid] = txn
-            pending_cts((txn.commit_ts, tid))
+            resident[tid] = commit_ts
             armed_append(tid)
         self.processed += len(armed) - n_uncounted
         stats.verdict_reevals += n_reevals
@@ -660,13 +660,15 @@ class Aion(SpillingGc):
         self._result.add(violation)
         self._fresh.append(violation)
 
-    def _report_conflict(self, txn: Transaction, other_tid: int, other_cts: int, key: str) -> None:
+    def _report_conflict(
+        self, tid: int, commit_ts: int, other_tid: int, other_cts: int, key: str
+    ) -> None:
         # One report per pair, attributed to the smaller commit timestamp
         # (matches Chronos's commit-event reporting convention).
-        if txn.commit_ts < other_cts:
-            earlier, later = txn.tid, other_tid
+        if commit_ts < other_cts:
+            earlier, later = tid, other_tid
         else:
-            earlier, later = other_tid, txn.tid
+            earlier, later = other_tid, tid
         self._report(
             ConflictViolation(
                 axiom=Axiom.NOCONFLICT,

@@ -111,9 +111,8 @@ class ColumnarBatch:
     op_offsets[i+1]`` is transaction ``i``'s slice of the flat op
     arrays), op kinds as a bytes column, and resolved key strings plus
     decoded values per op.  No per-transaction dicts, no
-    :class:`Operation` objects — those materialize lazily through
-    :meth:`transactions` / :meth:`build_ops` only when something off the
-    hot path (GC spill, the sharded router) asks.
+    :class:`Operation` objects — those are built by :meth:`transactions`
+    only when something off the hot path (a replay, a test) asks.
     """
 
     __slots__ = (
@@ -232,20 +231,6 @@ class ColumnarBatch:
         kind_of = _KIND_OF_CODE
         return tuple(
             Operation(kind_of[kinds[i]], keys[i], values[i]) for i in range(lo, hi)
-        )
-
-    def transaction_at(self, index: int) -> Transaction:
-        """One transaction, ops materialized lazily on first access."""
-        offsets = self.op_offsets
-        return Transaction.from_parts(
-            self.tids[index],
-            self.sids[index],
-            self.snos[index],
-            self.starts[index],
-            self.commits[index],
-            self,
-            offsets[index],
-            offsets[index + 1],
         )
 
     def transactions(self) -> List[Transaction]:

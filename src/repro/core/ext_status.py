@@ -132,7 +132,6 @@ class ExtStatusTracker:
         #: totally ordered so equal deadlines never compare tid tuples.
         self._deadlines: List[Tuple[float, int, Tuple[int, ...]]] = []
         self._deadline_seq = 0
-        self._timed_out: Set[int] = set()
         self.stats = FlipFlopStats()
 
     def track_columns(
@@ -232,9 +231,6 @@ class ExtStatusTracker:
             self.stats.flipped_tids.add(tid)
         record[slot + _EXPECTED * width] = expected
 
-    def is_timed_out(self, tid: int) -> bool:
-        return tid in self._timed_out
-
     def advance_to(self, now: float) -> List[ExtRecord]:
         """Finalize every transaction whose deadline has passed.
 
@@ -249,14 +245,12 @@ class ExtStatusTracker:
             return self._finalize_all()
         finalized: List[ExtRecord] = []
         txns_pop = self._txns.pop
-        timed_out = self._timed_out
         heappop = heapq.heappop
         while deadlines and deadlines[0][0] <= now:
             _, _, tids = heappop(deadlines)
             for tid in tids:
-                if tid in timed_out:
-                    continue
-                timed_out.add(tid)
+                # None: no external reads, or a tid armed twice (a
+                # retransmission) whose record an earlier deadline took.
                 record = txns_pop(tid, None)
                 if record is not None:
                     finalized.append(record)
@@ -267,25 +261,17 @@ class ExtStatusTracker:
         """End-of-stream fast path: every armed deadline is due at once.
 
         Taking the record dict whole replaces one ``dict.pop`` per
-        transaction with one clear.  Order is preserved exactly: live
-        records sit in the dict in track order — batch arrival order —
-        which is the same order the heap-driven loop visits them
-        (equal-deadline entries pop in arming sequence, tids within an
-        entry are in arrival order), so reported violations come out
-        identically.
+        transaction with one clear (every record is armed: the checkers
+        track and arm a batch in the same call).  Order is preserved
+        exactly: live records sit in the dict in track order — batch
+        arrival order — which is the same order the heap-driven loop
+        visits them (equal-deadline entries pop in arming sequence, tids
+        within an entry are in arrival order), so reported violations
+        come out identically.
         """
-        deadlines = self._deadlines
-        timed_out = self._timed_out
-        while deadlines:
-            timed_out.update(deadlines.pop()[2])
-        txns = self._txns
-        if timed_out.issuperset(txns):
-            finalized = list(txns.values())
-            txns.clear()
-        else:  # pragma: no cover - unarmed records are not produced by the checkers
-            finalized = [record for tid, record in txns.items() if tid in timed_out]
-            for record in finalized:
-                del txns[record[REC_TID]]
+        self._deadlines.clear()
+        finalized = list(self._txns.values())
+        self._txns.clear()
         self._finalized(finalized)
         return finalized
 

@@ -5,7 +5,7 @@ transaction may still require re-checking against old state (§III-C).  Its
 GC therefore *transfers* structures below a chosen timestamp from memory
 to disk and reloads them on demand (Algorithm 3, the ▨/▧ annotations).
 
-:class:`SpillingGc` is that protocol — resident set, ``collect_below``,
+:class:`SpillingGc` is that protocol — resident index, ``collect_below``,
 reload-on-demand — written once for :class:`~repro.core.aion.Aion`,
 :class:`~repro.core.aion_ser.AionSer` and
 :class:`~repro.core.sharded.ShardedAion`; each checker only says how to
@@ -15,24 +15,30 @@ flat columns of :mod:`repro.core.versioned`
 :data:`~repro.core.versioned.IntervalColumns`), which
 :func:`encode_segment` writes without regrouping.
 
+The paper's Aion also moves the *transactions* below the watermark to
+disk, because its step ③ re-checks transactions.  These checkers re-check
+the per-key read index and the flat EXT records instead, so no arrived
+transaction is kept at all: what is "resident" is one ``tid -> commit_ts``
+index entry per arrival, which a cycle releases — nothing about it is
+written.  A record of the arrivals themselves is the collector's WAL, not
+the checker's.
+
 A :class:`SpillStore` holds the segments, one binary file each, covering
 a *closed* timestamp range ``[min_ts, max_ts]``::
 
-    header     "RSEG" · u16 version · i64 min_ts · i64 max_ts ·
-               u64 × 3 section byte lengths · u32 crc32 (header + body)
+    header     "RSEG" · u16 version (2) · i64 min_ts · i64 max_ts ·
+               u64 × 2 section byte lengths · u32 crc32 (header + body)
     versions   u32 n_keys · u32 n_rows · key table · u32 counts[n_keys] ·
                i64 commit_ts[n_rows] · i64 tid[n_rows] · value column
     intervals  same prefix · i64 start[n_rows] · i64 end[n_rows] · i64 tid[n_rows]
-    txns       one ``pack_columnar`` blob
 
 Key table and value column are :mod:`repro.core.colpack`'s (the wire
 codec: JSONL parity, native ``⊥v``).  A file that is truncated, altered or
-not a segment raises :class:`SegmentError` — it never decodes to different
-content.  ``reload_overlapping`` returns (and removes) every segment whose
-range intersects a queried range; only versions and intervals are read
-back — evicted transactions are written for the record (no checker path
-re-reads them) and skipped on reload.  Writing real files keeps the
-measured GC cost honest in the Fig 12/16 experiments.
+not a segment — a version-1 image, which carried a third section of packed
+transactions, included — raises :class:`SegmentError`; it never decodes to
+different content.  ``reload_overlapping`` returns (and removes) every
+segment that starts at or below a queried timestamp.  Writing real files
+keeps the measured GC cost honest in the Fig 12/16 experiments.
 """
 
 from __future__ import annotations
@@ -48,16 +54,13 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.colpack import (
     Buffer,
-    pack_columnar,
     pack_key_table,
     pack_value_column,
     unpack_key_table,
     unpack_value_column,
 )
 from repro.core.versioned import IntervalColumns, VersionColumns
-from repro.histories.model import Transaction
 from repro.util.hostgc import paused
-from repro.util.sortedmap import SortedMap
 
 __all__ = [
     "DecodedSegment",
@@ -71,8 +74,8 @@ __all__ = [
 ]
 
 _MAGIC = b"RSEG"
-_VERSION = 1
-_FIELDS = struct.Struct("!4sHqqQQQ")  # magic, version, min_ts, max_ts, section lengths
+_VERSION = 2
+_FIELDS = struct.Struct("!4sHqqQQ")  # magic, version, min_ts, max_ts, section lengths
 _CRC = struct.Struct("!I")
 _HEADER_SIZE = _FIELDS.size + _CRC.size
 _COUNTS = struct.Struct("!II")  # n_keys, n_rows
@@ -116,14 +119,12 @@ def encode_segment(
     max_ts: int,
     versions: VersionColumns,
     intervals: IntervalColumns,
-    txns: Sequence[Transaction],
 ) -> bytes:
     """Render one GC cycle's evicted state as a segment file image."""
     keys, counts, commits, values, tids = versions
     body = (
         _pack_section(keys, counts, commits, tids) + pack_value_column(values),
         _pack_section(*intervals),
-        pack_columnar(txns) if txns else b"",
     )
     fields = _FIELDS.pack(_MAGIC, _VERSION, min_ts, max_ts, *map(len, body))
     crc = zlib.crc32(fields)
@@ -133,14 +134,12 @@ def encode_segment(
 
 
 class DecodedSegment(NamedTuple):
-    """What :func:`decode_segment` returns; ``txn_blob`` is the
-    ``pack_columnar`` section, left undecoded (no reload path reads it)."""
+    """What :func:`decode_segment` returns."""
 
     min_ts: int
     max_ts: int
     versions: VersionColumns
     intervals: IntervalColumns
-    txn_blob: bytes
 
 
 def decode_segment(blob: bytes) -> DecodedSegment:
@@ -148,10 +147,10 @@ def decode_segment(blob: bytes) -> DecodedSegment:
     byte-for-byte what :func:`encode_segment` wrote."""
     if len(blob) < _HEADER_SIZE:
         raise SegmentError("spill segment truncated in header")
-    magic, version, min_ts, max_ts, n_versions, n_intervals, n_txns = _FIELDS.unpack_from(blob)
+    magic, version, min_ts, max_ts, n_versions, n_intervals = _FIELDS.unpack_from(blob)
     if magic != _MAGIC or version != _VERSION:
         raise SegmentError(f"not a version-{_VERSION} spill segment")
-    if len(blob) != _HEADER_SIZE + n_versions + n_intervals + n_txns:
+    if len(blob) != _HEADER_SIZE + n_versions + n_intervals:
         raise SegmentError("spill segment length does not match its header")
     (crc,) = _CRC.unpack_from(blob, _FIELDS.size)
     if zlib.crc32(blob[_HEADER_SIZE:], zlib.crc32(blob[: _FIELDS.size])) != crc:
@@ -164,9 +163,7 @@ def decode_segment(blob: bytes) -> DecodedSegment:
         raise SegmentError(f"malformed spill segment: {exc}") from None
     if offset != _HEADER_SIZE + n_versions or end != offset + n_intervals:
         raise SegmentError("spill segment sections overrun their lengths")
-    return DecodedSegment(
-        min_ts, max_ts, (keys, counts, commits, values, tids), tuple(intervals), blob[end:]
-    )
+    return DecodedSegment(min_ts, max_ts, (keys, counts, commits, values, tids), tuple(intervals))
 
 
 @dataclass(frozen=True)
@@ -217,35 +214,33 @@ class SpillStore:
         max_ts: int,
         versions: VersionColumns,
         intervals: IntervalColumns,
-        txns: Sequence[Transaction] = (),
     ) -> SpillSegment:
         """Write one segment covering ``[min_ts, max_ts]`` and register it."""
-        encoded = encode_segment(min_ts, max_ts, versions, intervals, txns)
+        encoded = encode_segment(min_ts, max_ts, versions, intervals)
         segment_id = self._next_id
         self._next_id += 1
         path = self._dir / f"segment-{segment_id:08d}.bin"
         path.write_bytes(encoded)
         self.bytes_written += len(encoded)
         self.spill_count += 1
-        n_items = len(versions[2]) + len(intervals[2]) + len(txns)
+        n_items = len(versions[2]) + len(intervals[2])
         segment = SpillSegment(segment_id, min_ts, max_ts, path, n_items)
         self._segments.append(segment)
         return segment
 
     def reload_overlapping(
-        self, min_ts: int, max_ts: Optional[int]
+        self, max_ts: Optional[int]
     ) -> List[Tuple[VersionColumns, IntervalColumns]]:
-        """Load and remove every segment intersecting ``[min_ts, max_ts]``.
+        """Load and remove every segment holding content at or below
+        ``max_ts`` (None: every segment).
 
-        ``max_ts=None`` means unbounded above.  Returns each segment's
-        ``(versions, intervals)`` columns in spill order so the caller can
-        merge them back.
+        Returns each segment's ``(versions, intervals)`` columns in spill
+        order so the caller can merge them back.
         """
         hits: List[SpillSegment] = []
         survivors: List[SpillSegment] = []
         for segment in self._segments:
-            upper_ok = max_ts is None or segment.min_ts <= max_ts
-            if upper_ok and segment.max_ts >= min_ts:
+            if max_ts is None or segment.min_ts <= max_ts:
                 hits.append(segment)
             else:
                 survivors.append(segment)
@@ -291,55 +286,36 @@ class GcReport:
     seconds: float
 
 
-_ANY_TID = float("inf")  # (ts, _ANY_TID) sorts after every (ts, tid)
-
-
 class SpillingGc:
-    """Resident set + garbage collection (lines 3:62–3:66), shared by the
+    """Resident index + garbage collection (lines 3:62–3:66), shared by the
     three online checkers.
 
-    A checker calls :meth:`_init_gc`, records each accepted transaction
-    in ``_resident`` and ``_resident_cts_pending``, and implements
+    A checker calls :meth:`_init_gc`, enters each accepted arrival in
+    ``_resident`` (``tid -> commit_ts``), and implements
     ``_evict_columns(ts) -> (VersionColumns, IntervalColumns)`` and
     ``_merge_columns(versions, intervals)`` over its per-key structures;
     ``self.config.spill_dir`` says where segments go.
     """
 
     def _init_gc(self) -> None:
-        self._resident: Dict[int, Transaction] = {}
-        self._resident_by_cts: SortedMap = SortedMap()
-        #: Commit-order entries not yet merged into ``_resident_by_cts``.
-        #: Only the GC paths read the commit-ordered index, so the hot
-        #: path appends ``(commit_ts, tid)`` here and the ordered merge
-        #: is deferred to :meth:`_resident_map` — amortized off ingestion
-        #: without changing what any GC cycle observes.
-        self._resident_cts_pending: List[Tuple[int, int]] = []
+        #: ``tid -> commit_ts`` of every arrival no cycle has released
+        #: yet: all the GC paths need of a transaction.  One dict store
+        #: per arrival on the hot path (a retransmitted tid stays one
+        #: entry); commit order is worked out at the GC entry points — a
+        #: max, a sort of the commit timestamps, one scan — each linear
+        #: or near it in what is resident.
+        self._resident: Dict[int, int] = {}
         self._spill: Optional[SpillStore] = None
         self._collected_upto: Optional[int] = None
 
     @property
     def resident_txn_count(self) -> int:
-        """Transactions currently held in memory (GC threshold input)."""
+        """Arrivals not yet released by a GC cycle (GC threshold input)."""
         return len(self._resident)
 
     @property
     def spill_store(self) -> Optional[SpillStore]:
         return self._spill
-
-    def gc_debt(self) -> int:
-        """Deferred resident-index inserts: the ordered merge the next
-        ``suggest_gc_ts``/``collect_below`` pays before it can start."""
-        return len(self._resident_cts_pending)
-
-    def _resident_map(self) -> SortedMap:
-        """The commit-ordered resident index, with deferred entries merged."""
-        pending = self._resident_cts_pending
-        if pending:
-            by_cts = self._resident_by_cts
-            for entry in pending:
-                by_cts[entry] = entry[1]
-            pending.clear()
-        return self._resident_by_cts
 
     def gc_safe_ts(self) -> Optional[int]:
         """Default collection watermark: everything currently resident.
@@ -351,8 +327,8 @@ class SpillingGc:
         structures, and (c) a severely delayed transaction below the
         watermark transparently reloads the spilled segments.  None when
         nothing is resident."""
-        by_cts = self._resident_map()
-        return by_cts.max_item()[0][0] if by_cts else None
+        resident = self._resident
+        return max(resident.values()) if resident else None
 
     def suggest_gc_ts(self, keep_recent: int = 2000) -> Optional[int]:
         """A collection watermark that spares the ``keep_recent`` newest
@@ -364,12 +340,12 @@ class SpillingGc:
         rare instead of constant.  Returns None when the margin already
         covers everything resident.
         """
-        by_cts = self._resident_map()
-        excess = len(by_cts) - keep_recent
-        return by_cts.key_at(excess - 1)[0] if excess > 0 else None
+        excess = len(self._resident) - keep_recent
+        return sorted(self._resident.values())[excess - 1] if excess > 0 else None
 
     def collect_below(self, ts: Optional[int] = None) -> GcReport:
-        """Transfer structures with timestamps <= ``ts`` to disk.
+        """Transfer structures with timestamps <= ``ts`` to disk and
+        release the resident-index entries at or below it.
 
         ``ts`` defaults to (and is always clamped by) :meth:`gc_safe_ts`.
 
@@ -396,13 +372,11 @@ class SpillingGc:
 
         versions, intervals = self._evict_columns(effective)
         resident = self._resident
-        txns: List[Transaction] = []
-        for _, tid in self._resident_by_cts.pop_below((effective, _ANY_TID)):
-            txn = resident.pop(tid, None)
-            if txn is not None:
-                txns.append(txn)
+        released = [tid for tid, commit_ts in resident.items() if commit_ts <= effective]
+        for tid in released:
+            del resident[tid]
 
-        if versions[0] or intervals[0] or txns:
+        if versions[0] or intervals[0]:
             if self._spill is None:
                 self._spill = SpillStore(self.config.spill_dir)
             # The segment's range must bound its *content*: reloaded and
@@ -413,9 +387,8 @@ class SpillingGc:
                 effective,
                 min(versions[2], default=effective),
                 min(intervals[2], default=effective),
-                min((txn.start_ts for txn in txns), default=effective),
             )
-            self._spill.spill(content_min, effective, versions, intervals, txns)
+            self._spill.spill(content_min, effective, versions, intervals)
         if self._collected_upto is None or effective > self._collected_upto:
             self._collected_upto = effective
         return GcReport(
@@ -423,15 +396,15 @@ class SpillingGc:
             effective_ts=effective,
             evicted_versions=len(versions[2]),
             evicted_intervals=len(intervals[2]),
-            evicted_txns=len(txns),
+            evicted_txns=len(released),
             seconds=time.perf_counter() - t0,
         )
 
     def _reload_below(self, ts: Optional[int]) -> None:
-        """Reload spilled segments overlapping [0, ts] (None = all)."""
+        """Reload spilled segments with content at or below ``ts`` (None = all)."""
         if self._spill is not None:
             with paused():
-                for versions, intervals in self._spill.reload_overlapping(0, ts):
+                for versions, intervals in self._spill.reload_overlapping(ts):
                     self._merge_columns(versions, intervals)
 
     def close(self) -> None:

@@ -147,26 +147,18 @@ class Transaction:
     - ``last_writes`` — final value written per key (``ext_val``);
     - ``external_reads`` — first read per key *before any write/read of
       that key in the transaction*, i.e. the reads governed by EXT.
-
-    The operation tuple and the derived views are materialized lazily
-    when the transaction was built by :meth:`from_parts` from a columnar
-    wire batch (the checkers' batch kernel consumes the batch's flat
-    arrays directly and most such transactions never need their
-    :class:`Operation` objects); transactions built through ``__init__``
-    keep the eager precomputation.
     """
 
     __slots__ = (
         "tid",
         "sid",
         "sno",
+        "ops",
         "start_ts",
         "commit_ts",
-        "_ops",
-        "_write_keys",
-        "_last_writes",
-        "_external_reads",
-        "_src",
+        "write_keys",
+        "last_writes",
+        "external_reads",
     )
 
     def __init__(
@@ -181,84 +173,9 @@ class Transaction:
         self.tid = tid
         self.sid = sid
         self.sno = sno
-        self._ops: Optional[Tuple[Operation, ...]] = tuple(ops)
+        self.ops: Tuple[Operation, ...] = tuple(ops)
         self.start_ts = start_ts
         self.commit_ts = commit_ts
-        self._src = None
-        self._compute_derived()
-
-    @classmethod
-    def from_parts(
-        cls,
-        tid: int,
-        sid: int,
-        sno: int,
-        start_ts: int,
-        commit_ts: int,
-        src: Any,
-        lo: int,
-        hi: int,
-    ) -> "Transaction":
-        """Allocation-lean constructor for columnar batch decoding.
-
-        ``src`` is any object exposing ``build_ops(lo, hi)`` returning
-        the operation tuple — in practice a
-        :class:`~repro.histories.serialization.ColumnarBatch` — and
-        ``[lo, hi)`` is this transaction's slice of its flat op arrays.
-        The operation tuple and derived views are materialized only on
-        first access; the batch kernel reads the flat arrays instead.
-        """
-        txn = cls.__new__(cls)
-        txn.tid = tid
-        txn.sid = sid
-        txn.sno = sno
-        txn.start_ts = start_ts
-        txn.commit_ts = commit_ts
-        txn._ops = None
-        txn._write_keys = None
-        txn._last_writes = None
-        txn._external_reads = None
-        txn._src = (src, lo, hi)
-        return txn
-
-    @property
-    def ops(self) -> Tuple[Operation, ...]:
-        ops = self._ops
-        if ops is None:
-            ops = self._materialize_ops()
-        return ops
-
-    def _materialize_ops(self) -> Tuple[Operation, ...]:
-        src, lo, hi = self._src
-        self._ops = ops = src.build_ops(lo, hi)
-        self._src = None
-        return ops
-
-    @property
-    def write_keys(self) -> frozenset:
-        keys = self._write_keys
-        if keys is None:
-            self._compute_derived()
-            keys = self._write_keys
-        return keys
-
-    @property
-    def last_writes(self) -> Dict[Key, Value]:
-        writes = self._last_writes
-        if writes is None:
-            self._compute_derived()
-            writes = self._last_writes
-        return writes
-
-    @property
-    def external_reads(self) -> Dict[Key, Operation]:
-        reads = self._external_reads
-        if reads is None:
-            self._compute_derived()
-            reads = self._external_reads
-        return reads
-
-    def _compute_derived(self) -> None:
         write_keys: set[Key] = set()
         last_writes: Dict[Key, Value] = {}
         external_reads: Dict[Key, Operation] = {}
@@ -272,9 +189,9 @@ class Transaction:
                 if op.key not in touched:
                     external_reads[op.key] = op
                     touched.add(op.key)
-        self._write_keys = frozenset(write_keys)
-        self._last_writes = last_writes
-        self._external_reads = external_reads
+        self.write_keys = frozenset(write_keys)
+        self.last_writes = last_writes
+        self.external_reads = external_reads
 
     @property
     def is_read_only(self) -> bool:

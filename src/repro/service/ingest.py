@@ -155,6 +155,8 @@ class IngestPipeline:
         self.pushed_violations = 0
         self.gc_cycles = 0
         self.gc_seconds = 0.0
+        #: versions / intervals moved to spill segments; resident-index
+        #: entries released ("txns": nothing is written for those).
         self.gc_evicted = {"versions": 0, "intervals": 0, "txns": 0}
         self.ingest_errors = 0
         self.last_ingest_error: Optional[str] = None

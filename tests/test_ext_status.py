@@ -15,6 +15,7 @@ from repro.core.ext_status import (
     ExtStatusTracker,
     FlipFlopStats,
 )
+from repro.util.sizeof import deep_sizeof
 
 
 def track(tracker, tid, reads, *, snapshot_ts=10, now=0.0):
@@ -144,7 +145,6 @@ class TestReevaluationIsANoOp:
         tracker, violations, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "w")})
         tracker.advance_to(5.0)
-        assert tracker.is_timed_out(1) and not tracker.is_timed_out(2)
         tracker.reevaluate(1, "x", ok=True, expected="v", now=6.0)
         tracker.flush()
         assert self.untouched(tracker)
@@ -292,3 +292,50 @@ class TestMinPendingSnapshot:
         assert tracker.min_pending_snapshot_ts() == 10
         tracker.advance_to(6.0)
         assert tracker.min_pending_snapshot_ts() is None
+
+
+class TestNothingKeptPerFinalizedTransaction:
+    """A daemon runs for ever: the tracker may hold memory per *pending*
+    verdict, never per transaction it has finalized."""
+
+    BATCHES, PER_BATCH = 30, 100
+
+    def run(self, tracker):
+        """Thirty batches a second apart, each finalized by its own
+        timer before the next but one arrives; every tenth transaction
+        reads a wrong value, and each batch re-delivers (re-tracks,
+        re-arms) one transaction of the batch before."""
+        for batch in range(self.BATCHES):
+            now = float(batch)
+            tracker.advance_to(now)
+            tids = list(range(batch * self.PER_BATCH, (batch + 1) * self.PER_BATCH))
+            if batch:
+                tids.append(tids[0] - 1)
+            for tid in tids:
+                expected_y = tid + 1 if tid % 10 == 0 else tid
+                tracker.track_columns(
+                    [tid, tid], ["x", "y"], [tid, tid], [tid, tid], [tid, expected_y], now, BOTTOM
+                )
+            tracker.arm_timers(tids, now)
+        tracker.advance_to(self.BATCHES + 10.0)
+
+    def test_size_returns_to_empty(self):
+        tracker, violations, finalized = make_tracker(timeout=1.5)
+        empty = deep_sizeof(tracker)
+        self.run(tracker)
+        n = self.BATCHES * self.PER_BATCH
+        # The slack is the peak pending set's dict and heap capacity
+        # (two batches), not a function of how many were finalized: one
+        # set entry per finalized tid would alone be > 100 kB here.
+        assert deep_sizeof(tracker) - empty < 24_000
+        # Same reports, once each, in arming order — the re-delivered
+        # transaction replaced its record in place and is finalized once,
+        # with the batch that first armed it.
+        assert violations == [(tid, "y", tid + 1, tid) for tid in range(0, n, 10)]
+        assert sorted(tid for tids, _ in finalized for tid in tids) == list(range(n))
+        stats = tracker.stats
+        assert (stats.n_pairs, stats.n_finalized, stats.n_final_violations) == (
+            2 * (n + self.BATCHES - 1), 2 * n, n // 10,
+        )
+        assert stats.flips_per_pair == {} and stats.flipped_tids == set()
+        assert finalized[-1][1] and tracker.min_pending_snapshot_ts() is None

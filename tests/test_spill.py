@@ -2,16 +2,17 @@
 
 import json
 import random
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.colpack import unpack_columnar
 from repro.core.spill import SegmentError, SpillStore, decode_segment, encode_segment
 from repro.core.versioned import empty_columns
-from repro.histories.model import BOTTOM, Operation, OpKind, Transaction
+from repro.histories.model import BOTTOM
 
 
 def version_columns(by_key):
@@ -49,7 +50,7 @@ class TestSpillStore:
         with SpillStore() as store:
             versions_only(store, 0, 100, {"x": [(10, "a", 1)]})
             versions_only(store, 100, 200, {"x": [(150, "b", 2)]})
-            reloaded = store.reload_overlapping(0, 120)
+            reloaded = store.reload_overlapping(120)
             assert len(reloaded) == 2  # second segment's min_ts 100 <= 120
             versions, intervals = reloaded[0]
             assert versions == version_columns({"x": [(10, "a", 1)]})
@@ -60,7 +61,7 @@ class TestSpillStore:
         with SpillStore() as store:
             versions_only(store, 0, 50, {"old": [(1, 1, 1)]})
             versions_only(store, 60, 100, {"new": [(61, 1, 1)]})
-            reloaded = store.reload_overlapping(0, 55)
+            reloaded = store.reload_overlapping(55)
             assert [versions[0] for versions, _ in reloaded] == [["old"]]
             assert len(store) == 1  # the new segment survives
 
@@ -68,7 +69,7 @@ class TestSpillStore:
         with SpillStore() as store:
             versions_only(store, 0, 50, {})
             versions_only(store, 60, 100, {})
-            assert len(store.reload_overlapping(0, None)) == 2
+            assert len(store.reload_overlapping(None)) == 2
 
     def test_min_spilled_ts(self):
         def min_spilled_ts(store):
@@ -82,11 +83,11 @@ class TestSpillStore:
             assert min_spilled_ts(store) == 10
             # A reload removes exactly the segments it hits; one that
             # hits nothing leaves the store alone.
-            assert store.reload_overlapping(0, 25) != []
+            assert store.reload_overlapping(25) != []
             assert min_spilled_ts(store) == 30
-            assert store.reload_overlapping(0, 5) == []
+            assert store.reload_overlapping(5) == []
             assert min_spilled_ts(store) == 30
-            store.reload_overlapping(0, None)
+            store.reload_overlapping(None)
             assert min_spilled_ts(store) is None
 
     def test_files_created_and_removed(self, tmp_path):
@@ -94,7 +95,7 @@ class TestSpillStore:
         segment = versions_only(store, 0, 10, {"k": [(1, 1, 1)]})
         assert segment.path.exists()
         assert segment.n_items == 1
-        store.reload_overlapping(0, None)
+        store.reload_overlapping(None)
         assert not segment.path.exists()
         store.close()
         assert (tmp_path / "spill").exists()  # caller-owned dir kept
@@ -111,7 +112,7 @@ class TestSpillStore:
             versions_only(store, 0, 10, {"k": [(1, "x" * 100, 1)]})
             assert store.bytes_written > 100
             assert store.spill_count == 1
-            store.reload_overlapping(0, None)
+            store.reload_overlapping(None)
             assert store.bytes_read == store.bytes_written
             assert store.reload_count == 1
 
@@ -122,7 +123,7 @@ class TestSpillStore:
         second = versions_only(store, 20, 30, {"k": [(21, 2, 2)]})
         first.path.write_bytes(second.path.read_bytes())
         with pytest.raises(SegmentError):
-            store.reload_overlapping(0, 15)
+            store.reload_overlapping(15)
         store.close()
 
 
@@ -178,43 +179,26 @@ version_rows = st.dictionaries(
 interval_rows = st.dictionaries(
     keys, st.lists(st.tuples(timestamps, timestamps, timestamps), min_size=1, max_size=4), max_size=5
 )
-txn_lists = st.lists(
-    st.builds(
-        lambda tid, ops: Transaction(tid, 1, tid, [Operation(*op) for op in ops], tid, tid + 1),
-        st.integers(min_value=0, max_value=1 << 40),
-        st.lists(st.tuples(st.sampled_from([OpKind.READ, OpKind.WRITE]), keys, scalars), max_size=4),
-    ),
-    max_size=4,
-)
 
 
 class TestSegmentCodec:
     @settings(max_examples=150, deadline=None)
-    @given(version_rows, interval_rows, txn_lists, timestamps, timestamps)
-    def test_round_trip(self, versions, intervals, txns, min_ts, max_ts):
+    @given(version_rows, interval_rows, timestamps, timestamps)
+    def test_round_trip(self, versions, intervals, min_ts, max_ts):
         v_cols, i_cols = version_columns(versions), interval_columns(intervals)
-        decoded = decode_segment(encode_segment(min_ts, max_ts, v_cols, i_cols, txns))
+        blob = encode_segment(min_ts, max_ts, v_cols, i_cols)
+        decoded = decode_segment(blob)
+        assert encode_segment(*decoded) == blob  # two sections, nothing else in the image
         assert (decoded.min_ts, decoded.max_ts) == (min_ts, max_ts)
         assert decoded.intervals == i_cols
         want = v_cols[:3] + ([jsonl_parity(value) for value in v_cols[3]],) + v_cols[4:]
         assert decoded.versions == want
         for got, sent in zip(decoded.versions[3], want[3]):
             assert type(got) is type(sent)  # True is not 1, 1.0 is not 1
-        if txns:
-            batch, consumed = unpack_columnar(decoded.txn_blob)
-            assert consumed == len(decoded.txn_blob)
-            assert [(t.tid, t.start_ts, t.commit_ts) for t in batch.transactions()] == [
-                (t.tid, t.start_ts, t.commit_ts) for t in txns
-            ]
-            assert [
-                (op.kind, op.key, op.value) for t in batch.transactions() for op in t.ops
-            ] == [(op.kind, op.key, jsonl_parity(op.value)) for t in txns for op in t.ops]
-        else:
-            assert decoded.txn_blob == b""
 
     def test_empty_sections(self):
-        decoded = decode_segment(encode_segment(5, 5, empty_columns(), empty_columns(), []))
-        assert decoded == (5, 5, empty_columns(), empty_columns(), b"")
+        decoded = decode_segment(encode_segment(5, 5, empty_columns(), empty_columns()))
+        assert decoded == (5, 5, empty_columns(), empty_columns())
 
     @staticmethod
     def sample_segment():
@@ -226,11 +210,7 @@ class TestSegmentCodec:
             }
         )
         intervals = interval_columns({"x": [(0, 1, 1), (3, 4, 2)], "y": [(2, 9, 9)]})
-        txns = [
-            Transaction(1, 1, 1, [Operation(OpKind.WRITE, "x", 10)], 0, 1),
-            Transaction(2, 1, 2, [Operation(OpKind.READ, "x", 10)], 3, 4),
-        ]
-        return encode_segment(0, 9, versions, intervals, txns)
+        return encode_segment(0, 9, versions, intervals)
 
     def test_every_truncation_raises(self):
         blob = self.sample_segment()
@@ -250,6 +230,21 @@ class TestSegmentCodec:
             mutated[position] ^= rng.randrange(1, 256)
             with pytest.raises(SegmentError):
                 decode_segment(bytes(mutated))
+
+    def test_version_1_image_is_refused(self):
+        """The format this one replaced: three section lengths in the
+        header, the third a ``pack_columnar`` blob of the evicted
+        transactions (empty when a cycle evicted none)."""
+        blob = self.sample_segment()
+        v2_fields = struct.Struct("!4sHqqQQ")
+        magic, version, min_ts, max_ts, n_versions, n_intervals = v2_fields.unpack_from(blob)
+        assert (magic, version) == (b"RSEG", 2)
+        body = blob[v2_fields.size + 4 :]
+        assert len(body) == n_versions + n_intervals
+        fields = struct.pack("!4sHqqQQQ", magic, 1, min_ts, max_ts, n_versions, n_intervals, 0)
+        v1 = fields + struct.pack("!I", zlib.crc32(body, zlib.crc32(fields))) + body
+        with pytest.raises(SegmentError, match="version-2"):
+            decode_segment(v1)
 
     def test_foreign_file_raises(self):
         for foreign in (b"", b"{}", json.dumps({"min_ts": 0, "payload": {}}).encode() * 4):
