@@ -661,6 +661,10 @@ def _print_daemon_stats(args: argparse.Namespace) -> int:
     print(f"resident     : {stats.get('resident_txns', 0)} arrivals indexed"
           + (f", ~{stats['estimated_bytes']:,} bytes"
              if stats.get("estimated_bytes") is not None else ""))
+    ext = stats.get("ext")
+    if ext:
+        print(f"pending EXT  : {ext['pending_reads']} reads of "
+              f"{ext['pending_txns']} transactions awaiting their timeout")
     print(f"violations   : {stats.get('violations', 0)}")
     print(f"queue        : depth {stats.get('queue_depth', 0)}, "
           f"high-water {stats.get('queue_high_water', 0)} / "

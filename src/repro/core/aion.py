@@ -461,7 +461,7 @@ class Aion(SpillingGc):
 
         # ---- frontier probe: per-key streams in arrival order.
         r_expected, w_conflicts, w_reevals = self._probe(
-            key_streams, r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids
+            key_streams, r_ts, r_tids, w_vals, w_starts, w_cts, w_tids
         )
         if timing:
             t_verdict0 = perf_counter()
@@ -471,7 +471,7 @@ class Aion(SpillingGc):
 
         # ---- verdict: bulk-track, then walk the batch in arrival order.
         if n_reads:
-            ext.track_columns(r_tids, r_keys, r_ts, r_vals, r_expected, now, BOTTOM)
+            ext.track_columns(r_tids, r_keys, r_ts, r_vals, r_expected, now)
             stats.verdict_tracks += n_reads
 
         report = self._report
@@ -504,14 +504,15 @@ class Aion(SpillingGc):
                 if affected is not None:
                     key = w_keys[index]
                     n_reevals += len(affected)
+                    # The tracker holds what each reader observed and
+                    # decides the verdict; a row says whom to re-check.
                     if optimized:
                         value = w_vals[index]
-                        for _sts, reader_tid, actual in affected:
-                            reevaluate(reader_tid, key, actual == value, value, now)
+                        for reader_tid in affected:
+                            reevaluate(reader_tid, key, value, now)
                     else:
-                        for expected, reader_tid, actual in affected:
-                            ok = (actual is None) if expected is BOTTOM else (expected == actual)
-                            reevaluate(reader_tid, key, ok, expected, now)
+                        for expected, reader_tid in affected:
+                            reevaluate(reader_tid, key, expected, now)
             resident[tid] = commit_ts
             armed_append(tid)
         self.processed += len(armed) - n_uncounted
@@ -558,7 +559,6 @@ class Aion(SpillingGc):
         key_streams: Dict[str, List[int]],
         r_ts: List[int],
         r_tids: List[int],
-        r_vals: List[Any],
         w_vals: List[Any],
         w_starts: List[int],
         w_cts: List[int],
@@ -574,7 +574,6 @@ class Aion(SpillingGc):
             key_streams,
             r_ts,
             r_tids,
-            r_vals,
             w_vals,
             w_starts,
             w_cts,
@@ -623,6 +622,16 @@ class Aion(SpillingGc):
     def kernel_stats(self) -> KernelStats:
         """Per-stage operation counters of the staged batch kernel."""
         return self._kernel_stats
+
+    @property
+    def pending_ext_txns(self) -> int:
+        """Transactions whose EXT verdicts are still tentative."""
+        return len(self._ext)
+
+    @property
+    def pending_ext_reads(self) -> int:
+        """External reads indexed for step-③ re-checking."""
+        return len(self._ext_reads)
 
     def estimated_bytes(self) -> int:
         """Deep-size estimate of the checker's live structures."""

@@ -81,7 +81,6 @@ class AionSer(Aion):
         key_streams: Dict[str, List[int]],
         r_ts: List[int],
         r_tids: List[int],
-        r_vals: List[Any],
         w_vals: List[Any],
         w_starts: List[int],
         w_cts: List[int],
@@ -94,7 +93,6 @@ class AionSer(Aion):
             key_streams,
             r_ts,
             r_tids,
-            r_vals,
             w_vals,
             w_starts,
             w_cts,

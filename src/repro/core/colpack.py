@@ -687,8 +687,9 @@ RESULT_INLINE = 2    # result lane: the three strict-encoded result columns
 
 # kind, optimized flag, n_keys, n_streams, n_codes, n_reads, n_writes, n_removals
 _PROBE_HDR = struct.Struct("!BB6I")
-# kind, n_reads, n_writes, writes with conflicts, writes with re-evaluations
-_RESULT_HDR = struct.Struct("!B4I")
+# kind, ablation flag, n_reads, n_writes, writes with conflicts, writes with
+# re-evaluations
+_RESULT_HDR = struct.Struct("!BB4I")
 
 
 class UnencodableValue(ValueError):
@@ -955,7 +956,6 @@ def pack_probe_frame(
     key_streams: Dict[str, Sequence[int]],
     r_ts: Sequence[int],
     r_tids: Sequence[int],
-    r_vals: Sequence[Any],
     w_vals: Sequence[Any],
     w_starts: Sequence[int],
     w_cts: Sequence[int],
@@ -970,7 +970,9 @@ def pack_probe_frame(
     in stream order, then keys only removals name), ``u32`` columns
     holding each stream's length, every stream's op codes end to end and
     the removals' key ids, then the removals' snapshot/tid columns and
-    the seven shard-local op columns in the split strict layout.
+    the six shard-local op columns in the split strict layout (what a
+    read observed is not among them: a shard indexes readers, and the
+    coordinator's tracker holds the values).
     ``key_cache`` (optional, caller-owned) memoizes the length-prefixed
     UTF-8 form of each key across frames — the coordinator packs the
     same key space every batch.  Raises :class:`UnencodableValue` when
@@ -1005,7 +1007,7 @@ def pack_probe_frame(
             _pack_u32s(removal_ids),
             _pack_strict_column([item[1] for item in removals]),
             _pack_strict_column([item[2] for item in removals]),
-            *map(_pack_strict_column, (r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids)),
+            *map(_pack_strict_column, (r_ts, r_tids, w_vals, w_starts, w_cts, w_tids)),
         )
     )
 
@@ -1032,7 +1034,7 @@ def unpack_probe_frame(buf: Buffer) -> Tuple[Any, ...]:
         key_streams[key] = codes[lo : lo + count]
         lo += count
     columns = []
-    for n in (n_reads, n_reads, n_reads, n_writes, n_writes, n_writes, n_writes):
+    for n in (n_reads, n_reads, n_writes, n_writes, n_writes, n_writes):
         column, offset = _unpack_strict_column(buf, offset, n)
         columns.append(column)
     removals = list(zip(map(table.__getitem__, removal_ids), removal_ts, removal_tids))
@@ -1042,7 +1044,7 @@ def unpack_probe_frame(buf: Buffer) -> Tuple[Any, ...]:
 def pack_result_frame(
     r_expected: Sequence[Any],
     w_conflicts: Sequence[Optional[List[Tuple[int, int]]]],
-    w_reevals: Sequence[Optional[List[Tuple[Any, int, Any]]]],
+    w_reevals: Sequence[Optional[List[Any]]],
 ) -> bytes:
     """Pack one shard's probe results as a result-lane frame.
 
@@ -1050,20 +1052,30 @@ def pack_result_frame(
     sparse — most writes hit no conflict and affect no reader — so each
     is stored as the ``u32`` indices of its non-empty slots, their row
     counts, and the rows column-wise: ``(owner_tid, owner_commit_ts)``
-    for conflicts; ``(snapshot_ts | expected, reader_tid, actual)`` for
-    re-evaluations.  Raises :class:`UnencodableValue` when any value
-    refuses strict encoding — the worker then ships the results inside
-    its doorbell reply.
+    for conflicts; for re-evaluations one ``i64`` column of reader tids,
+    preceded under the ablation (rows are ``(expected, reader_tid)``,
+    flagged in the header) by a strict column of the expected values.
+    Raises :class:`UnencodableValue` when any value refuses strict
+    encoding — the worker then ships the results inside its doorbell
+    reply.
     """
     hit_writes = [i for i, hits in enumerate(w_conflicts) if hits is not None]
     hits = [w_conflicts[i] for i in hit_writes]
     reeval_writes = [i for i, rows in enumerate(w_reevals) if rows is not None]
     reevals = [w_reevals[i] for i in reeval_writes]
     rows = [row for group in reevals for row in group]
+    ablation = bool(rows) and type(rows[0]) is tuple
+    if ablation:
+        expected = _pack_strict_column([row[0] for row in rows])
+        rows = [row[1] for row in rows]
+    try:
+        tids = struct.pack(f"!{len(rows)}q", *rows)
+    except struct.error:  # what the strict codec says to an int beyond i64
+        raise UnencodableValue("reader tid does not fit the i64 column") from None
     return b"".join(
         (
             _RESULT_HDR.pack(
-                RESULT_INLINE, len(r_expected), len(w_conflicts),
+                RESULT_INLINE, ablation, len(r_expected), len(w_conflicts),
                 len(hit_writes), len(reeval_writes),
             ),
             _pack_strict_column(r_expected),
@@ -1072,40 +1084,56 @@ def pack_result_frame(
             _pack_strict_column([part for group in hits for pair in group for part in pair]),
             _pack_u32s(reeval_writes),
             _pack_u32s(list(map(len, reevals))),
-            _pack_strict_column([row[0] for row in rows]),
-            _pack_strict_column([row[1] for row in rows]),
-            _pack_strict_column([row[2] for row in rows]),
+            expected if ablation else b"",
+            tids,
         )
     )
 
 
-def unpack_result_frame(buf: Buffer) -> Tuple[List[Any], List[Any], List[Any]]:
+def unpack_result_frame(
+    buf: Buffer, n_reads: int, n_writes: int
+) -> Tuple[List[Any], List[Any], List[Any]]:
     """Decode a result-lane frame into ``(r_expected, w_conflicts,
     w_reevals)`` — the shape :func:`~repro.core.versioned.probe_columns`
-    returns, over the shard-local columns of the request."""
-    kind, n_reads, n_writes, n_hit_writes, n_reeval_writes = _RESULT_HDR.unpack_from(buf, 0)
-    if kind != RESULT_INLINE:
-        raise ValueError(f"not an inline result frame (kind {kind})")
-    r_expected, offset = _unpack_strict_column(buf, _RESULT_HDR.size, n_reads)
-    w_conflicts: List[Any] = [None] * n_writes
-    w_reevals: List[Any] = [None] * n_writes
-    hit_writes, offset = _unpack_u32s(buf, offset, n_hit_writes)
-    counts, offset = _unpack_u32s(buf, offset, n_hit_writes)
-    flat, offset = _unpack_strict_column(buf, offset, 2 * sum(counts))
-    lo = 0
-    for index, count in zip(hit_writes, counts):
-        hi = lo + 2 * count
-        w_conflicts[index] = list(zip(flat[lo:hi:2], flat[lo + 1 : hi : 2]))
-        lo = hi
-    reeval_writes, offset = _unpack_u32s(buf, offset, n_reeval_writes)
-    counts, offset = _unpack_u32s(buf, offset, n_reeval_writes)
-    n_rows = sum(counts)
-    firsts, offset = _unpack_strict_column(buf, offset, n_rows)
-    tids, offset = _unpack_strict_column(buf, offset, n_rows)
-    actuals, offset = _unpack_strict_column(buf, offset, n_rows)
-    rows = list(zip(firsts, tids, actuals))
-    lo = 0
-    for index, count in zip(reeval_writes, counts):
-        w_reevals[index] = rows[lo : lo + count]
-        lo += count
+    returns, over the shard-local columns of the request, whose read and
+    write counts the caller states: a frame answering anything else (or
+    torn, or longer than its sections) raises :class:`ValueError`, and
+    nothing is allocated on a count the frame's own bytes do not back."""
+    try:
+        kind, ablation, got_reads, got_writes, n_hit_writes, n_reeval_writes = (
+            _RESULT_HDR.unpack_from(buf, 0)
+        )
+        if kind != RESULT_INLINE:
+            raise ValueError(f"not an inline result frame (kind {kind})")
+        if (got_reads, got_writes) != (n_reads, n_writes) or ablation > 1:
+            raise ValueError("result frame does not answer this probe request")
+        r_expected, offset = _unpack_strict_column(buf, _RESULT_HDR.size, n_reads)
+        hit_writes, offset = _unpack_u32s(buf, offset, n_hit_writes)
+        counts, offset = _unpack_u32s(buf, offset, n_hit_writes)
+        flat, offset = _unpack_strict_column(buf, offset, 2 * sum(counts))
+        w_conflicts: List[Any] = [None] * n_writes
+        lo = 0
+        for index, count in zip(hit_writes, counts):
+            hi = lo + 2 * count
+            w_conflicts[index] = list(zip(flat[lo:hi:2], flat[lo + 1 : hi : 2]))
+            lo = hi
+        reeval_writes, offset = _unpack_u32s(buf, offset, n_reeval_writes)
+        counts, offset = _unpack_u32s(buf, offset, n_reeval_writes)
+        n_rows = sum(counts)
+        if ablation:
+            expected, offset = _unpack_strict_column(buf, offset, n_rows)
+        tids = struct.Struct(f"!{n_rows}q")
+        rows = list(tids.unpack_from(buf, offset))
+        offset += tids.size
+        if ablation:
+            rows = list(zip(expected, rows))
+        w_reevals: List[Any] = [None] * n_writes
+        lo = 0
+        for index, count in zip(reeval_writes, counts):
+            w_reevals[index] = rows[lo : lo + count]
+            lo += count
+    except (struct.error, IndexError) as exc:
+        raise ValueError(f"malformed result frame: {exc}") from None
+    if offset != len(buf):
+        raise ValueError("result frame longer than its sections")
     return r_expected, w_conflicts, w_reevals

@@ -14,6 +14,25 @@ studies:
   (Fig 13a, 14, 17–19);
 - **rectify times** — how long a tentative false positive/negative stood
   before being corrected (Fig 13b, 20, 21).
+
+The tentative verdicts of one transaction are ONE flat mutable list::
+
+    [tid, keys, snapshot_ts, *actual, *ok, *expected, *flips, *wrong_since]
+
+a three-slot header — tid, the external read keys as a tuple and the
+snapshot point, each stored once — followed by five parallel runs of
+``len(keys)`` slots: the value the read observed, the tentative verdict,
+the value the frontier last said it should have seen, the flip count,
+and when the verdict became wrong (``None`` while it is right).  Read
+``i`` of run ``r`` sits at ``_HEADER + r * len(keys) + i``, and a key's
+``i`` is ``keys.index(key)``.  The record is the only place the checker
+keeps what a pending read observed (the read index holds reader tids),
+so the verdict rule lives here alone: :meth:`ExtStatusTracker.
+track_columns` applies it on arrival and :meth:`ExtStatusTracker.
+reevaluate` at every re-check.  One container per transaction is what
+the host collector has to walk for ever after; a record per read (and a
+``(tid, key)`` dict entry to find it) was the largest structure the
+checker owned.
 """
 
 from __future__ import annotations
@@ -21,6 +40,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.histories.model import BOTTOM
 
 __all__ = [
     "ExtRecord",
@@ -31,22 +52,13 @@ __all__ = [
     "REC_SNAPSHOT_TS",
 ]
 
-# The tentative EXT verdicts of one transaction are ONE flat mutable list:
-# a four-slot header — tid, the external read keys as a tuple, the snapshot
-# point and the first-seen time, each stored once — followed by six
-# parallel runs of ``len(keys)`` slots: actual, ok, expected, last_change,
-# flips, wrong_since (set when the verdict first became wrong, cleared when
-# corrected).  Read ``i`` of run ``r`` sits at ``_HEADER + r * len(keys) +
-# i``, and a key's ``i`` is ``keys.index(key)``.  One container per
-# transaction is what the host collector has to walk for ever after; a
-# record per read (and a ``(tid, key)`` dict entry to find it) was the
-# largest structure the checker owned.  The header offsets are the contract
+# Record layout (module docstring).  The header offsets are the contract
 # with the checkers' finalization hooks; the runs are private.
 REC_TID = 0
 REC_KEYS = 1
 REC_SNAPSHOT_TS = 2
-_HEADER = 4
-_ACTUAL, _OK, _EXPECTED, _LAST_CHANGE, _FLIPS, _WRONG_SINCE = range(6)
+_HEADER = 3
+_ACTUAL, _OK, _EXPECTED, _FLIPS, _WRONG_SINCE = range(5)
 
 #: Type alias for one transaction's record.
 ExtRecord = List[Any]
@@ -134,6 +146,10 @@ class ExtStatusTracker:
         self._deadline_seq = 0
         self.stats = FlipFlopStats()
 
+    def __len__(self) -> int:
+        """Transactions with tentative verdicts (not yet finalized)."""
+        return len(self._txns)
+
     def track_columns(
         self,
         tids: List[int],
@@ -142,18 +158,18 @@ class ExtStatusTracker:
         actuals: List[Any],
         expecteds: List[Any],
         now: float,
-        bottom: Any,
     ) -> None:
         """Register initial verdicts for a whole batch of external reads,
         as parallel arrays straight from the batch kernel's route pass.
 
-        The initial verdict is ``expected == actual``, with ``bottom``
-        matching a ``None`` client read.  A transaction's external reads
-        are contiguous in the arrays (batch order), so each record is
-        built from one slice per column.
+        The verdict rule — here and in :meth:`reevaluate`, nowhere else —
+        is ``expected == actual``, with ⊥v (no version visible, or ⊥v
+        itself written) matching a ``None`` client read.  A
+        transaction's external reads are contiguous in the arrays (batch
+        order), so each record is built from one slice per column.
         """
         oks = [
-            (actual is None) if expected is bottom else (expected == actual)
+            (actual is None) if expected is BOTTOM else (expected == actual)
             for actual, expected in zip(actuals, expecteds)
         ]
         txns = self._txns
@@ -179,11 +195,10 @@ class ExtStatusTracker:
                 run_oks = [oks[index] for index in last.values()]
                 run_expecteds = [expecteds[index] for index in last.values()]
             txns[tid] = [
-                tid, run_keys, snapshot_ts[hi - 1], now,
+                tid, run_keys, snapshot_ts[hi - 1],
                 *run_actuals,
                 *run_oks,
                 *run_expecteds,
-                *[now] * width,
                 *[0] * width,
                 *[None if ok else now for ok in run_oks],
             ]
@@ -204,8 +219,10 @@ class ExtStatusTracker:
         heapq.heappush(self._deadlines, (now + self._timeout, self._deadline_seq, tids))
         self._deadline_seq += 1
 
-    def reevaluate(self, tid: int, key: str, ok: bool, expected: Any, now: float) -> None:
-        """Apply a re-check result; no-op for finalized or unknown pairs."""
+    def reevaluate(self, tid: int, key: str, expected: Any, now: float) -> None:
+        """Re-check ``tid``'s read of ``key`` against ``expected``, the
+        value its snapshot sees now, by the rule of :meth:`track_columns`;
+        no-op for finalized or unknown pairs."""
         record = self._txns.get(tid)
         if record is None:
             return
@@ -215,11 +232,12 @@ class ExtStatusTracker:
         except ValueError:
             return
         width = len(keys)
+        actual = record[slot + _ACTUAL * width]
+        ok = (actual is None) if expected is BOTTOM else (expected == actual)
         ok_slot = slot + _OK * width
         if ok != record[ok_slot]:
             record[ok_slot] = ok
             record[slot + _FLIPS * width] += 1
-            record[slot + _LAST_CHANGE * width] = now
             wrong_slot = slot + _WRONG_SINCE * width
             if ok:
                 wrong_since = record[wrong_slot]

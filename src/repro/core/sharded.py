@@ -147,7 +147,6 @@ class _ShardCore:
         key_streams: Dict[str, Any],
         r_ts: List[int],
         r_tids: List[int],
-        r_vals: List[Any],
         w_vals: List[Any],
         w_starts: List[int],
         w_cts: List[int],
@@ -165,7 +164,7 @@ class _ShardCore:
                 self.ext_reads.remove_batch(removals)
             return probe_columns(
                 self.frontier, self.writers, self.ext_reads, key_streams,
-                r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids,
+                r_ts, r_tids, w_vals, w_starts, w_cts, w_tids,
                 optimized, BOTTOM, results,
             )
 
@@ -415,7 +414,6 @@ class ShardedAion(Aion):
         key_streams: _ShardStreams,
         r_ts: List[int],
         r_tids: List[int],
-        r_vals: List[Any],
         w_vals: List[Any],
         w_starts: List[int],
         w_cts: List[int],
@@ -438,7 +436,7 @@ class ShardedAion(Aion):
             for core, removed, streams in zip(self._cores, removals, by_shard):
                 if removed or streams:
                     core.probe(
-                        removed, streams, r_ts, r_tids, r_vals,
+                        removed, streams, r_ts, r_tids,
                         w_vals, w_starts, w_cts, w_tids, optimized, results,
                     )
             return results
@@ -467,7 +465,7 @@ class ShardedAion(Aion):
             request = (
                 removals[shard],
                 local,
-                *(list(map(column.__getitem__, r_map)) for column in (r_ts, r_tids, r_vals)),
+                *(list(map(column.__getitem__, r_map)) for column in (r_ts, r_tids)),
                 *(
                     list(map(column.__getitem__, w_map))
                     for column in (w_vals, w_starts, w_cts, w_tids)
@@ -502,7 +500,7 @@ class ShardedAion(Aion):
                         "that is not on the ring"
                     )
                 try:
-                    payload = unpack_result_frame(view)
+                    payload = unpack_result_frame(view, len(r_map), len(w_map))
                 finally:
                     result_ring.consume()
             shard_expected, shard_conflicts, shard_reevals = payload
@@ -567,6 +565,12 @@ class ShardedAion(Aion):
         return deep_sizeof((self._resident, self._ext)) + sum(
             self._control([("sizeof",)] * self.n_shards)
         )
+
+    @property
+    def pending_ext_reads(self) -> int:
+        """Reads the shards index (a finalized read leaves its shard's
+        index at the head of that shard's next batch)."""
+        return sum(row["ext_reads"] for row in self._shard_counts())
 
     def _shard_counts(self) -> List[Dict[str, int]]:
         """Per-shard structure/scan counters (observability path only)."""

@@ -7,22 +7,32 @@ given timestamp".  Materializing a full map image per timestamp would be
 quadratic; these classes store the equivalent information *per key*:
 
 - :class:`VersionedFrontier` — for every key, versions ordered by commit
-  timestamp, ``commit_ts -> (value, tid)``.  ``frontier_ts[ts][k]`` of
-  the paper is exactly :meth:`VersionedFrontier.latest_at` (greatest
-  version with ``commit_ts <= ts``); Aion-SER reads the greatest version
-  strictly below (:func:`probe_columns`, ``strict``).
-  Keys with at most a handful of versions — the overwhelming majority
-  under skewed workloads — are kept in a pair of plain parallel lists
-  and only *promoted* to a :class:`~repro.util.sortedmap.SortedMap`
-  when they outgrow the threshold, skipping the container object and
-  method-dispatch overhead on the cold-key fast path.
+  timestamp.  ``frontier_ts[ts][k]`` of the paper is exactly
+  :meth:`VersionedFrontier.latest_at` (greatest version with
+  ``commit_ts <= ts``); Aion-SER reads the greatest version strictly
+  below (:func:`probe_columns`, ``strict``).
 - :class:`WriterIntervals` — for every key, the lifetimes
   ``[start_ts, commit_ts]`` of its writers; ``ongoing_ts[ts][k]`` is the
   set of intervals containing ``ts``, and NOCONFLICT re-checking (step ②)
   is an interval-overlap query.
-- :class:`ExtReadIndex` — for every key, the external reads indexed by
-  their snapshot point, so EXT re-checking (step ③) touches only reads
-  whose visible version actually changed.
+- :class:`ExtReadIndex` — for every key, the *readers* (tids) of the
+  pending external reads indexed by their snapshot point, so EXT
+  re-checking (step ③) touches only reads whose visible version
+  actually changed.  What a reader observed is not here: it lives once,
+  in the reader's :class:`~repro.core.ext_status.ExtStatusTracker`
+  record, which also decides every re-check.
+
+Each keeps a key in plain parallel lists — the small representation, one
+list slot per field and no object per entry — and only *promotes* it to
+a chunked container past ``_SMALL_MAX`` entries.  ``_by_key[key]`` is:
+
+- frontier: ``(commit_ts, values, tids)`` sorted by commit timestamp;
+  promoted, a ``SortedMap`` ``commit_ts -> (value, tid)``;
+- writer intervals: ``(ends, starts, owners)`` sorted by end; promoted,
+  an ``IntervalIndex``;
+- read index: ``(snapshot_ts, readers)`` sorted by snapshot point, a
+  reader being a tid or, for transactions sharing the snapshot, a
+  ``list`` of tids; promoted, a ``SortedMap`` ``snapshot_ts -> reader``.
 
 The frontier and the writer intervals support eviction below a GC-safe
 timestamp and re-merging of reloaded segments (the ``GARBAGE COLLECT`` /
@@ -39,7 +49,8 @@ segments, which arrive as columns, not streams; ``value_at`` serves the
 ablation branch; ``insert_and_next_ts``, ``overlap_add``,
 ``ExtReadIndex.add`` and ``affected_by`` / ``collect_affected`` are what
 the ladder benchmark's structure rungs time (the last is also the
-promoted-key sweep); ``latest_at`` is how tests inspect state.
+promoted-key sweep and the ablation's); ``latest_at`` is how tests
+inspect state.
 """
 
 from __future__ import annotations
@@ -80,9 +91,9 @@ def empty_columns() -> Tuple[List, List, List, List, List]:
     """Columns holding nothing (of either shape)."""
     return [], [], [], [], []
 
-#: Keys stay in the small-key representation (a ``(ts_list, payload_list)``
-#: pair of plain parallel lists) until they hold more versions than this;
-#: then they are promoted to a SortedMap.  Under the skewed key
+#: Keys stay in the small-key representation (plain parallel lists, see
+#: the module docstring) until they hold more entries than this; then
+#: they are promoted to a SortedMap / IntervalIndex.  Under the skewed key
 #: distributions real workloads produce, most keys never promote.  The
 #: threshold is deliberately large: a promoted key pays a method call and
 #: a ``maxes`` descent per operation, which only starts winning once the
@@ -102,12 +113,13 @@ _SMALL_MAX = 4096
 class VersionedFrontier:
     """Per-key committed versions ordered by commit timestamp.
 
-    ``_by_key`` maps a key either to a ``(ts_list, payload_list)`` tuple
-    of parallel sorted lists (the adaptive small-key representation) or,
-    once the key accumulates more than ``_SMALL_MAX`` versions, to a
-    :class:`SortedMap`.  All public methods branch on the representation;
-    the small path is a single C-speed bisect on a short list with no
-    container-object indirection.
+    ``_by_key`` maps a key either to a ``(timestamps, values, tids)``
+    tuple of parallel lists sorted by timestamp (the adaptive small-key
+    representation: three list slots per version, no object) or, once
+    the key accumulates more than ``_SMALL_MAX`` versions, to a
+    :class:`SortedMap` of ``commit_ts -> (value, tid)``.  All public
+    methods branch on the representation; the small path is a single
+    C-speed bisect on a short list with no container-object indirection.
     """
 
     __slots__ = ("_by_key", "_n_versions", "_multi")
@@ -135,12 +147,11 @@ class VersionedFrontier:
         if versions is None:
             return None
         if type(versions) is tuple:
-            timestamps, payloads = versions
+            timestamps, values, tids = versions
             j = bisect_right(timestamps, ts) - 1
             if j < 0:
                 return None
-            value, tid = payloads[j]
-            return (timestamps[j], value, tid)
+            return (timestamps[j], values[j], tids[j])
         item = versions.floor_item(ts)
         if item is None:
             return None
@@ -162,7 +173,7 @@ class VersionedFrontier:
             j = bisect_right(timestamps, ts) - 1
             if j < 0:
                 return default
-            return versions[1][j][0]
+            return versions[1][j]
         item = versions.floor_item(ts)
         if item is None:
             return default
@@ -178,20 +189,21 @@ class VersionedFrontier:
         reader sweep, so no successor version tuple is built.
         """
         versions = self._by_key.get(key)
-        payload = (value, tid)
         if versions is None:
-            self._by_key[key] = ([commit_ts], [payload])
+            self._by_key[key] = ([commit_ts], [value], [tid])
             self._n_versions += 1
             return None
         if type(versions) is tuple:
-            timestamps, payloads = versions
+            timestamps, values, tids = versions
             j = bisect_left(timestamps, commit_ts)
             n = len(timestamps)
             if j < n and timestamps[j] == commit_ts:
-                payloads[j] = payload
+                values[j] = value
+                tids[j] = tid
             else:
                 timestamps.insert(j, commit_ts)
-                payloads.insert(j, payload)
+                values.insert(j, value)
+                tids.insert(j, tid)
                 self._n_versions += 1
                 n += 1
                 if n == 2:
@@ -199,9 +211,9 @@ class VersionedFrontier:
             nxt = j + 1
             result = timestamps[nxt] if nxt < n else None
             if n > _SMALL_MAX:
-                self._by_key[key] = SortedMap._from_sorted(timestamps, payloads)
+                self._by_key[key] = SortedMap._from_sorted(timestamps, list(zip(values, tids)))
             return result
-        was_present, successor = versions.set_and_higher(commit_ts, payload)
+        was_present, successor = versions.set_and_higher(commit_ts, (value, tid))
         if not was_present:
             self._n_versions += 1
         return None if successor is None else successor[0]
@@ -222,20 +234,23 @@ class VersionedFrontier:
         keys: List[str] = []
         counts: List[int] = []
         commits: List[int] = []
-        payloads: List[Tuple[Any, int]] = []
+        values: List[Any] = []
+        tids: List[int] = []
         by_key = self._by_key
         settled: List[str] = []
         for key in self._multi:
             versions = by_key[key]
             if type(versions) is tuple:
-                timestamps, key_payloads = versions
+                timestamps, key_values, key_tids = versions
                 if timestamps[1] > ts:
                     continue
                 cut = bisect_right(timestamps, ts) - 1
                 commits += timestamps[:cut]
-                payloads += key_payloads[:cut]
+                values += key_values[:cut]
+                tids += key_tids[:cut]
                 del timestamps[:cut]
-                del key_payloads[:cut]
+                del key_values[:cut]
+                del key_tids[:cut]
                 if len(timestamps) == 1:
                     settled.append(key)
             else:
@@ -245,14 +260,15 @@ class VersionedFrontier:
                 keep_ts, keep_payload = popped.pop()
                 versions[keep_ts] = keep_payload
                 cut = len(popped)
-                for commit_ts, payload in popped:
+                for commit_ts, (value, tid) in popped:
                     commits.append(commit_ts)
-                    payloads.append(payload)
+                    values.append(value)
+                    tids.append(tid)
             keys.append(key)
             counts.append(cut)
         self._multi.difference_update(settled)
         self._n_versions -= len(commits)
-        return keys, counts, commits, [p[0] for p in payloads], [p[1] for p in payloads]
+        return keys, counts, commits, values, tids
 
     def merge(self, columns: VersionColumns) -> None:
         """Re-insert previously evicted versions (reload-on-demand)."""
@@ -435,20 +451,21 @@ class WriterIntervals:
 
 
 class ExtReadIndex:
-    """Per-key external reads indexed by snapshot point.
+    """Per-key pending external reads indexed by snapshot point.
 
-    Each entry maps ``snapshot_ts`` to its readers: a single
-    ``(tid, actual_value)`` pair in the overwhelmingly common
-    one-reader-per-snapshot case, promoted to a *list* of pairs when
-    distinct transactions share a snapshot point (concurrent readers
-    handed the same database snapshot all carry the same ``start_ts``).
-    The promotion matters for correctness — storing only one reader per
-    snapshot would let one reader clobber another at insertion, and
-    finalizing one reader would evict the others from step-③ re-checking
-    (silently dropped re-checks, i.e. missed EXT violations) — while the
-    pair fast path matters for the hot path: the batch kernel adds one
-    entry per external read, and allocating a one-element list per read
-    was a measurable share of step ①.
+    Each entry maps ``snapshot_ts`` to its reader: the reader's tid (an
+    ``int``) in the overwhelmingly common one-reader-per-snapshot case,
+    promoted to a *list* of tids when distinct transactions share a
+    snapshot point (concurrent readers handed the same database snapshot
+    all carry the same ``start_ts``).  The promotion matters for
+    correctness — storing only one reader per snapshot would let one
+    reader clobber another at insertion, and finalizing one reader would
+    evict the others from step-③ re-checking (silently dropped
+    re-checks, i.e. missed EXT violations) — while the bare-int fast
+    path matters for memory and for the hot path: the batch kernel adds
+    one entry per external read and the sweep hands a slice of them
+    straight to the verdict walk.  The value a reader observed is not
+    stored here; the tracker's record holds it once.
 
     For Aion (SI) the snapshot point is the reader's ``start_ts``; for
     Aion-SER it is the reader's ``commit_ts``.  Entries are removed
@@ -473,151 +490,77 @@ class ExtReadIndex:
     def __len__(self) -> int:
         return self._n_reads
 
-    def add(self, key: str, snapshot_ts: int, tid: int, actual: Any) -> None:
-        pair = (tid, actual)
+    def add(self, key: str, snapshot_ts: int, tid: int, actual: Any = None) -> None:
+        """Index ``tid``'s read of ``key`` at ``snapshot_ts``.
+
+        ``actual`` is accepted and not stored: the frozen ladder's
+        ``versioned.ext_sweep_reads_s`` rung and ``bench_hotpath.py``
+        still pass the observed value (ROADMAP item 1(a) drops it).
+        """
         index = self._by_key.get(key)
+        self._n_reads += 1
         if index is None:
-            self._by_key[key] = ([snapshot_ts], [pair])
-            self._n_reads += 1
-            return
-        if type(index) is tuple:
+            self._by_key[key] = ([snapshot_ts], [tid])
+        elif type(index) is tuple:
             ts_list, readers_list = index
             j = bisect_left(ts_list, snapshot_ts)
             if j < len(ts_list) and ts_list[j] == snapshot_ts:
                 entry = readers_list[j]
                 if type(entry) is list:
-                    entry.append(pair)
+                    entry.append(tid)
                 else:
-                    readers_list[j] = [entry, pair]
+                    readers_list[j] = [entry, tid]
             else:
                 ts_list.insert(j, snapshot_ts)
-                readers_list.insert(j, pair)
+                readers_list.insert(j, tid)
                 if len(ts_list) > _SMALL_MAX:
                     self._by_key[key] = SortedMap._from_sorted(ts_list, readers_list)
-            self._n_reads += 1
-            return
-        # Single-descent get-or-insert: a fresh snapshot point stores the
-        # pair itself; a collision promotes the entry to a reader list.
-        got = index.setdefault(snapshot_ts, pair)
-        if got is not pair:
-            if type(got) is list:
-                got.append(pair)
-            else:
-                index[snapshot_ts] = [got, pair]
-        self._n_reads += 1
+        else:
+            _add_promoted(index, snapshot_ts, tid)
 
     def remove(self, key: str, snapshot_ts: int, tid: int) -> None:
-        """Drop ``tid``'s read of ``key`` at ``snapshot_ts``; other readers
-        sharing the snapshot point stay indexed.  Idempotent."""
+        """Drop ``tid``'s read of ``key`` at ``snapshot_ts`` (one entry of
+        a tid a retransmission indexed twice); other readers sharing the
+        snapshot point stay indexed, and a read not there is a no-op."""
         index = self._by_key.get(key)
         if index is None:
             return
         if type(index) is tuple:
-            ts_list, readers_list = index
-            j = bisect_left(ts_list, snapshot_ts)
-            if j == len(ts_list) or ts_list[j] != snapshot_ts:
+            ts_list, slots = index
+            at = bisect_left(ts_list, snapshot_ts)
+            if at == len(ts_list) or ts_list[at] != snapshot_ts:
                 return
-            entry = readers_list[j]
-            if type(entry) is list:
-                for position, (reader_tid, _actual) in enumerate(entry):
-                    if reader_tid == tid:
-                        del entry[position]
-                        self._n_reads -= 1
-                        if len(entry) == 1:
-                            readers_list[j] = entry[0]
-                        return
-                return
-            if entry[0] == tid:
-                del ts_list[j]
-                del readers_list[j]
-                self._n_reads -= 1
-            return
-        entry = index.get(snapshot_ts)
-        if entry is None:
-            return
+            entry = slots[at]
+        else:
+            slots, at = index, snapshot_ts
+            entry = index.get(snapshot_ts)
         if type(entry) is list:
-            for position, (reader_tid, _actual) in enumerate(entry):
-                if reader_tid == tid:
-                    del entry[position]
-                    self._n_reads -= 1
-                    if len(entry) == 1:
-                        index[snapshot_ts] = entry[0]
-                    return
+            if tid not in entry:
+                return
+            entry.remove(tid)
+            if len(entry) == 1:
+                slots[at] = entry[0]
+        elif entry == tid:  # a promoted key's missing snapshot point reads None
+            del slots[at]
+            if slots is not index:
+                del ts_list[at]
+        else:
             return
-        if entry[0] == tid:
-            del index[snapshot_ts]
-            self._n_reads -= 1
+        self._n_reads -= 1
 
     def clear(self) -> None:
-        """Drop every indexed read at once.
-
-        The end-of-stream flush finalizes *all* pending verdicts in one
-        batch; when the caller knows the batch covers the whole index
-        (checked against ``len(self)``), clearing wholesale replaces one
-        filtered rebuild per key.
-        """
+        """Drop every indexed read at once: the end-of-stream flush
+        finalizes *all* pending verdicts, so the owner clears the index
+        instead of removing read by read."""
         self._by_key.clear()
         self._n_reads = 0
 
     def remove_batch(self, items: List[Tuple[str, int, int]]) -> None:
-        """Drop a batch of ``(key, snapshot_ts, tid)`` reads.
-
-        The grouped form of :meth:`remove` used when a timer expiry
-        finalizes many verdicts at once; semantics are per-item identical.
-        Removals are grouped per key, and a key losing a large fraction of
-        its indexed reads (the shape of an end-of-stream flush, where a
-        deadline finalizes *every* read of a key at once) is rebuilt in a
-        single filtered pass instead of paying one descent-and-splice per
-        removed read.
-        """
-        if not items:
-            return
-        by_key: Dict[str, List[Tuple[int, int]]] = {}
-        for key, snapshot_ts, tid in items:
-            group = by_key.get(key)
-            if group is None:
-                by_key[key] = [(snapshot_ts, tid)]
-            else:
-                group.append((snapshot_ts, tid))
+        """:meth:`remove` for each ``(key, snapshot_ts, tid)`` — what a
+        timer expiry that finalizes many verdicts at once hands over."""
         remove = self.remove
-        for key, group in by_key.items():
-            index = self._by_key.get(key)
-            if index is None:
-                continue
-            if type(index) is tuple or len(group) * 4 < len(index):
-                for snapshot_ts, tid in group:
-                    remove(key, snapshot_ts, tid)
-                continue
-            # Bulk path: one filtered walk of the key's map.  ``len(index)``
-            # counts distinct snapshot points (a lower bound on reads), so
-            # this triggers only when most of the key is going away.
-            doomed = set(group)
-            kept_ts: List[int] = []
-            kept_readers: List[Any] = []
-            removed = 0
-            for snapshot_ts, entry in index.items():
-                if type(entry) is list:
-                    survivors = [
-                        pair for pair in entry if (snapshot_ts, pair[0]) not in doomed
-                    ]
-                    removed += len(entry) - len(survivors)
-                    if survivors:
-                        kept_ts.append(snapshot_ts)
-                        kept_readers.append(
-                            survivors[0] if len(survivors) == 1 else survivors
-                        )
-                elif (snapshot_ts, entry[0]) in doomed:
-                    removed += 1
-                else:
-                    kept_ts.append(snapshot_ts)
-                    kept_readers.append(entry)
-            self._n_reads -= removed
-            if not kept_ts:
-                del self._by_key[key]
-            elif len(kept_ts) <= _SMALL_MAX:
-                self._by_key[key] = (kept_ts, kept_readers)
-            else:
-                self._by_key[key] = SortedMap._from_sorted(kept_ts, kept_readers)
+        for key, snapshot_ts, tid in items:
+            remove(key, snapshot_ts, tid)
 
     def affected_by(
         self,
@@ -626,15 +569,15 @@ class ExtReadIndex:
         next_version_ts: Optional[int],
         *,
         upper_inclusive: bool = False,
-    ) -> Iterator[Tuple[int, int, Any]]:
+    ) -> Iterator[Tuple[int, int]]:
         """Reads whose visible version becomes the one at ``version_ts``.
 
-        Yields ``(snapshot_ts, tid, actual_value)`` for every reader with
-        a snapshot point in ``[version_ts, next_version_ts)`` — or
-        ``(version_ts, next_version_ts]`` with ``upper_inclusive=True``,
-        the bound needed by Aion-SER where a reader at exactly the next
-        version's commit timestamp is that version's own writer and sees
-        the new version.
+        Yields ``(snapshot_ts, tid)`` for every reader with a snapshot
+        point in ``[version_ts, next_version_ts)`` — or ``(version_ts,
+        next_version_ts]`` with ``upper_inclusive=True``, the bound
+        needed by Aion-SER where a reader at exactly the next version's
+        commit timestamp is that version's own writer and sees the new
+        version.
         """
         return iter(
             self.collect_affected(
@@ -650,21 +593,18 @@ class ExtReadIndex:
         exclude_tid: Optional[int],
         *,
         upper_inclusive: bool = False,
-    ) -> List[Tuple[int, int, Any]]:
+    ) -> List[Tuple[int, int]]:
         """:meth:`affected_by` as a list, without the reads of
         ``exclude_tid`` (the writer never re-checks its own read; ``None``
-        excludes nobody).
+        excludes nobody).  Returns ``[]`` when no reader is affected.
 
-        The batch kernel's probe pass materializes re-check sets anyway
-        (verdict application happens in a later pass); returning a plain
-        list skips the generator frames, and folding in the
-        ``reader_tid == writer_tid`` exclusion saves the per-row branch at
-        the call sites.  Returns ``[]`` when no reader is affected.
+        :func:`probe_columns` answers a small key's sweep with a bare
+        slice of tids; this is the sweep of promoted keys, and of the
+        ablation, which needs each reader's snapshot point.
         """
         index = self._by_key.get(key)
         if index is None:
             return []
-        out: List[Tuple[int, int, Any]] = []
         if type(index) is tuple:
             ts_list, readers_list = index
             lo = bisect_left(ts_list, version_ts)
@@ -674,31 +614,34 @@ class ExtReadIndex:
                 hi = bisect_right(ts_list, next_version_ts)
             else:
                 hi = bisect_left(ts_list, next_version_ts)
-            for j in range(lo, hi):
-                entry = readers_list[j]
-                if type(entry) is list:
-                    snapshot_ts = ts_list[j]
-                    for tid, actual in entry:
-                        if tid != exclude_tid:
-                            out.append((snapshot_ts, tid, actual))
-                elif entry[0] != exclude_tid:
-                    out.append((ts_list[j], entry[0], entry[1]))
-            return out
-        got = index.range_lists(
-            version_ts, next_version_ts, inclusive=(True, upper_inclusive)
-        )
-        if got is None:
-            return out
-        range_ts, range_entries = got
-        for j, entry in enumerate(range_entries):
+            range_ts, range_entries = ts_list[lo:hi], readers_list[lo:hi]
+        else:
+            got = index.range_lists(
+                version_ts, next_version_ts, inclusive=(True, upper_inclusive)
+            )
+            if got is None:
+                return []
+            range_ts, range_entries = got
+        out: List[Tuple[int, int]] = []
+        for snapshot_ts, entry in zip(range_ts, range_entries):
             if type(entry) is list:
-                snapshot_ts = range_ts[j]
-                for tid, actual in entry:
-                    if tid != exclude_tid:
-                        out.append((snapshot_ts, tid, actual))
-            elif entry[0] != exclude_tid:
-                out.append((range_ts[j], entry[0], entry[1]))
+                out += [(snapshot_ts, tid) for tid in entry if tid != exclude_tid]
+            elif entry != exclude_tid:
+                out.append((snapshot_ts, entry))
         return out
+
+
+def _add_promoted(index: SortedMap, snapshot_ts: int, tid: int) -> None:
+    """Add a reader to a promoted key in one descent: a fresh snapshot
+    point stores the tid itself; a collision (the map did not grow)
+    promotes the entry to a reader list."""
+    before = len(index)
+    got = index.setdefault(snapshot_ts, tid)
+    if len(index) == before:
+        if type(got) is list:
+            got.append(tid)
+        else:
+            index[snapshot_ts] = [got, tid]
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +674,6 @@ def probe_columns(
     key_streams: Dict[str, List[int]],
     r_ts: List[int],
     r_tids: List[int],
-    r_vals: List[Any],
     w_vals: List[Any],
     w_starts: List[int],
     w_cts: List[int],
@@ -771,8 +713,12 @@ def probe_columns(
     ablation (``optimized=False``) is defined for SI only.
 
     Returns ``(r_expected, w_conflicts, w_reevals)``: the visibility
-    floor per read, and per write slot the NOCONFLICT hits and affected
-    re-check rows (``None`` when empty).  A caller that splits one
+    floor per read, and per write slot the NOCONFLICT hits and the
+    re-checks the write causes (``None`` when empty) — the affected
+    readers' tids, in snapshot order, which the caller re-checks against
+    the written value; under the ablation ``(expected, reader_tid)``
+    rows.  What a reader observed never passes through here: the
+    tracker record holds it.  A caller that splits one
     batch's columns over several structure sets (the shards of
     :class:`~repro.core.sharded.ShardedAion`, each handed its own keys'
     streams) passes the shared ``results`` arrays, pre-filled with
@@ -844,21 +790,22 @@ def probe_columns(
                     if hits:
                         w_conflicts[index] = hits
                 # Inline twin of insert_and_next_ts.
-                payload = (w_vals[index], tid)
                 if fv is None:
-                    fv = f_by_key[key] = ([commit_ts], [payload])
+                    fv = f_by_key[key] = ([commit_ts], [w_vals[index]], [tid])
                     new_versions += 1
                     nxt_ts = None
                 elif type(fv) is tuple:
-                    timestamps, payloads = fv
+                    timestamps, f_values, f_tids = fv
                     j = bisect_left(timestamps, commit_ts)
                     n = len(timestamps)
                     if j < n and timestamps[j] == commit_ts:
-                        payloads[j] = payload
+                        f_values[j] = w_vals[index]
+                        f_tids[j] = tid
                         overwrites += 1
                     else:
                         timestamps.insert(j, commit_ts)
-                        payloads.insert(j, payload)
+                        f_values.insert(j, w_vals[index])
+                        f_tids.insert(j, tid)
                         new_versions += 1
                         n += 1
                         if n == 2:
@@ -867,18 +814,22 @@ def probe_columns(
                     nxt_ts = timestamps[nxt] if nxt < n else None
                     if n > _SMALL_MAX:
                         fv = f_by_key[key] = SortedMap._from_sorted(
-                            timestamps, payloads
+                            timestamps, list(zip(f_values, f_tids))
                         )
                 else:
-                    was_present, successor = fv.set_and_higher(commit_ts, payload)
+                    was_present, successor = fv.set_and_higher(
+                        commit_ts, (w_vals[index], tid)
+                    )
                     if was_present:
                         overwrites += 1
                     else:
                         new_versions += 1
                     nxt_ts = None if successor is None else successor[0]
                 if optimized:
-                    # Inline twin of collect_affected for the small rep
-                    # (``ev`` is already in hand).
+                    # The sweep of a small key is one slice of its
+                    # readers (``ev`` is already in hand); a shared-
+                    # snapshot list in range is spliced in, and the
+                    # writer's own read dropped, only when present.
                     if ev is None:
                         pass
                     elif type(ev) is tuple:
@@ -890,16 +841,15 @@ def probe_columns(
                             else sweep_end(ts_list, nxt_ts)
                         )
                         if lo < hi:
-                            out = []
-                            for j in range(lo, hi):
-                                entry = readers_list[j]
-                                if type(entry) is list:
-                                    sts = ts_list[j]
-                                    for reader_tid, actual in entry:
-                                        if reader_tid != tid:
-                                            out.append((sts, reader_tid, actual))
-                                elif entry[0] != tid:
-                                    out.append((ts_list[j], entry[0], entry[1]))
+                            out = readers_list[lo:hi]
+                            if list in map(type, out):
+                                out = [
+                                    reader
+                                    for entry in out
+                                    for reader in (entry if type(entry) is list else (entry,))
+                                ]
+                            if tid in out:
+                                out = [reader for reader in out if reader != tid]
                             if out:
                                 w_reevals[index] = out
                     else:
@@ -907,7 +857,7 @@ def probe_columns(
                             key, commit_ts, nxt_ts, tid, upper_inclusive=strict
                         )
                         if affected:
-                            w_reevals[index] = affected
+                            w_reevals[index] = [row[1] for row in affected]
                 else:
                     # Ablation: every pending read of the key against a
                     # fresh visibility query (no range cutoff); the
@@ -916,8 +866,8 @@ def probe_columns(
                     affected = collect_affected(key, 0, None, tid)
                     if affected:
                         w_reevals[index] = [
-                            (value_at(key, sts, bottom), reader_tid, actual)
-                            for sts, reader_tid, actual in affected
+                            (value_at(key, sts, bottom), reader_tid)
+                            for sts, reader_tid in affected
                         ]
             else:
                 # ---- read: step ①, inline twins of value_at + add.
@@ -927,36 +877,31 @@ def probe_columns(
                 elif type(fv) is tuple:
                     timestamps = fv[0]
                     j = floor_end(timestamps, snapshot_ts) - 1
-                    r_expected[index] = fv[1][j][0] if j >= 0 else bottom
+                    r_expected[index] = fv[1][j] if j >= 0 else bottom
                 else:
                     item = floor_item(fv, snapshot_ts)
                     r_expected[index] = bottom if item is None else item[1][0]
-                pair = (r_tids[index], r_vals[index])
+                reader = r_tids[index]
                 if ev is None:
-                    ev = e_by_key[key] = ([snapshot_ts], [pair])
+                    ev = e_by_key[key] = ([snapshot_ts], [reader])
                 elif type(ev) is tuple:
                     ts_list, readers_list = ev
                     j = bisect_left(ts_list, snapshot_ts)
                     if j < len(ts_list) and ts_list[j] == snapshot_ts:
                         entry = readers_list[j]
                         if type(entry) is list:
-                            entry.append(pair)
+                            entry.append(reader)
                         else:
-                            readers_list[j] = [entry, pair]
+                            readers_list[j] = [entry, reader]
                     else:
                         ts_list.insert(j, snapshot_ts)
-                        readers_list.insert(j, pair)
+                        readers_list.insert(j, reader)
                         if len(ts_list) > _SMALL_MAX:
                             ev = e_by_key[key] = SortedMap._from_sorted(
                                 ts_list, readers_list
                             )
                 else:
-                    got = ev.setdefault(snapshot_ts, pair)
-                    if got is not pair:
-                        if type(got) is list:
-                            got.append(pair)
-                        else:
-                            ev[snapshot_ts] = [got, pair]
+                    _add_promoted(ev, snapshot_ts, reader)
 
     # Ops actually walked — the columns may be shared with other calls.
     # Every write either adds a version or overwrites one, so the common
@@ -990,12 +935,11 @@ def _frontier_bytes(frontier: VersionedFrontier, stack: List[Any]) -> int:
     for key, versions in by_key.items():
         total += getsizeof(key)
         if type(versions) is tuple:
-            timestamps, payloads = versions
-            total += getsizeof(versions) + getsizeof(timestamps) + getsizeof(payloads)
-            total += sum(map(getsizeof, timestamps))
-            for payload in payloads:  # (value, tid)
-                total += getsizeof(payload) + getsizeof(payload[1])
-                stack.append(payload[0])
+            timestamps, values, tids = versions
+            total += getsizeof(versions) + getsizeof(timestamps)
+            total += getsizeof(values) + getsizeof(tids)
+            total += sum(map(getsizeof, timestamps)) + sum(map(getsizeof, tids))
+            stack += values
         else:
             stack.append(versions)
     return total
@@ -1028,15 +972,10 @@ def _ext_reads_bytes(ext_reads: ExtReadIndex, stack: List[Any]) -> int:
             ts_list, readers_list = index
             total += getsizeof(index) + getsizeof(ts_list) + getsizeof(readers_list)
             total += sum(map(getsizeof, ts_list))
-            for entry in readers_list:  # (tid, actual) pair or list of pairs
+            for entry in readers_list:  # a tid, or a list of tids
                 total += getsizeof(entry)
                 if type(entry) is list:
-                    for pair in entry:
-                        total += getsizeof(pair) + getsizeof(pair[0])
-                        stack.append(pair[1])
-                else:
-                    total += getsizeof(entry[0])
-                    stack.append(entry[1])
+                    total += sum(map(getsizeof, entry))
         else:
             stack.append(index)
     return total

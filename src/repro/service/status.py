@@ -85,6 +85,9 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
      "resident_txns"),
     ("repro_resident_bytes", "Deep-size estimate of checker state (TTL-cached)", "gauge", (),
      "estimated_bytes"),
+    ("repro_ext_pending_reads",
+     "External reads indexed for re-checking (EXT verdict not yet finalized)", "gauge", (),
+     "ext.pending_reads"),
     ("repro_subscribers", "Connected violation subscribers", "gauge", (), "subscribers"),
     ("repro_subscribers_shed_total",
      "Subscribers disconnected because they stopped reading their pushes", "counter", (),
@@ -131,9 +134,6 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
      "counter", (), "interval_gc_scan_steps"),
     ("repro_gc_cycles_total", "Completed GC cycles", "counter", (), "gc.cycles"),
     ("repro_gc_seconds_total", "Wall time spent in GC", "counter", (), "gc.seconds"),
-    ("repro_gc_debt",
-     "Resident-index inserts deferred to the next GC cycle (its only up-front work)", "gauge", (),
-     "gc.debt"),
     *(
         (f"repro_gc_evicted_{kind}_total", f"Resident {kind} moved to spill segments", "counter",
          (), f"gc.evicted.{kind}")
@@ -279,11 +279,16 @@ class StatusView:
         ``tid -> commit_ts`` entry each — it stores no transaction), and
         ``gc.evicted.txns`` the index entries GC cycles released; only
         ``versions`` and ``intervals`` are written to spill segments.
+        ``ext`` is what stands between arrival and timeout: transactions
+        with a tentative EXT verdict and the external reads indexed for
+        re-checking (on a sharded checker, including finalized reads a
+        shard drops at the head of its next batch).
         """
         config, checker, ingest = self._config, self._checker, self._ingest
         estimated_bytes = self._estimated_bytes_cached() if include_bytes else None
         with ingest.lock:
             resident = checker.resident_txn_count
+            pending_txns = checker.pending_ext_txns
             processed = checker.processed
             violations = len(checker.result.violations)
             kernel = checker.kernel_stats.as_dict()
@@ -295,8 +300,10 @@ class StatusView:
             if shards is not None:
                 scan_steps = sum(row["scan_steps"] for row in shards)
                 gc_scan_steps = sum(row["gc_scan_steps"] for row in shards)
+                pending_reads = sum(row["ext_reads"] for row in shards)
             else:
                 scan_steps, gc_scan_steps = checker.scan_step_totals()
+                pending_reads = checker.pending_ext_reads
             spill = checker.spill_store
         sizes = ingest.kernel_batch_size
         _counts, size_sum, cycles = sizes.snapshot()
@@ -320,6 +327,7 @@ class StatusView:
             "queue_high_water": ingest.queue.high_water,
             "queue_capacity": config.queue_capacity,
             "resident_txns": resident,
+            "ext": {"pending_txns": pending_txns, "pending_reads": pending_reads},
             "violations": violations,
             "subscribers": edge["subscribers"],
             "subscribers_shed": edge["subscribers_shed"],
@@ -337,9 +345,6 @@ class StatusView:
                 "cycles": ingest.gc_cycles,
                 "seconds": round(ingest.gc_seconds, 6),
                 "threshold": config.gc_threshold,
-                # Always 0: the resident index has no deferred work any
-                # more.  Exported because the catalog golden pins it.
-                "debt": 0,
                 "pause": ingest.gc_pause.summary(),
                 "evicted": dict(ingest.gc_evicted),
                 "spill_bytes": spill.bytes_written if spill is not None else 0,

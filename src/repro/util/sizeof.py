@@ -20,7 +20,7 @@ experiments, so the sampler must stay cheap relative to the checker.
 
 The flat layouts the batch kernel introduced (PR 6) get the same
 treatment: the versioned structures' adaptive small-key representation
-(``(ts_list, payload_list)`` parallel lists), their lazy GC min-heaps of
+(plain parallel lists, one per field), their lazy GC min-heaps of
 ``(commit_ts, key)`` entries, and :class:`~repro.util.intervals.Interval`
 ``__slots__`` records are all sized inline — a checker under a memory
 cap holds millions of these, and pushing each through the memoized

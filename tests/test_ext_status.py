@@ -21,11 +21,12 @@ from repro.util.sizeof import deep_sizeof
 def track(tracker, tid, reads, *, snapshot_ts=10, now=0.0):
     """Register one transaction's external reads — ``{key: (actual,
     expected)}`` — through the batch entry points the kernel uses (the
-    initial verdict is ``expected == actual``) and arm its timer."""
+    verdict, then and at every re-check, is ``expected == actual``) and
+    arm its timer."""
     keys = list(reads)
     tracker.track_columns(
         [tid] * len(keys), keys, [snapshot_ts] * len(keys),
-        [reads[key][0] for key in keys], [reads[key][1] for key in keys], now, BOTTOM,
+        [reads[key][0] for key in keys], [reads[key][1] for key in keys], now,
     )
     tracker.arm_timers((tid,), now)
 
@@ -71,10 +72,22 @@ class TestLifecycle:
         tracker.flush()
         assert violations == [(2, "x", BOTTOM, "v")]
 
+    def test_recheck_against_bottom_applies_the_same_rule(self):
+        """A re-check is decided from the record's own observed value: ⊥v
+        (nothing visible, or ⊥v itself written) suits a ``None`` read."""
+        tracker, violations, _ = make_tracker()
+        track(tracker, 1, {"x": (None, "w")})
+        track(tracker, 2, {"x": ("v", "v")})
+        tracker.reevaluate(1, "x", BOTTOM, 1.0)
+        tracker.reevaluate(2, "x", BOTTOM, 1.0)
+        tracker.flush()
+        assert violations == [(2, "x", BOTTOM, "v")]
+        assert tracker.stats.rectify_times == [1.0] and tracker.stats.flipped_tids == {1, 2}
+
     def test_rectified_before_timeout_not_reported(self):
         tracker, violations, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "w")})
-        tracker.reevaluate(1, "x", ok=True, expected="v", now=0.010)
+        tracker.reevaluate(1, "x", "v", 0.010)
         tracker.advance_to(10.0)
         assert violations == []
         assert tracker.stats.rectify_times == [0.010]
@@ -82,7 +95,7 @@ class TestLifecycle:
     def test_report_carries_the_last_expected_value(self):
         tracker, violations, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "w")})
-        tracker.reevaluate(1, "x", ok=False, expected="u", now=1.0)  # still wrong
+        tracker.reevaluate(1, "x", "u", 1.0)  # still wrong
         tracker.advance_to(5.0)
         assert violations == [(1, "x", "u", "v")]
         assert tracker.stats.flips_per_pair == {}  # wrong → wrong is no flip
@@ -109,13 +122,13 @@ class TestLifecycle:
         tracker, violations, _ = make_tracker()
         copy = ([1, 1], ["x", "y"], [10, 10], ["a", "b"], ["q", "b"])
         if apart:
-            tracker.track_columns(*copy, 0.0, BOTTOM)
-            tracker.track_columns(*copy, 0.0, BOTTOM)
+            tracker.track_columns(*copy, 0.0)
+            tracker.track_columns(*copy, 0.0)
         else:
-            tracker.track_columns(*(column * 2 for column in copy), 0.0, BOTTOM)
+            tracker.track_columns(*(column * 2 for column in copy), 0.0)
         tracker.arm_timers((1, 1), 0.0)
-        tracker.reevaluate(1, "x", ok=True, expected="a", now=1.0)
-        tracker.reevaluate(1, "x", ok=True, expected="a", now=1.0)
+        tracker.reevaluate(1, "x", "a", 1.0)
+        tracker.reevaluate(1, "x", "a", 1.0)
         done = tracker.flush()
         assert [record[REC_KEYS] for record in done] == [("x", "y")]
         assert violations == []
@@ -131,13 +144,13 @@ class TestReevaluationIsANoOp:
 
     def test_unknown_transaction(self):
         tracker, _, _ = make_tracker()
-        tracker.reevaluate(7, "x", ok=False, expected="w", now=1.0)
+        tracker.reevaluate(7, "x", "w", 1.0)
         assert self.untouched(tracker) and tracker.flush() == []
 
     def test_unknown_key_of_a_tracked_transaction(self):
         tracker, violations, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "v")})
-        tracker.reevaluate(1, "y", ok=False, expected="w", now=1.0)
+        tracker.reevaluate(1, "y", "w", 1.0)
         tracker.flush()
         assert self.untouched(tracker) and violations == []
 
@@ -145,7 +158,7 @@ class TestReevaluationIsANoOp:
         tracker, violations, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "w")})
         tracker.advance_to(5.0)
-        tracker.reevaluate(1, "x", ok=True, expected="v", now=6.0)
+        tracker.reevaluate(1, "x", "v", 6.0)
         tracker.flush()
         assert self.untouched(tracker)
         assert violations == [(1, "x", "w", "v")]  # still exactly one report
@@ -154,7 +167,7 @@ class TestReevaluationIsANoOp:
         tracker, violations, _ = make_tracker(timeout=float("inf"))
         track(tracker, 1, {"x": ("v", "v")})
         tracker.flush()
-        tracker.reevaluate(1, "x", ok=False, expected="w", now=1.0)
+        tracker.reevaluate(1, "x", "w", 1.0)
         tracker.flush()
         assert self.untouched(tracker) and violations == []
 
@@ -163,11 +176,11 @@ class TestFlipFlopAccounting:
     def test_flip_counted_on_change_only(self):
         tracker, _, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "v")})
-        tracker.reevaluate(1, "x", ok=True, expected="v", now=1.0)  # no change
+        tracker.reevaluate(1, "x", "v", 1.0)  # no change
         assert tracker.stats.flipped_tids == set()
-        tracker.reevaluate(1, "x", ok=False, expected="w", now=2.0)
+        tracker.reevaluate(1, "x", "w", 2.0)
         assert tracker.stats.flipped_tids == {1}
-        tracker.reevaluate(1, "x", ok=True, expected="v", now=3.0)
+        tracker.reevaluate(1, "x", "v", 3.0)
         assert tracker.stats.rectify_times == [1.0]  # wrong from t=2 to t=3
         tracker.flush()
         assert tracker.stats.flips_per_pair == {2: 1}
@@ -176,17 +189,17 @@ class TestFlipFlopAccounting:
         tracker, _, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "w")}, now=1.0)  # wrong on arrival, at t=1
         track(tracker, 2, {"x": ("v", "v")}, now=1.0)
-        tracker.reevaluate(2, "x", ok=False, expected="w", now=1.5)
-        tracker.reevaluate(1, "x", ok=True, expected="v", now=2.0)
-        tracker.reevaluate(2, "x", ok=True, expected="v", now=4.0)
+        tracker.reevaluate(2, "x", "w", 1.5)
+        tracker.reevaluate(1, "x", "v", 2.0)
+        tracker.reevaluate(2, "x", "v", 4.0)
         assert tracker.stats.rectify_times == [1.0, 2.5]
 
     def test_pairs_of_one_transaction_flip_independently(self):
         tracker, violations, _ = make_tracker()
         track(tracker, 1, {"x": ("a", "a"), "y": ("b", "b"), "z": ("c", "c")})
         for now in (1.0, 2.0, 3.0):
-            tracker.reevaluate(1, "y", ok=now == 2.0, expected="?", now=now)
-        tracker.reevaluate(1, "z", ok=False, expected="q", now=3.5)
+            tracker.reevaluate(1, "y", "b" if now == 2.0 else "?", now)
+        tracker.reevaluate(1, "z", "q", 3.5)
         tracker.advance_to(5.0)
         assert tracker.stats.flips_per_pair == {3: 1, 1: 1}  # y: 3, z: 1, x: 0
         assert tracker.stats.flipped_tids == {1}
@@ -215,8 +228,8 @@ class TestFlipFlopAccounting:
     def test_stats_final_counts(self):
         tracker, _, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "w")})
-        tracker.reevaluate(1, "x", ok=True, expected="v", now=0.5)
-        tracker.reevaluate(1, "x", ok=False, expected="z", now=0.7)
+        tracker.reevaluate(1, "x", "v", 0.5)
+        tracker.reevaluate(1, "x", "z", 0.7)
         tracker.advance_to(5.0)
         assert tracker.stats.n_finalized == 1
         assert tracker.stats.n_final_violations == 1
@@ -227,10 +240,10 @@ class TestFlipFlopAccounting:
         tracker, violations, _ = make_tracker()
         keys = [f"k{index:03d}" for index in range(200)]
         track(tracker, 1, {key: (key, key) for key in keys})
-        tracker.reevaluate(1, keys[0], ok=False, expected="first", now=1.0)
-        tracker.reevaluate(1, keys[-1], ok=False, expected="last", now=2.0)
-        tracker.reevaluate(1, keys[-1], ok=True, expected=keys[-1], now=2.5)
-        tracker.reevaluate(1, keys[-1], ok=False, expected="last", now=3.0)
+        tracker.reevaluate(1, keys[0], "first", 1.0)
+        tracker.reevaluate(1, keys[-1], "last", 2.0)
+        tracker.reevaluate(1, keys[-1], keys[-1], 2.5)
+        tracker.reevaluate(1, keys[-1], "last", 3.0)
         tracker.advance_to(5.0)
         assert violations == [(1, keys[0], "first", keys[0]), (1, keys[-1], "last", keys[-1])]
         assert tracker.stats.flips_per_pair == {1: 1, 3: 1}
@@ -246,11 +259,11 @@ class TestFinalizationOrder:
     def feed(tracker):
         # Three arrival "batches"; batch two is armed under one deadline.
         track(tracker, 5, {"b": (1, 2), "a": (1, 2)}, now=0.0)
-        tracker.track_columns([9, 9, 3], ["a", "c", "a"], [10, 10, 11], [1, 1, 1], [1, 2, 2], 1.0, BOTTOM)
+        tracker.track_columns([9, 9, 3], ["a", "c", "a"], [10, 10, 11], [1, 1, 1], [1, 2, 2], 1.0)
         tracker.arm_timers((9, 3), 1.0)
         track(tracker, 4, {"z": (1, 1)}, now=2.0)
         track(tracker, 2, {"a": (1, 2)}, now=2.0)
-        tracker.reevaluate(9, "a", ok=False, expected=3, now=2.5)
+        tracker.reevaluate(9, "a", 3, 2.5)
 
     EXPECTED = [(5, "b", 2, 1), (5, "a", 2, 1), (9, "a", 3, 1), (9, "c", 2, 1), (3, "a", 2, 1), (2, "a", 2, 1)]
 
@@ -287,11 +300,11 @@ class TestMinPendingSnapshot:
         assert tracker.min_pending_snapshot_ts() is None
         track(tracker, 1, {"x": ("v", "v"), "y": ("v", "v")}, snapshot_ts=30, now=0.0)
         track(tracker, 2, {"y": ("v", "v")}, snapshot_ts=10, now=1.0)
-        assert tracker.min_pending_snapshot_ts() == 10
+        assert tracker.min_pending_snapshot_ts() == 10 and len(tracker) == 2
         tracker.advance_to(5.5)  # finalizes transaction 1 only
-        assert tracker.min_pending_snapshot_ts() == 10
+        assert tracker.min_pending_snapshot_ts() == 10 and len(tracker) == 1
         tracker.advance_to(6.0)
-        assert tracker.min_pending_snapshot_ts() is None
+        assert tracker.min_pending_snapshot_ts() is None and len(tracker) == 0
 
 
 class TestNothingKeptPerFinalizedTransaction:
@@ -314,7 +327,7 @@ class TestNothingKeptPerFinalizedTransaction:
             for tid in tids:
                 expected_y = tid + 1 if tid % 10 == 0 else tid
                 tracker.track_columns(
-                    [tid, tid], ["x", "y"], [tid, tid], [tid, tid], [tid, expected_y], now, BOTTOM
+                    [tid, tid], ["x", "y"], [tid, tid], [tid, tid], [tid, expected_y], now
                 )
             tracker.arm_timers(tids, now)
         tracker.advance_to(self.BATCHES + 10.0)

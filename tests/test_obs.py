@@ -294,7 +294,7 @@ class TestDaemonEndpoints:
             "repro_resident_bytes",
             "repro_kernel_batches_total",
             "repro_kernel_slow_batches_total",
-            "repro_gc_debt",
+            "repro_ext_pending_reads",
             "repro_gc_spill_bytes_total",
             "repro_gc_reloads_total",
             "repro_gc_evicted_versions_total",
@@ -343,7 +343,6 @@ class TestDaemonEndpoints:
         assert (gc["evicted"]["intervals"] > 0) == (kind != "aion-ser")
         assert gc["spill_bytes"] > 0
         assert gc["reloads"] == 0
-        assert gc["debt"] >= 0
         status, body = http_get_text(*handle.http_address, "/metrics")
         assert status == 200
         lines = dict(
@@ -433,7 +432,9 @@ GOLDEN_CATALOG = Path(__file__).parent / "data" / "service_catalog_golden.json"
 #: before ``CheckerService`` was carved up, by running ``fresh_catalog``
 #: against that commit's ``src/``) — everything else must be identical.
 #: The two ``repro_host_gc_*`` families and the ``host_gc`` block were
-#: written into the golden itself when they were added.
+#: written into the golden itself when they were added, as were
+#: ``repro_ext_pending_reads`` / ``ext.pending_{txns,reads}`` in the
+#: change that retired ``repro_gc_debt`` / ``gc.debt``.
 ADDED_FAMILIES = {"repro_kernel_batch_size", "repro_subscribers_shed_total"}
 ADDED_STATS_KEYS = {
     "subscribers_shed",
@@ -533,7 +534,7 @@ class TestStatsExtras:
         assert stats["queue_high_water"] <= stats["queue_capacity"]
         assert stats["interval_scan_steps"] >= 0
         assert stats["interval_gc_scan_steps"] >= 0
-        assert stats["gc"]["debt"] >= 0
+        assert stats["ext"] == {"pending_txns": 0, "pending_reads": 0}  # finalized by submit()
         assert stats["latency"]["count"] >= 1
         assert stats["slow_batches"]["total"] == 0
 

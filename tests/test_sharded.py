@@ -439,6 +439,8 @@ class TestCoordinatorSurface:
             assert sum(row["versions"] for row in rows) == len(aion._frontier)
             assert sum(row["intervals"] for row in rows) == len(aion._writers)
             assert sum(row["ext_reads"] for row in rows) == len(aion._ext_reads) > 0
+            assert sharded.pending_ext_reads == aion.pending_ext_reads == len(aion._ext_reads)
+            assert sharded.pending_ext_txns == aion.pending_ext_txns > 0
             assert sum(row["last_batch_commands"] for row in rows) > 0
         finally:
             aion.close()

@@ -19,6 +19,7 @@ Three layers, mirroring the transport's claims:
 """
 
 import os
+import random
 import signal
 import time
 from collections import deque
@@ -198,7 +199,7 @@ def _typed(value):
 @settings(max_examples=60, deadline=None)
 @given(
     removals=st.lists(st.tuples(_keys, _ts, _ts), max_size=4),
-    reads=st.lists(st.tuples(_keys, _ts, _ts, _strict_values), max_size=6),
+    reads=st.lists(st.tuples(_keys, _ts, _ts), max_size=6),
     writes=st.lists(st.tuples(_keys, _strict_values, _ts, _ts, _ts), max_size=6),
     optimized=st.booleans(),
 )
@@ -210,7 +211,7 @@ def test_probe_frame_round_trip(removals, reads, writes, optimized):
         streams.setdefault(write[0], []).append(index << 1 | 1)
     request = (
         removals, streams,
-        *([read[i] for read in reads] for i in (1, 2, 3)),
+        *([read[i] for read in reads] for i in (1, 2)),
         *([write[i] for write in writes] for i in (1, 2, 3, 4)),
         optimized,
     )
@@ -219,39 +220,132 @@ def test_probe_frame_round_trip(removals, reads, writes, optimized):
     assert decoded[0] == removals
     assert list(decoded[1]) == list(streams)  # stream order is probe order
     assert {key: list(codes) for key, codes in decoded[1].items()} == streams
-    assert _typed(list(decoded[2:9])) == _typed([list(column) for column in request[2:9]])
-    assert decoded[9] is optimized
+    assert _typed(list(decoded[2:8])) == _typed([list(column) for column in request[2:8]])
+    assert decoded[8] is optimized
     assert set(cache) == set(streams) | {removal[0] for removal in removals}
 
 
+_tid = st.integers(-(2**63), 2**63 - 1)
+#: One write's re-checks: reader tids, or the ablation's (expected, tid) rows.
+_REEVALS = {
+    "optimized": st.lists(_tid, min_size=1, max_size=3),
+    "ablation": st.lists(st.tuples(_strict_values, _tid), min_size=1, max_size=3),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_REEVALS))
 @settings(max_examples=60, deadline=None)
-@given(
-    r_expected=st.lists(_strict_values, max_size=6),
-    per_write=st.lists(
-        st.tuples(
-            st.none() | st.lists(st.tuples(_ts, _ts), min_size=1, max_size=3),
-            st.none()
-            | st.lists(st.tuples(_strict_values, _ts, _strict_values), min_size=1, max_size=3),
-        ),
-        max_size=6,
-    ),
-)
-def test_result_frame_round_trip(r_expected, per_write):
+@given(data=st.data())
+def test_result_frame_round_trip(mode, data):
+    r_expected = data.draw(st.lists(_strict_values, max_size=6))
+    per_write = data.draw(
+        st.lists(
+            st.tuples(
+                st.none() | st.lists(st.tuples(_ts, _ts), min_size=1, max_size=3),
+                st.none() | _REEVALS[mode],
+            ),
+            max_size=6,
+        )
+    )
     w_conflicts = [hits for hits, _ in per_write]
     w_reevals = [rows for _, rows in per_write]
     frame = pack_result_frame(r_expected, w_conflicts, w_reevals)
-    decoded = unpack_result_frame(memoryview(frame))
+    decoded = unpack_result_frame(memoryview(frame), len(r_expected), len(per_write))
     assert _typed(list(decoded)) == _typed([r_expected, w_conflicts, w_reevals])
 
 
 @pytest.mark.parametrize("bad", [{"nested": 1}, 2**63, {1, 2}, b"raw"])
 def test_lane_codec_refuses_what_it_cannot_reproduce(bad):
     with pytest.raises(UnencodableValue):
-        pack_probe_frame([], {"x": [1]}, [], [], [], [bad], [1], [2], [3], True)
+        pack_probe_frame([], {"x": [1]}, [], [], [bad], [1], [2], [3], True)
     with pytest.raises(UnencodableValue):
         pack_result_frame([bad], [], [])
     with pytest.raises(UnencodableValue):
-        pack_result_frame([], [None], [[(bad, 1, None)]])
+        pack_result_frame([], [None], [[(bad, 1)]])
+
+
+def test_result_frame_refuses_a_tid_beyond_i64():
+    """The reader-tid column is raw i64: a tid the strict codec would
+    have refused falls back to the pipe the same way."""
+    with pytest.raises(UnencodableValue):
+        pack_result_frame([], [None], [[2**63]])
+
+
+#: (r_expected, w_conflicts, w_reevals) with every section populated.
+_SAMPLE_RESULTS = {
+    "optimized": (
+        [1, None, BOTTOM, "str ✓", (1, [2.5, None])],
+        [None, [(7, 70), (8, 80)], None, [(9, 90)]],
+        [[11, 12], None, None, [13, -(2**63), 2**63 - 1]],
+    ),
+    "ablation": (
+        [BOTTOM, 2],
+        [[(7, 70)], None, None],
+        [[(BOTTOM, 11), ("v", 12)], None, [((1, 2), 13)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_SAMPLE_RESULTS))
+class TestResultFrameFuzz:
+    """A lane frame is not checksummed (both ends are this program), so
+    the decoder's own structure checks are what stand between a torn or
+    corrupted frame and a verdict."""
+
+    def test_round_trip(self, mode):
+        results = _SAMPLE_RESULTS[mode]
+        frame = pack_result_frame(*results)
+        n_reads, n_writes = len(results[0]), len(results[1])
+        assert _typed(list(unpack_result_frame(frame, n_reads, n_writes))) == _typed(list(results))
+
+    def test_every_truncation_raises(self, mode):
+        results = _SAMPLE_RESULTS[mode]
+        frame = pack_result_frame(*results)
+        n_reads, n_writes = len(results[0]), len(results[1])
+        for cut in range(len(frame)):
+            with pytest.raises(ValueError):
+                unpack_result_frame(frame[:cut], n_reads, n_writes)
+        with pytest.raises(ValueError):
+            unpack_result_frame(frame + b"\x00", n_reads, n_writes)
+
+    def test_a_frame_for_another_request_is_refused(self, mode):
+        results = _SAMPLE_RESULTS[mode]
+        frame = pack_result_frame(*results)
+        n_reads, n_writes = len(results[0]), len(results[1])
+        for claimed in ((n_reads + 1, n_writes), (n_reads, n_writes - 1), (0, 2**31)):
+            with pytest.raises(ValueError, match="does not answer"):
+                unpack_result_frame(frame, *claimed)
+
+    def test_byte_flips_decode_well_formed_or_raise(self, mode):
+        # A flipped byte may still decode (a digit inside a value, a
+        # reader tid) — but into a well-formed triple of the request's
+        # shape or a ValueError, never anything else.
+        results = _SAMPLE_RESULTS[mode]
+        frame = bytearray(pack_result_frame(*results))
+        n_reads, n_writes = len(results[0]), len(results[1])
+        rng = random.Random(2323)
+        outcomes = {"ok": 0, "rejected": 0}
+        for _ in range(600):
+            index = rng.randrange(len(frame))
+            original = frame[index]
+            frame[index] ^= rng.randrange(1, 256)
+            try:
+                r_expected, w_conflicts, w_reevals = unpack_result_frame(
+                    bytes(frame), n_reads, n_writes
+                )
+            except ValueError:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["ok"] += 1
+                assert len(r_expected) == n_reads
+                assert len(w_conflicts) == len(w_reevals) == n_writes
+                for rows in w_reevals:
+                    assert rows is None or all(
+                        type(row) is (int if mode == "optimized" else tuple) for row in rows
+                    )
+            finally:
+                frame[index] = original
+        assert outcomes["ok"] > 0 and outcomes["rejected"] > 100
 
 
 # ----------------------------------------------------------------------

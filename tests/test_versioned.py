@@ -27,17 +27,19 @@ BOTTOM = object()
 def probe(frontier, writers, reads, key, ops, *, strict=False, optimized=True):
     """Run ``ops`` on one key through ``probe_columns``, in order.
 
-    An op is ``("r", snapshot_ts, tid, actual)`` or
+    An op is ``("r", snapshot_ts, tid)`` or
     ``("w", start_ts, commit_ts, tid, value)``; returns one answer per op:
-    the expected value of a read, ``(conflicts, re-check rows)`` of a write.
+    the expected value of a read, ``(conflicts, re-checks)`` of a write —
+    the re-checks being reader tids, or ``(expected, reader_tid)`` rows
+    under the ablation.
     """
-    r_ts, r_tids, r_vals = [], [], []
+    r_ts, r_tids = [], []
     w_vals, w_starts, w_cts, w_tids = [], [], [], []
     stream = []
     for op in ops:
         if op[0] == "r":
             stream.append(len(r_ts) << 1)
-            for column, value in zip((r_ts, r_tids, r_vals), op[1:]):
+            for column, value in zip((r_ts, r_tids), op[1:]):
                 column.append(value)
         else:
             stream.append(len(w_cts) << 1 | 1)
@@ -45,7 +47,7 @@ def probe(frontier, writers, reads, key, ops, *, strict=False, optimized=True):
                 column.append(value)
     r_expected, w_conflicts, w_reevals = probe_columns(
         frontier, writers, reads, {key: stream},
-        r_ts, r_tids, r_vals, w_vals, w_starts, w_cts, w_tids,
+        r_ts, r_tids, w_vals, w_starts, w_cts, w_tids,
         optimized, BOTTOM, strict=strict,
     )
     return [
@@ -69,7 +71,7 @@ class TestVersionedFrontier:
         of the probe pass: a version at the snapshot point is not seen."""
         f = VersionedFrontier()
         f.insert("x", 10, "a", 1)
-        reads = [("r", 10, 7, None), ("r", 11, 8, None)]
+        reads = [("r", 10, 7), ("r", 11, 8)]
         assert probe(f, None, ExtReadIndex(), "x", reads, strict=True) == [BOTTOM, "a"]
         assert probe(f, WriterIntervals(), ExtReadIndex(), "x", reads) == ["a", "a"]
 
@@ -146,29 +148,27 @@ class TestWriterIntervals:
 class TestExtReadIndex:
     def test_affected_by_range(self):
         idx = ExtReadIndex()
-        idx.add("x", 10, tid=1, actual="a")
-        idx.add("x", 20, tid=2, actual="b")
-        idx.add("x", 30, tid=3, actual="c")
+        idx.add("x", 10, tid=1)
+        idx.add("x", 20, tid=2)
+        idx.add("x", 30, tid=3)
         # New version at ts 15, next version at 25: affects snapshot 20 only.
-        hits = list(idx.affected_by("x", 15, 25))
-        assert [tid for _, tid, _ in hits] == [2]
+        assert list(idx.affected_by("x", 15, 25)) == [(20, 2)]
 
     def test_affected_by_unbounded(self):
         idx = ExtReadIndex()
-        idx.add("x", 10, tid=1, actual="a")
-        idx.add("x", 20, tid=2, actual="b")
-        hits = list(idx.affected_by("x", 5, None))
-        assert [tid for _, tid, _ in hits] == [1, 2]
+        idx.add("x", 10, tid=1)
+        idx.add("x", 20, tid=2)
+        assert list(idx.affected_by("x", 5, None)) == [(10, 1), (20, 2)]
 
     def test_upper_inclusive_for_ser(self):
         idx = ExtReadIndex()
-        idx.add("x", 25, tid=9, actual="v")
+        idx.add("x", 25, tid=9)
         assert list(idx.affected_by("x", 15, 25)) == []
-        assert [t for _, t, _ in idx.affected_by("x", 15, 25, upper_inclusive=True)] == [9]
+        assert list(idx.affected_by("x", 15, 25, upper_inclusive=True)) == [(25, 9)]
 
     def test_remove_and_missing_remove(self):
         idx = ExtReadIndex()
-        idx.add("x", 10, tid=1, actual="a")
+        idx.add("x", 10, tid=1)
         idx.remove("x", 10, tid=1)
         assert len(idx) == 0
         idx.remove("x", 10, tid=1)  # idempotent
@@ -177,21 +177,49 @@ class TestExtReadIndex:
     def test_shared_snapshot_keeps_all_readers(self):
         """Two readers at one snapshot point must both stay indexed."""
         idx = ExtReadIndex()
-        idx.add("x", 10, tid=1, actual="a")
-        idx.add("x", 10, tid=2, actual="b")
+        idx.add("x", 10, tid=1)
+        idx.add("x", 10, tid=2)
         assert len(idx) == 2
-        hits = sorted((t, a) for _, t, a in idx.affected_by("x", 5, None))
-        assert hits == [(1, "a"), (2, "b")]
+        assert list(idx.affected_by("x", 5, None)) == [(10, 1), (10, 2)]
+
+    def test_observed_value_is_accepted_and_not_kept(self):
+        """The fourth argument is what the frozen ladder rung still
+        passes; the tracker record is the value's one home."""
+        idx = ExtReadIndex()
+        idx.add("x", 10, 1, "a")
+        idx.add("x", 10, 2, actual="b")
+        assert idx._by_key["x"] == ([10], [[1, 2]])
 
     def test_remove_one_shared_reader_spares_the_other(self):
         idx = ExtReadIndex()
-        idx.add("x", 10, tid=1, actual="a")
-        idx.add("x", 10, tid=2, actual="b")
+        idx.add("x", 10, tid=1)
+        idx.add("x", 10, tid=2)
         idx.remove("x", 10, tid=1)
         assert len(idx) == 1
-        assert [t for _, t, _ in idx.affected_by("x", 5, None)] == [2]
+        assert list(idx.affected_by("x", 5, None)) == [(10, 2)]
         idx.remove("x", 10, tid=2)
         assert len(idx) == 0
+
+
+@pytest.mark.parametrize("small_max", [4096, 3], ids=["small", "promoted"])
+def test_removal_is_per_reader_in_both_representations(monkeypatch, small_max):
+    """Finalization removes one reader of one snapshot point: a shared
+    snapshot keeps its other readers, a tid indexed twice (a
+    retransmission) loses one entry per removal, a removal naming nobody
+    is a no-op — the same in plain lists and in a promoted ``SortedMap``."""
+    monkeypatch.setattr(versioned, "_SMALL_MAX", small_max)
+    idx = ExtReadIndex()
+    for snapshot_ts, tid in [(10, 1), (20, 2), (20, 3), (30, 4), (30, 4), (40, 5), (50, 6)]:
+        idx.add("x", snapshot_ts, tid)
+    assert isinstance(idx._by_key["x"], SortedMap) == (small_max == 3)
+    idx.remove_batch([("x", 20, 2), ("x", 30, 4), ("x", 40, 5), ("x", 45, 5), ("x", 50, 7), ("y", 1, 1)])
+    assert list(idx.affected_by("x", 0, None)) == [(10, 1), (20, 3), (30, 4), (50, 6)]
+    assert len(idx) == 4
+    idx.remove_batch([("x", 20, 2), ("x", 20, 3), ("x", 30, 4), ("x", 30, 4)])
+    assert list(idx.affected_by("x", 0, None)) == [(10, 1), (50, 6)]
+    assert len(idx) == 2
+    idx.clear()
+    assert len(idx) == 0 and list(idx.affected_by("x", 0, None)) == []
 
 
 class TestInsertAndNext:
@@ -208,28 +236,49 @@ class TestInsertAndNext:
 
 
 def random_ops(rng, n):
-    """A single key's stream: unique commit timestamps in random order,
-    snapshot points that collide with them and with each other."""
+    """A single key's stream: unique commit timestamps in random order;
+    snapshot points that collide with them (a reader at its own commit
+    point: its SI start, or its SER snapshot) and with each other
+    (readers sharing a snapshot), and now and then a read delivered
+    twice (a retransmitted tid)."""
     commits = rng.sample(range(10, 10 + 4 * n, 2), n)
-    ops = []
+    ops, reads = [], []
     for tid, commit_ts in enumerate(commits):
-        snapshot_ts = rng.choice([commit_ts, commit_ts - 1, rng.randrange(5, 10 + 4 * n)])
-        ops.append(("r", snapshot_ts, tid, rng.choice("abc")))
+        if reads and rng.random() < 0.15:
+            snapshot_ts = rng.choice(reads)[1]
+        else:
+            snapshot_ts = rng.choice([commit_ts, commit_ts - 1, rng.randrange(5, 10 + 4 * n)])
+        reads.append(("r", snapshot_ts, tid))
+        ops.append(reads[-1])
+        if rng.random() < 0.1:
+            ops.append(rng.choice(reads))
         if rng.random() < 0.7:
             ops.append(("w", max(0, commit_ts - rng.randrange(1, 12)), commit_ts, tid, f"v{tid}"))
+    # Whatever the dice gave, one sweep above everything else meets all
+    # three hard cases at once: two readers sharing a snapshot, one of
+    # them indexed twice, and the writer's own read at its commit point.
+    top = 20 + 4 * n
+    ops += [("r", top + 5, n), ("r", top + 5, n + 1), ("r", top + 5, n), ("r", top + 2, n + 2)]
+    ops.append(("w", top, top + 2, n + 2, "top"))
     return ops
 
 
-def model(ops, *, strict):
+def model(ops, *, strict, optimized=True, seen=None):
     """Brute-force answers to ``ops`` under SI (``strict=False``) or SER
-    visibility, with writer intervals only under SI."""
+    visibility, with writer intervals only under SI; ``seen`` collects
+    which hard cases a sweep of the stream ran into."""
     versions, reads, intervals, answers = {}, [], [], []
+    seen = set() if seen is None else seen
+
+    def visible(snapshot_ts, strict):
+        below = [ts for ts in versions if (ts < snapshot_ts if strict else ts <= snapshot_ts)]
+        return versions[max(below)] if below else BOTTOM
+
     for op in ops:
         if op[0] == "r":
-            _, snapshot_ts, tid, actual = op
-            below = [ts for ts in versions if (ts < snapshot_ts if strict else ts <= snapshot_ts)]
-            answers.append(versions[max(below)] if below else BOTTOM)
-            reads.append((snapshot_ts, tid, actual))
+            _, snapshot_ts, tid = op
+            answers.append(visible(snapshot_ts, strict))
+            reads.append((snapshot_ts, tid))
         else:
             _, start_ts, commit_ts, tid, value = op
             hits = None
@@ -244,13 +293,25 @@ def model(ops, *, strict):
             versions[commit_ts] = value
             above = [ts for ts in versions if ts > commit_ts]
             upper = min(above) if above else float("inf")
-            affected = sorted(
+            # Snapshot order; readers of one snapshot in arrival order.
+            in_range = sorted(
                 (row for row in reads
-                 if row[1] != tid and commit_ts <= row[0]
-                 and (row[0] <= upper if strict else row[0] < upper)),
+                 if not optimized
+                 or (commit_ts <= row[0] and (row[0] <= upper if strict else row[0] < upper))),
                 key=lambda row: row[0],
-            ) or None
-            answers.append((hits, affected))
+            )
+            affected = [row for row in in_range if row[1] != tid]
+            if len(affected) < len(in_range):
+                seen.add("own read at commit_ts" if (commit_ts, tid) in in_range else "own read")
+            if len({row[0] for row in affected}) < len(set(affected)):
+                seen.add("shared snapshot")
+            if len(set(affected)) < len(affected):
+                seen.add("retransmitted tid")
+            if optimized:
+                affected = [reader for _, reader in affected]
+            else:
+                affected = [(visible(sts, False), reader) for sts, reader in affected]
+            answers.append((hits, affected or None))
     return answers
 
 
@@ -268,14 +329,14 @@ def by_methods(frontier, writers, reads, key, ops):
     answers = []
     for op in ops:
         if op[0] == "r":
-            _, snapshot_ts, tid, actual = op
+            _, snapshot_ts, tid = op
             answers.append(frontier.value_at(key, snapshot_ts, BOTTOM))
-            reads.add(key, snapshot_ts, tid, actual)
+            reads.add(key, snapshot_ts, tid)
         else:
             _, start_ts, commit_ts, tid, value = op
             hits = writers.overlap_add(key, start_ts, commit_ts, tid)
             next_ts = frontier.insert_and_next_ts(key, commit_ts, value, tid)
-            affected = reads.collect_affected(key, commit_ts, next_ts, tid)
+            affected = [row[1] for row in reads.collect_affected(key, commit_ts, next_ts, tid)]
             answers.append((hits or None, affected or None))
     return answers
 
@@ -300,7 +361,13 @@ class TestProbeColumns:
         got = []
         for lo in range(0, len(ops), 25):
             got += probe(frontier, writers, reads, "k", ops[lo : lo + 25], strict=strict)
-        assert [conflicts_sorted(answer) for answer in got] == model(ops, strict=strict)
+        seen = set()
+        assert [conflicts_sorted(answer) for answer in got] == model(ops, strict=strict, seen=seen)
+        # Every stream meets every hard case of the sweep: a list of
+        # readers sharing a snapshot inside the range, the writer's own
+        # read at exactly its commit timestamp (its SI start, or its SER
+        # snapshot) left out, a tid indexed twice re-checked twice.
+        assert seen >= {"shared snapshot", "own read at commit_ts", "retransmitted tid"}
         promoted = representation == "promoted"
         assert isinstance(frontier._by_key["k"], SortedMap) == promoted
         assert isinstance(reads._by_key["k"], SortedMap) == promoted
@@ -308,6 +375,17 @@ class TestProbeColumns:
         assert len(frontier) == sum(op[0] == "w" for op in ops)
         if writers is not None:
             assert len(writers) == len(frontier)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ablation_matches_brute_force_model(self, representation, seed):
+        """Every pending read but the writer's own, against the value
+        its snapshot sees at that point of the stream."""
+        ops = random_ops(Random(200 + seed), 30)
+        structures = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        got = probe(*structures, "k", ops, optimized=False)
+        assert [conflicts_sorted(answer) for answer in got] == model(
+            ops, strict=False, optimized=False
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_inline_branches_match_the_methods(self, representation, seed):
@@ -319,6 +397,8 @@ class TestProbeColumns:
             assert len(a) == len(b)
         assert inline[0].evict_below(10**9) == spelled[0].evict_below(10**9)
         assert inline[1].evict_below(10**9) == spelled[1].evict_below(10**9)
+        assert inline[2]._by_key.keys() == spelled[2]._by_key.keys()
+        assert list(inline[2].affected_by("k", 0, None)) == list(spelled[2].affected_by("k", 0, None))
 
     def test_strict_sweep_closes_at_the_next_version(self):
         """SER: the reader committing exactly at the next version's
@@ -327,12 +407,12 @@ class TestProbeColumns:
         snapshot point already sees the next version."""
         ops = [
             ("w", 0, 25, 9, "next"),
-            ("r", 25, 9, "late"),
+            ("r", 25, 9),
             ("w", 0, 15, 5, "late"),
         ]
         frontier, reads = VersionedFrontier(), ExtReadIndex()
         assert probe(frontier, None, reads, "x", ops, strict=True) == [
-            (None, None), BOTTOM, (None, [(25, 9, "late")]),
+            (None, None), BOTTOM, (None, [9]),
         ]
         frontier, reads = VersionedFrontier(), ExtReadIndex()
         assert probe(frontier, WriterIntervals(), reads, "x", ops) == [
