@@ -569,9 +569,16 @@ def pack_key_table(keys: Iterable[str]) -> bytes:
     return bytes(table)
 
 
-def unpack_key_table(buf: Buffer, offset: int, n_keys: int) -> Tuple[List[str], int]:
+def unpack_key_table(
+    buf: Buffer, offset: int, n_keys: int, memo: Optional[Dict[str, str]] = None
+) -> Tuple[List[str], int]:
     """Decode ``n_keys`` :func:`pack_key_table` entries; returns
-    ``(keys, next offset)``."""
+    ``(keys, next offset)``.
+
+    With a ``memo`` (caller-owned: one per packed file), a key already
+    in it is returned as the memo's object, so tables decoded with the
+    same memo share one object per distinct key.
+    """
     table: List[str] = []
     table_append = table.append
     u16_unpack = _U16.unpack_from
@@ -583,6 +590,8 @@ def unpack_key_table(buf: Buffer, offset: int, n_keys: int) -> Tuple[List[str], 
             raise ValueError("columnar pack truncated in key table")
         table_append(str(encoded, "utf-8"))
         offset += length
+    if memo is not None:
+        table = [memo.setdefault(key, key) for key in table]
     return table, offset
 
 
@@ -621,12 +630,15 @@ def pack_columnar(txns: Union[Sequence[Transaction], ColumnarBatch]) -> bytes:
     return b"".join(parts)
 
 
-def unpack_columnar(buf: Buffer, offset: int = 0) -> Tuple[ColumnarBatch, int]:
+def unpack_columnar(
+    buf: Buffer, offset: int = 0, memo: Optional[Dict[str, str]] = None
+) -> Tuple[ColumnarBatch, int]:
     """Decode one columnar blob; returns ``(batch, next offset)``.
 
     Accepts ``bytes`` or a ``memoryview`` slice — every column is read
     in place via ``struct.unpack_from``; only the decoded Python objects
-    are materialized, never a second copy of the payload.
+    are materialized, never a second copy of the payload.  ``memo`` is
+    handed to :func:`unpack_key_table`.
 
     Raises :class:`ValueError` on any truncation, bad count, dangling
     key reference, or unknown tag — the framing layer maps that to its
@@ -636,7 +648,7 @@ def unpack_columnar(buf: Buffer, offset: int = 0) -> Tuple[ColumnarBatch, int]:
     try:
         n, n_keys, n_ops = _HDR.unpack_from(buf, offset)
         offset += _HDR.size
-        table, offset = unpack_key_table(buf, offset, n_keys)
+        table, offset = unpack_key_table(buf, offset, n_keys, memo)
         meta = struct.Struct(f"!{n}q")
         meta_bytes = meta.size
         tids = meta.unpack_from(buf, offset)

@@ -30,7 +30,12 @@ checkers need and a third of the time and half the memory of building
 the objects.  :func:`load_history` / :func:`load_history_packed` are the
 object-returning fronts for everything that wants a :class:`History`.
 The ``[code, key, value]`` → ``(kind, key, value)`` rule is one
-function, :func:`_decode_ops`, whichever way a transaction is decoded.
+function, :func:`_decode_ops`, whichever way a transaction is decoded,
+and every decode call keeps one key memo, so a file (JSONL or packed,
+across all its chunks), a text or a submit holds one ``str`` per
+distinct key rather than one per operation.  The memo is local to the
+call: nothing outlives a load, and no key is made immortal the way
+``sys.intern`` would in a long-running daemon.
 
 Value fidelity of the columnar codec deliberately matches the JSONL
 codec: a top-level sequence value decodes as a *shallow* tuple (nested
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Sequence, Union
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 # Re-exported for compatibility: the columnar codec moved to
 # repro.core.colpack so the shard lanes can share it without importing
@@ -87,8 +92,40 @@ def _op_to_wire(op: Operation) -> List[Any]:
     return [op.kind.value, op.key, value]
 
 
-def _decode_ops(wire_ops: Any, kinds: bytearray, keys: List[Any], values: List[Any]) -> None:
-    """Append one transaction's ``[code, key, value]`` triples to op columns.
+#: The five header fields of a transaction row, in column order.
+_HEADER = ("tid", "sid", "sno", "sts", "cts")
+
+_MALFORMED_OPS = "malformed ops: want [code, key, value] triples, a read-list's value an array"
+_KEY_NOT_STR = "every operation's key must be a string"
+
+
+def _decode_header(data: Dict[str, Any]) -> Tuple[int, int, int, int, int]:
+    """A row's five header fields, each an ``int`` and not a ``bool``.
+
+    JSON types a row itself, so a timestamp can arrive as a string, a
+    float or ``true``; the checkers would compare it with integers (or
+    raise) instead of refusing the row.
+    """
+    header = tid, sid, sno, sts, cts = (
+        data["tid"], data["sid"], data["sno"], data["sts"], data["cts"]
+    )
+    if type(tid) is type(sid) is type(sno) is type(sts) is type(cts) is int:
+        return header
+    name = next(name for name, field in zip(_HEADER, header) if type(field) is not int)
+    raise ValueError(f"every transaction's {name!r} must be an integer")
+
+
+def _decode_ops(
+    wire_ops: Any, kinds: bytearray, keys: List[str], values: List[Any], memo: Dict[str, str]
+) -> None:
+    """Append one transaction's ``[code, key, value]`` ops to op columns.
+
+    Every op is a 3-element JSON array and every key a string.  ``memo``
+    maps each key seen so far to its first decoded object, and later
+    ops reference that object instead of the fresh string ``json`` hands
+    back for every occurrence: one object per distinct key for as long
+    as the caller keeps the memo (one file, one text, one submit).  The
+    string check runs on the memo's miss path, once per distinct key.
 
     List values are tuples in the model (list keys hold tuples; ⊥T may
     write an empty tuple); JSON renders them as arrays, so any array
@@ -96,21 +133,29 @@ def _decode_ops(wire_ops: Any, kinds: bytearray, keys: List[Any], values: List[A
     read-list's value is a tuple whatever it was written as (what
     :class:`Operation` enforces).
     """
-    code = None
+    op = code = None
+    shared_key = memo.get
     try:
-        for code, key, value in wire_ops:
+        for op in wire_ops:
+            if type(op) is not list:
+                raise TypeError  # a 3-character string or 3-key object unpacks too
+            code, key, value = op
             kind = _CODE_OF_WIRE[code]
             kinds.append(kind)
-            keys.append(key)
+            shared = shared_key(key)
+            if shared is None:
+                if type(key) is not str:
+                    raise TypeError
+                memo[key] = shared = key
+            keys.append(shared)
             values.append(
                 tuple(value) if kind == OP_READ_LIST or isinstance(value, list) else value
             )
     except KeyError:
         raise ValueError(f"unknown operation code {code!r}") from None
     except (TypeError, ValueError):
-        raise ValueError(
-            "malformed ops: want [code, key, value] triples, a read-list's value an array"
-        ) from None
+        key_is_bad = type(op) is list and len(op) == 3 and type(op[1]) is not str
+        raise ValueError(_KEY_NOT_STR if key_is_bad else _MALFORMED_OPS) from None
 
 
 def txn_to_dict(txn: Transaction) -> Dict[str, Any]:
@@ -125,19 +170,25 @@ def txn_to_dict(txn: Transaction) -> Dict[str, Any]:
     }
 
 
-def txn_from_dict(data: Dict[str, Any]) -> Transaction:
-    """Decode one transaction from its dict form."""
+def txn_from_dict(data: Dict[str, Any], memo: Optional[Dict[str, str]] = None) -> Transaction:
+    """Decode one transaction from its dict form.
+
+    ``memo`` (caller-owned, one per file or text) shares each distinct
+    key's object across the transactions decoded with it; without one,
+    this transaction's keys are shared only among its own ops.
+    """
+    tid, sid, sno, sts, cts = _decode_header(data)
     kinds = bytearray()
     keys: List[Any] = []
     values: List[Any] = []
-    _decode_ops(data["ops"], kinds, keys, values)
+    _decode_ops(data["ops"], kinds, keys, values, {} if memo is None else memo)
     return Transaction(
-        tid=data["tid"],
-        sid=data["sid"],
-        sno=data["sno"],
+        tid=tid,
+        sid=sid,
+        sno=sno,
         ops=map(Operation, [_KIND_OF_CODE[kind] for kind in kinds], keys, values),
-        start_ts=data["sts"],
-        commit_ts=data["cts"],
+        start_ts=sts,
+        commit_ts=cts,
     )
 
 
@@ -150,10 +201,12 @@ def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
     The columnar twin of ``[txn_from_dict(row) for row in rows]`` and
     the row-append step of :func:`columns_from_jsonl` — also how the
     daemon turns an ndjson ``submit`` into the batch a binary frame
-    carries.  No per-transaction or per-operation object is built.
-    Raises what :func:`txn_from_dict` raises: :class:`KeyError` for a
-    missing field, :class:`TypeError` for a row that is not an object,
-    :class:`ValueError` from :func:`_decode_ops`.
+    carries.  No per-transaction or per-operation object is built, and
+    each distinct key is one object across all the rows.  Raises what
+    :func:`txn_from_dict` raises: :class:`KeyError` for a missing
+    field, :class:`TypeError` for a row that is not an object,
+    :class:`ValueError` for a header field that is not an integer and
+    from :func:`_decode_ops`.
     """
     tids: List[int] = []
     sids: List[int] = []
@@ -164,13 +217,15 @@ def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
     kinds = bytearray()
     keys: List[str] = []
     values: List[Any] = []
+    memo: Dict[str, str] = {}
     for data in rows:
-        tids.append(data["tid"])
-        sids.append(data["sid"])
-        snos.append(data["sno"])
-        starts.append(data["sts"])
-        commits.append(data["cts"])
-        _decode_ops(data["ops"], kinds, keys, values)
+        tid, sid, sno, sts, cts = _decode_header(data)
+        tids.append(tid)
+        sids.append(sid)
+        snos.append(sno)
+        starts.append(sts)
+        commits.append(cts)
+        _decode_ops(data["ops"], kinds, keys, values, memo)
         offsets.append(len(keys))
     return ColumnarBatch(tids, sids, snos, starts, commits, offsets, bytes(kinds), keys, values)
 
@@ -182,7 +237,8 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
     lines are ignored.  Raises :class:`ValueError`
     naming the line (``"<where><line number>: <what>"``) for malformed
     JSON, a missing field, ops that are not ``[code, key, value]``
-    triples, an unknown op code, or a transaction id seen before (what
+    triples, a key that is not a string, a header field that is not an
+    integer, an unknown op code, or a transaction id seen before (what
     :class:`History` refuses).
     """
     line_no = 0
@@ -222,8 +278,10 @@ def history_to_jsonl(history: History) -> str:
 
 def history_from_jsonl(text: str) -> History:
     """Decode a history from JSON Lines text (blank lines ignored)."""
-    txns = [txn_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
-    return History(txns)
+    memo: Dict[str, str] = {}
+    return History(
+        [txn_from_dict(json.loads(line), memo) for line in text.splitlines() if line.strip()]
+    )
 
 
 def save_history(history: History, path: Union[str, Path]) -> None:
@@ -248,11 +306,12 @@ def iter_history_file(path: Union[str, Path]) -> Iterator[Transaction]:
     data exceeding the checkers' throughput").
     """
     path = Path(path)
+    memo: Dict[str, str] = {}
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if line:
-                yield txn_from_dict(json.loads(line))
+                yield txn_from_dict(json.loads(line), memo)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +360,9 @@ def iter_history_packed(path: Union[str, Path]) -> Iterator[Transaction]:
 
 
 def _packed_chunks(handle: BinaryIO) -> Iterator[ColumnarBatch]:
-    """The chunks of a packed history file positioned just past its magic."""
+    """The chunks of a packed history file positioned just past its magic,
+    decoded with one key memo so a key is one object across chunks."""
+    memo: Dict[str, str] = {}
     while True:
         header = handle.read(4)
         if not header:
@@ -312,7 +373,7 @@ def _packed_chunks(handle: BinaryIO) -> Iterator[ColumnarBatch]:
         blob = handle.read(length)
         if len(blob) != length:
             raise ValueError("packed history file truncated in chunk body")
-        batch, consumed = unpack_columnar(blob)
+        batch, consumed = unpack_columnar(blob, memo=memo)
         if consumed != length:
             raise ValueError("packed history chunk has trailing bytes")
         yield batch

@@ -92,24 +92,6 @@ _Writer = asyncio.StreamWriter
 _Msg = Dict[str, Any]
 
 
-def _mistyped(batch: ColumnarBatch) -> Optional[str]:
-    """What is wrong with the types in a decoded ndjson submit, if
-    anything.  JSON types the rows itself, so a timestamp can arrive as
-    a string; left to ``receive_many`` it would raise there and drop the
-    drain cycle for every producer drained beside this one.  (A frame's
-    packed columns cannot carry anything but integers and strings.)"""
-    header = zip(
-        ("tid", "sid", "sno", "sts", "cts"),
-        (batch.tids, batch.sids, batch.snos, batch.starts, batch.commits),
-    )
-    for name, column in header:
-        if set(map(type, column)) - {int}:
-            return f"submit refused: every transaction's {name!r} must be an integer"
-    if set(map(type, batch.op_keys)) - {str}:
-        return "submit refused: every operation's key must be a string"
-    return None
-
-
 class _Hangup(Exception):
     """Raised by a message reader to close its connection."""
 
@@ -390,13 +372,17 @@ class CheckerService:
             try:
                 # Anything but a list of rows is an empty submit, which
                 # admission refuses in the same words for both codecs.
-                batch = message["batch"] = columns_from_rows(rows if isinstance(rows, list) else ())
-            except (KeyError, TypeError, ValueError) as exc:
-                self._refuse(writer, f"malformed transaction: {exc!r}", seq=message.get("seq"))
+                # A row the decode rule refuses (ops that are not
+                # triples, a key that is not a string, a header field
+                # that is not an integer) never reaches receive_many,
+                # where it would drop the drain cycle for every producer
+                # drained beside this one.
+                message["batch"] = columns_from_rows(rows if isinstance(rows, list) else ())
+            except ValueError as exc:
+                self._refuse(writer, f"submit refused: {exc}", seq=message.get("seq"))
                 return None
-            refusal = _mistyped(batch)
-            if refusal is not None:
-                self._refuse(writer, refusal, seq=message.get("seq"))
+            except (KeyError, TypeError) as exc:
+                self._refuse(writer, f"malformed transaction: {exc!r}", seq=message.get("seq"))
                 return None
         return message
 

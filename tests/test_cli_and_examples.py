@@ -128,6 +128,20 @@ class TestCheckCommand:
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["zz","x",1]]}',
              "2: unknown operation code 'zz'"),
             (GOOD_LINE, "2: duplicate transaction id 1"),
+            # A 3-character string unpacks as a triple: it was write(x, "y").
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":["wxy"]}', "2: malformed ops"),
+            # An unhashable key was a TypeError traceback with exit 1.
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w",[1],5]]}',
+             "2: every operation's key must be a string"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w",7,5]]}',
+             "2: every operation's key must be a string"),
+            # Mistyped headers were checked: "start_ts 3 > commit_ts True".
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":true,"ops":[["w","x",2]]}',
+             "2: every transaction's 'cts' must be an integer"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":1.5,"cts":4,"ops":[["w","x",2]]}',
+             "2: every transaction's 'sts' must be an integer"),
+            ('{"tid":"b","sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w","x",2]]}',
+             "2: every transaction's 'tid' must be an integer"),
         ],
     )
     @pytest.mark.parametrize("mode", [[], ["--online"]])

@@ -210,6 +210,11 @@ class TestColumnDecoderRefusals:
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":7}', "malformed ops"),
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["rl","x",null]]}', "malformed ops"),
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["zz","x",1]]}', "unknown operation code 'zz'"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":["wxy"]}', "malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[{"w":1,"x":2,"y":3}]}', "malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w",[1],5]]}', "key must be a string"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w",null,5]]}', "key must be a string"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":false,"ops":[]}', "'cts' must be an integer"),
             ('{"tid":1,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[]}', "duplicate transaction id 1"),
             ("[1, 2]", "not a transaction object"),
         ],
@@ -230,6 +235,11 @@ class TestColumnDecoderRefusals:
             ({**good, "ops": 7}, ValueError),
             ({**good, "ops": [["rl", "x", None]]}, ValueError),
             ({**good, "ops": [["zz", "x", 1]]}, ValueError),
+            ({**good, "ops": ["wxy"]}, ValueError),
+            ({**good, "ops": [("w", "x", 1)]}, ValueError),
+            ({**good, "ops": [["w", 7, 1]]}, ValueError),
+            ({**good, "sno": "0"}, ValueError),
+            ({**good, "sid": True}, ValueError),
             ([1, 2], TypeError),
         ]:
             with pytest.raises(error) as from_rows:

@@ -333,7 +333,8 @@ class TestDaemon:
     @pytest.mark.parametrize(
         "field, value, complaint",
         [("sts", "x", "'sts' must be an integer"), ("tid", 1.5, "'tid' must be an integer"),
-         ("cts", True, "'cts' must be an integer"), ("ops", [["w", 7, 1]], "key must be a string")],
+         ("cts", True, "'cts' must be an integer"), ("ops", [["w", 7, 1]], "key must be a string"),
+         ("ops", [["w", [1], 1]], "key must be a string"), ("ops", ["wxy"], "malformed ops")],
     )
     def test_mistyped_v1_row_is_refused_at_admission(self, start_service, field, value, complaint):
         # JSON types an ndjson row itself, so a timestamp can arrive as a
