@@ -67,7 +67,7 @@ from repro.core.ext_status import (
     ExtStatusTracker,
     FlipFlopStats,
 )
-from repro.core.kernel import KernelStats, resolve_columns, resolve_writes
+from repro.core.kernel import KernelStats, resolve_columns
 from repro.core.spill import GcReport, SpillingGc
 from repro.core.versioned import (
     ExtReadIndex,
@@ -86,7 +86,7 @@ from repro.core.violations import (
     TimestampOrderViolation,
     Violation,
 )
-from repro.histories.model import OpKind, Transaction
+from repro.histories.model import Transaction
 from repro.core.colpack import ColumnarBatch
 from repro.util.hostgc import paused
 from repro.util.sizeof import deep_sizeof
@@ -198,13 +198,18 @@ class Aion(SpillingGc):
         the same reports in the same order, which the differential suite
         asserts against each other and against Chronos), but structured as
         three flat passes over parallel op arrays instead of a per-
-        transaction walk:
+        transaction walk.
 
-        **route** — decode the batch into columnar arrays (read keys /
-        snapshot points / readers / observed values; write keys / values /
-        intervals) plus one op stream per key, running the order-stable
-        per-transaction work (Eq. 1, session tracking, the transaction-
-        local INT simulation) as it goes;
+        ``txns`` is a :class:`~repro.core.colpack.ColumnarBatch` or any
+        iterable of :class:`Transaction` objects; the latter is flattened
+        once at entry (:meth:`ColumnarBatch.from_transactions`), so there
+        is one route loop and it reads columns only:
+
+        **route** — decode the batch's columns into read arrays (keys /
+        snapshot points / readers / observed values) and write arrays
+        (keys / values / intervals) plus one op stream per key, running
+        the order-stable per-transaction work (Eq. 1, session tracking,
+        :func:`~repro.core.kernel.resolve_columns`) as it goes;
 
         **frontier probe** — walk each key's op stream in arrival order
         against the versioned structures: visibility floors for external
@@ -244,25 +249,23 @@ class Aion(SpillingGc):
         with paused():
             self._receive_batch(txns)
 
-    def _receive_batch(self, txns) -> None:
+    def _receive_batch(self, batch) -> None:
+        # Transaction objects are flattened once, at the edge: the one
+        # route loop below reads columns only.
+        if not isinstance(batch, ColumnarBatch):
+            batch = ColumnarBatch.from_transactions(
+                batch if isinstance(batch, (list, tuple)) else list(batch)
+            )
         # Validate the whole batch before mutating any state: a rejected
         # append mid-loop would otherwise leave earlier batch members
         # tracked but timer-less.
-        batch = txns if isinstance(txns, ColumnarBatch) else None
-        if batch is not None:
-            if batch.has_appends:
-                raise ValueError(self._APPEND_ERROR)
-        else:
-            if not isinstance(txns, (list, tuple)):
-                txns = list(txns)
-            for txn in txns:
-                for op in txn.ops:
-                    if op.kind is OpKind.APPEND:
-                        raise ValueError(self._APPEND_ERROR)
+        if batch.has_appends:
+            raise ValueError(self._APPEND_ERROR)
         now = self._clock()
         ext = self._ext
         ext.advance_to(now)
-        if not txns:
+        n = len(batch)
+        if not n:
             return
         optimized = self.config.optimized_recheck
         ignores_start = self._ignores_start_ts
@@ -273,10 +276,14 @@ class Aion(SpillingGc):
         track_total = timing or stats.slow_threshold > 0.0
         t_batch0 = perf_counter() if track_total else 0.0
         stats.batches += 1
-        n = len(txns)
         stats.txns += n
         if n > stats.max_batch:
             stats.max_batch = n
+        starts_col = batch.starts
+        commits_col = batch.commits
+        snapshots_col = commits_col if ignores_start else starts_col
+        offsets_col = batch.op_offsets
+        kinds_col = batch.op_kinds
 
         # Reload-on-demand (▧), hoisted to the batch boundary: a severely
         # delayed transaction — one accepted with its snapshot point at
@@ -290,27 +297,17 @@ class Aion(SpillingGc):
         # issued by the preceding above-boundary transactions can observe
         # it.
         if self._spill is not None and len(self._spill) > 0:
-            if batch is not None:
-                starts, commits = batch.starts, batch.commits
-                offsets, kinds = batch.op_offsets, batch.op_kinds
 
-                def has_write(position: int) -> bool:
-                    return 1 in kinds[offsets[position] : offsets[position + 1]]
-            else:
-                starts = [txn.start_ts for txn in txns]
-                commits = [txn.commit_ts for txn in txns]
+            def has_write(position: int) -> bool:
+                return 1 in kinds_col[offsets_col[position] : offsets_col[position + 1]]
 
-                def has_write(position: int) -> bool:
-                    return any(op.kind is OpKind.WRITE for op in txns[position].ops)
-
-            snapshots = commits if ignores_start else starts
             accepted = (
                 range(n)
                 if ignores_start
-                else [p for p in range(n) if starts[p] <= commits[p]]
+                else [p for p in range(n) if starts_col[p] <= commits_col[p]]
             )
             if (
-                collected is not None and any(snapshots[p] <= collected for p in accepted)
+                collected is not None and any(snapshots_col[p] <= collected for p in accepted)
             ) or (not optimized and any(map(has_write, accepted))):
                 self._reload_below(None)
 
@@ -347,107 +344,58 @@ class Aion(SpillingGc):
         entries: List[Tuple[int, int, Optional[List[Violation]], int, int]] = []
         rejected: Dict[int, Violation] = {}
         n_uncounted = 0
-        if batch is not None:
-            # Columnar arrivals (wire frames, packed WALs): route straight
-            # off the batch's flat arrays — no Operation objects, no
-            # per-transaction derived views, no Transaction.
-            # ``resolve_columns`` fuses the external-read detection into
-            # the INT/write simulation walk.
-            tids_col = batch.tids
-            sids_col = batch.sids
-            snos_col = batch.snos
-            starts_col = batch.starts
-            commits_col = batch.commits
-            snapshots_col = commits_col if ignores_start else starts_col
-            offsets_col = batch.op_offsets
-            kinds_col = batch.op_kinds
-            keys_col = batch.op_keys
-            vals_col = batch.op_values
-            for position in range(n):
-                tid = tids_col[position]
-                start_ts = starts_col[position]
-                commit_ts = commits_col[position]
-                lo = offsets_col[position]
-                hi = offsets_col[position + 1]
-                stats.route_ops += hi - lo
-                pre: Optional[List[Violation]] = None
-                if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
-                    offender = TimestampOrderViolation(
-                        axiom=Axiom.TS_ORDER,
-                        tid=tid,
-                        start_ts=start_ts,
-                        commit_ts=commit_ts,
-                    )
-                    if not ignores_start:
-                        rejected[position] = offender
-                        continue
-                    pre = [offender]
-                    n_uncounted += 1
-                snapshot_ts = snapshots_col[position]
-                violation = sessions.observe(  # lines 3:7–3:10
-                    tid, sids_col[position], snos_col[position], snapshot_ts, commit_ts
+        # Route straight off the batch's flat arrays — no Operation
+        # objects, no Transaction.  ``resolve_columns`` fuses the
+        # external-read detection into the INT/write simulation walk.
+        tids_col = batch.tids
+        sids_col = batch.sids
+        snos_col = batch.snos
+        keys_col = batch.op_keys
+        vals_col = batch.op_values
+        for position in range(n):
+            tid = tids_col[position]
+            start_ts = starts_col[position]
+            commit_ts = commits_col[position]
+            lo = offsets_col[position]
+            hi = offsets_col[position + 1]
+            stats.route_ops += hi - lo
+            pre: Optional[List[Violation]] = None
+            if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
+                offender = TimestampOrderViolation(
+                    axiom=Axiom.TS_ORDER,
+                    tid=tid,
+                    start_ts=start_ts,
+                    commit_ts=commit_ts,
                 )
-                external, writes, int_mismatches = resolve_columns(
-                    kinds_col, keys_col, vals_col, lo, hi
-                )
-                if violation is not None or int_mismatches is not None:
-                    pre = _stable_violations(pre, tid, violation, int_mismatches)
-                for key, value in external:
-                    key_streams[key].append(len(r_keys) << 1)
-                    r_keys_append(key)
-                    r_ts_append(snapshot_ts)
-                    r_tids_append(tid)
-                    r_vals_append(value)
-                w_lo = len(w_keys)
-                for key, value in writes.items():
-                    key_streams[key].append((len(w_keys) << 1) | 1)
-                    w_keys_append(key)
-                    w_vals_append(value)
-                    w_starts_append(start_ts)
-                    w_cts_append(commit_ts)
-                    w_tids_append(tid)
-                entries.append((tid, commit_ts, pre, w_lo, len(w_keys)))
-        else:
-            for position, txn in enumerate(txns):
-                tid = txn.tid
-                start_ts = txn.start_ts
-                commit_ts = txn.commit_ts
-                stats.route_ops += len(txn.ops)
-                pre = None
-                if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
-                    offender = TimestampOrderViolation(
-                        axiom=Axiom.TS_ORDER,
-                        tid=tid,
-                        start_ts=start_ts,
-                        commit_ts=commit_ts,
-                    )
-                    if not ignores_start:
-                        rejected[position] = offender
-                        continue
-                    pre = [offender]
-                    n_uncounted += 1
-                snapshot_ts = commit_ts if ignores_start else start_ts
-                violation = sessions.observe(  # lines 3:7–3:10
-                    tid, txn.sid, txn.sno, snapshot_ts, commit_ts
-                )
-                writes, int_mismatches = resolve_writes(txn.ops)
-                if violation is not None or int_mismatches is not None:
-                    pre = _stable_violations(pre, tid, violation, int_mismatches)
-                for key, op in txn.external_reads.items():
-                    key_streams[key].append(len(r_keys) << 1)
-                    r_keys_append(key)
-                    r_ts_append(snapshot_ts)
-                    r_tids_append(tid)
-                    r_vals_append(op.value)
-                w_lo = len(w_keys)
-                for key, value in writes.items():
-                    key_streams[key].append((len(w_keys) << 1) | 1)
-                    w_keys_append(key)
-                    w_vals_append(value)
-                    w_starts_append(start_ts)
-                    w_cts_append(commit_ts)
-                    w_tids_append(tid)
-                entries.append((tid, commit_ts, pre, w_lo, len(w_keys)))
+                if not ignores_start:
+                    rejected[position] = offender
+                    continue
+                pre = [offender]
+                n_uncounted += 1
+            snapshot_ts = snapshots_col[position]
+            violation = sessions.observe(  # lines 3:7–3:10
+                tid, sids_col[position], snos_col[position], snapshot_ts, commit_ts
+            )
+            external, writes, int_mismatches = resolve_columns(
+                kinds_col, keys_col, vals_col, lo, hi
+            )
+            if violation is not None or int_mismatches is not None:
+                pre = _stable_violations(pre, tid, violation, int_mismatches)
+            for key, value in external:
+                key_streams[key].append(len(r_keys) << 1)
+                r_keys_append(key)
+                r_ts_append(snapshot_ts)
+                r_tids_append(tid)
+                r_vals_append(value)
+            w_lo = len(w_keys)
+            for key, value in writes.items():
+                key_streams[key].append((len(w_keys) << 1) | 1)
+                w_keys_append(key)
+                w_vals_append(value)
+                w_starts_append(start_ts)
+                w_cts_append(commit_ts)
+                w_tids_append(tid)
+            entries.append((tid, commit_ts, pre, w_lo, len(w_keys)))
 
         n_reads = len(r_keys)
         n_writes = len(w_keys)

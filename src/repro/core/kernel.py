@@ -1,13 +1,15 @@
 """Shared pieces of the staged batch ingestion kernel.
 
 There is one kernel: :meth:`repro.core.aion.Aion.receive_many`, a
-**route** pass that decodes an arrival batch into flat parallel op
-arrays and per-key op streams, a **frontier probe** pass that walks
-those streams against the versioned structures
+**route** pass that decodes an arrival batch's columns into flat
+parallel op arrays and per-key op streams, a **frontier probe** pass
+that walks those streams against the versioned structures
 (:func:`~repro.core.versioned.probe_columns`), and a **verdict** pass
 that applies the collected results — tracking, re-evaluations, conflict
-reports — in arrival order.  ``receive(txn)`` is a batch of one.  The
-three online checkers, and what each overrides:
+reports — in arrival order.  The route pass reads a
+:class:`~repro.core.colpack.ColumnarBatch` only: a list of transactions
+is flattened once at entry, so ``receive(txn)`` is a flatten plus a
+batch of one.  The three online checkers, and what each overrides:
 
 - :class:`~repro.core.aion.Aion` — the kernel; probes its own
   structures, SI visibility.
@@ -24,21 +26,19 @@ This module holds the pieces the route pass is built from:
   each checker's ``kernel_stats`` property and the service ``STATS``
   response, so the hot path is observable without a profiler (and so CI
   can gate on deterministic op counts instead of wall-clock).
-- :func:`resolve_writes` / :func:`resolve_columns` — the route pass's
-  callback-free transaction simulation over ``Operation`` objects resp.
-  a columnar batch's flat op arrays: the INT rules of
+- :func:`resolve_columns` — the route pass's callback-free transaction
+  simulation over a columnar batch's flat op arrays: the INT rules of
   :func:`~repro.core.common.simulate` for register histories, returning
-  the resolved final writes plus any INT mismatches as plain tuples
-  (EXT is the probe pass's job online, not a frontier lookup).
+  the external reads, the resolved final writes and any INT mismatches
+  as plain tuples (EXT is the probe pass's job online, not a frontier
+  lookup).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.histories.model import OpKind, Operation
-
-__all__ = ["KernelStats", "resolve_writes", "resolve_columns"]
+__all__ = ["KernelStats", "resolve_columns"]
 
 
 class KernelStats:
@@ -159,43 +159,6 @@ class KernelStats:
         return f"KernelStats({self.as_dict()!r})"
 
 
-def resolve_writes(
-    ops: List[Operation],
-) -> Tuple[Dict[str, Any], Optional[List[Tuple[str, Any, Any]]]]:
-    """Resolve a register transaction's final writes and INT mismatches.
-
-    The route-pass twin of :func:`~repro.core.common.simulate` for
-    batches that have already rejected appends: snapshot values feed only
-    the EXT rule there (handled separately by the probe pass via the
-    transaction's precomputed ``external_reads``), so the simulation
-    reduces to the transaction-local INT rules — no frontier.
-
-    Returns ``(resolved_writes, int_mismatches)`` where ``resolved_writes``
-    maps each written key to its final value and ``int_mismatches`` is
-    ``None`` or a list of ``(key, expected, actual)`` in program order.
-    """
-    local: Dict[str, Any] = {}
-    resolved: Dict[str, Any] = {}
-    mismatches: Optional[List[Tuple[str, Any, Any]]] = None
-    write = OpKind.WRITE
-    local_get = local.get
-    missing = resolved  # private sentinel: never a stored op value
-    for op in ops:
-        key = op.key
-        value = op.value
-        if op.kind is write:
-            local[key] = value
-            resolved[key] = value
-        else:  # READ / READ_LIST: identical transaction-local INT rule
-            prior = local_get(key, missing)
-            if prior is not missing and prior != value:
-                if mismatches is None:
-                    mismatches = []
-                mismatches.append((key, prior, value))
-            local[key] = value
-    return resolved, mismatches
-
-
 def resolve_columns(
     kinds: Any,
     keys: List[str],
@@ -207,21 +170,25 @@ def resolve_columns(
     Dict[str, Any],
     Optional[List[Tuple[str, Any, Any]]],
 ]:
-    """:func:`resolve_writes` over one transaction's slice of a columnar
-    batch's flat op arrays — no :class:`Operation` objects.
+    """Resolve one register transaction's external reads, final writes
+    and INT mismatches from its slice of a columnar batch's flat op
+    arrays — no ``Operation`` objects.
 
+    The route-pass twin of :func:`~repro.core.common.simulate` for
+    batches that have already rejected appends: snapshot values feed
+    only the EXT rule there (the probe pass's job online), so the
+    simulation reduces to the transaction-local INT rules — no frontier.
     ``kinds`` is a bytes-like column of op codes (1 = write, everything
-    else follows the read rule; appends are rejected batch-wide before
-    routing), ``keys``/``values`` the parallel flat columns, ``[lo, hi)``
-    the transaction's slice.  One fused walk also detects the external
-    reads (first read of a key before any touch — the derived view
-    ``Transaction.__init__`` precomputes for object batches), so the
-    columnar route pass costs the same single pass the object route pass
-    pays in ``resolve_writes`` alone.
+    else follows the read rule), ``keys``/``values`` the parallel flat
+    columns, ``[lo, hi)`` the transaction's slice.  The same walk detects
+    the external reads: the first read of a key before any touch, the
+    reads ``Transaction.external_reads`` holds.
 
     Returns ``(external_reads, resolved_writes, int_mismatches)`` with
     ``external_reads`` as ``(key, observed value)`` pairs in program
-    order of each key's first read.
+    order of each key's first read, ``resolved_writes`` mapping each
+    written key to its final value, and ``int_mismatches`` ``None`` or a
+    list of ``(key, expected, actual)`` in program order.
     """
     local: Dict[str, Any] = {}
     resolved: Dict[str, Any] = {}

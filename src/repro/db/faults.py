@@ -1,6 +1,6 @@
 """Fault injection for the violation-detection experiments (§V-D).
 
-Two levels of fault are provided:
+Three levels of fault are provided:
 
 - **Engine-level**: :class:`SkewedOracle` wraps a timestamp oracle and
   occasionally shifts issued timestamps into the past, reproducing the
@@ -13,7 +13,8 @@ Two levels of fault are provided:
   :class:`FaultLabel` records so tests and benchmarks can assert that
   each injected fault class is detected by the matching axiom.
 - **Stream-level**: :class:`LiveFaultInjector` applies the same
-  axiom-targeted mutations to transaction batches *in flight* between a
+  axiom-targeted mutations (one ``_mutate_*`` function each; only
+  NOCONFLICT differs) to transaction batches *in flight* between a
   live engine's CDC feed and the checker daemon — the chaos campaign's
   ground truth (see :mod:`repro.chaos`).
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.violations import Axiom
 from repro.db.oracle import TimestampOracle
@@ -104,20 +105,32 @@ class FaultLabel:
         return f"injected {self.axiom.value} fault on txns {self.tids} key={self.key!r}"
 
 
-class HistoryFaultInjector:
+class _Injector:
+    """What both injectors share: the seeded RNG and the label list."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = Random(seed)
+        self.labels: List[FaultLabel] = []
+
+    def _keep(self, label: Optional[FaultLabel]) -> Optional[FaultLabel]:
+        if label is not None:
+            self.labels.append(label)
+        return label
+
+
+class HistoryFaultInjector(_Injector):
     """Injects labelled, axiom-targeted faults into a correct history."""
 
     #: Gap opened between consecutive timestamps by rescaling.
     SCALE = 1000
 
     def __init__(self, history: History, *, seed: int = 0xFA17) -> None:
-        self._rng = Random(seed)
+        super().__init__(seed)
+        scale = self.SCALE
         self._txns: List[Transaction] = [
-            _rescale(txn, self.SCALE) for txn in history.transactions
+            _replace(txn, start_ts=txn.start_ts * scale, commit_ts=txn.commit_ts * scale)
+            for txn in history.transactions
         ]
-        self.labels: List[FaultLabel] = []
-
-    # ------------------------------------------------------------------
 
     def build(self) -> History:
         """The mutated history with all requested faults applied."""
@@ -125,67 +138,15 @@ class HistoryFaultInjector:
 
     def inject_ext(self) -> Optional[FaultLabel]:
         """Corrupt one external read so it cannot match any frontier."""
-        candidates = [
-            i
-            for i, txn in enumerate(self._txns)
-            if txn.tid != INIT_TID and txn.external_reads
-        ]
-        if not candidates:
-            return None
-        index = self._rng.choice(candidates)
-        txn = self._txns[index]
-        key = self._rng.choice(sorted(txn.external_reads))
-        new_ops = []
-        corrupted = False
-        for op in txn.ops:
-            if not corrupted and op.kind is OpKind.READ and op.key == key:
-                new_ops.append(Operation(OpKind.READ, key, _poison(op.value)))
-                corrupted = True
-            elif not corrupted and op.kind is OpKind.READ_LIST and op.key == key:
-                new_ops.append(Operation(OpKind.READ_LIST, key, op.value + (_poison(0),)))
-                corrupted = True
-            else:
-                new_ops.append(op)
-        if not corrupted:
-            return None
-        self._txns[index] = _replace_ops(txn, new_ops)
-        return self._label(Axiom.EXT, (txn.tid,), key)
+        return self._keep(_mutate_ext(self._rng, self._txns))
 
     def inject_int(self) -> Optional[FaultLabel]:
         """Append an internal read that contradicts the txn's own write."""
-        candidates = [
-            i for i, txn in enumerate(self._txns) if txn.tid != INIT_TID and txn.last_writes
-        ]
-        if not candidates:
-            return None
-        index = self._rng.choice(candidates)
-        txn = self._txns[index]
-        key = self._rng.choice(sorted(txn.last_writes))
-        final = txn.last_writes[key]
-        bad_read_kind = OpKind.READ_LIST if isinstance(final, tuple) else OpKind.READ
-        bad_value: object = _poison(0) if isinstance(final, tuple) else _poison(final)
-        if bad_read_kind is OpKind.READ_LIST:
-            bad_value = (bad_value,)
-        new_ops = list(txn.ops) + [Operation(bad_read_kind, key, bad_value)]
-        self._txns[index] = _replace_ops(txn, new_ops)
-        return self._label(Axiom.INT, (txn.tid,), key)
+        return self._keep(_mutate_int(self._rng, self._txns))
 
     def inject_session(self) -> Optional[FaultLabel]:
         """Swap the sequence numbers of two adjacent txns in a session."""
-        by_sid: dict[int, List[int]] = {}
-        for i, txn in enumerate(self._txns):
-            if txn.tid != INIT_TID:
-                by_sid.setdefault(txn.sid, []).append(i)
-        eligible = [ids for ids in by_sid.values() if len(ids) >= 2]
-        if not eligible:
-            return None
-        ids = self._rng.choice(eligible)
-        pos = self._rng.randrange(len(ids) - 1)
-        i, j = ids[pos], ids[pos + 1]
-        a, b = self._txns[i], self._txns[j]
-        self._txns[i] = _replace_sno(a, b.sno)
-        self._txns[j] = _replace_sno(b, a.sno)
-        return self._label(Axiom.SESSION, (a.tid, b.tid))
+        return self._keep(_mutate_session(self._rng, self._txns))
 
     def inject_noconflict(self) -> Optional[FaultLabel]:
         """Make two sequential writers of one key temporally overlap."""
@@ -213,36 +174,12 @@ class HistoryFaultInjector:
         new_start = earlier.commit_ts - 1
         if new_start <= 0 or new_start >= later.commit_ts:
             return None
-        self._txns[j] = Transaction(
-            tid=later.tid,
-            sid=later.sid,
-            sno=later.sno,
-            ops=later.ops,
-            start_ts=new_start,
-            commit_ts=later.commit_ts,
-        )
-        return self._label(Axiom.NOCONFLICT, (earlier.tid, later.tid), key)
+        self._txns[j] = _replace(later, start_ts=new_start)
+        return self._keep(FaultLabel(Axiom.NOCONFLICT, (earlier.tid, later.tid), key))
 
     def inject_ts_order(self) -> Optional[FaultLabel]:
         """Swap one writer's start and commit timestamps (Eq. 1)."""
-        candidates = [
-            i
-            for i, txn in enumerate(self._txns)
-            if txn.tid != INIT_TID and txn.start_ts < txn.commit_ts
-        ]
-        if not candidates:
-            return None
-        index = self._rng.choice(candidates)
-        txn = self._txns[index]
-        self._txns[index] = Transaction(
-            tid=txn.tid,
-            sid=txn.sid,
-            sno=txn.sno,
-            ops=txn.ops,
-            start_ts=txn.commit_ts,
-            commit_ts=txn.start_ts,
-        )
-        return self._label(Axiom.TS_ORDER, (txn.tid,))
+        return self._keep(_mutate_ts_order(self._rng, self._txns))
 
     def inject_mix(self, n_faults: int) -> List[FaultLabel]:
         """Inject ``n_faults`` faults cycling through all axiom classes."""
@@ -263,15 +200,8 @@ class HistoryFaultInjector:
             attempts += 1
         return applied
 
-    # ------------------------------------------------------------------
 
-    def _label(self, axiom: Axiom, tids: Tuple[int, ...], key: str = "") -> FaultLabel:
-        label = FaultLabel(axiom, tids, key)
-        self.labels.append(label)
-        return label
-
-
-class LiveFaultInjector:
+class LiveFaultInjector(_Injector):
     """Streaming sibling of :class:`HistoryFaultInjector`.
 
     Mutates transaction *batches in flight* between the engine's CDC
@@ -292,8 +222,7 @@ class LiveFaultInjector:
     CLASSES = ("ext", "int", "session", "noconflict", "ts_order")
 
     def __init__(self, *, seed: int = 0xFA17) -> None:
-        self._rng = Random(seed)
-        self.labels: List[FaultLabel] = []
+        super().__init__(seed)
         #: key -> (commit_ts, tid) of the latest observed writer.
         self._last_commit: dict[str, Tuple[int, int]] = {}
 
@@ -313,66 +242,15 @@ class LiveFaultInjector:
 
     def inject_ext(self, batch: List[Transaction]) -> Optional[FaultLabel]:
         """Corrupt one external read so no frontier can justify it."""
-        candidates = [
-            i
-            for i, txn in enumerate(batch)
-            if txn.tid != INIT_TID and txn.external_reads
-        ]
-        if not candidates:
-            return None
-        index = self._rng.choice(candidates)
-        txn = batch[index]
-        key = self._rng.choice(sorted(txn.external_reads))
-        new_ops = []
-        corrupted = False
-        for op in txn.ops:
-            if not corrupted and op.kind is OpKind.READ and op.key == key:
-                new_ops.append(Operation(OpKind.READ, key, _poison(op.value)))
-                corrupted = True
-            elif not corrupted and op.kind is OpKind.READ_LIST and op.key == key:
-                new_ops.append(Operation(OpKind.READ_LIST, key, op.value + (_poison(0),)))
-                corrupted = True
-            else:
-                new_ops.append(op)
-        if not corrupted:
-            return None
-        batch[index] = _replace_ops(txn, new_ops)
-        return self._label(Axiom.EXT, (txn.tid,), key)
+        return self._keep(_mutate_ext(self._rng, batch))
 
     def inject_int(self, batch: List[Transaction]) -> Optional[FaultLabel]:
         """Append an internal read contradicting the txn's own write."""
-        candidates = [
-            i for i, txn in enumerate(batch) if txn.tid != INIT_TID and txn.last_writes
-        ]
-        if not candidates:
-            return None
-        index = self._rng.choice(candidates)
-        txn = batch[index]
-        key = self._rng.choice(sorted(txn.last_writes))
-        final = txn.last_writes[key]
-        bad_read_kind = OpKind.READ_LIST if isinstance(final, tuple) else OpKind.READ
-        bad_value: object = _poison(0) if isinstance(final, tuple) else _poison(final)
-        if bad_read_kind is OpKind.READ_LIST:
-            bad_value = (bad_value,)
-        batch[index] = _replace_ops(txn, list(txn.ops) + [Operation(bad_read_kind, key, bad_value)])
-        return self._label(Axiom.INT, (txn.tid,), key)
+        return self._keep(_mutate_int(self._rng, batch))
 
     def inject_session(self, batch: List[Transaction]) -> Optional[FaultLabel]:
         """Swap sequence numbers of two same-session txns in the batch."""
-        by_sid: dict[int, List[int]] = {}
-        for i, txn in enumerate(batch):
-            if txn.tid != INIT_TID:
-                by_sid.setdefault(txn.sid, []).append(i)
-        eligible = [ids for ids in by_sid.values() if len(ids) >= 2]
-        if not eligible:
-            return None
-        ids = self._rng.choice(eligible)
-        pos = self._rng.randrange(len(ids) - 1)
-        i, j = ids[pos], ids[pos + 1]
-        a, b = batch[i], batch[j]
-        batch[i] = _replace_sno(a, b.sno)
-        batch[j] = _replace_sno(b, a.sno)
-        return self._label(Axiom.SESSION, (a.tid, b.tid))
+        return self._keep(_mutate_session(self._rng, batch))
 
     def inject_noconflict(self, batch: List[Transaction]) -> Optional[FaultLabel]:
         """Overlap a batch writer with the key's previous writer."""
@@ -392,74 +270,100 @@ class LiveFaultInjector:
             return None
         index, key, new_start, earlier_tid = self._rng.choice(options)
         txn = batch[index]
-        batch[index] = Transaction(
-            tid=txn.tid,
-            sid=txn.sid,
-            sno=txn.sno,
-            ops=txn.ops,
-            start_ts=new_start,
-            commit_ts=txn.commit_ts,
-        )
-        return self._label(Axiom.NOCONFLICT, (earlier_tid, txn.tid), key)
+        batch[index] = _replace(txn, start_ts=new_start)
+        return self._keep(FaultLabel(Axiom.NOCONFLICT, (earlier_tid, txn.tid), key))
 
     def inject_ts_order(self, batch: List[Transaction]) -> Optional[FaultLabel]:
         """Swap one writer's start and commit timestamps (Eq. 1)."""
-        candidates = [
-            i
-            for i, txn in enumerate(batch)
-            if txn.tid != INIT_TID and txn.start_ts < txn.commit_ts
-        ]
-        if not candidates:
-            return None
-        index = self._rng.choice(candidates)
-        txn = batch[index]
-        batch[index] = Transaction(
-            tid=txn.tid,
-            sid=txn.sid,
-            sno=txn.sno,
-            ops=txn.ops,
-            start_ts=txn.commit_ts,
-            commit_ts=txn.start_ts,
-        )
-        return self._label(Axiom.TS_ORDER, (txn.tid,))
-
-    def _label(self, axiom: Axiom, tids: Tuple[int, ...], key: str = "") -> FaultLabel:
-        label = FaultLabel(axiom, tids, key)
-        self.labels.append(label)
-        return label
+        return self._keep(_mutate_ts_order(self._rng, batch))
 
 
-def _rescale(txn: Transaction, scale: int) -> Transaction:
-    return Transaction(
-        tid=txn.tid,
-        sid=txn.sid,
-        sno=txn.sno,
-        ops=txn.ops,
-        start_ts=txn.start_ts * scale,
-        commit_ts=txn.commit_ts * scale,
-    )
+# The shared mutations: each picks its target with ``rng``, replaces the
+# mutated transaction(s) in ``txns`` and returns the label, or returns
+# None (and touches nothing) when ``txns`` offers no eligible target.
 
 
-def _replace_ops(txn: Transaction, ops: List[Operation]) -> Transaction:
-    return Transaction(
-        tid=txn.tid,
-        sid=txn.sid,
-        sno=txn.sno,
-        ops=ops,
-        start_ts=txn.start_ts,
-        commit_ts=txn.commit_ts,
-    )
+def _pick(
+    rng: Random, txns: List[Transaction], eligible: Callable[[Transaction], Any]
+) -> Optional[int]:
+    """A seeded choice among the positions of eligible non-init txns."""
+    candidates = [
+        i for i, txn in enumerate(txns) if txn.tid != INIT_TID and eligible(txn)
+    ]
+    return rng.choice(candidates) if candidates else None
 
 
-def _replace_sno(txn: Transaction, sno: int) -> Transaction:
-    return Transaction(
-        tid=txn.tid,
-        sid=txn.sid,
-        sno=sno,
-        ops=txn.ops,
-        start_ts=txn.start_ts,
-        commit_ts=txn.commit_ts,
-    )
+def _mutate_ext(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+    index = _pick(rng, txns, lambda txn: txn.external_reads)
+    if index is None:
+        return None
+    txn = txns[index]
+    key = rng.choice(sorted(txn.external_reads))
+    # An external read is the first op on its key, so ``ops.index`` finds it.
+    op = txn.external_reads[key]
+    if op.kind is OpKind.READ_LIST:
+        bad = op.value + (_poison(0),)
+    else:
+        bad = _poison(op.value)
+    ops = list(txn.ops)
+    ops[ops.index(op)] = Operation(op.kind, key, bad)
+    txns[index] = _replace(txn, ops=ops)
+    return FaultLabel(Axiom.EXT, (txn.tid,), key)
+
+
+def _mutate_int(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+    index = _pick(rng, txns, lambda txn: txn.last_writes)
+    if index is None:
+        return None
+    txn = txns[index]
+    key = rng.choice(sorted(txn.last_writes))
+    final = txn.last_writes[key]
+    if isinstance(final, tuple):
+        bad = Operation(OpKind.READ_LIST, key, (_poison(0),))
+    else:
+        bad = Operation(OpKind.READ, key, _poison(final))
+    txns[index] = _replace(txn, ops=txn.ops + (bad,))
+    return FaultLabel(Axiom.INT, (txn.tid,), key)
+
+
+def _mutate_session(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+    by_sid: dict[int, List[int]] = {}
+    for i, txn in enumerate(txns):
+        if txn.tid != INIT_TID:
+            by_sid.setdefault(txn.sid, []).append(i)
+    eligible = [ids for ids in by_sid.values() if len(ids) >= 2]
+    if not eligible:
+        return None
+    ids = rng.choice(eligible)
+    pos = rng.randrange(len(ids) - 1)
+    i, j = ids[pos], ids[pos + 1]
+    a, b = txns[i], txns[j]
+    txns[i] = _replace(a, sno=b.sno)
+    txns[j] = _replace(b, sno=a.sno)
+    return FaultLabel(Axiom.SESSION, (a.tid, b.tid))
+
+
+def _mutate_ts_order(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+    index = _pick(rng, txns, lambda txn: txn.start_ts < txn.commit_ts)
+    if index is None:
+        return None
+    txn = txns[index]
+    txns[index] = _replace(txn, start_ts=txn.commit_ts, commit_ts=txn.start_ts)
+    return FaultLabel(Axiom.TS_ORDER, (txn.tid,))
+
+
+def _replace(txn: Transaction, **changes: Any) -> Transaction:
+    """``txn`` with some constructor fields replaced (derived views recomputed)."""
+    fields = {
+        "tid": txn.tid,
+        "sid": txn.sid,
+        "sno": txn.sno,
+        "ops": txn.ops,
+        "start_ts": txn.start_ts,
+        "commit_ts": txn.commit_ts,
+    }
+    fields.update(changes)
+    return Transaction(**fields)
 
 
 def _poison(value: object) -> int:

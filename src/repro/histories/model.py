@@ -223,9 +223,9 @@ class History:
     """A set of committed transactions plus the session order.
 
     The transaction list is stored in arrival order (for online replay);
-    :meth:`by_commit_ts` and :meth:`events` provide the timestamp-sorted
-    views the offline checkers need.  Only *committed* transactions are
-    recorded, following the paper (§IV-B) and prior work.
+    :meth:`by_commit_ts` provides the commit-ordered view.  Only
+    *committed* transactions are recorded, following the paper (§IV-B)
+    and prior work.
     """
 
     __slots__ = ("transactions", "_by_tid", "_sessions")
@@ -284,23 +284,6 @@ class History:
     def by_commit_ts(self) -> List[Transaction]:
         """Transactions sorted by commit timestamp (the AR order, Def. 5)."""
         return sorted(self.transactions, key=lambda t: (t.commit_ts, t.tid))
-
-    def events(self) -> List[Tuple[int, int, Transaction]]:
-        """All start/commit events sorted by timestamp.
-
-        Each event is ``(ts, phase, txn)`` with ``phase`` 0 for start and
-        1 for commit.  For a read-only transaction with ``start_ts ==
-        commit_ts`` the start event deliberately precedes the commit
-        event; across distinct transactions timestamps are unique by
-        construction of the oracle, so the phase tiebreak is only ever
-        exercised within one transaction.
-        """
-        events: List[Tuple[int, int, Transaction]] = []
-        for txn in self.transactions:
-            events.append((txn.start_ts, 0, txn))
-            events.append((txn.commit_ts, 1, txn))
-        events.sort(key=lambda e: (e[0], e[1], e[2].tid))
-        return events
 
     def subset(self, n: int) -> "History":
         """A prefix of the first ``n`` transactions in arrival order."""

@@ -89,21 +89,6 @@ class TestHistory:
         txns = [_txn(tid=1, start=1, commit=9), _txn(tid=2, start=2, commit=3)]
         assert [t.tid for t in History(txns).by_commit_ts()] == [2, 1]
 
-    def test_events_order_and_phase(self):
-        txn = _txn(tid=1, start=5, commit=5)  # read-only, equal timestamps
-        events = History([txn]).events()
-        assert [(ts, phase) for ts, phase, _ in events] == [(5, 0), (5, 1)]
-
-    def test_events_interleaving(self):
-        txns = [_txn(tid=1, start=1, commit=4), _txn(tid=2, start=2, commit=3)]
-        events = History(txns).events()
-        assert [(e[0], e[1], e[2].tid) for e in events] == [
-            (1, 0, 1),
-            (2, 0, 2),
-            (3, 1, 2),
-            (4, 1, 1),
-        ]
-
     def test_keys_and_op_count(self):
         history = History([_txn(ops=[write("a", 1), read("b", 0)])])
         assert history.keys() == {"a", "b"}

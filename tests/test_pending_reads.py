@@ -186,8 +186,9 @@ def test_timer_stream_equals_the_pair_index(schedules, name, size):
         pytest.skip("POSIX shared memory unavailable")
     make, stream = TIMER_CHECKERS[name]
     golden = json.loads(GOLDEN.read_text())[stream][size]
-    # Worker executors answer per batch over a pipe: one columnar pass is
-    # enough to hold the second route loop to the same recording.
+    # Worker executors answer per batch over a pipe: one pass over decoded
+    # wire columns is enough to hold the codec round trip to the same
+    # recording as the flattened lists.
     columnar = name in ("aion", "aion-ser", "sharded-x2-serial") and size != "1"
     assert timer_run(make, schedules[stream], BATCH_SIZES[size]) == golden
     if columnar:
