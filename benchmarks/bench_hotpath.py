@@ -427,46 +427,6 @@ def run_smoke_gate():
             f"slow-batch hook fired {len(traces)} times for "
             f"{igot['batches']} batches over the threshold"
         )
-
-    # Gate 7: the shared-memory lane transport must be verdict-identical
-    # to the serial sharded executor on the same stream, with the lane
-    # path actually exercised (frames flowed, no silent pipe fallback).
-    # Deterministic: routing, packing, and verdicts are all exact
-    # functions of the history.  Skipped cleanly where POSIX shared
-    # memory is unavailable.
-    from repro.core.sharded import ShardedAion
-    from repro.core.shm import shm_available
-
-    if not shm_available():
-        print("gate 7 (shm lanes): skipped — POSIX shared memory unavailable")
-    else:
-        def _sharded_run(executor):
-            sharded = ShardedAion(
-                AionConfig(timeout=float("inf")),
-                n_shards=2,
-                clock=lambda: 0.0,
-                executor=executor,
-            )
-            try:
-                for offset in range(0, len(txns), 50):
-                    sharded.receive_many(txns[offset : offset + 50])
-                return normalize_violations(sharded.finalize()), sharded
-            finally:
-                sharded.close()
-
-        serial_verdict, _ = _sharded_run("serial")
-        shm_verdict, shm_checker = _sharded_run("shm-process")
-        if repr(shm_verdict) != repr(serial_verdict):
-            failures.append("shm lane verdicts diverge from the serial executor")
-        if shm_verdict != baseline_verdict:
-            failures.append("shm lane verdicts diverge from plain Aion")
-        if shm_checker.lane_frames == 0:
-            failures.append("shm run pushed no lane frames: the lanes are dead code")
-        if shm_checker.lane_fallbacks != 0:
-            failures.append(
-                f"{shm_checker.lane_fallbacks} of the shm run's batches fell "
-                "back to the pickle pipe on a strict-encodable workload"
-            )
     return failures
 
 

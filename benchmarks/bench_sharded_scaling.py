@@ -10,8 +10,7 @@ checker-bound arrival stream the Fig 12b panel uses:
   bindings);
 - ``ShardedAion`` in serial mode at 1/2/4 shards in batched mode;
 - (standalone runs) ``ShardedAion`` with the ``process`` pickle-pipe
-  executor and the ``shm-process`` shared-memory lane executor at
-  2/4/8 shards.
+  executor at 2/4/8 shards.
 
 Repetitions are *interleaved* round-robin across the frontends (rather
 than run back-to-back per frontend) so slow host drift — CPU frequency,
@@ -24,10 +23,7 @@ Standalone runs append a trajectory row to ``BENCH_sharded.json``::
 
     PYTHONPATH=src python benchmarks/bench_sharded_scaling.py --label my-change
 
-recording the host core count alongside each row — the multi-core
-speedup gate (shm lanes >= 2x the pickle pipes at 4 shards) only
-applies where the host actually has cores to scale onto; single-core
-hosts record honest parity numbers instead.
+recording the host core count alongside each row.
 """
 
 import gc as host_gc
@@ -45,7 +41,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # direct `python benchmarks/...` run
 from repro.bench import cached_default_history, pick, write_result  # noqa: E402
 from repro.core.aion import Aion, AionConfig  # noqa: E402
 from repro.core.sharded import ShardedAion  # noqa: E402
-from repro.core.shm import shm_available  # noqa: E402
 from repro.online.collector import HistoryCollector  # noqa: E402
 from repro.online.delays import NormalDelay  # noqa: E402
 
@@ -94,14 +89,10 @@ def _frontends(include_remote=False):
             (f"ShardedAion x{n_shards} batched", sharded(n_shards, "serial"), BATCH)
         )
     if include_remote:
-        executors = ["process"]
-        if shm_available():
-            executors.append("shm-process")
-        for executor in executors:
-            for n_shards in (2, 4, 8):
-                frontends.append(
-                    (f"ShardedAion x{n_shards} {executor}", sharded(n_shards, executor), BATCH)
-                )
+        for n_shards in (2, 4, 8):
+            frontends.append(
+                (f"ShardedAion x{n_shards} process", sharded(n_shards, "process"), BATCH)
+            )
     return frontends
 
 
@@ -204,7 +195,6 @@ def main(argv=None):
         print("FAIL: frontends disagree on verdicts")
         return 1
 
-    cores = os.cpu_count() or 1
     results = {}
     for row in rows:
         key = (
@@ -215,27 +205,6 @@ def main(argv=None):
             .replace("-", "_")
         )
         results[key] = {"tps": row["tps"], "violations": row["violations"]}
-    if "sharded_x4_shm_process" in results and "sharded_x4_process" in results:
-        speedup = round(
-            results["sharded_x4_shm_process"]["tps"]
-            / results["sharded_x4_process"]["tps"],
-            3,
-        )
-        results["sharded_x4_shm_process"]["vs_process"] = speedup
-        # The zero-pickle lanes exist to win on multi-core hosts; on a
-        # single-core host both remote modes are bound by total CPU and
-        # per-batch signaling, so only honest parity is recordable.
-        if cores >= 4 and speedup < 2.0:
-            print(
-                f"FAIL: shm lanes at 4 shards reached only {speedup}x the "
-                f"pickle-pipe executor on a {cores}-core host (gate: 2x)"
-            )
-            return 1
-        if cores < 4:
-            print(
-                f"note: {cores}-core host — the 2x multi-core gate does not "
-                f"apply; recorded shm/process ratio is {speedup}x"
-            )
 
     if not args.no_record:
         sizes = {"fig12b_n": args.n, "batch": BATCH, "repeats": args.repeats}

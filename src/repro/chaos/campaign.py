@@ -219,6 +219,8 @@ class CampaignRunner:
         self.batch_size = batch_size
         self.pause_ms = pause_ms
         self.wal_path = wal_path
+        # Refuse a bad daemon configuration before any daemon boots.
+        self._service_config(0).validate()
 
     # ------------------------------------------------------------------
 

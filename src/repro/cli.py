@@ -143,13 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=1,
                        help="shard the SI checker's state across N shards")
     serve.add_argument("--executor", default="serial",
-                       choices=["serial", "process", "shm-process"],
-                       help="how sharded batches execute (process = pickled "
-                       "pipe worker pool, shm-process = shared-memory lanes)")
-    serve.add_argument("--lane-kb", type=int, default=1024, metavar="KB",
-                       help="shared-memory lane ring capacity per shard in "
-                       "KiB (shm-process only; frames over half this fall "
-                       "back to the pipe path)")
+                       choices=["serial", "process"],
+                       help="how sharded batches execute (process = one "
+                       "worker process per shard; needs --shards > 1)")
     serve.add_argument("--timeout", type=float, default=5.0,
                        help="EXT re-checking timeout in seconds ('inf' disables)")
     serve.add_argument("--queue-capacity", type=int, default=10_000,
@@ -223,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--shards", type=int, default=1,
                        help="shard the daemon's SI checker across N shards")
     chaos.add_argument("--executor", default="serial",
-                       choices=["serial", "process", "shm-process"],
+                       choices=["serial", "process"],
                        help="shard executor for the daemon under test")
     chaos.add_argument("--kills", type=int, default=2,
                        help="scheduled connection kills (client must resume)")
@@ -428,7 +424,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         level=args.level,
         n_shards=args.shards,
         shard_executor=args.executor,
-        lane_capacity=args.lane_kb * 1024,
         timeout=args.timeout,
         queue_capacity=args.queue_capacity,
         batch_size=args.batch_size,
@@ -471,9 +466,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return service
 
     service = asyncio.run(_serve())
-    # Cheap mode: the summary never prints estimated_bytes, and the
-    # deep-sizeof walk over a large resident set would delay exit.
-    stats = service.stats(include_bytes=False)
+    # The shutdown's snapshot: the checker is closed by now, and a
+    # sharded one has no workers left to ask for its shard rows.
+    stats = service.final_stats or service.stats(include_bytes=False)
     result = service.final_result
     print(f"served {stats['processed']} transactions "
           f"({stats['throughput']['sustained_tps']:,.0f} sustained TPS)")
@@ -586,17 +581,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"wrote {len(schedule.events)}-event schedule to {args.save_schedule}")
         return 0
 
-    runner = CampaignRunner(
-        schedule,
-        level=args.level,
-        n_shards=args.shards,
-        shard_executor=args.executor,
-        n_sessions=args.sessions,
-        n_keys=args.keys,
-        txns_per_segment=args.txns_per_segment,
-        batch_size=args.batch_size,
-        pause_ms=args.pause_ms,
-    )
+    try:
+        runner = CampaignRunner(
+            schedule,
+            level=args.level,
+            n_shards=args.shards,
+            shard_executor=args.executor,
+            n_sessions=args.sessions,
+            n_keys=args.keys,
+            txns_per_segment=args.txns_per_segment,
+            batch_size=args.batch_size,
+            pause_ms=args.pause_ms,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     report = runner.run()
     if args.report is not None:
         Path(args.report).write_text(

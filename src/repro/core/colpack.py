@@ -1,42 +1,26 @@
-"""Columnar packs: the shared binary value codec of wire, spill and shard lanes.
+"""Columnar packs: the shared binary value codec of wire, spill and packed files.
 
 One struct-packed layout serves every boundary a batch of operations
-crosses:
+crosses: :func:`pack_columnar` renders a batch of transactions as one
+binary blob (five bulk-packed ``i64`` meta columns, per-blob key
+interning, one op-kind byte per op, and op values split into a tag
+column + a bulk ``i64`` column + an overflow stream).
+:func:`unpack_columnar` decodes the blob into a :class:`ColumnarBatch`
+of flat parallel arrays, and accepts any buffer — ``bytes`` or a
+``memoryview`` slice straight out of a socket read buffer, so the
+receive path never copies the payload before decoding.  The binary wire
+protocol's submit frames (:mod:`repro.service.framing`) and the packed
+WAL/history files are both this blob; GC spill segments
+(:mod:`repro.core.spill`) reuse its key table and value column
+(:func:`pack_key_table`, :func:`pack_value_column`).
 
-- **Wire blobs** — :func:`pack_columnar` renders a batch of transactions
-  as one binary blob (five bulk-packed ``i64`` meta columns, per-blob key
-  interning, one op-kind byte per op, and op values split into a tag
-  column + a bulk ``i64`` column + an overflow stream).
-  :func:`unpack_columnar` decodes the blob into a :class:`ColumnarBatch`
-  of flat parallel arrays, and accepts any buffer — ``bytes`` or a
-  ``memoryview`` slice straight out of a socket read buffer, so the
-  receive path never copies the payload before decoding.  The binary
-  wire protocol's submit frames (:mod:`repro.service.framing`) and the
-  packed WAL/history files are both this blob; GC spill segments
-  (:mod:`repro.core.spill`) reuse its key table and value column
-  (:func:`pack_key_table`, :func:`pack_value_column`).
-- **Shard lane frames** — :func:`pack_probe_frame` packs one shard's
-  probe request (deferred read removals, its keys' op streams and the
-  shard-local op columns, see :mod:`repro.core.sharded`) with the same
-  column layout, and :func:`pack_result_frame` packs the three result
-  columns the shard answers with; both decode in place from
-  ``memoryview`` slices into a shared-memory ring
-  (:mod:`repro.core.shm`), so the multi-core executor moves batches
-  across the process boundary without pickle.
+Values keep *JSONL parity*: top-level sequences decode as shallow
+tuples and dicts survive via embedded JSON — exactly what a JSON array
+round trip yields.
 
-The two framings share the tag vocabulary and payload encodings but
-differ in one deliberate way: wire values keep *JSONL parity* (top-level
-sequences decode as shallow tuples, dicts survive via embedded JSON —
-exactly what a JSON array round trip yields), while lane values use the
-*strict* codec, which preserves native fidelity (lists stay lists,
-tuples nest) and refuses anything it cannot round-trip exactly by
-raising :class:`UnencodableValue` — the executor then falls back to the
-pickle pipe for that stream, so lane transport can never change a
-verdict.
-
-This module sits below both :mod:`repro.histories.serialization` and
-:mod:`repro.core.sharded` and imports only the history model, keeping
-the ``repro.core`` ↔ ``repro.histories`` import graph acyclic.
+This module sits below :mod:`repro.histories.serialization` and imports
+only the history model, keeping the ``repro.core`` ↔
+``repro.histories`` import graph acyclic.
 """
 
 from __future__ import annotations
@@ -55,16 +39,11 @@ __all__ = [
     "unpack_value_column",
     "pack_key_table",
     "unpack_key_table",
-    "UnencodableValue",
-    "pack_probe_frame",
-    "unpack_probe_frame",
-    "pack_result_frame",
-    "unpack_result_frame",
 ]
 
 #: A readable buffer the decoders accept: ``bytes`` or a ``memoryview``
-#: (e.g. a zero-copy slice of a socket read buffer or a shared-memory
-#: ring).  ``struct.unpack_from`` handles both natively.
+#: (e.g. a zero-copy slice of a socket read buffer).
+#: ``struct.unpack_from`` handles both natively.
 Buffer = Union[bytes, bytearray, memoryview]
 
 #: Op kind codes of the columnar format (one byte per op).
@@ -87,7 +66,6 @@ _VAL_FLOAT = 5    # f64 payload
 _VAL_STR = 6      # u32 length + UTF-8 payload
 _VAL_TUPLE = 7    # u32 count + tagged items
 _VAL_JSON = 8     # u32 length + UTF-8 JSON payload (dicts, big ints, …)
-_VAL_LIST = 9     # u32 count + tagged items (strict/lane codec only)
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 _INT_TAG = bytes([_VAL_INT])
@@ -687,465 +665,3 @@ def unpack_columnar(
         ),
         offset,
     )
-
-
-# ======================================================================
-# Shard lane frames: probe requests and result columns
-# ======================================================================
-
-#: First byte of every lane frame.
-RQ_PROBE = 1         # request lane: one shard's probe request
-RESULT_INLINE = 2    # result lane: the three strict-encoded result columns
-
-# kind, optimized flag, n_keys, n_streams, n_codes, n_reads, n_writes, n_removals
-_PROBE_HDR = struct.Struct("!BB6I")
-# kind, ablation flag, n_reads, n_writes, writes with conflicts, writes with
-# re-evaluations
-_RESULT_HDR = struct.Struct("!BB4I")
-
-
-class UnencodableValue(ValueError):
-    """A value the *strict* lane codec cannot round-trip natively.
-
-    Deliberately narrow: the strict codec refuses dicts, out-of-``i64``
-    ints, and subclassed scalars rather than degrade them the way the
-    JSONL-parity wire codec does — a lane frame that cannot reproduce
-    the exact value falls back to the pickle pipe, so the transport can
-    never change a verdict.
-    """
-
-
-def _encode_strict(value: Any, out: bytearray) -> None:
-    """Append one inline tagged value with *native* fidelity.
-
-    Exact types only (a subclass could carry state the tag cannot);
-    tuples and lists keep their type and nest recursively; everything
-    else raises :class:`UnencodableValue`.
-    """
-    if value is None:
-        out.append(_VAL_NONE)
-    elif value is True:
-        out.append(_VAL_TRUE)
-    elif value is False:
-        out.append(_VAL_FALSE)
-    elif type(value) is int:
-        if _I64_MIN <= value <= _I64_MAX:
-            out += _TAG_I64.pack(_VAL_INT, value)
-        else:
-            raise UnencodableValue("int out of i64 range")
-    elif type(value) is str:
-        payload = value.encode("utf-8")
-        out += _TAG_U32.pack(_VAL_STR, len(payload))
-        out += payload
-    elif type(value) is float:
-        out += _TAG_F64.pack(_VAL_FLOAT, value)
-    elif value is BOTTOM:
-        out.append(_VAL_BOTTOM)
-    elif type(value) is tuple:
-        out += _TAG_U32.pack(_VAL_TUPLE, len(value))
-        for item in value:
-            _encode_strict(item, out)
-    elif type(value) is list:
-        out += _TAG_U32.pack(_VAL_LIST, len(value))
-        for item in value:
-            _encode_strict(item, out)
-    else:
-        raise UnencodableValue(
-            f"lane codec cannot round-trip {type(value).__name__} natively"
-        )
-
-
-def _decode_strict_values(buf: Buffer, offset: int, count: int) -> Tuple[List[Any], int]:
-    """Decode ``count`` strict-encoded inline values."""
-    values: List[Any] = []
-    append = values.append
-    i64_unpack = _I64.unpack_from
-    f64_unpack = _F64.unpack_from
-    u32_unpack = _U32.unpack_from
-    end = len(buf)
-    for _ in range(count):
-        if offset >= end:
-            raise ValueError("lane frame truncated in value stream")
-        tag = buf[offset]
-        offset += 1
-        if tag == _VAL_INT:
-            append(i64_unpack(buf, offset)[0])
-            offset += 8
-        elif tag == _VAL_NONE:
-            append(None)
-        elif tag == _VAL_BOTTOM:
-            append(BOTTOM)
-        elif tag == _VAL_STR:
-            (length,) = u32_unpack(buf, offset)
-            offset += 4
-            payload = buf[offset : offset + length]
-            if len(payload) != length:
-                raise ValueError("lane frame truncated in string value")
-            append(str(payload, "utf-8"))
-            offset += length
-        elif tag == _VAL_TRUE:
-            append(True)
-        elif tag == _VAL_FALSE:
-            append(False)
-        elif tag == _VAL_FLOAT:
-            append(f64_unpack(buf, offset)[0])
-            offset += 8
-        elif tag in (_VAL_TUPLE, _VAL_LIST):
-            (n_items,) = u32_unpack(buf, offset)
-            offset += 4
-            if n_items > end - offset:  # each item needs >= 1 byte
-                raise ValueError("lane frame truncated in sequence value")
-            items, offset = _decode_strict_values(buf, offset, n_items)
-            append(tuple(items) if tag == _VAL_TUPLE else items)
-        else:
-            raise ValueError(f"unknown strict value tag {tag}")
-    return values, offset
-
-
-#: Types the bulk column fast paths cover: pure-int columns (timestamps,
-#: tids) and int/None/⊥v mixes (op-value and visible-value columns).
-#: ``bool`` is deliberately absent — it subclasses ``int`` and must take
-#: the general loop's identity checks.
-_BOTTOM_TYPE = type(BOTTOM)
-_FAST_TYPES = frozenset((int, type(None), _BOTTOM_TYPE))
-
-
-def _pack_strict_column(values: Sequence[Any]) -> bytes:
-    """Pack one column of a lane frame (split layout).
-
-    Same three-section layout as the wire's top-level value section —
-    tag column, bulk ``!{k}q`` int column, overflow stream — but with
-    the strict payload encodings.  Raises :class:`UnencodableValue`
-    for anything the strict codec refuses.
-    """
-    n = len(values)
-    types = set(map(type, values)) if n else ()
-    if types == {int}:
-        try:
-            return _INT_TAG * n + struct.pack(f"!{n}q", *values)
-        except struct.error:
-            raise UnencodableValue("int out of i64 range") from None
-    if types and types <= _FAST_TYPES:
-        # int/None/⊥v mix: two bulk passes instead of the branchy loop.
-        tags = bytes(
-            _VAL_INT
-            if type(value) is int
-            else (_VAL_NONE if value is None else _VAL_BOTTOM)
-            for value in values
-        )
-        ints = [value for value in values if type(value) is int]
-        try:
-            return tags + struct.pack(f"!{len(ints)}q", *ints)
-        except struct.error:
-            raise UnencodableValue("int out of i64 range") from None
-    tags = bytearray()
-    tags_append = tags.append
-    ints: List[int] = []
-    ints_append = ints.append
-    overflow = bytearray()
-    i64_min, i64_max = _I64_MIN, _I64_MAX
-    for value in values:
-        if type(value) is int:
-            if i64_min <= value <= i64_max:
-                tags_append(_VAL_INT)
-                ints_append(value)
-            else:
-                raise UnencodableValue("int out of i64 range")
-        elif value is None:
-            tags_append(_VAL_NONE)
-        elif value is True:
-            tags_append(_VAL_TRUE)
-        elif value is False:
-            tags_append(_VAL_FALSE)
-        elif type(value) is str:
-            payload = value.encode("utf-8")
-            tags_append(_VAL_STR)
-            overflow += _U32.pack(len(payload))
-            overflow += payload
-        elif type(value) is float:
-            tags_append(_VAL_FLOAT)
-            overflow += _F64.pack(value)
-        elif value is BOTTOM:
-            tags_append(_VAL_BOTTOM)
-        elif type(value) is tuple:
-            tags_append(_VAL_TUPLE)
-            overflow += _U32.pack(len(value))
-            for item in value:
-                _encode_strict(item, overflow)
-        elif type(value) is list:
-            tags_append(_VAL_LIST)
-            overflow += _U32.pack(len(value))
-            for item in value:
-                _encode_strict(item, overflow)
-        else:
-            raise UnencodableValue(
-                f"lane codec cannot round-trip {type(value).__name__} natively"
-            )
-    return bytes(tags) + struct.pack(f"!{len(ints)}q", *ints) + bytes(overflow)
-
-
-def _unpack_strict_column(buf: Buffer, offset: int, n: int) -> Tuple[List[Any], int]:
-    """Decode one :func:`_pack_strict_column`; returns (values, next offset)."""
-    tags = bytes(buf[offset : offset + n])
-    if len(tags) != n:
-        raise ValueError("lane frame truncated in column tags")
-    offset += n
-    n_ints = tags.count(_VAL_INT)
-    ints_struct = struct.Struct(f"!{n_ints}q")
-    ints = ints_struct.unpack_from(buf, offset)
-    offset += ints_struct.size
-    if n_ints == n:  # timestamp/tid columns: every value an int
-        return list(ints), offset
-    if n_ints + tags.count(_VAL_NONE) + tags.count(_VAL_BOTTOM) == n:
-        # int/None/⊥v mix: one branch-light pass, no payload cursor.
-        next_int = iter(ints).__next__
-        return (
-            [
-                next_int()
-                if tag == _VAL_INT
-                else (None if tag == _VAL_NONE else BOTTOM)
-                for tag in tags
-            ],
-            offset,
-        )
-    values: List[Any] = []
-    append = values.append
-    f64_unpack = _F64.unpack_from
-    u32_unpack = _U32.unpack_from
-    end = len(buf)
-    next_int = 0
-    for tag in tags:
-        if tag == _VAL_INT:
-            append(ints[next_int])
-            next_int += 1
-        elif tag == _VAL_NONE:
-            append(None)
-        elif tag == _VAL_BOTTOM:
-            append(BOTTOM)
-        elif tag == _VAL_STR:
-            (length,) = u32_unpack(buf, offset)
-            offset += 4
-            payload = buf[offset : offset + length]
-            if len(payload) != length:
-                raise ValueError("lane frame truncated in string value")
-            append(str(payload, "utf-8"))
-            offset += length
-        elif tag == _VAL_TRUE:
-            append(True)
-        elif tag == _VAL_FALSE:
-            append(False)
-        elif tag == _VAL_FLOAT:
-            append(f64_unpack(buf, offset)[0])
-            offset += 8
-        elif tag in (_VAL_TUPLE, _VAL_LIST):
-            (n_items,) = u32_unpack(buf, offset)
-            offset += 4
-            if n_items > end - offset:
-                raise ValueError("lane frame truncated in sequence value")
-            items, offset = _decode_strict_values(buf, offset, n_items)
-            append(tuple(items) if tag == _VAL_TUPLE else items)
-        else:
-            raise ValueError(f"unknown strict value tag {tag}")
-    return values, offset
-
-
-#: Entries kept in a caller-supplied key encode cache before it is
-#: reset — bounds coordinator memory against unbounded key spaces.
-_KEY_CACHE_LIMIT = 1 << 18
-
-
-def _pack_u32s(values: Sequence[int]) -> bytes:
-    return struct.pack(f"!{len(values)}I", *values)
-
-
-def _unpack_u32s(buf: Buffer, offset: int, n: int) -> Tuple[Tuple[int, ...], int]:
-    column = struct.Struct(f"!{n}I")
-    return column.unpack_from(buf, offset), offset + column.size
-
-
-def pack_probe_frame(
-    removals: Sequence[Tuple[str, int, int]],
-    key_streams: Dict[str, Sequence[int]],
-    r_ts: Sequence[int],
-    r_tids: Sequence[int],
-    w_vals: Sequence[Any],
-    w_starts: Sequence[int],
-    w_cts: Sequence[int],
-    w_tids: Sequence[int],
-    optimized: bool,
-    key_cache: "Optional[Dict[str, bytes]]" = None,
-) -> bytes:
-    """Pack one shard's probe request (the arguments of
-    ``_ShardCore.probe``) as a request-lane frame.
-
-    Layout: the header, a per-frame interned key table (the stream keys
-    in stream order, then keys only removals name), ``u32`` columns
-    holding each stream's length, every stream's op codes end to end and
-    the removals' key ids, then the removals' snapshot/tid columns and
-    the six shard-local op columns in the split strict layout (what a
-    read observed is not among them: a shard indexes readers, and the
-    coordinator's tracker holds the values).
-    ``key_cache`` (optional, caller-owned) memoizes the length-prefixed
-    UTF-8 form of each key across frames — the coordinator packs the
-    same key space every batch.  Raises :class:`UnencodableValue` when
-    any value refuses strict encoding (the coordinator then falls back
-    to the pipe).
-    """
-    key_ids = dict(zip(key_streams, range(len(key_streams))))
-    removal_ids = [key_ids.setdefault(item[0], len(key_ids)) for item in removals]
-    if key_cache is None:
-        key_cache = {}
-    elif len(key_cache) > _KEY_CACHE_LIMIT:
-        key_cache.clear()
-    table: List[bytes] = []
-    for key in key_ids:
-        encoded = key_cache.get(key)
-        if encoded is None:
-            raw = key.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise UnencodableValue(f"key too long for lane frame ({len(raw)} bytes)")
-            encoded = key_cache[key] = _U16.pack(len(raw)) + raw
-        table.append(encoded)
-    codes = [code for stream in key_streams.values() for code in stream]
-    return b"".join(
-        (
-            _PROBE_HDR.pack(
-                RQ_PROBE, 1 if optimized else 0, len(key_ids), len(key_streams),
-                len(codes), len(r_ts), len(w_cts), len(removals),
-            ),
-            *table,
-            _pack_u32s(list(map(len, key_streams.values()))),
-            _pack_u32s(codes),
-            _pack_u32s(removal_ids),
-            _pack_strict_column([item[1] for item in removals]),
-            _pack_strict_column([item[2] for item in removals]),
-            *map(_pack_strict_column, (r_ts, r_tids, w_vals, w_starts, w_cts, w_tids)),
-        )
-    )
-
-
-def unpack_probe_frame(buf: Buffer) -> Tuple[Any, ...]:
-    """Decode a request-lane frame into ``_ShardCore.probe``'s argument
-    tuple.  Everything returned is a materialized Python object (streams
-    are tuples of op codes), so the frame's ring slot is free for reuse
-    the moment this returns."""
-    kind, optimized, n_keys, n_streams, n_codes, n_reads, n_writes, n_removals = (
-        _PROBE_HDR.unpack_from(buf, 0)
-    )
-    if kind != RQ_PROBE:
-        raise ValueError(f"not a probe request frame (kind {kind})")
-    table, offset = unpack_key_table(buf, _PROBE_HDR.size, n_keys)
-    counts, offset = _unpack_u32s(buf, offset, n_streams)
-    codes, offset = _unpack_u32s(buf, offset, n_codes)
-    removal_ids, offset = _unpack_u32s(buf, offset, n_removals)
-    removal_ts, offset = _unpack_strict_column(buf, offset, n_removals)
-    removal_tids, offset = _unpack_strict_column(buf, offset, n_removals)
-    key_streams: Dict[str, Tuple[int, ...]] = {}
-    lo = 0
-    for key, count in zip(table, counts):
-        key_streams[key] = codes[lo : lo + count]
-        lo += count
-    columns = []
-    for n in (n_reads, n_reads, n_writes, n_writes, n_writes, n_writes):
-        column, offset = _unpack_strict_column(buf, offset, n)
-        columns.append(column)
-    removals = list(zip(map(table.__getitem__, removal_ids), removal_ts, removal_tids))
-    return (removals, key_streams, *columns, bool(optimized))
-
-
-def pack_result_frame(
-    r_expected: Sequence[Any],
-    w_conflicts: Sequence[Optional[List[Tuple[int, int]]]],
-    w_reevals: Sequence[Optional[List[Any]]],
-) -> bytes:
-    """Pack one shard's probe results as a result-lane frame.
-
-    ``r_expected`` is one strict column.  The two per-write columns are
-    sparse — most writes hit no conflict and affect no reader — so each
-    is stored as the ``u32`` indices of its non-empty slots, their row
-    counts, and the rows column-wise: ``(owner_tid, owner_commit_ts)``
-    for conflicts; for re-evaluations one ``i64`` column of reader tids,
-    preceded under the ablation (rows are ``(expected, reader_tid)``,
-    flagged in the header) by a strict column of the expected values.
-    Raises :class:`UnencodableValue` when any value refuses strict
-    encoding — the worker then ships the results inside its doorbell
-    reply.
-    """
-    hit_writes = [i for i, hits in enumerate(w_conflicts) if hits is not None]
-    hits = [w_conflicts[i] for i in hit_writes]
-    reeval_writes = [i for i, rows in enumerate(w_reevals) if rows is not None]
-    reevals = [w_reevals[i] for i in reeval_writes]
-    rows = [row for group in reevals for row in group]
-    ablation = bool(rows) and type(rows[0]) is tuple
-    if ablation:
-        expected = _pack_strict_column([row[0] for row in rows])
-        rows = [row[1] for row in rows]
-    try:
-        tids = struct.pack(f"!{len(rows)}q", *rows)
-    except struct.error:  # what the strict codec says to an int beyond i64
-        raise UnencodableValue("reader tid does not fit the i64 column") from None
-    return b"".join(
-        (
-            _RESULT_HDR.pack(
-                RESULT_INLINE, ablation, len(r_expected), len(w_conflicts),
-                len(hit_writes), len(reeval_writes),
-            ),
-            _pack_strict_column(r_expected),
-            _pack_u32s(hit_writes),
-            _pack_u32s(list(map(len, hits))),
-            _pack_strict_column([part for group in hits for pair in group for part in pair]),
-            _pack_u32s(reeval_writes),
-            _pack_u32s(list(map(len, reevals))),
-            expected if ablation else b"",
-            tids,
-        )
-    )
-
-
-def unpack_result_frame(
-    buf: Buffer, n_reads: int, n_writes: int
-) -> Tuple[List[Any], List[Any], List[Any]]:
-    """Decode a result-lane frame into ``(r_expected, w_conflicts,
-    w_reevals)`` — the shape :func:`~repro.core.versioned.probe_columns`
-    returns, over the shard-local columns of the request, whose read and
-    write counts the caller states: a frame answering anything else (or
-    torn, or longer than its sections) raises :class:`ValueError`, and
-    nothing is allocated on a count the frame's own bytes do not back."""
-    try:
-        kind, ablation, got_reads, got_writes, n_hit_writes, n_reeval_writes = (
-            _RESULT_HDR.unpack_from(buf, 0)
-        )
-        if kind != RESULT_INLINE:
-            raise ValueError(f"not an inline result frame (kind {kind})")
-        if (got_reads, got_writes) != (n_reads, n_writes) or ablation > 1:
-            raise ValueError("result frame does not answer this probe request")
-        r_expected, offset = _unpack_strict_column(buf, _RESULT_HDR.size, n_reads)
-        hit_writes, offset = _unpack_u32s(buf, offset, n_hit_writes)
-        counts, offset = _unpack_u32s(buf, offset, n_hit_writes)
-        flat, offset = _unpack_strict_column(buf, offset, 2 * sum(counts))
-        w_conflicts: List[Any] = [None] * n_writes
-        lo = 0
-        for index, count in zip(hit_writes, counts):
-            hi = lo + 2 * count
-            w_conflicts[index] = list(zip(flat[lo:hi:2], flat[lo + 1 : hi : 2]))
-            lo = hi
-        reeval_writes, offset = _unpack_u32s(buf, offset, n_reeval_writes)
-        counts, offset = _unpack_u32s(buf, offset, n_reeval_writes)
-        n_rows = sum(counts)
-        if ablation:
-            expected, offset = _unpack_strict_column(buf, offset, n_rows)
-        tids = struct.Struct(f"!{n_rows}q")
-        rows = list(tids.unpack_from(buf, offset))
-        offset += tids.size
-        if ablation:
-            rows = list(zip(expected, rows))
-        w_reevals: List[Any] = [None] * n_writes
-        lo = 0
-        for index, count in zip(reeval_writes, counts):
-            w_reevals[index] = rows[lo : lo + count]
-            lo += count
-    except (struct.error, IndexError) as exc:
-        raise ValueError(f"malformed result frame: {exc}") from None
-    if offset != len(buf):
-        raise ValueError("result frame longer than its sections")
-    return r_expected, w_conflicts, w_reevals

@@ -119,11 +119,6 @@ class KernelStats:
         """Whether the *next* batch should sample stage wall times."""
         return self.sample_every > 0 and self.batches % self.sample_every == 0
 
-    def tracking_enabled(self) -> bool:
-        """Whether the next batch needs a whole-call wall-time measure
-        (sampled timing, or slow-batch tracing on every batch)."""
-        return self.slow_threshold > 0.0 or self.timing_enabled()
-
     def record_slow(self, trace: Dict[str, Any]) -> None:
         """Count a slow batch and invoke the hook, swallowing hook errors
         — tracing must never change a verdict or kill ingestion."""

@@ -21,8 +21,8 @@ kernel's two seams:
 - **the probe step** — every shard first drops the reads whose verdicts
   were finalized since its last batch, then runs
   :func:`~repro.core.versioned.probe_columns` once over *its* keys'
-  streams (:meth:`_ShardCore.probe`, the one shard entry point of all
-  three executors).
+  streams (:meth:`_ShardCore.probe`, the one shard entry point of both
+  executors).
 
 The equivalence argument is the kernel's own, restated per shard: a
 key's stream holds that key's operations in arrival order whichever
@@ -49,24 +49,14 @@ columns that come back into the batch's arrays.  All shards are
 dispatched before any reply is awaited, so they probe in parallel, free
 of the GIL.
 
-``"shm-process"`` keeps that topology but moves the same request off the
-pickle pipe onto **shared-memory shard lanes**: per shard, one request
-ring and one result ring (:class:`~repro.core.shm.ShmRing`).  The
-request is packed *once* with the shared columnar codec
-(:func:`~repro.core.colpack.pack_probe_frame`), the worker decodes it in
-place from a ``memoryview`` into the ring, and answers with a result
-frame on its result lane.  Fallback is graceful and per request: values
-the strict lane codec refuses or frames beyond the ring's bound take the
-pipe instead, and a result that refuses strict encoding rides inside the
-worker's doorbell reply — so verdicts are transport-independent by
-construction, not by luck.  Waiting is doorbell-driven in both
-directions (tiny fixed-size pipe messages; both sides park in real
-blocking waits), so lanes cost no busy-polling even on hosts with fewer
-cores than shards.  The request-lane heartbeat doubles as a liveness
-signal: :meth:`ShardedAion.workers_alive` detects a *wedged* (alive but
-stalled) worker by watching the heartbeat freeze; a *dead* worker
-surfaces as a :class:`RuntimeError` from whichever call next talks to
-it, data or control plane.
+A worker is watched, not trusted.  A *dead* one surfaces as a
+:class:`RuntimeError` from whichever call next talks to it, data or
+control plane.  A *wedged* one — alive but frozen: stopped, swapped out,
+deadlocked — passes ``is_alive()``, so each worker also runs a heartbeat
+thread that advances a shared counter for as long as the process runs,
+inside a long probe too.  :meth:`ShardedAion.workers_alive` reports a
+worker whose counter has stood still for ``stall_timeout`` seconds, and
+a call waiting on its reply raises instead of hanging.
 """
 
 from __future__ import annotations
@@ -79,13 +69,6 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.aion import Aion, AionConfig
-from repro.core.colpack import (
-    UnencodableValue,
-    pack_probe_frame,
-    pack_result_frame,
-    unpack_probe_frame,
-    unpack_result_frame,
-)
 from repro.core.common import BOTTOM
 from repro.core.ext_status import REC_KEYS, REC_SNAPSHOT_TS, REC_TID, ExtRecord
 from repro.core.versioned import (
@@ -195,32 +178,27 @@ class _ShardCore:
         raise ValueError(f"unknown shard command {op!r}")  # pragma: no cover
 
 
-#: Doorbell the coordinator rings on the pipe after pushing a request
-#: frame — a tiny fixed-size message that wakes a worker parked inside
-#: ``conn.poll`` without carrying any data (the data is on the ring).
-_NUDGE = ("nudge", None)
-
-#: How long a lane worker parks in ``conn.poll`` per loop iteration when
-#: idle.  Wake-ups are doorbell-driven, so this bounds only the
-#: heartbeat cadence (and costs ~20 wake-ups/s per idle shard).
-_PARK_SECONDS = 0.05
+#: Seconds between a worker's heartbeat ticks.  Bounds how soon a thawed
+#: worker reads as alive again; a stall is declared only after
+#: ``stall_timeout``, many ticks later.
+_BEAT_SECONDS = 0.05
 
 
-def _shard_worker(conn, lane_names: Optional[Tuple[str, str]] = None) -> None:
+def _beat(heartbeat) -> None:
+    """A worker's heartbeat thread: advance the shared counter for as
+    long as the process runs.  The interpreter hands this thread the GIL
+    during a long probe too, so only a frozen process stops the count."""
+    while True:
+        heartbeat.value += 1
+        time.sleep(_BEAT_SECONDS)
+
+
+def _shard_worker(conn, heartbeat) -> None:
     """Worker loop: own one shard core, serve probe and control requests.
 
-    Pipe messages are ``("probe", request)``, ``("control", command)``,
-    the lane doorbell and ``None`` to stop.  A probe is answered with
-    ``("pipe", results)``, or — when the request arrived as a lane frame
-    and the results fit the result lane — ``("lane", None)``, so the
-    coordinator always blocks in a pipe receive rather than spinning on
-    a ring.
-
-    With ``lane_names`` (shm mode) the worker parks in ``conn.poll`` (a
-    real blocking wait — no busy polling to steal the coordinator's CPU
-    on starved hosts) and beats the request ring's heartbeat every
-    iteration — busy or idle — so the coordinator can tell a wedged
-    worker (heartbeat frozen beyond the park cadence) from an idle one.
+    Pipe messages are ``("probe", request)``, ``("control", command)``
+    and ``None`` to stop; a probe is answered with its three result
+    columns.  ``heartbeat`` is the shared counter :func:`_beat` advances.
     """
     # A terminal Ctrl+C delivers SIGINT to the whole foreground process
     # group, workers included.  The parent handles it (e.g. `repro
@@ -230,52 +208,22 @@ def _shard_worker(conn, lane_names: Optional[Tuple[str, str]] = None) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    req = res = None
-    if lane_names is not None:
-        from repro.core.shm import ShmRing
-
-        req = ShmRing.attach(lane_names[0])
-        res = ShmRing.attach(lane_names[1])
+    threading.Thread(target=_beat, args=(heartbeat,), daemon=True).start()
     core = _ShardCore()
     try:
         while True:
-            if req is not None:
-                req.beat()
-                view = req.try_pop()
-                if view is not None:
-                    try:
-                        request = unpack_probe_frame(view)
-                    finally:
-                        req.consume()
-                    results = core.probe(*request)
-                    try:
-                        frame = pack_result_frame(*results)
-                    except UnencodableValue:
-                        frame = None
-                    if frame is not None and res.try_push(frame):
-                        conn.send(("lane", None))
-                    else:
-                        # Results refuse strict encoding or do not fit the
-                        # ring right now: ship them inside the doorbell.
-                        conn.send(("pipe", results))
-                    continue
-                if not conn.poll(_PARK_SECONDS):
-                    continue
             message = conn.recv()
             if message is None:
                 break
             kind, payload = message
             if kind == "probe":
-                conn.send(("pipe", core.probe(*payload)))
+                conn.send(core.probe(*payload))
             elif kind == "control":
                 conn.send(core.control(payload))
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - teardown
         pass
     finally:
         conn.close()
-        if req is not None:
-            req.close()
-            res.close()
 
 
 class ShardedAion(Aion):
@@ -290,21 +238,14 @@ class ShardedAion(Aion):
     clock:
         Zero-argument time source, as for :class:`Aion`.
     executor:
-        ``"serial"`` probes the shards in-process;
-        ``"process"`` pins each shard to a dedicated worker process and
-        probes a batch's shards in parallel over pickle pipes;
-        ``"shm-process"`` keeps the worker topology but moves requests
-        over shared-memory lanes (see the module docstring).  Verdicts
-        are identical across all three.
-    lane_capacity:
-        Bytes per shared-memory ring (request and result lanes each),
-        ``shm-process`` only.  A frame above ``capacity // 2 - 8`` falls
-        back to the pipe; the default comfortably holds the largest
-        default-sized batch.
-    lane_stall_timeout:
-        Seconds without a heartbeat tick before
-        :meth:`workers_alive` declares a lane consumer wedged.  Must
-        exceed the longest legitimate single-batch execution.
+        ``"serial"`` probes the shards in-process; ``"process"`` pins
+        each shard to a dedicated worker process and probes a batch's
+        shards in parallel over pickle pipes.  Verdicts are identical.
+    stall_timeout:
+        Seconds a worker's heartbeat may stand still before the worker
+        counts as frozen: :meth:`workers_alive` reports it, and a call
+        waiting on its reply raises.  ``"process"`` only; the heartbeat
+        ticks inside long probes too, so this need not cover a batch.
     """
 
     def __init__(
@@ -314,13 +255,14 @@ class ShardedAion(Aion):
         n_shards: int = 4,
         clock: Optional[Callable[[], float]] = None,
         executor: str = "serial",
-        lane_capacity: int = 1 << 20,
-        lane_stall_timeout: float = 5.0,
+        stall_timeout: float = 5.0,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if executor not in ("serial", "process", "shm-process"):
-            raise ValueError(f"unknown executor {executor!r}")
+        if executor not in ("serial", "process"):
+            raise ValueError(
+                f"unknown executor {executor!r}: expected 'serial' or 'process'"
+            )
         super().__init__(config, clock=clock)
         # The per-key structures live in the shards, not the coordinator.
         del self._frontier, self._writers, self._ext_reads
@@ -348,50 +290,32 @@ class ShardedAion(Aion):
         self._cores: Optional[List[_ShardCore]] = None
         self._workers: List[multiprocessing.Process] = []
         self._conns: List[Any] = []
-        #: Per shard ``(request_ring, result_ring)`` in shm mode.
-        self._lanes: List[Tuple[Any, Any]] = []
-        #: Length-prefixed UTF-8 key encodings, memoized across lane
-        #: frames (the coordinator packs the same key space every batch).
-        self._key_bytes: Dict[str, bytes] = {}
-        #: Per shard ``(heartbeat, monotonic observed-at)`` — the wedge
+        #: Per shard, the worker's heartbeat counter in shared memory.
+        self._heartbeats: List[Any] = []
+        #: Per shard ``(heartbeat, monotonic observed-at)`` — the stall
         #: detector's memory of the last heartbeat movement.
         self._hb_seen: List[Tuple[int, float]] = []
-        self.lane_capacity = lane_capacity
-        self.lane_stall_timeout = lane_stall_timeout
-        #: Probe requests moved over the lanes vs. requests that took
-        #: the pipe fallback (per shard, cumulative).
+        self.stall_timeout = stall_timeout
+        #: Always 0: the shared-memory lane transport these counted is
+        #: gone, and the ladder's sharded rung still reads them.
         self.lane_frames = 0
         self.lane_fallbacks = 0
         if executor == "serial":
             self._cores = [_ShardCore() for _ in range(n_shards)]
             return
-        use_lanes = executor == "shm-process"
-        if use_lanes:
-            from repro.core.shm import ShmRing, shm_available
-
-            if not shm_available():
-                raise RuntimeError(
-                    "executor='shm-process' requires working POSIX shared "
-                    "memory (multiprocessing.shared_memory); use "
-                    "executor='process' on this platform"
-                )
         ctx = multiprocessing.get_context()
         for _ in range(n_shards):
             parent_conn, child_conn = ctx.Pipe()
-            lane_names = None
-            if use_lanes:
-                req = ShmRing.create(lane_capacity)
-                res = ShmRing.create(lane_capacity)
-                lane_names = (req.name, res.name)
-                self._lanes.append((req, res))
-                self._hb_seen.append((0, time.monotonic()))
+            heartbeat = ctx.RawValue("Q", 0)
             worker = ctx.Process(
-                target=_shard_worker, args=(child_conn, lane_names), daemon=True
+                target=_shard_worker, args=(child_conn, heartbeat), daemon=True
             )
             worker.start()
             child_conn.close()
             self._workers.append(worker)
             self._conns.append(parent_conn)
+            self._heartbeats.append(heartbeat)
+            self._hb_seen.append((0, time.monotonic()))
 
     # ------------------------------------------------------------------
     # Receiving transactions: Aion.receive_many, with two seams overridden
@@ -472,38 +396,10 @@ class ShardedAion(Aion):
                 ),
                 optimized,
             )
-            frame = None
-            if self._lanes:
-                try:
-                    frame = pack_probe_frame(*request, self._key_bytes)
-                except UnencodableValue:
-                    pass
-            # Transport is chosen per request; because every batch fully
-            # drains before the next dispatch (and before any control
-            # command), lane and pipe traffic never interleave in a shard.
-            if frame is not None and self._lanes[shard][0].try_push(frame):
-                self._send(shard, _NUDGE)
-                self.lane_frames += 1
-            else:
-                self._send(shard, ("probe", request))
-                if self._lanes:
-                    self.lane_fallbacks += 1
+            self._send(shard, ("probe", request))
             dispatched.append((shard, r_map, w_map))
         for shard, r_map, w_map in dispatched:
-            kind, payload = self._recv(shard)
-            if kind == "lane":  # the result frame is on the ring by now
-                result_ring = self._lanes[shard][1]
-                view = result_ring.try_pop()
-                if view is None:  # pragma: no cover - protocol violation
-                    raise RuntimeError(
-                        f"shard worker {shard} announced a lane result "
-                        "that is not on the ring"
-                    )
-                try:
-                    payload = unpack_result_frame(view, len(r_map), len(w_map))
-                finally:
-                    result_ring.consume()
-            shard_expected, shard_conflicts, shard_reevals = payload
+            shard_expected, shard_conflicts, shard_reevals = self._recv(shard)
             for index, expected in zip(r_map, shard_expected):
                 r_expected[index] = expected
             for index, hits, affected in zip(w_map, shard_conflicts, shard_reevals):
@@ -532,13 +428,24 @@ class ShardedAion(Aion):
 
         Blocks in bounded ``poll`` slices so a worker that died before
         answering surfaces as a :class:`RuntimeError` instead of a hang
-        (a closed pipe raises ``EOFError`` inside ``recv`` as well).
+        (a closed pipe raises ``EOFError`` inside ``recv`` as well), and
+        so does one that stalled (:meth:`_stalled`).  A stalled worker is
+        killed before the error is raised: its late reply would otherwise
+        answer the next request, so every later call to it reads "died".
         """
         conn = self._conns[shard]
+        worker = self._workers[shard]
         try:
             while not conn.poll(0.2):
-                if not self._workers[shard].is_alive():
+                if not worker.is_alive():
                     raise EOFError
+                if self._stalled(shard, time.monotonic()):
+                    worker.kill()
+                    worker.join(timeout=5)
+                    raise RuntimeError(
+                        f"shard worker {shard} stalled (no heartbeat for "
+                        f"{self.stall_timeout:g} s); killed it"
+                    )
             return conn.recv()
         except (EOFError, OSError):
             raise RuntimeError(f"shard worker {shard} died before answering") from None
@@ -584,14 +491,6 @@ class ShardedAion(Aion):
             row["shard"] = shard
             row["pending_removals"] = len(self._pending_removals[shard])
             row["last_batch_commands"] = self._last_batch_commands[shard]
-        if self._lanes:
-            for row, lane in zip(rows, self.lane_health()):
-                row["lane_heartbeat"] = lane["heartbeat"]
-                row["lane_stalled"] = int(lane["stalled"])
-                row["lane_backlog_bytes"] = (
-                    lane["request_backlog_bytes"] + lane["result_backlog_bytes"]
-                )
-                row["lane_bytes"] = lane["request_bytes"] + lane["result_bytes"]
         return rows
 
     def scan_step_totals(self) -> Tuple[int, int]:
@@ -603,61 +502,44 @@ class ShardedAion(Aion):
             gc_scan += row["gc_scan_steps"]
         return scan, gc_scan
 
-    def _lane_stalled(self, shard: int, now: float) -> bool:
-        """Whether shard's lane consumer looks wedged: heartbeat frozen
-        for longer than :attr:`lane_stall_timeout` (the worker beats
-        every loop iteration, including idle ones, so a frozen counter
-        is a stuck consumer, not an idle one)."""
-        beat = self._lanes[shard][0].heartbeat()
+    def _stalled(self, shard: int, now: float) -> bool:
+        """Whether shard's worker looks frozen: its heartbeat has stood
+        still for longer than :attr:`stall_timeout` (the heartbeat thread
+        ticks whether the worker idles or probes, so a frozen counter is
+        a frozen process, not a busy one)."""
+        beat = self._heartbeats[shard].value
         seen_beat, seen_at = self._hb_seen[shard]
         if beat != seen_beat:
             self._hb_seen[shard] = (beat, now)
             return False
-        return (now - seen_at) > self.lane_stall_timeout
+        return now - seen_at > self.stall_timeout
+
+    def worker_faults(self) -> Tuple[List[int], List[int]]:
+        """``(died, stalled)``: the shards whose worker process has
+        exited, and those whose worker is alive but frozen.  Reads only
+        process liveness and the shared heartbeat counters — safe to
+        call from an observability thread without :attr:`ingest_lock`.
+        Serial shards never fault."""
+        now = time.monotonic()
+        died: List[int] = []
+        stalled: List[int] = []
+        for shard, worker in enumerate(self._workers):
+            if not worker.is_alive():
+                died.append(shard)
+            elif self._stalled(shard, now):
+                stalled.append(shard)
+        return died, stalled
 
     def workers_alive(self) -> bool:
         """Whether every shard executor can still take a batch.
 
-        Serial cores always can; process modes check the worker
-        processes, and shm mode additionally watches each lane's
-        heartbeat — a worker that is alive but no longer consuming
-        (wedged in a syscall, stopped, livelocked) counts as down.
+        Serial cores always can; worker processes must be running and
+        their heartbeats moving — a worker that is alive but frozen
+        (stopped, swapped out, deadlocked) counts as down.
         """
         if self._cores is not None:
             return True
-        if not self._workers:
-            return False
-        if not all(worker.is_alive() for worker in self._workers):
-            return False
-        if self._lanes:
-            now = time.monotonic()
-            return not any(
-                self._lane_stalled(shard, now) for shard in range(self.n_shards)
-            )
-        return True
-
-    def lane_health(self) -> List[Dict[str, Any]]:
-        """One row per shared-memory lane pair: liveness, heartbeat,
-        stall verdict, ring depths, and cumulative transferred bytes.
-        Reads only shm counters and process liveness — safe to call
-        from an observability thread without :attr:`ingest_lock`."""
-        rows: List[Dict[str, Any]] = []
-        now = time.monotonic()
-        for shard, (req, res) in enumerate(self._lanes):
-            rows.append(
-                {
-                    "shard": shard,
-                    "alive": self._workers[shard].is_alive(),
-                    "heartbeat": req.heartbeat(),
-                    "stalled": self._lane_stalled(shard, now),
-                    "request_backlog_bytes": req.lag(),
-                    "result_backlog_bytes": res.lag(),
-                    "request_bytes": req.bytes_pushed(),
-                    "result_bytes": res.bytes_pushed(),
-                    "frames": req.frames_pushed(),
-                }
-            )
-        return rows
+        return bool(self._workers) and self.worker_faults() == ([], [])
 
     # ------------------------------------------------------------------
     # Garbage collection hooks (the cycle itself is SpillingGc's)
@@ -723,10 +605,7 @@ class ShardedAion(Aion):
             conn.close()
         self._conns = []
         self._workers = []
-        for req, res in self._lanes:
-            req.close(unlink=True)
-            res.close(unlink=True)
-        self._lanes = []
+        self._heartbeats = []
         self._hb_seen = []
         super().close()
 

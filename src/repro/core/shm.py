@@ -1,18 +1,22 @@
 """Fixed-capacity SPSC ring buffers over POSIX shared memory.
 
-The transport under the sharded executor's ``shm-process`` mode: each
-shard worker gets a *request lane* (coordinator → worker) and a *result
-lane* (worker → coordinator), both a :class:`ShmRing` — one
-``multiprocessing.shared_memory`` segment holding a small header and a
-byte ring of length-prefixed frames.  A frame crosses the process
-boundary as exactly one copy into the ring on push; the consumer reads
-it *in place* through a ``memoryview`` slice and releases the slot
-afterwards, so the request path carries no pickle and no receive-side
-copy.
+Nothing in the checkers uses this module any more.  It was the transport
+of a shared-memory shard executor that never beat the pickle pipe it was
+built to replace (the ``"process"`` executor of
+:mod:`repro.core.sharded`), and that executor is gone.  The module stays
+only because the frozen benchmark ladder imports :class:`ShmRing` and
+:func:`shm_available` at module top (``benchmarks/ladder/ladderbench/
+rungs.py``, for its ``shm.ring_mb_s`` rung); delete it, with
+``tests/test_shm_ring.py``, once the ladder imports it lazily.
 
-Single-producer / single-consumer by construction (one coordinator, one
-worker per lane), which makes the ring lock-free with plain aligned
-stores:
+A :class:`ShmRing` is one ``multiprocessing.shared_memory`` segment
+holding a small header and a byte ring of length-prefixed frames.  A
+frame crosses the process boundary as exactly one copy into the ring on
+push; the consumer reads it *in place* through a ``memoryview`` slice
+and releases the slot afterwards.
+
+Single-producer / single-consumer by construction, which makes the ring
+lock-free with plain aligned stores:
 
 - ``head`` (total bytes produced) is written only by the producer,
   ``tail`` (total bytes consumed) only by the consumer; both are
@@ -30,14 +34,12 @@ stores:
   up to :attr:`ShmRing.max_frame` is therefore guaranteed to fit in an
   empty ring regardless of where the previous frame ended.
 
-The header also carries a **heartbeat** word the worker increments every
-loop iteration (busy or idle); the coordinator detects a wedged —
-alive-but-stalled — consumer by watching the heartbeat freeze, which
-process liveness alone cannot see.
+The header also carries a **heartbeat** word a consumer can increment
+(:meth:`ShmRing.beat`) so a producer can tell a frozen consumer from an
+idle one.
 
 ``multiprocessing.shared_memory`` may be missing or unusable (no
-``/dev/shm``, sandboxed platforms): :func:`shm_available` probes once
-and the executor refuses ``shm-process`` cleanly when it fails.
+``/dev/shm``, sandboxed platforms): :func:`shm_available` probes once.
 """
 
 from __future__ import annotations
@@ -86,9 +88,8 @@ def shm_available() -> bool:
     """Whether shared-memory segments can actually be created here.
 
     Probes once per process (creates and unlinks a tiny segment); the
-    sharded executor and the test suite gate ``shm-process`` on it so
-    platforms without ``/dev/shm`` degrade to a clean error / skip
-    instead of a late crash in a worker.
+    ring tests and the ladder's ring rung skip on it, so platforms
+    without ``/dev/shm`` degrade to a skip instead of a crash.
     """
     global _available
     if _available is None:
@@ -254,8 +255,7 @@ class ShmRing:
         """Publish one frame if it fits *right now*; never blocks.
 
         Returns False when the payload exceeds :attr:`max_frame` or the
-        ring lacks space — the sharded coordinator treats either as
-        "take the pipe fallback for this batch".
+        ring lacks space.
         """
         buf = self._buf
         length = len(payload)

@@ -14,8 +14,7 @@ by the runtime-decomposition figures (Fig 8, 9, 24).
 
 **Columnar packs** — the struct-packed batch codec lives in
 :mod:`repro.core.colpack`, the shared home of every columnar framing
-(wire blobs, packed WAL files, and the sharded executor's
-shared-memory lane frames); :class:`ColumnarBatch`,
+(wire blobs, packed WAL files, GC spill segments); :class:`ColumnarBatch`,
 :func:`pack_columnar` and :func:`unpack_columnar` are re-exported here
 unchanged, and :func:`save_history_packed` / :func:`load_history_packed`
 wrap them in length-prefixed file chunks.
@@ -51,8 +50,8 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 # Re-exported for compatibility: the columnar codec moved to
-# repro.core.colpack so the shard lanes can share it without importing
-# the history-file machinery.
+# repro.core.colpack so the checkers and spill segments can share it
+# without importing the history-file machinery.
 from repro.core.colpack import (
     OP_APPEND,
     OP_READ,

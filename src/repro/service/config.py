@@ -51,15 +51,11 @@ class ServiceConfig:
     unix_path: Optional[Union[str, Path]] = None
     level: str = "si"
     n_shards: int = 1
-    #: How ``ShardedAion`` runs its shards: ``"serial"`` (in-process),
-    #: ``"process"`` (pickled pipe transport), or ``"shm-process"``
-    #: (shared-memory lane transport; needs working POSIX shared memory).
+    #: How ``ShardedAion`` runs its shards: ``"serial"`` (in-process) or
+    #: ``"process"`` (one worker process per shard, pickled pipe
+    #: transport).  Only a sharded checker (``n_shards > 1``) has shards
+    #: to run elsewhere.
     shard_executor: str = "serial"
-    #: Byte capacity of each shared-memory lane ring (request and result
-    #: each), for ``shard_executor="shm-process"``.  A frame larger than
-    #: half the capacity falls back to the pipe path, so size this to a
-    #: few times the packed size of one drain batch.
-    lane_capacity: int = 1 << 20
     timeout: float = 5.0
     queue_capacity: int = 10_000
     batch_size: int = 500
@@ -115,13 +111,15 @@ class ServiceConfig:
             raise ValueError("n_shards must be >= 1")
         if self.n_shards > 1 and self.level != "si":
             raise ValueError("sharding requires level 'si'")
-        if self.shard_executor not in ("serial", "process", "shm-process"):
+        if self.shard_executor not in ("serial", "process"):
             raise ValueError(
-                "shard_executor must be 'serial', 'process', or "
-                f"'shm-process', got {self.shard_executor!r}"
+                f"shard_executor must be 'serial' or 'process', got {self.shard_executor!r}"
             )
-        if self.lane_capacity < 4096:
-            raise ValueError("lane_capacity must be >= 4096 bytes")
+        if self.shard_executor != "serial" and self.n_shards == 1:
+            raise ValueError(
+                f"shard executor {self.shard_executor!r} needs more than one shard "
+                "(--shards N); a single-shard checker runs in-process"
+            )
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.batch_size < 1:
@@ -176,7 +174,6 @@ class ServiceConfig:
                 n_shards=self.n_shards,
                 clock=clock,
                 executor=self.shard_executor,
-                lane_capacity=self.lane_capacity,
             )
         if self.level == "si":
             return Aion(aion_config, clock=clock)

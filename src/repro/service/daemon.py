@@ -117,6 +117,10 @@ class CheckerService:
         self.tcp_address: Optional[Tuple[str, int]] = None
         self.unix_path: Optional[str] = None
         self.final_result: Optional[CheckResult] = None
+        #: ``stats(include_bytes=False)`` as the graceful shutdown left
+        #: it, taken before the checker is closed — a sharded checker's
+        #: per-shard rows need its worker processes.
+        self.final_stats: Optional[Dict[str, Any]] = None
         #: Violation messages handed to _broadcast, in push order — the
         #: replay backlog for late subscribers.  Maintained on the event
         #: loop so subscribe-with-replay can snapshot it and join
@@ -265,6 +269,7 @@ class CheckerService:
                 self._send(writer, {"type": "bye"})
             for writer in list(self._connections):
                 self._close_writer(writer)
+            self.final_stats = await self._ingest.run(self.stats, False)
             await self._ingest.run(self._ingest.locked, self.checker.close)
             return result
         finally:

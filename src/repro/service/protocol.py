@@ -160,16 +160,6 @@ PROTOCOL_VERSION = 1
 #: import here, so the v1 codec keeps zero framing dependencies).
 PROTOCOL_VERSIONS = (1, 2)
 
-#: Message types a conforming server accepts.
-CLIENT_MESSAGE_TYPES = frozenset(
-    {"hello", "submit", "subscribe", "stats", "drain", "finalize", "shutdown", "ping"}
-)
-#: Message types a conforming client must tolerate.
-SERVER_MESSAGE_TYPES = frozenset(
-    {"welcome", "ack", "violation", "stats", "drained", "result", "pong", "error", "bye",
-     "subscribed"}
-)
-
 
 class ProtocolError(ValueError):
     """A malformed or out-of-contract wire message."""

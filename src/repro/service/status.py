@@ -53,10 +53,8 @@ def _kernel(stages: Tuple[str, ...], suffix: str = "") -> Callable[[_Stats], Any
 
 
 def _shard(column: str) -> Callable[[_Stats], Any]:
-    """Per-shard rows; the lane columns exist on the shm executor only."""
-    return lambda stats: (
-        ((str(row["shard"]),), row[column]) for row in stats["shards"] or () if column in row
-    )
+    """Per-shard rows (none on a single-shard checker)."""
+    return lambda stats: (((str(row["shard"]),), row[column]) for row in stats["shards"] or ())
 
 
 #: ``(name, help, kind, labelnames, how to read it from a stats() snapshot)``.
@@ -81,8 +79,9 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
      "queue_high_water"),
     ("repro_queue_capacity_txns", "Configured ingest queue capacity", "gauge", (),
      "queue_capacity"),
-    ("repro_resident_txns", "Transactions resident in checker memory", "gauge", (),
-     "resident_txns"),
+    ("repro_resident_txns",
+     "Resident index entries (one tid -> commit_ts per arrival; no transaction is stored)",
+     "gauge", (), "resident_txns"),
     ("repro_resident_bytes", "Deep-size estimate of checker state (TTL-cached)", "gauge", (),
      "estimated_bytes"),
     ("repro_ext_pending_reads",
@@ -137,8 +136,11 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
     *(
         (f"repro_gc_evicted_{kind}_total", f"Resident {kind} moved to spill segments", "counter",
          (), f"gc.evicted.{kind}")
-        for kind in ("versions", "intervals", "txns")
+        for kind in ("versions", "intervals")
     ),
+    ("repro_gc_evicted_txns_total",
+     "Resident index entries released by GC (nothing is written for them)", "counter", (),
+     "gc.evicted.txns"),
     ("repro_gc_spill_bytes_total", "Bytes written to spill segments", "counter", (),
      "gc.spill_bytes"),
     ("repro_gc_reloads_total", "Spill segments read back on demand", "counter", (), "gc.reloads"),
@@ -159,19 +161,6 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
     ("repro_shard_last_batch_commands",
      "Ops (external reads + writes) routed to one shard by the most recent batch", "gauge",
      ("shard",), _shard("last_batch_commands")),
-    ("repro_lane_frames_total", "Shard batches carried by shared-memory lane frames", "counter",
-     (), "lanes.frames"),
-    ("repro_lane_fallbacks_total", "Shard batches that fell back to the pickled pipe path",
-     "counter", (), "lanes.fallbacks"),
-    ("repro_shard_lane_heartbeat", "Lane consumer heartbeat sequence number for one shard",
-     "gauge", ("shard",), _shard("lane_heartbeat")),
-    ("repro_shard_lane_stalled", "1 when one shard's lane consumer looks wedged, else 0", "gauge",
-     ("shard",), _shard("lane_stalled")),
-    ("repro_shard_lane_backlog_bytes",
-     "Unconsumed bytes across one shard's request and result rings", "gauge", ("shard",),
-     _shard("lane_backlog_bytes")),
-    ("repro_shard_lane_bytes_total", "Bytes pushed through one shard's lane rings since startup",
-     "counter", ("shard",), _shard("lane_bytes")),
 )
 
 #: How a scrape copies a snapshot value into each kind of family.
@@ -352,10 +341,6 @@ class StatusView:
             },
             "host_gc": self.host_gc.snapshot(),
             "shards": shards,
-            "lanes": {
-                "frames": getattr(checker, "lane_frames", 0),
-                "fallbacks": getattr(checker, "lane_fallbacks", 0),
-            },
             "slow_batches": {
                 "total": self._slow_batch_log.total,
                 "recent": self._slow_batch_log.tail(3),
@@ -393,9 +378,9 @@ class StatusView:
         - ``resume_storm`` — session resumes inside the sliding
           ``resume_storm_window`` stay below the threshold (a storm
           means clients are flapping, so latency expectations are off);
-        - ``shards`` — process-mode shard workers are all alive, and in
-          shm mode each lane consumer's heartbeat is advancing (alive
-          but wedged is unhealthy too); serial executors always pass.
+        - ``shards`` — process-mode shard workers are all alive and each
+          one's heartbeat is advancing (alive but wedged is unhealthy
+          too); serial executors always pass.
         """
         config, ingest = self._config, self._ingest
         edge = self._edge()
@@ -454,21 +439,20 @@ class StatusView:
         shards_ok = True if workers_alive is None else workers_alive()
         shards_down = ""
         if not shards_ok:
-            # Distinguish a dead process from an alive-but-wedged lane
-            # consumer: lane_health reads only shm heartbeat counters and
-            # process liveness, so it is safe from the event loop.
-            lanes = self._checker.lane_health()
-            dead = [row["shard"] for row in lanes if not row["alive"]]
-            wedged = [row["shard"] for row in lanes if row["alive"] and row["stalled"]]
+            # Distinguish a dead process from an alive-but-wedged one:
+            # worker_faults reads only process liveness and the shared
+            # heartbeat counters, so it is safe from the event loop.
+            dead, wedged = self._checker.worker_faults()
             if dead:
                 shards_down = f"shard workers died: {dead}"
             elif wedged:
-                shards_down = f"shard lane consumers are wedged: {wedged}"
+                shards_down = f"shard workers are wedged: {wedged}"
             else:
                 shards_down = "a shard worker died"
-        in_process = workers_alive is None or config.shard_executor == "serial"
         components["shards"] = component(
-            shards_ok, "in-process" if in_process else "workers alive", shards_down,
+            shards_ok,
+            "in-process" if config.shard_executor == "serial" else "workers alive",
+            shards_down,
             n_shards=config.n_shards, executor=config.shard_executor,
         )
 

@@ -7,8 +7,8 @@ with the *byte-identical* verdict of an uninterrupted run — the daemon
 received every transaction exactly once (``received == sent``, no
 duplicates admitted, nothing lost in a dead socket's buffers).
 
-Runs across three checker variants (Aion, AionSer, ShardedAion) and
-three seeds each; every kill position derives from the seed, so a
+Runs across four checker variants (Aion, AionSer, ShardedAion with
+in-process and with worker-process shards) and three seeds each; every kill position derives from the seed, so a
 failure reproduces from the parametrization alone.
 """
 
@@ -40,17 +40,13 @@ VARIANTS = {
     "aion": {"kwargs": {"level": "si", "n_shards": 1}, "salt": 0x01},
     "ser": {"kwargs": {"level": "ser", "n_shards": 1}, "salt": 0x02},
     "sharded": {"kwargs": {"level": "si", "n_shards": 2}, "salt": 0x03},
-}
-
-from repro.core.shm import shm_available  # noqa: E402
-
-if shm_available():
-    # The shared-memory lane executor must ride out connection chaos
-    # exactly like the in-process one (skipped where /dev/shm is absent).
-    VARIANTS["sharded-shm"] = {
-        "kwargs": {"level": "si", "n_shards": 2, "shard_executor": "shm-process"},
+    # Shard workers in their own processes must ride out connection
+    # chaos exactly like in-process shards.
+    "sharded-process": {
+        "kwargs": {"level": "si", "n_shards": 2, "shard_executor": "process"},
         "salt": 0x04,
-    }
+    },
+}
 
 
 @pytest.fixture

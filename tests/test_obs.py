@@ -12,6 +12,8 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
+import signal
 import time
 from pathlib import Path
 
@@ -409,6 +411,36 @@ class TestDaemonEndpoints:
         assert status == 503
         assert health["status"] == "unhealthy"
         assert not health["components"]["drain"]["ok"]
+
+    def test_health_reports_a_wedged_shard_worker(self, start_service):
+        """A SIGSTOPped process worker passes ``is_alive()``; ``/health``
+        still flips to 503 and names it wedged, not dead, and comes back
+        to 200 once the worker resumes."""
+        handle = start_service(n_shards=2, shard_executor="process")
+        checker = handle.service._ingest.checker
+        checker.stall_timeout = 0.3
+        host, port = handle.http_address
+
+        def wait_for(code):
+            deadline = time.monotonic() + 10.0
+            while True:
+                status, health = http_get_json(host, port, "/health")
+                if status == code or time.monotonic() > deadline:
+                    return status, health["components"]["shards"]
+                time.sleep(0.05)
+
+        assert wait_for(200) == (200, {
+            "ok": True, "detail": "workers alive", "n_shards": 2, "executor": "process",
+        })
+        victim = checker._workers[1].pid
+        os.kill(victim, signal.SIGSTOP)
+        try:
+            status, shards = wait_for(503)
+        finally:
+            os.kill(victim, signal.SIGCONT)
+        assert status == 503
+        assert shards["detail"] == "shard workers are wedged: [1]"
+        assert wait_for(200)[0] == 200
 
     def test_health_503_when_replay_backlog_saturates(self, start_service):
         handle = start_service()

@@ -33,7 +33,6 @@ from repro.core.colpack import ColumnarBatch
 from repro.core.common import BOTTOM
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
-from repro.core.shm import shm_available
 from repro.db.engine import IsolationLevel
 from repro.db.faults import HistoryFaultInjector
 from repro.histories.model import History, Transaction
@@ -170,7 +169,6 @@ TIMER_CHECKERS = {
     "aion-ser": (lambda clock: AionSer(_config(), clock=clock), "R"),
     "sharded-x2-serial": (_sharded("serial"), "S"),
     "sharded-x2-process": (_sharded("process"), "S"),
-    "sharded-x2-shm": (_sharded("shm-process"), "S"),
 }
 
 
@@ -182,8 +180,6 @@ def schedules():
 @pytest.mark.parametrize("size", sorted(BATCH_SIZES))
 @pytest.mark.parametrize("name", sorted(TIMER_CHECKERS))
 def test_timer_stream_equals_the_pair_index(schedules, name, size):
-    if name == "sharded-x2-shm" and not shm_available():
-        pytest.skip("POSIX shared memory unavailable")
     make, stream = TIMER_CHECKERS[name]
     golden = json.loads(GOLDEN.read_text())[stream][size]
     # Worker executors answer per batch over a pipe: one pass over decoded

@@ -178,6 +178,16 @@ class TestProtocol:
         assert ServiceConfig(n_shards=4).checker_kind == "sharded-aion-x4"
         assert ServiceConfig(level="ser").checker_kind == "aion-ser"
 
+    def test_config_refuses_a_worker_executor_without_shards(self):
+        """A single-shard checker is a plain in-process ``Aion``: a
+        ``process`` executor there would be silently ignored, and
+        ``/health`` would then report workers that do not exist."""
+        with pytest.raises(ValueError, match=r"--shards"):
+            ServiceConfig(shard_executor="process").validate()
+        with pytest.raises(ValueError, match="'serial' or 'process'"):
+            ServiceConfig(n_shards=2, shard_executor="shm-process").validate()
+        ServiceConfig(n_shards=2, shard_executor="process").validate()
+
 
 # ----------------------------------------------------------------------
 # Daemon behaviour
@@ -898,7 +908,41 @@ class TestServiceDifferential:
 # ----------------------------------------------------------------------
 
 class TestCliServeReplay:
-    def test_serve_replay_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("command", [["serve", "--port", "0"], ["chaos"]])
+    def test_process_executor_without_shards_exits_two(self, capsys, command):
+        from repro.cli import main
+
+        assert main([*command, "--executor", "process"]) == 2
+        assert "needs more than one shard (--shards N)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--shards", "2", "--lane-kb", "64"],
+            ["serve", "--shards", "2", "--executor", "shm-process"],
+            ["chaos", "--shards", "2", "--executor", "shm-process"],
+        ],
+        ids=["serve-lane-kb", "serve-shm-executor", "chaos-shm-executor"],
+    )
+    def test_shared_memory_executor_options_are_gone(self, capsys, argv):
+        """The shared-memory shard transport and its ring size knob were
+        removed: asking for them is a usage error, not a silent fallback."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "shm-process" in err or "--lane-kb" in err
+
+    @pytest.mark.parametrize(
+        "shard_args",
+        [[], ["--shards", "2", "--executor", "process"]],
+        ids=["in-process", "process-workers"],
+    )
+    def test_serve_replay_roundtrip(self, tmp_path, shard_args):
+        """Including the exit summary, which a worker-process daemon
+        takes before its workers stop."""
         from repro.cli import main
 
         sock = tmp_path / "daemon.sock"
@@ -906,7 +950,7 @@ class TestCliServeReplay:
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--no-tcp", "--unix", str(sock),
-             "--timeout", "inf"],
+             "--timeout", "inf", *shard_args],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

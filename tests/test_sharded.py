@@ -11,6 +11,7 @@ too, and a dead shard worker is an error on every path, never a hang.
 
 import os
 import signal
+import time
 from random import Random
 
 import pytest
@@ -75,6 +76,8 @@ class TestShardRouting:
             ShardedAion(n_shards=0)
         with pytest.raises(ValueError):
             ShardedAion(executor="threads")
+        with pytest.raises(ValueError, match="expected 'serial' or 'process'"):
+            ShardedAion(executor="shm-process")
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
@@ -187,16 +190,11 @@ def test_unoptimized_recheck_matches_aion():
     assert got == _ablation_baseline(arrival)
 
 
-@pytest.mark.parametrize("executor", ["serial", "process", "shm-process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_unoptimized_recheck_batched_on_every_executor(executor):
     """Batched ablation: expected values are resolved at the write's
     point in its key's stream, in whichever process that stream runs,
-    and ride the result lane like any other re-evaluation row."""
-    if executor == "shm-process":
-        from repro.core.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
+    and come back like any other re-evaluation row."""
     history = small_history(321, faults=4)
     arrival = session_respecting_shuffle(history, Random(321))
     sharded = ShardedAion(
@@ -210,7 +208,6 @@ def test_unoptimized_recheck_batched_on_every_executor(executor):
             sharded.receive_many(arrival[offset : offset + 16])
         got = normalize_violations(sharded.finalize())
         assert sharded.kernel_stats.verdict_reevals > 0
-        assert sharded.lane_fallbacks == 0
     finally:
         sharded.close()
     assert got == _ablation_baseline(arrival)
@@ -261,6 +258,22 @@ def test_report_order_equals_aion_on_anomaly_catalog(name, n_shards):
         assert got == expected, (name, shuffle_seed, batch_size)
 
 
+@pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
+@pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
+def test_anomaly_catalog_matches_aion_on_process_workers(name, n_shards):
+    """The same report lists when every shard is a worker process —
+    eight shards included, where most keys leave some workers idle."""
+    history = ANOMALY_CATALOG[name].build()
+    arrival = session_respecting_shuffle(history, Random(7))
+    expected = ordered_reports(Aion(_inf(), clock=lambda: 0.0), arrival, 4)
+    got = ordered_reports(
+        ShardedAion(_inf(), n_shards=n_shards, clock=lambda: 0.0, executor="process"),
+        arrival,
+        4,
+    )
+    assert got == expected
+
+
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 @pytest.mark.parametrize("seed, batch_size", [(401, 16), (406, 64)])
 def test_report_order_equals_aion_on_faulted_stream(seed, batch_size, n_shards):
@@ -277,16 +290,11 @@ def test_report_order_equals_aion_on_faulted_stream(seed, batch_size, n_shards):
     assert got == expected
 
 
-@pytest.mark.parametrize("executor", ["serial", "process", "shm-process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_report_order_equals_aion_with_timers_firing(executor):
     """The same kind of stream under a finite timeout: EXT verdicts
     finalize *between* batches (so read removals reach the shards), and
     every poll still drains the same list on every executor."""
-    if executor == "shm-process":
-        from repro.core.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
     history = small_history(404, n=200, faults=16)
     arrival = session_respecting_shuffle(history, Random(404))
     clock = SimClock()
@@ -509,16 +517,11 @@ def test_receive_many_rejects_appends_before_any_state_change():
         checker.close()
 
 
-@pytest.mark.parametrize("executor", ["process", "shm-process"])
+@pytest.mark.parametrize("executor", ["process"])
 def test_dead_worker_is_an_error_on_every_path(executor):
     """After SIGKILL of the workers, the data path and every control-
     plane path raise ``RuntimeError("shard worker N died …")`` — not a
     raw ``BrokenPipeError``, and never a hang."""
-    if executor == "shm-process":
-        from repro.core.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
     arrival = list(small_history(21, n=60).by_commit_ts())
     checker = ShardedAion(_inf(), n_shards=2, clock=lambda: 0.0, executor=executor)
     try:
@@ -529,6 +532,7 @@ def test_dead_worker_is_an_error_on_every_path(executor):
             worker.join(timeout=10)
             assert not worker.is_alive()
         assert not checker.workers_alive()
+        assert checker.worker_faults() == ([0, 1], [])
         for call in (
             lambda: checker.receive_many(arrival[30:]),
             checker.shard_stats,
@@ -539,4 +543,102 @@ def test_dead_worker_is_an_error_on_every_path(executor):
             with pytest.raises(RuntimeError, match=r"shard worker \d+ died"):
                 call()
     finally:
+        checker.close()
+
+
+def test_wedged_worker_detected_by_heartbeat_and_recovers():
+    """A SIGSTOPped worker still passes ``is_alive()``; its frozen
+    heartbeat does not.  ``workers_alive()`` goes false and
+    ``worker_faults()`` names the shard as stalled; SIGCONT brings the
+    worker back, and it still answers."""
+    checker = ShardedAion(
+        _inf(), n_shards=2, clock=lambda: 0.0, executor="process", stall_timeout=0.3
+    )
+    try:
+        checker.receive_many(list(ANOMALY_CATALOG["dirty-read"].build().transactions))
+        assert checker.workers_alive()
+        victim = checker._workers[1].pid
+        os.kill(victim, signal.SIGSTOP)
+        try:
+            deadline = time.monotonic() + 10
+            while checker.workers_alive():
+                assert time.monotonic() < deadline, "wedge never detected"
+                time.sleep(0.05)
+            assert checker.worker_faults() == ([], [1])
+        finally:
+            os.kill(victim, signal.SIGCONT)
+        deadline = time.monotonic() + 10
+        while not checker.workers_alive():
+            assert time.monotonic() < deadline, "worker never recovered"
+            time.sleep(0.05)
+        assert [row["shard"] for row in checker.shard_stats()] == [0, 1]
+    finally:
+        checker.close()
+
+
+def test_stalled_worker_fails_the_call_instead_of_hanging():
+    """A batch waiting on a SIGSTOPped worker raises "stalled" once the
+    heartbeat has stood still for ``stall_timeout`` — it does not wait
+    forever.  The stalled worker is killed, so its late reply cannot
+    answer a later request: the next call to it reads "died"."""
+    arrival = list(small_history(21, n=60).by_commit_ts())
+    assert any(shard_of(op.key, 2) == 0 for txn in arrival[30:] for op in txn.ops)
+    stall_timeout = 0.5
+    checker = ShardedAion(
+        _inf(), n_shards=2, clock=lambda: 0.0, executor="process",
+        stall_timeout=stall_timeout,
+    )
+    victim = checker._workers[0].pid
+    try:
+        checker.receive_many(arrival[:30])
+        os.kill(victim, signal.SIGSTOP)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"shard worker 0 stalled"):
+            checker.receive_many(arrival[30:])
+        # Up to one poll slice to notice the last heartbeat, the timeout,
+        # one more slice, and the kill; the rest is slack for a busy host.
+        assert time.monotonic() - started < stall_timeout + 3.0
+        assert checker.worker_faults() == ([0], [])
+        with pytest.raises(RuntimeError, match=r"shard worker 0 died"):
+            checker.shard_stats()
+    finally:
+        try:
+            os.kill(victim, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
+        checker.close()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda checker: checker.shard_stats(),
+        lambda checker: checker.estimated_bytes(),
+        lambda checker: checker.scan_step_totals(),
+        lambda checker: checker.collect_below(None),
+        lambda checker: checker.finalize(),
+    ],
+    ids=["shard_stats", "estimated_bytes", "scan_step_totals", "collect_below", "finalize"],
+)
+def test_stalled_worker_is_an_error_on_every_control_path(call):
+    """Control-plane commands wait on every worker's reply through the
+    same receive loop as a batch, so a frozen worker fails them with
+    "stalled" too, instead of hanging the stats reader or the GC."""
+    checker = ShardedAion(
+        _inf(), n_shards=2, clock=lambda: 0.0, executor="process", stall_timeout=0.3
+    )
+    victim = checker._workers[0].pid
+    try:
+        checker.receive_many(list(small_history(21, n=30).by_commit_ts()))
+        os.kill(victim, signal.SIGSTOP)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"shard worker 0 stalled"):
+            call(checker)
+        assert time.monotonic() - started < 0.3 + 3.0
+        assert checker.worker_faults() == ([0], [])
+    finally:
+        try:
+            os.kill(victim, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
         checker.close()
