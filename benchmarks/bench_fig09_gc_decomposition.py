@@ -31,7 +31,7 @@ def _run(tmp_path):
         loaded = load_history(path)
         loading = time.perf_counter() - t0
         checker = Chronos(gc_every=every, gc_mode=GcMode.FULL)
-        result = checker.check_transactions(loaded.transactions, consume=True)
+        result = checker.check_transactions(loaded.transactions)
         assert result.is_valid
         rows.append(
             {

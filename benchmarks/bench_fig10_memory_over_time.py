@@ -5,8 +5,7 @@ checking stage as processed transactions are recycled; more frequent GC
 gives smaller per-cycle releases; a sawtooth under periodic GC.
 
 Reproduced by sampling the checker's live structure size (retained
-transactions + frontier/ongoing state) every N processed transactions,
-with ``consume=True`` so processed transactions really are droppable.
+transactions + frontier/ongoing state) every N processed transactions.
 """
 
 from repro.bench import cached_default_history, format_series, pick, write_result
@@ -33,7 +32,7 @@ def _run():
             memory_sampler=_sampler,
             sample_every=max(100, n // 40),
         )
-        result = checker.check_transactions(list(history.transactions), consume=True)
+        result = checker.check_transactions(list(history.transactions))
         assert result.is_valid
         curves[label] = checker.report.memory_samples
     return curves

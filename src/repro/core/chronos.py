@@ -13,10 +13,15 @@ order of Definition 5).  Walking the ``2N`` events in one pass it checks:
   transaction from the per-key ``ongoing`` writer sets and reporting any
   writers still in flight.
 
-The walk runs over a :class:`~repro.core.colpack.ColumnarBatch`: events
-are plain ``(ts, phase, tid, index)`` tuples sorted without a key
-function, and each start event replays the transaction's slice of the
-flat op columns through :func:`repro.core.common.simulate`.  A history
+The walk runs over a :class:`~repro.core.colpack.ColumnarBatch` and
+builds no object per event: the transaction indices are sorted twice,
+by ``(start_ts, tid)`` and by ``(commit_ts, tid)``
+(:func:`~repro.core.common.timestamp_order`, one ``int`` key each, into
+an ``array('q')``), and a two-pointer merge of the two orders yields the
+events — on equal timestamps a start before a commit, the order the old
+``(ts, phase, tid, index)`` tuples sorted into.  Each start event
+replays the transaction's slice of the flat op columns through
+:func:`repro.core.common.simulate`.  A history
 file decoded by :func:`~repro.histories.serialization.load_columns` is
 checked as it is; a :class:`History` or a transaction list is flattened
 once (:meth:`ColumnarBatch.from_transactions`) and takes the same walk —
@@ -38,12 +43,14 @@ from __future__ import annotations
 
 import enum
 import gc as _host_gc
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 from repro.core.colpack import ColumnarBatch
-from repro.core.common import SessionTracker, simulate
+from repro.core.common import SessionTracker, simulate, timestamp_order
 from repro.core.violations import (
     Axiom,
     CheckResult,
@@ -61,9 +68,8 @@ class GcMode(enum.Enum):
 
     - ``NONE`` — never recycle (``gc-∞`` in Fig 6); per-txn cleanup of
       ``int_val``/``ext_val`` still happens at every commit.
-    - ``LIGHT`` — drop references to processed transactions every
-      ``gc_every`` commits; cheap, frees memory if the caller consumed
-      the history.
+    - ``LIGHT`` — drop the retained set of processed transactions every
+      ``gc_every`` commits; cheap.
     - ``FULL`` — as LIGHT, plus a full host garbage collection each
       cycle, whose cost grows with live-heap size — the effect behind
       the gc-10k ≫ gc-50k runtimes of Fig 6a.
@@ -142,27 +148,18 @@ class Chronos:
     def check(self, history: Union[History, ColumnarBatch]) -> CheckResult:
         """Check an entire history for SI; returns all violations found."""
         if isinstance(history, ColumnarBatch):
-            return self._walk(history, consume=False)
+            return self._walk(history)
         return self.check_transactions(history.transactions)
 
-    def check_transactions(
-        self, transactions: Sequence[Transaction], *, consume: bool = False
-    ) -> CheckResult:
-        """Check a list of transactions.
-
-        With ``consume=True`` the checker drops its references to
-        processed work as it goes — the events of each committed
-        transaction, and under a periodic GC mode the retained set in
-        batches — so that a caller that also relinquishes its own
-        references observes the diminishing-memory behaviour of §III-B3.
-        """
-        return self._walk(ColumnarBatch.from_transactions(transactions), consume)
+    def check_transactions(self, transactions: Sequence[Transaction]) -> CheckResult:
+        """Check a list of transactions."""
+        return self._walk(ColumnarBatch.from_transactions(transactions))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _walk(self, batch: ColumnarBatch, consume: bool) -> CheckResult:
+    def _walk(self, batch: ColumnarBatch) -> CheckResult:
         result = CheckResult()
         report_violation = result.violations.append
         report = self.report = ChronosReport(
@@ -174,24 +171,30 @@ class Chronos:
         # the ongoing/frontier state (the paper reports the error inline
         # at the commit event; the verdict set is identical).
         t0 = time.perf_counter()
-        events: List[Optional[tuple]] = []
-        add_event = events.append
-        for index, (tid, start_ts, commit_ts) in enumerate(
-            zip(batch.tids, batch.starts, batch.commits)
-        ):
-            if start_ts > commit_ts:
+        tids = batch.tids
+        starts = batch.starts
+        commits = batch.commits
+        indices = range(len(batch))
+        accepted = list(compress(indices, map(operator.le, starts, commits)))
+        if len(accepted) < len(indices):
+            for index in compress(indices, map(operator.gt, starts, commits)):
                 report_violation(
                     TimestampOrderViolation(
-                        axiom=Axiom.TS_ORDER, tid=tid, start_ts=start_ts, commit_ts=commit_ts
+                        axiom=Axiom.TS_ORDER,
+                        tid=tids[index],
+                        start_ts=starts[index],
+                        commit_ts=commits[index],
                     )
                 )
-            else:
-                add_event((start_ts, 0, tid, index))
-                add_event((commit_ts, 1, tid, index))
-        events.sort()  # ties: start before commit, then tid, then arrival
+        start_order = timestamp_order(starts, tids, accepted)
+        commit_order = timestamp_order(commits, tids, accepted)
         report.sort_seconds = time.perf_counter() - t0
 
-        # --- Checking stage (lines 2:3 – 2:33).
+        # --- Checking stage (lines 2:3 – 2:33).  The 2N events are the
+        # two orders merged, a start before a commit on equal timestamps.
+        # Every start precedes its own commit, so the starts run out no
+        # later than the commits; ``end_ts`` stands in for the start
+        # after the last one.
         t0 = time.perf_counter()
         frontier = self.frontier
         ongoing = self.ongoing
@@ -200,16 +203,21 @@ class Chronos:
         sessions = SessionTracker()
         int_reports: List[Violation] = []
         report_int = int_reports.append
-        started_at: Dict[int, int] = {}
         gc_every = self._gc_every
         sampler = self._memory_sampler
         processed = 0
+        end_ts = commits[commit_order[-1]] + 1 if commit_order else 0
+        pending = iter(start_order)
+        started = next(pending, None)
+        start_ts = end_ts if started is None else starts[started]
 
-        for position, (ts, phase, tid, index) in enumerate(events):  # type: ignore[misc]
-            if phase == 0:
+        for index in commit_order:
+            commit_ts = commits[index]
+            while start_ts <= commit_ts:
                 # ---- start event: SESSION, EXT, INT; register writes.
+                tid = tids[started]
                 writes = simulate(
-                    batch, index, ts, sessions, frontier, report_violation, report_int
+                    batch, started, tid, start_ts, sessions, frontier, report_violation, report_int
                 )
                 if int_reports:
                     result.violations += int_reports
@@ -221,36 +229,34 @@ class Chronos:
                         ongoing[key] = {tid}
                     else:
                         writers.add(tid)
-                if consume:
-                    started_at[index] = position
-            else:
-                # ---- commit event: NOCONFLICT; advance frontier; GC.
-                for key, value in state.pop(tid, {}).items():  # gc int_val / ext_val (31–32)
-                    writers = ongoing[key]
-                    writers.discard(tid)
-                    if writers:
-                        report_violation(
-                            ConflictViolation(
-                                axiom=Axiom.NOCONFLICT,
-                                tid=tid,
-                                key=key,
-                                conflicting_tids=frozenset(writers),
-                            )
+                started = next(pending, None)
+                start_ts = end_ts if started is None else starts[started]
+            # ---- commit event: NOCONFLICT; advance frontier; GC.
+            tid = tids[index]
+            for key, value in state.pop(tid, {}).items():  # gc int_val / ext_val (31–32)
+                writers = ongoing[key]
+                writers.discard(tid)
+                if writers:
+                    report_violation(
+                        ConflictViolation(
+                            axiom=Axiom.NOCONFLICT,
+                            tid=tid,
+                            key=key,
+                            conflicting_tids=frozenset(writers),
                         )
-                    else:
-                        del ongoing[key]
-                    frontier[key] = value
-                processed += 1
-                retained.append(tid)
-                if consume:
-                    events[position] = events[started_at.pop(index)] = None
-                if gc_every is not None and processed % gc_every == 0:
-                    t_gc = time.perf_counter()
-                    self._run_gc()
-                    report.gc_seconds += time.perf_counter() - t_gc
-                    report.gc_runs += 1
-                if sampler is not None and processed % self._sample_every == 0:
-                    report.memory_samples.append((processed, sampler(self)))
+                    )
+                else:
+                    del ongoing[key]
+                frontier[key] = value
+            processed += 1
+            retained.append(tid)
+            if gc_every is not None and processed % gc_every == 0:
+                t_gc = time.perf_counter()
+                self._run_gc()
+                report.gc_seconds += time.perf_counter() - t_gc
+                report.gc_runs += 1
+            if sampler is not None and processed % self._sample_every == 0:
+                report.memory_samples.append((processed, sampler(self)))
 
         report.peak_retained = max(report.peak_retained, len(retained))
         report.check_seconds = time.perf_counter() - t0 - report.gc_seconds

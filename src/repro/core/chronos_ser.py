@@ -17,8 +17,9 @@ The same simulation handles list histories (appends resolve against the
 serial frontier).  Complexity is ``O(N log N + M)``.
 
 Like :class:`~repro.core.chronos.Chronos`, the walk runs over a
-:class:`~repro.core.colpack.ColumnarBatch` — a sort of plain
-``(commit_ts, tid, index)`` tuples, then one
+:class:`~repro.core.colpack.ColumnarBatch` — the transaction indices
+sorted by ``(commit_ts, tid)`` (:func:`~repro.core.common.timestamp_order`,
+one ``int`` key each, no tuple), then one
 :func:`repro.core.common.simulate` call per transaction with the commit
 timestamp as its snapshot — and a :class:`History` or a transaction list
 is flattened onto the same walk.
@@ -31,7 +32,7 @@ from typing import Dict, Sequence, Union
 
 from repro.core.chronos import ChronosReport
 from repro.core.colpack import ColumnarBatch
-from repro.core.common import SessionTracker, simulate
+from repro.core.common import SessionTracker, simulate, timestamp_order
 from repro.core.violations import Axiom, CheckResult, TimestampOrderViolation
 from repro.histories.model import History, Transaction
 
@@ -62,14 +63,18 @@ class ChronosSer:
         )
 
         t0 = time.perf_counter()
-        order = sorted(zip(batch.commits, batch.tids, range(len(batch))))
+        tids = batch.tids
+        commits = batch.commits
+        order = timestamp_order(commits, tids, range(len(batch)))
         report.sort_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         frontier = self.frontier
         starts = batch.starts
         sessions = SessionTracker()
-        for commit_ts, tid, index in order:
+        for index in order:
+            tid = tids[index]
+            commit_ts = commits[index]
             if starts[index] > commit_ts:
                 # Eq. 1 still reported for diagnostic value, though SER
                 # checking itself does not use start timestamps.
@@ -80,7 +85,8 @@ class ChronosSer:
                 )
             frontier.update(
                 simulate(
-                    batch, index, commit_ts, sessions, frontier, report_violation, report_violation
+                    batch, index, tid, commit_ts, sessions, frontier, report_violation,
+                    report_violation,
                 )
             )
         report.check_seconds = time.perf_counter() - t0

@@ -91,6 +91,15 @@ class ColumnarBatch:
     decoded values per op.  No per-transaction dicts, no
     :class:`Operation` objects — those are built by :meth:`transactions`
     only when something off the hot path (a replay, a test) asks.
+
+    Readers index the columns and never depend on their type, because
+    two forms exist.  The batches this module builds for the online
+    kernel (:func:`unpack_columnar`, :meth:`from_transactions`,
+    :meth:`concat`) live for one call and keep tuples and lists.  A
+    loaded history (:func:`~repro.histories.serialization.load_columns`,
+    :func:`~repro.histories.serialization.columns_from_rows`) is kept
+    whole, so its six integer columns are ``array('q')``, and so is its
+    value column while every value is a plain 64-bit ``int``.
     """
 
     __slots__ = (
@@ -115,7 +124,7 @@ class ColumnarBatch:
         op_offsets: Sequence[int],
         op_kinds: bytes,
         op_keys: List[str],
-        op_values: List[Any],
+        op_values: Sequence[Any],
     ) -> None:
         self.tids = tids
         self.sids = sids

@@ -16,17 +16,21 @@
   :class:`~repro.core.chronos_ser.ChronosSer` once per transaction in
   commit order.  It reads columns, not :class:`Operation` objects — a
   history decoded from disk is checked without building any.
+- :func:`timestamp_order` — indices sorted by ``(timestamp, tid,
+  index)`` through one ``int`` key each, the order both offline walks
+  visit transactions in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from array import array
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.core.colpack import OP_READ, OP_READ_LIST, OP_WRITE, ColumnarBatch
 from repro.core.violations import Axiom, ExtViolation, IntViolation, SessionViolation, Violation
 from repro.histories.model import BOTTOM
 
-__all__ = ["BOTTOM", "SessionTracker", "simulate"]
+__all__ = ["BOTTOM", "SessionTracker", "simulate", "timestamp_order"]
 
 #: Timestamp smaller than every real timestamp (``⊥ts`` in Algorithm 2).
 BOTTOM_TS = -1
@@ -73,13 +77,14 @@ class SessionTracker:
 def simulate(
     batch: ColumnarBatch,
     index: int,
+    tid: int,
     snapshot_ts: int,
     sessions: SessionTracker,
     frontier: Dict[str, Any],
     report: Callable[[Violation], None],
     report_int: Callable[[Violation], None],
 ) -> Dict[str, Any]:
-    """Replay transaction ``index`` of ``batch`` against its snapshot.
+    """Replay transaction ``index`` of ``batch`` (id ``tid``) against its snapshot.
 
     ``frontier`` must hold the committed value of every key as of
     ``snapshot_ts`` (a never-written key is absent, i.e. ⊥v).  SESSION and
@@ -92,7 +97,6 @@ def simulate(
     written value, for appends the full list value built on top of the
     snapshot.  This is the value the committed frontier advances to.
     """
-    tid = batch.tids[index]
     violation = sessions.observe(
         tid, batch.sids[index], batch.snos[index], snapshot_ts, batch.commits[index]
     )
@@ -142,3 +146,23 @@ def simulate(
                 base = (base,)
             local[key] = resolved[key] = base + (value,)
     return resolved
+
+
+def timestamp_order(ts: Sequence[int], tids: Sequence[int], indices: Iterable[int]) -> array:
+    """``indices`` (ascending) sorted by ``(ts[i], tids[i], i)``, as an
+    ``array('q')``.
+
+    The key of index ``i`` is the single ``int`` ``ts[i] << k | tids[i] -
+    min(tids)``, with ``k`` the bit width of the tid range, so the sort
+    compares ints instead of building a tuple per element; it orders
+    exactly like ``(ts, tid)`` (negative timestamps included), and the
+    sort's stability keeps equal keys in index order.
+    """
+    indices = list(indices)
+    if not indices:
+        return array("q")
+    low = min(tids)
+    width = (max(tids) - low).bit_length()
+    keys = [stamp << width | tid - low for stamp, tid in zip(ts, tids)]
+    indices.sort(key=keys.__getitem__)
+    return array("q", indices)

@@ -22,11 +22,13 @@ wrap them in length-prefixed file chunks.
 Both file forms decode two ways.  :func:`load_columns` — what ``repro
 check`` reads a history with — sniffs the packed magic and decodes
 either form straight into the flat columns of one :class:`ColumnarBatch`
-(:func:`columns_from_jsonl` appends each line's five integers and its
-op triples to a dozen big lists): no :class:`Operation`, no
-:class:`Transaction`, no derived views, which is all the offline
-checkers need and a third of the time and half the memory of building
-the objects.  :func:`load_history` / :func:`load_history_packed` are the
+(:func:`columns_from_jsonl` through :func:`columns_from_rows`, a packed
+file chunk by chunk): no :class:`Operation`, no :class:`Transaction`, no
+derived views, which is all the offline checkers need.  The integer
+columns are ``array('q')`` — the five header columns, the op offsets
+and, while every value is a plain 64-bit ``int``, the op values — so a
+register history costs about 25 bytes per operation once loaded.
+:func:`load_history` / :func:`load_history_packed` are the
 object-returning fronts for everything that wants a :class:`History`.
 The ``[code, key, value]`` → ``(kind, key, value)`` rule is one
 function, :func:`_decode_ops`, whichever way a transaction is decoded,
@@ -46,6 +48,7 @@ cannot carry at all — is a strict extension.
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -58,6 +61,8 @@ from repro.core.colpack import (
     OP_READ_LIST,
     OP_WRITE,
     ColumnarBatch,
+    _I64_MAX,
+    _I64_MIN,
     _KIND_OF_CODE,
     _U32,
     pack_columnar,
@@ -99,25 +104,39 @@ _KEY_NOT_STR = "every operation's key must be a string"
 
 
 def _decode_header(data: Dict[str, Any]) -> Tuple[int, int, int, int, int]:
-    """A row's five header fields, each an ``int`` and not a ``bool``.
+    """A row's five header fields, each a signed 64-bit ``int`` and not a ``bool``.
 
     JSON types a row itself, so a timestamp can arrive as a string, a
     float or ``true``; the checkers would compare it with integers (or
-    raise) instead of refusing the row.
+    raise) instead of refusing the row.  The 64-bit range is the one the
+    header columns, packed files and v2 frames hold.
     """
     header = tid, sid, sno, sts, cts = (
         data["tid"], data["sid"], data["sno"], data["sts"], data["cts"]
     )
-    if type(tid) is type(sid) is type(sno) is type(sts) is type(cts) is int:
+    if (
+        type(tid) is type(sid) is type(sno) is type(sts) is type(cts) is int
+        and _I64_MIN <= tid <= _I64_MAX
+        and _I64_MIN <= sid <= _I64_MAX
+        and _I64_MIN <= sno <= _I64_MAX
+        and _I64_MIN <= sts <= _I64_MAX
+        and _I64_MIN <= cts <= _I64_MAX
+    ):
         return header
-    name = next(name for name, field in zip(_HEADER, header) if type(field) is not int)
-    raise ValueError(f"every transaction's {name!r} must be an integer")
+    name = next(
+        name
+        for name, field in zip(_HEADER, header)
+        if type(field) is not int or not _I64_MIN <= field <= _I64_MAX
+    )
+    raise ValueError(f"every transaction's {name!r} must be a 64-bit integer")
 
 
 def _decode_ops(
     wire_ops: Any, kinds: bytearray, keys: List[str], values: List[Any], memo: Dict[str, str]
-) -> None:
-    """Append one transaction's ``[code, key, value]`` ops to op columns.
+) -> bool:
+    """Append one transaction's ``[code, key, value]`` ops to op columns;
+    true when every value appended was a plain ``int`` (what
+    :func:`_append_values` may store in machine words).
 
     Every op is a 3-element JSON array and every key a string.  ``memo``
     maps each key seen so far to its first decoded object, and later
@@ -128,12 +147,13 @@ def _decode_ops(
 
     List values are tuples in the model (list keys hold tuples; ⊥T may
     write an empty tuple); JSON renders them as arrays, so any array
-    decodes back to a tuple regardless of operation kind, and a
-    read-list's value is a tuple whatever it was written as (what
-    :class:`Operation` enforces).
+    decodes back to a tuple regardless of operation kind.  A read-list's
+    value must be an array: a string or an object would iterate into a
+    tuple of its characters or keys.
     """
     op = code = None
     shared_key = memo.get
+    plain = True
     try:
         for op in wire_ops:
             if type(op) is not list:
@@ -147,9 +167,14 @@ def _decode_ops(
                     raise TypeError
                 memo[key] = shared = key
             keys.append(shared)
-            values.append(
-                tuple(value) if kind == OP_READ_LIST or isinstance(value, list) else value
-            )
+            if type(value) is not int or kind == OP_READ_LIST:
+                plain = False
+                if type(value) is list:
+                    value = tuple(value)
+                elif kind == OP_READ_LIST:
+                    raise TypeError
+            values.append(value)
+        return plain
     except KeyError:
         raise ValueError(f"unknown operation code {code!r}") from None
     except (TypeError, ValueError):
@@ -201,32 +226,75 @@ def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
     the row-append step of :func:`columns_from_jsonl` — also how the
     daemon turns an ndjson ``submit`` into the batch a binary frame
     carries.  No per-transaction or per-operation object is built, and
-    each distinct key is one object across all the rows.  Raises what
+    each distinct key is one object across all the rows.  The header
+    columns and the op offsets are ``array('q')``; values are decoded
+    into a list :data:`_PACK_CHUNK` rows at a time and moved into the
+    value column by :func:`_append_values`.  Raises what
     :func:`txn_from_dict` raises: :class:`KeyError` for a missing
     field, :class:`TypeError` for a row that is not an object,
-    :class:`ValueError` for a header field that is not an integer and
-    from :func:`_decode_ops`.
+    :class:`ValueError` for a header field that is not a 64-bit integer
+    and from :func:`_decode_ops`.
     """
-    tids: List[int] = []
-    sids: List[int] = []
-    snos: List[int] = []
-    starts: List[int] = []
-    commits: List[int] = []
-    offsets: List[int] = [0]
+    columns = [array("q") for _ in _HEADER] + [array("q", [0])]
     kinds = bytearray()
     keys: List[str] = []
-    values: List[Any] = []
+    values: Union[array, List[Any]] = array("q")
+    #: The chunk's rows as flat (tid, sid, sno, sts, cts, op end) runs, and
+    #: its op values; moved into the columns every ``_PACK_CHUNK`` rows.
+    heads: List[int] = []
+    chunk: List[Any] = []
+    plain = True
     memo: Dict[str, str] = {}
-    for data in rows:
-        tid, sid, sno, sts, cts = _decode_header(data)
-        tids.append(tid)
-        sids.append(sid)
-        snos.append(sno)
-        starts.append(sts)
-        commits.append(cts)
-        _decode_ops(data["ops"], kinds, keys, values, memo)
-        offsets.append(len(keys))
-    return ColumnarBatch(tids, sids, snos, starts, commits, offsets, bytes(kinds), keys, values)
+    for count, data in enumerate(rows, 1):
+        heads += _decode_header(data)
+        plain = _decode_ops(data["ops"], kinds, keys, chunk, memo) and plain
+        heads.append(len(keys))
+        if not count % _PACK_CHUNK:
+            values = _move_chunk(columns, heads, values, chunk, plain)
+            plain = True
+    values = _move_chunk(columns, heads, values, chunk, plain)
+    return ColumnarBatch(*columns, bytes(kinds), keys, values)
+
+
+def _move_chunk(
+    columns: List[array],
+    heads: List[int],
+    values: Union[array, List[Any]],
+    chunk: List[Any],
+    plain: bool,
+) -> Union[array, List[Any]]:
+    """Empty a chunk of decoded rows into the columns; returns the value column."""
+    for first, column in enumerate(columns):
+        column.fromlist(heads[first :: len(columns)])
+    heads.clear()
+    values = _append_values(values, chunk, plain)
+    chunk.clear()
+    return values
+
+
+def _append_values(
+    column: Union[array, List[Any]], chunk: List[Any], plain: bool
+) -> Union[array, List[Any]]:
+    """``column`` with the decoded values of ``chunk`` appended.
+
+    The value column of a loaded history is an ``array('q')`` while
+    every value is a plain ``int`` (``plain``: the chunk holds nothing
+    else) in the signed 64-bit range: 8 bytes per op instead of an
+    ``int`` object and a list slot.  The first chunk holding anything
+    else (a ``bool``, ``None``, a float, a string, a tuple, a dict, a
+    wider int) turns it into a list, once, and it stays one — so a
+    ``True`` never comes back as ``1``.
+    """
+    if type(column) is array:
+        if plain:
+            try:
+                column.fromlist(chunk)  # all or nothing
+                return column
+            except OverflowError:
+                pass
+        column = column.tolist()
+    column += chunk
+    return column
 
 
 def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> ColumnarBatch:
@@ -236,8 +304,9 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
     lines are ignored.  Raises :class:`ValueError`
     naming the line (``"<where><line number>: <what>"``) for malformed
     JSON, a missing field, ops that are not ``[code, key, value]``
-    triples, a key that is not a string, a header field that is not an
-    integer, an unknown op code, or a transaction id seen before (what
+    triples or a read-list whose value is not an array, a key that is
+    not a string, a header field that is not a 64-bit integer, an
+    unknown op code, or a transaction id seen before (what
     :class:`History` refuses).
     """
     line_no = 0
@@ -378,12 +447,38 @@ def _packed_chunks(handle: BinaryIO) -> Iterator[ColumnarBatch]:
         yield batch
 
 
+def _packed_columns(handle: BinaryIO) -> ColumnarBatch:
+    """The chunks of a packed history file in the columns
+    :func:`columns_from_rows` builds: ``array('q')`` headers and offsets,
+    values through :func:`_append_values` one file chunk at a time."""
+    tids, sids, snos, starts, commits = (array("q") for _ in _HEADER)
+    offsets = array("q", [0])
+    kinds = bytearray()
+    keys: List[str] = []
+    values: Union[array, List[Any]] = array("q")
+    for batch in _packed_chunks(handle):
+        tids.extend(batch.tids)
+        sids.extend(batch.sids)
+        snos.extend(batch.snos)
+        starts.extend(batch.starts)
+        commits.extend(batch.commits)
+        base = len(keys)
+        offsets.extend([base + offset for offset in batch.op_offsets[1:]])
+        kinds += batch.op_kinds
+        keys += batch.op_keys
+        values = _append_values(values, batch.op_values, set(map(type, batch.op_values)) <= {int})
+    return ColumnarBatch(tids, sids, snos, starts, commits, offsets, bytes(kinds), keys, values)
+
+
 def load_columns(path: Union[str, Path]) -> ColumnarBatch:
     """Read a history file of either form as one :class:`ColumnarBatch`.
 
     The first four bytes tell the forms apart: a packed file's chunks are
     concatenated, anything else is decoded as JSON Lines by
-    :func:`columns_from_jsonl`.  Raises :class:`ValueError` starting with
+    :func:`columns_from_jsonl`.  Both forms end in the same columns
+    (:func:`_append_values` decides the value column's type), so a
+    history has one representation whichever file it came from.
+    Raises :class:`ValueError` starting with
     ``<path>:`` (``<path>:<line>:`` for JSONL) for undecodable content
     and for a transaction id that occurs twice.
     """
@@ -392,7 +487,7 @@ def load_columns(path: Union[str, Path]) -> ColumnarBatch:
             handle.seek(0)
             return columns_from_jsonl(map(bytes.decode, handle), where=f"{path}:")
         try:
-            batch = ColumnarBatch.concat(_packed_chunks(handle))
+            batch = _packed_columns(handle)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if len(set(batch.tids)) != len(batch):

@@ -235,9 +235,9 @@ class TestGcModes:
         with pytest.raises(ValueError):
             Chronos(gc_every=0)
 
-    def test_consume_releases_retained(self, si_history):
+    def test_periodic_gc_releases_retained(self, si_history):
         checker = Chronos(gc_every=200, gc_mode=GcMode.LIGHT)
-        checker.check_transactions(list(si_history.transactions), consume=True)
+        checker.check_transactions(list(si_history.transactions))
         assert len(checker.retained) < 200
         assert checker.report.peak_retained <= 200
 

@@ -137,11 +137,19 @@ class TestCheckCommand:
              "2: every operation's key must be a string"),
             # Mistyped headers were checked: "start_ts 3 > commit_ts True".
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":true,"ops":[["w","x",2]]}',
-             "2: every transaction's 'cts' must be an integer"),
+             "2: every transaction's 'cts' must be a 64-bit integer"),
             ('{"tid":2,"sid":1,"sno":1,"sts":1.5,"cts":4,"ops":[["w","x",2]]}',
-             "2: every transaction's 'sts' must be an integer"),
+             "2: every transaction's 'sts' must be a 64-bit integer"),
             ('{"tid":"b","sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w","x",2]]}',
-             "2: every transaction's 'tid' must be an integer"),
+             "2: every transaction's 'tid' must be a 64-bit integer"),
+            # Past 64 bits: checked, then unwritable as a packed file.
+            ('{"tid":9223372036854775808,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w","x",2]]}',
+             "2: every transaction's 'tid' must be a 64-bit integer"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":-9223372036854775809,"cts":4,"ops":[["w","x",2]]}',
+             "2: every transaction's 'sts' must be a 64-bit integer"),
+            # A read-list's string or object value iterated into a tuple.
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["rl","l","abc"]]}', "2: malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["rl","l",{"a":1}]]}', "2: malformed ops"),
         ],
     )
     @pytest.mark.parametrize("mode", [[], ["--online"]])

@@ -214,7 +214,11 @@ class TestColumnDecoderRefusals:
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[{"w":1,"x":2,"y":3}]}', "malformed ops"),
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w",[1],5]]}', "key must be a string"),
             ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["w",null,5]]}', "key must be a string"),
-            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":false,"ops":[]}', "'cts' must be an integer"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":false,"ops":[]}', "'cts' must be a 64-bit integer"),
+            ('{"tid":2,"sid":1,"sno":9223372036854775808,"sts":3,"cts":4,"ops":[]}',
+             "'sno' must be a 64-bit integer"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["rl","l","abc"]]}', "malformed ops"),
+            ('{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[["rl","l",{"a":1}]]}', "malformed ops"),
             ('{"tid":1,"sid":1,"sno":1,"sts":3,"cts":4,"ops":[]}', "duplicate transaction id 1"),
             ("[1, 2]", "not a transaction object"),
         ],
@@ -238,8 +242,12 @@ class TestColumnDecoderRefusals:
             ({**good, "ops": ["wxy"]}, ValueError),
             ({**good, "ops": [("w", "x", 1)]}, ValueError),
             ({**good, "ops": [["w", 7, 1]]}, ValueError),
+            ({**good, "ops": [["rl", "l", "abc"]]}, ValueError),
+            ({**good, "ops": [["rl", "l", {"a": 1}]]}, ValueError),
             ({**good, "sno": "0"}, ValueError),
             ({**good, "sid": True}, ValueError),
+            ({**good, "tid": 2**63}, ValueError),
+            ({**good, "cts": -(2**63) - 1}, ValueError),
             ([1, 2], TypeError),
         ]:
             with pytest.raises(error) as from_rows:
@@ -247,8 +255,30 @@ class TestColumnDecoderRefusals:
             with pytest.raises(error) as from_dict:
                 [txn_from_dict(row) for row in (good, bad)]
             assert str(from_rows.value) == str(from_dict.value)
-        assert columns_from_rows([good, good]).tids == [1, 1]
-        assert len(columns_from_rows([])) == 0 and columns_from_rows([]).op_offsets == [0]
+        assert list(columns_from_rows([good, good]).tids) == [1, 1]
+        assert len(columns_from_rows([])) == 0 and list(columns_from_rows([]).op_offsets) == [0]
+
+    @pytest.mark.parametrize(
+        "ops, what",
+        [('[["rl","l","abc"]]', "malformed ops"), ('[["rl","l",{"a":1}]]', "malformed ops"),
+         ('[["rl","l",[1,2]]]', None)],
+    )
+    def test_read_list_value_must_be_an_array(self, tmp_path, ops, what):
+        """A string read-list value decoded as its characters, an object
+        as its keys.  Every decoder now refuses both; an array still reads."""
+        text = self.GOOD + "\n" + self.GOOD.replace('"tid":1', '"tid":2').replace('[["w","x",1]]', ops)
+        path = tmp_path / "h.jsonl"
+        path.write_text(text + "\n")
+        decoders = [lambda: history_from_jsonl(text), lambda: load_history(path),
+                    lambda: load_columns(path), lambda: columns_from_jsonl(text.splitlines())]
+        for decode in decoders:
+            if what is None:
+                assert len(decode()) == 2
+            else:
+                with pytest.raises(ValueError, match=what):
+                    decode()
+        if what is None:
+            assert history_from_jsonl(text).get(2).ops[0].value == (1, 2)
 
     def test_file_errors_carry_path_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -279,7 +309,7 @@ class TestLoadColumns:
         jsonl.write_text("")
         save_history_packed([], packed)
         assert len(load_columns(jsonl)) == len(load_columns(packed)) == 0
-        assert load_columns(packed).op_offsets == [0]
+        assert list(load_columns(packed).op_offsets) == [0]
 
     def test_packed_duplicate_tid_and_truncation_refused(self, tmp_path, si_history):
         packed = tmp_path / "h.rpch"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -85,7 +86,10 @@ def test_one_object_per_distinct_key(files, ladder_history, decoder):
 def test_traced_bytes_per_op(files):
     """What ``load_columns`` leaves allocated per operation of the
     5,000-transaction file: ~120 B with a key string per op, ~66 B with
-    one per key.  The gate sits between the two."""
+    one per key, ~25 B once the integer columns (values included: this
+    history's are all ints) are ``array('q')``.  The gate sits between
+    the last two; ``test_compact_columns.py`` holds the packed file to
+    the same bound."""
     jsonl, _ = files
     gc.collect()
     tracemalloc.start()
@@ -98,7 +102,8 @@ def test_traced_bytes_per_op(files):
         tracemalloc.stop()
     n_ops = len(batch.op_keys)
     assert n_ops > 7 * N_TXNS
-    assert retained / n_ops <= 85, f"{retained / n_ops:.1f} B per op"
+    assert type(batch.op_values) is array
+    assert retained / n_ops <= 32, f"{retained / n_ops:.1f} B per op"
 
 
 def _fresh_keys_history(prefix):

@@ -342,9 +342,14 @@ class TestDaemon:
 
     @pytest.mark.parametrize(
         "field, value, complaint",
-        [("sts", "x", "'sts' must be an integer"), ("tid", 1.5, "'tid' must be an integer"),
-         ("cts", True, "'cts' must be an integer"), ("ops", [["w", 7, 1]], "key must be a string"),
-         ("ops", [["w", [1], 1]], "key must be a string"), ("ops", ["wxy"], "malformed ops")],
+        [("sts", "x", "'sts' must be a 64-bit integer"),
+         ("tid", 1.5, "'tid' must be a 64-bit integer"),
+         ("cts", True, "'cts' must be a 64-bit integer"),
+         ("tid", 2**63, "'tid' must be a 64-bit integer"),
+         ("ops", [["w", 7, 1]], "key must be a string"),
+         ("ops", [["w", [1], 1]], "key must be a string"), ("ops", ["wxy"], "malformed ops"),
+         ("ops", [["rl", "l", "abc"]], "malformed ops"),
+         ("ops", [["rl", "l", {"a": 1}]], "malformed ops")],
     )
     def test_mistyped_v1_row_is_refused_at_admission(self, start_service, field, value, complaint):
         # JSON types an ndjson row itself, so a timestamp can arrive as a
