@@ -14,12 +14,15 @@ order of Definition 5).  Walking the ``2N`` events in one pass it checks:
   writers still in flight.
 
 The walk runs over a :class:`~repro.core.colpack.ColumnarBatch` and
-builds no object per event: the transaction indices are sorted twice,
-by ``(start_ts, tid)`` and by ``(commit_ts, tid)``
-(:func:`~repro.core.common.timestamp_order`, one ``int`` key each, into
-an ``array('q')``), and a two-pointer merge of the two orders yields the
-events — on equal timestamps a start before a commit, the order the old
-``(ts, phase, tid, index)`` tuples sorted into.  Each start event
+keeps no object per transaction: the transaction indices are sorted
+twice, by ``(start_ts, tid)`` and by ``(commit_ts, tid)``
+(:func:`~repro.core.common.timestamp_order`, one packed ``int`` per
+index, into an ``array('q')``), and a two-pointer merge of the two
+orders yields the events — on equal timestamps a start before a commit,
+the order the old ``(ts, phase, tid, index)`` tuples sorted into.  The
+accepted indices are the batch's ``range`` unless Eq. 1 offenders exist
+(then a one-byte-per-row mask), and the retained tids are an
+``array('q')``.  Each start event
 replays the transaction's slice of the flat op columns through
 :func:`repro.core.common.simulate`.  A history
 file decoded by :func:`~repro.histories.serialization.load_columns` is
@@ -45,6 +48,7 @@ import enum
 import gc as _host_gc
 import operator
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
@@ -138,8 +142,10 @@ class Chronos:
         self.ongoing: Dict[str, Set[int]] = {}
         #: Resolved writes of every started, uncommitted transaction.
         self.int_ext_state: Dict[int, Dict[str, object]] = {}
-        #: Tids of processed transactions not yet recycled.
-        self.retained: List[int] = []
+        #: Tids of processed transactions not yet recycled, in machine
+        #: words (8 bytes each, no ``int`` object): it grows by one per
+        #: commit and empties at each GC cycle — Fig 10's sawtooth.
+        self.retained = array("q")
 
     # ------------------------------------------------------------------
     # Public API
@@ -174,10 +180,11 @@ class Chronos:
         tids = batch.tids
         starts = batch.starts
         commits = batch.commits
-        indices = range(len(batch))
-        accepted = list(compress(indices, map(operator.le, starts, commits)))
-        if len(accepted) < len(indices):
-            for index in compress(indices, map(operator.gt, starts, commits)):
+        # Without offenders (the usual case) nothing is built to say so.
+        accepted: Optional[bytes] = None
+        if any(map(operator.gt, starts, commits)):
+            accepted = bytes(map(operator.le, starts, commits))  # one byte a row
+            for index in compress(range(len(batch)), map(operator.gt, starts, commits)):
                 report_violation(
                     TimestampOrderViolation(
                         axiom=Axiom.TS_ORDER,
@@ -267,6 +274,6 @@ class Chronos:
         # The retained set only grows between cycles, so its peak is its
         # size just before one (or at the end of the walk).
         self.report.peak_retained = max(self.report.peak_retained, len(self.retained))
-        self.retained.clear()
+        del self.retained[:]
         if self._gc_mode is GcMode.FULL:
             _host_gc.collect()

@@ -19,7 +19,7 @@ serial frontier).  Complexity is ``O(N log N + M)``.
 Like :class:`~repro.core.chronos.Chronos`, the walk runs over a
 :class:`~repro.core.colpack.ColumnarBatch` — the transaction indices
 sorted by ``(commit_ts, tid)`` (:func:`~repro.core.common.timestamp_order`,
-one ``int`` key each, no tuple), then one
+one packed ``int`` per index, no tuple), then one
 :func:`repro.core.common.simulate` call per transaction with the commit
 timestamp as its snapshot — and a :class:`History` or a transaction list
 is flattened onto the same walk.
@@ -65,7 +65,7 @@ class ChronosSer:
         t0 = time.perf_counter()
         tids = batch.tids
         commits = batch.commits
-        order = timestamp_order(commits, tids, range(len(batch)))
+        order = timestamp_order(commits, tids)
         report.sort_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -98,8 +98,10 @@ class ColumnarBatch:
     :meth:`concat`) live for one call and keep tuples and lists.  A
     loaded history (:func:`~repro.histories.serialization.load_columns`,
     :func:`~repro.histories.serialization.columns_from_rows`) is kept
-    whole, so its six integer columns are ``array('q')``, and so is its
-    value column while every value is a plain 64-bit ``int``.
+    whole, so its six integer columns are arrays of the narrowest width
+    that holds them — ``array('i')``, or ``array('q')`` from the first
+    chunk with a value past 32 bits — and so is its value column while
+    every value is a plain 64-bit ``int``.
     """
 
     __slots__ = (

@@ -17,13 +17,15 @@
   commit order.  It reads columns, not :class:`Operation` objects — a
   history decoded from disk is checked without building any.
 - :func:`timestamp_order` — indices sorted by ``(timestamp, tid,
-  index)`` through one ``int`` key each, the order both offline walks
-  visit transactions in.
+  index)``, each packed with its key into one ``int``, the order both
+  offline walks visit transactions in.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress, count, repeat
+from operator import and_
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.core.colpack import OP_READ, OP_READ_LIST, OP_WRITE, ColumnarBatch
@@ -148,21 +150,32 @@ def simulate(
     return resolved
 
 
-def timestamp_order(ts: Sequence[int], tids: Sequence[int], indices: Iterable[int]) -> array:
-    """``indices`` (ascending) sorted by ``(ts[i], tids[i], i)``, as an
-    ``array('q')``.
+def timestamp_order(
+    ts: Sequence[int], tids: Sequence[int], keep: Optional[Iterable[Any]] = None
+) -> array:
+    """The indices ``i`` of ``ts`` sorted by ``(ts[i], tids[i], i)``, as
+    an ``array('q')``; only those whose ``keep[i]`` is true when ``keep``
+    is given.
 
-    The key of index ``i`` is the single ``int`` ``ts[i] << k | tids[i] -
-    min(tids)``, with ``k`` the bit width of the tid range, so the sort
-    compares ints instead of building a tuple per element; it orders
-    exactly like ``(ts, tid)`` (negative timestamps included), and the
-    sort's stability keeps equal keys in index order.
+    Each index is packed with its sort key into one ``int``, ``(ts[i] <<
+    w | tids[i] - min(tids)) << s | i``, with ``w`` the bit width of the
+    tid range and ``s`` that of the largest index.  Sorting those ints
+    orders exactly like the tuple (negative timestamps included, and no
+    two are equal), and masking off the low ``s`` bits maps each straight
+    back to its index: one list of ints is all the sort allocates — no
+    key list, no index copy, no tuple.  The fields never overlap, so the
+    packing adds them, and ``- min(tids) << s`` rides on the index
+    counter instead of costing a subtraction per row (it leaves the low
+    ``s`` bits alone).
     """
-    indices = list(indices)
-    if not indices:
+    if not ts:
         return array("q")
     low = min(tids)
-    width = (max(tids) - low).bit_length()
-    keys = [stamp << width | tid - low for stamp, tid in zip(ts, tids)]
-    indices.sort(key=keys.__getitem__)
-    return array("q", indices)
+    shift = len(ts).bit_length()
+    width = shift + (max(tids) - low).bit_length()
+    rows = zip(count(-(low << shift)), ts, tids)
+    if keep is not None:
+        rows = compress(rows, keep)
+    packed = [(stamp << width) + (tid << shift) + index for index, stamp, tid in rows]
+    packed.sort()
+    return array("q", map(and_, packed, repeat((1 << shift) - 1)))

@@ -25,9 +25,16 @@ either form straight into the flat columns of one :class:`ColumnarBatch`
 (:func:`columns_from_jsonl` through :func:`columns_from_rows`, a packed
 file chunk by chunk): no :class:`Operation`, no :class:`Transaction`, no
 derived views, which is all the offline checkers need.  The integer
-columns are ``array('q')`` — the five header columns, the op offsets
-and, while every value is a plain 64-bit ``int``, the op values — so a
-register history costs about 25 bytes per operation once loaded.
+columns — the five header columns, the op offsets and, while every value
+is a plain 64-bit ``int``, the op values — hold machine words in the
+narrowest of two widths.  Each starts as ``array('i')`` (4 bytes) and
+becomes ``array('q')`` (8 bytes) at the first 2,048-row chunk
+(:data:`_PACK_CHUNK`, or one packed file chunk) holding a value past 32
+bits; ``array.fromlist`` raises :class:`OverflowError` rather than
+truncate, so a column never holds a wrong value, and a value past 64
+bits turns the value column into a list (:func:`_append_values`).  A
+register history whose integers fit in 32 bits costs about 17 bytes
+per operation once loaded.
 :func:`load_history` / :func:`load_history_packed` are the
 object-returning fronts for everything that wants a :class:`History`.
 The ``[code, key, value]`` → ``(kind, key, value)`` rule is one
@@ -48,7 +55,9 @@ cannot carry at all — is a strict extension.
 from __future__ import annotations
 
 import json
+import operator
 from array import array
+from itertools import compress, islice
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -226,19 +235,22 @@ def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
     the row-append step of :func:`columns_from_jsonl` — also how the
     daemon turns an ndjson ``submit`` into the batch a binary frame
     carries.  No per-transaction or per-operation object is built, and
-    each distinct key is one object across all the rows.  The header
-    columns and the op offsets are ``array('q')``; values are decoded
-    into a list :data:`_PACK_CHUNK` rows at a time and moved into the
-    value column by :func:`_append_values`.  Raises what
+    each distinct key is one object across all the rows.  Rows are
+    decoded into flat lists :data:`_PACK_CHUNK` rows at a time and
+    moved into the columns by :func:`_extend` (the header columns and
+    the op offsets, ``array('i')`` until a value needs ``'q'``) and
+    :func:`_append_values` (the value column).  Tids are not checked
+    for repeats here; a history file is (:func:`columns_from_jsonl`,
+    :func:`load_columns`).  Raises what
     :func:`txn_from_dict` raises: :class:`KeyError` for a missing
     field, :class:`TypeError` for a row that is not an object,
     :class:`ValueError` for a header field that is not a 64-bit integer
     and from :func:`_decode_ops`.
     """
-    columns = [array("q") for _ in _HEADER] + [array("q", [0])]
+    columns = [array("i") for _ in _HEADER] + [array("i", [0])]
     kinds = bytearray()
     keys: List[str] = []
-    values: Union[array, List[Any]] = array("q")
+    values: Union[array, List[Any]] = array("i")
     #: The chunk's rows as flat (tid, sid, sno, sts, cts, op end) runs, and
     #: its op values; moved into the columns every ``_PACK_CHUNK`` rows.
     heads: List[int] = []
@@ -265,11 +277,30 @@ def _move_chunk(
 ) -> Union[array, List[Any]]:
     """Empty a chunk of decoded rows into the columns; returns the value column."""
     for first, column in enumerate(columns):
-        column.fromlist(heads[first :: len(columns)])
+        columns[first] = _extend(column, heads[first :: len(columns)])
     heads.clear()
     values = _append_values(values, chunk, plain)
     chunk.clear()
     return values
+
+
+def _extend(column: array, chunk: List[int]) -> array:
+    """``column`` with ``chunk`` appended, widened from ``array('i')`` to
+    ``array('q')`` if a value of ``chunk`` does not fit in 32 bits.
+
+    ``fromlist`` is all or nothing: on :class:`OverflowError` the column
+    is as it was, so the chunk goes into a copy at 8 bytes a value (and
+    every later chunk with it).  A value past 64 bits raises
+    :class:`OverflowError`, leaving the caller's column unchanged.
+    """
+    try:
+        column.fromlist(chunk)
+    except OverflowError:
+        if column.typecode == "q":
+            raise
+        column = array("q", column)
+        column.fromlist(chunk)
+    return column
 
 
 def _append_values(
@@ -277,24 +308,43 @@ def _append_values(
 ) -> Union[array, List[Any]]:
     """``column`` with the decoded values of ``chunk`` appended.
 
-    The value column of a loaded history is an ``array('q')`` while
-    every value is a plain ``int`` (``plain``: the chunk holds nothing
-    else) in the signed 64-bit range: 8 bytes per op instead of an
-    ``int`` object and a list slot.  The first chunk holding anything
-    else (a ``bool``, ``None``, a float, a string, a tuple, a dict, a
-    wider int) turns it into a list, once, and it stays one — so a
-    ``True`` never comes back as ``1``.
+    The value column of a loaded history is an ``array`` while every
+    value is a plain ``int`` (``plain``: the chunk holds nothing else)
+    in the signed 64-bit range: 4 or 8 bytes per op (:func:`_extend`)
+    instead of an ``int`` object and a list slot.  The first chunk
+    holding anything else (a ``bool``, ``None``, a float, a string, a
+    tuple, a dict, a wider int) turns it into a list, once, and it stays
+    one — so a ``True`` never comes back as ``1``.
     """
     if type(column) is array:
         if plain:
             try:
-                column.fromlist(chunk)  # all or nothing
-                return column
+                return _extend(column, chunk)
             except OverflowError:
                 pass
         column = column.tolist()
     column += chunk
     return column
+
+
+def _first_repeat(tids: Sequence[int]) -> Optional[int]:
+    """The row index of the first tid that an earlier row already has,
+    or ``None`` — the one duplicate check of a loaded history file.
+
+    One sort of the tid column and a scan of equal neighbours, both in
+    C; only a file that has a repeat walks its rows to name the first
+    one in file order.
+    """
+    ordered = sorted(tids)
+    repeated = set(compress(ordered, map(operator.eq, ordered, islice(ordered, 1, None))))
+    if not repeated:
+        return None
+    seen: set = set()
+    return next(
+        index
+        for index, tid in enumerate(tids)
+        if tid in repeated and (tid in seen or seen.add(tid))
+    )
 
 
 def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> ColumnarBatch:
@@ -307,28 +357,30 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
     triples or a read-list whose value is not an array, a key that is
     not a string, a header field that is not a 64-bit integer, an
     unknown op code, or a transaction id seen before (what
-    :class:`History` refuses).
+    :class:`History` refuses).  Repeated tids are looked for once the
+    whole file has decoded (:func:`_first_repeat`, no per-row set), so
+    a decode error anywhere in the file is reported before a duplicate
+    tid; the duplicate's message names the line of its second
+    occurrence, blank lines counted.
     """
     line_no = 0
+    #: Line numbers of the skipped lines: what maps a row back to its line.
+    blanks: List[int] = []
 
     def rows() -> Iterator[Dict[str, Any]]:
         nonlocal line_no
-        seen: set = set()
         for line_no, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
+                blanks.append(line_no)
                 continue
             data, end = _decode_json(line)
             if end != len(line):
                 raise ValueError("extra data after the transaction object")
-            tid = data["tid"]
-            if tid in seen:
-                raise ValueError(f"duplicate transaction id {tid}")
-            seen.add(tid)
             yield data
 
     try:
-        return columns_from_rows(rows())
+        batch = columns_from_rows(rows())
     except KeyError as exc:
         raise ValueError(f"{where}{line_no}: missing field {exc}") from None
     except TypeError:
@@ -337,6 +389,15 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
         raise ValueError(f"{where}{line_no + 1}: {exc}") from None
     except ValueError as exc:  # includes json.JSONDecodeError
         raise ValueError(f"{where}{line_no}: {exc}") from None
+    repeat = _first_repeat(batch.tids)
+    if repeat is not None:
+        line_no = repeat + 1
+        for blank in blanks:  # ascending: each one at or before the row moves it down
+            if blank > line_no:
+                break
+            line_no += 1
+        raise ValueError(f"{where}{line_no}: duplicate transaction id {batch.tids[repeat]}")
+    return batch
 
 
 def history_to_jsonl(history: History) -> str:
@@ -429,7 +490,10 @@ def iter_history_packed(path: Union[str, Path]) -> Iterator[Transaction]:
 
 def _packed_chunks(handle: BinaryIO) -> Iterator[ColumnarBatch]:
     """The chunks of a packed history file positioned just past its magic,
-    decoded with one key memo so a key is one object across chunks."""
+    decoded with one key memo so a key is one object across chunks.
+
+    Neither the blob nor the chunk is held while the next one is read, so
+    a consumer that drops its chunk too holds one at a time."""
     memo: Dict[str, str] = {}
     while True:
         header = handle.read(4)
@@ -442,32 +506,33 @@ def _packed_chunks(handle: BinaryIO) -> Iterator[ColumnarBatch]:
         if len(blob) != length:
             raise ValueError("packed history file truncated in chunk body")
         batch, consumed = unpack_columnar(blob, memo=memo)
+        del blob
         if consumed != length:
             raise ValueError("packed history chunk has trailing bytes")
         yield batch
+        del batch
 
 
 def _packed_columns(handle: BinaryIO) -> ColumnarBatch:
     """The chunks of a packed history file in the columns
-    :func:`columns_from_rows` builds: ``array('q')`` headers and offsets,
-    values through :func:`_append_values` one file chunk at a time."""
-    tids, sids, snos, starts, commits = (array("q") for _ in _HEADER)
-    offsets = array("q", [0])
+    :func:`columns_from_rows` builds: header and offset columns through
+    :func:`_extend`, values through :func:`_append_values`, one file
+    chunk at a time."""
+    columns = [array("i") for _ in _HEADER] + [array("i", [0])]
     kinds = bytearray()
     keys: List[str] = []
-    values: Union[array, List[Any]] = array("q")
+    values: Union[array, List[Any]] = array("i")
     for batch in _packed_chunks(handle):
-        tids.extend(batch.tids)
-        sids.extend(batch.sids)
-        snos.extend(batch.snos)
-        starts.extend(batch.starts)
-        commits.extend(batch.commits)
         base = len(keys)
-        offsets.extend([base + offset for offset in batch.op_offsets[1:]])
+        chunk = (batch.tids, batch.sids, batch.snos, batch.starts, batch.commits,
+                 [base + offset for offset in batch.op_offsets[1:]])
+        for at, part in enumerate(chunk):
+            columns[at] = _extend(columns[at], list(part))
         kinds += batch.op_kinds
         keys += batch.op_keys
         values = _append_values(values, batch.op_values, set(map(type, batch.op_values)) <= {int})
-    return ColumnarBatch(tids, sids, snos, starts, commits, offsets, bytes(kinds), keys, values)
+        del batch, chunk  # before the next chunk is decoded
+    return ColumnarBatch(*columns, bytes(kinds), keys, values)
 
 
 def load_columns(path: Union[str, Path]) -> ColumnarBatch:
@@ -480,7 +545,9 @@ def load_columns(path: Union[str, Path]) -> ColumnarBatch:
     history has one representation whichever file it came from.
     Raises :class:`ValueError` starting with
     ``<path>:`` (``<path>:<line>:`` for JSONL) for undecodable content
-    and for a transaction id that occurs twice.
+    and for a transaction id that occurs twice; both forms look for the
+    repeat once the file has decoded (:func:`_first_repeat`), so any
+    decode error is reported first.
     """
     with Path(path).open("rb") as handle:
         if handle.read(len(_PACK_FILE_MAGIC)) != _PACK_FILE_MAGIC:
@@ -490,8 +557,7 @@ def load_columns(path: Union[str, Path]) -> ColumnarBatch:
             batch = _packed_columns(handle)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if len(set(batch.tids)) != len(batch):
-        seen: set = set()
-        repeated = next(tid for tid in batch.tids if tid in seen or seen.add(tid))
-        raise ValueError(f"{path}: duplicate transaction id {repeated}")
+    repeat = _first_repeat(batch.tids)
+    if repeat is not None:
+        raise ValueError(f"{path}: duplicate transaction id {batch.tids[repeat]}")
     return batch

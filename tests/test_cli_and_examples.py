@@ -164,6 +164,21 @@ class TestCheckCommand:
         assert captured.err.startswith(f"error: {path}:{what}"), captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("mode", [[], ["--online"]])
+    def test_duplicate_tid_exits_two_naming_its_line_or_file(self, tmp_path, capsys, mode):
+        """A JSONL file names the second occurrence's line, blank lines
+        counted; a packed file names the file."""
+        from repro.histories.serialization import save_history_packed, txn_from_dict
+
+        jsonl, packed = tmp_path / "dup.jsonl", tmp_path / "dup.rpch"
+        jsonl.write_text(GOOD_LINE + "\n\n" + GOOD_LINE + "\n")
+        save_history_packed([txn_from_dict(json.loads(GOOD_LINE))] * 2, packed)
+        for path, where in ((jsonl, f"{jsonl}:3"), (packed, str(packed))):
+            assert main(["check", str(path), *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {where}: duplicate transaction id 1\n"
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.jsonl")]) == 2
         assert capsys.readouterr().err.startswith("error: ")

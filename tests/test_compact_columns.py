@@ -1,11 +1,13 @@
-"""A loaded history keeps its integer columns in machine words.
+"""A loaded history keeps its integer columns in the narrowest machine words.
 
 ``load_columns`` (either file form) and ``columns_from_rows`` return
-``array('q')`` header columns and op offsets, and an ``array('q')``
-value column while every value is a plain 64-bit ``int``.  The first
-2,048-row chunk holding anything else turns the value column into a
-list for good, and nothing read back may differ from what the object
-decoder builds — in value *or* type: a ``True`` is never a ``1``.
+header columns, op offsets and — while every value is a plain 64-bit
+``int`` — a value column that are ``array('i')`` until a 2,048-row chunk
+holds a value past 32 bits, which turns that column (and only that one)
+into an ``array('q')``.  The first chunk holding a non-int or a value
+past 64 bits turns the value column into a list for good, and nothing
+read back may differ from what the object decoder builds — in value
+*or* type: a ``True`` is never a ``1``.
 """
 
 from __future__ import annotations
@@ -60,13 +62,64 @@ def _reference_values(rows):
     return [op.value for row in rows for op in txn_from_dict(row).ops]
 
 
-def test_all_int_history_is_machine_words(tmp_path):
+def _typecodes(batch):
+    return {
+        name: getattr(batch, name).typecode if type(getattr(batch, name)) is array else "list"
+        for name in _INT_COLUMNS + ("op_values",)
+    }
+
+
+def _reference_columns(rows):
+    txns = [txn_from_dict(row) for row in rows]
+    return {
+        "tids": [t.tid for t in txns], "sids": [t.sid for t in txns],
+        "snos": [t.sno for t in txns], "starts": [t.start_ts for t in txns],
+        "commits": [t.commit_ts for t in txns],
+    }
+
+
+def test_small_int_history_is_four_byte_words(tmp_path):
     rows = _int_rows(_PACK_CHUNK + 500)
     for batch in (columns_from_rows(rows), *map(load_columns, _files(tmp_path, rows))):
-        for name in _INT_COLUMNS + ("op_values",):
-            column = getattr(batch, name)
-            assert type(column) is array and column.typecode == "q", name
+        assert set(_typecodes(batch).values()) == {"i"}
         assert _typed(batch.op_values) == _typed(_reference_values(rows))
+
+
+#: One field of one row in the second chunk set past 32 bits, and the
+#: column that must widen for it.
+WIDE = {
+    "tid": ("tids", lambda row: row.update(tid=2**31 + 7)),
+    "sid": ("sids", lambda row: row.update(sid=-(2**31) - 1)),
+    "sno": ("snos", lambda row: row.update(sno=2**40)),
+    "sts": ("starts", lambda row: row.update(sts=-(2**33))),
+    "cts": ("commits", lambda row: row.update(cts=2**62)),
+    "value": ("op_values", lambda row: row["ops"][1].__setitem__(2, 2**31)),
+    "negative value": ("op_values", lambda row: row["ops"][1].__setitem__(2, -(2**31) - 1)),
+}
+
+
+@pytest.mark.parametrize("field", list(WIDE))
+def test_a_later_chunk_widens_only_its_column(tmp_path, field):
+    """The first chunk goes into ``'i'`` columns; one value past 32 bits
+    in the second turns that column into ``'q'``, the others stay ``'i'``,
+    and every value reads back as the object decoder has it."""
+    column, widen = WIDE[field]
+    rows = _int_rows(_PACK_CHUNK + 300)
+    widen(rows[_PACK_CHUNK + 40])
+    expected = {**_reference_columns(rows), "op_values": _reference_values(rows)}
+    for batch in (columns_from_rows(rows), *map(load_columns, _files(tmp_path, rows))):
+        assert _typecodes(batch) == {
+            name: "q" if name == column else "i" for name in _INT_COLUMNS + ("op_values",)
+        }
+        for name, values in expected.items():
+            assert _typed(getattr(batch, name)) == _typed(values), name
+
+
+def test_fits_in_32_bits_is_inclusive():
+    rows = _int_rows(10)
+    rows[3].update(tid=2**31 - 1, sts=-(2**31), cts=2**31 - 1)
+    rows[3]["ops"][0][2] = -(2**31)
+    assert set(_typecodes(columns_from_rows(rows)).values()) == {"i"}
 
 
 SPECIAL = {
@@ -97,7 +150,7 @@ def test_a_later_chunk_turns_the_value_column_into_a_list(tmp_path, specials):
     for batch in (columns_from_rows(rows), *map(load_columns, _files(tmp_path, rows))):
         assert type(batch.op_values) is list
         assert _typed(batch.op_values) == expected
-        assert all(type(getattr(batch, name)) is array for name in _INT_COLUMNS)
+        assert {_typecodes(batch)[name] for name in _INT_COLUMNS} == {"i"}
 
 
 def test_an_odd_first_chunk_keeps_every_value_as_decoded(tmp_path):
@@ -116,6 +169,7 @@ def test_both_file_forms_give_equal_columns(tmp_path, request, history_name):
     save_history(history, jsonl)
     save_history_packed(history, packed, chunk_size=300)
     from_jsonl, from_packed = load_columns(jsonl), load_columns(packed)
+    assert _typecodes(from_jsonl) == _typecodes(from_packed)
     for name in _COLUMNS:
         a, b = getattr(from_jsonl, name), getattr(from_packed, name)
         assert type(a) is type(b), name

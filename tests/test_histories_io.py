@@ -1,6 +1,7 @@
 """Builder, serialization, validation and statistics tests."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +281,41 @@ class TestColumnDecoderRefusals:
         if what is None:
             assert history_from_jsonl(text).get(2).ops[0].value == (1, 2)
 
+    @pytest.mark.parametrize(
+        "layout, what",
+        [
+            # A blank line between the two occurrences.
+            (["1", "", "  ", "1"], "line 4: duplicate transaction id 1"),
+            # Blank lines before, between and after; tid 2 repeats first.
+            (["", "1", "2", "", "2", "", "1", ""], "line 5: duplicate transaction id 2"),
+            (["2", "1", "", "3", "1", "2"], "line 5: duplicate transaction id 1"),
+        ],
+    )
+    def test_duplicate_names_its_second_line_blank_lines_counted(self, layout, what):
+        """The repeat is found by one sort of the decoded tid column; the
+        message still names the line of the first second occurrence in
+        file order, counting the skipped lines."""
+        lines = [self.GOOD.replace('"tid":1', f'"tid":{tid}') if tid.strip() else tid for tid in layout]
+        with pytest.raises(ValueError) as excinfo:
+            columns_from_jsonl(lines)
+        assert str(excinfo.value) == what
+
+    def test_a_decode_error_is_reported_before_a_duplicate(self, tmp_path):
+        """Repeats are looked for once the whole file has decoded, so a
+        later malformed row wins over an earlier duplicate — for JSONL and
+        for packed files alike."""
+        bad = self.GOOD.replace('"w"', '"q"').replace('"tid":1', '"tid":5')
+        with pytest.raises(ValueError, match="^line 4: unknown operation code 'q'$"):
+            columns_from_jsonl([self.GOOD, self.GOOD, "", bad])
+        packed = tmp_path / "h.rpch"
+        txns = [txn_from_dict(json.loads(self.GOOD))] * 2
+        save_history_packed(txns, packed, chunk_size=1)
+        with pytest.raises(ValueError, match="duplicate transaction id 1$"):
+            load_columns(packed)
+        packed.write_bytes(packed.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(packed))}: .*truncated"):
+            load_columns(packed)
+
     def test_file_errors_carry_path_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(self.GOOD + "\n" + self.GOOD.replace('"w"', '"q"').replace('"tid":1', '"tid":2') + "\n")
@@ -315,8 +351,9 @@ class TestLoadColumns:
         packed = tmp_path / "h.rpch"
         txns = si_history.transactions[:10]
         save_history_packed(txns + txns[:1], packed)
-        with pytest.raises(ValueError, match="duplicate transaction id"):
+        with pytest.raises(ValueError) as excinfo:
             load_columns(packed)
+        assert str(excinfo.value) == f"{packed}: duplicate transaction id {txns[0].tid}"
         save_history_packed(txns, packed)
         packed.write_bytes(packed.read_bytes()[:-3])
         with pytest.raises(ValueError, match=f"^{packed}: .*truncated"):

@@ -17,6 +17,7 @@ from array import array
 
 import pytest
 
+from repro.core.chronos import Chronos
 from repro.histories.model import Transaction
 from repro.histories.ops import write
 from repro.histories.serialization import (
@@ -31,9 +32,9 @@ from repro.histories.serialization import (
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
 
-#: The ladder's Fig-12b shape (24 sessions, 8 ops per transaction, 1,000
-#: zipfian keys, half reads), cut to 5,000 transactions.
-N_TXNS = 5_000
+#: The ladder's Fig-12b shape and size (24 sessions, 8 ops per
+#: transaction, 1,000 zipfian keys, half reads, 20,000 transactions).
+N_TXNS = 20_000
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +52,8 @@ def files(ladder_history, tmp_path_factory):
     root = tmp_path_factory.mktemp("keys")
     jsonl, packed = root / "h.jsonl", root / "h.rpch"
     save_history(ladder_history, jsonl)
-    # 512-transaction chunks: ten key tables, one memo across them.
-    save_history_packed(ladder_history, packed, chunk_size=512)
+    # 2,048-transaction chunks: ten key tables, one memo across them.
+    save_history_packed(ladder_history, packed)
     return jsonl, packed
 
 
@@ -83,27 +84,67 @@ def test_one_object_per_distinct_key(files, ladder_history, decoder):
     assert len({id(key) for key in keys}) == len(set(keys)) > 900
 
 
-def test_traced_bytes_per_op(files):
-    """What ``load_columns`` leaves allocated per operation of the
-    5,000-transaction file: ~120 B with a key string per op, ~66 B with
-    one per key, ~25 B once the integer columns (values included: this
-    history's are all ints) are ``array('q')``.  The gate sits between
-    the last two; ``test_compact_columns.py`` holds the packed file to
-    the same bound."""
-    jsonl, _ = files
+def _traced(run):
+    """``(result, bytes it holds, peak bytes above that)`` for ``run()``,
+    traced from a collected heap."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        batch = load_columns(jsonl)
+        result = run()
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, held - before, peak - held
+
+
+def test_traced_bytes_per_op(files):
+    """What ``load_columns`` leaves allocated per operation of the
+    20,000-transaction file: ~120 B with a key string per op, ~66 B with
+    one per key, ~25 B once the integer columns (values included: this
+    history's are all ints) are ``array('q')``, ~18 B now that they are
+    ``array('i')`` while their values fit in 32 bits.  The gate sits
+    between the last two; ``test_compact_columns.py`` holds the packed
+    file to the same bound."""
+    jsonl, _ = files
+    batch, held, _ = _traced(lambda: load_columns(jsonl))
     n_ops = len(batch.op_keys)
     assert n_ops > 7 * N_TXNS
     assert type(batch.op_values) is array
-    assert retained / n_ops <= 32, f"{retained / n_ops:.1f} B per op"
+    assert held / n_ops <= 19, f"{held / n_ops:.1f} B per op"
+
+
+@pytest.mark.parametrize("form, bound", [("jsonl", 64), ("rpch", 96)])
+def test_load_peak_per_transaction(files, form, bound):
+    """What a load allocates above what it returns, per transaction: one
+    2,048-row chunk being decoded, or one sort of the tid column — ~40 B
+    for JSONL.  A packed chunk's decoded tuples are ~1.5 MB on their own
+    (~80 B per transaction of this file, a constant at any size).  A set
+    of every tid (the old duplicate check) cost ~171 B and ~162 B, and a
+    packed file held two chunks at once."""
+    path = dict(zip(["jsonl", "rpch"], files))[form]
+    batch, _, above = _traced(lambda: load_columns(path))
+    assert above / len(batch) <= bound, f"{above / len(batch):.1f} B per transaction"
+
+
+def test_chronos_peak_per_transaction(files):
+    """What ``Chronos().check`` allocates above the loaded batch, per
+    transaction: the two index orders, the retained tids and one sort's
+    list of packed keys at a time.  With an accepted-index list, a key
+    list and an index copy per sort and a list of retained ``int`` s it
+    was ~105 B."""
+    batch = load_columns(files[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = Chronos().check(batch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.is_valid
+    assert peak / len(batch) <= 80, f"{peak / len(batch):.1f} B per transaction"
 
 
 def _fresh_keys_history(prefix):

@@ -8,8 +8,9 @@ are the tuple rule, kept here so that the two can be compared on
 histories built to tie: equal starts, equal commits, ``start ==
 commit``, one transaction's start on another's commit, repeated and
 negative tids, negative timestamps and Eq. 1 offenders.  The ordered
-reports must be equal, on list columns and on the ``array('q')``
-columns a loaded history has.
+reports must be equal, on list columns and on the ``array('i')`` /
+``array('q')`` columns a loaded history has (timestamps and tids are
+shifted past 32 bits too).
 """
 
 from __future__ import annotations
@@ -123,15 +124,30 @@ _txn = st.tuples(
     st.integers(-1, 3),              # commit_ts - start_ts: 0 is start == commit, < 0 Eq. 1
     st.lists(_op, max_size=4),
 )
+#: Added to every timestamp (tid) of a history: the narrow ranges above
+#: keep their ties, and the loaded columns become ``array('q')`` when an
+#: offset is past 32 bits.
+_WIDE = st.sampled_from([0, 2**31, 2**40, -(2**35), 2**62])
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_txn, min_size=1, max_size=12))
-def test_walks_reproduce_the_tuple_order(specs):
+@given(st.lists(_txn, min_size=1, max_size=12), _WIDE, _WIDE)
+def test_walks_reproduce_the_tuple_order(specs, ts_offset, tid_offset):
     txns = [
-        Transaction(tid, sid, sno, ops, start, start + length)
+        Transaction(tid + tid_offset, sid, sno, ops, start + ts_offset, start + length + ts_offset)
         for tid, sid, sno, start, length, ops in specs
     ]
+    assert_same_order(txns)
+
+
+def test_wide_timestamps_and_tids_load_as_eight_byte_words():
+    txns = [
+        Transaction(2**40 + tid, 1, tid, [write("x", tid)], 2**33 + 2 * tid, 2**33 + 2 * tid + 1)
+        for tid in range(5)
+    ]
+    _, as_arrays = _both_columns(txns)
+    assert {as_arrays.tids.typecode, as_arrays.starts.typecode, as_arrays.commits.typecode} == {"q"}
+    assert as_arrays.snos.typecode == "i"
     assert_same_order(txns)
 
 
@@ -159,10 +175,12 @@ def test_each_kind_of_tie():
 
 
 def test_timestamp_order_matches_tuple_sort():
-    ts = [3, -1, 3, 0, -1, 3, 2**40, -(2**40)]
-    tids = [7, 2, -4, 7, 2, 0, 1, 1]
-    for indices in (range(len(ts)), [0, 2, 3, 5, 7]):
+    ts = [3, -1, 3, 0, -1, 3, 2**40, -(2**40), 2**62, -(2**63)]
+    tids = [7, 2, -4, 7, 2, 0, 1, 1, 2**63 - 1, -(2**63)]
+    for keep in (None, [1, 0, 1, 1, 0, 1, 0, 1, 1, 1], bytes([1, 1, 0, 0, 1, 1, 1, 1, 0, 1])):
+        indices = [i for i in range(len(ts)) if keep is None or keep[i]]
         expected = [index for _, _, index in sorted((ts[i], tids[i], i) for i in indices)]
-        assert list(timestamp_order(ts, tids, indices)) == expected
-        assert list(timestamp_order(array("q", ts), array("q", tids), indices)) == expected
-    assert list(timestamp_order([], [], [])) == []
+        assert list(timestamp_order(ts, tids, keep)) == expected
+        assert list(timestamp_order(array("q", ts), array("q", tids), keep)) == expected
+    assert list(timestamp_order([], [])) == []
+    assert list(timestamp_order([5, 5], [1, 2], b"\0\0")) == []
