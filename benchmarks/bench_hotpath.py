@@ -24,7 +24,10 @@ root, so successive engine generations stay comparable::
 ``--smoke`` runs small sizes plus a *deterministic* regression gate on
 operation counts (entries scanned per overlap query, chunk-structure
 invariants) instead of wall-clock numbers — structural slowdowns fail
-on shared CI runners where timing gates cannot be trusted.
+on shared CI runners where timing gates cannot be trusted.  The batch
+kernel's own op-count gates (counters derived from the ``Transaction``
+views, and the same counters with instrumentation on) are tests:
+``tests/test_batch_kernel.py``, the ``smoke_stream`` tests.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # direct `python benchmarks/...` run
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.aion import Aion, AionConfig  # noqa: E402
-from repro.core.reference import normalize_violations  # noqa: E402
 from repro.core.versioned import ExtReadIndex  # noqa: E402
 from repro.online.collector import HistoryCollector  # noqa: E402
 from repro.online.delays import NormalDelay  # noqa: E402
@@ -346,87 +348,6 @@ def run_smoke_gate():
     if m.min_item() != (0, "again"):
         failures.append("SortedMap reuse after pop_below broken")
 
-    # Gate 5: the staged batch kernel does the work it reports.  Its
-    # per-stage counters advance one batch per ``receive_many`` call
-    # (``receive`` is a batch of one) and are exact functions of the
-    # history, so a kernel that silently drops/duplicates probe work —
-    # or a batch split differently from what was handed in — fails
-    # deterministically, no timing.
-    from repro.bench import cached_default_history
-    from repro.histories.model import OpKind
-
-    history = cached_default_history(
-        n_sessions=6, n_transactions=400, ops_per_txn=8, n_keys=120, seed=77
-    )
-    collector = HistoryCollector(
-        batch_size=50, arrival_tps=10_000, delay_model=NormalDelay(100, 10), seed=5
-    )
-    txns = [txn for _, txn in collector.schedule(history)]
-    checker = Aion(AionConfig(timeout=float("inf")))
-    for offset in range(0, len(txns), 50):
-        checker.receive_many(txns[offset : offset + 50])
-    stats = checker.kernel_stats
-    baseline_verdict = normalize_violations(checker.finalize())
-    checker.close()
-    expected = {
-        "batches": -(-len(txns) // 50),
-        "txns": len(txns),
-        "max_batch": 50,
-        "route_ops": sum(len(t.ops) for t in txns),
-        "probe_reads": sum(len(t.external_reads) for t in txns),
-        "probe_writes": sum(
-            len({op.key for op in t.ops if op.kind is OpKind.WRITE}) for t in txns
-        ),
-        "verdict_tracks": sum(len(t.external_reads) for t in txns),
-    }
-    got = stats.as_dict()
-    for name, want in expected.items():
-        if got[name] != want:
-            failures.append(
-                f"kernel counter {name} = {got[name]}, expected {want}: "
-                "batches are not flowing through the staged kernel"
-            )
-    if got["probe_reads"] == 0 or got["probe_writes"] == 0:
-        failures.append("kernel probe counters are zero on a read/write workload")
-
-    # Gate 6: observability must be free where it counts.  The same
-    # stream with stage timing sampled on every batch and the slow-batch
-    # trace firing on every batch must advance the op counters to the
-    # exact same values and yield the identical verdict multiset —
-    # instrumentation that perturbs routed work (or verdicts!) is a bug
-    # the wall clock would never catch.
-    instrumented = Aion(AionConfig(timeout=float("inf")))
-    istats = instrumented.kernel_stats
-    istats.sample_every = 1
-    istats.slow_threshold = 1e-9
-    traces = []
-    istats.on_slow_batch = traces.append
-    for offset in range(0, len(txns), 50):
-        instrumented.receive_many(txns[offset : offset + 50])
-    instrumented_verdict = normalize_violations(instrumented.finalize())
-    instrumented.close()
-    igot = istats.as_dict()
-    for name in (
-        "batches", "txns", "max_batch", "route_ops", "probe_reads",
-        "probe_writes", "verdict_tracks", "verdict_reevals", "verdict_conflicts",
-    ):
-        if igot[name] != got[name]:
-            failures.append(
-                f"kernel counter {name} = {igot[name]} with metrics enabled, "
-                f"{got[name]} without: instrumentation perturbs the kernel"
-            )
-    if instrumented_verdict != baseline_verdict:
-        failures.append("verdicts differ with stage timing enabled")
-    if igot["timed_batches"] != igot["batches"]:
-        failures.append(
-            f"sample_every=1 timed {igot['timed_batches']} of "
-            f"{igot['batches']} batches"
-        )
-    if len(traces) != igot["batches"] or igot["slow_batches"] != igot["batches"]:
-        failures.append(
-            f"slow-batch hook fired {len(traces)} times for "
-            f"{igot['batches']} batches over the threshold"
-        )
     return failures
 
 

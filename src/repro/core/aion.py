@@ -55,6 +55,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -67,7 +68,7 @@ from repro.core.ext_status import (
     ExtStatusTracker,
     FlipFlopStats,
 )
-from repro.core.kernel import KernelStats, resolve_columns
+from repro.core.kernel import KernelStats
 from repro.core.spill import GcReport, SpillingGc
 from repro.core.versioned import (
     ExtReadIndex,
@@ -113,26 +114,6 @@ class AionConfig:
     timeout: float = 5.0
     spill_dir: Optional[Path] = None
     optimized_recheck: bool = True
-
-
-def _stable_violations(
-    pre: Optional[List[Violation]],
-    tid: int,
-    session_violation: Optional[Violation],
-    int_mismatches: Optional[List[Tuple[str, Any, Any]]],
-) -> List[Violation]:
-    """Extend an arrival's verdicts that no later arrival can change
-    (``pre``: its Eq. 1 violation, if any) with its SESSION and INT
-    violations, in the order Algorithm 3 reports them."""
-    if pre is None:
-        pre = []
-    if session_violation is not None:
-        pre.append(session_violation)
-    for key, expected, actual in int_mismatches or ():
-        pre.append(
-            IntViolation(axiom=Axiom.INT, tid=tid, key=key, expected=expected, actual=actual)
-        )
-    return pre
 
 
 class Aion(SpillingGc):
@@ -209,7 +190,10 @@ class Aion(SpillingGc):
         snapshot points / readers / observed values) and write arrays
         (keys / values / intervals) plus one op stream per key, running
         the order-stable per-transaction work (Eq. 1, session tracking,
-        :func:`~repro.core.kernel.resolve_columns`) as it goes;
+        the INT rules) as it goes: one walk of a transaction's ops files
+        each external read when it meets it and each written key's final
+        value, and keeps of the transaction only its tid, commit point,
+        first write slot and — when it has any — its stable violations;
 
         **frontier probe** — walk each key's op stream in arrival order
         against the versioned structures: visibility floors for external
@@ -218,9 +202,11 @@ class Aion(SpillingGc):
         reader sweep — per-key grouping amortizes the index descents a
         per-op walk pays per operation;
 
-        **verdict** — track all EXT verdicts in one bulk call, then walk
-        the batch in arrival order emitting violations and applying
-        re-evaluations, so reports come out in arrival order.
+        **verdict** — track all EXT verdicts in one bulk call, apply the
+        re-evaluations in write order (they report nothing), then — only
+        if the batch has a reject, a stable violation or a conflict —
+        walk it in arrival order emitting violations, so reports come
+        out in arrival order.
 
         Correctness: per-key operations preserve arrival order within
         each stream (a transaction's reads precede its writes, matching
@@ -335,18 +321,23 @@ class Aion(SpillingGc):
         w_starts_append = w_starts.append
         w_cts_append = w_cts.append
         w_tids_append = w_tids.append
-        # Per checked txn: (tid, commit_ts, stable violations, w_lo, w_hi) —
-        # never the arrival itself, which must not outlive the batch.  An Eq. 1
-        # offender is rejected — no entry, no probe work, its violation
-        # kept under its batch position so reports stay in arrival order —
-        # unless the checker ignores start timestamps: then it is reported
-        # and checked like any other arrival, just not counted as processed.
-        entries: List[Tuple[int, int, Optional[List[Violation]], int, int]] = []
-        rejected: Dict[int, Violation] = {}
+        # What the verdict pass needs of a transaction — never the arrival
+        # itself, which must not outlive the batch: the accepted tids and
+        # commit timestamps, the first write slot per position (its writes
+        # end where the next position's begin), the end of each tracked
+        # transaction's external reads, and, only for a position that has
+        # them, its stable violations.  An Eq. 1 offender is rejected —
+        # its violation its only trace — unless the checker ignores start
+        # timestamps: then it is reported and checked like any other
+        # arrival, just not counted as processed.
+        a_tids: List[int] = []
+        a_commits: List[int] = []
+        w_los: List[int] = []
+        r_bounds: List[int] = []
+        stable: Dict[int, List[Violation]] = {}
         n_uncounted = 0
-        # Route straight off the batch's flat arrays — no Operation
-        # objects, no Transaction.  ``resolve_columns`` fuses the
-        # external-read detection into the INT/write simulation walk.
+        n_route_ops = 0
+        r_code = 0  # the next read's stream code: its index << 1
         tids_col = batch.tids
         sids_col = batch.sids
         snos_col = batch.snos
@@ -358,45 +349,72 @@ class Aion(SpillingGc):
             commit_ts = commits_col[position]
             lo = offsets_col[position]
             hi = offsets_col[position + 1]
-            stats.route_ops += hi - lo
+            n_route_ops += hi - lo
+            w_los.append(len(w_keys))
             pre: Optional[List[Violation]] = None
             if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
-                offender = TimestampOrderViolation(
-                    axiom=Axiom.TS_ORDER,
-                    tid=tid,
-                    start_ts=start_ts,
-                    commit_ts=commit_ts,
-                )
+                pre = stable[position] = [
+                    TimestampOrderViolation(
+                        axiom=Axiom.TS_ORDER, tid=tid, start_ts=start_ts, commit_ts=commit_ts
+                    )
+                ]
                 if not ignores_start:
-                    rejected[position] = offender
                     continue
-                pre = [offender]
                 n_uncounted += 1
             snapshot_ts = snapshots_col[position]
             violation = sessions.observe(  # lines 3:7–3:10
                 tid, sids_col[position], snos_col[position], snapshot_ts, commit_ts
             )
-            external, writes, int_mismatches = resolve_columns(
-                kinds_col, keys_col, vals_col, lo, hi
-            )
-            if violation is not None or int_mismatches is not None:
-                pre = _stable_violations(pre, tid, violation, int_mismatches)
-            for key, value in external:
-                key_streams[key].append(len(r_keys) << 1)
-                r_keys_append(key)
-                r_ts_append(snapshot_ts)
-                r_tids_append(tid)
-                r_vals_append(value)
-            w_lo = len(w_keys)
-            for key, value in writes.items():
-                key_streams[key].append((len(w_keys) << 1) | 1)
-                w_keys_append(key)
-                w_vals_append(value)
-                w_starts_append(start_ts)
-                w_cts_append(commit_ts)
-                w_tids_append(tid)
-            entries.append((tid, commit_ts, pre, w_lo, len(w_keys)))
+            if violation is not None:
+                if pre is None:
+                    pre = stable[position] = []
+                pre.append(violation)
+            a_tids.append(tid)
+            a_commits.append(commit_ts)
+            # The INT rules of ``core.common.simulate`` without a frontier
+            # (EXT is the probe pass's job): ``local`` holds each touched
+            # key's latest value, so the first read of an untouched key is
+            # an external read; ``written`` each written key's slot, which
+            # a later write to the key overwrites with the final value.
+            local: Dict[str, Any] = {}
+            written: Dict[str, int] = {}
+            r_lo = len(r_keys)
+            for kind, key, value in zip(kinds_col[lo:hi], keys_col[lo:hi], vals_col[lo:hi]):
+                if kind == 1:  # OP_WRITE
+                    local[key] = value
+                    slot = written.get(key)
+                    if slot is None:
+                        slot = written[key] = len(w_keys)
+                        key_streams[key].append((slot << 1) | 1)
+                        w_keys_append(key)
+                        w_vals_append(value)
+                        w_starts_append(start_ts)
+                        w_cts_append(commit_ts)
+                        w_tids_append(tid)
+                    else:
+                        w_vals[slot] = value
+                    continue
+                prior = local.get(key, local)  # ``local``: never an op value
+                if prior is local:
+                    key_streams[key].append(r_code)
+                    r_code += 2
+                    r_keys_append(key)
+                    r_ts_append(snapshot_ts)
+                    r_tids_append(tid)
+                    r_vals_append(value)
+                elif prior != value:
+                    if pre is None:
+                        pre = stable[position] = []
+                    pre.append(
+                        IntViolation(
+                            axiom=Axiom.INT, tid=tid, key=key, expected=prior, actual=value
+                        )
+                    )
+                local[key] = value
+            if len(r_keys) > r_lo:
+                r_bounds.append(len(r_keys))
 
+        stats.route_ops += n_route_ops
         n_reads = len(r_keys)
         n_writes = len(w_keys)
         stats.probe_reads += n_reads
@@ -417,56 +435,52 @@ class Aion(SpillingGc):
         else:
             t_verdict0 = 0.0
 
-        # ---- verdict: bulk-track, then walk the batch in arrival order.
+        # ---- verdict: bulk-track, re-evaluate, report in arrival order.
         if n_reads:
-            ext.track_columns(r_tids, r_keys, r_ts, r_vals, r_expected, now)
+            ext.track_columns(r_tids, r_keys, r_ts, r_vals, r_expected, now, r_bounds)
             stats.verdict_tracks += n_reads
 
-        report = self._report
-        reevaluate = ext.reevaluate
-        resident = self._resident
-        armed: List[int] = []
-        armed_append = armed.append
-        rejected_get = rejected.get
-        cursor = 0
+        # Re-evaluations report nothing (the tracker holds what each
+        # reader observed and decides the verdict; a row says whom to
+        # re-check), so they run apart from the reports, in write order.
         n_reevals = 0
+        reevaluate = ext.reevaluate
+        for index in compress(range(n_writes), w_reevals):
+            affected = w_reevals[index]
+            key = w_keys[index]
+            n_reevals += len(affected)
+            if optimized:
+                value = w_vals[index]
+                for reader_tid in affected:
+                    reevaluate(reader_tid, key, value, now)
+            else:
+                for expected, reader_tid in affected:
+                    reevaluate(reader_tid, key, expected, now)
+        # Reports touch only the result: a batch with nothing to report —
+        # no reject, no stable violation, no conflict — is not walked.
         n_conflicts = 0
-        for position in range(n):
-            reject = rejected_get(position)
-            if reject is not None:
-                report(reject)
-                continue
-            tid, commit_ts, pre, w_lo, w_hi = entries[cursor]
-            cursor += 1
-            if pre is not None:
-                for violation in pre:
-                    report(violation)
-            for index in range(w_lo, w_hi):
-                hits = w_conflicts[index]
-                if hits is not None:
-                    key = w_keys[index]
-                    n_conflicts += len(hits)
-                    for owner, end in hits:
-                        self._report_conflict(tid, commit_ts, owner, end, key)
-                affected = w_reevals[index]
-                if affected is not None:
-                    key = w_keys[index]
-                    n_reevals += len(affected)
-                    # The tracker holds what each reader observed and
-                    # decides the verdict; a row says whom to re-check.
-                    if optimized:
-                        value = w_vals[index]
-                        for reader_tid in affected:
-                            reevaluate(reader_tid, key, value, now)
-                    else:
-                        for expected, reader_tid in affected:
-                            reevaluate(reader_tid, key, expected, now)
-            resident[tid] = commit_ts
-            armed_append(tid)
-        self.processed += len(armed) - n_uncounted
+        if stable or any(w_conflicts):
+            report = self._report
+            stable_get = stable.get
+            w_los.append(n_writes)
+            for position in range(n):
+                pre = stable_get(position)
+                if pre is not None:
+                    for violation in pre:
+                        report(violation)
+                for index in range(w_los[position], w_los[position + 1]):
+                    hits = w_conflicts[index]
+                    if hits is not None:
+                        n_conflicts += len(hits)
+                        for owner, end in hits:
+                            self._report_conflict(
+                                w_tids[index], w_cts[index], owner, end, w_keys[index]
+                            )
+        self._resident.update(zip(a_tids, a_commits))
+        self.processed += len(a_tids) - n_uncounted
         stats.verdict_reevals += n_reevals
         stats.verdict_conflicts += n_conflicts
-        ext.arm_timers(armed, now)  # line 3:3
+        ext.arm_timers(a_tids, now)  # line 3:3
         if track_total:
             t_end = perf_counter()
             total = t_end - t_batch0

@@ -158,52 +158,39 @@ class ExtStatusTracker:
         actuals: List[Any],
         expecteds: List[Any],
         now: float,
+        bounds: List[int],
     ) -> None:
         """Register initial verdicts for a whole batch of external reads,
         as parallel arrays straight from the batch kernel's route pass.
 
         The verdict rule — here and in :meth:`reevaluate`, nowhere else —
         is ``expected == actual``, with ⊥v (no version visible, or ⊥v
-        itself written) matching a ``None`` client read.  A
-        transaction's external reads are contiguous in the arrays (batch
-        order), so each record is built from one slice per column.
+        itself written) matching a ``None`` client read.  ``bounds`` holds
+        one end offset per transaction: its reads are the slice from the
+        previous bound (0 for the first) to its own, their keys distinct
+        (the route pass meets each key's first read only), so each record
+        is one slice per column.  A tid tracked twice — a retransmission,
+        in one batch or in two — keeps one record, the later copy's.
         """
         oks = [
             (actual is None) if expected is BOTTOM else (expected == actual)
             for actual, expected in zip(actuals, expecteds)
         ]
+        wrong_since = [None if ok else now for ok in oks]
         txns = self._txns
-        n = len(tids)
         lo = 0
-        while lo < n:
+        for hi in bounds:
             tid = tids[lo]
-            hi = lo + 1
-            while hi < n and tids[hi] == tid:
-                hi += 1
-            run_keys = tuple(keys[lo:hi])
-            width = hi - lo
-            if len(set(run_keys)) == width:
-                run_actuals, run_oks, run_expecteds = actuals[lo:hi], oks[lo:hi], expecteds[lo:hi]
-            else:
-                # The same transaction twice in a row (a retransmission):
-                # as when the copies arrive apart, the later one replaces
-                # the earlier — ``keys.index`` would only ever find the
-                # first, and the second would keep a stale verdict.
-                last = {key: index for index, key in enumerate(run_keys, lo)}
-                run_keys, width = tuple(last), len(last)
-                run_actuals = [actuals[index] for index in last.values()]
-                run_oks = [oks[index] for index in last.values()]
-                run_expecteds = [expecteds[index] for index in last.values()]
             txns[tid] = [
-                tid, run_keys, snapshot_ts[hi - 1],
-                *run_actuals,
-                *run_oks,
-                *run_expecteds,
-                *[0] * width,
-                *[None if ok else now for ok in run_oks],
+                tid, tuple(keys[lo:hi]), snapshot_ts[lo],
+                *actuals[lo:hi],
+                *oks[lo:hi],
+                *expecteds[lo:hi],
+                *[0] * (hi - lo),
+                *wrong_since[lo:hi],
             ]
             lo = hi
-        self.stats.n_pairs += n
+        self.stats.n_pairs += len(tids)
 
     def arm_timers(self, tids: Iterable[int], now: float) -> None:
         """Arm one shared EXT re-checking deadline (line 3:3) for a whole

@@ -20,25 +20,29 @@ batch of one.  The three online checkers, and what each overrides:
   (snapshot = commit timestamp, Eq. 1 reported not rejected) and
   ``_probe`` (no writer intervals, strict floor).
 
-This module holds the pieces the route pass is built from:
+Each pass is written once, in line, for the common case.  The route
+pass runs the INT rules of :func:`~repro.core.common.simulate` without a
+frontier in the same walk that files each transaction's external reads
+and final writes — no per-transaction call, no intermediate list.  The
+probe pass tries the tail of each key's lists first, because arrivals
+come close to commit order: a version or a reader past the newest is
+appended, a snapshot past the newest version takes it as its floor, and
+a write past every reader sweeps nothing.  The verdict pass re-evaluates
+only the writes that have readers to re-check, and walks the batch for
+reports only when it has one to make.
 
-- :class:`KernelStats` — per-stage operation counters, exposed through
-  each checker's ``kernel_stats`` property and the service ``STATS``
-  response, so the hot path is observable without a profiler (and so CI
-  can gate on deterministic op counts instead of wall-clock).
-- :func:`resolve_columns` — the route pass's callback-free transaction
-  simulation over a columnar batch's flat op arrays: the INT rules of
-  :func:`~repro.core.common.simulate` for register histories, returning
-  the external reads, the resolved final writes and any INT mismatches
-  as plain tuples (EXT is the probe pass's job online, not a frontier
-  lookup).
+This module holds :class:`KernelStats`, the per-stage operation
+counters, exposed through each checker's ``kernel_stats`` property and
+the service ``STATS`` response, so the hot path is observable without a
+profiler (and so tests can pin deterministic op counts instead of
+wall-clock).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-__all__ = ["KernelStats", "resolve_columns"]
+__all__ = ["KernelStats"]
 
 
 class KernelStats:
@@ -47,8 +51,8 @@ class KernelStats:
     Counters are cumulative over the checker's lifetime and advance with
     the work the kernel routes: one batch per ``receive_many`` call, so
     one batch (of one transaction) per ``receive`` call too.  They are
-    derivable from the history alone, which is what lets the smoke gate
-    pin them to exact values instead of wall-clock.
+    derivable from the history alone, which is what lets the kernel's
+    tests pin them to exact values instead of wall-clock.
     """
 
     __slots__ = (
@@ -152,59 +156,3 @@ class KernelStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"KernelStats({self.as_dict()!r})"
-
-
-def resolve_columns(
-    kinds: Any,
-    keys: List[str],
-    values: List[Any],
-    lo: int,
-    hi: int,
-) -> Tuple[
-    List[Tuple[str, Any]],
-    Dict[str, Any],
-    Optional[List[Tuple[str, Any, Any]]],
-]:
-    """Resolve one register transaction's external reads, final writes
-    and INT mismatches from its slice of a columnar batch's flat op
-    arrays — no ``Operation`` objects.
-
-    The route-pass twin of :func:`~repro.core.common.simulate` for
-    batches that have already rejected appends: snapshot values feed
-    only the EXT rule there (the probe pass's job online), so the
-    simulation reduces to the transaction-local INT rules — no frontier.
-    ``kinds`` is a bytes-like column of op codes (1 = write, everything
-    else follows the read rule), ``keys``/``values`` the parallel flat
-    columns, ``[lo, hi)`` the transaction's slice.  The same walk detects
-    the external reads: the first read of a key before any touch, the
-    reads ``Transaction.external_reads`` holds.
-
-    Returns ``(external_reads, resolved_writes, int_mismatches)`` with
-    ``external_reads`` as ``(key, observed value)`` pairs in program
-    order of each key's first read, ``resolved_writes`` mapping each
-    written key to its final value, and ``int_mismatches`` ``None`` or a
-    list of ``(key, expected, actual)`` in program order.
-    """
-    local: Dict[str, Any] = {}
-    resolved: Dict[str, Any] = {}
-    external: List[Tuple[str, Any]] = []
-    mismatches: Optional[List[Tuple[str, Any, Any]]] = None
-    local_get = local.get
-    external_append = external.append
-    missing = resolved  # private sentinel: never a stored op value
-    for index in range(lo, hi):
-        key = keys[index]
-        value = values[index]
-        if kinds[index] == 1:  # OP_WRITE
-            local[key] = value
-            resolved[key] = value
-        else:
-            prior = local_get(key, missing)
-            if prior is missing:
-                external_append((key, value))
-            elif prior != value:
-                if mismatches is None:
-                    mismatches = []
-                mismatches.append((key, prior, value))
-            local[key] = value
-    return external, resolved, mismatches

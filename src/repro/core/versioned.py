@@ -40,10 +40,18 @@ reload-on-demand protocol); pending reads are never evicted — a read
 leaves the index when its verdict is finalized.
 
 The checkers read and write all three through one batched entry point,
-:func:`probe_columns`, which applies the small-key fast paths inline.
-The one-query methods that stay public beside it say the same thing per
-call and must be kept in lockstep with its inline branches
-(``tests/test_versioned.py`` holds both to the same answers):
+:func:`probe_columns`, which applies the small-key fast paths inline and
+tries the tail of each list first: arrivals come close to commit order,
+so a version or a reader past the newest is appended without a bisect,
+a snapshot past the newest version takes it as its floor, and a write
+skips the reader sweep when no snapshot reaches it and the overlap scan
+when it starts after every writer ends.  Each tail test falls back to
+the bisect, and each guards against an empty list (finalization can
+empty a key's read index).  The one-query methods that stay public
+beside it give the same answers per call — they bisect without trying
+the tail — and must be kept in lockstep with its inline branches
+(``tests/test_versioned.py`` holds both to the same answers, on random
+and on near-sorted streams):
 ``insert_and_next_ts`` / ``WriterIntervals.add`` re-insert reloaded
 segments, which arrive as columns, not streams; ``value_at`` serves the
 ablation branch; ``insert_and_next_ts``, ``overlap_add``,
@@ -739,6 +747,9 @@ def probe_columns(
         floor_end = bisect_right
         floor_item = SortedMap.floor_item
         sweep_end = bisect_left
+    # Integer timestamps: ``snapshot_ts + tail_shift > newest`` is the
+    # tail test of either floor — ``>`` strictly below, ``>=`` at or below.
+    tail_shift = 0 if strict else 1
     f_by_key = frontier._by_key
     f_multi_add = frontier._multi.add
     e_by_key = ext_reads._by_key
@@ -765,14 +776,15 @@ def probe_columns(
                 elif type(iv) is tuple:
                     ends, i_starts, owners = iv
                     hits = None
-                    for i in range(bisect_left(ends, start_ts), len(ends)):
-                        if i_starts[i] <= commit_ts:
-                            owner = owners[i]
-                            if owner != tid:
-                                if hits is None:
-                                    hits = w_conflicts[index] = []
-                                hits.append((owner, ends[i]))
-                    if commit_ts >= ends[-1]:
+                    if ends and start_ts <= ends[-1]:  # else nothing ends late enough
+                        for i in range(bisect_left(ends, start_ts), len(ends)):
+                            if i_starts[i] <= commit_ts:
+                                owner = owners[i]
+                                if owner != tid:
+                                    if hits is None:
+                                        hits = w_conflicts[index] = []
+                                    hits.append((owner, ends[i]))
+                    if not ends or commit_ts >= ends[-1]:
                         ends.append(commit_ts)
                         i_starts.append(start_ts)
                         owners.append(tid)
@@ -796,23 +808,31 @@ def probe_columns(
                     nxt_ts = None
                 elif type(fv) is tuple:
                     timestamps, f_values, f_tids = fv
-                    j = bisect_left(timestamps, commit_ts)
-                    n = len(timestamps)
-                    if j < n and timestamps[j] == commit_ts:
-                        f_values[j] = w_vals[index]
-                        f_tids[j] = tid
-                        overwrites += 1
-                    else:
-                        timestamps.insert(j, commit_ts)
-                        f_values.insert(j, w_vals[index])
-                        f_tids.insert(j, tid)
+                    if not timestamps or commit_ts > timestamps[-1]:
+                        # Tail first: a version newer than all is appended.
+                        timestamps.append(commit_ts)
+                        f_values.append(w_vals[index])
+                        f_tids.append(tid)
                         new_versions += 1
-                        n += 1
-                        if n == 2:
-                            f_multi_add(key)
-                    nxt = j + 1
-                    nxt_ts = timestamps[nxt] if nxt < n else None
-                    if n > _SMALL_MAX:
+                        nxt_ts = None
+                    else:
+                        j = bisect_left(timestamps, commit_ts)
+                        if timestamps[j] == commit_ts:
+                            f_values[j] = w_vals[index]
+                            f_tids[j] = tid
+                            overwrites += 1
+                            j += 1
+                            nxt_ts = timestamps[j] if j < len(timestamps) else None
+                        else:
+                            nxt_ts = timestamps[j]
+                            timestamps.insert(j, commit_ts)
+                            f_values.insert(j, w_vals[index])
+                            f_tids.insert(j, tid)
+                            new_versions += 1
+                    n = len(timestamps)
+                    if n == 2:
+                        f_multi_add(key)
+                    elif n > _SMALL_MAX:
                         fv = f_by_key[key] = SortedMap._from_sorted(
                             timestamps, list(zip(f_values, f_tids))
                         )
@@ -834,6 +854,9 @@ def probe_columns(
                         pass
                     elif type(ev) is tuple:
                         ts_list, readers_list = ev
+                        # Tail first: no reader's snapshot reaches this version.
+                        if not ts_list or commit_ts > ts_list[-1]:
+                            continue
                         lo = bisect_left(ts_list, commit_ts)
                         hi = (
                             len(ts_list)
@@ -875,9 +898,13 @@ def probe_columns(
                 if fv is None:
                     r_expected[index] = bottom
                 elif type(fv) is tuple:
+                    # Tail first: a snapshot past the newest version sees it.
                     timestamps = fv[0]
-                    j = floor_end(timestamps, snapshot_ts) - 1
-                    r_expected[index] = fv[1][j] if j >= 0 else bottom
+                    if timestamps and snapshot_ts + tail_shift > timestamps[-1]:
+                        r_expected[index] = fv[1][-1]
+                    else:
+                        j = floor_end(timestamps, snapshot_ts) - 1
+                        r_expected[index] = fv[1][j] if j >= 0 else bottom
                 else:
                     item = floor_item(fv, snapshot_ts)
                     r_expected[index] = bottom if item is None else item[1][0]
@@ -886,20 +913,23 @@ def probe_columns(
                     ev = e_by_key[key] = ([snapshot_ts], [reader])
                 elif type(ev) is tuple:
                     ts_list, readers_list = ev
-                    j = bisect_left(ts_list, snapshot_ts)
-                    if j < len(ts_list) and ts_list[j] == snapshot_ts:
-                        entry = readers_list[j]
-                        if type(entry) is list:
-                            entry.append(reader)
-                        else:
-                            readers_list[j] = [entry, reader]
+                    if not ts_list or snapshot_ts > ts_list[-1]:
+                        # Tail first: a snapshot past every indexed one is appended.
+                        ts_list.append(snapshot_ts)
+                        readers_list.append(reader)
                     else:
-                        ts_list.insert(j, snapshot_ts)
-                        readers_list.insert(j, reader)
-                        if len(ts_list) > _SMALL_MAX:
-                            ev = e_by_key[key] = SortedMap._from_sorted(
-                                ts_list, readers_list
-                            )
+                        j = bisect_left(ts_list, snapshot_ts)
+                        if ts_list[j] == snapshot_ts:
+                            entry = readers_list[j]
+                            if type(entry) is list:
+                                entry.append(reader)
+                            else:
+                                readers_list[j] = [entry, reader]
+                        else:
+                            ts_list.insert(j, snapshot_ts)
+                            readers_list.insert(j, reader)
+                    if len(ts_list) > _SMALL_MAX:
+                        ev = e_by_key[key] = SortedMap._from_sorted(ts_list, readers_list)
                 else:
                     _add_promoted(ev, snapshot_ts, reader)
 

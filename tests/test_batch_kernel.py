@@ -13,8 +13,8 @@ violation multiset, and that multiset is the offline oracle's
 received, which shares no structure with the kernel).  Ordered reports
 and the flip-flop counters are pinned the same way, and so are the
 kernel's per-stage counters: they advance deterministically with the
-routed work, one batch per call, which is what lets the benchmark smoke
-gate catch a kernel that stopped doing the work it reports.
+routed work, one batch per call, which is what lets the smoke-stream
+tests at the end catch a kernel that stopped doing the work it reports.
 """
 
 from random import Random
@@ -345,3 +345,95 @@ def test_flipflops_are_batch_split_invariant(kind, seed):
     assert sum(expected[2].values()) > 0, "the shuffled stream must flip verdicts"
     for batch_size in (2, 7, 50, len(arrival)):
         assert ordered_run(kind, arrival, batch_size) == expected, batch_size
+
+
+# The hot-path smoke stream: a seeded near-commit-order arrival of a clean
+# history, in batches of 50.  What the kernel counts on it is exact, so
+# the counters below are derived from the ``Transaction`` views, and the
+# re-check counts and flip-flops are the values the kernel gave before
+# its passes were fused (a kernel that drops or duplicates work, or
+# splits a batch differently from what it was handed, changes them).
+SMOKE_BATCH = 50
+SMOKE_PINS = {
+    # kind: (verdict_reevals, verdict_conflicts, flips_per_pair,
+    #        flipped tids, rectify times, final EXT violations)
+    "aion": (771, 0, {1: 453}, 217, 453, 0),
+    "ser": (819, 0, {1: 408, 2: 48}, 224, 418, 214),
+    "sharded": (771, 0, {1: 453}, 217, 453, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_stream():
+    from repro.bench import cached_default_history
+    from repro.online.collector import HistoryCollector
+    from repro.online.delays import NormalDelay
+
+    history = cached_default_history(
+        n_sessions=6, n_transactions=400, ops_per_txn=8, n_keys=120, seed=77
+    )
+    collector = HistoryCollector(
+        batch_size=SMOKE_BATCH, arrival_tps=10_000, delay_model=NormalDelay(100, 10), seed=5
+    )
+    return [txn for _, txn in collector.schedule(history)]
+
+
+def smoke_run(kind, txns, *, instrumented=False):
+    """Counters, ordered reports, flip-flops and slow-batch traces of
+    one checker over the smoke stream; ``instrumented`` samples stage
+    timings on every batch and traces every batch as slow."""
+    checker = (
+        ShardedAion(INF, n_shards=2, clock=lambda: 0.0) if kind == "sharded" else make_checker(kind)
+    )
+    stats = checker.kernel_stats
+    traces = []
+    if instrumented:
+        stats.sample_every = 1
+        stats.slow_threshold = 1e-9
+        stats.on_slow_batch = traces.append
+    try:
+        for offset in range(0, len(txns), SMOKE_BATCH):
+            checker.receive_many(txns[offset : offset + SMOKE_BATCH])
+        reports = list(checker.finalize().violations)
+        return stats.as_dict(), reports, checker.flipflop_stats, traces
+    finally:
+        checker.close()
+
+
+@pytest.mark.parametrize("kind", ["aion", "ser", "sharded"])
+def test_smoke_stream_counters_match_the_transaction_views(kind, smoke_stream):
+    """The staged kernel does the work it reports: one batch per call,
+    every op routed, one probe per external read and per written key,
+    every external read tracked."""
+    txns = smoke_stream
+    got, reports, flips, _ = smoke_run(kind, txns)
+    n_ext_reads = sum(len(t.external_reads) for t in txns)
+    assert {name: got[name] for name in COUNTERS[:7]} == {
+        "batches": -(-len(txns) // SMOKE_BATCH),
+        "txns": len(txns),
+        "max_batch": SMOKE_BATCH,
+        "route_ops": sum(len(t.ops) for t in txns),
+        "probe_reads": n_ext_reads,
+        "probe_writes": sum(len(t.last_writes) for t in txns),
+        "verdict_tracks": n_ext_reads,
+    }
+    assert got["probe_reads"] and got["probe_writes"]
+    reevals, conflicts, flips_per_pair, n_flipped, n_rectified, n_violations = SMOKE_PINS[kind]
+    assert (got["verdict_reevals"], got["verdict_conflicts"]) == (reevals, conflicts)
+    assert flips.flips_per_pair == flips_per_pair
+    assert (len(flips.flipped_tids), len(flips.rectify_times)) == (n_flipped, n_rectified)
+    assert (flips.n_pairs, flips.n_finalized) == (n_ext_reads, n_ext_reads)
+    assert flips.n_final_violations == n_violations == len(reports)
+
+
+@pytest.mark.parametrize("kind", ["aion", "ser", "sharded"])
+def test_smoke_stream_instrumentation_changes_nothing(kind, smoke_stream):
+    """Stage timing on every batch and a slow-batch trace of every batch
+    leave the op counters, the ordered reports and the flip-flops as
+    they are — and every batch is timed and traced."""
+    plain, plain_reports, plain_flips, _ = smoke_run(kind, smoke_stream)
+    got, reports, flips, traces = smoke_run(kind, smoke_stream, instrumented=True)
+    assert [got[name] for name in COUNTERS] == [plain[name] for name in COUNTERS]
+    assert reports == plain_reports
+    assert flips == plain_flips
+    assert got["timed_batches"] == got["slow_batches"] == len(traces) == got["batches"]

@@ -26,7 +26,7 @@ def track(tracker, tid, reads, *, snapshot_ts=10, now=0.0):
     keys = list(reads)
     tracker.track_columns(
         [tid] * len(keys), keys, [snapshot_ts] * len(keys),
-        [reads[key][0] for key in keys], [reads[key][1] for key in keys], now,
+        [reads[key][0] for key in keys], [reads[key][1] for key in keys], now, [len(keys)],
     )
     tracker.arm_timers((tid,), now)
 
@@ -122,10 +122,10 @@ class TestLifecycle:
         tracker, violations, _ = make_tracker()
         copy = ([1, 1], ["x", "y"], [10, 10], ["a", "b"], ["q", "b"])
         if apart:
-            tracker.track_columns(*copy, 0.0)
-            tracker.track_columns(*copy, 0.0)
+            tracker.track_columns(*copy, 0.0, [2])
+            tracker.track_columns(*copy, 0.0, [2])
         else:
-            tracker.track_columns(*(column * 2 for column in copy), 0.0)
+            tracker.track_columns(*(column * 2 for column in copy), 0.0, [2, 4])
         tracker.arm_timers((1, 1), 0.0)
         tracker.reevaluate(1, "x", "a", 1.0)
         tracker.reevaluate(1, "x", "a", 1.0)
@@ -259,7 +259,7 @@ class TestFinalizationOrder:
     def feed(tracker):
         # Three arrival "batches"; batch two is armed under one deadline.
         track(tracker, 5, {"b": (1, 2), "a": (1, 2)}, now=0.0)
-        tracker.track_columns([9, 9, 3], ["a", "c", "a"], [10, 10, 11], [1, 1, 1], [1, 2, 2], 1.0)
+        tracker.track_columns([9, 9, 3], ["a", "c", "a"], [10, 10, 11], [1, 1, 1], [1, 2, 2], 1.0, [2, 3])
         tracker.arm_timers((9, 3), 1.0)
         track(tracker, 4, {"z": (1, 1)}, now=2.0)
         track(tracker, 2, {"a": (1, 2)}, now=2.0)
@@ -327,7 +327,7 @@ class TestNothingKeptPerFinalizedTransaction:
             for tid in tids:
                 expected_y = tid + 1 if tid % 10 == 0 else tid
                 tracker.track_columns(
-                    [tid, tid], ["x", "y"], [tid, tid], [tid, tid], [tid, expected_y], now
+                    [tid, tid], ["x", "y"], [tid, tid], [tid, tid], [tid, expected_y], now, [2]
                 )
             tracker.arm_timers(tids, now)
         tracker.advance_to(self.BATCHES + 10.0)

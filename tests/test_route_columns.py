@@ -3,12 +3,13 @@
 ``Aion.receive_many`` routes columns only: a list of transactions is
 flattened with ``ColumnarBatch.from_transactions`` at entry, and the
 route pass derives each transaction's external reads, final writes and
-INT mismatches with ``kernel.resolve_columns``.  The baselines and
+INT mismatches in one walk of its ops.  The baselines and
 ``db/faults.py`` still read the views ``Transaction.__init__``
 precomputes (``external_reads``, ``last_writes``), so the two
-derivations are pinned to each other here, over random register
-transactions dense in repeated reads, read-after-write and
-write-after-read on one key.  The second half checks that every shape
+derivations are pinned to each other here — what a one-transaction
+batch leaves in the tracker and the frontier, and the INT reports it
+makes — over random register transactions dense in repeated reads,
+read-after-write and write-after-read on one key.  The second half checks that every shape
 of input ``receive_many`` accepts — a generator, a tuple, a list, a
 ``ColumnarBatch`` — gives the same ordered reports, ``processed`` and
 kernel counters.
@@ -23,12 +24,14 @@ from hypothesis import strategies as st
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
 from repro.core.colpack import ColumnarBatch
-from repro.core.kernel import resolve_columns
+from repro.core.ext_status import REC_KEYS, REC_SNAPSHOT_TS
 from repro.core.sharded import ShardedAion
 from repro.histories.model import OpKind, Transaction
 from repro.histories.ops import read, write
 
 from test_differential import session_respecting_shuffle, small_history
+
+INF = AionConfig(timeout=float("inf"))
 
 # Three keys and four values: most generated transactions touch a key
 # more than once, and repeated reads both agree and disagree.
@@ -51,23 +54,32 @@ def int_model(ops):
     return mismatches or None
 
 
+@pytest.mark.parametrize("checker_class", [Aion, AionSer], ids=["aion", "ser"])
 @settings(max_examples=300, deadline=None)
 @given(ops=OPS)
 @example(ops=[read("a", 1), read("a", 1), read("a", 2)])  # repeated reads
 @example(ops=[write("a", 1), read("a", 1), read("a", 2)])  # read after write
 @example(ops=[read("a", 0), write("a", 1), write("a", 2), read("b", 3)])  # write after read
-def test_resolve_columns_matches_transaction_views(ops):
+def test_route_pass_matches_transaction_views(checker_class, ops):
     txn = Transaction(7, 1, 0, ops, 10, 20)
-    batch = ColumnarBatch.from_transactions([txn])
-    external, writes, mismatches = resolve_columns(
-        batch.op_kinds, batch.op_keys, batch.op_values, 0, len(ops)
-    )
-    assert external == [(key, op.value) for key, op in txn.external_reads.items()]
-    assert list(writes.items()) == list(txn.last_writes.items())
-    assert mismatches == int_model(txn.ops)
-
-
-INF = AionConfig(timeout=float("inf"))
+    checker = checker_class(INF, clock=lambda: 0.0)
+    checker.receive_many([txn])
+    # The INT reports, in program order (the session is in order).
+    reports = [(v.key, v.expected, v.actual) for v in checker.poll()]
+    assert reports == (int_model(txn.ops) or [])
+    # The tracked external reads: one record — ``[tid, keys, snapshot_ts,
+    # *actual, ...]`` — holding each key and the value its read observed.
+    records = list(checker._ext._txns.values())
+    assert len(records) == (1 if txn.external_reads else 0)
+    tracked = [
+        pair for record in records for pair in zip(record[REC_KEYS], record[REC_SNAPSHOT_TS + 1 :])
+    ]
+    assert tracked == [(key, op.value) for key, op in txn.external_reads.items()]
+    # The installed versions: each written key's final value, at commit.
+    frontier = checker._frontier
+    installed = {key: frontier.latest_at(key, 20) for key in frontier._by_key}
+    assert installed == {key: (20, value, 7) for key, value in txn.last_writes.items()}
+    checker.close()
 
 CHECKERS = {
     "aion": lambda: Aion(INF, clock=lambda: 0.0),

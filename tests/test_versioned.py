@@ -263,10 +263,66 @@ def random_ops(rng, n):
     return ops
 
 
+def near_sorted_ops(rng, n):
+    """A single key's stream as a collector delivers it: timestamps
+    mostly ascending, so most ops land at the tail of the key's lists —
+    some exactly on it (a commit equal to the newest version's, a
+    snapshot equal to the newest version or to the newest reader's) —
+    and now and then one arrives late.  Twice an ``("f",)`` op finalizes
+    every pending read, emptying the read index before the next op."""
+    ops, clock, newest_commit, newest_snapshot = [], 10, 10, 10
+    for tid in range(n):
+        clock += rng.randrange(1, 4)
+        roll = rng.random()
+        if roll < 0.15:
+            snapshot_ts = newest_commit
+        elif roll < 0.3:
+            snapshot_ts = newest_snapshot
+        elif roll < 0.4:
+            snapshot_ts = rng.randrange(5, clock)  # late
+        else:
+            snapshot_ts = clock
+        newest_snapshot = max(newest_snapshot, snapshot_ts)
+        ops.append(("r", snapshot_ts, tid))
+        if tid == n // 3:
+            ops.append(("f",))  # the next op is a write: a sweep of nothing
+        if tid == n // 3 or rng.random() < 0.7:
+            roll = rng.random()
+            if roll < 0.15:
+                commit_ts = newest_commit  # overwrites the newest version
+            elif roll < 0.25:
+                commit_ts = rng.randrange(5, clock)  # late
+            else:
+                commit_ts = clock + rng.randrange(0, 3)
+            newest_commit = max(newest_commit, commit_ts)
+            start_ts = max(0, commit_ts - rng.randrange(1, 12))
+            ops.append(("w", start_ts, commit_ts, tid, f"v{tid}"))
+        if tid == 2 * n // 3:
+            ops.append(("f",))  # the next op is a read: a reader into nothing
+    return ops
+
+
+def finalizing(run, reads, key, ops):
+    """``run`` over ``ops`` a segment at a time: at each ``("f",)`` op
+    every pending read of ``key`` is finalized — dropped from ``reads``,
+    which keeps the key, emptied — before the next op."""
+    answers, segment = [], []
+    for op in ops + [("f",)]:
+        if op[0] != "f":
+            segment.append(op)
+            continue
+        answers += run(segment)
+        segment = []
+        reads.remove_batch([(key, sts, tid) for sts, tid in reads.affected_by(key, 0, None)])
+        assert len(reads) == 0 and key in reads._by_key
+    return answers
+
+
 def model(ops, *, strict, optimized=True, seen=None):
     """Brute-force answers to ``ops`` under SI (``strict=False``) or SER
     visibility, with writer intervals only under SI; ``seen`` collects
-    which hard cases a sweep of the stream ran into."""
+    which hard cases a sweep of the stream ran into, and an ``("f",)``
+    op finalizes every pending read (it has no answer)."""
     versions, reads, intervals, answers = {}, [], [], []
     seen = set() if seen is None else seen
 
@@ -275,7 +331,9 @@ def model(ops, *, strict, optimized=True, seen=None):
         return versions[max(below)] if below else BOTTOM
 
     for op in ops:
-        if op[0] == "r":
+        if op[0] == "f":
+            reads.clear()
+        elif op[0] == "r":
             _, snapshot_ts, tid = op
             answers.append(visible(snapshot_ts, strict))
             reads.append((snapshot_ts, tid))
@@ -399,6 +457,40 @@ class TestProbeColumns:
         assert inline[1].evict_below(10**9) == spelled[1].evict_below(10**9)
         assert inline[2]._by_key.keys() == spelled[2]._by_key.keys()
         assert list(inline[2].affected_by("k", 0, None)) == list(spelled[2].affected_by("k", 0, None))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_near_sorted_matches_brute_force_model(self, representation, strict, seed):
+        """The tail-first branches — append a version, a reader or an
+        interval, take the newest version as the floor, skip a sweep or
+        an overlap scan — on ties to the tail, late arrivals and a read
+        index emptied by finalization."""
+        ops = near_sorted_ops(Random(300 + seed), 60)
+        frontier, reads = VersionedFrontier(), ExtReadIndex()
+        writers = None if strict else WriterIntervals()
+        got = finalizing(
+            lambda segment: probe(frontier, writers, reads, "k", segment, strict=strict),
+            reads, "k", ops,
+        )
+        assert [conflicts_sorted(answer) for answer in got] == model(ops, strict=strict)
+        promoted = representation == "promoted"
+        assert isinstance(frontier._by_key["k"], SortedMap) == promoted
+        assert len(frontier) == len({op[2] for op in ops if op[0] == "w"})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_sorted_inline_branches_match_the_methods(self, representation, seed):
+        ops = near_sorted_ops(Random(400 + seed), 60)
+        inline = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        spelled = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        assert finalizing(
+            lambda segment: probe(*inline, "k", segment), inline[2], "k", ops
+        ) == finalizing(
+            lambda segment: by_methods(*spelled, "k", segment), spelled[2], "k", ops
+        )
+        for a, b in zip(inline, spelled):
+            assert len(a) == len(b)
+        assert inline[0].evict_below(10**9) == spelled[0].evict_below(10**9)
+        assert inline[1].evict_below(10**9) == spelled[1].evict_below(10**9)
 
     def test_strict_sweep_closes_at_the_next_version(self):
         """SER: the reader committing exactly at the next version's
