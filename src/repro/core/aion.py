@@ -607,11 +607,6 @@ class Aion(SpillingGc):
             )
         )
 
-    def scan_step_totals(self) -> Tuple[int, int]:
-        """Summed ``(scan_steps, gc_scan_steps)`` over live promoted
-        writer-interval keys (see ``WriterIntervals.scan_step_totals``)."""
-        return self._writers.scan_step_totals()
-
     # ------------------------------------------------------------------
     # Garbage collection hooks (the cycle itself is SpillingGc's)
     # ------------------------------------------------------------------

@@ -109,10 +109,6 @@ class AionSer(Aion):
         """Deep-size estimate of the checker's live structures."""
         return deep_sizeof((self._frontier, self._ext_reads, self._resident, self._ext))
 
-    def scan_step_totals(self) -> Tuple[int, int]:
-        """SER keeps no writer-interval index; no scan counters accrue."""
-        return 0, 0
-
     # ------------------------------------------------------------------
     # Garbage collection hooks (the cycle itself is SpillingGc's; SER
     # keeps no writer intervals, so only the frontier is evicted)

@@ -167,13 +167,10 @@ class _ShardCore:
         if op == "sizeof":
             return deep_sizeof((self.frontier, self.writers, self.ext_reads))
         if op == "counts":
-            scan, gc_scan = self.writers.scan_step_totals()
             return {
                 "versions": len(self.frontier),
                 "intervals": len(self.writers),
                 "ext_reads": len(self.ext_reads),
-                "scan_steps": scan,
-                "gc_scan_steps": gc_scan,
             }
         raise ValueError(f"unknown shard command {op!r}")  # pragma: no cover
 
@@ -480,27 +477,18 @@ class ShardedAion(Aion):
         return sum(row["ext_reads"] for row in self._shard_counts())
 
     def _shard_counts(self) -> List[Dict[str, int]]:
-        """Per-shard structure/scan counters (observability path only)."""
+        """Per-shard structure sizes (observability path only)."""
         return self._control([("counts",)] * self.n_shards)
 
     def shard_stats(self) -> List[Dict[str, int]]:
-        """One row per shard: structure sizes, scan counters, deferred
-        read removals, and the ops the latest batch routed to it."""
+        """One row per shard: structure sizes, deferred read removals,
+        and the ops the latest batch routed to it."""
         rows = self._shard_counts()
         for shard, row in enumerate(rows):
             row["shard"] = shard
             row["pending_removals"] = len(self._pending_removals[shard])
             row["last_batch_commands"] = self._last_batch_commands[shard]
         return rows
-
-    def scan_step_totals(self) -> Tuple[int, int]:
-        """Summed ``(scan_steps, gc_scan_steps)`` across all shards."""
-        scan = 0
-        gc_scan = 0
-        for row in self._shard_counts():
-            scan += row["scan_steps"]
-            gc_scan += row["gc_scan_steps"]
-        return scan, gc_scan
 
     def _stalled(self, shard: int, now: float) -> bool:
         """Whether shard's worker looks frozen: its heartbeat has stood

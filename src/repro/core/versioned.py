@@ -22,17 +22,23 @@ quadratic; these classes store the equivalent information *per key*:
   in the reader's :class:`~repro.core.ext_status.ExtStatusTracker`
   record, which also decides every re-check.
 
-Each keeps a key in plain parallel lists — the small representation, one
-list slot per field and no object per entry — and only *promotes* it to
-a chunked container past ``_SMALL_MAX`` entries.  ``_by_key[key]`` is:
+Each keeps every key in plain parallel lists, one list per field and no
+object per entry, whatever the key's size.  ``_by_key[key]`` is:
 
 - frontier: ``(commit_ts, values, tids)`` sorted by commit timestamp;
-  promoted, a ``SortedMap`` ``commit_ts -> (value, tid)``;
-- writer intervals: ``(ends, starts, owners)`` sorted by end; promoted,
-  an ``IntervalIndex``;
+- writer intervals: ``(ends, starts, owners)`` sorted by end, equal ends
+  in insertion order — which is the order a write's NOCONFLICT
+  conflicts are listed in;
 - read index: ``(snapshot_ts, readers)`` sorted by snapshot point, a
   reader being a tid or, for transactions sharing the snapshot, a
-  ``list`` of tids; promoted, a ``SortedMap`` ``snapshot_ts -> reader``.
+  ``list`` of tids.
+
+Every timestamp column here arrives near-sorted, so an insert lands at
+or near the tail and its ``list.insert`` moves a few entries whatever
+the key's size.  What a hot key pays is the overlap scan: it walks every
+interval ending at or after the query's start, so heavy disorder on one
+key makes it long (ROADMAP item 1(b)'s hot-key rung is where to measure
+a bounded one).
 
 The frontier and the writer intervals support eviction below a GC-safe
 timestamp and re-merging of reloaded segments (the ``GARBAGE COLLECT`` /
@@ -40,9 +46,9 @@ reload-on-demand protocol); pending reads are never evicted — a read
 leaves the index when its verdict is finalized.
 
 The checkers read and write all three through one batched entry point,
-:func:`probe_columns`, which applies the small-key fast paths inline and
-tries the tail of each list first: arrivals come close to commit order,
-so a version or a reader past the newest is appended without a bisect,
+:func:`probe_columns`, which works on the lists inline and tries the
+tail of each list first: arrivals come close to commit order, so a
+version or a reader past the newest is appended without a bisect,
 a snapshot past the newest version takes it as its floor, and a write
 skips the reader sweep when no snapshot reaches it and the overlap scan
 when it starts after every writer ends.  Each tail test falls back to
@@ -51,14 +57,13 @@ empty a key's read index).  The one-query methods that stay public
 beside it give the same answers per call — they bisect without trying
 the tail — and must be kept in lockstep with its inline branches
 (``tests/test_versioned.py`` holds both to the same answers, on random
-and on near-sorted streams):
+and on near-sorted streams, on short keys and on hot ones):
 ``insert_and_next_ts`` / ``WriterIntervals.add`` re-insert reloaded
 segments, which arrive as columns, not streams; ``value_at`` serves the
 ablation branch; ``insert_and_next_ts``, ``overlap_add``,
 ``ExtReadIndex.add`` and ``affected_by`` / ``collect_affected`` are what
 the ladder benchmark's structure rungs time (the last is also the
-promoted-key sweep and the ablation's); ``latest_at`` is how tests
-inspect state.
+ablation's sweep); ``latest_at`` is how tests inspect state.
 """
 
 from __future__ import annotations
@@ -67,9 +72,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.util.intervals import IntervalIndex
 from repro.util.sizeof import register_sizer
-from repro.util.sortedmap import SortedMap
 
 __all__ = [
     "FrontierVersion",
@@ -99,47 +102,25 @@ def empty_columns() -> Tuple[List, List, List, List, List]:
     """Columns holding nothing (of either shape)."""
     return [], [], [], [], []
 
-#: Keys stay in the small-key representation (plain parallel lists, see
-#: the module docstring) until they hold more entries than this; then
-#: they are promoted to a SortedMap / IntervalIndex.  Under the skewed key
-#: distributions real workloads produce, most keys never promote.  The
-#: threshold is deliberately large: a promoted key pays a method call and
-#: a ``maxes`` descent per operation, which only starts winning once the
-#: key outgrows a single SortedMap chunk — below that, a bisect plus a
-#: ``list.insert`` memmove on one flat list is strictly cheaper.  On top
-#: of that, every timestamp column here (frontier commit points, writer
-#: interval ends, EXT snapshot points) arrives *near-sorted*, so inserts
-#: land at or near the tail and the memmove is a few entries regardless
-#: of key size — the chunked container's only real advantage (bounded
-#: memmove on random-position inserts) never applies.  4096 keeps even
-#: the hottest keys of the throughput workloads on the inline path;
-#: promotion remains as the safety net for adversarial insert orders on
-#: genuinely huge keys.
-_SMALL_MAX = 4096
-
 
 class VersionedFrontier:
     """Per-key committed versions ordered by commit timestamp.
 
-    ``_by_key`` maps a key either to a ``(timestamps, values, tids)``
-    tuple of parallel lists sorted by timestamp (the adaptive small-key
-    representation: three list slots per version, no object) or, once
-    the key accumulates more than ``_SMALL_MAX`` versions, to a
-    :class:`SortedMap` of ``commit_ts -> (value, tid)``.  All public
-    methods branch on the representation; the small path is a single
-    C-speed bisect on a short list with no container-object indirection.
+    ``_by_key`` maps a key to a ``(timestamps, values, tids)`` tuple of
+    parallel lists sorted by timestamp: three list slots per version, no
+    object, and every query one C-speed bisect.
     """
 
     __slots__ = ("_by_key", "_n_versions", "_multi")
 
     def __init__(self) -> None:
-        self._by_key: Dict[str, Any] = {}
+        self._by_key: Dict[str, Tuple[List[int], List[Any], List[int]]] = {}
         self._n_versions = 0
         #: Keys holding two or more versions, added on the 1→2 insert and
         #: dropped when eviction leaves one.  Eviction always keeps a
         #: key's newest evictable version, so only these keys can lose
         #: anything: :meth:`evict_below` walks this set, never the whole
-        #: index.  Promoted (SortedMap) keys stay in it for good.
+        #: index.
         self._multi: set = set()
 
     def __len__(self) -> int:
@@ -154,17 +135,11 @@ class VersionedFrontier:
         versions = self._by_key.get(key)
         if versions is None:
             return None
-        if type(versions) is tuple:
-            timestamps, values, tids = versions
-            j = bisect_right(timestamps, ts) - 1
-            if j < 0:
-                return None
-            return (timestamps[j], values[j], tids[j])
-        item = versions.floor_item(ts)
-        if item is None:
+        timestamps, values, tids = versions
+        j = bisect_right(timestamps, ts) - 1
+        if j < 0:
             return None
-        commit_ts, (value, tid) = item
-        return (commit_ts, value, tid)
+        return (timestamps[j], values[j], tids[j])
 
     def value_at(self, key: str, ts: int, default: Any = None) -> Any:
         """The visible *value* at ``ts``, or ``default`` for no version.
@@ -176,16 +151,10 @@ class VersionedFrontier:
         versions = self._by_key.get(key)
         if versions is None:
             return default
-        if type(versions) is tuple:
-            timestamps = versions[0]
-            j = bisect_right(timestamps, ts) - 1
-            if j < 0:
-                return default
-            return versions[1][j]
-        item = versions.floor_item(ts)
-        if item is None:
+        j = bisect_right(versions[0], ts) - 1
+        if j < 0:
             return default
-        return item[1][0]
+        return versions[1][j]
 
     def insert_and_next_ts(
         self, key: str, commit_ts: int, value: Any, tid: int
@@ -201,30 +170,22 @@ class VersionedFrontier:
             self._by_key[key] = ([commit_ts], [value], [tid])
             self._n_versions += 1
             return None
-        if type(versions) is tuple:
-            timestamps, values, tids = versions
-            j = bisect_left(timestamps, commit_ts)
-            n = len(timestamps)
-            if j < n and timestamps[j] == commit_ts:
-                values[j] = value
-                tids[j] = tid
-            else:
-                timestamps.insert(j, commit_ts)
-                values.insert(j, value)
-                tids.insert(j, tid)
-                self._n_versions += 1
-                n += 1
-                if n == 2:
-                    self._multi.add(key)
-            nxt = j + 1
-            result = timestamps[nxt] if nxt < n else None
-            if n > _SMALL_MAX:
-                self._by_key[key] = SortedMap._from_sorted(timestamps, list(zip(values, tids)))
-            return result
-        was_present, successor = versions.set_and_higher(commit_ts, (value, tid))
-        if not was_present:
+        timestamps, values, tids = versions
+        j = bisect_left(timestamps, commit_ts)
+        n = len(timestamps)
+        if j < n and timestamps[j] == commit_ts:
+            values[j] = value
+            tids[j] = tid
+        else:
+            timestamps.insert(j, commit_ts)
+            values.insert(j, value)
+            tids.insert(j, tid)
             self._n_versions += 1
-        return None if successor is None else successor[0]
+            n += 1
+            if n == 2:
+                self._multi.add(key)
+        j += 1
+        return timestamps[j] if j < n else None
 
     def evict_below(self, ts: int) -> VersionColumns:
         """Remove versions with ``commit_ts <= ts``, keeping one per key.
@@ -247,31 +208,18 @@ class VersionedFrontier:
         by_key = self._by_key
         settled: List[str] = []
         for key in self._multi:
-            versions = by_key[key]
-            if type(versions) is tuple:
-                timestamps, key_values, key_tids = versions
-                if timestamps[1] > ts:
-                    continue
-                cut = bisect_right(timestamps, ts) - 1
-                commits += timestamps[:cut]
-                values += key_values[:cut]
-                tids += key_tids[:cut]
-                del timestamps[:cut]
-                del key_values[:cut]
-                del key_tids[:cut]
-                if len(timestamps) == 1:
-                    settled.append(key)
-            else:
-                if len(versions) < 2 or versions.key_at(1) > ts:
-                    continue
-                popped = versions.pop_below(ts, inclusive=True)
-                keep_ts, keep_payload = popped.pop()
-                versions[keep_ts] = keep_payload
-                cut = len(popped)
-                for commit_ts, (value, tid) in popped:
-                    commits.append(commit_ts)
-                    values.append(value)
-                    tids.append(tid)
+            timestamps, key_values, key_tids = by_key[key]
+            if timestamps[1] > ts:
+                continue
+            cut = bisect_right(timestamps, ts) - 1
+            commits += timestamps[:cut]
+            values += key_values[:cut]
+            tids += key_tids[:cut]
+            del timestamps[:cut]
+            del key_values[:cut]
+            del key_tids[:cut]
+            if len(timestamps) == 1:
+                settled.append(key)
             keys.append(key)
             counts.append(cut)
         self._multi.difference_update(settled)
@@ -290,58 +238,51 @@ class VersionedFrontier:
             lo = hi
 
 
+def _insert_interval(
+    rep: Tuple[List[int], List[int], List[int]], start_ts: int, commit_ts: int, tid: int
+) -> None:
+    """Insert an interval into a key's ``(ends, starts, owners)`` lists,
+    after every interval ending at or before ``commit_ts``."""
+    ends, starts, owners = rep
+    if commit_ts >= ends[-1]:
+        ends.append(commit_ts)
+        starts.append(start_ts)
+        owners.append(tid)
+    else:
+        j = bisect_right(ends, commit_ts)
+        ends.insert(j, commit_ts)
+        starts.insert(j, start_ts)
+        owners.insert(j, tid)
+
+
 class WriterIntervals:
     """Per-key interval index over writer lifetimes (``ongoing_ts``).
 
-    Adaptive like :class:`VersionedFrontier`: ``_by_key[key]`` holds an
-    ``(ends, starts, owners)`` triple of plain parallel lists sorted by
-    interval *end* (= ``commit_ts``) while the key has at most
-    ``_SMALL_MAX`` live intervals, promoting to an
-    :class:`IntervalIndex` beyond that.  Commit timestamps arrive in
-    near-sorted order, so the small rep inserts by appending at the
-    tail; an overlap query for ``[start, end]`` bisects the first end
-    reaching ``start`` and scans only the live suffix — the same
-    answer-plus-slop cost profile as the reach-pruned chunk index, with
-    no container object and no method dispatch for the overwhelmingly
-    common small key.  GC truncates the dead prefix in one slice.
+    ``_by_key[key]`` holds an ``(ends, starts, owners)`` triple of plain
+    parallel lists sorted by interval *end* (= ``commit_ts``), an equal
+    end going after the ones already there.  Commit timestamps arrive in
+    near-sorted order, so an insert appends at the tail; an overlap
+    query for ``[start, end]`` bisects the first end reaching ``start``
+    and scans the suffix from there, so it lists its hits by ascending
+    end, equal ends in insertion order.  GC truncates the dead prefix in
+    one slice.
     """
 
     __slots__ = ("_by_key", "_n_intervals")
 
     def __init__(self) -> None:
-        self._by_key: Dict[str, Any] = {}
+        self._by_key: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
         self._n_intervals = 0
 
     def __len__(self) -> int:
         return self._n_intervals
 
-    @staticmethod
-    def _promote(ends: List[int], starts: List[int], owners: List[int]) -> IntervalIndex:
-        """Build an :class:`IntervalIndex` from the small-rep columns."""
-        index = IntervalIndex()
-        for i in range(len(ends)):
-            index.insert(starts[i], ends[i], owners[i])
-        return index
-
     def add(self, key: str, start_ts: int, commit_ts: int, tid: int) -> None:
         rep = self._by_key.get(key)
         if rep is None:
             self._by_key[key] = ([commit_ts], [start_ts], [tid])
-        elif type(rep) is tuple:
-            ends, starts, owners = rep
-            if commit_ts >= ends[-1]:
-                ends.append(commit_ts)
-                starts.append(start_ts)
-                owners.append(tid)
-            else:
-                j = bisect_right(ends, commit_ts)
-                ends.insert(j, commit_ts)
-                starts.insert(j, start_ts)
-                owners.insert(j, tid)
-            if len(ends) > _SMALL_MAX:
-                self._by_key[key] = self._promote(ends, starts, owners)
         else:
-            rep.insert(start_ts, commit_ts, tid)
+            _insert_interval(rep, start_ts, commit_ts, tid)
         self._n_intervals += 1
 
     def overlap_add(
@@ -355,32 +296,17 @@ class WriterIntervals:
         same index descent.
         """
         rep = self._by_key.get(key)
+        hits: List[Tuple[int, int]] = []
         if rep is None:
             self._by_key[key] = ([commit_ts], [start_ts], [tid])
-            self._n_intervals += 1
-            return []
-        if type(rep) is tuple:
+        else:
             ends, starts, owners = rep
-            hits: List[Tuple[int, int]] = []
-            j = bisect_left(ends, start_ts)
-            for i in range(j, len(ends)):
+            for i in range(bisect_left(ends, start_ts), len(ends)):
                 if starts[i] <= commit_ts:
                     owner = owners[i]
                     if owner != tid:
                         hits.append((owner, ends[i]))
-            if commit_ts >= ends[-1]:
-                ends.append(commit_ts)
-                starts.append(start_ts)
-                owners.append(tid)
-            else:
-                j = bisect_right(ends, commit_ts)
-                ends.insert(j, commit_ts)
-                starts.insert(j, start_ts)
-                owners.insert(j, tid)
-            if len(ends) > _SMALL_MAX:
-                self._by_key[key] = self._promote(ends, starts, owners)
-        else:
-            hits = rep.overlap_add(start_ts, commit_ts, tid)
+            _insert_interval(rep, start_ts, commit_ts, tid)
         self._n_intervals += 1
         return hits
 
@@ -398,30 +324,19 @@ class WriterIntervals:
         out_tids: List[int] = []
         by_key = self._by_key
         emptied: List[str] = []
-        for key, rep in by_key.items():
-            if type(rep) is tuple:
-                ends, starts, owners = rep
-                if ends[0] >= ts:
-                    continue
-                j = bisect_left(ends, ts)
-                out_starts += starts[:j]
-                out_ends += ends[:j]
-                out_tids += owners[:j]
-                if j == len(ends):
-                    emptied.append(key)
-                else:
-                    del ends[:j]
-                    del starts[:j]
-                    del owners[:j]
+        for key, (ends, starts, owners) in by_key.items():
+            if ends[0] >= ts:
+                continue
+            j = bisect_left(ends, ts)
+            out_starts += starts[:j]
+            out_ends += ends[:j]
+            out_tids += owners[:j]
+            if j == len(ends):
+                emptied.append(key)
             else:
-                removed = rep.pop_ending_before(ts)
-                if not removed:
-                    continue
-                j = len(removed)
-                for interval in removed:
-                    out_starts.append(interval.start)
-                    out_ends.append(interval.end)
-                    out_tids.append(interval.owner)
+                del ends[:j]
+                del starts[:j]
+                del owners[:j]
             keys.append(key)
             counts.append(j)
         for key in emptied:
@@ -440,33 +355,15 @@ class WriterIntervals:
                 add(key, starts[row], ends[row], tids[row])
             lo = hi
 
-    def scan_step_totals(self) -> Tuple[int, int]:
-        """Summed ``(scan_steps, gc_scan_steps)`` over live promoted keys.
-
-        Only keys promoted to an :class:`IntervalIndex` maintain scan
-        counters (the small-rep fast path bisects flat lists and counts
-        nothing); eviction never demotes a promoted key, so the live sum
-        is cumulative for every key still promoted.  Observability-path
-        only — an O(promoted keys) walk, never on ingest.
-        """
-        scan = 0
-        gc_scan = 0
-        for rep in self._by_key.values():
-            if type(rep) is not tuple:
-                scan += rep.scan_steps
-                gc_scan += rep.gc_scan_steps
-        return scan, gc_scan
-
 
 class ExtReadIndex:
     """Per-key pending external reads indexed by snapshot point.
 
     Each entry maps ``snapshot_ts`` to its reader: the reader's tid (an
     ``int``) in the overwhelmingly common one-reader-per-snapshot case,
-    promoted to a *list* of tids when distinct transactions share a
-    snapshot point (concurrent readers handed the same database snapshot
-    all carry the same ``start_ts``).  The promotion matters for
-    correctness — storing only one reader per snapshot would let one
+    and a *list* of tids when distinct transactions share a snapshot
+    point (concurrent readers handed the same database snapshot all
+    carry the same ``start_ts``).  The list matters for correctness — storing only one reader per snapshot would let one
     reader clobber another at insertion, and finalizing one reader would
     evict the others from step-③ re-checking (silently dropped
     re-checks, i.e. missed EXT violations) — while the bare-int fast
@@ -481,18 +378,16 @@ class ExtReadIndex:
     finalized reads are never re-checked (Algorithm 3, lines 40–41),
     which keeps the index small.
 
-    Like :class:`VersionedFrontier`, keys are adaptive: ``_by_key[key]``
-    is a ``(ts_list, readers_list)`` pair of plain parallel lists while
-    the key holds at most ``_SMALL_MAX`` distinct snapshot points, and is
-    promoted to a :class:`SortedMap` beyond that.  Finalization churn —
-    add on arrival, remove on timeout — stays on the C-speed bisect path
-    for the overwhelming majority of keys.
+    ``_by_key[key]`` is a ``(ts_list, readers_list)`` pair of plain
+    parallel lists sorted by snapshot point, so finalization churn — add
+    on arrival, remove on timeout — is one C-speed bisect per read.  A
+    key whose reads are all finalized keeps its two empty lists.
     """
 
     __slots__ = ("_by_key", "_n_reads")
 
     def __init__(self) -> None:
-        self._by_key: Dict[str, Any] = {}
+        self._by_key: Dict[str, Tuple[List[int], List[Any]]] = {}
         self._n_reads = 0
 
     def __len__(self) -> int:
@@ -502,29 +397,25 @@ class ExtReadIndex:
         """Index ``tid``'s read of ``key`` at ``snapshot_ts``.
 
         ``actual`` is accepted and not stored: the frozen ladder's
-        ``versioned.ext_sweep_reads_s`` rung and ``bench_hotpath.py``
-        still pass the observed value (ROADMAP item 1(a) drops it).
+        ``versioned.ext_sweep_reads_s`` rung still passes the observed
+        value (ROADMAP item 1(a) drops it).
         """
         index = self._by_key.get(key)
         self._n_reads += 1
         if index is None:
             self._by_key[key] = ([snapshot_ts], [tid])
-        elif type(index) is tuple:
-            ts_list, readers_list = index
-            j = bisect_left(ts_list, snapshot_ts)
-            if j < len(ts_list) and ts_list[j] == snapshot_ts:
-                entry = readers_list[j]
-                if type(entry) is list:
-                    entry.append(tid)
-                else:
-                    readers_list[j] = [entry, tid]
+            return
+        ts_list, readers_list = index
+        j = bisect_left(ts_list, snapshot_ts)
+        if j < len(ts_list) and ts_list[j] == snapshot_ts:
+            entry = readers_list[j]
+            if type(entry) is list:
+                entry.append(tid)
             else:
-                ts_list.insert(j, snapshot_ts)
-                readers_list.insert(j, tid)
-                if len(ts_list) > _SMALL_MAX:
-                    self._by_key[key] = SortedMap._from_sorted(ts_list, readers_list)
+                readers_list[j] = [entry, tid]
         else:
-            _add_promoted(index, snapshot_ts, tid)
+            ts_list.insert(j, snapshot_ts)
+            readers_list.insert(j, tid)
 
     def remove(self, key: str, snapshot_ts: int, tid: int) -> None:
         """Drop ``tid``'s read of ``key`` at ``snapshot_ts`` (one entry of
@@ -533,25 +424,20 @@ class ExtReadIndex:
         index = self._by_key.get(key)
         if index is None:
             return
-        if type(index) is tuple:
-            ts_list, slots = index
-            at = bisect_left(ts_list, snapshot_ts)
-            if at == len(ts_list) or ts_list[at] != snapshot_ts:
-                return
-            entry = slots[at]
-        else:
-            slots, at = index, snapshot_ts
-            entry = index.get(snapshot_ts)
+        ts_list, readers_list = index
+        at = bisect_left(ts_list, snapshot_ts)
+        if at == len(ts_list) or ts_list[at] != snapshot_ts:
+            return
+        entry = readers_list[at]
         if type(entry) is list:
             if tid not in entry:
                 return
             entry.remove(tid)
             if len(entry) == 1:
-                slots[at] = entry[0]
-        elif entry == tid:  # a promoted key's missing snapshot point reads None
-            del slots[at]
-            if slots is not index:
-                del ts_list[at]
+                readers_list[at] = entry[0]
+        elif entry == tid:
+            del ts_list[at]
+            del readers_list[at]
         else:
             return
         self._n_reads -= 1
@@ -606,32 +492,23 @@ class ExtReadIndex:
         ``exclude_tid`` (the writer never re-checks its own read; ``None``
         excludes nobody).  Returns ``[]`` when no reader is affected.
 
-        :func:`probe_columns` answers a small key's sweep with a bare
-        slice of tids; this is the sweep of promoted keys, and of the
-        ablation, which needs each reader's snapshot point.
+        :func:`probe_columns` answers the optimized sweep with a bare
+        slice of tids; this is the ablation's sweep, which needs each
+        reader's snapshot point.
         """
         index = self._by_key.get(key)
         if index is None:
             return []
-        if type(index) is tuple:
-            ts_list, readers_list = index
-            lo = bisect_left(ts_list, version_ts)
-            if next_version_ts is None:
-                hi = len(ts_list)
-            elif upper_inclusive:
-                hi = bisect_right(ts_list, next_version_ts)
-            else:
-                hi = bisect_left(ts_list, next_version_ts)
-            range_ts, range_entries = ts_list[lo:hi], readers_list[lo:hi]
+        ts_list, readers_list = index
+        lo = bisect_left(ts_list, version_ts)
+        if next_version_ts is None:
+            hi = len(ts_list)
+        elif upper_inclusive:
+            hi = bisect_right(ts_list, next_version_ts)
         else:
-            got = index.range_lists(
-                version_ts, next_version_ts, inclusive=(True, upper_inclusive)
-            )
-            if got is None:
-                return []
-            range_ts, range_entries = got
+            hi = bisect_left(ts_list, next_version_ts)
         out: List[Tuple[int, int]] = []
-        for snapshot_ts, entry in zip(range_ts, range_entries):
+        for snapshot_ts, entry in zip(ts_list[lo:hi], readers_list[lo:hi]):
             if type(entry) is list:
                 out += [(snapshot_ts, tid) for tid in entry if tid != exclude_tid]
             elif entry != exclude_tid:
@@ -639,41 +516,9 @@ class ExtReadIndex:
         return out
 
 
-def _add_promoted(index: SortedMap, snapshot_ts: int, tid: int) -> None:
-    """Add a reader to a promoted key in one descent: a fresh snapshot
-    point stores the tid itself; a collision (the map did not grow)
-    promotes the entry to a reader list."""
-    before = len(index)
-    got = index.setdefault(snapshot_ts, tid)
-    if len(index) == before:
-        if type(got) is list:
-            got.append(tid)
-        else:
-            index[snapshot_ts] = [got, tid]
-
-
 # ----------------------------------------------------------------------
 # Columnar frontier-probe kernel
 # ----------------------------------------------------------------------
-
-class _NoIntervals:
-    """Stands in for ``WriterIntervals._by_key`` when a checker keeps no
-    writer intervals (Aion-SER checks no NOCONFLICT and hands
-    :func:`probe_columns` no :class:`WriterIntervals`): every key maps
-    to this same promoted-looking index, in which step ② finds no
-    overlap and records nothing."""
-
-    __slots__ = ()
-
-    def get(self, key: str) -> "_NoIntervals":
-        return self
-
-    def overlap_add(self, start_ts: int, commit_ts: int, tid: int) -> None:
-        return None
-
-
-_NO_INTERVALS = _NoIntervals()
-
 
 def probe_columns(
     frontier: "VersionedFrontier",
@@ -702,9 +547,8 @@ def probe_columns(
     whose floor it became, all in stream order.
 
     The pass lives here rather than in a checker because this layer
-    owns all three structures: each key's representation is fetched
-    **once per stream** instead of once per op, and the adaptive small-
-    key fast paths (plain parallel lists) are applied inline — dropping
+    owns all three structures: each key's lists are fetched **once per
+    stream** instead of once per op, and worked on inline — dropping
     one dict descent and several method frames per operation (see the
     module docstring for the public methods that mirror them).
 
@@ -717,7 +561,7 @@ def probe_columns(
     version *strictly below* it and the sweep closes at its upper end,
     ``[cts, next]`` — the reader committing exactly at ``next`` wrote
     that version and reads below itself.  SER also keeps no writer
-    intervals: ``writers`` is ``None`` and step ② does nothing.  The
+    intervals: ``writers`` is ``None`` and step ② is skipped.  The
     ablation (``optimized=False``) is defined for SI only.
 
     Returns ``(r_expected, w_conflicts, w_reevals)``: the visibility
@@ -741,11 +585,9 @@ def probe_columns(
         if not optimized:
             raise ValueError("the unoptimized re-check ablation is defined for SI only")
         floor_end = bisect_left
-        floor_item = SortedMap.lower_item
         sweep_end = bisect_right
     else:
         floor_end = bisect_right
-        floor_item = SortedMap.floor_item
         sweep_end = bisect_left
     # Integer timestamps: ``snapshot_ts + tail_shift > newest`` is the
     # tail test of either floor — ``>`` strictly below, ``>=`` at or below.
@@ -753,7 +595,8 @@ def probe_columns(
     f_by_key = frontier._by_key
     f_multi_add = frontier._multi.add
     e_by_key = ext_reads._by_key
-    w_by_key = _NO_INTERVALS if writers is None else writers._by_key
+    has_intervals = writers is not None
+    w_by_key = writers._by_key if has_intervals else {}
     value_at = frontier.value_at
     collect_affected = ext_reads.collect_affected
     new_versions = 0
@@ -769,44 +612,37 @@ def probe_columns(
                 # ---- write: step ② then step ③.
                 commit_ts = w_cts[index]
                 tid = w_tids[index]
-                # Inline twin of WriterIntervals.overlap_add.
-                start_ts = w_starts[index]
-                if iv is None:
-                    iv = w_by_key[key] = ([commit_ts], [start_ts], [tid])
-                elif type(iv) is tuple:
-                    ends, i_starts, owners = iv
-                    hits = None
-                    if ends and start_ts <= ends[-1]:  # else nothing ends late enough
-                        for i in range(bisect_left(ends, start_ts), len(ends)):
-                            if i_starts[i] <= commit_ts:
-                                owner = owners[i]
-                                if owner != tid:
-                                    if hits is None:
-                                        hits = w_conflicts[index] = []
-                                    hits.append((owner, ends[i]))
-                    if not ends or commit_ts >= ends[-1]:
-                        ends.append(commit_ts)
-                        i_starts.append(start_ts)
-                        owners.append(tid)
+                if has_intervals:
+                    # Inline twin of WriterIntervals.overlap_add.
+                    start_ts = w_starts[index]
+                    if iv is None:
+                        iv = w_by_key[key] = ([commit_ts], [start_ts], [tid])
                     else:
-                        j = bisect_right(ends, commit_ts)
-                        ends.insert(j, commit_ts)
-                        i_starts.insert(j, start_ts)
-                        owners.insert(j, tid)
-                    if len(ends) > _SMALL_MAX:
-                        iv = w_by_key[key] = WriterIntervals._promote(
-                            ends, i_starts, owners
-                        )
-                else:
-                    hits = iv.overlap_add(start_ts, commit_ts, tid)
-                    if hits:
-                        w_conflicts[index] = hits
+                        ends, i_starts, owners = iv
+                        hits = None
+                        if ends and start_ts <= ends[-1]:  # else nothing ends late enough
+                            for i in range(bisect_left(ends, start_ts), len(ends)):
+                                if i_starts[i] <= commit_ts:
+                                    owner = owners[i]
+                                    if owner != tid:
+                                        if hits is None:
+                                            hits = w_conflicts[index] = []
+                                        hits.append((owner, ends[i]))
+                        if not ends or commit_ts >= ends[-1]:
+                            ends.append(commit_ts)
+                            i_starts.append(start_ts)
+                            owners.append(tid)
+                        else:
+                            j = bisect_right(ends, commit_ts)
+                            ends.insert(j, commit_ts)
+                            i_starts.insert(j, start_ts)
+                            owners.insert(j, tid)
                 # Inline twin of insert_and_next_ts.
                 if fv is None:
                     fv = f_by_key[key] = ([commit_ts], [w_vals[index]], [tid])
                     new_versions += 1
                     nxt_ts = None
-                elif type(fv) is tuple:
+                else:
                     timestamps, f_values, f_tids = fv
                     if not timestamps or commit_ts > timestamps[-1]:
                         # Tail first: a version newer than all is appended.
@@ -829,58 +665,33 @@ def probe_columns(
                             f_values.insert(j, w_vals[index])
                             f_tids.insert(j, tid)
                             new_versions += 1
-                    n = len(timestamps)
-                    if n == 2:
+                    if len(timestamps) == 2:
                         f_multi_add(key)
-                    elif n > _SMALL_MAX:
-                        fv = f_by_key[key] = SortedMap._from_sorted(
-                            timestamps, list(zip(f_values, f_tids))
-                        )
-                else:
-                    was_present, successor = fv.set_and_higher(
-                        commit_ts, (w_vals[index], tid)
-                    )
-                    if was_present:
-                        overwrites += 1
-                    else:
-                        new_versions += 1
-                    nxt_ts = None if successor is None else successor[0]
                 if optimized:
-                    # The sweep of a small key is one slice of its
-                    # readers (``ev`` is already in hand); a shared-
-                    # snapshot list in range is spliced in, and the
-                    # writer's own read dropped, only when present.
+                    # The sweep is one slice of the key's readers (``ev``
+                    # is already in hand); a shared-snapshot list in
+                    # range is spliced in, and the writer's own read
+                    # dropped, only when present.
                     if ev is None:
-                        pass
-                    elif type(ev) is tuple:
-                        ts_list, readers_list = ev
-                        # Tail first: no reader's snapshot reaches this version.
-                        if not ts_list or commit_ts > ts_list[-1]:
-                            continue
-                        lo = bisect_left(ts_list, commit_ts)
-                        hi = (
-                            len(ts_list)
-                            if nxt_ts is None
-                            else sweep_end(ts_list, nxt_ts)
-                        )
-                        if lo < hi:
-                            out = readers_list[lo:hi]
-                            if list in map(type, out):
-                                out = [
-                                    reader
-                                    for entry in out
-                                    for reader in (entry if type(entry) is list else (entry,))
-                                ]
-                            if tid in out:
-                                out = [reader for reader in out if reader != tid]
-                            if out:
-                                w_reevals[index] = out
-                    else:
-                        affected = collect_affected(
-                            key, commit_ts, nxt_ts, tid, upper_inclusive=strict
-                        )
-                        if affected:
-                            w_reevals[index] = [row[1] for row in affected]
+                        continue
+                    ts_list, readers_list = ev
+                    # Tail first: no reader's snapshot reaches this version.
+                    if not ts_list or commit_ts > ts_list[-1]:
+                        continue
+                    lo = bisect_left(ts_list, commit_ts)
+                    hi = len(ts_list) if nxt_ts is None else sweep_end(ts_list, nxt_ts)
+                    if lo < hi:
+                        out = readers_list[lo:hi]
+                        if list in map(type, out):
+                            out = [
+                                reader
+                                for entry in out
+                                for reader in (entry if type(entry) is list else (entry,))
+                            ]
+                        if tid in out:
+                            out = [reader for reader in out if reader != tid]
+                        if out:
+                            w_reevals[index] = out
                 else:
                     # Ablation: every pending read of the key against a
                     # fresh visibility query (no range cutoff); the
@@ -897,7 +708,7 @@ def probe_columns(
                 snapshot_ts = r_ts[index]
                 if fv is None:
                     r_expected[index] = bottom
-                elif type(fv) is tuple:
+                else:
                     # Tail first: a snapshot past the newest version sees it.
                     timestamps = fv[0]
                     if timestamps and snapshot_ts + tail_shift > timestamps[-1]:
@@ -905,13 +716,10 @@ def probe_columns(
                     else:
                         j = floor_end(timestamps, snapshot_ts) - 1
                         r_expected[index] = fv[1][j] if j >= 0 else bottom
-                else:
-                    item = floor_item(fv, snapshot_ts)
-                    r_expected[index] = bottom if item is None else item[1][0]
                 reader = r_tids[index]
                 if ev is None:
                     ev = e_by_key[key] = ([snapshot_ts], [reader])
-                elif type(ev) is tuple:
+                else:
                     ts_list, readers_list = ev
                     if not ts_list or snapshot_ts > ts_list[-1]:
                         # Tail first: a snapshot past every indexed one is appended.
@@ -928,10 +736,6 @@ def probe_columns(
                         else:
                             ts_list.insert(j, snapshot_ts)
                             readers_list.insert(j, reader)
-                    if len(ts_list) > _SMALL_MAX:
-                        ev = e_by_key[key] = SortedMap._from_sorted(ts_list, readers_list)
-                else:
-                    _add_promoted(ev, snapshot_ts, reader)
 
     # Ops actually walked — the columns may be shared with other calls.
     # Every write either adds a version or overwrites one, so the common
@@ -948,11 +752,11 @@ def probe_columns(
 # deep_sizeof fast paths
 #
 # The memory sampler runs inside capped-memory experiments, so the flat
-# layouts above — small-key parallel lists — are sized inline rather
-# than element-by-element through the generic memoized walk.  Each sizer
+# layouts above — per-key parallel lists — are sized inline rather than
+# element-by-element through the generic memoized walk.  Each sizer
 # returns the bytes beyond ``sys.getsizeof(obj)`` and pushes only rich
-# sub-objects (SortedMap, IntervalIndex, history values) back onto the
-# walk's stack; the frontier's multi-version key set aliases the index's
+# sub-objects (history values) back onto the walk's stack; the
+# frontier's multi-version key set aliases the index's
 # own keys, which are deliberately not re-counted (see the tolerance
 # note in :mod:`repro.util.sizeof`).
 # ----------------------------------------------------------------------
@@ -963,15 +767,11 @@ def _frontier_bytes(frontier: VersionedFrontier, stack: List[Any]) -> int:
     by_key = frontier._by_key
     total = getsizeof(by_key) + getsizeof(frontier._multi)
     for key, versions in by_key.items():
-        total += getsizeof(key)
-        if type(versions) is tuple:
-            timestamps, values, tids = versions
-            total += getsizeof(versions) + getsizeof(timestamps)
-            total += getsizeof(values) + getsizeof(tids)
-            total += sum(map(getsizeof, timestamps)) + sum(map(getsizeof, tids))
-            stack += values
-        else:
-            stack.append(versions)
+        timestamps, values, tids = versions
+        total += getsizeof(key) + getsizeof(versions) + getsizeof(timestamps)
+        total += getsizeof(values) + getsizeof(tids)
+        total += sum(map(getsizeof, timestamps)) + sum(map(getsizeof, tids))
+        stack += values
     return total
 
 
@@ -980,15 +780,12 @@ def _writer_intervals_bytes(writers: WriterIntervals, stack: List[Any]) -> int:
     by_key = writers._by_key
     total = getsizeof(by_key)
     for key, rep in by_key.items():
-        total += getsizeof(key)
-        if type(rep) is tuple:
-            ends, starts, owners = rep
-            total += getsizeof(rep) + getsizeof(ends) + getsizeof(starts) + getsizeof(owners)
-            total += sum(map(getsizeof, ends))
-            total += sum(map(getsizeof, starts))
-            total += sum(map(getsizeof, owners))
-        else:
-            stack.append(rep)  # IntervalIndex has its own chunked fast path
+        ends, starts, owners = rep
+        total += getsizeof(key) + getsizeof(rep)
+        total += getsizeof(ends) + getsizeof(starts) + getsizeof(owners)
+        total += sum(map(getsizeof, ends))
+        total += sum(map(getsizeof, starts))
+        total += sum(map(getsizeof, owners))
     return total
 
 
@@ -997,17 +794,14 @@ def _ext_reads_bytes(ext_reads: ExtReadIndex, stack: List[Any]) -> int:
     by_key = ext_reads._by_key
     total = getsizeof(by_key)
     for key, index in by_key.items():
-        total += getsizeof(key)
-        if type(index) is tuple:
-            ts_list, readers_list = index
-            total += getsizeof(index) + getsizeof(ts_list) + getsizeof(readers_list)
-            total += sum(map(getsizeof, ts_list))
-            for entry in readers_list:  # a tid, or a list of tids
-                total += getsizeof(entry)
-                if type(entry) is list:
-                    total += sum(map(getsizeof, entry))
-        else:
-            stack.append(index)
+        ts_list, readers_list = index
+        total += getsizeof(key) + getsizeof(index)
+        total += getsizeof(ts_list) + getsizeof(readers_list)
+        total += sum(map(getsizeof, ts_list))
+        for entry in readers_list:  # a tid, or a list of tids
+            total += getsizeof(entry)
+            if type(entry) is list:
+                total += sum(map(getsizeof, entry))
     return total
 
 

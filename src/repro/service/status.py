@@ -127,10 +127,6 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
      "kernel.timed_batches"),
     ("repro_kernel_slow_batches_total", "Batches exceeding the slow-batch threshold", "counter",
      (), "kernel.slow_batches"),
-    ("repro_interval_scan_steps_total", "Interval-index entries examined by overlap queries",
-     "counter", (), "interval_scan_steps"),
-    ("repro_interval_gc_scan_steps_total", "Interval-index entries examined by GC sweeps",
-     "counter", (), "interval_gc_scan_steps"),
     ("repro_gc_cycles_total", "Completed GC cycles", "counter", (), "gc.cycles"),
     ("repro_gc_seconds_total", "Wall time spent in GC", "counter", (), "gc.seconds"),
     *(
@@ -281,17 +277,14 @@ class StatusView:
             processed = checker.processed
             violations = len(checker.result.violations)
             kernel = checker.kernel_stats.as_dict()
-            # Per-shard rows carry their own scan counters; reuse them
-            # for the aggregate figures instead of issuing a second
-            # control-plane round trip per shard.
+            # Per-shard rows carry their own read counts; reuse them for
+            # the aggregate instead of issuing a second control-plane
+            # round trip per shard.
             shard_stats = getattr(checker, "shard_stats", None)
             shards = shard_stats() if shard_stats is not None else None
             if shards is not None:
-                scan_steps = sum(row["scan_steps"] for row in shards)
-                gc_scan_steps = sum(row["gc_scan_steps"] for row in shards)
                 pending_reads = sum(row["ext_reads"] for row in shards)
             else:
-                scan_steps, gc_scan_steps = checker.scan_step_totals()
                 pending_reads = checker.pending_ext_reads
             spill = checker.spill_store
         sizes = ingest.kernel_batch_size
@@ -328,8 +321,6 @@ class StatusView:
             "throughput": ingest.throughput(),
             "kernel": kernel,
             "latency": ingest.latency.summary(),
-            "interval_scan_steps": scan_steps,
-            "interval_gc_scan_steps": gc_scan_steps,
             "gc": {
                 "cycles": ingest.gc_cycles,
                 "seconds": round(ingest.gc_seconds, 6),

@@ -5,6 +5,7 @@ import pytest
 from repro.core.aion import Aion, AionConfig
 from repro.core.chronos import Chronos
 from repro.core.reference import normalize_violations
+from repro.core.sharded import ShardedAion
 from repro.core.violations import Axiom
 from repro.histories.builder import HistoryBuilder
 from repro.histories.model import Transaction
@@ -243,3 +244,58 @@ class TestSharedSnapshotReaders:
         ext = result.by_axiom(Axiom.EXT)
         assert [v.tid for v in ext] == [reader_b.tid]
         aion.close()
+
+
+class TestConflictReportOrder:
+    """Regression: a write overlapping two writers reports its NOCONFLICT
+    pairs in the writers' commit order, on a fresh key and on a key that
+    already carries thousands of intervals.  Past 4,096 intervals a key
+    used to move to a chunked index that listed overlaps by start, so
+    the report order changed with the key's size."""
+
+    #: One past the old 4,096-interval switch, so ``a`` arrives after it.
+    DEPTH = 4097
+
+    @staticmethod
+    def _overlapping():
+        # ``a`` starts before ``b`` and commits after it; ``c`` overlaps both.
+        a = Transaction(10_001, 1, 0, [write("x", "a")], start_ts=10_010, commit_ts=10_040)
+        b = Transaction(10_002, 2, 0, [write("x", "b")], start_ts=10_020, commit_ts=10_030)
+        c = Transaction(10_003, 3, 0, [write("x", "c")], start_ts=10_025, commit_ts=10_050)
+        return [a, b, c]
+
+    @classmethod
+    def _earlier_writers(cls):
+        """``DEPTH`` writers of ``x`` in one session, none overlapping
+        another or ``a``, ``b``, ``c``."""
+        return [
+            Transaction(i, 100, i, [write("x", i)], start_ts=2 * i, commit_ts=2 * i + 1)
+            for i in range(cls.DEPTH)
+        ]
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["one_batch", "per_arrival"])
+    @pytest.mark.parametrize("sharded", [False, True], ids=["aion", "sharded_x2"])
+    def test_order_does_not_depend_on_the_key_size(self, sharded, batched):
+        def conflicts(txns):
+            config = AionConfig(timeout=float("inf"))
+            if sharded:
+                checker = ShardedAion(config, n_shards=2, clock=lambda: 0.0, executor="serial")
+            else:
+                checker = Aion(config, clock=lambda: 0.0)
+            try:
+                if batched:
+                    checker.receive_many(txns)
+                else:
+                    for txn in txns:
+                        checker.receive(txn)
+                result = checker.finalize()
+            finally:
+                checker.close()
+            assert len(result.violations) == len(result.by_axiom(Axiom.NOCONFLICT))
+            return [(v.tid, sorted(v.conflicting_tids)) for v in result.by_axiom(Axiom.NOCONFLICT)]
+
+        fresh = conflicts(self._overlapping())
+        deep = conflicts(self._earlier_writers() + self._overlapping())
+        assert fresh == deep
+        # b meets a; then c meets b (commit 10,030) before a (10,040).
+        assert fresh == [(10_002, [10_001]), (10_002, [10_003]), (10_001, [10_003])]

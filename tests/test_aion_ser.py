@@ -133,7 +133,6 @@ class TestWhatSerDoesNotInheritFromSi:
         for checker in (ser, si):
             checker.receive_many(history.transactions)
         assert not hasattr(ser, "_writers")
-        assert ser.scan_step_totals() == (0, 0)
         assert 0 < ser.estimated_bytes() < si.estimated_bytes()
         report = ser.collect_below(None)
         assert report.evicted_intervals == 0 and report.evicted_versions == 2

@@ -475,6 +475,16 @@ ADDED_STATS_KEYS = {
     "kernel.batch_size.p50",
     "kernel.batch_size.p99",
 }
+#: What this surface lost since: the interval scan counters, which only
+#: a key promoted to the chunked interval index ever advanced, went with
+#: that representation.
+RETIRED_FAMILIES = {"repro_interval_scan_steps_total", "repro_interval_gc_scan_steps_total"}
+RETIRED_STATS_KEYS = {
+    "interval_scan_steps",
+    "interval_gc_scan_steps",
+    "shards[].scan_steps",
+    "shards[].gc_scan_steps",
+}
 
 
 def _key_paths(value, prefix=""):
@@ -499,9 +509,9 @@ def fresh_catalog(handle):
     return {"metrics": lines, "stats_keys": sorted(_key_paths(handle.service.stats()))}
 
 
-def _is_added(line):
+def _family_in(line, families):
     name = line.split(" ")[2] if line.startswith("#") else line.split("{")[0]
-    return any(name == family or name.startswith(family + "_") for family in ADDED_FAMILIES)
+    return any(name == family or name.startswith(family + "_") for family in families)
 
 
 class TestExportedCatalogGolden:
@@ -512,13 +522,17 @@ class TestExportedCatalogGolden:
         now = fresh_catalog(handle)
         for family in ADDED_FAMILIES:
             assert f"# TYPE {family} " in "\n".join(now["metrics"])
-        assert [line for line in now["metrics"] if not _is_added(line)] == golden["metrics"]
+        assert not any(_family_in(line, RETIRED_FAMILIES) for line in now["metrics"])
+        assert [
+            line for line in now["metrics"] if not _family_in(line, ADDED_FAMILIES)
+        ] == [line for line in golden["metrics"] if not _family_in(line, RETIRED_FAMILIES)]
         assert set(now["stats_keys"]) - set(golden["stats_keys"]) == ADDED_STATS_KEYS
-        assert set(golden["stats_keys"]) <= set(now["stats_keys"])
+        golden_keys = set(golden["stats_keys"])
+        assert golden_keys - set(now["stats_keys"]) == RETIRED_STATS_KEYS & golden_keys
 
 
 # ----------------------------------------------------------------------
-# STATS payload satellites: byte-cache TTL, high-water, scan counters
+# STATS payload satellites: byte-cache TTL, high-water
 # ----------------------------------------------------------------------
 
 class TestStatsExtras:
@@ -564,8 +578,6 @@ class TestStatsExtras:
             stats = client.stats()
         assert stats["queue_high_water"] >= 1
         assert stats["queue_high_water"] <= stats["queue_capacity"]
-        assert stats["interval_scan_steps"] >= 0
-        assert stats["interval_gc_scan_steps"] >= 0
         assert stats["ext"] == {"pending_txns": 0, "pending_reads": 0}  # finalized by submit()
         assert stats["latency"]["count"] >= 1
         assert stats["slow_batches"]["total"] == 0
@@ -702,7 +714,6 @@ class TestInstrumentationDifferential:
             for row in rows:
                 assert set(row) >= {
                     "shard", "versions", "intervals", "ext_reads",
-                    "scan_steps", "gc_scan_steps",
                     "pending_removals", "last_batch_commands",
                 }
             assert sum(row["versions"] for row in rows) > 0

@@ -537,7 +537,6 @@ def test_dead_worker_is_an_error_on_every_path(executor):
             lambda: checker.receive_many(arrival[30:]),
             checker.shard_stats,
             checker.estimated_bytes,
-            checker.scan_step_totals,
             lambda: checker.collect_below(None),
         ):
             with pytest.raises(RuntimeError, match=r"shard worker \d+ died"):
@@ -614,11 +613,10 @@ def test_stalled_worker_fails_the_call_instead_of_hanging():
     [
         lambda checker: checker.shard_stats(),
         lambda checker: checker.estimated_bytes(),
-        lambda checker: checker.scan_step_totals(),
         lambda checker: checker.collect_below(None),
         lambda checker: checker.finalize(),
     ],
-    ids=["shard_stats", "estimated_bytes", "scan_step_totals", "collect_below", "finalize"],
+    ids=["shard_stats", "estimated_bytes", "collect_below", "finalize"],
 )
 def test_stalled_worker_is_an_error_on_every_control_path(call):
     """Control-plane commands wait on every worker's reply through the

@@ -275,6 +275,37 @@ class TestChunkBoundaries:
         assert m.min_item() == (2500, 2500)
         assert list(m.keys()) == list(range(2500, 5000))
 
+    def test_shuffled_inserts_keep_chunks_full(self):
+        """50,000 keys inserted in random order: the split policy keeps
+        the chunk count proportional to n / 256 (a broken one — say,
+        one-key chunks — fails here), iteration stays sorted, and the
+        floor query answers at both ends of the key range."""
+        from random import Random
+
+        n = 50_000
+        keys = list(range(n))
+        Random(3).shuffle(keys)
+        m = SortedMap()
+        for k in keys:
+            m[k] = k
+        assert len(m._maxes) <= max(4, n // 256)
+        assert list(m.keys()) == list(range(n))
+        assert m.floor_item(2 * n) == (n - 1, n - 1)
+        assert m.floor_item(0) == (0, 0)
+        assert m.floor_item(-1) is None
+
+    def test_pop_below_then_reuse(self):
+        """Draining the lower half in whole-chunk steps leaves a map that
+        takes new keys below what is left."""
+        n = 50_000
+        m = SortedMap([(i, i) for i in range(n)])
+        removed = m.pop_below(n // 2, inclusive=False)
+        assert len(removed) == n // 2 and len(m) == n - n // 2
+        assert m.min_item() == (n // 2, n // 2)
+        m[0] = "again"
+        assert m.min_item() == (0, "again")
+        assert m.floor_item(n // 2 - 1) == (0, "again")
+
     def test_delete_emptying_a_chunk(self):
         m = SortedMap([(i, i) for i in range(4500)])
         boundaries = [c[0] for c in m._keys]

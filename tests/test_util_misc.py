@@ -1,6 +1,7 @@
 """Tests for deep_sizeof and the deterministic RNG helpers."""
 
 from repro.util.rng import derive_rng, make_rng
+from repro.util.intervals import Interval, IntervalIndex
 from repro.util.sizeof import deep_sizeof
 from repro.util.sortedmap import SortedMap
 
@@ -37,6 +38,15 @@ class TestDeepSizeof:
         small = SortedMap([(i, i) for i in range(10)])
         large = SortedMap([(i, i) for i in range(1000)])
         assert deep_sizeof(large) > deep_sizeof(small)
+
+    def test_interval_index_through_the_slots_walk(self):
+        """Chunk lists, their ``(start, owner)`` keys, ends and reach
+        arrays are all reached through ``__slots__``: at least a tuple
+        and three ints per interval."""
+        index = IntervalIndex()
+        for i in range(5000):
+            index.add(Interval(1000 + 3 * i, 1000 + 3 * i + 5, owner=100_000 + i))
+        assert deep_sizeof(index) > 5000 * (3 * 28 + 56)
 
 
 class TestRng:

@@ -5,21 +5,22 @@ The structures are written through one batched entry point,
 thing per call (``value_at``, ``insert_and_next_ts``, ``overlap_add``,
 ``add``, ``collect_affected``).  The per-query tests below go through
 the methods; ``TestProbeColumns`` holds the batched pass to the same
-answers, in both visibility modes and both key representations.
+answers, in both visibility modes, on short keys and on hot keys holding
+thousands of entries per structure.
 """
 
+import sys
 from random import Random
 
 import pytest
 
-from repro.core import versioned
 from repro.core.versioned import (
     ExtReadIndex,
     VersionedFrontier,
     WriterIntervals,
     probe_columns,
 )
-from repro.util.sortedmap import SortedMap
+from repro.util.sizeof import deep_sizeof
 
 BOTTOM = object()
 
@@ -128,6 +129,16 @@ class TestWriterIntervals:
         assert w.overlap_add("x", 4, 9, 2) == [(1, 5)]
         assert w.overlap_add("x", 1, 5, 1) == [(2, 9), (2, 9)]
 
+    def test_overlaps_listed_by_end_then_insertion_order(self):
+        """The one conflict order: ascending end, equal ends in the order
+        they were inserted — not by start, and not by owner."""
+        w = WriterIntervals()
+        w.add("x", 10, 40, tid=1)  # starts first, ends last
+        w.add("x", 30, 35, tid=2)
+        w.add("x", 20, 35, tid=3)  # same end as tid 2, inserted after it
+        w.add("x", 25, 38, tid=0)
+        assert w.overlap_add("x", 5, 50, 9) == [(2, 35), (3, 35), (0, 38), (1, 40)]
+
     def test_keys_are_independent(self):
         w = WriterIntervals()
         w.add("x", 1, 5, tid=1)
@@ -201,17 +212,14 @@ class TestExtReadIndex:
         assert len(idx) == 0
 
 
-@pytest.mark.parametrize("small_max", [4096, 3], ids=["small", "promoted"])
-def test_removal_is_per_reader_in_both_representations(monkeypatch, small_max):
+def test_removal_is_per_reader():
     """Finalization removes one reader of one snapshot point: a shared
     snapshot keeps its other readers, a tid indexed twice (a
-    retransmission) loses one entry per removal, a removal naming nobody
-    is a no-op — the same in plain lists and in a promoted ``SortedMap``."""
-    monkeypatch.setattr(versioned, "_SMALL_MAX", small_max)
+    retransmission) loses one entry per removal, and a removal naming
+    nobody is a no-op."""
     idx = ExtReadIndex()
     for snapshot_ts, tid in [(10, 1), (20, 2), (20, 3), (30, 4), (30, 4), (40, 5), (50, 6)]:
         idx.add("x", snapshot_ts, tid)
-    assert isinstance(idx._by_key["x"], SortedMap) == (small_max == 3)
     idx.remove_batch([("x", 20, 2), ("x", 30, 4), ("x", 40, 5), ("x", 45, 5), ("x", 50, 7), ("y", 1, 1)])
     assert list(idx.affected_by("x", 0, None)) == [(10, 1), (20, 3), (30, 4), (50, 6)]
     assert len(idx) == 4
@@ -235,19 +243,21 @@ class TestInsertAndNext:
         assert f.latest_at("x", 15) == (10, "a2", 1)
 
 
-def random_ops(rng, n):
-    """A single key's stream: unique commit timestamps in random order;
+def random_ops(rng, n, *, span=None, first_tid=0):
+    """A single key's stream: unique commit timestamps in random order
+    (even ones in ``[10, 10 + span)``, ``span`` defaulting to ``4 n``);
     snapshot points that collide with them (a reader at its own commit
     point: its SI start, or its SER snapshot) and with each other
     (readers sharing a snapshot), and now and then a read delivered
-    twice (a retransmitted tid)."""
-    commits = rng.sample(range(10, 10 + 4 * n, 2), n)
+    twice (a retransmitted tid).  Tids count from ``first_tid``."""
+    span = 4 * n if span is None else span
+    commits = rng.sample(range(10, 10 + span, 2), n)
     ops, reads = [], []
-    for tid, commit_ts in enumerate(commits):
+    for tid, commit_ts in enumerate(commits, first_tid):
         if reads and rng.random() < 0.15:
             snapshot_ts = rng.choice(reads)[1]
         else:
-            snapshot_ts = rng.choice([commit_ts, commit_ts - 1, rng.randrange(5, 10 + 4 * n)])
+            snapshot_ts = rng.choice([commit_ts, commit_ts - 1, rng.randrange(5, 10 + span)])
         reads.append(("r", snapshot_ts, tid))
         ops.append(reads[-1])
         if rng.random() < 0.1:
@@ -257,21 +267,24 @@ def random_ops(rng, n):
     # Whatever the dice gave, one sweep above everything else meets all
     # three hard cases at once: two readers sharing a snapshot, one of
     # them indexed twice, and the writer's own read at its commit point.
-    top = 20 + 4 * n
-    ops += [("r", top + 5, n), ("r", top + 5, n + 1), ("r", top + 5, n), ("r", top + 2, n + 2)]
-    ops.append(("w", top, top + 2, n + 2, "top"))
+    top, tid = 20 + span, first_tid + n
+    ops += [("r", top + 5, tid), ("r", top + 5, tid + 1), ("r", top + 5, tid), ("r", top + 2, tid + 2)]
+    ops.append(("w", top, top + 2, tid + 2, "top"))
     return ops
 
 
-def near_sorted_ops(rng, n):
+def near_sorted_ops(rng, n, *, clock=10, first_tid=0, finalize=True):
     """A single key's stream as a collector delivers it: timestamps
-    mostly ascending, so most ops land at the tail of the key's lists —
-    some exactly on it (a commit equal to the newest version's, a
-    snapshot equal to the newest version or to the newest reader's) —
-    and now and then one arrives late.  Twice an ``("f",)`` op finalizes
-    every pending read, emptying the read index before the next op."""
-    ops, clock, newest_commit, newest_snapshot = [], 10, 10, 10
-    for tid in range(n):
+    mostly ascending from ``clock``, so most ops land at the tail of the
+    key's lists — some exactly on it (a commit equal to the newest
+    version's, a snapshot equal to the newest version or to the newest
+    reader's) — and now and then one arrives late, anywhere below.  With
+    ``finalize``, twice an ``("f",)`` op finalizes every pending read,
+    emptying the read index before the next op.  Tids count from
+    ``first_tid``."""
+    ops, newest_commit, newest_snapshot = [], clock, clock
+    for k in range(n):
+        tid = first_tid + k
         clock += rng.randrange(1, 4)
         roll = rng.random()
         if roll < 0.15:
@@ -284,9 +297,9 @@ def near_sorted_ops(rng, n):
             snapshot_ts = clock
         newest_snapshot = max(newest_snapshot, snapshot_ts)
         ops.append(("r", snapshot_ts, tid))
-        if tid == n // 3:
+        if finalize and k == n // 3:
             ops.append(("f",))  # the next op is a write: a sweep of nothing
-        if tid == n // 3 or rng.random() < 0.7:
+        if k == n // 3 or rng.random() < 0.7:
             roll = rng.random()
             if roll < 0.15:
                 commit_ts = newest_commit  # overwrites the newest version
@@ -297,9 +310,39 @@ def near_sorted_ops(rng, n):
             newest_commit = max(newest_commit, commit_ts)
             start_ts = max(0, commit_ts - rng.randrange(1, 12))
             ops.append(("w", start_ts, commit_ts, tid, f"v{tid}"))
-        if tid == 2 * n // 3:
+        if finalize and k == 2 * n // 3:
             ops.append(("f",))  # the next op is a read: a reader into nothing
     return ops
+
+
+#: Entries per structure a hot key starts with: past 4,096, where keys
+#: were once moved to a chunked container.
+HOT = 4200
+
+
+def hot_key_prefix(n=HOT):
+    """A key GC has left alone: ``n`` readers and ``n`` writers, oldest
+    first — reader ``i`` at snapshot ``40 i + 7``, writer ``i`` over
+    ``[40 i + 1, 40 i + 5]`` — so each structure holds ``n`` entries.
+    Returns the ops and the first free tid and timestamp."""
+    ops = []
+    for i in range(n):
+        ops.append(("r", 40 * i + 7, i))
+        ops.append(("w", 40 * i + 1, 40 * i + 5, i, f"old{i}"))
+    return ops, n, 40 * n
+
+
+def hot_key_ops(rng, kind):
+    """The hot-key prefix, and after it a stream that lands all over the
+    key's lists (``random``) or mostly at their tails (``near_sorted``,
+    late ops reaching back into the prefix).  Returns ``(ops, preload)``:
+    the first ``preload`` ops are the prefix."""
+    prefix, first_tid, top = hot_key_prefix()
+    if kind == "random":
+        stream = random_ops(rng, 300, span=top, first_tid=first_tid)
+    else:
+        stream = near_sorted_ops(rng, 300, clock=top, first_tid=first_tid, finalize=False)
+    return prefix + stream, len(prefix)
 
 
 def finalizing(run, reads, key, ops):
@@ -318,11 +361,16 @@ def finalizing(run, reads, key, ops):
     return answers
 
 
-def model(ops, *, strict, optimized=True, seen=None):
+def model(ops, *, strict, optimized=True, seen=None, preload=0):
     """Brute-force answers to ``ops`` under SI (``strict=False``) or SER
     visibility, with writer intervals only under SI; ``seen`` collects
-    which hard cases a sweep of the stream ran into, and an ``("f",)``
-    op finalizes every pending read (it has no answer)."""
+    which hard cases a sweep of the stream ran into, an ``("f",)`` op
+    finalizes every pending read, and the first ``preload`` ops only
+    build state (none of them has an answer).
+
+    A write's conflicts are listed by ascending end, equal ends in
+    arrival order; its re-checks by snapshot point, readers of one
+    snapshot in arrival order."""
     versions, reads, intervals, answers = {}, [], [], []
     seen = set() if seen is None else seen
 
@@ -330,28 +378,36 @@ def model(ops, *, strict, optimized=True, seen=None):
         below = [ts for ts in versions if (ts < snapshot_ts if strict else ts <= snapshot_ts)]
         return versions[max(below)] if below else BOTTOM
 
-    for op in ops:
+    for i, op in enumerate(ops):
+        quiet = i < preload
         if op[0] == "f":
             reads.clear()
         elif op[0] == "r":
             _, snapshot_ts, tid = op
-            answers.append(visible(snapshot_ts, strict))
+            if not quiet:
+                answers.append(visible(snapshot_ts, strict))
             reads.append((snapshot_ts, tid))
         else:
             _, start_ts, commit_ts, tid, value = op
+            if quiet:
+                intervals.append((commit_ts, start_ts, tid))
+                versions[commit_ts] = value
+                continue
             hits = None
             if not strict:
-                hits = [
-                    (owner, end)
-                    for end, start, owner in intervals
-                    if end >= start_ts and start <= commit_ts and owner != tid
-                ]
-                hits = sorted(hits) or None
-                intervals.append((commit_ts, start_ts, tid))
+                hits = sorted(
+                    (
+                        (end, (owner, end))
+                        for end, start, owner in intervals
+                        if end >= start_ts and start <= commit_ts and owner != tid
+                    ),
+                    key=lambda row: row[0],
+                )
+                hits = [hit for _, hit in hits] or None
+            intervals.append((commit_ts, start_ts, tid))
             versions[commit_ts] = value
             above = [ts for ts in versions if ts > commit_ts]
             upper = min(above) if above else float("inf")
-            # Snapshot order; readers of one snapshot in arrival order.
             in_range = sorted(
                 (row for row in reads
                  if not optimized
@@ -373,14 +429,6 @@ def model(ops, *, strict, optimized=True, seen=None):
     return answers
 
 
-def conflicts_sorted(answer):
-    """A promoted key's IntervalIndex lists overlaps by start, the small
-    representation by end: compare a write's conflicts as a sorted list."""
-    if type(answer) is tuple and answer[0] is not None:
-        return sorted(answer[0]), answer[1]
-    return answer
-
-
 def by_methods(frontier, writers, reads, key, ops):
     """The SI pass spelled with the one-query methods ``probe_columns``
     inlines — what the ladder's structure rungs time."""
@@ -399,54 +447,76 @@ def by_methods(frontier, writers, reads, key, ops):
     return answers
 
 
-class TestProbeColumns:
-    @pytest.fixture(params=["small", "promoted"])
-    def representation(self, request, monkeypatch):
-        """Keys promote to SortedMap / IntervalIndex past ``_SMALL_MAX``
-        entries (4096: no stream in the suite gets there), so the
-        promoted branches are reached by lowering the threshold."""
-        if request.param == "promoted":
-            monkeypatch.setattr(versioned, "_SMALL_MAX", 3)
-        return request.param
+def entries_per_structure(frontier, writers, reads, key):
+    """How many entries ``key`` holds in each structure (writer
+    intervals ``None`` when there are none)."""
+    return (
+        len(frontier._by_key[key][0]),
+        None if writers is None else len(writers._by_key[key][0]),
+        len(reads._by_key[key][0]),
+    )
 
+
+def filled(name):
+    """The three structures after a stream on a short key, and for
+    ``name == "hot"`` one on a hot key as well."""
+    structures = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+    probe(*structures, "short", random_ops(Random(1), 40))
+    if name == "hot":
+        probe(*structures, "hot", hot_key_ops(Random(2), "random")[0])
+    return structures
+
+
+@pytest.mark.parametrize("name", ["short", "hot"])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["frontier", "writers", "reads"])
+def test_sizers_count_what_the_generic_walk_counts(name, which):
+    """Each structure's inline sizer counts every list and every stored
+    value the generic memoized walk reaches from it, and over-counts at
+    most one int per list slot (the walk counts a shared small int
+    once, the sizer per slot)."""
+    structure = filled(name)[which]
+    seen = set()
+    generic = sys.getsizeof(structure) + deep_sizeof(structure._by_key, _seen=seen)
+    if which == 0:
+        generic += deep_sizeof(structure._multi, _seen=seen)
+    slots = sum(len(column) for rep in structure._by_key.values() for column in rep)
+    assert generic <= deep_sizeof(structure) <= generic + 32 * slots
+
+
+class TestProbeColumns:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("strict", [False, True])
-    def test_matches_brute_force_model(self, representation, strict, seed):
+    def test_matches_brute_force_model(self, strict, seed):
         ops = random_ops(Random(seed), 40)
         frontier, reads = VersionedFrontier(), ExtReadIndex()
         writers = None if strict else WriterIntervals()
-        # Several calls, so later ones start from promoted keys.
+        # Several calls, so later ones start from filled keys.
         got = []
         for lo in range(0, len(ops), 25):
             got += probe(frontier, writers, reads, "k", ops[lo : lo + 25], strict=strict)
         seen = set()
-        assert [conflicts_sorted(answer) for answer in got] == model(ops, strict=strict, seen=seen)
+        assert got == model(ops, strict=strict, seen=seen)
         # Every stream meets every hard case of the sweep: a list of
         # readers sharing a snapshot inside the range, the writer's own
         # read at exactly its commit timestamp (its SI start, or its SER
         # snapshot) left out, a tid indexed twice re-checked twice.
         assert seen >= {"shared snapshot", "own read at commit_ts", "retransmitted tid"}
-        promoted = representation == "promoted"
-        assert isinstance(frontier._by_key["k"], SortedMap) == promoted
-        assert isinstance(reads._by_key["k"], SortedMap) == promoted
         assert len(reads) == sum(op[0] == "r" for op in ops)
         assert len(frontier) == sum(op[0] == "w" for op in ops)
         if writers is not None:
             assert len(writers) == len(frontier)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_ablation_matches_brute_force_model(self, representation, seed):
+    def test_ablation_matches_brute_force_model(self, seed):
         """Every pending read but the writer's own, against the value
         its snapshot sees at that point of the stream."""
         ops = random_ops(Random(200 + seed), 30)
         structures = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
         got = probe(*structures, "k", ops, optimized=False)
-        assert [conflicts_sorted(answer) for answer in got] == model(
-            ops, strict=False, optimized=False
-        )
+        assert got == model(ops, strict=False, optimized=False)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_inline_branches_match_the_methods(self, representation, seed):
+    def test_inline_branches_match_the_methods(self, seed):
         ops = random_ops(Random(100 + seed), 40)
         inline = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
         spelled = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
@@ -460,7 +530,7 @@ class TestProbeColumns:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("strict", [False, True])
-    def test_near_sorted_matches_brute_force_model(self, representation, strict, seed):
+    def test_near_sorted_matches_brute_force_model(self, strict, seed):
         """The tail-first branches — append a version, a reader or an
         interval, take the newest version as the floor, skip a sweep or
         an overlap scan — on ties to the tail, late arrivals and a read
@@ -472,13 +542,11 @@ class TestProbeColumns:
             lambda segment: probe(frontier, writers, reads, "k", segment, strict=strict),
             reads, "k", ops,
         )
-        assert [conflicts_sorted(answer) for answer in got] == model(ops, strict=strict)
-        promoted = representation == "promoted"
-        assert isinstance(frontier._by_key["k"], SortedMap) == promoted
+        assert got == model(ops, strict=strict)
         assert len(frontier) == len({op[2] for op in ops if op[0] == "w"})
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_near_sorted_inline_branches_match_the_methods(self, representation, seed):
+    def test_near_sorted_inline_branches_match_the_methods(self, seed):
         ops = near_sorted_ops(Random(400 + seed), 60)
         inline = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
         spelled = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
@@ -491,6 +559,78 @@ class TestProbeColumns:
             assert len(a) == len(b)
         assert inline[0].evict_below(10**9) == spelled[0].evict_below(10**9)
         assert inline[1].evict_below(10**9) == spelled[1].evict_below(10**9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "near_sorted"])
+    def test_hot_key_matches_brute_force_model(self, kind, strict, seed):
+        """A key past 4,096 entries in every structure answers like a
+        short one: versions and readers inserted deep inside long lists,
+        overlap scans and sweeps over thousands of entries, conflicts
+        still by ascending end."""
+        ops, preload = hot_key_ops(Random(500 + seed), kind)
+        frontier, reads = VersionedFrontier(), ExtReadIndex()
+        writers = None if strict else WriterIntervals()
+        probe(frontier, writers, reads, "k", ops[:preload], strict=strict)
+        assert min(n for n in entries_per_structure(frontier, writers, reads, "k") if n) > 4096
+        got = []
+        for lo in range(preload, len(ops), 150):
+            got += probe(frontier, writers, reads, "k", ops[lo : lo + 150], strict=strict)
+        assert got == model(ops, strict=strict, preload=preload)
+        if kind == "random" and not strict:
+            # Writes landing among the old intervals conflict with them.
+            assert any(answer[0] for answer in got if type(answer) is tuple)
+        assert len(reads) == sum(op[0] == "r" for op in ops)
+        assert len(frontier) == len({op[2] for op in ops if op[0] == "w"})
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", ["random", "near_sorted"])
+    def test_hot_key_inline_branches_match_the_methods(self, kind, seed):
+        ops, _ = hot_key_ops(Random(600 + seed), kind)
+        inline = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        spelled = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        assert probe(*inline, "k", ops) == by_methods(*spelled, "k", ops)
+        assert min(entries_per_structure(*inline, "k")) > 4096
+        for a, b in zip(inline, spelled):
+            assert len(a) == len(b)
+        assert list(inline[2].affected_by("k", 0, None)) == list(spelled[2].affected_by("k", 0, None))
+        assert inline[0].evict_below(10**9) == spelled[0].evict_below(10**9)
+        assert inline[1].evict_below(10**9) == spelled[1].evict_below(10**9)
+
+    def test_hot_key_evicts_and_merges_back(self):
+        """GC on a hot key cuts the dead prefix of each list and gives
+        back what it cut; merging it restores every answer."""
+        ops, _, _ = hot_key_prefix()
+        frontier, writers, reads = VersionedFrontier(), WriterIntervals(), ExtReadIndex()
+        probe(frontier, writers, reads, "k", ops)
+        versions = frontier.evict_below(40 * 4000)
+        intervals = writers.evict_below(40 * 4000)
+        # The newest version at or below the cut stays: it is still the
+        # floor of every snapshot above it.
+        assert versions[1] == [3999] and intervals[1] == [4000]
+        assert entries_per_structure(frontier, writers, reads, "k") == (201, 200, HOT)
+        assert frontier.latest_at("k", 40 * 3999 + 7) == (40 * 3999 + 5, "old3999", 3999)
+        assert frontier.latest_at("k", 40 * 3998 + 7) is None
+        frontier.merge(versions)
+        writers.merge(intervals)
+        assert entries_per_structure(frontier, writers, reads, "k") == (HOT, HOT, HOT)
+        assert frontier.latest_at("k", 40 * 3998 + 7) == (40 * 3998 + 5, "old3998", 3998)
+        assert writers.overlap_add("k", 40 * 3999, 40 * 4001 + 2, -1) == [
+            (3999, 40 * 3999 + 5), (4000, 40 * 4000 + 5), (4001, 40 * 4001 + 5),
+        ]
+
+    def test_hot_key_removal_is_per_reader(self):
+        """Finalization churn deep inside a hot key's read index: removing
+        every other reader leaves the rest, in order."""
+        reads = ExtReadIndex()
+        for i in range(HOT):
+            reads.add("k", 40 * i + 7, i)
+        reads.remove_batch([("k", 40 * i + 7, i) for i in range(0, HOT, 2)])
+        reads.remove_batch([("k", 40 * i + 7, i + 1) for i in range(1, HOT, 2)])  # nobody
+        assert len(reads) == HOT // 2
+        assert list(reads.affected_by("k", 0, None)) == [
+            (40 * i + 7, i) for i in range(1, HOT, 2)
+        ]
 
     def test_strict_sweep_closes_at_the_next_version(self):
         """SER: the reader committing exactly at the next version's
