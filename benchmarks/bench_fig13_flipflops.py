@@ -33,10 +33,9 @@ def _run():
     outcome = {
         "flip_histogram": stats.flip_histogram(),
         "rectify_histogram": stats.rectify_histogram(),
-        "flipped_txns": len(stats.flipped_tids),
+        "flipped_txns": stats.n_flipped_txns,
         "n_txns": n,
         "violations": len(report.result.violations),
-        "rectify_times": stats.rectify_times,
     }
     checker.close()
     return outcome
@@ -73,8 +72,9 @@ def test_fig13_flipflops(run_once):
     total = sum(histogram.values())
     assert total > 0
     assert (histogram["1"] + histogram["2"]) / total >= 0.95
-    # >= 95% of transient wrong verdicts rectify within 100 ms (paper:
-    # 10 ms on their hardware; the delay spread dominates here).
-    times = outcome["rectify_times"]
-    fast = sum(1 for t in times if t < 0.1)
-    assert fast / max(len(times), 1) >= 0.90, fast / max(len(times), 1)
+    # >= 90% of transient wrong verdicts rectify within 100 ms (paper:
+    # 10 ms on their hardware; the delay spread dominates here), read
+    # from the buckets below 99 ms.
+    rectify = outcome["rectify_histogram"]
+    fast = sum(rectify[bucket] for bucket in ("0-1ms", "1-2ms", "2-10ms", "10-99ms"))
+    assert fast / max(sum(rectify.values()), 1) >= 0.90, fast / max(sum(rectify.values()), 1)

@@ -26,7 +26,7 @@ def _flip_pairs(history, mean_ms, std_ms, seed):
     OnlineRunner(checker, clock).run_tracking(schedule)
     stats = checker.flipflop_stats
     pairs = sum(stats.flips_per_pair.values())
-    txns = len(stats.flipped_tids)
+    txns = stats.n_flipped_txns
     checker.close()
     return pairs, txns
 

@@ -36,7 +36,7 @@ def _stats_for(history, mean_ms, std_ms, seed):
         "flips=2": flips["2"],
         "flips=3": flips["3"],
         "flips=4+": flips["4+"],
-        "txns": len(stats.flipped_tids),
+        "txns": stats.n_flipped_txns,
         "rectify<10ms": rectify["0-1ms"] + rectify["1-2ms"] + rectify["2-10ms"],
         "rectify>=10ms": rectify["10-99ms"] + rectify["100-999ms"] + rectify["1000+ms"],
     }

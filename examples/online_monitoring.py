@@ -49,7 +49,7 @@ def monitor(name: str, history) -> None:
           f"{report.n_gc_cycles} GC cycles)")
     print(f"out-of-order     : {schedule.out_of_order_fraction() * 100:.1f}% of adjacent arrivals")
     print(f"flip-flops       : {sum(stats.flips_per_pair.values())} (txn, key) pairs, "
-          f"{len(stats.flipped_tids)} txns affected")
+          f"{stats.n_flipped_txns} txns affected")
     print(f"rectify times    : {stats.rectify_histogram()}")
     print(f"final verdict    : {report.result.summary()}")
     for violation in report.result.violations[:3]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import struct
+from operator import gt
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.histories.model import BOTTOM, Operation, OpKind, Transaction
@@ -55,6 +56,8 @@ _CODE_OF_KIND = {
     OpKind.READ_LIST: OP_READ_LIST,
 }
 _KIND_OF_CODE = (OpKind.READ, OpKind.WRITE, OpKind.APPEND, OpKind.READ_LIST)
+#: The valid kind bytes; ``bytes.translate`` deletes them to find the rest.
+_OP_CODES = bytes(range(OP_READ_LIST + 1))
 
 #: Value type tags of the columnar value stream.
 _VAL_NONE = 0
@@ -651,17 +654,14 @@ def unpack_columnar(
         offset += offsets_struct.size
         if op_offsets[0] != 0 or op_offsets[-1] != n_ops:
             raise ValueError("columnar pack op offsets do not cover the op count")
-        previous = 0
-        for boundary in op_offsets:
-            if boundary < previous:
-                raise ValueError("columnar pack op offsets not monotonic")
-            previous = boundary
+        if any(map(gt, op_offsets, op_offsets[1:])):
+            raise ValueError("columnar pack op offsets not monotonic")
         op_kinds = bytes(buf[offset : offset + n_ops])
         if len(op_kinds) != n_ops:
             raise ValueError("columnar pack truncated in op kinds")
-        for code in op_kinds:
-            if code > OP_READ_LIST:
-                raise ValueError(f"unknown op code {code}")
+        unknown = op_kinds.translate(None, _OP_CODES)
+        if unknown:
+            raise ValueError(f"unknown op code {unknown[0]}")
         offset += n_ops
         ids_struct = struct.Struct(f"!{n_ops}I")
         id_column = ids_struct.unpack_from(buf, offset)

@@ -15,31 +15,56 @@ studies:
 - **rectify times** — how long a tentative false positive/negative stood
   before being corrected (Fig 13b, 20, 21).
 
-The tentative verdicts of one transaction are ONE flat mutable list::
+The tentative verdicts of one transaction are ONE flat mutable list,
+sized exactly::
 
-    [tid, keys, snapshot_ts, *actual, *ok, *expected, *flips, *wrong_since]
+    [tid, keys, snapshot_ts, *actual, *state, flipped]
 
 a three-slot header — tid, the external read keys as a tuple and the
-snapshot point, each stored once — followed by five parallel runs of
-``len(keys)`` slots: the value the read observed, the tentative verdict,
-the value the frontier last said it should have seen, the flip count,
-and when the verdict became wrong (``None`` while it is right).  Read
-``i`` of run ``r`` sits at ``_HEADER + r * len(keys) + i``, and a key's
-``i`` is ``keys.index(key)``.  The record is the only place the checker
-keeps what a pending read observed (the read index holds reader tids),
-so the verdict rule lives here alone: :meth:`ExtStatusTracker.
-track_columns` applies it on arrival and :meth:`ExtStatusTracker.
-reevaluate` at every re-check.  One container per transaction is what
+snapshot point, each stored once — followed by two parallel runs of
+``len(keys)`` slots and one trailing slot.  Read ``i`` observed
+``record[_HEADER + i]`` and its verdict is ``record[_HEADER + len(keys)
++ i]``, a key's ``i`` being ``keys.index(key)``; so an all-⊤ record is
+``4 + 2·len(keys)`` slots.  A verdict's state is
+
+- for ⊤, the small int ``flips << 1`` — nothing else is kept, since
+  only a ⊥ pair is ever reported and a flip to ⊥ records the value
+  the frontier named then;
+- for ⊥, a ``[flips, expected, wrong_since]`` list: the flip count,
+  the value the frontier last said the read should have seen, and when
+  the verdict became wrong.
+
+The trailing ``flipped`` slot is set at the record's first flip, which
+is when :attr:`FlipFlopStats.n_flipped_txns` counts it.
+
+**Shared values.**  A ⊤ read whose observed value has the same exact
+type, ``int`` or ``str``, as the version it saw stores the version's
+object (the frontier holds it anyway), so the decoded copy dies with
+its batch.  Only equal values of those two types are interchangeable:
+``True`` equals ``1`` and ``0.0`` equals ``-0.0``, but a later ⊥ report
+would name the other one.
+
+The record is the only place the checker keeps what a pending read
+observed (the read index holds reader tids), so the verdict rule lives
+here alone: :meth:`ExtStatusTracker.track_columns` applies it on
+arrival and :meth:`ExtStatusTracker.reevaluate` at every re-check.
+One container per transaction, and a small list per ⊥ pair, is what
 the host collector has to walk for ever after; a record per read (and a
 ``(tid, key)`` dict entry to find it) was the largest structure the
 checker owned.
+
+:class:`FlipFlopStats` keeps aggregates — one count per distinct flip
+count, one per Fig-13b rectify bucket, and totals — so a daemon that
+runs for ever holds the same statistics bytes after a billion
+rectifications as after one.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.histories.model import BOTTOM
 
@@ -50,15 +75,24 @@ __all__ = [
     "REC_TID",
     "REC_KEYS",
     "REC_SNAPSHOT_TS",
+    "REC_FLIPPED",
 ]
 
-# Record layout (module docstring).  The header offsets are the contract
-# with the checkers' finalization hooks; the runs are private.
+# Record layout (module docstring).  These offsets are the contract with
+# the checkers' finalization hooks; the runs are private.
 REC_TID = 0
 REC_KEYS = 1
 REC_SNAPSHOT_TS = 2
+REC_FLIPPED = -1
 _HEADER = 3
-_ACTUAL, _OK, _EXPECTED, _FLIPS, _WRONG_SINCE = range(5)
+
+#: Observed-value types whose equal objects are interchangeable, so a ⊤
+#: read may hold the version's object instead of its own.
+_SHAREABLE = frozenset((int, str))
+
+#: Upper edges (seconds) of the Fig-13b rectify buckets but the last.
+_RECTIFY_EDGES = (0.001, 0.002, 0.010, 0.099, 1.0)
+_RECTIFY_LABELS = ("0-1ms", "1-2ms", "2-10ms", "10-99ms", "100-999ms", "1000+ms")
 
 #: Type alias for one transaction's record.
 ExtRecord = List[Any]
@@ -66,17 +100,24 @@ ExtRecord = List[Any]
 
 @dataclass
 class FlipFlopStats:
-    """Aggregates for the flip-flop figures."""
+    """Aggregates for the flip-flop figures, all of fixed size."""
 
     #: flip count -> number of (txn, key) pairs with that many flips.
     flips_per_pair: Dict[int, int] = field(default_factory=dict)
-    #: tids that experienced at least one flip.
-    flipped_tids: Set[int] = field(default_factory=set)
-    #: rectify times in (virtual) seconds.
-    rectify_times: List[float] = field(default_factory=list)
+    #: transactions with at least one flip, counted at the first.
+    n_flipped_txns: int = 0
+    #: rectifications per Fig-13b bucket (:meth:`rectify_histogram`).
+    rectify_counts: List[int] = field(default_factory=lambda: [0] * len(_RECTIFY_LABELS))
+    #: sum of the rectify times in (virtual) seconds, in rectify order.
+    rectify_seconds: float = 0.0
     n_pairs: int = 0
     n_finalized: int = 0
     n_final_violations: int = 0
+
+    @property
+    def n_rectified(self) -> int:
+        """Tentative wrong verdicts rectified so far."""
+        return sum(self.rectify_counts)
 
     def flip_histogram(self, buckets: Tuple[int, ...] = (1, 2, 3)) -> Dict[str, int]:
         """Histogram of flip counts as in Fig 13a: 1, 2, 3, 4+ buckets."""
@@ -91,26 +132,9 @@ class FlipFlopStats:
                 histogram[f"{buckets[-1] + 1}+"] += count
         return histogram
 
-    def rectify_histogram(
-        self, edges: Tuple[float, ...] = (0.001, 0.002, 0.010, 0.099, 1.0)
-    ) -> Dict[str, int]:
-        """Histogram of rectify times, bucketed like Fig 13b (seconds)."""
-        labels = ["0-1ms", "1-2ms", "2-10ms", "10-99ms", "100-999ms", "1000+ms"]
-        counts = [0] * len(labels)
-        for value in self.rectify_times:
-            if value < edges[0]:
-                counts[0] += 1
-            elif value < edges[1]:
-                counts[1] += 1
-            elif value < edges[2]:
-                counts[2] += 1
-            elif value < edges[3]:
-                counts[3] += 1
-            elif value < edges[4]:
-                counts[4] += 1
-            else:
-                counts[5] += 1
-        return dict(zip(labels, counts))
+    def rectify_histogram(self) -> Dict[str, int]:
+        """Histogram of rectify times, bucketed like Fig 13b."""
+        return dict(zip(_RECTIFY_LABELS, self.rectify_counts))
 
 
 class ExtStatusTracker:
@@ -169,25 +193,29 @@ class ExtStatusTracker:
         one end offset per transaction: its reads are the slice from the
         previous bound (0 for the first) to its own, their keys distinct
         (the route pass meets each key's first read only), so each record
-        is one slice per column.  A tid tracked twice — a retransmission,
+        is one slice per run.  A tid tracked twice — a retransmission,
         in one batch or in two — keeps one record, the later copy's.
         """
-        oks = [
-            (actual is None) if expected is BOTTOM else (expected == actual)
+        # Two passes per read: the verdict state, and the observed value
+        # (the version's object where the two are interchangeable — an
+        # equal value of one exact shareable type is a ⊤ verdict).
+        states = [
+            0 if ((actual is None) if expected is BOTTOM else (expected == actual))
+            else [0, expected, now]
             for actual, expected in zip(actuals, expecteds)
         ]
-        wrong_since = [None if ok else now for ok in oks]
+        stored = [
+            expected
+            if actual == expected and type(actual) is type(expected) in _SHAREABLE
+            else actual
+            for actual, expected in zip(actuals, expecteds)
+        ]
         txns = self._txns
         lo = 0
         for hi in bounds:
             tid = tids[lo]
             txns[tid] = [
-                tid, tuple(keys[lo:hi]), snapshot_ts[lo],
-                *actuals[lo:hi],
-                *oks[lo:hi],
-                *expecteds[lo:hi],
-                *[0] * (hi - lo),
-                *wrong_since[lo:hi],
+                tid, tuple(keys[lo:hi]), snapshot_ts[lo], *stored[lo:hi], *states[lo:hi], False
             ]
             lo = hi
         self.stats.n_pairs += len(tids)
@@ -218,23 +246,26 @@ class ExtStatusTracker:
             slot = _HEADER + keys.index(key)
         except ValueError:
             return
-        width = len(keys)
-        actual = record[slot + _ACTUAL * width]
+        actual = record[slot]
         ok = (actual is None) if expected is BOTTOM else (expected == actual)
-        ok_slot = slot + _OK * width
-        if ok != record[ok_slot]:
-            record[ok_slot] = ok
-            record[slot + _FLIPS * width] += 1
-            wrong_slot = slot + _WRONG_SINCE * width
-            if ok:
-                wrong_since = record[wrong_slot]
-                if wrong_since is not None:
-                    self.stats.rectify_times.append(now - wrong_since)
-                    record[wrong_slot] = None
-            else:
-                record[wrong_slot] = now
-            self.stats.flipped_tids.add(tid)
-        record[slot + _EXPECTED * width] = expected
+        slot += len(keys)
+        state = record[slot]
+        if type(state) is list:  # ⊥: where nearly every re-check lands
+            if not ok:  # still ⊥: a report names the latest value
+                state[1] = expected
+                return
+            stats = self.stats
+            rectified = now - state[2]
+            stats.rectify_counts[bisect_right(_RECTIFY_EDGES, rectified)] += 1
+            stats.rectify_seconds += rectified
+            record[slot] = (state[0] + 1) << 1
+        elif ok:
+            return
+        else:
+            record[slot] = [(state >> 1) + 1, expected, now]
+        if not record[REC_FLIPPED]:
+            record[REC_FLIPPED] = True
+            self.stats.n_flipped_txns += 1
 
     def advance_to(self, now: float) -> List[ExtRecord]:
         """Finalize every transaction whose deadline has passed.
@@ -293,20 +324,23 @@ class ExtStatusTracker:
             keys = record[REC_KEYS]
             width = len(keys)
             n_reads += width
-            flips_lo = _HEADER + _FLIPS * width
-            for flips in record[flips_lo : flips_lo + width]:
-                if flips:
-                    flips_per_pair[flips] = flips_per_pair.get(flips, 0) + 1
-            ok_lo = _HEADER + _OK * width
-            if not all(record[ok_lo : ok_lo + width]):
-                tid = record[REC_TID]
-                for index, key in enumerate(keys):
-                    slot = _HEADER + index
-                    if not record[slot + _OK * width]:
-                        n_violations += 1
-                        on_violation(
-                            tid, key, record[slot + _EXPECTED * width], record[slot + _ACTUAL * width]
-                        )
+            states = record[_HEADER + width : REC_FLIPPED]
+            # A zero state is a ⊤ that never flipped: a record of only
+            # those has nothing to count or report.
+            if not any(states):
+                continue
+            for index, state in enumerate(states):
+                if not state:
+                    continue
+                if type(state) is int:
+                    flips = state >> 1
+                else:
+                    flips = state[0]
+                    n_violations += 1
+                    on_violation(record[REC_TID], keys[index], state[1], record[_HEADER + index])
+                    if not flips:
+                        continue
+                flips_per_pair[flips] = flips_per_pair.get(flips, 0) + 1
         stats.n_finalized += n_reads
         stats.n_final_violations += n_violations
         if self._on_finalized_batch is not None:

@@ -228,14 +228,18 @@ def txn_from_dict(data: Dict[str, Any], memo: Optional[Dict[str, str]] = None) -
 _decode_json = json.JSONDecoder().raw_decode
 
 
-def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
+def columns_from_rows(
+    rows: Iterable[Dict[str, Any]], memo: Optional[Dict[str, str]] = None
+) -> ColumnarBatch:
     """Flatten transactions in dict form straight into one :class:`ColumnarBatch`.
 
     The columnar twin of ``[txn_from_dict(row) for row in rows]`` and
     the row-append step of :func:`columns_from_jsonl` — also how the
     daemon turns an ndjson ``submit`` into the batch a binary frame
     carries.  No per-transaction or per-operation object is built, and
-    each distinct key is one object across all the rows.  Rows are
+    each distinct key is one object across all the rows — and across
+    every call that hands in the same ``memo`` (the daemon keeps one per
+    connection, as :func:`unpack_columnar` does for frames).  Rows are
     decoded into flat lists :data:`_PACK_CHUNK` rows at a time and
     moved into the columns by :func:`_extend` (the header columns and
     the op offsets, ``array('i')`` until a value needs ``'q'``) and
@@ -256,7 +260,8 @@ def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
     heads: List[int] = []
     chunk: List[Any] = []
     plain = True
-    memo: Dict[str, str] = {}
+    if memo is None:
+        memo = {}
     for count, data in enumerate(rows, 1):
         heads += _decode_header(data)
         plain = _decode_ops(data["ops"], kinds, keys, chunk, memo) and plain

@@ -289,6 +289,12 @@ class CheckerService:
         # The opening welcome is always a v1 line: a client cannot know
         # the server speaks v2 until this advertisement arrives.
         self._send(writer, self._welcome_message(PROTOCOL_VERSION))
+        # One key memo per connection, shared by both codecs and dropped
+        # at disconnect: a submit's keys are the objects this connection
+        # decoded first, which the checker holds already, instead of a
+        # fresh string per key per submit.  It grows with the key space
+        # only, as the checker's frontier and read index do.
+        memo: Dict[str, str] = {}
         try:
             while True:
                 # One byte of lookahead classifies the next message:
@@ -299,7 +305,7 @@ class CheckerService:
                 except asyncio.IncompleteReadError:
                     break
                 read = self._read_frame if first[0] == FRAME_MAGIC0 else self._read_line
-                message = await read(first, reader, writer)
+                message = await read(first, reader, writer, memo)
                 if message is not None and not await self._dispatch(message, writer):
                     break
         except (_Hangup, ConnectionResetError, BrokenPipeError):
@@ -313,10 +319,13 @@ class CheckerService:
             self._sessions.detach(writer)
             self._close_writer(writer)
 
-    async def _read_frame(self, first: bytes, reader: _Reader, writer: _Writer) -> Optional[_Msg]:
+    async def _read_frame(
+        self, first: bytes, reader: _Reader, writer: _Writer, memo: Dict[str, str]
+    ) -> Optional[_Msg]:
         """One v2 frame → a message for ``_dispatch`` (None: handled or
         rejected here).  A submit's payload decodes straight into a
-        :class:`ColumnarBatch` under ``message["batch"]``."""
+        :class:`ColumnarBatch` under ``message["batch"]``, its keys
+        shared through the connection's ``memo``."""
         wire = self.wire["v2"]
         try:
             if self.config.protocol == "v1":
@@ -336,7 +345,7 @@ class CheckerService:
         wire["frames_in"] += 1
         wire["bytes_in"] += HEADER_SIZE + length
         try:
-            message = decode_frame_payload(frame_kind, payload)
+            message = decode_frame_payload(frame_kind, payload, memo)
         except ProtocolError as exc:
             # The framing survived (length was honoured), so the
             # connection can too — reject this message.
@@ -348,10 +357,13 @@ class CheckerService:
             return None
         return message
 
-    async def _read_line(self, first: bytes, reader: _Reader, writer: _Writer) -> Optional[_Msg]:
+    async def _read_line(
+        self, first: bytes, reader: _Reader, writer: _Writer, memo: Dict[str, str]
+    ) -> Optional[_Msg]:
         """One ndjson line → a message for ``_dispatch`` (None: blank or
         rejected here).  A submit's rows are decoded here, at the edge,
-        into the same ``message["batch"]`` a v2 frame carries."""
+        into the same ``message["batch"]`` a v2 frame carries, through
+        the same ``memo``."""
         try:
             rest = await reader.readline()
         except (asyncio.LimitOverrunError, ValueError):
@@ -382,7 +394,9 @@ class CheckerService:
                 # that is not an integer) never reaches receive_many,
                 # where it would drop the drain cycle for every producer
                 # drained beside this one.
-                message["batch"] = columns_from_rows(rows if isinstance(rows, list) else ())
+                message["batch"] = columns_from_rows(
+                    rows if isinstance(rows, list) else (), memo
+                )
             except ValueError as exc:
                 self._refuse(writer, f"submit refused: {exc}", seq=message.get("seq"))
                 return None

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import TYPE_CHECKING, Any, Dict, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.histories.serialization import ColumnarBatch, pack_columnar, unpack_columnar
 from repro.service.protocol import ProtocolError
@@ -206,7 +206,7 @@ def decode_frame_header(header: bytes) -> Tuple[int, int]:
 
 
 def decode_frame_payload(
-    kind: int, payload: Union[bytes, memoryview]
+    kind: int, payload: Union[bytes, memoryview], memo: Optional[Dict[str, str]] = None
 ) -> Dict[str, Any]:
     """Decode one frame's payload into a message dict.
 
@@ -215,10 +215,12 @@ def decode_frame_payload(
     checker's batch kernel directly.  The payload is decoded through a
     ``memoryview``, so the key table and value columns are sliced in
     place from the frame buffer (zero-copy receive); callers may hand in
-    a view over a larger receive buffer directly.  Every other kind
-    returns the embedded JSON message, validated against the kind byte.
-    All malformations raise :class:`ProtocolError`; a partially
-    decodable batch is never returned.
+    a view over a larger receive buffer directly; ``memo`` (the daemon
+    keeps one per connection) is handed to :func:`unpack_columnar`, so
+    every frame it decodes shares one object per distinct key.  Every
+    other kind returns the embedded JSON message, validated against the
+    kind byte.  All malformations raise :class:`ProtocolError`; a
+    partially decodable batch is never returned.
     """
     if kind == K_SUBMIT:
         if len(payload) < 4:
@@ -226,7 +228,7 @@ def decode_frame_payload(
         view = payload if type(payload) is memoryview else memoryview(payload)
         (seq,) = _U32.unpack_from(view)
         try:
-            batch, consumed = unpack_columnar(view, 4)
+            batch, consumed = unpack_columnar(view, 4, memo)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
         if consumed != len(view):

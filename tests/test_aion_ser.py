@@ -16,6 +16,8 @@ from repro.online.clock import SimClock
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
 
+from test_ext_status import collect_flipped_tids
+
 
 def make_ser(timeout=float("inf"), clock=None):
     return AionSer(AionConfig(timeout=timeout), clock=clock or (lambda: 0.0))
@@ -62,9 +64,10 @@ class TestOutOfOrder:
         r = b.txn(sid=2, start=3, commit=4, ops=[read("x", 1)])
         history = b.build()
         checker = make_ser()
+        flipped = collect_flipped_tids(checker)
         result = feed(checker, [history.init_transaction, r, w1])
         assert result.is_valid
-        assert checker.flipflop_stats.flipped_tids == {r.tid}
+        assert checker.flipflop_stats.n_flipped_txns == 1 and flipped == {r.tid}
 
     def test_late_writer_invalidates_reader(self):
         b = HistoryBuilder(keys=["x"])

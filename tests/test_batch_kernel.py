@@ -35,6 +35,7 @@ from test_differential import (
     small_history,
     split_session_verdicts,
 )
+from test_ext_status import collect_flipped_tids
 
 INF = AionConfig(timeout=float("inf"))
 
@@ -302,6 +303,7 @@ def ordered_run(kind, arrival, batch_size, *, columnar=False):
     counters of one checker fed ``arrival`` in ``batch_size`` batches
     (``receive`` per arrival at batch size 1)."""
     checker = make_checker(kind)
+    flipped = collect_flipped_tids(checker)
     try:
         for offset in range(0, len(arrival), batch_size):
             batch = arrival[offset : offset + batch_size]
@@ -313,7 +315,13 @@ def ordered_run(kind, arrival, batch_size, *, columnar=False):
                 checker.receive_many(batch)
         reports = list(checker.finalize().violations)
         flips = checker.flipflop_stats
-        return reports, checker.processed, flips.flip_histogram(), sorted(flips.flipped_tids)
+        return (
+            reports,
+            checker.processed,
+            flips.flip_histogram(),
+            (flips.n_flipped_txns, sorted(flipped)),
+            (flips.n_rectified, flips.rectify_seconds),
+        )
     finally:
         checker.close()
 
@@ -356,7 +364,7 @@ def test_flipflops_are_batch_split_invariant(kind, seed):
 SMOKE_BATCH = 50
 SMOKE_PINS = {
     # kind: (verdict_reevals, verdict_conflicts, flips_per_pair,
-    #        flipped tids, rectify times, final EXT violations)
+    #        flipped transactions, rectifications, final EXT violations)
     "aion": (771, 0, {1: 453}, 217, 453, 0),
     "ser": (819, 0, {1: 408, 2: 48}, 224, 418, 214),
     "sharded": (771, 0, {1: 453}, 217, 453, 0),
@@ -421,7 +429,11 @@ def test_smoke_stream_counters_match_the_transaction_views(kind, smoke_stream):
     reevals, conflicts, flips_per_pair, n_flipped, n_rectified, n_violations = SMOKE_PINS[kind]
     assert (got["verdict_reevals"], got["verdict_conflicts"]) == (reevals, conflicts)
     assert flips.flips_per_pair == flips_per_pair
-    assert (len(flips.flipped_tids), len(flips.rectify_times)) == (n_flipped, n_rectified)
+    # The clock stands at 0: every rectify time is 0.0, in the first bucket.
+    assert (flips.n_flipped_txns, flips.n_rectified, flips.rectify_seconds) == (
+        n_flipped, n_rectified, 0.0,
+    )
+    assert flips.rectify_histogram()["0-1ms"] == n_rectified
     assert (flips.n_pairs, flips.n_finalized) == (n_ext_reads, n_ext_reads)
     assert flips.n_final_violations == n_violations == len(reports)
 

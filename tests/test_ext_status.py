@@ -2,13 +2,16 @@
 
 Written against what the tracker *does* — which violations it reports
 and when, and what ``FlipFlopStats`` accumulates — not against how it
-lays a verdict out in memory.
+lays a verdict out in memory, except for ``TestRecordLayout`` and
+``TestBoundedStats``, which pin the bytes a pending read and the
+statistics cost.
 """
 
 import pytest
 
 from repro.core.common import BOTTOM
 from repro.core.ext_status import (
+    REC_FLIPPED,
     REC_KEYS,
     REC_SNAPSHOT_TS,
     REC_TID,
@@ -16,6 +19,11 @@ from repro.core.ext_status import (
     FlipFlopStats,
 )
 from repro.util.sizeof import deep_sizeof
+
+
+def rectified(stats):
+    """How many wrong verdicts were rectified, and their summed times."""
+    return stats.n_rectified, stats.rectify_seconds
 
 
 def track(tracker, tid, reads, *, snapshot_ts=10, now=0.0):
@@ -29,6 +37,23 @@ def track(tracker, tid, reads, *, snapshot_ts=10, now=0.0):
         [reads[key][0] for key in keys], [reads[key][1] for key in keys], now, [len(keys)],
     )
     tracker.arm_timers((tid,), now)
+
+
+def collect_flipped_tids(checker):
+    """A set that fills with the tid of every record ``checker``
+    finalizes with its flip slot set — the flipped transactions
+    ``FlipFlopStats.n_flipped_txns`` counts, named — by wrapping the
+    tracker's finalized-batch hook."""
+    flipped = set()
+    ext = checker._ext
+    drop_reads = ext._on_finalized_batch
+
+    def collect(records, drained):
+        flipped.update(record[REC_TID] for record in records if record[REC_FLIPPED])
+        drop_reads(records, drained)
+
+    ext._on_finalized_batch = collect
+    return flipped
 
 
 def make_tracker(timeout=5.0):
@@ -82,7 +107,7 @@ class TestLifecycle:
         tracker.reevaluate(2, "x", BOTTOM, 1.0)
         tracker.flush()
         assert violations == [(2, "x", BOTTOM, "v")]
-        assert tracker.stats.rectify_times == [1.0] and tracker.stats.flipped_tids == {1, 2}
+        assert rectified(tracker.stats) == (1, 1.0) and tracker.stats.n_flipped_txns == 2
 
     def test_rectified_before_timeout_not_reported(self):
         tracker, violations, _ = make_tracker()
@@ -90,7 +115,7 @@ class TestLifecycle:
         tracker.reevaluate(1, "x", "v", 0.010)
         tracker.advance_to(10.0)
         assert violations == []
-        assert tracker.stats.rectify_times == [0.010]
+        assert rectified(tracker.stats) == (1, 0.010)
 
     def test_report_carries_the_last_expected_value(self):
         tracker, violations, _ = make_tracker()
@@ -132,7 +157,7 @@ class TestLifecycle:
         done = tracker.flush()
         assert [record[REC_KEYS] for record in done] == [("x", "y")]
         assert violations == []
-        assert tracker.stats.n_finalized == 2 and tracker.stats.rectify_times == [1.0]
+        assert tracker.stats.n_finalized == 2 and rectified(tracker.stats) == (1, 1.0)
 
 
 class TestReevaluationIsANoOp:
@@ -140,7 +165,7 @@ class TestReevaluationIsANoOp:
 
     def untouched(self, tracker):
         stats = tracker.stats
-        return (stats.flips_per_pair, stats.flipped_tids, stats.rectify_times) == ({}, set(), [])
+        return (stats.flips_per_pair, stats.n_flipped_txns, rectified(stats)) == ({}, 0, (0, 0.0))
 
     def test_unknown_transaction(self):
         tracker, _, _ = make_tracker()
@@ -177,11 +202,12 @@ class TestFlipFlopAccounting:
         tracker, _, _ = make_tracker()
         track(tracker, 1, {"x": ("v", "v")})
         tracker.reevaluate(1, "x", "v", 1.0)  # no change
-        assert tracker.stats.flipped_tids == set()
+        assert tracker.stats.n_flipped_txns == 0
         tracker.reevaluate(1, "x", "w", 2.0)
-        assert tracker.stats.flipped_tids == {1}
+        assert tracker.stats.n_flipped_txns == 1
         tracker.reevaluate(1, "x", "v", 3.0)
-        assert tracker.stats.rectify_times == [1.0]  # wrong from t=2 to t=3
+        assert tracker.stats.n_flipped_txns == 1  # counted at the first flip only
+        assert rectified(tracker.stats) == (1, 1.0)  # wrong from t=2 to t=3
         tracker.flush()
         assert tracker.stats.flips_per_pair == {2: 1}
 
@@ -192,7 +218,8 @@ class TestFlipFlopAccounting:
         tracker.reevaluate(2, "x", "w", 1.5)
         tracker.reevaluate(1, "x", "v", 2.0)
         tracker.reevaluate(2, "x", "v", 4.0)
-        assert tracker.stats.rectify_times == [1.0, 2.5]
+        assert rectified(tracker.stats) == (2, 3.5)
+        assert tracker.stats.rectify_counts == [0, 0, 0, 0, 0, 2]
 
     def test_pairs_of_one_transaction_flip_independently(self):
         tracker, violations, _ = make_tracker()
@@ -202,9 +229,9 @@ class TestFlipFlopAccounting:
         tracker.reevaluate(1, "z", "q", 3.5)
         tracker.advance_to(5.0)
         assert tracker.stats.flips_per_pair == {3: 1, 1: 1}  # y: 3, z: 1, x: 0
-        assert tracker.stats.flipped_tids == {1}
+        assert tracker.stats.n_flipped_txns == 1
         assert violations == [(1, "y", "?", "b"), (1, "z", "q", "c")]
-        assert tracker.stats.rectify_times == [1.0]  # y, wrong from t=1 to t=2
+        assert rectified(tracker.stats) == (1, 1.0)  # y, wrong from t=1 to t=2
 
     def test_histogram_buckets(self):
         stats = FlipFlopStats()
@@ -213,17 +240,28 @@ class TestFlipFlopAccounting:
         assert histogram == {"1": 10, "2": 5, "3": 2, "4+": 1}
 
     def test_rectify_histogram_buckets(self):
-        stats = FlipFlopStats()
-        stats.rectify_times = [0.0005, 0.0015, 0.005, 0.05, 0.5, 2.0]
-        histogram = stats.rectify_histogram()
-        assert histogram == {
+        """Each bucket holds its lower edge and stops short of its upper."""
+        tracker, _, _ = make_tracker()
+        times = [0.0005, 0.001, 0.0015, 0.002, 0.005, 0.010, 0.05, 0.099, 0.5, 1.0, 2.0]
+        for tid, _ in enumerate(times):
+            track(tracker, tid, {"x": ("v", "w")})  # wrong from t=0
+        for tid, now in enumerate(times):
+            tracker.reevaluate(tid, "x", "v", now)
+        assert tracker.stats.rectify_histogram() == {
             "0-1ms": 1,
-            "1-2ms": 1,
-            "2-10ms": 1,
-            "10-99ms": 1,
-            "100-999ms": 1,
-            "1000+ms": 1,
+            "1-2ms": 2,
+            "2-10ms": 2,
+            "10-99ms": 2,
+            "100-999ms": 2,
+            "1000+ms": 2,
         }
+        total = 0.0
+        for now in times:  # in rectify order, as the tracker adds them
+            total += now
+        assert rectified(tracker.stats) == (len(times), total)
+        assert FlipFlopStats().rectify_histogram() == dict.fromkeys(
+            ("0-1ms", "1-2ms", "2-10ms", "10-99ms", "100-999ms", "1000+ms"), 0
+        )
 
     def test_stats_final_counts(self):
         tracker, _, _ = make_tracker()
@@ -234,7 +272,7 @@ class TestFlipFlopAccounting:
         assert tracker.stats.n_finalized == 1
         assert tracker.stats.n_final_violations == 1
         assert tracker.stats.flips_per_pair == {2: 1}
-        assert tracker.stats.flipped_tids == {1}
+        assert tracker.stats.n_flipped_txns == 1
 
     def test_wide_transaction_reevaluates_at_first_and_last_key(self):
         tracker, violations, _ = make_tracker()
@@ -247,7 +285,7 @@ class TestFlipFlopAccounting:
         tracker.advance_to(5.0)
         assert violations == [(1, keys[0], "first", keys[0]), (1, keys[-1], "last", keys[-1])]
         assert tracker.stats.flips_per_pair == {1: 1, 3: 1}
-        assert tracker.stats.rectify_times == [0.5]
+        assert rectified(tracker.stats) == (1, 0.5)
         assert (tracker.stats.n_pairs, tracker.stats.n_finalized) == (200, 200)
 
 
@@ -291,7 +329,7 @@ class TestFinalizationOrder:
         tracker.advance_to(100.0) if how == "advance" else tracker.flush()
         stats = tracker.stats
         assert (stats.n_pairs, stats.n_finalized, stats.n_final_violations) == (7, 7, 6)
-        assert stats.flips_per_pair == {1: 1} and stats.flipped_tids == {9}
+        assert stats.flips_per_pair == {1: 1} and stats.n_flipped_txns == 1
 
 
 class TestMinPendingSnapshot:
@@ -350,5 +388,87 @@ class TestNothingKeptPerFinalizedTransaction:
         assert (stats.n_pairs, stats.n_finalized, stats.n_final_violations) == (
             2 * (n + self.BATCHES - 1), 2 * n, n // 10,
         )
-        assert stats.flips_per_pair == {} and stats.flipped_tids == set()
+        assert stats.flips_per_pair == {} and stats.n_flipped_txns == 0
         assert finalized[-1][1] and tracker.min_pending_snapshot_ts() is None
+
+
+class TestRecordLayout:
+    """One exactly-sized record per transaction: a ⊤ read costs its
+    observed value and one small-int state, and the value is the
+    version's own object where the two are interchangeable."""
+
+    @staticmethod
+    def record_of(tracker, tid):
+        (record,) = [r for r in tracker.flush() if r[REC_TID] == tid]
+        return record
+
+    def test_all_top_record_is_four_plus_two_slots_per_read(self):
+        for width in (1, 3, 8):
+            tracker, _, _ = make_tracker()
+            track(tracker, 1, {f"k{i}": (i * 1000, i * 1000) for i in range(width)})
+            record = self.record_of(tracker, 1)
+            assert len(record) == 4 + 2 * width
+            assert record[REC_FLIPPED] is False
+
+    def test_equal_int_and_str_reads_share_the_versions_object(self):
+        tracker, _, _ = make_tracker()
+        version_int, version_str = 10**12 + 7, "".join(["val", "ue"])
+        observed_int, observed_str = int(str(version_int)), "".join(["va", "lue"])
+        assert observed_int is not version_int and observed_str is not version_str
+        track(tracker, 1, {"x": (observed_int, version_int), "y": (observed_str, version_str)})
+        record = self.record_of(tracker, 1)
+        actual = record[REC_SNAPSHOT_TS + 1 :]
+        assert actual[0] is version_int and actual[1] is version_str
+
+    def test_true_read_against_one_keeps_its_own_object(self):
+        """``True == 1`` is a ⊤ verdict, but a later ⊥ report names what
+        the client read, not the version."""
+        tracker, violations, _ = make_tracker()
+        track(tracker, 1, {"x": (True, 1), "y": (2.0, 2), "z": ((1,), (True,))})
+        for key in ("x", "y", "z"):
+            tracker.reevaluate(1, key, 5, 1.0)
+        tracker.flush()
+        assert [(key, repr(actual)) for _, key, _, actual in violations] == [
+            ("x", "True"), ("y", "2.0"), ("z", "(1,)"),
+        ]
+
+    def test_bottom_pair_reports_its_latest_expected(self):
+        tracker, violations, _ = make_tracker()
+        observed = int(str(10**12))
+        track(tracker, 1, {"x": (observed, 10**12)})  # ⊤, shared
+        tracker.reevaluate(1, "x", 10**12 + 1, 1.0)  # ⊥
+        tracker.reevaluate(1, "x", 10**12 + 2, 2.0)  # still ⊥, a later value
+        record = self.record_of(tracker, 1)
+        assert violations == [(1, "x", 10**12 + 2, 10**12)]
+        assert record[REC_FLIPPED] is True and tracker.stats.flips_per_pair == {1: 1}
+
+
+class TestBoundedStats:
+    """The statistics are aggregates: a daemon's flip-flops and
+    rectifications never add to what it holds."""
+
+    KEYS = ("a", "b", "c", "d")
+
+    def cycles(self, tracker, first, last):
+        """One transaction per cycle: four ⊤ reads that flip to ⊥ and
+        are rectified 5 ms later, then time out."""
+        for tid in range(first, last):
+            now = float(tid)
+            tracker.advance_to(now)
+            track(tracker, tid, {key: (tid, tid) for key in self.KEYS}, now=now)
+            for key in self.KEYS:
+                tracker.reevaluate(tid, key, -1, now)
+                tracker.reevaluate(tid, key, tid, now + 0.005)
+        tracker.advance_to(last + 10.0)
+
+    def test_size_after_ten_thousand_cycles_equals_size_after_a_hundred(self):
+        tracker, violations, _ = make_tracker(timeout=1.0)
+        self.cycles(tracker, 0, 100)
+        after_hundred = deep_sizeof(tracker.stats)
+        self.cycles(tracker, 100, 10_000)
+        assert deep_sizeof(tracker.stats) == after_hundred
+        stats = tracker.stats
+        assert violations == [] and len(tracker) == 0
+        assert stats.n_flipped_txns == 10_000 and stats.n_rectified == 40_000
+        assert stats.flips_per_pair == {2: 40_000}
+        assert stats.rectify_histogram()["2-10ms"] == 40_000

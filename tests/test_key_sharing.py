@@ -5,7 +5,9 @@ of N operations over K keys used to hold N key objects.  Each decode
 call now keeps a local memo and every later op references the first
 object of its key: a history file, a JSONL text, one ndjson submit and
 one packed file (across its chunks) each end with K objects.  The memo
-dies with the call — there is no table to outlive a load.
+dies with the call — there is no table to outlive a load.  A daemon
+connection keeps one memo across all its submits, in either codec, and
+drops it at disconnect.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from repro.histories.serialization import (
     save_history,
     save_history_packed,
 )
+from repro.service.client import CheckerClient
+from repro.service.config import ServiceConfig
+from repro.service.daemon import ServiceThread
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
 
@@ -186,3 +191,37 @@ def test_no_table_outlives_a_load(tmp_path, request, save, load):
     finally:
         tracemalloc.stop()
     assert left < 4096, f"{left} B left after the load was dropped"
+
+
+@pytest.mark.parametrize("protocol", [1, 2])
+def test_one_object_per_key_per_daemon_connection(protocol):
+    """Every submit of one connection decodes its keys to the objects
+    its first submit did (the checker holds those already); a second
+    connection starts a memo of its own."""
+    txns = _fresh_keys_history(f"conn-v{protocol}-")
+    handle = ServiceThread(ServiceConfig(port=0, timeout=float("inf"))).start()
+    checker = handle.service.checker
+    real = checker.receive_many
+    seen = []
+
+    def capture(batch):
+        seen.append(list(batch.op_keys))
+        return real(batch)
+
+    checker.receive_many = capture
+    try:
+        per_connection = []
+        for n_checked, half in ((500, txns[:500]), (1000, txns[500:])):
+            client = CheckerClient(*handle.tcp_address, protocol=protocol)
+            client.connect()
+            with client:
+                for lo in range(0, len(half), 50):
+                    client.submit_many(half[lo : lo + 50])
+                assert client.drain() == n_checked
+            per_connection.append([key for keys in seen for key in keys])
+            seen.clear()
+    finally:
+        handle.stop()
+    for keys in per_connection:
+        assert len(keys) == 500 * 8
+        assert len({id(key) for key in keys}) == len(set(keys)) == 1000

@@ -10,7 +10,11 @@ parallel columns per key.  What that must not change, and what it buys:
   before the change**, when the index held ``(tid, actual)`` pairs and
   the verdict walk computed ``ok``: ``tests/data/timer_stream_golden.json``,
   written by running this file as a script against that commit's
-  ``src/`` (see the bottom);
+  ``src/`` (see the bottom).  Its ``flipflop`` block was converted
+  when the tracker stopped keeping a list entry per rectification and
+  a set entry per flipped transaction: the rectify count, exact sum and
+  Fig-13b histogram, and the flipped-tid count and digest, all computed
+  from the lists the tracker kept until then;
 * **one comparison rule** — a written ⊥v gives the offline verdict
   whichever of writer and reader arrives first;
 * **bytes** — what a columnar stream leaves on the heap per resident
@@ -29,7 +33,7 @@ from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
-from repro.core.colpack import ColumnarBatch
+from repro.core.colpack import ColumnarBatch, pack_columnar, unpack_columnar
 from repro.core.common import BOTTOM
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
@@ -42,6 +46,8 @@ from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
+
+from test_ext_status import collect_flipped_tids
 
 GOLDEN = Path(__file__).parent / "data" / "timer_stream_golden.json"
 
@@ -101,6 +107,7 @@ def timer_run(make, schedule, batch_size, *, columnar=False):
     finalize.  Returns everything the change promises not to move."""
     clock = SimClock()
     checker = make(clock)
+    flipped = collect_flipped_tids(checker)
     try:
         size = batch_size or len(schedule)
         fired_mid_stream = 0
@@ -130,13 +137,13 @@ def timer_run(make, schedule, batch_size, *, columnar=False):
                     str(flips): count for flips, count in sorted(stats.flips_per_pair.items())
                 },
                 "flipped_tids": {
-                    "n": len(stats.flipped_tids),
-                    "sorted_sha256": _digest(sorted(stats.flipped_tids)),
+                    "n": stats.n_flipped_txns,
+                    "sorted_sha256": _digest(sorted(flipped)),
                 },
-                "rectify_times": {
-                    "n": len(stats.rectify_times),
-                    "head": stats.rectify_times[:5],
-                    "ordered_sha256": _digest(stats.rectify_times),
+                "rectify": {
+                    "n": stats.n_rectified,
+                    "sum": stats.rectify_seconds,
+                    "histogram": stats.rectify_histogram(),
                 },
                 "n_pairs": stats.n_pairs,
                 "n_finalized": stats.n_finalized,
@@ -247,16 +254,10 @@ def test_written_bottom_verdict_is_arrival_order_independent(name, writer_first,
 # ----------------------------------------------------------------------
 
 
-def test_traced_bytes_per_resident_transaction(schedules):
-    """The 4,000-transaction S stream, columnar, every verdict pending:
-    what ``receive_many`` leaves allocated per resident transaction.
-    With the pair index, the per-version payload tuple and the record's
-    two unread runs this stream left ~1.41 KB (the gate fails there);
-    without them ~0.97 KB."""
-    txns = [txn for _, txn in schedules["S"]]
-    batches = [
-        ColumnarBatch.from_transactions(txns[lo : lo + 500]) for lo in range(0, len(txns), 500)
-    ]
+def _traced_bytes_per_resident(batches):
+    """Feed ``batches`` (an iterable, so decoding can happen inside the
+    traced window) to an ``Aion`` that never times out; what
+    ``receive_many`` leaves allocated per resident transaction."""
     checker = Aion(INF, clock=lambda: 0.0)
     gc.collect()
     tracemalloc.start()
@@ -270,12 +271,42 @@ def test_traced_bytes_per_resident_transaction(schedules):
         tracemalloc.stop()
     resident = checker.resident_txn_count
     assert resident >= N_TXNS - 10 and checker.flipflop_stats.n_finalized == 0
-    assert retained / resident <= 1.15 * 1024, f"{retained / resident:.0f} B per transaction"
     checker.close()
+    return retained / resident
+
+
+def test_traced_bytes_per_resident_transaction(schedules):
+    """The 4,000-transaction S stream, columnar, every verdict pending:
+    what ``receive_many`` leaves allocated per resident transaction.
+    With the pair index, the per-version payload tuple and the record's
+    two unread runs this stream left ~1.41 KB; without them ~1.00 KB
+    (the gate fails there); with a tracker record of one value and one
+    state per read, the value shared with its version where the two
+    are interchangeable, ~0.82 KB."""
+    txns = [txn for _, txn in schedules["S"]]
+    batches = [
+        ColumnarBatch.from_transactions(txns[lo : lo + 500]) for lo in range(0, len(txns), 500)
+    ]
+    per_txn = _traced_bytes_per_resident(batches)
+    assert per_txn <= 0.90 * 1024, f"{per_txn:.0f} B per transaction"
+
+
+def test_traced_bytes_per_resident_transaction_off_the_wire(schedules):
+    """The same stream packed as v2 submits and decoded inside the
+    traced window with one key memo, as a daemon connection does: what
+    the decoded keys and values add once the batch is gone.  ~1.40 KB
+    with a key string per key per frame and every read's decoded value
+    kept (the gate fails there), ~1.09 KB now."""
+    txns = [txn for _, txn in schedules["S"]]
+    blobs = [pack_columnar(txns[lo : lo + 500]) for lo in range(0, len(txns), 500)]
+    memo = {}
+    per_txn = _traced_bytes_per_resident(unpack_columnar(blob, memo=memo)[0] for blob in blobs)
+    assert per_txn <= 1.15 * 1024, f"{per_txn:.0f} B per transaction"
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=<checkout of the parent commit>/src:tests python tests/test_pending_reads.py
+    # PYTHONPATH=src:tests python tests/test_pending_reads.py re-records the
+    # golden from this checkout (every checker held to its reference).
     recorded = {}
     for stream_name, level, reference in (("S", "si", "aion"), ("R", "ser", "aion-ser")):
         stream_schedule = timer_stream(level)

@@ -199,9 +199,9 @@ class TestZeroCopyReceive:
         captured = {}
         real = framing.unpack_columnar
 
-        def spy(buf, offset=0):
+        def spy(buf, offset=0, memo=None):
             captured["buf"] = buf
-            return real(buf, offset)
+            return real(buf, offset, memo)
 
         monkeypatch.setattr(framing, "unpack_columnar", spy)
         return captured
@@ -266,6 +266,53 @@ def control_messages():
     yield SERVER_KIND_OF_TYPE["stats"], {
         "type": "stats", "seq": 5, "stats": {"processed": 3, "wire": {}}
     }
+
+
+class TestOpColumnChecks:
+    """The op offset and op kind columns are checked whole, and each
+    check refuses a submit in its own words — the same through the
+    frame decoder as from ``unpack_columnar``."""
+
+    KEYS = ("x", "y")
+
+    def blob(self):
+        """Four two-op transactions packed; returns the blob as a
+        bytearray and where its op offsets and op kinds start."""
+        txns = [
+            txn(tid, [(OpKind.WRITE, "x", tid), (OpKind.READ, "y", tid)]) for tid in range(1, 5)
+        ]
+        blob = bytearray(pack_columnar(txns))
+        n, n_keys, n_ops = struct.unpack_from("!III", blob)
+        assert (n, n_keys, n_ops) == (4, 2, 8)
+        offsets_at = 12 + sum(2 + len(key) for key in self.KEYS) + 5 * 8 * n
+        assert struct.unpack_from(f"!{n + 1}I", blob, offsets_at) == (0, 2, 4, 6, 8)
+        return blob, offsets_at, offsets_at + 4 * (n + 1)
+
+    @staticmethod
+    def refusal(blob):
+        with pytest.raises(ValueError) as unpacked:
+            unpack_columnar(bytes(blob))
+        with pytest.raises(ProtocolError) as framed:
+            decode_frame_payload(K_SUBMIT, struct.pack("!I", 1) + bytes(blob))
+        assert str(framed.value) == str(unpacked.value)
+        return str(unpacked.value)
+
+    def test_offsets_that_do_not_cover_the_ops(self):
+        blob, offsets_at, _ = self.blob()
+        struct.pack_into("!I", blob, offsets_at + 16, 7)  # ..., 6, 7
+        assert self.refusal(blob) == "columnar pack op offsets do not cover the op count"
+
+    def test_offsets_that_go_back(self):
+        blob, offsets_at, _ = self.blob()
+        struct.pack_into("!I", blob, offsets_at + 4, 5)  # 0, 5, 4, 6, 8
+        assert self.refusal(blob) == "columnar pack op offsets not monotonic"
+
+    def test_unknown_op_code_names_the_first(self):
+        blob, _, kinds_at = self.blob()
+        assert bytes(blob[kinds_at : kinds_at + 8]) == bytes([1, 0] * 4)
+        blob[kinds_at + 3] = 9
+        blob[kinds_at + 5] = 4
+        assert self.refusal(blob) == "unknown op code 9"
 
 
 class TestControlFrameEquivalence:
