@@ -2,11 +2,10 @@
 
 ``repro``, ``repro.core`` and ``repro.histories`` re-export their public
 names, but importing a package must not import every module behind those
-names: ``python -m repro check`` would pay for the online checkers, the
-sharded executor and ``multiprocessing`` before ``argparse`` runs.  Each
-package maps its public names to their defining modules and resolves
-them on first access, so ``from repro import Aion`` works as before and
-costs only what ``Aion`` needs.
+names: ``python -m repro check`` would pay for the online checkers and
+the daemon before ``argparse`` runs.  Each package maps its public names
+to their defining modules and resolves them on first access, so ``from
+repro import Aion`` works as before and costs only what ``Aion`` needs.
 """
 
 from __future__ import annotations

@@ -201,7 +201,6 @@ class CampaignRunner:
         *,
         level: str = "si",
         n_shards: int = 1,
-        shard_executor: str = "serial",
         n_sessions: int = 4,
         n_keys: int = 12,
         txns_per_segment: int = 40,
@@ -212,7 +211,6 @@ class CampaignRunner:
         self.schedule = schedule
         self.level = level
         self.n_shards = n_shards
-        self.shard_executor = shard_executor
         self.n_sessions = n_sessions
         self.n_keys = n_keys
         self.txns_per_segment = txns_per_segment
@@ -232,7 +230,6 @@ class CampaignRunner:
             port=port,
             level=self.level,
             n_shards=self.n_shards,
-            shard_executor=self.shard_executor,
             timeout=float("inf"),
             protocol="v2",
         )

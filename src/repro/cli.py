@@ -48,8 +48,8 @@ import time
 from typing import Optional, Sequence
 
 # Each command imports what it runs inside its handler: ``repro check``
-# offline must not pay for the online checkers, the sharded executor
-# (``multiprocessing``), the simulated database or the daemon.
+# offline must not pay for the online checkers, the simulated database
+# or the daemon.
 
 __all__ = ["main"]
 
@@ -142,10 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--level", default="si", choices=["si", "ser"])
     serve.add_argument("--shards", type=int, default=1,
                        help="shard the SI checker's state across N shards")
-    serve.add_argument("--executor", default="serial",
-                       choices=["serial", "process"],
-                       help="how sharded batches execute (process = one "
-                       "worker process per shard; needs --shards > 1)")
     serve.add_argument("--timeout", type=float, default=5.0,
                        help="EXT re-checking timeout in seconds ('inf' disables)")
     serve.add_argument("--queue-capacity", type=int, default=10_000,
@@ -218,9 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--level", default="si", choices=["si", "ser"])
     chaos.add_argument("--shards", type=int, default=1,
                        help="shard the daemon's SI checker across N shards")
-    chaos.add_argument("--executor", default="serial",
-                       choices=["serial", "process"],
-                       help="shard executor for the daemon under test")
     chaos.add_argument("--kills", type=int, default=2,
                        help="scheduled connection kills (client must resume)")
     chaos.add_argument("--restarts", type=int, default=1,
@@ -423,7 +416,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         unix_path=args.unix,
         level=args.level,
         n_shards=args.shards,
-        shard_executor=args.executor,
         timeout=args.timeout,
         queue_capacity=args.queue_capacity,
         batch_size=args.batch_size,
@@ -466,8 +458,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return service
 
     service = asyncio.run(_serve())
-    # The shutdown's snapshot: the checker is closed by now, and a
-    # sharded one has no workers left to ask for its shard rows.
+    # The shutdown's snapshot: the checker is closed by now, and its
+    # spill store with it.
     stats = service.final_stats or service.stats(include_bytes=False)
     result = service.final_result
     print(f"served {stats['processed']} transactions "
@@ -586,7 +578,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             schedule,
             level=args.level,
             n_shards=args.shards,
-            shard_executor=args.executor,
             n_sessions=args.sessions,
             n_keys=args.keys,
             txns_per_segment=args.txns_per_segment,

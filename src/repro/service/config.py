@@ -51,11 +51,6 @@ class ServiceConfig:
     unix_path: Optional[Union[str, Path]] = None
     level: str = "si"
     n_shards: int = 1
-    #: How ``ShardedAion`` runs its shards: ``"serial"`` (in-process) or
-    #: ``"process"`` (one worker process per shard, pickled pipe
-    #: transport).  Only a sharded checker (``n_shards > 1``) has shards
-    #: to run elsewhere.
-    shard_executor: str = "serial"
     timeout: float = 5.0
     queue_capacity: int = 10_000
     batch_size: int = 500
@@ -111,15 +106,6 @@ class ServiceConfig:
             raise ValueError("n_shards must be >= 1")
         if self.n_shards > 1 and self.level != "si":
             raise ValueError("sharding requires level 'si'")
-        if self.shard_executor not in ("serial", "process"):
-            raise ValueError(
-                f"shard_executor must be 'serial' or 'process', got {self.shard_executor!r}"
-            )
-        if self.shard_executor != "serial" and self.n_shards == 1:
-            raise ValueError(
-                f"shard executor {self.shard_executor!r} needs more than one shard "
-                "(--shards N); a single-shard checker runs in-process"
-            )
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.batch_size < 1:
@@ -169,12 +155,7 @@ class ServiceConfig:
         self.validate()
         aion_config = AionConfig(timeout=self.timeout)
         if self.n_shards > 1:
-            return ShardedAion(
-                aion_config,
-                n_shards=self.n_shards,
-                clock=clock,
-                executor=self.shard_executor,
-            )
+            return ShardedAion(aion_config, n_shards=self.n_shards, clock=clock)
         if self.level == "si":
             return Aion(aion_config, clock=clock)
         return AionSer(aion_config, clock=clock)

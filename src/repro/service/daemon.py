@@ -118,8 +118,8 @@ class CheckerService:
         self.unix_path: Optional[str] = None
         self.final_result: Optional[CheckResult] = None
         #: ``stats(include_bytes=False)`` as the graceful shutdown left
-        #: it, taken before the checker is closed — a sharded checker's
-        #: per-shard rows need its worker processes.
+        #: it, taken before the checker is closed — closing releases the
+        #: spill store whose byte and reload counts the snapshot reports.
         self.final_stats: Optional[Dict[str, Any]] = None
         #: Violation messages handed to _broadcast, in push order — the
         #: replay backlog for late subscribers.  Maintained on the event
@@ -223,8 +223,8 @@ class CheckerService:
             for writer in list(self._connections):
                 self._close_writer(writer)
             # Clients must see a crash, but the host process should not
-            # leak shard workers: release checker resources after the
-            # sockets are already dead.
+            # leak the spill directory: release checker resources after
+            # the sockets are already dead.
             try:
                 await self._ingest.run(self._ingest.locked, self.checker.close)
             except Exception:  # pragma: no cover - best-effort cleanup

@@ -142,11 +142,10 @@ class IngestPipeline:
         self.config = config
         self.checker = checker
         self._broadcast = broadcast
-        # ShardedAion exposes its own ingest lock; the single-shard
-        # checkers get one here.  Every checker touch — ingest, poll,
-        # stats reads, GC, finalize — happens under this lock, so
-        # worker-thread ingestion and loop-thread reads never interleave.
-        self.lock: threading.Lock = getattr(checker, "ingest_lock", None) or threading.Lock()
+        # Every checker touch — ingest, poll, stats reads, GC, finalize —
+        # happens under this lock, so worker-thread ingestion and
+        # loop-thread reads never interleave.
+        self.lock = threading.Lock()
         self.queue = _IngestQueue(config.queue_capacity)
         self._drain_task: Optional[asyncio.Task] = None
         self._tick_task: Optional[asyncio.Task] = None

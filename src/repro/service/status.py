@@ -152,8 +152,6 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
      _shard("intervals")),
     ("repro_shard_ext_reads", "External reads indexed by one shard", "gauge", ("shard",),
      _shard("ext_reads")),
-    ("repro_shard_pending_removals", "Deferred read removals owed to one shard", "gauge",
-     ("shard",), _shard("pending_removals")),
     ("repro_shard_last_batch_commands",
      "Ops (external reads + writes) routed to one shard by the most recent batch", "gauge",
      ("shard",), _shard("last_batch_commands")),
@@ -266,8 +264,7 @@ class StatusView:
         ``versions`` and ``intervals`` are written to spill segments.
         ``ext`` is what stands between arrival and timeout: transactions
         with a tentative EXT verdict and the external reads indexed for
-        re-checking (on a sharded checker, including finalized reads a
-        shard drops at the head of its next batch).
+        re-checking (summed over shards on a sharded checker).
         """
         config, checker, ingest = self._config, self._checker, self._ingest
         estimated_bytes = self._estimated_bytes_cached() if include_bytes else None
@@ -277,15 +274,9 @@ class StatusView:
             processed = checker.processed
             violations = len(checker.result.violations)
             kernel = checker.kernel_stats.as_dict()
-            # Per-shard rows carry their own read counts; reuse them for
-            # the aggregate instead of issuing a second control-plane
-            # round trip per shard.
+            pending_reads = checker.pending_ext_reads
             shard_stats = getattr(checker, "shard_stats", None)
             shards = shard_stats() if shard_stats is not None else None
-            if shards is not None:
-                pending_reads = sum(row["ext_reads"] for row in shards)
-            else:
-                pending_reads = checker.pending_ext_reads
             spill = checker.spill_store
         sizes = ingest.kernel_batch_size
         _counts, size_sum, cycles = sizes.snapshot()
@@ -369,9 +360,6 @@ class StatusView:
         - ``resume_storm`` — session resumes inside the sliding
           ``resume_storm_window`` stay below the threshold (a storm
           means clients are flapping, so latency expectations are off);
-        - ``shards`` — process-mode shard workers are all alive and each
-          one's heartbeat is advancing (alive but wedged is unhealthy
-          too); serial executors always pass.
         """
         config, ingest = self._config, self._ingest
         edge = self._edge()
@@ -424,27 +412,6 @@ class StatusView:
             summary, summary + " — clients are flapping",
             recent_resumes=recent_resumes, window_s=config.resume_storm_window,
             threshold=config.resume_storm_threshold,
-        )
-
-        workers_alive = getattr(self._checker, "workers_alive", None)
-        shards_ok = True if workers_alive is None else workers_alive()
-        shards_down = ""
-        if not shards_ok:
-            # Distinguish a dead process from an alive-but-wedged one:
-            # worker_faults reads only process liveness and the shared
-            # heartbeat counters, so it is safe from the event loop.
-            dead, wedged = self._checker.worker_faults()
-            if dead:
-                shards_down = f"shard workers died: {dead}"
-            elif wedged:
-                shards_down = f"shard workers are wedged: {wedged}"
-            else:
-                shards_down = "a shard worker died"
-        components["shards"] = component(
-            shards_ok,
-            "in-process" if config.shard_executor == "serial" else "workers alive",
-            shards_down,
-            n_shards=config.n_shards, executor=config.shard_executor,
         )
 
         ok = all(entry["ok"] for entry in components.values())

@@ -205,11 +205,6 @@ DELAYED_CHECKERS = {
     "sharded-x1": (lambda: ShardedAion(INF, n_shards=1, clock=lambda: 0.0), "si", False),
     "sharded-x2": (lambda: ShardedAion(INF, n_shards=2, clock=lambda: 0.0), "si", False),
     "sharded-x4": (lambda: ShardedAion(INF, n_shards=4, clock=lambda: 0.0), "si", False),
-    "sharded-x2-process": (
-        lambda: ShardedAion(INF, n_shards=2, clock=lambda: 0.0, executor="process"),
-        "si",
-        False,
-    ),
     "sharded-x2-ablation": (
         lambda: ShardedAion(ABLATION, n_shards=2, clock=lambda: 0.0),
         "si",

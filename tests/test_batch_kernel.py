@@ -256,19 +256,16 @@ def test_empty_and_singleton_batches():
         checker.close()
 
 
-@pytest.mark.parametrize(
-    "n_shards, executor", [(1, "serial"), (2, "serial"), (4, "serial"), (2, "process")]
-)
-def test_sharded_columnar_batches_equal_object_batches(n_shards, executor):
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_sharded_columnar_batches_equal_object_batches(n_shards):
     """The same arrivals as lists and as decoded wire columns: equal
     *ordered* verdicts, ``processed`` and kernel counters.  ShardedAion
     routes a ``ColumnarBatch`` straight off its flat arrays (the route
-    pass it inherits from Aion), so only columns — never Transaction
-    objects — reach a worker process."""
+    pass it inherits from Aion)."""
     history = small_history(29, n=150, faults=6)
     arrival = session_respecting_shuffle(history, Random(29))
     def run(columnar):
-        checker = ShardedAion(INF, n_shards=n_shards, clock=lambda: 0.0, executor=executor)
+        checker = ShardedAion(INF, n_shards=n_shards, clock=lambda: 0.0)
         try:
             polls = []
             for offset in range(0, len(arrival), 32):

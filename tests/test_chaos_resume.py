@@ -7,8 +7,8 @@ with the *byte-identical* verdict of an uninterrupted run — the daemon
 received every transaction exactly once (``received == sent``, no
 duplicates admitted, nothing lost in a dead socket's buffers).
 
-Runs across four checker variants (Aion, AionSer, ShardedAion with
-in-process and with worker-process shards) and three seeds each; every kill position derives from the seed, so a
+Runs across three checker variants (Aion, AionSer, ShardedAion) and
+three seeds each; every kill position derives from the seed, so a
 failure reproduces from the parametrization alone.
 """
 
@@ -40,12 +40,6 @@ VARIANTS = {
     "aion": {"kwargs": {"level": "si", "n_shards": 1}, "salt": 0x01},
     "ser": {"kwargs": {"level": "ser", "n_shards": 1}, "salt": 0x02},
     "sharded": {"kwargs": {"level": "si", "n_shards": 2}, "salt": 0x03},
-    # Shard workers in their own processes must ride out connection
-    # chaos exactly like in-process shards.
-    "sharded-process": {
-        "kwargs": {"level": "si", "n_shards": 2, "shard_executor": "process"},
-        "salt": 0x04,
-    },
 }
 
 

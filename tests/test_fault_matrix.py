@@ -4,17 +4,17 @@
 labels for five axiom-targeted fault classes.  This suite pins down, as
 a matrix over (fault class × checker), which labels each checker
 detects under its own matching axiom — with tid overlap, not just "some
-violation somewhere".  Complete detection is asserted; the one genuine
-gap is xfail-documented rather than papered over:
+violation somewhere".  Complete detection is asserted for every cell but
+one, which has its own statement:
 
 - ``noconflict`` × :class:`AionSer` — NOCONFLICT is the SI-specific
   axiom (§III, SI forbids concurrent write-write overlap outright).
   The SER checker has no NOCONFLICT check by construction: under
   serializability a write-write overlap is only wrong if it perturbs
-  some read, which surfaces as EXT — and only for histories where the
-  injected overlap actually changes a visible value (seed-dependent,
-  observed both ways).  The xfail is strict, so if AionSer ever grows a
-  NOCONFLICT check, this file flags the matrix entry for promotion.
+  some read, which surfaces as EXT.  So the statement per seed is: the
+  label is detected by AionSer as EXT *iff* the offline SER oracle
+  (:class:`ChronosSer`) reports an EXT violation on the same mutated
+  history (:func:`test_noconflict_under_ser_is_ext_iff_chronos_ser_reports_ext`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import pytest
 
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
+from repro.core.chronos_ser import ChronosSer
+from repro.core.violations import Axiom
 from repro.db.engine import IsolationLevel
 from repro.db.faults import HistoryFaultInjector
 from repro.service import transactions_in_commit_order
@@ -73,14 +75,17 @@ def label_detected(label, violations) -> bool:
     )
 
 
-@pytest.mark.parametrize("checker_name", sorted(CHECKERS))
-@pytest.mark.parametrize("fault_class", FAULT_CLASSES)
+@pytest.mark.parametrize(
+    "fault_class, checker_name",
+    [
+        (fault_class, checker_name)
+        for fault_class in FAULT_CLASSES
+        for checker_name in sorted(CHECKERS)
+        if (fault_class, checker_name) != ("noconflict", "aion_ser")
+    ],
+    ids=lambda value: value,
+)
 def test_fault_class_detected_by_matching_axiom(fault_class, checker_name):
-    if fault_class == "noconflict" and checker_name == "aion_ser":
-        pytest.xfail(
-            "NOCONFLICT is the SI-only axiom; AionSer folds write-write "
-            "conflicts into EXT and only sees them when a read is perturbed"
-        )
     detected = 0
     injected = 0
     for seed in SEEDS:
@@ -101,6 +106,33 @@ def test_fault_class_detected_by_matching_axiom(fault_class, checker_name):
     # row would pass vacuously otherwise.
     assert injected == len(SEEDS)
     assert detected == injected
+
+
+#: Per seed, which side of the iff it falls on: does the injected
+#: overlap perturb a value a SER reader sees?  Every seed falls on the
+#: "no" side (so does every seed in 0–299): the injector pulls the later
+#: writer's ``start_ts`` below the earlier one's commit and changes
+#: nothing else, while SER reads every snapshot at ``commit_ts`` — start
+#: timestamps play no part in it (§VI-A) — so no visible value moves.
+SER_OVERLAP_SEEN_AS_EXT = {0: False, 1: False, 2: False}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_noconflict_under_ser_is_ext_iff_chronos_ser_reports_ext(seed):
+    injector = HistoryFaultInjector(clean_history("aion_ser", seed), seed=seed)
+    label = injector.inject_noconflict()
+    assert label is not None
+    history = injector.build()
+    violations = checked_violations("aion_ser", transactions_in_commit_order(history))
+    detected = any(
+        violation.axiom is Axiom.EXT and violation.tid in label.tids
+        for violation in violations
+    )
+    oracle = any(
+        violation.axiom is Axiom.EXT for violation in ChronosSer().check(history).violations
+    )
+    assert detected == oracle == SER_OVERLAP_SEEN_AS_EXT[seed]
+    assert not any(violation.axiom is Axiom.NOCONFLICT for violation in violations)
 
 
 def test_clean_history_raises_no_alarm():

@@ -166,16 +166,11 @@ def _config():
     return AionConfig(timeout=TIMEOUT)
 
 
-def _sharded(executor):
-    return lambda clock: ShardedAion(_config(), n_shards=2, executor=executor, clock=clock)
-
-
 #: name -> (factory, stream the checker is held to)
 TIMER_CHECKERS = {
     "aion": (lambda clock: Aion(_config(), clock=clock), "S"),
     "aion-ser": (lambda clock: AionSer(_config(), clock=clock), "R"),
-    "sharded-x2-serial": (_sharded("serial"), "S"),
-    "sharded-x2-process": (_sharded("process"), "S"),
+    "sharded-x2-serial": (lambda clock: ShardedAion(_config(), n_shards=2, clock=clock), "S"),
 }
 
 
@@ -189,10 +184,9 @@ def schedules():
 def test_timer_stream_equals_the_pair_index(schedules, name, size):
     make, stream = TIMER_CHECKERS[name]
     golden = json.loads(GOLDEN.read_text())[stream][size]
-    # Worker executors answer per batch over a pipe: one pass over decoded
-    # wire columns is enough to hold the codec round trip to the same
-    # recording as the flattened lists.
-    columnar = name in ("aion", "aion-ser", "sharded-x2-serial") and size != "1"
+    # One pass over decoded wire columns holds the codec round trip to
+    # the same recording as the flattened lists.
+    columnar = size != "1"
     assert timer_run(make, schedules[stream], BATCH_SIZES[size]) == golden
     if columnar:
         assert timer_run(make, schedules[stream], BATCH_SIZES[size], columnar=True) == golden
@@ -212,12 +206,7 @@ INF = AionConfig(timeout=float("inf"))
 BOTTOM_CHECKERS = {
     "aion": (lambda: Aion(INF, clock=lambda: 0.0), "si"),
     "aion-ser": (lambda: AionSer(INF, clock=lambda: 0.0), "ser"),
-    "sharded-x2-serial": (
-        lambda: ShardedAion(INF, n_shards=2, executor="serial", clock=lambda: 0.0), "si",
-    ),
-    "sharded-x2-process": (
-        lambda: ShardedAion(INF, n_shards=2, executor="process", clock=lambda: 0.0), "si",
-    ),
+    "sharded-x2-serial": (lambda: ShardedAion(INF, n_shards=2, clock=lambda: 0.0), "si"),
 }
 
 

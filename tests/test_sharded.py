@@ -1,17 +1,14 @@
-"""Differential tests: ShardedAion ≡ Aion, across shard counts and modes.
+"""Differential tests: ShardedAion ≡ Aion, across shard counts and batch sizes.
 
 The sharded frontend's whole claim is verdict equivalence (see the
 module docstring of :mod:`repro.core.sharded`): for any arrival order,
-any shard count, serial or process execution, per-transaction or batched
-ingestion, with or without GC — the violation multiset equals
-single-shard Aion's, which in turn equals Chronos's.  Since the sharded
-frontend inherits Aion's verdict pass, the *order* of reports is equal
-too, and a dead shard worker is an error on every path, never a hang.
+any shard count, per-transaction or batched ingestion, with or without
+GC — the violation multiset equals single-shard Aion's, which in turn
+equals Chronos's.  Since the sharded frontend inherits Aion's verdict
+pass, the *order* of reports is equal too, and so, at every call
+boundary, are the per-key structure sizes summed over shards.
 """
 
-import os
-import signal
-import time
 from random import Random
 
 import pytest
@@ -46,12 +43,11 @@ def aion_baseline(txns):
     return result
 
 
-def sharded_verdicts(txns, *, n_shards, batch_size=1, executor="serial", gc_every=None):
+def sharded_verdicts(txns, *, n_shards, batch_size=1, gc_every=None):
     checker = ShardedAion(
         AionConfig(timeout=float("inf")),
         n_shards=n_shards,
         clock=lambda: 0.0,
-        executor=executor,
     )
     try:
         for offset in range(0, len(txns), batch_size):
@@ -74,10 +70,10 @@ class TestShardRouting:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             ShardedAion(n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedAion(executor="threads")
-        with pytest.raises(ValueError, match="expected 'serial' or 'process'"):
-            ShardedAion(executor="shm-process")
+        for executor in ("threads", "process", "shm-process"):
+            with pytest.raises(ValueError, match="only 'serial' remains"):
+                ShardedAion(executor=executor)
+        ShardedAion(executor="serial").close()
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
@@ -190,18 +186,16 @@ def test_unoptimized_recheck_matches_aion():
     assert got == _ablation_baseline(arrival)
 
 
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_unoptimized_recheck_batched_on_every_executor(executor):
+def test_unoptimized_recheck_batched_matches_aion():
     """Batched ablation: expected values are resolved at the write's
-    point in its key's stream, in whichever process that stream runs,
-    and come back like any other re-evaluation row."""
+    point in its key's stream, in whichever shard owns that stream, and
+    come back like any other re-evaluation row."""
     history = small_history(321, faults=4)
     arrival = session_respecting_shuffle(history, Random(321))
     sharded = ShardedAion(
         AionConfig(timeout=float("inf"), optimized_recheck=False),
         n_shards=3,
         clock=lambda: 0.0,
-        executor=executor,
     )
     try:
         for offset in range(0, len(arrival), 16):
@@ -211,14 +205,6 @@ def test_unoptimized_recheck_batched_on_every_executor(executor):
     finally:
         sharded.close()
     assert got == _ablation_baseline(arrival)
-
-
-def test_process_mode_matches_aion():
-    """Worker-process shards produce identical verdicts."""
-    history = small_history(99, n=150, faults=5)
-    arrival = session_respecting_shuffle(history, Random(99))
-    got = sharded_verdicts(arrival, n_shards=2, batch_size=25, executor="process")
-    assert got == aion_baseline(arrival)
 
 
 def ordered_reports(checker, arrival, batch_size, clock=None):
@@ -258,22 +244,6 @@ def test_report_order_equals_aion_on_anomaly_catalog(name, n_shards):
         assert got == expected, (name, shuffle_seed, batch_size)
 
 
-@pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-@pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
-def test_anomaly_catalog_matches_aion_on_process_workers(name, n_shards):
-    """The same report lists when every shard is a worker process —
-    eight shards included, where most keys leave some workers idle."""
-    history = ANOMALY_CATALOG[name].build()
-    arrival = session_respecting_shuffle(history, Random(7))
-    expected = ordered_reports(Aion(_inf(), clock=lambda: 0.0), arrival, 4)
-    got = ordered_reports(
-        ShardedAion(_inf(), n_shards=n_shards, clock=lambda: 0.0, executor="process"),
-        arrival,
-        4,
-    )
-    assert got == expected
-
-
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 @pytest.mark.parametrize("seed, batch_size", [(401, 16), (406, 64)])
 def test_report_order_equals_aion_on_faulted_stream(seed, batch_size, n_shards):
@@ -290,11 +260,10 @@ def test_report_order_equals_aion_on_faulted_stream(seed, batch_size, n_shards):
     assert got == expected
 
 
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_report_order_equals_aion_with_timers_firing(executor):
+def test_report_order_equals_aion_with_timers_firing():
     """The same kind of stream under a finite timeout: EXT verdicts
     finalize *between* batches (so read removals reach the shards), and
-    every poll still drains the same list on every executor."""
+    every poll still drains the same list."""
     history = small_history(404, n=200, faults=16)
     arrival = session_respecting_shuffle(history, Random(404))
     clock = SimClock()
@@ -305,18 +274,15 @@ def test_report_order_equals_aion_with_timers_firing(executor):
     assert any(v.axiom.name == "EXT" for poll in expected[0][:-1] for v in poll)
     clock = SimClock()
     got = ordered_reports(
-        ShardedAion(AionConfig(timeout=2.5), n_shards=2, clock=clock, executor=executor),
-        arrival, 16, clock,
+        ShardedAion(AionConfig(timeout=2.5), n_shards=2, clock=clock), arrival, 16, clock,
     )
     assert got == expected
 
 
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_end_of_stream_flush_clears_the_shard_read_indexes(executor):
-    """Timers that expire mid-stream queue their read removals for each
-    shard's next probe; the end-of-stream flush leaves nothing pending,
-    so it clears every shard's read index with one command instead of
-    queueing a removal per read for a probe that never comes."""
+def test_end_of_stream_flush_clears_the_shard_read_indexes():
+    """Timers that expire mid-stream remove their reads from the owning
+    shards read by read; the end-of-stream flush leaves nothing pending,
+    so it clears every shard's read index at once."""
     history = small_history(505, n=200, faults=16)
     arrival = session_respecting_shuffle(history, Random(505))
 
@@ -341,12 +307,11 @@ def test_end_of_stream_flush_clears_the_shard_read_indexes(executor):
     assert any(v.axiom.name == "EXT" for poll in expected[:-1] for v in poll)
     clock = SimClock()
     rows = []
-    sharded = ShardedAion(AionConfig(timeout=2.5), n_shards=2, clock=clock, executor=executor)
+    sharded = ShardedAion(AionConfig(timeout=2.5), n_shards=2, clock=clock)
     assert run(sharded, clock, rows) == expected
     *mid_stream, final = rows
-    assert any(row["pending_removals"] > 0 for stats in mid_stream for row in stats)
     assert all(row["ext_reads"] > 0 for row in mid_stream[-1])
-    assert [(row["pending_removals"], row["ext_reads"]) for row in final] == [(0, 0), (0, 0)]
+    assert [row["ext_reads"] for row in final] == [0, 0]
 
 
 def test_matches_chronos_end_to_end(si_history):
@@ -430,15 +395,14 @@ class TestCoordinatorSurface:
         assert sharded.resident_txn_count == len(history)
         sharded.close()
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_shard_structure_counts_sum_to_aions(self, executor):
-        """Shards share one batch's columns (serial) or get their slice
-        of them (process); either way each shard's size counters advance
-        by the ops *it* walked, so they sum to single-shard Aion's."""
+    def test_shard_structure_counts_sum_to_aions(self):
+        """Shards share one batch's columns; each shard's size counters
+        advance by the ops *it* walked, so they sum to single-shard
+        Aion's."""
         history = small_history(17, faults=3)
         arrival = session_respecting_shuffle(history, Random(17))
         aion = Aion(_inf(), clock=lambda: 0.0)
-        sharded = ShardedAion(_inf(), n_shards=3, clock=lambda: 0.0, executor=executor)
+        sharded = ShardedAion(_inf(), n_shards=3, clock=lambda: 0.0)
         try:
             for offset in range(0, len(arrival), 16):
                 aion.receive_many(arrival[offset : offset + 16])
@@ -453,16 +417,6 @@ class TestCoordinatorSurface:
         finally:
             aion.close()
             sharded.close()
-
-    def test_estimated_bytes_process_mode(self):
-        history = small_history(12, n=60)
-        sharded = ShardedAion(
-            AionConfig(timeout=float("inf")), n_shards=2, clock=lambda: 0.0,
-            executor="process",
-        )
-        sharded.receive_many(list(history.by_commit_ts()))
-        assert sharded.estimated_bytes() > 0
-        sharded.close()
 
     def test_gc_report_counts(self):
         history = small_history(13)
@@ -517,126 +471,63 @@ def test_receive_many_rejects_appends_before_any_state_change():
         checker.close()
 
 
-@pytest.mark.parametrize("executor", ["process"])
-def test_dead_worker_is_an_error_on_every_path(executor):
-    """After SIGKILL of the workers, the data path and every control-
-    plane path raise ``RuntimeError("shard worker N died …")`` — not a
-    raw ``BrokenPipeError``, and never a hang."""
-    arrival = list(small_history(21, n=60).by_commit_ts())
-    checker = ShardedAion(_inf(), n_shards=2, clock=lambda: 0.0, executor=executor)
+# ----------------------------------------------------------------------
+# State equality: the shards hold exactly Aion's structures, split by key
+# ----------------------------------------------------------------------
+
+#: The catalog, plus one faulted stream whose reads finalize a few at a
+#: time while later ones are still pending.
+STATE_STREAMS = [*sorted(ANOMALY_CATALOG), "faulted-404"]
+
+
+def _state_stream(name):
+    if name == "faulted-404":
+        history = small_history(404, n=200, faults=16)
+        return session_respecting_shuffle(history, Random(404))
+    return session_respecting_shuffle(ANOMALY_CATALOG[name].build(), Random(7))
+
+
+@pytest.mark.parametrize("batch_size", [1, 25, None], ids=["1", "25", "whole"])
+@pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
+@pytest.mark.parametrize("name", STATE_STREAMS)
+def test_shard_structures_equal_aions_after_every_call(name, n_shards, batch_size):
+    """After every ``receive_many`` and every ``poll`` (the call that
+    fires due timers), the shards' versions, intervals and indexed reads
+    sum to a lock-step Aion's, and ``pending_ext_reads`` agrees: a
+    finalized read leaves its shard's index in the call that finalized
+    it, as it leaves Aion's."""
+    arrival = _state_stream(name)
+    batch_size = batch_size or len(arrival)
+    config = AionConfig(timeout=1.5)
+    aion_clock, sharded_clock = SimClock(), SimClock()
+    aion = Aion(config, clock=aion_clock)
+    sharded = ShardedAion(config, n_shards=n_shards, clock=sharded_clock)
+
+    def assert_equal_state(where):
+        rows = sharded.shard_stats()
+        expected = [len(aion._frontier), len(aion._writers), len(aion._ext_reads)]
+        got = [sum(row[column] for row in rows) for column in ("versions", "intervals", "ext_reads")]
+        assert got == expected, where
+        assert sharded.pending_ext_reads == aion.pending_ext_reads == len(aion._ext_reads), where
+
+    def step(where, call):
+        assert call(sharded) == call(aion), where
+        assert_equal_state(where)
+
     try:
-        checker.receive_many(arrival[:30])
-        assert checker.shard_stats()[0]["shard"] == 0
-        for worker in checker._workers:
-            os.kill(worker.pid, signal.SIGKILL)
-            worker.join(timeout=10)
-            assert not worker.is_alive()
-        assert not checker.workers_alive()
-        assert checker.worker_faults() == ([0, 1], [])
-        for call in (
-            lambda: checker.receive_many(arrival[30:]),
-            checker.shard_stats,
-            checker.estimated_bytes,
-            lambda: checker.collect_below(None),
-        ):
-            with pytest.raises(RuntimeError, match=r"shard worker \d+ died"):
-                call()
+        for offset in range(0, len(arrival), batch_size):
+            batch = arrival[offset : offset + batch_size]
+            step(("receive_many", offset), lambda checker: checker.receive_many(batch))
+            # A poll one second on fires the previous batch's timers
+            # while this batch's are still pending.
+            aion_clock.advance(1.0)
+            sharded_clock.advance(1.0)
+            step(("poll", offset), lambda checker: checker.poll())
+        aion_clock.advance(1.0)
+        sharded_clock.advance(1.0)
+        step("poll after the last batch", lambda checker: checker.poll())
+        step("finalize", lambda checker: list(checker.finalize().violations))
+        assert sharded.pending_ext_reads == 0
     finally:
-        checker.close()
-
-
-def test_wedged_worker_detected_by_heartbeat_and_recovers():
-    """A SIGSTOPped worker still passes ``is_alive()``; its frozen
-    heartbeat does not.  ``workers_alive()`` goes false and
-    ``worker_faults()`` names the shard as stalled; SIGCONT brings the
-    worker back, and it still answers."""
-    checker = ShardedAion(
-        _inf(), n_shards=2, clock=lambda: 0.0, executor="process", stall_timeout=0.3
-    )
-    try:
-        checker.receive_many(list(ANOMALY_CATALOG["dirty-read"].build().transactions))
-        assert checker.workers_alive()
-        victim = checker._workers[1].pid
-        os.kill(victim, signal.SIGSTOP)
-        try:
-            deadline = time.monotonic() + 10
-            while checker.workers_alive():
-                assert time.monotonic() < deadline, "wedge never detected"
-                time.sleep(0.05)
-            assert checker.worker_faults() == ([], [1])
-        finally:
-            os.kill(victim, signal.SIGCONT)
-        deadline = time.monotonic() + 10
-        while not checker.workers_alive():
-            assert time.monotonic() < deadline, "worker never recovered"
-            time.sleep(0.05)
-        assert [row["shard"] for row in checker.shard_stats()] == [0, 1]
-    finally:
-        checker.close()
-
-
-def test_stalled_worker_fails_the_call_instead_of_hanging():
-    """A batch waiting on a SIGSTOPped worker raises "stalled" once the
-    heartbeat has stood still for ``stall_timeout`` — it does not wait
-    forever.  The stalled worker is killed, so its late reply cannot
-    answer a later request: the next call to it reads "died"."""
-    arrival = list(small_history(21, n=60).by_commit_ts())
-    assert any(shard_of(op.key, 2) == 0 for txn in arrival[30:] for op in txn.ops)
-    stall_timeout = 0.5
-    checker = ShardedAion(
-        _inf(), n_shards=2, clock=lambda: 0.0, executor="process",
-        stall_timeout=stall_timeout,
-    )
-    victim = checker._workers[0].pid
-    try:
-        checker.receive_many(arrival[:30])
-        os.kill(victim, signal.SIGSTOP)
-        started = time.monotonic()
-        with pytest.raises(RuntimeError, match=r"shard worker 0 stalled"):
-            checker.receive_many(arrival[30:])
-        # Up to one poll slice to notice the last heartbeat, the timeout,
-        # one more slice, and the kill; the rest is slack for a busy host.
-        assert time.monotonic() - started < stall_timeout + 3.0
-        assert checker.worker_faults() == ([0], [])
-        with pytest.raises(RuntimeError, match=r"shard worker 0 died"):
-            checker.shard_stats()
-    finally:
-        try:
-            os.kill(victim, signal.SIGCONT)
-        except ProcessLookupError:
-            pass
-        checker.close()
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda checker: checker.shard_stats(),
-        lambda checker: checker.estimated_bytes(),
-        lambda checker: checker.collect_below(None),
-        lambda checker: checker.finalize(),
-    ],
-    ids=["shard_stats", "estimated_bytes", "collect_below", "finalize"],
-)
-def test_stalled_worker_is_an_error_on_every_control_path(call):
-    """Control-plane commands wait on every worker's reply through the
-    same receive loop as a batch, so a frozen worker fails them with
-    "stalled" too, instead of hanging the stats reader or the GC."""
-    checker = ShardedAion(
-        _inf(), n_shards=2, clock=lambda: 0.0, executor="process", stall_timeout=0.3
-    )
-    victim = checker._workers[0].pid
-    try:
-        checker.receive_many(list(small_history(21, n=30).by_commit_ts()))
-        os.kill(victim, signal.SIGSTOP)
-        started = time.monotonic()
-        with pytest.raises(RuntimeError, match=r"shard worker 0 stalled"):
-            call(checker)
-        assert time.monotonic() - started < 0.3 + 3.0
-        assert checker.worker_faults() == ([0], [])
-    finally:
-        try:
-            os.kill(victim, signal.SIGCONT)
-        except ProcessLookupError:
-            pass
-        checker.close()
+        aion.close()
+        sharded.close()
