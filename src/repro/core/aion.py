@@ -11,10 +11,10 @@ three steps of Algorithm 3:
   (:class:`~repro.core.versioned.VersionedFrontier`);
 
 ② re-check NOCONFLICT for transactions overlapping ``T``: an interval
-  overlap query on the per-key writer index
-  (:class:`~repro.core.versioned.WriterIntervals`), reporting each
-  conflicting pair once, attributed to the transaction with the smaller
-  commit timestamp;
+  overlap query on the same versioned frontier, whose entries carry
+  each writer's start — one comparison on a key whose writers never
+  overlapped — reporting each conflicting pair once, attributed to the
+  transaction with the smaller commit timestamp;
 
 ③ re-check EXT for transactions whose snapshot now sees ``T``'s writes:
   exactly the external reads of keys in ``T.wkey`` with snapshot points in
@@ -36,8 +36,8 @@ stays "resident" per arrival is one ``tid -> commit_ts`` index entry.
 
 Garbage collection (:meth:`Aion.collect_below`, implemented once for all
 online checkers by :class:`~repro.core.spill.SpillingGc`) transfers
-frontier versions and writer intervals below a GC-safe timestamp to a
-disk :class:`~repro.core.spill.SpillStore` and releases the index entries
+frontier entries below a GC-safe timestamp to a disk
+:class:`~repro.core.spill.SpillStore` and releases the index entries
 below it; the checker transparently reloads the spilled segments when a
 severely delayed transaction forces a query below the in-memory boundary.
 
@@ -72,10 +72,8 @@ from repro.core.kernel import KernelStats
 from repro.core.spill import GcReport, SpillingGc
 from repro.core.versioned import (
     ExtReadIndex,
-    IntervalColumns,
     VersionColumns,
     VersionedFrontier,
-    WriterIntervals,
     probe_columns,
 )
 from repro.core.violations import (
@@ -148,7 +146,6 @@ class Aion(SpillingGc):
         self.config = config or AionConfig()
         self._clock = clock if clock is not None else time.monotonic
         self._frontier = VersionedFrontier()
-        self._writers = WriterIntervals()
         self._ext_reads = ExtReadIndex()
         self._sessions = SessionTracker()
         self._ext = ExtStatusTracker(
@@ -197,10 +194,10 @@ class Aion(SpillingGc):
 
         **frontier probe** — walk each key's op stream in arrival order
         against the versioned structures: visibility floors for external
-        reads, fused overlap-query-plus-insert on the writer intervals,
-        fused insert-plus-successor on the frontier, and the affected-
-        reader sweep — per-key grouping amortizes the index descents a
-        per-op walk pays per operation;
+        reads, the overlap query, insert and successor of each write on
+        the frontier's one list set, and the affected-reader sweep —
+        per-key grouping amortizes the index descents a per-op walk pays
+        per operation;
 
         **verdict** — track all EXT verdicts in one bulk call, apply the
         re-evaluations in write order (they report nothing), then — only
@@ -531,7 +528,6 @@ class Aion(SpillingGc):
         op — see :func:`~repro.core.versioned.probe_columns`)."""
         return probe_columns(
             self._frontier,
-            self._writers,
             self._ext_reads,
             key_streams,
             r_ts,
@@ -598,25 +594,18 @@ class Aion(SpillingGc):
     def estimated_bytes(self) -> int:
         """Deep-size estimate of the checker's live structures."""
         return deep_sizeof(
-            (
-                self._frontier,
-                self._writers,
-                self._ext_reads,
-                self._resident,
-                self._ext,
-            )
+            (self._frontier, self._ext_reads, self._resident, self._ext)
         )
 
     # ------------------------------------------------------------------
     # Garbage collection hooks (the cycle itself is SpillingGc's)
     # ------------------------------------------------------------------
 
-    def _evict_columns(self, ts: int) -> Tuple[VersionColumns, IntervalColumns]:
-        return self._frontier.evict_below(ts), self._writers.evict_below(ts)
+    def _evict_columns(self, ts: int) -> VersionColumns:
+        return self._frontier.evict_below(ts)
 
-    def _merge_columns(self, versions: VersionColumns, intervals: IntervalColumns) -> None:
+    def _merge_columns(self, versions: VersionColumns) -> None:
         self._frontier.merge(versions)
-        self._writers.merge(intervals)
 
     # ------------------------------------------------------------------
     # Internals

@@ -2,10 +2,10 @@
 
 Serializability in commit-timestamp order simplifies the online problem:
 start timestamps are ignored and NOCONFLICT is not needed, so the checker
-keeps only the versioned frontier and the external-read index.  A
-transaction's snapshot point is its *commit* timestamp, and an external
-read must return the value of the greatest version *strictly below* that
-point (the serial predecessor).
+asks its versioned frontier no overlap query.  A transaction's snapshot
+point is its *commit* timestamp, and an external read must return the
+value of the greatest version *strictly below* that point (the serial
+predecessor).
 
 Out-of-order arrival still destabilizes EXT: a transaction slotting into
 the middle of the serial order changes the predecessor of later readers.
@@ -26,9 +26,9 @@ object and columnar route, verdict walk, timers, resident set), ``poll``,
   an Eq. 1 offender but still checks it at its commit point (uncounted in
   ``processed``), and tests ``commit_ts`` against the GC boundary for
   reload-on-demand;
-- a ``_probe`` that runs :func:`~repro.core.versioned.probe_columns` with
-  no writer index and ``strict=True`` (strict floor, closed sweep);
-- GC / size hooks that know there are no writer intervals.
+- a ``_probe`` that runs :func:`~repro.core.versioned.probe_columns`
+  with ``strict=True`` (strict floor, closed sweep, no overlap query) —
+  which is also why its GC reports count no evicted intervals.
 
 Like Cobra, Aion-SER is an online SER checker, but it needs no fence
 transactions and keeps checking past violations (Fig 12a/25).
@@ -40,13 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.aion import Aion, AionConfig
 from repro.core.common import BOTTOM
-from repro.core.versioned import (
-    IntervalColumns,
-    VersionColumns,
-    empty_columns,
-    probe_columns,
-)
-from repro.util.sizeof import deep_sizeof
+from repro.core.versioned import probe_columns
 
 __all__ = ["AionSer"]
 
@@ -74,7 +68,6 @@ class AionSer(Aion):
                 "optimized_recheck=False is an SI ablation; Aion-SER does not define it"
             )
         super().__init__(config, clock=clock)
-        del self._writers  # NOCONFLICT is not checked: no writer intervals
 
     def _probe(
         self,
@@ -88,7 +81,6 @@ class AionSer(Aion):
     ) -> Tuple[List[Any], List[Any], List[Any]]:
         return probe_columns(
             self._frontier,
-            None,
             self._ext_reads,
             key_streams,
             r_ts,
@@ -104,18 +96,3 @@ class AionSer(Aion):
 
     def _slow_batch_tags(self) -> Dict[str, Any]:
         return {"checker": "aion-ser"}
-
-    def estimated_bytes(self) -> int:
-        """Deep-size estimate of the checker's live structures."""
-        return deep_sizeof((self._frontier, self._ext_reads, self._resident, self._ext))
-
-    # ------------------------------------------------------------------
-    # Garbage collection hooks (the cycle itself is SpillingGc's; SER
-    # keeps no writer intervals, so only the frontier is evicted)
-    # ------------------------------------------------------------------
-
-    def _evict_columns(self, ts: int) -> Tuple[VersionColumns, IntervalColumns]:
-        return self._frontier.evict_below(ts), empty_columns()
-
-    def _merge_columns(self, versions: VersionColumns, intervals: IntervalColumns) -> None:
-        self._frontier.merge(versions)

@@ -18,7 +18,7 @@ batch of one.  The three online checkers, and what each overrides:
   structures).
 - :class:`~repro.core.aion_ser.AionSer` — ``_ignores_start_ts``
   (snapshot = commit timestamp, Eq. 1 reported not rejected) and
-  ``_probe`` (no writer intervals, strict floor).
+  ``_probe`` (strict floor, no overlap query).
 
 Each pass is written once, in line, for the common case.  The route
 pass runs the INT rules of :func:`~repro.core.common.simulate` without a

@@ -7,9 +7,8 @@ transaction reads or writes.  :class:`ShardedAion` therefore *is*
 :class:`~repro.core.aion.Aion` — it inherits ``receive_many`` whole:
 validation, Eq. 1, hoisted reload-on-demand, SESSION, INT, the route
 pass (object and columnar), EXT tracking, NOCONFLICT reports, timers
-and the resident set — and differs in one thing only, where the three
+and the resident set — and differs in one thing only, where the two
 per-key structures (:class:`~repro.core.versioned.VersionedFrontier`,
-:class:`~repro.core.versioned.WriterIntervals`,
 :class:`~repro.core.versioned.ExtReadIndex`) live: hash-partitioned
 across N in-process shards instead of in the checker.  It overrides the
 kernel's seams:
@@ -48,10 +47,8 @@ from repro.core.common import BOTTOM
 from repro.core.ext_status import REC_KEYS, REC_SNAPSHOT_TS, REC_TID, ExtRecord
 from repro.core.versioned import (
     ExtReadIndex,
-    IntervalColumns,
     VersionColumns,
     VersionedFrontier,
-    WriterIntervals,
     empty_columns,
     probe_columns,
 )
@@ -119,12 +116,11 @@ class ShardedAion(Aion):
             )
         super().__init__(config, clock=clock)
         # The per-key structures live in the shards, not the coordinator.
-        del self._frontier, self._writers, self._ext_reads
+        del self._frontier, self._ext_reads
         self.n_shards = n_shards
-        #: Per shard, its ``(frontier, writers, ext_reads)``.
-        self._shards: List[Tuple[VersionedFrontier, WriterIntervals, ExtReadIndex]] = [
-            (VersionedFrontier(), WriterIntervals(), ExtReadIndex())
-            for _ in range(n_shards)
+        #: Per shard, its ``(frontier, ext_reads)``.
+        self._shards: List[Tuple[VersionedFrontier, ExtReadIndex]] = [
+            (VersionedFrontier(), ExtReadIndex()) for _ in range(n_shards)
         ]
         #: Bounded key → shard memo shared by routing, read removal and
         #: spill reload.
@@ -170,10 +166,10 @@ class ShardedAion(Aion):
         results = (
             [None] * len(r_ts), [None] * len(w_cts), [None] * len(w_cts)
         )
-        for (frontier, writers, ext_reads), streams in zip(self._shards, by_shard):
+        for (frontier, ext_reads), streams in zip(self._shards, by_shard):
             if streams:
                 probe_columns(
-                    frontier, writers, ext_reads, streams, r_ts, r_tids,
+                    frontier, ext_reads, streams, r_ts, r_tids,
                     w_vals, w_starts, w_cts, w_tids, optimized, BOTTOM, results,
                 )
         return results
@@ -195,20 +191,21 @@ class ShardedAion(Aion):
     @property
     def pending_ext_reads(self) -> int:
         """External reads the shards index for step-③ re-checking."""
-        return sum(len(ext_reads) for _, _, ext_reads in self._shards)
+        return sum(len(ext_reads) for _, ext_reads in self._shards)
 
     def shard_stats(self) -> List[Dict[str, int]]:
         """One row per shard: structure sizes and the ops the latest
-        batch routed to it."""
+        batch routed to it.  ``intervals`` counts the entries the
+        NOCONFLICT query walks: on an SI frontier, every version."""
         return [
             {
                 "versions": len(frontier),
-                "intervals": len(writers),
+                "intervals": len(frontier),
                 "ext_reads": len(ext_reads),
                 "shard": shard,
                 "last_batch_commands": commands,
             }
-            for shard, ((frontier, writers, ext_reads), commands) in enumerate(
+            for shard, ((frontier, ext_reads), commands) in enumerate(
                 zip(self._shards, self._last_batch_commands)
             )
         ]
@@ -217,46 +214,39 @@ class ShardedAion(Aion):
     # Garbage collection hooks (the cycle itself is SpillingGc's)
     # ------------------------------------------------------------------
 
-    def _evict_columns(self, ts: int) -> Tuple[VersionColumns, IntervalColumns]:
+    def _evict_columns(self, ts: int) -> VersionColumns:
         """Evict on every shard; concatenate the shards' columns."""
-        versions, intervals = empty_columns(), empty_columns()
-        for frontier, writers, _ in self._shards:
-            for merged_columns, part_columns in (
-                (versions, frontier.evict_below(ts)),
-                (intervals, writers.evict_below(ts)),
-            ):
-                for merged, part in zip(merged_columns, part_columns):
-                    merged += part
-        return versions, intervals
+        versions = empty_columns()
+        for frontier, _ in self._shards:
+            for merged, part in zip(versions, frontier.evict_below(ts)):
+                merged += part
+        return versions
 
-    def _merge_columns(self, versions: VersionColumns, intervals: IntervalColumns) -> None:
+    def _merge_columns(self, versions: VersionColumns) -> None:
         """Hand each shard the reloaded rows of the keys it owns."""
         shard_for = self._shard_for
-        split = [(empty_columns(), empty_columns()) for _ in range(self.n_shards)]
-        for which, (keys, counts, *columns) in enumerate((versions, intervals)):
-            lo = 0
-            for key, count in zip(keys, counts):
-                hi = lo + count
-                part_keys, part_counts, *part_columns = split[shard_for(key)][which]
-                part_keys.append(key)
-                part_counts.append(count)
-                for part_column, column in zip(part_columns, columns):
-                    part_column += column[lo:hi]
-                lo = hi
-        for (frontier, writers, _), (shard_versions, shard_intervals) in zip(
-            self._shards, split
-        ):
+        split = [empty_columns() for _ in range(self.n_shards)]
+        keys, counts, *columns = versions
+        lo = 0
+        for key, count in zip(keys, counts):
+            hi = lo + count
+            part_keys, part_counts, *part_columns = split[shard_for(key)]
+            part_keys.append(key)
+            part_counts.append(count)
+            for part_column, column in zip(part_columns, columns):
+                part_column += column[lo:hi]
+            lo = hi
+        for (frontier, _), shard_versions in zip(self._shards, split):
             frontier.merge(shard_versions)
-            writers.merge(shard_intervals)
 
     def _drop_finalized_reads(self, records: List[ExtRecord], drained: bool) -> None:
         # Aion's rule, applied to the owning shard's index: a drained
         # tracker (the end-of-stream flush) leaves nothing worth keeping.
         if drained:
-            for _, _, ext_reads in self._shards:
+            for _, ext_reads in self._shards:
                 ext_reads.clear()
             return
-        removers = [ext_reads.remove for _, _, ext_reads in self._shards]
+        removers = [ext_reads.remove for _, ext_reads in self._shards]
         shard_for = self._shard_for
         for record in records:
             sts = record[REC_SNAPSHOT_TS]

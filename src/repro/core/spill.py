@@ -11,8 +11,8 @@ reload-on-demand — written once for :class:`~repro.core.aion.Aion`,
 :class:`~repro.core.sharded.ShardedAion`; each checker only says how to
 evict and re-merge its per-key structures.  Evicted state travels as the
 flat columns of :mod:`repro.core.versioned`
-(:data:`~repro.core.versioned.VersionColumns` /
-:data:`~repro.core.versioned.IntervalColumns`), which
+(:data:`~repro.core.versioned.VersionColumns`: the frontier's entries,
+each a writer's commit and start timestamps, tid and value), which
 :func:`encode_segment` writes without regrouping.
 
 The paper's Aion also moves the *transactions* below the watermark to
@@ -26,17 +26,20 @@ the checker's.
 A :class:`SpillStore` holds the segments, one binary file each, covering
 a *closed* timestamp range ``[min_ts, max_ts]``::
 
-    header     "RSEG" · u16 version (2) · i64 min_ts · i64 max_ts ·
-               u64 × 2 section byte lengths · u32 crc32 (header + body)
+    header     "RSEG" · u16 version (3) · i64 min_ts · i64 max_ts ·
+               u64 section byte length · u32 crc32 (header + body)
     versions   u32 n_keys · u32 n_rows · key table · u32 counts[n_keys] ·
-               i64 commit_ts[n_rows] · i64 tid[n_rows] · value column
-    intervals  same prefix · i64 start[n_rows] · i64 end[n_rows] · i64 tid[n_rows]
+               i64 commit_ts[n_rows] · i64 start_ts[n_rows] ·
+               i64 tid[n_rows] · value column
 
-Key table and value column are :mod:`repro.core.colpack`'s (the wire
-codec: JSONL parity, native ``⊥v``).  A file that is truncated, altered or
-not a segment — a version-1 image, which carried a third section of packed
-transactions, included — raises :class:`SegmentError`; it never decodes to
-different content.  ``reload_overlapping`` returns (and removes) every
+One section, one row per evicted write: the frontier carries each
+writer's start, so no second section repeats its end and tid as an
+interval.  Key table and value column are :mod:`repro.core.colpack`'s
+(the wire codec: JSONL parity, native ``⊥v``).  A file that is
+truncated, altered or not a segment — an image of an older version,
+included: version 1 carried a third section of packed transactions,
+version 2 a second one of writer intervals — raises
+:class:`SegmentError`; it never decodes to different content.  ``reload_overlapping`` returns (and removes) every
 segment that starts at or below a queried timestamp.  Writing real files
 keeps the measured GC cost honest in the Fig 12/16 experiments.
 """
@@ -59,7 +62,7 @@ from repro.core.colpack import (
     unpack_key_table,
     unpack_value_column,
 )
-from repro.core.versioned import IntervalColumns, VersionColumns
+from repro.core.versioned import VersionColumns
 from repro.util.hostgc import paused
 
 __all__ = [
@@ -74,8 +77,8 @@ __all__ = [
 ]
 
 _MAGIC = b"RSEG"
-_VERSION = 2
-_FIELDS = struct.Struct("!4sHqqQQ")  # magic, version, min_ts, max_ts, section lengths
+_VERSION = 3
+_FIELDS = struct.Struct("!4sHqqQ")  # magic, version, min_ts, max_ts, section length
 _CRC = struct.Struct("!I")
 _HEADER_SIZE = _FIELDS.size + _CRC.size
 _COUNTS = struct.Struct("!II")  # n_keys, n_rows
@@ -114,23 +117,13 @@ def _unpack_section(buf: Buffer, offset: int, n_columns: int) -> Tuple[List[Any]
     return section, offset
 
 
-def encode_segment(
-    min_ts: int,
-    max_ts: int,
-    versions: VersionColumns,
-    intervals: IntervalColumns,
-) -> bytes:
+def encode_segment(min_ts: int, max_ts: int, versions: VersionColumns) -> bytes:
     """Render one GC cycle's evicted state as a segment file image."""
-    keys, counts, commits, values, tids = versions
-    body = (
-        _pack_section(keys, counts, commits, tids) + pack_value_column(values),
-        _pack_section(*intervals),
-    )
-    fields = _FIELDS.pack(_MAGIC, _VERSION, min_ts, max_ts, *map(len, body))
-    crc = zlib.crc32(fields)
-    for section in body:
-        crc = zlib.crc32(section, crc)
-    return b"".join((fields, _CRC.pack(crc), *body))
+    keys, counts, commits, starts, values, tids = versions
+    body = _pack_section(keys, counts, commits, starts, tids) + pack_value_column(values)
+    fields = _FIELDS.pack(_MAGIC, _VERSION, min_ts, max_ts, len(body))
+    crc = zlib.crc32(body, zlib.crc32(fields))
+    return b"".join((fields, _CRC.pack(crc), body))
 
 
 class DecodedSegment(NamedTuple):
@@ -139,7 +132,6 @@ class DecodedSegment(NamedTuple):
     min_ts: int
     max_ts: int
     versions: VersionColumns
-    intervals: IntervalColumns
 
 
 def decode_segment(blob: bytes) -> DecodedSegment:
@@ -147,23 +139,24 @@ def decode_segment(blob: bytes) -> DecodedSegment:
     byte-for-byte what :func:`encode_segment` wrote."""
     if len(blob) < _HEADER_SIZE:
         raise SegmentError("spill segment truncated in header")
-    magic, version, min_ts, max_ts, n_versions, n_intervals = _FIELDS.unpack_from(blob)
-    if magic != _MAGIC or version != _VERSION:
-        raise SegmentError(f"not a version-{_VERSION} spill segment")
-    if len(blob) != _HEADER_SIZE + n_versions + n_intervals:
+    magic, version, min_ts, max_ts, n_body = _FIELDS.unpack_from(blob)
+    if magic != _MAGIC:
+        raise SegmentError("not a spill segment")
+    if version != _VERSION:
+        raise SegmentError(f"not a version-{_VERSION} spill segment (version {version})")
+    if len(blob) != _HEADER_SIZE + n_body:
         raise SegmentError("spill segment length does not match its header")
     (crc,) = _CRC.unpack_from(blob, _FIELDS.size)
     if zlib.crc32(blob[_HEADER_SIZE:], zlib.crc32(blob[: _FIELDS.size])) != crc:
         raise SegmentError("spill segment checksum mismatch")
     try:
-        (keys, counts, commits, tids), offset = _unpack_section(blob, _HEADER_SIZE, 2)
+        (keys, counts, commits, starts, tids), offset = _unpack_section(blob, _HEADER_SIZE, 3)
         values, offset = unpack_value_column(blob, offset, len(commits))
-        intervals, end = _unpack_section(blob, offset, 3)
     except (struct.error, ValueError, IndexError, UnicodeDecodeError) as exc:
         raise SegmentError(f"malformed spill segment: {exc}") from None
-    if offset != _HEADER_SIZE + n_versions or end != offset + n_intervals:
-        raise SegmentError("spill segment sections overrun their lengths")
-    return DecodedSegment(min_ts, max_ts, (keys, counts, commits, values, tids), tuple(intervals))
+    if offset != len(blob):
+        raise SegmentError("spill segment section overruns its length")
+    return DecodedSegment(min_ts, max_ts, (keys, counts, commits, starts, values, tids))
 
 
 @dataclass(frozen=True)
@@ -213,29 +206,25 @@ class SpillStore:
         min_ts: int,
         max_ts: int,
         versions: VersionColumns,
-        intervals: IntervalColumns,
     ) -> SpillSegment:
         """Write one segment covering ``[min_ts, max_ts]`` and register it."""
-        encoded = encode_segment(min_ts, max_ts, versions, intervals)
+        encoded = encode_segment(min_ts, max_ts, versions)
         segment_id = self._next_id
         self._next_id += 1
         path = self._dir / f"segment-{segment_id:08d}.bin"
         path.write_bytes(encoded)
         self.bytes_written += len(encoded)
         self.spill_count += 1
-        n_items = len(versions[2]) + len(intervals[2])
-        segment = SpillSegment(segment_id, min_ts, max_ts, path, n_items)
+        segment = SpillSegment(segment_id, min_ts, max_ts, path, len(versions[2]))
         self._segments.append(segment)
         return segment
 
-    def reload_overlapping(
-        self, max_ts: Optional[int]
-    ) -> List[Tuple[VersionColumns, IntervalColumns]]:
+    def reload_overlapping(self, max_ts: Optional[int]) -> List[VersionColumns]:
         """Load and remove every segment holding content at or below
         ``max_ts`` (None: every segment).
 
-        Returns each segment's ``(versions, intervals)`` columns in spill
-        order so the caller can merge them back.
+        Returns each segment's columns in spill order so the caller can
+        merge them back.
         """
         hits: List[SpillSegment] = []
         survivors: List[SpillSegment] = []
@@ -247,7 +236,7 @@ class SpillStore:
         if not hits:
             return []
         self._segments = survivors
-        reloaded: List[Tuple[VersionColumns, IntervalColumns]] = []
+        reloaded: List[VersionColumns] = []
         for segment in hits:
             encoded = segment.path.read_bytes()
             self.bytes_read += len(encoded)
@@ -255,7 +244,7 @@ class SpillStore:
             decoded = decode_segment(encoded)
             if (decoded.min_ts, decoded.max_ts) != (segment.min_ts, segment.max_ts):
                 raise SegmentError(f"{segment.path} is not the segment spilled there")
-            reloaded.append((decoded.versions, decoded.intervals))
+            reloaded.append(decoded.versions)
             segment.path.unlink(missing_ok=True)
         return reloaded
 
@@ -276,7 +265,12 @@ class SpillStore:
 
 @dataclass
 class GcReport:
-    """Outcome of one garbage collection cycle."""
+    """Outcome of one garbage collection cycle.
+
+    ``evicted_intervals`` counts the evicted entries the NOCONFLICT
+    query walks: every evicted version under SI, none under SER (which
+    asks no overlap query).
+    """
 
     requested_ts: int
     effective_ts: int
@@ -292,9 +286,10 @@ class SpillingGc:
 
     A checker calls :meth:`_init_gc`, enters each accepted arrival in
     ``_resident`` (``tid -> commit_ts``), and implements
-    ``_evict_columns(ts) -> (VersionColumns, IntervalColumns)`` and
-    ``_merge_columns(versions, intervals)`` over its per-key structures;
-    ``self.config.spill_dir`` says where segments go.
+    ``_evict_columns(ts) -> VersionColumns`` and
+    ``_merge_columns(versions)`` over its per-key frontier;
+    ``self.config.spill_dir`` says where segments go, and
+    ``self._ignores_start_ts`` whether the checker asks no overlap query.
     """
 
     def _init_gc(self) -> None:
@@ -370,42 +365,43 @@ class SpillingGc:
             return GcReport(requested, requested, 0, 0, 0, time.perf_counter() - t0)
         effective = safe if ts is None else min(ts, safe)
 
-        versions, intervals = self._evict_columns(effective)
+        versions = self._evict_columns(effective)
         resident = self._resident
         released = [tid for tid, commit_ts in resident.items() if commit_ts <= effective]
         for tid in released:
             del resident[tid]
 
-        if versions[0] or intervals[0]:
+        if versions[0]:
             if self._spill is None:
                 self._spill = SpillStore(self.config.spill_dir)
             # The segment's range must bound its *content*: reloaded and
             # re-evicted data can be much older than the previous GC
             # boundary, and a range that overstates min_ts would hide the
             # segment from reloads that need it.
-            content_min = min(
-                effective,
-                min(versions[2], default=effective),
-                min(intervals[2], default=effective),
-            )
-            self._spill.spill(content_min, effective, versions, intervals)
+            content_min = min(effective, min(versions[2]), min(versions[3]))
+            self._spill.spill(content_min, effective, versions)
         if self._collected_upto is None or effective > self._collected_upto:
             self._collected_upto = effective
         return GcReport(
             requested_ts=ts if ts is not None else safe,
             effective_ts=effective,
             evicted_versions=len(versions[2]),
-            evicted_intervals=len(intervals[2]),
+            evicted_intervals=0 if self._ignores_start_ts else len(versions[2]),
             evicted_txns=len(released),
             seconds=time.perf_counter() - t0,
         )
 
     def _reload_below(self, ts: Optional[int]) -> None:
-        """Reload spilled segments with content at or below ``ts`` (None = all)."""
+        """Reload spilled segments with content at or below ``ts`` (None = all).
+
+        Newest segment first: ``merge`` puts a reloaded entry before the
+        resident ones sharing its commit timestamp, so this order
+        restores each key's insertion order.
+        """
         if self._spill is not None:
             with paused():
-                for versions, intervals in self._spill.reload_overlapping(ts):
-                    self._merge_columns(versions, intervals)
+                for versions in reversed(self._spill.reload_overlapping(ts)):
+                    self._merge_columns(versions)
 
     def close(self) -> None:
         """Release the spill directory, if any."""

@@ -6,70 +6,100 @@ support[ing] timestamp-based search, returning the latest version before a
 given timestamp".  Materializing a full map image per timestamp would be
 quadratic; these classes store the equivalent information *per key*:
 
-- :class:`VersionedFrontier` — for every key, versions ordered by commit
-  timestamp.  ``frontier_ts[ts][k]`` of the paper is exactly
-  :meth:`VersionedFrontier.latest_at` (greatest version with
-  ``commit_ts <= ts``); Aion-SER reads the greatest version strictly
-  below (:func:`probe_columns`, ``strict``).
-- :class:`WriterIntervals` — for every key, the lifetimes
-  ``[start_ts, commit_ts]`` of its writers; ``ongoing_ts[ts][k]`` is the
-  set of intervals containing ``ts``, and NOCONFLICT re-checking (step ②)
-  is an interval-overlap query.
+- :class:`VersionedFrontier` — for every key, its committed writes
+  ordered by commit timestamp, each with its writer's start timestamp.
+  It is both of the paper's maps, because both are views of one per-key
+  sequence of writes: ``frontier_ts[ts][k]`` is the greatest entry with
+  ``commit_ts <= ts`` (:meth:`VersionedFrontier.latest_at`; Aion-SER
+  reads the greatest one strictly below, :func:`probe_columns`,
+  ``strict``), and ``ongoing_ts`` is the entries' lifetimes
+  ``[start_ts, commit_ts]``, so NOCONFLICT re-checking (step ②) is an
+  overlap query on the same lists.
 - :class:`ExtReadIndex` — for every key, the *readers* (tids) of the
   pending external reads indexed by their snapshot point, so EXT
   re-checking (step ③) touches only reads whose visible version
   actually changed.  What a reader observed is not here: it lives once,
   in the reader's :class:`~repro.core.ext_status.ExtStatusTracker`
   record, which also decides every re-check.
+- :class:`WriterIntervals` — the overlap query as a full scan over a
+  separate interval list.  No checker holds one: it is the reference
+  the tests hold the frontier's shortcut to, and what the ladder
+  benchmark's ``versioned.overlap_add_ops_s`` rung times.
 
 Each keeps every key in plain parallel lists, one list per field and no
 object per entry, whatever the key's size.  ``_by_key[key]`` is:
 
-- frontier: ``(commit_ts, values, tids)`` sorted by commit timestamp;
-- writer intervals: ``(ends, starts, owners)`` sorted by end, equal ends
-  in insertion order — which is the order a write's NOCONFLICT
-  conflicts are listed in;
+- frontier: ``(commit_ts, starts, values, tids)`` sorted by commit
+  timestamp, equal timestamps in insertion order — so the floor
+  (``bisect_right - 1``) is the last writer at that timestamp, and a
+  write's NOCONFLICT conflicts are listed by ascending end, equal ends
+  in arrival order;
 - read index: ``(snapshot_ts, readers)`` sorted by snapshot point, a
   reader being a tid or, for transactions sharing the snapshot, a
   ``list`` of tids.
 
+**Disjointness.**  A key's intervals are usually pairwise disjoint:
+writers of one key rarely overlap, and when they do the history has a
+NOCONFLICT violation.  Sorted by end, disjoint intervals are sorted by
+start as well (each starts after the previous one ends).  So a write
+``[start_ts, commit_ts]`` inserted at position ``j`` overlaps some entry
+iff it overlaps one of its two neighbours there: the entries before
+``j`` end at or before ``commit_ts``, the latest of them at ``j - 1``,
+and the entries from ``j`` on start at or after ``starts[j]``.
+(Equivalently: with ``b = bisect_left(commit_ts_list, start_ts)``, the
+first entry ending at or after the write's start, ``starts[b] >
+commit_ts`` proves that nothing overlaps.)  The write pays one or two
+comparisons and no scan; at the tail, where ``j`` is the list's end, it
+pays one comparison and no bisect.  The frontier keeps a ``_tangled``
+key set for the keys where the argument does not hold: a key enters it
+when an overlap scan runs on it (a conflict, or a retransmitted tid
+meeting its own entry) and when an insert or a merge lands an entry
+overlapping another, and leaves it only when eviction leaves it one
+entry.  A tangled key's writes scan every entry that ends at or after
+their start.  Only the SI branch of the probe asks the question and
+keeps the set: the strict (SER) branch neither queries overlaps nor
+marks keys, so a frontier is written by one of the two.
+
 Every timestamp column here arrives near-sorted, so an insert lands at
 or near the tail and its ``list.insert`` moves a few entries whatever
-the key's size.  What a hot key pays is the overlap scan: it walks every
-interval ending at or after the query's start, so heavy disorder on one
-key makes it long (ROADMAP item 1(b)'s hot-key rung is where to measure
-a bounded one).
+the key's size.  What a tangled hot key pays is the overlap scan.
 
-The frontier and the writer intervals support eviction below a GC-safe
-timestamp and re-merging of reloaded segments (the ``GARBAGE COLLECT`` /
-reload-on-demand protocol); pending reads are never evicted — a read
-leaves the index when its verdict is finalized.
+The frontier supports eviction below a GC-safe timestamp and re-merging
+of reloaded segments (the ``GARBAGE COLLECT`` / reload-on-demand
+protocol); pending reads are never evicted — a read leaves the index
+when its verdict is finalized.
 
-The checkers read and write all three through one batched entry point,
-:func:`probe_columns`, which works on the lists inline and tries the
-tail of each list first: arrivals come close to commit order, so a
-version or a reader past the newest is appended without a bisect,
-a snapshot past the newest version takes it as its floor, and a write
-skips the reader sweep when no snapshot reaches it and the overlap scan
-when it starts after every writer ends.  Each tail test falls back to
-the bisect, and each guards against an empty list (finalization can
-empty a key's read index).  The one-query methods that stay public
-beside it give the same answers per call — they bisect without trying
-the tail — and must be kept in lockstep with its inline branches
-(``tests/test_versioned.py`` holds both to the same answers, on random
-and on near-sorted streams, on short keys and on hot ones):
-``insert_and_next_ts`` / ``WriterIntervals.add`` re-insert reloaded
-segments, which arrive as columns, not streams; ``value_at`` serves the
-ablation branch; ``insert_and_next_ts``, ``overlap_add``,
-``ExtReadIndex.add`` and ``affected_by`` / ``collect_affected`` are what
-the ladder benchmark's structure rungs time (the last is also the
-ablation's sweep); ``latest_at`` is how tests inspect state.
+The checkers read and write both structures through one batched entry
+point, :func:`probe_columns`, which works on the lists inline and tries
+the tail of each list first: arrivals come close to commit order, so a
+write or a reader past the newest is appended without a bisect, a
+snapshot past the newest version takes it as its floor, and a write
+skips the reader sweep when no snapshot reaches it and the overlap
+query when it starts after every writer ends.  Each tail test falls
+back to the bisect, and those on the read index also guard against an
+empty list (finalization can empty a key's read index; eviction never
+empties a frontier key).  The one-query methods that stay public beside
+it give the same answers per call — they bisect without trying the
+tail — and must be kept in lockstep with its inline branches
+(``tests/test_versioned.py`` holds both to the same answers, and the
+probe's conflicts to :meth:`WriterIntervals.overlap_add`, on random and
+on near-sorted streams, on short keys and on hot ones):
+
+- ``insert_and_next_ts`` (and ``insert``) — the write's insert, with the
+  same ``_tangled`` rule; its four-argument form, whose start defaults
+  to the commit timestamp (a zero-length interval), is what the ladder
+  benchmark's ``versioned`` rung times;
+- ``value_at`` — the floor, which the ablation's sweep resolves;
+- ``ExtReadIndex.add`` and ``affected_by`` / ``collect_affected`` — the
+  reader insert and the sweep (the last is also the ablation's);
+- ``latest_at`` — how tests inspect state.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
+from operator import lt
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.util.sizeof import register_sizer
@@ -77,7 +107,6 @@ from repro.util.sizeof import register_sizer
 __all__ = [
     "FrontierVersion",
     "VersionColumns",
-    "IntervalColumns",
     "empty_columns",
     "VersionedFrontier",
     "WriterIntervals",
@@ -90,151 +119,207 @@ FrontierVersion = Tuple[int, Any, int]  # (commit_ts, value, writer tid)
 #: list per field holding every key's rows back to back.  ``evict_below``
 #: emits this shape, ``merge`` accepts it, and the spill encoder writes
 #: it without regrouping.
-VersionColumns = Tuple[  # (keys, counts, commit_ts, values, tids)
-    List[str], List[int], List[int], List[Any], List[int]
-]
-IntervalColumns = Tuple[  # (keys, counts, start_ts, end_ts, tids)
-    List[str], List[int], List[int], List[int], List[int]
+VersionColumns = Tuple[  # (keys, counts, commit_ts, start_ts, values, tids)
+    List[str], List[int], List[int], List[int], List[Any], List[int]
 ]
 
 
-def empty_columns() -> Tuple[List, List, List, List, List]:
-    """Columns holding nothing (of either shape)."""
-    return [], [], [], [], []
+def empty_columns() -> VersionColumns:
+    """Columns holding nothing."""
+    return [], [], [], [], [], []
+
+
+def _disjoint(commits: List[int], starts: List[int], last: int) -> bool:
+    """Whether entries ``0..last`` of one key's lists are pairwise
+    disjoint: sorted by end, that is each one ending before the next
+    one starts."""
+    return all(map(lt, commits[:last], starts[1 : last + 1]))
 
 
 class VersionedFrontier:
-    """Per-key committed versions ordered by commit timestamp.
+    """Per-key committed writes ordered by commit timestamp.
 
-    ``_by_key`` maps a key to a ``(timestamps, values, tids)`` tuple of
-    parallel lists sorted by timestamp: three list slots per version, no
-    object, and every query one C-speed bisect.
+    ``_by_key`` maps a key to a ``(commit_ts, starts, values, tids)``
+    tuple of parallel lists sorted by commit timestamp, equal ones in
+    insertion order: four list slots per write, no object, and every
+    query one C-speed bisect.
     """
 
-    __slots__ = ("_by_key", "_n_versions", "_multi")
+    __slots__ = ("_by_key", "_n_versions", "_multi", "_tangled")
 
     def __init__(self) -> None:
-        self._by_key: Dict[str, Tuple[List[int], List[Any], List[int]]] = {}
+        self._by_key: Dict[str, Tuple[List[int], List[int], List[Any], List[int]]] = {}
         self._n_versions = 0
-        #: Keys holding two or more versions, added on the 1→2 insert and
+        #: Keys holding two or more entries, added on the 1→2 insert and
         #: dropped when eviction leaves one.  Eviction always keeps a
-        #: key's newest evictable version, so only these keys can lose
+        #: key's newest evictable entry, so only these keys can lose
         #: anything: :meth:`evict_below` walks this set, never the whole
         #: index.
         self._multi: set = set()
+        #: Keys whose intervals may overlap (module docstring): the
+        #: overlap query scans them; on every other key one comparison
+        #: answers it.
+        self._tangled: set = set()
 
     def __len__(self) -> int:
         return self._n_versions
 
-    def insert(self, key: str, commit_ts: int, value: Any, tid: int) -> None:
-        """Record that ``tid`` committed ``value`` for ``key`` at ``commit_ts``."""
-        self.insert_and_next_ts(key, commit_ts, value, tid)
+    def insert(
+        self, key: str, commit_ts: int, value: Any, tid: int, start_ts: Optional[int] = None
+    ) -> None:
+        """Record that ``tid``, started at ``start_ts`` (default: at
+        ``commit_ts``), committed ``value`` for ``key`` at ``commit_ts``."""
+        self.insert_and_next_ts(key, commit_ts, value, tid, start_ts)
 
     def latest_at(self, key: str, ts: int) -> Optional[FrontierVersion]:
         """Greatest version with ``commit_ts <= ts`` (SI visibility, Def. 6)."""
-        versions = self._by_key.get(key)
-        if versions is None:
+        rep = self._by_key.get(key)
+        if rep is None:
             return None
-        timestamps, values, tids = versions
-        j = bisect_right(timestamps, ts) - 1
+        commits, _, values, tids = rep
+        j = bisect_right(commits, ts) - 1
         if j < 0:
             return None
-        return (timestamps[j], values[j], tids[j])
+        return (commits[j], values[j], tids[j])
 
     def value_at(self, key: str, ts: int, default: Any = None) -> Any:
         """The visible *value* at ``ts``, or ``default`` for no version.
 
         Equivalent to ``latest_at(key, ts)[1]`` without materializing the
-        version tuple — the batch ingestion kernel issues this query per
-        external read, where the tuple build is pure overhead.
+        version tuple — what the ablation's sweep asks per pending read.
         """
-        versions = self._by_key.get(key)
-        if versions is None:
+        rep = self._by_key.get(key)
+        if rep is None:
             return default
-        j = bisect_right(versions[0], ts) - 1
+        j = bisect_right(rep[0], ts) - 1
         if j < 0:
             return default
-        return versions[1][j]
+        return rep[2][j]
 
     def insert_and_next_ts(
-        self, key: str, commit_ts: int, value: Any, tid: int
+        self,
+        key: str,
+        commit_ts: int,
+        value: Any,
+        tid: int,
+        start_ts: Optional[int] = None,
     ) -> Optional[int]:
-        """Insert a version and return the commit timestamp of the one
-        overwriting it (``None`` when it is the newest), in one descent.
+        """Insert a write after every entry committed at or before it and
+        return the commit timestamp of the one overwriting it (``None``
+        when it is the newest), in one descent.
 
         Step ③ needs just that next-overwrite bound for the affected-
-        reader sweep, so no successor version tuple is built.
+        reader sweep, so no successor version tuple is built.  The key
+        becomes tangled when the write's ``[start_ts, commit_ts]`` lands
+        overlapping an entry; ``start_ts`` defaults to ``commit_ts``.
         """
-        versions = self._by_key.get(key)
-        if versions is None:
-            self._by_key[key] = ([commit_ts], [value], [tid])
-            self._n_versions += 1
+        if start_ts is None:
+            start_ts = commit_ts
+        rep = self._by_key.get(key)
+        self._n_versions += 1
+        if rep is None:
+            self._by_key[key] = ([commit_ts], [start_ts], [value], [tid])
             return None
-        timestamps, values, tids = versions
-        j = bisect_left(timestamps, commit_ts)
-        n = len(timestamps)
-        if j < n and timestamps[j] == commit_ts:
-            values[j] = value
-            tids[j] = tid
-        else:
-            timestamps.insert(j, commit_ts)
-            values.insert(j, value)
-            tids.insert(j, tid)
-            self._n_versions += 1
-            n += 1
-            if n == 2:
-                self._multi.add(key)
+        commits, starts, values, tids = rep
+        j = bisect_right(commits, commit_ts)
+        if key not in self._tangled and (
+            (j < len(commits) and starts[j] <= commit_ts) or (j > 0 and commits[j - 1] >= start_ts)
+        ):
+            self._tangled.add(key)
+        commits.insert(j, commit_ts)
+        starts.insert(j, start_ts)
+        values.insert(j, value)
+        tids.insert(j, tid)
+        if len(commits) == 2:
+            self._multi.add(key)
         j += 1
-        return timestamps[j] if j < n else None
+        return commits[j] if j < len(commits) else None
 
     def evict_below(self, ts: int) -> VersionColumns:
-        """Remove versions with ``commit_ts <= ts``, keeping one per key.
+        """Remove entries with ``commit_ts < ts``, keeping one per key.
 
-        The newest evictable version of each key is retained: it is still
-        the visible version for future snapshots above ``ts``, so dropping
-        it would corrupt floor queries (the paper's GC is "conservative"
-        for the same reason).  Returns the evicted versions as flat
-        columns ``(keys, counts, commit_ts, values, tids)`` for spilling.
+        What stays is every entry with ``commit_ts >= ts`` — an interval
+        a write starting above ``ts`` can still overlap — plus each key's
+        newest entry at or below ``ts``, still the visible version for
+        future snapshots above ``ts`` (the paper's GC is "conservative"
+        for the same reason).  Returns the evicted entries as flat
+        columns ``(keys, counts, commit_ts, start_ts, values, tids)``
+        for spilling.
 
-        Only keys holding two or more versions are looked at, each decided
-        by one comparison (a key loses something iff its *second*-oldest
-        version is at or below ``ts``) — a cycle never walks the index.
+        Only keys holding two or more entries are looked at, each decided
+        by its two oldest commit timestamps — a cycle never walks the
+        index.  A key left with one entry is no longer tangled.
         """
-        keys: List[str] = []
-        counts: List[int] = []
-        commits: List[int] = []
-        values: List[Any] = []
-        tids: List[int] = []
+        keys, counts, out_commits, out_starts, out_values, out_tids = columns = empty_columns()
         by_key = self._by_key
         settled: List[str] = []
         for key in self._multi:
-            timestamps, key_values, key_tids = by_key[key]
-            if timestamps[1] > ts:
-                continue
-            cut = bisect_right(timestamps, ts) - 1
-            commits += timestamps[:cut]
-            values += key_values[:cut]
-            tids += key_tids[:cut]
-            del timestamps[:cut]
-            del key_values[:cut]
-            del key_tids[:cut]
-            if len(timestamps) == 1:
+            commits, starts, values, tids = by_key[key]
+            if commits[1] > ts or commits[0] >= ts:
+                continue  # the oldest is the newest at or below ts, or not below it
+            cut = bisect_right(commits, ts) - 1
+            if commits[cut] == ts:
+                cut = bisect_left(commits, ts, 0, cut)
+            out_commits += commits[:cut]
+            out_starts += starts[:cut]
+            out_values += values[:cut]
+            out_tids += tids[:cut]
+            del commits[:cut]
+            del starts[:cut]
+            del values[:cut]
+            del tids[:cut]
+            if len(commits) == 1:
                 settled.append(key)
             keys.append(key)
             counts.append(cut)
         self._multi.difference_update(settled)
-        self._n_versions -= len(commits)
-        return keys, counts, commits, values, tids
+        self._tangled.difference_update(settled)
+        self._n_versions -= len(out_commits)
+        return columns
 
     def merge(self, columns: VersionColumns) -> None:
-        """Re-insert previously evicted versions (reload-on-demand)."""
-        keys, counts, commits, values, tids = columns
-        insert = self.insert_and_next_ts
+        """Re-insert previously evicted entries (reload-on-demand).
+
+        A reloaded entry arrived before every resident entry with its
+        commit timestamp, so it goes in *before* them; merging a store's
+        segments newest first (:meth:`~repro.core.spill.SpillingGc.
+        _reload_below`) therefore restores each key's insertion order.
+        A key whose merged entries overlap becomes tangled.
+        """
+        keys, counts, commits_in, starts_in, values_in, tids_in = columns
+        by_key = self._by_key
+        tangled = self._tangled
         lo = 0
         for key, count in zip(keys, counts):
             hi = lo + count
-            for row in range(lo, hi):
-                insert(key, commits[row], values[row], tids[row])
+            rep = by_key.get(key)
+            if rep is None:
+                rep = by_key[key] = (
+                    commits_in[lo:hi], starts_in[lo:hi], values_in[lo:hi], tids_in[lo:hi]
+                )
+                checked = count - 1
+            else:
+                commits, starts, values, tids = rep
+                if commits_in[hi - 1] <= commits[0]:
+                    # The common shape: everything reloaded is older.
+                    commits[:0] = commits_in[lo:hi]
+                    starts[:0] = starts_in[lo:hi]
+                    values[:0] = values_in[lo:hi]
+                    tids[:0] = tids_in[lo:hi]
+                    checked = count
+                else:
+                    for row in range(hi - 1, lo - 1, -1):
+                        j = bisect_left(commits, commits_in[row])
+                        commits.insert(j, commits_in[row])
+                        starts.insert(j, starts_in[row])
+                        values.insert(j, values_in[row])
+                        tids.insert(j, tids_in[row])
+                    checked = len(commits) - 1
+            if len(rep[0]) > 1:
+                self._multi.add(key)
+            if key not in tangled and not _disjoint(rep[0], rep[1], checked):
+                tangled.add(key)
+            self._n_versions += count
             lo = hi
 
 
@@ -256,16 +341,16 @@ def _insert_interval(
 
 
 class WriterIntervals:
-    """Per-key interval index over writer lifetimes (``ongoing_ts``).
+    """Per-key writer lifetimes answering the overlap query by a full scan.
 
     ``_by_key[key]`` holds an ``(ends, starts, owners)`` triple of plain
     parallel lists sorted by interval *end* (= ``commit_ts``), an equal
-    end going after the ones already there.  Commit timestamps arrive in
-    near-sorted order, so an insert appends at the tail; an overlap
-    query for ``[start, end]`` bisects the first end reaching ``start``
-    and scans the suffix from there, so it lists its hits by ascending
-    end, equal ends in insertion order.  GC truncates the dead prefix in
-    one slice.
+    end going after the ones already there.  An overlap query for
+    ``[start, end]`` bisects the first end reaching ``start`` and scans
+    the whole suffix from there, so it lists its hits by ascending end,
+    equal ends in insertion order — the order :func:`probe_columns`
+    reports them in, which the tests hold it to.  No checker holds one
+    (the frontier answers the query); see the module docstring.
     """
 
     __slots__ = ("_by_key", "_n_intervals")
@@ -288,7 +373,7 @@ class WriterIntervals:
     def overlap_add(
         self, key: str, start_ts: int, commit_ts: int, tid: int
     ) -> List[Tuple[int, int]]:
-        """Fused overlap query + insert for the batch kernel's step ②.
+        """Fused overlap query + insert.
 
         Returns ``(owner_tid, owner_commit_ts)`` pairs for every interval
         of ``key`` overlapping ``[start_ts, commit_ts]`` excluding ``tid``
@@ -309,51 +394,6 @@ class WriterIntervals:
             _insert_interval(rep, start_ts, commit_ts, tid)
         self._n_intervals += 1
         return hits
-
-    def evict_below(self, ts: int) -> IntervalColumns:
-        """Remove intervals ending before ``ts`` (no future overlap possible).
-
-        Returns them as flat columns ``(keys, counts, start_ts, end_ts,
-        tids)``.  ``_by_key`` only holds keys with resident intervals, so
-        the walk costs one comparison on each such key's oldest end.
-        """
-        keys: List[str] = []
-        counts: List[int] = []
-        out_starts: List[int] = []
-        out_ends: List[int] = []
-        out_tids: List[int] = []
-        by_key = self._by_key
-        emptied: List[str] = []
-        for key, (ends, starts, owners) in by_key.items():
-            if ends[0] >= ts:
-                continue
-            j = bisect_left(ends, ts)
-            out_starts += starts[:j]
-            out_ends += ends[:j]
-            out_tids += owners[:j]
-            if j == len(ends):
-                emptied.append(key)
-            else:
-                del ends[:j]
-                del starts[:j]
-                del owners[:j]
-            keys.append(key)
-            counts.append(j)
-        for key in emptied:
-            del by_key[key]
-        self._n_intervals -= len(out_ends)
-        return keys, counts, out_starts, out_ends, out_tids
-
-    def merge(self, columns: IntervalColumns) -> None:
-        """Re-insert previously evicted intervals (reload-on-demand)."""
-        keys, counts, starts, ends, tids = columns
-        add = self.add
-        lo = 0
-        for key, count in zip(keys, counts):
-            hi = lo + count
-            for row in range(lo, hi):
-                add(key, starts[row], ends[row], tids[row])
-            lo = hi
 
 
 class ExtReadIndex:
@@ -522,7 +562,6 @@ class ExtReadIndex:
 
 def probe_columns(
     frontier: "VersionedFrontier",
-    writers: Optional["WriterIntervals"],
     ext_reads: "ExtReadIndex",
     key_streams: Dict[str, List[int]],
     r_ts: List[int],
@@ -542,12 +581,12 @@ def probe_columns(
     ``index << 1`` encodes the external read at flat position ``index``,
     ``index << 1 | 1`` the write at that position.  Per read (step ①) the
     visibility floor at the read's snapshot point is resolved and the
-    read is indexed; per write, step ② queries and extends the key's
-    writer intervals and step ③ inserts the version and sweeps the reads
-    whose floor it became, all in stream order.
+    read is indexed; per write, step ② asks which of the key's writers
+    overlap it, step ③ inserts it and sweeps the reads whose floor it
+    became, all in stream order and on the frontier's one list set.
 
     The pass lives here rather than in a checker because this layer
-    owns all three structures: each key's lists are fetched **once per
+    owns both structures: each key's lists are fetched **once per
     stream** instead of once per op, and worked on inline — dropping
     one dict descent and several method frames per operation (see the
     module docstring for the public methods that mirror them).
@@ -560,9 +599,9 @@ def probe_columns(
     the reader's own commit timestamp, so the floor is the greatest
     version *strictly below* it and the sweep closes at its upper end,
     ``[cts, next]`` — the reader committing exactly at ``next`` wrote
-    that version and reads below itself.  SER also keeps no writer
-    intervals: ``writers`` is ``None`` and step ② is skipped.  The
-    ablation (``optimized=False``) is defined for SI only.
+    that version and reads below itself.  SER also checks no NOCONFLICT:
+    step ② is skipped.  The ablation (``optimized=False``) is defined
+    for SI only.
 
     Returns ``(r_expected, w_conflicts, w_reevals)``: the visibility
     floor per read, and per write slot the NOCONFLICT hits and the
@@ -592,80 +631,78 @@ def probe_columns(
     # Integer timestamps: ``snapshot_ts + tail_shift > newest`` is the
     # tail test of either floor — ``>`` strictly below, ``>=`` at or below.
     tail_shift = 0 if strict else 1
+    check_overlaps = not strict
     f_by_key = frontier._by_key
     f_multi_add = frontier._multi.add
+    tangled = frontier._tangled
     e_by_key = ext_reads._by_key
-    has_intervals = writers is not None
-    w_by_key = writers._by_key if has_intervals else {}
     value_at = frontier.value_at
     collect_affected = ext_reads.collect_affected
-    new_versions = 0
-    overwrites = 0
+    n_writes = 0
 
     for key, stream in key_streams.items():
         fv = f_by_key.get(key)
         ev = e_by_key.get(key)
-        iv = w_by_key.get(key)
+        knotted = key in tangled
         for code in stream:
             index = code >> 1
             if code & 1:
-                # ---- write: step ② then step ③.
+                # ---- write: step ② then step ③, on the key's one list set.
+                n_writes += 1
                 commit_ts = w_cts[index]
                 tid = w_tids[index]
-                if has_intervals:
-                    # Inline twin of WriterIntervals.overlap_add.
-                    start_ts = w_starts[index]
-                    if iv is None:
-                        iv = w_by_key[key] = ([commit_ts], [start_ts], [tid])
-                    else:
-                        ends, i_starts, owners = iv
-                        hits = None
-                        if ends and start_ts <= ends[-1]:  # else nothing ends late enough
-                            for i in range(bisect_left(ends, start_ts), len(ends)):
-                                if i_starts[i] <= commit_ts:
-                                    owner = owners[i]
-                                    if owner != tid:
-                                        if hits is None:
-                                            hits = w_conflicts[index] = []
-                                        hits.append((owner, ends[i]))
-                        if not ends or commit_ts >= ends[-1]:
-                            ends.append(commit_ts)
-                            i_starts.append(start_ts)
-                            owners.append(tid)
-                        else:
-                            j = bisect_right(ends, commit_ts)
-                            ends.insert(j, commit_ts)
-                            i_starts.insert(j, start_ts)
-                            owners.insert(j, tid)
-                # Inline twin of insert_and_next_ts.
                 if fv is None:
-                    fv = f_by_key[key] = ([commit_ts], [w_vals[index]], [tid])
-                    new_versions += 1
+                    fv = f_by_key[key] = ([commit_ts], [w_starts[index]], [w_vals[index]], [tid])
                     nxt_ts = None
                 else:
-                    timestamps, f_values, f_tids = fv
-                    if not timestamps or commit_ts > timestamps[-1]:
-                        # Tail first: a version newer than all is appended.
-                        timestamps.append(commit_ts)
+                    commits, starts, f_values, f_tids = fv
+                    start_ts = w_starts[index]
+                    newest = commits[-1]
+                    # Where step ③ inserts the write: after every entry
+                    # committed at or before it, tail first.  On a key
+                    # that is not tangled, the write overlaps an entry
+                    # iff it meets one of its two neighbours there (the
+                    # module docstring's disjointness argument); at the
+                    # tail, on any key, iff the newest entry ends at or
+                    # after its start.
+                    if commit_ts >= newest:
+                        j = -1
+                        meets = check_overlaps and start_ts <= newest
+                    else:
+                        j = bisect_right(commits, commit_ts)
+                        meets = check_overlaps and (
+                            knotted
+                            or starts[j] <= commit_ts
+                            or (j > 0 and commits[j - 1] >= start_ts)
+                        )
+                    if meets:
+                        # Step ②: scan every entry ending at or after the
+                        # write's start.  Inline twin of the scan of
+                        # WriterIntervals.overlap_add.
+                        if not knotted:
+                            knotted = True
+                            tangled.add(key)
+                        hits = None
+                        for i in range(bisect_left(commits, start_ts), len(commits)):
+                            if starts[i] <= commit_ts:
+                                owner = f_tids[i]
+                                if owner != tid:
+                                    if hits is None:
+                                        hits = w_conflicts[index] = []
+                                    hits.append((owner, commits[i]))
+                    if j < 0:
+                        commits.append(commit_ts)
+                        starts.append(start_ts)
                         f_values.append(w_vals[index])
                         f_tids.append(tid)
-                        new_versions += 1
                         nxt_ts = None
                     else:
-                        j = bisect_left(timestamps, commit_ts)
-                        if timestamps[j] == commit_ts:
-                            f_values[j] = w_vals[index]
-                            f_tids[j] = tid
-                            overwrites += 1
-                            j += 1
-                            nxt_ts = timestamps[j] if j < len(timestamps) else None
-                        else:
-                            nxt_ts = timestamps[j]
-                            timestamps.insert(j, commit_ts)
-                            f_values.insert(j, w_vals[index])
-                            f_tids.insert(j, tid)
-                            new_versions += 1
-                    if len(timestamps) == 2:
+                        nxt_ts = commits[j]
+                        commits.insert(j, commit_ts)
+                        starts.insert(j, start_ts)
+                        f_values.insert(j, w_vals[index])
+                        f_tids.insert(j, tid)
+                    if len(commits) == 2:
                         f_multi_add(key)
                 if optimized:
                     # The sweep is one slice of the key's readers (``ev``
@@ -710,12 +747,12 @@ def probe_columns(
                     r_expected[index] = bottom
                 else:
                     # Tail first: a snapshot past the newest version sees it.
-                    timestamps = fv[0]
-                    if timestamps and snapshot_ts + tail_shift > timestamps[-1]:
-                        r_expected[index] = fv[1][-1]
+                    commits = fv[0]
+                    if snapshot_ts + tail_shift > commits[-1]:
+                        r_expected[index] = fv[2][-1]
                     else:
-                        j = floor_end(timestamps, snapshot_ts) - 1
-                        r_expected[index] = fv[1][j] if j >= 0 else bottom
+                        j = floor_end(commits, snapshot_ts) - 1
+                        r_expected[index] = fv[2][j] if j >= 0 else bottom
                 reader = r_tids[index]
                 if ev is None:
                     ev = e_by_key[key] = ([snapshot_ts], [reader])
@@ -738,12 +775,8 @@ def probe_columns(
                             readers_list.insert(j, reader)
 
     # Ops actually walked — the columns may be shared with other calls.
-    # Every write either adds a version or overwrites one, so the common
-    # path pays no second per-op counter.
-    n_writes = new_versions + overwrites
-    frontier._n_versions += new_versions
-    if writers is not None:
-        writers._n_intervals += n_writes
+    # Every write adds one entry.
+    frontier._n_versions += n_writes
     ext_reads._n_reads += sum(map(len, key_streams.values())) - n_writes
     return results
 
@@ -756,7 +789,7 @@ def probe_columns(
 # element-by-element through the generic memoized walk.  Each sizer
 # returns the bytes beyond ``sys.getsizeof(obj)`` and pushes only rich
 # sub-objects (history values) back onto the walk's stack; the
-# frontier's multi-version key set aliases the index's
+# frontier's multi-entry and tangled key sets alias the index's
 # own keys, which are deliberately not re-counted (see the tolerance
 # note in :mod:`repro.util.sizeof`).
 # ----------------------------------------------------------------------
@@ -765,27 +798,14 @@ def probe_columns(
 def _frontier_bytes(frontier: VersionedFrontier, stack: List[Any]) -> int:
     getsizeof = sys.getsizeof
     by_key = frontier._by_key
-    total = getsizeof(by_key) + getsizeof(frontier._multi)
-    for key, versions in by_key.items():
-        timestamps, values, tids = versions
-        total += getsizeof(key) + getsizeof(versions) + getsizeof(timestamps)
-        total += getsizeof(values) + getsizeof(tids)
-        total += sum(map(getsizeof, timestamps)) + sum(map(getsizeof, tids))
-        stack += values
-    return total
-
-
-def _writer_intervals_bytes(writers: WriterIntervals, stack: List[Any]) -> int:
-    getsizeof = sys.getsizeof
-    by_key = writers._by_key
-    total = getsizeof(by_key)
+    total = getsizeof(by_key) + getsizeof(frontier._multi) + getsizeof(frontier._tangled)
     for key, rep in by_key.items():
-        ends, starts, owners = rep
-        total += getsizeof(key) + getsizeof(rep)
-        total += getsizeof(ends) + getsizeof(starts) + getsizeof(owners)
-        total += sum(map(getsizeof, ends))
-        total += sum(map(getsizeof, starts))
-        total += sum(map(getsizeof, owners))
+        commits, starts, values, tids = rep
+        total += getsizeof(key) + getsizeof(rep) + getsizeof(commits) + getsizeof(starts)
+        total += getsizeof(values) + getsizeof(tids)
+        total += sum(map(getsizeof, commits)) + sum(map(getsizeof, starts))
+        total += sum(map(getsizeof, tids))
+        stack += values
     return total
 
 
@@ -806,5 +826,4 @@ def _ext_reads_bytes(ext_reads: ExtReadIndex, stack: List[Any]) -> int:
 
 
 register_sizer(VersionedFrontier, _frontier_bytes)
-register_sizer(WriterIntervals, _writer_intervals_bytes)
 register_sizer(ExtReadIndex, _ext_reads_bytes)

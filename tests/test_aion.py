@@ -8,7 +8,7 @@ from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.core.violations import Axiom
 from repro.histories.builder import HistoryBuilder
-from repro.histories.model import Transaction
+from repro.histories.model import History, Transaction
 from repro.histories.ops import append, read, write
 from repro.online.clock import SimClock
 
@@ -302,3 +302,36 @@ class TestConflictReportOrder:
         assert fresh == deep
         # b meets a; then c meets b (commit 10,030) before a (10,040).
         assert fresh == [(10_002, [10_001]), (10_002, [10_003]), (10_001, [10_003])]
+
+
+class TestTangledKey:
+    """The disjointness shortcut must not answer for a key whose writers
+    overlapped: X=[20,25], then Y=[1,30] (a conflict, which tangles the
+    key), then W=[5,10] — whose first interval ending after its start is
+    X's, starting at 20 > 10 — still conflicts with Y."""
+
+    @staticmethod
+    def _writers():
+        return [
+            Transaction(1, 1, 0, [write("x", "X")], start_ts=20, commit_ts=25),
+            Transaction(2, 2, 0, [write("x", "Y")], start_ts=1, commit_ts=30),
+            Transaction(3, 3, 0, [write("x", "W")], start_ts=5, commit_ts=10),
+        ]
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["aion", "sharded_x2"])
+    def test_overlap_behind_a_later_start_is_reported(self, sharded):
+        config = AionConfig(timeout=float("inf"))
+        if sharded:
+            checker = ShardedAion(config, n_shards=2, clock=lambda: 0.0)
+        else:
+            checker = Aion(config, clock=lambda: 0.0)
+        try:
+            checker.receive_many(self._writers())
+            result = checker.finalize()
+        finally:
+            checker.close()
+        got = [(v.tid, sorted(v.conflicting_tids)) for v in result.by_axiom(Axiom.NOCONFLICT)]
+        assert got == [(1, [2]), (3, [2])]
+        assert normalize_violations(result) == normalize_violations(
+            Chronos().check(History(self._writers()))
+        )

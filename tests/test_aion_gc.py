@@ -12,7 +12,9 @@ from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.db.faults import HistoryFaultInjector
 from repro.histories.anomalies import ANOMALY_CATALOG
+from repro.core.violations import Axiom
 from repro.histories.builder import HistoryBuilder
+from repro.histories.model import Transaction
 from repro.histories.ops import read, write
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
@@ -123,6 +125,97 @@ class TestCollectBelow:
         }
         assert frozenset({1, 99}) in pairs
         aion.close()
+
+
+class TestReloadedConflicts:
+    """NOCONFLICT across a spill and a reload: the reloaded entries must
+    put their key back among the tangled ones."""
+
+    @staticmethod
+    def _pair_then_newer():
+        # P=[20,25] and Q=[1,30] conflict; C=[40,41] is the newest write
+        # of x, so a collection leaves x holding C alone.
+        return [
+            Transaction(1, 1, 0, [write("x", "P")], start_ts=20, commit_ts=25),
+            Transaction(2, 2, 0, [write("x", "Q")], start_ts=1, commit_ts=30),
+            Transaction(3, 3, 0, [write("x", "C")], start_ts=40, commit_ts=41),
+        ]
+
+    @pytest.mark.parametrize("name", ["aion", "sharded-x2"])
+    def test_write_overlapping_the_later_interval_of_a_spilled_pair(self, name):
+        make, _, _ = DELAYED_CHECKERS[name]
+        checker = make()
+        try:
+            checker.receive_many(self._pair_then_newer())
+            report = checker.collect_below(None)
+            assert (report.evicted_versions, report.evicted_intervals) == (2, 2)
+            # A delayed arrival below the watermark reloads the pair ...
+            checker.receive(Transaction(4, 4, 0, [write("z", "D")], start_ts=2, commit_ts=3))
+            assert checker.spill_store.reload_count == 1
+            # ... and W=[5,10] overlaps only Q, the later interval, while
+            # the first entry ending after W's start is P, starting at 20.
+            late = Transaction(5, 5, 0, [write("x", "W")], start_ts=5, commit_ts=10)
+            checker.receive(late)
+            result = checker.finalize()
+        finally:
+            checker.close()
+        got = [(v.tid, sorted(v.conflicting_tids)) for v in result.by_axiom(Axiom.NOCONFLICT)]
+        assert got == [(1, [2]), (5, [2])]
+
+
+    @pytest.mark.parametrize("name", ["aion", "sharded-x2"])
+    def test_reload_keeps_the_last_writer_at_a_shared_commit_ts(self, name):
+        """Two writers of x commit at 5; two cycles spill them into two
+        segments, the earlier writer first.  A reader at 7 arriving
+        below the watermark reloads both and must see the later writer,
+        which takes merging the segments newest first."""
+        make, _, _ = DELAYED_CHECKERS[name]
+        checker = make()
+        try:
+            checker.receive_many(
+                [
+                    Transaction(1, 1, 0, [write("x", "a")], start_ts=1, commit_ts=5),
+                    Transaction(2, 2, 0, [write("x", "b")], start_ts=2, commit_ts=5),
+                    Transaction(3, 3, 0, [write("y", "c")], start_ts=9, commit_ts=10),
+                ]
+            )
+            assert checker.collect_below(10).evicted_versions == 1  # tid 1's
+            checker.receive(Transaction(4, 4, 0, [write("x", "d")], start_ts=15, commit_ts=20))
+            assert checker.collect_below(30).evicted_versions == 1  # tid 2's
+            assert len(checker.spill_store) == 2
+            checker.receive(Transaction(5, 5, 0, [read("x", "b")], start_ts=7, commit_ts=8))
+            result = checker.finalize()
+        finally:
+            checker.close()
+        assert result.by_axiom(Axiom.EXT) == []
+        got = [(v.tid, sorted(v.conflicting_tids)) for v in result.by_axiom(Axiom.NOCONFLICT)]
+        assert got == [(1, [2])]
+
+
+class TestIntervalCounts:
+    """``intervals`` counts the entries the NOCONFLICT query walks: every
+    version under SI, none under SER — in a GC report and, on a sharded
+    checker, in each shard's row."""
+
+    @pytest.mark.parametrize("name", ["aion", "aion-ser", "sharded-x2"])
+    def test_intervals_are_the_versions_the_overlap_query_walks(self, name):
+        make, level, _ = DELAYED_CHECKERS[name]
+        history, batches = delayed_plan(31)
+        checker = make()
+        try:
+            evicted = []
+            for batch in batches:
+                checker.receive_many(batch)
+                if isinstance(checker, ShardedAion):
+                    for row in checker.shard_stats():
+                        assert row["intervals"] == row["versions"]
+                report = checker.collect_below(None)
+                evicted.append((report.evicted_versions, report.evicted_intervals))
+        finally:
+            checker.close()
+        assert sum(versions for versions, _ in evicted) > 0
+        for versions, intervals in evicted:
+            assert intervals == (versions if level == "si" else 0)
 
 
 class TestDifferentialWithGc:

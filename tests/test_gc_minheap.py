@@ -1,19 +1,21 @@
 """GC eviction churn tests: ``evict_below`` ≡ full-walk oracle.
 
 ``evict_below`` never walks the whole index: the frontier looks only at
-keys holding two or more versions (a set maintained on the 1→2 insert),
-the writer index only at keys with resident intervals, each decided by
-one comparison on its sorted head.  (The file keeps its name from the
-lazy ``(commit_ts, key)`` min-heap that did this job before.)  These
-tests pin the shortcut against naive models that re-scan everything:
+keys holding two or more entries (a set maintained on the 1→2 insert),
+each decided by one comparison on its sorted head.  (The file keeps its
+name from the lazy ``(commit_ts, key)`` min-heap that did this job
+before.)  These tests pin the shortcut against naive models that
+re-scan everything:
 
-- a key's *kept newest* evictable version must still be evicted once a
-  newer version drops below a later watermark;
-- replaced versions and already-evicted keys must be harmless;
+- a key's *kept newest* evictable entry must still be evicted once a
+  newer entry drops below a later watermark;
+- entries sharing a commit timestamp and already-evicted keys must be
+  harmless;
 - a repeated ``evict_below(ts)`` must be an empty no-op;
-- reload-on-demand re-inserts *below* the collected boundary, and the
-  next cycle must evict those rows again;
-- a cycle's work is bounded by the multi-version keys, not the index.
+- reload-on-demand re-inserts *below* the collected boundary, in the
+  order the entries first arrived, and the next cycle must evict those
+  rows again;
+- a cycle's work is bounded by the multi-entry keys, not the index.
 """
 
 from random import Random
@@ -21,72 +23,54 @@ from random import Random
 import pytest
 
 from repro.core.aion import Aion, AionConfig
-from repro.core.versioned import VersionedFrontier, WriterIntervals
+from repro.core.versioned import VersionedFrontier
 
 from test_differential import session_respecting_shuffle, small_history
 
 
 class FrontierOracle:
-    """Full-walk model of :meth:`VersionedFrontier.evict_below`:
-    among each key's versions with ``commit_ts <= ts``, keep the newest,
-    evict the rest."""
+    """Full-walk model of :meth:`VersionedFrontier.evict_below`: each
+    key's entries in commit order, equal commits in arrival order; a
+    cycle keeps those with ``commit_ts >= ts`` and the newest at or
+    below ``ts``, and evicts the rest."""
 
     def __init__(self):
         self.by_key = {}
 
     def insert(self, key, commit_ts, value, tid):
-        self.by_key.setdefault(key, {})[commit_ts] = (value, tid)
+        entries = self.by_key.setdefault(key, [])
+        entries.append((commit_ts, commit_ts, value, tid))
+        entries.sort(key=lambda entry: entry[0])  # stable: arrival order on ties
 
     def evict_below(self, ts):
         evicted = {}
-        for key, versions in self.by_key.items():
-            below = sorted(cts for cts in versions if cts <= ts)
-            if len(below) < 2:
-                continue
-            evicted[key] = [
-                (cts, versions[cts][0], versions[cts][1]) for cts in below[:-1]
-            ]
-            for cts in below[:-1]:
-                del versions[cts]
-        return evicted
-
-    def versions_of(self, key):
-        return sorted(self.by_key.get(key, {}).items())
-
-
-class WriterOracle:
-    """Full-walk model of :meth:`WriterIntervals.evict_below`:
-    evict every interval with ``end < ts`` (duplicates included)."""
-
-    def __init__(self):
-        self.by_key = {}
-
-    def add(self, key, start_ts, commit_ts, tid):
-        self.by_key.setdefault(key, []).append((start_ts, commit_ts, tid))
-
-    def evict_below(self, ts):
-        evicted = {}
-        for key, intervals in self.by_key.items():
-            gone = [iv for iv in intervals if iv[1] < ts]
+        for key, entries in self.by_key.items():
+            at_or_below = [i for i, entry in enumerate(entries) if entry[0] <= ts]
+            newest = at_or_below[-1] if at_or_below else None
+            gone = [e for i, e in enumerate(entries) if e[0] < ts and i != newest]
             if gone:
                 evicted[key] = gone
-                self.by_key[key] = [iv for iv in intervals if iv[1] >= ts]
+                self.by_key[key] = [e for i, e in enumerate(entries) if e[0] >= ts or i == newest]
         return evicted
 
 
 def normalized(evicted):
-    """Oracle dicts and ``evict_below`` columns alike as
-    ``{key: sorted row tuples}`` (versions: commit_ts, value, tid;
-    intervals: start, end, tid)."""
+    """Oracle dicts and ``evict_below`` columns alike as ``{key: row
+    tuples}`` in list order (commit_ts, start_ts, value, tid)."""
     if isinstance(evicted, dict):
-        return {key: sorted(items) for key, items in evicted.items() if items}
+        return {key: list(items) for key, items in evicted.items() if items}
     keys, counts, *columns = evicted
     out, lo = {}, 0
     for key, count in zip(keys, counts):
-        out[key] = sorted(zip(*(column[lo : lo + count] for column in columns)))
+        out[key] = list(zip(*(column[lo : lo + count] for column in columns)))
         lo += count
     assert lo == len(columns[0])
     return out
+
+
+def entries(frontier):
+    """Every key's entries as ``normalized`` rows, in list order."""
+    return {key: list(zip(*rep)) for key, rep in frontier._by_key.items()}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 99])
@@ -112,7 +96,8 @@ def test_frontier_evict_matches_full_walk_under_churn(seed):
             frontier.insert(key, cts, value, next_tid)
             oracle.insert(key, cts, value, next_tid)
             next_tid += 1
-    # Drain: a final high watermark must leave exactly one version per key.
+    assert entries(frontier) == oracle.by_key
+    # Drain: a final high watermark must leave exactly one entry per key.
     final = max(watermark, 600 * 4) + 1
     assert normalized(frontier.evict_below(final)) == normalized(
         oracle.evict_below(final)
@@ -120,37 +105,56 @@ def test_frontier_evict_matches_full_walk_under_churn(seed):
     for key in keys:
         if key in oracle.by_key and oracle.by_key[key]:
             assert len(oracle.by_key[key]) == 1
+    assert not frontier._tangled
 
 
 @pytest.mark.parametrize("seed", [0, 3, 42, 1213])
-def test_writer_intervals_evict_matches_full_walk_under_churn(seed):
+def test_reload_newest_first_restores_arrival_order_under_churn(seed):
+    """Inserts (many sharing a commit timestamp, some landing below the
+    watermark), cycles at a rising watermark, and now and then a reload
+    of every segment newest first, as ``SpillingGc._reload_below`` does:
+    the entries always equal a model that marks evicted arrivals instead
+    of moving them — ties in arrival order, every floor the last
+    writer."""
     rng = Random(seed)
-    writers = WriterIntervals()
-    oracle = WriterOracle()
-    keys = [f"k{i}" for i in range(8)]
+    frontier = VersionedFrontier()
+    arrived = {}  # key -> rows (commit_ts, start_ts, value, tid), arrival order
+    gone = set()  # tids evicted and not reloaded since
+
+    def resident():
+        return {
+            key: sorted((row for row in rows if row[3] not in gone), key=lambda row: row[0])
+            for key, rows in arrived.items()
+        }
+
+    segments = []
     watermark = 0
-    next_tid = 1
-    for step in range(600):
-        if rng.random() < 0.15:
-            watermark = max(watermark, rng.randint(0, step * 4))
-            got = normalized(writers.evict_below(watermark))
-            want = normalized(oracle.evict_below(watermark))
-            assert got == want, f"step {step} ts {watermark}"
+    for tid in range(1, 900):
+        roll = rng.random()
+        if roll < 0.1:
+            watermark = max(watermark, rng.randint(0, tid // 2))
+            segments.append(frontier.evict_below(watermark))
+            for rows in resident().values():
+                at_or_below = [row for row in rows if row[0] <= watermark]
+                gone.update(row[3] for row in at_or_below[:-1] if row[0] < watermark)
+        elif roll < 0.13:
+            for segment in reversed(segments):
+                frontier.merge(segment)
+            segments.clear()
+            gone.clear()
         else:
-            key = rng.choice(keys)
-            end = rng.randint(0, step * 4 + 4)
-            start = max(0, end - rng.randint(0, 20))
-            if rng.random() < 0.5:
-                writers.add(key, start, end, next_tid)
-            else:
-                writers.overlap_add(key, start, end, next_tid)
-            oracle.add(key, start, end, next_tid)
-            next_tid += 1
-    final = max(watermark, 600 * 4) + 1
-    assert normalized(writers.evict_below(final)) == normalized(
-        oracle.evict_below(final)
-    )
-    assert len(writers) == sum(len(ivs) for ivs in oracle.by_key.values())
+            key = rng.choice("abcdef")
+            commit_ts = rng.randint(0, tid // 4 + 3)
+            frontier.insert(key, commit_ts, tid, tid)
+            arrived.setdefault(key, []).append((commit_ts, commit_ts, tid, tid))
+        assert entries(frontier) == resident(), f"arrival {tid}"
+    for segment in reversed(segments):
+        frontier.merge(segment)
+    for key, rows in arrived.items():
+        assert entries(frontier)[key] == sorted(rows, key=lambda row: row[0])
+        for commit_ts in {row[0] for row in rows}:
+            last = [row for row in rows if row[0] == commit_ts][-1]
+            assert frontier.latest_at(key, commit_ts) == (commit_ts, last[2], last[3])
 
 
 def test_kept_newest_version_is_recovered_by_later_entries():
@@ -159,45 +163,38 @@ def test_kept_newest_version_is_recovered_by_later_entries():
     frontier = VersionedFrontier()
     frontier.insert("k", 1, "a", 1)
     frontier.insert("k", 2, "b", 2)
-    assert normalized(frontier.evict_below(10)) == {"k": [(1, "a", 1)]}
+    assert normalized(frontier.evict_below(10)) == {"k": [(1, 1, "a", 1)]}
     # Version 2 survives as the visible floor of a single-version key.
     assert frontier.value_at("k", 10) == "b"
     assert normalized(frontier.evict_below(10)) == {}  # cheap no-op
     frontier.insert("k", 12, "c", 3)
     # 2 is no longer the newest evictable version, so it must leave now.
-    assert normalized(frontier.evict_below(15)) == {"k": [(2, "b", 2)]}
+    assert normalized(frontier.evict_below(15)) == {"k": [(2, 2, "b", 2)]}
     assert frontier.value_at("k", 20) == "c"
 
 
 def test_reload_reinserts_are_evictable_again():
     """Merging spilled state back (reload-on-demand) must make those
-    versions evictable again in the next cycle."""
+    entries evictable again in the next cycle."""
     frontier = VersionedFrontier()
     for cts in (1, 2, 3):
-        frontier.insert("k", cts, f"v{cts}", cts)
+        frontier.insert("k", cts, f"v{cts}", cts, 0)
     evicted = frontier.evict_below(100)
-    assert normalized(evicted) == {"k": [(1, "v1", 1), (2, "v2", 2)]}
+    assert normalized(evicted) == {"k": [(1, 0, "v1", 1), (2, 0, "v2", 2)]}
     frontier.merge(evicted)
     assert normalized(frontier.evict_below(100)) == normalized(evicted)
 
-    writers = WriterIntervals()
-    for end in (5, 6, 7):
-        writers.add("k", 0, end, end)
-    evicted = writers.evict_below(100)
-    assert normalized(evicted) == {"k": [(0, 5, 5), (0, 6, 6), (0, 7, 7)]}
-    writers.merge(evicted)
-    assert normalized(writers.evict_below(100)) == normalized(evicted)
-
 
 def test_duplicate_and_replaced_versions_are_harmless():
-    """Re-inserting a version replaces its payload in place; eviction
-    must count the version once."""
+    """Re-inserting a version adds an entry after the ones at its commit
+    timestamp; the floor is the last, and eviction takes each once."""
     frontier = VersionedFrontier()
-    for _ in range(5):
-        frontier.insert("k", 3, "x", 9)  # same version, re-inserted
+    for value in range(5):
+        frontier.insert("k", 3, value, 9)  # same version, re-inserted
     frontier.insert("k", 8, "y", 10)
-    assert len(frontier) == 2
-    assert normalized(frontier.evict_below(50)) == {"k": [(3, "x", 9)]}
+    assert len(frontier) == 6
+    assert frontier.value_at("k", 5) == 4
+    assert normalized(frontier.evict_below(50)) == {"k": [(3, 3, v, 9) for v in range(5)]}
     assert len(frontier) == 1
     assert normalized(frontier.evict_below(50)) == {}
 

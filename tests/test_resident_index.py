@@ -13,7 +13,13 @@ that replaced the resident store:
   the one recorded **from the commit before the index existed**, when
   ``_resident`` was a ``tid → Transaction`` dict beside a ``SortedMap``:
   ``tests/data/gc_sequence_golden.json``, written by running this file as
-  a script against that commit's ``src/`` (see the bottom).
+  a script against that commit's ``src/`` (see the bottom).  It was
+  re-recorded once, when the frontier became the one per-key write
+  history: only the evicted version and interval counts (a cycle evicts
+  what both old policies evicted, an interval per version under SI and
+  none under SER, and a retransmitted write is an entry of its own) and
+  the segments' lower bounds (each evicted write's start is content)
+  moved; every other field equals the earlier recording.
 """
 
 import gc

@@ -409,7 +409,7 @@ class TestCoordinatorSurface:
                 sharded.receive_many(arrival[offset : offset + 16])
             rows = sharded.shard_stats()
             assert sum(row["versions"] for row in rows) == len(aion._frontier)
-            assert sum(row["intervals"] for row in rows) == len(aion._writers)
+            assert sum(row["intervals"] for row in rows) == len(aion._frontier)
             assert sum(row["ext_reads"] for row in rows) == len(aion._ext_reads) > 0
             assert sharded.pending_ext_reads == aion.pending_ext_reads == len(aion._ext_reads)
             assert sharded.pending_ext_txns == aion.pending_ext_txns > 0
@@ -505,7 +505,7 @@ def test_shard_structures_equal_aions_after_every_call(name, n_shards, batch_siz
 
     def assert_equal_state(where):
         rows = sharded.shard_stats()
-        expected = [len(aion._frontier), len(aion._writers), len(aion._ext_reads)]
+        expected = [len(aion._frontier), len(aion._frontier), len(aion._ext_reads)]
         got = [sum(row[column] for row in rows) for column in ("versions", "intervals", "ext_reads")]
         assert got == expected, where
         assert sharded.pending_ext_reads == aion.pending_ext_reads == len(aion._ext_reads), where

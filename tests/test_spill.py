@@ -16,33 +16,23 @@ from repro.histories.model import BOTTOM
 
 
 def version_columns(by_key):
-    """``{key: [(commit_ts, value, tid), ...]}`` as flat VersionColumns."""
-    keys, counts, commits, values, tids = empty_columns()
+    """``{key: [(commit_ts, start_ts, value, tid), ...]}`` as flat
+    VersionColumns; a row of three takes its start from its commit."""
+    columns = keys, counts, commits, starts, values, tids = empty_columns()
     for key, rows in by_key.items():
         keys.append(key)
         counts.append(len(rows))
-        for commit_ts, value, tid in rows:
+        for row in rows:
+            commit_ts, start_ts, value, tid = row if len(row) == 4 else (row[0], *row)
             commits.append(commit_ts)
+            starts.append(start_ts)
             values.append(value)
             tids.append(tid)
-    return keys, counts, commits, values, tids
-
-
-def interval_columns(by_key):
-    """``{key: [(start_ts, end_ts, tid), ...]}`` as flat IntervalColumns."""
-    keys, counts, starts, ends, tids = empty_columns()
-    for key, rows in by_key.items():
-        keys.append(key)
-        counts.append(len(rows))
-        for start_ts, end_ts, tid in rows:
-            starts.append(start_ts)
-            ends.append(end_ts)
-            tids.append(tid)
-    return keys, counts, starts, ends, tids
+    return columns
 
 
 def versions_only(store, min_ts, max_ts, by_key):
-    return store.spill(min_ts, max_ts, version_columns(by_key), empty_columns())
+    return store.spill(min_ts, max_ts, version_columns(by_key))
 
 
 class TestSpillStore:
@@ -52,9 +42,7 @@ class TestSpillStore:
             versions_only(store, 100, 200, {"x": [(150, "b", 2)]})
             reloaded = store.reload_overlapping(120)
             assert len(reloaded) == 2  # second segment's min_ts 100 <= 120
-            versions, intervals = reloaded[0]
-            assert versions == version_columns({"x": [(10, "a", 1)]})
-            assert intervals == empty_columns()
+            assert reloaded[0] == version_columns({"x": [(10, "a", 1)]})
             assert len(store) == 0
 
     def test_reload_respects_range(self):
@@ -62,7 +50,7 @@ class TestSpillStore:
             versions_only(store, 0, 50, {"old": [(1, 1, 1)]})
             versions_only(store, 60, 100, {"new": [(61, 1, 1)]})
             reloaded = store.reload_overlapping(55)
-            assert [versions[0] for versions, _ in reloaded] == [["old"]]
+            assert [versions[0] for versions in reloaded] == [["old"]]
             assert len(store) == 1  # the new segment survives
 
     def test_reload_unbounded(self):
@@ -174,43 +162,63 @@ values = st.one_of(
 keys = st.text(max_size=12)  # arbitrary unicode, "\x00" included
 timestamps = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 version_rows = st.dictionaries(
-    keys, st.lists(st.tuples(timestamps, values, timestamps), min_size=1, max_size=4), max_size=5
+    keys,
+    st.lists(st.tuples(timestamps, timestamps, values, timestamps), min_size=1, max_size=4),
+    max_size=5,
 )
-interval_rows = st.dictionaries(
-    keys, st.lists(st.tuples(timestamps, timestamps, timestamps), min_size=1, max_size=4), max_size=5
+
+#: A segment as version 2 wrote it, the format this one replaced (by
+#: the encoder of that version): a versions section ``(commit_ts, tid,
+#: value)`` and an intervals section ``(start, end, tid)`` repeating
+#: each row's end and tid — here ``x`` written at 1 and 4 by tids 1 and
+#: 2, started at 0 and 3, in a segment over ``[0, 9]``.
+V2_IMAGE = bytes.fromhex(
+    "525345470002000000000000000000000000000000090000000000000041000000000000003f"
+    "cca124d5000000010000000200017800000002000000000000000100000000000000040000"
+    "00000000000100000000000000020406000000000000000a00000004666f75720000000100"
+    "000002000178000000020000000000000000000000000000000300000000000000010000"
+    "00000000000400000000000000010000000000000002"
 )
 
 
 class TestSegmentCodec:
     @settings(max_examples=150, deadline=None)
-    @given(version_rows, interval_rows, timestamps, timestamps)
-    def test_round_trip(self, versions, intervals, min_ts, max_ts):
-        v_cols, i_cols = version_columns(versions), interval_columns(intervals)
-        blob = encode_segment(min_ts, max_ts, v_cols, i_cols)
+    @given(version_rows, timestamps, timestamps)
+    def test_round_trip(self, versions, min_ts, max_ts):
+        v_cols = version_columns(versions)
+        blob = encode_segment(min_ts, max_ts, v_cols)
         decoded = decode_segment(blob)
-        assert encode_segment(*decoded) == blob  # two sections, nothing else in the image
+        assert encode_segment(*decoded) == blob  # one section, nothing else in the image
         assert (decoded.min_ts, decoded.max_ts) == (min_ts, max_ts)
-        assert decoded.intervals == i_cols
-        want = v_cols[:3] + ([jsonl_parity(value) for value in v_cols[3]],) + v_cols[4:]
+        want = v_cols[:4] + ([jsonl_parity(value) for value in v_cols[4]],) + v_cols[5:]
         assert decoded.versions == want
-        for got, sent in zip(decoded.versions[3], want[3]):
+        assert decoded.versions[3] == v_cols[3]  # every writer's start_ts
+        for got, sent in zip(decoded.versions[4], want[4]):
             assert type(got) is type(sent)  # True is not 1, 1.0 is not 1
 
-    def test_empty_sections(self):
-        decoded = decode_segment(encode_segment(5, 5, empty_columns(), empty_columns()))
-        assert decoded == (5, 5, empty_columns(), empty_columns())
+    def test_empty_section(self):
+        decoded = decode_segment(encode_segment(5, 5, empty_columns()))
+        assert decoded == (5, 5, empty_columns())
+
+    def test_one_row_per_write(self):
+        """Version 3 writes each evicted write once, with its start: the
+        image of ``V2_IMAGE``'s rows is that image less a section length
+        field, the intervals section's prefix (row counts, key table, per
+        key counts: 15 bytes here) and its end and tid columns."""
+        blob = encode_segment(0, 9, version_columns({"x": [(1, 0, 10, 1), (4, 3, "four", 2)]}))
+        assert decode_segment(blob).versions[3] == [0, 3]
+        assert len(V2_IMAGE) - len(blob) == 8 + 15 + 2 * 2 * 8
 
     @staticmethod
     def sample_segment():
         versions = version_columns(
             {
-                "x": [(1, 10, 1), (4, "four", 2)],
+                "x": [(1, 0, 10, 1), (4, 3, "four", 2)],
                 "k\x00ey ✓": [(2, BOTTOM, 3), (3, (1, [2, 3]), 4), (5, {"d": None}, 5)],
-                "big": [(6, 2**70, 6), (7, None, 7), (8, -1.5, 8)],
+                "big": [(6, 2**70, 6), (7, 2, None, 7), (8, -1.5, 8)],
             }
         )
-        intervals = interval_columns({"x": [(0, 1, 1), (3, 4, 2)], "y": [(2, 9, 9)]})
-        return encode_segment(0, 9, versions, intervals)
+        return encode_segment(0, 9, versions)
 
     def test_every_truncation_raises(self):
         blob = self.sample_segment()
@@ -231,19 +239,27 @@ class TestSegmentCodec:
             with pytest.raises(SegmentError):
                 decode_segment(bytes(mutated))
 
-    def test_version_1_image_is_refused(self):
-        """The format this one replaced: three section lengths in the
-        header, the third a ``pack_columnar`` blob of the evicted
-        transactions (empty when a cycle evicted none)."""
-        blob = self.sample_segment()
+    def test_version_2_image_is_refused(self):
+        """The format this one replaced — two section lengths in the
+        header, a versions section and an intervals section — is named
+        by its version, not misread."""
         v2_fields = struct.Struct("!4sHqqQQ")
-        magic, version, min_ts, max_ts, n_versions, n_intervals = v2_fields.unpack_from(blob)
+        magic, version, _, _, n_versions, n_intervals = v2_fields.unpack_from(V2_IMAGE)
         assert (magic, version) == (b"RSEG", 2)
-        body = blob[v2_fields.size + 4 :]
-        assert len(body) == n_versions + n_intervals
+        assert len(V2_IMAGE) == v2_fields.size + 4 + n_versions + n_intervals
+        with pytest.raises(SegmentError, match=r"version-3 spill segment \(version 2\)"):
+            decode_segment(V2_IMAGE)
+
+    def test_version_1_image_is_refused(self):
+        """The format before that: three section lengths in the header,
+        the third a ``pack_columnar`` blob of the evicted transactions
+        (empty when a cycle evicted none)."""
+        v2_fields = struct.Struct("!4sHqqQQ")
+        magic, _, min_ts, max_ts, n_versions, n_intervals = v2_fields.unpack_from(V2_IMAGE)
+        body = V2_IMAGE[v2_fields.size + 4 :]
         fields = struct.pack("!4sHqqQQQ", magic, 1, min_ts, max_ts, n_versions, n_intervals, 0)
         v1 = fields + struct.pack("!I", zlib.crc32(body, zlib.crc32(fields))) + body
-        with pytest.raises(SegmentError, match="version-2"):
+        with pytest.raises(SegmentError, match=r"version-3 spill segment \(version 1\)"):
             decode_segment(v1)
 
     def test_foreign_file_raises(self):
