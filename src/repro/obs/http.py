@@ -9,10 +9,9 @@ close``) — scrape intervals dwarf connection setup, and a
 one-connection-per-request server cannot leak per-connection state.
 
 Handlers are async callables returning ``(status, content_type,
-body_bytes)``; they run on the daemon's event loop, so anything that
-must touch the checker under its ingest lock hops through the same
-worker-thread executor the wire requests use (the daemon wires that
-up, not this module).
+body_bytes)``; they run on the daemon's event loop, the thread that
+also runs the checker, so a handler reads checker state directly and
+is served between kernel batches, as wire requests are.
 """
 
 from __future__ import annotations

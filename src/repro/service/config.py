@@ -75,7 +75,7 @@ class ServiceConfig:
     #: Seconds the ``deep_sizeof`` byte estimate stays cached.  Wire
     #: STATS requests and ``/metrics`` scrapes share the cached figure so
     #: a scrape loop cannot stall ingest by re-walking the checker's
-    #: structures under the ingest lock on every request; 0 disables the
+    #: structures on the event loop on every request; 0 disables the
     #: cache (every request re-measures).
     stats_bytes_ttl: float = 2.0
     #: Sample per-stage kernel wall times on every Nth drained batch

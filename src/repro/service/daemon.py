@@ -33,6 +33,7 @@ import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -226,7 +227,7 @@ class CheckerService:
             # leak the spill directory: release checker resources after
             # the sockets are already dead.
             try:
-                await self._ingest.run(self._ingest.locked, self.checker.close)
+                self.checker.close()
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
         finally:
@@ -269,8 +270,8 @@ class CheckerService:
                 self._send(writer, {"type": "bye"})
             for writer in list(self._connections):
                 self._close_writer(writer)
-            self.final_stats = await self._ingest.run(self.stats, False)
-            await self._ingest.run(self._ingest.locked, self.checker.close)
+            self.final_stats = self.stats(False)
+            self.checker.close()
             return result
         finally:
             self._mark_stopped()
@@ -440,7 +441,7 @@ class CheckerService:
                     self._send(writer, push)
             self._subscribers.add(writer)
         elif kind == "stats":
-            stats = await self._ingest.run(self.stats, bool(message.get("bytes", True)))
+            stats = self.stats(bool(message.get("bytes", True)))
             self._send(writer, {"type": "stats", "seq": seq, "stats": stats})
         elif kind == "drain":
             processed = await self._ingest.drain()
@@ -587,7 +588,7 @@ class CheckerService:
         return self._status.health()
 
     async def _http_metrics(self) -> Tuple[int, str, bytes]:
-        body = (await self._ingest.run(self._status.render_metrics)).encode("utf-8")
+        body = self._status.render_metrics().encode("utf-8")
         return 200, "text/plain; version=0.0.4; charset=utf-8", body
 
     async def _http_health(self) -> Tuple[int, str, bytes]:
@@ -596,7 +597,7 @@ class CheckerService:
         return (200 if ok else 503), "application/json", body
 
     async def _http_stats(self) -> Tuple[int, str, bytes]:
-        stats = await self._ingest.run(self.stats, True)
+        stats = self.stats(True)
         body = (json.dumps(stats, indent=2, default=str) + "\n").encode("utf-8")
         return 200, "application/json", body
 
@@ -685,8 +686,10 @@ class ServiceThread:
                             break
                         if time.monotonic() >= deadline:
                             raise
-            except RuntimeError:
-                # The loop already exited (a client shut the daemon down).
+            except (RuntimeError, FutureCancelled):
+                # The loop already exited, or is exiting and cancelled the
+                # hand-off with its other tasks (a client shut the daemon
+                # down).
                 pass
         self._thread.join(timeout)
         return self.service.final_result
@@ -704,9 +707,8 @@ class ServiceThread:
             try:
                 future = asyncio.run_coroutine_threadsafe(self.service.abort(), self._loop)
                 future.result(timeout)
-            except RuntimeError:
-                # The loop already exited (a client shut the daemon down).
-                pass
+            except (RuntimeError, FutureCancelled):
+                pass  # the loop already exited or is exiting, as in stop()
         self._thread.join(timeout)
 
     def __enter__(self) -> "ServiceThread":

@@ -13,7 +13,7 @@ arrived in::
     subscribers ◀──broadcast── drain task: what one cycle drained is ONE
                                      │ receive_many() (concatenated when
                                      │ it drained several entries), then
-                                     ▼ poll() — ingest lock, worker thread
+                                     ▼ poll() — in line, on the loop thread
                                Aion / AionSer / ShardedAion
 
 Three properties carry the correctness story over from the library:
@@ -26,16 +26,25 @@ Three properties carry the correctness story over from the library:
   readers stop consuming their sockets and producers block on TCP,
   instead of the daemon buffering unboundedly (the paper's collector
   applies the same admission discipline in batches);
-- **serialized ingestion** — one drain task hands batches to
-  ``receive_many`` under the ingest lock, so the wire adds concurrency
+- **serialized ingestion** — every checker touch (ingest, poll, GC,
+  finalize, stats reads, close) runs on the event-loop thread, and only
+  the drain task feeds ``receive_many``, so the wire adds concurrency
   around the checker, never inside it, and verdicts are identical to
   in-process checking (``tests/test_service.py`` proves it
   differentially; the kernel's batch-split invariance, proved by
   ``tests/test_batch_kernel.py``, is what makes concatenation safe).
 
+The drain task checks in line and yields to the loop once per cycle.
+A cycle is at most ``batch_size`` transactions (admission slices to
+it), so other connections, pings, STATS and the HTTP sidecar wait for
+at most one kernel batch or one GC cycle.  No worker thread is used:
+the kernel holds the GIL, so a thread would only let the loop keep
+filling the queue while the batch is checked — every later submit then
+waits behind that backlog, and its verdict with it.
+
 :class:`IngestPipeline` owns the queue, the drain and idle-tick tasks,
-the ingest lock, between-batch GC, the fresh-violation poll, and the
-live instruments and counters those feed.  Nothing else writes them.
+between-batch GC, the fresh-violation poll, and the live instruments
+and counters those feed.  Nothing else writes them.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import math
 import sys
-import threading
 import time
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -130,7 +138,7 @@ class _IngestQueue:
 
 
 class IngestPipeline:
-    """Queue, drain loop, idle tick and the checker behind one lock."""
+    """Queue, drain loop, idle tick and the checker they feed."""
 
     def __init__(
         self,
@@ -142,10 +150,6 @@ class IngestPipeline:
         self.config = config
         self.checker = checker
         self._broadcast = broadcast
-        # Every checker touch — ingest, poll, stats reads, GC, finalize —
-        # happens under this lock, so worker-thread ingestion and
-        # loop-thread reads never interleave.
-        self.lock = threading.Lock()
         self.queue = _IngestQueue(config.queue_capacity)
         self._drain_task: Optional[asyncio.Task] = None
         self._tick_task: Optional[asyncio.Task] = None
@@ -159,10 +163,7 @@ class IngestPipeline:
         self.gc_evicted = {"versions": 0, "intervals": 0, "txns": 0}
         self.ingest_errors = 0
         self.last_ingest_error: Optional[str] = None
-        #: Written by the drain loop (event-loop thread), snapshotted by
-        #: stats() (worker thread) — hence the lock.
         self._throughput = ThroughputSeries()
-        self._throughput_lock = threading.Lock()
         #: Monotonic stamps of the last completed drain cycle / idle EXT
         #: poll, feeding the ``/health`` freshness components.
         self.last_drain_at: Optional[float] = None
@@ -242,42 +243,27 @@ class IngestPipeline:
         """Wait until everything admitted so far is checked; returns the
         checker's processed count."""
         await self.queue.join()
-        return await self.run(self.locked, lambda: self.checker.processed)
+        return self.checker.processed
 
     async def finalize(self) -> CheckResult:
         """Drain, force-finalize pending EXT verdicts, push what that
         finalized."""
         await self.queue.join()
-        result = await self.run(self.locked, self.checker.finalize)
-        await self._broadcast(await self.run(self._fresh_violation_messages))
+        result = self.checker.finalize()
+        await self._broadcast(self._fresh_violation_messages())
         return result
 
-    async def run(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run a checker-touching callable on a worker thread.
-
-        Keeps the event loop responsive while a batch is checked — other
-        connections keep submitting (until the queue bound bites) and
-        stats/ping stay answerable.
-        """
-        return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
-
-    def locked(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run ``fn`` under the ingest lock (for worker-thread dispatch).
-
-        Every checker touch goes through a worker thread rather than
-        acquiring the lock on the event loop: a large batch can hold the
-        lock for a long time, and the loop must keep serving pings,
-        stats, and fresh submissions meanwhile.
-        """
-        with self.lock:
-            return fn(*args)
-
     def throughput(self) -> Dict[str, Any]:
-        with self._throughput_lock:
-            return self._throughput.snapshot()
+        return self._throughput.snapshot()
 
     async def _drain_loop(self) -> None:
-        """Pull queued batches, check one batch per cycle, push verdicts."""
+        """Pull queued batches, check one batch per cycle, push verdicts.
+
+        Nothing in a cycle suspends while entries are queued — ``get()``
+        returns at once, and GC and the broadcast never await I/O — so
+        the yield after each cycle is what lets the rest of the loop run
+        between kernel batches.
+        """
         queue = self.queue
         batch_size = self.config.batch_size
         while True:
@@ -293,6 +279,7 @@ class IngestPipeline:
                 await self._check(entries, total)
             finally:
                 queue.task_done(len(entries))
+            await asyncio.sleep(0)
 
     async def _check(self, entries: List[_Entry], total: int) -> None:
         # Small submits from many producers become one kernel batch:
@@ -303,10 +290,10 @@ class IngestPipeline:
         else:
             batch = ColumnarBatch.concat(entry[0] for entry in entries)
         try:
-            # One worker-thread hop checks the batch AND polls for fresh
-            # violations — a separate poll hop measurably costs wire
-            # throughput under GIL contention.
-            fresh = await self.run(self._check_locked, batch)
+            # A raised ingest error leaves any fresh violations to the
+            # next poll.
+            self.checker.receive_many(batch)
+            fresh = self._fresh_violation_messages()
         except Exception as exc:
             # Admission refuses what the checkers are known to refuse;
             # anything else that makes receive_many raise must still not
@@ -323,17 +310,16 @@ class IngestPipeline:
         done_at = time.monotonic()
         self.last_drain_at = done_at
         self.kernel_batch_size.observe(total)
-        with self._throughput_lock:
-            self._throughput.record(done_at - self.started_at, total)
+        self._throughput.record(done_at - self.started_at, total)
         # Close the submit→verdict histogram: every queue entry was
         # stamped at submit decode, and its verdicts (synchronous ones,
-        # plus this batch's re-evaluations) are emitted by the hop that
+        # plus this batch's re-evaluations) are emitted by the call that
         # just returned.  Weighted by transactions so producers with
         # different submit sizes aggregate comparably.
         for entry, stamp in entries:
             self.latency.observe(done_at - stamp, len(entry))
         try:
-            await self._maybe_collect()
+            self._maybe_collect()
             await self._broadcast(fresh)
         except Exception as exc:
             # GC (which may spill to disk) or a push failing must not
@@ -355,7 +341,7 @@ class IngestPipeline:
         while True:
             await asyncio.sleep(self.config.poll_interval)
             try:
-                await self._broadcast(await self.run(self._fresh_violation_messages))
+                await self._broadcast(self._fresh_violation_messages())
                 self.last_poll_at = time.monotonic()
             except Exception as exc:
                 print(
@@ -363,34 +349,22 @@ class IngestPipeline:
                     file=sys.stderr,
                 )
 
-    def _check_locked(self, batch: ColumnarBatch) -> List[Dict[str, Any]]:
-        """Check one batch, then poll — one executor trip.  A raised
-        ingest error leaves any fresh violations to the next poll."""
-        with self.lock:
-            self.checker.receive_many(batch)
-        return self._fresh_violation_messages()
-
     def _fresh_violation_messages(self) -> List[Dict[str, Any]]:
-        with self.lock:
-            fresh = self.checker.poll()
+        fresh = self.checker.poll()
         self.pushed_violations += len(fresh)
         return [{"type": "violation", "violation": violation_to_dict(v)} for v in fresh]
 
-    async def _maybe_collect(self) -> None:
-        if self.config.gc_threshold <= 0:
-            return
-        report = await self.run(self.locked, self._collect)
-        if report is not None:
-            self.gc_cycles += 1
-            self.gc_seconds += report.seconds
-            self.gc_evicted["versions"] += report.evicted_versions
-            self.gc_evicted["intervals"] += report.evicted_intervals
-            self.gc_evicted["txns"] += report.evicted_txns
-            self.gc_pause.observe(report.seconds)
-
-    def _collect(self) -> Optional[Any]:
+    def _maybe_collect(self) -> None:
         checker, config = self.checker, self.config
-        if checker.resident_txn_count < config.gc_threshold:
-            return None
+        if config.gc_threshold <= 0 or checker.resident_txn_count < config.gc_threshold:
+            return
         target = checker.suggest_gc_ts(keep_recent=config.effective_gc_keep_recent)
-        return None if target is None else checker.collect_below(target)
+        if target is None:
+            return
+        report = checker.collect_below(target)
+        self.gc_cycles += 1
+        self.gc_seconds += report.seconds
+        self.gc_evicted["versions"] += report.evicted_versions
+        self.gc_evicted["intervals"] += report.evicted_intervals
+        self.gc_evicted["txns"] += report.evicted_txns
+        self.gc_pause.observe(report.seconds)

@@ -97,8 +97,8 @@ def replay_transactions(
     )
     if collect_stats:
         # Cheap mode: skip the estimated_bytes deep-sizeof walk, which
-        # runs under the daemon's ingest lock and stalls other producers
-        # on a large resident set (nothing here prints it anyway).
+        # runs on the daemon's event loop and stalls other producers on
+        # a large resident set (nothing here prints it anyway).
         report.stats = client.stats(include_bytes=False)
     if finalize:
         report.result = client.finalize()

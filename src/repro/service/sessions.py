@@ -6,9 +6,7 @@
 exactly-once, and the resume stamps behind the ``resume_storm`` health
 component.  The wire contract (token grammar, ``resume_from``, the
 ``session`` object of the v2 ``welcome``) is in
-:mod:`repro.service.protocol`.  Event-loop thread only, except
-:meth:`SessionTable.snapshot` / :meth:`SessionTable.recent_resumes`,
-which the status view also calls from worker threads.
+:mod:`repro.service.protocol`.  Event-loop thread only.
 """
 
 from __future__ import annotations
@@ -138,20 +136,9 @@ class SessionTable:
             session.acked_seq = seq
 
     def recent_resumes(self, now: float) -> int:
-        """Session resumes inside the sliding resume-storm window.
-
-        The stamp deque is appended on the event loop but read here from
-        worker threads too; copy before filtering so a concurrent append
-        cannot fault the iteration.
-        """
-        while True:
-            try:
-                stamps = list(self._resume_stamps)
-                break
-            except RuntimeError:  # pragma: no cover - appended mid-copy
-                continue
+        """Session resumes inside the sliding resume-storm window."""
         cutoff = now - self._storm_window
-        return sum(1 for stamp in stamps if stamp >= cutoff)
+        return sum(1 for stamp in self._resume_stamps if stamp >= cutoff)
 
     def snapshot(self) -> Dict[str, int]:
         """The ``stats()["sessions"]`` object."""

@@ -3,18 +3,18 @@
 One snapshot feeds every introspection surface — the wire ``STATS``
 reply, the CLI's exit summary, the HTTP sidecar's ``/stats`` and
 ``/metrics`` — so they cannot disagree.  :class:`StatusView` assembles
-it from what each part of the daemon owns (the checker under the ingest
-lock, the pipeline's and the session table's counters, the connection
-edge's facts), and :data:`_FAMILIES` declares each mirrored ``/metrics``
-family exactly once: the row that registers a family also says where
-its value sits in the snapshot.  Mirroring at scrape time keeps the
-ingest path free of metric calls — hot-path counters stay plain ints.
+it from what each part of the daemon owns (the checker, the pipeline's
+and the session table's counters, the connection edge's facts) on the
+event-loop thread that also runs the checker, and :data:`_FAMILIES`
+declares each mirrored ``/metrics`` family exactly once: the row that
+registers a family also says where its value sits in the snapshot.
+Mirroring at scrape time keeps the ingest path free of metric calls —
+hot-path counters stay plain ints.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -214,11 +214,10 @@ class StatusView:
         #: it runs.
         self.host_gc = HostGcMeter()
         #: ``(value, measured_at)`` cache for ``estimated_bytes`` — the
-        #: deep-sizeof walk runs under the ingest lock, so wire STATS and
-        #: ``/metrics`` share one measurement per TTL window instead of
-        #: stalling ingest per request.
+        #: deep-sizeof walk runs on the loop between kernel batches, so
+        #: wire STATS and ``/metrics`` share one measurement per TTL
+        #: window instead of stalling ingest per request.
         self._bytes_cache: Optional[Tuple[int, float]] = None
-        self._bytes_cache_lock = threading.Lock()
         # Registered once, up front, so ``/metrics`` presents a stable
         # catalog from the first scrape (absent shards excepted).
         self._mirrors = [
@@ -233,20 +232,18 @@ class StatusView:
     def _estimated_bytes_cached(self) -> int:
         """The checker's deep-size estimate, cached for ``stats_bytes_ttl``.
 
-        The measurement itself is O(resident state) *under the ingest
-        lock*; wire STATS requests and ``/metrics`` scrapes both land
-        here, so one measurement per TTL window serves every consumer and
-        a scrape loop cannot stall ingest.  Runs on a worker thread.
+        The measurement itself is O(resident state) and runs on the event
+        loop, where the drain task checks; wire STATS requests and
+        ``/metrics`` scrapes both land here, so one measurement per TTL
+        window serves every consumer and a scrape loop cannot stall
+        ingest.
         """
         ttl = self._config.stats_bytes_ttl
-        with self._bytes_cache_lock:
-            cached = self._bytes_cache
-            if cached is not None and ttl > 0 and time.monotonic() - cached[1] < ttl:
-                return cached[0]
-        with self._ingest.lock:
-            value = self._checker.estimated_bytes()
-        with self._bytes_cache_lock:
-            self._bytes_cache = (value, time.monotonic())
+        cached = self._bytes_cache
+        if cached is not None and ttl > 0 and time.monotonic() - cached[1] < ttl:
+            return cached[0]
+        value = self._checker.estimated_bytes()
+        self._bytes_cache = (value, time.monotonic())
         return value
 
     def stats(self, include_bytes: bool = True) -> _Stats:
@@ -268,16 +265,9 @@ class StatusView:
         """
         config, checker, ingest = self._config, self._checker, self._ingest
         estimated_bytes = self._estimated_bytes_cached() if include_bytes else None
-        with ingest.lock:
-            resident = checker.resident_txn_count
-            pending_txns = checker.pending_ext_txns
-            processed = checker.processed
-            violations = len(checker.result.violations)
-            kernel = checker.kernel_stats.as_dict()
-            pending_reads = checker.pending_ext_reads
-            shard_stats = getattr(checker, "shard_stats", None)
-            shards = shard_stats() if shard_stats is not None else None
-            spill = checker.spill_store
+        kernel = checker.kernel_stats.as_dict()
+        shard_stats = getattr(checker, "shard_stats", None)
+        spill = checker.spill_store
         sizes = ingest.kernel_batch_size
         _counts, size_sum, cycles = sizes.snapshot()
         kernel["batch_size"] = {
@@ -295,13 +285,16 @@ class StatusView:
             "level": config.level,
             "uptime_s": round(time.monotonic() - ingest.started_at, 3),
             "received": ingest.received,
-            "processed": processed,
+            "processed": checker.processed,
             "queue_depth": ingest.queue.qsize(),
             "queue_high_water": ingest.queue.high_water,
             "queue_capacity": config.queue_capacity,
-            "resident_txns": resident,
-            "ext": {"pending_txns": pending_txns, "pending_reads": pending_reads},
-            "violations": violations,
+            "resident_txns": checker.resident_txn_count,
+            "ext": {
+                "pending_txns": checker.pending_ext_txns,
+                "pending_reads": checker.pending_ext_reads,
+            },
+            "violations": len(checker.result.violations),
             "subscribers": edge["subscribers"],
             "subscribers_shed": edge["subscribers_shed"],
             "connections": edge["connections"],
@@ -322,7 +315,7 @@ class StatusView:
                 "reloads": spill.reload_count if spill is not None else 0,
             },
             "host_gc": self.host_gc.snapshot(),
-            "shards": shards,
+            "shards": shard_stats() if shard_stats is not None else None,
             "slow_batches": {
                 "total": self._slow_batch_log.total,
                 "recent": self._slow_batch_log.tail(3),
@@ -344,9 +337,8 @@ class StatusView:
     def health(self) -> Tuple[bool, Dict[str, Any]]:
         """Componentized liveness: ``(overall ok, JSON-ready detail)``.
 
-        Designed to run on the event loop without touching the checker
-        (no ingest-lock hop): every input is either task state or a
-        counter the loop thread already owns.  Components:
+        Never touches the checker: every input is either task state or
+        a counter the loop thread already owns.  Components:
 
         - ``drain`` — the drain task has not died (a dead one means
           acked transactions will never be checked);

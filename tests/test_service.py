@@ -47,6 +47,7 @@ from repro.service import (
     replay_transactions,
     transactions_in_commit_order,
 )
+from repro.service.client import http_get_text
 from repro.service.protocol import (
     ProtocolError,
     decode_line,
@@ -394,7 +395,7 @@ class TestDaemon:
         with connect(handle) as control:
             thread.start()
             deadline = time.monotonic() + 10.0
-            while handle.service.stats(include_bytes=False)["queue_depth"] == 0:
+            while control.stats(include_bytes=False)["received"] == 0:
                 assert time.monotonic() < deadline, "the producer never queued anything"
                 time.sleep(0.005)
             final = control.shutdown()
@@ -405,6 +406,62 @@ class TestDaemon:
         assert checker.processed == admitted
         assert result_to_dict(final)["violations"] == in_process_ordered(txns[:admitted])
         assert handle.stop(timeout=10.0).violations == final.violations
+
+    def test_one_thread_touches_the_checker(self, start_service):
+        # Ingest, poll, GC, the bytes estimate behind STATS and /metrics,
+        # finalize and close all run on the daemon's event-loop thread.
+        handle = start_service(gc_threshold=200, gc_keep_recent=50, batch_size=50, http_port=0)
+        checker = handle.service.checker
+        touched = {}
+        for name in ("receive_many", "poll", "collect_below", "finalize", "estimated_bytes",
+                     "close"):
+
+            def spy(*args, _name=name, _real=getattr(checker, name), **kwargs):
+                touched.setdefault(_name, set()).add(threading.get_ident())
+                return _real(*args, **kwargs)
+
+            setattr(checker, name, spy)
+        txns = faulted_stream(600, seed=13, faults=8)
+        with connect(handle) as client:
+            client.submit_many(txns)
+            client.drain()
+            assert client.stats()["estimated_bytes"] > 0
+            status, _ = http_get_text(*handle.http_address, "/metrics")
+            assert status == 200
+            final = client.shutdown()
+        assert not final.is_valid
+        handle.stop()
+        assert set(touched) == {
+            "receive_many", "poll", "collect_below", "finalize", "estimated_bytes", "close"
+        }
+        loop_thread = handle._thread.ident
+        assert all(idents == {loop_thread} for idents in touched.values()), touched
+
+    def test_loop_is_served_between_kernel_batches(self, start_service):
+        # 200 slow kernel batches are queued at once; the drain task
+        # yields after each one, so a ping on another connection is
+        # answered long before the queue empties.
+        handle = start_service(batch_size=10, queue_capacity=100_000)
+        checker = handle.service.checker
+        real = checker.receive_many
+        checking = threading.Event()
+
+        def slow(batch):
+            checking.set()
+            time.sleep(0.02)
+            return real(batch)
+
+        checker.receive_many = slow
+        txns = faulted_stream(2000, seed=17, faults=4)
+        with connect(handle) as producer, connect(handle) as probe:
+            # One frame: it is admitted whole before the first batch is
+            # checked.
+            producer.submit_many(txns, ack=False)
+            assert checking.wait(10.0)
+            probe.ping()
+            assert checker.processed < 1000
+            checker.receive_many = real
+            producer.drain()
 
     def test_backpressure_small_queue(self, start_service):
         handle = start_service(queue_capacity=4, batch_size=3)
