@@ -56,6 +56,21 @@ def _run_recheck_ablation():
     return rows
 
 
+def _force_gc_margin(checker, margin):
+    """Make ``checker.suggest_gc_ts`` use ``margin`` whatever its caller
+    passes (the runner passes its own ``keep_recent=``); returns the list
+    of margins the checker's own method then received."""
+    received = []
+    original = checker.suggest_gc_ts
+
+    def spy(keep_recent):
+        received.append(keep_recent)
+        return original(keep_recent)
+
+    checker.suggest_gc_ts = lambda keep_recent=None: spy(margin)  # type: ignore[method-assign]
+    return received
+
+
 def _run_gc_margin_ablation():
     n = pick(3_000, 15_000, 100_000)
     history = cached_default_history(
@@ -71,10 +86,10 @@ def _run_gc_margin_ablation():
         runner = OnlineRunner(
             checker, clock, gc_policy=GcPolicy.CHECKING_GC, gc_threshold=threshold
         )
-        # Patch the margin the runner passes to suggest_gc_ts.
-        original = checker.suggest_gc_ts
-        checker.suggest_gc_ts = lambda keep_recent=margin, _o=original: _o(keep_recent)  # type: ignore[method-assign]
+        received = _force_gc_margin(checker, margin)
         report = runner.run_capacity(schedule)
+        # Every GC decision of this row used this row's margin.
+        assert received and set(received) == {margin}, (margin, sorted(set(received)))
         store = checker.spill_store
         rows.append(
             {

@@ -1,11 +1,13 @@
 """PEP 562 lazy re-exports for the package ``__init__`` modules.
 
-``repro``, ``repro.core`` and ``repro.histories`` re-export their public
-names, but importing a package must not import every module behind those
-names: ``python -m repro check`` would pay for the online checkers and
-the daemon before ``argparse`` runs.  Each package maps its public names
-to their defining modules and resolves them on first access, so ``from
-repro import Aion`` works as before and costs only what ``Aion`` needs.
+``repro`` and every package under it re-export their public names, but
+importing a package must not import every module behind those names:
+``python -m repro check`` would pay for the online checkers and the
+daemon before ``argparse`` runs, and a ``repro serve`` spawn for the
+client, the replayer and the ordered indexes it never uses.  Each
+package maps its public names to their defining modules and resolves
+them on first access, so ``from repro import Aion`` works as before and
+costs only what ``Aion`` needs (``tests/test_cold_start.py`` pins it).
 """
 
 from __future__ import annotations

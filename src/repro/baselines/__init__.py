@@ -21,13 +21,7 @@ machinery in :mod:`repro.baselines.depgraph`:
   rounds with fence-derived ordering, terminating at the first violation.
 """
 
-from repro.baselines.cobra import CobraChecker, CobraConfig
-from repro.baselines.depgraph import DependencyGraph, VersionOrderError
-from repro.baselines.elle import ElleKV, ElleList
-from repro.baselines.emme import EmmeSer, EmmeSi
-from repro.baselines.polysi import PolySi
-from repro.baselines.solver import AcyclicitySolver
-from repro.baselines.viper import Viper
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AcyclicitySolver",
@@ -42,3 +36,20 @@ __all__ = [
     "VersionOrderError",
     "Viper",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "CobraChecker": "repro.baselines.cobra",
+        "CobraConfig": "repro.baselines.cobra",
+        "DependencyGraph": "repro.baselines.depgraph",
+        "VersionOrderError": "repro.baselines.depgraph",
+        "ElleKV": "repro.baselines.elle",
+        "ElleList": "repro.baselines.elle",
+        "EmmeSer": "repro.baselines.emme",
+        "EmmeSi": "repro.baselines.emme",
+        "PolySi": "repro.baselines.polysi",
+        "AcyclicitySolver": "repro.baselines.solver",
+        "Viper": "repro.baselines.viper",
+    },
+)

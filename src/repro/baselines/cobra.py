@@ -38,8 +38,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.baselines.depgraph import CycleViolation
 from repro.baselines.solver import AcyclicitySolver, Choice
 from repro.core.violations import Axiom, CheckResult, ExtViolation
@@ -192,8 +190,8 @@ class CobraChecker:
         for choice in candidates:
             _, _key, w1, w2 = choice.name
             i, j = index_of[w1], index_of[w2]
-            w1_reaches_w2 = bool(reach[i, j // 64] >> (j % 64) & 1)
-            w2_reaches_w1 = bool(reach[j, i // 64] >> (i % 64) & 1)
+            w1_reaches_w2 = reach[i] >> j & 1
+            w2_reaches_w1 = reach[j] >> i & 1
             if w1_reaches_w2 and not w2_reaches_w1:
                 for edge in choice.if_true:
                     solver.add_fixed_edge(*edge)
@@ -236,15 +234,15 @@ class CobraChecker:
     def _transitive_closure(self, txns, anchor, solver):
         """All-pairs reachability over the round's fixed edges.
 
-        Packed-bitset dynamic programming in reverse topological order:
-        ``reach[i]`` is the bit row of nodes reachable from node ``i``.
-        Quadratic-ish in the round size — Cobra's measured bottleneck.
+        Bitset dynamic programming in reverse topological order:
+        ``reach[i]`` is a Python int whose bit ``j`` is set when node
+        ``j`` is reachable from node ``i``.  Quadratic-ish in the round
+        size — Cobra's measured bottleneck.
         """
         nodes = [anchor] + [txn.tid for txn in txns]
         index_of = {node: i for i, node in enumerate(nodes)}
         n = len(nodes)
-        words = (n + 63) // 64
-        reach = np.zeros((n, words), dtype=np.uint64)
+        reach = [0] * n
         # Topological order of the fixed graph (it may contain a cycle if
         # the round is already unsatisfiable; fall back to node order).
         succ = solver._graph.succ
@@ -266,14 +264,13 @@ class CobraChecker:
         if len(topo) < n:
             topo = nodes
         for node in reversed(topo):
-            i = index_of[node]
-            row = reach[i]
+            row = 0
             for nxt in succ.get(node, ()):
                 j = index_of.get(nxt)
                 if j is None:
                     continue
-                row |= reach[j]
-                row[j // 64] |= np.uint64(1 << (j % 64))
+                row |= reach[j] | 1 << j
+            reach[index_of[node]] = row
         return reach, index_of
 
     @staticmethod

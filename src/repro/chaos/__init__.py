@@ -5,8 +5,7 @@ See :mod:`repro.chaos.schedule` for the declarative fault schedule and
 from the CLI with ``python -m repro chaos --seed N``.
 """
 
-from repro.chaos.campaign import CampaignReport, CampaignRunner, LabelOutcome
-from repro.chaos.schedule import CampaignSchedule, FaultEvent
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CampaignRunner",
@@ -15,3 +14,14 @@ __all__ = [
     "FaultEvent",
     "LabelOutcome",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "CampaignReport": "repro.chaos.campaign",
+        "CampaignRunner": "repro.chaos.campaign",
+        "LabelOutcome": "repro.chaos.campaign",
+        "CampaignSchedule": "repro.chaos.schedule",
+        "FaultEvent": "repro.chaos.schedule",
+    },
+)

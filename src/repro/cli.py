@@ -318,10 +318,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.online:
         headline, result = _check_online(args, batch)
     else:
-        from repro.core.chronos import Chronos
-        from repro.core.chronos_ser import ChronosSer
+        if args.level == "si":
+            from repro.core.chronos import Chronos
 
-        checker = Chronos() if args.level == "si" else ChronosSer()
+            checker = Chronos()
+        else:
+            from repro.core.chronos_ser import ChronosSer
+
+            checker = ChronosSer()
         result = checker.check(batch)
         report = checker.report
         # The Fig 8 decomposition: loading is the largest stage.

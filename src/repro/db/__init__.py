@@ -20,11 +20,7 @@ logs.  This package supplies a faithful in-process substitute:
   ground-truth labels, used by the §V-D violation-detection experiments.
 """
 
-from repro.db.cdc import ChangeLog
-from repro.db.engine import Database, IsolationLevel, TransactionAborted
-from repro.db.faults import FaultLabel, HistoryFaultInjector, SkewedOracle
-from repro.db.oracle import CentralizedOracle, DecentralizedOracle, HybridLogicalClock
-from repro.db.storage import MultiVersionStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CentralizedOracle",
@@ -39,3 +35,20 @@ __all__ = [
     "SkewedOracle",
     "TransactionAborted",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "ChangeLog": "repro.db.cdc",
+        "Database": "repro.db.engine",
+        "IsolationLevel": "repro.db.engine",
+        "TransactionAborted": "repro.db.engine",
+        "FaultLabel": "repro.db.faults",
+        "HistoryFaultInjector": "repro.db.faults",
+        "SkewedOracle": "repro.db.faults",
+        "CentralizedOracle": "repro.db.oracle",
+        "DecentralizedOracle": "repro.db.oracle",
+        "HybridLogicalClock": "repro.db.oracle",
+        "MultiVersionStore": "repro.db.storage",
+    },
+)

@@ -44,6 +44,9 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
+        "ColumnarBatch": "repro.core.colpack",
+        "pack_columnar": "repro.core.colpack",
+        "unpack_columnar": "repro.core.colpack",
         "ANOMALY_CATALOG": "repro.histories.anomalies",
         "AnomalySpec": "repro.histories.anomalies",
         "HistoryBuilder": "repro.histories.builder",
@@ -57,15 +60,12 @@ __getattr__, __dir__ = lazy_exports(
         "read": "repro.histories.ops",
         "read_list": "repro.histories.ops",
         "write": "repro.histories.ops",
-        "ColumnarBatch": "repro.histories.serialization",
         "history_from_jsonl": "repro.histories.serialization",
         "history_to_jsonl": "repro.histories.serialization",
         "load_history": "repro.histories.serialization",
         "load_history_packed": "repro.histories.serialization",
-        "pack_columnar": "repro.histories.serialization",
         "save_history": "repro.histories.serialization",
         "save_history_packed": "repro.histories.serialization",
-        "unpack_columnar": "repro.histories.serialization",
         "HistoryStats": "repro.histories.stats",
         "ValidationIssue": "repro.histories.validation",
         "validate_history": "repro.histories.validation",

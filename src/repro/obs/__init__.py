@@ -22,9 +22,7 @@ the differential tests in ``tests/test_obs.py`` pin that enabling every
 piece of this package never changes a verdict.
 """
 
-from repro.obs.http import HttpSidecar
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.trace import SlowBatchLog
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -34,3 +32,15 @@ __all__ = [
     "MetricsRegistry",
     "SlowBatchLog",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "HttpSidecar": "repro.obs.http",
+        "Counter": "repro.obs.registry",
+        "Gauge": "repro.obs.registry",
+        "Histogram": "repro.obs.registry",
+        "MetricsRegistry": "repro.obs.registry",
+        "SlowBatchLog": "repro.obs.trace",
+    },
+)

@@ -14,11 +14,7 @@
   (arrival-paced, for the flip-flop experiments of Figs 13/14/17–21).
 """
 
-from repro.online.clock import SimClock
-from repro.online.collector import ArrivalSchedule, HistoryCollector
-from repro.online.delays import DelayModel, NoDelay, NormalDelay
-from repro.online.metrics import MemorySampler, ThroughputSeries
-from repro.online.runner import GcPolicy, OnlineRunReport, OnlineRunner
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ArrivalSchedule",
@@ -33,3 +29,20 @@ __all__ = [
     "SimClock",
     "ThroughputSeries",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "SimClock": "repro.online.clock",
+        "ArrivalSchedule": "repro.online.collector",
+        "HistoryCollector": "repro.online.collector",
+        "DelayModel": "repro.online.delays",
+        "NoDelay": "repro.online.delays",
+        "NormalDelay": "repro.online.delays",
+        "MemorySampler": "repro.online.metrics",
+        "ThroughputSeries": "repro.online.metrics",
+        "GcPolicy": "repro.online.runner",
+        "OnlineRunReport": "repro.online.runner",
+        "OnlineRunner": "repro.online.runner",
+    },
+)

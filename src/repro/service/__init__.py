@@ -15,11 +15,7 @@ running daemon.  ``python -m repro serve`` / ``python -m repro replay``
 expose the pair on the command line.
 """
 
-from repro.service.client import CheckerClient, ServiceError
-from repro.service.config import ServiceConfig
-from repro.service.daemon import CheckerService, ServiceThread
-from repro.service.protocol import PROTOCOL_VERSION, PROTOCOL_VERSIONS, ProtocolError
-from repro.service.replay import ReplayReport, replay_transactions, transactions_in_commit_order
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -34,3 +30,20 @@ __all__ = [
     "replay_transactions",
     "transactions_in_commit_order",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "CheckerClient": "repro.service.client",
+        "ServiceError": "repro.service.client",
+        "ServiceConfig": "repro.service.config",
+        "CheckerService": "repro.service.daemon",
+        "ServiceThread": "repro.service.daemon",
+        "PROTOCOL_VERSION": "repro.service.protocol",
+        "PROTOCOL_VERSIONS": "repro.service.protocol",
+        "ProtocolError": "repro.service.protocol",
+        "ReplayReport": "repro.service.replay",
+        "replay_transactions": "repro.service.replay",
+        "transactions_in_commit_order": "repro.service.replay",
+    },
+)

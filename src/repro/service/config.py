@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.core.aion import Aion, AionConfig
-from repro.core.aion_ser import AionSer
-from repro.core.sharded import ShardedAion
+if TYPE_CHECKING:
+    from repro.core.aion import Aion
+    from repro.core.aion_ser import AionSer
+    from repro.core.sharded import ShardedAion
 
 __all__ = ["ServiceConfig"]
 
-OnlineCheckerT = Union[Aion, AionSer, ShardedAion]
+OnlineCheckerT = Union["Aion", "AionSer", "ShardedAion"]
 
 
 @dataclass
@@ -151,11 +152,21 @@ class ServiceConfig:
         return "aion" if self.level == "si" else "aion-ser"
 
     def build_checker(self, *, clock: Optional[Callable[[], float]] = None) -> OnlineCheckerT:
-        """Construct the configured online checker."""
+        """Construct the configured online checker.
+
+        Only the module of the kind built is imported, so an SI daemon
+        never compiles ``aion_ser`` or ``sharded``.
+        """
+        from repro.core.aion import Aion, AionConfig
+
         self.validate()
         aion_config = AionConfig(timeout=self.timeout)
         if self.n_shards > 1:
+            from repro.core.sharded import ShardedAion
+
             return ShardedAion(aion_config, n_shards=self.n_shards, clock=clock)
         if self.level == "si":
             return Aion(aion_config, clock=clock)
+        from repro.core.aion_ser import AionSer
+
         return AionSer(aion_config, clock=clock)

@@ -35,11 +35,10 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
+from repro.core.colpack import ColumnarBatch
 from repro.core.violations import CheckResult
-from repro.histories.serialization import ColumnarBatch, columns_from_rows
-from repro.obs.http import HttpSidecar
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SlowBatchLog
 from repro.service.config import ServiceConfig
@@ -62,6 +61,9 @@ from repro.service.protocol import (
 )
 from repro.service.sessions import SessionTable
 from repro.service.status import StatusView
+
+if TYPE_CHECKING:
+    from repro.obs.http import HttpSidecar
 
 __all__ = ["CheckerService", "ServiceThread"]
 
@@ -179,6 +181,8 @@ class CheckerService:
             self._servers.append(server)
             self.unix_path = str(config.unix_path)
         if config.http_port is not None:
+            from repro.obs.http import HttpSidecar
+
             routes = {
                 "/metrics": self._http_metrics,
                 "/health": self._http_health,
@@ -387,6 +391,10 @@ class CheckerService:
             rows = message.get("txns")
             if rows is None and message.get("txn") is not None:
                 rows = [message["txn"]]
+            # Imported here, so a daemon fed only v2 frames never
+            # compiles the history-file module.
+            from repro.histories.serialization import columns_from_rows
+
             try:
                 # Anything but a list of rows is an empty submit, which
                 # admission refuses in the same words for both codecs.

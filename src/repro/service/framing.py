@@ -11,7 +11,7 @@ prefer v1).  The short version::
 
 Exactly one message kind — ``submit`` — carries a binary payload: a u32
 acknowledgement sequence number (0 = fire-and-forget) followed by one
-:func:`~repro.histories.serialization.pack_columnar` blob, so a batch of
+:func:`~repro.core.colpack.pack_columnar` blob, so a batch of
 transactions crosses the wire as flat struct-packed columns and decodes
 straight into the checkers' batch-kernel layout.  Every other kind wraps
 the *unchanged* protocol-v1 JSON message as its payload; the kind byte
@@ -35,7 +35,7 @@ import json
 import struct
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
 
-from repro.histories.serialization import ColumnarBatch, pack_columnar, unpack_columnar
+from repro.core.colpack import ColumnarBatch, pack_columnar, unpack_columnar
 from repro.service.protocol import ProtocolError
 
 if TYPE_CHECKING:  # the client-side encoder's annotation only

@@ -55,8 +55,8 @@ import sys
 import time
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
+from repro.core.colpack import ColumnarBatch
 from repro.core.violations import CheckResult
-from repro.histories.serialization import ColumnarBatch
 from repro.obs.registry import MetricsRegistry
 from repro.online.metrics import ThroughputSeries
 from repro.service.config import ServiceConfig

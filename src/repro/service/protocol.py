@@ -21,7 +21,7 @@ and a single connection may even interleave the two codecs.  Control
 messages (everything below except ``submit``) carry their v1 JSON object
 verbatim as the frame payload; only ``submit`` is binary — a u32 ack
 sequence number followed by a columnar pack
-(:func:`repro.histories.serialization.pack_columnar`) that struct-packs
+(:func:`repro.core.colpack.pack_columnar`) that struct-packs
 the batch's tids/sids/snos/timestamps as flat arrays, interns keys in a
 per-frame string table, and tags values with 1-byte type codes.  The
 daemon decodes that blob directly into the batch kernel's columnar

@@ -17,14 +17,7 @@ All generators run their transactions through :class:`repro.db.Database`
 take explicit seeds, and return :class:`repro.histories.History`.
 """
 
-from repro.workloads.distributions import HotspotKeys, KeyChooser, UniformKeys, ZipfianKeys
-from repro.workloads.driver import InterleavedDriver, TxnProgram
-from repro.workloads.generator import generate_default_history
-from repro.workloads.list_workload import generate_list_history
-from repro.workloads.rubis import generate_rubis_history
-from repro.workloads.spec import PARAMETER_GRID, WorkloadSpec
-from repro.workloads.tpcc import generate_tpcc_history
-from repro.workloads.twitter import generate_twitter_history
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HotspotKeys",
@@ -41,3 +34,22 @@ __all__ = [
     "generate_tpcc_history",
     "generate_twitter_history",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "HotspotKeys": "repro.workloads.distributions",
+        "KeyChooser": "repro.workloads.distributions",
+        "UniformKeys": "repro.workloads.distributions",
+        "ZipfianKeys": "repro.workloads.distributions",
+        "InterleavedDriver": "repro.workloads.driver",
+        "TxnProgram": "repro.workloads.driver",
+        "generate_default_history": "repro.workloads.generator",
+        "generate_list_history": "repro.workloads.list_workload",
+        "generate_rubis_history": "repro.workloads.rubis",
+        "PARAMETER_GRID": "repro.workloads.spec",
+        "WorkloadSpec": "repro.workloads.spec",
+        "generate_tpcc_history": "repro.workloads.tpcc",
+        "generate_twitter_history": "repro.workloads.twitter",
+    },
+)
