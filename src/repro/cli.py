@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser(
         "stats", help="describe a history file or a running daemon")
     stats.add_argument("history", nargs="?", default=None,
-                       help="JSONL history file (omit to query a daemon)")
+                       help="history file, JSONL or packed (omit to query a daemon)")
     stats.add_argument("--host", default="127.0.0.1")
     stats.add_argument("--port", type=int, default=None,
                        help="query a running daemon's STATS over the wire")
@@ -292,6 +292,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load(loader, path: str):
+    """``loader(path)``, or ``None`` once an unreadable or malformed
+    history file is reported as ``error: <path>[:<line>]: <what>``."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     # Flag validation precedes the (potentially large) history load.
     if args.shards < 1:
@@ -309,10 +319,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.histories.serialization import load_columns
 
     t0 = time.perf_counter()
-    try:
-        batch = load_columns(args.history)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    batch = _load(load_columns, args.history)
+    if batch is None:
         return 2
     load_seconds = time.perf_counter() - t0
     if args.online:
@@ -375,10 +383,7 @@ def _check_online(args: argparse.Namespace, batch):
 
         checker = AionSer(AionConfig(timeout=args.timeout), clock=clock)
     runner = OnlineRunner(checker, clock)
-    if args.batch_size > 0:
-        report = runner.run_capacity_batched(schedule, batch_size=args.batch_size)
-    else:
-        report = runner.run_capacity(schedule)
+    report = runner.run_capacity(schedule, batch_size=max(1, args.batch_size))
     checker.close()
     elapsed = time.perf_counter() - t0
     shard_note = f", {args.shards} shards" if args.shards > 1 else ""
@@ -395,7 +400,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     from repro.db.faults import HistoryFaultInjector
     from repro.histories.serialization import load_history, save_history
 
-    history = load_history(args.history)
+    history = _load(load_history, args.history)
+    if history is None:
+        return 2
     injector = HistoryFaultInjector(history, seed=args.seed)
     labels = injector.inject_mix(args.faults)
     save_history(injector.build(), args.out)
@@ -489,7 +496,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.workloads.spec import WorkloadSpec
 
     if args.history is not None:
-        source = load_history(args.history)
+        source = _load(load_history, args.history)
+        if source is None:
+            return 2
     elif args.wal is not None:
         source = list(iter_wal_file(args.wal))
     elif args.anomaly is not None:
@@ -617,7 +626,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.histories.serialization import load_history
     from repro.histories.stats import HistoryStats
 
-    stats = HistoryStats.of(load_history(args.history))
+    history = _load(load_history, args.history)
+    if history is None:
+        return 2
+    stats = HistoryStats.of(history)
     print(f"transactions : {stats.n_transactions}")
     print(f"sessions     : {stats.n_sessions}")
     print(f"operations   : {stats.n_operations} ({stats.ops_per_txn:.1f} per txn)")

@@ -77,8 +77,6 @@ _HDR = struct.Struct("!III")          # n_txns, n_keys, n_ops
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _TAG_I64 = struct.Struct("!Bq")
-_TAG_F64 = struct.Struct("!Bd")
-_TAG_U32 = struct.Struct("!BI")
 _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 
@@ -268,14 +266,14 @@ class ColumnarBatch:
             )
 
 
-def _encode_value(value: Any, out: bytearray) -> None:
-    """Append one *inline* tagged value (tag byte + payload) to ``out``.
+def _encode(value: Any, tags: bytearray, ints: Optional[List[int]], out: bytearray) -> None:
+    """Append one tagged value: its tag to ``tags``, its payload to ``out``.
 
-    This is the nested-value encoding: tuple items travel through it.
-    Top-level op values use the split layout built by
-    :func:`_encode_top` instead (tag column + packed i64 column +
-    overflow stream), which shares the tag vocabulary and payload
-    encodings defined here.
+    A top-level op value passes the split columns of
+    :func:`pack_value_column` (tag column, bulk ``i64`` column ``ints``,
+    overflow stream ``out``).  A tuple item passes ``tags is out`` and
+    ``ints=None``, so its tag byte and payload (an int's included) land
+    inline, one after the other.
 
     Fidelity contract (JSONL parity): scalars carry native payloads;
     sequences become shallow tuples on decode (items that are themselves
@@ -285,168 +283,106 @@ def _encode_value(value: Any, out: bytearray) -> None:
     native tag — an extension over JSONL, which cannot encode it.
     """
     if value is None:
-        out.append(_VAL_NONE)
-    elif value is True:
-        out.append(_VAL_TRUE)
-    elif value is False:
-        out.append(_VAL_FALSE)
-    elif type(value) is int:
-        if _I64_MIN <= value <= _I64_MAX:
-            out += _TAG_I64.pack(_VAL_INT, value)
-        else:
-            payload = json.dumps(value).encode("utf-8")
-            out += _TAG_U32.pack(_VAL_JSON, len(payload))
-            out += payload
-    elif type(value) is str:
-        payload = value.encode("utf-8")
-        out += _TAG_U32.pack(_VAL_STR, len(payload))
-        out += payload
-    elif isinstance(value, (tuple, list)):
-        out += _TAG_U32.pack(_VAL_TUPLE, len(value))
-        for item in value:
-            if isinstance(item, (tuple, list, dict)):
-                # Shallow-tuple parity with the JSONL codec: nested
-                # sequences decode back as lists, dicts as dicts.
-                payload = json.dumps(item, ensure_ascii=False).encode("utf-8")
-                out += _TAG_U32.pack(_VAL_JSON, len(payload))
-                out += payload
-            else:
-                _encode_value(item, out)
-    elif isinstance(value, float):
-        out += _TAG_F64.pack(_VAL_FLOAT, value)
-    elif value is BOTTOM:
-        out.append(_VAL_BOTTOM)
-    elif isinstance(value, bool):  # bool subclasses handled above by identity
-        out.append(_VAL_TRUE if value else _VAL_FALSE)
-    elif isinstance(value, int):  # int subclasses (IntEnum, …)
-        _encode_value(int(value), out)
-    elif isinstance(value, str):  # str subclasses
-        _encode_value(str(value), out)
-    else:
-        # Anything else must survive a JSON round trip, exactly like the
-        # JSONL codec; json.dumps raising TypeError is the shared
-        # "unencodable value" contract.
-        payload = json.dumps(value, ensure_ascii=False).encode("utf-8")
-        out += _TAG_U32.pack(_VAL_JSON, len(payload))
-        out += payload
-
-
-def _encode_top(value: Any, tags: bytearray, ints: List[int], overflow: bytearray) -> None:
-    """Append one top-level op value to the split columns.
-
-    The packers inline the two overwhelmingly common cases (in-range
-    ints and ``None``) at the call site; everything else lands here.
-    The tag goes into the per-op tag column; an in-range int goes into
-    the bulk-packed i64 column; any other payload goes into the overflow
-    stream using the same per-tag payload encodings as
-    :func:`_encode_value`, minus the (redundant) inline tag byte.
-    """
-    if value is None:
         tags.append(_VAL_NONE)
     elif value is True:
         tags.append(_VAL_TRUE)
     elif value is False:
         tags.append(_VAL_FALSE)
     elif type(value) is int:
-        if _I64_MIN <= value <= _I64_MAX:
+        if not _I64_MIN <= value <= _I64_MAX:
+            _encode_json(value, tags, out)
+        elif ints is None:
+            out += _TAG_I64.pack(_VAL_INT, value)
+        else:
             tags.append(_VAL_INT)
             ints.append(value)
-        else:
-            payload = json.dumps(value).encode("utf-8")
-            tags.append(_VAL_JSON)
-            overflow += _U32.pack(len(payload))
-            overflow += payload
     elif type(value) is str:
         payload = value.encode("utf-8")
         tags.append(_VAL_STR)
-        overflow += _U32.pack(len(payload))
-        overflow += payload
+        out += _U32.pack(len(payload))
+        out += payload
     elif isinstance(value, (tuple, list)):
         tags.append(_VAL_TUPLE)
-        overflow += _U32.pack(len(value))
+        out += _U32.pack(len(value))
         for item in value:
             if isinstance(item, (tuple, list, dict)):
                 # Shallow-tuple parity with the JSONL codec: nested
                 # sequences decode back as lists, dicts as dicts.
-                payload = json.dumps(item, ensure_ascii=False).encode("utf-8")
-                overflow += _TAG_U32.pack(_VAL_JSON, len(payload))
-                overflow += payload
+                _encode_json(item, out, out)
             else:
-                _encode_value(item, overflow)
+                _encode(item, out, None, out)
     elif isinstance(value, float):
         tags.append(_VAL_FLOAT)
-        overflow += _F64.pack(value)
+        out += _F64.pack(value)
     elif value is BOTTOM:
         tags.append(_VAL_BOTTOM)
-    elif isinstance(value, bool):  # bool subclasses handled above by identity
-        tags.append(_VAL_TRUE if value else _VAL_FALSE)
-    elif isinstance(value, int):  # int subclasses (IntEnum, …)
-        _encode_top(int(value), tags, ints, overflow)
+    elif isinstance(value, int):  # int subclasses (IntEnum, …); bool cannot be subclassed
+        _encode(int(value), tags, ints, out)
     elif isinstance(value, str):  # str subclasses
-        _encode_top(str(value), tags, ints, overflow)
+        _encode(str(value), tags, ints, out)
     else:
         # Anything else must survive a JSON round trip, exactly like the
         # JSONL codec; json.dumps raising TypeError is the shared
         # "unencodable value" contract.
-        payload = json.dumps(value, ensure_ascii=False).encode("utf-8")
-        tags.append(_VAL_JSON)
-        overflow += _U32.pack(len(payload))
-        overflow += payload
+        _encode_json(value, tags, out)
 
 
-def _decode_values(buf: Buffer, offset: int, count: int) -> Tuple[List[Any], int]:
-    """Decode ``count`` tagged values; returns (values, next offset)."""
-    values: List[Any] = []
-    append = values.append
-    i64_unpack = _I64.unpack_from
-    f64_unpack = _F64.unpack_from
-    u32_unpack = _U32.unpack_from
-    end = len(buf)
-    for _ in range(count):
-        if offset >= end:
-            raise ValueError("columnar pack truncated in value stream")
-        tag = buf[offset]
-        offset += 1
-        if tag == _VAL_INT:
-            append(i64_unpack(buf, offset)[0])
-            offset += 8
-        elif tag == _VAL_STR:
-            (length,) = u32_unpack(buf, offset)
-            offset += 4
-            payload = buf[offset : offset + length]
-            if len(payload) != length:
-                raise ValueError("columnar pack truncated in string value")
-            append(str(payload, "utf-8"))
-            offset += length
-        elif tag == _VAL_NONE:
-            append(None)
-        elif tag == _VAL_TUPLE:
-            (n_items,) = u32_unpack(buf, offset)
-            offset += 4
-            if n_items > end - offset:  # each item needs >= 1 byte
-                raise ValueError("columnar pack truncated in tuple value")
-            items, offset = _decode_values(buf, offset, n_items)
-            append(tuple(items))
-        elif tag == _VAL_TRUE:
-            append(True)
-        elif tag == _VAL_FALSE:
-            append(False)
-        elif tag == _VAL_FLOAT:
-            append(f64_unpack(buf, offset)[0])
-            offset += 8
-        elif tag == _VAL_JSON:
-            (length,) = u32_unpack(buf, offset)
-            offset += 4
-            payload = buf[offset : offset + length]
-            if len(payload) != length:
-                raise ValueError("columnar pack truncated in JSON value")
-            append(json.loads(bytes(payload)))
-            offset += length
-        elif tag == _VAL_BOTTOM:
-            append(BOTTOM)
-        else:
-            raise ValueError(f"unknown value tag {tag}")
-    return values, offset
+def _encode_json(value: Any, tags: bytearray, out: bytearray) -> None:
+    payload = json.dumps(value, ensure_ascii=False).encode("utf-8")
+    tags.append(_VAL_JSON)
+    out += _U32.pack(len(payload))
+    out += payload
+
+
+def _decode_payload(tag: int, buf: Buffer, offset: int) -> Tuple[Any, int]:
+    """Decode the value of ``tag`` whose payload starts at ``offset``;
+    returns ``(value, next offset)``.
+
+    The one decoder of every tag's payload: the value column's overflow
+    stream and a tuple's inline items (tag byte, then payload) both read
+    through it.  Only the callers' fast paths — an in-range int, and at
+    top level ``None`` and a str — bypass it.
+    """
+    if tag == _VAL_STR or tag == _VAL_JSON:
+        (length,) = _U32.unpack_from(buf, offset)
+        offset += 4
+        payload = buf[offset : offset + length]
+        if len(payload) != length:
+            what = "string" if tag == _VAL_STR else "JSON"
+            raise ValueError(f"columnar pack truncated in {what} value")
+        value = str(payload, "utf-8") if tag == _VAL_STR else json.loads(bytes(payload))
+        return value, offset + length
+    if tag == _VAL_NONE:
+        return None, offset
+    if tag == _VAL_TUPLE:
+        (n_items,) = _U32.unpack_from(buf, offset)
+        offset += 4
+        end = len(buf)
+        if n_items > end - offset:  # each item needs >= 1 byte
+            raise ValueError("columnar pack truncated in tuple value")
+        items: List[Any] = []
+        append = items.append
+        i64_unpack = _I64.unpack_from
+        for _ in range(n_items):
+            if offset >= end:
+                raise ValueError("columnar pack truncated in value stream")
+            tag = buf[offset]
+            if tag == _VAL_INT:
+                append(i64_unpack(buf, offset + 1)[0])
+                offset += 9
+            else:
+                item, offset = _decode_payload(tag, buf, offset + 1)
+                append(item)
+        return tuple(items), offset
+    if tag == _VAL_TRUE:
+        return True, offset
+    if tag == _VAL_FALSE:
+        return False, offset
+    if tag == _VAL_FLOAT:
+        return _F64.unpack_from(buf, offset)[0], offset + 8
+    if tag == _VAL_BOTTOM:
+        return BOTTOM, offset
+    raise ValueError(f"unknown value tag {tag}")
 
 
 def unpack_value_column(buf: Buffer, offset: int, n_ops: int) -> Tuple[List[Any], int]:
@@ -470,9 +406,8 @@ def unpack_value_column(buf: Buffer, offset: int, n_ops: int) -> Tuple[List[Any]
         return list(ints), offset
     values: List[Any] = []
     append = values.append
-    f64_unpack = _F64.unpack_from
     u32_unpack = _U32.unpack_from
-    end = len(buf)
+    decode = _decode_payload
     next_int = 0
     for tag in tags:
         if tag == _VAL_INT:
@@ -488,32 +423,9 @@ def unpack_value_column(buf: Buffer, offset: int, n_ops: int) -> Tuple[List[Any]
                 raise ValueError("columnar pack truncated in string value")
             append(str(payload, "utf-8"))
             offset += length
-        elif tag == _VAL_TUPLE:
-            (n_items,) = u32_unpack(buf, offset)
-            offset += 4
-            if n_items > end - offset:  # each item needs >= 1 byte
-                raise ValueError("columnar pack truncated in tuple value")
-            items, offset = _decode_values(buf, offset, n_items)
-            append(tuple(items))
-        elif tag == _VAL_TRUE:
-            append(True)
-        elif tag == _VAL_FALSE:
-            append(False)
-        elif tag == _VAL_FLOAT:
-            append(f64_unpack(buf, offset)[0])
-            offset += 8
-        elif tag == _VAL_JSON:
-            (length,) = u32_unpack(buf, offset)
-            offset += 4
-            payload = buf[offset : offset + length]
-            if len(payload) != length:
-                raise ValueError("columnar pack truncated in JSON value")
-            append(json.loads(bytes(payload)))
-            offset += length
-        elif tag == _VAL_BOTTOM:
-            append(BOTTOM)
         else:
-            raise ValueError(f"unknown value tag {tag}")
+            value, offset = decode(tag, buf, offset)
+            append(value)
     return values, offset
 
 
@@ -544,7 +456,7 @@ def pack_value_column(values: Sequence[Any]) -> bytes:
         elif value is None:
             tags_append(val_none)
         else:
-            _encode_top(value, tags, ints, overflow)
+            _encode(value, tags, ints, overflow)
     return b"".join((tags, struct.pack(f"!{len(ints)}q", *ints), overflow))
 
 

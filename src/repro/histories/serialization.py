@@ -19,31 +19,35 @@ by the runtime-decomposition figures (Fig 8, 9, 24).
 unchanged, and :func:`save_history_packed` / :func:`load_history_packed`
 wrap them in length-prefixed file chunks.
 
-Both file forms decode two ways.  :func:`load_columns` — what ``repro
-check`` reads a history with — sniffs the packed magic and decodes
-either form straight into the flat columns of one :class:`ColumnarBatch`
-(:func:`columns_from_jsonl` through :func:`columns_from_rows`, a packed
-file chunk by chunk): no :class:`Operation`, no :class:`Transaction`, no
-derived views, which is all the offline checkers need.  The integer
-columns — the five header columns, the op offsets and, while every value
-is a plain 64-bit ``int``, the op values — hold machine words in the
-narrowest of two widths.  Each starts as ``array('i')`` (4 bytes) and
-becomes ``array('q')`` (8 bytes) at the first 2,048-row chunk
+Each file form has one decode path, and every reader goes through it.
+:func:`load_columns` — what ``repro check`` reads a history with —
+sniffs the packed magic and decodes either form straight into the flat
+columns of one :class:`ColumnarBatch` (:func:`columns_from_jsonl`
+through :func:`columns_from_rows`, a packed file chunk by chunk): no
+:class:`Operation`, no :class:`Transaction`, no derived views, which is
+all the offline checkers need.  The object-returning fronts
+(:func:`load_history`, :func:`load_history_packed`,
+:func:`history_from_jsonl`) are those columns handed to
+:class:`History` through :meth:`ColumnarBatch.transactions`, so they
+accept and refuse exactly what the columns do, with the same
+``<path>:<line>:`` messages.  The integer columns — the five header
+columns, the op offsets and, while every value is a plain 64-bit
+``int``, the op values — hold machine words in the narrowest of two
+widths.  Each starts as ``array('i')`` (4 bytes) and becomes
+``array('q')`` (8 bytes) at the first 2,048-row chunk
 (:data:`_PACK_CHUNK`, or one packed file chunk) holding a value past 32
 bits; ``array.fromlist`` raises :class:`OverflowError` rather than
 truncate, so a column never holds a wrong value, and a value past 64
 bits turns the value column into a list (:func:`_append_values`).  A
 register history whose integers fit in 32 bits costs about 17 bytes
-per operation once loaded.
-:func:`load_history` / :func:`load_history_packed` are the
-object-returning fronts for everything that wants a :class:`History`.
-The ``[code, key, value]`` → ``(kind, key, value)`` rule is one
-function, :func:`_decode_ops`, whichever way a transaction is decoded,
-and every decode call keeps one key memo, so a file (JSONL or packed,
-across all its chunks), a text or a submit holds one ``str`` per
-distinct key rather than one per operation.  The memo is local to the
-call: nothing outlives a load, and no key is made immortal the way
-``sys.intern`` would in a long-running daemon.
+per operation once loaded.  The ``[code, key, value]`` → ``(kind, key,
+value)`` rule is one function, :func:`_decode_ops`, which
+:func:`txn_from_dict` (one row, for the WAL reader) shares, and every
+decode call keeps one key memo, so a file (JSONL or packed, across all
+its chunks), a text or a submit holds one ``str`` per distinct key
+rather than one per operation.  The memo is local to the call: nothing
+outlives a load, and no key is made immortal the way ``sys.intern``
+would in a long-running daemon.
 
 Value fidelity of the columnar codec deliberately matches the JSONL
 codec: a top-level sequence value decodes as a *shallow* tuple (nested
@@ -86,7 +90,6 @@ __all__ = [
     "history_from_jsonl",
     "save_history",
     "load_history",
-    "iter_history_file",
     "columns_from_rows",
     "columns_from_jsonl",
     "load_columns",
@@ -412,10 +415,7 @@ def history_to_jsonl(history: History) -> str:
 
 def history_from_jsonl(text: str) -> History:
     """Decode a history from JSON Lines text (blank lines ignored)."""
-    memo: Dict[str, str] = {}
-    return History(
-        [txn_from_dict(json.loads(line), memo) for line in text.splitlines() if line.strip()]
-    )
+    return History(columns_from_jsonl(text.splitlines()).transactions())
 
 
 def save_history(history: History, path: Union[str, Path]) -> None:
@@ -428,24 +428,8 @@ def save_history(history: History, path: Union[str, Path]) -> None:
 
 
 def load_history(path: Union[str, Path]) -> History:
-    """Read a history previously written by :func:`save_history`."""
-    return History(iter_history_file(path))
-
-
-def iter_history_file(path: Union[str, Path]) -> Iterator[Transaction]:
-    """Stream transactions from a JSONL file without materializing all.
-
-    Used by the online collector to replay pre-collected logs at a
-    controlled rate (§VI-A: "we pre-collected logs and then fed historical
-    data exceeding the checkers' throughput").
-    """
-    path = Path(path)
-    memo: Dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield txn_from_dict(json.loads(line), memo)
+    """Read a history file of either form (:func:`load_columns`) as a :class:`History`."""
+    return History(load_columns(path).transactions())
 
 
 # ----------------------------------------------------------------------
@@ -481,16 +465,10 @@ def save_history_packed(
 
 def load_history_packed(path: Union[str, Path]) -> History:
     """Read a history previously written by :func:`save_history_packed`."""
-    return History(iter_history_packed(path))
-
-
-def iter_history_packed(path: Union[str, Path]) -> Iterator[Transaction]:
-    """Stream transactions from a packed history file chunk by chunk."""
     with Path(path).open("rb") as handle:
         if handle.read(len(_PACK_FILE_MAGIC)) != _PACK_FILE_MAGIC:
             raise ValueError(f"not a packed history file: {path}")
-        for batch in _packed_chunks(handle):
-            yield from batch.transactions()
+    return load_history(path)
 
 
 def _packed_chunks(handle: BinaryIO) -> Iterator[ColumnarBatch]:

@@ -13,10 +13,9 @@ paper's online figures report.  Two pacing modes:
   up — virtual time snaps to each arrival's scheduled time, so EXT
   timeout and flip-flop timings are exact functions of the delay model.
 
-A third, **batched capacity mode** feeds the checker whole collector
-batches through ``receive_many`` — the sharded ingestion frontend's
-native unit of work — with the same virtual-time accounting as capacity
-mode.
+Capacity mode hands the checker one arrival at a time by default, or
+whole collector batches (``batch_size``) — the sharded ingestion
+frontend's native unit of work — with the same virtual-time accounting.
 
 The timed modes hand the checker its input format: each arrival (or
 batch) is flattened into a :class:`~repro.core.colpack.ColumnarBatch`
@@ -111,20 +110,33 @@ class OnlineRunner:
 
     # ------------------------------------------------------------------
 
-    def run_capacity(self, schedule: ArrivalSchedule) -> OnlineRunReport:
-        """Wall-clock-paced run: measures sustainable throughput."""
+    def run_capacity(
+        self, schedule: ArrivalSchedule, *, batch_size: int = 1
+    ) -> OnlineRunReport:
+        """Wall-clock-paced run: measures sustainable throughput.
+
+        Groups consecutive arrivals into batches of ``batch_size`` (one
+        arrival each by default) and hands each to
+        :meth:`OnlineChecker.receive_many` — the checker may only start a
+        batch once its last member arrived, so virtual time first snaps to
+        that arrival and then advances by the measured cost of the batch.
+        GC policies apply between batches.
+        """
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         throughput = ThroughputSeries()
         sampler = self._make_sampler()
         gc_seconds = 0.0
         n_gc = 0
         wall_start = time.perf_counter()
 
-        for arrival_time, txn in schedule:
-            # The checker may only start once the transaction arrived.
-            self.clock.advance_to(arrival_time)
-            arrival = ColumnarBatch.from_transactions([txn])
+        arrivals = list(schedule)
+        for offset in range(0, len(arrivals), batch_size):
+            chunk = arrivals[offset : offset + batch_size]
+            self.clock.advance_to(chunk[-1][0])
+            batch = ColumnarBatch.from_transactions([txn for _, txn in chunk])
             t0 = time.perf_counter()
-            self.checker.receive_many(arrival)
+            self.checker.receive_many(batch)
             self.clock.advance(time.perf_counter() - t0)
 
             pause = self._maybe_collect()
@@ -132,9 +144,10 @@ class OnlineRunner:
                 gc_seconds += pause
                 n_gc += 1
 
-            throughput.record(self.clock.now())
+            throughput.record(self.clock.now(), count=len(batch))
             if sampler is not None:
-                sampler.maybe_sample(self.clock.now())
+                for _ in range(len(batch)):
+                    sampler.maybe_sample(self.clock.now())
 
         result = self.checker.finalize()
         return OnlineRunReport(
@@ -178,56 +191,6 @@ class OnlineRunner:
         else:
             self.clock.advance(pause * 0.5)
         return pause
-
-    def run_capacity_batched(
-        self, schedule: ArrivalSchedule, *, batch_size: int = 500
-    ) -> OnlineRunReport:
-        """Wall-clock-paced run feeding the checker whole batches.
-
-        Groups consecutive arrivals into batches of ``batch_size`` and
-        hands each to :meth:`OnlineChecker.receive_many` — the checker may
-        only start a batch once its last member arrived, so virtual time
-        first snaps to that arrival and then advances by the measured
-        cost of the batch.  GC policies apply between batches.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        throughput = ThroughputSeries()
-        sampler = self._make_sampler()
-        gc_seconds = 0.0
-        n_gc = 0
-        wall_start = time.perf_counter()
-
-        arrivals = list(schedule)
-        for offset in range(0, len(arrivals), batch_size):
-            chunk = arrivals[offset : offset + batch_size]
-            self.clock.advance_to(chunk[-1][0])
-            batch = ColumnarBatch.from_transactions([txn for _, txn in chunk])
-            t0 = time.perf_counter()
-            self.checker.receive_many(batch)
-            self.clock.advance(time.perf_counter() - t0)
-
-            pause = self._maybe_collect()
-            if pause is not None:
-                gc_seconds += pause
-                n_gc += 1
-
-            throughput.record(self.clock.now(), count=len(batch))
-            if sampler is not None:
-                for _ in range(len(batch)):
-                    sampler.maybe_sample(self.clock.now())
-
-        result = self.checker.finalize()
-        return OnlineRunReport(
-            throughput=throughput,
-            result=result,
-            n_processed=len(schedule),
-            n_gc_cycles=n_gc,
-            gc_seconds=gc_seconds,
-            wall_seconds=time.perf_counter() - wall_start,
-            virtual_seconds=self.clock.now(),
-            memory_samples=sampler.samples if sampler is not None else [],
-        )
 
     def run_tracking(self, schedule: ArrivalSchedule) -> OnlineRunReport:
         """Arrival-paced run: exact virtual timing for EXT stability."""

@@ -106,15 +106,15 @@ Server → client
 ``bye``       the server is closing this connection
 ============  =====================================================
 
-Transactions travel in the exact dict form of
-:mod:`repro.histories.serialization` (``txn_to_dict``/``txn_from_dict``),
-so WAL files, history files, and wire traffic share one schema.
-Violations are encoded by :func:`violation_to_dict`; snapshot values may
-be the unreadable ⊥v or tuples, which JSON cannot represent natively —
-:func:`value_to_wire` tags them (``{"$": "bottom"}`` /
-``{"$": "tuple", "items": [...]}``; plain JSON-object values are wrapped
-as ``{"$": "obj", "value": {...}}`` so they cannot collide with tags)
-and :func:`value_from_wire` restores the originals exactly.
+Transactions travel in the dict form of ``txn_to_dict``, the history
+files' schema; the daemon decodes a v1 ``submit`` with ``columns_from_rows``
+(:mod:`repro.histories.serialization`) into the columns a v2 frame carries.
+Violations are encoded by :func:`violation_to_dict`.  The value tags exist
+for their values: an INT or EXT violation's ``expected``/``actual`` may be
+a tuple or ⊥v (an EXT read of a never-written key expects ⊥v), which JSON
+cannot represent — :func:`value_to_wire` tags them (``{"$": "bottom"}`` /
+``{"$": "tuple", "items": [...]}``; a dict is wrapped as ``{"$": "obj",
+"value": {...}}``) and :func:`value_from_wire` restores the originals.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ from __future__ import annotations
 import json
 import re
 import secrets
-from typing import Any, Dict, List
+from dataclasses import fields
+from typing import Any, Callable, Dict
 
 from repro.core.common import BOTTOM
 from repro.core.violations import (
@@ -250,51 +251,40 @@ def value_from_wire(wire: Any) -> Any:
 # Violation encoding
 # ----------------------------------------------------------------------
 
-_KIND_SESSION = "session"
-_KIND_INT = "int"
-_KIND_EXT = "ext"
-_KIND_CONFLICT = "conflict"
-_KIND_TS_ORDER = "ts_order"
-_KIND_BASE = "violation"
+#: Each violation class's ``kind`` on the wire.  A record is ``axiom``,
+#: ``tid`` and ``kind``, then the class's own dataclass fields in
+#: declaration order; a subclass travels as the nearest class listed.
+_KIND_OF_CLASS: Dict[type, str] = {
+    SessionViolation: "session",
+    IntViolation: "int",
+    ExtViolation: "ext",
+    ConflictViolation: "conflict",
+    TimestampOrderViolation: "ts_order",
+    Violation: "violation",
+}
+_CLASS_OF_KIND = {kind: cls for cls, kind in _KIND_OF_CLASS.items()}
+#: Each class's fields past ``axiom`` and ``tid``.
+_FIELDS = {cls: [field.name for field in fields(cls)[2:]] for cls in _KIND_OF_CLASS}
+#: How a field's value is encoded and decoded when it is not JSON as it is.
+_TO_WIRE: Dict[str, Callable[[Any], Any]] = {
+    "expected": value_to_wire, "actual": value_to_wire, "conflicting_tids": sorted,
+}
+_FROM_WIRE: Dict[str, Callable[[Any], Any]] = {
+    "expected": value_from_wire, "actual": value_from_wire, "conflicting_tids": frozenset,
+}
+
+
+def _as_is(value: Any) -> Any:
+    return value
 
 
 def violation_to_dict(violation: Violation) -> Dict[str, Any]:
     """Encode one violation record for the wire."""
-    base = {"axiom": violation.axiom.value, "tid": violation.tid}
-    if isinstance(violation, SessionViolation):
-        base.update(
-            kind=_KIND_SESSION,
-            sid=violation.sid,
-            expected_sno=violation.expected_sno,
-            actual_sno=violation.actual_sno,
-            start_ts=violation.start_ts,
-            last_commit_ts=violation.last_commit_ts,
-        )
-    elif isinstance(violation, IntViolation):
-        base.update(
-            kind=_KIND_INT,
-            key=violation.key,
-            expected=value_to_wire(violation.expected),
-            actual=value_to_wire(violation.actual),
-        )
-    elif isinstance(violation, ExtViolation):
-        base.update(
-            kind=_KIND_EXT,
-            key=violation.key,
-            expected=value_to_wire(violation.expected),
-            actual=value_to_wire(violation.actual),
-        )
-    elif isinstance(violation, ConflictViolation):
-        base.update(
-            kind=_KIND_CONFLICT,
-            key=violation.key,
-            conflicting_tids=sorted(violation.conflicting_tids),
-        )
-    elif isinstance(violation, TimestampOrderViolation):
-        base.update(kind=_KIND_TS_ORDER, start_ts=violation.start_ts, commit_ts=violation.commit_ts)
-    else:
-        base.update(kind=_KIND_BASE)
-    return base
+    cls = next(filter(_KIND_OF_CLASS.__contains__, type(violation).__mro__))
+    record = {"axiom": violation.axiom.value, "tid": violation.tid, "kind": _KIND_OF_CLASS[cls]}
+    for name in _FIELDS[cls]:
+        record[name] = _TO_WIRE.get(name, _as_is)(getattr(violation, name))
+    return record
 
 
 def violation_from_dict(data: Dict[str, Any]) -> Violation:
@@ -302,46 +292,14 @@ def violation_from_dict(data: Dict[str, Any]) -> Violation:
     try:
         axiom = Axiom(data["axiom"])
         tid = data["tid"]
-        kind = data.get("kind", _KIND_BASE)
-        if kind == _KIND_SESSION:
-            return SessionViolation(
+        kind = data.get("kind", "violation")
+        cls = _CLASS_OF_KIND.get(kind) if isinstance(kind, str) else None
+        if cls is not None:
+            return cls(
                 axiom=axiom,
                 tid=tid,
-                sid=data["sid"],
-                expected_sno=data["expected_sno"],
-                actual_sno=data["actual_sno"],
-                start_ts=data["start_ts"],
-                last_commit_ts=data["last_commit_ts"],
+                **{name: _FROM_WIRE.get(name, _as_is)(data[name]) for name in _FIELDS[cls]},
             )
-        if kind == _KIND_INT:
-            return IntViolation(
-                axiom=axiom,
-                tid=tid,
-                key=data["key"],
-                expected=value_from_wire(data["expected"]),
-                actual=value_from_wire(data["actual"]),
-            )
-        if kind == _KIND_EXT:
-            return ExtViolation(
-                axiom=axiom,
-                tid=tid,
-                key=data["key"],
-                expected=value_from_wire(data["expected"]),
-                actual=value_from_wire(data["actual"]),
-            )
-        if kind == _KIND_CONFLICT:
-            return ConflictViolation(
-                axiom=axiom,
-                tid=tid,
-                key=data["key"],
-                conflicting_tids=frozenset(data["conflicting_tids"]),
-            )
-        if kind == _KIND_TS_ORDER:
-            return TimestampOrderViolation(
-                axiom=axiom, tid=tid, start_ts=data["start_ts"], commit_ts=data["commit_ts"]
-            )
-        if kind == _KIND_BASE:
-            return Violation(axiom=axiom, tid=tid)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed violation record: {exc!r}") from None
     raise ProtocolError(f"unknown violation kind {kind!r}")
@@ -363,11 +321,10 @@ def result_to_dict(result: CheckResult) -> Dict[str, Any]:
 
 def result_from_dict(data: Dict[str, Any]) -> CheckResult:
     """Decode a check result; inverse of :func:`result_to_dict`."""
+    result = CheckResult()
     try:
-        records: List[Dict[str, Any]] = data["violations"]
+        for record in data["violations"]:
+            result.add(violation_from_dict(record))
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed result record: {exc!r}") from None
-    result = CheckResult()
-    for record in records:
-        result.add(violation_from_dict(record))
     return result

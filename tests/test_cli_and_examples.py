@@ -179,6 +179,39 @@ class TestCheckCommand:
             assert captured.out == ""
             assert captured.err == f"error: {where}: duplicate transaction id 1\n"
 
+    def test_stats_and_inject_read_both_file_forms(self, faulted, tmp_path, capsys):
+        """Both read through ``load_columns``: a packed file used to be a
+        ``UnicodeDecodeError`` traceback."""
+        from repro.histories.serialization import load_history, save_history_packed
+
+        packed = tmp_path / "bad.rpch"
+        save_history_packed(load_history(faulted), packed)
+        capsys.readouterr()
+        stats, injected = [], []
+        for path in (faulted, packed):
+            assert main(["stats", str(path)]) == 0
+            stats.append(capsys.readouterr().out)
+            out = tmp_path / f"{path.name}.injected.jsonl"
+            assert main(["inject", str(path), "--seed", "0", "--out", str(out)]) == 0
+            capsys.readouterr()
+            injected.append(out.read_bytes())
+        assert stats[0] == stats[1] and "transactions : 300" in stats[0]
+        assert injected[0] == injected[1]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["inject", "--out", "unused.jsonl"], ["replay", "--port", "1", "--history"]],
+    )
+    def test_every_reader_reports_a_malformed_file(self, tmp_path, capsys, command):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(GOOD_LINE + "\n" + '{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":["wxy"]}\n')
+        for target, what in ((path, f"{path}:2: malformed ops"), (tmp_path / "absent", "")):
+            assert main([*command, str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {what}"), captured.err
+            assert "Traceback" not in captured.err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.jsonl")]) == 2
         assert capsys.readouterr().err.startswith("error: ")

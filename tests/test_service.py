@@ -11,6 +11,7 @@ into ``Aion`` / ``ShardedAion``.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import re
 import subprocess
@@ -152,6 +153,30 @@ class TestProtocol:
         assert decoded.violations == result.violations
         assert result_to_dict(CheckResult())["valid"] is True
 
+    def test_violation_record_layout(self):
+        """``axiom``, ``tid``, ``kind``, then the class's own fields in
+        declaration order — the JSON a subscriber sees, byte for byte."""
+        records = [
+            violation_to_dict(Violation(axiom=Axiom.SESSION, tid=3)),
+            violation_to_dict(SessionViolation(axiom=Axiom.SESSION, tid=4, sid=2)),
+            violation_to_dict(ExtViolation(axiom=Axiom.EXT, tid=6, key="k", expected=BOTTOM)),
+            violation_to_dict(
+                ConflictViolation(axiom=Axiom.NOCONFLICT, tid=8, key="y",
+                                  conflicting_tids=frozenset({11, 9}))
+            ),
+            violation_to_dict(TimestampOrderViolation(axiom=Axiom.TS_ORDER, tid=9, start_ts=5)),
+        ]
+        assert [json.dumps(record) for record in records] == [
+            '{"axiom": "SESSION", "tid": 3, "kind": "violation"}',
+            '{"axiom": "SESSION", "tid": 4, "kind": "session", "sid": 2, "expected_sno": -1, '
+            '"actual_sno": -1, "start_ts": -1, "last_commit_ts": -1}',
+            '{"axiom": "EXT", "tid": 6, "kind": "ext", "key": "k", "expected": {"$": "bottom"}, '
+            '"actual": null}',
+            '{"axiom": "NOCONFLICT", "tid": 8, "kind": "conflict", "key": "y", '
+            '"conflicting_tids": [9, 11]}',
+            '{"axiom": "TS_ORDER", "tid": 9, "kind": "ts_order", "start_ts": 5, "commit_ts": -1}',
+        ]
+
     def test_decode_line_rejects_garbage(self):
         with pytest.raises(ProtocolError):
             decode_line(b"not json\n")
@@ -161,6 +186,10 @@ class TestProtocol:
             decode_line(b'{"no_type": 1}\n')
         with pytest.raises(ProtocolError):
             violation_from_dict({"axiom": "EXT", "tid": 1, "kind": "nope"})
+        # A client parses a result reply from outside the process.
+        for data in ({}, 5, {"violations": 5}, {"violations": [5]}):
+            with pytest.raises(ProtocolError):
+                result_from_dict(data)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

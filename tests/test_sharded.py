@@ -352,9 +352,7 @@ class TestBatchedRunner:
 
         clock = SimClock()
         sharded = ShardedAion(AionConfig(timeout=float("inf")), n_shards=4, clock=clock)
-        report = OnlineRunner(sharded, clock).run_capacity_batched(
-            schedule, batch_size=250
-        )
+        report = OnlineRunner(sharded, clock).run_capacity(schedule, batch_size=250)
         got = normalize_violations(report.result)
         sharded.close()
 
@@ -370,7 +368,7 @@ class TestBatchedRunner:
         sharded = ShardedAion(AionConfig(timeout=float("inf")), n_shards=2, clock=clock)
         report = OnlineRunner(
             sharded, clock, gc_policy=GcPolicy.CHECKING_GC, gc_threshold=400
-        ).run_capacity_batched(schedule, batch_size=100)
+        ).run_capacity(schedule, batch_size=100)
         assert report.n_gc_cycles >= 1
         assert report.result.is_valid
         sharded.close()
@@ -379,9 +377,7 @@ class TestBatchedRunner:
         clock = SimClock()
         sharded = ShardedAion(clock=clock, n_shards=2)
         with pytest.raises(ValueError):
-            OnlineRunner(sharded, clock).run_capacity_batched(
-                self._schedule(si_history), batch_size=0
-            )
+            OnlineRunner(sharded, clock).run_capacity(self._schedule(si_history), batch_size=0)
         sharded.close()
 
 
