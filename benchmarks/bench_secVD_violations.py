@@ -13,7 +13,7 @@ Two experiments:
 from repro.bench import pick, write_result
 from repro.core.chronos import Chronos
 from repro.core.violations import Axiom
-from repro.db.faults import HistoryFaultInjector, SkewedOracle
+from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
@@ -48,7 +48,7 @@ def _run_injected():
     history = generate_default_history(
         WorkloadSpec(n_sessions=10, n_transactions=n, ops_per_txn=10, n_keys=200, seed=1112)
     )
-    injector = HistoryFaultInjector(history, seed=99)
+    injector = FaultInjector(history, seed=99)
     labels = injector.inject_mix(pick(10, 25, 50))
     mutated = injector.build()
     result = Chronos().check(mutated)

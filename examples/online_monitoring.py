@@ -18,7 +18,7 @@ Run:  python examples/online_monitoring.py
 """
 
 from repro.core.aion import Aion, AionConfig
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
@@ -61,7 +61,7 @@ def main() -> None:
     clean = generate_rubis_history(4_000, seed=99)
     monitor("healthy RUBiS deployment", clean)
 
-    injector = HistoryFaultInjector(clean, seed=13)
+    injector = FaultInjector(clean, seed=13)
     for _ in range(4):
         injector.inject_noconflict()
     monitor("deployment with lost-update bugs (injected)", injector.build())

@@ -5,7 +5,7 @@ machinery in :mod:`repro.baselines.depgraph`:
 
 - :mod:`repro.baselines.elle` — **ElleKV** / **ElleList**: infer
   dependency edges from unique values (registers) or list prefixes
-  (appends), then detect cycles with networkx.  Sound but incomplete on
+  (appends), then detect cycles depth first.  Sound but incomplete on
   registers, complete on lists — Elle's documented profile.
 - :mod:`repro.baselines.emme` — **Emme-SI** / **Emme-SER**: white-box
   version-order recovery from timestamps, then a start-ordered

@@ -29,14 +29,16 @@ Verdict conditions on a complete version order:
   copy.  A cycle in the split graph is exactly a cycle of the original
   graph in which no two RW edges are adjacent — the forbidden shape
   under SI (Cerone & Gotsman's characterization, as used by PolySI).
+
+A graph is a plain insertion-ordered ``{node: [successors]}`` dict and
+:func:`find_cycle` searches it depth first, so the baselines need
+nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.violations import (
     Axiom,
@@ -48,7 +50,55 @@ from repro.core.violations import (
 )
 from repro.histories.model import History, INIT_TID, OpKind, Transaction
 
-__all__ = ["DependencyGraph", "VersionOrderError", "CycleViolation", "dsg_is_serializable"]
+__all__ = [
+    "DependencyGraph",
+    "VersionOrderError",
+    "CycleViolation",
+    "add_edges",
+    "find_cycle",
+]
+
+#: A digraph: node -> successors, both in insertion order.
+Graph = Dict[Hashable, List[Hashable]]
+
+
+def add_edges(graph: Graph, edges: Iterable[Tuple[Hashable, Hashable]]) -> Graph:
+    """Add ``edges`` to ``graph``; an unseen endpoint becomes a node."""
+    for u, v in edges:
+        graph.setdefault(u, []).append(v)
+        graph.setdefault(v, [])
+    return graph
+
+
+def find_cycle(graph: Graph) -> Optional[List[Hashable]]:
+    """The nodes of the first cycle a depth-first search meets, or None.
+
+    Roots and successors are tried in insertion order, so which cycle is
+    reported depends only on the order nodes and edges were added (a
+    self-loop is a one-node cycle).  A repeated edge changes nothing:
+    its second traversal finds its head finished.
+    """
+    on_path: Dict[Hashable, bool] = {}  # True while on the path, then False
+    for root in graph:
+        if root in on_path:
+            continue
+        on_path[root] = True
+        path = [root]
+        stack = [iter(graph[root])]
+        while stack:
+            for node in stack[-1]:
+                state = on_path.get(node)
+                if state is None:
+                    on_path[node] = True
+                    path.append(node)
+                    stack.append(iter(graph.get(node, ())))
+                    break
+                if state:
+                    return path[path.index(node):]
+            else:
+                on_path[path.pop()] = False
+                stack.pop()
+    return None
 
 
 class VersionOrderError(ValueError):
@@ -261,12 +311,8 @@ class DependencyGraph:
     def check_ser(self, version_order: Dict[str, Sequence[int]]) -> CheckResult:
         """SER: DSG acyclicity under a known version order."""
         ww, wr, rw = self.edges_for_version_order(version_order)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(txn.tid for txn in self.history)
-        graph.add_edges_from(self.session_edges())
-        graph.add_edges_from(ww)
-        graph.add_edges_from(wr)
-        graph.add_edges_from(rw)
+        graph: Graph = {txn.tid: [] for txn in self.history}
+        add_edges(graph, self.session_edges() + ww + wr + rw)
         self._report_cycle(graph, flavor="G1c/SER")
         return self.result
 
@@ -280,12 +326,10 @@ class DependencyGraph:
         self._report_cycle(graph, flavor="G-SI", strip=_strip_split)
         return self.result
 
-    def _report_cycle(self, graph: nx.DiGraph, *, flavor: str, strip=None) -> None:
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
+    def _report_cycle(self, graph: Graph, *, flavor: str, strip=None) -> None:
+        nodes = find_cycle(graph)
+        if nodes is None:
             return
-        nodes = [edge[0] for edge in cycle]
         if strip is not None:
             seen: List[int] = []
             for node in nodes:
@@ -307,7 +351,7 @@ def build_si_split_graph(
     nodes: Iterable[int],
     dep_edges: Iterable[Tuple[int, int]],
     rw_edges: Iterable[Tuple[int, int]],
-) -> nx.DiGraph:
+) -> Graph:
     """The 2-copy construction encoding "no cycle without adjacent RWs".
 
     Nodes are ``(tid, 0)`` (normal) and ``(tid, 1)`` (just arrived via an
@@ -318,28 +362,14 @@ def build_si_split_graph(
     original graph has a cycle in which every RW edge is isolated —
     i.e. iff the history is *not* SI (given this version order).
     """
-    graph = nx.DiGraph()
+    graph: Graph = {}
     for tid in nodes:
-        graph.add_node((tid, 0))
-        graph.add_node((tid, 1))
+        graph[(tid, 0)] = []
+        graph[(tid, 1)] = []
     for u, v in dep_edges:
-        graph.add_edge((u, 0), (v, 0))
-        graph.add_edge((u, 1), (v, 0))
-    for u, v in rw_edges:
-        graph.add_edge((u, 0), (v, 1))
-    return graph
+        add_edges(graph, (((u, 0), (v, 0)), ((u, 1), (v, 0))))
+    return add_edges(graph, (((u, 0), (v, 1)) for u, v in rw_edges))
 
 
 def _strip_split(node: Tuple[int, int]) -> int:
     return node[0]
-
-
-def dsg_is_serializable(
-    nodes: Iterable[int],
-    edges: Iterable[Tuple[int, int]],
-) -> bool:
-    """Convenience acyclicity test used by tests and Cobra."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    return nx.is_directed_acyclic_graph(graph)

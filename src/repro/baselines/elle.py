@@ -18,8 +18,8 @@ test instead of timestamps:
   graph.  Sound, but weaker than checkers with full version orders.
 
 Both checkers share the cost profile the paper measures in Fig 4/5:
-linear-ish graph construction with a large constant plus networkx cycle
-detection over the whole history.
+linear-ish graph construction with a large constant plus cycle detection
+over the whole history.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.baselines.depgraph import (
     CycleViolation,
     DependencyGraph,
+    Graph,
+    add_edges,
     build_si_split_graph,
+    find_cycle,
 )
 from repro.core.violations import Axiom, CheckResult, ExtViolation
 from repro.histories.model import History, INIT_TID, OpKind, Transaction
@@ -50,12 +51,10 @@ class ElleKV:
     def check(self, history: History) -> CheckResult:
         t0 = time.perf_counter()
         graph = DependencyGraph(history)
-        dsg = nx.DiGraph()
-        dsg.add_nodes_from(txn.tid for txn in history)
-        dsg.add_edges_from(graph.session_edges())
+        dsg: Graph = {txn.tid: [] for txn in history}
+        add_edges(dsg, graph.session_edges())
         # WR edges from unique values.
-        for reader, _key, writer in graph.resolve_reads():
-            dsg.add_edge(writer, reader)
+        add_edges(dsg, ((writer, reader) for reader, _key, writer in graph.resolve_reads()))
         # Writes-follow-reads: a txn that read version v of k and also
         # wrote k must order its write after v's writer.
         writer_of_value: Dict[Tuple[str, Any], int] = {}
@@ -67,16 +66,12 @@ class ElleKV:
                 if key in txn.write_keys and op.kind is OpKind.READ:
                     observed = writer_of_value.get((key, op.value))
                     if observed is not None and observed != txn.tid:
-                        dsg.add_edge(observed, txn.tid)
+                        dsg[observed].append(txn.tid)
         self.build_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        try:
-            cycle = nx.find_cycle(dsg)
-        except nx.NetworkXNoCycle:
-            cycle = None
-        if cycle is not None:
-            tids = [edge[0] for edge in cycle]
+        tids = find_cycle(dsg)
+        if tids is not None:
             graph.result.add(
                 CycleViolation(
                     axiom=Axiom.EXT, tid=tids[0], cycle_tids=tuple(tids), flavor="G1c"
@@ -210,7 +205,7 @@ class ElleList:
         nodes = [txn.tid for txn in history]
         if self.mode == "si":
             split = build_si_split_graph(nodes, dep_edges, rw_edges)
-            cycle_nodes = self._find_cycle(split)
+            cycle_nodes = find_cycle(split)
             if cycle_nodes is not None:
                 tids = list(dict.fromkeys(node[0] for node in cycle_nodes))
                 result.add(
@@ -222,11 +217,8 @@ class ElleList:
                     )
                 )
         else:
-            dsg = nx.DiGraph()
-            dsg.add_nodes_from(nodes)
-            dsg.add_edges_from(dep_edges)
-            dsg.add_edges_from(rw_edges)
-            cycle_nodes = self._find_cycle(dsg)
+            dsg = add_edges({tid: [] for tid in nodes}, dep_edges + rw_edges)
+            cycle_nodes = find_cycle(dsg)
             if cycle_nodes is not None:
                 result.add(
                     CycleViolation(
@@ -238,14 +230,6 @@ class ElleList:
                 )
         self.check_seconds = time.perf_counter() - t0
         return result
-
-    @staticmethod
-    def _find_cycle(graph: nx.DiGraph):
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            return None
-        return [edge[0] for edge in cycle]
 
     @staticmethod
     def _version_tids(

@@ -8,7 +8,7 @@ CDC feed through a WAL file tailed by
 real checker daemon over the v2 wire — while a seeded
 :class:`~repro.chaos.schedule.CampaignSchedule` injects connection
 kills, hard daemon restarts, slow-network pauses, clock-skew bursts,
-and history-level mutations with ground-truth labels.
+and axiom-targeted mutations of the CDC batches with ground-truth labels.
 
 The campaign then asserts, in its :class:`CampaignReport`:
 
@@ -43,10 +43,10 @@ from typing import Any, Dict, IO, List, Optional, Set, Tuple
 
 from repro.chaos.schedule import CampaignSchedule
 from repro.core.reference import normalize_violations
-from repro.core.violations import CheckResult
+from repro.core.violations import Axiom, CheckResult
 from repro.db.cdc import WalTailer
 from repro.db.engine import Database, IsolationLevel
-from repro.db.faults import LiveFaultInjector, SkewedOracle
+from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.model import INIT_TID, Transaction
 from repro.histories.serialization import txn_to_dict
@@ -301,7 +301,7 @@ class CampaignRunner:
         database.initialize(f"k{i}" for i in range(self.n_keys))
         tailer = WalTailer(wal_path)
         driver = InterleavedDriver(database, self.n_sessions, seed=schedule.seed ^ 0xD81)
-        injector = LiveFaultInjector(seed=schedule.seed ^ 0x1AB)
+        injector = FaultInjector(seed=schedule.seed ^ 0x1AB)
 
         handle = ServiceThread(self._service_config(port=0)).start()
         host, port = handle.tcp_address
@@ -318,6 +318,7 @@ class CampaignRunner:
         burst_keys: Set[str] = set()
         label_tids: Set[int] = set()
         label_keys: Set[str] = set()
+        label_sids: Set[int] = set()
         kills_armed = 0
         restarts_completed = 0
 
@@ -350,13 +351,20 @@ class CampaignRunner:
                         {"segment": segment, "txns": len(seg_tids), "detected": False}
                     )
 
+                touched: Set[int] = set()
                 for event in events:
                     if event.kind != "mutate":
                         continue
-                    label = injector.inject(event.arg, batch)
+                    # One fault per transaction: a second one (a TS_ORDER
+                    # swap, say) can hide the first from the checker.
+                    window = [txn for txn in batch if txn.tid not in touched]
+                    label = injector.inject(event.arg, window)
                     if label is None:
                         skipped.append(event.arg)
                         continue
+                    mutated = {txn.tid: txn for txn in window}
+                    batch = [mutated.get(txn.tid, txn) for txn in batch]
+                    touched.update(label.tids)
                     labels.append(
                         LabelOutcome(
                             axiom=label.axiom.value,
@@ -368,6 +376,14 @@ class CampaignRunner:
                     label_tids.update(label.tids)
                     if label.key:
                         label_keys.add(label.key)
+                    if label.axiom is Axiom.TS_ORDER:
+                        # The checker installs none of the swapped writer's
+                        # writes, so its readers' EXT failures are collateral.
+                        label_keys.update(mutated[label.tids[0]].write_keys)
+                    if label.axiom in (Axiom.SESSION, Axiom.TS_ORDER):
+                        # A swapped or skipped sequence number leaves a gap
+                        # the session's next transaction is flagged for.
+                        label_sids.update(mutated[tid].sid for tid in label.tids)
                 injector.observe(batch)
 
                 chunks = [
@@ -438,7 +454,7 @@ class CampaignRunner:
                 for burst_row, (member_tids, member_sids) in zip(bursts, burst_members):
                     if tids & member_tids or (sid is not None and sid in member_sids):
                         burst_row["detected"] = True
-            elif key and (key in label_keys or key in burst_keys):
+            elif key and (key in label_keys or key in burst_keys) or sid in label_sids:
                 attributions["collateral"] += 1
             else:
                 attributions["false_positive"] += 1

@@ -19,7 +19,7 @@ Event kinds, applied by :class:`~repro.chaos.campaign.CampaignRunner`:
   skews every timestamp it issues during this segment (clock-skew bug
   class, YugabyteDB v2.17.1.0).
 - ``mutate`` — corrupt this segment's CDC batch with one
-  axiom-targeted :class:`~repro.db.faults.LiveFaultInjector` fault;
+  axiom-targeted :class:`~repro.db.faults.FaultInjector` fault;
   ``arg`` names the fault class.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Dict, List, Optional
 
-from repro.db.faults import LiveFaultInjector
+from repro.db.faults import FaultInjector
 
 __all__ = ["FaultEvent", "CampaignSchedule", "EVENT_KINDS"]
 
@@ -54,7 +54,7 @@ class FaultEvent:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.segment < 0:
             raise ValueError("segment must be >= 0")
-        if self.kind == "mutate" and self.arg not in LiveFaultInjector.CLASSES:
+        if self.kind == "mutate" and self.arg not in FaultInjector.CLASSES:
             raise ValueError(f"unknown mutation class {self.arg!r}")
 
     def to_dict(self) -> Dict[str, Any]:
@@ -130,8 +130,9 @@ class CampaignSchedule:
 
         Restarts land in distinct segments after the first (so the new
         daemon always has an acked prefix to be re-fed).  Mutations
-        avoid segment 0 (the ``noconflict`` class needs an established
-        last-writer map) and avoid skew-burst segments: a burst
+        avoid segment 0 — every class now finds a target there, but the
+        pool is kept so that existing seeds keep their schedules — and
+        avoid skew-burst segments: a burst
         scrambles the segment's commit order, so order-sensitive
         mutations there cascade session/interval violations onto
         unlabelled transactions and the ground-truth label can no
@@ -163,7 +164,7 @@ class CampaignSchedule:
             segment for segment in range(1, segments) if segment not in burst_segments
         ] or list(range(1, segments))
         for index in range(mutations):
-            fault = LiveFaultInjector.CLASSES[index % len(LiveFaultInjector.CLASSES)]
+            fault = FaultInjector.CLASSES[index % len(FaultInjector.CLASSES)]
             events.append(FaultEvent(rng.choice(mutation_pool), "mutate", fault))
         events.sort(key=lambda event: (event.segment, EVENT_KINDS.index(event.kind)))
         return cls(segments=segments, events=events, seed=seed)

@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--skew-bursts", type=int, default=1,
                        help="scheduled clock-skew burst segments")
     chaos.add_argument("--mutations", type=int, default=3,
-                       help="scheduled history-level fault injections")
+                       help="scheduled axiom-targeted mutations of CDC batches")
     chaos.add_argument("--pause-ms", type=float, default=25.0,
                        help="inter-batch sleep during a pause segment")
     chaos.add_argument("--batch-size", type=int, default=8,
@@ -397,13 +397,13 @@ def _check_online(args: argparse.Namespace, batch):
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.db.faults import HistoryFaultInjector
+    from repro.db.faults import FaultInjector
     from repro.histories.serialization import load_history, save_history
 
     history = _load(load_history, args.history)
     if history is None:
         return 2
-    injector = HistoryFaultInjector(history, seed=args.seed)
+    injector = FaultInjector(history, seed=args.seed)
     labels = injector.inject_mix(args.faults)
     save_history(injector.build(), args.out)
     print(f"injected {len(labels)} faults into {args.out}:")

@@ -16,8 +16,9 @@ logs.  This package supplies a faithful in-process substitute:
 - :mod:`repro.db.cdc` — the change-data-capture log from which
   timestamps and operations are extracted (§IV-C);
 - :mod:`repro.db.faults` — fault injection, both engine-level (clock
-  skew, disabled conflict detection) and history-level mutations with
-  ground-truth labels, used by the §V-D violation-detection experiments.
+  skew) and window-level mutations (of a held history or of live
+  batches) with ground-truth labels, used by the §V-D violation-detection
+  experiments and the chaos campaigns.
 """
 
 from repro._lazy import lazy_exports
@@ -27,8 +28,8 @@ __all__ = [
     "ChangeLog",
     "Database",
     "DecentralizedOracle",
+    "FaultInjector",
     "FaultLabel",
-    "HistoryFaultInjector",
     "HybridLogicalClock",
     "IsolationLevel",
     "MultiVersionStore",
@@ -43,8 +44,8 @@ __getattr__, __dir__ = lazy_exports(
         "Database": "repro.db.engine",
         "IsolationLevel": "repro.db.engine",
         "TransactionAborted": "repro.db.engine",
+        "FaultInjector": "repro.db.faults",
         "FaultLabel": "repro.db.faults",
-        "HistoryFaultInjector": "repro.db.faults",
         "SkewedOracle": "repro.db.faults",
         "CentralizedOracle": "repro.db.oracle",
         "DecentralizedOracle": "repro.db.oracle",

@@ -1,6 +1,6 @@
 """Fault injection for the violation-detection experiments (§V-D).
 
-Three levels of fault are provided:
+Two levels of fault are provided:
 
 - **Engine-level**: :class:`SkewedOracle` wraps a timestamp oracle and
   occasionally shifts issued timestamps into the past, reproducing the
@@ -8,32 +8,38 @@ Three levels of fault are provided:
   database still *executes* correctly in real time, but the recorded
   timestamps no longer justify the observed values, which the
   timestamp-based checkers flag (and black-box checkers may not).
-- **History-level**: :class:`HistoryFaultInjector` mutates a correct
-  history in targeted ways, one axiom per fault, returning ground-truth
-  :class:`FaultLabel` records so tests and benchmarks can assert that
-  each injected fault class is detected by the matching axiom.
-- **Stream-level**: :class:`LiveFaultInjector` applies the same
-  axiom-targeted mutations (one ``_mutate_*`` function each; only
-  NOCONFLICT differs) to transaction batches *in flight* between a
-  live engine's CDC feed and the checker daemon — the chaos campaign's
-  ground truth (see :mod:`repro.chaos`).
+- **Window-level**: :class:`FaultInjector` mutates a *window* — a list
+  of transactions, changed in place — one axiom per fault (one
+  ``_mutate_*`` function each), returning ground-truth
+  :class:`FaultLabel` records so tests, benchmarks and the chaos
+  campaign can assert that each fault class is detected by the matching
+  axiom.  A correct history is one window, held by the injector; a live
+  stream is many: batches *in flight* between a live engine's CDC feed
+  and the checker daemon (see :mod:`repro.chaos`).
 
-History-level injection first rescales all timestamps by a constant
-factor, opening integer gaps so timestamps can be perturbed without
-colliding; rescaling preserves order and therefore every verdict.
+A held history is first rescaled: all timestamps are multiplied by a
+constant factor, opening integer gaps so timestamps can be perturbed
+without colliding; rescaling preserves order and therefore every
+verdict.  Live windows are not rescaled — the campaign's oracle already
+strides its timeline (see :class:`SkewedOracle`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.violations import Axiom
 from repro.db.oracle import TimestampOracle
 from repro.histories.model import History, INIT_TID, Operation, OpKind, Transaction
 
-__all__ = ["SkewedOracle", "FaultLabel", "HistoryFaultInjector", "LiveFaultInjector"]
+#: A window: transactions an injection mutates in place.
+Window = List[Transaction]
+#: key -> (commit_ts, tid) of the latest writer seen in earlier windows.
+Observed = Dict[str, Tuple[int, int]]
+
+__all__ = ["SkewedOracle", "FaultLabel", "FaultInjector"]
 
 
 class SkewedOracle:
@@ -105,195 +111,113 @@ class FaultLabel:
         return f"injected {self.axiom.value} fault on txns {self.tids} key={self.key!r}"
 
 
-class _Injector:
-    """What both injectors share: the seeded RNG and the label list."""
+class FaultInjector:
+    """Injects labelled, axiom-targeted faults into windows of transactions.
 
-    def __init__(self, seed: int) -> None:
-        self._rng = Random(seed)
-        self.labels: List[FaultLabel] = []
-
-    def _keep(self, label: Optional[FaultLabel]) -> Optional[FaultLabel]:
-        if label is not None:
-            self.labels.append(label)
-        return label
-
-
-class HistoryFaultInjector(_Injector):
-    """Injects labelled, axiom-targeted faults into a correct history."""
-
-    #: Gap opened between consecutive timestamps by rescaling.
-    SCALE = 1000
-
-    def __init__(self, history: History, *, seed: int = 0xFA17) -> None:
-        super().__init__(seed)
-        scale = self.SCALE
-        self._txns: List[Transaction] = [
-            _replace(txn, start_ts=txn.start_ts * scale, commit_ts=txn.commit_ts * scale)
-            for txn in history.transactions
-        ]
-
-    def build(self) -> History:
-        """The mutated history with all requested faults applied."""
-        return History(self._txns)
-
-    def inject_ext(self) -> Optional[FaultLabel]:
-        """Corrupt one external read so it cannot match any frontier."""
-        return self._keep(_mutate_ext(self._rng, self._txns))
-
-    def inject_int(self) -> Optional[FaultLabel]:
-        """Append an internal read that contradicts the txn's own write."""
-        return self._keep(_mutate_int(self._rng, self._txns))
-
-    def inject_session(self) -> Optional[FaultLabel]:
-        """Swap the sequence numbers of two adjacent txns in a session."""
-        return self._keep(_mutate_session(self._rng, self._txns))
-
-    def inject_noconflict(self) -> Optional[FaultLabel]:
-        """Make two sequential writers of one key temporally overlap."""
-        last_writer: dict[str, int] = {}
-        pairs: List[Tuple[int, int, str]] = []
-        order = sorted(
-            range(len(self._txns)), key=lambda i: self._txns[i].commit_ts
-        )
-        for i in order:
-            txn = self._txns[i]
-            if txn.tid == INIT_TID:
-                continue
-            # Sorted: ``write_keys`` is a set of str, whose iteration order
-            # (and with it the chosen pair) would follow PYTHONHASHSEED.
-            for key in sorted(txn.write_keys):
-                if key in last_writer:
-                    pairs.append((last_writer[key], i, key))
-                last_writer[key] = i
-        if not pairs:
-            return None
-        i, j, key = self._rng.choice(pairs)
-        earlier, later = self._txns[i], self._txns[j]
-        # Pull the later writer's start just below the earlier's commit;
-        # the opened SCALE gaps guarantee a fresh unique timestamp.
-        new_start = earlier.commit_ts - 1
-        if new_start <= 0 or new_start >= later.commit_ts:
-            return None
-        self._txns[j] = _replace(later, start_ts=new_start)
-        return self._keep(FaultLabel(Axiom.NOCONFLICT, (earlier.tid, later.tid), key))
-
-    def inject_ts_order(self) -> Optional[FaultLabel]:
-        """Swap one writer's start and commit timestamps (Eq. 1)."""
-        return self._keep(_mutate_ts_order(self._rng, self._txns))
-
-    def inject_mix(self, n_faults: int) -> List[FaultLabel]:
-        """Inject ``n_faults`` faults cycling through all axiom classes."""
-        injectors = [
-            self.inject_ext,
-            self.inject_int,
-            self.inject_session,
-            self.inject_noconflict,
-            self.inject_ts_order,
-        ]
-        applied: List[FaultLabel] = []
-        attempts = 0
-        while len(applied) < n_faults and attempts < n_faults * 10:
-            injector = injectors[attempts % len(injectors)]
-            label = injector()
-            if label is not None:
-                applied.append(label)
-            attempts += 1
-        return applied
-
-
-class LiveFaultInjector(_Injector):
-    """Streaming sibling of :class:`HistoryFaultInjector`.
-
-    Mutates transaction *batches in flight* between the engine's CDC
-    feed and the wire, so a chaos campaign can corrupt a live stream the
-    daemon is already checking.  Unlike the offline injector there is no
-    timestamp rescaling pass — the campaign's oracle already strides its
-    timeline (see :class:`SkewedOracle`), leaving the integer gaps the
-    ``noconflict`` and ``ts_order`` mutations need.
+    ``FaultInjector(history)`` holds the rescaled ``history`` as the
+    default window of :meth:`inject` and the ``inject_*`` methods;
+    :meth:`build` returns it with every fault applied.  A call that names
+    a window mutates that list in place instead — a batch in flight, so
+    a chaos campaign can corrupt a live stream the daemon is already
+    checking.  Call :meth:`observe` with each live batch *after*
+    injection so the cross-window last-writer map matches what the
+    daemon actually saw.
 
     Every successful injection returns a ground-truth
     :class:`FaultLabel` (also appended to :attr:`labels`); ``None``
-    means the batch offered no eligible target and nothing was touched.
-    Call :meth:`observe` with each batch *after* injection so the
-    cross-batch last-writer map matches what the daemon actually saw.
+    means the window offered no eligible target and nothing was touched.
     """
 
-    #: Injectable fault classes, in the cycling order of schedules.
+    #: Gap opened between consecutive timestamps by rescaling.
+    SCALE = 1000
+    #: Injectable fault classes, in the cycling order of mixes and schedules.
     CLASSES = ("ext", "int", "session", "noconflict", "ts_order")
 
-    def __init__(self, *, seed: int = 0xFA17) -> None:
-        super().__init__(seed)
-        #: key -> (commit_ts, tid) of the latest observed writer.
-        self._last_commit: dict[str, Tuple[int, int]] = {}
+    def __init__(self, history: Optional[History] = None, *, seed: int = 0xFA17) -> None:
+        self._rng = Random(seed)
+        self.labels: List[FaultLabel] = []
+        self._last_commit: Observed = {}
+        scale = self.SCALE
+        self._txns: Window = [
+            _replace(txn, start_ts=txn.start_ts * scale, commit_ts=txn.commit_ts * scale)
+            for txn in (history.transactions if history is not None else ())
+        ]
 
-    def observe(self, txns: List[Transaction]) -> None:
-        """Fold a (post-injection) batch into the last-writer map."""
-        for txn in txns:
+    def build(self) -> History:
+        """The held history with all requested faults applied."""
+        return History(self._txns)
+
+    def observe(self, window: Window) -> None:
+        """Fold a (post-injection) live batch into the last-writer map,
+        leaving out writers that break Eq. 1: the checker reports them
+        (TS_ORDER) and installs none of their writes to overlap with."""
+        for txn in window:
+            if txn.start_ts > txn.commit_ts:
+                continue
             for key in sorted(txn.write_keys):  # hash-seed independent
                 seen = self._last_commit.get(key)
                 if seen is None or txn.commit_ts > seen[0]:
                     self._last_commit[key] = (txn.commit_ts, txn.tid)
 
-    def inject(self, kind: str, batch: List[Transaction]) -> Optional[FaultLabel]:
-        """Apply one fault of ``kind`` (see :data:`CLASSES`) to ``batch``."""
-        if kind not in self.CLASSES:
-            raise ValueError(f"unknown live fault class {kind!r}")
-        return getattr(self, f"inject_{kind}")(batch)
+    def inject(self, kind: str, window: Optional[Window] = None) -> Optional[FaultLabel]:
+        """Apply one fault of ``kind`` to ``window`` (default: the held history)."""
+        mutate = _MUTATIONS.get(kind)
+        if mutate is None:
+            raise ValueError(f"unknown fault class {kind!r}")
+        label = mutate(self._rng, self._txns if window is None else window, self._last_commit)
+        if label is not None:
+            self.labels.append(label)
+        return label
 
-    def inject_ext(self, batch: List[Transaction]) -> Optional[FaultLabel]:
-        """Corrupt one external read so no frontier can justify it."""
-        return self._keep(_mutate_ext(self._rng, batch))
+    def inject_ext(self, window: Optional[Window] = None) -> Optional[FaultLabel]:
+        """Corrupt one external read so it cannot match any frontier."""
+        return self.inject("ext", window)
 
-    def inject_int(self, batch: List[Transaction]) -> Optional[FaultLabel]:
-        """Append an internal read contradicting the txn's own write."""
-        return self._keep(_mutate_int(self._rng, batch))
+    def inject_int(self, window: Optional[Window] = None) -> Optional[FaultLabel]:
+        """Append an internal read that contradicts the txn's own write."""
+        return self.inject("int", window)
 
-    def inject_session(self, batch: List[Transaction]) -> Optional[FaultLabel]:
-        """Swap sequence numbers of two same-session txns in the batch."""
-        return self._keep(_mutate_session(self._rng, batch))
+    def inject_session(self, window: Optional[Window] = None) -> Optional[FaultLabel]:
+        """Swap the sequence numbers of two adjacent txns in a session."""
+        return self.inject("session", window)
 
-    def inject_noconflict(self, batch: List[Transaction]) -> Optional[FaultLabel]:
-        """Overlap a batch writer with the key's previous writer."""
-        options: List[Tuple[int, str, int, int]] = []
-        for i, txn in enumerate(batch):
-            if txn.tid == INIT_TID:
-                continue
-            for key in sorted(txn.write_keys):  # hash-seed independent
-                seen = self._last_commit.get(key)
-                if seen is None:
-                    continue
-                earlier_commit, earlier_tid = seen
-                new_start = earlier_commit - 1
-                if 0 < new_start < txn.commit_ts and earlier_commit < txn.commit_ts:
-                    options.append((i, key, new_start, earlier_tid))
-        if not options:
-            return None
-        index, key, new_start, earlier_tid = self._rng.choice(options)
-        txn = batch[index]
-        batch[index] = _replace(txn, start_ts=new_start)
-        return self._keep(FaultLabel(Axiom.NOCONFLICT, (earlier_tid, txn.tid), key))
+    def inject_noconflict(self, window: Optional[Window] = None) -> Optional[FaultLabel]:
+        """Make two sequential writers of one key temporally overlap."""
+        return self.inject("noconflict", window)
 
-    def inject_ts_order(self, batch: List[Transaction]) -> Optional[FaultLabel]:
+    def inject_ts_order(self, window: Optional[Window] = None) -> Optional[FaultLabel]:
         """Swap one writer's start and commit timestamps (Eq. 1)."""
-        return self._keep(_mutate_ts_order(self._rng, batch))
+        return self.inject("ts_order", window)
+
+    def inject_mix(self, n_faults: int) -> List[FaultLabel]:
+        """Inject ``n_faults`` faults into the held history, cycling
+        through :data:`CLASSES`."""
+        first = len(self.labels)
+        for attempt in range(n_faults * 10):
+            if len(self.labels) - first == n_faults:
+                break
+            self.inject(self.CLASSES[attempt % len(self.CLASSES)])
+        return self.labels[first:]
 
 
-# The shared mutations: each picks its target with ``rng``, replaces the
-# mutated transaction(s) in ``txns`` and returns the label, or returns
-# None (and touches nothing) when ``txns`` offers no eligible target.
+#: The frozen benchmark ladder imports the injector under its old names.
+HistoryFaultInjector = LiveFaultInjector = FaultInjector
 
 
-def _pick(
-    rng: Random, txns: List[Transaction], eligible: Callable[[Transaction], Any]
-) -> Optional[int]:
+# The mutations: each picks its target with ``rng``, replaces the
+# mutated transaction(s) in the window ``txns`` and returns the label, or
+# returns None (and touches nothing) when ``txns`` offers no eligible
+# target.  ``observed`` is the injector's last-writer map; only
+# NOCONFLICT reads it.
+
+
+def _pick(rng: Random, txns: Window, eligible: Callable[[Transaction], Any]) -> Optional[int]:
     """A seeded choice among the positions of eligible non-init txns."""
-    candidates = [
-        i for i, txn in enumerate(txns) if txn.tid != INIT_TID and eligible(txn)
-    ]
+    candidates = [i for i, txn in enumerate(txns) if txn.tid != INIT_TID and eligible(txn)]
     return rng.choice(candidates) if candidates else None
 
 
-def _mutate_ext(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+def _mutate_ext(rng: Random, txns: Window, observed: Observed) -> Optional[FaultLabel]:
     index = _pick(rng, txns, lambda txn: txn.external_reads)
     if index is None:
         return None
@@ -311,7 +235,7 @@ def _mutate_ext(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
     return FaultLabel(Axiom.EXT, (txn.tid,), key)
 
 
-def _mutate_int(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+def _mutate_int(rng: Random, txns: Window, observed: Observed) -> Optional[FaultLabel]:
     index = _pick(rng, txns, lambda txn: txn.last_writes)
     if index is None:
         return None
@@ -326,7 +250,7 @@ def _mutate_int(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
     return FaultLabel(Axiom.INT, (txn.tid,), key)
 
 
-def _mutate_session(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+def _mutate_session(rng: Random, txns: Window, observed: Observed) -> Optional[FaultLabel]:
     by_sid: dict[int, List[int]] = {}
     for i, txn in enumerate(txns):
         if txn.tid != INIT_TID:
@@ -343,7 +267,36 @@ def _mutate_session(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel
     return FaultLabel(Axiom.SESSION, (a.tid, b.tid))
 
 
-def _mutate_ts_order(rng: Random, txns: List[Transaction]) -> Optional[FaultLabel]:
+def _mutate_noconflict(rng: Random, txns: Window, observed: Observed) -> Optional[FaultLabel]:
+    # Walked in commit order, each writer of a key pairs with the key's
+    # latest earlier-committed writer, in the window or observed before
+    # it; a writer committed before an observed one has no known pair.
+    last = dict(observed)
+    pairs: List[Tuple[Tuple[int, int], int, str]] = []
+    for i in sorted(range(len(txns)), key=lambda i: txns[i].commit_ts):
+        txn = txns[i]
+        if txn.tid == INIT_TID:
+            continue
+        # Sorted: ``write_keys`` is a set of str, whose iteration order
+        # (and with it the chosen pair) would follow PYTHONHASHSEED.
+        for key in sorted(txn.write_keys):
+            seen = last.get(key)
+            if seen is not None and seen[0] > txn.commit_ts:
+                continue
+            if seen is not None and seen[0] > 1:  # the new start stays positive
+                pairs.append((seen, i, key))
+            last[key] = (txn.commit_ts, txn.tid)
+    if not pairs:
+        return None
+    (earlier_commit, earlier_tid), index, key = rng.choice(pairs)
+    later = txns[index]
+    # Pull the later writer's start just below the earlier's commit; the
+    # rescaled (or strided) timeline guarantees a fresh unique timestamp.
+    txns[index] = _replace(later, start_ts=earlier_commit - 1)
+    return FaultLabel(Axiom.NOCONFLICT, (earlier_tid, later.tid), key)
+
+
+def _mutate_ts_order(rng: Random, txns: Window, observed: Observed) -> Optional[FaultLabel]:
     index = _pick(rng, txns, lambda txn: txn.start_ts < txn.commit_ts)
     if index is None:
         return None
@@ -352,16 +305,19 @@ def _mutate_ts_order(rng: Random, txns: List[Transaction]) -> Optional[FaultLabe
     return FaultLabel(Axiom.TS_ORDER, (txn.tid,))
 
 
+_MUTATIONS: Dict[str, Callable[[Random, Window, Observed], Optional[FaultLabel]]] = {
+    "ext": _mutate_ext,
+    "int": _mutate_int,
+    "session": _mutate_session,
+    "noconflict": _mutate_noconflict,
+    "ts_order": _mutate_ts_order,
+}
+
+
 def _replace(txn: Transaction, **changes: Any) -> Transaction:
     """``txn`` with some constructor fields replaced (derived views recomputed)."""
-    fields = {
-        "tid": txn.tid,
-        "sid": txn.sid,
-        "sno": txn.sno,
-        "ops": txn.ops,
-        "start_ts": txn.start_ts,
-        "commit_ts": txn.commit_ts,
-    }
+    fields = dict(tid=txn.tid, sid=txn.sid, sno=txn.sno, ops=txn.ops)
+    fields.update(start_ts=txn.start_ts, commit_ts=txn.commit_ts)
     fields.update(changes)
     return Transaction(**fields)
 

@@ -10,7 +10,7 @@ from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.anomalies import ANOMALY_CATALOG
 from repro.core.violations import Axiom
 from repro.histories.builder import HistoryBuilder
@@ -313,7 +313,7 @@ def delayed_plan(seed):
     history = generate_default_history(
         WorkloadSpec(n_sessions=6, n_transactions=360, ops_per_txn=6, n_keys=25, seed=seed)
     )
-    injector = HistoryFaultInjector(history, seed=seed)
+    injector = FaultInjector(history, seed=seed)
     for _ in range(3):
         injector.inject_ext()
         injector.inject_int()

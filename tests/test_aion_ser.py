@@ -9,7 +9,7 @@ from repro.core.colpack import pack_columnar, unpack_columnar
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.core.violations import Axiom
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.builder import HistoryBuilder
 from repro.histories.ops import append, read, write
 from repro.online.clock import SimClock
@@ -164,7 +164,7 @@ class TestProcessedCountsAcceptedOnly:
         history = generate_default_history(
             WorkloadSpec(n_sessions=4, n_transactions=120, ops_per_txn=5, n_keys=20, seed=12)
         )
-        injector = HistoryFaultInjector(history, seed=13)
+        injector = FaultInjector(history, seed=13)
         label = injector.inject_ts_order()
         assert label is not None
         return injector.build().by_commit_ts()

@@ -31,11 +31,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.baselines.depgraph import find_cycle
 from repro.baselines.elle import ElleKV, ElleList
 from repro.baselines.emme import EmmeSer, EmmeSi
 from repro.baselines.polysi import PolySi
 from repro.baselines.viper import Viper
-from repro.db.faults import HistoryFaultInjector as FaultInjector, SkewedOracle
+from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.anomalies import ANOMALY_CATALOG
 from repro.histories.model import History
@@ -117,15 +118,7 @@ def random_graph(seed: int) -> List[Tuple[int, List[int]]]:
 
 
 def graph_cycle(rows: List[Tuple[int, List[int]]]) -> Optional[List[int]]:
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(node for node, _ in rows)
-    graph.add_edges_from((node, other) for node, succ in rows for other in succ)
-    try:
-        return [edge[0] for edge in nx.find_cycle(graph)]
-    except nx.NetworkXNoCycle:
-        return None
+    return find_cycle(dict(rows))
 
 
 N_GRAPHS = 400

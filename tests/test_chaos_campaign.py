@@ -1,10 +1,10 @@
 """Chaos harness units plus a small end-to-end campaign smoke.
 
 Covers the pieces the campaign runner stands on — the WAL tailer
-(torn-line handling, offset resume), the stream-level fault injector,
-the writable skew probability, connect backoff with attempt counting,
-and schedule generation/serialization — then runs one small seeded
-campaign end to end and asserts its report gate.
+(torn-line handling, offset resume), the fault injector on live
+windows, the writable skew probability, connect backoff with attempt
+counting, and schedule generation/serialization — then runs small
+seeded campaigns end to end and asserts their report gate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro.chaos import CampaignRunner, CampaignSchedule, FaultEvent
 from repro.db.cdc import WalTailer
-from repro.db.faults import LiveFaultInjector, SkewedOracle
+from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.model import Operation, OpKind, Transaction
 from repro.histories.serialization import txn_to_dict
@@ -116,16 +116,11 @@ def make_batch(n: int = 8, base_tid: int = 1):
     return txns
 
 
-class TestLiveFaultInjector:
-    @pytest.mark.parametrize("kind", LiveFaultInjector.CLASSES)
+class TestLiveWindowInjection:
+    @pytest.mark.parametrize("kind", FaultInjector.CLASSES)
     def test_each_class_mutates_and_labels(self, kind):
-        injector = LiveFaultInjector(seed=3)
-        if kind == "noconflict":
-            # Needs an established last-writer map from a prior batch.
-            injector.observe(make_batch(8, base_tid=1))
-            batch = make_batch(8, base_tid=100)
-        else:
-            batch = make_batch(8)
+        injector = FaultInjector(seed=3)
+        batch = make_batch(8)
         pristine = [txn_to_dict(txn) for txn in batch]
         label = injector.inject(kind, batch)
         assert label is not None, f"{kind} found no target in a writable batch"
@@ -134,12 +129,53 @@ class TestLiveFaultInjector:
         assert [txn_to_dict(txn) for txn in batch] != pristine
         assert injector.labels[-1] is label
 
+    def test_noconflict_pairs_with_in_window_predecessor(self):
+        """Nothing observed: the earlier writer is the key's latest writer
+        committed before the later one inside the same window."""
+        injector = FaultInjector(seed=3)
+        batch = make_batch(8)
+        by_tid = {txn.tid: txn for txn in batch}
+        label = injector.inject("noconflict", batch)
+        assert label is not None and label.axiom.value == "NOCONFLICT"
+        earlier, later = label.tids
+        writers = [t for t in by_tid.values() if label.key in t.write_keys]
+        before = [t for t in writers if t.commit_ts < by_tid[later].commit_ts]
+        assert earlier == max(before, key=lambda t: t.commit_ts).tid
+        (mutated,) = [t for t in batch if t.tid == later]
+        assert mutated.start_ts == by_tid[earlier].commit_ts - 1
+
+    def test_noconflict_pairs_with_latest_observed_writer(self):
+        injector = FaultInjector(seed=3)
+        first = make_batch(8, base_tid=1)
+        injector.observe(first)
+        # One writer per key in the later window: its only pairs are the
+        # observed writers, the latest of each key.
+        batch = make_batch(3, base_tid=100)
+        label = injector.inject("noconflict", batch)
+        assert label is not None
+        earlier, later = label.tids
+        latest = {}
+        for txn in first:
+            for key in txn.write_keys:
+                latest[key] = txn
+        assert earlier == latest[label.key].tid
+        (mutated,) = [t for t in batch if t.tid == later]
+        assert mutated.start_ts == latest[label.key].commit_ts - 1
+
+    def test_noconflict_skips_writers_committed_before_an_observed_one(self):
+        injector = FaultInjector(seed=3)
+        injector.observe(make_batch(3, base_tid=100))
+        batch = make_batch(3, base_tid=1)
+        pristine = [txn_to_dict(txn) for txn in batch]
+        assert injector.inject("noconflict", batch) is None
+        assert [txn_to_dict(txn) for txn in batch] == pristine
+
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
-            LiveFaultInjector().inject("gibberish", make_batch())
+            FaultInjector().inject("gibberish", make_batch())
 
     def test_empty_batch_skips_cleanly(self):
-        assert LiveFaultInjector().inject("ext", []) is None
+        assert FaultInjector().inject("ext", []) is None
 
 
 class TestSkewedOracleProbability:
@@ -272,3 +308,34 @@ class TestCampaignSmoke:
         wire = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert wire["ok"] is True
         assert "PASS" in report.summary()
+
+    def test_every_fault_class_through_the_daemon(self):
+        """Five mutations cycle every class of ``FaultInjector.CLASSES``:
+        each is labelled, each label is flagged by its own axiom, and no
+        violation is left unattributed."""
+        schedule = CampaignSchedule.generate(
+            7, segments=6, kills=2, restarts=1, pauses=1, skew_bursts=1, mutations=5
+        )
+        report = CampaignRunner(schedule, txns_per_segment=30, pause_ms=2.0).run()
+        assert report.ok, report.summary()
+        assert report.skipped_mutations == []
+        assert sorted(label.axiom for label in report.labels) == sorted(
+            kind.upper() for kind in FaultInjector.CLASSES
+        )
+        assert all(label.detected for label in report.labels)
+        assert report.false_positives == []
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_fault_class_in_one_clean_window(self, seed):
+        """No skew burst to absorb collateral: each transaction takes at
+        most one fault, and what a SESSION or TS_ORDER fault leaves in
+        its session (a sequence gap) or on its keys (writes the checker
+        never installs) is attributed to it, not counted as a false
+        positive."""
+        events = [FaultEvent(1, "mutate", kind) for kind in FaultInjector.CLASSES]
+        report = CampaignRunner(
+            CampaignSchedule(segments=3, events=events, seed=seed), txns_per_segment=30
+        ).run()
+        tids = [tid for label in report.labels for tid in label.tids]
+        assert len(report.labels) == 5 and len(tids) == len(set(tids))
+        assert report.ok, report.summary()

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.service import (
     CheckerClient,
     ServiceConfig,
@@ -72,7 +72,7 @@ def seeded_workload(seed: int):
             seed=seed,
         )
     )
-    injector = HistoryFaultInjector(history, seed=seed)
+    injector = FaultInjector(history, seed=seed)
     injector.inject_mix(4)
     return transactions_in_commit_order(injector.build())
 

@@ -9,7 +9,7 @@ from repro.core.aion import Aion, AionConfig
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
 from repro.core.reference import normalize_violations
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.serialization import history_from_jsonl, history_to_jsonl
 from repro.workloads.generator import generate_default_history
 from repro.workloads.list_workload import generate_list_history
@@ -22,7 +22,7 @@ def _history(seed, n=100, faults=0, lists=False):
     )
     history = generate_list_history(spec) if lists else generate_default_history(spec)
     if faults:
-        injector = HistoryFaultInjector(history, seed=seed + 1)
+        injector = FaultInjector(history, seed=seed + 1)
         injector.inject_mix(faults)
         history = injector.build()
     return history

@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.chronos import Chronos, GcMode
 from repro.core.chronos_ser import ChronosSer
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.anomalies import ANOMALY_CATALOG
 from repro.histories.model import History
 from repro.histories.serialization import load_columns, save_history, save_history_packed
@@ -39,7 +39,7 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "chronos_golden.json"
 def _faulted(history: History, seed: int, n_faults: int) -> History:
     """``n_faults`` labelled faults, then a seeded arrival shuffle (ties in
     the walk's sort are broken by arrival position, so order matters)."""
-    injector = HistoryFaultInjector(history, seed=seed)
+    injector = FaultInjector(history, seed=seed)
     injector.inject_mix(n_faults)
     txns = list(injector.build().transactions)
     Random(seed).shuffle(txns)

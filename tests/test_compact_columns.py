@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.chronos import Chronos
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.model import History
 from repro.histories.serialization import (
     _PACK_CHUNK,
@@ -183,7 +183,7 @@ def test_check_reports_are_equal_across_representations(tmp_path, request, capsy
     """``repro check`` prints the same lines after its headline for the
     JSONL and the packed file, and they are what ``Chronos`` reports on
     the objects (list columns)."""
-    injector = HistoryFaultInjector(request.getfixturevalue(history_name), seed=11)
+    injector = FaultInjector(request.getfixturevalue(history_name), seed=11)
     injector.inject_mix(8)
     history = injector.build()
     jsonl, packed = tmp_path / "bad.jsonl", tmp_path / "bad.rpch"

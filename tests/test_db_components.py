@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.chronos import Chronos
 from repro.core.violations import Axiom
 from repro.db.cdc import parse_wal
-from repro.db.faults import HistoryFaultInjector, SkewedOracle
+from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle, DecentralizedOracle, HybridLogicalClock
 from repro.db.storage import MultiVersionStore
 from repro.workloads.generator import generate_default_history
@@ -244,7 +244,7 @@ class TestFaultInjector:
         )
 
     def test_rescaling_alone_preserves_verdict(self, base_history):
-        injector = HistoryFaultInjector(base_history)
+        injector = FaultInjector(base_history)
         assert Chronos().check(injector.build()).is_valid
 
     @pytest.mark.parametrize(
@@ -258,24 +258,41 @@ class TestFaultInjector:
         ],
     )
     def test_each_fault_detected_by_matching_axiom(self, base_history, method, axiom):
-        injector = HistoryFaultInjector(base_history, seed=60)
+        injector = FaultInjector(base_history, seed=60)
         label = getattr(injector, method)()
         assert label is not None and label.axiom is axiom
         result = Chronos().check(injector.build())
         found = {(v.axiom, v.tid) for v in result.violations}
         assert any((axiom, tid) in found for tid in label.tids), (label, result.summary())
 
-    def test_noconflict_label_is_hash_seed_independent(self):
+    @pytest.mark.parametrize(
+        "injections",
+        [
+            # One held history.
+            "injector = FaultInjector(history, seed=60)\n"
+            "labels = [injector.inject_noconflict() for _ in range(4)]\n",
+            # Live windows of 50, each observed after its injection.
+            "injector = FaultInjector(seed=60)\n"
+            "txns = list(history.transactions)\n"
+            "labels = []\n"
+            "for lo in range(0, 300, 50):\n"
+            "    window = txns[lo : lo + 50]\n"
+            "    labels.append(injector.inject_noconflict(window))\n"
+            "    injector.observe(window)\n",
+        ],
+        ids=["held", "live"],
+    )
+    def test_noconflict_label_is_hash_seed_independent(self, injections):
         """``write_keys`` is a set of str: the injected pair must not
         follow the interpreter's string hashing."""
         script = (
-            "from repro.db.faults import HistoryFaultInjector\n"
+            "from repro.db.faults import FaultInjector\n"
             "from repro.workloads.generator import generate_default_history\n"
             "from repro.workloads.spec import WorkloadSpec\n"
             "history = generate_default_history(WorkloadSpec(n_sessions=6,"
             " n_transactions=300, ops_per_txn=8, n_keys=50, seed=59))\n"
-            "injector = HistoryFaultInjector(history, seed=60)\n"
-            "print([(l.tids, l.key) for l in (injector.inject_noconflict() for _ in range(4))])\n"
+            + injections
+            + "print([(l.tids, l.key) for l in labels])\n"
         )
         outputs = set()
         for hash_seed in ("1", "2"):
@@ -289,7 +306,7 @@ class TestFaultInjector:
         assert "None" not in outputs.pop()
 
     def test_inject_mix_counts(self, base_history):
-        injector = HistoryFaultInjector(base_history, seed=61)
+        injector = FaultInjector(base_history, seed=61)
         labels = injector.inject_mix(10)
         assert len(labels) == 10
         assert len({label.axiom for label in labels}) == 5

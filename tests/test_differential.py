@@ -19,7 +19,7 @@ from repro.core.aion_ser import AionSer
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
 from repro.core.reference import ReferenceOnlineChecker, normalize_violations
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.builder import HistoryBuilder
 from repro.histories.ops import read, write
 from repro.workloads.generator import generate_default_history
@@ -66,7 +66,7 @@ def small_history(seed, n=120, faults=0):
         WorkloadSpec(n_sessions=5, n_transactions=n, ops_per_txn=6, n_keys=30, seed=seed)
     )
     if faults:
-        injector = HistoryFaultInjector(history, seed=seed)
+        injector = FaultInjector(history, seed=seed)
         injector.inject_mix(faults)
         history = injector.build()
     return history

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 import pytest
 
-from repro.db.faults import FaultLabel, HistoryFaultInjector as FaultInjector
+from repro.db.faults import FaultLabel, FaultInjector
 from repro.histories.model import History
 from repro.histories.serialization import history_to_jsonl
 from repro.workloads.generator import generate_default_history

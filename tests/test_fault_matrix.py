@@ -1,6 +1,6 @@
 """Label-completeness matrix: every fault class × every checker.
 
-:class:`~repro.db.faults.HistoryFaultInjector` produces ground-truth
+:class:`~repro.db.faults.FaultInjector` produces ground-truth
 labels for five axiom-targeted fault classes.  This suite pins down, as
 a matrix over (fault class × checker), which labels each checker
 detects under its own matching axiom — with tid overlap, not just "some
@@ -26,7 +26,7 @@ from repro.core.aion_ser import AionSer
 from repro.core.chronos_ser import ChronosSer
 from repro.core.violations import Axiom
 from repro.db.engine import IsolationLevel
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.service import transactions_in_commit_order
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
@@ -89,7 +89,7 @@ def test_fault_class_detected_by_matching_axiom(fault_class, checker_name):
     detected = 0
     injected = 0
     for seed in SEEDS:
-        injector = HistoryFaultInjector(clean_history(checker_name, seed), seed=seed)
+        injector = FaultInjector(clean_history(checker_name, seed), seed=seed)
         label = getattr(injector, f"inject_{fault_class}")()
         if label is None:
             continue
@@ -119,7 +119,7 @@ SER_OVERLAP_SEEN_AS_EXT = {0: False, 1: False, 2: False}
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_noconflict_under_ser_is_ext_iff_chronos_ser_reports_ext(seed):
-    injector = HistoryFaultInjector(clean_history("aion_ser", seed), seed=seed)
+    injector = FaultInjector(clean_history("aion_ser", seed), seed=seed)
     label = injector.inject_noconflict()
     assert label is not None
     history = injector.build()

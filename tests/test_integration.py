@@ -12,7 +12,7 @@ from repro.core.chronos_ser import ChronosSer
 from repro.core.reference import normalize_violations
 from repro.db.cdc import parse_wal
 from repro.db.engine import IsolationLevel
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.serialization import load_history, save_history
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
@@ -32,7 +32,7 @@ class TestOfflinePipeline:
         loaded = load_history(path)
         assert Chronos().check(loaded).is_valid
         # Verdicts survive serialization even for corrupted histories.
-        injector = HistoryFaultInjector(si_history, seed=3)
+        injector = FaultInjector(si_history, seed=3)
         injector.inject_mix(5)
         bad = injector.build()
         bad_path = tmp_path / "bad.jsonl"
@@ -111,7 +111,7 @@ class TestOnlinePipeline:
         history = generate_default_history(
             WorkloadSpec(n_sessions=6, n_transactions=400, ops_per_txn=8, n_keys=60, seed=94)
         )
-        injector = HistoryFaultInjector(history, seed=95)
+        injector = FaultInjector(history, seed=95)
         labels = injector.inject_mix(6)
         bad = injector.build()
         report = self._online_si(bad)

@@ -38,7 +38,7 @@ from repro.core.common import BOTTOM
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.db.engine import IsolationLevel
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.model import History, Transaction
 from repro.histories.ops import read, write
 from repro.online.clock import SimClock
@@ -77,7 +77,7 @@ def timer_stream(level):
             seed=2301,
         )
     )
-    injector = HistoryFaultInjector(history, seed=23)
+    injector = FaultInjector(history, seed=23)
     injector.inject_mix(12)
     collector = HistoryCollector(
         batch_size=500, arrival_tps=10_000, delay_model=NormalDelay(100, 10), seed=9

@@ -36,7 +36,7 @@ from repro.core.chronos_ser import ChronosSer
 from repro.core.colpack import ColumnarBatch
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.model import History, Transaction
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
@@ -90,7 +90,7 @@ def test_no_arrival_outlives_receive_many(name):
     history = generate_default_history(
         WorkloadSpec(n_sessions=6, n_transactions=300, ops_per_txn=6, n_keys=40, seed=2212)
     )
-    injector = HistoryFaultInjector(history, seed=5)
+    injector = FaultInjector(history, seed=5)
     injector.inject_ext()
     injector.inject_noconflict()
     history = injector.build()

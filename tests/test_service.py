@@ -37,7 +37,7 @@ from repro.core.violations import (
     TimestampOrderViolation,
     Violation,
 )
-from repro.db.faults import HistoryFaultInjector
+from repro.db.faults import FaultInjector
 from repro.histories.anomalies import ANOMALY_CATALOG
 from repro.histories.model import Operation, OpKind, Transaction
 from repro.service import (
@@ -822,7 +822,7 @@ def faulted_stream(n, *, seed, faults):
     history = generate_default_history(
         WorkloadSpec(n_sessions=6, n_transactions=n, ops_per_txn=6, n_keys=40, seed=seed)
     )
-    injector = HistoryFaultInjector(history, seed=seed)
+    injector = FaultInjector(history, seed=seed)
     injector.inject_mix(faults)
     return transactions_in_commit_order(injector.build())
 
@@ -886,7 +886,7 @@ class TestServiceDifferential:
         history = generate_default_history(
             WorkloadSpec(n_sessions=9, n_transactions=300, ops_per_txn=6, n_keys=50, seed=31)
         )
-        injector = HistoryFaultInjector(history, seed=5)
+        injector = FaultInjector(history, seed=5)
         injector.inject_mix(6)
         txns = transactions_in_commit_order(injector.build())
         expected = in_process_verdicts(txns)
@@ -928,7 +928,7 @@ class TestServiceDifferential:
         history = generate_default_history(
             WorkloadSpec(n_sessions=6, n_transactions=240, ops_per_txn=6, n_keys=40, seed=77)
         )
-        injector = HistoryFaultInjector(history, seed=3)
+        injector = FaultInjector(history, seed=3)
         injector.inject_mix(4)
         txns = transactions_in_commit_order(injector.build())
         expected = in_process_verdicts(txns)
