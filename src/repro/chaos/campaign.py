@@ -43,10 +43,16 @@ from typing import Any, Dict, IO, List, Optional, Set, Tuple
 
 from repro.chaos.schedule import CampaignSchedule
 from repro.core.reference import normalize_violations
-from repro.core.violations import Axiom, CheckResult
+from repro.core.violations import (
+    Axiom,
+    CheckResult,
+    ExtViolation,
+    SessionViolation,
+    Violation,
+)
 from repro.db.cdc import WalTailer
 from repro.db.engine import Database, IsolationLevel
-from repro.db.faults import FaultInjector, SkewedOracle
+from repro.db.faults import FaultInjector, FaultLabel, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.model import INIT_TID, Transaction
 from repro.histories.serialization import txn_to_dict
@@ -187,6 +193,49 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+class _Collateral:
+    """The violations a SESSION or TS_ORDER label causes outside its own
+    transactions, so the campaign attributes those to it and nothing more.
+
+    - A swapped (SESSION) or skipped (TS_ORDER at SI, where the checker
+      drops the writer) sequence number leaves a gap that the session's
+      next transaction, one past the highest labelled ``sno``, is
+      flagged for.
+    - A TS_ORDER writer's values sit in the wrong place on the checker's
+      timeline: at SI it installs none of them, so a reader of one fails
+      EXT; at SER they land at the old start, so a reader of the value
+      one overwrote fails EXT expecting it.  Either way the EXT report
+      names one of the writer's ``(key, value)`` writes.
+    """
+
+    def __init__(self, level: str) -> None:
+        self.drops_swapped = level == "si"
+        self.gaps: Set[Tuple[int, int]] = set()  # (sid, sno)
+        self.swapped_writes: Set[Tuple[str, Any]] = set()  # (key, value)
+
+    def record(self, label: FaultLabel, window: Dict[int, Transaction]) -> None:
+        """Note what ``label`` leaves behind; ``window`` maps the tids of
+        the mutated window to its transactions."""
+        if label.axiom is Axiom.TS_ORDER:
+            self.swapped_writes.update(window[label.tids[0]].last_writes.items())
+        if label.axiom is Axiom.SESSION or (
+            label.axiom is Axiom.TS_ORDER and self.drops_swapped
+        ):
+            last = max((window[tid] for tid in label.tids), key=lambda txn: txn.sno)
+            self.gaps.add((last.sid, last.sno + 1))
+
+    def covers(self, violation: Violation) -> bool:
+        """Whether a recorded label explains ``violation``."""
+        if isinstance(violation, SessionViolation):
+            return (violation.sid, violation.actual_sno) in self.gaps
+        if isinstance(violation, ExtViolation):
+            return any(
+                (violation.key, value) in self.swapped_writes
+                for value in (violation.actual, violation.expected)
+            )
+        return False
+
+
 class CampaignRunner:
     """Execute one :class:`CampaignSchedule` against a live stack.
 
@@ -318,7 +367,7 @@ class CampaignRunner:
         burst_keys: Set[str] = set()
         label_tids: Set[int] = set()
         label_keys: Set[str] = set()
-        label_sids: Set[int] = set()
+        collateral = _Collateral(self.level)
         kills_armed = 0
         restarts_completed = 0
 
@@ -376,14 +425,7 @@ class CampaignRunner:
                     label_tids.update(label.tids)
                     if label.key:
                         label_keys.add(label.key)
-                    if label.axiom is Axiom.TS_ORDER:
-                        # The checker installs none of the swapped writer's
-                        # writes, so its readers' EXT failures are collateral.
-                        label_keys.update(mutated[label.tids[0]].write_keys)
-                    if label.axiom in (Axiom.SESSION, Axiom.TS_ORDER):
-                        # A swapped or skipped sequence number leaves a gap
-                        # the session's next transaction is flagged for.
-                        label_sids.update(mutated[tid].sid for tid in label.tids)
+                    collateral.record(label, mutated)
                 injector.observe(batch)
 
                 chunks = [
@@ -432,8 +474,9 @@ class CampaignRunner:
 
         # ------------------------------------------------------------------
         # Attribution: every violation must trace back to an injected
-        # fault (mutation label, skew burst, or their collateral on the
-        # same keys/sessions); anything left is a false positive.
+        # fault (mutation label, skew burst, or their collateral: a
+        # label's or burst's keys, and what ``_Collateral`` recorded);
+        # anything left is a false positive.
         # ------------------------------------------------------------------
 
         def violation_tids(violation: Any) -> Set[int]:
@@ -454,7 +497,7 @@ class CampaignRunner:
                 for burst_row, (member_tids, member_sids) in zip(bursts, burst_members):
                     if tids & member_tids or (sid is not None and sid in member_sids):
                         burst_row["detected"] = True
-            elif key and (key in label_keys or key in burst_keys) or sid in label_sids:
+            elif key and (key in label_keys or key in burst_keys) or collateral.covers(violation):
                 attributions["collateral"] += 1
             else:
                 attributions["false_positive"] += 1

@@ -211,9 +211,13 @@ HistoryFaultInjector = LiveFaultInjector = FaultInjector
 # NOCONFLICT reads it.
 
 
-def _pick(rng: Random, txns: Window, eligible: Callable[[Transaction], Any]) -> Optional[int]:
+def _pick(
+    rng: Random, txns: Window, eligible: Callable[[Transaction], Any]
+) -> Optional[int]:
     """A seeded choice among the positions of eligible non-init txns."""
-    candidates = [i for i, txn in enumerate(txns) if txn.tid != INIT_TID and eligible(txn)]
+    candidates = [
+        i for i, txn in enumerate(txns) if txn.tid != INIT_TID and eligible(txn)
+    ]
     return rng.choice(candidates) if candidates else None
 
 
@@ -316,8 +320,14 @@ _MUTATIONS: Dict[str, Callable[[Random, Window, Observed], Optional[FaultLabel]]
 
 def _replace(txn: Transaction, **changes: Any) -> Transaction:
     """``txn`` with some constructor fields replaced (derived views recomputed)."""
-    fields = dict(tid=txn.tid, sid=txn.sid, sno=txn.sno, ops=txn.ops)
-    fields.update(start_ts=txn.start_ts, commit_ts=txn.commit_ts)
+    fields = {
+        "tid": txn.tid,
+        "sid": txn.sid,
+        "sno": txn.sno,
+        "ops": txn.ops,
+        "start_ts": txn.start_ts,
+        "commit_ts": txn.commit_ts,
+    }
     fields.update(changes)
     return Transaction(**fields)
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 import socket
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.chaos import CampaignRunner, CampaignSchedule, FaultEvent
+from repro.chaos.campaign import _Collateral
+from repro.core.violations import Axiom, ConflictViolation, ExtViolation, SessionViolation
 from repro.db.cdc import WalTailer
 from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle
@@ -178,6 +181,47 @@ class TestLiveWindowInjection:
         assert FaultInjector().inject("ext", []) is None
 
 
+class TestCollateral:
+    """A SESSION or TS_ORDER label excuses only the violations it causes
+    outside its own transactions, not its session's or keys' later ones."""
+
+    def test_session_swap_excuses_the_next_sequence_number_only(self):
+        batch = make_batch(8)
+        label = FaultInjector(seed=3).inject("session", batch)
+        window = {txn.tid: txn for txn in batch}
+        collateral = _Collateral("si")
+        collateral.record(label, window)
+        (sid,) = {window[tid].sid for tid in label.tids}
+        top = max(window[tid].sno for tid in label.tids)
+        gap = SessionViolation(Axiom.SESSION, tid=999, sid=sid, actual_sno=top + 1)
+        assert collateral.covers(gap)
+        assert not collateral.covers(replace(gap, actual_sno=top + 2))
+        assert not collateral.covers(replace(gap, sid=sid + 1))
+        assert not collateral.covers(ExtViolation(Axiom.EXT, tid=999, key="k0"))
+
+    @pytest.mark.parametrize("level", ["si", "ser"])
+    def test_ts_order_excuses_ext_reports_naming_the_swapped_writes(self, level):
+        batch = make_batch(8)
+        label = FaultInjector(seed=3).inject("ts_order", batch)
+        window = {txn.tid: txn for txn in batch}
+        writer = window[label.tids[0]]
+        ((key, value),) = writer.last_writes.items()
+        collateral = _Collateral(level)
+        collateral.record(label, window)
+        # SI: a reader of the uninstalled write; SER: a reader of the
+        # value it overwrote, checked against the write moved earlier.
+        read_it = ExtViolation(Axiom.EXT, tid=999, key=key, expected=-1, actual=value)
+        read_before = replace(read_it, expected=value, actual=-1)
+        assert collateral.covers(read_it) and collateral.covers(read_before)
+        assert not collateral.covers(replace(read_it, actual=value + 1000))
+        assert not collateral.covers(replace(read_it, key=key + "x"))
+        assert not collateral.covers(ConflictViolation(Axiom.NOCONFLICT, tid=999, key=key))
+        # Only the SI checker drops the writer and so skips its sequence number.
+        gap = SessionViolation(Axiom.SESSION, tid=999, sid=writer.sid, actual_sno=writer.sno + 1)
+        assert collateral.covers(gap) is (level == "si")
+        assert not collateral.covers(replace(gap, actual_sno=writer.sno + 2))
+
+
 class TestSkewedOracleProbability:
     def test_probability_is_writable_between_windows(self):
         oracle = SkewedOracle(CentralizedOracle(), probability=0.0)
@@ -328,10 +372,10 @@ class TestCampaignSmoke:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_fault_class_in_one_clean_window(self, seed):
         """No skew burst to absorb collateral: each transaction takes at
-        most one fault, and what a SESSION or TS_ORDER fault leaves in
-        its session (a sequence gap) or on its keys (writes the checker
-        never installs) is attributed to it, not counted as a false
-        positive."""
+        most one fault, and what a SESSION or TS_ORDER fault leaves
+        behind (the session's next transaction flagged for a sequence
+        gap, EXT reports on the swapped writer's own writes) is
+        attributed to it, not counted as a false positive."""
         events = [FaultEvent(1, "mutate", kind) for kind in FaultInjector.CLASSES]
         report = CampaignRunner(
             CampaignSchedule(segments=3, events=events, seed=seed), txns_per_segment=30
