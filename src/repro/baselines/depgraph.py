@@ -137,11 +137,11 @@ class DependencyGraph:
 
     def _index_history(self) -> None:
         for txn in self.history:
-            for key, value in txn.last_writes.items():
+            seen_final = txn.last_writes
+            for key, value in seen_final.items():
                 self._writer_of[(key, value)] = (txn.tid, True)
                 self.writers_by_key.setdefault(key, []).append(txn.tid)
             # Non-final (intermediate) writes, for G1b detection.
-            seen_final = dict(txn.last_writes)
             for op in txn.ops:
                 if op.kind is OpKind.WRITE and seen_final.get(op.key) != op.value:
                     self._writer_of.setdefault((op.key, op.value), (txn.tid, False))
@@ -279,14 +279,14 @@ class DependencyGraph:
         for reader, key, writer in self.resolve_reads():
             reads_by_writer.setdefault((key, writer), []).append(reader)
 
+        init = self.history.init_transaction
+        init_keys = init.write_keys if init is not None else frozenset()
         ww: List[Tuple[int, int]] = []
         wr: List[Tuple[int, int]] = []
         rw: List[Tuple[int, int]] = []
         for key, writers in version_order.items():
             expected = set(self.writers_by_key.get(key, []))
-            if self.history.init_transaction is not None and key in (
-                self.history.init_transaction.write_keys
-            ):
+            if key in init_keys:
                 expected.add(INIT_TID)
             if set(writers) != expected:
                 raise VersionOrderError(

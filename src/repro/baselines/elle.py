@@ -62,8 +62,9 @@ class ElleKV:
             for key, value in txn.last_writes.items():
                 writer_of_value[(key, value)] = txn.tid
         for txn in history:
+            write_keys = txn.write_keys
             for key, op in txn.external_reads.items():
-                if key in txn.write_keys and op.kind is OpKind.READ:
+                if key in write_keys and op.kind is OpKind.READ:
                     observed = writer_of_value.get((key, op.value))
                     if observed is not None and observed != txn.tid:
                         dsg[observed].append(txn.tid)
@@ -108,12 +109,13 @@ class ElleList:
         reads: List[Tuple[int, str, Tuple[Any, ...]]] = []
         for txn in history:
             local_seen: set = set()
+            write_keys = txn.write_keys
             for op in txn.ops:
                 if op.kind is OpKind.APPEND:
                     appender[(op.key, op.value)] = txn.tid
                     appended.setdefault(op.key, []).append((txn.tid, op.value))
                 elif op.kind is OpKind.READ_LIST:
-                    if (op.key, txn.tid) not in local_seen and op.key not in txn.write_keys:
+                    if (op.key, txn.tid) not in local_seen and op.key not in write_keys:
                         reads.append((txn.tid, op.key, op.value))
                         local_seen.add((op.key, txn.tid))
                     observed.setdefault(op.key, []).append(op.value)

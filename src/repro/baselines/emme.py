@@ -47,10 +47,14 @@ __all__ = ["EmmeSi", "EmmeSer", "recover_version_order"]
 
 
 def recover_version_order(history: History) -> Dict[str, List[int]]:
-    """Per-key writer order by commit timestamp (white-box recovery)."""
+    """Per-key writer order by commit timestamp (white-box recovery).
+
+    Keys are walked in program order (``last_writes``), not as a set of
+    strings, so the key order — and with it Emme's report order and the
+    cycle it meets — does not follow string hashing."""
     order: Dict[str, List[Tuple[int, int]]] = {}
     for txn in history:
-        for key in txn.write_keys:
+        for key in txn.last_writes:
             order.setdefault(key, []).append((txn.commit_ts, txn.tid))
     return {
         key: [tid for _, tid in sorted(entries)]

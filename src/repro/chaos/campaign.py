@@ -41,7 +41,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Dict, IO, List, Optional, Set, Tuple
 
-from repro.chaos.schedule import CampaignSchedule
+from repro.chaos.schedule import CampaignSchedule, mutation_classes
 from repro.core.reference import normalize_violations
 from repro.core.violations import (
     Axiom,
@@ -266,8 +266,13 @@ class CampaignRunner:
         self.batch_size = batch_size
         self.pause_ms = pause_ms
         self.wal_path = wal_path
-        # Refuse a bad daemon configuration before any daemon boots.
+        # Refuse a bad daemon configuration or an undetectable mutation
+        # before any daemon boots.
         self._service_config(0).validate()
+        classes = mutation_classes(level)
+        for event in schedule.events:
+            if event.kind == "mutate" and event.arg not in classes:
+                raise ValueError(f"a {level} campaign cannot detect a {event.arg} mutation")
 
     # ------------------------------------------------------------------
 

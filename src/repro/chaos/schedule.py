@@ -20,21 +20,34 @@ Event kinds, applied by :class:`~repro.chaos.campaign.CampaignRunner`:
   class, YugabyteDB v2.17.1.0).
 - ``mutate`` — corrupt this segment's CDC batch with one
   axiom-targeted :class:`~repro.db.faults.FaultInjector` fault;
-  ``arg`` names the fault class.
+  ``arg`` names the fault class, one of :func:`mutation_classes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.db.faults import FaultInjector
 
-__all__ = ["FaultEvent", "CampaignSchedule", "EVENT_KINDS"]
+__all__ = ["FaultEvent", "CampaignSchedule", "EVENT_KINDS", "mutation_classes"]
 
 #: Valid event kinds, in the order they apply within one segment.
 EVENT_KINDS = ("restart", "skew_burst", "mutate", "kill", "pause")
+
+
+def mutation_classes(level: str) -> Tuple[str, ...]:
+    """The fault classes a campaign at ``level`` can detect.
+
+    Every class of ``FaultInjector.CLASSES`` at SI.  SER orders
+    transactions by commit timestamp alone, so two overlapping writers
+    break nothing there and ``AionSer`` checks no NOCONFLICT: a
+    ``noconflict`` label could never be detected.
+    """
+    if level == "si":
+        return FaultInjector.CLASSES
+    return tuple(kind for kind in FaultInjector.CLASSES if kind != "noconflict")
 
 
 @dataclass(frozen=True)
@@ -125,9 +138,11 @@ class CampaignSchedule:
         pauses: int = 1,
         skew_bursts: int = 1,
         mutations: int = 3,
+        level: str = "si",
     ) -> "CampaignSchedule":
         """Derive a schedule deterministically from ``seed``.
 
+        Mutations cycle the :func:`mutation_classes` of ``level``.
         Restarts land in distinct segments after the first (so the new
         daemon always has an acked prefix to be re-fed).  Mutations
         avoid segment 0 — every class now finds a target there, but the
@@ -163,8 +178,9 @@ class CampaignSchedule:
         mutation_pool = [
             segment for segment in range(1, segments) if segment not in burst_segments
         ] or list(range(1, segments))
+        classes = mutation_classes(level)
         for index in range(mutations):
-            fault = FaultInjector.CLASSES[index % len(FaultInjector.CLASSES)]
+            fault = classes[index % len(classes)]
             events.append(FaultEvent(rng.choice(mutation_pool), "mutate", fault))
         events.sort(key=lambda event: (event.segment, EVENT_KINDS.index(event.kind)))
         return cls(segments=segments, events=events, seed=seed)

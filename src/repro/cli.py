@@ -575,6 +575,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 pauses=args.pauses,
                 skew_bursts=args.skew_bursts,
                 mutations=args.mutations,
+                level=args.level,
             )
         except ValueError as exc:
             print(str(exc), file=sys.stderr)

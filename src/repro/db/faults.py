@@ -226,9 +226,10 @@ def _mutate_ext(rng: Random, txns: Window, observed: Observed) -> Optional[Fault
     if index is None:
         return None
     txn = txns[index]
-    key = rng.choice(sorted(txn.external_reads))
+    external_reads = txn.external_reads
+    key = rng.choice(sorted(external_reads))
     # An external read is the first op on its key, so ``ops.index`` finds it.
-    op = txn.external_reads[key]
+    op = external_reads[key]
     if op.kind is OpKind.READ_LIST:
         bad = op.value + (_poison(0),)
     else:
@@ -244,8 +245,9 @@ def _mutate_int(rng: Random, txns: Window, observed: Observed) -> Optional[Fault
     if index is None:
         return None
     txn = txns[index]
-    key = rng.choice(sorted(txn.last_writes))
-    final = txn.last_writes[key]
+    last_writes = txn.last_writes
+    key = rng.choice(sorted(last_writes))
+    final = last_writes[key]
     if isinstance(final, tuple):
         bad = Operation(OpKind.READ_LIST, key, (_poison(0),))
     else:
@@ -319,7 +321,7 @@ _MUTATIONS: Dict[str, Callable[[Random, Window, Observed], Optional[FaultLabel]]
 
 
 def _replace(txn: Transaction, **changes: Any) -> Transaction:
-    """``txn`` with some constructor fields replaced (derived views recomputed)."""
+    """``txn`` with some constructor fields replaced."""
     fields = {
         "tid": txn.tid,
         "sid": txn.sid,

@@ -131,6 +131,10 @@ class Operation:
         return f"RL({self.key}, {self.value!r})"
 
 
+#: The kinds that write; a tuple, so ``in`` is an identity test.
+_WRITES = (OpKind.WRITE, OpKind.APPEND)
+
+
 class Transaction:
     """A committed transaction with white-box timestamps.
 
@@ -141,25 +145,22 @@ class Transaction:
     - ``ops`` — program-ordered operations;
     - ``start_ts`` / ``commit_ts`` — oracle timestamps.
 
-    Derived, precomputed views used on checker hot paths:
+    Derived views, computed by one pass over ``ops`` each time they are
+    read and never stored: the timestamp checkers walk the columns of a
+    :class:`~repro.core.colpack.ColumnarBatch` and never read them, and
+    a cache would bring the bytes back the first time a baseline or the
+    fault injector touched a view.  A caller that reads a view inside a
+    loop binds it once per transaction:
 
-    - ``write_keys`` — set of keys written (``T.wkey`` in the paper);
-    - ``last_writes`` — final value written per key (``ext_val``);
+    - ``write_keys`` — frozenset of keys written (``T.wkey`` in the paper);
+    - ``last_writes`` — final value written per key (``ext_val``), keys in
+      the program order of their first write;
     - ``external_reads`` — first read per key *before any write/read of
-      that key in the transaction*, i.e. the reads governed by EXT.
+      that key in the transaction*, i.e. the reads governed by EXT;
+    - ``is_read_only`` — no op writes.
     """
 
-    __slots__ = (
-        "tid",
-        "sid",
-        "sno",
-        "ops",
-        "start_ts",
-        "commit_ts",
-        "write_keys",
-        "last_writes",
-        "external_reads",
-    )
+    __slots__ = ("tid", "sid", "sno", "ops", "start_ts", "commit_ts")
 
     def __init__(
         self,
@@ -176,26 +177,29 @@ class Transaction:
         self.ops: Tuple[Operation, ...] = tuple(ops)
         self.start_ts = start_ts
         self.commit_ts = commit_ts
-        write_keys: set[Key] = set()
-        last_writes: Dict[Key, Value] = {}
-        external_reads: Dict[Key, Operation] = {}
+
+    @property
+    def write_keys(self) -> frozenset[Key]:
+        return frozenset([op.key for op in self.ops if op.kind in _WRITES])
+
+    @property
+    def last_writes(self) -> Dict[Key, Value]:
+        return {op.key: op.value for op in self.ops if op.kind in _WRITES}
+
+    @property
+    def external_reads(self) -> Dict[Key, Operation]:
+        reads: Dict[Key, Operation] = {}
         touched: set[Key] = set()
         for op in self.ops:
-            if op.is_write:
-                write_keys.add(op.key)
-                last_writes[op.key] = op.value
+            if op.key not in touched:
                 touched.add(op.key)
-            else:
-                if op.key not in touched:
-                    external_reads[op.key] = op
-                    touched.add(op.key)
-        self.write_keys = frozenset(write_keys)
-        self.last_writes = last_writes
-        self.external_reads = external_reads
+                if op.kind not in _WRITES:
+                    reads[op.key] = op
+        return reads
 
     @property
     def is_read_only(self) -> bool:
-        return not self.write_keys
+        return not any(op.kind in _WRITES for op in self.ops)
 
     @property
     def interval(self) -> Tuple[int, int]:

@@ -317,6 +317,22 @@ class TestCampaignSchedule:
             "restart", "mutate", "kill"
         ]
 
+    def test_ser_schedule_leaves_out_noconflict_and_keeps_the_draws(self):
+        """A SER schedule cycles every class but ``noconflict``, which
+        SER does not check; the SI schedule is what it always was, and
+        the two differ only in the mutations' classes."""
+        si = CampaignSchedule.generate(7, segments=6, mutations=5)
+        ser = CampaignSchedule.generate(7, segments=6, mutations=5, level="ser")
+
+        def classes(schedule):
+            return sorted(e.arg for e in schedule.events if e.kind == "mutate")
+
+        assert classes(si) == sorted(FaultInjector.CLASSES)
+        assert classes(ser) == ["ext", "ext", "int", "session", "ts_order"]
+        assert [(e.segment, e.kind) for e in si.events] == [
+            (e.segment, e.kind) for e in ser.events
+        ]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultEvent(0, "meteor-strike")
@@ -326,6 +342,11 @@ class TestCampaignSchedule:
             CampaignSchedule(segments=2, events=[FaultEvent(5, "kill")])
         with pytest.raises(ValueError):
             CampaignSchedule.generate(0, segments=3, restarts=3)
+        with pytest.raises(ValueError, match="noconflict"):
+            CampaignRunner(
+                CampaignSchedule(segments=2, events=[FaultEvent(1, "mutate", "noconflict")]),
+                level="ser",
+            )
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +389,16 @@ class TestCampaignSmoke:
         )
         assert all(label.detected for label in report.labels)
         assert report.false_positives == []
+
+    def test_ser_campaign_detects_every_label(self):
+        """``repro chaos --level ser --seed 7 --segments 6 --mutations 5``:
+        five mutations at SER, all detected, verdict PASS."""
+        schedule = CampaignSchedule.generate(7, segments=6, mutations=5, level="ser")
+        report = CampaignRunner(schedule, level="ser").run()
+        assert report.ok, report.summary()
+        assert report.labels_detected == len(report.labels) == 5
+        assert report.false_positives == []
+        assert report.reference_match
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_fault_class_in_one_clean_window(self, seed):

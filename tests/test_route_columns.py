@@ -4,8 +4,8 @@
 flattened with ``ColumnarBatch.from_transactions`` at entry, and the
 route pass derives each transaction's external reads, final writes and
 INT mismatches in one walk of its ops.  The baselines and
-``db/faults.py`` still read the views ``Transaction.__init__``
-precomputes (``external_reads``, ``last_writes``), so the two
+``db/faults.py`` still read the views ``Transaction`` computes when
+they are read (``external_reads``, ``last_writes``), so the two
 derivations are pinned to each other here — what a one-transaction
 batch leaves in the tracker and the frontier, and the INT reports it
 makes — over random register transactions dense in repeated reads,
