@@ -123,12 +123,15 @@ class DependencyGraph:
     def __init__(self, history: History) -> None:
         self.history = history
         self.result = CheckResult()
-        #: writer lookup: value -> (tid, key, is_final_write)
+        #: writer lookup: (key, value) -> (tid, is_final_write)
         self._writer_of: Dict[Tuple[str, Any], Tuple[int, bool]] = {}
         #: reads per transaction: (tid, key, value) for external reads
         self.external_reads: List[Tuple[int, str, Any]] = []
         #: committed writers per key, in history (arrival) order
         self.writers_by_key: Dict[str, List[int]] = {}
+        #: each transaction's final write per key (``Transaction.last_writes``,
+        #: walked once here for every baseline that reads it)
+        self.final_writes: Dict[int, Dict[str, Any]] = {}
         self._index_history()
 
     # ------------------------------------------------------------------
@@ -137,7 +140,7 @@ class DependencyGraph:
 
     def _index_history(self) -> None:
         for txn in self.history:
-            seen_final = txn.last_writes
+            seen_final = self.final_writes[txn.tid] = txn.last_writes
             for key, value in seen_final.items():
                 self._writer_of[(key, value)] = (txn.tid, True)
                 self.writers_by_key.setdefault(key, []).append(txn.tid)
@@ -150,6 +153,11 @@ class DependencyGraph:
             for key, op in txn.external_reads.items():
                 if op.kind is OpKind.READ:
                     self.external_reads.append((txn.tid, key, op.value))
+
+    def final_writer(self, key: str, value: Any) -> Optional[int]:
+        """The transaction whose final write of ``key`` is ``value``, if any."""
+        writer = self._writer_of.get((key, value))
+        return writer[0] if writer is not None and writer[1] else None
 
     def _check_internal(self, txn: Transaction) -> None:
         """INT: replay program order against the txn's own effects.
@@ -279,8 +287,7 @@ class DependencyGraph:
         for reader, key, writer in self.resolve_reads():
             reads_by_writer.setdefault((key, writer), []).append(reader)
 
-        init = self.history.init_transaction
-        init_keys = init.write_keys if init is not None else frozenset()
+        init_keys = self.final_writes.get(INIT_TID, {})
         ww: List[Tuple[int, int]] = []
         wr: List[Tuple[int, int]] = []
         rw: List[Tuple[int, int]] = []

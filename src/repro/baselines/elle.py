@@ -25,7 +25,7 @@ over the whole history.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.baselines.depgraph import (
     CycleViolation,
@@ -36,7 +36,7 @@ from repro.baselines.depgraph import (
     find_cycle,
 )
 from repro.core.violations import Axiom, CheckResult, ExtViolation
-from repro.histories.model import History, INIT_TID, OpKind, Transaction
+from repro.histories.model import History, INIT_TID, OpKind
 
 __all__ = ["ElleKV", "ElleList"]
 
@@ -57,17 +57,12 @@ class ElleKV:
         add_edges(dsg, ((writer, reader) for reader, _key, writer in graph.resolve_reads()))
         # Writes-follow-reads: a txn that read version v of k and also
         # wrote k must order its write after v's writer.
-        writer_of_value: Dict[Tuple[str, Any], int] = {}
-        for txn in history:
-            for key, value in txn.last_writes.items():
-                writer_of_value[(key, value)] = txn.tid
-        for txn in history:
-            write_keys = txn.write_keys
-            for key, op in txn.external_reads.items():
-                if key in write_keys and op.kind is OpKind.READ:
-                    observed = writer_of_value.get((key, op.value))
-                    if observed is not None and observed != txn.tid:
-                        dsg[observed].append(txn.tid)
+        final_writes = graph.final_writes
+        for reader, key, value in graph.external_reads:
+            if key in final_writes[reader]:
+                observed = graph.final_writer(key, value)
+                if observed is not None and observed != reader:
+                    dsg[observed].append(reader)
         self.build_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -109,7 +104,7 @@ class ElleList:
         reads: List[Tuple[int, str, Tuple[Any, ...]]] = []
         for txn in history:
             local_seen: set = set()
-            write_keys = txn.write_keys
+            write_keys = graph.final_writes[txn.tid]
             for op in txn.ops:
                 if op.kind is OpKind.APPEND:
                     appender[(op.key, op.value)] = txn.tid

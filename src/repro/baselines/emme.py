@@ -45,21 +45,25 @@ from repro.histories.model import History
 
 __all__ = ["EmmeSi", "EmmeSer", "recover_version_order"]
 
+#: Per key, its committed versions ``(commit_ts, tid, value)``.
+Versions = Dict[str, List[Tuple[int, int, object]]]
 
-def recover_version_order(history: History) -> Dict[str, List[int]]:
-    """Per-key writer order by commit timestamp (white-box recovery).
+
+def recover_version_order(graph: DependencyGraph) -> Versions:
+    """Per-key committed versions in commit-timestamp order (white-box
+    recovery), from the final writes the graph indexed.
 
     Keys are walked in program order (``last_writes``), not as a set of
     strings, so the key order — and with it Emme's report order and the
     cycle it meets — does not follow string hashing."""
-    order: Dict[str, List[Tuple[int, int]]] = {}
-    for txn in history:
-        for key in txn.last_writes:
-            order.setdefault(key, []).append((txn.commit_ts, txn.tid))
-    return {
-        key: [tid for _, tid in sorted(entries)]
-        for key, entries in order.items()
-    }
+    versions: Versions = {}
+    final_writes = graph.final_writes
+    for txn in graph.history:
+        for key, value in final_writes[txn.tid].items():
+            versions.setdefault(key, []).append((txn.commit_ts, txn.tid, value))
+    for chain in versions.values():
+        chain.sort()
+    return versions
 
 
 class _EmmeBase:
@@ -72,36 +76,36 @@ class _EmmeBase:
     def check(self, history: History) -> CheckResult:
         t0 = time.perf_counter()
         graph = DependencyGraph(history)
-        version_order = recover_version_order(history)
+        versions = recover_version_order(graph)
         self.build_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        result = self._verdict(history, graph, version_order)
+        result = self._verdict(history, graph, versions)
         self.check_seconds = time.perf_counter() - t0
         return result
 
     def _verdict(
-        self,
-        history: History,
-        graph: DependencyGraph,
-        version_order: Dict[str, Sequence[int]],
+        self, history: History, graph: DependencyGraph, versions: Versions
     ) -> CheckResult:
         raise NotImplementedError
+
+
+def _writer_order(versions: Versions) -> Dict[str, List[int]]:
+    """Each key's writer tids, oldest first."""
+    return {key: [tid for _, tid, _ in chain] for key, chain in versions.items()}
 
 
 class EmmeSi(_EmmeBase):
     """Offline SI checking via the start-ordered serialization graph."""
 
     def _verdict(
-        self,
-        history: History,
-        graph: DependencyGraph,
-        version_order: Dict[str, Sequence[int]],
+        self, history: History, graph: DependencyGraph, versions: Versions
     ) -> CheckResult:
         by_tid = {txn.tid: txn for txn in history}
+        version_order = _writer_order(versions)
         self._check_session_start_order(graph, by_tid)
-        self._check_interference(history, version_order, graph, by_tid)
-        self._check_reads(history, graph, by_tid)
+        self._check_interference(version_order, graph, by_tid)
+        self._check_reads(versions, graph, by_tid)
         return graph.check_si(version_order)
 
     @staticmethod
@@ -123,7 +127,6 @@ class EmmeSi(_EmmeBase):
 
     @staticmethod
     def _check_interference(
-        history: History,
         version_order: Dict[str, Sequence[int]],
         graph: DependencyGraph,
         by_tid: dict,
@@ -143,15 +146,8 @@ class EmmeSi(_EmmeBase):
                     )
 
     @staticmethod
-    def _check_reads(history: History, graph: DependencyGraph, by_tid: dict) -> None:
+    def _check_reads(versions: Versions, graph: DependencyGraph, by_tid: dict) -> None:
         """Visibility + missed effects: reads see the last visible version."""
-        # Per-key committed versions sorted by commit_ts: (cts, tid, value).
-        versions: Dict[str, List[Tuple[int, int, object]]] = {}
-        for txn in history:
-            for key, value in txn.last_writes.items():
-                versions.setdefault(key, []).append((txn.commit_ts, txn.tid, value))
-        for chain in versions.values():
-            chain.sort()
         for reader_tid, key, value in graph.external_reads:
             reader = by_tid[reader_tid]
             chain = versions.get(key, [])
@@ -176,18 +172,9 @@ class EmmeSer(_EmmeBase):
     """Offline SER checking via DSG acyclicity + commit-order reads."""
 
     def _verdict(
-        self,
-        history: History,
-        graph: DependencyGraph,
-        version_order: Dict[str, Sequence[int]],
+        self, history: History, graph: DependencyGraph, versions: Versions
     ) -> CheckResult:
         by_tid = {txn.tid: txn for txn in history}
-        versions: Dict[str, List[Tuple[int, int, object]]] = {}
-        for txn in history:
-            for key, value in txn.last_writes.items():
-                versions.setdefault(key, []).append((txn.commit_ts, txn.tid, value))
-        for chain in versions.values():
-            chain.sort()
         for reader_tid, key, value in graph.external_reads:
             reader = by_tid[reader_tid]
             chain = versions.get(key, [])
@@ -203,4 +190,4 @@ class EmmeSer(_EmmeBase):
                         actual=value,
                     )
                 )
-        return graph.check_ser(version_order)
+        return graph.check_ser(_writer_order(versions))

@@ -33,7 +33,6 @@ history once.
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from dataclasses import dataclass
@@ -50,12 +49,11 @@ from repro.core.violations import (
     SessionViolation,
     Violation,
 )
-from repro.db.cdc import WalTailer
+from repro.db.cdc import WalTailer, wal_line
 from repro.db.engine import Database, IsolationLevel
 from repro.db.faults import FaultInjector, FaultLabel, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.model import INIT_TID, Transaction
-from repro.histories.serialization import txn_to_dict
 from repro.service.client import CheckerClient
 from repro.service.config import ServiceConfig
 from repro.service.daemon import ServiceThread
@@ -285,7 +283,6 @@ class CampaignRunner:
             level=self.level,
             n_shards=self.n_shards,
             timeout=float("inf"),
-            protocol="v2",
         )
 
     def _factory(self, sid: int, rng: Any) -> TxnProgram:
@@ -305,7 +302,7 @@ class CampaignRunner:
         re-feed the acked prefix before the workload client returns."""
         handle.kill()
         successor = ServiceThread(self._service_config(port)).start()
-        catchup = CheckerClient("127.0.0.1", port, protocol=2)
+        catchup = CheckerClient("127.0.0.1", port)
         catchup.connect(retry_for=10.0)
         for start in range(0, len(sent), 500):
             catchup.submit_many(sent[start : start + 500])
@@ -343,12 +340,8 @@ class CampaignRunner:
             wal_path, wal_file = Path(tmp.name), tmp
             wal_is_temp = True
 
-        def ship(record: Any) -> None:
-            wal_file.write(
-                "COMMIT "
-                + json.dumps(txn_to_dict(record.to_transaction()), separators=(",", ":"))
-                + "\n"
-            )
+        def ship(txn: Transaction) -> None:
+            wal_file.write(wal_line(txn) + "\n")
             wal_file.flush()
 
         database.cdc.subscribe(ship)

@@ -13,7 +13,7 @@ Commands
                 checkers against known-bad inputs);
 ``stats``     — print a history file's descriptive statistics;
 ``serve``     — run the online checker as a long-lived daemon speaking
-                the ndjson wire protocol (see :mod:`repro.service`);
+                the binary-frame wire protocol (see :mod:`repro.service`);
 ``replay``    — stream a history file, WAL capture, anomaly fixture, or
                 generated workload into a running daemon;
 ``chaos``     — run a seeded chaos campaign: live workload + daemon
@@ -150,9 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="max transactions per receive_many drain cycle")
     serve.add_argument("--gc-threshold", type=int, default=0,
                        help="collect when this many transactions are resident (0 = off)")
-    serve.add_argument("--protocol", default="v2", choices=["v1", "v2"],
-                        help="highest wire protocol to offer (v2 frames "
-                        "still accept ndjson; v1 pins ndjson only)")
     serve.add_argument("--gc-keep-recent", type=int, default=None,
                        help="residents spared per GC cycle (default: half the threshold)")
     serve.add_argument("--http-port", type=int, default=None, metavar="PORT",
@@ -190,9 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="workload seed for --generate")
     replay.add_argument("--connect-timeout", type=float, default=10.0,
                         help="seconds to keep retrying the initial connection")
-    replay.add_argument("--protocol", default="auto", choices=["auto", "v1", "v2"],
-                        help="wire codec: auto negotiates the highest the "
-                        "daemon offers, v1 pins ndjson, v2 requires frames")
     replay.add_argument("--shutdown", action="store_true",
                         help="shut the daemon down after the replay (graceful drain)")
     replay.add_argument("--expect", default="any",
@@ -432,7 +426,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         gc_threshold=args.gc_threshold,
         gc_keep_recent=args.gc_keep_recent,
-        protocol=args.protocol,
         http_port=args.http_port,
         slow_batch_ms=args.slow_batch_ms,
         kernel_sample_every=args.kernel_sample_every,
@@ -449,6 +442,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await service.start()
         if service.tcp_address is not None:
             host, port = service.tcp_address
+            # The benchmark ladder finds an ephemeral port by parsing this line.
             print(f"listening on {host}:{port} ({config.checker_kind})", flush=True)
         if service.unix_path is not None:
             print(f"listening on unix:{service.unix_path} ({config.checker_kind})", flush=True)
@@ -520,8 +514,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         )
     txns = transactions_in_commit_order(source)
 
-    preference = {"auto": None, "v1": 1, "v2": 2}[args.protocol]
-    client = CheckerClient(args.host, args.port, unix_path=args.unix, protocol=preference)
+    client = CheckerClient(args.host, args.port, unix_path=args.unix)
     try:
         client.connect(retry_for=args.connect_timeout)
     except (OSError, ServiceError) as exc:

@@ -3,58 +3,41 @@
 §IV-C of the paper extracts transaction timestamps from TiDB's CDC
 component, YugabyteDB's write-ahead log, and Dgraph's HTTP responses.
 The simulated database emits an equivalent stream: one
-:class:`CdcRecord` per committed transaction, carrying the session
-identity, the client-visible operations (reads with the values actually
-returned), and the oracle's start/commit timestamps.
+:class:`~repro.histories.model.Transaction` per commit, carrying the
+session identity, the client-visible operations (reads with the values
+actually returned), and the oracle's start/commit timestamps.
 
 Subscribers receive records synchronously at commit time — the hook the
 online collector (:mod:`repro.online.collector`) uses to tail the
-database.  :meth:`ChangeLog.wal_lines` renders the log in a textual WAL
-format, and :func:`parse_wal` reads it back; the offline "loading" stage
+database.  :func:`wal_line` renders one commit in a textual WAL format
+(:meth:`ChangeLog.wal_lines` the whole log), and :func:`parse_wal` reads
+it back; the offline "loading" stage
 measured in Fig 8/9/24 parses exactly this kind of file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Union
 
-from repro.histories.model import History, Operation, Transaction
+from repro.histories.model import History, Transaction
 from repro.histories.serialization import txn_from_dict, txn_to_dict
 
-__all__ = ["CdcRecord", "ChangeLog", "WalTailer", "parse_wal", "iter_wal_file"]
+__all__ = ["ChangeLog", "WalTailer", "parse_wal", "iter_wal_file", "wal_line"]
 
 
-@dataclass(frozen=True)
-class CdcRecord:
-    """One committed transaction as captured from the database."""
-
-    tid: int
-    sid: int
-    sno: int
-    start_ts: int
-    commit_ts: int
-    ops: Tuple[Operation, ...]
-
-    def to_transaction(self) -> Transaction:
-        return Transaction(
-            tid=self.tid,
-            sid=self.sid,
-            sno=self.sno,
-            ops=self.ops,
-            start_ts=self.start_ts,
-            commit_ts=self.commit_ts,
-        )
+def wal_line(txn: Transaction) -> str:
+    """One committed transaction as a WAL text line (no newline)."""
+    return "COMMIT " + json.dumps(txn_to_dict(txn), separators=(",", ":"))
 
 
 class ChangeLog:
     """An append-only log of committed transactions."""
 
     def __init__(self) -> None:
-        self._records: List[CdcRecord] = []
-        self._subscribers: List[Callable[[CdcRecord], None]] = []
+        self._records: List[Transaction] = []
+        self._subscribers: List[Callable[[Transaction], None]] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -62,25 +45,22 @@ class ChangeLog:
     def __iter__(self):
         return iter(self._records)
 
-    def subscribe(self, callback: Callable[[CdcRecord], None]) -> None:
+    def subscribe(self, callback: Callable[[Transaction], None]) -> None:
         """Register a tailer invoked synchronously on each commit."""
         self._subscribers.append(callback)
 
-    def emit(self, record: CdcRecord) -> None:
-        self._records.append(record)
+    def emit(self, txn: Transaction) -> None:
+        self._records.append(txn)
         for subscriber in self._subscribers:
-            subscriber(record)
+            subscriber(txn)
 
     def to_history(self) -> History:
         """Materialize the captured history (commit order)."""
-        return History(record.to_transaction() for record in self._records)
+        return History(self._records)
 
     def wal_lines(self) -> Iterable[str]:
         """Render the log as text lines, one committed transaction each."""
-        for record in self._records:
-            yield "COMMIT " + json.dumps(
-                txn_to_dict(record.to_transaction()), separators=(",", ":")
-            )
+        return map(wal_line, self._records)
 
     def save_wal(self, path: Union[str, Path]) -> int:
         """Write the textual WAL to ``path``; returns the line count.

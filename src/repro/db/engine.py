@@ -30,10 +30,10 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.db.cdc import CdcRecord, ChangeLog
+from repro.db.cdc import ChangeLog
 from repro.db.oracle import CentralizedOracle, TimestampOracle
 from repro.db.storage import MultiVersionStore
-from repro.histories.model import INIT_SID, INIT_TID, INIT_TS, Operation, OpKind
+from repro.histories.model import INIT_SID, INIT_TID, INIT_TS, Operation, OpKind, Transaction
 
 __all__ = ["Database", "IsolationLevel", "Session", "TxnHandle", "TransactionAborted"]
 
@@ -150,13 +150,13 @@ class Database:
             ops.append(Operation(OpKind.WRITE, key, value))
         if self.collect_history:
             self.cdc.emit(
-                CdcRecord(
+                Transaction(
                     tid=INIT_TID,
                     sid=INIT_SID,
                     sno=0,
+                    ops=ops,
                     start_ts=INIT_TS,
                     commit_ts=INIT_TS,
-                    ops=tuple(ops),
                 )
             )
 
@@ -278,13 +278,13 @@ class Database:
         session.next_sno += 1
         if self.collect_history:
             self.cdc.emit(
-                CdcRecord(
+                Transaction(
                     tid=txn.tid,
                     sid=txn.sid,
                     sno=sno,
+                    ops=txn.ops,
                     start_ts=txn.start_ts,
                     commit_ts=commit_ts,
-                    ops=tuple(txn.ops),
                 )
             )
 

@@ -25,7 +25,6 @@ __all__ = [
     "OpKind",
     "Operation",
     "Transaction",
-    "ValidationIssue",
     "append",
     "history_from_jsonl",
     "history_to_jsonl",
@@ -37,7 +36,6 @@ __all__ = [
     "save_history",
     "save_history_packed",
     "unpack_columnar",
-    "validate_history",
     "write",
 ]
 
@@ -67,7 +65,5 @@ __getattr__, __dir__ = lazy_exports(
         "save_history": "repro.histories.serialization",
         "save_history_packed": "repro.histories.serialization",
         "HistoryStats": "repro.histories.stats",
-        "ValidationIssue": "repro.histories.validation",
-        "validate_history": "repro.histories.validation",
     },
 )

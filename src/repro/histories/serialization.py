@@ -44,7 +44,7 @@ per operation once loaded.  The ``[code, key, value]`` → ``(kind, key,
 value)`` rule is one function, :func:`_decode_ops`, which
 :func:`txn_from_dict` (one row, for the WAL reader) shares, and every
 decode call keeps one key memo, so a file (JSONL or packed, across all
-its chunks), a text or a submit holds one ``str`` per distinct key
+its chunks) or a text holds one ``str`` per distinct key
 rather than one per operation.  The memo is local to the call: nothing
 outlives a load, and no key is made immortal the way ``sys.intern``
 would in a long-running daemon.
@@ -154,7 +154,7 @@ def _decode_ops(
     maps each key seen so far to its first decoded object, and later
     ops reference that object instead of the fresh string ``json`` hands
     back for every occurrence: one object per distinct key for as long
-    as the caller keeps the memo (one file, one text, one submit).  The
+    as the caller keeps the memo (one file, one text).  The
     string check runs on the memo's miss path, once per distinct key.
 
     List values are tuples in the model (list keys hold tuples; ⊥T may
@@ -231,18 +231,13 @@ def txn_from_dict(data: Dict[str, Any], memo: Optional[Dict[str, str]] = None) -
 _decode_json = json.JSONDecoder().raw_decode
 
 
-def columns_from_rows(
-    rows: Iterable[Dict[str, Any]], memo: Optional[Dict[str, str]] = None
-) -> ColumnarBatch:
+def columns_from_rows(rows: Iterable[Dict[str, Any]]) -> ColumnarBatch:
     """Flatten transactions in dict form straight into one :class:`ColumnarBatch`.
 
     The columnar twin of ``[txn_from_dict(row) for row in rows]`` and
-    the row-append step of :func:`columns_from_jsonl` — also how the
-    daemon turns an ndjson ``submit`` into the batch a binary frame
-    carries.  No per-transaction or per-operation object is built, and
-    each distinct key is one object across all the rows — and across
-    every call that hands in the same ``memo`` (the daemon keeps one per
-    connection, as :func:`unpack_columnar` does for frames).  Rows are
+    the row-append step of :func:`columns_from_jsonl`.  No
+    per-transaction or per-operation object is built, and each distinct
+    key is one object across all the rows.  Rows are
     decoded into flat lists :data:`_PACK_CHUNK` rows at a time and
     moved into the columns by :func:`_extend` (the header columns and
     the op offsets, ``array('i')`` until a value needs ``'q'``) and
@@ -263,8 +258,7 @@ def columns_from_rows(
     heads: List[int] = []
     chunk: List[Any] = []
     plain = True
-    if memo is None:
-        memo = {}
+    memo: Dict[str, str] = {}
     for count, data in enumerate(rows, 1):
         heads += _decode_header(data)
         plain = _decode_ops(data["ops"], kinds, keys, chunk, memo) and plain

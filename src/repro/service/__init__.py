@@ -3,9 +3,8 @@
 The subsystem that closes the gap between the in-process reproduction
 and the paper's deployment story: an asyncio daemon
 (:class:`~repro.service.daemon.CheckerService`) wraps
-Aion/Aion-SER/ShardedAion behind a two-codec TCP (or unix-socket) wire
-protocol — ndjson for debugging and interop, length-prefixed binary
-frames with columnar submit batches for throughput
+Aion/Aion-SER/ShardedAion behind a TCP (or unix-socket) wire protocol
+of length-prefixed binary frames with columnar submit batches
 (:mod:`repro.service.protocol`, :mod:`repro.service.framing`) — a
 blocking client library
 (:class:`~repro.service.client.CheckerClient`) feeds it from ordinary
@@ -19,7 +18,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSIONS",
     "CheckerClient",
     "CheckerService",
     "ProtocolError",
@@ -40,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(
         "CheckerService": "repro.service.daemon",
         "ServiceThread": "repro.service.daemon",
         "PROTOCOL_VERSION": "repro.service.protocol",
-        "PROTOCOL_VERSIONS": "repro.service.protocol",
         "ProtocolError": "repro.service.protocol",
         "ReplayReport": "repro.service.replay",
         "replay_transactions": "repro.service.replay",

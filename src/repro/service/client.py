@@ -6,12 +6,9 @@ but the standard library — the library a workload driver, a CDC tailer,
 or a test harness embeds to stream committed transactions into a
 running daemon and read verdicts back.
 
-By default the client negotiates up to protocol v2 (binary frames with
-columnar submit batches) when the daemon offers it, and falls back to
-v1 ndjson otherwise; pass ``protocol=1`` to pin the debug-friendly
-ndjson codec, or ``protocol=2`` to fail fast against a daemon that
-cannot speak v2.  On v2, :meth:`submit_many` packs the whole batch as
-one vectored frame — no per-transaction JSON objects are built.
+Every message crosses the wire as one binary frame;
+:meth:`submit_many` packs the whole batch as one vectored columnar frame
+— no per-transaction JSON objects are built.
 
 The client is synchronous by design (producers in this repo are
 synchronous); asynchrony lives on the server side.  Pushed ``violation``
@@ -25,7 +22,7 @@ one client each (connections are cheap, and per-connection ordering is
 what carries session order over the wire).
 
 With ``auto_resume=True`` the client opens a daemon-side resume session
-during the v2 handshake and survives connection cuts transparently:
+with a ``hello`` at connect and survives connection cuts transparently:
 operations that hit a dead socket reconnect with capped exponential
 backoff + jitter, present the session token, and re-submit only batches
 the daemon's acked-seq watermark has not covered — exactly-once ingest
@@ -45,12 +42,9 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar, Uni
 
 from repro.core.violations import CheckResult, Violation
 from repro.histories.model import Transaction
-from repro.histories.serialization import txn_to_dict
 from repro.service.framing import (
     CLIENT_KIND_OF_TYPE,
-    FRAME_MAGIC0,
     HEADER_SIZE,
-    K_HELLO,
     decode_frame_header,
     decode_frame_payload,
     encode_hello_frame,
@@ -58,9 +52,8 @@ from repro.service.framing import (
     encode_submit_frame,
 )
 from repro.service.protocol import (
+    PROTOCOL_VERSION,
     ProtocolError,
-    decode_line,
-    encode_message,
     result_from_dict,
     violation_from_dict,
 )
@@ -127,13 +120,12 @@ class CheckerClient:
     timeout:
         Socket timeout (seconds) applied to every blocking operation.
     protocol:
-        ``None`` (default) negotiates the highest protocol the daemon
-        advertises; ``1`` pins ndjson; ``2`` requires the binary frame
-        codec and raises :class:`ServiceError` when unavailable.
+        The wire protocol; ``2`` (binary frames) is the only one, and
+        any other value raises :class:`ValueError`.
     auto_resume:
-        Opt into idempotent reconnect/resume (requires v2).  The hello
-        opens a daemon-side session; on a connection cut mid-operation
-        the client transparently reconnects (capped exponential backoff
+        Opt into idempotent reconnect/resume.  A hello at connect opens
+        a daemon-side session; on a connection cut mid-operation the
+        client transparently reconnects (capped exponential backoff
         with jitter, up to ``max_resume_attempts`` cuts per operation),
         presents its session token, and re-submits only batches the
         daemon has not acked — exactly-once ingest even when the cut
@@ -159,25 +151,21 @@ class CheckerClient:
         *,
         unix_path: Optional[Union[str, Path]] = None,
         timeout: float = 30.0,
-        protocol: Optional[int] = None,
+        protocol: int = PROTOCOL_VERSION,
         auto_resume: bool = False,
         reconnect_timeout: float = 10.0,
         max_resume_attempts: int = 8,
     ) -> None:
-        if protocol not in (None, 1, 2):
-            raise ValueError(f"protocol must be None, 1, or 2, got {protocol!r}")
-        if auto_resume and protocol == 1:
-            raise ValueError("auto_resume requires protocol v2")
+        # Still a parameter: the benchmark ladder passes protocol=2.
+        if protocol != PROTOCOL_VERSION:
+            raise ValueError(f"protocol must be {PROTOCOL_VERSION}, got {protocol!r}")
         self.host = host
         self.port = port
         self.unix_path = str(unix_path) if unix_path is not None else None
         self.timeout = timeout
-        self.protocol_preference = protocol
         self.auto_resume = auto_resume
         self.reconnect_timeout = reconnect_timeout
         self.max_resume_attempts = max_resume_attempts
-        #: Protocol this connection actually speaks (set by connect()).
-        self.protocol = 1
         self._sock: Optional[socket.socket] = None
         self._buffer = b""
         self._seq = 0
@@ -250,45 +238,27 @@ class CheckerClient:
                 )
                 delay = min(delay * 2, self._BACKOFF_CAP)
         self.connect_attempts = attempts
-        welcome = self._read_message()
-        if welcome.get("type") != "welcome":
-            raise ProtocolError(f"expected welcome, got {welcome.get('type')!r}")
-        self.welcome = welcome
-        self.protocol = 1
-        advertised = welcome.get("protocols") or [welcome.get("protocol", 1)]
-        want = self.protocol_preference
-        if want == 2 and 2 not in advertised:
-            raise ServiceError(f"daemon offers protocols {advertised}, not v2")
-        if self.auto_resume and 2 not in advertised:
-            raise ServiceError(
-                f"auto_resume requires protocol v2; daemon offers {advertised}"
-            )
-        if (want is None or want == 2) and 2 in advertised:
-            # Upgrade: a v2 hello *frame* flips the daemon's send side;
-            # its framed welcome confirms the switch.  With auto_resume
-            # the hello also opens (or resumes) a daemon-side session.
+        self.welcome = self._read_welcome()
+        if self.auto_resume:
+            # The hello opens (or resumes) a daemon-side session; the
+            # daemon's second welcome carries it.
             assert self._sock is not None
             self._sock.sendall(
                 encode_hello_frame(
-                    session=self.auto_resume,
-                    session_token=self.session_token if self.auto_resume else None,
-                    resume_from=(
-                        self._acked_seq
-                        if self.auto_resume and self.session_token is not None
-                        else None
-                    ),
+                    session=True,
+                    session_token=self.session_token,
+                    resume_from=self._acked_seq if self.session_token is not None else None,
                 )
             )
-            confirm = self._read_message()
-            if confirm.get("type") != "welcome":
-                raise ProtocolError(
-                    f"expected v2 welcome, got {confirm.get('type')!r}"
-                )
-            self.protocol = 2
-            self.welcome = confirm
-            if self.auto_resume:
-                self._adopt_session(confirm.get("session"))
+            self.welcome = self._read_welcome()
+            self._adopt_session(self.welcome.get("session"))
         return self.welcome
+
+    def _read_welcome(self) -> Dict[str, Any]:
+        welcome = self._read_message()
+        if welcome.get("type") != "welcome":
+            raise ProtocolError(f"expected welcome, got {welcome.get('type')!r}")
+        return welcome
 
     def _endpoint(self) -> str:
         if self.unix_path is not None:
@@ -296,7 +266,7 @@ class CheckerClient:
         return f"{self.host}:{self.port}"
 
     def _adopt_session(self, session: Any) -> None:
-        """Bind to the session in a v2 welcome, then settle the backlog.
+        """Bind to the session in a welcome, then settle the backlog.
 
         Batches at or below the daemon's acked-seq watermark were
         admitted before the cut (only the ack was lost) and are dropped
@@ -420,41 +390,30 @@ class CheckerClient:
         streams fire-and-forget — fastest, with admission control left
         to TCP backpressure.
 
-        On protocol v2 the batch crosses the wire as one vectored binary
-        frame (columnar arrays, interned keys) instead of a JSON object
-        per transaction.
+        The batch crosses the wire as one vectored binary frame
+        (columnar arrays, interned keys) instead of a JSON object per
+        transaction.
         """
-        if self.protocol == 2:
-            if ack:
-                self._seq += 1
-                seq = self._seq
-            else:
-                seq = 0  # seq 0 asks for no ack at the framing layer
-            if ack and self.auto_resume:
-                # Track the batch before the send: if the cut lands
-                # between send and ack, resume must know what to replay.
-                self._unacked[seq] = list(txns)
-
-                def op() -> None:
-                    if seq <= self._acked_seq and seq not in self._unacked:
-                        return  # settled by the resume replay already
-                    self._submit_v2(txns, seq)
-
-                self._with_resume(op)
-                self._unacked.pop(seq, None)
-                self._acked_seq = max(self._acked_seq, seq)
-            else:
-                self._submit_v2(txns, seq)
-            return
-        message: Dict[str, Any] = {"type": "submit", "txns": [txn_to_dict(t) for t in txns]}
         if ack:
-            reply = self._request(message, expect="ack")
-            if reply.get("enqueued") != len(txns):
-                raise ServiceError(
-                    f"daemon enqueued {reply.get('enqueued')} of {len(txns)} transactions"
-                )
+            self._seq += 1
+            seq = self._seq
         else:
-            self._send(message)
+            seq = 0  # seq 0 asks for no ack at the framing layer
+        if ack and self.auto_resume:
+            # Track the batch before the send: if the cut lands
+            # between send and ack, resume must know what to replay.
+            self._unacked[seq] = list(txns)
+
+            def op() -> None:
+                if seq <= self._acked_seq and seq not in self._unacked:
+                    return  # settled by the resume replay already
+                self._submit(txns, seq)
+
+            self._with_resume(op)
+            self._unacked.pop(seq, None)
+            self._acked_seq = max(self._acked_seq, seq)
+        else:
+            self._submit(txns, seq)
 
     def submit_pipelined(
         self,
@@ -473,9 +432,7 @@ class CheckerClient:
         queue never waits a full round trip between batches.  Replies
         arrive in order per connection, so the ack window is a FIFO.
 
-        Returns the number of batches sent.  On protocol v1 (or with
-        ``ack=False`` on v1) this degrades to sequential
-        :meth:`submit_many` calls per batch.  With ``auto_resume`` the
+        Returns the number of batches sent.  With ``auto_resume`` the
         whole stream is covered by the resume protocol: every batch is
         tracked until acked, and a connection cut mid-stream replays
         only batches the daemon's watermark has not covered.
@@ -485,10 +442,6 @@ class CheckerClient:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         batches = [list(txns[lo : lo + batch_size]) for lo in range(0, len(txns), batch_size)]
-        if self.protocol != 2:
-            for batch in batches:
-                self.submit_many(batch, ack=ack)
-            return len(batches)
         if not ack:
             # Fire-and-forget: no acks to window, just coalesce sends.
             out: List[bytes] = []
@@ -542,7 +495,7 @@ class CheckerClient:
         self._with_resume(op)
         return len(batches)
 
-    def _submit_v2(self, txns: List[Transaction], seq: int) -> None:
+    def _submit(self, txns: List[Transaction], seq: int) -> None:
         self._sendall(encode_submit_frame(txns, seq))
         if seq:
             reply = self._await_reply("ack", seq)
@@ -648,7 +601,7 @@ class CheckerClient:
                 self._read_message()
             except socket.timeout:
                 # recv() timed out cleanly: _buffer still holds any
-                # partial line, so framing survives and we re-check the
+                # partial frame, so framing survives and we re-check the
                 # deadline.
                 continue
             finally:
@@ -660,22 +613,8 @@ class CheckerClient:
     # ------------------------------------------------------------------
 
     def _send(self, message: Dict[str, Any]) -> None:
-        assert self._sock is not None, "not connected"
-        # A type outside the v2 vocabulary (e.g. a probe for the
-        # daemon's unknown-message handling) goes as an ndjson line even
-        # on a v2 connection — the daemon sniffs the codec per message.
-        # Dict-form submits do too: a K_SUBMIT frame's payload is always
-        # binary columnar, built only by encode_submit_frame.
-        kind = (
-            CLIENT_KIND_OF_TYPE.get(message["type"])
-            if self.protocol == 2 and message["type"] != "submit"
-            else None
-        )
-        if kind is not None:
-            data = encode_json_frame(kind, message)
-        else:
-            data = encode_message(message)
-        self._sendall(data)
+        """Send one control message (a submit goes by :meth:`_submit`)."""
+        self._sendall(encode_json_frame(CLIENT_KIND_OF_TYPE[message["type"]], message))
 
     def _sendall(self, data: bytes) -> None:
         """Send one application frame, honoring the chaos kill hook.
@@ -727,29 +666,19 @@ class CheckerClient:
         daemon-initiated shutdown broadcasts the final verdict without a
         ``seq``, and a client blocked in an unrelated request must not
         lose it when the socket then closes.
-
-        The incoming codec is sniffed per message from its first byte
-        (0xA6 can never start an ndjson line), so a connection that
-        upgrades mid-stream — or a daemon that answers the upgrade in
-        frames while a v1 push is still in flight — parses cleanly.
         """
-        if self._peek_byte() == FRAME_MAGIC0:
-            # Fill before consuming: a timeout mid-frame must leave the
-            # buffer at a message boundary for the retry.
-            self._fill(HEADER_SIZE)
-            kind_byte, length = decode_frame_header(self._buffer[:HEADER_SIZE])
-            self._fill(HEADER_SIZE + length)
-            # Decode straight out of the receive buffer: a memoryview
-            # slice instead of a bytes copy of the payload (the columnar
-            # decoder reads it in place).
-            received = self._buffer
-            self._buffer = received[HEADER_SIZE + length :]
-            with memoryview(received) as whole:
-                message = decode_frame_payload(
-                    kind_byte, whole[HEADER_SIZE : HEADER_SIZE + length]
-                )
-        else:
-            message = decode_line(self._read_line())
+        # Fill before consuming: a timeout mid-frame must leave the
+        # buffer at a message boundary for the retry.
+        self._fill(HEADER_SIZE)
+        kind_byte, length = decode_frame_header(self._buffer[:HEADER_SIZE])
+        self._fill(HEADER_SIZE + length)
+        # Decode straight out of the receive buffer: a memoryview slice
+        # instead of a bytes copy of the payload (the columnar decoder
+        # reads it in place).
+        received = self._buffer
+        self._buffer = received[HEADER_SIZE + length :]
+        with memoryview(received) as whole:
+            message = decode_frame_payload(kind_byte, whole[HEADER_SIZE : HEADER_SIZE + length])
         kind = message.get("type")
         if kind == "violation":
             self.pushed.append(violation_from_dict(message["violation"]))
@@ -757,32 +686,14 @@ class CheckerClient:
             self.final_result = result_from_dict(message)
         return message
 
-    def _read_line(self) -> bytes:
-        """Read one ``\\n``-terminated line from the connection.
+    def _fill(self, n: int) -> None:
+        """Grow the receive buffer to at least ``n`` bytes (no consume).
 
         A hand-rolled buffer instead of ``socket.makefile``: a timeout
         mid-``recv`` must leave already-received bytes intact (buffered
-        file objects lose them), and pushed lines that arrived in one
+        file objects lose them), and pushed frames that arrived in one
         packet must be consumable without touching the socket again.
         """
-        assert self._sock is not None, "not connected"
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                line = self._buffer[: newline + 1]
-                self._buffer = self._buffer[newline + 1 :]
-                return line
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("daemon closed the connection")
-            self._buffer += chunk
-
-    def _peek_byte(self) -> int:
-        self._fill(1)
-        return self._buffer[0]
-
-    def _fill(self, n: int) -> None:
-        """Grow the receive buffer to at least ``n`` bytes (no consume)."""
         assert self._sock is not None, "not connected"
         while len(self._buffer) < n:
             chunk = self._sock.recv(65536)

@@ -62,12 +62,6 @@ class ServiceConfig:
     #: when no transactions are arriving; the daemon polls at this
     #: cadence so due verdicts are pushed from a quiet wire too.
     poll_interval: float = 0.5
-    #: Highest wire protocol the daemon offers.  ``"v2"`` (the default)
-    #: advertises the binary frame codec while still accepting ndjson on
-    #: the same port — the reader sniffs each message's codec from its
-    #: first byte.  ``"v1"`` pins the daemon to ndjson only: v2-capable
-    #: clients see ``protocols: [1]`` in the welcome and fall back.
-    protocol: str = "v2"
     #: TCP port of the HTTP observability sidecar (``/metrics``,
     #: ``/health``, ``/stats``); 0 binds an ephemeral port (read it back
     #: from ``CheckerService.http_address``), ``None`` (the default)
@@ -88,15 +82,6 @@ class ServiceConfig:
     #: ``receive_many`` call is traced as a slow batch (structured record
     #: to stderr + ring buffer); ``None`` disables the trace.
     slow_batch_ms: Optional[float] = None
-    #: Sliding window (seconds) over which session resumes are counted
-    #: for the ``resume_storm`` health component.
-    resume_storm_window: float = 10.0
-    #: Session resumes inside one window at which ``/health`` flips the
-    #: ``resume_storm`` component unhealthy — reconnect churn at this
-    #: rate means clients are flapping (a dying daemon peer, a broken
-    #: network path, or a retry loop without backoff), and verdict
-    #: latency guarantees no longer hold.
-    resume_storm_threshold: int = 30
 
     def validate(self) -> None:
         if self.port is None and self.unix_path is None:
@@ -115,8 +100,6 @@ class ServiceConfig:
             raise ValueError("gc_threshold must be >= 0")
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        if self.protocol not in ("v1", "v2"):
-            raise ValueError(f"protocol must be 'v1' or 'v2', got {self.protocol!r}")
         if self.http_port is not None and not 0 <= self.http_port <= 65535:
             raise ValueError("http_port must be in [0, 65535]")
         if self.stats_bytes_ttl < 0:
@@ -125,10 +108,6 @@ class ServiceConfig:
             raise ValueError("kernel_sample_every must be >= 0")
         if self.slow_batch_ms is not None and self.slow_batch_ms <= 0:
             raise ValueError("slow_batch_ms must be positive when set")
-        if self.resume_storm_window <= 0:
-            raise ValueError("resume_storm_window must be positive")
-        if self.resume_storm_threshold < 1:
-            raise ValueError("resume_storm_threshold must be >= 1")
         if self.gc_keep_recent is not None:
             if self.gc_keep_recent < 0:
                 raise ValueError("gc_keep_recent must be >= 0")

@@ -7,9 +7,9 @@ CDC/WAL stream and push committed transactions over the wire; the daemon
 checks them as they arrive and pushes verdicts back.
 
 This module is the part that talks to sockets: it binds the listeners,
-reads each connection with one small reader per codec (ndjson lines and
-binary frames share a port; every message's first byte says which), and
-feeds one ``_dispatch``.  Whatever the codec, a ``submit`` leaves its
+reads each connection as a stream of v2 frames (``_read_frame``; the
+first frame header that fails to parse gets one ``error`` and closes the
+connection), and feeds one ``_dispatch``.  A ``submit`` leaves the
 reader as a :class:`ColumnarBatch` and runs the one admission sequence
 of ``_admit``; from the queue on there is a single path, owned
 by :class:`repro.service.ingest.IngestPipeline` (architecture diagram
@@ -20,7 +20,7 @@ the wire contract is specified in :mod:`repro.service.protocol`.
 
 :class:`ServiceThread` hosts a daemon on a background thread with its
 own event loop — the harness used by the blocking client's tests and the
-wire-throughput benchmark, and a one-liner for embedding the service in
+benchmark ladder's in-thread rung, and a one-liner for embedding the service in
 a synchronous program.
 """
 
@@ -35,7 +35,7 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.colpack import ColumnarBatch
 from repro.core.violations import CheckResult
@@ -43,22 +43,14 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SlowBatchLog
 from repro.service.config import ServiceConfig
 from repro.service.framing import (
-    FRAME_MAGIC0,
     HEADER_SIZE,
-    K_HELLO,
     SERVER_KIND_OF_TYPE,
     decode_frame_header,
     decode_frame_payload,
     encode_json_frame,
 )
 from repro.service.ingest import IngestPipeline
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_line,
-    encode_message,
-    result_to_dict,
-)
+from repro.service.protocol import PROTOCOL_VERSION, ProtocolError, result_to_dict
 from repro.service.sessions import SessionTable
 from repro.service.status import StatusView
 
@@ -66,11 +58,6 @@ if TYPE_CHECKING:
     from repro.obs.http import HttpSidecar
 
 __all__ = ["CheckerService", "ServiceThread"]
-
-#: Maximum wire-line length (a submit batch of 500 wide transactions
-#: stays well under this; the bound exists so one malformed producer
-#: cannot balloon the reader's buffer).
-_MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: A subscriber whose transport buffer exceeds this is disconnected: the
 #: drain loop never awaits a subscriber's socket, so a consumer that
@@ -131,17 +118,11 @@ class CheckerService:
         #: broadcasts: no duplicate, no missed push).  Bounded: oldest
         #: entries fall off a violation-heavy stream.
         self._violation_log: Deque[_Msg] = deque(maxlen=_MAX_REPLAY_BACKLOG)
-        #: Connections that completed the v2 handshake; absent = v1.
-        #: Only the send side consults this — the reader sniffs each
-        #: incoming message's codec from its first byte.
-        self._conn_proto: Dict[_Writer, int] = {}
-        #: Per-codec wire counters, exported as ``stats()["wire"]``.
+        #: Frame counters, exported as ``stats()["wire"]["v2"]``.
         #: Touched only from the event-loop thread (reads from stats()
         #: may tear across keys, which is fine for monotonic counters).
         counters = ("frames_in", "bytes_in", "frames_out", "bytes_out", "decode_errors")
-        self.wire: Dict[str, Dict[str, int]] = {
-            codec: dict.fromkeys(counters, 0) for codec in ("v1", "v2")
-        }
+        self._wire: Dict[str, int] = dict.fromkeys(counters, 0)
         #: HTTP observability sidecar (``/metrics``, ``/health``,
         #: ``/stats``); bound in :meth:`start` when ``http_port`` is set.
         self._http: Optional[HttpSidecar] = None
@@ -158,7 +139,7 @@ class CheckerService:
         #: The metrics registry behind ``GET /metrics``.
         self.metrics = MetricsRegistry()
         self._ingest = IngestPipeline(self.config, self.checker, self.metrics, self._broadcast)
-        self._sessions = SessionTable(self.config.resume_storm_window)
+        self._sessions = SessionTable()
         self._status = StatusView(
             self._ingest, self._sessions, self._edge_facts, self.metrics, self.slow_batch_log
         )
@@ -168,16 +149,15 @@ class CheckerService:
     async def start(self) -> None:
         """Bind the configured listeners and start the drain loop."""
         config, serve = self.config, self._handle_connection
+        # The readers keep asyncio's default 64 KiB buffer limit: readexactly
+        # still takes a frame of any allowed length, and a producer with
+        # frames in flight waits on TCP instead of on the daemon's buffer.
         if config.port is not None:
-            server = await asyncio.start_server(
-                serve, host=config.host, port=config.port, limit=_MAX_LINE_BYTES
-            )
+            server = await asyncio.start_server(serve, host=config.host, port=config.port)
             self._servers.append(server)
             self.tcp_address = server.sockets[0].getsockname()[:2]
         if config.unix_path is not None:
-            server = await asyncio.start_unix_server(
-                serve, path=str(config.unix_path), limit=_MAX_LINE_BYTES
-            )
+            server = await asyncio.start_unix_server(serve, path=str(config.unix_path))
             self._servers.append(server)
             self.unix_path = str(config.unix_path)
         if config.http_port is not None:
@@ -280,37 +260,26 @@ class CheckerService:
         finally:
             self._mark_stopped()
 
-    def _welcome_message(self, version: int) -> _Msg:
+    def _welcome_message(self) -> _Msg:
         return {
             "type": "welcome",
-            "protocol": version,
-            "protocols": [1] if self.config.protocol == "v1" else [1, 2],
+            "protocol": PROTOCOL_VERSION,
             "checker": self.config.checker_kind,
             "level": self.config.level,
         }
 
     async def _handle_connection(self, reader: _Reader, writer: _Writer) -> None:
         self._connections.add(writer)
-        # The opening welcome is always a v1 line: a client cannot know
-        # the server speaks v2 until this advertisement arrives.
-        self._send(writer, self._welcome_message(PROTOCOL_VERSION))
-        # One key memo per connection, shared by both codecs and dropped
-        # at disconnect: a submit's keys are the objects this connection
-        # decoded first, which the checker holds already, instead of a
-        # fresh string per key per submit.  It grows with the key space
-        # only, as the checker's frontier and read index do.
+        self._send(writer, self._welcome_message())
+        # One key memo per connection, dropped at disconnect: a submit's
+        # keys are the objects this connection decoded first, which the
+        # checker holds already, instead of a fresh string per key per
+        # submit.  It grows with the key space only, as the checker's
+        # frontier and read index do.
         memo: Dict[str, str] = {}
         try:
             while True:
-                # One byte of lookahead classifies the next message:
-                # 0xA6 can never start an ndjson line, so it means a v2
-                # frame; anything else is the first byte of a line.
-                try:
-                    first = await reader.readexactly(1)
-                except asyncio.IncompleteReadError:
-                    break
-                read = self._read_frame if first[0] == FRAME_MAGIC0 else self._read_line
-                message = await read(first, reader, writer, memo)
+                message = await self._read_frame(reader, writer, memo)
                 if message is not None and not await self._dispatch(message, writer):
                     break
         except (_Hangup, ConnectionResetError, BrokenPipeError):
@@ -318,24 +287,26 @@ class CheckerService:
         finally:
             self._subscribers.discard(writer)
             self._connections.discard(writer)
-            self._conn_proto.pop(writer, None)
             # The session itself survives in the table: that is what a
             # reconnecting client resumes against.
             self._sessions.detach(writer)
             self._close_writer(writer)
 
     async def _read_frame(
-        self, first: bytes, reader: _Reader, writer: _Writer, memo: Dict[str, str]
+        self, reader: _Reader, writer: _Writer, memo: Dict[str, str]
     ) -> Optional[_Msg]:
-        """One v2 frame → a message for ``_dispatch`` (None: handled or
-        rejected here).  A submit's payload decodes straight into a
-        :class:`ColumnarBatch` under ``message["batch"]``, its keys
-        shared through the connection's ``memo``."""
-        wire = self.wire["v2"]
+        """One frame → a message for ``_dispatch`` (None: rejected here).
+        A submit's payload decodes straight into a :class:`ColumnarBatch`
+        under ``message["batch"]``, its keys shared through the
+        connection's ``memo``.  Raises :class:`_Hangup` at end of stream."""
+        wire = self._wire
         try:
-            if self.config.protocol == "v1":
-                raise ProtocolError("protocol v2 is disabled")
-            header = first + await reader.readexactly(HEADER_SIZE - 1)
+            header = await reader.readexactly(HEADER_SIZE)
+        except asyncio.IncompleteReadError as exc:
+            if exc.partial:
+                wire["decode_errors"] += 1
+            raise _Hangup from None
+        try:
             frame_kind, length = decode_frame_header(header)
             payload = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
@@ -350,76 +321,18 @@ class CheckerService:
         wire["frames_in"] += 1
         wire["bytes_in"] += HEADER_SIZE + length
         try:
-            message = decode_frame_payload(frame_kind, payload, memo)
+            return decode_frame_payload(frame_kind, payload, memo)
         except ProtocolError as exc:
             # The framing survived (length was honoured), so the
             # connection can too — reject this message.
             wire["decode_errors"] += 1
             self._refuse(writer, str(exc))
             return None
-        if frame_kind == K_HELLO:
-            self._handle_hello(message, writer)
-            return None
-        return message
-
-    async def _read_line(
-        self, first: bytes, reader: _Reader, writer: _Writer, memo: Dict[str, str]
-    ) -> Optional[_Msg]:
-        """One ndjson line → a message for ``_dispatch`` (None: blank or
-        rejected here).  A submit's rows are decoded here, at the edge,
-        into the same ``message["batch"]`` a v2 frame carries, through
-        the same ``memo``."""
-        try:
-            rest = await reader.readline()
-        except (asyncio.LimitOverrunError, ValueError):
-            self._refuse(writer, "line too long")
-            raise _Hangup from None
-        line = first + rest
-        wire = self.wire["v1"]
-        wire["bytes_in"] += len(line)
-        line = line.strip()
-        if not line:
-            return None
-        wire["frames_in"] += 1
-        try:
-            message = decode_line(line)
-        except ProtocolError as exc:
-            wire["decode_errors"] += 1
-            self._refuse(writer, str(exc))
-            return None
-        if message["type"] == "submit":
-            rows = message.get("txns")
-            if rows is None and message.get("txn") is not None:
-                rows = [message["txn"]]
-            # Imported here, so a daemon fed only v2 frames never
-            # compiles the history-file module.
-            from repro.histories.serialization import columns_from_rows
-
-            try:
-                # Anything but a list of rows is an empty submit, which
-                # admission refuses in the same words for both codecs.
-                # A row the decode rule refuses (ops that are not
-                # triples, a key that is not a string, a header field
-                # that is not an integer) never reaches receive_many,
-                # where it would drop the drain cycle for every producer
-                # drained beside this one.
-                message["batch"] = columns_from_rows(
-                    rows if isinstance(rows, list) else (), memo
-                )
-            except ValueError as exc:
-                self._refuse(writer, f"submit refused: {exc}", seq=message.get("seq"))
-                return None
-            except (KeyError, TypeError) as exc:
-                self._refuse(writer, f"malformed transaction: {exc!r}", seq=message.get("seq"))
-                return None
-        return message
 
     def _handle_hello(self, message: _Msg, writer: _Writer) -> None:
-        """v2 handshake: flip this connection's send side to frames and
-        confirm with a framed welcome — carrying session/resume state
+        """Answer a hello with a welcome — carrying session/resume state
         when the hello asked for it."""
-        self._conn_proto[writer] = 2
-        welcome = self._welcome_message(2)
+        welcome = self._welcome_message()
         if "session_token" in message or "resume_from" in message:
             try:
                 welcome["session"] = self._sessions.attach(writer, message)
@@ -437,6 +350,8 @@ class CheckerService:
         seq = message.get("seq")
         if kind == "ping":
             self._send(writer, {"type": "pong", "seq": seq})
+        elif kind == "hello":
+            self._handle_hello(message, writer)
         elif kind == "submit":
             await self._admit(message["batch"], seq, writer)
         elif kind == "subscribe":
@@ -462,14 +377,14 @@ class CheckerService:
             # connection (this one included) before closing the sockets.
             await self.shutdown()
             return False
-        elif kind != "hello":  # a v1 hello is an optional greeting, nothing to do
+        else:
             self._refuse(writer, f"unknown message type {kind!r}", seq=seq)
         return True
 
     async def _admit(self, batch: ColumnarBatch, seq: Optional[int], writer: _Writer) -> None:
-        """The one admission sequence, whichever codec carried the submit:
-        refuse (shutting down / empty / appends) → ``(session, seq)``
-        dedup → slices into the queue → watermark → ack."""
+        """The one admission sequence: refuse (shutting down / empty /
+        appends) → ``(session, seq)`` dedup → slices into the queue →
+        watermark → ack."""
         # Latency stamp taken once at decode: the histogram then measures
         # queue wait + checking, i.e. the daemon-side submit→verdict path.
         stamp = time.monotonic()
@@ -512,21 +427,14 @@ class CheckerService:
         """An ``error`` reply; the connection survives, the request does not."""
         self._send(writer, {"type": "error", **seq, "message": text})
 
-    def _codec(self, writer: _Writer) -> Tuple[Callable[[_Msg], bytes], Dict[str, int]]:
-        """``(encode one message, wire counters)`` of a connection's send side."""
-        if self._conn_proto.get(writer) == 2:
-            return _encode_frame, self.wire["v2"]
-        return encode_message, self.wire["v1"]
-
     def _send(self, writer: _Writer, message: _Msg) -> None:
         if writer.is_closing():
             return
-        encode, wire = self._codec(writer)
         try:
-            data = encode(message)
+            data = _encode_frame(message)
             writer.write(data)
-            wire["frames_out"] += 1
-            wire["bytes_out"] += len(data)
+            self._wire["frames_out"] += 1
+            self._wire["bytes_out"] += len(data)
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             self._subscribers.discard(writer)
 
@@ -542,17 +450,12 @@ class CheckerService:
         self._violation_log.extend(messages)
         if not messages or not self._subscribers:
             return
-        # One payload per codec, built lazily: most daemons have all
-        # their subscribers on one protocol.
-        payloads: Dict[Any, bytes] = {}
+        payload = b"".join(map(_encode_frame, messages))
+        wire = self._wire
         for writer in list(self._subscribers):
             if writer.is_closing():
                 self._subscribers.discard(writer)
                 continue
-            encode, wire = self._codec(writer)
-            payload = payloads.get(encode)
-            if payload is None:
-                payload = payloads[encode] = b"".join(map(encode, messages))
             try:
                 writer.write(payload)
                 wire["frames_out"] += len(messages)
@@ -577,7 +480,8 @@ class CheckerService:
     def _edge_facts(self) -> Dict[str, Any]:
         """What only the connection edge knows, for the status view."""
         return {
-            "wire": {codec: dict(counters) for codec, counters in self.wire.items()},
+            # Keyed by codec, v2 the only one: the benchmark ladder reads ["wire"]["v2"].
+            "wire": {"v2": dict(self._wire)},
             "subscribers": len(self._subscribers),
             "subscribers_shed": self._subscribers_shed,
             "connections": len(self._connections),

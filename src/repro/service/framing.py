@@ -1,8 +1,8 @@
-"""Protocol v2: length-prefixed binary frames.
+"""Protocol v2: length-prefixed binary frames, the service's one codec.
 
 The framing sibling of :mod:`repro.service.protocol` — see that module's
-docstring for the full wire contract (frame layout, handshake, when to
-prefer v1).  The short version::
+docstring for the full wire contract (frame layout, handshake, sessions).
+The short version::
 
     0      1      2      3      4              8
     +------+------+------+------+--------------+----------------+
@@ -14,14 +14,12 @@ acknowledgement sequence number (0 = fire-and-forget) followed by one
 :func:`~repro.core.colpack.pack_columnar` blob, so a batch of
 transactions crosses the wire as flat struct-packed columns and decodes
 straight into the checkers' batch-kernel layout.  Every other kind wraps
-the *unchanged* protocol-v1 JSON message as its payload; the kind byte
-is redundant with the payload's ``"type"`` field and is validated
-against it, which keeps one codec for control traffic and makes v2↔v1
-equivalence trivial for everything but ``submit``.
+one JSON message as its payload; the kind byte is redundant with the
+payload's ``"type"`` field and is validated against it.
 
-``0xA6`` is not a valid first byte of JSON or UTF-8 text, so a reader
-can tell a frame from an ndjson line by its first byte — both protocols
-share one port, and the per-connection mode is only a send-side choice.
+``0xA6`` is not a valid first byte of JSON or UTF-8 text, so a peer that
+speaks ndjson by mistake fails at its first frame header instead of
+being misread.
 
 All decode errors raise :class:`~repro.service.protocol.ProtocolError`;
 torn frames surface as short reads (the transport layer's concern), and
@@ -62,8 +60,7 @@ __all__ = [
 ]
 
 #: First header byte.  0xA6 is a UTF-8 continuation byte, so it can
-#: never start an ndjson line — per-message auto-detection is one
-#: byte of lookahead.
+#: never start a line of JSON text.
 FRAME_MAGIC0 = 0xA6
 FRAME_MAGIC1 = 0x52
 FRAME_VERSION = 2
@@ -71,8 +68,8 @@ FRAME_VERSION = 2
 _HEADER = struct.Struct("!BBBBI")
 HEADER_SIZE = _HEADER.size  # 8
 
-#: Hard payload bound, mirroring the ndjson reader's line bound: one
-#: malformed (or hostile) producer must not balloon the reader's buffer.
+#: Hard payload bound: one malformed (or hostile) producer must not
+#: balloon the reader's buffer.
 MAX_PAYLOAD_BYTES = 16 * 1024 * 1024
 
 _U32 = struct.Struct("!I")
@@ -130,8 +127,7 @@ TYPE_OF_KIND: Dict[int, str] = {
 def encode_json_frame(kind: int, message: Dict[str, Any]) -> bytes:
     """Frame one control message (anything but ``submit``) as v2.
 
-    The payload is the protocol-v1 JSON encoding of ``message`` without
-    the trailing newline.
+    The payload is the compact UTF-8 JSON encoding of ``message``.
     """
     payload = json.dumps(message, separators=(",", ":"), ensure_ascii=False).encode(
         "utf-8"
@@ -149,10 +145,10 @@ def encode_hello_frame(
     session_token: Union[str, None] = None,
     resume_from: Union[int, None] = None,
 ) -> bytes:
-    """The v2 upgrade ``hello`` frame, optionally opening/resuming a session.
+    """A ``hello`` frame, optionally opening/resuming a session.
 
-    With ``session=False`` this is the plain protocol upgrade.  With
-    ``session=True`` the hello carries ``session_token`` (``None`` asks
+    With ``session=False`` the daemon only answers with a ``welcome``.
+    With ``session=True`` the hello carries ``session_token`` (``None`` asks
     the daemon to mint one) and, when resuming, ``resume_from`` — the
     client's highest acked submit sequence number, which the daemon
     cross-checks against its own watermark (see

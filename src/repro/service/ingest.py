@@ -1,11 +1,10 @@
 """The ingest pipeline: bounded queue → drain task → checker.
 
-One path from admission to verdict push, whichever codec a transaction
-arrived in::
+One path from admission to verdict push::
 
-    clients ──ndjson (v1)──▶ per-codec reader ─▶ one admission sequence
-            ──frames (v2)──▶  (repro.service.daemon: every submit is a
-                               ColumnarBatch before it gets here)
+    clients ──frames──▶ frame reader ─▶ one admission sequence
+                        (repro.service.daemon: every submit is a
+                         ColumnarBatch before it gets here)
                                      │ put(): slices of ≤ batch_size
                                      ▼
                         bounded ingest queue (backpressure, in txns)

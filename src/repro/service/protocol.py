@@ -1,50 +1,41 @@
-"""The checker service's wire protocol: ndjson (v1) and binary frames (v2).
+"""The checker service's wire protocol: length-prefixed binary frames.
 
-Two codecs share one port and one message vocabulary:
-
-**v1 — ndjson.**  Every message is a single JSON object terminated by
-``\\n`` (UTF-8, no embedded newlines) — the same framing the history
-files use, so a producer that can append to a JSONL history can speak to
-the daemon with a two-line change.  Each object carries a ``type``
-field; everything else is type-specific.
-
-**v2 — length-prefixed binary frames** (:mod:`repro.service.framing`)::
+Every message in either direction is one frame
+(:mod:`repro.service.framing`)::
 
     0      1      2      3      4              8
     +------+------+------+------+--------------+----------------+
     | 0xA6 | 0x52 | ver  | kind |  length u32  | payload ...    |
     +------+------+------+------+--------------+----------------+
 
-``0xA6`` is a UTF-8 continuation byte, so it can never start an ndjson
-line: the reader classifies every incoming message by its first byte,
-and a single connection may even interleave the two codecs.  Control
-messages (everything below except ``submit``) carry their v1 JSON object
-verbatim as the frame payload; only ``submit`` is binary — a u32 ack
-sequence number followed by a columnar pack
-(:func:`repro.core.colpack.pack_columnar`) that struct-packs
-the batch's tids/sids/snos/timestamps as flat arrays, interns keys in a
+Control messages (everything below except ``submit``) carry one JSON
+object as the frame payload: a ``type`` field plus type-specific fields,
+the kind byte naming the same type.  Only ``submit`` is binary — a u32
+ack sequence number followed by a columnar pack
+(:func:`repro.core.colpack.pack_columnar`) that struct-packs the
+batch's tids/sids/snos/timestamps as flat arrays, interns keys in a
 per-frame string table, and tags values with 1-byte type codes.  The
 daemon decodes that blob directly into the batch kernel's columnar
-layout without building per-transaction dicts, which is where v2's
-throughput win comes from.
+layout without building per-transaction dicts.
 
 Handshake
 ---------
-The server always opens with a v1 ``welcome`` line advertising
-``"protocols": [1, 2]`` (or ``[1]`` when v2 is disabled).  A connection
-stays in v1 unless the client sends a v2 ``hello`` *frame*; the server
-then answers with a v2 ``welcome`` frame and switches its send side to
-frames for that connection.  Clients preferring v2 must fall back to v1
-when the server only advertises ``[1]``.
+The daemon opens every connection with a framed ``welcome`` (protocol
+version, checker kind, isolation level); the client may send requests
+at once.  A ``hello`` frame is only needed to open or resume a session:
+the daemon answers it with a second ``welcome`` that carries
+``session``.  A connection whose bytes do not parse as a frame header —
+a first byte other than ``0xA6``, say an ndjson line — gets one framed
+``error`` and is closed: the stream position is lost, and frames cannot
+resync.
 
 Sessions and resume
 -------------------
-A v2 ``hello`` may additionally carry ``"session_token"`` (a lowercase
-hex string previously issued by the daemon, or ``null`` to open a new
-session) and optionally ``"resume_from"`` (the client's highest acked
-submit sequence number, cross-checked against the daemon's watermark).
-The daemon answers with a ``"session"`` object inside the v2
-``welcome``::
+A ``hello`` carries ``"session_token"`` (a lowercase hex string
+previously issued by the daemon, or ``null`` to open a new session) and
+optionally ``"resume_from"`` (the client's highest acked submit sequence
+number, cross-checked against the daemon's watermark).  The daemon
+answers with a ``"session"`` object inside the ``welcome``::
 
     {"session": {"token": "…", "acked_seq": N, "resumed": true|false}}
 
@@ -62,18 +53,13 @@ token or a ``resume_from`` ahead of the daemon's watermark is rejected
 with an ``error`` reply and no session.  Session state is in-memory
 and bounded (:data:`MAX_TRACKED_SESSIONS` least-recently-used entries).
 
-Prefer v1 when debugging (messages are greppable and can be spoken with
-``nc``/``telnet``), when producing from tools that only know JSON, or
-for interop with pre-v2 daemons; prefer v2 for throughput — bulk
-``submit`` traffic is both smaller on the wire and far cheaper to
-decode.
-
 Client → server
 ---------------
 ============  =====================================================
-``hello``     optional greeting: ``{"client": str}``
-``submit``    ``{"txns": [txn, ...]}`` or ``{"txn": txn}``; an
-              optional ``seq`` requests an ``ack`` once the batch is
+``hello``     open or resume a session: ``{"session_token": str |
+              null, "resume_from": n?}``
+``submit``    binary: a u32 ``seq`` and one columnar batch; a nonzero
+              ``seq`` requests an ``ack`` once the batch is
               *enqueued* (admission, not checking — verdicts arrive
               via ``subscribe``/``finalize``)
 ``subscribe`` start pushing ``violation`` messages to this
@@ -93,7 +79,8 @@ Server → client
 ---------------
 ============  =====================================================
 ``welcome``   first message on every connection: protocol version,
-              checker kind, isolation level
+              checker kind, isolation level; also the reply to a
+              ``hello``, then with ``session``
 ``ack``       ``{"seq": n, "enqueued": k}``
 ``violation`` one checked-and-reported violation, pushed live
 ``stats``     resident/throughput/GC counters (see
@@ -103,12 +90,11 @@ Server → client
 ``pong``      ``{"seq": n}``
 ``error``     ``{"message": str, "seq": n?}`` — the connection
               survives; only the offending request is rejected
+              (after a frame header that does not parse, the
+              connection closes)
 ``bye``       the server is closing this connection
 ============  =====================================================
 
-Transactions travel in the dict form of ``txn_to_dict``, the history
-files' schema; the daemon decodes a v1 ``submit`` with ``columns_from_rows``
-(:mod:`repro.histories.serialization`) into the columns a v2 frame carries.
 Violations are encoded by :func:`violation_to_dict`.  The value tags exist
 for their values: an INT or EXT violation's ``expected``/``actual`` may be
 a tuple or ⊥v (an EXT read of a never-written key expects ⊥v), which JSON
@@ -139,7 +125,6 @@ from repro.core.violations import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSIONS",
     "MAX_TRACKED_SESSIONS",
     "ProtocolError",
     "new_session_token",
@@ -154,12 +139,9 @@ __all__ = [
     "result_from_dict",
 ]
 
-PROTOCOL_VERSION = 1
+#: The one wire protocol: binary frames (:mod:`repro.service.framing`).
+PROTOCOL_VERSION = 2
 
-#: Every protocol revision this codebase can speak.  The binary v2 frame
-#: codec lives in :mod:`repro.service.framing` (a sibling rather than an
-#: import here, so the v1 codec keeps zero framing dependencies).
-PROTOCOL_VERSIONS = (1, 2)
 
 
 class ProtocolError(ValueError):
@@ -198,13 +180,14 @@ def validate_session_token(token: Any) -> str:
     return token
 
 
+# Kept: the benchmark ladder imports these two at module top for its ndjson rung.
 def encode_message(message: Dict[str, Any]) -> bytes:
     """Render one message as an ndjson line (including the newline)."""
     return json.dumps(message, separators=(",", ":"), ensure_ascii=False).encode("utf-8") + b"\n"
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line into a message dict, validating the envelope."""
+    """Parse one ndjson line into a message dict, validating the envelope."""
     try:
         message = json.loads(line)
     except (ValueError, UnicodeDecodeError) as exc:

@@ -35,8 +35,6 @@ class ReplayReport:
     sent: int
     batches: int
     wall_seconds: float
-    #: Wire protocol the client negotiated (1 = ndjson, 2 = frames).
-    protocol: int = 1
     stats: Dict[str, Any] = field(default_factory=dict)
     result: Optional[CheckResult] = None
 
@@ -92,9 +90,7 @@ def replay_transactions(
     if drain:
         client.drain()
     wall = time.monotonic() - started
-    report = ReplayReport(
-        sent=len(txns), batches=batches, wall_seconds=wall, protocol=client.protocol
-    )
+    report = ReplayReport(sent=len(txns), batches=batches, wall_seconds=wall)
     if collect_stats:
         # Cheap mode: skip the estimated_bytes deep-sizeof walk, which
         # runs on the daemon's event loop and stalls other producers on

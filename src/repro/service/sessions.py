@@ -5,7 +5,7 @@
 ``(session, seq)`` dedup and watermark that make reconnect-and-replay
 exactly-once, and the resume stamps behind the ``resume_storm`` health
 component.  The wire contract (token grammar, ``resume_from``, the
-``session`` object of the v2 ``welcome``) is in
+``session`` object of the ``welcome``) is in
 :mod:`repro.service.protocol`.  Event-loop thread only.
 """
 
@@ -22,7 +22,18 @@ from repro.service.protocol import (
     validate_session_token,
 )
 
-__all__ = ["SessionTable"]
+__all__ = ["RESUME_STORM_THRESHOLD", "RESUME_STORM_WINDOW_S", "SessionTable"]
+
+#: Sliding window (seconds) over which session resumes are counted for
+#: the ``resume_storm`` health component.
+RESUME_STORM_WINDOW_S = 10.0
+
+#: Session resumes inside one window at which ``/health`` flips the
+#: ``resume_storm`` component unhealthy — reconnect churn at this rate
+#: means clients are flapping (a dying daemon peer, a broken network
+#: path, or a retry loop without backoff), and verdict latency
+#: guarantees no longer hold.
+RESUME_STORM_THRESHOLD = 30
 
 
 class _WireSession:
@@ -46,8 +57,7 @@ class _WireSession:
 class SessionTable:
     """Sessions by token (LRU-bounded) and by attached connection."""
 
-    def __init__(self, storm_window: float) -> None:
-        self._storm_window = storm_window
+    def __init__(self) -> None:
         #: Least-recently-touched first; bounded at MAX_TRACKED_SESSIONS
         #: so token churn cannot grow daemon memory.
         self._sessions: "OrderedDict[str, _WireSession]" = OrderedDict()
@@ -137,7 +147,7 @@ class SessionTable:
 
     def recent_resumes(self, now: float) -> int:
         """Session resumes inside the sliding resume-storm window."""
-        cutoff = now - self._storm_window
+        cutoff = now - RESUME_STORM_WINDOW_S
         return sum(1 for stamp in self._resume_stamps if stamp >= cutoff)
 
     def snapshot(self) -> Dict[str, int]:

@@ -22,7 +22,7 @@ from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.trace import SlowBatchLog
 from repro.service.ingest import IngestPipeline
 from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.sessions import SessionTable
+from repro.service.sessions import RESUME_STORM_THRESHOLD, RESUME_STORM_WINDOW_S, SessionTable
 
 __all__ = ["StatusView"]
 
@@ -279,7 +279,6 @@ class StatusView:
         edge = self._edge()
         return {
             "protocol": PROTOCOL_VERSION,
-            "protocols": [1] if config.protocol == "v1" else [1, 2],
             "wire": edge["wire"],
             "checker": config.checker_kind,
             "level": config.level,
@@ -350,7 +349,8 @@ class StatusView:
           is alive and has polled recently; disabled (and healthy) on an
           infinite timeout;
         - ``resume_storm`` — session resumes inside the sliding
-          ``resume_storm_window`` stay below the threshold (a storm
+          :data:`RESUME_STORM_WINDOW_S` stay below
+          :data:`RESUME_STORM_THRESHOLD` (a storm
           means clients are flapping, so latency expectations are off);
         """
         config, ingest = self._config, self._ingest
@@ -398,12 +398,12 @@ class StatusView:
             components["ext_timer"] = component(True, "disabled (infinite EXT timeout)", "")
 
         recent_resumes = self._sessions.recent_resumes(now)
-        summary = f"{recent_resumes} session resumes in the last {config.resume_storm_window:g}s"
+        summary = f"{recent_resumes} session resumes in the last {RESUME_STORM_WINDOW_S:g}s"
         components["resume_storm"] = component(
-            recent_resumes < config.resume_storm_threshold,
+            recent_resumes < RESUME_STORM_THRESHOLD,
             summary, summary + " — clients are flapping",
-            recent_resumes=recent_resumes, window_s=config.resume_storm_window,
-            threshold=config.resume_storm_threshold,
+            recent_resumes=recent_resumes, window_s=RESUME_STORM_WINDOW_S,
+            threshold=RESUME_STORM_THRESHOLD,
         )
 
         ok = all(entry["ok"] for entry in components.values())

@@ -39,17 +39,16 @@ def generate_list_history(
     database = Database(oracle, isolation=spec.isolation)
     for key in spec.keys:
         database.store.install(key, 0, ())
-    from repro.db.cdc import CdcRecord
-    from repro.histories.model import INIT_SID, INIT_TID, INIT_TS, Operation, OpKind
+    from repro.histories.model import INIT_SID, INIT_TID, INIT_TS, Operation, OpKind, Transaction
 
     database.cdc.emit(
-        CdcRecord(
+        Transaction(
             tid=INIT_TID,
             sid=INIT_SID,
             sno=0,
+            ops=[Operation(OpKind.WRITE, key, ()) for key in spec.keys],
             start_ts=INIT_TS,
             commit_ts=INIT_TS,
-            ops=tuple(Operation(OpKind.WRITE, key, ()) for key in spec.keys),
         )
     )
 

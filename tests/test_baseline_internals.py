@@ -4,6 +4,7 @@ Emme version recovery, the reference oracle, and violation records."""
 import pytest
 
 from repro.baselines.cobra import CobraChecker, CobraConfig
+from repro.baselines.depgraph import DependencyGraph
 from repro.baselines.emme import EmmeSer, recover_version_order
 from repro.core.reference import ReferenceOnlineChecker, normalize_violations
 from repro.core.violations import (
@@ -74,9 +75,9 @@ class TestEmmeInternals:
     def test_version_order_includes_init(self):
         b = HistoryBuilder(keys=["x"])
         b.txn(sid=1, tid=5, ops=[write("x", 1)])
-        order = recover_version_order(b.build())
-        assert order["x"][0] == 0  # ⊥T first (commit_ts 0)
-        assert order["x"][-1] == 5
+        order = recover_version_order(DependencyGraph(b.build()))
+        assert order["x"][0] == (0, 0, 0)  # ⊥T first (commit_ts 0)
+        assert order["x"][-1][1] == 5
 
     def test_emme_ser_session_in_graph(self):
         # Session order participating in a cycle: T2 (session A, later)
@@ -93,6 +94,54 @@ class TestEmmeInternals:
         b.txn(sid=2, start=2, commit=5, ops=[read("x", 0)])  # stale under SER
         result = EmmeSer().check(b.build())
         assert result.by_axiom(Axiom.EXT)
+
+
+class TestDependencyGraphIndex:
+    """The graph walks each transaction's ``last_writes`` once; ElleKV and
+    Emme read what it kept instead of walking the views again."""
+
+    @pytest.fixture(scope="class")
+    def history(self):
+        from repro.db.faults import FaultInjector
+        from repro.workloads.generator import generate_default_history
+        from repro.workloads.spec import WorkloadSpec
+
+        history = generate_default_history(
+            WorkloadSpec(n_sessions=6, n_transactions=400, ops_per_txn=6, n_keys=30, seed=41)
+        )
+        injector = FaultInjector(history, seed=41)
+        injector.inject_mix(6)
+        return injector.build()
+
+    def test_final_writes_are_each_transactions_last_writes(self, history):
+        graph = DependencyGraph(history)
+        assert list(graph.final_writes) == [txn.tid for txn in history]
+        for txn in history:
+            writes = graph.final_writes[txn.tid]
+            assert list(writes.items()) == list(txn.last_writes.items())
+
+    def test_final_writer_is_the_last_final_write_of_a_value(self, history):
+        graph = DependencyGraph(history)
+        expected = {}
+        for txn in history:
+            for key, value in txn.last_writes.items():
+                expected[(key, value)] = txn.tid
+        assert all(graph.final_writer(*kv) == tid for kv, tid in expected.items())
+        b = HistoryBuilder(keys=["x"])
+        b.txn(sid=1, tid=1, ops=[write("x", 1), write("x", 2)])
+        graph = DependencyGraph(b.build())
+        assert graph.final_writer("x", 1) is None  # an intermediate write
+        assert graph.final_writer("x", 2) == 1
+        assert graph.final_writer("x", 3) is None
+
+    def test_version_chains_are_the_commit_ordered_final_writes(self, history):
+        chains = recover_version_order(DependencyGraph(history))
+        expected = {}
+        for txn in history:
+            for key, value in txn.last_writes.items():
+                expected.setdefault(key, []).append((txn.commit_ts, txn.tid, value))
+        assert list(chains) == list(expected)  # key order: program order, not hashing
+        assert chains == {key: sorted(chain) for key, chain in expected.items()}
 
 
 class TestReferenceOracle:

@@ -120,8 +120,8 @@ class TestEmme:
         b = HistoryBuilder(keys=["x"])
         b.txn(sid=1, tid=1, start=1, commit=9, ops=[write("x", 1)])
         b.txn(sid=2, tid=2, start=2, commit=5, ops=[write("x", 2)])
-        order = recover_version_order(b.build())
-        assert order["x"] == [0, 2, 1]  # ⊥T, then by commit timestamp
+        order = recover_version_order(DependencyGraph(b.build()))
+        assert [tid for _, tid, _ in order["x"]] == [0, 2, 1]  # ⊥T, then by commit timestamp
 
     def test_valid_si_history_accepted(self, si_history):
         assert EmmeSi().check(si_history).is_valid

@@ -270,7 +270,7 @@ class TestConnectBackoff:
         assert elapsed < 2.0
 
     def test_auto_resume_requires_v2(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="protocol must be 2"):
             CheckerClient("127.0.0.1", 1, protocol=1, auto_resume=True)
 
 

@@ -1,6 +1,6 @@
 """Fuzzing the resume handshake: the daemon survives hostile hellos.
 
-Session resume adds client-supplied state to the v2 handshake — a token
+Session resume adds client-supplied state to the handshake — a token
 and a watermark — which is exactly where a confused (or malicious)
 client can hurt a daemon that trusts it: a forged watermark could
 double-ingest, a crash on a malformed token is a denial of service.
@@ -14,7 +14,6 @@ and nothing is ever ingested twice.
 
 from __future__ import annotations
 
-import json
 import random
 import socket
 
@@ -38,47 +37,28 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 @pytest.fixture
 def daemon():
-    handle = ServiceThread(
-        ServiceConfig(port=0, timeout=float("inf"), protocol="v2")
-    ).start()
+    handle = ServiceThread(ServiceConfig(port=0, timeout=float("inf"))).start()
     yield handle
     handle.stop()
 
 
 class RawConn:
-    """A raw v2 wire connection: bytes in, decoded frames out."""
+    """A raw wire connection: bytes in, decoded frames out."""
 
     def __init__(self, handle: ServiceThread, timeout: float = 5.0) -> None:
         host, port = handle.tcp_address
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.file = self.sock.makefile("rb")
-        self.greeting = json.loads(self.file.readline())
-        assert self.greeting["type"] == "welcome"
+        kind, self.greeting = self.read_frame()
+        assert kind == K_WELCOME
 
     def send(self, data: bytes) -> None:
         self.sock.sendall(data)
 
     def read_frame(self):
-        """One decoded ``(kind, message)`` — or None on EOF/timeout.
-
-        A frame whose magic was corrupted is parsed by the daemon as an
-        ndjson line, so its reply is a v1 ``error`` *line*; those come
-        back as ``("line", message)``.
-        """
+        """One decoded ``(kind, message)`` — or None on EOF/timeout."""
         try:
-            first = self.file.read(1)
-        except (socket.timeout, OSError):
-            return None
-        if not first:
-            return None
-        if first[0] != 0xA6:
-            try:
-                rest = self.file.readline()
-            except (socket.timeout, OSError):
-                return None
-            return "line", json.loads(first + rest)
-        try:
-            header = first + self.file.read(HEADER_SIZE - 1)
+            header = self.file.read(HEADER_SIZE)
         except (socket.timeout, OSError):
             return None
         if len(header) < HEADER_SIZE:
@@ -112,7 +92,7 @@ def make_txns(n: int = 3):
 
 
 def daemon_stats(handle: ServiceThread) -> dict:
-    client = CheckerClient(*handle.tcp_address, protocol=2)
+    client = CheckerClient(*handle.tcp_address)
     client.connect()
     with client:
         return client.stats(include_bytes=False)
@@ -160,7 +140,6 @@ class TestResumeFuzz:
         message = {
             "type": "hello",
             "client": "fuzz",
-            "protocol": 2,
             "session_token": None,
             "resume_from": resume_from,
         }

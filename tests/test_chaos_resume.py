@@ -50,7 +50,6 @@ def start_service():
     def _start(**kwargs) -> ServiceThread:
         kwargs.setdefault("port", 0)
         kwargs.setdefault("timeout", float("inf"))
-        kwargs.setdefault("protocol", "v2")
         handle = ServiceThread(ServiceConfig(**kwargs)).start()
         handles.append(handle)
         return handle
@@ -96,7 +95,6 @@ def run_stream(start_service, txns, variant: str, kill_frames=None):
     client = CheckerClient(
         host,
         port,
-        protocol=2,
         auto_resume=kill_frames is not None,
         reconnect_timeout=10.0,
     )

@@ -120,14 +120,33 @@ class TestCdc:
         generate_default_history(spec, database=db)
         assert len(seen) == 50  # ⊥T was emitted before subscription
 
+    def test_wal_line_is_the_one_renderer(self):
+        """A live shipper (the chaos campaign's) renders each commit with
+        the function the log's own WAL uses, and the log holds the
+        engine's ``Transaction`` objects, which ``to_history`` reuses."""
+        from repro.db.cdc import wal_line
+        from repro.histories.model import Transaction
+        from repro.workloads.generator import build_database
+
+        spec = WorkloadSpec(n_sessions=3, n_transactions=40, ops_per_txn=4, n_keys=10, seed=57)
+        db = build_database(spec)
+        shipped = []
+        db.cdc.subscribe(lambda txn: shipped.append(wal_line(txn)))
+        generate_default_history(spec, database=db)
+        lines = list(db.cdc.wal_lines())
+        assert lines[1:] == shipped  # ⊥T was emitted before subscription
+        assert lines[1].startswith('COMMIT {"tid":')
+        assert all(type(txn) is Transaction for txn in db.cdc)
+        assert all(a is b for a, b in zip(db.cdc.to_history(), db.cdc))
+
     def test_save_wal_and_iter_wal_file(self, tmp_path):
-        from repro.db.cdc import ChangeLog, CdcRecord, iter_wal_file
-        from repro.histories.model import OpKind, Operation
+        from repro.db.cdc import ChangeLog, iter_wal_file
+        from repro.histories.model import OpKind, Operation, Transaction
 
         log = ChangeLog()
-        log.emit(CdcRecord(tid=1, sid=1, sno=0, start_ts=1, commit_ts=2,
-                           ops=(Operation(OpKind.WRITE, "x", 1),)))
-        log.emit(CdcRecord(tid=2, sid=2, sno=0, start_ts=3, commit_ts=4, ops=()))
+        log.emit(Transaction(tid=1, sid=1, sno=0, start_ts=1, commit_ts=2,
+                             ops=(Operation(OpKind.WRITE, "x", 1),)))
+        log.emit(Transaction(tid=2, sid=2, sno=0, start_ts=3, commit_ts=4, ops=()))
         path = tmp_path / "capture.wal"
         assert log.save_wal(path) == 2
         streamed = list(iter_wal_file(path))
@@ -170,14 +189,13 @@ class TestWalRoundTripProperty:
 
     @staticmethod
     def _record(tid, sid, sno, start_ts, span, op_specs):
-        from repro.db.cdc import CdcRecord
-        from repro.histories.model import OpKind, Operation
+        from repro.histories.model import OpKind, Operation, Transaction
 
         ops = tuple(
             Operation(OpKind.READ if code == "r" else OpKind.WRITE, key, value)
             for code, key, value in op_specs
         )
-        return CdcRecord(
+        return Transaction(
             tid=tid, sid=sid, sno=sno, start_ts=start_ts,
             commit_ts=start_ts + span, ops=ops,
         )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.histories.builder import HistoryBuilder
-from repro.histories.model import History, INIT_TID, OpKind, Transaction
+from repro.histories.model import History, OpKind, Transaction
 from repro.histories.ops import append, read, read_list, write
 from repro.histories.serialization import (
     ColumnarBatch,
@@ -25,7 +25,6 @@ from repro.histories.serialization import (
     txn_to_dict,
 )
 from repro.histories.stats import HistoryStats
-from repro.histories.validation import validate_history
 
 
 class TestBuilder:
@@ -365,52 +364,6 @@ class TestLoadColumns:
         whole = ColumnarBatch.concat(parts)
         assert _as_rows(whole.transactions()) == _as_rows(txns)
         assert list(whole.op_offsets) == list(ColumnarBatch.from_transactions(txns).op_offsets)
-
-
-class TestValidation:
-    def test_valid_generated_history(self, si_history):
-        assert validate_history(si_history) == []
-
-    def test_missing_init(self):
-        b = HistoryBuilder(with_init=False)
-        b.txn(sid=1, ops=[write("x", 1)])
-        issues = validate_history(b.build())
-        assert [i.code for i in issues] == ["init-missing"]
-        assert validate_history(b.build(), require_init=False) == []
-
-    def test_ts_reuse_detected(self):
-        txns = [
-            Transaction(INIT_TID, 0, 0, [write("x", 0)], 0, 0),
-            Transaction(1, 1, 0, [write("x", 1)], 5, 6),
-            Transaction(2, 2, 0, [write("x", 2)], 6, 7),
-        ]
-        codes = {i.code for i in validate_history(History(txns))}
-        assert "ts-reuse" in codes
-
-    def test_ts_order_detected(self):
-        txns = [
-            Transaction(INIT_TID, 0, 0, [write("x", 0)], 0, 0),
-            Transaction(1, 1, 0, [write("x", 1)], 9, 5),
-        ]
-        codes = {i.code for i in validate_history(History(txns))}
-        assert "ts-order" in codes
-
-    def test_sno_gap_detected(self):
-        txns = [
-            Transaction(INIT_TID, 0, 0, [write("x", 0)], 0, 0),
-            Transaction(1, 1, 0, [write("x", 1)], 1, 2),
-            Transaction(2, 1, 2, [write("x", 2)], 3, 4),  # sno jumps 0 -> 2
-        ]
-        codes = {i.code for i in validate_history(History(txns))}
-        assert "sno-gap" in codes
-
-    def test_empty_txn_detected(self):
-        txns = [
-            Transaction(INIT_TID, 0, 0, [write("x", 0)], 0, 0),
-            Transaction(1, 1, 0, [], 1, 2),
-        ]
-        codes = {i.code for i in validate_history(History(txns))}
-        assert "empty-txn" in codes
 
 
 class TestStats:

@@ -87,7 +87,7 @@ class TestOnlinePipeline:
         db = Database()
         checker = Aion(AionConfig(timeout=float("inf")), clock=lambda: 0.0)
         # Subscribe before initialization so ⊥T reaches the checker too.
-        db.cdc.subscribe(lambda record: checker.receive(record.to_transaction()))
+        db.cdc.subscribe(checker.receive)
         db.initialize(spec.keys, 0)
         generate_default_history(spec, database=db)
         result = checker.finalize()

@@ -3,11 +3,11 @@
 ``json`` returns a new ``str`` for every string it decodes, so a history
 of N operations over K keys used to hold N key objects.  Each decode
 call now keeps a local memo and every later op references the first
-object of its key: a history file, a JSONL text, one ndjson submit and
-one packed file (across its chunks) each end with K objects.  The memo
+object of its key: a history file, a JSONL text, one row list and one
+packed file (across its chunks) each end with K objects.  The memo
 dies with the call — there is no table to outlive a load.  A daemon
-connection keeps one memo across all its submits, in either codec, and
-drops it at disconnect.
+connection keeps one memo across all its submit frames and drops it at
+disconnect.
 """
 
 from __future__ import annotations
@@ -193,12 +193,11 @@ def test_no_table_outlives_a_load(tmp_path, request, save, load):
     assert left < 4096, f"{left} B left after the load was dropped"
 
 
-@pytest.mark.parametrize("protocol", [1, 2])
-def test_one_object_per_key_per_daemon_connection(protocol):
+def test_one_object_per_key_per_daemon_connection():
     """Every submit of one connection decodes its keys to the objects
     its first submit did (the checker holds those already); a second
     connection starts a memo of its own."""
-    txns = _fresh_keys_history(f"conn-v{protocol}-")
+    txns = _fresh_keys_history("conn-")
     handle = ServiceThread(ServiceConfig(port=0, timeout=float("inf"))).start()
     checker = handle.service.checker
     real = checker.receive_many
@@ -212,7 +211,7 @@ def test_one_object_per_key_per_daemon_connection(protocol):
     try:
         per_connection = []
         for n_checked, half in ((500, txns[:500]), (1000, txns[500:])):
-            client = CheckerClient(*handle.tcp_address, protocol=protocol)
+            client = CheckerClient(*handle.tcp_address)
             client.connect()
             with client:
                 for lo in range(0, len(half), 50):

@@ -383,6 +383,33 @@ class TestDaemonEndpoints:
         assert stats["checker"] == "aion"
         assert "queue_high_water" in stats
 
+    def test_health_resume_storm_component(self, start_service):
+        # The window and threshold are constants; thirty resumes inside
+        # the window flip the component, and with it the endpoint.
+        from repro.service.sessions import RESUME_STORM_THRESHOLD, RESUME_STORM_WINDOW_S
+
+        handle = start_service()
+        host, port = handle.http_address
+        _status, health = http_get_json(host, port, "/health")
+        storm = health["components"]["resume_storm"]
+        assert (storm["window_s"], storm["threshold"]) == (10.0, 30)
+        assert (RESUME_STORM_WINDOW_S, RESUME_STORM_THRESHOLD) == (10.0, 30)
+        assert storm["ok"] and storm["recent_resumes"] == 0
+        first = CheckerClient(*handle.tcp_address, auto_resume=True)
+        first.connect()
+        first.close()
+        for _ in range(RESUME_STORM_THRESHOLD):
+            again = CheckerClient(*handle.tcp_address, auto_resume=True)
+            again.session_token = first.session_token
+            again.connect()
+            assert again.session_resumed
+            again.close()
+        status, health = http_get_json(host, port, "/health")
+        assert status == 503
+        storm = health["components"]["resume_storm"]
+        assert not storm["ok"] and storm["recent_resumes"] == RESUME_STORM_THRESHOLD
+        assert "flapping" in storm["detail"]
+
     def test_health_ext_timer_component_when_finite(self, start_service):
         handle = start_service(timeout=5.0, poll_interval=0.05)
         deadline = time.monotonic() + 5.0
@@ -446,7 +473,10 @@ ADDED_STATS_KEYS = {
 #: What this surface lost since: the interval scan counters, which only
 #: a key promoted to the chunked interval index ever advanced, went with
 #: that representation; the per-shard deferred read removals went with
-#: the deferral (a finalized read now leaves its shard at once).
+#: the deferral (a finalized read now leaves its shard at once); the
+#: ndjson codec's ``codec="v1"`` wire children and ``wire.v1`` counters,
+#: and the ``protocols`` list, went with that codec.
+RETIRED_SAMPLE = 'codec="v1"'
 RETIRED_FAMILIES = {
     "repro_interval_scan_steps_total",
     "repro_interval_gc_scan_steps_total",
@@ -458,6 +488,12 @@ RETIRED_STATS_KEYS = {
     "shards[].scan_steps",
     "shards[].gc_scan_steps",
     "shards[].pending_removals",
+    "protocols",
+    "wire.v1.bytes_in",
+    "wire.v1.bytes_out",
+    "wire.v1.decode_errors",
+    "wire.v1.frames_in",
+    "wire.v1.frames_out",
 }
 
 
@@ -488,6 +524,10 @@ def _family_in(line, families):
     return any(name == family or name.startswith(family + "_") for family in families)
 
 
+def _retired(line):
+    return _family_in(line, RETIRED_FAMILIES) or RETIRED_SAMPLE in line
+
+
 class TestExportedCatalogGolden:
     @pytest.mark.parametrize("kind", ["single", "sharded_x2"])
     def test_catalog_matches_the_recorded_one(self, start_service, kind):
@@ -496,10 +536,10 @@ class TestExportedCatalogGolden:
         now = fresh_catalog(handle)
         for family in ADDED_FAMILIES:
             assert f"# TYPE {family} " in "\n".join(now["metrics"])
-        assert not any(_family_in(line, RETIRED_FAMILIES) for line in now["metrics"])
+        assert not any(_retired(line) for line in now["metrics"])
         assert [
             line for line in now["metrics"] if not _family_in(line, ADDED_FAMILIES)
-        ] == [line for line in golden["metrics"] if not _family_in(line, RETIRED_FAMILIES)]
+        ] == [line for line in golden["metrics"] if not _retired(line)]
         assert set(now["stats_keys"]) - set(golden["stats_keys"]) == ADDED_STATS_KEYS
         golden_keys = set(golden["stats_keys"])
         assert golden_keys - set(now["stats_keys"]) == RETIRED_STATS_KEYS & golden_keys

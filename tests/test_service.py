@@ -1,4 +1,4 @@
-"""Service subsystem tests: protocol codecs, daemon behaviour, and the
+"""Service subsystem tests: the wire codec, daemon behaviour, and the
 wire-vs-in-process differential.
 
 The acceptance claim is the last class: for every anomaly fixture (and
@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -49,10 +50,19 @@ from repro.service import (
     transactions_in_commit_order,
 )
 from repro.service.client import http_get_text
+from repro.service.framing import (
+    HEADER_SIZE,
+    K_HELLO,
+    K_PING,
+    K_VIOLATION,
+    K_WELCOME,
+    decode_frame_header,
+    decode_frame_payload,
+    encode_json_frame,
+    encode_submit_frame,
+)
 from repro.service.protocol import (
     ProtocolError,
-    decode_line,
-    encode_message,
     result_from_dict,
     result_to_dict,
     value_from_wire,
@@ -128,8 +138,11 @@ class TestProtocol:
 
     def test_violation_survives_json_framing(self):
         violation = ExtViolation(axiom=Axiom.EXT, tid=6, key="⊥-key", expected=BOTTOM, actual=(1, "а"))
-        line = encode_message({"type": "violation", "violation": violation_to_dict(violation)})
-        message = decode_line(line)
+        frame = encode_json_frame(
+            K_VIOLATION, {"type": "violation", "violation": violation_to_dict(violation)}
+        )
+        kind, length = decode_frame_header(frame[:HEADER_SIZE])
+        message = decode_frame_payload(kind, frame[HEADER_SIZE : HEADER_SIZE + length])
         assert violation_from_dict(message["violation"]) == violation
 
     def test_value_tags(self):
@@ -177,13 +190,10 @@ class TestProtocol:
             '{"axiom": "TS_ORDER", "tid": 9, "kind": "ts_order", "start_ts": 5, "commit_ts": -1}',
         ]
 
-    def test_decode_line_rejects_garbage(self):
-        with pytest.raises(ProtocolError):
-            decode_line(b"not json\n")
-        with pytest.raises(ProtocolError):
-            decode_line(b"[1,2]\n")
-        with pytest.raises(ProtocolError):
-            decode_line(b'{"no_type": 1}\n')
+    def test_decoders_reject_garbage(self):
+        for payload in (b"not json", b"[1,2]", b'{"no_type": 1}', b'{"type": "pong"}'):
+            with pytest.raises(ProtocolError):
+                decode_frame_payload(K_PING, payload)
         with pytest.raises(ProtocolError):
             violation_from_dict({"axiom": "EXT", "tid": 1, "kind": "nope"})
         # A client parses a result reply from outside the process.
@@ -293,14 +303,16 @@ class TestDaemon:
     def test_malformed_input_keeps_connection_alive(self, start_service):
         handle = start_service()
         with connect(handle) as client:
-            client._send({"type": "teleport"})
+            # A well-formed frame of a kind only the daemon sends.
+            client._sock.sendall(encode_json_frame(K_WELCOME, {"type": "welcome"}))
             assert "unknown message type" in client._read_message()["message"]
-            client._sock.sendall(b"this is not json\n")
+            client._sock.sendall(encode_json_frame(K_PING, {"type": "stats"}))
+            assert "carries a 'stats' message" in client._read_message()["message"]
+            # A submit frame whose columnar blob is garbage.
+            client._sock.sendall(bytes([0xA6, 0x52, 2, 2, 0, 0, 0, 8]) + b"\0\0\0\1junk")
             assert client._read_message()["type"] == "error"
-            client._send({"type": "submit", "txns": [{"tid": 1}]})  # missing fields
-            assert "malformed transaction" in client._read_message()["message"]
-            with pytest.raises(ServiceError):
-                client._request({"type": "submit", "txns": []}, expect="ack")
+            with pytest.raises(ServiceError, match="no transactions"):
+                client.submit_many([])
             # After four rejected requests the connection still works.
             client.submit_many(anomaly_txns("dirty-read"))
             assert client.drain() == 3
@@ -330,8 +342,7 @@ class TestDaemon:
             result = client.finalize()
         assert not result.is_valid
 
-    @pytest.mark.parametrize("protocol", [1, 2])
-    def test_append_submit_is_refused_at_admission(self, start_service, protocol):
+    def test_append_submit_is_refused_at_admission(self, start_service):
         # Aion refuses list (append) operations online.  The submit that
         # carries one is answered with an error — not acked and then
         # dropped by the drain cycle together with whatever an honest
@@ -346,7 +357,7 @@ class TestDaemon:
             commit_ts=2,
         )
         honest_txns = anomaly_txns("dirty-read")
-        with connect(handle, protocol=protocol) as bad, connect(handle) as honest:
+        with connect(handle) as bad, connect(handle) as honest:
             honest.submit_many(honest_txns[:1])
             with pytest.raises(ServiceError, match="append"):
                 bad.submit_many([poison])
@@ -357,39 +368,6 @@ class TestDaemon:
             assert stats["ingest_errors"] == 0
             # The refused producer's connection survives.
             bad.ping()
-            result = honest.finalize()
-        assert normalize_violations(result) == in_process_verdicts(honest_txns)
-
-    @pytest.mark.parametrize(
-        "field, value, complaint",
-        [("sts", "x", "'sts' must be a 64-bit integer"),
-         ("tid", 1.5, "'tid' must be a 64-bit integer"),
-         ("cts", True, "'cts' must be a 64-bit integer"),
-         ("tid", 2**63, "'tid' must be a 64-bit integer"),
-         ("ops", [["w", 7, 1]], "key must be a string"),
-         ("ops", [["w", [1], 1]], "key must be a string"), ("ops", ["wxy"], "malformed ops"),
-         ("ops", [["rl", "l", "abc"]], "malformed ops"),
-         ("ops", [["rl", "l", {"a": 1}]], "malformed ops")],
-    )
-    def test_mistyped_v1_row_is_refused_at_admission(self, start_service, field, value, complaint):
-        # JSON types an ndjson row itself, so a timestamp can arrive as a
-        # string.  It used to reach receive_many, which raised and took
-        # the whole drain cycle — the honest producer's transactions
-        # included — with it.
-        handle = start_service()
-        honest_txns = anomaly_txns("dirty-read")
-        row = {"tid": 99, "sid": 9, "sno": 1, "sts": 1, "cts": 2, "ops": [["w", "x", 1]]}
-        row[field] = value
-        with connect(handle, protocol=1) as bad, connect(handle, protocol=1) as honest:
-            honest.submit_many(honest_txns[:1])
-            with pytest.raises(ServiceError, match=complaint):
-                bad._request({"type": "submit", "txns": [row]}, expect="ack")
-            honest.submit_many(honest_txns[1:])
-            assert honest.drain() == len(honest_txns)
-            stats = honest.stats()
-            assert stats["received"] == len(honest_txns)  # nothing of the refused submit
-            assert stats["ingest_errors"] == 0
-            bad.ping()  # the refused producer's connection survives
             result = honest.finalize()
         assert normalize_violations(result) == in_process_verdicts(honest_txns)
 
@@ -572,61 +550,68 @@ class TestDaemon:
         assert report.wire_tps > 0
         assert report.stats["processed"] == len(txns)
         assert report.result is not None and not report.result.is_valid
-        assert report.protocol == 2  # negotiated up by default
 
 
 # ----------------------------------------------------------------------
-# Protocol v2 negotiation and wire accounting
+# The handshake and wire accounting
 # ----------------------------------------------------------------------
+
+def read_frame(sock: socket.socket) -> dict:
+    """One whole frame from a raw socket, decoded."""
+    data = b""
+    while len(data) < HEADER_SIZE:
+        data += sock.recv(HEADER_SIZE - len(data))
+    kind, length = decode_frame_header(data)
+    payload = b""
+    while len(payload) < length:
+        payload += sock.recv(length - len(payload))
+    return decode_frame_payload(kind, payload)
+
 
 class TestProtocolNegotiation:
-    def test_default_client_negotiates_v2(self, start_service):
+    def test_welcome_is_the_first_frame(self, start_service):
         handle = start_service()
         with connect(handle) as client:
-            assert client.protocol == 2
-            assert client.welcome["protocol"] == 2
-            assert client.welcome["protocols"] == [1, 2]
+            assert client.welcome == {
+                "type": "welcome", "protocol": 2, "checker": "aion", "level": "si"
+            }
+            client.submit_many(anomaly_txns("dirty-read"))
+            assert client.drain() == 3
+            # A client without a session sends no hello.
+            assert client.stats(include_bytes=False)["sessions"]["issued"] == 0
 
-    def test_pinned_v1_client_stays_v1(self, start_service):
+    def test_protocol_other_than_2_is_refused(self):
+        # protocol=2 stays accepted: the benchmark ladder passes it.
+        assert CheckerClient("127.0.0.1", 1, protocol=2).session_token is None
+        for protocol in (None, 1, 3, "v2"):
+            with pytest.raises(ValueError, match="protocol must be 2"):
+                CheckerClient("127.0.0.1", 1, protocol=protocol)
+
+    def test_sessionless_hello_gets_a_welcome(self, start_service):
         handle = start_service()
-        with connect(handle, protocol=1) as client:
-            assert client.protocol == 1
-            client.submit_many(anomaly_txns("dirty-read"))
-            assert client.drain() == 3
+        with socket.create_connection(handle.tcp_address, timeout=10.0) as sock:
+            assert read_frame(sock)["type"] == "welcome"
+            sock.sendall(encode_json_frame(K_HELLO, {"type": "hello", "client": "probe"}))
+            welcome = read_frame(sock)
+        assert welcome["type"] == "welcome" and "session" not in welcome
 
-    def test_fallback_when_daemon_is_v1_only(self, start_service):
-        handle = start_service(protocol="v1")
+    def test_ndjson_first_bytes_get_one_framed_error_and_close(self, start_service):
+        handle = start_service()
+        with socket.create_connection(handle.tcp_address, timeout=10.0) as sock:
+            assert read_frame(sock)["type"] == "welcome"
+            sock.sendall(b'{"type":"ping"}\n')
+            reply = read_frame(sock)
+            assert reply["type"] == "error" and "bad frame magic" in reply["message"]
+            assert sock.recv(1) == b""  # closed by the daemon, nothing else sent
+        # The daemon then serves a fresh client, and counted the refusal.
         with connect(handle) as client:
-            # Auto-negotiation must degrade, not fail.
-            assert client.protocol == 1
-            assert client.welcome["protocols"] == [1]
             client.submit_many(anomaly_txns("dirty-read"))
             assert client.drain() == 3
-
-    def test_required_v2_fails_fast_against_v1_daemon(self, start_service):
-        handle = start_service(protocol="v1")
-        host, port = handle.tcp_address
-        client = CheckerClient(host, port, protocol=2)
-        with pytest.raises(ServiceError):
-            client.connect()
-        client.close()
-
-    def test_v2_frame_against_v1_daemon_is_rejected(self, start_service):
-        from repro.service.framing import K_HELLO, encode_json_frame
-
-        handle = start_service(protocol="v1")
-        with connect(handle, protocol=1) as client:
-            client._sock.sendall(
-                encode_json_frame(K_HELLO, {"type": "hello", "protocol": 2})
-            )
-            reply = client._read_message()
-            assert reply["type"] == "error"
-            assert "disabled" in reply["message"]
+            assert client.stats(include_bytes=False)["wire"]["v2"]["decode_errors"] == 1
 
     def test_violation_push_and_result_over_v2(self, start_service):
         handle = start_service()
         subscriber = connect(handle)
-        assert subscriber.protocol == 2
         subscriber.subscribe()
         with connect(handle) as producer:
             producer.submit_many(anomaly_txns("lost-update"))
@@ -637,34 +622,29 @@ class TestProtocolNegotiation:
         assert not result.is_valid
         subscriber.close()
 
-    def test_wire_stats_account_both_codecs(self, start_service):
+    def test_wire_stats_account_frames(self, start_service):
         history = generate_default_history(
             WorkloadSpec(n_sessions=4, n_transactions=200, ops_per_txn=6, n_keys=40, seed=9)
         )
         txns = transactions_in_commit_order(history)
         handle = start_service()
-        with connect(handle, protocol=2) as v2_client, connect(handle, protocol=1) as v1_client:
-            # The same batch through both codecs, for a byte comparison.
-            v2_client.submit_many(txns)
-            v1_client.submit_many(txns)
-            v1_client.drain()
-            wire = v2_client.stats(include_bytes=False)["wire"]
-        assert set(wire) == {"v1", "v2"}
-        for codec in ("v1", "v2"):
-            assert set(wire[codec]) == {
-                "frames_in", "bytes_in", "frames_out", "bytes_out", "decode_errors"
-            }
-            assert wire[codec]["frames_in"] >= 1
-            assert wire[codec]["bytes_in"] > 0
-            assert wire[codec]["decode_errors"] == 0
-        # The identical batch is materially smaller on the columnar codec.
-        assert wire["v2"]["bytes_in"] < wire["v1"]["bytes_in"]
+        with connect(handle) as client:
+            client.submit_many(txns)
+            client.drain()
+            wire = client.stats(include_bytes=False)["wire"]
+        assert set(wire) == {"v2"}
+        counters = wire["v2"]
+        assert set(counters) == {"frames_in", "bytes_in", "frames_out", "bytes_out", "decode_errors"}
+        # submit + drain + stats in; welcome + ack + drained out so far.
+        assert counters["frames_in"] == 3 and counters["frames_out"] == 3
+        assert counters["bytes_in"] > len(encode_submit_frame(txns, 1))
+        assert counters["decode_errors"] == 0
 
     def test_wire_stats_count_decode_errors(self, start_service):
         from repro.service.framing import FRAME_MAGIC0
 
         handle = start_service()
-        with connect(handle, protocol=1) as client:
+        with connect(handle) as client:
             # A valid header whose payload is garbage: framing survives,
             # the message is rejected, the connection stays usable.
             garbage = bytes([FRAME_MAGIC0, 0x52, 2, 8, 0, 0, 0, 4]) + b"junk"
@@ -675,8 +655,6 @@ class TestProtocolNegotiation:
             assert wire["v2"]["decode_errors"] == 1
 
     def test_torn_frame_close_does_not_wedge_daemon(self, start_service):
-        from repro.service.framing import encode_submit_frame
-
         handle = start_service()
         with connect(handle) as victim:
             frame = encode_submit_frame(anomaly_txns("dirty-read"), 1)
@@ -733,14 +711,6 @@ class TestPipelinedSubmit:
             with pytest.raises(ValueError):
                 client.submit_pipelined([], window=0)
 
-    def test_v1_client_falls_back_to_sequential(self, start_service):
-        txns = anomaly_txns("dirty-read")
-        handle = start_service(protocol="v1")
-        with connect(handle) as client:
-            assert client.protocol == 1
-            client.submit_pipelined(txns, batch_size=2, window=4)
-            assert client.drain() == len(txns)
-
     def test_pipelined_stream_survives_mid_flight_kills(self, start_service):
         txns = self._workload(seed=31)
         handle = start_service()
@@ -774,16 +744,13 @@ def in_process_verdicts(txns, *, level="si", n_shards=1):
 
 
 def service_verdicts(
-    start_service, txns, *, n_shards=1, level="si", n_clients=3, batch=2, protocol=None
+    start_service, txns, *, n_shards=1, level="si", n_clients=3, batch=2
 ):
     """Feed ``txns`` through ``n_clients`` concurrent connections.
 
     Sessions are partitioned across clients (each client ships its
     sessions in order, as any session-order-preserving producer must);
     interleaving *between* sessions is whatever the scheduler does.
-    ``protocol`` pins every client to one codec (1 or 2), negotiates
-    freely (None), or alternates v1/v2 clients on the same daemon
-    ("mixed").
     """
     handle = start_service(n_shards=n_shards, level=level, batch_size=7)
     by_client = [[] for _ in range(n_clients)]
@@ -791,20 +758,15 @@ def service_verdicts(
         by_client[txn.sid % n_clients].append(txn)
     errors = []
 
-    def produce(mine, preference):
+    def produce(mine):
         try:
-            with connect(handle, protocol=preference) as client:
+            with connect(handle) as client:
                 for offset in range(0, len(mine), batch):
                     client.submit_many(mine[offset : offset + batch])
         except Exception as exc:  # pragma: no cover - surfaced via assert
             errors.append(exc)
 
-    threads = []
-    for index, mine in enumerate(by_client):
-        if not mine:
-            continue
-        preference = (index % 2) + 1 if protocol == "mixed" else protocol
-        threads.append(threading.Thread(target=produce, args=(mine, preference)))
+    threads = [threading.Thread(target=produce, args=(mine,)) for mine in by_client if mine]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -841,18 +803,18 @@ def in_process_ordered(txns, *, level="si", n_shards=1):
         checker.close()
 
 
-def ordered_service_run(start_service, txns, *, protocols, size, ack, n_shards=1, level="si"):
+def ordered_service_run(start_service, txns, *, connections, size, ack, n_shards=1, level="si"):
     """Submit ``txns`` in arrival order, ``size`` per submit, round-robin
-    over one connection per entry of ``protocols``; returns the ordered
-    violation report and the daemon's stats.
+    over ``connections`` connections; returns the ordered violation
+    report and the daemon's stats.
 
     Arrival order is deterministic: one connection delivers in TCP
     order, and several connections alternate acked submits from this
     one thread (an ack means admitted to the queue).
     """
-    assert ack or len(protocols) == 1
+    assert ack or connections == 1
     handle = start_service(n_shards=n_shards, level=level)
-    clients = [connect(handle, protocol=protocol) for protocol in protocols]
+    clients = [connect(handle) for _ in range(connections)]
     try:
         for turn, offset in enumerate(range(0, len(txns), size)):
             clients[turn % len(clients)].submit_many(txns[offset : offset + size], ack=ack)
@@ -904,27 +866,20 @@ class TestServiceDifferential:
         assert got == expected
         assert got, "write skew must be flagged under SER"
 
-    @pytest.mark.parametrize("protocol", [1, 2, "mixed"])
-    def test_anomaly_catalog_per_protocol(self, start_service, protocol):
-        # The tentpole's acceptance: identical verdicts whichever codec
-        # carries the stream — ndjson, binary frames, or v1 and v2
-        # clients interleaving on one daemon — and however small the
-        # submits are, in report order.
-        protocols = (1, 2) if protocol == "mixed" else (protocol,)
+    @pytest.mark.parametrize("connections", [1, 2])
+    def test_anomaly_catalog_ordered_per_submit_size(self, start_service, connections):
+        # Identical verdicts, in report order, through one connection or
+        # two interleaving on one daemon, however small the submits are.
         for name in sorted(ANOMALY_CATALOG):
             txns = anomaly_txns(name)
-            expected = in_process_verdicts(txns)
-            got = service_verdicts(start_service, txns, protocol=protocol)
-            assert got == expected, (name, protocol)
             ordered = in_process_ordered(txns)
             for size in (1, 3, 10):
                 got_ordered, _stats = ordered_service_run(
-                    start_service, txns, protocols=protocols, size=size, ack=True
+                    start_service, txns, connections=connections, size=size, ack=True
                 )
-                assert got_ordered == ordered, (name, protocol, size)
+                assert got_ordered == ordered, (name, connections, size)
 
-    @pytest.mark.parametrize("protocol", [1, 2, "mixed"])
-    def test_generated_workload_per_protocol(self, start_service, protocol):
+    def test_generated_workload(self, start_service):
         history = generate_default_history(
             WorkloadSpec(n_sessions=6, n_transactions=240, ops_per_txn=6, n_keys=40, seed=77)
         )
@@ -933,31 +888,22 @@ class TestServiceDifferential:
         txns = transactions_in_commit_order(injector.build())
         expected = in_process_verdicts(txns)
         assert expected, "fault injection should produce violations"
-        got = service_verdicts(
-            start_service, txns, n_clients=4, batch=13, protocol=protocol
-        )
+        got = service_verdicts(start_service, txns, n_clients=4, batch=13)
         assert got == expected
 
     @pytest.mark.parametrize("size", [1, 3, 10, 500])
-    @pytest.mark.parametrize("protocol", [1, 2, "mixed"])
-    def test_faulted_stream_ordered_per_protocol_and_submit_size(
-        self, start_service, protocol, size
-    ):
+    @pytest.mark.parametrize("connections", [1, 2])
+    def test_faulted_stream_ordered_per_submit_size(self, start_service, connections, size):
         # One ingest path: a 2,000-transaction faulted stream gives the
         # report of in-process Aion — same violations, same order —
-        # through either codec or both, at any submit size; and small
+        # through one connection or two, at any submit size; and small
         # fire-and-forget submits reach the kernel coalesced, not one
         # receive_many per submit.
         txns = faulted_stream(2000, seed=77, faults=16)
         expected = in_process_ordered(txns)
         assert expected, "fault injection should produce violations"
-        mixed = protocol == "mixed"
         got, stats = ordered_service_run(
-            start_service,
-            txns,
-            protocols=(1, 2) if mixed else (protocol,),
-            size=size,
-            ack=mixed,
+            start_service, txns, connections=connections, size=size, ack=connections > 1
         )
         assert got == expected
         assert stats["received"] == stats["kernel"]["txns"] == len(txns)
@@ -965,7 +911,7 @@ class TestServiceDifferential:
         batches = stats["kernel"]["batches"]
         assert batches == stats["kernel"]["batch_size"]["count"]
         assert batches <= -(-len(txns) // size)
-        if size <= 10 and not mixed:
+        if size <= 10 and connections == 1:
             assert batches <= len(txns) // (4 * size), (batches, size)
 
     @pytest.mark.parametrize("kind", ["sharded", "ser"])
@@ -976,11 +922,11 @@ class TestServiceDifferential:
         assert expected
         if kind == "sharded":
             assert expected == in_process_ordered(txns)
-        for protocols, size in (((1, 2), 3), ((2,), 500), ((1,), 10)):
+        for connections, size in ((2, 3), (1, 500), (1, 10)):
             got, stats = ordered_service_run(
-                start_service, txns, protocols=protocols, size=size, ack=True, **extra
+                start_service, txns, connections=connections, size=size, ack=True, **extra
             )
-            assert got == expected, (kind, protocols, size)
+            assert got == expected, (kind, connections, size)
             assert stats["received"] == len(txns)
 
 

@@ -1,12 +1,13 @@
-"""Protocol v2 codec tests: v1 equivalence and malformed-frame fuzzing.
+"""Wire codec tests: JSONL equivalence and malformed-frame fuzzing.
 
-Two claims carry the wire upgrade:
+Two claims carry the frame codec:
 
-1. **Equivalence** — for every message type and every value shape the v1
-   ndjson codec accepts, decoding the v2 encoding yields exactly what
-   decoding the v1 encoding yields (the shallow-tuple semantics
-   included).  v2 may be a strict extension (⊥v travels natively in
-   columnar packs), never a divergence.
+1. **Equivalence** — for every value shape a JSONL history row carries,
+   a columnar submit decodes to exactly what the row decodes to (the
+   shallow-tuple semantics included), and every control frame decodes
+   to exactly the message it was built from.  Frames may be a strict
+   extension (⊥v travels natively in columnar packs), never a
+   divergence.
 2. **Robustness** — a torn, truncated, oversized, bit-flipped, or
    wrong-magic frame raises :class:`ProtocolError`.  It never raises
    anything else, never crashes the decoder, and never silently returns
@@ -44,7 +45,7 @@ from repro.service.framing import (
     encode_json_frame,
     encode_submit_frame,
 )
-from repro.service.protocol import ProtocolError, decode_line, encode_message
+from repro.service.protocol import ProtocolError, encode_message
 
 
 def txn(tid, ops, *, sid=1, sno=1, sts=None, cts=None):
@@ -58,8 +59,8 @@ def txn(tid, ops, *, sid=1, sno=1, sts=None, cts=None):
     )
 
 
-def v1_txn_round_trip(transaction):
-    """The reference semantics: what the ndjson submit path produces."""
+def jsonl_txn_round_trip(transaction):
+    """The reference semantics: what a JSONL history row decodes to."""
     wire = json.loads(json.dumps(txn_to_dict(transaction)))
     return txn_from_dict(wire)
 
@@ -87,7 +88,7 @@ def assert_txns_equal(a, b):
         assert type(op_a.value) is type(op_b.value)
 
 
-# Every value shape the v1 codec can carry, including the ones that
+# Every value shape a JSONL row can carry, including the ones that
 # historically bite: ⊥-adjacent sentinels, i64 boundaries, big ints that
 # spill to JSON, shallow tuples whose nested sequences decode as lists,
 # dicts whose keys collide with the "$" tag namespace, unicode keys.
@@ -115,7 +116,7 @@ TRICKY_VALUES = [
     ("a", None, True),
     (1, (2, 3)),          # nested tuple: both codecs yield (1, [2, 3])
     ((), (1,), "x"),
-    {"$": "bottom"},      # a *dict* that looks like a v1 value tag
+    {"$": "bottom"},      # a *dict* that looks like a value tag
     {"k": [1, 2], "nested": {"deep": None}},
     {},
 ]
@@ -127,9 +128,9 @@ class TestSubmitCodecEquivalence:
         transaction = txn(
             1, [(OpKind.WRITE, "k", value), (OpKind.READ, "ünïkey ✓", value)]
         )
-        via_v1 = v1_txn_round_trip(transaction)
-        via_v2 = v2_txn_round_trip(transaction)
-        assert_txns_equal(via_v1, via_v2)
+        via_jsonl = jsonl_txn_round_trip(transaction)
+        via_frame = v2_txn_round_trip(transaction)
+        assert_txns_equal(via_jsonl, via_frame)
 
     def test_every_op_kind(self):
         transaction = txn(
@@ -141,18 +142,19 @@ class TestSubmitCodecEquivalence:
                 (OpKind.READ_LIST, "l", (1, 2, 3)),
             ],
         )
-        assert_txns_equal(v1_txn_round_trip(transaction), v2_txn_round_trip(transaction))
+        assert_txns_equal(jsonl_txn_round_trip(transaction), v2_txn_round_trip(transaction))
 
     def test_bottom_is_a_strict_v2_extension(self):
-        # ⊥v cannot cross the v1 submit codec (json.dumps refuses it);
-        # the columnar codec carries it natively and exactly.
+        # ⊥v cannot travel in a JSONL row (json.dumps refuses it); the
+        # columnar codec carries it natively and exactly.
         transaction = txn(3, [(OpKind.READ, "k", BOTTOM)])
         with pytest.raises(TypeError):
             json.dumps(txn_to_dict(transaction))
         assert v2_txn_round_trip(transaction).ops[0].value is BOTTOM
 
     def test_unencodable_value_is_a_shared_contract(self):
-        # What v1 cannot encode, v2 must also refuse — no silent divergence.
+        # What JSONL cannot encode, a frame must also refuse — no silent
+        # divergence.
         transaction = txn(4, [(OpKind.WRITE, "k", object())])
         with pytest.raises(TypeError):
             json.dumps(txn_to_dict(transaction))
@@ -172,7 +174,7 @@ class TestSubmitCodecEquivalence:
         batch, _ = unpack_columnar(pack_columnar(txns))
         assert len(batch) == len(txns)
         for original, decoded in zip(txns, batch.transactions()):
-            assert_txns_equal(v1_txn_round_trip(original), decoded)
+            assert_txns_equal(jsonl_txn_round_trip(original), decoded)
 
     def test_slices_partition_batch(self):
         txns = [txn(tid, [(OpKind.WRITE, "k", tid)]) for tid in range(1, 26)]
@@ -235,7 +237,7 @@ class TestZeroCopyReceive:
 
 
 def control_messages():
-    """One representative message per v2 kind (submit excluded)."""
+    """One representative message per frame kind (submit excluded)."""
     samples = {
         "hello": {"type": "hello", "client": "probe", "protocol": 2},
         "subscribe": {"type": "subscribe", "seq": 4, "replay": True},
@@ -244,8 +246,7 @@ def control_messages():
         "finalize": {"type": "finalize", "seq": 7},
         "shutdown": {"type": "shutdown"},
         "ping": {"type": "ping", "seq": 8},
-        "welcome": {"type": "welcome", "protocol": 2, "protocols": [1, 2],
-                    "checker": "aion", "level": "si"},
+        "welcome": {"type": "welcome", "protocol": 2, "checker": "aion", "level": "si"},
         "ack": {"type": "ack", "seq": 9, "enqueued": 500},
         "violation": {"type": "violation", "violation": {
             "axiom": "EXT", "tid": 3, "kind": "ext", "key": "ünïkey ✓",
@@ -323,19 +324,18 @@ class TestControlFrameEquivalence:
     @pytest.mark.parametrize(
         "kind,message", list(control_messages()), ids=lambda p: str(p)
     )
-    def test_v2_decodes_to_exactly_the_v1_message(self, kind, message):
-        via_v1 = decode_line(encode_message(message).rstrip(b"\n"))
+    def test_frame_decodes_to_exactly_the_message(self, kind, message):
         frame = encode_json_frame(kind, message)
         got_kind, length = decode_frame_header(frame[:HEADER_SIZE])
         assert got_kind == kind
         payload = frame[HEADER_SIZE:]
         assert len(payload) == length
-        via_v2 = decode_frame_payload(kind, payload)
-        assert via_v2 == via_v1 == message
+        assert decode_frame_payload(kind, payload) == message
 
     def test_first_byte_disambiguates(self):
-        # The whole mixed-protocol story rests on 0xA6 never starting an
-        # ndjson line: it is not ASCII and not a UTF-8 leading byte.
+        # A peer speaking ndjson fails at its first frame header: 0xA6
+        # is not ASCII and not a UTF-8 leading byte, so no JSON line
+        # starts with it.
         for kind, message in control_messages():
             assert encode_message(message)[0] != FRAME_MAGIC0
             assert encode_json_frame(kind, message)[0] == FRAME_MAGIC0
