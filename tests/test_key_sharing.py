@@ -193,10 +193,23 @@ def test_no_table_outlives_a_load(tmp_path, request, save, load):
     assert left < 4096, f"{left} B left after the load was dropped"
 
 
-def test_one_object_per_key_per_daemon_connection():
+def _submit_in_batches(client: CheckerClient, txns) -> None:
+    for lo in range(0, len(txns), 50):
+        client.submit_many(txns[lo : lo + 50])
+
+
+def _submit_pipelined(client: CheckerClient, txns) -> None:
+    client.submit_pipelined(txns, batch_size=50, window=4)
+
+
+@pytest.mark.parametrize(
+    "submit", [_submit_in_batches, _submit_pipelined], ids=["submit_many", "pipelined"]
+)
+def test_one_object_per_key_per_daemon_connection(submit):
     """Every submit of one connection decodes its keys to the objects
-    its first submit did (the checker holds those already); a second
-    connection starts a memo of its own."""
+    its first submit did (the checker holds those already), whether the
+    frames go one ack at a time or pipelined; a second connection starts
+    a memo of its own."""
     txns = _fresh_keys_history("conn-")
     handle = ServiceThread(ServiceConfig(port=0, timeout=float("inf"))).start()
     checker = handle.service.checker
@@ -214,8 +227,7 @@ def test_one_object_per_key_per_daemon_connection():
             client = CheckerClient(*handle.tcp_address)
             client.connect()
             with client:
-                for lo in range(0, len(half), 50):
-                    client.submit_many(half[lo : lo + 50])
+                submit(client, half)
                 assert client.drain() == n_checked
             per_connection.append([key for keys in seen for key in keys])
             seen.clear()

@@ -14,7 +14,9 @@ import functools
 import json
 import os
 import re
+import select
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -25,6 +27,7 @@ import pytest
 
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
+from repro.core.colpack import pack_columnar
 from repro.core.common import BOTTOM
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
@@ -40,6 +43,7 @@ from repro.core.violations import (
 )
 from repro.db.faults import FaultInjector
 from repro.histories.anomalies import ANOMALY_CATALOG
+from repro.histories.serialization import txn_from_dict, txn_to_dict
 from repro.histories.model import Operation, OpKind, Transaction
 from repro.service import (
     CheckerClient,
@@ -51,9 +55,13 @@ from repro.service import (
 )
 from repro.service.client import http_get_text
 from repro.service.framing import (
+    FRAME_MAGIC0,
+    FRAME_MAGIC1,
+    FRAME_VERSION,
     HEADER_SIZE,
     K_HELLO,
     K_PING,
+    K_SUBMIT,
     K_VIOLATION,
     K_WELCOME,
     decode_frame_header,
@@ -63,6 +71,8 @@ from repro.service.framing import (
 )
 from repro.service.protocol import (
     ProtocolError,
+    decode_line,
+    encode_message,
     result_from_dict,
     result_to_dict,
     value_from_wire,
@@ -106,6 +116,25 @@ def connect(handle: ServiceThread, **kwargs) -> CheckerClient:
 
 def anomaly_txns(name: str):
     return transactions_in_commit_order(ANOMALY_CATALOG[name].build())
+
+
+# Two one-write transactions on one key; packed columnar they lay out as
+# header (12 bytes), key table (u16 length + "x"), five i64 meta columns
+# (80), three u32 op offsets, two op kinds, two u32 key ids, two value
+# tags and two i64 values.  The offsets below index that blob.
+POISON_PAIR = [
+    Transaction(99, 9, 1, (Operation(OpKind.WRITE, "x", 1),), 1, 2),
+    Transaction(100, 9, 2, (Operation(OpKind.WRITE, "x", 2),), 3, 4),
+]
+_KEY_TABLE = 12
+_OFFSETS = _KEY_TABLE + 3 + 80
+_KINDS = _OFFSETS + 12
+_KEY_IDS = _KINDS + 2
+_TAGS = _KEY_IDS + 8
+
+
+def patch(blob: bytes, at: int, data: bytes) -> bytes:
+    return blob[:at] + data + blob[at + len(data) :]
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +218,23 @@ class TestProtocol:
             '"conflicting_tids": [9, 11]}',
             '{"axiom": "TS_ORDER", "tid": 9, "kind": "ts_order", "start_ts": 5, "commit_ts": -1}',
         ]
+
+    def test_decode_line_rejects_garbage(self):
+        with pytest.raises(ProtocolError):
+            decode_line(b"not json\n")
+        with pytest.raises(ProtocolError):
+            decode_line(b"[1,2]\n")
+        with pytest.raises(ProtocolError):
+            decode_line(b'{"no_type": 1}\n')
+
+    def test_ndjson_helpers_round_trip_a_submit(self):
+        # The benchmark ladder's ndjson rung: rows → one line → rows.
+        txns = anomaly_txns("lost-update")
+        line = encode_message({"type": "submit", "txns": [txn_to_dict(t) for t in txns]})
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        message = decode_line(line)
+        assert message["type"] == "submit"
+        assert [txn_from_dict(row) for row in message["txns"]] == txns
 
     def test_decoders_reject_garbage(self):
         for payload in (b"not json", b"[1,2]", b'{"no_type": 1}', b'{"type": "pong"}'):
@@ -368,6 +414,53 @@ class TestDaemon:
             assert stats["ingest_errors"] == 0
             # The refused producer's connection survives.
             bad.ping()
+            result = honest.finalize()
+        assert normalize_violations(result) == in_process_verdicts(honest_txns)
+
+    @pytest.mark.parametrize(
+        "corrupt, complaint",
+        [(lambda blob: blob[:-1], "malformed columnar pack"),
+         (lambda blob: blob + b"\0", "1 trailing bytes"),
+         (lambda blob: patch(blob, _KINDS, b"\x09"), "unknown op code 9"),
+         (lambda blob: patch(blob, _TAGS, b"\x63"), "unknown value tag 99"),
+         (lambda blob: patch(blob, _KEY_IDS, struct.pack("!I", 5)), "list index out of range"),
+         (lambda blob: patch(blob, _OFFSETS + 8, struct.pack("!I", 3)), "do not cover"),
+         (lambda blob: patch(blob, _OFFSETS + 4, struct.pack("!I", 3)), "not monotonic"),
+         (lambda blob: patch(blob, _KEY_TABLE + 2, b"\xff"), "can't decode byte 0xff"),
+         (lambda blob: b"", "too short for its sequence number")],
+        ids=["truncated", "trailing", "op-code", "value-tag", "dangling-key",
+             "offsets-short", "offsets-unordered", "key-utf8", "no-seq"],
+    )
+    def test_malformed_submit_frame_is_refused_at_admission(
+        self, start_service, corrupt, complaint
+    ):
+        # A submit frame whose header is sound but whose columnar blob is
+        # not: the daemon answers with an error and keeps the connection
+        # (the length was honoured, so the stream position is not lost);
+        # nothing of the blob reaches the checker, and an honest
+        # producer's transactions queued beside it are all checked.
+        handle = start_service()
+        honest_txns = anomaly_txns("dirty-read")
+        payload = corrupt(pack_columnar(POISON_PAIR))
+        if payload:
+            payload = struct.pack("!I", 1) + payload
+        else:
+            payload = b"\0\0\1"
+        frame = struct.pack(
+            "!BBBBI", FRAME_MAGIC0, FRAME_MAGIC1, FRAME_VERSION, K_SUBMIT, len(payload)
+        ) + payload
+        with connect(handle) as bad, connect(handle) as honest:
+            honest.submit_many(honest_txns[:1])
+            bad._sock.sendall(frame)
+            reply = bad._read_message()
+            assert reply["type"] == "error" and complaint in reply["message"]
+            honest.submit_many(honest_txns[1:])
+            assert honest.drain() == len(honest_txns)
+            stats = honest.stats()
+            assert stats["received"] == len(honest_txns)  # nothing of the refused submit
+            assert stats["ingest_errors"] == 0
+            assert stats["wire"]["v2"]["decode_errors"] == 1
+            bad.ping()  # the refused producer's connection survives
             result = honest.finalize()
         assert normalize_violations(result) == in_process_verdicts(honest_txns)
 
@@ -879,7 +972,18 @@ class TestServiceDifferential:
                 )
                 assert got_ordered == ordered, (name, connections, size)
 
-    def test_generated_workload(self, start_service):
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    def test_anomaly_catalog_concurrent_producers(self, start_service, n_clients):
+        # The same verdicts when the sessions of each fixture are spread
+        # over concurrent producers, whose submits interleave however the
+        # scheduler lets them.
+        for name in sorted(ANOMALY_CATALOG):
+            txns = anomaly_txns(name)
+            got = service_verdicts(start_service, txns, n_clients=n_clients)
+            assert got == in_process_verdicts(txns), (name, n_clients)
+
+    @pytest.mark.parametrize("n_clients, batch", [(1, 500), (4, 13), (6, 1)])
+    def test_generated_workload(self, start_service, n_clients, batch):
         history = generate_default_history(
             WorkloadSpec(n_sessions=6, n_transactions=240, ops_per_txn=6, n_keys=40, seed=77)
         )
@@ -888,7 +992,7 @@ class TestServiceDifferential:
         txns = transactions_in_commit_order(injector.build())
         expected = in_process_verdicts(txns)
         assert expected, "fault injection should produce violations"
-        got = service_verdicts(start_service, txns, n_clients=4, batch=13)
+        got = service_verdicts(start_service, txns, n_clients=n_clients, batch=batch)
         assert got == expected
 
     @pytest.mark.parametrize("size", [1, 3, 10, 500])
@@ -961,6 +1065,60 @@ class TestCliServeReplay:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--protocol", "v2"], ["replay", "--anomaly", "dirty-read", "--protocol", "2"]],
+        ids=["serve", "replay"],
+    )
+    def test_protocol_option_is_gone(self, capsys, argv):
+        """One codec is left, so there is no codec to choose: the removed
+        ``--protocol`` option is a usage error, not silently ignored."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --protocol" in capsys.readouterr().err
+
+    def test_serve_over_tcp_as_the_benchmark_spawns_it(self):
+        """The daemon command line the benchmark ladder runs: an
+        OS-chosen port announced as ``listening on <host>:<port>``, and a
+        ``protocol=2`` client that reaches it there."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--timeout", "30",
+             "--queue-capacity", "8000", "--kernel-sample-every", "1"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+        )
+        try:
+            printed = ""
+            deadline = time.monotonic() + 20.0
+            match = None
+            while match is None:
+                assert time.monotonic() < deadline, f"no address printed: {printed!r}"
+                assert proc.poll() is None, printed + proc.stdout.read().decode()
+                if select.select([proc.stdout], [], [], 0.2)[0]:
+                    printed += os.read(proc.stdout.fileno(), 4096).decode()
+                    match = re.search(r"listening on ([\d.]+):(\d+)", printed)
+            client = CheckerClient(match.group(1), int(match.group(2)), protocol=2, timeout=20.0)
+            client.connect(retry_for=10.0)
+            with client:
+                client.submit_many(anomaly_txns("lost-update"))
+                assert client.drain() == 3
+                kernel = client.stats()["kernel"]
+                assert kernel["timed_batches"] == kernel["batches"] >= 1  # every batch timed
+                result = client.shutdown()
+            assert not result.is_valid
+            assert proc.wait(timeout=20) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     @pytest.mark.parametrize(
         "shard_args", [[], ["--shards", "2"]], ids=["in-process", "sharded"]
