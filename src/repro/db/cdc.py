@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Union
 
 from repro.histories.model import History, Transaction
 from repro.histories.serialization import txn_from_dict, txn_to_dict
@@ -94,11 +94,15 @@ class WalTailer:
     ``offset`` round-trips: a tailer constructed with a previous
     tailer's offset resumes exactly where it left off, which is how a
     restarted feed avoids re-reading (and re-submitting) history.
+
+    Every poll of one tailer decodes a key to the object its first poll
+    did; the key memo dies with the tailer.
     """
 
     def __init__(self, path: Union[str, Path], *, offset: int = 0) -> None:
         self.path = Path(path)
         self.offset = offset
+        self._keys: Dict[str, str] = {}
 
     def poll(self) -> List[Transaction]:
         """All complete transactions appended since the last poll."""
@@ -115,26 +119,27 @@ class WalTailer:
             return []  # only a torn tail so far
         self.offset += complete
         lines = chunk[:complete].decode("utf-8").splitlines()
-        return list(_iter_commit_lines(lines))
+        return list(_iter_commit_lines(lines, self._keys))
 
 
-def _iter_commit_lines(lines: Iterable[str]) -> Iterator[Transaction]:
+def _iter_commit_lines(lines: Iterable[str], memo: Dict[str, str]) -> Iterator[Transaction]:
     """Decode ``COMMIT`` lines; skip everything else (a real WAL
-    interleaves other record types the checker ignores)."""
+    interleaves other record types the checker ignores).  ``memo`` shares
+    each distinct key's object across the lines."""
     for line in lines:
         line = line.strip()
         if not line or not line.startswith("COMMIT "):
             continue
-        yield txn_from_dict(json.loads(line[len("COMMIT "):]))
+        yield txn_from_dict(json.loads(line[len("COMMIT "):]), memo)
 
 
 def parse_wal(lines: Iterable[str]) -> History:
     """Parse the textual WAL format back into a history."""
-    return History(_iter_commit_lines(lines))
+    return History(_iter_commit_lines(lines, {}))
 
 
 def iter_wal_file(path: Union[str, Path]) -> Iterator[Transaction]:
     """Stream committed transactions from a WAL file written by
     :meth:`ChangeLog.save_wal`, without materializing the history."""
     with Path(path).open("r", encoding="utf-8") as handle:
-        yield from _iter_commit_lines(handle)
+        yield from _iter_commit_lines(handle, {})

@@ -130,6 +130,10 @@ class Database:
         self.collect_history = collect_history
         self.store = MultiVersionStore()
         self.cdc = ChangeLog()
+        # One object per distinct key: an op's key is swapped for the
+        # first object seen equal to it, so every recorded operation, the
+        # store's chains and the log share one ``str`` per key.
+        self._keys: Dict[str, str] = {}
         self._next_tid = INIT_TID + 1
         self._next_sid = INIT_SID + 1
         self.n_commits = 0
@@ -146,6 +150,7 @@ class Database:
         """
         ops = []
         for key in keys:
+            key = self._keys.setdefault(key, key)
             self.store.install(key, INIT_TS, value)
             ops.append(Operation(OpKind.WRITE, key, value))
         if self.collect_history:
@@ -180,6 +185,7 @@ class Database:
     def read(self, txn: TxnHandle, key: str) -> Any:
         """Read a register key (buffer first, else snapshot)."""
         self._require_active(txn)
+        key = self._keys.setdefault(key, key)
         if key in txn.buffer:
             value = txn.buffer[key]
         else:
@@ -192,6 +198,7 @@ class Database:
     def write(self, txn: TxnHandle, key: str, value: Any) -> None:
         """Buffer a register write."""
         self._require_active(txn)
+        key = self._keys.setdefault(key, key)
         txn.buffer[key] = value
         txn.write_keys.add(key)
         txn.ops.append(Operation(OpKind.WRITE, key, value))
@@ -199,6 +206,7 @@ class Database:
     def append(self, txn: TxnHandle, key: str, element: Any) -> None:
         """Append to a list key (read-modify-write on the snapshot)."""
         self._require_active(txn)
+        key = self._keys.setdefault(key, key)
         if key in txn.buffer:
             base = txn.buffer[key]
         else:
@@ -213,6 +221,7 @@ class Database:
     def read_list(self, txn: TxnHandle, key: str) -> Tuple[Any, ...]:
         """Read a list key in full."""
         self._require_active(txn)
+        key = self._keys.setdefault(key, key)
         if key in txn.buffer:
             value = txn.buffer[key]
         else:

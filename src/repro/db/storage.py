@@ -19,10 +19,14 @@ Version = Tuple[int, Any]  # (commit_ts, value)
 
 
 class MultiVersionStore:
-    """Per-key version chains ordered by commit timestamp."""
+    """Per-key version chains ordered by commit timestamp.
+
+    Each key holds ``(commits, values)`` parallel lists, so every probe
+    bisects a plain list of ints in C.
+    """
 
     def __init__(self) -> None:
-        self._chains: Dict[str, List[Version]] = {}
+        self._chains: Dict[str, Tuple[List[int], List[Any]]] = {}
         self.n_versions = 0
 
     def install(self, key: str, commit_ts: int, value: Any) -> None:
@@ -35,29 +39,35 @@ class MultiVersionStore:
         """
         chain = self._chains.get(key)
         if chain is None:
-            chain = self._chains[key] = []
-        if chain and chain[-1][0] > commit_ts:
-            bisect.insort(chain, (commit_ts, value), key=lambda v: v[0])
+            chain = self._chains[key] = ([], [])
+        commits, values = chain
+        if commits and commits[-1] > commit_ts:
+            index = bisect.bisect_right(commits, commit_ts)
+            commits.insert(index, commit_ts)
+            values.insert(index, value)
         else:
-            chain.append((commit_ts, value))
+            commits.append(commit_ts)
+            values.append(value)
         self.n_versions += 1
 
     def read_at(self, key: str, ts: int) -> Optional[Version]:
         """Greatest version with ``commit_ts <= ts``; None if unborn."""
         chain = self._chains.get(key)
-        if not chain:
+        if chain is None:
             return None
-        index = bisect.bisect_right(chain, ts, key=lambda v: v[0])
-        if index == 0:
+        commits, values = chain
+        index = bisect.bisect_right(commits, ts) - 1
+        if index < 0:
             return None
-        return chain[index - 1]
+        return commits[index], values[index]
 
     def latest(self, key: str) -> Optional[Version]:
         """The newest committed version of ``key``."""
         chain = self._chains.get(key)
-        if not chain:
+        if chain is None:
             return None
-        return chain[-1]
+        commits, values = chain
+        return commits[-1], values[-1]
 
     def versions_in(self, key: str, low_ts: int, high_ts: int) -> List[Version]:
         """Versions with ``low_ts < commit_ts <= high_ts``.
@@ -67,11 +77,12 @@ class MultiVersionStore:
         one of its keys committed inside that window.
         """
         chain = self._chains.get(key)
-        if not chain:
+        if chain is None:
             return []
-        lo = bisect.bisect_right(chain, low_ts, key=lambda v: v[0])
-        hi = bisect.bisect_right(chain, high_ts, key=lambda v: v[0])
-        return chain[lo:hi]
+        commits, values = chain
+        lo = bisect.bisect_right(commits, low_ts)
+        hi = bisect.bisect_right(commits, high_ts)
+        return list(zip(commits[lo:hi], values[lo:hi]))
 
     def keys(self) -> List[str]:
         return list(self._chains.keys())

@@ -37,20 +37,7 @@ def generate_list_history(
     the empty tuple to every key.
     """
     database = Database(oracle, isolation=spec.isolation)
-    for key in spec.keys:
-        database.store.install(key, 0, ())
-    from repro.histories.model import INIT_SID, INIT_TID, INIT_TS, Operation, OpKind, Transaction
-
-    database.cdc.emit(
-        Transaction(
-            tid=INIT_TID,
-            sid=INIT_SID,
-            sno=0,
-            ops=[Operation(OpKind.WRITE, key, ()) for key in spec.keys],
-            start_ts=INIT_TS,
-            commit_ts=INIT_TS,
-        )
-    )
+    database.initialize(spec.keys, ())
 
     chooser = make_chooser(spec.distribution, spec.n_keys)
     elements = itertools.count(1)

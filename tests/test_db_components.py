@@ -1,6 +1,7 @@
 """Tests for storage, oracles, CDC and fault injection."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -34,6 +35,24 @@ class TestMultiVersionStore:
         store.install("x", 20, "b")
         store.install("x", 10, "a")
         assert store.read_at("x", 15) == (10, "a")
+
+    def test_shuffled_installs_read_as_sorted_chain(self):
+        # The parallel lists stay in commit order (equal timestamps in
+        # install order) whatever order the versions arrive in.
+        rng = random.Random(3)
+        versions = [(rng.randrange(40), f"v{i}") for i in range(60)]
+        store = MultiVersionStore()
+        for ts, value in versions:
+            store.install("x", ts, value)
+        chain = sorted(versions, key=lambda version: version[0])
+        for ts in range(-1, 42):
+            below = [version for version in chain if version[0] <= ts]
+            assert store.read_at("x", ts) == (below[-1] if below else None)
+            assert store.versions_in("x", ts, ts + 7) == [
+                version for version in chain if ts < version[0] <= ts + 7
+            ]
+        assert store.latest("x") == chain[-1]
+        assert store.n_versions == 60
 
     def test_versions_in_window(self):
         store = MultiVersionStore()

@@ -1,4 +1,4 @@
-"""One object per distinct op key, wherever a history is decoded.
+"""One object per distinct op key, wherever a history is decoded or produced.
 
 ``json`` returns a new ``str`` for every string it decodes, so a history
 of N operations over K keys used to hold N key objects.  Each decode
@@ -7,7 +7,11 @@ object of its key: a history file, a JSONL text, one row list and one
 packed file (across its chunks) each end with K objects.  The memo
 dies with the call — there is no table to outlive a load.  A daemon
 connection keeps one memo across all its submit frames and drops it at
-disconnect.
+disconnect, and a WAL tailer one across all its polls.
+
+The producer keeps the same rule: the simulated database swaps each op
+key for the first object it saw equal to it, so a generated history —
+whatever workload formatted its keys — holds K key objects too.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from array import array
 import pytest
 
 from repro.core.chronos import Chronos
+from repro.db.cdc import WalTailer, iter_wal_file, parse_wal, wal_line
+from repro.db.engine import Database
+from repro.db.faults import SkewedOracle
+from repro.db.oracle import CentralizedOracle
 from repro.histories.model import Transaction
 from repro.histories.ops import write
 from repro.histories.serialization import (
@@ -34,8 +42,13 @@ from repro.histories.serialization import (
 from repro.service.client import CheckerClient
 from repro.service.config import ServiceConfig
 from repro.service.daemon import ServiceThread
+from repro.workloads.driver import InterleavedDriver, TxnProgram
 from repro.workloads.generator import generate_default_history
+from repro.workloads.list_workload import generate_list_history
+from repro.workloads.rubis import generate_rubis_history
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.tpcc import generate_tpcc_history
+from repro.workloads.twitter import generate_twitter_history
 
 #: The ladder's Fig-12b shape and size (24 sessions, 8 ops per
 #: transaction, 1,000 zipfian keys, half reads, 20,000 transactions).
@@ -43,13 +56,23 @@ N_TXNS = 20_000
 
 
 @pytest.fixture(scope="module")
-def ladder_history():
-    return generate_default_history(
-        WorkloadSpec(
-            n_sessions=24, n_transactions=N_TXNS, ops_per_txn=8, n_keys=1000,
-            distribution="zipfian", read_ratio=0.5, seed=2025,
+def generated():
+    """The ladder-shape history and the bytes it holds, traced while the
+    simulated database produced it."""
+    history, held, _ = _traced(
+        lambda: generate_default_history(
+            WorkloadSpec(
+                n_sessions=24, n_transactions=N_TXNS, ops_per_txn=8, n_keys=1000,
+                distribution="zipfian", read_ratio=0.5, seed=2025,
+            )
         )
     )
+    return history, held
+
+
+@pytest.fixture(scope="module")
+def ladder_history(generated):
+    return generated[0]
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +259,107 @@ def test_one_object_per_key_per_daemon_connection(submit):
     for keys in per_connection:
         assert len(keys) == 500 * 8
         assert len({id(key) for key in keys}) == len(set(keys)) == 1000
+
+
+# ----------------------------------------------------------------------
+# The producer side: the simulated database and its WAL readers
+# ----------------------------------------------------------------------
+
+
+def _assert_one_object_per_key(keys):
+    assert len({id(key) for key in keys}) == len(set(keys)) > 1
+
+
+#: Every ``repro generate`` workload, at 300 transactions.
+GENERATORS = {
+    "default": lambda: generate_default_history(
+        WorkloadSpec(n_sessions=24, n_transactions=300, ops_per_txn=8, n_keys=200, seed=7)
+    ),
+    "list": lambda: generate_list_history(
+        WorkloadSpec(n_sessions=24, n_transactions=300, ops_per_txn=8, n_keys=200, seed=7)
+    ),
+    "twitter": lambda: generate_twitter_history(300, seed=7),
+    "rubis": lambda: generate_rubis_history(300, seed=7),
+    "tpcc": lambda: generate_tpcc_history(300, seed=7),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GENERATORS))
+def test_generated_history_holds_one_object_per_key(workload):
+    """Each workload formats a fresh ``str`` per step (``key_name``, the
+    application f-strings); the database records the first one it saw."""
+    _assert_one_object_per_key(_op_keys_of(GENERATORS[workload]()))
+
+
+def _chaos_database():
+    """A database driven as the chaos campaign drives it: a subscriber
+    armed before ⊥T, ⊥T from a generator of keys, a skewed oracle, and a
+    factory that formats each key again per step.  Returns the database
+    and the transactions its subscriber was handed."""
+    shipped = []
+    database = Database(SkewedOracle(CentralizedOracle(), probability=0.2, stride=16))
+    database.cdc.subscribe(shipped.append)
+    database.initialize(f"k{i}" for i in range(12))
+
+    def factory(_sid, rng):
+        program = TxnProgram()
+        for _ in range(rng.randint(2, 4)):
+            key = f"k{rng.randrange(12)}"
+            if rng.random() < 0.5:
+                program.read(key)
+            else:
+                program.write(key, rng.randrange(1_000_000))
+        return program
+
+    InterleavedDriver(database, 4, seed=21).run(factory, 400)
+    return database, shipped
+
+
+def test_database_shares_keys_with_its_store_and_log():
+    """Recorded ops, the version store's chains and what a subscriber
+    is handed all hold the same 12 objects."""
+    database, shipped = _chaos_database()
+    keys = _op_keys_of(database.cdc) + _op_keys_of(shipped) + database.store.keys()
+    assert len({id(key) for key in keys}) == len(set(keys)) == 12
+
+
+def _wal_readers(database, tmp_path):
+    path = tmp_path / "wal.log"
+    database.cdc.save_wal(path)
+    lines = list(database.cdc.wal_lines())
+
+    def tailed():
+        """Two polls of one tailer, the second over lines appended after
+        the first."""
+        live = tmp_path / "live.wal"
+        tailer = WalTailer(live)
+        half = len(lines) // 2
+        live.write_text("".join(line + "\n" for line in lines[:half]))
+        first = tailer.poll()
+        with live.open("a") as handle:
+            handle.writelines(line + "\n" for line in lines[half:])
+        return first + tailer.poll()
+
+    return {
+        "parse_wal": lambda: list(parse_wal(lines)),
+        "iter_wal_file": lambda: list(iter_wal_file(path)),
+        "WalTailer": tailed,
+    }
+
+
+@pytest.mark.parametrize("reader", ["parse_wal", "iter_wal_file", "WalTailer"])
+def test_wal_readers_share_keys(tmp_path, reader):
+    database, _ = _chaos_database()
+    txns = _wal_readers(database, tmp_path)[reader]()
+    assert list(map(wal_line, txns)) == list(database.cdc.wal_lines())
+    _assert_one_object_per_key(_op_keys_of(txns))
+
+
+def test_generated_bytes_per_transaction(generated):
+    """What the 20,000-transaction ladder-shape history holds once
+    generated, per transaction: ~1,338 B with the workload's fresh key
+    ``str`` in every op (161,000 key objects for 1,000 keys), ~890 B
+    with one object per key."""
+    history, held = generated
+    assert len({id(key) for key in _op_keys_of(history)}) == 1000
+    assert held / len(history) <= 1000, f"{held / len(history):.0f} B per transaction"
