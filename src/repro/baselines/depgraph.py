@@ -154,6 +154,11 @@ class DependencyGraph:
                 if op.kind is OpKind.READ:
                     self.external_reads.append((txn.tid, key, op.value))
 
+    def final_writer(self, key: str, value: Any) -> Optional[int]:
+        """The transaction whose final write of ``key`` is ``value``, if any."""
+        writer = self._writer_of.get((key, value))
+        return writer[0] if writer is not None and writer[1] else None
+
     def _check_internal(self, txn: Transaction) -> None:
         """INT: replay program order against the txn's own effects.
 

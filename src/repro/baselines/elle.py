@@ -12,9 +12,10 @@ test instead of timestamps:
   makes ElleList sound and (on read-rich workloads) close to complete.
 - **ElleKV** — for register histories Elle has "limited capabilities"
   (§VII): with unique written values it recovers WR edges exactly,
-  session order, and the G1 well-formedness checks; cycle detection then
-  runs over this partial graph.  Sound, but weaker than checkers with
-  full version orders.
+  writes-follow-reads WW fragments (a transaction that read version v of
+  k and then wrote k orders its write after v), session order, and the
+  G1 well-formedness checks; cycle detection then runs over this partial
+  graph.  Sound, but weaker than checkers with full version orders.
 
 Both checkers share the cost profile the paper measures in Fig 4/5:
 linear-ish graph construction with a large constant plus cycle detection
@@ -54,6 +55,14 @@ class ElleKV:
         add_edges(dsg, graph.session_edges())
         # WR edges from unique values.
         add_edges(dsg, ((writer, reader) for reader, _key, writer in graph.resolve_reads()))
+        # Writes-follow-reads: a txn that read version v of k and also
+        # wrote k must order its write after v's writer.
+        final_writes = graph.final_writes
+        for reader, key, value in graph.external_reads:
+            if key in final_writes[reader]:
+                observed = graph.final_writer(key, value)
+                if observed is not None and observed != reader:
+                    dsg[observed].append(reader)
         self.build_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -120,6 +120,20 @@ class TestDependencyGraphIndex:
             writes = graph.final_writes[txn.tid]
             assert list(writes.items()) == list(txn.last_writes.items())
 
+    def test_final_writer_is_the_last_final_write_of_a_value(self, history):
+        graph = DependencyGraph(history)
+        expected = {}
+        for txn in history:
+            for key, value in txn.last_writes.items():
+                expected[(key, value)] = txn.tid
+        assert all(graph.final_writer(*kv) == tid for kv, tid in expected.items())
+        b = HistoryBuilder(keys=["x"])
+        b.txn(sid=1, tid=1, ops=[write("x", 1), write("x", 2)])
+        graph = DependencyGraph(b.build())
+        assert graph.final_writer("x", 1) is None  # an intermediate write
+        assert graph.final_writer("x", 2) == 1
+        assert graph.final_writer("x", 3) is None
+
     def test_version_chains_are_the_commit_ordered_final_writes(self, history):
         chains = recover_version_order(DependencyGraph(history))
         expected = {}

@@ -167,6 +167,18 @@ class TestElle:
         result = ElleKV().check(b.build())
         assert not result.is_valid
 
+    def test_elle_kv_detects_cycle_through_a_written_none(self):
+        # T1 is the only writer of x=None, so T2's read of x=None comes
+        # from T1 (T1 -> T2), and T1 reads T2's y=2 (T2 -> T1): G1c.
+        # resolve_reads sends every None read to ⊥T, so only the
+        # writes-follow-reads edge (T2 read x, then wrote x) finds it.
+        b = HistoryBuilder(keys=["x", "y"])
+        b.txn(sid=1, tid=1, start=1, commit=2, ops=[write("x", None), read("y", 2)])
+        b.txn(sid=2, tid=2, start=3, commit=4,
+              ops=[read("x", None), write("x", 5), write("y", 2)])
+        result = ElleKV().check(b.build())
+        assert [v.describe() for v in result.violations] == ["G1c cycle: 1 -> 2"]
+
     def test_elle_list_accepts_valid(self, list_history):
         assert ElleList().check(list_history).is_valid
 
