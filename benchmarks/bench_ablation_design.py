@@ -43,7 +43,7 @@ def _run_recheck_ablation():
         checker = Aion(
             AionConfig(timeout=float("inf"), optimized_recheck=optimized), clock=clock
         )
-        report = OnlineRunner(checker, clock).run_capacity(schedule)
+        report = OnlineRunner(checker, clock).run(schedule)
         verdicts = normalize_violations(report.result)
         rows.append(
             {
@@ -87,7 +87,7 @@ def _run_gc_margin_ablation():
             checker, clock, gc_policy=GcPolicy.CHECKING_GC, gc_threshold=threshold
         )
         received = _force_gc_margin(checker, margin)
-        report = runner.run_capacity(schedule)
+        report = runner.run(schedule)
         # Every GC decision of this row used this row's margin.
         assert received and set(received) == {margin}, (margin, sorted(set(received)))
         store = checker.spill_store

@@ -42,7 +42,7 @@ def _aion_row(label, checker_factory, schedule, policy, threshold):
     clock = SimClock()
     checker = checker_factory(clock)
     runner = OnlineRunner(checker, clock, gc_policy=policy, gc_threshold=threshold)
-    report = runner.run_capacity(schedule)
+    report = runner.run(schedule)
     checker.close()
     return {
         "checker": label,

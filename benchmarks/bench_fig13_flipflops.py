@@ -28,7 +28,7 @@ def _run():
     schedule = collector.schedule(history)
     clock = SimClock()
     checker = Aion(AionConfig(timeout=5.0), clock=clock)
-    report = OnlineRunner(checker, clock).run_tracking(schedule)
+    report = OnlineRunner(checker, clock).run(schedule, charge_check_time=False)
     stats = checker.flipflop_stats
     outcome = {
         "flip_histogram": stats.flip_histogram(),

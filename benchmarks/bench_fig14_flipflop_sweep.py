@@ -23,7 +23,7 @@ def _flip_pairs(history, mean_ms, std_ms, seed):
     schedule = collector.schedule(history)
     clock = SimClock()
     checker = Aion(AionConfig(timeout=5.0), clock=clock)
-    OnlineRunner(checker, clock).run_tracking(schedule)
+    OnlineRunner(checker, clock).run(schedule, charge_check_time=False)
     stats = checker.flipflop_stats
     pairs = sum(stats.flips_per_pair.values())
     txns = stats.n_flipped_txns

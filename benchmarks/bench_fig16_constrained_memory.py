@@ -11,7 +11,7 @@ from repro.core.aion import Aion, AionConfig
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
-from repro.online.runner import OnlineRunner
+from repro.online.runner import GcPolicy, OnlineRunner
 
 
 def _run():
@@ -26,16 +26,20 @@ def _run():
     # Establish the uncapped peak, then cap at roughly 60% of it.
     clock = SimClock()
     probe = Aion(AionConfig(timeout=5.0), clock=clock)
-    baseline = OnlineRunner(probe, clock, memory_sample_every=max(200, n // 20)).run_capacity(schedule)
+    baseline = OnlineRunner(probe, clock, memory_sample_every=max(200, n // 20)).run(schedule)
     peak = max(size for _, size in baseline.memory_samples)
     probe.close()
 
     cap = int(peak * 0.6)
     clock = SimClock()
     checker = Aion(AionConfig(timeout=5.0), clock=clock)
-    report = OnlineRunner(checker, clock).run_memory_capped(
-        schedule, max_bytes=cap, check_every=max(200, n // 40)
-    )
+    report = OnlineRunner(
+        checker,
+        clock,
+        gc_policy=GcPolicy.MEMORY_CAP,
+        max_bytes=cap,
+        memory_sample_every=max(200, n // 40),
+    ).run(schedule)
     checker.close()
     return {
         "uncapped_peak": peak,

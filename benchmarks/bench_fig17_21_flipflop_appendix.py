@@ -27,7 +27,7 @@ def _stats_for(history, mean_ms, std_ms, seed):
     ).schedule(history)
     clock = SimClock()
     checker = Aion(AionConfig(timeout=5.0), clock=clock)
-    OnlineRunner(checker, clock).run_tracking(schedule)
+    OnlineRunner(checker, clock).run(schedule, charge_check_time=False)
     stats = checker.flipflop_stats
     flips = stats.flip_histogram()
     rectify = stats.rectify_histogram()

@@ -34,7 +34,7 @@ def _run():
                 clock,
                 gc_policy=policy,
                 gc_threshold=max(1000, n // 5) if policy is not GcPolicy.NO_GC else 10**9,
-            ).run_capacity(schedule)
+            ).run(schedule)
             rows.append(
                 {
                     "dataset": dataset,

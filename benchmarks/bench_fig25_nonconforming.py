@@ -32,7 +32,7 @@ def _run():
     checker = AionSer(AionConfig(timeout=float("inf")), clock=clock)
     report = OnlineRunner(
         checker, clock, gc_policy=GcPolicy.CHECKING_GC, gc_threshold=max(1000, n // 5)
-    ).run_capacity(schedule)
+    ).run(schedule)
     aion_violations = normalize_violations(report.result)
     checker.close()
 

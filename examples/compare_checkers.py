@@ -72,8 +72,7 @@ def main() -> None:
     print("\nSER checking of the SI history:")
     offline = ChronosSer().check(history)
     ser = AionSer(AionConfig(timeout=float("inf")), clock=lambda: 0.0)
-    for txn in history.by_commit_ts():
-        ser.receive(txn)
+    ser.receive_many(history.by_commit_ts())
     online = ser.finalize()
     cobra = CobraChecker(CobraConfig(fence_every=10, round_size=100))
     processed = 0

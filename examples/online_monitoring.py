@@ -40,7 +40,7 @@ def monitor(name: str, history) -> None:
     runner = OnlineRunner(
         checker, clock, gc_policy=GcPolicy.CHECKING_GC, gc_threshold=2_000
     )
-    report = runner.run_capacity(schedule)
+    report = runner.run(schedule)
 
     stats = checker.flipflop_stats
     print(f"\n=== {name} ===")

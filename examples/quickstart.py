@@ -39,7 +39,7 @@ def main() -> None:
     txns = list(history)
     arrival_order = [txns[0], txns[2], txns[1], txns[3]]  # writer delayed
     for txn in arrival_order:
-        aion.receive(txn)
+        aion.receive_many([txn])  # one arrival, one batch
     online = aion.finalize()
     print(f"online verdict  : {online.summary()}")
     flips = aion.flipflop_stats

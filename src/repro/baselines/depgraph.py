@@ -154,11 +154,6 @@ class DependencyGraph:
                 if op.kind is OpKind.READ:
                     self.external_reads.append((txn.tid, key, op.value))
 
-    def final_writer(self, key: str, value: Any) -> Optional[int]:
-        """The transaction whose final write of ``key`` is ``value``, if any."""
-        writer = self._writer_of.get((key, value))
-        return writer[0] if writer is not None and writer[1] else None
-
     def _check_internal(self, txn: Transaction) -> None:
         """INT: replay program order against the txn's own effects.
 
@@ -217,18 +212,20 @@ class DependencyGraph:
     def resolve_reads(self) -> List[Tuple[int, str, int]]:
         """Map each external register read to its writer: (reader, key, writer).
 
-        Reads of ``None`` (the unborn-key encoding) map to the initial
-        transaction when it wrote the key, else to ⊥T by convention.
-        Unjustified reads (no writer of that value) and intermediate
-        reads (G1b) are reported as EXT-class violations.
+        A read of ``None`` (the unborn-key encoding) maps to its writer
+        like any other value; when nothing wrote ``None`` to the key and
+        ⊥T did not write the key at all, it reads the unborn key, from
+        ⊥T by convention.  Unjustified reads (no writer of that value)
+        and intermediate reads (G1b) are reported as EXT-class
+        violations.
         """
         resolved: List[Tuple[int, str, int]] = []
+        init_writes = self.final_writes.get(INIT_TID, {})
         for reader, key, value in self.external_reads:
-            if value is None:
-                # Never-written key: treated as reading from ⊥T.
+            writer = self._writer_of.get((key, value))
+            if writer is None and value is None and key not in init_writes:
                 resolved.append((reader, key, INIT_TID))
                 continue
-            writer = self._writer_of.get((key, value))
             if writer is None:
                 self.result.add(
                     ExtViolation(

@@ -377,7 +377,7 @@ def _check_online(args: argparse.Namespace, batch):
 
         checker = AionSer(AionConfig(timeout=args.timeout), clock=clock)
     runner = OnlineRunner(checker, clock)
-    report = runner.run_capacity(schedule, batch_size=max(1, args.batch_size))
+    report = runner.run(schedule, batch_size=max(1, args.batch_size))
     checker.close()
     elapsed = time.perf_counter() - t0
     shard_note = f", {args.shards} shards" if args.shards > 1 else ""

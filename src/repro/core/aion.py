@@ -163,6 +163,7 @@ class Aion(SpillingGc):
     # Receiving transactions
     # ------------------------------------------------------------------
 
+    # Kept only for the ladder's aion.receive_tps / aionser.receive_tps rungs.
     def receive(self, txn: Transaction) -> None:
         """Process one incoming transaction: a batch of one."""
         self.receive_many([txn])

@@ -8,8 +8,10 @@ that walks those streams against the versioned structures
 that applies the collected results — tracking, re-evaluations, conflict
 reports — in arrival order.  The route pass reads a
 :class:`~repro.core.colpack.ColumnarBatch` only: a list of transactions
-is flattened once at entry, so ``receive(txn)`` is a flatten plus a
-batch of one.  The three online checkers, and what each overrides:
+is flattened once at entry.  The online runner and the daemon's drain
+loop hand it batches; ``Aion.receive(txn)``, a batch of one, is kept
+only for the benchmark ladder's per-arrival rungs.  The three online
+checkers, and what each overrides:
 
 - :class:`~repro.core.aion.Aion` — the kernel; probes its own
   structures, SI visibility.

@@ -21,7 +21,7 @@ common comparable set:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
@@ -44,8 +44,8 @@ class ReferenceOnlineChecker:
         self._mode = mode
         self._received: List[Transaction] = []
 
-    def receive(self, txn: Transaction) -> None:
-        self._received.append(txn)
+    def receive_many(self, txns: Iterable[Transaction]) -> None:
+        self._received.extend(txns)
 
     def result(self) -> CheckResult:
         """Offline verdicts over everything received so far."""

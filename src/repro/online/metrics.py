@@ -94,18 +94,25 @@ class ThroughputSeries:
 
 @dataclass
 class MemorySampler:
-    """Periodically samples a byte-estimate callable."""
+    """Periodically samples a byte-estimate callable.
+
+    ``_countdown`` starts the first window part-way: ``every_n - 1``
+    samples at the first event.
+    """
 
     estimate: Callable[[], int]
     every_n: int = 1000
     samples: List[Tuple[float, int]] = field(default_factory=list)
     _countdown: int = 0
 
-    def maybe_sample(self, timestamp: float) -> None:
+    def maybe_sample(self, timestamp: float) -> bool:
+        """Count one event; sample at every ``every_n``-th and say so."""
         self._countdown += 1
-        if self._countdown >= self.every_n:
-            self._countdown = 0
-            self.samples.append((timestamp, self.estimate()))
+        if self._countdown < self.every_n:
+            return False
+        self._countdown = 0
+        self.samples.append((timestamp, self.estimate()))
+        return True
 
     def force_sample(self, timestamp: float) -> None:
         self.samples.append((timestamp, self.estimate()))

@@ -1,31 +1,35 @@
 """The online experiment runner (§VI).
 
 Feeds an arrival schedule into an online checker and measures what the
-paper's online figures report.  Two pacing modes:
+paper's online figures report.  There is one loop,
+:meth:`OnlineRunner.run`: it groups consecutive arrivals into batches of
+``batch_size`` (one arrival each by default), snaps the virtual clock to
+each batch's last arrival, hands the batch to the checker's
+``receive_many`` and applies the GC policy between batches.  What the
+clock does next is the one choice between the two pacing modes:
 
-- **capacity mode** (Fig 12): the checker is the bottleneck — arrivals
-  queue up and virtual time advances by the *measured wall-clock cost*
-  of checking each arrival (plus GC pauses), so the produced
-  throughput-over-time series reflects the checker's real sustainable
-  rate under the chosen GC policy, exactly like feeding pre-collected
-  logs faster than the checker can drain them (§VI-A).
-- **tracking mode** (Fig 13/14/17–21): the checker is assumed to keep
-  up — virtual time snaps to each arrival's scheduled time, so EXT
-  timeout and flip-flop timings are exact functions of the delay model.
+- **capacity mode** (``charge_check_time=True``, Fig 12/16): the checker
+  is the bottleneck — arrivals queue up and virtual time also advances
+  by the *measured wall-clock cost* of checking each batch (plus GC
+  pauses), so the produced throughput-over-time series reflects the
+  checker's real sustainable rate under the chosen GC policy, exactly
+  like feeding pre-collected logs faster than the checker can drain them
+  (§VI-A).
+- **tracking mode** (``charge_check_time=False``, Fig 13/14/17–21): the
+  checker is assumed to keep up — virtual time is each arrival's
+  scheduled time and nothing else, so EXT timeout and flip-flop timings
+  are exact functions of the delay model.
 
-Capacity mode hands the checker one arrival at a time by default, or
-whole collector batches (``batch_size``) — the sharded ingestion
-frontend's native unit of work — with the same virtual-time accounting.
-
-The timed modes hand the checker its input format: each arrival (or
-batch) is flattened into a :class:`~repro.core.colpack.ColumnarBatch`
+Each batch is flattened into a :class:`~repro.core.colpack.ColumnarBatch`
 before the stopwatch starts, as a collected log is decoded before it is
 checked, so the measured cost is the checker's work alone.
 
-GC policies reproduce the three Fig 12 strategies: ``no-gc``,
+GC policies reproduce the three Fig 12 strategies — ``no-gc``,
 ``checking-gc`` (threshold-triggered collection of everything below the
 GC-safe timestamp) and ``full-gc`` (a hard resident cap enforced
-immediately, collecting every time the cap is hit).
+immediately, collecting every time the cap is hit) — and Fig 16's
+``memory-cap`` (a full collection whenever a memory sample exceeds
+``max_bytes``).
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ __all__ = ["GcPolicy", "OnlineRunner", "OnlineRunReport", "OnlineChecker"]
 class OnlineChecker(Protocol):
     """What the runner needs from Aion / Aion-SER / ShardedAion."""
 
-    def receive(self, txn) -> None: ...
     def receive_many(self, txns) -> None: ...
     def finalize(self) -> CheckResult: ...
     @property
@@ -58,11 +61,12 @@ class OnlineChecker(Protocol):
 
 
 class GcPolicy(enum.Enum):
-    """The three Fig 12 garbage-collection strategies."""
+    """The three Fig 12 garbage-collection strategies and Fig 16's cap."""
 
     NO_GC = "no-gc"
     CHECKING_GC = "checking-gc"
     FULL_GC = "full-gc"
+    MEMORY_CAP = "memory-cap"
 
 
 @dataclass
@@ -91,7 +95,14 @@ class OnlineRunReport:
 
 
 class OnlineRunner:
-    """Runs one checker over one schedule."""
+    """Runs one checker over one schedule.
+
+    ``gc_threshold`` is the resident-transaction count that triggers
+    ``checking-gc`` / ``full-gc``.  ``memory_sample_every`` samples the
+    checker's estimated bytes every that many arrivals; ``memory-cap``
+    needs it, and ``max_bytes``, and then samples at the first arrival
+    too, so a schedule shorter than one window still gets a sample.
+    """
 
     def __init__(
         self,
@@ -101,33 +112,41 @@ class OnlineRunner:
         gc_policy: GcPolicy = GcPolicy.NO_GC,
         gc_threshold: int = 50_000,
         memory_sample_every: Optional[int] = None,
+        max_bytes: Optional[int] = None,
     ) -> None:
+        if gc_policy is GcPolicy.MEMORY_CAP and (max_bytes is None or memory_sample_every is None):
+            raise ValueError("GcPolicy.MEMORY_CAP needs max_bytes and memory_sample_every")
         self.checker = checker
         self.clock = clock
         self.gc_policy = gc_policy
         self.gc_threshold = gc_threshold
+        self.max_bytes = max_bytes
         self._memory_every = memory_sample_every
 
-    # ------------------------------------------------------------------
-
-    def run_capacity(
-        self, schedule: ArrivalSchedule, *, batch_size: int = 1
+    def run(
+        self,
+        schedule: ArrivalSchedule,
+        *,
+        batch_size: int = 1,
+        charge_check_time: bool = True,
     ) -> OnlineRunReport:
-        """Wall-clock-paced run: measures sustainable throughput.
+        """Check ``schedule`` in batches of ``batch_size`` arrivals.
 
-        Groups consecutive arrivals into batches of ``batch_size`` (one
-        arrival each by default) and hands each to
-        :meth:`OnlineChecker.receive_many` — the checker may only start a
-        batch once its last member arrived, so virtual time first snaps to
-        that arrival and then advances by the measured cost of the batch.
-        GC policies apply between batches.
+        The checker may only start a batch once its last member arrived,
+        so virtual time first snaps to that arrival; with
+        ``charge_check_time`` it then advances by the measured cost of
+        the batch and of each GC pause (capacity mode), without it the
+        clock follows the arrivals alone (tracking mode).
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         throughput = ThroughputSeries()
-        sampler = self._make_sampler()
-        gc_seconds = 0.0
-        n_gc = 0
+        sampler = None
+        if self._memory_every is not None:
+            every = self._memory_every
+            first = every - 1 if self.gc_policy is GcPolicy.MEMORY_CAP else 0
+            sampler = MemorySampler(self.checker.estimated_bytes, every_n=every, _countdown=first)
+        pauses: List[float] = []
         wall_start = time.perf_counter()
 
         arrivals = list(schedule)
@@ -137,133 +156,59 @@ class OnlineRunner:
             batch = ColumnarBatch.from_transactions([txn for _, txn in chunk])
             t0 = time.perf_counter()
             self.checker.receive_many(batch)
-            self.clock.advance(time.perf_counter() - t0)
+            if charge_check_time:
+                self.clock.advance(time.perf_counter() - t0)
 
-            pause = self._maybe_collect()
-            if pause is not None:
-                gc_seconds += pause
-                n_gc += 1
+            if (
+                self.gc_policy in (GcPolicy.CHECKING_GC, GcPolicy.FULL_GC)
+                and self.checker.resident_txn_count >= self.gc_threshold
+            ):
+                full = self.gc_policy is GcPolicy.FULL_GC
+                pauses.append(self._collect(full=full, charge=charge_check_time))
 
             throughput.record(self.clock.now(), count=len(batch))
-            if sampler is not None:
-                for _ in range(len(batch)):
+            if sampler is None:
+                continue
+            for _ in range(len(batch)):
+                if (
                     sampler.maybe_sample(self.clock.now())
+                    and self.gc_policy is GcPolicy.MEMORY_CAP
+                    and sampler.samples[-1][1] > self.max_bytes
+                ):
+                    pauses.append(self._collect(full=True, charge=charge_check_time))
+                    sampler.force_sample(self.clock.now())
 
         result = self.checker.finalize()
         return OnlineRunReport(
             throughput=throughput,
             result=result,
             n_processed=len(schedule),
-            n_gc_cycles=n_gc,
-            gc_seconds=gc_seconds,
+            n_gc_cycles=len(pauses),
+            gc_seconds=sum(pauses),
             wall_seconds=time.perf_counter() - wall_start,
             virtual_seconds=self.clock.now(),
             memory_samples=sampler.samples if sampler is not None else [],
         )
 
-    def _maybe_collect(self) -> Optional[float]:
-        """Apply the configured GC policy once; return the pause if any.
+    def _collect(self, *, full: bool, charge: bool) -> float:
+        """Run one GC cycle and return its pause.
 
-        FULL_GC enforces a hard resident cap (evict everything; each
-        subsequent dip below the boundary forces a segment reload — the
-        paper's repeatedly re-triggered full GC).  CHECKING_GC keeps a
-        recency margin so slightly late arrivals rarely touch spilled
-        segments, and overlaps half of the pause with useful work (a
-        background thread in the original system), so only half of the
-        measured pause advances virtual time.
+        A full collection (FULL_GC, MEMORY_CAP) evicts everything; under
+        FULL_GC each subsequent dip below the boundary forces a segment
+        reload — the paper's repeatedly re-triggered full GC.  It is
+        charged in full.  CHECKING_GC keeps a recency margin so slightly
+        late arrivals rarely touch spilled segments, and overlaps half
+        of the pause with useful work (a background thread in the
+        original system), so only half of the pause is charged.
         """
-        if self.gc_policy is GcPolicy.NO_GC:
-            return None
-        if self.checker.resident_txn_count < self.gc_threshold:
-            return None
         t_gc = time.perf_counter()
-        if self.gc_policy is GcPolicy.FULL_GC:
+        if full:
             self.checker.collect_below(None)
         else:
-            target = self.checker.suggest_gc_ts(
-                keep_recent=max(1, self.gc_threshold // 2)
-            )
+            target = self.checker.suggest_gc_ts(keep_recent=max(1, self.gc_threshold // 2))
             if target is not None:
                 self.checker.collect_below(target)
         pause = time.perf_counter() - t_gc
-        if self.gc_policy is GcPolicy.FULL_GC:
-            self.clock.advance(pause)
-        else:
-            self.clock.advance(pause * 0.5)
+        if charge:
+            self.clock.advance(pause if full else pause * 0.5)
         return pause
-
-    def run_tracking(self, schedule: ArrivalSchedule) -> OnlineRunReport:
-        """Arrival-paced run: exact virtual timing for EXT stability."""
-        throughput = ThroughputSeries()
-        sampler = self._make_sampler()
-        wall_start = time.perf_counter()
-        for arrival_time, txn in schedule:
-            self.clock.advance_to(arrival_time)
-            self.checker.receive(txn)
-            throughput.record(self.clock.now())
-            if sampler is not None:
-                sampler.maybe_sample(self.clock.now())
-        result = self.checker.finalize()
-        return OnlineRunReport(
-            throughput=throughput,
-            result=result,
-            n_processed=len(schedule),
-            wall_seconds=time.perf_counter() - wall_start,
-            virtual_seconds=self.clock.now(),
-            memory_samples=sampler.samples if sampler is not None else [],
-        )
-
-    def run_memory_capped(
-        self,
-        schedule: ArrivalSchedule,
-        *,
-        max_bytes: int,
-        check_every: int = 500,
-    ) -> OnlineRunReport:
-        """Fig 16 mode: GC whenever estimated memory exceeds a cap."""
-        throughput = ThroughputSeries()
-        sampler = MemorySampler(self.checker.estimated_bytes, every_n=check_every)
-        gc_seconds = 0.0
-        n_gc = 0
-        wall_start = time.perf_counter()
-        # Start the countdown one full window in so the very first
-        # arrival triggers a sample (and GC decision): schedules shorter
-        # than ``check_every`` still produce at least one memory sample.
-        countdown = check_every
-        for arrival_time, txn in schedule:
-            self.clock.advance_to(arrival_time)
-            arrival = ColumnarBatch.from_transactions([txn])
-            t0 = time.perf_counter()
-            self.checker.receive_many(arrival)
-            self.clock.advance(time.perf_counter() - t0)
-            throughput.record(self.clock.now())
-            countdown += 1
-            if countdown >= check_every:
-                countdown = 0
-                sampler.force_sample(self.clock.now())
-                if sampler.samples[-1][1] > max_bytes:
-                    t_gc = time.perf_counter()
-                    self.checker.collect_below(None)
-                    pause = time.perf_counter() - t_gc
-                    self.clock.advance(pause)
-                    gc_seconds += pause
-                    n_gc += 1
-                    sampler.force_sample(self.clock.now())
-        result = self.checker.finalize()
-        return OnlineRunReport(
-            throughput=throughput,
-            result=result,
-            n_processed=len(schedule),
-            n_gc_cycles=n_gc,
-            gc_seconds=gc_seconds,
-            wall_seconds=time.perf_counter() - wall_start,
-            virtual_seconds=self.clock.now(),
-            memory_samples=sampler.samples,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _make_sampler(self) -> Optional[MemorySampler]:
-        if self._memory_every is None:
-            return None
-        return MemorySampler(self.checker.estimated_bytes, every_n=self._memory_every)

@@ -6,9 +6,11 @@ but the standard library — the library a workload driver, a CDC tailer,
 or a test harness embeds to stream committed transactions into a
 running daemon and read verdicts back.
 
-Every message crosses the wire as one binary frame;
-:meth:`submit_many` packs the whole batch as one vectored columnar frame
-— no per-transaction JSON objects are built.
+Every message crosses the wire as one binary frame; a submit batch is
+one vectored columnar frame — no per-transaction JSON objects are built.
+:meth:`submit_pipelined` is the one path that sends submit batches,
+waits for their acks and tracks them for resume; :meth:`submit_many` is
+that path with one batch and a window of one.
 
 The client is synchronous by design (producers in this repo are
 synchronous); asynchrony lives on the server side.  Pushed ``violation``
@@ -378,42 +380,16 @@ class CheckerClient:
     # Requests
     # ------------------------------------------------------------------
 
-    def submit(self, txn: Transaction, *, ack: bool = True) -> None:
-        """Submit one committed transaction."""
-        self.submit_many([txn], ack=ack)
-
     def submit_many(self, txns: List[Transaction], *, ack: bool = True) -> None:
-        """Submit a batch of committed transactions, in order.
+        """Submit a batch of committed transactions, in order, as one frame.
 
         With ``ack=True`` (default) the call returns once the daemon
         admitted the whole batch to its ingest queue; ``ack=False``
         streams fire-and-forget — fastest, with admission control left
-        to TCP backpressure.
-
-        The batch crosses the wire as one vectored binary frame
-        (columnar arrays, interned keys) instead of a JSON object per
-        transaction.
+        to TCP backpressure.  An empty batch sends nothing.  This is
+        :meth:`submit_pipelined` with one batch and a window of one.
         """
-        if ack:
-            self._seq += 1
-            seq = self._seq
-        else:
-            seq = 0  # seq 0 asks for no ack at the framing layer
-        if ack and self.auto_resume:
-            # Track the batch before the send: if the cut lands
-            # between send and ack, resume must know what to replay.
-            self._unacked[seq] = list(txns)
-
-            def op() -> None:
-                if seq <= self._acked_seq and seq not in self._unacked:
-                    return  # settled by the resume replay already
-                self._submit(txns, seq)
-
-            self._with_resume(op)
-            self._unacked.pop(seq, None)
-            self._acked_seq = max(self._acked_seq, seq)
-        else:
-            self._submit(txns, seq)
+        self.submit_pipelined(txns, batch_size=max(1, len(txns)), window=1, ack=ack)
 
     def submit_pipelined(
         self,
@@ -494,15 +470,6 @@ class CheckerClient:
 
         self._with_resume(op)
         return len(batches)
-
-    def _submit(self, txns: List[Transaction], seq: int) -> None:
-        self._sendall(encode_submit_frame(txns, seq))
-        if seq:
-            reply = self._await_reply("ack", seq)
-            if reply.get("enqueued") != len(txns):
-                raise ServiceError(
-                    f"daemon enqueued {reply.get('enqueued')} of {len(txns)} transactions"
-                )
 
     def subscribe(self, *, replay: bool = False) -> None:
         """Start receiving live violation pushes on this connection."""
@@ -613,7 +580,7 @@ class CheckerClient:
     # ------------------------------------------------------------------
 
     def _send(self, message: Dict[str, Any]) -> None:
-        """Send one control message (a submit goes by :meth:`_submit`)."""
+        """Send one control message (a submit goes by :meth:`submit_pipelined`)."""
         self._sendall(encode_json_frame(CLIENT_KIND_OF_TYPE[message["type"]], message))
 
     def _sendall(self, data: bytes) -> None:

@@ -97,7 +97,7 @@ class TestEmmeInternals:
 
 
 class TestDependencyGraphIndex:
-    """The graph walks each transaction's ``last_writes`` once; ElleKV and
+    """The graph walks each transaction's ``last_writes`` once; ElleList and
     Emme read what it kept instead of walking the views again."""
 
     @pytest.fixture(scope="class")
@@ -120,20 +120,6 @@ class TestDependencyGraphIndex:
             writes = graph.final_writes[txn.tid]
             assert list(writes.items()) == list(txn.last_writes.items())
 
-    def test_final_writer_is_the_last_final_write_of_a_value(self, history):
-        graph = DependencyGraph(history)
-        expected = {}
-        for txn in history:
-            for key, value in txn.last_writes.items():
-                expected[(key, value)] = txn.tid
-        assert all(graph.final_writer(*kv) == tid for kv, tid in expected.items())
-        b = HistoryBuilder(keys=["x"])
-        b.txn(sid=1, tid=1, ops=[write("x", 1), write("x", 2)])
-        graph = DependencyGraph(b.build())
-        assert graph.final_writer("x", 1) is None  # an intermediate write
-        assert graph.final_writer("x", 2) == 1
-        assert graph.final_writer("x", 3) is None
-
     def test_version_chains_are_the_commit_ordered_final_writes(self, history):
         chains = recover_version_order(DependencyGraph(history))
         expected = {}
@@ -155,10 +141,9 @@ class TestReferenceOracle:
         b.txn(sid=2, ops=[read("x", 999)])  # EXT violation
         history = b.build()
         oracle = ReferenceOnlineChecker()
-        oracle.receive(history.transactions[0])
-        oracle.receive(history.transactions[1])
+        oracle.receive_many(history.transactions[:2])
         assert oracle.result().is_valid
-        oracle.receive(history.transactions[2])
+        oracle.receive_many(history.transactions[2:3])
         assert not oracle.result().is_valid
         assert len(oracle.received) == 3
 

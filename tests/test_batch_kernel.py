@@ -90,8 +90,7 @@ def kernel_verdicts(kind, txns, *, batch_size, gc_every=None):
 def oracle_verdicts(kind, txns):
     """The offline checker over exactly the transactions received."""
     oracle = ReferenceOnlineChecker("ser" if kind == "ser" else "si")
-    for txn in txns:
-        oracle.receive(txn)
+    oracle.receive_many(txns)
     return normalize_violations(oracle.result())
 
 

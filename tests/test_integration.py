@@ -75,7 +75,7 @@ class TestOnlinePipeline:
         ).schedule(history)
         clock = SimClock()
         checker = Aion(AionConfig(timeout=float("inf")), clock=clock)
-        report = OnlineRunner(checker, clock, **runner_kwargs).run_capacity(schedule)
+        report = OnlineRunner(checker, clock, **runner_kwargs).run(schedule)
         checker.close()
         return report
 
@@ -127,7 +127,7 @@ class TestOnlinePipeline:
         ).schedule(history)
         clock = SimClock()
         checker = AionSer(AionConfig(timeout=float("inf")), clock=clock)
-        report = OnlineRunner(checker, clock).run_capacity(schedule)
+        report = OnlineRunner(checker, clock).run(schedule)
         assert report.result.is_valid
         checker.close()
 

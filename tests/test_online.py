@@ -228,67 +228,82 @@ class TestRunner:
             delay_model=NormalDelay(50, 5), seed=7, **kwargs,
         ).schedule(history)
 
-    def test_tracking_mode_clock_follows_arrivals(self, si_history):
-        schedule = self._schedule(si_history)
+    def _run(self, schedule, *, batch_size=1, charge_check_time=True, **runner_kwargs):
         clock = SimClock()
         checker = Aion(AionConfig(timeout=float("inf")), clock=clock)
-        report = OnlineRunner(checker, clock).run_tracking(schedule)
+        report = OnlineRunner(checker, clock, **runner_kwargs).run(
+            schedule, batch_size=batch_size, charge_check_time=charge_check_time
+        )
+        checker.close()
+        return report
+
+    def test_tracking_mode_clock_follows_arrivals(self, si_history):
+        schedule = self._schedule(si_history)
+        report = self._run(schedule, charge_check_time=False)
         assert report.n_processed == len(si_history)
         assert abs(report.virtual_seconds - schedule.makespan) < 1e-6
         assert report.result.is_valid
-        checker.close()
+
+    def test_tracking_batches_keep_verdicts_and_clock(self, si_history):
+        """A batch of 50 arrivals is checked at its last arrival's time:
+        the clock still ends at the makespan and the verdicts equal the
+        per-arrival run's."""
+        from repro.core.reference import normalize_violations
+        from repro.db.faults import FaultInjector
+
+        injector = FaultInjector(si_history, seed=95)
+        injector.inject_mix(6)
+        faulted = injector.build()
+        schedule = self._schedule(faulted)
+        per_arrival = self._run(schedule, charge_check_time=False)
+        batched = self._run(schedule, batch_size=50, charge_check_time=False)
+        assert not per_arrival.result.is_valid
+        assert normalize_violations(batched.result) == normalize_violations(per_arrival.result)
+        assert batched.virtual_seconds == schedule.makespan
+        assert batched.throughput.total == len(schedule)
 
     def test_capacity_mode_advances_with_work(self, si_history):
         schedule = self._schedule(si_history)
-        clock = SimClock()
-        checker = Aion(AionConfig(timeout=float("inf")), clock=clock)
-        report = OnlineRunner(checker, clock).run_capacity(schedule)
+        report = self._run(schedule)
         assert report.virtual_seconds > schedule.makespan  # processing cost added
         assert report.overall_tps > 0
         assert report.result.is_valid
-        checker.close()
 
     def test_gc_policies_trigger(self, si_history):
         schedule = self._schedule(si_history)
         for policy in (GcPolicy.CHECKING_GC, GcPolicy.FULL_GC):
-            clock = SimClock()
-            checker = Aion(AionConfig(timeout=float("inf")), clock=clock)
-            report = OnlineRunner(
-                checker, clock, gc_policy=policy, gc_threshold=300
-            ).run_capacity(schedule)
+            report = self._run(schedule, gc_policy=policy, gc_threshold=300)
             assert report.n_gc_cycles >= 1, policy
             assert report.result.is_valid, policy
-            checker.close()
 
     def test_memory_capped_mode(self, si_history):
         schedule = self._schedule(si_history)
-        clock = SimClock()
-        probe = Aion(AionConfig(timeout=float("inf")), clock=clock)
-        baseline = OnlineRunner(probe, clock, memory_sample_every=200).run_capacity(schedule)
+        baseline = self._run(schedule, memory_sample_every=200)
         peak = max(size for _, size in baseline.memory_samples)
-        probe.close()
-
-        clock = SimClock()
-        checker = Aion(AionConfig(timeout=float("inf")), clock=clock)
-        report = OnlineRunner(checker, clock).run_memory_capped(
-            schedule, max_bytes=int(peak * 0.5), check_every=150
+        report = self._run(
+            schedule, gc_policy=GcPolicy.MEMORY_CAP, max_bytes=int(peak * 0.5), memory_sample_every=150
         )
         assert report.n_gc_cycles >= 1
         assert report.result.is_valid
         assert report.memory_samples
-        checker.close()
 
     def test_memory_capped_short_schedule_still_samples(self, si_history):
-        """A schedule shorter than ``check_every`` must still produce at
-        least one memory sample (the first decision window used to start
-        a full countdown late)."""
+        """A schedule shorter than ``memory_sample_every`` must still
+        produce at least one memory sample (the first decision window
+        used to start a full countdown late)."""
         schedule = self._schedule(si_history)
         short = ArrivalSchedule(schedule.arrivals[:50])
-        clock = SimClock()
-        checker = Aion(AionConfig(timeout=float("inf")), clock=clock)
-        report = OnlineRunner(checker, clock).run_memory_capped(
-            short, max_bytes=10**12, check_every=500
+        report = self._run(
+            short, gc_policy=GcPolicy.MEMORY_CAP, max_bytes=10**12, memory_sample_every=500
         )
         assert report.memory_samples, "short run produced no memory sample"
         assert report.n_gc_cycles == 0  # generous cap: samples only
+
+    def test_memory_cap_needs_its_budget_and_cadence(self):
+        clock = SimClock()
+        checker = Aion(AionConfig(timeout=float("inf")), clock=clock)
+        with pytest.raises(ValueError):
+            OnlineRunner(checker, clock, gc_policy=GcPolicy.MEMORY_CAP, memory_sample_every=10)
+        with pytest.raises(ValueError):
+            OnlineRunner(checker, clock, gc_policy=GcPolicy.MEMORY_CAP, max_bytes=10**6)
         checker.close()

@@ -357,8 +357,14 @@ class TestDaemon:
             # A submit frame whose columnar blob is garbage.
             client._sock.sendall(bytes([0xA6, 0x52, 2, 2, 0, 0, 0, 8]) + b"\0\0\0\1junk")
             assert client._read_message()["type"] == "error"
-            with pytest.raises(ServiceError, match="no transactions"):
-                client.submit_many([])
+            # An empty submit frame, as a raw producer could send it.
+            client._sock.sendall(encode_submit_frame([], 7))
+            reply = client._read_message()
+            assert reply["type"] == "error" and "no transactions" in reply["message"]
+            # The client itself sends nothing for an empty batch.
+            sent = client.frames_sent
+            client.submit_many([])
+            assert client.frames_sent == sent
             # After four rejected requests the connection still works.
             client.submit_many(anomaly_txns("dirty-read"))
             assert client.drain() == 3

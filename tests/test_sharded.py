@@ -341,18 +341,18 @@ class TestBatchedRunner:
         )
         return collector.schedule(history)
 
-    def test_run_capacity_batched_matches_per_txn(self, si_history):
+    def test_run_batched_matches_per_txn(self, si_history):
         schedule = self._schedule(si_history)
 
         clock = SimClock()
         per_txn = Aion(AionConfig(timeout=float("inf")), clock=clock)
-        base_report = OnlineRunner(per_txn, clock).run_capacity(schedule)
+        base_report = OnlineRunner(per_txn, clock).run(schedule)
         base = normalize_violations(base_report.result)
         per_txn.close()
 
         clock = SimClock()
         sharded = ShardedAion(AionConfig(timeout=float("inf")), n_shards=4, clock=clock)
-        report = OnlineRunner(sharded, clock).run_capacity(schedule, batch_size=250)
+        report = OnlineRunner(sharded, clock).run(schedule, batch_size=250)
         got = normalize_violations(report.result)
         sharded.close()
 
@@ -368,7 +368,7 @@ class TestBatchedRunner:
         sharded = ShardedAion(AionConfig(timeout=float("inf")), n_shards=2, clock=clock)
         report = OnlineRunner(
             sharded, clock, gc_policy=GcPolicy.CHECKING_GC, gc_threshold=400
-        ).run_capacity(schedule, batch_size=100)
+        ).run(schedule, batch_size=100)
         assert report.n_gc_cycles >= 1
         assert report.result.is_valid
         sharded.close()
@@ -377,7 +377,7 @@ class TestBatchedRunner:
         clock = SimClock()
         sharded = ShardedAion(clock=clock, n_shards=2)
         with pytest.raises(ValueError):
-            OnlineRunner(sharded, clock).run_capacity(self._schedule(si_history), batch_size=0)
+            OnlineRunner(sharded, clock).run(self._schedule(si_history), batch_size=0)
         sharded.close()
 
 
