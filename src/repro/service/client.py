@@ -8,9 +8,13 @@ running daemon and read verdicts back.
 
 Every message crosses the wire as one binary frame; a submit batch is
 one vectored columnar frame — no per-transaction JSON objects are built.
-:meth:`submit_pipelined` is the one path that sends submit batches,
-waits for their acks and tracks them for resume; :meth:`submit_many` is
-that path with one batch and a window of one.
+One windowed loop sends acked submit batches, waits for their acks and
+tracks them for resume: :meth:`submit_pipelined` streams through it,
+:meth:`submit_many` is that path with one batch and a window of one,
+and a resume replays the unacked backlog through it.  The daemon acks a
+submit when its drain task takes the batch, so the window is credit:
+it bounds how much of this producer's stream waits unchecked in the
+daemon's queue.
 
 The client is synchronous by design (producers in this repo are
 synchronous); asynchrony lives on the server side.  Pushed ``violation``
@@ -40,7 +44,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar, Union
+from typing import Any, Callable, Container, Dict, List, Optional, Set, Tuple, TypeVar, Union
 
 from repro.core.violations import CheckResult, Violation
 from repro.histories.model import Transaction
@@ -145,6 +149,8 @@ class CheckerClient:
     #: full jitter (each sleep is uniform in [delay/2, delay]).
     _BACKOFF_BASE = 0.02
     _BACKOFF_CAP = 1.0
+    #: Frames in flight while a resume replays the unacked backlog.
+    _RESUME_WINDOW = 8
 
     def __init__(
         self,
@@ -182,9 +188,8 @@ class CheckerClient:
         self.session_token: Optional[str] = None
         #: Whether the last connect resumed an existing daemon session.
         self.session_resumed = False
-        #: Submit batches sent but not yet acked, by sequence number, in
-        #: send order — the bounded replay backlog (with acks on, at
-        #: most one entry).
+        #: Acked-stream submit batches not yet acked, by sequence number,
+        #: in send order — the replay backlog.
         self._unacked: "OrderedDict[int, List[Transaction]]" = OrderedDict()
         #: Highest submit seq the daemon has acked on this session.
         self._acked_seq = 0
@@ -271,9 +276,11 @@ class CheckerClient:
         """Bind to the session in a welcome, then settle the backlog.
 
         Batches at or below the daemon's acked-seq watermark were
-        admitted before the cut (only the ack was lost) and are dropped
-        from the backlog; the rest are re-submitted with their original
-        sequence numbers, so a daemon that *did* see them dedups.
+        admitted before the cut (only the ack was lost, or had not been
+        sent yet) and are dropped from the backlog; the rest are
+        re-submitted with their original sequence numbers through the
+        windowed loop of :meth:`submit_pipelined`, so a daemon that
+        *did* see them dedups.
         """
         if not isinstance(session, dict) or not session.get("token"):
             raise ServiceError("daemon did not grant a resume session")
@@ -284,18 +291,14 @@ class CheckerClient:
         for seq in [s for s in self._unacked if s <= daemon_acked]:
             del self._unacked[seq]
             self.recovered_acks += 1
-        for seq, txns in list(self._unacked.items()):
-            assert self._sock is not None
-            self._sock.sendall(encode_submit_frame(txns, seq))
-            reply = self._await_reply("ack", seq)
-            if reply.get("enqueued") != len(txns):
-                raise ServiceError(
-                    f"resume replay of seq {seq}: daemon enqueued "
-                    f"{reply.get('enqueued')} of {len(txns)} transactions"
-                )
-            del self._unacked[seq]
-            self._acked_seq = max(self._acked_seq, seq)
-            self.replayed_batches += 1
+        backlog = list(self._unacked.items())
+        assert self._sock is not None
+        try:
+            # Handshake traffic: the raw socket send, which the chaos
+            # kill hook does not count, so a reconnect makes progress.
+            self._send_acked(backlog, self._RESUME_WINDOW, self._sock.sendall)
+        finally:
+            self.replayed_batches += len(backlog) - len(self._unacked)
         if self.subscribed:
             # Replays were already absorbed (or lost with the daemon);
             # re-arm the push stream without duplicating history.
@@ -383,8 +386,8 @@ class CheckerClient:
     def submit_many(self, txns: List[Transaction], *, ack: bool = True) -> None:
         """Submit a batch of committed transactions, in order, as one frame.
 
-        With ``ack=True`` (default) the call returns once the daemon
-        admitted the whole batch to its ingest queue; ``ack=False``
+        With ``ack=True`` (default) the call returns once the daemon's
+        drain task took the whole batch from its ingest queue; ``ack=False``
         streams fire-and-forget — fastest, with admission control left
         to TCP backpressure.  An empty batch sends nothing.  This is
         :meth:`submit_pipelined` with one batch and a window of one.
@@ -401,12 +404,15 @@ class CheckerClient:
     ) -> int:
         """Submit many transactions as a pipelined stream of batches.
 
-        Splits ``txns`` into batches of ``batch_size`` and keeps up to
-        ``window`` submit frames in flight before collecting the oldest
-        ack, coalescing consecutive frames into one ``sendall`` — one
-        syscall carries up to ``window`` frames, and the daemon's ingest
-        queue never waits a full round trip between batches.  Replies
-        arrive in order per connection, so the ack window is a FIFO.
+        Splits ``txns`` into batches of ``batch_size`` and sends each
+        frame as soon as it is encoded while fewer than ``window`` are
+        unacked; otherwise it first waits for an ack.  The daemon acks a
+        frame when its drain task takes it, so at most ``window`` of
+        this stream's frames wait in the daemon's queue, and the next
+        one is already there when the drain takes the last.  An
+        ``error`` for any frame in flight raises :class:`ServiceError`.
+        ``ack=False`` sends fire-and-forget, ``window`` frames per
+        ``sendall``, with admission left to TCP backpressure.
 
         Returns the number of batches sent.  With ``auto_resume`` the
         whole stream is covered by the resume protocol: every batch is
@@ -440,36 +446,51 @@ class CheckerClient:
                 self._unacked[seq] = batch
 
         def op() -> None:
-            pending: List[Tuple[int, int]] = []
-            out: List[bytes] = []
-
-            def collect_oldest() -> None:
-                seq, n = pending.pop(0)
-                reply = self._await_reply("ack", seq)
-                if reply.get("enqueued") != n:
-                    raise ServiceError(
-                        f"daemon enqueued {reply.get('enqueued')} of {n} transactions"
-                    )
-                if self.auto_resume:
-                    self._unacked.pop(seq, None)
-                    self._acked_seq = max(self._acked_seq, seq)
-
-            for seq, batch in plan:
-                if seq <= self._acked_seq and seq not in self._unacked:
-                    continue  # settled by a resume replay already
-                out.append(encode_submit_frame(batch, seq))
-                pending.append((seq, len(batch)))
-                if len(pending) >= window:
-                    self._sendall(b"".join(out))
-                    out.clear()
-                    collect_oldest()
-            if out:
-                self._sendall(b"".join(out))
-            while pending:
-                collect_oldest()
+            todo = [
+                (seq, batch)
+                for seq, batch in plan
+                # Not settled by a resume replay already.
+                if seq > self._acked_seq or seq in self._unacked
+            ]
+            self._send_acked(todo, window, self._sendall)
 
         self._with_resume(op)
         return len(batches)
+
+    def _send_acked(
+        self,
+        plan: List[Tuple[int, List[Transaction]]],
+        window: int,
+        send: Callable[[bytes], None],
+    ) -> None:
+        """The windowed loop: send ``plan``'s ``(seq, batch)`` frames
+        with at most ``window`` unacked, then wait for the rest.
+
+        Acks are taken in whatever order they come — a ``duplicate`` ack
+        leaves the daemon at once, ahead of acks still queued — and each
+        one settles its batch in the resume backlog.
+        """
+        in_flight: Dict[int, int] = {}
+        for seq, batch in plan:
+            frame = encode_submit_frame(batch, seq)
+            while len(in_flight) >= window:
+                self._settle_ack(in_flight)
+            send(frame)
+            in_flight[seq] = len(batch)
+        while in_flight:
+            self._settle_ack(in_flight)
+
+    def _settle_ack(self, in_flight: Dict[int, int]) -> None:
+        reply = self._await_reply("ack", in_flight)
+        seq = reply["seq"]
+        n = in_flight.pop(seq)
+        if reply.get("enqueued") != n:
+            raise ServiceError(
+                f"submit seq {seq}: daemon enqueued {reply.get('enqueued')} of {n} transactions"
+            )
+        if self.auto_resume:
+            self._unacked.pop(seq, None)
+            self._acked_seq = max(self._acked_seq, seq)
 
     def subscribe(self, *, replay: bool = False) -> None:
         """Start receiving live violation pushes on this connection."""
@@ -607,15 +628,17 @@ class CheckerClient:
         seq = self._seq
         message = dict(message, seq=seq)
         self._send(message)
-        return self._await_reply(expect, seq)
+        return self._await_reply(expect, (seq,))
 
-    def _await_reply(self, expect: str, seq: int) -> Dict[str, Any]:
+    def _await_reply(self, expect: str, seqs: Container[int]) -> Dict[str, Any]:
+        """The next ``expect`` reply whose ``seq`` is in ``seqs``; an
+        ``error`` for one of them (or for no request) raises."""
         while True:
             reply = self._read_message()
-            kind = reply.get("type")
-            if kind == "error" and reply.get("seq") in (seq, None):
+            kind, seq = reply.get("type"), reply.get("seq")
+            if kind == "error" and (seq is None or seq in seqs):
                 raise ServiceError(reply.get("message", "unspecified error"))
-            if kind == expect and reply.get("seq") == seq:
+            if kind == expect and seq in seqs:
                 return reply
             # Anything else on a subscribed connection is a push already
             # absorbed by _read_message; unsolicited replies are dropped.

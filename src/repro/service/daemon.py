@@ -27,6 +27,7 @@ a synchronous program.
 from __future__ import annotations
 
 import asyncio
+import functools
 import gc
 import json
 import sys
@@ -241,8 +242,10 @@ class CheckerService:
         # a daemon that can no longer recover.
         try:
             self._close_listeners()
-            # Everything acked (or reported as admitted) is checked by
-            # the live drain loop before it stops.
+            # Everything reported as admitted is checked by the live
+            # drain loop before it stops, and every fully admitted
+            # submit's ack leaves as the drain takes it — before the
+            # farewell below.
             await self._ingest.drain_and_stop()
             result = self.final_result = await self._ingest.finalize()
             # Every open connection — subscribed or not — receives the
@@ -384,7 +387,18 @@ class CheckerService:
     async def _admit(self, batch: ColumnarBatch, seq: Optional[int], writer: _Writer) -> None:
         """The one admission sequence: refuse (shutting down / empty /
         appends) → ``(session, seq)`` dedup → slices into the queue →
-        watermark → ack."""
+        watermark; the ack rides on the last slice.
+
+        An acked submit is acked when the drain task takes its last
+        slice, before that slice is checked — so a producer's window of
+        unacked frames bounds how much of its stream waits unchecked in
+        the queue, and the ack precedes any violation its batch pushes.
+        The watermark advances as soon as the last slice is admitted,
+        before the ack leaves: a resume that finds the submit still
+        queued sees it covered, and a resubmission of it gets a
+        ``duplicate`` ack at once, possibly before the original's ack.
+        A refusal is sent at once too.
+        """
         # Latency stamp taken once at decode: the histogram then measures
         # queue wait + checking, i.e. the daemon-side submit→verdict path.
         stamp = time.monotonic()
@@ -406,13 +420,18 @@ class CheckerService:
             self._send(writer, {"type": "ack", "seq": seq, "enqueued": total, "duplicate": True})
             return
         admitted = 0
+        ack = None
         for piece in batch.slices(self.config.batch_size):
             # Re-checked per slice: a shutdown can start while this
             # handler is suspended on a full queue, and slices admitted
             # past that point race the final drain.
             if self._shutting_down:
                 break
-            await self._ingest.put(piece, stamp)
+            if seq is not None and admitted + len(piece) == total:
+                ack = functools.partial(
+                    self._send, writer, {"type": "ack", "seq": seq, "enqueued": total}
+                )
+            await self._ingest.put(piece, stamp, ack)
             admitted += len(piece)
         if seq is None:
             return
@@ -421,7 +440,6 @@ class CheckerService:
             self._refuse(writer, told, seq=seq)
         else:
             self._sessions.advance(writer, seq)
-            self._send(writer, {"type": "ack", "seq": seq, "enqueued": admitted})
 
     def _refuse(self, writer: _Writer, text: str, **seq: Optional[int]) -> None:
         """An ``error`` reply; the connection survives, the request does not."""

@@ -167,8 +167,8 @@ def encode_submit_frame(
 ) -> bytes:
     """Pack a submit batch as one vectored v2 frame.
 
-    ``seq`` requests an ``ack`` carrying the same number once the batch
-    is admitted; 0 means fire-and-forget.  The transactions are packed
+    ``seq`` requests an ``ack`` carrying the same number once the
+    daemon's drain task takes the batch; 0 means fire-and-forget.  The transactions are packed
     columnar in a single walk — no per-transaction JSON objects.
     """
     blob = pack_columnar(txns)

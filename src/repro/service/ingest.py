@@ -5,14 +5,16 @@ One path from admission to verdict push::
     clients ──frames──▶ frame reader ─▶ one admission sequence
                         (repro.service.daemon: every submit is a
                          ColumnarBatch before it gets here)
-                                     │ put(): slices of ≤ batch_size
-                                     ▼
+                                     │ put(): slices of ≤ batch_size; an
+                                     │ acked submit's last slice carries
+                                     ▼ its ack
                         bounded ingest queue (backpressure, in txns)
                                      │
-    subscribers ◀──broadcast── drain task: what one cycle drained is ONE
-                                     │ receive_many() (concatenated when
-                                     │ it drained several entries), then
-                                     ▼ poll() — in line, on the loop thread
+    producer ◀──────ack──────── drain task takes what one cycle drains,
+                                     │ sends the acks those entries carry,
+    subscribers ◀──broadcast──       │ then ONE receive_many() (concatenated
+                                     │ when it drained several entries),
+                                     ▼ then poll() — in line, on the loop thread
                                Aion / AionSer / ShardedAion
 
 Three properties carry the correctness story over from the library:
@@ -24,7 +26,11 @@ Three properties carry the correctness story over from the library:
 - **backpressure** — the queue is bounded; when checking falls behind,
   readers stop consuming their sockets and producers block on TCP,
   instead of the daemon buffering unboundedly (the paper's collector
-  applies the same admission discipline in batches);
+  applies the same admission discipline in batches).  Inside that
+  bound an ack is a producer's credit: it leaves when the drain task
+  takes the submit's last slice, before the check that may push the
+  batch's violations, so a producer with ``window`` acked frames in
+  flight never has more than ``window`` of them waiting in the queue;
 - **serialized ingestion** — every checker touch (ingest, poll, GC,
   finalize, stats reads, close) runs on the event-loop thread, and only
   the drain task feeds ``receive_many``, so the wire adds concurrency
@@ -63,7 +69,9 @@ from repro.service.protocol import violation_to_dict
 
 __all__ = ["IngestPipeline"]
 
-_Entry = Tuple[ColumnarBatch, float]
+#: A queued slice: the batch, its submit stamp, and what to call when
+#: the drain task takes it (an acked submit's last slice sends the ack).
+_Entry = Tuple[ColumnarBatch, float, Optional[Callable[[], None]]]
 
 
 class _IngestQueue:
@@ -106,7 +114,9 @@ class _IngestQueue:
         """Nothing queued *and* nothing a consumer still holds."""
         return self._unfinished == 0
 
-    async def put(self, batch: ColumnarBatch, stamp: float) -> None:
+    async def put(
+        self, batch: ColumnarBatch, stamp: float, on_taken: Optional[Callable[[], None]]
+    ) -> None:
         weight = len(batch)
         while self._size > 0 and self._size + weight > self._capacity:
             self._room.clear()
@@ -115,7 +125,7 @@ class _IngestQueue:
         if self._size > self.high_water:
             self.high_water = self._size
         self._unfinished += 1
-        self._entries.put_nowait((batch, stamp))
+        self._entries.put_nowait((batch, stamp, on_taken))
 
     async def get(self) -> _Entry:
         return self._taken(await self._entries.get())
@@ -231,11 +241,14 @@ class IngestPipeline:
     def tick_alive(self) -> bool:
         return self._tick_task is not None and not self._tick_task.done()
 
-    async def put(self, batch: ColumnarBatch, stamp: float) -> None:
+    async def put(
+        self, batch: ColumnarBatch, stamp: float, on_taken: Optional[Callable[[], None]]
+    ) -> None:
         """Admit one slice.  Blocks while the queue is full: the calling
         reader stops consuming its socket and the producer sees TCP
-        backpressure."""
-        await self.queue.put(batch, stamp)
+        backpressure.  ``on_taken`` is called when the drain task takes
+        the slice, before it is checked."""
+        await self.queue.put(batch, stamp, on_taken)
         self.received += len(batch)
 
     async def drain(self) -> int:
@@ -258,10 +271,13 @@ class IngestPipeline:
     async def _drain_loop(self) -> None:
         """Pull queued batches, check one batch per cycle, push verdicts.
 
-        Nothing in a cycle suspends while entries are queued — ``get()``
-        returns at once, and GC and the broadcast never await I/O — so
-        the yield after each cycle is what lets the rest of the loop run
-        between kernel batches.
+        The ``on_taken`` callbacks of a cycle's entries run as soon as
+        the entries are taken, before the check: the producer's next
+        frame arrives while this batch is checked, and an ack precedes
+        the violations its batch causes.  Nothing in a cycle suspends
+        while entries are queued — ``get()`` returns at once, and GC and
+        the broadcast never await I/O — so the yield after each cycle is
+        what lets the rest of the loop run between kernel batches.
         """
         queue = self.queue
         batch_size = self.config.batch_size
@@ -274,6 +290,9 @@ class IngestPipeline:
                 except asyncio.QueueEmpty:
                     break
                 total += len(entries[-1][0])
+            for _, _, on_taken in entries:
+                if on_taken is not None:
+                    on_taken()
             try:
                 await self._check(entries, total)
             finally:
@@ -315,7 +334,7 @@ class IngestPipeline:
         # plus this batch's re-evaluations) are emitted by the call that
         # just returned.  Weighted by transactions so producers with
         # different submit sizes aggregate comparably.
-        for entry, stamp in entries:
+        for entry, stamp, _ in entries:
             self.latency.observe(done_at - stamp, len(entry))
         try:
             self._maybe_collect()

@@ -59,9 +59,11 @@ Client → server
 ``hello``     open or resume a session: ``{"session_token": str |
               null, "resume_from": n?}``
 ``submit``    binary: a u32 ``seq`` and one columnar batch; a nonzero
-              ``seq`` requests an ``ack`` once the batch is
-              *enqueued* (admission, not checking — verdicts arrive
-              via ``subscribe``/``finalize``)
+              ``seq`` requests an ``ack`` once the drain task *takes*
+              the batch from the ingest queue — before it is checked,
+              so the ack precedes the violations it pushes (verdicts
+              arrive via ``subscribe``/``finalize``); a ``duplicate``
+              ack or a refusal is sent at once
 ``subscribe`` start pushing ``violation`` messages to this
               connection; ``{"replay": true}`` also replays
               violations reported before the subscription

@@ -340,7 +340,8 @@ class StatusView:
         a counter the loop thread already owns.  Components:
 
         - ``drain`` — the drain task has not died (a dead one means
-          acked transactions will never be checked);
+          admitted transactions will never be checked, and acked
+          producers wait for acks that never come);
         - ``backlog`` — the violation replay backlog has room (at
           capacity, late subscribers silently lose history);
         - ``queue`` — depth vs. capacity; reported, never failing: a

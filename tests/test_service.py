@@ -66,9 +66,11 @@ from repro.service.framing import (
     K_WELCOME,
     decode_frame_header,
     decode_frame_payload,
+    encode_hello_frame,
     encode_json_frame,
     encode_submit_frame,
 )
+from repro.service.ingest import _IngestQueue
 from repro.service.protocol import (
     ProtocolError,
     decode_line,
@@ -823,6 +825,156 @@ class TestPipelinedSubmit:
             assert stats["received"] == len(txns)
 
 
+def slow_checking(handle, seconds=0.02):
+    """Make every kernel batch of ``handle``'s checker take ``seconds``
+    longer, so submits wait in the ingest queue; returns the checker."""
+    checker = handle.service.checker
+    real = checker.receive_many
+
+    def slow(batch):
+        time.sleep(seconds)
+        return real(batch)
+
+    checker.receive_many = slow
+    return checker
+
+
+def wait_received(client, n, timeout=10.0):
+    """Poll STATS until the daemon admitted ``n`` transactions."""
+    deadline = time.monotonic() + timeout
+    while client.stats(include_bytes=False)["received"] < n:
+        assert time.monotonic() < deadline, "the daemon never admitted the stream"
+        time.sleep(0.005)
+
+
+class TestAckIsCredit:
+    """An acked submit is acked when the drain task takes its last
+    slice: a producer's window bounds its frames in the queue."""
+
+    def test_window_bounds_the_producers_queued_frames(self, start_service):
+        size, window = 20, 4
+        handle = start_service(batch_size=size, queue_capacity=100_000)
+        slow_checking(handle)
+        txns = faulted_stream(600, seed=11, faults=8)
+        with connect(handle) as client:
+            client.submit_pipelined(txns, batch_size=size, window=window)
+            client.drain()
+            stats = client.stats(include_bytes=False)
+        assert stats["received"] == len(txns)
+        assert 0 < stats["queue_high_water"] <= window * size
+
+    def test_no_ack_before_the_drain_takes_the_frame(self, start_service, monkeypatch):
+        size = 40
+        taken, lock = set(), threading.Lock()
+        real_taken = _IngestQueue._taken
+
+        def spy_taken(queue, entry):
+            with lock:
+                taken.update(entry[0].tids)
+            return real_taken(queue, entry)
+
+        # On the class, before the daemon starts: the drain task binds
+        # the method when it first waits on the queue.
+        monkeypatch.setattr(_IngestQueue, "_taken", spy_taken)
+        handle = start_service(batch_size=size, queue_capacity=100_000)
+        slow_checking(handle)
+        txns = faulted_stream(600, seed=11, faults=8)
+        frames = [txns[lo : lo + size] for lo in range(0, len(txns), size)]
+        with connect(handle) as client:
+            first_seq = client._seq + 1
+            real_read = client._read_message
+            early, acked = [], []
+
+            def spy_read():
+                message = real_read()
+                if message.get("type") == "ack":
+                    seq = message["seq"]
+                    acked.append(seq)
+                    with lock:
+                        if not {txn.tid for txn in frames[seq - first_seq]} <= taken:
+                            early.append(seq)
+                return message
+
+            client._read_message = spy_read
+            client.submit_pipelined(txns, batch_size=size, window=4)
+            client.drain()
+        assert sorted(acked) == list(range(first_seq, first_seq + len(frames)))
+        assert early == []
+
+    def test_resume_finds_its_submit_still_queued(self, start_service):
+        # A cut right after a submit left: the resume's welcome already
+        # covers the still-queued submit, so the client replays nothing.
+        # A producer that re-sends it anyway gets a duplicate ack at
+        # once, ahead of the original's; the submit is checked once.
+        handle = start_service(batch_size=10, queue_capacity=100_000)
+        checker = slow_checking(handle)
+        txns = faulted_stream(400, seed=19, faults=6)
+        with connect(handle, auto_resume=True) as producer:
+            producer.chaos_kill_frames.add(producer.frames_sent + 1)
+            producer.submit_many(txns)
+            assert checker.processed < len(txns)  # still queued
+            assert producer.reconnects == 1
+            assert (producer.recovered_acks, producer.replayed_batches) == (1, 0)
+            seq, token = producer._seq, producer.session_token
+            with connect(handle) as replayer:
+                wait_received(replayer, len(txns))
+                replayer._sendall(
+                    encode_hello_frame(session=True, session_token=token, resume_from=0)
+                )
+                session = replayer._read_welcome()["session"]
+                assert session == {"token": token, "acked_seq": seq, "resumed": True}
+                replayer._sendall(encode_submit_frame(txns, seq))
+                reply = replayer._await_reply("ack", (seq,))
+                assert reply["duplicate"] is True and reply["enqueued"] == len(txns)
+                assert checker.processed < len(txns)  # the original is still queued
+                result = replayer.finalize()
+                stats = replayer.stats(include_bytes=False)
+        assert stats["received"] == len(txns)
+        assert stats["sessions"]["deduped_txns"] == len(txns)
+        assert result_to_dict(result)["violations"] == in_process_ordered(txns)
+
+    def test_graceful_shutdown_acks_every_admitted_submit_first(self, start_service):
+        size = 40
+        handle = start_service(batch_size=10, queue_capacity=100_000)
+        slow_checking(handle)
+        txns = faulted_stream(200, seed=23, faults=4)
+        with connect(handle) as producer, connect(handle) as control:
+            seqs = []
+            for lo in range(0, len(txns), size):
+                producer._seq += 1
+                seqs.append(producer._seq)
+                producer._sendall(encode_submit_frame(txns[lo : lo + size], producer._seq))
+            wait_received(control, len(txns))
+            final = control.shutdown()
+            replies = []
+            with pytest.raises(ConnectionError):
+                while True:
+                    replies.append(producer._read_message())
+        kinds = [reply["type"] for reply in replies]
+        assert kinds == ["ack"] * len(seqs) + ["result", "bye"]
+        assert [reply["seq"] for reply in replies[: len(seqs)]] == seqs
+        assert producer.final_result.violations == final.violations
+        assert result_to_dict(final)["violations"] == in_process_ordered(txns)
+
+    def test_refusal_ahead_of_queued_acks_fails_the_stream(self, start_service):
+        # A refusal leaves at once, ahead of acks still queued for
+        # earlier frames: the pipelined stream raises on it instead of
+        # waiting for an ack that never comes.
+        handle = start_service(batch_size=10, queue_capacity=100_000)
+        slow_checking(handle)
+        poison = Transaction(
+            tid=10_000, sid=99, sno=1,
+            ops=[Operation(OpKind.WRITE, "x", 1), Operation(OpKind.APPEND, "l", 1)],
+            start_ts=10**9, commit_ts=10**9 + 1,
+        )
+        stream = faulted_stream(200, seed=29, faults=4)[:200]
+        txns = stream + [poison]
+        with connect(handle, timeout=5.0) as client:
+            with pytest.raises(ServiceError, match="append"):
+                client.submit_pipelined(txns, batch_size=50, window=8)
+            assert client.stats(include_bytes=False)["received"] == len(stream)
+
+
 # ----------------------------------------------------------------------
 # The differential acceptance claim
 # ----------------------------------------------------------------------
@@ -909,7 +1061,7 @@ def ordered_service_run(start_service, txns, *, connections, size, ack, n_shards
 
     Arrival order is deterministic: one connection delivers in TCP
     order, and several connections alternate acked submits from this
-    one thread (an ack means admitted to the queue).
+    one thread (an ack means the drain task took the submit).
     """
     assert ack or connections == 1
     handle = start_service(n_shards=n_shards, level=level)
