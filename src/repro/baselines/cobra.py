@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.baselines.depgraph import CycleViolation
 from repro.baselines.solver import AcyclicitySolver, Choice
 from repro.core.violations import Axiom, CheckResult, ExtViolation
-from repro.histories.model import History, INIT_TID, OpKind, Transaction
+from repro.histories.model import History, INIT_TID, OP_READ, Transaction
 
 __all__ = ["CobraChecker", "CobraConfig"]
 
@@ -133,17 +133,19 @@ class CobraChecker:
         # WR edges; reads resolving to closed rounds attach to the anchor.
         readers_of: Dict[Tuple[str, int], List[int]] = {}
         for txn in txns:
-            for key, op in txn.external_reads.items():
-                if op.kind is not OpKind.READ:
+            codes, values = txn.codes, txn.values
+            for key, position in txn.external_read_positions.items():
+                if codes[position] != OP_READ:
                     continue
-                writer = writer_of.get((key, op.value))
+                value = values[position]
+                writer = writer_of.get((key, value))
                 if writer is None:
                     frontier = self._frontier_writer.get(key)
-                    if op.value is None or (
-                        frontier is not None and frontier[1] == op.value
+                    if value is None or (
+                        frontier is not None and frontier[1] == value
                     ):
                         continue  # justified by a closed round (or unborn)
-                    if self._matches_init(key, op.value):
+                    if self._matches_init(key, value):
                         continue
                     self.result.add(
                         ExtViolation(
@@ -151,7 +153,7 @@ class CobraChecker:
                             tid=txn.tid,
                             key=key,
                             expected="<some committed value>",
-                            actual=op.value,
+                            actual=value,
                         )
                     )
                     self._stopped = True

@@ -48,7 +48,7 @@ from repro.core.violations import (
     SessionViolation,
     Violation,
 )
-from repro.histories.model import History, INIT_TID, OpKind, Transaction
+from repro.histories.model import History, INIT_TID, OP_APPEND, OP_READ, OP_WRITE, Transaction
 
 __all__ = [
     "DependencyGraph",
@@ -145,14 +145,15 @@ class DependencyGraph:
                 self._writer_of[(key, value)] = (txn.tid, True)
                 self.writers_by_key.setdefault(key, []).append(txn.tid)
             # Non-final (intermediate) writes, for G1b detection.
-            for op in txn.ops:
-                if op.kind is OpKind.WRITE and seen_final.get(op.key) != op.value:
-                    self._writer_of.setdefault((op.key, op.value), (txn.tid, False))
+            for code, key, value in zip(txn.codes, txn.keys, txn.values):
+                if code == OP_WRITE and seen_final.get(key) != value:
+                    self._writer_of.setdefault((key, value), (txn.tid, False))
         for txn in self.history:
             self._check_internal(txn)
-            for key, op in txn.external_reads.items():
-                if op.kind is OpKind.READ:
-                    self.external_reads.append((txn.tid, key, op.value))
+            codes, values = txn.codes, txn.values
+            for key, position in txn.external_read_positions.items():
+                if codes[position] == OP_READ:
+                    self.external_reads.append((txn.tid, key, values[position]))
 
     def _check_internal(self, txn: Transaction) -> None:
         """INT: replay program order against the txn's own effects.
@@ -165,34 +166,33 @@ class DependencyGraph:
         """
         local: Dict[str, Any] = {}          # keys with fully known value
         suffix: Dict[str, tuple] = {}       # keys known only by suffix
-        for op in txn.ops:
-            key = op.key
-            if op.kind is OpKind.WRITE:
-                local[key] = op.value
+        for code, key, value in zip(txn.codes, txn.keys, txn.values):
+            if code == OP_WRITE:
+                local[key] = value
                 suffix.pop(key, None)
-            elif op.kind is OpKind.APPEND:
+            elif code == OP_APPEND:
                 if key in local:
                     base = local[key]
                     if not isinstance(base, tuple):
                         base = (base,)
-                    local[key] = base + (op.value,)
+                    local[key] = base + (value,)
                 else:
-                    suffix[key] = suffix.get(key, ()) + (op.value,)
+                    suffix[key] = suffix.get(key, ()) + (value,)
             elif key in local:
-                if local[key] != op.value:
+                if local[key] != value:
                     self.result.add(
                         IntViolation(
                             axiom=Axiom.INT,
                             tid=txn.tid,
                             key=key,
                             expected=local[key],
-                            actual=op.value,
+                            actual=value,
                         )
                     )
-                local[key] = op.value
+                local[key] = value
             elif key in suffix:
                 tail = suffix.pop(key)
-                observed = op.value if isinstance(op.value, tuple) else (op.value,)
+                observed = value if isinstance(value, tuple) else (value,)
                 if observed[-len(tail):] != tail:
                     self.result.add(
                         IntViolation(
@@ -200,14 +200,14 @@ class DependencyGraph:
                             tid=txn.tid,
                             key=key,
                             expected=tail,
-                            actual=op.value,
+                            actual=value,
                         )
                     )
-                local[key] = op.value
+                local[key] = value
             else:
                 # First (external) read: later reads of the same key must
                 # repeat it — snapshots do not move mid-transaction.
-                local[key] = op.value
+                local[key] = value
 
     def resolve_reads(self) -> List[Tuple[int, str, int]]:
         """Map each external register read to its writer: (reader, key, writer).

@@ -35,7 +35,7 @@ from repro.baselines.depgraph import (
     find_cycle,
 )
 from repro.core.violations import Axiom, CheckResult, ExtViolation
-from repro.histories.model import History, INIT_TID, OpKind
+from repro.histories.model import History, INIT_TID, OP_APPEND, OP_READ_LIST, OP_WRITE
 
 __all__ = ["ElleKV", "ElleList"]
 
@@ -96,18 +96,18 @@ class ElleList:
         for txn in history:
             local_seen: set = set()
             write_keys = graph.final_writes[txn.tid]
-            for op in txn.ops:
-                if op.kind is OpKind.APPEND:
-                    appender[(op.key, op.value)] = txn.tid
-                    appended.setdefault(op.key, []).append((txn.tid, op.value))
-                elif op.kind is OpKind.READ_LIST:
-                    if (op.key, txn.tid) not in local_seen and op.key not in write_keys:
-                        reads.append((txn.tid, op.key, op.value))
-                        local_seen.add((op.key, txn.tid))
-                    observed.setdefault(op.key, []).append(op.value)
-                elif op.kind is OpKind.WRITE and isinstance(op.value, tuple):
+            for code, key, value in zip(txn.codes, txn.keys, txn.values):
+                if code == OP_APPEND:
+                    appender[(key, value)] = txn.tid
+                    appended.setdefault(key, []).append((txn.tid, value))
+                elif code == OP_READ_LIST:
+                    if (key, txn.tid) not in local_seen and key not in write_keys:
+                        reads.append((txn.tid, key, value))
+                        local_seen.add((key, txn.tid))
+                    observed.setdefault(key, []).append(value)
+                elif code == OP_WRITE and isinstance(value, tuple):
                     # ⊥T initializes list keys with explicit tuples.
-                    appender[(op.key, op.value)] = txn.tid
+                    appender[(key, value)] = txn.tid
 
         # Recover the per-key observed chain: all observed states must be
         # totally ordered by prefix.

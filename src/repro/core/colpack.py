@@ -27,10 +27,22 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import accumulate, chain, islice
 from operator import gt
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.histories.model import BOTTOM, Operation, OpKind, Transaction
+# The op-code table lives with the history model (a transaction's
+# ``codes`` column uses it); re-exported here for the codecs.
+from repro.histories.model import (
+    BOTTOM,
+    OP_APPEND,
+    OP_READ,
+    OP_READ_LIST,
+    OP_WRITE,
+    Transaction,
+    _KIND_OF_CODE,
+    _OP_CODES,
+)
 
 __all__ = [
     "ColumnarBatch",
@@ -46,18 +58,6 @@ __all__ = [
 #: (e.g. a zero-copy slice of a socket read buffer).
 #: ``struct.unpack_from`` handles both natively.
 Buffer = Union[bytes, bytearray, memoryview]
-
-#: Op kind codes of the columnar format (one byte per op).
-OP_READ, OP_WRITE, OP_APPEND, OP_READ_LIST = 0, 1, 2, 3
-_CODE_OF_KIND = {
-    OpKind.READ: OP_READ,
-    OpKind.WRITE: OP_WRITE,
-    OpKind.APPEND: OP_APPEND,
-    OpKind.READ_LIST: OP_READ_LIST,
-}
-_KIND_OF_CODE = (OpKind.READ, OpKind.WRITE, OpKind.APPEND, OpKind.READ_LIST)
-#: The valid kind bytes; ``bytes.translate`` deletes them to find the rest.
-_OP_CODES = bytes(range(OP_READ_LIST + 1))
 
 #: Value type tags of the columnar value stream.
 _VAL_NONE = 0
@@ -89,9 +89,11 @@ class ColumnarBatch:
     integer columns, an op-offset column (``op_offsets[i] ..
     op_offsets[i+1]`` is transaction ``i``'s slice of the flat op
     arrays), op kinds as a bytes column, and resolved key strings plus
-    decoded values per op.  No per-transaction dicts, no
-    :class:`Operation` objects — those are built by :meth:`transactions`
-    only when something off the hot path (a replay, a test) asks.
+    decoded values per op — a :class:`Transaction`'s own three op
+    columns, laid end to end.  No per-transaction dicts and no
+    :class:`Operation` objects; :meth:`transactions` gives each
+    transaction its slices of the columns when something off the hot
+    path (a replay, a test) asks.
 
     Readers index the columns and never depend on their type, because
     two forms exist.  The batches this module builds for the online
@@ -149,38 +151,23 @@ class ColumnarBatch:
     def from_transactions(cls, txns: Sequence[Transaction]) -> "ColumnarBatch":
         """Flatten :class:`Transaction` objects into columns.
 
-        The front half of :func:`pack_columnar`, and how the offline
-        checkers take a :class:`~repro.histories.model.History`: one pass
-        over the ops, no per-transaction dict or list.
+        The front half of :func:`pack_columnar`, and how the online
+        kernel and the offline checkers take transactions: a transaction
+        already holds its ops as columns, so flattening is one
+        ``b"".join`` of the code columns and one ``chain`` over the key
+        and value columns each — C-level calls, no per-op Python step.
         """
-        n = len(txns)
-        offsets: List[int] = [0] * (n + 1)
-        op_lists = [txn.ops for txn in txns]
-        n_ops = 0
-        for index, ops in enumerate(op_lists):
-            n_ops += len(ops)
-            offsets[index + 1] = n_ops
-        flat_ops = [op for ops in op_lists for op in ops]
-        code_of = _CODE_OF_KIND
-        # Identity checks beat the enum dict lookup (Enum.__hash__ re-hashes
-        # the member name on every call) for the two register-workload kinds.
-        kind_read, kind_write = OpKind.READ, OpKind.WRITE
-        kinds = bytes(
-            OP_READ
-            if (kind := op.kind) is kind_read
-            else OP_WRITE if kind is kind_write else code_of[kind]
-            for op in flat_ops
-        )
+        codes = [txn.codes for txn in txns]
         return cls(
             [txn.tid for txn in txns],
             [txn.sid for txn in txns],
             [txn.sno for txn in txns],
             [txn.start_ts for txn in txns],
             [txn.commit_ts for txn in txns],
-            offsets,
-            kinds,
-            [op.key for op in flat_ops],
-            [op.value for op in flat_ops],
+            list(accumulate(map(len, codes), initial=0)),
+            b"".join(codes),
+            list(chain.from_iterable([txn.keys for txn in txns])),
+            list(chain.from_iterable([txn.values for txn in txns])),
         )
 
     @classmethod
@@ -213,34 +200,29 @@ class ColumnarBatch:
         """True when any op is an append (bytes scan, no Python loop)."""
         return OP_APPEND in self.op_kinds
 
-    def build_ops(self, lo: int, hi: int) -> Tuple[Operation, ...]:
-        """Materialize one transaction's :class:`Operation` tuple."""
-        kinds = self.op_kinds
-        keys = self.op_keys
-        values = self.op_values
-        kind_of = _KIND_OF_CODE
-        return tuple(
-            Operation(kind_of[kinds[i]], keys[i], values[i]) for i in range(lo, hi)
-        )
-
     def transactions(self) -> List[Transaction]:
         """Materialize the whole batch as :class:`Transaction` objects.
 
-        Ops are built eagerly: callers of this method (the sharded
-        router, replays, tests) walk every operation anyway, and eager
-        transactions do not pin the batch's arrays afterwards.
+        Each transaction takes its slices of the op columns
+        (:meth:`Transaction.from_columns`); no :class:`Operation` is
+        built, and the transactions do not pin the batch's arrays.
         """
-        offsets = self.op_offsets
+        tids, sids, snos = self.tids, self.sids, self.snos
+        starts, commits, offsets = self.starts, self.commits, self.op_offsets
+        kinds, keys, values = bytes(self.op_kinds), self.op_keys, self.op_values
+        from_columns = Transaction.from_columns
         return [
-            Transaction(
-                self.tids[i],
-                self.sids[i],
-                self.snos[i],
-                self.build_ops(offsets[i], offsets[i + 1]),
-                self.starts[i],
-                self.commits[i],
+            from_columns(
+                tids[i],
+                sids[i],
+                snos[i],
+                kinds[lo:hi],
+                tuple(keys[lo:hi]),
+                tuple(values[lo:hi]),
+                starts[i],
+                commits[i],
             )
-            for i in range(len(self.tids))
+            for i, lo, hi in zip(range(len(tids)), offsets, islice(offsets, 1, None))
         ]
 
     def slices(self, max_size: int) -> Iterator["ColumnarBatch"]:
@@ -503,8 +485,9 @@ def pack_columnar(txns: Union[Sequence[Transaction], ColumnarBatch]) -> bytes:
     """Pack a batch of transactions as one columnar binary blob.
 
     Transactions are first flattened
-    (:meth:`ColumnarBatch.from_transactions`); an already-columnar batch
-    (relay, packed-WAL writes) is packed as it is.  The five meta columns
+    (:meth:`ColumnarBatch.from_transactions`, a join of their op
+    columns); an already-columnar batch (relay, packed-WAL writes) is
+    packed as it is.  The five meta columns
     are packed as i64 arrays, keys are interned into a per-blob string
     table, kinds are one byte per op, and values split into a tag column,
     one bulk-packed i64 column for in-range ints (the overwhelmingly

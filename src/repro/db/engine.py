@@ -33,7 +33,16 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.db.cdc import ChangeLog
 from repro.db.oracle import CentralizedOracle, TimestampOracle
 from repro.db.storage import MultiVersionStore
-from repro.histories.model import INIT_SID, INIT_TID, INIT_TS, Operation, OpKind, Transaction
+from repro.histories.model import (
+    INIT_SID,
+    INIT_TID,
+    INIT_TS,
+    OP_APPEND,
+    OP_READ,
+    OP_READ_LIST,
+    OP_WRITE,
+    Transaction,
+)
 
 __all__ = ["Database", "IsolationLevel", "Session", "TxnHandle", "TransactionAborted"]
 
@@ -55,7 +64,11 @@ class TransactionAborted(Exception):
 
 
 class TxnHandle:
-    """An in-flight transaction (client side of Algorithm 1)."""
+    """An in-flight transaction (client side of Algorithm 1).
+
+    Its operations are recorded as the committed :class:`Transaction`
+    keeps them: an op-code column, a key column and a value column.
+    """
 
     __slots__ = (
         "tid",
@@ -63,7 +76,9 @@ class TxnHandle:
         "node",
         "start_ts",
         "buffer",
-        "ops",
+        "op_codes",
+        "op_keys",
+        "op_values",
         "read_keys",
         "write_keys",
         "active",
@@ -75,10 +90,18 @@ class TxnHandle:
         self.node = node
         self.start_ts = start_ts
         self.buffer: Dict[str, Any] = {}
-        self.ops: List[Operation] = []
+        self.op_codes = bytearray()
+        self.op_keys: List[str] = []
+        self.op_values: List[Any] = []
         self.read_keys: Set[str] = set()
         self.write_keys: Set[str] = set()
         self.active = True
+
+    def record_op(self, code: int, key: str, value: Any) -> None:
+        """Append one client-visible operation to the op columns."""
+        self.op_codes.append(code)
+        self.op_keys.append(key)
+        self.op_values.append(value)
 
 
 class Session:
@@ -148,20 +171,22 @@ class Database:
 
         ⊥T owns tid/sid/timestamp 0 and precedes everything (§II-B).
         """
-        ops = []
+        written = []
         for key in keys:
             key = self._keys.setdefault(key, key)
             self.store.install(key, INIT_TS, value)
-            ops.append(Operation(OpKind.WRITE, key, value))
+            written.append(key)
         if self.collect_history:
             self.cdc.emit(
-                Transaction(
-                    tid=INIT_TID,
-                    sid=INIT_SID,
-                    sno=0,
-                    ops=ops,
-                    start_ts=INIT_TS,
-                    commit_ts=INIT_TS,
+                Transaction.from_columns(
+                    INIT_TID,
+                    INIT_SID,
+                    0,
+                    bytes([OP_WRITE]) * len(written),
+                    tuple(written),
+                    (value,) * len(written),
+                    INIT_TS,
+                    INIT_TS,
                 )
             )
 
@@ -192,7 +217,7 @@ class Database:
             version = self.store.read_at(key, txn.start_ts)
             value = version[1] if version is not None else None
             txn.read_keys.add(key)
-        txn.ops.append(Operation(OpKind.READ, key, value))
+        txn.record_op(OP_READ, key, value)
         return value
 
     def write(self, txn: TxnHandle, key: str, value: Any) -> None:
@@ -201,7 +226,7 @@ class Database:
         key = self._keys.setdefault(key, key)
         txn.buffer[key] = value
         txn.write_keys.add(key)
-        txn.ops.append(Operation(OpKind.WRITE, key, value))
+        txn.record_op(OP_WRITE, key, value)
 
     def append(self, txn: TxnHandle, key: str, element: Any) -> None:
         """Append to a list key (read-modify-write on the snapshot)."""
@@ -216,7 +241,7 @@ class Database:
             base = (base,)
         txn.buffer[key] = base + (element,)
         txn.write_keys.add(key)
-        txn.ops.append(Operation(OpKind.APPEND, key, element))
+        txn.record_op(OP_APPEND, key, element)
 
     def read_list(self, txn: TxnHandle, key: str) -> Tuple[Any, ...]:
         """Read a list key in full."""
@@ -230,7 +255,7 @@ class Database:
             txn.read_keys.add(key)
         if not isinstance(value, tuple):
             value = (value,)
-        txn.ops.append(Operation(OpKind.READ_LIST, key, value))
+        txn.record_op(OP_READ_LIST, key, value)
         return value
 
     def commit(self, txn: TxnHandle, session: Session) -> int:
@@ -287,13 +312,15 @@ class Database:
         session.next_sno += 1
         if self.collect_history:
             self.cdc.emit(
-                Transaction(
-                    tid=txn.tid,
-                    sid=txn.sid,
-                    sno=sno,
-                    ops=txn.ops,
-                    start_ts=txn.start_ts,
-                    commit_ts=commit_ts,
+                Transaction.from_columns(
+                    txn.tid,
+                    txn.sid,
+                    sno,
+                    bytes(txn.op_codes),
+                    tuple(txn.op_keys),
+                    tuple(txn.op_values),
+                    txn.start_ts,
+                    commit_ts,
                 )
             )
 

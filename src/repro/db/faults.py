@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.violations import Axiom
 from repro.db.oracle import TimestampOracle
-from repro.histories.model import History, INIT_TID, Operation, OpKind, Transaction
+from repro.histories.model import History, INIT_TID, OP_READ, OP_READ_LIST, Transaction
 
 #: A window: transactions an injection mutates in place.
 Window = List[Transaction]
@@ -222,26 +222,24 @@ def _pick(
 
 
 def _mutate_ext(rng: Random, txns: Window, observed: Observed) -> Optional[FaultLabel]:
-    index = _pick(rng, txns, lambda txn: txn.external_reads)
+    index = _pick(rng, txns, lambda txn: txn.external_read_positions)
     if index is None:
         return None
     txn = txns[index]
-    external_reads = txn.external_reads
-    key = rng.choice(sorted(external_reads))
-    # An external read is the first op on its key, so ``ops.index`` finds it.
-    op = external_reads[key]
-    if op.kind is OpKind.READ_LIST:
-        bad = op.value + (_poison(0),)
+    positions = txn.external_read_positions
+    key = rng.choice(sorted(positions))
+    position = positions[key]
+    values = list(txn.values)
+    if txn.codes[position] == OP_READ_LIST:
+        values[position] += (_poison(0),)
     else:
-        bad = _poison(op.value)
-    ops = list(txn.ops)
-    ops[ops.index(op)] = Operation(op.kind, key, bad)
-    txns[index] = _replace(txn, ops=ops)
+        values[position] = _poison(values[position])
+    txns[index] = _replace(txn, values=tuple(values))
     return FaultLabel(Axiom.EXT, (txn.tid,), key)
 
 
 def _mutate_int(rng: Random, txns: Window, observed: Observed) -> Optional[FaultLabel]:
-    index = _pick(rng, txns, lambda txn: txn.last_writes)
+    index = _pick(rng, txns, lambda txn: not txn.is_read_only)
     if index is None:
         return None
     txn = txns[index]
@@ -249,10 +247,15 @@ def _mutate_int(rng: Random, txns: Window, observed: Observed) -> Optional[Fault
     key = rng.choice(sorted(last_writes))
     final = last_writes[key]
     if isinstance(final, tuple):
-        bad = Operation(OpKind.READ_LIST, key, (_poison(0),))
+        code, bad = OP_READ_LIST, (_poison(0),)
     else:
-        bad = Operation(OpKind.READ, key, _poison(final))
-    txns[index] = _replace(txn, ops=txn.ops + (bad,))
+        code, bad = OP_READ, _poison(final)
+    txns[index] = _replace(
+        txn,
+        codes=txn.codes + bytes([code]),
+        keys=txn.keys + (key,),
+        values=txn.values + (bad,),
+    )
     return FaultLabel(Axiom.INT, (txn.tid,), key)
 
 
@@ -321,17 +324,21 @@ _MUTATIONS: Dict[str, Callable[[Random, Window, Observed], Optional[FaultLabel]]
 
 
 def _replace(txn: Transaction, **changes: Any) -> Transaction:
-    """``txn`` with some constructor fields replaced."""
+    """``txn`` with some fields of :meth:`Transaction.from_columns`
+    replaced; the op columns not replaced are shared, not copied (a
+    rescaled history holds no second copy of its ops)."""
     fields = {
         "tid": txn.tid,
         "sid": txn.sid,
         "sno": txn.sno,
-        "ops": txn.ops,
+        "codes": txn.codes,
+        "keys": txn.keys,
+        "values": txn.values,
         "start_ts": txn.start_ts,
         "commit_ts": txn.commit_ts,
     }
     fields.update(changes)
-    return Transaction(**fields)
+    return Transaction.from_columns(**fields)
 
 
 def _poison(value: object) -> int:

@@ -17,6 +17,7 @@ sequencing, the initial transaction ⊥T).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.histories.model import (
@@ -124,14 +125,8 @@ class HistoryBuilder:
         if self._with_init:
             keys = self._declared_keys
             if keys is None:
-                seen: List[str] = []
-                seen_set: set[str] = set()
-                for txn in self._txns:
-                    for op in txn.ops:
-                        if op.key not in seen_set:
-                            seen.append(op.key)
-                            seen_set.add(op.key)
-                keys = seen
+                # Every key once, in the order of its first operation.
+                keys = list(dict.fromkeys(chain.from_iterable(txn.keys for txn in self._txns)))
             init_ops = [write(key, self._initial_value) for key in keys]
             txns.append(
                 Transaction(

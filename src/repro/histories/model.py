@@ -3,7 +3,9 @@
 Definitions follow §II-B of the paper:
 
 - a **transaction** is a pair ``(O, po)`` of operations and program order —
-  here an ordered tuple of :class:`Operation`;
+  here three program-ordered columns: one op-code byte, one key and one
+  value per operation (:attr:`Transaction.ops` builds the
+  :class:`Operation` tuple from them when read);
 - a **history** is a pair ``(T, SO)`` of transactions and session order —
   here sessions are identified by ``sid`` and ordered by ``sno`` within a
   session;
@@ -22,7 +24,8 @@ automatically.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "INIT_TID",
@@ -131,8 +134,16 @@ class Operation:
         return f"RL({self.key}, {self.value!r})"
 
 
-#: The kinds that write; a tuple, so ``in`` is an identity test.
-_WRITES = (OpKind.WRITE, OpKind.APPEND)
+#: The op-code table: one byte per operation, in a :class:`Transaction`'s
+#: ``codes``, a :class:`~repro.core.colpack.ColumnarBatch`'s ``op_kinds``
+#: and every columnar pack (:mod:`repro.core.colpack` re-exports it).
+OP_READ, OP_WRITE, OP_APPEND, OP_READ_LIST = 0, 1, 2, 3
+_KIND_OF_CODE = (OpKind.READ, OpKind.WRITE, OpKind.APPEND, OpKind.READ_LIST)
+_CODE_OF_KIND = {kind: code for code, kind in enumerate(_KIND_OF_CODE)}
+#: The valid code bytes; ``bytes.translate`` deletes them to find the rest.
+_OP_CODES = bytes(range(len(_KIND_OF_CODE)))
+#: ``codes.translate(_WRITE_MASK)``: 1 where the op writes, 0 where it reads.
+_WRITE_MASK = bytes(code in (OP_WRITE, OP_APPEND) for code in range(256))
 
 
 class Transaction:
@@ -142,12 +153,22 @@ class Transaction:
 
     - ``tid`` — unique transaction id;
     - ``sid`` — session id; ``sno`` — sequence number within the session;
-    - ``ops`` — program-ordered operations;
+    - ``codes`` / ``keys`` / ``values`` — the program-ordered operations
+      as three columns: one op-code byte per op (``OP_READ`` …
+      ``OP_READ_LIST``), a tuple of keys and a tuple of values (a
+      read-list's value is a tuple);
     - ``start_ts`` / ``commit_ts`` — oracle timestamps.
 
-    Derived views, computed by one pass over ``ops`` each time they are
-    read and never stored: the timestamp checkers walk the columns of a
-    :class:`~repro.core.colpack.ColumnarBatch` and never read them, and
+    ``ops`` is a view: the :class:`Operation` tuple built from the columns
+    each time it is read.  The constructor takes operations and splits
+    them; :meth:`from_columns` takes columns a producer already holds (the
+    database, the decoders, the fault injector) and builds no
+    :class:`Operation`.  An eight-op transaction holds four small objects
+    instead of ten.
+
+    Derived views, computed by one pass over the columns each time they
+    are read and never stored: the timestamp checkers walk the columns of
+    a :class:`~repro.core.colpack.ColumnarBatch` and never read them, and
     a cache would bring the bytes back the first time a baseline or the
     fault injector touched a view.  A caller that reads a view inside a
     loop binds it once per transaction:
@@ -156,50 +177,99 @@ class Transaction:
     - ``last_writes`` — final value written per key (``ext_val``), keys in
       the program order of their first write;
     - ``external_reads`` — first read per key *before any write/read of
-      that key in the transaction*, i.e. the reads governed by EXT;
+      that key in the transaction*, i.e. the reads governed by EXT, as
+      :class:`Operation` objects built for the reads returned;
+      ``external_read_positions`` maps the same keys, in the same order,
+      to the read's position in the columns;
     - ``is_read_only`` — no op writes.
     """
 
-    __slots__ = ("tid", "sid", "sno", "ops", "start_ts", "commit_ts")
+    __slots__ = ("tid", "sid", "sno", "codes", "keys", "values", "start_ts", "commit_ts")
 
     def __init__(
         self,
         tid: int,
         sid: int,
         sno: int,
-        ops: Sequence[Operation],
+        ops: Iterable[Operation],
         start_ts: int,
         commit_ts: int,
     ) -> None:
+        ops = tuple(ops)
         self.tid = tid
         self.sid = sid
         self.sno = sno
-        self.ops: Tuple[Operation, ...] = tuple(ops)
+        self.codes: bytes = bytes([_CODE_OF_KIND[op.kind] for op in ops])
+        self.keys: Tuple[Key, ...] = tuple([op.key for op in ops])
+        self.values: Tuple[Value, ...] = tuple([op.value for op in ops])
         self.start_ts = start_ts
         self.commit_ts = commit_ts
 
+    @classmethod
+    def from_columns(
+        cls,
+        tid: int,
+        sid: int,
+        sno: int,
+        codes: bytes,
+        keys: Tuple[Key, ...],
+        values: Tuple[Value, ...],
+        start_ts: int,
+        commit_ts: int,
+    ) -> "Transaction":
+        """A transaction over columns the caller already holds, kept as
+        they are: ``codes`` a ``bytes`` of op codes, ``keys`` and
+        ``values`` tuples of the same length."""
+        txn = cls.__new__(cls)
+        txn.tid = tid
+        txn.sid = sid
+        txn.sno = sno
+        txn.codes = codes
+        txn.keys = keys
+        txn.values = values
+        txn.start_ts = start_ts
+        txn.commit_ts = commit_ts
+        return txn
+
+    @property
+    def ops(self) -> Tuple[Operation, ...]:
+        """The program-ordered :class:`Operation` tuple, built on read."""
+        return tuple(
+            map(Operation, map(_KIND_OF_CODE.__getitem__, self.codes), self.keys, self.values)
+        )
+
     @property
     def write_keys(self) -> frozenset[Key]:
-        return frozenset([op.key for op in self.ops if op.kind in _WRITES])
+        return frozenset(compress(self.keys, self.codes.translate(_WRITE_MASK)))
 
     @property
     def last_writes(self) -> Dict[Key, Value]:
-        return {op.key: op.value for op in self.ops if op.kind in _WRITES}
+        return dict(compress(zip(self.keys, self.values), self.codes.translate(_WRITE_MASK)))
+
+    @property
+    def external_read_positions(self) -> Dict[Key, int]:
+        positions: Dict[Key, int] = {}
+        touched: set[Key] = set()
+        codes = self.codes
+        for position, key in enumerate(self.keys):
+            if key not in touched:
+                touched.add(key)
+                code = codes[position]
+                if code == OP_READ or code == OP_READ_LIST:
+                    positions[key] = position
+        return positions
 
     @property
     def external_reads(self) -> Dict[Key, Operation]:
-        reads: Dict[Key, Operation] = {}
-        touched: set[Key] = set()
-        for op in self.ops:
-            if op.key not in touched:
-                touched.add(op.key)
-                if op.kind not in _WRITES:
-                    reads[op.key] = op
-        return reads
+        codes, values, kind_of = self.codes, self.values, _KIND_OF_CODE
+        return {
+            key: Operation(kind_of[codes[position]], key, values[position])
+            for key, position in self.external_read_positions.items()
+        }
 
     @property
     def is_read_only(self) -> bool:
-        return not any(op.kind in _WRITES for op in self.ops)
+        return OP_WRITE not in self.codes and OP_APPEND not in self.codes
 
     @property
     def interval(self) -> Tuple[int, int]:
@@ -219,7 +289,7 @@ class Transaction:
     def __repr__(self) -> str:
         return (
             f"Txn(tid={self.tid}, sid={self.sid}, sno={self.sno}, "
-            f"sts={self.start_ts}, cts={self.commit_ts}, ops={len(self.ops)})"
+            f"sts={self.start_ts}, cts={self.commit_ts}, ops={len(self.codes)})"
         )
 
 
@@ -277,13 +347,12 @@ class History:
         """All keys touched by any operation in the history."""
         keys: set[Key] = set()
         for txn in self.transactions:
-            for op in txn.ops:
-                keys.add(op.key)
+            keys.update(txn.keys)
         return keys
 
     def op_count(self) -> int:
         """Total number of operations (``M`` in the complexity analysis)."""
-        return sum(len(txn.ops) for txn in self.transactions)
+        return sum(len(txn.codes) for txn in self.transactions)
 
     def by_commit_ts(self) -> List[Transaction]:
         """Transactions sorted by commit timestamp (the AR order, Def. 5)."""

@@ -28,9 +28,10 @@ through :func:`columns_from_rows`, a packed file chunk by chunk): no
 all the offline checkers need.  The object-returning fronts
 (:func:`load_history`, :func:`load_history_packed`,
 :func:`history_from_jsonl`) are those columns handed to
-:class:`History` through :meth:`ColumnarBatch.transactions`, so they
-accept and refuse exactly what the columns do, with the same
-``<path>:<line>:`` messages.  The integer columns — the five header
+:class:`History` through :meth:`ColumnarBatch.transactions`, each
+transaction keeping its slices of the op columns (no :class:`Operation`
+is built), so they accept and refuse exactly what the columns do, with
+the same ``<path>:<line>:`` messages.  The integer columns — the five header
 columns, the op offsets and, while every value is a plain 64-bit
 ``int``, the op values — hold machine words in the narrowest of two
 widths.  Each starts as ``array('i')`` (4 bytes) and becomes
@@ -40,8 +41,8 @@ bits; ``array.fromlist`` raises :class:`OverflowError` rather than
 truncate, so a column never holds a wrong value, and a value past 64
 bits turns the value column into a list (:func:`_append_values`).  A
 register history whose integers fit in 32 bits costs about 17 bytes
-per operation once loaded.  The ``[code, key, value]`` → ``(kind, key,
-value)`` rule is one function, :func:`_decode_ops`, which
+per operation once loaded.  The ``[code, key, value]`` → op-column
+(code byte, key, value) rule is one function, :func:`_decode_ops`, which
 :func:`txn_from_dict` (one row, for the WAL reader) shares, and every
 decode call keeps one key memo, so a file (JSONL or packed, across all
 its chunks) or a text holds one ``str`` per distinct key
@@ -69,10 +70,7 @@ from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequ
 # repro.core.colpack so the checkers and spill segments can share it
 # without importing the history-file machinery.
 from repro.core.colpack import (
-    OP_APPEND,
-    OP_READ,
     OP_READ_LIST,
-    OP_WRITE,
     ColumnarBatch,
     _I64_MAX,
     _I64_MIN,
@@ -81,7 +79,7 @@ from repro.core.colpack import (
     pack_columnar,
     unpack_columnar,
 )
-from repro.histories.model import History, Operation, OpKind, Transaction
+from repro.histories.model import History, Transaction
 
 __all__ = [
     "txn_to_dict",
@@ -100,12 +98,9 @@ __all__ = [
     "load_history_packed",
 ]
 
-_CODE_OF_WIRE = {"r": OP_READ, "w": OP_WRITE, "a": OP_APPEND, "rl": OP_READ_LIST}
-
-
-def _op_to_wire(op: Operation) -> List[Any]:
-    value = list(op.value) if op.kind is OpKind.READ_LIST else op.value
-    return [op.kind.value, op.key, value]
+#: An op's JSONL code is its kind's value (``"r"``, ``"w"``, ``"a"``, ``"rl"``).
+_WIRE_OF_CODE = tuple(kind.value for kind in _KIND_OF_CODE)
+_CODE_OF_WIRE = {wire: code for code, wire in enumerate(_WIRE_OF_CODE)}
 
 
 #: The five header fields of a transaction row, in column order.
@@ -195,14 +190,18 @@ def _decode_ops(
 
 
 def txn_to_dict(txn: Transaction) -> Dict[str, Any]:
-    """Encode one transaction as a JSON-ready dict."""
+    """Encode one transaction as a JSON-ready dict, from its op columns."""
+    wire_of = _WIRE_OF_CODE
     return {
         "tid": txn.tid,
         "sid": txn.sid,
         "sno": txn.sno,
         "sts": txn.start_ts,
         "cts": txn.commit_ts,
-        "ops": [_op_to_wire(op) for op in txn.ops],
+        "ops": [
+            [wire_of[code], key, list(value) if code == OP_READ_LIST else value]
+            for code, key, value in zip(txn.codes, txn.keys, txn.values)
+        ],
     }
 
 
@@ -211,20 +210,17 @@ def txn_from_dict(data: Dict[str, Any], memo: Optional[Dict[str, str]] = None) -
 
     ``memo`` (caller-owned, one per file or text) shares each distinct
     key's object across the transactions decoded with it; without one,
-    this transaction's keys are shared only among its own ops.
+    this transaction's keys are shared only among its own ops.  The
+    decoded op columns become the transaction's own
+    (:meth:`Transaction.from_columns`); no :class:`Operation` is built.
     """
     tid, sid, sno, sts, cts = _decode_header(data)
     kinds = bytearray()
     keys: List[Any] = []
     values: List[Any] = []
     _decode_ops(data["ops"], kinds, keys, values, {} if memo is None else memo)
-    return Transaction(
-        tid=tid,
-        sid=sid,
-        sno=sno,
-        ops=map(Operation, [_KIND_OF_CODE[kind] for kind in kinds], keys, values),
-        start_ts=sts,
-        commit_ts=cts,
+    return Transaction.from_columns(
+        tid, sid, sno, bytes(kinds), tuple(keys), tuple(values), sts, cts
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.histories.model import History, INIT_TID, OpKind
+from repro.histories.model import History, INIT_TID, OP_APPEND, OP_READ, OP_READ_LIST, OP_WRITE
 
 __all__ = ["HistoryStats"]
 
@@ -42,17 +42,13 @@ class HistoryStats:
             sessions.add(txn.sid)
             if txn.is_read_only:
                 n_read_only += 1
-            for op in txn.ops:
-                n_ops += 1
-                keys.add(op.key)
-                if op.kind is OpKind.READ:
-                    n_reads += 1
-                elif op.kind is OpKind.WRITE:
-                    n_writes += 1
-                elif op.kind is OpKind.APPEND:
-                    n_appends += 1
-                else:
-                    n_list_reads += 1
+            codes = txn.codes
+            n_ops += len(codes)
+            keys.update(txn.keys)
+            n_reads += codes.count(OP_READ)
+            n_writes += codes.count(OP_WRITE)
+            n_appends += codes.count(OP_APPEND)
+            n_list_reads += codes.count(OP_READ_LIST)
         return cls(
             n_transactions=n_txn,
             n_sessions=len(sessions),

@@ -400,7 +400,9 @@ class CheckerService:
         A refusal is sent at once too.
         """
         # Latency stamp taken once at decode: the histogram then measures
-        # queue wait + checking, i.e. the daemon-side submit→verdict path.
+        # queue wait + checking, i.e. the daemon-side submit→verdict path;
+        # the time a frame waits in socket buffers before its connection's
+        # reader decodes it is not counted.
         stamp = time.monotonic()
         total = len(batch)
         refusal = None

@@ -183,7 +183,8 @@ class IngestPipeline:
         #: per completed GC cycle — never one per transaction.
         self.latency = metrics.histogram(
             "repro_submit_to_verdict_seconds",
-            "Latency from submit decode to post-verdict drain completion",
+            "Latency from submit frame decode to post-verdict drain completion; "
+            "a frame's wait in socket buffers before decode is not counted",
         )
         self.gc_pause = metrics.histogram(
             "repro_gc_pause_seconds",
