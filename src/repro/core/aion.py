@@ -61,12 +61,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.common import BOTTOM, SessionTracker
 from repro.core.ext_status import (
-    REC_KEYS,
     REC_SNAPSHOT_TS,
     REC_TID,
     ExtRecord,
     ExtStatusTracker,
     FlipFlopStats,
+    record_keys,
 )
 from repro.core.kernel import KernelStats
 from repro.core.spill import GcReport, SpillingGc
@@ -653,7 +653,7 @@ class Aion(SpillingGc):
             [
                 (key, record[REC_SNAPSHOT_TS], record[REC_TID])
                 for record in records
-                for key in record[REC_KEYS]
+                for key in record_keys(record)
             ]
         )
 

@@ -204,25 +204,29 @@ class ColumnarBatch:
         """Materialize the whole batch as :class:`Transaction` objects.
 
         Each transaction takes its slices of the op columns
-        (:meth:`Transaction.from_columns`); no :class:`Operation` is
-        built, and the transactions do not pin the batch's arrays.
+        (:meth:`Transaction.from_columns`), its code slice swapped for
+        the first equal one of this call, so transactions of one shape
+        share one ``bytes``; no :class:`Operation` is built, and the
+        transactions do not pin the batch's arrays.
         """
         tids, sids, snos = self.tids, self.sids, self.snos
         starts, commits, offsets = self.starts, self.commits, self.op_offsets
         kinds, keys, values = bytes(self.op_kinds), self.op_keys, self.op_values
+        share = {}.setdefault
         from_columns = Transaction.from_columns
         return [
             from_columns(
                 tids[i],
                 sids[i],
                 snos[i],
-                kinds[lo:hi],
+                share(codes, codes),
                 tuple(keys[lo:hi]),
                 tuple(values[lo:hi]),
                 starts[i],
                 commits[i],
             )
             for i, lo, hi in zip(range(len(tids)), offsets, islice(offsets, 1, None))
+            for codes in (kinds[lo:hi],)
         ]
 
     def slices(self, max_size: int) -> Iterator["ColumnarBatch"]:

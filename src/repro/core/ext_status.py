@@ -18,14 +18,17 @@ studies:
 The tentative verdicts of one transaction are ONE flat mutable list,
 sized exactly::
 
-    [tid, keys, snapshot_ts, *actual, *state, flipped]
+    [tid, snapshot_ts, *keys, *actual, *state, flipped]
 
-a three-slot header — tid, the external read keys as a tuple and the
-snapshot point, each stored once — followed by two parallel runs of
-``len(keys)`` slots and one trailing slot.  Read ``i`` observed
-``record[_HEADER + i]`` and its verdict is ``record[_HEADER + len(keys)
-+ i]``, a key's ``i`` being ``keys.index(key)``; so an all-⊤ record is
-``4 + 2·len(keys)`` slots.  A verdict's state is
+a two-slot header — tid and the snapshot point, each stored once —
+followed by three parallel runs of ``width`` slots, the external read
+keys inline first, and one trailing slot; so a record is ``3 + 3·width``
+slots and ``width`` is ``(len(record) - 3) // 3``.  Read ``i`` has key
+``record[2 + i]``, observed ``record[2 + width + i]`` and its verdict
+is ``record[2 + 2·width + i]``; :func:`record_keys` is the keys' run.
+The record is built by list concatenation, which allocates exactly
+what it holds (an unpacking display over-allocates).  A verdict's
+state is
 
 - for ⊤, the small int ``flips << 1`` — nothing else is kept, since
   only a ⊥ pair is ever reported and a flip to ⊥ records the value
@@ -37,12 +40,18 @@ snapshot point, each stored once — followed by two parallel runs of
 The trailing ``flipped`` slot is set at the record's first flip, which
 is when :attr:`FlipFlopStats.n_flipped_txns` counts it.
 
-**Shared values.**  A ⊤ read whose observed value has the same exact
-type, ``int`` or ``str``, as the version it saw stores the version's
-object (the frontier holds it anyway), so the decoded copy dies with
-its batch.  Only equal values of those two types are interchangeable:
-``True`` equals ``1`` and ``0.0`` equals ``-0.0``, but a later ⊥ report
-would name the other one.
+**Shared values.**  A read whose observed value has the same exact
+type, ``int`` or ``str``, as the version it is found to match stores
+the version's object (the frontier holds it anyway), so the decoded
+copy dies with its batch: a ⊤ read on arrival, and a ⊥ read when a
+re-check rectifies it.  Only equal values of those two types are
+interchangeable: ``True`` equals ``1`` and ``0.0`` equals ``-0.0``, but
+a later ⊥ report would name the other one.
+
+On the ladder's 20k SI stream, decoded as a daemon connection decodes
+it (one key memo) and all still pending, the checker holds 679 B per
+transaction in this layout; a keys tuple per record, display-built
+records and rectified reads keeping their decoded values held 785 B.
 
 The record is the only place the checker keeps what a pending read
 observed (the read index holds reader tids), so the verdict rule lives
@@ -73,22 +82,25 @@ __all__ = [
     "ExtStatusTracker",
     "FlipFlopStats",
     "REC_TID",
-    "REC_KEYS",
     "REC_SNAPSHOT_TS",
     "REC_FLIPPED",
+    "record_keys",
 ]
 
-# Record layout (module docstring).  These offsets are the contract with
-# the checkers' finalization hooks; the runs are private.
+# Record layout (module docstring).  These offsets and
+# :func:`record_keys` are the contract with the checkers' finalization
+# hooks; the runs' offsets are private.
 REC_TID = 0
-REC_KEYS = 1
-REC_SNAPSHOT_TS = 2
+REC_SNAPSHOT_TS = 1
 REC_FLIPPED = -1
-_HEADER = 3
+_HEADER = 2
 
 #: Observed-value types whose equal objects are interchangeable, so a ⊤
-#: read may hold the version's object instead of its own.
+#: or rectified read may hold the version's object instead of its own.
 _SHAREABLE = frozenset((int, str))
+
+#: A record's trailing ``flipped`` slot as tracked.
+_UNFLIPPED = [False]
 
 #: Upper edges (seconds) of the Fig-13b rectify buckets but the last.
 _RECTIFY_EDGES = (0.001, 0.002, 0.010, 0.099, 1.0)
@@ -96,6 +108,11 @@ _RECTIFY_LABELS = ("0-1ms", "1-2ms", "2-10ms", "10-99ms", "100-999ms", "1000+ms"
 
 #: Type alias for one transaction's record.
 ExtRecord = List[Any]
+
+
+def record_keys(record: ExtRecord) -> List[Any]:
+    """The external read keys of ``record``, in read order."""
+    return record[_HEADER : _HEADER + (len(record) - 3) // 3]
 
 
 @dataclass
@@ -214,9 +231,9 @@ class ExtStatusTracker:
         lo = 0
         for hi in bounds:
             tid = tids[lo]
-            txns[tid] = [
-                tid, tuple(keys[lo:hi]), snapshot_ts[lo], *stored[lo:hi], *states[lo:hi], False
-            ]
+            txns[tid] = (
+                [tid, snapshot_ts[lo]] + keys[lo:hi] + stored[lo:hi] + states[lo:hi] + _UNFLIPPED
+            )
             lo = hi
         self.stats.n_pairs += len(tids)
 
@@ -241,15 +258,15 @@ class ExtStatusTracker:
         record = self._txns.get(tid)
         if record is None:
             return
-        keys = record[REC_KEYS]
+        width = (len(record) - 3) // 3
         try:
-            slot = _HEADER + keys.index(key)
+            slot = record.index(key, _HEADER, _HEADER + width) + width
         except ValueError:
             return
         actual = record[slot]
         ok = (actual is None) if expected is BOTTOM else (expected == actual)
-        slot += len(keys)
-        state = record[slot]
+        verdict = slot + width
+        state = record[verdict]
         if type(state) is list:  # ⊥: where nearly every re-check lands
             if not ok:  # still ⊥: a report names the latest value
                 state[1] = expected
@@ -258,11 +275,13 @@ class ExtStatusTracker:
             rectified = now - state[2]
             stats.rectify_counts[bisect_right(_RECTIFY_EDGES, rectified)] += 1
             stats.rectify_seconds += rectified
-            record[slot] = (state[0] + 1) << 1
+            record[verdict] = (state[0] + 1) << 1
+            if type(actual) is type(expected) in _SHAREABLE:  # shared values
+                record[slot] = expected
         elif ok:
             return
         else:
-            record[slot] = [(state >> 1) + 1, expected, now]
+            record[verdict] = [(state >> 1) + 1, expected, now]
         if not record[REC_FLIPPED]:
             record[REC_FLIPPED] = True
             self.stats.n_flipped_txns += 1
@@ -321,10 +340,9 @@ class ExtStatusTracker:
         n_reads = 0
         n_violations = 0
         for record in records:
-            keys = record[REC_KEYS]
-            width = len(keys)
+            width = (len(record) - 3) // 3
             n_reads += width
-            states = record[_HEADER + width : REC_FLIPPED]
+            states = record[_HEADER + 2 * width : REC_FLIPPED]
             # A zero state is a ⊤ that never flipped: a record of only
             # those has nothing to count or report.
             if not any(states):
@@ -337,7 +355,12 @@ class ExtStatusTracker:
                 else:
                     flips = state[0]
                     n_violations += 1
-                    on_violation(record[REC_TID], keys[index], state[1], record[_HEADER + index])
+                    on_violation(
+                        record[REC_TID],
+                        record[_HEADER + index],
+                        state[1],
+                        record[_HEADER + width + index],
+                    )
                     if not flips:
                         continue
                 flips_per_pair[flips] = flips_per_pair.get(flips, 0) + 1
@@ -349,14 +372,3 @@ class ExtStatusTracker:
     def flush(self) -> List[ExtRecord]:
         """Finalize everything regardless of deadlines (end of stream)."""
         return self.advance_to(float("inf"))
-
-    def min_pending_snapshot_ts(self) -> Optional[int]:
-        """Smallest snapshot point among unfinalized reads.
-
-        Garbage collection must not evict frontier versions at or above
-        this point minus one, or pending re-checks would consult spilled
-        state on every arrival.
-        """
-        if not self._txns:
-            return None
-        return min(record[REC_SNAPSHOT_TS] for record in self._txns.values())

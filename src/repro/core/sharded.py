@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.aion import Aion, AionConfig
 from repro.core.common import BOTTOM
-from repro.core.ext_status import REC_KEYS, REC_SNAPSHOT_TS, REC_TID, ExtRecord
+from repro.core.ext_status import REC_SNAPSHOT_TS, REC_TID, ExtRecord, record_keys
 from repro.core.versioned import (
     ExtReadIndex,
     VersionColumns,
@@ -251,5 +251,5 @@ class ShardedAion(Aion):
         for record in records:
             sts = record[REC_SNAPSHOT_TS]
             tid = record[REC_TID]
-            for key in record[REC_KEYS]:
+            for key in record_keys(record):
                 removers[shard_for(key)](key, sts, tid)

@@ -7,17 +7,23 @@ lays a verdict out in memory, except for ``TestRecordLayout`` and
 statistics cost.
 """
 
+import sys
+
 import pytest
 
+from repro.core.aion import Aion, AionConfig
 from repro.core.common import BOTTOM
 from repro.core.ext_status import (
     REC_FLIPPED,
-    REC_KEYS,
     REC_SNAPSHOT_TS,
     REC_TID,
     ExtStatusTracker,
     FlipFlopStats,
+    record_keys,
 )
+from repro.histories.model import Transaction
+from repro.histories.ops import read, write
+from repro.service.framing import HEADER_SIZE, K_SUBMIT, decode_frame_payload, encode_submit_frame
 from repro.util.sizeof import deep_sizeof
 
 
@@ -37,6 +43,12 @@ def track(tracker, tid, reads, *, snapshot_ts=10, now=0.0):
         [reads[key][0] for key in keys], [reads[key][1] for key in keys], now, [len(keys)],
     )
     tracker.arm_timers((tid,), now)
+
+
+def observed(record):
+    """The values ``record``'s reads observed, in read order."""
+    width = len(record_keys(record))
+    return record[REC_SNAPSHOT_TS + 1 + width : REC_SNAPSHOT_TS + 1 + 2 * width]
 
 
 def collect_flipped_tids(checker):
@@ -77,7 +89,7 @@ class TestLifecycle:
         tracker, violations, finalized = make_tracker()
         track(tracker, 1, {"x": ("v", "v")})
         done = tracker.advance_to(5.0)
-        assert [(r[REC_TID], r[REC_KEYS], r[REC_SNAPSHOT_TS]) for r in done] == [(1, ("x",), 10)]
+        assert [(r[REC_TID], record_keys(r), r[REC_SNAPSHOT_TS]) for r in done] == [(1, ["x"], 10)]
         assert violations == []
         assert finalized == [([1], True)]
         assert tracker.stats.n_finalized == 1 and tracker.stats.n_final_violations == 0
@@ -155,7 +167,7 @@ class TestLifecycle:
         tracker.reevaluate(1, "x", "a", 1.0)
         tracker.reevaluate(1, "x", "a", 1.0)
         done = tracker.flush()
-        assert [record[REC_KEYS] for record in done] == [("x", "y")]
+        assert [record_keys(record) for record in done] == [["x", "y"]]
         assert violations == []
         assert tracker.stats.n_finalized == 2 and rectified(tracker.stats) == (1, 1.0)
 
@@ -332,19 +344,6 @@ class TestFinalizationOrder:
         assert stats.flips_per_pair == {1: 1} and stats.n_flipped_txns == 1
 
 
-class TestMinPendingSnapshot:
-    def test_tracks_the_live_set(self):
-        tracker, _, _ = make_tracker()
-        assert tracker.min_pending_snapshot_ts() is None
-        track(tracker, 1, {"x": ("v", "v"), "y": ("v", "v")}, snapshot_ts=30, now=0.0)
-        track(tracker, 2, {"y": ("v", "v")}, snapshot_ts=10, now=1.0)
-        assert tracker.min_pending_snapshot_ts() == 10 and len(tracker) == 2
-        tracker.advance_to(5.5)  # finalizes transaction 1 only
-        assert tracker.min_pending_snapshot_ts() == 10 and len(tracker) == 1
-        tracker.advance_to(6.0)
-        assert tracker.min_pending_snapshot_ts() is None and len(tracker) == 0
-
-
 class TestNothingKeptPerFinalizedTransaction:
     """A daemon runs for ever: the tracker may hold memory per *pending*
     verdict, never per transaction it has finalized."""
@@ -389,7 +388,7 @@ class TestNothingKeptPerFinalizedTransaction:
             2 * (n + self.BATCHES - 1), 2 * n, n // 10,
         )
         assert stats.flips_per_pair == {} and stats.n_flipped_txns == 0
-        assert finalized[-1][1] and tracker.min_pending_snapshot_ts() is None
+        assert finalized[-1][1] and len(tracker) == 0
 
 
 class TestRecordLayout:
@@ -402,12 +401,15 @@ class TestRecordLayout:
         (record,) = [r for r in tracker.flush() if r[REC_TID] == tid]
         return record
 
-    def test_all_top_record_is_four_plus_two_slots_per_read(self):
+    def test_record_is_three_plus_three_slots_per_read_at_exact_capacity(self):
         for width in (1, 3, 8):
             tracker, _, _ = make_tracker()
-            track(tracker, 1, {f"k{i}": (i * 1000, i * 1000) for i in range(width)})
+            keys = [f"k{i}" for i in range(width)]
+            track(tracker, 1, {key: (i * 1000, i * 1000) for i, key in enumerate(keys)})
             record = self.record_of(tracker, 1)
-            assert len(record) == 4 + 2 * width
+            assert len(record) == 3 + 3 * width
+            assert sys.getsizeof(record) == sys.getsizeof([None] * (3 + 3 * width))
+            assert record[2 : 2 + width] == record_keys(record) == keys
             assert record[REC_FLIPPED] is False
 
     def test_equal_int_and_str_reads_share_the_versions_object(self):
@@ -416,9 +418,55 @@ class TestRecordLayout:
         observed_int, observed_str = int(str(version_int)), "".join(["va", "lue"])
         assert observed_int is not version_int and observed_str is not version_str
         track(tracker, 1, {"x": (observed_int, version_int), "y": (observed_str, version_str)})
-        record = self.record_of(tracker, 1)
-        actual = record[REC_SNAPSHOT_TS + 1 :]
+        actual = observed(self.record_of(tracker, 1))
         assert actual[0] is version_int and actual[1] is version_str
+
+    def test_rectified_int_and_str_reads_hold_the_writers_object(self):
+        """A ⊥ read whose writer arrives later is rectified to ⊤ and from
+        then on holds the writer's object, as a ⊤ read does on arrival."""
+        tracker, violations, _ = make_tracker()
+        version_int, version_str = 10**12 + 7, "".join(["val", "ue"])
+        observed_int, observed_str = int(str(version_int)), "".join(["va", "lue"])
+        track(tracker, 1, {"x": (observed_int, BOTTOM), "y": (observed_str, "other")})
+        tracker.reevaluate(1, "x", version_int, 1.0)
+        tracker.reevaluate(1, "y", version_str, 1.0)
+        actual = observed(self.record_of(tracker, 1))
+        assert actual[0] is version_int and actual[1] is version_str
+        assert violations == [] and rectified(tracker.stats) == (2, 2.0)
+
+    def test_true_read_rectified_by_one_keeps_its_own_object(self):
+        tracker, violations, _ = make_tracker()
+        track(tracker, 1, {"x": (True, BOTTOM)})
+        tracker.reevaluate(1, "x", 1, 1.0)  # rectified: ``True == 1``
+        assert observed(tracker._txns[1])[0] is True
+        tracker.reevaluate(1, "x", 5, 2.0)  # ⊥ again
+        tracker.flush()
+        assert violations == [(1, "x", 5, True)] and violations[0][3] is True
+
+    def test_frames_decoded_with_one_memo_share_the_frontiers_values(self):
+        """The daemon's path: each submit frame decoded with the
+        connection's key memo.  The reader's frame comes before its
+        writer's, so its reads are ⊥ until the writer's frame rectifies
+        them; a later reader is ⊤ on arrival.  Every pending read then
+        holds the object the frontier holds, not its frame's copy."""
+        big, text = 10**12 + 7, "value-" * 4
+        checker = Aion(AionConfig(timeout=5.0), clock=lambda: 0.0)
+        memo = {}
+        for txn in (
+            Transaction(2, 2, 0, [read("x", big), read("y", text)], 20, 21),
+            Transaction(1, 1, 0, [write("x", big), write("y", text)], 10, 11),
+            Transaction(3, 3, 0, [read("x", big), read("y", text)], 30, 31),
+        ):
+            frame = encode_submit_frame([txn])
+            batch = decode_frame_payload(K_SUBMIT, frame[HEADER_SIZE:], memo)["batch"]
+            checker.receive_many(batch)
+        frontier = checker._frontier
+        for tid in (2, 3):
+            record = checker._ext._txns[tid]
+            assert observed(record) == [big, text]
+            for key, value in zip(record_keys(record), observed(record)):
+                assert value is frontier.latest_at(key, 20)[1]
+        assert checker._ext.stats.n_rectified == 2 and not checker.poll()
 
     def test_true_read_against_one_keeps_its_own_object(self):
         """``True == 1`` is a ⊤ verdict, but a later ⊥ report names what

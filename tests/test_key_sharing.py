@@ -284,6 +284,35 @@ GENERATORS = {
 }
 
 
+def _assert_one_object_per_code_pattern(txns):
+    codes = [txn.codes for txn in txns]
+    assert len({id(pattern) for pattern in codes}) == len(set(codes)) > 1
+
+
+def test_ladder_history_holds_one_codes_object_per_pattern(ladder_history):
+    """The ladder-shape history's 20,001 transactions have a few hundred
+    op-code patterns; the database records one ``bytes`` per pattern."""
+    _assert_one_object_per_code_pattern(ladder_history)
+
+
+@pytest.mark.parametrize("workload", sorted(GENERATORS))
+def test_generated_history_holds_one_codes_object_per_pattern(workload):
+    _assert_one_object_per_code_pattern(GENERATORS[workload]())
+
+
+@pytest.mark.parametrize("decoder", ["load_history", "load_history_packed", "history_from_jsonl"])
+def test_materialized_transactions_share_code_patterns(files, decoder):
+    """:meth:`ColumnarBatch.transactions` shares each pattern's ``bytes``
+    among the transactions of one call."""
+    jsonl, packed = files
+    load = {
+        "load_history": lambda: load_history(jsonl),
+        "load_history_packed": lambda: load_history_packed(packed),
+        "history_from_jsonl": lambda: history_from_jsonl(jsonl.read_text()),
+    }[decoder]
+    _assert_one_object_per_code_pattern(load())
+
+
 @pytest.mark.parametrize("workload", sorted(GENERATORS))
 def test_generated_history_holds_one_object_per_key(workload):
     """Each workload formats a fresh ``str`` per step (``key_name``, the

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
 from repro.core.colpack import ColumnarBatch
-from repro.core.ext_status import REC_KEYS, REC_SNAPSHOT_TS
+from repro.core.ext_status import REC_SNAPSHOT_TS, record_keys
 from repro.core.sharded import ShardedAion
 from repro.histories.model import OpKind, Transaction
 from repro.histories.ops import read, write
@@ -67,12 +67,15 @@ def test_route_pass_matches_transaction_views(checker_class, ops):
     # The INT reports, in program order (the session is in order).
     reports = [(v.key, v.expected, v.actual) for v in checker.poll()]
     assert reports == (int_model(txn.ops) or [])
-    # The tracked external reads: one record — ``[tid, keys, snapshot_ts,
+    # The tracked external reads: one record — ``[tid, snapshot_ts, *keys,
     # *actual, ...]`` — holding each key and the value its read observed.
     records = list(checker._ext._txns.values())
     assert len(records) == (1 if txn.external_reads else 0)
     tracked = [
-        pair for record in records for pair in zip(record[REC_KEYS], record[REC_SNAPSHOT_TS + 1 :])
+        pair
+        for record in records
+        for keys in [record_keys(record)]
+        for pair in zip(keys, record[REC_SNAPSHOT_TS + 1 + len(keys) :])
     ]
     assert tracked == [(key, op.value) for key, op in txn.external_reads.items()]
     # The installed versions: each written key's final value, at commit.
