@@ -37,7 +37,6 @@ nothing outside the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.violations import (
@@ -105,12 +104,20 @@ class VersionOrderError(ValueError):
     """Raised when a claimed version order is inconsistent with writes."""
 
 
-@dataclass(frozen=True)
 class CycleViolation(Violation):
     """A dependency cycle found by a graph-based checker."""
 
-    cycle_tids: Tuple[int, ...] = ()
-    flavor: str = "G1c"
+    __slots__ = ("cycle_tids", "flavor")
+    _fields = Violation._fields + __slots__
+
+    def __init__(
+        self, axiom: Axiom, tid: int, cycle_tids: Tuple[int, ...] = (), flavor: str = "G1c"
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "axiom", axiom)
+        _set(self, "tid", tid)
+        _set(self, "cycle_tids", cycle_tids)
+        _set(self, "flavor", flavor)
 
     def describe(self) -> str:
         path = " -> ".join(str(t) for t in self.cycle_tids)

@@ -44,12 +44,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
+from importlib import import_module
 from typing import Optional, Sequence
-
-# Each command imports what it runs inside its handler: ``repro check``
-# offline must not pay for the online checkers, the simulated database
-# or the daemon.
 
 __all__ = ["main"]
 
@@ -57,8 +53,12 @@ __all__ = ["main"]
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Each command's body is its own module under repro.commands, imported
+    # here: ``repro check`` compiles neither the daemon's handler nor the
+    # generator's, and each handler imports only what it runs.
+    handler = import_module(f"repro.commands.{args.command}").run
     try:
-        code = args.handler(args)
+        code = handler(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # ``repro check … | head``: the reader left.  Point stdout at
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--clock-skew", type=float, default=0.0,
                           help="probability of a skewed timestamp (bug injection)")
     generate.add_argument("--out", required=True)
-    generate.set_defaults(handler=_cmd_generate)
+    generate.set_defaults(command="generate")
 
     check = commands.add_parser("check", help="check a history file")
     check.add_argument("history")
@@ -109,14 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--batch-size", type=int, default=0,
                        help="feed the online checker batches of this size via "
                             "receive_many (0 = per-transaction ingestion)")
-    check.set_defaults(handler=_cmd_check)
+    check.set_defaults(command="check")
 
     inject = commands.add_parser("inject", help="inject labelled faults")
     inject.add_argument("history")
     inject.add_argument("--faults", type=int, default=5)
     inject.add_argument("--seed", type=int, default=0)
     inject.add_argument("--out", required=True)
-    inject.set_defaults(handler=_cmd_inject)
+    inject.set_defaults(command="inject")
 
     stats = commands.add_parser(
         "stats", help="describe a history file or a running daemon")
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="query the daemon via unix socket instead of TCP")
     stats.add_argument("--json", action="store_true",
                        help="print the raw STATS payload as JSON")
-    stats.set_defaults(handler=_cmd_stats)
+    stats.set_defaults(command="stats")
 
     serve = commands.add_parser("serve", help="run the checker daemon")
     serve.add_argument("--host", default="127.0.0.1")
@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stats-bytes-ttl", type=float, default=2.0, metavar="S",
                        help="seconds the deep-sizeof byte estimate stays "
                        "cached between STATS/metrics requests")
-    serve.set_defaults(handler=_cmd_serve)
+    serve.set_defaults(command="serve")
 
     replay = commands.add_parser("replay", help="stream a history into a daemon")
     source = replay.add_mutually_exclusive_group(required=True)
@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["any", "valid", "violation"],
                         help="exit 0 only if the final verdict matches")
     replay.add_argument("--max-report", type=int, default=10)
-    replay.set_defaults(handler=_cmd_replay)
+    replay.set_defaults(command="replay")
 
     chaos = commands.add_parser(
         "chaos", help="run a fault-scheduled chaos campaign against a live daemon")
@@ -231,62 +231,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the full report as JSON instead of a summary")
     chaos.add_argument("--report", metavar="FILE", default=None,
                        help="also write the JSON report to FILE")
-    chaos.set_defaults(handler=_cmd_chaos)
+    chaos.set_defaults(command="chaos")
 
     return parser
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.db.engine import IsolationLevel
-    from repro.db.faults import SkewedOracle
-    from repro.db.oracle import CentralizedOracle
-    from repro.histories.serialization import save_history
-    from repro.workloads.generator import generate_default_history
-    from repro.workloads.list_workload import generate_list_history
-    from repro.workloads.rubis import generate_rubis_history
-    from repro.workloads.spec import WorkloadSpec
-    from repro.workloads.tpcc import generate_tpcc_history
-    from repro.workloads.twitter import generate_twitter_history
-
-    isolation = IsolationLevel.SI if args.isolation == "si" else IsolationLevel.SER
-    oracle = None
-    if args.clock_skew > 0:
-        oracle = SkewedOracle(CentralizedOracle(), probability=args.clock_skew)
-
-    t0 = time.perf_counter()
-    if args.workload in ("default", "list"):
-        spec = WorkloadSpec(
-            n_sessions=args.sessions,
-            n_transactions=args.txns,
-            ops_per_txn=args.ops_per_txn,
-            read_ratio=args.read_ratio,
-            n_keys=args.keys,
-            distribution=args.distribution,
-            isolation=isolation,
-            seed=args.seed,
-        )
-        generator = generate_default_history if args.workload == "default" else generate_list_history
-        history = generator(spec, oracle=oracle)
-    else:
-        app = {
-            "twitter": generate_twitter_history,
-            "rubis": generate_rubis_history,
-            "tpcc": generate_tpcc_history,
-        }[args.workload]
-        history = app(
-            args.txns,
-            n_sessions=args.sessions,
-            seed=args.seed,
-            oracle=oracle,
-            isolation=isolation,
-        )
-    save_history(history, args.out)
-    elapsed = time.perf_counter() - t0
-    print(f"wrote {len(history)} transactions to {args.out} in {elapsed:.2f}s")
-    return 0
-
-
-def _load(loader, path: str):
+def load_or_report(loader, path: str):
     """``loader(path)``, or ``None`` once an unreadable or malformed
     history file is reported as ``error: <path>[:<line>]: <what>``."""
     try:
@@ -294,406 +244,6 @@ def _load(loader, path: str):
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    # Flag validation precedes the (potentially large) history load.
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards > 1 and not (args.online and args.level == "si"):
-        print("--shards requires --online --level si", file=sys.stderr)
-        return 2
-    if args.batch_size < 0:
-        print("--batch-size must be >= 0", file=sys.stderr)
-        return 2
-    if args.batch_size > 0 and not args.online:
-        print("--batch-size requires --online", file=sys.stderr)
-        return 2
-    from repro.histories.serialization import load_columns
-
-    t0 = time.perf_counter()
-    batch = _load(load_columns, args.history)
-    if batch is None:
-        return 2
-    load_seconds = time.perf_counter() - t0
-    if args.online:
-        headline, result = _check_online(args, batch)
-    else:
-        if args.level == "si":
-            from repro.core.chronos import Chronos
-
-            checker = Chronos()
-        else:
-            from repro.core.chronos_ser import ChronosSer
-
-            checker = ChronosSer()
-        result = checker.check(batch)
-        report = checker.report
-        # The Fig 8 decomposition: loading is the largest stage.
-        headline = (
-            f"offline {args.level.upper()}: {len(batch)} transactions checked in "
-            f"{load_seconds + report.total_seconds:.2f}s (load {load_seconds:.2f}s, "
-            f"sort {report.sort_seconds:.2f}s, check {report.check_seconds:.2f}s)"
-        )
-
-    print(headline)
-    print(result.summary())
-    for violation in result.violations[: args.max_report]:
-        print(f"  {violation.describe()}")
-    if len(result.violations) > args.max_report:
-        print(f"  ... and {len(result.violations) - args.max_report} more")
-    return 0 if result.is_valid else 1
-
-
-def _check_online(args: argparse.Namespace, batch):
-    """Replay ``batch`` into an online checker; returns (headline, result)."""
-    from repro.core.aion import Aion, AionConfig
-    from repro.histories.model import History
-    from repro.online.clock import SimClock
-    from repro.online.collector import HistoryCollector
-    from repro.online.delays import NormalDelay
-    from repro.online.runner import OnlineRunner
-
-    history = History(batch.transactions())
-    t0 = time.perf_counter()
-    collector = HistoryCollector(
-        batch_size=500,
-        arrival_tps=25_000,
-        delay_model=NormalDelay(args.delay_mean_ms, args.delay_std_ms),
-    )
-    schedule = collector.schedule(history)
-    clock = SimClock()
-    if args.shards > 1:
-        from repro.core.sharded import ShardedAion
-
-        checker = ShardedAion(
-            AionConfig(timeout=args.timeout), n_shards=args.shards, clock=clock
-        )
-    elif args.level == "si":
-        checker = Aion(AionConfig(timeout=args.timeout), clock=clock)
-    else:
-        from repro.core.aion_ser import AionSer
-
-        checker = AionSer(AionConfig(timeout=args.timeout), clock=clock)
-    runner = OnlineRunner(checker, clock)
-    report = runner.run(schedule, batch_size=max(1, args.batch_size))
-    checker.close()
-    elapsed = time.perf_counter() - t0
-    shard_note = f", {args.shards} shards" if args.shards > 1 else ""
-    batch_note = f", batch={args.batch_size}" if args.batch_size > 0 else ""
-    headline = (
-        f"online {args.level.upper()} "
-        f"({report.overall_tps:,.0f} TPS{shard_note}{batch_note}): "
-        f"{len(history)} transactions checked in {elapsed:.2f}s"
-    )
-    return headline, report.result
-
-
-def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.db.faults import FaultInjector
-    from repro.histories.serialization import load_history, save_history
-
-    history = _load(load_history, args.history)
-    if history is None:
-        return 2
-    injector = FaultInjector(history, seed=args.seed)
-    labels = injector.inject_mix(args.faults)
-    save_history(injector.build(), args.out)
-    print(f"injected {len(labels)} faults into {args.out}:")
-    for label in labels:
-        print(f"  {label.describe()}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from repro.service import CheckerService, ServiceConfig
-
-    if args.no_tcp and args.unix is None:
-        print("--no-tcp requires --unix", file=sys.stderr)
-        return 2
-    config = ServiceConfig(
-        host=args.host,
-        port=None if args.no_tcp else args.port,
-        unix_path=args.unix,
-        level=args.level,
-        n_shards=args.shards,
-        timeout=args.timeout,
-        queue_capacity=args.queue_capacity,
-        batch_size=args.batch_size,
-        gc_threshold=args.gc_threshold,
-        gc_keep_recent=args.gc_keep_recent,
-        http_port=args.http_port,
-        slow_batch_ms=args.slow_batch_ms,
-        kernel_sample_every=args.kernel_sample_every,
-        stats_bytes_ttl=args.stats_bytes_ttl,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    async def _serve() -> CheckerService:
-        service = CheckerService(config)
-        await service.start()
-        if service.tcp_address is not None:
-            host, port = service.tcp_address
-            # The benchmark ladder finds an ephemeral port by parsing this line.
-            print(f"listening on {host}:{port} ({config.checker_kind})", flush=True)
-        if service.unix_path is not None:
-            print(f"listening on unix:{service.unix_path} ({config.checker_kind})", flush=True)
-        if service.http_address is not None:
-            http_host, http_port = service.http_address
-            print(f"metrics on http://{http_host}:{http_port}/metrics", flush=True)
-        loop = asyncio.get_running_loop()
-
-        def _graceful() -> None:
-            loop.create_task(service.shutdown())
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, _graceful)
-            except NotImplementedError:  # pragma: no cover - non-unix hosts
-                pass
-        await service.wait_closed()
-        return service
-
-    service = asyncio.run(_serve())
-    # The shutdown's snapshot: the checker is closed by now, and its
-    # spill store with it.
-    stats = service.final_stats or service.stats(include_bytes=False)
-    result = service.final_result
-    print(f"served {stats['processed']} transactions "
-          f"({stats['throughput']['sustained_tps']:,.0f} sustained TPS)")
-    if result is not None:
-        print(result.summary())
-    # A clean drain-then-finalize exit is success regardless of verdict;
-    # the verdict belongs to the replaying client (--expect).
-    return 0
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.db.cdc import iter_wal_file
-    from repro.histories.anomalies import ANOMALY_CATALOG
-    from repro.histories.serialization import load_history
-    from repro.service import (
-        CheckerClient,
-        ServiceError,
-        replay_transactions,
-        transactions_in_commit_order,
-    )
-    from repro.workloads.generator import generate_default_history
-    from repro.workloads.spec import WorkloadSpec
-
-    if args.history is not None:
-        source = _load(load_history, args.history)
-        if source is None:
-            return 2
-    elif args.wal is not None:
-        source = list(iter_wal_file(args.wal))
-    elif args.anomaly is not None:
-        spec = ANOMALY_CATALOG.get(args.anomaly)
-        if spec is None:
-            names = ", ".join(sorted(ANOMALY_CATALOG))
-            print(f"unknown anomaly {args.anomaly!r}; choose from: {names}", file=sys.stderr)
-            return 2
-        source = spec.build()
-    else:
-        source = generate_default_history(
-            WorkloadSpec(
-                n_sessions=12,
-                n_transactions=args.generate,
-                ops_per_txn=8,
-                n_keys=200,
-                seed=args.seed,
-            )
-        )
-    txns = transactions_in_commit_order(source)
-
-    client = CheckerClient(args.host, args.port, unix_path=args.unix)
-    try:
-        client.connect(retry_for=args.connect_timeout)
-    except (OSError, ServiceError) as exc:
-        print(f"cannot reach the daemon: {exc}", file=sys.stderr)
-        return 2
-    with client:
-        report = replay_transactions(
-            client,
-            txns,
-            batch_size=args.batch_size,
-            arrival_tps=args.rate,
-            ack=not args.no_ack,
-            finalize=not args.shutdown,
-        )
-        result = client.shutdown() if args.shutdown else report.result
-
-    print(f"replayed {report.sent} transactions in {report.batches} batches "
-          f"({report.wire_tps:,.0f} end-to-end TPS)")
-    print(f"daemon processed {report.stats.get('processed', '?')} total, "
-          f"{report.stats.get('resident_txns', '?')} resident")
-    assert result is not None
-    print(result.summary())
-    for violation in result.violations[: args.max_report]:
-        print(f"  {violation.describe()}")
-    if len(result.violations) > args.max_report:
-        print(f"  ... and {len(result.violations) - args.max_report} more")
-    if args.expect == "valid":
-        return 0 if result.is_valid else 1
-    if args.expect == "violation":
-        return 0 if not result.is_valid else 1
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.chaos import CampaignRunner, CampaignSchedule
-
-    if args.schedule is not None:
-        schedule = CampaignSchedule.from_dict(
-            json.loads(Path(args.schedule).read_text(encoding="utf-8"))
-        )
-    else:
-        try:
-            schedule = CampaignSchedule.generate(
-                args.seed,
-                segments=args.segments,
-                kills=args.kills,
-                restarts=args.restarts,
-                pauses=args.pauses,
-                skew_bursts=args.skew_bursts,
-                mutations=args.mutations,
-                level=args.level,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.save_schedule is not None:
-        Path(args.save_schedule).write_text(
-            json.dumps(schedule.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {len(schedule.events)}-event schedule to {args.save_schedule}")
-        return 0
-
-    try:
-        runner = CampaignRunner(
-            schedule,
-            level=args.level,
-            n_shards=args.shards,
-            n_sessions=args.sessions,
-            n_keys=args.keys,
-            txns_per_segment=args.txns_per_segment,
-            batch_size=args.batch_size,
-            pause_ms=args.pause_ms,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    report = runner.run()
-    if args.report is not None:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    daemon_mode = args.port is not None or args.unix is not None
-    if daemon_mode and args.history is not None:
-        print("give either a history file or --port/--unix, not both", file=sys.stderr)
-        return 2
-    if daemon_mode:
-        return _print_daemon_stats(args)
-    if args.history is None:
-        print("give a history file, or --port/--unix to query a daemon", file=sys.stderr)
-        return 2
-    from repro.histories.serialization import load_history
-    from repro.histories.stats import HistoryStats
-
-    history = _load(load_history, args.history)
-    if history is None:
-        return 2
-    stats = HistoryStats.of(history)
-    print(f"transactions : {stats.n_transactions}")
-    print(f"sessions     : {stats.n_sessions}")
-    print(f"operations   : {stats.n_operations} ({stats.ops_per_txn:.1f} per txn)")
-    print(f"reads        : {stats.n_reads} registers, {stats.n_list_reads} lists "
-          f"({stats.read_ratio * 100:.0f}% of ops)")
-    print(f"writes       : {stats.n_writes} registers, {stats.n_appends} appends")
-    print(f"keys         : {stats.n_keys}")
-    print(f"read-only    : {stats.n_read_only} transactions")
-    return 0
-
-
-def _print_daemon_stats(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service import CheckerClient
-
-    port = args.port if args.port is not None else 0
-    client = CheckerClient(args.host, port, unix_path=args.unix)
-    try:
-        client.connect()
-    except OSError as exc:
-        print(f"cannot reach the daemon: {exc}", file=sys.stderr)
-        return 2
-    with client:
-        stats = client.stats()
-    if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    throughput = stats.get("throughput", {})
-    latency = stats.get("latency", {})
-    gc = stats.get("gc", {})
-    print(f"checker      : {stats.get('checker', '?')} (uptime {stats.get('uptime_s', 0):.1f}s)")
-    print(f"processed    : {stats.get('processed', 0)} transactions "
-          f"({throughput.get('sustained_tps', 0):,.0f} sustained TPS)")
-    print(f"resident     : {stats.get('resident_txns', 0)} arrivals indexed"
-          + (f", ~{stats['estimated_bytes']:,} bytes"
-             if stats.get("estimated_bytes") is not None else ""))
-    ext = stats.get("ext")
-    if ext:
-        print(f"pending EXT  : {ext['pending_reads']} reads of "
-              f"{ext['pending_txns']} transactions awaiting their timeout")
-    print(f"violations   : {stats.get('violations', 0)}")
-    print(f"queue        : depth {stats.get('queue_depth', 0)}, "
-          f"high-water {stats.get('queue_high_water', 0)} / "
-          f"capacity {stats.get('queue_capacity', 0)} txns")
-    if latency.get("count"):
-        print(f"latency      : p50 {latency['p50_s'] * 1e3:.1f}ms, "
-              f"p95 {latency['p95_s'] * 1e3:.1f}ms, "
-              f"p99 {latency['p99_s'] * 1e3:.1f}ms "
-              f"({latency['count']} samples)")
-    print(f"gc           : {gc.get('cycles', 0)} cycles, "
-          f"{gc.get('spill_bytes', 0):,} bytes spilled, "
-          f"{gc.get('reloads', 0)} reloads, "
-          f"{gc.get('evicted', {}).get('txns', 0)} index entries released")
-    host_gc = stats.get("host_gc")
-    if host_gc:
-        passes = host_gc["collections"]
-        print(f"host gc      : {passes['0']} / {passes['1']} / {passes['2']} collector passes "
-              f"(gen 0 / 1 / 2), {host_gc['seconds']:.3f}s in them")
-    kernel = stats.get("kernel", {})
-    if kernel:
-        print(f"kernel       : {kernel.get('batches', 0)} batches, "
-              f"{kernel.get('txns', 0)} txns, "
-              f"{kernel.get('slow_batches', 0)} slow")
-    shards = stats.get("shards")
-    if shards:
-        for row in shards:
-            print(f"  shard {row['shard']:>2}  : {row['versions']} versions, "
-                  f"{row['intervals']} intervals, {row['ext_reads']} ext-reads")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

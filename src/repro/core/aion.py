@@ -37,7 +37,7 @@ stays "resident" per arrival is one ``tid -> commit_ts`` index entry.
 Garbage collection (:meth:`Aion.collect_below`, implemented once for all
 online checkers by :class:`~repro.core.spill.SpillingGc`) transfers
 frontier entries below a GC-safe timestamp to a disk
-:class:`~repro.core.spill.SpillStore` and releases the index entries
+:class:`~repro.core.segments.SpillStore` and releases the index entries
 below it; the checker transparently reloads the spilled segments when a
 severely delayed transaction forces a query below the in-memory boundary.
 
@@ -54,10 +54,8 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.common import BOTTOM, SessionTracker
 from repro.core.ext_status import (
@@ -86,14 +84,16 @@ from repro.core.violations import (
     Violation,
 )
 from repro.histories.model import Transaction
-from repro.core.colpack import ColumnarBatch
+from repro.core.batch import ColumnarBatch
 from repro.util.hostgc import paused
 from repro.util.sizeof import deep_sizeof
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = ["Aion", "AionConfig", "GcReport"]
 
 
-@dataclass
 class AionConfig:
     """Tunables of the online checker.
 
@@ -109,9 +109,31 @@ class AionConfig:
     throughput benchmarks quantify.
     """
 
-    timeout: float = 5.0
-    spill_dir: Optional[Path] = None
-    optimized_recheck: bool = True
+    __slots__ = ("timeout", "spill_dir", "optimized_recheck")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        timeout: float = 5.0,
+        spill_dir: Optional[Path] = None,
+        optimized_recheck: bool = True,
+    ) -> None:
+        self.timeout = timeout
+        self.spill_dir = spill_dir
+        self.optimized_recheck = optimized_recheck
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.timeout, self.spill_dir, self.optimized_recheck) == (
+            other.timeout, other.spill_dir, other.optimized_recheck  # type: ignore[attr-defined]
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"AionConfig(timeout={self.timeout!r}, spill_dir={self.spill_dir!r}, "
+            f"optimized_recheck={self.optimized_recheck!r})"
+        )
 
 
 class Aion(SpillingGc):

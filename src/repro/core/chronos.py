@@ -49,11 +49,10 @@ import gc as _host_gc
 import operator
 import time
 from array import array
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from repro.core.colpack import ColumnarBatch
+from repro.core.batch import ColumnarBatch
 from repro.core.common import SessionTracker, simulate, timestamp_order
 from repro.core.violations import (
     Axiom,
@@ -84,21 +83,58 @@ class GcMode(enum.Enum):
     FULL = "full"
 
 
-@dataclass
 class ChronosReport:
-    """Stage timing and counters for one check (Fig 8/9 decomposition)."""
+    """Stage timing and counters for one check (Fig 8/9 decomposition).
 
-    sort_seconds: float = 0.0
-    check_seconds: float = 0.0
-    gc_seconds: float = 0.0
-    gc_runs: int = 0
-    n_transactions: int = 0
-    n_operations: int = 0
-    #: Peak number of transactions retained in the working set between GCs.
-    peak_retained: int = 0
-    #: Memory samples as ``(processed_txns, estimated_bytes)`` pairs, only
-    #: populated when a sampler is installed (Fig 10).
-    memory_samples: List[tuple] = field(default_factory=list)
+    ``peak_retained`` is the peak number of transactions retained in the
+    working set between GCs; ``memory_samples`` holds
+    ``(processed_txns, estimated_bytes)`` pairs, only when a sampler is
+    installed (Fig 10).
+    """
+
+    __slots__ = _fields = (
+        "sort_seconds",
+        "check_seconds",
+        "gc_seconds",
+        "gc_runs",
+        "n_transactions",
+        "n_operations",
+        "peak_retained",
+        "memory_samples",
+    )
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        sort_seconds: float = 0.0,
+        check_seconds: float = 0.0,
+        gc_seconds: float = 0.0,
+        gc_runs: int = 0,
+        n_transactions: int = 0,
+        n_operations: int = 0,
+        peak_retained: int = 0,
+        memory_samples: Optional[List[tuple]] = None,
+    ) -> None:
+        self.sort_seconds = sort_seconds
+        self.check_seconds = check_seconds
+        self.gc_seconds = gc_seconds
+        self.gc_runs = gc_runs
+        self.n_transactions = n_transactions
+        self.n_operations = n_operations
+        self.peak_retained = peak_retained
+        self.memory_samples = [] if memory_samples is None else memory_samples
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"ChronosReport({shown})"
 
     @property
     def total_seconds(self) -> float:

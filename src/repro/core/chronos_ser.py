@@ -31,7 +31,7 @@ import time
 from typing import Dict, Sequence, Union
 
 from repro.core.chronos import ChronosReport
-from repro.core.colpack import ColumnarBatch
+from repro.core.batch import ColumnarBatch
 from repro.core.common import SessionTracker, simulate, timestamp_order
 from repro.core.violations import Axiom, CheckResult, TimestampOrderViolation
 from repro.histories.model import History, Transaction

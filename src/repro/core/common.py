@@ -28,7 +28,7 @@ from itertools import compress, count, repeat
 from operator import and_
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
-from repro.core.colpack import OP_READ, OP_READ_LIST, OP_WRITE, ColumnarBatch
+from repro.core.batch import OP_READ, OP_READ_LIST, OP_WRITE, ColumnarBatch
 from repro.core.violations import Axiom, ExtViolation, IntViolation, SessionViolation, Violation
 from repro.histories.model import BOTTOM
 

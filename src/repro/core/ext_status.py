@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.histories.model import BOTTOM
@@ -115,21 +114,59 @@ def record_keys(record: ExtRecord) -> List[Any]:
     return record[_HEADER : _HEADER + (len(record) - 3) // 3]
 
 
-@dataclass
 class FlipFlopStats:
-    """Aggregates for the flip-flop figures, all of fixed size."""
+    """Aggregates for the flip-flop figures, all of fixed size.
 
-    #: flip count -> number of (txn, key) pairs with that many flips.
-    flips_per_pair: Dict[int, int] = field(default_factory=dict)
-    #: transactions with at least one flip, counted at the first.
-    n_flipped_txns: int = 0
-    #: rectifications per Fig-13b bucket (:meth:`rectify_histogram`).
-    rectify_counts: List[int] = field(default_factory=lambda: [0] * len(_RECTIFY_LABELS))
-    #: sum of the rectify times in (virtual) seconds, in rectify order.
-    rectify_seconds: float = 0.0
-    n_pairs: int = 0
-    n_finalized: int = 0
-    n_final_violations: int = 0
+    ``flips_per_pair`` maps a flip count to the number of (txn, key)
+    pairs with that many flips; ``n_flipped_txns`` counts transactions
+    with at least one flip, at the first; ``rectify_counts`` holds the
+    rectifications per Fig-13b bucket (:meth:`rectify_histogram`) and
+    ``rectify_seconds`` the sum of their times in (virtual) seconds, in
+    rectify order.
+    """
+
+    __slots__ = _fields = (
+        "flips_per_pair",
+        "n_flipped_txns",
+        "rectify_counts",
+        "rectify_seconds",
+        "n_pairs",
+        "n_finalized",
+        "n_final_violations",
+    )
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        flips_per_pair: Optional[Dict[int, int]] = None,
+        n_flipped_txns: int = 0,
+        rectify_counts: Optional[List[int]] = None,
+        rectify_seconds: float = 0.0,
+        n_pairs: int = 0,
+        n_finalized: int = 0,
+        n_final_violations: int = 0,
+    ) -> None:
+        self.flips_per_pair = {} if flips_per_pair is None else flips_per_pair
+        self.n_flipped_txns = n_flipped_txns
+        self.rectify_counts = (
+            [0] * len(_RECTIFY_LABELS) if rectify_counts is None else rectify_counts
+        )
+        self.rectify_seconds = rectify_seconds
+        self.n_pairs = n_pairs
+        self.n_finalized = n_finalized
+        self.n_final_violations = n_final_violations
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"FlipFlopStats({shown})"
 
     @property
     def n_rectified(self) -> int:

@@ -42,7 +42,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "ColumnarBatch": "repro.core.colpack",
+        "ColumnarBatch": "repro.core.batch",
         "pack_columnar": "repro.core.colpack",
         "unpack_columnar": "repro.core.colpack",
         "ANOMALY_CATALOG": "repro.histories.anomalies",

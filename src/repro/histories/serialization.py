@@ -14,10 +14,12 @@ by the runtime-decomposition figures (Fig 8, 9, 24).
 
 **Columnar packs** — the struct-packed batch codec lives in
 :mod:`repro.core.colpack`, the shared home of every columnar framing
-(wire blobs, packed WAL files, GC spill segments); :class:`ColumnarBatch`,
-:func:`pack_columnar` and :func:`unpack_columnar` are re-exported here
-unchanged, and :func:`save_history_packed` / :func:`load_history_packed`
-wrap them in length-prefixed file chunks.
+(wire blobs, packed WAL files, GC spill segments); :class:`ColumnarBatch`
+(from :mod:`repro.core.batch`), :func:`pack_columnar` and
+:func:`unpack_columnar` are re-exported here unchanged (the codec is
+imported only when a packed file is read or written), and
+:func:`save_history_packed` / :func:`load_history_packed` wrap them in
+length-prefixed file chunks.
 
 Each file form has one decode path, and every reader goes through it.
 :func:`load_columns` — what ``repro check`` reads a history with —
@@ -66,20 +68,9 @@ from itertools import compress, islice
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-# Re-exported for compatibility: the columnar codec moved to
-# repro.core.colpack so the checkers and spill segments can share it
-# without importing the history-file machinery.
-from repro.core.colpack import (
-    OP_READ_LIST,
-    ColumnarBatch,
-    _I64_MAX,
-    _I64_MIN,
-    _KIND_OF_CODE,
-    _U32,
-    pack_columnar,
-    unpack_columnar,
-)
-from repro.histories.model import History, Transaction
+from repro._lazy import lazy_exports
+from repro.core.batch import OP_READ_LIST, ColumnarBatch
+from repro.histories.model import History, Transaction, _KIND_OF_CODE
 
 __all__ = [
     "txn_to_dict",
@@ -97,6 +88,17 @@ __all__ = [
     "save_history_packed",
     "load_history_packed",
 ]
+
+# Re-exported for compatibility: the columnar codec lives in
+# repro.core.colpack so the checkers and spill segments can share it
+# without importing the history-file machinery.  It is imported on first
+# use, so reading a JSONL file never compiles it.
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"pack_columnar": "repro.core.colpack", "unpack_columnar": "repro.core.colpack"}
+)
+
+#: The range of a header field: a signed 64-bit int, as the codec packs it.
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: An op's JSONL code is its kind's value (``"r"``, ``"w"``, ``"a"``, ``"rl"``).
 _WIRE_OF_CODE = tuple(kind.value for kind in _KIND_OF_CODE)
@@ -443,6 +445,8 @@ def save_history_packed(
     one :func:`pack_columnar` blob.  Append-friendly like the JSONL
     format — a WAL writer can emit one chunk per commit batch.
     """
+    from repro.core.colpack import _U32, pack_columnar
+
     txns = list(history)
     path = Path(path)
     with path.open("wb") as handle:
@@ -467,6 +471,8 @@ def _packed_chunks(handle: BinaryIO) -> Iterator[ColumnarBatch]:
 
     Neither the blob nor the chunk is held while the next one is read, so
     a consumer that drops its chunk too holds one at a time."""
+    from repro.core.colpack import _U32, unpack_columnar
+
     memo: Dict[str, str] = {}
     while True:
         header = handle.read(4)

@@ -9,8 +9,7 @@ a configurable cadence — Fig 10/16 are these samples over time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["ThroughputSeries", "MemorySampler"]
 
@@ -92,7 +91,6 @@ class ThroughputSeries:
         return max(self._buckets.values()) / self.bucket_seconds
 
 
-@dataclass
 class MemorySampler:
     """Periodically samples a byte-estimate callable.
 
@@ -100,10 +98,34 @@ class MemorySampler:
     samples at the first event.
     """
 
-    estimate: Callable[[], int]
-    every_n: int = 1000
-    samples: List[Tuple[float, int]] = field(default_factory=list)
-    _countdown: int = 0
+    __slots__ = ("estimate", "every_n", "samples", "_countdown")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        estimate: Callable[[], int],
+        every_n: int = 1000,
+        samples: Optional[List[Tuple[float, int]]] = None,
+        _countdown: int = 0,
+    ) -> None:
+        self.estimate = estimate
+        self.every_n = every_n
+        self.samples = [] if samples is None else samples
+        self._countdown = _countdown
+
+    def _values(self) -> tuple:
+        return (self.estimate, self.every_n, self.samples, self._countdown)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return (
+            f"MemorySampler(estimate={self.estimate!r}, every_n={self.every_n!r}, "
+            f"samples={self.samples!r}, _countdown={self._countdown!r})"
+        )
 
     def maybe_sample(self, timestamp: float) -> bool:
         """Count one event; sample at every ``every_n``-th and say so."""

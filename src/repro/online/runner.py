@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Tuple
 
-from repro.core.colpack import ColumnarBatch
+from repro.core.batch import ColumnarBatch
 from repro.core.violations import CheckResult
 from repro.online.collector import ArrivalSchedule
 from repro.online.clock import SimClock

@@ -11,11 +11,11 @@ checker — plain :class:`~repro.core.aion.Aion` for single-shard SI,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from repro.core.aion import Aion
     from repro.core.aion_ser import AionSer
     from repro.core.sharded import ShardedAion
@@ -25,7 +25,6 @@ __all__ = ["ServiceConfig"]
 OnlineCheckerT = Union["Aion", "AionSer", "ShardedAion"]
 
 
-@dataclass
 class ServiceConfig:
     """Tunables of one daemon instance.
 
@@ -47,41 +46,90 @@ class ServiceConfig:
     never find an eligible resident (a silent no-op).
     """
 
-    host: str = "127.0.0.1"
-    port: Optional[int] = 0
-    unix_path: Optional[Union[str, Path]] = None
-    level: str = "si"
-    n_shards: int = 1
-    timeout: float = 5.0
-    queue_capacity: int = 10_000
-    batch_size: int = 500
-    gc_threshold: int = 0
-    gc_keep_recent: Optional[int] = None
-    #: Seconds between idle polls of the checker's EXT timer queue.  A
-    #: finite ``timeout`` arms real-clock deadlines that must fire even
-    #: when no transactions are arriving; the daemon polls at this
-    #: cadence so due verdicts are pushed from a quiet wire too.
-    poll_interval: float = 0.5
-    #: TCP port of the HTTP observability sidecar (``/metrics``,
-    #: ``/health``, ``/stats``); 0 binds an ephemeral port (read it back
-    #: from ``CheckerService.http_address``), ``None`` (the default)
-    #: disables the sidecar entirely.
-    http_port: Optional[int] = None
-    #: Seconds the ``deep_sizeof`` byte estimate stays cached.  Wire
-    #: STATS requests and ``/metrics`` scrapes share the cached figure so
-    #: a scrape loop cannot stall ingest by re-walking the checker's
-    #: structures on the event loop on every request; 0 disables the
-    #: cache (every request re-measures).
-    stats_bytes_ttl: float = 2.0
-    #: Sample per-stage kernel wall times on every Nth drained batch
-    #: (``KernelStats.sample_every``); 0 disables stage timing.  The
-    #: default keeps the hot path within bench noise while still feeding
-    #: the stage-seconds counters on ``/metrics``.
-    kernel_sample_every: int = 16
-    #: Wall-time threshold in *milliseconds* above which one
-    #: ``receive_many`` call is traced as a slow batch (structured record
-    #: to stderr + ring buffer); ``None`` disables the trace.
-    slow_batch_ms: Optional[float] = None
+    __slots__ = _fields = (
+        "host",
+        "port",
+        "unix_path",
+        "level",
+        "n_shards",
+        "timeout",
+        "queue_capacity",
+        "batch_size",
+        "gc_threshold",
+        "gc_keep_recent",
+        "poll_interval",
+        "http_port",
+        "stats_bytes_ttl",
+        "kernel_sample_every",
+        "slow_batch_ms",
+    )
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: Optional[int] = 0,
+        unix_path: Optional[Union[str, Path]] = None,
+        level: str = "si",
+        n_shards: int = 1,
+        timeout: float = 5.0,
+        queue_capacity: int = 10_000,
+        batch_size: int = 500,
+        gc_threshold: int = 0,
+        gc_keep_recent: Optional[int] = None,
+        poll_interval: float = 0.5,
+        http_port: Optional[int] = None,
+        stats_bytes_ttl: float = 2.0,
+        kernel_sample_every: int = 16,
+        slow_batch_ms: Optional[float] = None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.unix_path = unix_path
+        self.level = level
+        self.n_shards = n_shards
+        self.timeout = timeout
+        self.queue_capacity = queue_capacity
+        self.batch_size = batch_size
+        self.gc_threshold = gc_threshold
+        self.gc_keep_recent = gc_keep_recent
+        #: Seconds between idle polls of the checker's EXT timer queue.  A
+        #: finite ``timeout`` arms real-clock deadlines that must fire even
+        #: when no transactions are arriving; the daemon polls at this
+        #: cadence so due verdicts are pushed from a quiet wire too.
+        self.poll_interval = poll_interval
+        #: TCP port of the HTTP observability sidecar (``/metrics``,
+        #: ``/health``, ``/stats``); 0 binds an ephemeral port (read it back
+        #: from ``CheckerService.http_address``), ``None`` (the default)
+        #: disables the sidecar entirely.
+        self.http_port = http_port
+        #: Seconds the ``deep_sizeof`` byte estimate stays cached.  Wire
+        #: STATS requests and ``/metrics`` scrapes share the cached figure so
+        #: a scrape loop cannot stall ingest by re-walking the checker's
+        #: structures on the event loop on every request; 0 disables the
+        #: cache (every request re-measures).
+        self.stats_bytes_ttl = stats_bytes_ttl
+        #: Sample per-stage kernel wall times on every Nth drained batch
+        #: (``KernelStats.sample_every``); 0 disables stage timing.  The
+        #: default keeps the hot path within bench noise while still feeding
+        #: the stage-seconds counters on ``/metrics``.
+        self.kernel_sample_every = kernel_sample_every
+        #: Wall-time threshold in *milliseconds* above which one
+        #: ``receive_many`` call is traced as a slow batch (structured record
+        #: to stderr + ring buffer); ``None`` disables the trace.
+        self.slow_batch_ms = slow_batch_ms
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"ServiceConfig({shown})"
 
     def validate(self) -> None:
         if self.port is None and self.unix_path is None:

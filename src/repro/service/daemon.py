@@ -38,7 +38,7 @@ from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.colpack import ColumnarBatch
+from repro.core.batch import ColumnarBatch
 from repro.core.violations import CheckResult
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SlowBatchLog

@@ -60,7 +60,7 @@ import sys
 import time
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.core.colpack import ColumnarBatch
+from repro.core.batch import ColumnarBatch
 from repro.core.violations import CheckResult
 from repro.obs.registry import MetricsRegistry
 from repro.online.metrics import ThroughputSeries

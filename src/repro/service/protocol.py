@@ -110,7 +110,6 @@ from __future__ import annotations
 import json
 import re
 import secrets
-from dataclasses import fields
 from typing import Any, Callable, Dict
 
 from repro.core.common import BOTTOM
@@ -237,8 +236,8 @@ def value_from_wire(wire: Any) -> Any:
 # ----------------------------------------------------------------------
 
 #: Each violation class's ``kind`` on the wire.  A record is ``axiom``,
-#: ``tid`` and ``kind``, then the class's own dataclass fields in
-#: declaration order; a subclass travels as the nearest class listed.
+#: ``tid`` and ``kind``, then the class's own fields in ``_fields``
+#: order; a subclass travels as the nearest class listed.
 _KIND_OF_CLASS: Dict[type, str] = {
     SessionViolation: "session",
     IntViolation: "int",
@@ -249,7 +248,7 @@ _KIND_OF_CLASS: Dict[type, str] = {
 }
 _CLASS_OF_KIND = {kind: cls for cls, kind in _KIND_OF_CLASS.items()}
 #: Each class's fields past ``axiom`` and ``tid``.
-_FIELDS = {cls: [field.name for field in fields(cls)[2:]] for cls in _KIND_OF_CLASS}
+_FIELDS = {cls: cls._fields[2:] for cls in _KIND_OF_CLASS}
 #: How a field's value is encoded and decoded when it is not JSON as it is.
 _TO_WIRE: Dict[str, Callable[[Any], Any]] = {
     "expected": value_to_wire, "actual": value_to_wire, "conflicting_tids": sorted,

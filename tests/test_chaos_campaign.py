@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import socket
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -195,8 +194,12 @@ class TestCollateral:
         top = max(window[tid].sno for tid in label.tids)
         gap = SessionViolation(Axiom.SESSION, tid=999, sid=sid, actual_sno=top + 1)
         assert collateral.covers(gap)
-        assert not collateral.covers(replace(gap, actual_sno=top + 2))
-        assert not collateral.covers(replace(gap, sid=sid + 1))
+        assert not collateral.covers(
+            SessionViolation(Axiom.SESSION, tid=999, sid=sid, actual_sno=top + 2)
+        )
+        assert not collateral.covers(
+            SessionViolation(Axiom.SESSION, tid=999, sid=sid + 1, actual_sno=top + 1)
+        )
         assert not collateral.covers(ExtViolation(Axiom.EXT, tid=999, key="k0"))
 
     @pytest.mark.parametrize("level", ["si", "ser"])
@@ -211,15 +214,21 @@ class TestCollateral:
         # SI: a reader of the uninstalled write; SER: a reader of the
         # value it overwrote, checked against the write moved earlier.
         read_it = ExtViolation(Axiom.EXT, tid=999, key=key, expected=-1, actual=value)
-        read_before = replace(read_it, expected=value, actual=-1)
+        read_before = ExtViolation(Axiom.EXT, tid=999, key=key, expected=value, actual=-1)
         assert collateral.covers(read_it) and collateral.covers(read_before)
-        assert not collateral.covers(replace(read_it, actual=value + 1000))
-        assert not collateral.covers(replace(read_it, key=key + "x"))
+        assert not collateral.covers(
+            ExtViolation(Axiom.EXT, tid=999, key=key, expected=-1, actual=value + 1000)
+        )
+        assert not collateral.covers(
+            ExtViolation(Axiom.EXT, tid=999, key=key + "x", expected=-1, actual=value)
+        )
         assert not collateral.covers(ConflictViolation(Axiom.NOCONFLICT, tid=999, key=key))
         # Only the SI checker drops the writer and so skips its sequence number.
         gap = SessionViolation(Axiom.SESSION, tid=999, sid=writer.sid, actual_sno=writer.sno + 1)
         assert collateral.covers(gap) is (level == "si")
-        assert not collateral.covers(replace(gap, actual_sno=writer.sno + 2))
+        assert not collateral.covers(
+            SessionViolation(Axiom.SESSION, tid=999, sid=writer.sid, actual_sno=writer.sno + 2)
+        )
 
 
 class TestSkewedOracleProbability:

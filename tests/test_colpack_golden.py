@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.core.colpack import pack_columnar, unpack_columnar
-from repro.core.spill import decode_segment, encode_segment
+from repro.core.segments import decode_segment, encode_segment
 from repro.histories.model import BOTTOM, Operation, OpKind, Transaction
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "colpack_golden.json"

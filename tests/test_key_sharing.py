@@ -388,7 +388,9 @@ def test_generated_bytes_per_transaction(generated):
     """What the 20,000-transaction ladder-shape history holds once
     generated, per transaction: ~1,338 B with the workload's fresh key
     ``str`` in every op (161,000 key objects for 1,000 keys), ~890 B
-    with one object per key."""
+    with one object per key, 561 B (Python 3.11) with the ops as
+    columns and one ``codes`` object per pattern; the bound holds that
+    to about 10 % (it was 1,000 B)."""
     history, held = generated
     assert len({id(key) for key in _op_keys_of(history)}) == 1000
-    assert held / len(history) <= 1000, f"{held / len(history):.0f} B per transaction"
+    assert held / len(history) <= 620, f"{held / len(history):.0f} B per transaction"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.spill import SegmentError, SpillStore, decode_segment, encode_segment
+from repro.core.segments import SegmentError, SpillStore, decode_segment, encode_segment
 from repro.core.versioned import empty_columns
 from repro.histories.model import BOTTOM
 
