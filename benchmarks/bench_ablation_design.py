@@ -13,7 +13,7 @@ Both ablations also assert verdict equality — an optimization that
 changed verdicts would be a bug, not a trade-off.
 """
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.aion import Aion, AionConfig
 from repro.core.chronos import Chronos
 from repro.core.reference import normalize_violations
@@ -21,6 +21,7 @@ from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import GcPolicy, OnlineRunner
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _schedule(history, seed=42):
@@ -31,10 +32,10 @@ def _schedule(history, seed=42):
 
 def _run_recheck_ablation():
     n = pick(3_000, 15_000, 100_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=200,
         distribution="zipfian", seed=4242,
-    )
+    ))
     schedule = _schedule(history)
     offline = normalize_violations(Chronos().check(history))
     rows = []
@@ -73,9 +74,9 @@ def _force_gc_margin(checker, margin):
 
 def _run_gc_margin_ablation():
     n = pick(3_000, 15_000, 100_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000, seed=4243
-    )
+    ))
     schedule = _schedule(history, seed=43)
     offline = normalize_violations(Chronos().check(history))
     rows = []

@@ -12,19 +12,20 @@ from repro.baselines.elle import ElleKV
 from repro.baselines.emme import EmmeSi
 from repro.baselines.polysi import PolySi
 from repro.baselines.viper import Viper
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.chronos import Chronos
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _history(n):
-    return cached_default_history(
+    return cached_history(generate_default_history, WorkloadSpec(
         n_sessions=10,
         n_transactions=n,
         ops_per_txn=8,
         n_keys=max(200, n),  # spread keys so the pair count stays Fig-4 sized
         distribution="uniform",
         seed=404,
-    )
+    ))
 
 
 def _time(checker_factory, history):

@@ -10,17 +10,18 @@ import time
 
 from repro.baselines.elle import ElleKV, ElleList
 from repro.baselines.emme import EmmeSi
-from repro.bench import cached_default_history, cached_list_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.chronos import Chronos
+from repro.workloads import WorkloadSpec, generate_default_history, generate_list_history
 
 
 def _run_kv():
     sizes = pick([1_000, 2_500, 5_000], [5_000, 20_000, 50_000], [20_000, 50_000, 100_000])
     rows = []
     for n in sizes:
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=1000, seed=505
-        )
+        ))
         row = {"#txns": n}
         for name, factory in [("ElleKV", ElleKV), ("Emme-SI", EmmeSi), ("Chronos", Chronos)]:
             t0 = time.perf_counter()
@@ -35,9 +36,9 @@ def _run_list():
     sizes = pick([500, 1_000, 2_000], [2_000, 5_000, 10_000], [2_000, 5_000, 10_000])
     rows = []
     for n in sizes:
-        history = cached_list_history(
+        history = cached_history(generate_list_history, WorkloadSpec(
             n_sessions=12, n_transactions=n, ops_per_txn=8, n_keys=200, seed=506
-        )
+        ))
         row = {"#txns": n}
         for name, factory in [("ElleList", ElleList), ("Chronos", Chronos)]:
             t0 = time.perf_counter()

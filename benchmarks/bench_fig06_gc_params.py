@@ -7,8 +7,9 @@ frequent GC makes checking slower (gc-10k > gc-20k > gc-50k > gc-∞).
 
 import time
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.chronos import Chronos, GcMode
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _check_seconds(history, gc_every):
@@ -31,9 +32,9 @@ def _gc_settings():
 def _sweep_txns():
     rows = []
     for n in pick([1_000, 2_000, 4_000], [10_000, 50_000, 100_000], [100_000, 500_000, 1_000_000]):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=1000, seed=606
-        )
+        ))
         row = {"#txns": n}
         for every, label in _gc_settings():
             row[label] = round(_check_seconds(history, every), 4)
@@ -45,9 +46,9 @@ def _sweep_ops():
     rows = []
     n = pick(1_500, 20_000, 100_000)
     for ops in (5, 15, 30):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=ops, n_keys=1000, seed=607
-        )
+        ))
         row = {"#ops/txn": ops}
         for every, label in _gc_settings():
             row[label] = round(_check_seconds(history, every), 4)
@@ -59,9 +60,9 @@ def _sweep_keys():
     rows = []
     n = pick(1_500, 20_000, 100_000)
     for keys in (200, 1000, 5000):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=keys, seed=608
-        )
+        ))
         row = {"#keys": keys}
         for every, label in _gc_settings():
             row[label] = round(_check_seconds(history, every), 4)
@@ -73,10 +74,10 @@ def _sweep_dist():
     rows = []
     n = pick(1_500, 20_000, 100_000)
     for dist in ("uniform", "zipfian", "hotspot"):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=1000,
             distribution=dist, seed=609,
-        )
+        ))
         row = {"distribution": dist}
         for every, label in _gc_settings():
             row[label] = round(_check_seconds(history, every), 4)

@@ -10,16 +10,17 @@ from repro.baselines.elle import ElleKV
 from repro.baselines.emme import EmmeSi
 from repro.baselines.polysi import PolySi
 from repro.baselines.viper import Viper
-from repro.bench import cached_default_history, peak_alloc_mb, pick, write_result
+from repro.bench import cached_history, peak_alloc_mb, pick, write_result
 from repro.core.chronos import Chronos
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _run_txn_sweep():
     rows = []
     for n in pick([500, 1_000, 2_000], [5_000, 20_000, 50_000], [50_000, 200_000, 1_000_000]):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=16, n_transactions=n, ops_per_txn=15, n_keys=1000, seed=707
-        )
+        ))
         row = {"#txns": n}
         for name, factory in [("ElleKV", ElleKV), ("Emme-SI", EmmeSi), ("Chronos", Chronos)]:
             _, peak = peak_alloc_mb(lambda f=factory: f().check(history))
@@ -32,14 +33,14 @@ def _run_blackbox():
     # Black-box checkers only at a small size (their search explodes);
     # Chronos measured on the same history for the direct comparison.
     n = pick(100, 200, 500)
-    small = cached_default_history(
+    small = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=8,
         n_transactions=n,
         ops_per_txn=8,
         n_keys=500,
         distribution="uniform",
         seed=708,
-    )
+    ))
     row = {"#txns": n}
     for name, factory in [("PolySI", PolySi), ("Viper", Viper), ("Chronos", Chronos)]:
         _, peak = peak_alloc_mb(lambda f=factory: f().check(small))
@@ -51,10 +52,10 @@ def _run_dist_sweep():
     rows = []
     n = pick(1_500, 20_000, 100_000)
     for dist in ("uniform", "zipfian", "hotspot"):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=16, n_transactions=n, ops_per_txn=15, n_keys=1000,
             distribution=dist, seed=709,
-        )
+        ))
         row = {"distribution": dist}
         for name, factory in [("ElleKV", ElleKV), ("Emme-SI", EmmeSi), ("Chronos", Chronos)]:
             _, peak = peak_alloc_mb(lambda f=factory: f().check(history))

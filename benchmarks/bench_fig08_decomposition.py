@@ -8,9 +8,10 @@ almost linearly with #txns and #ops/txn.
 
 import time
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.chronos import Chronos
 from repro.histories.serialization import load_history, save_history
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _decompose(history, tmp_path):
@@ -32,9 +33,9 @@ def _decompose(history, tmp_path):
 def _run_txns(tmp_path):
     rows = []
     for n in pick([1_000, 2_000, 4_000], [5_000, 20_000, 100_000], [100_000, 500_000, 1_000_000]):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=1000, seed=808
-        )
+        ))
         rows.append({"#txns": n, **_decompose(history, tmp_path)})
     return rows
 
@@ -43,9 +44,9 @@ def _run_ops(tmp_path):
     rows = []
     n = pick(1_500, 20_000, 100_000)
     for ops in (5, 15, 30, 50):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=ops, n_keys=1000, seed=809
-        )
+        ))
         rows.append({"#ops/txn": ops, **_decompose(history, tmp_path)})
     return rows
 

@@ -7,16 +7,17 @@ paper = GC after every batch; gc-∞ = never).
 
 import time
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.chronos import Chronos, GcMode
 from repro.histories.serialization import load_history, save_history
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _run(tmp_path):
     n = pick(4_000, 50_000, 1_000_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=1000, seed=909
-    )
+    ))
     path = tmp_path / "history.jsonl"
     save_history(history, path)
 

@@ -8,9 +8,10 @@ Reproduced by sampling the checker's live structure size (retained
 transactions + frontier/ongoing state) every N processed transactions.
 """
 
-from repro.bench import cached_default_history, format_series, pick, write_result
+from repro.bench import cached_history, format_series, pick, write_result
 from repro.core.chronos import Chronos, GcMode
 from repro.util.sizeof import deep_sizeof
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _sampler(checker):
@@ -19,9 +20,9 @@ def _sampler(checker):
 
 def _run():
     n = pick(4_000, 20_000, 100_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=1000, seed=1010
-    )
+    ))
     intervals = pick([400, 1000, None], [2_000, 5_000, None], [10_000, 20_000, None])
     curves = {}
     for every in intervals:

@@ -11,13 +11,7 @@ import gc as host_gc
 import time
 
 from repro.baselines.cobra import CobraChecker, CobraConfig
-from repro.bench import (
-    cached_default_history,
-    cached_rubis_history,
-    cached_twitter_history,
-    pick,
-    write_result,
-)
+from repro.bench import cached_history, pick, write_result
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
 from repro.db.engine import IsolationLevel
@@ -25,6 +19,12 @@ from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import GcPolicy, OnlineRunner
+from repro.workloads import (
+    WorkloadSpec,
+    generate_default_history,
+    generate_rubis_history,
+    generate_twitter_history,
+)
 
 
 def _schedule(history, seed=12):
@@ -76,10 +76,10 @@ def _cobra_row(label, history, fence_every, round_size):
 
 def _run_ser_default():
     n = pick(4_000, 20_000, 500_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000,
         isolation=IsolationLevel.SER, read_ratio=0.9, seed=1212,
-    )
+    ))
     schedule = _schedule(history)
     threshold = max(1000, n // 5)
     rows = [
@@ -98,9 +98,9 @@ def _run_ser_default():
 
 def _run_si_default():
     n = pick(4_000, 20_000, 500_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000, seed=1213
-    )
+    ))
     schedule = _schedule(history)
     threshold = max(1000, n // 5)
     return [
@@ -115,10 +115,11 @@ def _run_si_default():
 
 def _run_ser_apps():
     n = pick(3_000, 15_000, 100_000)
+    ser = IsolationLevel.SER
     rows = []
     for dataset, history in [
-        ("RUBiS", cached_rubis_history(n, seed=1214, isolation=IsolationLevel.SER)),
-        ("Twitter", cached_twitter_history(n, seed=1215, isolation=IsolationLevel.SER)),
+        ("RUBiS", cached_history(generate_rubis_history, n, seed=1214, isolation=ser)),
+        ("Twitter", cached_history(generate_twitter_history, n, seed=1215, isolation=ser)),
     ]:
         schedule = _schedule(history, seed=13)
         threshold = max(1000, n // 5)

@@ -6,19 +6,20 @@ majority (99%) flip only once or twice, and over 95% of the transient
 false positives/negatives are rectified within 10 ms.
 """
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.aion import Aion, AionConfig
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import OnlineRunner
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _run():
     n = pick(3_000, 10_000, 10_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000, seed=1313
-    )
+    ))
     collector = HistoryCollector(
         batch_size=500,
         arrival_tps=100_000,

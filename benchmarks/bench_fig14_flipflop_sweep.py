@@ -5,12 +5,13 @@ are deferred equally), while a larger *standard deviation* produces more
 flip-flops (more out-of-order arrivals).
 """
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.aion import Aion, AionConfig
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import OnlineRunner
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _flip_pairs(history, mean_ms, std_ms, seed):
@@ -33,9 +34,9 @@ def _flip_pairs(history, mean_ms, std_ms, seed):
 
 def _run():
     n = pick(2_000, 10_000, 10_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000, seed=1414
-    )
+    ))
     mean_rows = []
     for mean in (50, 100, 200, 400):
         pairs, txns = _flip_pairs(history, mean, 10.0, seed=15)

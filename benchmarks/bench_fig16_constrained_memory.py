@@ -6,19 +6,20 @@ completes.  Reproduced at laptop scale with a proportionally smaller cap
 over the checker's estimated live bytes.
 """
 
-from repro.bench import cached_default_history, format_series, pick, write_result
+from repro.bench import cached_history, format_series, pick, write_result
 from repro.core.aion import Aion, AionConfig
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import GcPolicy, OnlineRunner
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _run():
     n = pick(3_000, 20_000, 100_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000, seed=1616
-    )
+    ))
     schedule = HistoryCollector(
         batch_size=500, arrival_tps=10_000, delay_model=NormalDelay(100, 10), seed=17
     ).schedule(history)

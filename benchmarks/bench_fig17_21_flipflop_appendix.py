@@ -10,12 +10,13 @@ Paper claims: 20–40% of transactions flip, 99% flip once or twice, and
 mu barely matters.
 """
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.aion import Aion, AionConfig
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import OnlineRunner
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _stats_for(history, mean_ms, std_ms, seed):
@@ -46,9 +47,9 @@ def _stats_for(history, mean_ms, std_ms, seed):
 
 def _run():
     n = pick(2_000, 10_000, 10_000)
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000, seed=1717
-    )
+    ))
     mu_rows = []
     for mu in (50, 100, 200, 300, 500):
         mu_rows.append({"mu_ms": mu, **_stats_for(history, mu, 10.0, seed=18)})

@@ -6,8 +6,9 @@ neither N nor M), for every GC strategy.
 
 import time
 
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.chronos import Chronos, GcMode
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _seconds(history, gc_every):
@@ -22,19 +23,19 @@ def _run():
     gc_settings = [(pick(300, 4000, 20_000), "gc-freq"), (None, "gc-inf")]
     session_rows = []
     for sessions in (10, 50, 100, 200):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=sessions, n_transactions=n, ops_per_txn=15, n_keys=1000, seed=2222
-        )
+        ))
         row = {"#sessions": sessions}
         for every, label in gc_settings:
             row[label] = _seconds(history, every)
         session_rows.append(row)
     read_rows = []
     for ratio in (0.1, 0.3, 0.5, 0.7, 0.9):
-        history = cached_default_history(
+        history = cached_history(generate_default_history, WorkloadSpec(
             n_sessions=24, n_transactions=n, ops_per_txn=15, n_keys=1000,
             read_ratio=ratio, seed=2223,
-        )
+        ))
         row = {"%reads": ratio}
         for every, label in gc_settings:
             row[label] = _seconds(history, every)

@@ -6,21 +6,22 @@ inflating the versioned ``frontier_ts``, while RUBiS updates a bounded
 key population in place.
 """
 
-from repro.bench import cached_rubis_history, cached_twitter_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.aion import Aion, AionConfig
 from repro.histories.stats import HistoryStats
 from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import GcPolicy, OnlineRunner
+from repro.workloads import generate_rubis_history, generate_twitter_history
 
 
 def _run():
     n = pick(3_000, 15_000, 100_000)
     rows = []
     for dataset, history in [
-        ("RUBiS", cached_rubis_history(n, seed=2323)),
-        ("Twitter", cached_twitter_history(n, seed=2324)),
+        ("RUBiS", cached_history(generate_rubis_history, n, seed=2323)),
+        ("Twitter", cached_history(generate_twitter_history, n, seed=2324)),
     ]:
         stats = HistoryStats.of(history)
         schedule = HistoryCollector(

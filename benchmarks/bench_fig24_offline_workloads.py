@@ -7,24 +7,19 @@ global frontier instead of a versioned one; loading dominates.
 
 import time
 
-from repro.bench import (
-    cached_rubis_history,
-    cached_tpcc_history,
-    cached_twitter_history,
-    pick,
-    write_result,
-)
+from repro.bench import cached_history, pick, write_result
 from repro.core.chronos import Chronos
 from repro.histories.serialization import load_history, save_history
 from repro.histories.stats import HistoryStats
+from repro.workloads import generate_rubis_history, generate_tpcc_history, generate_twitter_history
 
 
 def _run(tmp_path):
     n = pick(2_000, 10_000, 100_000)
     datasets = [
-        ("TPCC", cached_tpcc_history(n, seed=2424)),
-        ("RUBiS", cached_rubis_history(n, seed=2425)),
-        ("Twitter", cached_twitter_history(n, seed=2426)),
+        ("TPCC", cached_history(generate_tpcc_history, n, seed=2424)),
+        ("RUBiS", cached_history(generate_rubis_history, n, seed=2425)),
+        ("Twitter", cached_history(generate_twitter_history, n, seed=2426)),
     ]
     rows = []
     for name, history in datasets:

@@ -7,7 +7,7 @@ contrast — terminates at the first violation.
 """
 
 from repro.baselines.cobra import CobraChecker, CobraConfig
-from repro.bench import cached_default_history, pick, write_result
+from repro.bench import cached_history, pick, write_result
 from repro.core.aion_ser import AionSer
 from repro.core.aion import AionConfig
 from repro.core.chronos_ser import ChronosSer
@@ -16,14 +16,15 @@ from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import GcPolicy, OnlineRunner
+from repro.workloads import WorkloadSpec, generate_default_history
 
 
 def _run():
     n = pick(4_000, 20_000, 500_000)
     # An SI history checked for SER: plenty of stale-snapshot reads.
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=24, n_transactions=n, ops_per_txn=8, n_keys=1000, seed=2525
-    )
+    ))
     schedule = HistoryCollector(
         batch_size=500, arrival_tps=10_000, delay_model=NormalDelay(100, 10), seed=21
     ).schedule(history)

@@ -11,11 +11,7 @@ from repro._lazy import lazy_exports
 __all__ = [
     "RESULTS_DIR",
     "bench_scale",
-    "cached_default_history",
-    "cached_list_history",
-    "cached_rubis_history",
-    "cached_tpcc_history",
-    "cached_twitter_history",
+    "cached_history",
     "format_series",
     "format_table",
     "peak_alloc_mb",
@@ -28,11 +24,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         "RESULTS_DIR": "repro.bench.harness",
         "bench_scale": "repro.bench.harness",
-        "cached_default_history": "repro.bench.harness",
-        "cached_list_history": "repro.bench.harness",
-        "cached_rubis_history": "repro.bench.harness",
-        "cached_tpcc_history": "repro.bench.harness",
-        "cached_twitter_history": "repro.bench.harness",
+        "cached_history": "repro.bench.harness",
         "format_series": "repro.bench.harness",
         "format_table": "repro.bench.harness",
         "peak_alloc_mb": "repro.bench.harness",

@@ -16,8 +16,8 @@ Use :func:`pick` to select a size per scale.
 Histories
 ---------
 Workload generation dominates several benchmarks' set-up cost, so
-histories are cached per parameter tuple (and per process) by the
-``cached_*_history`` helpers.
+histories are cached per generator and arguments (and per process) by
+:func:`cached_history`.
 
 Results
 -------
@@ -32,25 +32,15 @@ import json
 import os
 import tracemalloc
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.histories.model import History
-from repro.workloads.generator import generate_default_history
-from repro.workloads.list_workload import generate_list_history
-from repro.workloads.rubis import generate_rubis_history
-from repro.workloads.spec import WorkloadSpec
-from repro.workloads.tpcc import generate_tpcc_history
-from repro.workloads.twitter import generate_twitter_history
 
 __all__ = [
     "RESULTS_DIR",
     "bench_scale",
     "pick",
-    "cached_default_history",
-    "cached_list_history",
-    "cached_twitter_history",
-    "cached_rubis_history",
-    "cached_tpcc_history",
+    "cached_history",
     "format_table",
     "format_series",
     "write_result",
@@ -82,39 +72,16 @@ def pick(smoke: Any, medium: Any, paper: Any) -> Any:
 _history_cache: Dict[Tuple, History] = {}
 
 
-def cached_default_history(**spec_kwargs: Any) -> History:
-    """A default-workload history for the given WorkloadSpec fields."""
-    key = ("default", tuple(sorted(spec_kwargs.items())))
+def cached_history(generate: Callable[..., History], *args: Any, **kwargs: Any) -> History:
+    """``generate(*args, **kwargs)``, generated once per process.
+
+    ``generate`` is a workload generator (``generate_default_history``
+    over a :class:`~repro.workloads.WorkloadSpec`, or an application
+    workload over a transaction count); its arguments must be hashable.
+    """
+    key = (generate, args, tuple(sorted(kwargs.items())))
     if key not in _history_cache:
-        _history_cache[key] = generate_default_history(WorkloadSpec(**spec_kwargs))
-    return _history_cache[key]
-
-
-def cached_list_history(**spec_kwargs: Any) -> History:
-    key = ("list", tuple(sorted(spec_kwargs.items())))
-    if key not in _history_cache:
-        _history_cache[key] = generate_list_history(WorkloadSpec(**spec_kwargs))
-    return _history_cache[key]
-
-
-def cached_twitter_history(n_transactions: int, **kwargs: Any) -> History:
-    key = ("twitter", n_transactions, tuple(sorted(kwargs.items())))
-    if key not in _history_cache:
-        _history_cache[key] = generate_twitter_history(n_transactions, **kwargs)
-    return _history_cache[key]
-
-
-def cached_rubis_history(n_transactions: int, **kwargs: Any) -> History:
-    key = ("rubis", n_transactions, tuple(sorted(kwargs.items())))
-    if key not in _history_cache:
-        _history_cache[key] = generate_rubis_history(n_transactions, **kwargs)
-    return _history_cache[key]
-
-
-def cached_tpcc_history(n_transactions: int, **kwargs: Any) -> History:
-    key = ("tpcc", n_transactions, tuple(sorted(kwargs.items())))
-    if key not in _history_cache:
-        _history_cache[key] = generate_tpcc_history(n_transactions, **kwargs)
+        _history_cache[key] = generate(*args, **kwargs)
     return _history_cache[key]
 
 

@@ -149,9 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-size", type=int, default=500,
                        help="max transactions per receive_many drain cycle")
     serve.add_argument("--gc-threshold", type=int, default=0,
-                       help="collect when this many transactions are resident (0 = off)")
-    serve.add_argument("--gc-keep-recent", type=int, default=None,
-                       help="residents spared per GC cycle (default: half the threshold)")
+                       help="collect when this many transactions are resident, "
+                       "sparing the newest half (0 = off)")
     serve.add_argument("--http-port", type=int, default=None, metavar="PORT",
                        help="serve /metrics, /health and /stats over HTTP on "
                        "this port (0 = ephemeral; default: disabled)")

@@ -24,7 +24,6 @@ def run(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         batch_size=args.batch_size,
         gc_threshold=args.gc_threshold,
-        gc_keep_recent=args.gc_keep_recent,
         http_port=args.http_port,
         slow_batch_ms=args.slow_batch_ms,
         kernel_sample_every=args.kernel_sample_every,

@@ -175,24 +175,11 @@ class Database:
 
         ⊥T owns tid/sid/timestamp 0 and precedes everything (§II-B).
         """
-        written = []
-        for key in keys:
-            key = self._keys.setdefault(key, key)
+        written = tuple([self._keys.setdefault(key, key) for key in keys])
+        for key in written:
             self.store.install(key, INIT_TS, value)
-            written.append(key)
         if self.collect_history:
-            self.cdc.emit(
-                Transaction.from_columns(
-                    INIT_TID,
-                    INIT_SID,
-                    0,
-                    bytes([OP_WRITE]) * len(written),
-                    tuple(written),
-                    (value,) * len(written),
-                    INIT_TS,
-                    INIT_TS,
-                )
-            )
+            self.cdc.emit(Transaction.initial(written, value))
 
     def session(self, node: Optional[int] = None) -> Session:
         """Open a new client session, optionally pinned to a node."""

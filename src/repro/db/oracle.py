@@ -159,12 +159,3 @@ class DecentralizedOracle:
             ts = self._clocks[node_id % self.n_nodes].next_ts()
         self._issued[ts] = node_id
         return ts
-
-    def gossip(self) -> None:
-        """Exchange clocks between all nodes (bounds HLC divergence)."""
-        latest = max(
-            clock._last_physical * clock._capacity + clock._logical
-            for clock in self._clocks
-        )
-        for clock in self._clocks:
-            clock.observe(latest * self.n_nodes)

@@ -28,7 +28,6 @@ from repro.histories.model import (
     Operation,
     Transaction,
 )
-from repro.histories.ops import write
 
 __all__ = ["HistoryBuilder"]
 
@@ -127,17 +126,7 @@ class HistoryBuilder:
             if keys is None:
                 # Every key once, in the order of its first operation.
                 keys = list(dict.fromkeys(chain.from_iterable(txn.keys for txn in self._txns)))
-            init_ops = [write(key, self._initial_value) for key in keys]
-            txns.append(
-                Transaction(
-                    tid=INIT_TID,
-                    sid=INIT_SID,
-                    sno=0,
-                    ops=init_ops,
-                    start_ts=INIT_TS,
-                    commit_ts=INIT_TS,
-                )
-            )
+            txns.append(Transaction.initial(tuple(keys), self._initial_value))
         txns.extend(self._txns)
         return History(txns)
 

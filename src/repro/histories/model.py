@@ -16,9 +16,8 @@ Definitions follow §II-B of the paper:
 
 Every history is expected to contain the special *initial transaction*
 ``⊥T`` (``tid == INIT_TID``) that writes the initial value of every key
-and precedes all other transactions (§II-B).  Helper constructors in
-:mod:`repro.histories.builder` and the workload generators insert it
-automatically.
+and precedes all other transactions (§II-B).  :meth:`Transaction.initial`
+builds it; :mod:`repro.histories.builder` and the database insert it.
 """
 
 from __future__ import annotations
@@ -230,6 +229,14 @@ class Transaction:
         txn.start_ts = start_ts
         txn.commit_ts = commit_ts
         return txn
+
+    @classmethod
+    def initial(cls, keys: Tuple[Key, ...], value: Value) -> "Transaction":
+        """⊥T, one write of ``value`` to each of ``keys``: every producer's."""
+        n = len(keys)
+        return cls.from_columns(
+            INIT_TID, INIT_SID, 0, bytes([OP_WRITE]) * n, keys, (value,) * n, INIT_TS, INIT_TS
+        )
 
     @property
     def ops(self) -> Tuple[Operation, ...]:

@@ -39,11 +39,9 @@ class ServiceConfig:
     transactions one drain cycle hands to ``receive_many``.
 
     ``gc_threshold`` (in resident transactions) enables the daemon's
-    between-batch garbage collection, sparing the ``gc_keep_recent``
-    newest residents per cycle; 0 disables GC entirely.
-    ``gc_keep_recent=None`` derives half the threshold — and an explicit
-    value at or above the threshold is rejected, because GC would then
-    never find an eligible resident (a silent no-op).
+    between-batch garbage collection, sparing the newest half of the
+    threshold per cycle, as :class:`~repro.online.runner.OnlineRunner`
+    does; 0 disables GC entirely.
     """
 
     __slots__ = _fields = (
@@ -56,7 +54,6 @@ class ServiceConfig:
         "queue_capacity",
         "batch_size",
         "gc_threshold",
-        "gc_keep_recent",
         "poll_interval",
         "http_port",
         "stats_bytes_ttl",
@@ -76,7 +73,6 @@ class ServiceConfig:
         queue_capacity: int = 10_000,
         batch_size: int = 500,
         gc_threshold: int = 0,
-        gc_keep_recent: Optional[int] = None,
         poll_interval: float = 0.5,
         http_port: Optional[int] = None,
         stats_bytes_ttl: float = 2.0,
@@ -92,7 +88,6 @@ class ServiceConfig:
         self.queue_capacity = queue_capacity
         self.batch_size = batch_size
         self.gc_threshold = gc_threshold
-        self.gc_keep_recent = gc_keep_recent
         #: Seconds between idle polls of the checker's EXT timer queue.  A
         #: finite ``timeout`` arms real-clock deadlines that must fire even
         #: when no transactions are arriving; the daemon polls at this
@@ -156,21 +151,6 @@ class ServiceConfig:
             raise ValueError("kernel_sample_every must be >= 0")
         if self.slow_batch_ms is not None and self.slow_batch_ms <= 0:
             raise ValueError("slow_batch_ms must be positive when set")
-        if self.gc_keep_recent is not None:
-            if self.gc_keep_recent < 0:
-                raise ValueError("gc_keep_recent must be >= 0")
-            if 0 < self.gc_threshold <= self.gc_keep_recent:
-                raise ValueError(
-                    "gc_keep_recent must be below gc_threshold, or GC can "
-                    "never collect anything"
-                )
-
-    @property
-    def effective_gc_keep_recent(self) -> int:
-        """The keep-recent bound GC actually uses (derived when unset)."""
-        if self.gc_keep_recent is not None:
-            return self.gc_keep_recent
-        return self.gc_threshold // 2 if self.gc_threshold > 0 else 2000
 
     @property
     def checker_kind(self) -> str:

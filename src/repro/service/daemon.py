@@ -36,7 +36,7 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Coroutine, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.batch import ColumnarBatch
 from repro.core.violations import CheckResult
@@ -602,27 +602,7 @@ class ServiceThread:
         """Gracefully stop the daemon; returns the final result."""
         if self._thread is None or self.service is None:
             return None
-        if self._thread.is_alive() and self._loop is not None:
-            try:
-                future = asyncio.run_coroutine_threadsafe(self.service.shutdown(), self._loop)
-                deadline = time.monotonic() + timeout
-                while True:
-                    try:
-                        future.result(0.2)
-                        break
-                    except FutureTimeout:
-                        # A loop that finished between the is_alive()
-                        # check and the hand-off never runs the coroutine.
-                        if not self._thread.is_alive():
-                            future.cancel()
-                            break
-                        if time.monotonic() >= deadline:
-                            raise
-            except (RuntimeError, FutureCancelled):
-                # The loop already exited, or is exiting and cancelled the
-                # hand-off with its other tasks (a client shut the daemon
-                # down).
-                pass
+        self._run_on_loop(self.service.shutdown, timeout)
         self._thread.join(timeout)
         return self.service.final_result
 
@@ -635,13 +615,45 @@ class ServiceThread:
         """
         if self._thread is None or self.service is None:
             return
-        if self._thread.is_alive() and self._loop is not None:
-            try:
-                future = asyncio.run_coroutine_threadsafe(self.service.abort(), self._loop)
-                future.result(timeout)
-            except (RuntimeError, FutureCancelled):
-                pass  # the loop already exited or is exiting, as in stop()
+        self._run_on_loop(self.service.abort, timeout)
         self._thread.join(timeout)
+
+    def _run_on_loop(
+        self, stopping: Callable[[], Coroutine[Any, Any, Any]], timeout: float
+    ) -> None:
+        """Run ``stopping()`` on the daemon's loop and wait for it.
+
+        A service that has already stopped (a client shut it down) gets
+        no coroutine, and one the loop never runs is closed here, so none
+        is left never awaited.
+        """
+        assert self._thread is not None and self.service is not None
+        if not self._thread.is_alive() or self._loop is None or self.service._stopped.is_set():
+            return
+        coroutine = stopping()
+        try:
+            future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        except RuntimeError:  # the loop has closed
+            coroutine.close()
+            return
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                future.result(0.2)
+                return
+            except FutureTimeout:
+                # A loop that finished between the is_alive() check and
+                # the hand-off never runs the coroutine.
+                if not self._thread.is_alive():
+                    future.cancel()
+                    coroutine.close()
+                    return
+                if time.monotonic() >= deadline:
+                    raise
+            except (RuntimeError, FutureCancelled):
+                # The loop is exiting and cancelled the hand-off with its
+                # other tasks (a client shut the daemon down).
+                return
 
     def __enter__(self) -> "ServiceThread":
         return self.start()

@@ -377,7 +377,7 @@ class IngestPipeline:
         checker, config = self.checker, self.config
         if config.gc_threshold <= 0 or checker.resident_txn_count < config.gc_threshold:
             return
-        target = checker.suggest_gc_ts(keep_recent=config.effective_gc_keep_recent)
+        target = checker.suggest_gc_ts(keep_recent=max(1, config.gc_threshold // 2))
         if target is None:
             return
         report = checker.collect_below(target)

@@ -14,7 +14,13 @@
 
 All generators run their transactions through :class:`repro.db.Database`
 (so the histories are produced by an actual SI/SER engine, not sampled),
-take explicit seeds, and return :class:`repro.histories.History`.
+take explicit seeds, and return :class:`repro.histories.History`.  Each
+keeps only its program factory, key set, ⊥T value and seed label, and
+hands them to :func:`repro.workloads.driver.run_workload`, the one loop:
+a program is a list of ``(op code, key, value)`` steps in the op codes of
+:mod:`repro.histories.model`; the driver ticks an oracle that has a
+``tick`` every ``TICK_EVERY`` (8) steps, and raises after more than
+``MAX_RETRIES`` (200) aborts with no commit between them.
 """
 
 from repro._lazy import lazy_exports
@@ -33,6 +39,7 @@ __all__ = [
     "generate_rubis_history",
     "generate_tpcc_history",
     "generate_twitter_history",
+    "run_workload",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -44,6 +51,7 @@ __getattr__, __dir__ = lazy_exports(
         "ZipfianKeys": "repro.workloads.distributions",
         "InterleavedDriver": "repro.workloads.driver",
         "TxnProgram": "repro.workloads.driver",
+        "run_workload": "repro.workloads.driver",
         "generate_default_history": "repro.workloads.generator",
         "generate_list_history": "repro.workloads.list_workload",
         "generate_rubis_history": "repro.workloads.rubis",

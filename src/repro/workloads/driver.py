@@ -1,4 +1,4 @@
-"""The interleaved workload driver.
+"""The interleaved workload driver and the one producer loop.
 
 Realistic histories need genuinely overlapping transaction lifetimes —
 otherwise first-committer-wins never fires, every SI history is trivially
@@ -9,46 +9,60 @@ transaction, executes its next operation, or commits.  Aborted
 transactions are retried with a freshly generated program, and only
 committed transactions count toward the target (§IV-B).
 
-Workloads describe client intent as :class:`TxnProgram` — a list of steps
-over keys — produced by a factory callback, which lets the application
-workloads (Twitter, RUBiS, TPC-C) close over their own evolving state.
+Workloads describe client intent as :class:`TxnProgram` — a list of
+``(op code, key, value)`` steps in the op codes of
+:mod:`repro.histories.model` (a read's value is ``None``) — produced by
+a factory callback, which lets the application workloads (Twitter,
+RUBiS, TPC-C) close over their own evolving state.
+
+The driver takes no knobs: it ticks the oracle every :data:`TICK_EVERY`
+steps whenever the oracle has a ``tick`` (a
+:class:`~repro.db.DecentralizedOracle`), and raises after more than
+:data:`MAX_RETRIES` aborts with no commit between them.
+:func:`run_workload` is the loop every generator calls: a database with
+⊥T, the driver, and the history the CDC captured.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.db.engine import Database, Session, TransactionAborted, TxnHandle
+from repro.db.engine import Database, IsolationLevel, Session, TransactionAborted, TxnHandle
+from repro.db.oracle import TimestampOracle
+from repro.histories.model import OP_APPEND, OP_READ, OP_READ_LIST, OP_WRITE, History
 
-__all__ = ["TxnProgram", "Step", "InterleavedDriver"]
+__all__ = ["TxnProgram", "InterleavedDriver", "run_workload"]
 
-# One client step: ("r", key) | ("w", key, value) | ("a", key, element)
-# | ("rl", key).
-Step = Tuple[Any, ...]
+#: Steps between two oracle ticks, when the oracle has a ``tick``.
+TICK_EVERY = 8
+#: Aborts with no commit between them before the driver raises: the
+#: workload is livelocked on conflicts.
+MAX_RETRIES = 200
 
 
-@dataclass
 class TxnProgram:
-    """A client-side transaction plan."""
+    """A client-side transaction plan: ``(op code, key, value)`` steps."""
 
-    steps: List[Step] = field(default_factory=list)
+    __slots__ = ("steps",)
+
+    def __init__(self) -> None:
+        self.steps: List[Tuple[int, str, Any]] = []
 
     def read(self, key: str) -> "TxnProgram":
-        self.steps.append(("r", key))
+        self.steps.append((OP_READ, key, None))
         return self
 
     def write(self, key: str, value: Any) -> "TxnProgram":
-        self.steps.append(("w", key, value))
+        self.steps.append((OP_WRITE, key, value))
         return self
 
     def append(self, key: str, element: Any) -> "TxnProgram":
-        self.steps.append(("a", key, element))
+        self.steps.append((OP_APPEND, key, element))
         return self
 
     def read_list(self, key: str) -> "TxnProgram":
-        self.steps.append(("rl", key))
+        self.steps.append((OP_READ_LIST, key, None))
         return self
 
     def __len__(self) -> int:
@@ -79,37 +93,18 @@ class InterleavedDriver:
         Number of concurrent client sessions.
     seed:
         Drives both the interleaving and the per-program randomness.
-    tick_oracle:
-        When the database uses a :class:`~repro.db.DecentralizedOracle`,
-        advance its physical clock every this many steps (None = never).
-    max_retries:
-        Abort-retry budget per committed transaction slot; exceeding it
-        raises, which would indicate a pathologically contended workload.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        n_sessions: int,
-        *,
-        seed: int = 0,
-        tick_oracle: Optional[int] = None,
-        max_retries: int = 200,
-    ) -> None:
+    def __init__(self, database: Database, n_sessions: int, *, seed: int = 0) -> None:
         if n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
         self._db = database
         self._rng = Random(seed)
         self._states = [_SessionState(database.session()) for _ in range(n_sessions)]
-        self._tick_every = tick_oracle
-        self._max_retries = max_retries
+        self._tick: Optional[Callable[[], None]] = getattr(database.oracle, "tick", None)
         self.n_committed = 0
         self.n_aborted = 0
         self.n_steps = 0
-
-    @property
-    def sessions(self) -> Sequence[Session]:
-        return [state.session for state in self._states]
 
     def run(self, factory: ProgramFactory, n_transactions: int) -> int:
         """Execute until ``n_transactions`` commits; returns abort count.
@@ -120,15 +115,14 @@ class InterleavedDriver:
         """
         remaining = n_transactions
         retries = 0
+        tick = self._tick
         # Sessions with work left; sessions are recycled round-robin into
         # the pool so commits spread evenly.
         while remaining > 0 or any(state.txn is not None for state in self._states):
             state = self._rng.choice(self._states)
             self.n_steps += 1
-            if self._tick_every is not None and self.n_steps % self._tick_every == 0:
-                tick = getattr(self._db.oracle, "tick", None)
-                if tick is not None:
-                    tick()
+            if tick is not None and self.n_steps % TICK_EVERY == 0:
+                tick()
 
             if state.txn is None:
                 if remaining <= 0:
@@ -153,7 +147,7 @@ class InterleavedDriver:
             except TransactionAborted:
                 self.n_aborted += 1
                 retries += 1
-                if retries > self._max_retries:
+                if retries > MAX_RETRIES:
                     raise RuntimeError(
                         "retry budget exhausted: workload is livelocked on conflicts"
                     )
@@ -162,15 +156,41 @@ class InterleavedDriver:
             state.program = None
         return self.n_aborted
 
-    def _execute_step(self, txn: TxnHandle, step: Step) -> None:
-        kind = step[0]
-        if kind == "r":
-            self._db.read(txn, step[1])
-        elif kind == "w":
-            self._db.write(txn, step[1], step[2])
-        elif kind == "a":
-            self._db.append(txn, step[1], step[2])
-        elif kind == "rl":
-            self._db.read_list(txn, step[1])
+    def _execute_step(self, txn: TxnHandle, step: Tuple[int, str, Any]) -> None:
+        code, key, value = step
+        if code == OP_READ:
+            self._db.read(txn, key)
+        elif code == OP_WRITE:
+            self._db.write(txn, key, value)
+        elif code == OP_APPEND:
+            self._db.append(txn, key, value)
+        elif code == OP_READ_LIST:
+            self._db.read_list(txn, key)
         else:
-            raise ValueError(f"unknown step kind {kind!r}")
+            raise ValueError(f"unknown op code {code!r}")
+
+
+def run_workload(
+    keys: Iterable[str],
+    initial: Any,
+    factory: ProgramFactory,
+    n_transactions: int,
+    *,
+    n_sessions: int,
+    seed: int,
+    oracle: Optional[TimestampOracle] = None,
+    isolation: IsolationLevel = IsolationLevel.SI,
+    database: Optional[Database] = None,
+) -> History:
+    """Run ``factory``'s programs to ``n_transactions`` commits; return the
+    captured history.
+
+    Unless the caller passes its own ``database`` (already initialized),
+    a fresh one over ``oracle`` and ``isolation`` is built, with ⊥T
+    writing ``initial`` to every key in ``keys``.
+    """
+    if database is None:
+        database = Database(oracle, isolation=isolation)
+        database.initialize(keys, initial)
+    InterleavedDriver(database, n_sessions, seed=seed).run(factory, n_transactions)
+    return database.cdc.to_history()

@@ -20,7 +20,7 @@ from repro.db.oracle import TimestampOracle
 from repro.histories.model import History
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import make_chooser
-from repro.workloads.driver import InterleavedDriver, TxnProgram
+from repro.workloads.driver import TxnProgram, run_workload
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["generate_default_history", "build_database"]
@@ -45,8 +45,6 @@ def generate_default_history(
     ``collect_history=False``); otherwise a fresh centralized-oracle SI
     database is built.
     """
-    if database is None:
-        database = build_database(spec, oracle)
     chooser = make_chooser(spec.distribution, spec.n_keys)
     values = itertools.count(1)
 
@@ -60,11 +58,8 @@ def generate_default_history(
                 program.write(key, next(values))
         return program
 
-    driver = InterleavedDriver(
-        database,
-        spec.n_sessions,
-        seed=derive_rng(spec.seed, "driver").randrange(2**63),
-        tick_oracle=8 if hasattr(database.oracle, "tick") else None,
+    return run_workload(
+        spec.keys, 0, factory, spec.n_transactions,
+        n_sessions=spec.n_sessions, seed=derive_rng(spec.seed, "driver").randrange(2**63),
+        oracle=oracle, isolation=spec.isolation, database=database,
     )
-    driver.run(factory, spec.n_transactions)
-    return database.cdc.to_history()

@@ -14,12 +14,11 @@ import itertools
 from random import Random
 from typing import Optional
 
-from repro.db.engine import Database
 from repro.db.oracle import TimestampOracle
 from repro.histories.model import History
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import make_chooser
-from repro.workloads.driver import InterleavedDriver, TxnProgram
+from repro.workloads.driver import TxnProgram, run_workload
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["generate_list_history"]
@@ -36,9 +35,6 @@ def generate_list_history(
     appends of globally unique elements.  Lists start empty: ⊥T writes
     the empty tuple to every key.
     """
-    database = Database(oracle, isolation=spec.isolation)
-    database.initialize(spec.keys, ())
-
     chooser = make_chooser(spec.distribution, spec.n_keys)
     elements = itertools.count(1)
 
@@ -52,10 +48,8 @@ def generate_list_history(
                 program.append(key, next(elements))
         return program
 
-    driver = InterleavedDriver(
-        database,
-        spec.n_sessions,
-        seed=derive_rng(spec.seed, "list-driver").randrange(2**63),
+    return run_workload(
+        spec.keys, (), factory, spec.n_transactions,
+        n_sessions=spec.n_sessions, seed=derive_rng(spec.seed, "list-driver").randrange(2**63),
+        oracle=oracle, isolation=spec.isolation,
     )
-    driver.run(factory, spec.n_transactions)
-    return database.cdc.to_history()

@@ -23,12 +23,12 @@ import itertools
 from random import Random
 from typing import List, Optional
 
-from repro.db.engine import Database, IsolationLevel
+from repro.db.engine import IsolationLevel
 from repro.db.oracle import TimestampOracle
 from repro.histories.model import History
 from repro.util.rng import derive_rng
 from repro.workloads.distributions import ZipfianKeys
-from repro.workloads.driver import InterleavedDriver, TxnProgram
+from repro.workloads.driver import TxnProgram, run_workload
 
 __all__ = ["RubisWorkload", "generate_rubis_history"]
 
@@ -134,12 +134,8 @@ def generate_rubis_history(
 ) -> History:
     """Run the auction site and return the captured history."""
     workload = RubisWorkload(n_users, n_items, seed=seed)
-    database = Database(oracle, isolation=isolation)
-    database.initialize(workload.initial_keys(), 0)
-    driver = InterleavedDriver(
-        database,
-        n_sessions,
-        seed=derive_rng(seed, "rubis").randrange(2**63),
+    return run_workload(
+        workload.initial_keys(), 0, workload.make_program, n_transactions,
+        n_sessions=n_sessions, seed=derive_rng(seed, "rubis").randrange(2**63),
+        oracle=oracle, isolation=isolation,
     )
-    driver.run(workload.make_program, n_transactions)
-    return database.cdc.to_history()

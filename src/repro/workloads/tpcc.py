@@ -18,11 +18,11 @@ import itertools
 from random import Random
 from typing import List, Optional
 
-from repro.db.engine import Database, IsolationLevel
+from repro.db.engine import IsolationLevel
 from repro.db.oracle import TimestampOracle
 from repro.histories.model import History
 from repro.util.rng import derive_rng
-from repro.workloads.driver import InterleavedDriver, TxnProgram
+from repro.workloads.driver import TxnProgram, run_workload
 
 __all__ = ["TpccWorkload", "generate_tpcc_history"]
 
@@ -155,12 +155,8 @@ def generate_tpcc_history(
 ) -> History:
     """Run the TPC-C mix and return the captured history."""
     workload = TpccWorkload(n_warehouses, seed=seed)
-    database = Database(oracle, isolation=isolation)
-    database.initialize(workload.initial_keys(), 0)
-    driver = InterleavedDriver(
-        database,
-        n_sessions,
-        seed=derive_rng(seed, "tpcc").randrange(2**63),
+    return run_workload(
+        workload.initial_keys(), 0, workload.make_program, n_transactions,
+        n_sessions=n_sessions, seed=derive_rng(seed, "tpcc").randrange(2**63),
+        oracle=oracle, isolation=isolation,
     )
-    driver.run(workload.make_program, n_transactions)
-    return database.cdc.to_history()

@@ -369,13 +369,14 @@ SMOKE_PINS = {
 
 @pytest.fixture(scope="module")
 def smoke_stream():
-    from repro.bench import cached_default_history
+    from repro.bench import cached_history
     from repro.online.collector import HistoryCollector
     from repro.online.delays import NormalDelay
+    from repro.workloads import WorkloadSpec, generate_default_history
 
-    history = cached_default_history(
+    history = cached_history(generate_default_history, WorkloadSpec(
         n_sessions=6, n_transactions=400, ops_per_txn=8, n_keys=120, seed=77
-    )
+    ))
     collector = HistoryCollector(
         batch_size=SMOKE_BATCH, arrival_tps=10_000, delay_model=NormalDelay(100, 10), seed=5
     )

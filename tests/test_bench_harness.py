@@ -7,12 +7,20 @@ import pytest
 from repro.bench.harness import (
     RESULTS_DIR,
     bench_scale,
-    cached_default_history,
+    cached_history,
     format_series,
     format_table,
     peak_alloc_mb,
     pick,
     write_result,
+)
+from repro.workloads import (
+    WorkloadSpec,
+    generate_default_history,
+    generate_list_history,
+    generate_rubis_history,
+    generate_tpcc_history,
+    generate_twitter_history,
 )
 
 
@@ -34,20 +42,35 @@ class TestScale:
 
 
 class TestHistoryCache:
+    SPEC = WorkloadSpec(n_sessions=3, n_transactions=50, ops_per_txn=4, n_keys=10, seed=777)
+
     def test_same_args_same_object(self):
-        a = cached_default_history(n_sessions=3, n_transactions=50, ops_per_txn=4,
-                                   n_keys=10, seed=777)
-        b = cached_default_history(n_sessions=3, n_transactions=50, ops_per_txn=4,
-                                   n_keys=10, seed=777)
+        a = cached_history(generate_default_history, self.SPEC)
+        b = cached_history(generate_default_history, self.SPEC)
         assert a is b
+        assert cached_history(generate_twitter_history, 40, seed=5) is cached_history(
+            generate_twitter_history, 40, seed=5
+        )
 
     def test_different_args_different_history(self):
-        a = cached_default_history(n_sessions=3, n_transactions=50, ops_per_txn=4,
-                                   n_keys=10, seed=778)
-        b = cached_default_history(n_sessions=3, n_transactions=60, ops_per_txn=4,
-                                   n_keys=10, seed=778)
+        a = cached_history(generate_default_history, self.SPEC)
+        b = cached_history(generate_default_history, self.SPEC.scaled(n_transactions=60))
         assert a is not b
         assert len(a) != len(b)
+        c = cached_history(generate_twitter_history, 40, seed=5)
+        d = cached_history(generate_twitter_history, 40, seed=6)
+        assert c is not d
+        assert [t.keys for t in c] != [t.keys for t in d]
+
+    def test_other_generator_other_history(self):
+        kv = cached_history(generate_default_history, self.SPEC)
+        lists = cached_history(generate_list_history, self.SPEC)
+        assert kv is not lists
+        assert kv.init_transaction.values[0] == 0 and lists.init_transaction.values[0] == ()
+        rubis = cached_history(generate_rubis_history, 40, seed=5)
+        tpcc = cached_history(generate_tpcc_history, 40, seed=5)
+        assert rubis is not tpcc
+        assert rubis.init_transaction.keys != tpcc.init_transaction.keys
 
 
 class TestReporting:

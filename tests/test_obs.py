@@ -324,7 +324,7 @@ class TestDaemonEndpoints:
         /metrics and STATS["gc"] agree on cycles, pauses, evictions and
         spill bytes."""
         extra = {"aion": {}, "aion-ser": {"level": "ser"}, "sharded": {"n_shards": 2}}[kind]
-        handle = start_service(gc_threshold=40, gc_keep_recent=10, **extra)
+        handle = start_service(gc_threshold=40, **extra)
         history = generate_default_history(
             WorkloadSpec(n_sessions=4, n_transactions=300, ops_per_txn=6, n_keys=30, seed=5)
         )

@@ -145,7 +145,6 @@ FIELDS = [
             "queue_capacity": 10_000,
             "batch_size": 500,
             "gc_threshold": 0,
-            "gc_keep_recent": None,
             "poll_interval": 0.5,
             "http_port": None,
             "stats_bytes_ttl": 2.0,
@@ -258,15 +257,15 @@ REPRS = [
     (
         ServiceConfig(),
         "ServiceConfig(host='127.0.0.1', port=0, unix_path=None, level='si', n_shards=1, "
-        "timeout=5.0, queue_capacity=10000, batch_size=500, gc_threshold=0, gc_keep_recent=None, "
+        "timeout=5.0, queue_capacity=10000, batch_size=500, gc_threshold=0, "
         "poll_interval=0.5, http_port=None, stats_bytes_ttl=2.0, kernel_sample_every=16, "
         "slow_batch_ms=None)",
     ),
     (
-        ServiceConfig("::1", None, "/tmp/d.sock", "ser", 2, float("inf"), 8, 9, 10, 4, 0.25, 0,
+        ServiceConfig("::1", None, "/tmp/d.sock", "ser", 2, float("inf"), 8, 9, 10, 0.25, 0,
                       1.0, 0, 3.5),
         "ServiceConfig(host='::1', port=None, unix_path='/tmp/d.sock', level='ser', n_shards=2, "
-        "timeout=inf, queue_capacity=8, batch_size=9, gc_threshold=10, gc_keep_recent=4, "
+        "timeout=inf, queue_capacity=8, batch_size=9, gc_threshold=10, "
         "poll_interval=0.25, http_port=0, stats_bytes_ttl=1.0, kernel_sample_every=0, "
         "slow_batch_ms=3.5)",
     ),

@@ -11,6 +11,7 @@ into ``Aion`` / ``ShardedAion``.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import re
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -258,11 +260,6 @@ class TestProtocol:
             ServiceConfig(level="ser", n_shards=2).validate()
         with pytest.raises(ValueError):
             ServiceConfig(queue_capacity=0).validate()
-        # keep_recent at/above the threshold would make GC a silent no-op.
-        with pytest.raises(ValueError):
-            ServiceConfig(gc_threshold=500, gc_keep_recent=2000).validate()
-        ServiceConfig(gc_threshold=500, gc_keep_recent=100).validate()
-        assert ServiceConfig(gc_threshold=500).effective_gc_keep_recent == 250
         assert ServiceConfig(n_shards=4).checker_kind == "sharded-aion-x4"
         assert ServiceConfig(level="ser").checker_kind == "aion-ser"
 
@@ -518,7 +515,7 @@ class TestDaemon:
     def test_one_thread_touches_the_checker(self, start_service):
         # Ingest, poll, GC, the bytes estimate behind STATS and /metrics,
         # finalize and close all run on the daemon's event-loop thread.
-        handle = start_service(gc_threshold=200, gc_keep_recent=50, batch_size=50, http_port=0)
+        handle = start_service(gc_threshold=200, batch_size=50, http_port=0)
         checker = handle.service.checker
         touched = {}
         for name in ("receive_many", "poll", "collect_below", "finalize", "estimated_bytes",
@@ -593,7 +590,7 @@ class TestDaemon:
         assert not result.is_valid
 
     def test_gc_between_batches(self, start_service):
-        handle = start_service(gc_threshold=50, gc_keep_recent=20, batch_size=25)
+        handle = start_service(gc_threshold=50, batch_size=25)
         history = generate_default_history(
             WorkloadSpec(n_sessions=6, n_transactions=400, ops_per_txn=4, n_keys=60, seed=9)
         )
@@ -625,6 +622,24 @@ class TestDaemon:
         else:
             pytest.fail("daemon still accepting connections after shutdown")
         assert handle.stop().violations == final.violations
+
+    @pytest.mark.parametrize("how", ["stop", "kill"])
+    def test_failed_hand_off_leaves_no_coroutine_unawaited(self, start_service, monkeypatch, how):
+        """A hand-off to a loop that has closed raises RuntimeError; the
+        stopping coroutine built for it is closed, not left for the
+        collector to report as never awaited."""
+        handle = start_service()
+
+        def closed_loop(coroutine, loop):
+            raise RuntimeError("Event loop is closed")
+
+        monkeypatch.setattr("repro.service.daemon.asyncio.run_coroutine_threadsafe", closed_loop)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            getattr(handle, how)(timeout=0.1)
+            gc.collect()
+        monkeypatch.undo()
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
     def test_subscriber_sees_final_result_on_shutdown(self, start_service):
         handle = start_service()

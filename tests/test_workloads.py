@@ -8,9 +8,12 @@ import pytest
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
 from repro.db.engine import Database, IsolationLevel
+from repro.db.oracle import DecentralizedOracle
+from repro.histories.builder import HistoryBuilder
+from repro.histories.model import OP_WRITE
 from repro.histories.stats import HistoryStats
 from repro.workloads.distributions import HotspotKeys, UniformKeys, ZipfianKeys, make_chooser
-from repro.workloads.driver import InterleavedDriver, TxnProgram
+from repro.workloads.driver import InterleavedDriver, TxnProgram, run_workload
 from repro.workloads.generator import generate_default_history
 from repro.workloads.list_workload import generate_list_history
 from repro.workloads.rubis import generate_rubis_history
@@ -118,6 +121,38 @@ class TestDriver:
         assert driver.n_committed == 60
         assert driver.n_aborted > 0  # contention really happened
 
+    def test_unknown_op_code_raises(self):
+        db = Database()
+        db.initialize(["a"], 0)
+        program = TxnProgram().read("a")
+        program.steps.append((OP_WRITE + 7, "a", 1))
+        with pytest.raises(ValueError, match="unknown op code 8"):
+            InterleavedDriver(db, 1, seed=1).run(lambda _sid, _rng: program, 1)
+
+    def test_run_workload_writes_init_unless_given_a_database(self):
+        def factory(_sid, rng):
+            return TxnProgram().read("a").write("b", rng.randrange(100))
+
+        history = run_workload(["a", "b"], 7, factory, 5, n_sessions=2, seed=3)
+        init = history.init_transaction
+        assert (init.codes, init.keys, init.values) == (bytes([OP_WRITE]) * 2, ("a", "b"), (7, 7))
+        assert len(history.without_init()) == 5
+
+        db = Database(isolation=IsolationLevel.SER)
+        db.initialize(["a", "b"], 0)
+        history = run_workload(["ignored"], 9, factory, 3, n_sessions=1, seed=3, database=db)
+        assert history.init_transaction.values == (0, 0)
+        assert db.n_commits == 3
+
+    def test_builder_and_engine_write_the_same_init(self):
+        db = Database()
+        db.initialize(iter(["x", "y"]), 5)
+        engine = db.cdc.to_history().init_transaction
+        built = HistoryBuilder(keys=["x", "y"], initial_value=5).build().init_transaction
+        for txn in (engine, built):
+            assert (txn.tid, txn.sid, txn.sno, txn.start_ts, txn.commit_ts) == (0, 0, 0, 0, 0)
+            assert (txn.codes, txn.keys, txn.values) == (bytes([OP_WRITE]) * 2, ("x", "y"), (5, 5))
+
     def test_transactions_overlap(self):
         spec = WorkloadSpec(n_sessions=8, n_transactions=200, ops_per_txn=6, n_keys=50, seed=13)
         history = generate_default_history(spec)
@@ -202,3 +237,36 @@ class TestGenerators:
         tables = {key.split(":")[0] for key in keys}
         assert {"warehouse", "district", "customer", "stock"} <= tables
         assert any(key.count(":") >= 3 for key in keys)  # composite depth
+
+
+class _TickCountingOracle(DecentralizedOracle):
+    def __init__(self) -> None:
+        super().__init__(2)
+        self.ticks = 0
+
+    def tick(self, amount: int = 1) -> None:
+        self.ticks += 1
+        super().tick(amount)
+
+
+_SPEC = WorkloadSpec(n_sessions=4, n_transactions=60, ops_per_txn=4, n_keys=20, seed=23)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda oracle: generate_default_history(_SPEC, oracle=oracle),
+        lambda oracle: generate_list_history(_SPEC, oracle=oracle),
+        lambda oracle: generate_twitter_history(60, seed=23, oracle=oracle),
+        lambda oracle: generate_rubis_history(60, seed=23, oracle=oracle),
+        lambda oracle: generate_tpcc_history(60, seed=23, oracle=oracle),
+    ],
+    ids=["default", "list", "twitter", "rubis", "tpcc"],
+)
+def test_every_generator_ticks_a_decentralized_oracle(generate):
+    """Every committed transaction takes at least three driver steps
+    (begin, one op, commit), and the driver ticks every eighth step."""
+    oracle = _TickCountingOracle()
+    history = generate(oracle)
+    assert len(history.without_init()) == 60
+    assert oracle.ticks >= 60 * 3 // 8
