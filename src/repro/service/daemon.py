@@ -22,6 +22,12 @@ the wire contract is specified in :mod:`repro.service.protocol`.
 own event loop — the harness used by the blocking client's tests and the
 benchmark ladder's in-thread rung, and a one-liner for embedding the service in
 a synchronous program.
+
+The daemon offers no TLS and needs no :mod:`ssl`.  This module imports
+asyncio as any other does; :mod:`repro.commands.serve` imports it first,
+with ``ssl`` masked, so only the ``repro serve`` process maps no
+OpenSSL.  A program that embeds :class:`CheckerService` or
+:class:`ServiceThread` keeps the asyncio it loaded, ``ssl`` included.
 """
 
 from __future__ import annotations

@@ -47,8 +47,11 @@ rest with their *original* sequence numbers.  The daemon dedups by
 ``(session_token, seq)`` — a resubmitted ``seq`` at or below the
 watermark is acked again (``"duplicate": true``) without re-entering
 the ingest queue, which makes reconnect-and-replay exactly-once.
-Tokens are daemon-issued only (an unknown well-formed token opens a
-*fresh* session — the daemon that issued it is gone); a malformed
+Tokens are daemon-issued only: 32 lowercase hex characters, 16 bytes
+from the operating system's random source (``os.urandom``, which
+``secrets`` also draws from; calling it directly keeps ``hashlib`` and
+OpenSSL out of the daemon process).  An unknown well-formed token opens a
+*fresh* session (the daemon that issued it is gone); a malformed
 token or a ``resume_from`` ahead of the daemon's watermark is rejected
 with an ``error`` reply and no session.  Session state is in-memory
 and bounded (:data:`MAX_TRACKED_SESSIONS` least-recently-used entries).
@@ -108,8 +111,8 @@ cannot represent — :func:`value_to_wire` tags them (``{"$": "bottom"}`` /
 from __future__ import annotations
 
 import json
+import os
 import re
-import secrets
 from typing import Any, Callable, Dict
 
 from repro.core.common import BOTTOM
@@ -165,8 +168,8 @@ _SESSION_TOKEN_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
 
 def new_session_token() -> str:
-    """Mint a fresh 128-bit session token (lowercase hex)."""
-    return secrets.token_hex(16)
+    """Mint a fresh 128-bit session token: ``os.urandom(16)`` as lowercase hex."""
+    return os.urandom(16).hex()
 
 
 def validate_session_token(token: Any) -> str:

@@ -14,15 +14,31 @@ their methods and importing ``inspect`` (with ``ast``, ``dis`` and
 ``tokenize``) was about a third of a library cold start.  Each entry
 point has a budget of repro modules and of their source lines, which
 is what it compiles when there is no bytecode cache.
+
+The daemon is probed as ``python -m repro serve`` runs it, through
+``runpy``, over a full session.  It loads no TLS: no ``ssl``, ``hmac``
+or ``hashlib``, and neither libssl nor libcrypto mapped, about 5 MB of
+its peak RSS.
 """
 
+import functools
 import json
 import os
+import re
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import Tuple
 
 import pytest
+
+from repro.db.faults import FaultInjector
+from repro.service.client import CheckerClient, http_get_text
+from repro.service.replay import transactions_in_commit_order
+from repro.workloads.generator import generate_default_history
+from repro.workloads.spec import WorkloadSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGES = sorted(
@@ -46,21 +62,38 @@ SI_DAEMON_NEVER = (
 )
 
 
-#: What ``python -m repro serve`` runs up to its first connection: the
-#: CLI module and the serve handler, then a daemon
-#: (``ServiceConfig.build_checker`` inside) built, started and shut down.
-SI_DAEMON = (
-    "import asyncio\n"
-    "import repro.cli\n"
-    "import repro.commands.serve\n"
-    "from repro.service.config import ServiceConfig\n"
-    "from repro.service.daemon import CheckerService\n"
-    "async def cycle():\n"
-    "    service = CheckerService(ServiceConfig(port=0))\n"
-    "    await service.start()\n"
-    "    await service.shutdown()\n"
-    "asyncio.run(cycle())\n"
-)
+def _serve_code(prelude: str = "") -> str:
+    """``python -m repro serve <argv[1:]>`` run through ``runpy``, as the
+    CLI runs it, with nothing imported first but ``prelude``.  Once the
+    daemon exits, the last line of stdout reports its exit code, the
+    ``sys.modules`` keys, the shared objects mapped into the process (on
+    Linux), whether asyncio holds the real ``ssl``, and whether an
+    ``import ssl`` after the daemon still loads it."""
+    return prelude + (
+        "import json, runpy, sys\n"
+        "sys.argv = ['repro', 'serve', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    code = done.code\n"
+        "loaded = sorted(sys.modules)\n"
+        "maps = ''\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    with open('/proc/self/maps') as handle:\n"
+        "        maps = handle.read()\n"
+        "objects = sorted({line.split()[-1] for line in maps.splitlines() if '.so' in line})\n"
+        "tls = sys.modules['asyncio.base_events'].ssl\n"
+        "import ssl\n"
+        "print(json.dumps({'code': code, 'modules': loaded, 'objects': objects,\n"
+        "                  'asyncio_ssl': tls is ssl, 'late_ssl': hasattr(ssl, 'SSLContext')}))\n"
+    )
+
+
+#: The TLS stack: ``asyncio`` imports ``ssl`` (libssl and libcrypto), and
+#: ``secrets`` imports ``hmac`` and ``hashlib`` (libcrypto again).  The
+#: daemon has no TLS option, and ``python -m repro serve`` loads none of it.
+TLS_MODULES = ("ssl", "_ssl", "hmac", "hashlib", "_hashlib", "secrets")
+TLS_LIBRARIES = ("libssl", "libcrypto")
 
 #: Each library checker imported from the package root and constructed.
 LIBRARY = {
@@ -78,8 +111,10 @@ INSPECT_CHAIN = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 #: when the records stopped being dataclasses and ``repro check`` stopped
 #: compiling the other commands: 16 / 3,775 (``Aion``), 17 / 3,873
 #: (``AionSer``), 17 / 4,030 (``ShardedAion``), 13 / 2,513 (``check
-#: --level si``), 14 / 2,606 (``--level ser``), 33 / 7,577 (SI daemon);
-#: each line budget leaves about 3 % for edits that add no import.
+#: --level si``), 14 / 2,606 (``--level ser``); each line budget leaves
+#: about 3 % for edits that add no import.  ``serve`` is the SI daemon as
+#: ``python -m repro serve`` runs it, after a full session: 33 / 7,623
+#: when it began importing asyncio without ssl.
 BUDGETS = {
     "Aion": (16, 3_890),
     "AionSer": (17, 3_990),
@@ -90,16 +125,21 @@ BUDGETS = {
 }
 
 
-def _check_code(history: Path, level: str) -> str:
-    """``repro check <history> --level <level>`` run as ``python -m repro``."""
+def _cli_code(*argv: str) -> str:
+    """``python -m repro <argv>`` run through ``runpy``, expecting exit 0."""
     return (
         "import runpy, sys\n"
-        f"sys.argv = ['repro', 'check', {str(history)!r}, '--level', {level!r}]\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('repro', run_name='__main__')\n"
         "except SystemExit as done:\n"
         "    assert done.code == 0, done.code\n"
     )
+
+
+def _check_code(history: Path, level: str) -> str:
+    """``repro check <history> --level <level>``."""
+    return _cli_code("check", str(history), "--level", level)
 
 
 def _one_transaction_file(tmp_path: Path) -> Path:
@@ -165,17 +205,14 @@ def test_every_exported_name_resolves():
 
 
 def test_si_daemon_loads_one_checker_and_one_codec():
-    # What ``python -m repro serve`` runs up to its first connection:
-    # the CLI module, then a daemon (``ServiceConfig.build_checker``
-    # inside) built, started and shut down.
-    loaded = _loaded(SI_DAEMON)
+    loaded = set(_serve_session(())[0]["modules"])
     assert "repro.core.aion" in loaded
     assert sorted(loaded & set(SI_DAEMON_NEVER)) == []
 
 
 def test_si_daemon_loads_no_dataclasses():
     # ``asyncio`` imports ``inspect`` itself, so only ``dataclasses`` is pinned.
-    assert "dataclasses" not in _loaded(SI_DAEMON)
+    assert "dataclasses" not in _serve_session(())[0]["modules"]
 
 
 def test_in_process_aion_loads_no_ordered_index_and_no_hashlib():
@@ -206,15 +243,109 @@ def test_offline_check_loads_no_dataclasses_no_inspect_and_no_other_command(tmp_
     assert sorted(loaded & (set(INSPECT_CHAIN) | {"repro.core.colpack"})) == []
 
 
+def test_history_stats_loads_no_dataclasses_and_no_inspect(tmp_path):
+    # ``repro stats <file>``: the decoder and HistoryStats, a plain record.
+    loaded = _loaded(_cli_code("stats", str(_one_transaction_file(tmp_path))))
+    assert "repro.histories.stats" in loaded
+    assert sorted(loaded & set(INSPECT_CHAIN)) == []
+
+
 @pytest.mark.parametrize("entry", sorted(BUDGETS))
 def test_entry_point_module_and_source_line_budget(tmp_path, entry):
     if entry == "serve":
-        code = SI_DAEMON
+        loaded = set(_serve_session(())[0]["modules"])
     elif entry.startswith("check "):
-        code = _check_code(_one_transaction_file(tmp_path), entry.split()[1])
+        loaded = _loaded(_check_code(_one_transaction_file(tmp_path), entry.split()[1]))
     else:
-        code = LIBRARY[entry]
-    loaded = _loaded(code)
+        loaded = _loaded(LIBRARY[entry])
     modules, lines = BUDGETS[entry]
     assert len(_repro_modules(loaded)) <= modules, sorted(_repro_modules(loaded))
     assert _source_lines(loaded) <= lines
+
+
+def _stream(n: int = 300):
+    history = generate_default_history(
+        WorkloadSpec(n_sessions=6, n_transactions=n, ops_per_txn=4, n_keys=60, seed=9)
+    )
+    injector = FaultInjector(history, seed=9)
+    injector.inject_int()
+    return transactions_in_commit_order(injector.build())
+
+
+@functools.lru_cache(maxsize=None)
+def _serve_session(argv: Tuple[str, ...], prelude: str = ""):
+    """Start :func:`_serve_code` with ``--port 0`` and ``argv``, run one
+    full v2 session against it (a ``hello`` that opens a session,
+    ``subscribe``, an acked submit, STATS with bytes, ``/metrics`` and
+    ``/health`` when ``--http-port`` is given, ``shutdown``) and return
+    ``(report, stats, scraped, result)``, shared between callers."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _serve_code(prelude), "--port", "0", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        wanted = r"metrics on http://([\d.]+):(\d+)" if "--http-port" in argv else r"listening"
+        printed, deadline = "", time.monotonic() + 60.0
+        while not re.search(wanted, printed):
+            assert time.monotonic() < deadline, f"daemon announced nothing: {printed!r}"
+            assert proc.poll() is None, printed + proc.stderr.read().decode()
+            if select.select([proc.stdout], [], [], 0.2)[0]:
+                printed += os.read(proc.stdout.fileno(), 4096).decode()
+        host, port = re.search(r"listening on ([\d.]+):(\d+)", printed).groups()
+        http = re.search(r"metrics on http://([\d.]+):(\d+)", printed)
+        client = CheckerClient(host, int(port), auto_resume=True, timeout=60.0)
+        client.connect()
+        with client:
+            assert client.session_token is not None
+            client.subscribe()
+            client.submit_many(_stream())
+            stats = client.stats(include_bytes=True)
+            scraped = {}
+            if http is not None:
+                for route in ("/metrics", "/health"):
+                    scraped[route] = http_get_text(http.group(1), int(http.group(2)), route)
+            result = client.shutdown()
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    report = json.loads(out.decode().splitlines()[-1])
+    assert report["code"] == 0, err.decode()[-2000:]
+    return report, stats, scraped, result
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("--level", "ser"), ("--shards", "2"), ("--gc-threshold", "50", "--batch-size", "25"),
+     ("--http-port", "0")],
+    ids=["si", "ser", "shards", "gc-spill", "http"],
+)
+def test_cli_daemon_loads_no_tls(argv):
+    # The daemon as ``python -m repro serve`` runs it, after a full
+    # session: no TLS module, no OpenSSL mapped, and asyncio without ssl.
+    report, stats, scraped, result = _serve_session(argv)
+    assert sorted(set(report["modules"]) & set(TLS_MODULES)) == []
+    if sys.platform.startswith("linux"):
+        assert report["objects"], "no shared object read from /proc/self/maps"
+        mapped = [path for path in report["objects"] if any(lib in path for lib in TLS_LIBRARIES)]
+        assert mapped == []
+    assert not report["asyncio_ssl"]
+    # The mask is lifted: an import after the daemon loads the real ssl.
+    assert report["late_ssl"]
+    assert not result.is_valid  # the stream's INT fault
+    if "--gc-threshold" in argv:
+        assert stats["gc"]["spill_bytes"] > 0
+    if "--http-port" in argv:
+        assert scraped["/metrics"][0] == 200 and "repro_" in scraped["/metrics"][1]
+        assert scraped["/health"][0] == 200
+
+
+def test_process_that_imported_asyncio_first_keeps_real_ssl():
+    # An embedding process keeps the asyncio it had: the serve handler
+    # masks nothing once asyncio is loaded.
+    report, _, _, _ = _serve_session((), prelude="import asyncio\n")
+    assert report["asyncio_ssl"]
+    assert "ssl" in report["modules"]

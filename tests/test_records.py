@@ -1,8 +1,9 @@
 """The checkers' records behave as the dataclasses they replaced.
 
-Every record on the import path of the checkers, ``repro check`` and
-``repro serve`` is a plain ``__slots__`` class with a written-out
-``__init__`` (so none of those entry points loads ``dataclasses``).
+Every record on the import path of the checkers, ``repro check``,
+``repro serve`` and ``repro stats <file>`` is a plain ``__slots__`` class
+with a written-out ``__init__`` (so none of those entry points loads
+``dataclasses``).
 These tests pin what the dataclasses gave: field order, defaults,
 positional and keyword construction, repr text (the literals were
 printed by the dataclass versions), equality only within one class, a
@@ -34,6 +35,7 @@ from repro.core.violations import (
     TimestampOrderViolation,
     Violation,
 )
+from repro.histories.stats import HistoryStats
 from repro.online.metrics import MemorySampler
 from repro.service.config import ServiceConfig
 from repro.service.protocol import violation_from_dict, violation_to_dict
@@ -153,6 +155,21 @@ FIELDS = [
         },
     ),
     (MemorySampler, (len,), {"estimate": len, "every_n": 1000, "samples": [], "_countdown": 0}),
+    (
+        HistoryStats,
+        (10, 3, 40, 25, 15, 0, 0, 12, 2),
+        {
+            "n_transactions": 10,
+            "n_sessions": 3,
+            "n_operations": 40,
+            "n_reads": 25,
+            "n_writes": 15,
+            "n_appends": 0,
+            "n_list_reads": 0,
+            "n_keys": 12,
+            "n_read_only": 2,
+        },
+    ),
 ]
 
 FROZEN = {
@@ -164,6 +181,7 @@ FROZEN = {
     TimestampOrderViolation,
     CycleViolation,
     SpillSegment,
+    HistoryStats,
 }
 
 #: ``(record, its repr as the dataclass printed it)``.
@@ -273,6 +291,11 @@ REPRS = [
         MemorySampler(len, 5, [(0.5, 3)], 2),
         "MemorySampler(estimate=<built-in function len>, every_n=5, samples=[(0.5, 3)], "
         "_countdown=2)",
+    ),
+    (
+        HistoryStats(10, 3, 40, 25, 15, 0, 0, 12, 2),
+        "HistoryStats(n_transactions=10, n_sessions=3, n_operations=40, n_reads=25, "
+        "n_writes=15, n_appends=0, n_list_reads=0, n_keys=12, n_read_only=2)",
     ),
 ]
 
@@ -408,6 +431,14 @@ def test_frozen_violations_copy_and_pickle(violation):
                  pickle.loads(pickle.dumps(violation))):
         assert type(twin) is type(violation)
         assert twin == violation and repr(twin) == repr(violation)
+
+
+def test_history_stats_copy_and_pickle():
+    stats = HistoryStats(10, 3, 40, 25, 15, 0, 0, 12, 2)
+    for twin in (copy.copy(stats), copy.deepcopy(stats), pickle.loads(pickle.dumps(stats))):
+        assert type(twin) is HistoryStats
+        assert twin == stats and repr(twin) == repr(stats)
+    assert stats.ops_per_txn == 4.0 and stats.read_ratio == 25 / 40
 
 
 @pytest.mark.parametrize("violation", VIOLATIONS, ids=repr)

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import select
+import signal
 import socket
 import struct
 import subprocess
@@ -77,10 +78,12 @@ from repro.service.protocol import (
     ProtocolError,
     decode_line,
     encode_message,
+    new_session_token,
     result_from_dict,
     result_to_dict,
     value_from_wire,
     value_to_wire,
+    validate_session_token,
     violation_from_dict,
     violation_to_dict,
 )
@@ -116,6 +119,31 @@ def connect(handle: ServiceThread, **kwargs) -> CheckerClient:
     client = CheckerClient(host, port, **kwargs)
     client.connect()
     return client
+
+
+def spawn_serve(*argv: str):
+    """Start ``python -m repro serve --port 0 <argv>``; return the process,
+    the announced host and port, and what it printed up to then."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    printed = ""
+    deadline = time.monotonic() + 20.0
+    match = None
+    while match is None:
+        if time.monotonic() >= deadline or proc.poll() is not None:
+            proc.kill()
+            _, err = proc.communicate()
+            raise AssertionError(f"no address printed: {printed!r} {err.decode()[-2000:]}")
+        if select.select([proc.stdout], [], [], 0.2)[0]:
+            printed += os.read(proc.stdout.fileno(), 4096).decode()
+            match = re.search(r"listening on ([\d.]+):(\d+) .*\n", printed)
+    return proc, match.group(1), int(match.group(2)), printed
 
 
 def anomaly_txns(name: str):
@@ -168,6 +196,12 @@ class TestProtocol:
         decoded = violation_from_dict(wire)
         assert decoded == violation
         assert decoded.describe() == violation.describe()
+
+    def test_session_tokens_are_32_hex_chars_and_never_repeat(self):
+        tokens = [new_session_token() for _ in range(1000)]
+        assert all(re.fullmatch(r"[0-9a-f]{32}", token) for token in tokens)
+        assert all(validate_session_token(token) == token for token in tokens)
+        assert len(set(tokens)) == len(tokens)
 
     def test_violation_survives_json_framing(self):
         violation = ExtViolation(axiom=Axiom.EXT, tid=6, key="⊥-key", expected=BOTTOM, actual=(1, "а"))
@@ -1258,26 +1292,11 @@ class TestCliServeReplay:
         """The daemon command line the benchmark ladder runs: an
         OS-chosen port announced as ``listening on <host>:<port>``, and a
         ``protocol=2`` client that reaches it there."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", "--timeout", "30",
-             "--queue-capacity", "8000", "--kernel-sample-every", "1"],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
+        proc, host, port, _ = spawn_serve(
+            "--timeout", "30", "--queue-capacity", "8000", "--kernel-sample-every", "1"
         )
         try:
-            printed = ""
-            deadline = time.monotonic() + 20.0
-            match = None
-            while match is None:
-                assert time.monotonic() < deadline, f"no address printed: {printed!r}"
-                assert proc.poll() is None, printed + proc.stdout.read().decode()
-                if select.select([proc.stdout], [], [], 0.2)[0]:
-                    printed += os.read(proc.stdout.fileno(), 4096).decode()
-                    match = re.search(r"listening on ([\d.]+):(\d+)", printed)
-            client = CheckerClient(match.group(1), int(match.group(2)), protocol=2, timeout=20.0)
+            client = CheckerClient(host, port, protocol=2, timeout=20.0)
             client.connect(retry_for=10.0)
             with client:
                 client.submit_many(anomaly_txns("lost-update"))
@@ -1290,8 +1309,40 @@ class TestCliServeReplay:
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.wait()
-            proc.stdout.close()
+            proc.communicate()
+
+    @pytest.mark.parametrize("repeat", [False, True], ids=["once", "until-exit"])
+    def test_sigterm_drains_reports_and_exits_zero(self, repeat):
+        """SIGTERM stops the CLI daemon gracefully: it checks what it
+        took, prints the count and the verdict, and exits 0.  Further
+        SIGTERMs while it shuts down, down to the last instant before
+        the process exits, change none of that."""
+        history = generate_default_history(
+            WorkloadSpec(n_sessions=6, n_transactions=300, ops_per_txn=4, n_keys=60, seed=9)
+        )
+        injector = FaultInjector(history, seed=9)
+        assert injector.inject_int() is not None
+        txns = transactions_in_commit_order(injector.build())
+        proc, host, port, printed = spawn_serve("--timeout", "30")
+        try:
+            with CheckerClient(host, port, auto_resume=True, timeout=20.0) as client:
+                assert client.session_token is not None
+                client.submit_many(txns)
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 20.0
+            while repeat and proc.poll() is None and time.monotonic() < deadline:
+                proc.send_signal(signal.SIGTERM)
+                time.sleep(0.001)
+            out, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err.decode()[-2000:]
+        lines = (printed + out.decode()).splitlines()
+        assert lines[1].startswith(f"served {len(txns)} transactions")
+        assert lines[2:] == ["VIOLATIONS (1 total): INT=1"]
+        assert "Exception ignored" not in err.decode()
 
     @pytest.mark.parametrize(
         "shard_args", [[], ["--shards", "2"]], ids=["in-process", "sharded"]
