@@ -247,7 +247,6 @@ class CampaignRunner:
         schedule: CampaignSchedule,
         *,
         level: str = "si",
-        n_shards: int = 1,
         n_sessions: int = 4,
         n_keys: int = 12,
         txns_per_segment: int = 40,
@@ -257,7 +256,6 @@ class CampaignRunner:
     ) -> None:
         self.schedule = schedule
         self.level = level
-        self.n_shards = n_shards
         self.n_sessions = n_sessions
         self.n_keys = n_keys
         self.txns_per_segment = txns_per_segment
@@ -281,7 +279,6 @@ class CampaignRunner:
         return ServiceConfig(
             port=port,
             level=self.level,
-            n_shards=self.n_shards,
             timeout=float("inf"),
         )
 

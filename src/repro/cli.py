@@ -27,10 +27,10 @@ Examples
     python -m repro generate --txns 10000 --out history.jsonl
     python -m repro check history.jsonl --level si
     python -m repro check history.jsonl --level ser --online
-    python -m repro check history.jsonl --online --shards 4 --batch-size 500
+    python -m repro check history.jsonl --online --batch-size 500
     python -m repro inject history.jsonl --faults 5 --out bad.jsonl
     python -m repro check bad.jsonl
-    python -m repro serve --port 7401 --shards 4
+    python -m repro serve --port 7401
     python -m repro replay --history history.jsonl --port 7401
     python -m repro replay --anomaly dirty-read --port 7401 \\
         --expect violation --shutdown
@@ -103,9 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--delay-mean-ms", type=float, default=100.0)
     check.add_argument("--delay-std-ms", type=float, default=10.0)
     check.add_argument("--max-report", type=int, default=10)
-    check.add_argument("--shards", type=int, default=1,
-                       help="hash-partition the online SI checker's state across "
-                            "N shards (requires --online --level si)")
     check.add_argument("--batch-size", type=int, default=0,
                        help="feed the online checker batches of this size via "
                             "receive_many (0 = per-transaction ingestion)")
@@ -140,8 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--unix", default=None, metavar="PATH",
                        help="also listen on a unix socket at PATH")
     serve.add_argument("--level", default="si", choices=["si", "ser"])
-    serve.add_argument("--shards", type=int, default=1,
-                       help="shard the SI checker's state across N shards")
     serve.add_argument("--timeout", type=float, default=5.0,
                        help="EXT re-checking timeout in seconds ('inf' disables)")
     serve.add_argument("--queue-capacity", type=int, default=10_000,
@@ -205,8 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="concurrent database sessions in the workload")
     chaos.add_argument("--keys", type=int, default=12)
     chaos.add_argument("--level", default="si", choices=["si", "ser"])
-    chaos.add_argument("--shards", type=int, default=1,
-                       help="shard the daemon's SI checker across N shards")
     chaos.add_argument("--kills", type=int, default=2,
                        help="scheduled connection kills (client must resume)")
     chaos.add_argument("--restarts", type=int, default=1,

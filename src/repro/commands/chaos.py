@@ -41,7 +41,6 @@ def run(args: argparse.Namespace) -> int:
         runner = CampaignRunner(
             schedule,
             level=args.level,
-            n_shards=args.shards,
             n_sessions=args.sessions,
             n_keys=args.keys,
             txns_per_segment=args.txns_per_segment,

@@ -14,12 +14,6 @@ from repro.cli import load_or_report
 
 def run(args: argparse.Namespace) -> int:
     # Flag validation precedes the (potentially large) history load.
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards > 1 and not (args.online and args.level == "si"):
-        print("--shards requires --online --level si", file=sys.stderr)
-        return 2
     if args.batch_size < 0:
         print("--batch-size must be >= 0", file=sys.stderr)
         return 2
@@ -80,13 +74,7 @@ def _check_online(args: argparse.Namespace, batch):
     )
     schedule = collector.schedule(history)
     clock = SimClock()
-    if args.shards > 1:
-        from repro.core.sharded import ShardedAion
-
-        checker = ShardedAion(
-            AionConfig(timeout=args.timeout), n_shards=args.shards, clock=clock
-        )
-    elif args.level == "si":
+    if args.level == "si":
         checker = Aion(AionConfig(timeout=args.timeout), clock=clock)
     else:
         from repro.core.aion_ser import AionSer
@@ -96,11 +84,10 @@ def _check_online(args: argparse.Namespace, batch):
     report = runner.run(schedule, batch_size=max(1, args.batch_size))
     checker.close()
     elapsed = time.perf_counter() - t0
-    shard_note = f", {args.shards} shards" if args.shards > 1 else ""
     batch_note = f", batch={args.batch_size}" if args.batch_size > 0 else ""
     headline = (
         f"online {args.level.upper()} "
-        f"({report.overall_tps:,.0f} TPS{shard_note}{batch_note}): "
+        f"({report.overall_tps:,.0f} TPS{batch_note}): "
         f"{len(history)} transactions checked in {elapsed:.2f}s"
     )
     return headline, report.result

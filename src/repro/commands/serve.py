@@ -49,7 +49,6 @@ def run(args: argparse.Namespace) -> int:
         port=None if args.no_tcp else args.port,
         unix_path=args.unix,
         level=args.level,
-        n_shards=args.shards,
         timeout=args.timeout,
         queue_capacity=args.queue_capacity,
         batch_size=args.batch_size,

@@ -91,9 +91,4 @@ def _print_daemon_stats(args: argparse.Namespace) -> int:
         print(f"kernel       : {kernel.get('batches', 0)} batches, "
               f"{kernel.get('txns', 0)} txns, "
               f"{kernel.get('slow_batches', 0)} slow")
-    shards = stats.get("shards")
-    if shards:
-        for row in shards:
-            print(f"  shard {row['shard']:>2}  : {row['versions']} versions, "
-                  f"{row['intervals']} intervals, {row['ext_reads']} ext-reads")
     return 0

@@ -10,8 +10,6 @@
   incremental checking under out-of-order arrival with timestamp-versioned
   structures, EXT re-checking with timeouts, and conservative GC.
 - :mod:`repro.core.aion_ser` — **Aion-SER**, the online SER checker.
-- :mod:`repro.core.sharded` — **ShardedAion**, the sharded, batch-oriented
-  ingestion frontend with Aion-identical verdicts.
 - :mod:`repro.core.reference` — a slow replay oracle used by the test
   suite to validate Aion differentially against Chronos.
 
@@ -38,10 +36,8 @@ __all__ = [
     "IntViolation",
     "ReferenceOnlineChecker",
     "SessionViolation",
-    "ShardedAion",
     "TimestampOrderViolation",
     "Violation",
-    "shard_of",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -55,8 +51,6 @@ __getattr__, __dir__ = lazy_exports(
         "GcMode": "repro.core.chronos",
         "ChronosSer": "repro.core.chronos_ser",
         "ReferenceOnlineChecker": "repro.core.reference",
-        "ShardedAion": "repro.core.sharded",
-        "shard_of": "repro.core.sharded",
         "Axiom": "repro.core.violations",
         "CheckResult": "repro.core.violations",
         "ConflictViolation": "repro.core.violations",

@@ -83,6 +83,7 @@ class _ShardStreams(dict):
         return stream
 
 
+# Kept only for the ladder's sharded_x2 workload and sharded.* rungs.
 class ShardedAion(Aion):
     """Online SI checker with hash-partitioned state and batch ingestion.
 
@@ -125,10 +126,6 @@ class ShardedAion(Aion):
         #: Bounded key → shard memo shared by routing, read removal and
         #: spill reload.
         self._key_shards: Dict[str, int] = {}
-        #: Ops routed to each shard by the most recent batch — the cheap
-        #: per-shard load-skew signal :meth:`shard_stats` and the
-        #: slow-batch trace export.
-        self._last_batch_commands: List[int] = [0] * n_shards
 
     # ------------------------------------------------------------------
     # Receiving transactions: Aion.receive_many, with two seams overridden
@@ -158,27 +155,17 @@ class ShardedAion(Aion):
     ) -> Tuple[List[Any], List[Any], List[Any]]:
         """Probe step: run every shard over its keys' streams; all of
         them fill the batch's three result columns."""
-        by_shard = key_streams.by_shard
         optimized = self.config.optimized_recheck
-        self._last_batch_commands = [
-            sum(map(len, streams.values())) for streams in by_shard
-        ]
         results = (
             [None] * len(r_ts), [None] * len(w_cts), [None] * len(w_cts)
         )
-        for (frontier, ext_reads), streams in zip(self._shards, by_shard):
+        for (frontier, ext_reads), streams in zip(self._shards, key_streams.by_shard):
             if streams:
                 probe_columns(
                     frontier, ext_reads, streams, r_ts, r_tids,
                     w_vals, w_starts, w_cts, w_tids, optimized, BOTTOM, results,
                 )
         return results
-
-    def _slow_batch_tags(self) -> Dict[str, Any]:
-        return {
-            "checker": "sharded-aion",
-            "shard_commands": list(self._last_batch_commands),
-        }
 
     # ------------------------------------------------------------------
     # Observability
@@ -194,20 +181,17 @@ class ShardedAion(Aion):
         return sum(len(ext_reads) for _, ext_reads in self._shards)
 
     def shard_stats(self) -> List[Dict[str, int]]:
-        """One row per shard: structure sizes and the ops the latest
-        batch routed to it.  ``intervals`` counts the entries the
-        NOCONFLICT query walks: on an SI frontier, every version."""
+        """One row of structure sizes per shard.  ``intervals`` counts the
+        entries the NOCONFLICT query walks: on an SI frontier, every
+        version."""
         return [
             {
                 "versions": len(frontier),
                 "intervals": len(frontier),
                 "ext_reads": len(ext_reads),
                 "shard": shard,
-                "last_batch_commands": commands,
             }
-            for shard, ((frontier, ext_reads), commands) in enumerate(
-                zip(self._shards, self._last_batch_commands)
-            )
+            for shard, (frontier, ext_reads) in enumerate(self._shards)
         ]
 
     # ------------------------------------------------------------------

@@ -6,10 +6,10 @@ GC therefore *transfers* structures below a chosen timestamp from memory
 to disk and reloads them on demand (Algorithm 3, the ▨/▧ annotations).
 
 :class:`SpillingGc` is that protocol — resident index, ``collect_below``,
-reload-on-demand — written once for :class:`~repro.core.aion.Aion`,
-:class:`~repro.core.aion_ser.AionSer` and
-:class:`~repro.core.sharded.ShardedAion`; each checker only says how to
-evict and re-merge its per-key structures.  Evicted state travels as the
+the threshold rule that triggers it, reload-on-demand — written once for
+:class:`~repro.core.aion.Aion` and :class:`~repro.core.aion_ser.AionSer`
+(and the ladder's ``ShardedAion``); each checker only says how to evict
+and re-merge its per-key structures.  Evicted state travels as the
 flat columns of :mod:`repro.core.versioned`
 (:data:`~repro.core.versioned.VersionColumns`: the frontier's entries,
 each a writer's commit and start timestamps, tid and value), which a
@@ -88,7 +88,7 @@ class GcReport:
 
 class SpillingGc:
     """Resident index + garbage collection (lines 3:62–3:66), shared by the
-    three online checkers.
+    online checkers.
 
     A checker calls :meth:`_init_gc`, enters each accepted arrival in
     ``_resident`` (``tid -> commit_ts``), and implements
@@ -143,6 +143,20 @@ class SpillingGc:
         """
         excess = len(self._resident) - keep_recent
         return sorted(self._resident.values())[excess - 1] if excess > 0 else None
+
+    def collect_at_threshold(self, threshold: int) -> Optional[GcReport]:
+        """The one GC trigger of the runner's ``checking-gc`` and the
+        daemon's ``gc_threshold``: once ``threshold`` arrivals are
+        resident, collect below the watermark that spares the newest
+        ``max(1, threshold // 2)`` of them.
+
+        Returns the cycle's report, or None when no cycle ran; a
+        threshold of 0 or less never collects.
+        """
+        if threshold <= 0 or len(self._resident) < threshold:
+            return None
+        target = self.suggest_gc_ts(keep_recent=max(1, threshold // 2))
+        return None if target is None else self.collect_below(target)
 
     def collect_below(self, ts: Optional[int] = None) -> GcReport:
         """Transfer structures with timestamps <= ``ts`` to disk and

@@ -10,7 +10,7 @@ Three metric kinds cover everything the daemon exports:
   code the metrics are meant to observe — the scrape handler copies
   them in instead.
 - :class:`Gauge` — a value that goes both ways (queue depth, resident
-  transactions, per-shard sizes).
+  transactions, pending reads).
 - :class:`Histogram` — fixed upper-bound buckets with cumulative
   Prometheus semantics (``le`` is inclusive), a running sum, and a
   quantile estimator for compact wire-stats summaries.

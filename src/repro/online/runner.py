@@ -49,14 +49,14 @@ __all__ = ["GcPolicy", "OnlineRunner", "OnlineRunReport", "OnlineChecker"]
 
 
 class OnlineChecker(Protocol):
-    """What the runner needs from Aion / Aion-SER / ShardedAion."""
+    """What the runner needs from Aion / Aion-SER."""
 
     def receive_many(self, txns) -> None: ...
     def finalize(self) -> CheckResult: ...
     @property
     def resident_txn_count(self) -> int: ...
     def collect_below(self, ts: Optional[int] = None): ...
-    def suggest_gc_ts(self, keep_recent: int = 2000) -> Optional[int]: ...
+    def collect_at_threshold(self, threshold: int): ...
     def estimated_bytes(self) -> int: ...
 
 
@@ -159,12 +159,14 @@ class OnlineRunner:
             if charge_check_time:
                 self.clock.advance(time.perf_counter() - t0)
 
-            if (
-                self.gc_policy in (GcPolicy.CHECKING_GC, GcPolicy.FULL_GC)
+            if self.gc_policy is GcPolicy.CHECKING_GC or (
+                self.gc_policy is GcPolicy.FULL_GC
                 and self.checker.resident_txn_count >= self.gc_threshold
             ):
                 full = self.gc_policy is GcPolicy.FULL_GC
-                pauses.append(self._collect(full=full, charge=charge_check_time))
+                pause = self._collect(full=full, charge=charge_check_time)
+                if pause is not None:
+                    pauses.append(pause)
 
             throughput.record(self.clock.now(), count=len(batch))
             if sampler is None:
@@ -190,24 +192,24 @@ class OnlineRunner:
             memory_samples=sampler.samples if sampler is not None else [],
         )
 
-    def _collect(self, *, full: bool, charge: bool) -> float:
-        """Run one GC cycle and return its pause.
+    def _collect(self, *, full: bool, charge: bool) -> Optional[float]:
+        """Run one GC cycle and return its pause (None if none ran).
 
         A full collection (FULL_GC, MEMORY_CAP) evicts everything; under
         FULL_GC each subsequent dip below the boundary forces a segment
         reload — the paper's repeatedly re-triggered full GC.  It is
-        charged in full.  CHECKING_GC keeps a recency margin so slightly
-        late arrivals rarely touch spilled segments, and overlaps half
-        of the pause with useful work (a background thread in the
-        original system), so only half of the pause is charged.
+        charged in full.  CHECKING_GC is the checker's threshold rule
+        (``collect_at_threshold``, shared with the daemon): it keeps a
+        recency margin so slightly late arrivals rarely touch spilled
+        segments, and overlaps half of the pause with useful work (a
+        background thread in the original system), so only half of the
+        pause is charged.
         """
         t_gc = time.perf_counter()
         if full:
             self.checker.collect_below(None)
-        else:
-            target = self.checker.suggest_gc_ts(keep_recent=max(1, self.gc_threshold // 2))
-            if target is not None:
-                self.checker.collect_below(target)
+        elif self.checker.collect_at_threshold(self.gc_threshold) is None:
+            return None
         pause = time.perf_counter() - t_gc
         if charge:
             self.clock.advance(pause if full else pause * 0.5)

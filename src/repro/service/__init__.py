@@ -2,8 +2,8 @@
 
 The subsystem that closes the gap between the in-process reproduction
 and the paper's deployment story: an asyncio daemon
-(:class:`~repro.service.daemon.CheckerService`) wraps
-Aion/Aion-SER/ShardedAion behind a TCP (or unix-socket) wire protocol
+(:class:`~repro.service.daemon.CheckerService`) wraps one checker —
+Aion for SI, Aion-SER for SER — behind a TCP (or unix-socket) wire protocol
 of length-prefixed binary frames with columnar submit batches
 (:mod:`repro.service.protocol`, :mod:`repro.service.framing`) — a
 blocking client library

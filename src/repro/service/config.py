@@ -2,11 +2,10 @@
 
 One :class:`ServiceConfig` fixes both *where* the daemon listens (TCP,
 unix socket, or both) and *what* it runs behind the wire: the isolation
-level, shard count, EXT timeout, ingest-queue bound, and drain batch
-size.  :meth:`ServiceConfig.build_checker` constructs the matching
-checker — plain :class:`~repro.core.aion.Aion` for single-shard SI,
-:class:`~repro.core.aion_ser.AionSer` for SER, and
-:class:`~repro.core.sharded.ShardedAion` when sharding is requested.
+level, EXT timeout, ingest-queue bound, and drain batch size.
+:meth:`ServiceConfig.build_checker` constructs the one checker of that
+level — :class:`~repro.core.aion.Aion` for SI,
+:class:`~repro.core.aion_ser.AionSer` for SER.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ if TYPE_CHECKING:
 
     from repro.core.aion import Aion
     from repro.core.aion_ser import AionSer
-    from repro.core.sharded import ShardedAion
 
 __all__ = ["ServiceConfig"]
 
-OnlineCheckerT = Union["Aion", "AionSer", "ShardedAion"]
+OnlineCheckerT = Union["Aion", "AionSer"]
 
 
 class ServiceConfig:
@@ -49,7 +47,6 @@ class ServiceConfig:
         "port",
         "unix_path",
         "level",
-        "n_shards",
         "timeout",
         "queue_capacity",
         "batch_size",
@@ -68,7 +65,6 @@ class ServiceConfig:
         port: Optional[int] = 0,
         unix_path: Optional[Union[str, Path]] = None,
         level: str = "si",
-        n_shards: int = 1,
         timeout: float = 5.0,
         queue_capacity: int = 10_000,
         batch_size: int = 500,
@@ -83,7 +79,6 @@ class ServiceConfig:
         self.port = port
         self.unix_path = unix_path
         self.level = level
-        self.n_shards = n_shards
         self.timeout = timeout
         self.queue_capacity = queue_capacity
         self.batch_size = batch_size
@@ -131,10 +126,6 @@ class ServiceConfig:
             raise ValueError("enable at least one listener (TCP port or unix_path)")
         if self.level not in ("si", "ser"):
             raise ValueError(f"level must be 'si' or 'ser', got {self.level!r}")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if self.n_shards > 1 and self.level != "si":
-            raise ValueError("sharding requires level 'si'")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.batch_size < 1:
@@ -154,24 +145,18 @@ class ServiceConfig:
 
     @property
     def checker_kind(self) -> str:
-        if self.n_shards > 1:
-            return f"sharded-aion-x{self.n_shards}"
         return "aion" if self.level == "si" else "aion-ser"
 
     def build_checker(self, *, clock: Optional[Callable[[], float]] = None) -> OnlineCheckerT:
         """Construct the configured online checker.
 
         Only the module of the kind built is imported, so an SI daemon
-        never compiles ``aion_ser`` or ``sharded``.
+        never compiles ``aion_ser``.
         """
         from repro.core.aion import Aion, AionConfig
 
         self.validate()
         aion_config = AionConfig(timeout=self.timeout)
-        if self.n_shards > 1:
-            from repro.core.sharded import ShardedAion
-
-            return ShardedAion(aion_config, n_shards=self.n_shards, clock=clock)
         if self.level == "si":
             return Aion(aion_config, clock=clock)
         from repro.core.aion_ser import AionSer

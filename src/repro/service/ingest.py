@@ -15,7 +15,7 @@ One path from admission to verdict push::
     subscribers ◀──broadcast──       │ then ONE receive_many() (concatenated
                                      │ when it drained several entries),
                                      ▼ then poll() — in line, on the loop thread
-                               Aion / AionSer / ShardedAion
+                               Aion (SI) / AionSer (SER)
 
 Three properties carry the correctness story over from the library:
 
@@ -374,13 +374,9 @@ class IngestPipeline:
         return [{"type": "violation", "violation": violation_to_dict(v)} for v in fresh]
 
     def _maybe_collect(self) -> None:
-        checker, config = self.checker, self.config
-        if config.gc_threshold <= 0 or checker.resident_txn_count < config.gc_threshold:
+        report = self.checker.collect_at_threshold(self.config.gc_threshold)
+        if report is None:
             return
-        target = checker.suggest_gc_ts(keep_recent=max(1, config.gc_threshold // 2))
-        if target is None:
-            return
-        report = checker.collect_below(target)
         self.gc_cycles += 1
         self.gc_seconds += report.seconds
         self.gc_evicted["versions"] += report.evicted_versions

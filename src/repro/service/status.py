@@ -52,11 +52,6 @@ def _kernel(stages: Tuple[str, ...], suffix: str = "") -> Callable[[_Stats], Any
     return lambda stats: (((stage,), stats["kernel"][stage + suffix]) for stage in stages)
 
 
-def _shard(column: str) -> Callable[[_Stats], Any]:
-    """Per-shard rows (none on a single-shard checker)."""
-    return lambda stats: (((str(row["shard"]),), row[column]) for row in stats["shards"] or ())
-
-
 #: ``(name, help, kind, labelnames, how to read it from a stats() snapshot)``.
 #: An unlabelled family names its (dotted) snapshot key — a ``None``
 #: there leaves the sample untouched; a labelled one has a reader that
@@ -146,15 +141,6 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
      lambda stats: (((gen,), n) for gen, n in stats["host_gc"]["collections"].items())),
     ("repro_host_gc_seconds_total", "Wall time spent inside host collector passes", "counter", (),
      "host_gc.seconds"),
-    ("repro_shard_versions", "Frontier versions held by one shard", "gauge", ("shard",),
-     _shard("versions")),
-    ("repro_shard_intervals", "Writer intervals held by one shard", "gauge", ("shard",),
-     _shard("intervals")),
-    ("repro_shard_ext_reads", "External reads indexed by one shard", "gauge", ("shard",),
-     _shard("ext_reads")),
-    ("repro_shard_last_batch_commands",
-     "Ops (external reads + writes) routed to one shard by the most recent batch", "gauge",
-     ("shard",), _shard("last_batch_commands")),
 )
 
 #: How a scrape copies a snapshot value into each kind of family.
@@ -219,7 +205,7 @@ class StatusView:
         #: window instead of stalling ingest per request.
         self._bytes_cache: Optional[Tuple[int, float]] = None
         # Registered once, up front, so ``/metrics`` presents a stable
-        # catalog from the first scrape (absent shards excepted).
+        # catalog from the first scrape.
         self._mirrors = [
             (
                 getattr(metrics, kind)(name, help_text, labels),
@@ -261,12 +247,11 @@ class StatusView:
         ``versions`` and ``intervals`` are written to spill segments.
         ``ext`` is what stands between arrival and timeout: transactions
         with a tentative EXT verdict and the external reads indexed for
-        re-checking (summed over shards on a sharded checker).
+        re-checking.
         """
         config, checker, ingest = self._config, self._checker, self._ingest
         estimated_bytes = self._estimated_bytes_cached() if include_bytes else None
         kernel = checker.kernel_stats.as_dict()
-        shard_stats = getattr(checker, "shard_stats", None)
         spill = checker.spill_store
         sizes = ingest.kernel_batch_size
         _counts, size_sum, cycles = sizes.snapshot()
@@ -314,7 +299,6 @@ class StatusView:
                 "reloads": spill.reload_count if spill is not None else 0,
             },
             "host_gc": self.host_gc.snapshot(),
-            "shards": shard_stats() if shard_stats is not None else None,
             "slow_batches": {
                 "total": self._slow_batch_log.total,
                 "recent": self._slow_batch_log.tail(3),

@@ -23,14 +23,7 @@ from repro.workloads.distributions import make_chooser
 from repro.workloads.driver import TxnProgram, run_workload
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["generate_default_history", "build_database"]
-
-
-def build_database(spec: WorkloadSpec, oracle: Optional[TimestampOracle] = None) -> Database:
-    """A database initialized for ``spec`` (all keys written by ⊥T)."""
-    database = Database(oracle, isolation=spec.isolation)
-    database.initialize(spec.keys, 0)
-    return database
+__all__ = ["generate_default_history"]
 
 
 def generate_default_history(

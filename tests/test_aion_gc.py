@@ -403,6 +403,48 @@ class TestDelayedArrivalDifferential:
             aion.close()
 
 
+class TestCollectAtThreshold:
+    """The one GC trigger the runner's ``checking-gc`` and the daemon's
+    ``gc_threshold`` share: no cycle while fewer than ``threshold``
+    arrivals are resident, and at or above it a cycle below the watermark
+    that spares the newest ``max(1, threshold // 2)`` — on every checker
+    that inherits it."""
+
+    @pytest.mark.parametrize("threshold", [0, 1, 2, 25, 90])
+    @pytest.mark.parametrize("name", ["aion", "aion-ser", "sharded-x2"])
+    def test_collects_once_the_threshold_is_resident(self, name, threshold):
+        make, _, _ = DELAYED_CHECKERS[name]
+        _, batches = delayed_plan(31)
+        without_gc, _ = run_plan(make, False, batches, collect=False)
+        checker = make()
+        cycles = 0
+        try:
+            for batch in batches:
+                checker.receive_many(batch)
+                before = checker.resident_txn_count
+                expected = None
+                if threshold > 0 and before >= threshold:
+                    expected = checker.suggest_gc_ts(keep_recent=max(1, threshold // 2))
+                report = checker.collect_at_threshold(threshold)
+                if expected is None:
+                    assert report is None
+                    assert checker.resident_txn_count == before
+                    continue
+                cycles += 1
+                assert report.requested_ts == expected
+                assert report.effective_ts <= expected
+                assert checker.resident_txn_count == before - report.evicted_txns
+            verdicts = normalize_violations(checker.finalize())
+        finally:
+            checker.close()
+        assert verdicts == without_gc
+        if threshold == 0:
+            assert cycles == 0
+        else:
+            assert 0 < cycles <= len(batches)
+
+
+
 @pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
 def test_anomaly_catalog_with_gc_after_every_arrival(name):
     """Every canonical anomaly, shuffled, collecting everything after

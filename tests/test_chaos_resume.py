@@ -7,8 +7,8 @@ with the *byte-identical* verdict of an uninterrupted run — the daemon
 received every transaction exactly once (``received == sent``, no
 duplicates admitted, nothing lost in a dead socket's buffers).
 
-Runs across three checker variants (Aion, AionSer, ShardedAion) and
-three seeds each; every kill position derives from the seed, so a
+Runs across both checker variants (Aion, AionSer) and three seeds
+each; every kill position derives from the seed, so a
 failure reproduces from the parametrization alone.
 """
 
@@ -37,9 +37,8 @@ KILLS = 3
 #: Daemon configurations the property must hold for, with a per-variant
 #: salt so each variant draws different kill positions from the seed.
 VARIANTS = {
-    "aion": {"kwargs": {"level": "si", "n_shards": 1}, "salt": 0x01},
-    "ser": {"kwargs": {"level": "ser", "n_shards": 1}, "salt": 0x02},
-    "sharded": {"kwargs": {"level": "si", "n_shards": 2}, "salt": 0x03},
+    "aion": {"kwargs": {"level": "si"}, "salt": 0x01},
+    "ser": {"kwargs": {"level": "ser"}, "salt": 0x02},
 }
 
 

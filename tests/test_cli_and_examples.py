@@ -250,7 +250,7 @@ def test_offline_check_imports_only_what_it_runs(tmp_path):
         "print(json.dumps(sorted(sys.modules)))\n"
         "import repro, repro.core, repro.histories\n"
         "from repro import Aion\n"
-        "from repro.core import ShardedAion\n"
+        "from repro.core import AionSer\n"
         "from repro.histories import ANOMALY_CATALOG\n"
         "assert repro.Aion is Aion and 'Aion' in dir(repro)\n"
         "for package in (repro, repro.core, repro.histories):\n"

@@ -21,6 +21,7 @@ or ``hashlib``, and neither libssl nor libcrypto mapped, about 5 MB of
 its peak RSS.
 """
 
+import ast
 import functools
 import json
 import os
@@ -99,6 +100,7 @@ TLS_LIBRARIES = ("libssl", "libcrypto")
 LIBRARY = {
     "Aion": "from repro import Aion, AionConfig\nAion(AionConfig())\n",
     "AionSer": "from repro import AionConfig, AionSer\nAionSer(AionConfig())\n",
+    # Not a package export: the ladder's ``sharded_x2`` cold start.
     "ShardedAion": (
         "from repro import AionConfig, ShardedAion\nShardedAion(AionConfig(), n_shards=2)\n"
     ),
@@ -110,18 +112,19 @@ INSPECT_CHAIN = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 #: ``entry -> (repro modules, their source lines)`` at most.  Measured
 #: when the records stopped being dataclasses and ``repro check`` stopped
 #: compiling the other commands: 16 / 3,775 (``Aion``), 17 / 3,873
-#: (``AionSer``), 17 / 4,030 (``ShardedAion``), 13 / 2,513 (``check
-#: --level si``), 14 / 2,606 (``--level ser``); each line budget leaves
-#: about 3 % for edits that add no import.  ``serve`` is the SI daemon as
-#: ``python -m repro serve`` runs it, after a full session: 33 / 7,623
-#: when it began importing asyncio without ssl.
+#: (``AionSer``), 17 / 4,030 (``ShardedAion``, read again at 4,030 when
+#: the daemon stopped offering it), 13 / 2,513 (``check --level si``),
+#: 14 / 2,606 (``--level ser``); each line budget leaves about 3 % for
+#: edits that add no import.  ``serve`` is the SI daemon as ``python -m repro serve``
+#: runs it, after a full session: 33 / 7,593 when the daemon stopped
+#: offering a sharded checker.
 BUDGETS = {
     "Aion": (16, 3_890),
     "AionSer": (17, 3_990),
     "ShardedAion": (17, 4_150),
     "check si": (13, 2_590),
     "check ser": (14, 2_690),
-    "serve": (33, 7_810),
+    "serve": (33, 7_800),
 }
 
 
@@ -200,6 +203,45 @@ def test_every_exported_name_resolves():
         "        pass\n"
         "    else:\n"
         "        raise AssertionError(package + ' resolved a name it does not export')\n"
+    )
+    _loaded(code)
+
+
+def _imported_modules(path: Path) -> set:
+    """Every module ``path`` names in an ``import`` or ``from`` statement,
+    at any depth (a lazy import inside a function counts)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_product_module_reaches_the_sharded_checker():
+    # ``repro.core.sharded`` is kept only for the benchmark ladder: no
+    # other module under ``src/repro`` imports it, no package lists
+    # ``ShardedAion`` in ``__all__``, and ``repro.core`` does not resolve
+    # it.  ``from repro import ShardedAion`` still does, for the ladder's
+    # ``sharded_x2`` cold start.
+    importers = [
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path.name != "sharded.py" and "repro.core.sharded" in _imported_modules(path)
+    ]
+    assert importers == []
+    code = (
+        "import repro, repro.core\n"
+        "for module in (repro, repro.core):\n"
+        "    assert 'ShardedAion' not in module.__all__, module.__name__\n"
+        "    assert 'shard_of' not in dir(module), module.__name__\n"
+        "assert not hasattr(repro.core, 'ShardedAion')\n"
+        "import sys\n"
+        "assert 'repro.core.sharded' not in sys.modules\n"
+        "from repro import ShardedAion\n"
+        "assert ShardedAion.__module__ == 'repro.core.sharded'\n"
     )
     _loaded(code)
 
@@ -319,9 +361,9 @@ def _serve_session(argv: Tuple[str, ...], prelude: str = ""):
 
 @pytest.mark.parametrize(
     "argv",
-    [(), ("--level", "ser"), ("--shards", "2"), ("--gc-threshold", "50", "--batch-size", "25"),
+    [(), ("--level", "ser"), ("--gc-threshold", "50", "--batch-size", "25"),
      ("--http-port", "0")],
-    ids=["si", "ser", "shards", "gc-spill", "http"],
+    ids=["si", "ser", "gc-spill", "http"],
 )
 def test_cli_daemon_loads_no_tls(argv):
     # The daemon as ``python -m repro serve`` runs it, after a full

@@ -119,10 +119,10 @@ class TestDecentralizedOracle:
 class TestCdc:
     def test_wal_roundtrip(self, si_history):
         from repro.db.engine import Database
-        from repro.workloads.generator import build_database
 
         spec = WorkloadSpec(n_sessions=4, n_transactions=100, ops_per_txn=5, n_keys=20, seed=55)
-        db = build_database(spec)
+        db = Database(isolation=spec.isolation)
+        db.initialize(spec.keys, 0)
         generate_default_history(spec, database=db)
         wal_text = list(db.cdc.wal_lines())
         parsed = parse_wal(wal_text)
@@ -130,10 +130,11 @@ class TestCdc:
         assert Chronos().check(parsed).is_valid
 
     def test_subscription_tails_commits(self):
-        from repro.workloads.generator import build_database
+        from repro.db.engine import Database
 
         spec = WorkloadSpec(n_sessions=4, n_transactions=50, ops_per_txn=5, n_keys=20, seed=56)
-        db = build_database(spec)
+        db = Database(isolation=spec.isolation)
+        db.initialize(spec.keys, 0)
         seen = []
         db.cdc.subscribe(lambda record: seen.append(record.tid))
         generate_default_history(spec, database=db)
@@ -145,10 +146,11 @@ class TestCdc:
         engine's ``Transaction`` objects, which ``to_history`` reuses."""
         from repro.db.cdc import wal_line
         from repro.histories.model import Transaction
-        from repro.workloads.generator import build_database
+        from repro.db.engine import Database
 
         spec = WorkloadSpec(n_sessions=3, n_transactions=40, ops_per_txn=4, n_keys=10, seed=57)
-        db = build_database(spec)
+        db = Database(isolation=spec.isolation)
+        db.initialize(spec.keys, 0)
         shipped = []
         db.cdc.subscribe(lambda txn: shipped.append(wal_line(txn)))
         generate_default_history(spec, database=db)

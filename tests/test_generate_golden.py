@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.workloads.generator import build_database, generate_default_history
+from repro.db.engine import Database
+from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
 
 GENERATE_GOLDEN = {
@@ -44,7 +45,8 @@ def generated_digest(workload: str, directory: Path) -> str:
 
 def wal_digest(directory: Path) -> str:
     spec = WorkloadSpec(n_sessions=4, n_transactions=300, ops_per_txn=6, n_keys=30, seed=7)
-    db = build_database(spec)
+    db = Database(isolation=spec.isolation)
+    db.initialize(spec.keys, 0)
     generate_default_history(spec, database=db)
     path = directory / "wal.log"
     db.cdc.save_wal(path)

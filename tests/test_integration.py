@@ -42,10 +42,11 @@ class TestOfflinePipeline:
         assert original == reloaded
 
     def test_wal_pipeline(self):
-        from repro.workloads.generator import build_database
+        from repro.db.engine import Database
 
         spec = WorkloadSpec(n_sessions=6, n_transactions=300, ops_per_txn=8, n_keys=60, seed=91)
-        db = build_database(spec)
+        db = Database(isolation=spec.isolation)
+        db.initialize(spec.keys, 0)
         generate_default_history(spec, database=db)
         history = parse_wal(db.cdc.wal_lines())
         assert Chronos().check(history).is_valid

@@ -318,12 +318,12 @@ class TestDaemonEndpoints:
         assert 'repro_kernel_stage_seconds_total{stage="route"}' in body
         assert 'repro_kernel_ops_total{stage="probe_reads"}' in body
 
-    @pytest.mark.parametrize("kind", ["aion", "aion-ser", "sharded"])
+    @pytest.mark.parametrize("kind", ["aion", "aion-ser"])
     def test_gc_metrics_count_what_moved(self, start_service, kind):
         """The GC families mirror GcReport/SpillStore: after cycles ran,
         /metrics and STATS["gc"] agree on cycles, pauses, evictions and
         spill bytes."""
-        extra = {"aion": {}, "aion-ser": {"level": "ser"}, "sharded": {"n_shards": 2}}[kind]
+        extra = {"aion": {}, "aion-ser": {"level": "ser"}}[kind]
         handle = start_service(gc_threshold=40, **extra)
         history = generate_default_history(
             WorkloadSpec(n_sessions=4, n_transactions=300, ops_per_txn=6, n_keys=30, seed=5)
@@ -356,15 +356,6 @@ class TestDaemonEndpoints:
         assert int(lines["repro_gc_reloads_total"]) == 0
         for name, total in gc["evicted"].items():
             assert int(lines[f"repro_gc_evicted_{name}_total"]) == total
-
-    def test_metrics_per_shard_gauges(self, start_service):
-        handle = start_service(n_shards=3, kernel_sample_every=1)
-        submit(handle, anomaly_txns("lost-update"))
-        host, port = handle.http_address
-        status, body = http_get_text(host, port, "/metrics")
-        assert status == 200
-        assert 'repro_shard_versions{shard="0"}' in body
-        assert 'repro_shard_intervals{shard="2"}' in body
 
     def test_health_ok_and_stats_endpoint(self, start_service):
         handle = start_service()
@@ -475,16 +466,28 @@ ADDED_STATS_KEYS = {
 #: that representation; the per-shard deferred read removals went with
 #: the deferral (a finalized read now leaves its shard at once); the
 #: ndjson codec's ``codec="v1"`` wire children and ``wire.v1`` counters,
-#: and the ``protocols`` list, went with that codec.
+#: and the ``protocols`` list, went with that codec; the per-shard
+#: gauges and the ``shards`` rows went with the daemon's sharded checker
+#: (the recorded ``sharded_x2`` catalog is no longer served).
 RETIRED_SAMPLE = 'codec="v1"'
 RETIRED_FAMILIES = {
     "repro_interval_scan_steps_total",
     "repro_interval_gc_scan_steps_total",
     "repro_shard_pending_removals",
+    "repro_shard_versions",
+    "repro_shard_intervals",
+    "repro_shard_ext_reads",
+    "repro_shard_last_batch_commands",
 }
 RETIRED_STATS_KEYS = {
     "interval_scan_steps",
     "interval_gc_scan_steps",
+    "shards",
+    "shards[].shard",
+    "shards[].versions",
+    "shards[].intervals",
+    "shards[].ext_reads",
+    "shards[].last_batch_commands",
     "shards[].scan_steps",
     "shards[].gc_scan_steps",
     "shards[].pending_removals",
@@ -529,10 +532,10 @@ def _retired(line):
 
 
 class TestExportedCatalogGolden:
-    @pytest.mark.parametrize("kind", ["single", "sharded_x2"])
+    @pytest.mark.parametrize("kind", ["single"])
     def test_catalog_matches_the_recorded_one(self, start_service, kind):
         golden = json.loads(GOLDEN_CATALOG.read_text())[kind]
-        handle = start_service(**({"n_shards": 2} if kind == "sharded_x2" else {}))
+        handle = start_service()
         now = fresh_catalog(handle)
         for family in ADDED_FAMILIES:
             assert f"# TYPE {family} " in "\n".join(now["metrics"])
@@ -726,32 +729,8 @@ class TestInstrumentationDifferential:
             rows = checker.shard_stats()
             assert len(rows) == 3
             for row in rows:
-                assert set(row) >= {
-                    "shard", "versions", "intervals", "ext_reads", "last_batch_commands",
-                }
+                assert set(row) == {"shard", "versions", "intervals", "ext_reads"}
             assert sum(row["versions"] for row in rows) > 0
         finally:
             checker.close()
 
-    def test_sharded_slow_batch_record_and_routed_op_counts(self):
-        """The slow-batch record keeps its sharded identity and per-shard
-        load, gains the ``top_keys`` of the single-shard record, and
-        ``last_batch_commands`` counts the ops routed to each shard."""
-        txns = anomaly_txns("lost-update")
-        checker = _make_checker("sharded")
-        try:
-            stats = checker.kernel_stats
-            stats.slow_threshold = 1e-9
-            traces = []
-            stats.on_slow_batch = traces.append
-            checker.receive_many(txns)
-            (record,) = traces
-            assert record["checker"] == "sharded-aion"
-            routed = [row["last_batch_commands"] for row in checker.shard_stats()]
-            assert record["shard_commands"] == routed
-            assert sum(routed) == record["reads"] + record["writes"]
-            assert sum(routed) == stats.probe_reads + stats.probe_writes > 0
-            assert record["top_keys"] and sum(n for _, n in record["top_keys"]) <= sum(routed)
-            assert record["distinct_keys"] >= len(record["top_keys"])
-        finally:
-            checker.close()

@@ -5,7 +5,7 @@ The acceptance claim is the last class: for every anomaly fixture (and
 for generated/fault-injected workloads), verdicts obtained through the
 daemon — multiple concurrent client connections, arbitrary interleaving
 between sessions — are identical to feeding the same history directly
-into ``Aion`` / ``ShardedAion``.
+into ``Aion`` / ``AionSer``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.core.aion_ser import AionSer
 from repro.core.colpack import pack_columnar
 from repro.core.common import BOTTOM
 from repro.core.reference import normalize_violations
-from repro.core.sharded import ShardedAion
 from repro.core.violations import (
     Axiom,
     CheckResult,
@@ -291,10 +290,11 @@ class TestProtocol:
         with pytest.raises(ValueError):
             ServiceConfig(level="serializable").validate()
         with pytest.raises(ValueError):
-            ServiceConfig(level="ser", n_shards=2).validate()
-        with pytest.raises(ValueError):
             ServiceConfig(queue_capacity=0).validate()
-        assert ServiceConfig(n_shards=4).checker_kind == "sharded-aion-x4"
+        # One checker per level: there is no shard count to ask for.
+        with pytest.raises(TypeError):
+            ServiceConfig(n_shards=2)
+        assert ServiceConfig().checker_kind == "aion"
         assert ServiceConfig(level="ser").checker_kind == "aion-ser"
 
 
@@ -316,7 +316,7 @@ class TestDaemon:
         baseline.close()
 
     def test_stats_counters(self, start_service):
-        handle = start_service(n_shards=2)
+        handle = start_service()
         txns = anomaly_txns("lost-update")
         with connect(handle) as client:
             client.ping()
@@ -328,7 +328,7 @@ class TestDaemon:
         assert stats["processed"] == len(txns)
         assert stats["resident_txns"] == len(txns)
         assert stats["queue_depth"] == 0
-        assert stats["checker"] == "sharded-aion-x2"
+        assert stats["checker"] == "aion"
         assert stats["violations"] == 1  # NOCONFLICT reports immediately
         assert stats["estimated_bytes"] > 0
         assert stats["throughput"]["total"] == len(txns)
@@ -1028,14 +1028,9 @@ class TestAckIsCredit:
 # The differential acceptance claim
 # ----------------------------------------------------------------------
 
-def in_process_verdicts(txns, *, level="si", n_shards=1):
+def in_process_verdicts(txns, *, level="si"):
     config = AionConfig(timeout=float("inf"))
-    if n_shards > 1:
-        checker = ShardedAion(config, n_shards=n_shards, clock=lambda: 0.0)
-    elif level == "si":
-        checker = Aion(config, clock=lambda: 0.0)
-    else:
-        checker = AionSer(config, clock=lambda: 0.0)
+    checker = (Aion if level == "si" else AionSer)(config, clock=lambda: 0.0)
     try:
         checker.receive_many(list(txns))
         return normalize_violations(checker.finalize())
@@ -1043,16 +1038,14 @@ def in_process_verdicts(txns, *, level="si", n_shards=1):
         checker.close()
 
 
-def service_verdicts(
-    start_service, txns, *, n_shards=1, level="si", n_clients=3, batch=2
-):
+def service_verdicts(start_service, txns, *, level="si", n_clients=3, batch=2):
     """Feed ``txns`` through ``n_clients`` concurrent connections.
 
     Sessions are partitioned across clients (each client ships its
     sessions in order, as any session-order-preserving producer must);
     interleaving *between* sessions is whatever the scheduler does.
     """
-    handle = start_service(n_shards=n_shards, level=level, batch_size=7)
+    handle = start_service(level=level, batch_size=7)
     by_client = [[] for _ in range(n_clients)]
     for txn in txns:
         by_client[txn.sid % n_clients].append(txn)
@@ -1089,13 +1082,10 @@ def faulted_stream(n, *, seed, faults):
     return transactions_in_commit_order(injector.build())
 
 
-def in_process_ordered(txns, *, level="si", n_shards=1):
+def in_process_ordered(txns, *, level="si"):
     """The violation report, in report order, of one in-process batch."""
     config = AionConfig(timeout=float("inf"))
-    if n_shards > 1:
-        checker = ShardedAion(config, n_shards=n_shards, clock=lambda: 0.0)
-    else:
-        checker = (Aion if level == "si" else AionSer)(config, clock=lambda: 0.0)
+    checker = (Aion if level == "si" else AionSer)(config, clock=lambda: 0.0)
     try:
         checker.receive_many(list(txns))
         return result_to_dict(checker.finalize())["violations"]
@@ -1103,7 +1093,7 @@ def in_process_ordered(txns, *, level="si", n_shards=1):
         checker.close()
 
 
-def ordered_service_run(start_service, txns, *, connections, size, ack, n_shards=1, level="si"):
+def ordered_service_run(start_service, txns, *, connections, size, ack, level="si"):
     """Submit ``txns`` in arrival order, ``size`` per submit, round-robin
     over ``connections`` connections; returns the ordered violation
     report and the daemon's stats.
@@ -1113,7 +1103,7 @@ def ordered_service_run(start_service, txns, *, connections, size, ack, n_shards
     one thread (an ack means the drain task took the submit).
     """
     assert ack or connections == 1
-    handle = start_service(n_shards=n_shards, level=level)
+    handle = start_service(level=level)
     clients = [connect(handle) for _ in range(connections)]
     try:
         for turn, offset in enumerate(range(0, len(txns), size)):
@@ -1130,13 +1120,10 @@ def ordered_service_run(start_service, txns, *, connections, size, ack, n_shards
 
 class TestServiceDifferential:
     @pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_anomaly_catalog(self, start_service, name, n_shards):
+    def test_anomaly_catalog(self, start_service, name):
         txns = anomaly_txns(name)
-        expected = in_process_verdicts(txns, n_shards=n_shards)
-        # Sanity: sharded == plain in-process before the wire enters.
-        assert expected == in_process_verdicts(txns, n_shards=1)
-        got = service_verdicts(start_service, txns, n_shards=n_shards)
+        expected = in_process_verdicts(txns)
+        got = service_verdicts(start_service, txns)
         assert got == expected
         spec = ANOMALY_CATALOG[name]
         if spec.si_axiom is not None:
@@ -1153,11 +1140,8 @@ class TestServiceDifferential:
         txns = transactions_in_commit_order(injector.build())
         expected = in_process_verdicts(txns)
         assert expected, "fault injection should produce violations"
-        for n_shards in (1, 2):
-            got = service_verdicts(
-                start_service, txns, n_shards=n_shards, n_clients=4, batch=11
-            )
-            assert got == expected
+        got = service_verdicts(start_service, txns, n_clients=4, batch=11)
+        assert got == expected
 
     def test_ser_level(self, start_service):
         txns = anomaly_txns("write-skew")
@@ -1225,19 +1209,15 @@ class TestServiceDifferential:
         if size <= 10 and connections == 1:
             assert batches <= len(txns) // (4 * size), (batches, size)
 
-    @pytest.mark.parametrize("kind", ["sharded", "ser"])
-    def test_faulted_stream_ordered_sharded_and_ser(self, start_service, kind):
+    def test_faulted_stream_ordered_ser(self, start_service):
         txns = faulted_stream(2000, seed=78, faults=16)
-        extra = {"n_shards": 2} if kind == "sharded" else {"level": "ser"}
-        expected = in_process_ordered(txns, **extra)
+        expected = in_process_ordered(txns, level="ser")
         assert expected
-        if kind == "sharded":
-            assert expected == in_process_ordered(txns)
         for connections, size in ((2, 3), (1, 500), (1, 10)):
             got, stats = ordered_service_run(
-                start_service, txns, connections=connections, size=size, ack=True, **extra
+                start_service, txns, connections=connections, size=size, ack=True, level="ser"
             )
-            assert got == expected, (kind, connections, size)
+            assert got == expected, (connections, size)
             assert stats["received"] == len(txns)
 
 
@@ -1249,22 +1229,27 @@ class TestCliServeReplay:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "--shards", "2", "--lane-kb", "64"],
-            ["serve", "--shards", "2", "--executor", "shm-process"],
-            ["chaos", "--shards", "2", "--executor", "shm-process"],
-            ["serve", "--shards", "2", "--executor", "process"],
-            ["chaos", "--shards", "2", "--executor", "process"],
+            ["serve", "--lane-kb", "64"],
+            ["serve", "--executor", "shm-process"],
+            ["chaos", "--executor", "shm-process"],
+            ["serve", "--executor", "process"],
+            ["chaos", "--executor", "process"],
+            ["serve", "--shards", "2"],
+            ["check", "history.jsonl", "--online", "--shards", "2"],
+            ["chaos", "--shards", "2"],
         ],
         ids=[
             "serve-lane-kb", "serve-shm-executor", "chaos-shm-executor",
             "serve-process-executor", "chaos-process-executor",
+            "serve-shards", "check-shards", "chaos-shards",
         ],
     )
     def test_shared_memory_executor_options_are_gone(self, capsys, argv):
         """The shard transports other than in-process — shared-memory
         lanes with their ring size knob, then worker processes — were
-        removed with the ``--executor`` option: asking for one is a usage
-        error, not a silent fallback."""
+        removed with the ``--executor`` option, and sharding itself with
+        ``--shards``: asking for either is a usage error, not a silent
+        fallback."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exit_info:
@@ -1344,10 +1329,7 @@ class TestCliServeReplay:
         assert lines[2:] == ["VIOLATIONS (1 total): INT=1"]
         assert "Exception ignored" not in err.decode()
 
-    @pytest.mark.parametrize(
-        "shard_args", [[], ["--shards", "2"]], ids=["in-process", "sharded"]
-    )
-    def test_serve_replay_roundtrip(self, tmp_path, shard_args):
+    def test_serve_replay_roundtrip(self, tmp_path):
         """Including the exit summary, which the daemon takes before it
         closes its checker."""
         from repro.cli import main
@@ -1357,7 +1339,7 @@ class TestCliServeReplay:
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--no-tcp", "--unix", str(sock),
-             "--timeout", "inf", *shard_args],
+             "--timeout", "inf"],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
