@@ -155,9 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--kernel-sample-every", type=int, default=16, metavar="N",
                        help="sample per-stage kernel wall times every Nth "
                        "batch (0 = off)")
-    serve.add_argument("--stats-bytes-ttl", type=float, default=2.0, metavar="S",
-                       help="seconds the deep-sizeof byte estimate stays "
-                       "cached between STATS/metrics requests")
     serve.set_defaults(command="serve")
 
     replay = commands.add_parser("replay", help="stream a history into a daemon")

@@ -56,7 +56,6 @@ def run(args: argparse.Namespace) -> int:
         http_port=args.http_port,
         slow_batch_ms=args.slow_batch_ms,
         kernel_sample_every=args.kernel_sample_every,
-        stats_bytes_ttl=args.stats_bytes_ttl,
     )
     try:
         config.validate()

@@ -5,9 +5,10 @@ you can see of it while it runs.  This package holds the pieces that
 make :mod:`repro.service` observable without a redeploy and without
 third-party dependencies:
 
-- :mod:`repro.obs.registry` — a lock-cheap metrics registry (monotonic
-  counters, gauges, fixed-bucket histograms) with a Prometheus
-  text-format encoder, the model Prometheus/Grafana scrape;
+- :mod:`repro.obs.registry` — the Prometheus text-format encoder, the
+  model Prometheus/Grafana scrape, and the fixed-bucket histogram, the
+  one metric the daemon keeps live (every other family on ``/metrics``
+  is rendered from the ``stats()`` snapshot of that scrape);
 - :mod:`repro.obs.http` — a minimal asyncio HTTP sidecar (no aiohttp)
   that serves ``GET /metrics``, ``GET /health``, and ``GET /stats``
   next to the wire-protocol listeners;
@@ -24,23 +25,13 @@ piece of this package never changes a verdict.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HttpSidecar",
-    "MetricsRegistry",
-    "SlowBatchLog",
-]
+__all__ = ["Histogram", "HttpSidecar", "SlowBatchLog"]
 
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "HttpSidecar": "repro.obs.http",
-        "Counter": "repro.obs.registry",
-        "Gauge": "repro.obs.registry",
         "Histogram": "repro.obs.registry",
-        "MetricsRegistry": "repro.obs.registry",
         "SlowBatchLog": "repro.obs.trace",
     },
 )

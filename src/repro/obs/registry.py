@@ -1,43 +1,29 @@
-"""A lock-cheap metrics registry with a Prometheus text encoder.
+"""Prometheus text encoding and the one live metric kind, :class:`Histogram`.
 
-Three metric kinds cover everything the daemon exports:
-
-- :class:`Counter` — a monotonically increasing total (``_total`` by
-  convention).  Also usable as a *mirror* of a counter maintained
-  elsewhere (:meth:`Counter.set_total`): the service's wire counters
-  and the kernel's op counters already exist as plain ints on their hot
-  paths, and re-counting them through the registry would tax the very
-  code the metrics are meant to observe — the scrape handler copies
-  them in instead.
-- :class:`Gauge` — a value that goes both ways (queue depth, resident
-  transactions, pending reads).
-- :class:`Histogram` — fixed upper-bound buckets with cumulative
-  Prometheus semantics (``le`` is inclusive), a running sum, and a
-  quantile estimator for compact wire-stats summaries.
-
-Concurrency model: counters and gauges are single attribute writes —
-atomic enough under the GIL for monitoring reads that may tear across
-*different* metrics but never within one sample.  Histograms mutate
-three fields per observation, so they take a small lock; observation
-happens once per drained batch, not per transaction, and rendering is
+Every other family the daemon exports is a value it already keeps — a
+plain int on a hot path, read into the ``stats()`` snapshot — so a
+scrape renders those straight from the snapshot with
+:func:`render_family`; nothing here holds a second copy of them.  What
+the snapshot cannot carry is a distribution, and that is what
+:class:`Histogram` keeps: fixed upper-bound buckets with cumulative
+Prometheus semantics (``le`` is inclusive), a running sum, and a
+quantile estimator for compact wire-stats summaries.  It mutates three
+fields per observation, so it takes a small lock; observation happens
+once per drained batch, not per transaction, and rendering is
 scrape-rate.
 
-Labels: a metric constructed with ``labelnames`` is a *family*;
-:meth:`labels` returns (and caches) the child carrying one label-value
-combination.  A metric without labelnames is its own single child.
-
-The encoder (:meth:`MetricsRegistry.render`) emits Prometheus text
-exposition format 0.0.4: ``# HELP`` / ``# TYPE`` headers per family,
-children in insertion order, label values escaped per the spec.
+The encoder emits Prometheus text exposition format 0.0.4: ``# HELP`` /
+``# TYPE`` headers per family, samples in the order given, label values
+escaped per the spec.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
+__all__ = ["Histogram", "render_family", "DEFAULT_LATENCY_BUCKETS"]
 
 #: Default histogram bounds for request-latency style metrics, in
 #: seconds: 1ms to 10s, roughly 2.5× apart — wide enough to cover a
@@ -46,6 +32,9 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+#: One sample: ``(suffix after the family name, labels, value)``.
+Sample = Tuple[str, Mapping[str, Any], float]
 
 
 def _format_value(value: float) -> str:
@@ -69,119 +58,21 @@ def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _label_pairs(names: Sequence[str], values: Sequence[str]) -> str:
-    return ",".join(
-        f'{name}="{_escape_label_value(value)}"' for name, value in zip(names, values)
-    )
+def render_family(
+    lines: List[str], name: str, help_text: str, kind: str, samples: Iterable[Sample]
+) -> None:
+    """Append one family's ``# HELP`` and ``# TYPE`` lines and a line per sample."""
+    lines.append(f"# HELP {name} {help_text}")
+    lines.append(f"# TYPE {name} {kind}")
+    for suffix, labels, value in samples:
+        label_str = ",".join(
+            f'{label}="{_escape_label_value(str(text))}"' for label, text in labels.items()
+        )
+        braces = f"{{{label_str}}}" if label_str else ""
+        lines.append(f"{name}{suffix}{braces} {_format_value(value)}")
 
 
-class _Family:
-    """Shared family plumbing: name, help text, labelled children."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> None:
-        self.name = name
-        self.help = help_text
-        self.labelnames = tuple(labelnames)
-        #: label-values tuple -> child, in first-use order.
-        self._children: Dict[Tuple[str, ...], "_Family"] = {}
-        if not self.labelnames:
-            self._children[()] = self
-
-    def labels(self, *values: object) -> "_Family":
-        """The child carrying one label-value combination (cached)."""
-        if not self.labelnames:
-            raise ValueError(f"metric {self.name!r} has no labels")
-        if len(values) != len(self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} takes {len(self.labelnames)} label values, "
-                f"got {len(values)}"
-            )
-        key = tuple(str(v) for v in values)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
-
-    def _make_child(self) -> "_Family":
-        raise NotImplementedError
-
-    def _render_samples(self, lines: List[str], name: str, label_str: str) -> None:
-        # ``name`` is threaded in by the parent: labelled children are
-        # bare sample holders (built via ``__new__``) without one.
-        raise NotImplementedError
-
-    def render_into(self, lines: List[str]) -> None:
-        lines.append(f"# HELP {self.name} {self.help}")
-        lines.append(f"# TYPE {self.name} {self.kind}")
-        for key, child in self._children.items():
-            child._render_samples(lines, self.name, _label_pairs(self.labelnames, key))
-
-
-class Counter(_Family):
-    """A monotonically increasing total."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help_text, labelnames)
-        self.value: float = 0
-
-    def _make_child(self) -> "Counter":
-        child = Counter.__new__(Counter)
-        child.value = 0
-        return child
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-    def set_total(self, value: float) -> None:
-        """Mirror a monotonic counter maintained outside the registry.
-
-        Monotonicity is the caller's contract; used by scrape handlers
-        that copy hot-path ints (wire counters, kernel op counts) in at
-        scrape time instead of double-counting on the hot path.
-        """
-        self.value = value
-
-    def _render_samples(self, lines: List[str], name: str, label_str: str) -> None:
-        suffix = f"{{{label_str}}}" if label_str else ""
-        lines.append(f"{name}{suffix} {_format_value(self.value)}")
-
-
-class Gauge(_Family):
-    """A value that can go up and down."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> None:
-        super().__init__(name, help_text, labelnames)
-        self.value: float = 0
-
-    def _make_child(self) -> "Gauge":
-        child = Gauge.__new__(Gauge)
-        child.value = 0
-        return child
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
-    def _render_samples(self, lines: List[str], name: str, label_str: str) -> None:
-        suffix = f"{{{label_str}}}" if label_str else ""
-        lines.append(f"{name}{suffix} {_format_value(self.value)}")
-
-
-class Histogram(_Family):
+class Histogram:
     """Fixed-bucket histogram with cumulative Prometheus rendering.
 
     ``buckets`` are ascending upper bounds; the implicit ``+Inf`` bucket
@@ -189,35 +80,21 @@ class Histogram(_Family):
     observation exactly on a bound lands in that bound's bucket.
     """
 
-    kind = "histogram"
-
     def __init__(
-        self,
-        name: str,
-        help_text: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        labelnames: Sequence[str] = (),
+        self, name: str, help_text: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
     ) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds or list(bounds) != sorted(set(bounds)):
             raise ValueError("buckets must be non-empty, ascending, and distinct")
-        if bounds and bounds[-1] == float("inf"):
+        if bounds[-1] == float("inf"):
             bounds = bounds[:-1]
+        self.name = name
+        self.help = help_text
         self.buckets = bounds
-        self._init_state()
-        super().__init__(name, help_text, labelnames)
-
-    def _init_state(self) -> None:
-        self.counts: List[int] = [0] * (len(self.buckets) + 1)
+        self.counts: List[int] = [0] * (len(bounds) + 1)
         self.sum: float = 0.0
         self.count: int = 0
         self._lock = threading.Lock()
-
-    def _make_child(self) -> "Histogram":
-        child = Histogram.__new__(Histogram)
-        child.buckets = self.buckets
-        child._init_state()
-        return child
 
     def observe(self, value: float, count: int = 1) -> None:
         """Record ``count`` observations of ``value`` (one lock hop)."""
@@ -269,54 +146,15 @@ class Histogram(_Family):
             row[label] = round(estimate, 6) if estimate is not None else None
         return row
 
-    def _render_samples(self, lines: List[str], name: str, label_str: str) -> None:
+    def _samples(self) -> Iterator[Sample]:
         counts, total_sum, total = self.snapshot()
         cumulative = 0
-        extra = f"{label_str}," if label_str else ""
         for bound, bucket_count in zip(self.buckets, counts):
             cumulative += bucket_count
-            le = _format_value(bound)
-            lines.append(f'{name}_bucket{{{extra}le="{le}"}} {cumulative}')
-        lines.append(f'{name}_bucket{{{extra}le="+Inf"}} {total}')
-        suffix = f"{{{label_str}}}" if label_str else ""
-        lines.append(f"{name}_sum{suffix} {_format_value(total_sum)}")
-        lines.append(f"{name}_count{suffix} {total}")
+            yield "_bucket", {"le": _format_value(bound)}, cumulative
+        yield "_bucket", {"le": "+Inf"}, total
+        yield "_sum", {}, total_sum
+        yield "_count", {}, total
 
-
-class MetricsRegistry:
-    """A named collection of metric families, rendered in one pass."""
-
-    def __init__(self) -> None:
-        self._families: Dict[str, _Family] = {}
-
-    def counter(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> Counter:
-        return self._register(Counter(name, help_text, labelnames))
-
-    def gauge(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> Gauge:
-        return self._register(Gauge(name, help_text, labelnames))
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        labelnames: Sequence[str] = (),
-    ) -> Histogram:
-        return self._register(Histogram(name, help_text, buckets, labelnames))
-
-    def _register(self, family: _Family) -> _Family:
-        existing = self._families.get(family.name)
-        if existing is not None:
-            raise ValueError(f"metric {family.name!r} is already registered")
-        self._families[family.name] = family
-        return family
-
-    def get(self, name: str) -> Optional[_Family]:
-        return self._families.get(name)
-
-    def render(self) -> str:
-        """Prometheus text exposition (0.0.4) of every family."""
-        lines: List[str] = []
-        for family in self._families.values():
-            family.render_into(lines)
-        return "\n".join(lines) + "\n"
+    def render_into(self, lines: List[str]) -> None:
+        render_family(lines, self.name, self.help, "histogram", self._samples())

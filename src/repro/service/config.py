@@ -53,7 +53,6 @@ class ServiceConfig:
         "gc_threshold",
         "poll_interval",
         "http_port",
-        "stats_bytes_ttl",
         "kernel_sample_every",
         "slow_batch_ms",
     )
@@ -71,7 +70,6 @@ class ServiceConfig:
         gc_threshold: int = 0,
         poll_interval: float = 0.5,
         http_port: Optional[int] = None,
-        stats_bytes_ttl: float = 2.0,
         kernel_sample_every: int = 16,
         slow_batch_ms: Optional[float] = None,
     ) -> None:
@@ -93,12 +91,6 @@ class ServiceConfig:
         #: from ``CheckerService.http_address``), ``None`` (the default)
         #: disables the sidecar entirely.
         self.http_port = http_port
-        #: Seconds the ``deep_sizeof`` byte estimate stays cached.  Wire
-        #: STATS requests and ``/metrics`` scrapes share the cached figure so
-        #: a scrape loop cannot stall ingest by re-walking the checker's
-        #: structures on the event loop on every request; 0 disables the
-        #: cache (every request re-measures).
-        self.stats_bytes_ttl = stats_bytes_ttl
         #: Sample per-stage kernel wall times on every Nth drained batch
         #: (``KernelStats.sample_every``); 0 disables stage timing.  The
         #: default keeps the hot path within bench noise while still feeding
@@ -136,8 +128,6 @@ class ServiceConfig:
             raise ValueError("poll_interval must be positive")
         if self.http_port is not None and not 0 <= self.http_port <= 65535:
             raise ValueError("http_port must be in [0, 65535]")
-        if self.stats_bytes_ttl < 0:
-            raise ValueError("stats_bytes_ttl must be >= 0")
         if self.kernel_sample_every < 0:
             raise ValueError("kernel_sample_every must be >= 0")
         if self.slow_batch_ms is not None and self.slow_batch_ms <= 0:

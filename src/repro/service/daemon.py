@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any, Callable, Coroutine, Deque, Dict, List, O
 
 from repro.core.batch import ColumnarBatch
 from repro.core.violations import CheckResult
-from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SlowBatchLog
 from repro.service.config import ServiceConfig
 from repro.service.framing import (
@@ -143,12 +142,10 @@ class CheckerService:
         if self.config.slow_batch_ms is not None:
             kernel_stats.slow_threshold = self.config.slow_batch_ms / 1000.0
             kernel_stats.on_slow_batch = self.slow_batch_log.record
-        #: The metrics registry behind ``GET /metrics``.
-        self.metrics = MetricsRegistry()
-        self._ingest = IngestPipeline(self.config, self.checker, self.metrics, self._broadcast)
+        self._ingest = IngestPipeline(self.config, self.checker, self._broadcast)
         self._sessions = SessionTable()
         self._status = StatusView(
-            self._ingest, self._sessions, self._edge_facts, self.metrics, self.slow_batch_log
+            self._ingest, self._sessions, self._edge_facts, self.slow_batch_log
         )
         #: The submit→verdict latency histogram (owned by the pipeline).
         self.latency = self._ingest.latency

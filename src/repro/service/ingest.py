@@ -62,7 +62,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.core.batch import ColumnarBatch
 from repro.core.violations import CheckResult
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram
 from repro.online.metrics import ThroughputSeries
 from repro.service.config import ServiceConfig
 from repro.service.protocol import violation_to_dict
@@ -153,7 +153,6 @@ class IngestPipeline:
         self,
         config: ServiceConfig,
         checker: Any,
-        metrics: MetricsRegistry,
         broadcast: Callable[[List[Dict[str, Any]]], Awaitable[None]],
     ) -> None:
         self.config = config
@@ -178,19 +177,19 @@ class IngestPipeline:
         self.last_drain_at: Optional[float] = None
         self.last_poll_at: Optional[float] = None
         #: The live-updated instruments (everything else on ``/metrics``
-        #: mirrors hot-path counters at scrape time): one weighted
-        #: ``observe`` per drained queue entry, one per drain cycle, one
-        #: per completed GC cycle — never one per transaction.
-        self.latency = metrics.histogram(
+        #: is read from the ``stats()`` snapshot at scrape time): one
+        #: weighted ``observe`` per drained queue entry, one per drain
+        #: cycle, one per completed GC cycle — never one per transaction.
+        self.latency = Histogram(
             "repro_submit_to_verdict_seconds",
             "Latency from submit frame decode to post-verdict drain completion; "
             "a frame's wait in socket buffers before decode is not counted",
         )
-        self.gc_pause = metrics.histogram(
+        self.gc_pause = Histogram(
             "repro_gc_pause_seconds",
             "Duration of one GC cycle (evict + spill), ingest stalled meanwhile",
         )
-        self.kernel_batch_size = metrics.histogram(
+        self.kernel_batch_size = Histogram(
             "repro_kernel_batch_size",
             "Transactions one drain cycle handed to receive_many (mass at 1: set-up cost rules)",
             (1, 2, 5, 10, 50, 100, 500, 1000),

@@ -6,19 +6,21 @@ reply, the CLI's exit summary, the HTTP sidecar's ``/stats`` and
 it from what each part of the daemon owns (the checker, the pipeline's
 and the session table's counters, the connection edge's facts) on the
 event-loop thread that also runs the checker, and :data:`_FAMILIES`
-declares each mirrored ``/metrics`` family exactly once: the row that
-registers a family also says where its value sits in the snapshot.
-Mirroring at scrape time keeps the ingest path free of metric calls —
-hot-path counters stay plain ints.
+declares each snapshot-backed ``/metrics`` family exactly once: the row
+that names a family also says where its value sits in the snapshot.  A
+scrape renders those rows straight from its own snapshot, so the ingest
+path makes no metric calls and keeps no second copy of a value —
+hot-path counters stay plain ints.  The deep-size byte estimate is
+cached for :data:`STATS_BYTES_TTL` seconds.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.registry import Counter, Gauge, MetricsRegistry
+from repro.obs.registry import render_family
 from repro.obs.trace import SlowBatchLog
 from repro.service.ingest import IngestPipeline
 from repro.service.protocol import PROTOCOL_VERSION
@@ -28,16 +30,18 @@ __all__ = ["StatusView"]
 
 _Stats = Dict[str, Any]
 
+#: Seconds the checker's deep-size byte estimate stays cached.  Wire
+#: STATS requests and ``/metrics`` scrapes share the cached figure, so a
+#: scrape loop cannot stall ingest by re-walking the checker's structures
+#: on the event loop on every request; 0 would re-measure every time.
+STATS_BYTES_TTL = 2.0
 
-def _at(*path: str) -> Callable[[_Stats], Any]:
-    """Reader for one nested snapshot key."""
 
-    def read(stats: _Stats) -> Any:
-        for key in path:
-            stats = stats[key]
-        return stats
-
-    return read
+def _at(stats: _Stats, dotted: str) -> Any:
+    """The value under one dotted snapshot key."""
+    for key in dotted.split("."):
+        stats = stats[key]
+    return stats
 
 
 def _wire(field: str) -> Callable[[_Stats], Any]:
@@ -53,10 +57,10 @@ def _kernel(stages: Tuple[str, ...], suffix: str = "") -> Callable[[_Stats], Any
 
 
 #: ``(name, help, kind, labelnames, how to read it from a stats() snapshot)``.
-#: An unlabelled family names its (dotted) snapshot key — a ``None``
-#: there leaves the sample untouched; a labelled one has a reader that
-#: yields ``(label values, value)`` pairs.  Registration order is
-#: exposition order.
+#: An unlabelled family names its (dotted) snapshot key, which is never
+#: ``None`` in ``stats(True)``; a labelled one has a reader that yields
+#: ``(label values, value)`` pairs, the same label sets on every scrape.
+#: Row order is exposition order, after the pipeline's histograms.
 _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
     ("repro_uptime_seconds", "Seconds since the daemon started", "gauge", (), "uptime_s"),
     ("repro_ingested_txns_total", "Transactions admitted from the wire", "counter", (),
@@ -143,9 +147,6 @@ _FAMILIES: Tuple[Tuple[str, str, str, Tuple[str, ...], Any], ...] = (
      "host_gc.seconds"),
 )
 
-#: How a scrape copies a snapshot value into each kind of family.
-_SET = {"counter": Counter.set_total, "gauge": Gauge.set}
-
 
 class HostGcMeter:
     """A ``gc.callbacks`` hook: passes per generation and the time spent
@@ -176,14 +177,13 @@ class HostGcMeter:
 
 
 class StatusView:
-    """Snapshot, health verdict and Prometheus mirror of one daemon."""
+    """Snapshot, health verdict and Prometheus exposition of one daemon."""
 
     def __init__(
         self,
         ingest: IngestPipeline,
         sessions: SessionTable,
         edge: Callable[[], Dict[str, Any]],
-        metrics: MetricsRegistry,
         slow_batch_log: SlowBatchLog,
     ) -> None:
         self._config = ingest.config
@@ -194,7 +194,6 @@ class StatusView:
         #: ``subscribers_shed``, ``connections``, ``backlog`` (size,
         #: capacity), ``shutting_down``.
         self._edge = edge
-        self._metrics = metrics
         self._slow_batch_log = slow_batch_log
         #: Installed into ``gc.callbacks`` by the daemon for as long as
         #: it runs.
@@ -204,19 +203,9 @@ class StatusView:
         #: wire STATS and ``/metrics`` share one measurement per TTL
         #: window instead of stalling ingest per request.
         self._bytes_cache: Optional[Tuple[int, float]] = None
-        # Registered once, up front, so ``/metrics`` presents a stable
-        # catalog from the first scrape.
-        self._mirrors = [
-            (
-                getattr(metrics, kind)(name, help_text, labels),
-                _SET[kind],
-                _at(*read.split(".")) if isinstance(read, str) else read,
-            )
-            for name, help_text, kind, labels, read in _FAMILIES
-        ]
 
     def _estimated_bytes_cached(self) -> int:
-        """The checker's deep-size estimate, cached for ``stats_bytes_ttl``.
+        """The checker's deep-size estimate, cached for :data:`STATS_BYTES_TTL`.
 
         The measurement itself is O(resident state) and runs on the event
         loop, where the drain task checks; wire STATS requests and
@@ -224,9 +213,8 @@ class StatusView:
         window serves every consumer and a scrape loop cannot stall
         ingest.
         """
-        ttl = self._config.stats_bytes_ttl
         cached = self._bytes_cache
-        if cached is not None and ttl > 0 and time.monotonic() - cached[1] < ttl:
+        if cached is not None and time.monotonic() - cached[1] < STATS_BYTES_TTL:
             return cached[0]
         value = self._checker.estimated_bytes()
         self._bytes_cache = (value, time.monotonic())
@@ -236,7 +224,7 @@ class StatusView:
         """Counters for the ``STATS`` request (and the CLI's summary).
 
         ``include_bytes=False`` skips ``estimated_bytes`` (a deep sizeof
-        walk over all resident state — cached for ``stats_bytes_ttl``
+        walk over all resident state — cached for :data:`STATS_BYTES_TTL`
         seconds, so repeated requests inside the window cost nothing) —
         the cheap mode for a monitoring poller on a hot daemon; the wire
         request opts out with ``{"type": "stats", "bytes": false}``.
@@ -306,16 +294,20 @@ class StatusView:
         }
 
     def render_metrics(self) -> str:
-        """Mirror a fresh snapshot into the registry and render it."""
+        """Prometheus text of the pipeline's histograms and a fresh snapshot."""
+        ingest = self._ingest
         # The push counter is exported here only: it never was a STATS key.
-        stats = {**self.stats(True), "pushed_violations": self._ingest.pushed_violations}
-        for family, set_value, read in self._mirrors:
-            if family.labelnames:
-                for labels, value in read(stats):
-                    set_value(family.labels(*labels), value)
-            elif (value := read(stats)) is not None:
-                set_value(family, value)
-        return self._metrics.render()
+        stats = {**self.stats(True), "pushed_violations": ingest.pushed_violations}
+        lines: List[str] = []
+        for histogram in (ingest.latency, ingest.gc_pause, ingest.kernel_batch_size):
+            histogram.render_into(lines)
+        for name, help_text, kind, labelnames, read in _FAMILIES:
+            if labelnames:
+                samples = [("", dict(zip(labelnames, key)), value) for key, value in read(stats)]
+            else:
+                samples = [("", {}, _at(stats, read))]
+            render_family(lines, name, help_text, kind, samples)
+        return "\n".join(lines) + "\n"
 
     def health(self) -> Tuple[bool, Dict[str, Any]]:
         """Componentized liveness: ``(overall ok, JSON-ready detail)``.

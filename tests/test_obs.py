@@ -1,4 +1,4 @@
-"""Observability subsystem tests: metrics registry, HTTP sidecar,
+"""Observability subsystem tests: Prometheus encoder, HTTP sidecar,
 health degradation, stats caching, and the metrics-on/off differential.
 
 The differential class is the acceptance claim for the whole surface:
@@ -22,13 +22,16 @@ from repro.core.aion_ser import AionSer
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.histories.anomalies import ANOMALY_CATALOG
-from repro.obs import Counter, Gauge, Histogram, HttpSidecar, MetricsRegistry, SlowBatchLog
+from repro.obs import Histogram, HttpSidecar, SlowBatchLog
+from repro.obs.registry import render_family
 from repro.service import (
     CheckerClient,
     ServiceConfig,
     ServiceThread,
     transactions_in_commit_order,
 )
+import repro.service.status as status_module
+from repro.db.faults import FaultInjector
 from repro.service.client import http_get_json, http_get_text
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
@@ -41,43 +44,10 @@ def anomaly_txns(name: str):
 
 
 # ----------------------------------------------------------------------
-# Registry: counters, gauges, histogram math, Prometheus text
+# Encoder: histogram math, Prometheus text
 # ----------------------------------------------------------------------
 
 class TestRegistry:
-    def test_counter_monotonic(self):
-        counter = Counter("c_total", "help")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-        counter.set_total(42)  # scrape-time mirror of an external int
-        assert counter.value == 42
-
-    def test_gauge_both_ways(self):
-        gauge = Gauge("g", "help")
-        gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
-        assert gauge.value == 7
-
-    def test_labels_cached_and_validated(self):
-        counter = Counter("c_total", "help", labelnames=("kind",))
-        child = counter.labels("a")
-        assert counter.labels("a") is child
-        assert counter.labels("b") is not child
-        with pytest.raises(ValueError):
-            counter.labels("a", "extra")
-        with pytest.raises(ValueError):
-            Counter("plain_total", "help").labels("a")
-
-    def test_duplicate_registration_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x_total", "help")
-        with pytest.raises(ValueError):
-            registry.gauge("x_total", "help")
-
     def test_histogram_le_is_inclusive(self):
         hist = Histogram("h_seconds", "help", buckets=(0.1, 1.0))
         hist.observe(0.1)   # exactly on a bound -> that bound's bucket
@@ -129,16 +99,18 @@ class TestRegistry:
         assert summary["p99_s"] is not None
 
     def test_prometheus_golden_render(self):
-        registry = MetricsRegistry()
-        jobs = registry.counter("demo_jobs_total", "Jobs processed", labelnames=("kind",))
-        jobs.labels("a").inc(2)
-        jobs.labels("b").inc()
-        registry.gauge("demo_depth", "Queue depth").set(7)
-        latency = registry.histogram("demo_seconds", "Latency", buckets=(0.1, 1.0))
+        lines = []
+        render_family(lines, "demo_jobs_total", "Jobs processed", "counter", [
+            ("", {"kind": "a"}, 2),
+            ("", {"kind": "b"}, 1),
+        ])
+        render_family(lines, "demo_depth", "Queue depth", "gauge", [("", {}, 7)])
+        latency = Histogram("demo_seconds", "Latency", buckets=(0.1, 1.0))
         latency.observe(0.1)
         latency.observe(0.5)
         latency.observe(5.0)
-        assert registry.render() == (
+        latency.render_into(lines)
+        assert "\n".join(lines) + "\n" == (
             "# HELP demo_jobs_total Jobs processed\n"
             "# TYPE demo_jobs_total counter\n"
             'demo_jobs_total{kind="a"} 2\n'
@@ -156,23 +128,10 @@ class TestRegistry:
         )
 
     def test_label_value_escaping(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("esc_total", "h", labelnames=("v",))
-        counter.labels('a"b\\c\nd').inc()
-        text = registry.render()
+        lines = []
+        render_family(lines, "esc_total", "h", "counter", [("", {"v": 'a"b\\c\nd'}, 1)])
+        text = "\n".join(lines) + "\n"
         assert 'esc_total{v="a\\"b\\\\c\\nd"} 1\n' in text
-
-    def test_labeled_histogram_renders_per_child(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "stage_seconds", "h", buckets=(1.0,), labelnames=("stage",)
-        )
-        hist.labels("route").observe(0.5)
-        hist.labels("probe").observe(2.0)
-        text = registry.render()
-        assert 'stage_seconds_bucket{stage="route",le="1"} 1' in text
-        assert 'stage_seconds_bucket{stage="probe",le="+Inf"} 1' in text
-        assert 'stage_seconds_count{stage="route"} 1' in text
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +316,30 @@ class TestDaemonEndpoints:
         for name, total in gc["evicted"].items():
             assert int(lines[f"repro_gc_evicted_{name}_total"]) == total
 
+    def test_label_sets_stable_across_scrapes(self, start_service):
+        """A scrape renders exactly what its snapshot holds, so a family's
+        samples must not depend on what the daemon has seen: a fresh
+        daemon and one that has checked a faulted stream with GC cycles
+        expose the same sample keys, in the same order."""
+        handle = start_service(gc_threshold=40)
+        before = fresh_catalog(handle)["metrics"]
+        history = generate_default_history(
+            WorkloadSpec(n_sessions=4, n_transactions=300, ops_per_txn=6, n_keys=30, seed=5)
+        )
+        injector = FaultInjector(history, seed=5)
+        injector.inject_int()
+        txns = transactions_in_commit_order(injector.build())
+        host, port = handle.tcp_address
+        with CheckerClient(host, port) as client:
+            client.connect()
+            for offset in range(0, len(txns), 50):
+                client.submit_many(txns[offset : offset + 50])
+            result = client.finalize()
+            stats = client.stats()
+        assert not result.is_valid
+        assert stats["gc"]["cycles"] >= 1
+        assert fresh_catalog(handle)["metrics"] == before
+
     def test_health_ok_and_stats_endpoint(self, start_service):
         handle = start_service()
         host, port = handle.http_address
@@ -468,7 +451,7 @@ ADDED_STATS_KEYS = {
 #: ndjson codec's ``codec="v1"`` wire children and ``wire.v1`` counters,
 #: and the ``protocols`` list, went with that codec; the per-shard
 #: gauges and the ``shards`` rows went with the daemon's sharded checker
-#: (the recorded ``sharded_x2`` catalog is no longer served).
+#: (the golden no longer holds the sharded catalog it once recorded).
 RETIRED_SAMPLE = 'codec="v1"'
 RETIRED_FAMILIES = {
     "repro_interval_scan_steps_total",
@@ -553,8 +536,9 @@ class TestExportedCatalogGolden:
 # ----------------------------------------------------------------------
 
 class TestStatsExtras:
-    def test_estimated_bytes_cached_for_ttl(self, start_service):
-        handle = start_service(http_port=None, stats_bytes_ttl=60.0)
+    def test_estimated_bytes_cached_for_ttl(self, start_service, monkeypatch):
+        monkeypatch.setattr(status_module, "STATS_BYTES_TTL", 60.0)
+        handle = start_service(http_port=None)
         service = handle.service
         real = service.checker.estimated_bytes
         calls = []
@@ -571,8 +555,9 @@ class TestStatsExtras:
         service.stats(include_bytes=False)
         assert len(calls) == 1  # cheap mode never measures
 
-    def test_zero_ttl_disables_the_cache(self, start_service):
-        handle = start_service(http_port=None, stats_bytes_ttl=0.0)
+    def test_zero_ttl_disables_the_cache(self, start_service, monkeypatch):
+        monkeypatch.setattr(status_module, "STATS_BYTES_TTL", 0.0)
+        handle = start_service(http_port=None)
         service = handle.service
         real = service.checker.estimated_bytes
         calls = []

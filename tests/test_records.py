@@ -148,7 +148,6 @@ FIELDS = [
             "gc_threshold": 0,
             "poll_interval": 0.5,
             "http_port": None,
-            "stats_bytes_ttl": 2.0,
             "kernel_sample_every": 16,
             "slow_batch_ms": None,
         },
@@ -275,16 +274,13 @@ REPRS = [
         ServiceConfig(),
         "ServiceConfig(host='127.0.0.1', port=0, unix_path=None, level='si', "
         "timeout=5.0, queue_capacity=10000, batch_size=500, gc_threshold=0, "
-        "poll_interval=0.5, http_port=None, stats_bytes_ttl=2.0, kernel_sample_every=16, "
-        "slow_batch_ms=None)",
+        "poll_interval=0.5, http_port=None, kernel_sample_every=16, slow_batch_ms=None)",
     ),
     (
-        ServiceConfig("::1", None, "/tmp/d.sock", "ser", float("inf"), 8, 9, 10, 0.25, 0,
-                      1.0, 0, 3.5),
+        ServiceConfig("::1", None, "/tmp/d.sock", "ser", float("inf"), 8, 9, 10, 0.25, 0, 0, 3.5),
         "ServiceConfig(host='::1', port=None, unix_path='/tmp/d.sock', level='ser', "
         "timeout=inf, queue_capacity=8, batch_size=9, gc_threshold=10, "
-        "poll_interval=0.25, http_port=0, stats_bytes_ttl=1.0, kernel_sample_every=0, "
-        "slow_batch_ms=3.5)",
+        "poll_interval=0.25, http_port=0, kernel_sample_every=0, slow_batch_ms=3.5)",
     ),
     (
         MemorySampler(len, 5, [(0.5, 3)], 2),

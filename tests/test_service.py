@@ -294,6 +294,9 @@ class TestProtocol:
         # One checker per level: there is no shard count to ask for.
         with pytest.raises(TypeError):
             ServiceConfig(n_shards=2)
+        # The byte-estimate cache lifetime is a constant of the status view.
+        with pytest.raises(TypeError):
+            ServiceConfig(stats_bytes_ttl=1.0)
         assert ServiceConfig().checker_kind == "aion"
         assert ServiceConfig(level="ser").checker_kind == "aion-ser"
 
@@ -1237,19 +1240,21 @@ class TestCliServeReplay:
             ["serve", "--shards", "2"],
             ["check", "history.jsonl", "--online", "--shards", "2"],
             ["chaos", "--shards", "2"],
+            ["serve", "--stats-bytes-ttl", "1"],
         ],
         ids=[
             "serve-lane-kb", "serve-shm-executor", "chaos-shm-executor",
             "serve-process-executor", "chaos-process-executor",
-            "serve-shards", "check-shards", "chaos-shards",
+            "serve-shards", "check-shards", "chaos-shards", "serve-stats-bytes-ttl",
         ],
     )
     def test_shared_memory_executor_options_are_gone(self, capsys, argv):
         """The shard transports other than in-process — shared-memory
         lanes with their ring size knob, then worker processes — were
         removed with the ``--executor`` option, and sharding itself with
-        ``--shards``: asking for either is a usage error, not a silent
-        fallback."""
+        ``--shards``; the byte-estimate cache lifetime went from a
+        ``--stats-bytes-ttl`` option to a constant.  Asking for any of
+        them is a usage error, not a silent fallback."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exit_info:
