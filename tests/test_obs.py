@@ -133,6 +133,30 @@ class TestRegistry:
         text = "\n".join(lines) + "\n"
         assert 'esc_total{v="a\\"b\\\\c\\nd"} 1\n' in text
 
+    def test_sample_values_render_bare_or_spelled(self):
+        lines = []
+        render_family(lines, "v", "h", "gauge", [
+            ("", {"x": "int"}, 3),
+            ("", {"x": "whole"}, 2.0),
+            ("", {"x": "frac"}, 0.25),
+            ("", {"x": "nan"}, float("nan")),
+            ("", {"x": "pos"}, float("inf")),
+            ("", {"x": "neg"}, float("-inf")),
+        ])
+        assert lines[2:] == [
+            'v{x="int"} 3',
+            'v{x="whole"} 2',
+            'v{x="frac"} 0.25',
+            'v{x="nan"} NaN',
+            'v{x="pos"} +Inf',
+            'v{x="neg"} -Inf',
+        ]
+
+    def test_family_without_samples_keeps_its_headers(self):
+        lines = []
+        render_family(lines, "empty_total", "Nothing yet", "counter", [])
+        assert lines == ["# HELP empty_total Nothing yet", "# TYPE empty_total counter"]
+
 
 # ----------------------------------------------------------------------
 # Slow-batch trace log
@@ -315,6 +339,33 @@ class TestDaemonEndpoints:
         assert int(lines["repro_gc_reloads_total"]) == 0
         for name, total in gc["evicted"].items():
             assert int(lines[f"repro_gc_evicted_{name}_total"]) == total
+
+    def test_every_family_row_reads_from_a_snapshot(self, start_service):
+        """Each ``_FAMILIES`` row names a distinct family of a valid kind,
+        and its snapshot key or reader yields numbers, with one label
+        value per label name, from a live daemon's ``stats(True)``."""
+        handle = start_service(http_port=None)
+        submit(handle, anomaly_txns("dirty-read"))
+        ingest = handle.service._ingest
+        # render_metrics adds the push counter, which is not a STATS key.
+        stats = {**handle.service.stats(True), "pushed_violations": ingest.pushed_violations}
+        histograms = {h.name for h in (ingest.latency, ingest.gc_pause, ingest.kernel_batch_size)}
+        names = [row[0] for row in status_module._FAMILIES]
+        assert len(set(names)) == len(names)
+        assert not histograms & set(names)
+        for name, _help, kind, labelnames, read in status_module._FAMILIES:
+            assert kind in ("counter", "gauge"), name
+            if kind == "counter":
+                assert name.endswith("_total"), name
+            if labelnames:
+                pairs = list(read(stats))
+                assert pairs, name
+                for key, value in pairs:
+                    assert len(key) == len(labelnames), name
+                    assert isinstance(value, (int, float)) and value >= 0, name
+            else:
+                value = status_module._at(stats, read)
+                assert isinstance(value, (int, float)) and value >= 0, name
 
     def test_label_sets_stable_across_scrapes(self, start_service):
         """A scrape renders exactly what its snapshot holds, so a family's
