@@ -3,7 +3,7 @@
 The online analogue of the paper's §V-D fault experiments — a Jepsen-
 style loop for the timestamp-based checkers.  One campaign drives a
 live simulated :class:`~repro.db.engine.Database` workload, ships its
-CDC feed through a WAL file tailed by
+CDC feed as history-file lines to a temporary file tailed by
 :class:`~repro.db.cdc.WalTailer`, and streams the transactions into a
 real checker daemon over the v2 wire — while a seeded
 :class:`~repro.chaos.schedule.CampaignSchedule` injects connection
@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Any, Dict, IO, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.chaos.schedule import CampaignSchedule, mutation_classes
 from repro.core.reference import normalize_violations
@@ -49,11 +49,12 @@ from repro.core.violations import (
     SessionViolation,
     Violation,
 )
-from repro.db.cdc import WalTailer, wal_line
+from repro.db.cdc import WalTailer
 from repro.db.engine import Database, IsolationLevel
 from repro.db.faults import FaultInjector, FaultLabel, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.model import INIT_TID, Transaction
+from repro.histories.serialization import txn_to_jsonl
 from repro.service.client import CheckerClient
 from repro.service.config import ServiceConfig
 from repro.service.daemon import ServiceThread
@@ -252,7 +253,6 @@ class CampaignRunner:
         txns_per_segment: int = 40,
         batch_size: int = 8,
         pause_ms: float = 25.0,
-        wal_path: Optional[Path] = None,
     ) -> None:
         self.schedule = schedule
         self.level = level
@@ -261,7 +261,6 @@ class CampaignRunner:
         self.txns_per_segment = txns_per_segment
         self.batch_size = batch_size
         self.pause_ms = pause_ms
-        self.wal_path = wal_path
         # Refuse a bad daemon configuration or an undetectable mutation
         # before any daemon boots.
         self._service_config(0).validate()
@@ -326,19 +325,13 @@ class CampaignRunner:
             rng=Random(schedule.seed ^ 0x5EED),
         )
         database = Database(oracle, isolation=IsolationLevel(self.level))
-        if self.wal_path is not None:
-            wal_path = Path(self.wal_path)
-            wal_file: IO[str] = wal_path.open("a", encoding="utf-8")
-            wal_is_temp = False
-        else:
-            tmp = tempfile.NamedTemporaryFile(
-                "a", suffix=".wal", prefix="repro-chaos-", delete=False, encoding="utf-8"
-            )
-            wal_path, wal_file = Path(tmp.name), tmp
-            wal_is_temp = True
+        wal_file = tempfile.NamedTemporaryFile(
+            "a", suffix=".jsonl", prefix="repro-chaos-", delete=False, encoding="utf-8"
+        )
+        wal_path = Path(wal_file.name)
 
         def ship(txn: Transaction) -> None:
-            wal_file.write(wal_line(txn) + "\n")
+            wal_file.write(txn_to_jsonl(txn) + "\n")
             wal_file.flush()
 
         database.cdc.subscribe(ship)
@@ -461,11 +454,7 @@ class CampaignRunner:
             client.close()
             handle.stop()
             wal_file.close()
-            if wal_is_temp:
-                try:
-                    wal_path.unlink()
-                except OSError:
-                    pass
+            wal_path.unlink(missing_ok=True)
 
         # ------------------------------------------------------------------
         # Attribution: every violation must trace back to an injected

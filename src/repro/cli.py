@@ -14,8 +14,9 @@ Commands
 ``stats``     — print a history file's descriptive statistics;
 ``serve``     — run the online checker as a long-lived daemon speaking
                 the binary-frame wire protocol (see :mod:`repro.service`);
-``replay``    — stream a history file, WAL capture, anomaly fixture, or
-                generated workload into a running daemon;
+``replay``    — stream a history file (a saved CDC capture is one), an
+                anomaly fixture, or a generated workload into a running
+                daemon;
 ``chaos``     — run a seeded chaos campaign: live workload + daemon
                 under scheduled faults, asserting every injected fault
                 is detected and no clean window raises an alarm.
@@ -159,8 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     replay = commands.add_parser("replay", help="stream a history into a daemon")
     source = replay.add_mutually_exclusive_group(required=True)
-    source.add_argument("--history", metavar="FILE", help="JSONL history file")
-    source.add_argument("--wal", metavar="FILE", help="textual WAL capture")
+    source.add_argument("--history", metavar="FILE",
+                        help="history file, JSON Lines or packed (a saved CDC capture is one)")
     source.add_argument("--anomaly", metavar="NAME",
                         help="a fixture from histories/anomalies.py (e.g. dirty-read)")
     source.add_argument("--generate", type=int, metavar="N",
@@ -230,9 +231,11 @@ def load_or_report(loader, path: str):
     history file is reported as ``error: <path>[:<line>]: <what>``."""
     try:
         return loader(path)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
+    return None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

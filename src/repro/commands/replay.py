@@ -1,5 +1,5 @@
-"""``repro replay``: stream a history file, WAL capture, anomaly fixture or
-generated workload into a running daemon.
+"""``repro replay``: stream a history file (a saved CDC capture is one), an
+anomaly fixture or a generated workload into a running daemon.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ import argparse
 import sys
 
 from repro.cli import load_or_report
-from repro.db.cdc import iter_wal_file
 from repro.histories.anomalies import ANOMALY_CATALOG
 from repro.histories.serialization import load_history
 from repro.service import (
@@ -26,8 +25,6 @@ def run(args: argparse.Namespace) -> int:
         source = load_or_report(load_history, args.history)
         if source is None:
             return 2
-    elif args.wal is not None:
-        source = list(iter_wal_file(args.wal))
     elif args.anomaly is not None:
         spec = ANOMALY_CATALOG.get(args.anomaly)
         if spec is None:

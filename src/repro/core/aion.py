@@ -55,7 +55,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from itertools import compress
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.common import BOTTOM, SessionTracker
 from repro.core.ext_status import (
@@ -88,9 +88,6 @@ from repro.core.batch import ColumnarBatch
 from repro.util.hostgc import paused
 from repro.util.sizeof import deep_sizeof
 
-if TYPE_CHECKING:
-    from pathlib import Path
-
 __all__ = ["Aion", "AionConfig", "GcReport"]
 
 
@@ -98,8 +95,7 @@ class AionConfig:
     """Tunables of the online checker.
 
     ``timeout`` is the EXT re-checking deadline per transaction (the paper
-    conservatively uses 5 seconds, §IV-A).  ``spill_dir`` fixes where GC
-    segments are written; None uses a temporary directory.
+    conservatively uses 5 seconds, §IV-A).
 
     ``optimized_recheck`` enables the paper's three step-③ optimizations
     (re-check only keys written by the arrival, only reads whose visible
@@ -109,29 +105,27 @@ class AionConfig:
     throughput benchmarks quantify.
     """
 
-    __slots__ = ("timeout", "spill_dir", "optimized_recheck")
+    __slots__ = ("timeout", "optimized_recheck")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
         timeout: float = 5.0,
-        spill_dir: Optional[Path] = None,
         optimized_recheck: bool = True,
     ) -> None:
         self.timeout = timeout
-        self.spill_dir = spill_dir
         self.optimized_recheck = optimized_recheck
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.timeout, self.spill_dir, self.optimized_recheck) == (
-            other.timeout, other.spill_dir, other.optimized_recheck  # type: ignore[attr-defined]
+        return (self.timeout, self.optimized_recheck) == (
+            other.timeout, other.optimized_recheck  # type: ignore[attr-defined]
         )
 
     def __repr__(self) -> str:
         return (
-            f"AionConfig(timeout={self.timeout!r}, spill_dir={self.spill_dir!r}, "
+            f"AionConfig(timeout={self.timeout!r}, "
             f"optimized_recheck={self.optimized_recheck!r})"
         )
 

@@ -177,18 +177,12 @@ class SpillSegment:
 class SpillStore:
     """Spill segments to a directory and reload them on demand.
 
-    The store owns its directory; with ``directory=None`` a temporary one
-    is created and removed by :meth:`close`.
+    The store owns its directory: a temporary one (``TMPDIR`` decides
+    where), created here and removed by :meth:`close`.
     """
 
-    def __init__(self, directory: Optional[Path] = None) -> None:
-        if directory is None:
-            self._dir = Path(tempfile.mkdtemp(prefix="repro-spill-"))
-            self._owns_dir = True
-        else:
-            self._dir = Path(directory)
-            self._dir.mkdir(parents=True, exist_ok=True)
-            self._owns_dir = False
+    def __init__(self) -> None:
+        self._dir = Path(tempfile.mkdtemp(prefix="repro-spill-"))
         self._segments: List[SpillSegment] = []
         self._next_id = 0
         self.bytes_written = 0
@@ -253,12 +247,9 @@ class SpillStore:
         return reloaded
 
     def close(self) -> None:
-        """Delete all segments (and the directory when owned)."""
-        for segment in self._segments:
-            segment.path.unlink(missing_ok=True)
+        """Delete all segments and the directory."""
         self._segments.clear()
-        if self._owns_dir:
-            shutil.rmtree(self._dir, ignore_errors=True)
+        shutil.rmtree(self._dir, ignore_errors=True)
 
     def __enter__(self) -> "SpillStore":
         return self

@@ -93,9 +93,9 @@ class SpillingGc:
     A checker calls :meth:`_init_gc`, enters each accepted arrival in
     ``_resident`` (``tid -> commit_ts``), and implements
     ``_evict_columns(ts) -> VersionColumns`` and
-    ``_merge_columns(versions)`` over its per-key frontier;
-    ``self.config.spill_dir`` says where segments go, and
-    ``self._ignores_start_ts`` whether the checker asks no overlap query.
+    ``_merge_columns(versions)`` over its per-key frontier, and
+    ``self._ignores_start_ts`` says whether the checker asks no overlap
+    query.
     """
 
     def _init_gc(self) -> None:
@@ -195,7 +195,7 @@ class SpillingGc:
             if self._spill is None:
                 from repro.core.segments import SpillStore
 
-                self._spill = SpillStore(self.config.spill_dir)
+                self._spill = SpillStore()
             # The segment's range must bound its *content*: reloaded and
             # re-evicted data can be much older than the previous GC
             # boundary, and a range that overstates min_ts would hide the

@@ -14,7 +14,8 @@ logs.  This package supplies a faithful in-process substitute:
   read sets at commit so that committed executions are equivalent to the
   serial commit-timestamp order;
 - :mod:`repro.db.cdc` — the change-data-capture log from which
-  timestamps and operations are extracted (§IV-C);
+  timestamps and operations are extracted (§IV-C); its text form is the
+  history file's JSON Lines, so a saved capture is a history file;
 - :mod:`repro.db.faults` — fault injection, both engine-level (clock
   skew) and window-level mutations (of a held history or of live
   batches) with ground-truth labels, used by the §V-D violation-detection

@@ -175,11 +175,9 @@ class Transaction:
     - ``write_keys`` — frozenset of keys written (``T.wkey`` in the paper);
     - ``last_writes`` — final value written per key (``ext_val``), keys in
       the program order of their first write;
-    - ``external_reads`` — first read per key *before any write/read of
-      that key in the transaction*, i.e. the reads governed by EXT, as
-      :class:`Operation` objects built for the reads returned;
-      ``external_read_positions`` maps the same keys, in the same order,
-      to the read's position in the columns;
+    - ``external_read_positions`` — first read per key *before any
+      write/read of that key in the transaction*, i.e. the reads governed
+      by EXT, each key mapped to the read's position in the columns;
     - ``is_read_only`` — no op writes.
     """
 
@@ -267,21 +265,8 @@ class Transaction:
         return positions
 
     @property
-    def external_reads(self) -> Dict[Key, Operation]:
-        codes, values, kind_of = self.codes, self.values, _KIND_OF_CODE
-        return {
-            key: Operation(kind_of[codes[position]], key, values[position])
-            for key, position in self.external_read_positions.items()
-        }
-
-    @property
     def is_read_only(self) -> bool:
         return OP_WRITE not in self.codes and OP_APPEND not in self.codes
-
-    @property
-    def interval(self) -> Tuple[int, int]:
-        """The transaction's lifetime ``[start_ts, commit_ts]``."""
-        return (self.start_ts, self.commit_ts)
 
     def overlaps(self, other: "Transaction") -> bool:
         """True when the two lifetimes intersect (concurrency test)."""

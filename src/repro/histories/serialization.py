@@ -1,20 +1,22 @@
 """History serialization: JSON Lines on disk, columnar packs on the wire.
 
-Two formats share this module so WAL files, history files, and wire
-traffic keep one schema:
+Two formats share this module so history files, the CDC log's live feed
+and wire traffic keep one schema:
 
-**JSON Lines** — one JSON object per transaction::
+**JSON Lines** — one JSON object per transaction, rendered by
+:func:`txn_to_jsonl`::
 
     {"tid": 7, "sid": 2, "sno": 3, "sts": 101, "cts": 108,
      "ops": [["w", "x", 5], ["r", "y", 0], ["a", "l", 9], ["rl", "l", [1, 9]]]}
 
-The format is append-friendly (the online collector writes it as the
-database runs) and loads in a single pass — the "loading" stage measured
+The format is append-friendly (the chaos campaign's CDC shipper appends
+it as the database runs, and :class:`~repro.db.cdc.WalTailer` tails
+it) and loads in a single pass — the "loading" stage measured
 by the runtime-decomposition figures (Fig 8, 9, 24).
 
 **Columnar packs** — the struct-packed batch codec lives in
 :mod:`repro.core.colpack`, the shared home of every columnar framing
-(wire blobs, packed WAL files, GC spill segments); :class:`ColumnarBatch`
+(wire blobs, packed history files, GC spill segments); :class:`ColumnarBatch`
 (from :mod:`repro.core.batch`), :func:`pack_columnar` and
 :func:`unpack_columnar` are re-exported here unchanged (the codec is
 imported only when a packed file is read or written), and
@@ -45,7 +47,7 @@ bits turns the value column into a list (:func:`_append_values`).  A
 register history whose integers fit in 32 bits costs about 17 bytes
 per operation once loaded.  The ``[code, key, value]`` → op-column
 (code byte, key, value) rule is one function, :func:`_decode_ops`, which
-:func:`txn_from_dict` (one row, for the WAL reader) shares, and every
+:func:`txn_from_dict` (one row, for the CDC log's tailer) shares, and every
 decode call keeps one key memo, so a file (JSONL or packed, across all
 its chunks) or a text holds one ``str`` per distinct key
 rather than one per operation.  The memo is local to the call: nothing
@@ -74,6 +76,7 @@ from repro.histories.model import History, Transaction, _KIND_OF_CODE
 
 __all__ = [
     "txn_to_dict",
+    "txn_to_jsonl",
     "txn_from_dict",
     "history_to_jsonl",
     "history_from_jsonl",
@@ -205,6 +208,11 @@ def txn_to_dict(txn: Transaction) -> Dict[str, Any]:
             for code, key, value in zip(txn.codes, txn.keys, txn.values)
         ],
     }
+
+
+def txn_to_jsonl(txn: Transaction) -> str:
+    """One transaction as a history file's line (no newline)."""
+    return json.dumps(txn_to_dict(txn), separators=(",", ":"))
 
 
 def txn_from_dict(data: Dict[str, Any], memo: Optional[Dict[str, str]] = None) -> Transaction:
@@ -402,7 +410,7 @@ def columns_from_jsonl(lines: Iterable[str], *, where: str = "line ") -> Columna
 
 def history_to_jsonl(history: History) -> str:
     """Encode a whole history as JSON Lines text."""
-    return "\n".join(json.dumps(txn_to_dict(txn), separators=(",", ":")) for txn in history)
+    return "\n".join(map(txn_to_jsonl, history))
 
 
 def history_from_jsonl(text: str) -> History:
@@ -415,7 +423,7 @@ def save_history(history: History, path: Union[str, Path]) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         for txn in history:
-            handle.write(json.dumps(txn_to_dict(txn), separators=(",", ":")))
+            handle.write(txn_to_jsonl(txn))
             handle.write("\n")
 
 
@@ -425,7 +433,7 @@ def load_history(path: Union[str, Path]) -> History:
 
 
 # ----------------------------------------------------------------------
-# Packed history / WAL files
+# Packed history files
 # ----------------------------------------------------------------------
 
 _PACK_FILE_MAGIC = b"RPCH"  # "RePro Columnar History"

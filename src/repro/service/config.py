@@ -51,7 +51,6 @@ class ServiceConfig:
         "queue_capacity",
         "batch_size",
         "gc_threshold",
-        "poll_interval",
         "http_port",
         "kernel_sample_every",
         "slow_batch_ms",
@@ -68,7 +67,6 @@ class ServiceConfig:
         queue_capacity: int = 10_000,
         batch_size: int = 500,
         gc_threshold: int = 0,
-        poll_interval: float = 0.5,
         http_port: Optional[int] = None,
         kernel_sample_every: int = 16,
         slow_batch_ms: Optional[float] = None,
@@ -81,11 +79,6 @@ class ServiceConfig:
         self.queue_capacity = queue_capacity
         self.batch_size = batch_size
         self.gc_threshold = gc_threshold
-        #: Seconds between idle polls of the checker's EXT timer queue.  A
-        #: finite ``timeout`` arms real-clock deadlines that must fire even
-        #: when no transactions are arriving; the daemon polls at this
-        #: cadence so due verdicts are pushed from a quiet wire too.
-        self.poll_interval = poll_interval
         #: TCP port of the HTTP observability sidecar (``/metrics``,
         #: ``/health``, ``/stats``); 0 binds an ephemeral port (read it back
         #: from ``CheckerService.http_address``), ``None`` (the default)
@@ -124,8 +117,6 @@ class ServiceConfig:
             raise ValueError("batch_size must be >= 1")
         if self.gc_threshold < 0:
             raise ValueError("gc_threshold must be >= 0")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.http_port is not None and not 0 <= self.http_port <= 65535:
             raise ValueError("http_port must be in [0, 65535]")
         if self.kernel_sample_every < 0:

@@ -69,6 +69,13 @@ from repro.service.protocol import violation_to_dict
 
 __all__ = ["IngestPipeline"]
 
+#: Seconds between idle polls of the checker's EXT timer queue.  A finite
+#: EXT timeout arms real-clock deadlines that must fire even when no
+#: transactions are arriving; the daemon polls at this cadence so due
+#: verdicts are pushed from a quiet wire too, and ``/health`` calls the
+#: poll stale after ten of these (at least 5 s).
+POLL_INTERVAL = 0.5
+
 #: A queued slice: the batch, its submit stamp, and what to call when
 #: the drain task takes it (an acked submit's last slice sends the ack).
 _Entry = Tuple[ColumnarBatch, float, Optional[Callable[[], None]]]
@@ -357,7 +364,7 @@ class IngestPipeline:
         timers until the next submit or finalize.
         """
         while True:
-            await asyncio.sleep(self.config.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
             try:
                 await self._broadcast(self._fresh_violation_messages())
                 self.last_poll_at = time.monotonic()

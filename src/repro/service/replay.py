@@ -2,9 +2,8 @@
 
 :func:`replay_transactions` is the producer half of the continuous
 collector→checker loop: it takes committed transactions from any source
-— a JSONL history file, a textual WAL capture
-(:func:`repro.db.cdc.iter_wal_file`), a canonical anomaly fixture, or a
-freshly generated workload — and ships them to a
+— a history file (a saved CDC capture is one), a canonical anomaly
+fixture, or a freshly generated workload — and ships them to a
 :class:`~repro.service.client.CheckerClient` in collector-sized batches.
 
 Pacing reuses :meth:`repro.online.collector.HistoryCollector.iter_batches`

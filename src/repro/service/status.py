@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import render_family
 from repro.obs.trace import SlowBatchLog
+from repro.service import ingest as ingest_module
 from repro.service.ingest import IngestPipeline
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.sessions import RESUME_STORM_THRESHOLD, RESUME_STORM_WINDOW_S, SessionTable
@@ -364,12 +365,13 @@ class StatusView:
             # cannot flap the endpoint, tight enough that a wedged loop
             # is caught within seconds.  Before the first poll is due,
             # the daemon's own age stands in for the poll's.
-            stale_after = max(10 * config.poll_interval, 5.0)
+            poll_interval = ingest_module.POLL_INTERVAL
+            stale_after = max(10 * poll_interval, 5.0)
             fresh = now - (ingest.started_at if last_poll is None else last_poll) < stale_after
             components["ext_timer"] = component(
                 ingest.tick_alive and fresh, "polling",
                 "polls are stale" if ingest.tick_alive else "tick task is not running",
-                poll_age_s=age(last_poll), poll_interval_s=config.poll_interval,
+                poll_age_s=age(last_poll), poll_interval_s=poll_interval,
             )
         else:
             components["ext_timer"] = component(True, "disabled (infinite EXT timeout)", "")

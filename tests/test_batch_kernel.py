@@ -170,7 +170,7 @@ def test_kernel_counters_deterministic(kind):
         assert stats.txns == n
         assert stats.max_batch == 25
         assert stats.route_ops == sum(len(t.ops) for t in arrival)
-        n_ext_reads = sum(len(t.external_reads) for t in arrival)
+        n_ext_reads = sum(len(t.external_read_positions) for t in arrival)
         assert stats.probe_reads == n_ext_reads
         assert stats.verdict_tracks == n_ext_reads
         n_writes = sum(
@@ -412,7 +412,7 @@ def test_smoke_stream_counters_match_the_transaction_views(kind, smoke_stream):
     every external read tracked."""
     txns = smoke_stream
     got, reports, flips, _ = smoke_run(kind, txns)
-    n_ext_reads = sum(len(t.external_reads) for t in txns)
+    n_ext_reads = sum(len(t.external_read_positions) for t in txns)
     assert {name: got[name] for name in COUNTERS[:7]} == {
         "batches": -(-len(txns) // SMOKE_BATCH),
         "txns": len(txns),

@@ -1,7 +1,7 @@
 """Chaos harness units plus a small end-to-end campaign smoke.
 
-Covers the pieces the campaign runner stands on — the WAL tailer
-(torn-line handling, offset resume), the fault injector on live
+Covers the pieces the campaign runner stands on — the tailer of its
+history-file feed (torn-line handling, offset resume), the fault injector on live
 windows, the writable skew probability, connect backoff with attempt
 counting, and schedule generation/serialization — then runs small
 seeded campaigns end to end and asserts their report gate.
@@ -22,7 +22,7 @@ from repro.db.cdc import WalTailer
 from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.model import Operation, OpKind, Transaction
-from repro.histories.serialization import txn_to_dict
+from repro.histories.serialization import txn_to_dict, txn_to_jsonl
 from repro.service import CheckerClient, ServiceError
 
 
@@ -31,6 +31,7 @@ from repro.service import CheckerClient, ServiceError
 # ----------------------------------------------------------------------
 
 def commit_line(tid: int) -> str:
+    """One committed transaction as a history file's line."""
     txn = Transaction(
         tid=tid,
         sid=0,
@@ -39,17 +40,17 @@ def commit_line(tid: int) -> str:
         start_ts=2 * tid + 1,
         commit_ts=2 * tid + 2,
     )
-    return "COMMIT " + json.dumps(txn_to_dict(txn), separators=(",", ":"))
+    return txn_to_jsonl(txn)
 
 
 class TestWalTailer:
     def test_missing_file_reads_as_empty(self, tmp_path):
-        tailer = WalTailer(tmp_path / "absent.wal")
+        tailer = WalTailer(tmp_path / "absent.jsonl")
         assert tailer.poll() == []
         assert tailer.offset == 0
 
     def test_incremental_polls_see_each_append_once(self, tmp_path):
-        path = tmp_path / "live.wal"
+        path = tmp_path / "live.jsonl"
         tailer = WalTailer(path)
         with path.open("a") as handle:
             handle.write(commit_line(1) + "\n")
@@ -60,7 +61,7 @@ class TestWalTailer:
         assert tailer.poll() == []
 
     def test_torn_tail_is_left_for_the_next_poll(self, tmp_path):
-        path = tmp_path / "torn.wal"
+        path = tmp_path / "torn.jsonl"
         line = commit_line(7) + "\n"
         with path.open("a") as handle:
             handle.write(commit_line(5) + "\n")
@@ -75,7 +76,7 @@ class TestWalTailer:
         assert [txn.tid for txn in tailer.poll()] == [7]
 
     def test_offset_round_trips_across_tailers(self, tmp_path):
-        path = tmp_path / "resume.wal"
+        path = tmp_path / "resume.jsonl"
         with path.open("a") as handle:
             handle.write(commit_line(1) + "\n" + commit_line(2) + "\n")
         first = WalTailer(path)
@@ -85,12 +86,27 @@ class TestWalTailer:
         resumed = WalTailer(path, offset=first.offset)
         assert [txn.tid for txn in resumed.poll()] == [3]
 
-    def test_non_commit_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "mixed.wal"
+    def test_undecodable_line_keeps_the_offset(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
         with path.open("a") as handle:
-            handle.write("CHECKPOINT 12\n")
-            handle.write(commit_line(4) + "\n")
-            handle.write("\n")
+            handle.write(commit_line(1) + "\n" + '{"tid": 2}\n' + commit_line(3) + "\n")
+        tailer = WalTailer(path)
+        with pytest.raises(KeyError):
+            tailer.poll()
+        assert tailer.offset == 0  # nothing after the bad line is lost
+
+    def test_only_newline_ends_a_line(self, tmp_path):
+        """A raw U+2028 inside a key is valid JSON; the history file's
+        reader splits on newlines only, and so does the tailer."""
+        path = tmp_path / "raw.jsonl"
+        row = {"tid": 1, "sid": 1, "sno": 0, "sts": 1, "cts": 2, "ops": [["w", "a\u2028b", 1]]}
+        path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert [txn.keys for txn in WalTailer(path).poll()] == [("a\u2028b",)]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        with path.open("a") as handle:
+            handle.write("\n" + commit_line(4) + "\n\n")
         assert [txn.tid for txn in WalTailer(path).poll()] == [4]
 
 

@@ -205,12 +205,26 @@ class TestCheckCommand:
     def test_every_reader_reports_a_malformed_file(self, tmp_path, capsys, command):
         path = tmp_path / "broken.jsonl"
         path.write_text(GOOD_LINE + "\n" + '{"tid":2,"sid":1,"sno":1,"sts":3,"cts":4,"ops":["wxy"]}\n')
-        for target, what in ((path, f"{path}:2: malformed ops"), (tmp_path / "absent", "")):
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text(GOOD_LINE + "\n" + GOOD_LINE + "\n")
+        absent = tmp_path / "absent"
+        for target, what in (
+            (path, f"{path}:2: malformed ops"),
+            (repeated, f"{repeated}:2: duplicate transaction id 1"),
+            (absent, f"{absent}: "),
+        ):
             assert main([*command, str(target)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: {what}"), captured.err
             assert "Traceback" not in captured.err
+
+    def test_replay_reads_no_wal_source(self, tmp_path, capsys):
+        """A captured log is a history file: ``--history`` is its source."""
+        with pytest.raises(SystemExit) as done:
+            main(["replay", "--history", str(tmp_path / "h.jsonl"), "--wal", "capture.wal"])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --wal" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.jsonl")]) == 2

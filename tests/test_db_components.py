@@ -11,10 +11,15 @@ from hypothesis import strategies as st
 
 from repro.core.chronos import Chronos
 from repro.core.violations import Axiom
-from repro.db.cdc import parse_wal
 from repro.db.faults import FaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle, DecentralizedOracle, HybridLogicalClock
 from repro.db.storage import MultiVersionStore
+from repro.histories.serialization import (
+    history_to_jsonl,
+    load_history,
+    save_history,
+    txn_to_jsonl,
+)
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
 
@@ -117,15 +122,15 @@ class TestDecentralizedOracle:
 
 
 class TestCdc:
-    def test_wal_roundtrip(self, si_history):
+    def test_wal_roundtrip(self, tmp_path):
         from repro.db.engine import Database
 
         spec = WorkloadSpec(n_sessions=4, n_transactions=100, ops_per_txn=5, n_keys=20, seed=55)
         db = Database(isolation=spec.isolation)
         db.initialize(spec.keys, 0)
         generate_default_history(spec, database=db)
-        wal_text = list(db.cdc.wal_lines())
-        parsed = parse_wal(wal_text)
+        save_history(db.cdc.to_history(), tmp_path / "capture.jsonl")
+        parsed = load_history(tmp_path / "capture.jsonl")
         assert len(parsed) == len(db.cdc)
         assert Chronos().check(parsed).is_valid
 
@@ -140,11 +145,11 @@ class TestCdc:
         generate_default_history(spec, database=db)
         assert len(seen) == 50  # ⊥T was emitted before subscription
 
-    def test_wal_line_is_the_one_renderer(self):
-        """A live shipper (the chaos campaign's) renders each commit with
-        the function the log's own WAL uses, and the log holds the
-        engine's ``Transaction`` objects, which ``to_history`` reuses."""
-        from repro.db.cdc import wal_line
+    def test_one_line_renderer(self, tmp_path):
+        """A live shipper (the chaos campaign's), ``history_to_jsonl`` and
+        ``save_history`` render each commit with one function, and the log
+        holds the engine's ``Transaction`` objects, which ``to_history``
+        reuses."""
         from repro.histories.model import Transaction
         from repro.db.engine import Database
 
@@ -152,42 +157,32 @@ class TestCdc:
         db = Database(isolation=spec.isolation)
         db.initialize(spec.keys, 0)
         shipped = []
-        db.cdc.subscribe(lambda txn: shipped.append(wal_line(txn)))
+        db.cdc.subscribe(lambda txn: shipped.append(txn_to_jsonl(txn)))
         generate_default_history(spec, database=db)
-        lines = list(db.cdc.wal_lines())
+        path = tmp_path / "capture.jsonl"
+        save_history(db.cdc.to_history(), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == history_to_jsonl(db.cdc.to_history()).split("\n")
         assert lines[1:] == shipped  # ⊥T was emitted before subscription
-        assert lines[1].startswith('COMMIT {"tid":')
+        assert lines[1].startswith('{"tid":')
         assert all(type(txn) is Transaction for txn in db.cdc)
         assert all(a is b for a, b in zip(db.cdc.to_history(), db.cdc))
 
-    def test_save_wal_and_iter_wal_file(self, tmp_path):
-        from repro.db.cdc import ChangeLog, iter_wal_file
+    def test_saved_log_loads_as_a_history(self, tmp_path):
+        from repro.db.cdc import ChangeLog
         from repro.histories.model import OpKind, Operation, Transaction
 
         log = ChangeLog()
         log.emit(Transaction(tid=1, sid=1, sno=0, start_ts=1, commit_ts=2,
                              ops=(Operation(OpKind.WRITE, "x", 1),)))
         log.emit(Transaction(tid=2, sid=2, sno=0, start_ts=3, commit_ts=4, ops=()))
-        path = tmp_path / "capture.wal"
-        assert log.save_wal(path) == 2
-        streamed = list(iter_wal_file(path))
-        assert [t.tid for t in streamed] == [1, 2]
-        assert list(map(_txn_fingerprint, streamed)) == list(
+        path = tmp_path / "capture.jsonl"
+        save_history(log.to_history(), path)
+        loaded = load_history(path)
+        assert [t.tid for t in loaded] == [1, 2]
+        assert list(map(_txn_fingerprint, loaded)) == list(
             map(_txn_fingerprint, log.to_history())
         )
-
-    def test_iter_wal_file_skips_foreign_records(self, tmp_path):
-        from repro.db.cdc import iter_wal_file
-
-        path = tmp_path / "mixed.wal"
-        path.write_text(
-            "BEGIN 7\n"
-            'COMMIT {"tid":7,"sid":1,"sno":0,"sts":1,"cts":2,"ops":[["w","x",1]]}\n'
-            "\n"
-            "CHECKPOINT 9\n",
-            encoding="utf-8",
-        )
-        assert [t.tid for t in iter_wal_file(path)] == [7]
 
 
 def _txn_fingerprint(txn):
@@ -199,7 +194,8 @@ def _txn_fingerprint(txn):
 
 
 class TestWalRoundTripProperty:
-    """parse_wal ∘ wal_lines is the identity on captured logs — including
+    """A captured log saved with ``save_history`` reads back unchanged —
+    through ``load_history`` and through a ``WalTailer`` — including
     unicode keys, empty transactions, and out-of-order session ids."""
 
     _keys = st.text(min_size=1, max_size=6).filter(lambda s: s.strip() == s and s)
@@ -235,19 +231,17 @@ class TestWalRoundTripProperty:
         )
     )
     def test_round_trip(self, txns, tmp_path_factory):
-        from repro.db.cdc import ChangeLog, iter_wal_file, parse_wal
+        from repro.db.cdc import ChangeLog, WalTailer
 
         log = ChangeLog()
         for tid, (sid, sno, start_ts, span, op_specs) in enumerate(txns):
             log.emit(self._record(tid, sid, sno, start_ts, span, op_specs))
 
         original = [_txn_fingerprint(txn) for txn in log.to_history()]
-        parsed = parse_wal(log.wal_lines())
-        assert [_txn_fingerprint(txn) for txn in parsed] == original
-
-        path = tmp_path_factory.mktemp("wal") / "log.wal"
-        log.save_wal(path)
-        assert [_txn_fingerprint(txn) for txn in iter_wal_file(path)] == original
+        path = tmp_path_factory.mktemp("wal") / "log.jsonl"
+        save_history(log.to_history(), path)
+        assert [_txn_fingerprint(txn) for txn in load_history(path)] == original
+        assert [_txn_fingerprint(txn) for txn in WalTailer(path).poll()] == original
 
 
 class TestSkewedOracle:

@@ -1,10 +1,13 @@
-"""Golden bytes: generated histories and a saved WAL pinned from outside.
+"""Golden bytes: generated histories and a saved CDC capture pinned from outside.
 
-``repro generate`` and :meth:`ChangeLog.save_wal` are the two places a
-history leaves the simulated database as text; experiments are rerun
-from their seeds, so a refactor of the engine, the workloads or the line
-renderers must reproduce these files byte for byte.  The digests are
-the SHA-256 of each file and hold under any ``PYTHONHASHSEED``.
+``repro generate`` and :func:`save_history` of a database's captured
+log are the two places a history leaves the simulated database as text;
+experiments are rerun from their seeds, so a refactor of the engine, the
+workloads or the line renderer must reproduce these files byte for byte.
+The digests are the SHA-256 of each file and hold under any
+``PYTHONHASHSEED``.  The capture is the text a ``COMMIT``-prefixed WAL
+line format once carried with its 7-byte prefix cut from every line
+(that format's digest was ``5e632f6d…``).
 
 Regenerate (only when a format or generator change is intended)::
 
@@ -22,6 +25,7 @@ import pytest
 
 from repro.cli import main
 from repro.db.engine import Database
+from repro.histories.serialization import save_history
 from repro.workloads.generator import generate_default_history
 from repro.workloads.spec import WorkloadSpec
 
@@ -32,7 +36,7 @@ GENERATE_GOLDEN = {
     "rubis": "599c73d96b6627babc704e265472c13e511a191875ec4fc676bb3309782085ae",
     "tpcc": "c7442e54e19a41c50d0f9bb8870d1f3f88d2404304214939f41f43f1741a5de6",
 }
-WAL_GOLDEN = "5e632f6d91c5bac9aa0ffcb4a8e3cd8e0f800755bf54376fb00b17032622438a"
+WAL_GOLDEN = "b7e4f108910d3afb5781b9349155f6a893e9d6f58db19e3af6a43e6088dd020e"
 
 
 def generated_digest(workload: str, directory: Path) -> str:
@@ -48,8 +52,8 @@ def wal_digest(directory: Path) -> str:
     db = Database(isolation=spec.isolation)
     db.initialize(spec.keys, 0)
     generate_default_history(spec, database=db)
-    path = directory / "wal.log"
-    db.cdc.save_wal(path)
+    path = directory / "wal.jsonl"
+    save_history(db.cdc.to_history(), path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

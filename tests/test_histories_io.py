@@ -147,7 +147,7 @@ def test_serialization_roundtrip_property(data, sts):
     back = txn_from_dict(txn_to_dict(txn))
     assert list(back.ops) == ops
     assert back.write_keys == txn.write_keys
-    assert back.external_reads.keys() == txn.external_reads.keys()
+    assert back.external_read_positions == txn.external_read_positions
 
 
 def _as_rows(txns):

@@ -47,12 +47,11 @@ class TestTransactionDerivedViews:
 
     def test_external_reads_first_op_per_key(self):
         txn = _txn(ops=[read("a", 1), read("a", 2), write("b", 1), read("b", 1)])
-        assert set(txn.external_reads) == {"a"}
-        assert txn.external_reads["a"].value == 1  # first read, not second
+        assert txn.external_read_positions == {"a": 0}  # first read, not second
 
     def test_read_after_write_is_internal(self):
         txn = _txn(ops=[write("a", 1), read("a", 1)])
-        assert "a" not in txn.external_reads
+        assert "a" not in txn.external_read_positions
 
     def test_read_only(self):
         assert _txn(ops=[read("a", 1)]).is_read_only

@@ -10,7 +10,6 @@ from repro.core.aion_ser import AionSer
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
 from repro.core.reference import normalize_violations
-from repro.db.cdc import parse_wal
 from repro.db.engine import IsolationLevel
 from repro.db.faults import FaultInjector
 from repro.histories.serialization import load_history, save_history
@@ -41,14 +40,15 @@ class TestOfflinePipeline:
         reloaded = normalize_violations(Chronos().check(load_history(bad_path)))
         assert original == reloaded
 
-    def test_wal_pipeline(self):
+    def test_wal_pipeline(self, tmp_path):
         from repro.db.engine import Database
 
         spec = WorkloadSpec(n_sessions=6, n_transactions=300, ops_per_txn=8, n_keys=60, seed=91)
         db = Database(isolation=spec.isolation)
         db.initialize(spec.keys, 0)
         generate_default_history(spec, database=db)
-        history = parse_wal(db.cdc.wal_lines())
+        save_history(db.cdc.to_history(), tmp_path / "capture.jsonl")
+        history = load_history(tmp_path / "capture.jsonl")
         assert Chronos().check(history).is_valid
         assert EmmeSi().check(history).is_valid
 

@@ -7,7 +7,8 @@ object of its key: a history file, a JSONL text, one row list and one
 packed file (across its chunks) each end with K objects.  The memo
 dies with the call — there is no table to outlive a load.  A daemon
 connection keeps one memo across all its submit frames and drops it at
-disconnect, and a WAL tailer one across all its polls.
+disconnect, and a tailer of a live history file one across all its
+polls.
 
 The producer keeps the same rule: the simulated database swaps each op
 key for the first object it saw equal to it, so a generated history —
@@ -24,7 +25,7 @@ from array import array
 import pytest
 
 from repro.core.chronos import Chronos
-from repro.db.cdc import WalTailer, iter_wal_file, parse_wal, wal_line
+from repro.db.cdc import WalTailer
 from repro.db.engine import Database
 from repro.db.faults import SkewedOracle
 from repro.db.oracle import CentralizedOracle
@@ -38,6 +39,7 @@ from repro.histories.serialization import (
     load_history_packed,
     save_history,
     save_history_packed,
+    txn_to_jsonl,
 )
 from repro.service.client import CheckerClient
 from repro.service.config import ServiceConfig
@@ -353,34 +355,35 @@ def test_database_shares_keys_with_its_store_and_log():
 
 
 def _wal_readers(database, tmp_path):
-    path = tmp_path / "wal.log"
-    database.cdc.save_wal(path)
-    lines = list(database.cdc.wal_lines())
+    """The readers of a saved capture: the history file's loader, and a
+    tailer of the same lines as they are appended."""
+    path = tmp_path / "wal.jsonl"
+    save_history(database.cdc.to_history(), path)
+    lines = path.read_bytes().splitlines(keepends=True)
 
     def tailed():
         """Two polls of one tailer, the second over lines appended after
         the first."""
-        live = tmp_path / "live.wal"
+        live = tmp_path / "live.jsonl"
         tailer = WalTailer(live)
         half = len(lines) // 2
-        live.write_text("".join(line + "\n" for line in lines[:half]))
+        live.write_bytes(b"".join(lines[:half]))
         first = tailer.poll()
-        with live.open("a") as handle:
-            handle.writelines(line + "\n" for line in lines[half:])
+        with live.open("ab") as handle:
+            handle.writelines(lines[half:])
         return first + tailer.poll()
 
     return {
-        "parse_wal": lambda: list(parse_wal(lines)),
-        "iter_wal_file": lambda: list(iter_wal_file(path)),
+        "load_history": lambda: list(load_history(path)),
         "WalTailer": tailed,
     }
 
 
-@pytest.mark.parametrize("reader", ["parse_wal", "iter_wal_file", "WalTailer"])
+@pytest.mark.parametrize("reader", ["load_history", "WalTailer"])
 def test_wal_readers_share_keys(tmp_path, reader):
     database, _ = _chaos_database()
     txns = _wal_readers(database, tmp_path)[reader]()
-    assert list(map(wal_line, txns)) == list(database.cdc.wal_lines())
+    assert list(map(txn_to_jsonl, txns)) == list(map(txn_to_jsonl, database.cdc))
     _assert_one_object_per_key(_op_keys_of(txns))
 
 

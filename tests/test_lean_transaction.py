@@ -4,12 +4,13 @@ derived views computed when read.
 The constructor takes six fields; the ops are stored as an op-code
 ``bytes``, a key tuple and a value tuple, and ``ops`` builds the
 :class:`Operation` tuple from them when read.  ``write_keys``,
-``last_writes``, ``external_reads`` and ``is_read_only`` are properties
-that walk the columns on every read and store nothing.  These tests pin
-the layout (the slots and the bytes one transaction costs, its
-operations included) and hold each view, on the anomaly catalog and on
-generated register and list histories, to :func:`eager_views` — the
-loop ``__init__`` used to run once per transaction to precompute them.
+``last_writes``, ``external_read_positions`` and ``is_read_only`` are
+properties that walk the columns on every read and store nothing.
+These tests pin the layout (the slots and the bytes one transaction
+costs, its operations included) and hold each view, on the anomaly
+catalog and on generated register and list histories, to
+:func:`eager_views` — the loop ``__init__`` used to run once per
+transaction to precompute them.
 """
 
 from __future__ import annotations
@@ -117,9 +118,11 @@ def test_views_read_on_demand_equal_the_eager_loop(name):
         assert txn.write_keys == write_keys
         # Same entries in the same (program) order.
         assert list(txn.last_writes.items()) == list(last_writes.items())
-        assert list(txn.external_reads.items()) == list(external_reads.items())
-        # ``Operation``s are views built on read: equal, not the same object.
-        assert all(txn.external_reads[key] == op for key, op in external_reads.items())
+        # The same keys in the same order, each at its read's position.
+        positions = txn.external_read_positions
+        assert list(positions) == list(external_reads)
+        ops = txn.ops
+        assert all(ops[positions[key]] == op for key, op in external_reads.items())
         assert txn.is_read_only is (not write_keys)
 
 
@@ -128,15 +131,6 @@ def test_views_are_fresh_on_every_read():
     assert txn.last_writes is not txn.last_writes
     txn.last_writes["a"] = 99  # a caller's edit of its copy changes nothing
     assert txn.last_writes == {"a": 1}
-
-
-def test_external_read_positions_index_the_external_reads():
-    for history in HISTORIES.values():
-        for txn in history:
-            ops = txn.ops
-            positions = txn.external_read_positions
-            assert list(positions) == list(txn.external_reads)
-            assert all(ops[i] == txn.external_reads[key] for key, i in positions.items())
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.service import (
     ServiceThread,
     transactions_in_commit_order,
 )
+import repro.service.ingest as ingest_module
 import repro.service.status as status_module
 from repro.db.faults import FaultInjector
 from repro.service.client import http_get_json, http_get_text
@@ -435,8 +436,9 @@ class TestDaemonEndpoints:
         assert not storm["ok"] and storm["recent_resumes"] == RESUME_STORM_THRESHOLD
         assert "flapping" in storm["detail"]
 
-    def test_health_ext_timer_component_when_finite(self, start_service):
-        handle = start_service(timeout=5.0, poll_interval=0.05)
+    def test_health_ext_timer_component_when_finite(self, start_service, monkeypatch):
+        monkeypatch.setattr(ingest_module, "POLL_INTERVAL", 0.05)
+        handle = start_service(timeout=5.0)
         deadline = time.monotonic() + 5.0
         host, port = handle.http_address
         while time.monotonic() < deadline:
@@ -446,6 +448,7 @@ class TestDaemonEndpoints:
             time.sleep(0.05)
         assert health["components"]["ext_timer"]["ok"]
         assert health["components"]["ext_timer"]["detail"] == "polling"
+        assert health["components"]["ext_timer"]["poll_interval_s"] == 0.05
 
     def test_health_503_when_drain_task_dies(self, start_service):
         handle = start_service()

@@ -83,7 +83,7 @@ FIELDS = [
         {"axiom": Axiom.EXT, "tid": 9, "cycle_tids": (), "flavor": "G1c"},
     ),
     (CheckResult, (), {"violations": []}),
-    (AionConfig, (), {"timeout": 5.0, "spill_dir": None, "optimized_recheck": True}),
+    (AionConfig, (), {"timeout": 5.0, "optimized_recheck": True}),
     (
         FlipFlopStats,
         (),
@@ -146,7 +146,6 @@ FIELDS = [
             "queue_capacity": 10_000,
             "batch_size": 500,
             "gc_threshold": 0,
-            "poll_interval": 0.5,
             "http_port": None,
             "kernel_sample_every": 16,
             "slow_batch_ms": None,
@@ -236,11 +235,8 @@ REPRS = [
         CheckResult([ExtViolation(Axiom.EXT, 6, "x", 1, 2)]),
         "CheckResult(VIOLATIONS (1 total): EXT=1)",
     ),
-    (AionConfig(), "AionConfig(timeout=5.0, spill_dir=None, optimized_recheck=True)"),
-    (
-        AionConfig(0.5, PurePosixPath("/tmp/s"), False),
-        "AionConfig(timeout=0.5, spill_dir=PurePosixPath('/tmp/s'), optimized_recheck=False)",
-    ),
+    (AionConfig(), "AionConfig(timeout=5.0, optimized_recheck=True)"),
+    (AionConfig(0.5, False), "AionConfig(timeout=0.5, optimized_recheck=False)"),
     (
         FlipFlopStats(),
         "FlipFlopStats(flips_per_pair={}, n_flipped_txns=0, rectify_counts=[0, 0, 0, 0, 0, 0], "
@@ -274,13 +270,13 @@ REPRS = [
         ServiceConfig(),
         "ServiceConfig(host='127.0.0.1', port=0, unix_path=None, level='si', "
         "timeout=5.0, queue_capacity=10000, batch_size=500, gc_threshold=0, "
-        "poll_interval=0.5, http_port=None, kernel_sample_every=16, slow_batch_ms=None)",
+        "http_port=None, kernel_sample_every=16, slow_batch_ms=None)",
     ),
     (
-        ServiceConfig("::1", None, "/tmp/d.sock", "ser", float("inf"), 8, 9, 10, 0.25, 0, 0, 3.5),
+        ServiceConfig("::1", None, "/tmp/d.sock", "ser", float("inf"), 8, 9, 10, 0, 0, 3.5),
         "ServiceConfig(host='::1', port=None, unix_path='/tmp/d.sock', level='ser', "
         "timeout=inf, queue_capacity=8, batch_size=9, gc_threshold=10, "
-        "poll_interval=0.25, http_port=0, kernel_sample_every=0, slow_batch_ms=3.5)",
+        "http_port=0, kernel_sample_every=0, slow_batch_ms=3.5)",
     ),
     (
         MemorySampler(len, 5, [(0.5, 3)], 2),

@@ -5,7 +5,7 @@ flattened with ``ColumnarBatch.from_transactions`` at entry, and the
 route pass derives each transaction's external reads, final writes and
 INT mismatches in one walk of its ops.  The baselines and
 ``db/faults.py`` still read the views ``Transaction`` computes when
-they are read (``external_reads``, ``last_writes``), so the two
+they are read (``external_read_positions``, ``last_writes``), so the two
 derivations are pinned to each other here — what a one-transaction
 batch leaves in the tracker and the frontier, and the INT reports it
 makes — over random register transactions dense in repeated reads,
@@ -70,14 +70,15 @@ def test_route_pass_matches_transaction_views(checker_class, ops):
     # The tracked external reads: one record — ``[tid, snapshot_ts, *keys,
     # *actual, ...]`` — holding each key and the value its read observed.
     records = list(checker._ext._txns.values())
-    assert len(records) == (1 if txn.external_reads else 0)
+    positions = txn.external_read_positions
+    assert len(records) == (1 if positions else 0)
     tracked = [
         pair
         for record in records
         for keys in [record_keys(record)]
         for pair in zip(keys, record[REC_SNAPSHOT_TS + 1 + len(keys) :])
     ]
-    assert tracked == [(key, op.value) for key, op in txn.external_reads.items()]
+    assert tracked == [(key, txn.values[at]) for key, at in positions.items()]
     # The installed versions: each written key's final value, at commit.
     frontier = checker._frontier
     installed = {key: frontier.latest_at(key, 20) for key in frontier._by_key}

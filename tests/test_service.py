@@ -72,6 +72,7 @@ from repro.service.framing import (
     encode_json_frame,
     encode_submit_frame,
 )
+import repro.service.ingest as ingest_module
 from repro.service.ingest import _IngestQueue
 from repro.service.protocol import (
     ProtocolError,
@@ -339,8 +340,8 @@ class TestDaemon:
         assert stats["gc"]["seconds"] == 0.0
         assert stats["gc"]["threshold"] == 0
         assert stats["ext"] == {  # nothing finalized yet: every read is pending
-            "pending_txns": sum(1 for txn in txns if txn.external_reads),
-            "pending_reads": sum(len(txn.external_reads) for txn in txns),
+            "pending_txns": sum(1 for txn in txns if txn.external_read_positions),
+            "pending_reads": sum(len(txn.external_read_positions) for txn in txns),
         }
         assert stats["queue_high_water"] >= 1
         assert stats["latency"]["count"] >= 1
@@ -357,11 +358,12 @@ class TestDaemon:
         assert isinstance(pushed[0], ConflictViolation)
         subscriber.close()
 
-    def test_idle_ext_timeout_pushes_without_traffic(self, start_service):
+    def test_idle_ext_timeout_pushes_without_traffic(self, start_service, monkeypatch):
         # A finite EXT timeout arms real-clock deadlines; the periodic
         # poll must fire and push them while the wire is idle — no
         # further submits, no drain, no finalize.
-        handle = start_service(timeout=0.2, poll_interval=0.05)
+        monkeypatch.setattr(ingest_module, "POLL_INTERVAL", 0.05)
+        handle = start_service(timeout=0.2)
         subscriber = connect(handle)
         subscriber.subscribe()
         with connect(handle) as producer:

@@ -78,15 +78,14 @@ class TestSpillStore:
             store.reload_overlapping(None)
             assert min_spilled_ts(store) is None
 
-    def test_files_created_and_removed(self, tmp_path):
-        store = SpillStore(tmp_path / "spill")
-        segment = versions_only(store, 0, 10, {"k": [(1, 1, 1)]})
-        assert segment.path.exists()
-        assert segment.n_items == 1
-        store.reload_overlapping(None)
-        assert not segment.path.exists()
-        store.close()
-        assert (tmp_path / "spill").exists()  # caller-owned dir kept
+    def test_files_created_and_removed(self):
+        with SpillStore() as store:
+            segment = versions_only(store, 0, 10, {"k": [(1, 1, 1)]})
+            assert segment.path.exists()
+            assert segment.path.parent == store.directory
+            assert segment.n_items == 1
+            store.reload_overlapping(None)
+            assert not segment.path.exists()
 
     def test_owned_tempdir_removed_on_close(self):
         store = SpillStore()
@@ -104,15 +103,14 @@ class TestSpillStore:
             assert store.bytes_read == store.bytes_written
             assert store.reload_count == 1
 
-    def test_swapped_segment_file_is_refused(self, tmp_path):
+    def test_swapped_segment_file_is_refused(self):
         """A valid segment sitting under another segment's name is foreign."""
-        store = SpillStore(tmp_path)
-        first = versions_only(store, 0, 10, {"k": [(1, 1, 1)]})
-        second = versions_only(store, 20, 30, {"k": [(21, 2, 2)]})
-        first.path.write_bytes(second.path.read_bytes())
-        with pytest.raises(SegmentError):
-            store.reload_overlapping(15)
-        store.close()
+        with SpillStore() as store:
+            first = versions_only(store, 0, 10, {"k": [(1, 1, 1)]})
+            second = versions_only(store, 20, 30, {"k": [(21, 2, 2)]})
+            first.path.write_bytes(second.path.read_bytes())
+            with pytest.raises(SegmentError):
+                store.reload_overlapping(15)
 
 
 # ----------------------------------------------------------------------
